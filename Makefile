@@ -80,10 +80,11 @@ experiments:
 experiments-full:
 	$(GO) run ./cmd/whirlbench -full
 
-# Brief fuzz passes over both parsers.
+# Brief fuzz passes over both parsers and the one binary decoder (WPXS).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/pattern/
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/xmltree/
+	$(GO) test -fuzz FuzzSnapshotV2Corruption -fuzztime 10s ./internal/store/
 
 clean:
 	$(GO) clean ./...

@@ -247,24 +247,16 @@ func BenchmarkKeywordScan(b *testing.B) {
 func BenchmarkSnapshotOpen(b *testing.B) {
 	db := benchDB(b, 500)
 	dir := b.TempDir()
-	path := dir + "/snap.wpx"
-	if err := db.Save(path); err != nil {
+	path := dir + "/snap.wpxs"
+	if err := db.SaveSnapshot(path, whirlpool.SnapshotOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := whirlpool.Open(path); err != nil {
+		snap, err := whirlpool.OpenSnapshot(path)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkMarkovEstimatorBuild(b *testing.B) {
-	db := benchDB(b, 500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if db.MarkovEstimator() == nil {
-			b.Fatal("nil estimator")
-		}
+		snap.Close()
 	}
 }

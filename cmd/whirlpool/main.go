@@ -1,11 +1,13 @@
-// Command whirlpool runs a top-k tree-pattern query against an XML file.
+// Command whirlpool runs a top-k tree-pattern query against an XML file
+// or a .wpxs snapshot of one.
 //
 // Usage:
 //
 //	whirlpool -file catalog.xml -query "/book[./title = 'wodehouse']" -k 5
 //	whirlpool -file site.xml -query "//item[./description/parlist]" -k 10 -algorithm whirlpool-m
 //	whirlpool -file site.xml -query "//item[./name]" -exact -stats
-//	whirlpool -file site.wpx -query "//item[./quantity < 3]"   # binary snapshot
+//	whirlpool -file site.xml -save-snapshot site.wpxs          # write an mmap snapshot
+//	whirlpool -file site.wpxs -query "//item[./quantity < 3]"  # query it, no parse or build
 //
 // Flags select the algorithm (whirlpool-s, whirlpool-m, lockstep,
 // lockstep-noprun), the routing strategy, the queue discipline and the
@@ -16,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"repro"
@@ -23,7 +26,7 @@ import (
 
 func main() {
 	var (
-		file      = flag.String("file", "", "XML file to query (required)")
+		file      = flag.String("file", "", "XML file or .wpxs snapshot to query (required)")
 		queryStr  = flag.String("query", "", "tree-pattern query, e.g. //item[./name] (required)")
 		k         = flag.Int("k", 10, "number of answers")
 		algorithm = flag.String("algorithm", "whirlpool-s", "whirlpool-s | whirlpool-m | lockstep | lockstep-noprun")
@@ -53,8 +56,10 @@ func run(file, queryStr string, k int, algorithm, routing, queue, norm string, e
 	saveSnap, snShards, snScopes string) error {
 	var db *whirlpool.Database
 	var err error
-	if strings.HasSuffix(file, ".wpx") || strings.HasSuffix(file, ".wpxs") {
-		db, err = whirlpool.Open(file)
+	if strings.HasPrefix(filepath.Ext(file), ".wpx") {
+		// .wpxs, and a retired v1 .wpx so it gets OpenSnapshot's
+		// regenerate-it error instead of an XML syntax error.
+		db, err = whirlpool.OpenSnapshot(file)
 	} else {
 		db, err = whirlpool.LoadFile(file)
 	}

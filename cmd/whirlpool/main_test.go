@@ -2,10 +2,11 @@ package main
 
 import (
 	"os"
-
 	"path/filepath"
-	whirlpool "repro"
+	"strings"
 	"testing"
+
+	whirlpool "repro"
 )
 
 func writeCatalog(t *testing.T) string {
@@ -83,11 +84,24 @@ func TestRunSnapshotFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := filepath.Join(t.TempDir(), "cat.wpx")
-	if err := db.Save(snap); err != nil {
+	snap := filepath.Join(t.TempDir(), "cat.wpxs")
+	if err := db.SaveSnapshot(snap, whirlpool.SnapshotOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(snap, "/book[./title = 'wodehouse']", 2, "whirlpool-s", "min-alive", "max-final", "sparse", false, true, false, "", "", ""); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunLegacyV1File checks -file on a retired v1 .wpx file reports the
+// format and how to regenerate it rather than an XML syntax error.
+func TestRunLegacyV1File(t *testing.T) {
+	old := filepath.Join(t.TempDir(), "cat.wpx")
+	if err := os.WriteFile(old, []byte("WPX1\x03\x01\x04book"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run(old, "/book", 1, "whirlpool-s", "min-alive", "max-final", "sparse", false, false, false, "", "", "")
+	if err == nil || !strings.Contains(err.Error(), "retired v1 .wpx format") || !strings.Contains(err.Error(), "-save-snapshot") {
+		t.Fatalf("v1 file: error %v does not name the retired format and its regeneration", err)
 	}
 }

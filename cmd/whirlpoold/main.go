@@ -1,11 +1,11 @@
 // Command whirlpoold serves top-k XML queries over HTTP. It loads one
-// document (XML or .wpx snapshot) at startup and answers concurrent
+// document (XML or .wpxs snapshot) at startup and answers concurrent
 // queries with the Whirlpool engine.
 //
 //	whirlpoold -file site.xml -addr :8080
 //	whirlpoold -snapshot site.wpxs -addr :8080   # mmap, no build pass
 //
-// -snapshot boots from a zero-copy v2 snapshot: postings, Dewey arrays,
+// -snapshot boots from a zero-copy snapshot: postings, Dewey arrays,
 // synopsis and shard layouts are served straight from mapped pages, so
 // startup skips the parse/index/synopsis builds entirely and concurrent
 // daemons share one kernel page cache. A -file given alongside acts as a
@@ -43,6 +43,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -51,7 +52,7 @@ import (
 
 func main() {
 	var (
-		file      = flag.String("file", "", "XML file or .wpx snapshot to serve")
+		file      = flag.String("file", "", "XML file or .wpxs snapshot to serve")
 		snapshot  = flag.String("snapshot", "", "boot from a zero-copy mmap snapshot (.wpxs); falls back to -file on error")
 		addr      = flag.String("addr", ":8080", "listen address")
 		cacheSize = flag.Int("cache", defaultCacheSize, "max cached engines / keyword indexes (LRU)")
@@ -81,8 +82,10 @@ func main() {
 		}
 	}
 	if db == nil {
-		if strings.HasSuffix(*file, ".wpx") || strings.HasSuffix(*file, ".wpxs") {
-			db, err = whirlpool.Open(*file)
+		if strings.HasPrefix(filepath.Ext(*file), ".wpx") {
+			// .wpxs, and a retired v1 .wpx so it gets OpenSnapshot's
+			// regenerate-it error instead of an XML syntax error.
+			db, err = whirlpool.OpenSnapshot(*file)
 		} else {
 			db, err = whirlpool.LoadFile(*file)
 		}

@@ -1,5 +1,5 @@
 // Marketplace: a production-flavored workflow — generate a catalog,
-// persist it as a binary snapshot, reopen it, and run top-k queries with
+// persist it as an mmap snapshot, reopen it, and run top-k queries with
 // the extended content predicates (numeric comparisons, contains,
 // inequality) under a deadline. Also shows query-projected loading for
 // memory-constrained ingestion.
@@ -28,18 +28,20 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	snap := filepath.Join(dir, "catalog.wpx")
-	if err := db.Save(snap); err != nil {
+	snap := filepath.Join(dir, "catalog.wpxs")
+	if err := db.SaveSnapshot(snap, whirlpool.SnapshotOptions{}); err != nil {
 		log.Fatal(err)
 	}
 	info, _ := os.Stat(snap)
 	fmt.Printf("catalog: %d nodes, snapshot %d KB\n\n", db.Size(), info.Size()/1024)
 
-	// Reopen the snapshot (no XML re-parse) and query it.
-	db, err = whirlpool.Open(snap)
+	// Reopen the snapshot (mapped read-only: no XML re-parse, no index
+	// build) and query it; Close releases the mapping.
+	db, err = whirlpool.OpenSnapshot(snap)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer db.Close()
 
 	// Extended content predicates: cheap items in small quantities whose
 	// name mentions "gold".

@@ -50,8 +50,9 @@ func ExactBaseline(w io.Writer, c Config) error {
 }
 
 // DiskVsMemory compares running the default workload against the
-// in-memory index and against a store snapshot (lazily decoded
-// postings) — the answers must agree; the table reports open and query
+// in-memory index and against a store snapshot image (postings served
+// from the flat WPXS arrays) — the Section 6.3.3 disk-residence
+// ablation. The answers must agree; the table reports open and query
 // times.
 func DiskVsMemory(w io.Writer, c Config) error {
 	c = c.withDefaults()
@@ -60,11 +61,11 @@ func DiskVsMemory(w io.Writer, c Config) error {
 		return err
 	}
 	var snap bytes.Buffer
-	if err := store.Write(&snap, env.Doc); err != nil {
+	if err := store.WriteSnapshot(&snap, &store.Snapshot{Doc: env.Doc}); err != nil {
 		return err
 	}
 	start := time.Now()
-	reader, err := store.Parse(snap.Bytes())
+	reader, err := store.ParseSnapshot(snap.Bytes())
 	if err != nil {
 		return err
 	}

@@ -13,8 +13,9 @@ import (
 // parsed query and a runnable engine — along the three paths the
 // serving layer can take, and returns them as report cases:
 //
-//	plan-cold      scorer idf scans + per-predicate index scans + plan
-//	               construction from scratch (the pre-planner path)
+//	plan-cold      the statistics pass over the index, once for the
+//	               scorer and once for the engine's routing numbers,
+//	               + plan construction from scratch (the pre-planner path)
 //	plan-synopsis  plan compiled from the structure synopsis (no index
 //	               scans), engine built from the plan — a cache miss
 //	plan-hot       plan served from the planner cache, engine built

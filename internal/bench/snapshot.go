@@ -151,7 +151,7 @@ func snapshotCases(out io.Writer, env *Env, rounds int) ([]benchCase, error) {
 			r.Close()
 			return fmt.Errorf("bench: snapshot holds %d nodes, corpus has %d", len(doc.Nodes), len(env.Doc.Nodes))
 		}
-		if got := len(r.Candidates(doc.Roots[0], dewey.Descendant, snapshotScope, index.ValueEq(""))); got == 0 {
+		if got := len(r.AppendCandidates(nil, doc.Roots[0], dewey.Descendant, snapshotScope, index.ValueEq(""))); got == 0 {
 			r.Close()
 			return fmt.Errorf("bench: snapshot probe found no %s nodes", snapshotScope)
 		}

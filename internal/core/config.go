@@ -152,12 +152,6 @@ type Config struct {
 	// "several threads for the same server" future-work extension,
 	// lifting the parallelism cap of (#servers + 2) threads.
 	ServerWorkers int
-	// Estimator, when non-nil, supplies the routing statistics (fanout
-	// and selectivity per server) from a summary instead of exact index
-	// scans — the paper's pointer to XML selectivity estimation
-	// (Section 6.1.4). Estimates only steer routing; answers are
-	// unaffected.
-	Estimator Estimator
 	// Trace, when non-nil, receives per-run observability events:
 	// routing decisions, the prune-threshold trajectory, queue depth
 	// samples and match lifecycle counts (see internal/obs). Every

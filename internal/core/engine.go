@@ -15,17 +15,6 @@ import (
 	"repro/internal/score"
 )
 
-// Estimator supplies approximate routing statistics (see
-// internal/estimate for the Markov-table implementation).
-type Estimator interface {
-	// Fanout estimates the expected number of tag nodes on the axis of
-	// one anchorTag node (over all anchors, satisfying or not).
-	Fanout(anchorTag string, axis dewey.Axis, tag string) float64
-	// Selectivity estimates the fraction of anchorTag nodes with at
-	// least one tag node on the axis.
-	Selectivity(anchorTag string, axis dewey.Axis, tag string) float64
-}
-
 // Engine evaluates top-k queries for one (document, query, config)
 // combination. It precomputes the server plans (Algorithm 1), the
 // per-server maximum contributions backing the maximum-possible-final
@@ -114,26 +103,25 @@ func New(ix index.Source, q *pattern.Query, cfg Config) (*Engine, error) {
 	if err := cfg.validate(q.Size()); err != nil {
 		return nil, err
 	}
-	if cfg.Plan != nil {
-		if err := cfg.Plan.checkAgainst(q, &cfg); err != nil {
+	e := &Engine{
+		cfg:        cfg,
+		ix:         ix,
+		query:      q,
+		maxContrib: make([]float64, q.Size()),
+		minContrib: make([]float64, q.Size()),
+		expContrib: make([]float64, q.Size()),
+		vts:        make([]index.ValueTest, q.Size()),
+	}
+	if p := cfg.Plan; p != nil {
+		if err := p.checkAgainst(q, &cfg); err != nil {
 			return nil, err
 		}
-	}
-	plans := cfg.Plan.serverPlans()
-	if plans == nil {
-		plans = relax.BuildPlans(q, cfg.Relax)
-	}
-	e := &Engine{
-		cfg:         cfg,
-		ix:          ix,
-		query:       q,
-		plans:       plans,
-		maxContrib:  make([]float64, q.Size()),
-		minContrib:  make([]float64, q.Size()),
-		expContrib:  make([]float64, q.Size()),
-		fanout:      make([]float64, q.Size()),
-		satisfyProb: make([]float64, q.Size()),
-		vts:         make([]index.ValueTest, q.Size()),
+		e.plans, e.fanout, e.satisfyProb = p.Plans, p.Fanout, p.SatisfyProb
+	} else {
+		// No plan: run the statistics pass over the source this engine
+		// probes, so a per-shard engine routes by its own part's numbers.
+		e.plans = relax.BuildPlans(q, cfg.Relax)
+		e.fanout, e.satisfyProb = routingStats(e.plans, score.CollectStats(ix, nil, q))
 	}
 	for id, n := range q.Nodes {
 		e.vts[id] = index.Test(n.ValueOp, n.Value)
@@ -148,22 +136,6 @@ func New(ix index.Source, q *pattern.Query, cfg Config) (*Engine, error) {
 		e.allVisited |= 1 << uint(id)
 		if id > 0 {
 			e.sumMax += e.maxContrib[id]
-			axis := e.plans[id].ProbeAxis()
-			if cfg.Plan != nil {
-				e.fanout[id] = cfg.Plan.Fanout[id]
-				e.satisfyProb[id] = cfg.Plan.SatisfyProb[id]
-			} else if cfg.Estimator != nil {
-				p := cfg.Estimator.Selectivity(q.Root().Tag, axis, q.Nodes[id].Tag)
-				f := cfg.Estimator.Fanout(q.Root().Tag, axis, q.Nodes[id].Tag)
-				e.satisfyProb[id] = p
-				if p > 0 {
-					e.fanout[id] = f / p
-				}
-			} else {
-				st := ix.Predicate(q.Root().Tag, axis, q.Nodes[id].Tag, e.vts[id])
-				e.fanout[id] = st.MeanFanout()
-				e.satisfyProb[id] = st.Selectivity()
-			}
 		}
 	}
 	switch {

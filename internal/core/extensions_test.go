@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/dewey"
 	"repro/internal/index"
 	"repro/internal/relax"
 	"repro/internal/score"
@@ -97,24 +96,19 @@ func TestRouterBatchStress(t *testing.T) {
 	}
 }
 
-// markovStats adapts internal/estimate's interface shape for tests
-// without importing it (core cannot import estimate test-only); instead
-// we use a hand-rolled estimator to verify the hook.
-type fixedEstimator struct{ fanout, sel float64 }
-
-func (f fixedEstimator) Fanout(string, dewey.Axis, string) float64      { return f.fanout }
-func (f fixedEstimator) Selectivity(string, dewey.Axis, string) float64 { return f.sel }
-
-// TestEstimatorOnlySteersRouting verifies that plugging in (even wildly
-// wrong) routing estimates never changes the answers.
-func TestEstimatorOnlySteersRouting(t *testing.T) {
+// TestWrongStatisticsOnlySteerRouting verifies that routing statistics
+// only steer: a plan whose Fanout/SatisfyProb were doctored to wildly
+// wrong values never changes the answers.
+func TestWrongStatisticsOnlySteerRouting(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		r := rand.New(rand.NewSource(int64(5000 + trial)))
 		doc := randomDoc(r)
 		q := randomQuery(r)
 		ix := index.Build(doc)
-		s := score.NewTFIDF(ix, q, score.Sparse)
-		base, err := New(ix, q, Config{K: 3, Relax: relax.All, Algorithm: WhirlpoolS, Routing: RoutingMinAlive, Scorer: s})
+		stats := score.CollectStats(ix, nil, q)
+		s := score.NewTFIDFFromStats(stats, score.Sparse)
+		cfg := Config{K: 3, Relax: relax.All, Algorithm: WhirlpoolS, Routing: RoutingMinAlive, Scorer: s}
+		base, err := New(ix, q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,11 +116,16 @@ func TestEstimatorOnlySteersRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, est := range []Estimator{fixedEstimator{0.1, 0.1}, fixedEstimator{50, 0.99}} {
-			eng, err := New(ix, q, Config{
-				K: 3, Relax: relax.All, Algorithm: WhirlpoolS,
-				Routing: RoutingMinAlive, Scorer: s, Estimator: est,
-			})
+		for _, wrong := range []struct{ fanout, prob float64 }{{1, 0.1}, {50.5, 0.99}} {
+			plan, err := CompilePlan(stats, q, relax.All, s, "doctored")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := 1; id < q.Size(); id++ {
+				plan.Fanout[id], plan.SatisfyProb[id] = wrong.fanout, wrong.prob
+			}
+			cfg.Plan = plan
+			eng, err := New(ix, q, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +134,7 @@ func TestEstimatorOnlySteersRouting(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !almostEqual(scoresOf(got), scoresOf(want)) {
-				t.Fatalf("trial %d: estimator changed answers: %v vs %v", trial, scoresOf(got), scoresOf(want))
+				t.Fatalf("trial %d: doctored statistics changed answers: %v vs %v", trial, scoresOf(got), scoresOf(want))
 			}
 		}
 	}

@@ -4,22 +4,11 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/dewey"
 	"repro/internal/index"
 	"repro/internal/pattern"
 	"repro/internal/relax"
 	"repro/internal/score"
 )
-
-// PlanStats supplies exact per-predicate statistics from a corpus
-// structure synopsis (internal/synopsis implements it), so plans can be
-// compiled without touching the index — and, on a sharded corpus,
-// without fanning a probe out to every shard. ok must be false when the
-// source cannot answer the (anchor, axis, tag) combination; the
-// compiler then falls back to an index probe.
-type PlanStats interface {
-	Predicate(anchorTag string, axis dewey.Axis, tag string) (index.PredicateStats, bool)
-}
 
 // Plan is a compiled, immutable query plan: everything engine
 // construction needs that depends only on (query shape, relaxation
@@ -55,50 +44,55 @@ type Plan struct {
 	Order []int
 }
 
-// CompilePlan builds a Plan for q under relaxation r. Statistics come
-// from stats where it can answer (value-free predicates); only the rest
-// probe ix. The resulting engine behavior is identical to New without a
-// plan — same server plans, same statistics — except that the static
-// order defaults to the cost-based one instead of ascending node IDs.
-func CompilePlan(ix index.Source, stats PlanStats, q *pattern.Query, r relax.Relaxation, scorer score.Scorer, key string) (*Plan, error) {
+// CompilePlan builds a Plan for q under relaxation r from already
+// collected component-predicate statistics (score.CollectStats) — the
+// same values the plan's scorer was built from, so planning makes one
+// statistics pass and never probes the index itself. The resulting
+// engine behavior is identical to New without a plan — same server
+// plans, same statistics — except that the static order defaults to the
+// cost-based one instead of ascending node IDs.
+func CompilePlan(stats score.Stats, q *pattern.Query, r relax.Relaxation, scorer score.Scorer, key string) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Plan{
-		Key:         key,
-		Query:       q,
-		Relax:       r,
-		Plans:       relax.BuildPlans(q, r),
-		Scorer:      scorer,
-		Fanout:      make([]float64, q.Size()),
-		SatisfyProb: make([]float64, q.Size()),
+		Key:    key,
+		Query:  q,
+		Relax:  r,
+		Plans:  relax.BuildPlans(q, r),
+		Scorer: scorer,
 	}
-	rootTag := q.Root().Tag
-	for id := 1; id < q.Size(); id++ {
-		axis := p.Plans[id].ProbeAxis()
-		vt := index.Test(q.Nodes[id].ValueOp, q.Nodes[id].Value)
-		var st index.PredicateStats
-		resolved := false
-		if stats != nil && vt.Any() {
-			st, resolved = stats.Predicate(rootTag, axis, q.Nodes[id].Tag)
-		}
-		if !resolved {
-			st = ix.Predicate(rootTag, axis, q.Nodes[id].Tag, vt)
-		}
-		p.Fanout[id] = st.MeanFanout()
-		p.SatisfyProb[id] = st.Selectivity()
-	}
+	p.Fanout, p.SatisfyProb = routingStats(p.Plans, stats)
 	p.Order = orderByAlive(p.SatisfyProb, p.Fanout, r)
 	return p, nil
 }
 
-// serverPlans returns the compiled server plans, nil-safe so callers
-// can try a possibly-absent plan first and fall back to BuildPlans.
-func (p *Plan) serverPlans() []*relax.ServerPlan {
-	if p == nil {
-		return nil
+// routingStats derives the size-based router's inputs (Section 6.1.4)
+// from the component-predicate statistics: per non-root server, the
+// mean number of extensions per satisfying root and the fraction of
+// roots with at least one, read off the variant its probe axis sees.
+func routingStats(plans []*relax.ServerPlan, stats score.Stats) (fanout, satisfyProb []float64) {
+	fanout = make([]float64, len(plans))
+	satisfyProb = make([]float64, len(plans))
+	for id := 1; id < len(plans); id++ {
+		st := stats.ForAxis(id, plans[id].ProbeAxis())
+		fanout[id] = st.MeanFanout()
+		satisfyProb[id] = st.Selectivity()
 	}
-	return p.Plans
+	return fanout, satisfyProb
+}
+
+// CostBasedOrder chooses a static server order a priori from index
+// statistics — the paper's suggestion that "for homogeneous data sets
+// [static routing] might actually be the strategy of choice, where the
+// sequence can be determined a priori in a cost-based manner" (Section
+// 6.1.4). Servers are ordered by increasing expected number of partial
+// matches they leave alive per input match (selectivity × fanout, plus
+// the null extension for non-satisfying roots), the size-based analog of
+// selectivity-ordered join plans.
+func CostBasedOrder(ix index.Source, q *pattern.Query, r relax.Relaxation) []int {
+	fanout, satisfyProb := routingStats(relax.BuildPlans(q, r), score.CollectStats(ix, nil, q))
+	return orderByAlive(satisfyProb, fanout, r)
 }
 
 // checkAgainst verifies the plan is usable for (q, cfg): compiled for

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/index"
@@ -34,8 +35,9 @@ func TestEngineFromPlanMatchesScratch(t *testing.T) {
 			for _, alg := range []Algorithm{WhirlpoolS, LockStep} {
 				t.Run(fmt.Sprintf("%s/relax=%v/%v", qs, r, alg), func(t *testing.T) {
 					q := pattern.MustParse(qs)
-					s := score.NewTFIDFWithStats(ix, syn, q, score.Sparse)
-					plan, err := CompilePlan(ix, syn, q, r, s, "test-key")
+					stats := score.CollectStats(ix, syn, q)
+					s := score.NewTFIDFFromStats(stats, score.Sparse)
+					plan, err := CompilePlan(stats, q, r, s, "test-key")
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -95,8 +97,9 @@ func TestPlanMismatchesRejected(t *testing.T) {
 	}
 	ix := index.Build(doc)
 	q := pattern.MustParse("//item[./name]")
-	s := score.NewTFIDF(ix, q, score.Sparse)
-	plan, err := CompilePlan(ix, nil, q, relax.All, s, "k")
+	stats := score.CollectStats(ix, nil, q)
+	s := score.NewTFIDFFromStats(stats, score.Sparse)
+	plan, err := CompilePlan(stats, q, relax.All, s, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,5 +110,56 @@ func TestPlanMismatchesRejected(t *testing.T) {
 	so := score.NewTFIDF(ix, other, score.Sparse)
 	if _, err := New(ix, other, Config{K: 1, Relax: relax.All, Scorer: so, Plan: plan}); err == nil {
 		t.Fatal("query mismatch accepted")
+	}
+}
+
+// TestPlanStatisticsPinned pins Plan.Fanout/SatisfyProb/Order for the
+// paper's Q1–Q3 (canonicalized, as the planner compiles them) on XMark
+// seed 1 / 200 items to the values recorded before routing statistics
+// were folded into the scorer's pass (commit d9cc8dc, where CompilePlan
+// probed the index per server): the fold must not move a bit, whether
+// the statistics come from the synopsis or from scanning the index.
+// +whirllint:exactscore routing statistics must be bit-identical to the recorded ones
+func TestPlanStatisticsPinned(t *testing.T) {
+	doc, err := xmark.Generate(xmark.Options{Seed: 1, Items: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := index.Build(doc)
+	syn := synopsis.Build(doc)
+	q1 := "//item[./description/parlist]"
+	q2 := "//item[./description/parlist and ./mailbox/mail/text]"
+	q3 := "//item[./mailbox/mail/text[./bold and ./keyword] and ./name and ./incategory]"
+	f2 := []float64{0, 1, 2.8674698795180724, 1, 1.9801324503311257, 3.77}
+	p2 := []float64{0, 1, 0.415, 1, 0.755, 1}
+	f3 := []float64{0, 2.028368794326241, 1, 1.9801324503311257, 3.77, 2.3006134969325154, 2.2280701754385963, 1}
+	p3 := []float64{0, 0.705, 1, 0.755, 1, 0.815, 0.855, 1}
+	pinned := []struct {
+		xpath       string
+		r           relax.Relaxation
+		fanout      []float64
+		satisfyProb []float64
+		order       []int
+	}{
+		{q1, relax.None, f2[:3], p2[:3], []int{1, 2}},
+		{q1, relax.All, f2[:3], p2[:3], []int{1, 2}},
+		{q2, relax.None, f2, p2, []int{1, 3, 2, 4, 5}},
+		{q2, relax.All, f2, p2, []int{1, 3, 4, 2, 5}},
+		{q3, relax.None, f3, p3, []int{2, 7, 1, 3, 5, 6, 4}},
+		{q3, relax.All, f3, p3, []int{2, 7, 1, 3, 6, 5, 4}},
+	}
+	for _, want := range pinned {
+		q := pattern.Canonicalize(pattern.MustParse(want.xpath))
+		for name, src := range map[string]score.StatsSource{"synopsis": syn, "scan": nil} {
+			stats := score.CollectStats(ix, src, q)
+			plan, err := CompilePlan(stats, q, want.r, score.NewTFIDFFromStats(stats, score.Sparse), "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(plan.Fanout, want.fanout) || !slices.Equal(plan.SatisfyProb, want.satisfyProb) || !slices.Equal(plan.Order, want.order) {
+				t.Errorf("%s relax=%v (%s): plan (%v, %v, %v), pinned (%v, %v, %v)", want.xpath, want.r, name,
+					plan.Fanout, plan.SatisfyProb, plan.Order, want.fanout, want.satisfyProb, want.order)
+			}
+		}
 	}
 }

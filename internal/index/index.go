@@ -1,9 +1,9 @@
 // Package index provides the per-document access paths the Whirlpool
 // servers probe: tag postings in document order, (tag, value) postings for
 // content predicates, and Dewey-range scans for the structural axes. It
-// also computes the database statistics behind the paper's tf*idf scoring
-// (Section 4) and the routing estimates (Section 6.1.4): predicate
-// satisfaction counts, fanouts, and maximum term frequencies.
+// also defines PredicateStats, the shape of the database statistics
+// behind the paper's tf*idf scoring (Section 4) and the routing estimates
+// (Section 6.1.4); score.CollectStats computes them over any Source.
 //
 // When a query is executed on an XML document, "the document is parsed and
 // nodes involved in the query are stored in indexes along with their Dewey
@@ -55,15 +55,6 @@ func valueKey(tag, value string) string { return tag + "\x00" + value }
 // returned slice is shared; callers must not modify it.
 func (ix *Index) Nodes(tag string) []*xmltree.Node { return ix.byTag[tag] }
 
-// NodesValued returns all nodes with the given tag and, when value is
-// non-empty, exactly that text value, in document order.
-func (ix *Index) NodesValued(tag, value string) []*xmltree.Node {
-	if value == "" {
-		return ix.byTag[tag]
-	}
-	return ix.byTagValue[valueKey(tag, value)]
-}
-
 // NodesMatching returns the nodes with the given tag whose values satisfy
 // vt, in document order. Match-any and equality tests hit postings
 // directly; other operators filter the tag postings once and cache the
@@ -92,19 +83,10 @@ func (ix *Index) NodesMatching(tag string, vt ValueTest) []*xmltree.Node {
 	return out
 }
 
-// CountTag returns the number of nodes with the given tag.
-func (ix *Index) CountTag(tag string) int { return len(ix.byTag[tag]) }
-
-// Candidates returns the nodes with the given tag whose values satisfy
-// vt, on the given axis of anchor, in document order. Supported axes are
-// Self, Child and Descendant — the axes structural probes use after
-// Algorithm 1's composition to the query root.
-func (ix *Index) Candidates(anchor *xmltree.Node, axis dewey.Axis, tag string, vt ValueTest) []*xmltree.Node {
-	return ix.AppendCandidates(nil, anchor, axis, tag, vt)
-}
-
-// AppendCandidates implements index.Source's append-into-scratch probe:
-// Candidates' result is appended to dst and the extended slice returned.
+// AppendCandidates appends the nodes with the given tag whose values
+// satisfy vt, on the given axis of anchor, to dst in document order.
+// Supported axes are Self, Child and Descendant — the axes structural
+// probes use after Algorithm 1's composition to the query root.
 // +whirllint:hotpath
 func (ix *Index) AppendCandidates(dst []*xmltree.Node, anchor *xmltree.Node, axis dewey.Axis, tag string, vt ValueTest) []*xmltree.Node {
 	switch axis {
@@ -127,28 +109,6 @@ func (ix *Index) AppendCandidates(dst []*xmltree.Node, anchor *xmltree.Node, axi
 		// (dewey.Compose widens it); direct sibling checks happen in the
 		// conditional-predicate phase against bound nodes.
 		return dst
-	}
-}
-
-// HasCandidate reports whether at least one candidate exists; it is the
-// early-exit form of Candidates used for statistics gathering.
-func (ix *Index) HasCandidate(anchor *xmltree.Node, axis dewey.Axis, tag string, vt ValueTest) bool {
-	switch axis {
-	case dewey.Self:
-		return anchor.Tag == tag && vt.Matches(anchor.Value)
-	case dewey.Child:
-		for _, c := range anchor.Children {
-			if c.Tag == tag && vt.Matches(c.Value) {
-				return true
-			}
-		}
-		return false
-	case dewey.Descendant:
-		postings := ix.NodesMatching(tag, vt)
-		i := firstAfter(postings, anchor.ID)
-		return i < len(postings) && anchor.ID.IsAncestorOf(postings[i].ID)
-	default:
-		return false
 	}
 }
 

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/dewey"
@@ -36,9 +35,11 @@ func mustDoc(t *testing.T, s string) *xmltree.Document {
 
 func TestNodesPostings(t *testing.T) {
 	ix := Build(mustDoc(t, libraryXML))
-	books := ix.Nodes("book")
-	if len(books) != 3 {
+	if books := ix.Nodes("book"); len(books) != 3 {
 		t.Fatalf("books = %d", len(books))
+	}
+	if got := ix.Nodes("nothing"); len(got) != 0 {
+		t.Fatalf("absent tag has %d postings", len(got))
 	}
 	titles := ix.Nodes("title")
 	if len(titles) != 4 {
@@ -50,108 +51,43 @@ func TestNodesPostings(t *testing.T) {
 			t.Fatal("postings out of document order")
 		}
 	}
-	if ix.CountTag("book") != 3 || ix.CountTag("nothing") != 0 {
-		t.Fatal("CountTag broken")
-	}
-}
-
-func TestNodesValued(t *testing.T) {
-	ix := Build(mustDoc(t, libraryXML))
-	wode := ix.NodesValued("title", "wodehouse")
-	if len(wode) != 2 {
+	if wode := ix.NodesMatching("title", ValueEq("wodehouse")); len(wode) != 2 {
 		t.Fatalf("wodehouse titles = %d", len(wode))
 	}
-	if got := ix.NodesValued("title", ""); len(got) != 4 {
-		t.Fatalf("empty value should mean any: %d", len(got))
-	}
-	if got := ix.NodesValued("title", "absent"); len(got) != 0 {
+	if got := ix.NodesMatching("title", ValueEq("absent")); len(got) != 0 {
 		t.Fatalf("absent value = %d", len(got))
 	}
 }
 
-func TestCandidatesChild(t *testing.T) {
-	ix := Build(mustDoc(t, libraryXML))
-	book1 := ix.Nodes("book")[0]
-	got := ix.Candidates(book1, dewey.Child, "title", ValueEq(""))
-	if len(got) != 1 || got[0].Value != "wodehouse" {
-		t.Fatalf("child titles of book1 = %v", got)
-	}
-	if got := ix.Candidates(book1, dewey.Child, "name", ValueEq("")); len(got) != 0 {
-		t.Fatalf("name is not a child of book1: %v", got)
-	}
-}
-
-func TestCandidatesDescendant(t *testing.T) {
+// TestAppendCandidatesByHand pins the probe semantics on a document small
+// enough to check by eye; conformance_test.go checks them exhaustively
+// against a tree walk for every Source implementation.
+func TestAppendCandidatesByHand(t *testing.T) {
 	ix := Build(mustDoc(t, libraryXML))
 	books := ix.Nodes("book")
-	if got := ix.Candidates(books[0], dewey.Descendant, "name", ValueEq("psmith")); len(got) != 1 {
-		t.Fatalf("descendant name of book1 = %v", got)
-	}
-	// book2 has two descendant titles (own + reviews/title).
-	if got := ix.Candidates(books[1], dewey.Descendant, "title", ValueEq("")); len(got) != 2 {
-		t.Fatalf("descendant titles of book2 = %v", got)
-	}
-	// Results must not leak into the next book's subtree.
 	lib := ix.Nodes("library")[0]
-	all := ix.Candidates(lib, dewey.Descendant, "title", ValueEq(""))
-	if len(all) != 4 {
-		t.Fatalf("library descendant titles = %d", len(all))
+	cases := []struct {
+		what   string
+		anchor *xmltree.Node
+		axis   dewey.Axis
+		tag    string
+		vt     ValueTest
+		want   int
+	}{
+		{"child title of book1", books[0], dewey.Child, "title", ValueEq(""), 1},
+		{"name is no child of book1", books[0], dewey.Child, "name", ValueEq(""), 0},
+		{"descendant name=psmith of book1", books[0], dewey.Descendant, "name", ValueEq("psmith"), 1},
+		{"book2's own and reviews/title", books[1], dewey.Descendant, "title", ValueEq(""), 2},
+		{"child title=wodehouse of book2", books[1], dewey.Child, "title", ValueEq("wodehouse"), 1},
+		{"all titles under library", lib, dewey.Descendant, "title", ValueEq(""), 4},
+		{"self", books[0], dewey.Self, "book", ValueEq(""), 1},
+		{"self with wrong tag", books[0], dewey.Self, "title", ValueEq(""), 0},
+		{"unsupported probe axis", books[0], dewey.FollowingSibling, "book", ValueEq(""), 0},
 	}
-}
-
-func TestCandidatesSelf(t *testing.T) {
-	ix := Build(mustDoc(t, libraryXML))
-	b := ix.Nodes("book")[0]
-	if got := ix.Candidates(b, dewey.Self, "book", ValueEq("")); len(got) != 1 {
-		t.Fatal("self probe failed")
-	}
-	if got := ix.Candidates(b, dewey.Self, "title", ValueEq("")); len(got) != 0 {
-		t.Fatal("self probe with wrong tag should be empty")
-	}
-	if got := ix.Candidates(b, dewey.FollowingSibling, "book", ValueEq("")); got != nil {
-		t.Fatal("unsupported probe axis must return nil")
-	}
-}
-
-func TestHasCandidateAgreesWithCandidates(t *testing.T) {
-	ix := Build(mustDoc(t, libraryXML))
-	tags := []string{"book", "title", "info", "name", "publisher", "reviews", "zzz"}
-	axes := []dewey.Axis{dewey.Self, dewey.Child, dewey.Descendant}
-	for _, anchor := range ix.Doc.Nodes {
-		for _, tag := range tags {
-			for _, ax := range axes {
-				has := ix.HasCandidate(anchor, ax, tag, ValueEq(""))
-				n := len(ix.Candidates(anchor, ax, tag, ValueEq("")))
-				if has != (n > 0) {
-					t.Fatalf("HasCandidate(%v,%v,%s) = %v but %d candidates", anchor, ax, tag, has, n)
-				}
-			}
+	for _, c := range cases {
+		if got := ix.AppendCandidates(nil, c.anchor, c.axis, c.tag, c.vt); len(got) != c.want {
+			t.Errorf("%s: %d candidates, want %d (%v)", c.what, len(got), c.want, got)
 		}
-	}
-}
-
-func TestPredicateStats(t *testing.T) {
-	ix := Build(mustDoc(t, libraryXML))
-	// pc(book, title): books 1 and 2 have a child title; book 3 does not.
-	st := ix.Predicate("book", dewey.Child, "title", ValueEq(""))
-	if st.RootCount != 3 || st.Satisfying != 2 || st.TotalPairs != 2 || st.MaxTF != 1 {
-		t.Fatalf("pc(book,title) stats = %+v", st)
-	}
-	// ad(book, title): all three books; book 2 has tf 2.
-	st = ix.Predicate("book", dewey.Descendant, "title", ValueEq(""))
-	if st.Satisfying != 3 || st.TotalPairs != 4 || st.MaxTF != 2 {
-		t.Fatalf("ad(book,title) stats = %+v", st)
-	}
-	// Value predicate.
-	st = ix.Predicate("book", dewey.Descendant, "title", ValueEq("wodehouse"))
-	if st.Satisfying != 2 || st.MaxTF != 1 {
-		t.Fatalf("ad(book,title=wodehouse) stats = %+v", st)
-	}
-	// Relaxed (ad) dominates exact (pc): idf denominator can only grow.
-	exact := ix.Predicate("book", dewey.Child, "title", ValueEq(""))
-	relaxed := ix.Predicate("book", dewey.Descendant, "title", ValueEq(""))
-	if relaxed.Satisfying < exact.Satisfying || relaxed.TotalPairs < exact.TotalPairs {
-		t.Fatal("relaxation must not lose matches")
 	}
 }
 
@@ -166,58 +102,5 @@ func TestStatsDerived(t *testing.T) {
 	zero := PredicateStats{}
 	if zero.Selectivity() != 0 || zero.MeanFanout() != 0 {
 		t.Fatal("zero stats should not divide by zero")
-	}
-}
-
-func TestTF(t *testing.T) {
-	ix := Build(mustDoc(t, libraryXML))
-	book2 := ix.Nodes("book")[1]
-	if got := ix.TF(book2, dewey.Descendant, "title", ValueEq("")); got != 2 {
-		t.Fatalf("tf = %d, want 2", got)
-	}
-	if got := ix.TF(book2, dewey.Child, "title", ValueEq("wodehouse")); got != 1 {
-		t.Fatalf("tf = %d, want 1", got)
-	}
-}
-
-// TestRangeScanAgainstNaive cross-checks the Dewey-range descendant scan
-// with a brute-force walk on a random document.
-func TestRangeScanAgainstNaive(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	tags := []string{"a", "b", "c"}
-	b := xmltree.NewBuilder().Root("root")
-	var grow func(depth int)
-	grow = func(depth int) {
-		if depth > 4 {
-			return
-		}
-		kids := r.Intn(4)
-		for i := 0; i < kids; i++ {
-			b.Open(tags[r.Intn(len(tags))])
-			grow(depth + 1)
-			b.Close()
-		}
-	}
-	grow(0)
-	doc := b.Doc()
-	ix := Build(doc)
-	for _, anchor := range doc.Nodes {
-		for _, tag := range tags {
-			got := ix.Candidates(anchor, dewey.Descendant, tag, ValueEq(""))
-			var want []*xmltree.Node
-			for _, d := range anchor.Descendants() {
-				if d.Tag == tag {
-					want = append(want, d)
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("anchor %v tag %s: scan %d vs naive %d", anchor, tag, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("anchor %v tag %s: order mismatch", anchor, tag)
-				}
-			}
-		}
 	}
 }

@@ -77,24 +77,16 @@ func TestNodesMatchingConcurrent(t *testing.T) {
 func TestCandidatesWithOperators(t *testing.T) {
 	ix := Build(mustDoc(t, pricesXML))
 	shop := ix.Nodes("shop")[0]
-	cheap := ix.Candidates(shop, dewey.Descendant, "price", Test("<", "30"))
+	cheap := ix.AppendCandidates(nil, shop, dewey.Descendant, "price", Test("<", "30"))
 	if len(cheap) != 2 {
 		t.Fatalf("descendant cheap prices = %d", len(cheap))
 	}
 	item := ix.Nodes("item")[0]
-	if got := ix.Candidates(item, dewey.Child, "price", Test(">", "5")); len(got) != 1 {
+	if got := ix.AppendCandidates(nil, item, dewey.Child, "price", Test(">", "5")); len(got) != 1 {
 		t.Fatalf("child price>5 of item 1 = %d", len(got))
 	}
-	if got := ix.Candidates(item, dewey.Child, "price", Test(">", "50")); len(got) != 0 {
+	if got := ix.AppendCandidates(nil, item, dewey.Child, "price", Test(">", "50")); len(got) != 0 {
 		t.Fatalf("child price>50 of item 1 = %d", len(got))
-	}
-}
-
-func TestPredicateWithOperators(t *testing.T) {
-	ix := Build(mustDoc(t, pricesXML))
-	st := ix.Predicate("item", dewey.Child, "price", Test("<", "30"))
-	if st.RootCount != 4 || st.Satisfying != 2 {
-		t.Fatalf("stats = %+v", st)
 	}
 }
 

@@ -6,32 +6,29 @@ import (
 )
 
 // Source is the access-path contract the engine, the scorers and the
-// reference evaluators consume. The in-memory Index implements it, as
-// does the disk-backed store.Reader — the paper's observation that
-// adaptivity pays off most "in scenarios where data is stored on disk"
-// (Section 6.3.3) is exercised by swapping implementations.
+// reference evaluators consume: root candidates (Nodes, NodesMatching)
+// and "the tag nodes on this axis of this anchor" (AppendCandidates) —
+// all a Whirlpool server needs from storage (Section 5). The in-memory
+// Index implements it, as do the mmap-backed store.SnapshotReader and
+// its per-shard store.PartSource, and the partitioned shard.Corpus with
+// its spine view; swapping implementations exercises the paper's
+// observation that adaptivity pays off most "in scenarios where data is
+// stored on disk" (Section 6.3.3). Database statistics are not part of
+// the contract: score.CollectStats derives them from these three
+// methods.
 type Source interface {
 	// Nodes returns all nodes with the given tag in document order.
 	Nodes(tag string) []*xmltree.Node
 	// NodesMatching returns the nodes with the tag whose values satisfy
 	// vt, in document order.
 	NodesMatching(tag string, vt ValueTest) []*xmltree.Node
-	// CountTag returns the number of nodes with the tag.
-	CountTag(tag string) int
-	// Candidates returns the tag nodes satisfying vt on the given axis
-	// of anchor, in document order. Axes: Self, Child, Descendant.
-	Candidates(anchor *xmltree.Node, axis dewey.Axis, tag string, vt ValueTest) []*xmltree.Node
-	// AppendCandidates is Candidates in append form: the candidates are
-	// appended to dst (typically a reused scratch sliced to [:0]) and
-	// the extended slice returned, so hot probe loops allocate nothing
-	// in the steady state. Implementations must not retain dst, and the
+	// AppendCandidates appends the tag nodes satisfying vt on the given
+	// axis of anchor (Self, Child or Descendant) to dst, in document
+	// order, and returns the extended slice. dst is typically a reused
+	// scratch sliced to [:0], so hot probe loops allocate nothing in the
+	// steady state. Implementations must not retain dst, and the
 	// appended *xmltree.Node pointers remain valid after dst is reused.
 	AppendCandidates(dst []*xmltree.Node, anchor *xmltree.Node, axis dewey.Axis, tag string, vt ValueTest) []*xmltree.Node
-	// Predicate computes database statistics for the component
-	// predicate relating rootTag nodes to (tag, vt) nodes via axis.
-	Predicate(rootTag string, axis dewey.Axis, tag string, vt ValueTest) PredicateStats
-	// TF returns Definition 4.3's term frequency for node n.
-	TF(n *xmltree.Node, axis dewey.Axis, tag string, vt ValueTest) int
 }
 
 var _ Source = (*Index)(nil)
@@ -40,11 +37,11 @@ var _ Source = (*Index)(nil)
 // physically partitioned into disjoint shards (see internal/shard). Each
 // sub-source covers one partition of the document forest: together the
 // sub-sources' Nodes(rootTag) sets partition the whole source's, and
-// within a sub-source every access-path call (Candidates, Predicate, TF)
-// anchored at one of its own nodes returns exactly what the whole source
-// would — subtrees are never split across sub-sources. Consumers that
-// iterate all roots of a tag (the TFIDF statistics pass, per-shard
-// engines) can therefore fan out across sub-sources and merge.
+// within a sub-source every AppendCandidates call anchored at one of its
+// own nodes returns exactly what the whole source would — subtrees are
+// never split across sub-sources. Consumers that iterate all roots of a
+// tag (the statistics pass, per-shard engines) can therefore fan out
+// across sub-sources and merge.
 type ShardedSource interface {
 	Source
 	// ShardSources returns the partition, in shard order.

@@ -1,10 +1,5 @@
 package index
 
-import (
-	"repro/internal/dewey"
-	"repro/internal/xmltree"
-)
-
 // PredicateStats summarizes how one XPath component predicate
 // p(q0, qi) — "a q0 node has a qi node (optionally with a value) on axis
 // a" — behaves across the database. It feeds Definition 4.2's idf
@@ -40,61 +35,4 @@ func (s PredicateStats) MeanFanout() float64 {
 		return 0
 	}
 	return float64(s.TotalPairs) / float64(s.Satisfying)
-}
-
-// Predicate computes PredicateStats for the component predicate relating
-// rootTag nodes to (tag, value) nodes via axis. Axis must be Child,
-// Descendant or Self.
-func (ix *Index) Predicate(rootTag string, axis dewey.Axis, tag string, vt ValueTest) PredicateStats {
-	roots := ix.Nodes(rootTag)
-	st := PredicateStats{RootCount: len(roots)}
-	for _, r := range roots {
-		tf := ix.countCandidates(r, axis, tag, vt)
-		if tf > 0 {
-			st.Satisfying++
-			st.TotalPairs += tf
-			if tf > st.MaxTF {
-				st.MaxTF = tf
-			}
-		}
-	}
-	return st
-}
-
-// countCandidates counts without materializing.
-func (ix *Index) countCandidates(anchor *xmltree.Node, axis dewey.Axis, tag string, vt ValueTest) int {
-	switch axis {
-	case dewey.Self:
-		if anchor.Tag == tag && vt.Matches(anchor.Value) {
-			return 1
-		}
-		return 0
-	case dewey.Child:
-		n := 0
-		for _, c := range anchor.Children {
-			if c.Tag == tag && vt.Matches(c.Value) {
-				n++
-			}
-		}
-		return n
-	case dewey.Descendant:
-		postings := ix.NodesMatching(tag, vt)
-		lo := firstAfter(postings, anchor.ID)
-		n := 0
-		for i := lo; i < len(postings); i++ {
-			if !anchor.ID.IsAncestorOf(postings[i].ID) {
-				break
-			}
-			n++
-		}
-		return n
-	default:
-		return 0
-	}
-}
-
-// TF returns Definition 4.3's term frequency: the number of (tag, value)
-// nodes on the given axis of node n.
-func (ix *Index) TF(n *xmltree.Node, axis dewey.Axis, tag string, vt ValueTest) int {
-	return ix.countCandidates(n, axis, tag, vt)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dewey"
 	"repro/internal/index"
 	"repro/internal/pattern"
 	"repro/internal/xmltree"
@@ -42,6 +43,39 @@ func buildIx(t *testing.T) *index.Index {
 		t.Fatal(err)
 	}
 	return index.Build(doc)
+}
+
+// TestCollectStatsByHand pins the statistics producer on numbers small
+// enough to count by eye (index's conformance test checks it against a
+// tree walk on generated documents for every Source implementation).
+func TestCollectStatsByHand(t *testing.T) {
+	ix := buildIx(t)
+	cases := []struct {
+		xpath          string
+		exact, relaxed index.PredicateStats
+	}{
+		// Book 3's only title sits under reviews: a descendant, not a child.
+		{"//book[./title]", index.PredicateStats{RootCount: 4, Satisfying: 3, TotalPairs: 3, MaxTF: 1},
+			index.PredicateStats{RootCount: 4, Satisfying: 4, TotalPairs: 4, MaxTF: 1}},
+		{"//book[.//title = 'wodehouse']", index.PredicateStats{RootCount: 4, Satisfying: 3, TotalPairs: 3, MaxTF: 1},
+			index.PredicateStats{RootCount: 4, Satisfying: 3, TotalPairs: 3, MaxTF: 1}},
+		{"//book[./price < 50]", index.PredicateStats{RootCount: 4, Satisfying: 1, TotalPairs: 1, MaxTF: 1},
+			index.PredicateStats{RootCount: 4, Satisfying: 1, TotalPairs: 1, MaxTF: 1}},
+		// Exactly two levels down: three titles; anywhere below: all four.
+		{"//library[./book/title]", index.PredicateStats{RootCount: 1, Satisfying: 1, TotalPairs: 3, MaxTF: 3},
+			index.PredicateStats{RootCount: 1, Satisfying: 1, TotalPairs: 4, MaxTF: 4}},
+	}
+	for _, c := range cases {
+		q := pattern.MustParse(c.xpath)
+		st := CollectStats(ix, nil, q)
+		last := q.Size() - 1
+		if st.Exact[last] != c.exact || st.Relaxed[last] != c.relaxed {
+			t.Errorf("%s: stats (%+v, %+v), want (%+v, %+v)", c.xpath, st.Exact[last], st.Relaxed[last], c.exact, c.relaxed)
+		}
+		if st.ForAxis(last, dewey.Child) != c.exact || st.ForAxis(last, dewey.Descendant) != c.relaxed {
+			t.Errorf("%s: ForAxis does not map Child to exact and Descendant to relaxed", c.xpath)
+		}
+	}
 }
 
 func TestTFIDFExactVsRelaxedIDF(t *testing.T) {

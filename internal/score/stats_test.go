@@ -47,7 +47,7 @@ func TestTFIDFWithSynopsisStats(t *testing.T) {
 					t.Run(fmt.Sprintf("items=%d/%s/%s/%v", items, srcName, qs, norm), func(t *testing.T) {
 						q := pattern.MustParse(qs)
 						want := score.NewTFIDF(src, q, norm)
-						got := score.NewTFIDFWithStats(src, syn, q, norm)
+						got := score.NewTFIDFFromStats(score.CollectStats(src, syn, q), norm)
 						var probe xmltree.Node
 						for id := 0; id < q.Size(); id++ {
 							we, wr := want.IDF(id)

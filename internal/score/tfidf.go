@@ -66,27 +66,66 @@ type TFIDF struct {
 }
 
 // StatsSource supplies pre-resolved component-predicate statistics —
-// typically a corpus structure synopsis (internal/synopsis) — so a
-// scorer can be built without fanning index probes out across every
-// shard at query time. ok must be false whenever the source cannot
-// answer the node's predicate exactly (e.g. content predicates); the
-// scorer then falls back to scanning for that node only.
+// typically a corpus structure synopsis (internal/synopsis) — so
+// CollectStats need not fan index probes out across every shard at
+// query time. ok must be false whenever the source cannot answer the
+// node's predicate exactly (e.g. content predicates); CollectStats then
+// falls back to scanning for that node only.
 type StatsSource interface {
 	ComponentStats(q *pattern.Query, id int) (exact, relaxed index.PredicateStats, ok bool)
 }
 
-// NewTFIDF builds a tf*idf scorer for q against the indexed database ix.
-func NewTFIDF(ix index.Source, q *pattern.Query, norm Normalization) *TFIDF {
-	return NewTFIDFWithStats(ix, nil, q, norm)
+// Stats holds, per query node id, the database statistics of component
+// predicate p(q0, qi) in its exact form (the unrelaxed composition of
+// axes from the root) and its fully relaxed form (any descendant). It is
+// the one statistics product: the tf*idf scorer reads its idfs from it,
+// and core derives the size-based router's fanout and selectivity and
+// the cost-based server order from the same values.
+type Stats struct {
+	Exact, Relaxed []index.PredicateStats
 }
 
-// NewTFIDFWithStats is NewTFIDF drawing per-predicate statistics from
-// stats where it can answer (value-free predicates), scanning ix only
-// for the rest. A synopsis-backed stats source yields exactly the
-// numbers the scan produces, so the resulting scorer is identical to
-// NewTFIDF's — just cheaper to build.
-func NewTFIDFWithStats(ix index.Source, stats StatsSource, q *pattern.Query, norm Normalization) *TFIDF {
+// CollectStats is the single statistics producer: one pass per query
+// node, answered by src where it can (value-free predicates on a
+// synopsis) and by one root scan of ix otherwise. A synopsis-backed src
+// yields exactly the numbers the scan produces.
+func CollectStats(ix index.Source, src StatsSource, q *pattern.Query) Stats {
 	n := q.Size()
+	st := Stats{Exact: make([]index.PredicateStats, n), Relaxed: make([]index.PredicateStats, n)}
+	for id := 0; id < n; id++ {
+		resolved := false
+		if src != nil {
+			st.Exact[id], st.Relaxed[id], resolved = src.ComponentStats(q, id)
+		}
+		if !resolved {
+			st.Exact[id], st.Relaxed[id] = predicateStats(ix, q, id)
+		}
+	}
+	return st
+}
+
+// ForAxis returns the statistics describing a server whose structural
+// probe for node id runs on axis: a Child probe happens exactly when the
+// composed root path is one unrelaxable pc edge — the exact component
+// predicate — and every Descendant probe sees what the relaxed one
+// counts (relax.ServerPlan.ProbeAxis).
+func (st Stats) ForAxis(id int, axis dewey.Axis) index.PredicateStats {
+	if axis == dewey.Child {
+		return st.Exact[id]
+	}
+	return st.Relaxed[id]
+}
+
+// NewTFIDF builds a tf*idf scorer for q against the indexed database ix.
+func NewTFIDF(ix index.Source, q *pattern.Query, norm Normalization) *TFIDF {
+	return NewTFIDFFromStats(CollectStats(ix, nil, q), norm)
+}
+
+// NewTFIDFFromStats builds the scorer from already collected statistics,
+// so a caller that also needs them for routing (core.CompilePlan) pays
+// for one pass.
+func NewTFIDFFromStats(st Stats, norm Normalization) *TFIDF {
+	n := len(st.Exact)
 	s := &TFIDF{
 		idfExact:   make([]float64, n),
 		idfRelaxed: make([]float64, n),
@@ -94,17 +133,9 @@ func NewTFIDFWithStats(ix index.Source, stats StatsSource, q *pattern.Query, nor
 		scale:      make([]float64, n),
 		expected:   make([]float64, n),
 	}
-	rootTag := q.Root().Tag
-	rootCount := ix.CountTag(rootTag)
+	rootCount := st.Exact[0].RootCount
 	for id := 0; id < n; id++ {
-		var exactStats, relaxedStats index.PredicateStats
-		resolved := false
-		if stats != nil {
-			exactStats, relaxedStats, resolved = stats.ComponentStats(q, id)
-		}
-		if !resolved {
-			exactStats, relaxedStats = predicateStats(ix, q, id)
-		}
+		exactStats, relaxedStats := st.Exact[id], st.Relaxed[id]
 		s.idfExact[id] = idf(rootCount, exactStats.Satisfying)
 		s.idfRelaxed[id] = idf(rootCount, relaxedStats.Satisfying)
 		if s.idfRelaxed[id] > s.idfExact[id] {
@@ -158,8 +189,8 @@ func idf(rootCount, satisfying int) float64 {
 
 // predicateStats computes database statistics for the exact and relaxed
 // variants of component predicate p(q0, qi). When ix is physically
-// sharded, the per-root scan for id > 0 — the expensive part of building
-// a TFIDF scorer — fans out across the sub-sources in parallel and the
+// sharded, the per-root scan for id > 0 — the expensive part of the
+// statistics pass — fans out across the sub-sources in parallel and the
 // partial statistics are merged; each sub-source holds complete subtrees,
 // so its local scan is exact for its own roots.
 func predicateStats(ix index.Source, q *pattern.Query, id int) (exact, relaxed index.PredicateStats) {

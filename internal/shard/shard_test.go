@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/dewey"
-	"repro/internal/index"
 	"repro/internal/shard"
 	"repro/internal/xmark"
 	"repro/internal/xmltree"
@@ -209,74 +207,8 @@ func TestSplitEmptyDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.CountTag("anything"); got != 0 {
-		t.Fatalf("CountTag on empty = %d", got)
-	}
-}
-
-// TestCorpusSourceEquivalence drives the Corpus index.Source against a
-// whole-document index: every access path must answer identically, for
-// anchors inside parts and on the spine alike.
-func TestCorpusSourceEquivalence(t *testing.T) {
-	docs := []*xmltree.Document{xmarkDoc(t, 30)}
-	r := rand.New(rand.NewSource(42))
-	for i := 0; i < 6; i++ {
-		docs = append(docs, randomDoc(r))
-	}
-	axes := []dewey.Axis{dewey.Self, dewey.Child, dewey.Descendant}
-	for di, doc := range docs {
-		whole := index.Build(doc)
-		for _, p := range []int{1, 2, 8} {
-			c, err := shard.Split(doc, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := fmt.Sprintf("doc%d/p=%d", di, p)
-			tags := doc.Tags()
-			for _, tag := range tags {
-				if got, want := nodeOrds(c.Nodes(tag)), nodeOrds(whole.Nodes(tag)); !equalInts(got, want) {
-					t.Fatalf("%s: Nodes(%q) = %v, want %v", name, tag, got, want)
-				}
-				if got, want := c.CountTag(tag), whole.CountTag(tag); got != want {
-					t.Fatalf("%s: CountTag(%q) = %d, want %d", name, tag, got, want)
-				}
-				vt := index.Test("", "v1")
-				if got, want := nodeOrds(c.NodesMatching(tag, vt)), nodeOrds(whole.NodesMatching(tag, vt)); !equalInts(got, want) {
-					t.Fatalf("%s: NodesMatching(%q, =v1) mismatch", name, tag)
-				}
-			}
-			// Sample anchors: every 7th node plus every spine node.
-			anchors := c.Spine()
-			for i := 0; i < len(doc.Nodes); i += 7 {
-				anchors = append(anchors, doc.Nodes[i])
-			}
-			any := index.Test("", "")
-			for _, anchor := range anchors {
-				for _, axis := range axes {
-					for _, tag := range tags {
-						got := nodeOrds(c.Candidates(anchor, axis, tag, any))
-						want := nodeOrds(whole.Candidates(anchor, axis, tag, any))
-						if !equalInts(got, want) {
-							t.Fatalf("%s: Candidates(ord %d, %v, %q) = %v, want %v",
-								name, anchor.Ord, axis, tag, got, want)
-						}
-						if got, want := c.TF(anchor, axis, tag, any), whole.TF(anchor, axis, tag, any); got != want {
-							t.Fatalf("%s: TF(ord %d, %v, %q) = %d, want %d",
-								name, anchor.Ord, axis, tag, got, want)
-						}
-					}
-				}
-			}
-			for _, rootTag := range tags {
-				for _, tag := range tags {
-					got := c.Predicate(rootTag, dewey.Descendant, tag, any)
-					want := whole.Predicate(rootTag, dewey.Descendant, tag, any)
-					if got != want {
-						t.Fatalf("%s: Predicate(%q//%q) = %+v, want %+v", name, rootTag, tag, got, want)
-					}
-				}
-			}
-		}
+	if got := len(c.Nodes("anything")); got != 0 {
+		t.Fatalf("Nodes on empty = %d", got)
 	}
 }
 
@@ -304,7 +236,7 @@ func TestShardSourcesPartitionRoots(t *testing.T) {
 				total++
 			}
 		}
-		if want := c.CountTag(tag); total != want {
+		if want := len(c.Nodes(tag)); total != want {
 			t.Fatalf("tag %q: sub-sources hold %d nodes, corpus %d", tag, total, want)
 		}
 	}

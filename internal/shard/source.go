@@ -10,7 +10,7 @@ import (
 
 // Corpus implements index.Source over the whole forest by merging the
 // per-part indexes (plus the spine), and index.ShardedSource so
-// whole-corpus scans — the TFIDF statistics pass above all — can fan out
+// whole-corpus scans — the statistics pass above all — can fan out
 // across the parts in parallel.
 var (
 	_ index.Source        = (*Corpus)(nil)
@@ -64,9 +64,6 @@ func (c *Corpus) NodesMatching(tag string, vt index.ValueTest) []*xmltree.Node {
 	return out
 }
 
-// CountTag returns the number of nodes with the tag.
-func (c *Corpus) CountTag(tag string) int { return len(c.Nodes(tag)) }
-
 // home resolves the shard holding n: the part ID of its nearest
 // unit-root ancestor, or -1 when n sits on the spine.
 func (c *Corpus) home(n *xmltree.Node) int {
@@ -78,17 +75,11 @@ func (c *Corpus) home(n *xmltree.Node) int {
 	return -1
 }
 
-// Candidates returns the tag nodes satisfying vt on the axis of anchor,
-// in document order. Anchors inside a part delegate to that part's index
-// — complete subtrees make the local answer globally exact. Spine
-// anchors (whose subtrees span parts) merge the spine with per-part
-// range scans under the dominated units.
-func (c *Corpus) Candidates(anchor *xmltree.Node, axis dewey.Axis, tag string, vt index.ValueTest) []*xmltree.Node {
-	return c.AppendCandidates(nil, anchor, axis, tag, vt)
-}
-
-// AppendCandidates implements index.Source's append-into-scratch probe
-// with the same delegation structure as Candidates.
+// AppendCandidates appends the tag nodes satisfying vt on the axis of
+// anchor to dst, in document order. Anchors inside a part delegate to
+// that part's index — complete subtrees make the local answer globally
+// exact. Spine anchors (whose subtrees span parts) merge the spine with
+// per-part range scans under the dominated units.
 // +whirllint:hotpath
 func (c *Corpus) AppendCandidates(dst []*xmltree.Node, anchor *xmltree.Node, axis dewey.Axis, tag string, vt index.ValueTest) []*xmltree.Node {
 	switch axis {
@@ -141,43 +132,6 @@ func (c *Corpus) spineDescendants(dst []*xmltree.Node, anchor *xmltree.Node, tag
 	return dst
 }
 
-// Predicate computes whole-corpus statistics for the component predicate
-// relating rootTag nodes to (tag, vt) nodes via axis. Probes append into
-// one scratch buffer reused across roots; descendant probes of part
-// anchors count via the part's TF without materializing.
-func (c *Corpus) Predicate(rootTag string, axis dewey.Axis, tag string, vt index.ValueTest) index.PredicateStats {
-	roots := c.Nodes(rootTag)
-	st := index.PredicateStats{RootCount: len(roots)}
-	var buf []*xmltree.Node
-	for _, r := range roots {
-		var tf int
-		if h := c.home(r); axis == dewey.Descendant && h >= 0 {
-			tf = c.parts[h].Ix.TF(r, axis, tag, vt)
-		} else {
-			buf = c.AppendCandidates(buf[:0], r, axis, tag, vt)
-			tf = len(buf)
-		}
-		if tf > 0 {
-			st.Satisfying++
-			st.TotalPairs += tf
-			if tf > st.MaxTF {
-				st.MaxTF = tf
-			}
-		}
-	}
-	return st
-}
-
-// TF returns the term frequency of (tag, vt) on the axis of n.
-func (c *Corpus) TF(n *xmltree.Node, axis dewey.Axis, tag string, vt index.ValueTest) int {
-	if axis == dewey.Descendant {
-		if h := c.home(n); h >= 0 {
-			return c.parts[h].Ix.TF(n, axis, tag, vt)
-		}
-	}
-	return len(c.Candidates(n, axis, tag, vt))
-}
-
 // ShardSources implements index.ShardedSource: one sub-source per part,
 // plus — when interior nodes were cut — a spine sub-source covering the
 // residual forest whose subtrees span parts. Together the sub-sources'
@@ -198,7 +152,7 @@ func (c *Corpus) ShardSources() []index.Source {
 // span parts — as an index.Source. Tag scans see only spine nodes
 // (that is the partition contract: the spine owns these roots), while
 // structural probes anchored at a spine node answer over the whole
-// corpus via Corpus.Candidates.
+// corpus via Corpus.AppendCandidates.
 type spineView struct {
 	c *Corpus
 }
@@ -220,35 +174,7 @@ func (v *spineView) NodesMatching(tag string, vt index.ValueTest) []*xmltree.Nod
 	return out
 }
 
-func (v *spineView) CountTag(tag string) int { return len(v.c.spineByTag[tag]) }
-
-func (v *spineView) Candidates(anchor *xmltree.Node, axis dewey.Axis, tag string, vt index.ValueTest) []*xmltree.Node {
-	return v.c.Candidates(anchor, axis, tag, vt)
-}
-
 // +whirllint:hotpath
 func (v *spineView) AppendCandidates(dst []*xmltree.Node, anchor *xmltree.Node, axis dewey.Axis, tag string, vt index.ValueTest) []*xmltree.Node {
 	return v.c.AppendCandidates(dst, anchor, axis, tag, vt)
-}
-
-func (v *spineView) Predicate(rootTag string, axis dewey.Axis, tag string, vt index.ValueTest) index.PredicateStats {
-	roots := v.Nodes(rootTag)
-	st := index.PredicateStats{RootCount: len(roots)}
-	var buf []*xmltree.Node
-	for _, r := range roots {
-		buf = v.AppendCandidates(buf[:0], r, axis, tag, vt)
-		tf := len(buf)
-		if tf > 0 {
-			st.Satisfying++
-			st.TotalPairs += tf
-			if tf > st.MaxTF {
-				st.MaxTF = tf
-			}
-		}
-	}
-	return st
-}
-
-func (v *spineView) TF(n *xmltree.Node, axis dewey.Axis, tag string, vt index.ValueTest) int {
-	return v.c.TF(n, axis, tag, vt)
 }

@@ -11,61 +11,8 @@ import (
 	"repro/internal/xmltree"
 )
 
-// FuzzParseSnapshot feeds arbitrary (and mutated-valid) bytes to the
-// snapshot decoder: it must never panic, and whatever it accepts must
-// have internally consistent structure.
-func FuzzParseSnapshot(f *testing.F) {
-	// Seed with a couple of valid snapshots and trivial corruptions.
-	for _, xml := range []string{
-		`<a/>`,
-		`<a><b>x</b><b>y</b></a>`,
-		`<site><item id="1"><name>gold</name></item></site>`,
-	} {
-		doc, err := xmltree.ParseString(xml)
-		if err != nil {
-			f.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := Write(&buf, doc); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		if buf.Len() > 8 {
-			mutated := append([]byte{}, buf.Bytes()...)
-			mutated[buf.Len()/2] ^= 0xFF
-			f.Add(mutated)
-			f.Add(mutated[:buf.Len()-3])
-		}
-	}
-	f.Add([]byte{})
-	f.Add([]byte("WPX1"))
-
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		r, err := Parse(raw)
-		if err != nil {
-			return
-		}
-		doc := r.Document()
-		for i, n := range doc.Nodes {
-			if n.Ord != i {
-				t.Fatalf("ordinal mismatch at %d", i)
-			}
-			if n.Parent != nil && !n.Parent.ID.IsParentOf(n.ID) {
-				t.Fatalf("Dewey inconsistency at %d", i)
-			}
-		}
-		// Probing any stored tag must not panic, even on corrupt
-		// postings (they surface as empty lists; Verify reports them).
-		for _, tag := range r.tags {
-			_ = r.Nodes(tag)
-			_ = r.CountTag(tag)
-		}
-		_ = r.Verify()
-	})
-}
-
 // FuzzSnapshotV2Corruption feeds arbitrary and mutated-valid bytes to
-// the v2 mmap-format decoder. Truncations, flipped bytes, bad magic,
+// the WPXS decoder — the only binary decoder in the tree. Truncations, flipped bytes, bad magic,
 // versions and checksums must all surface as errors — never a panic —
 // and anything the decoder does accept must serve structurally
 // consistent candidates.
@@ -100,6 +47,7 @@ func FuzzSnapshotV2Corruption(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("WPXS"))
+	f.Add([]byte("WPX1"))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		r, err := ParseSnapshot(raw)
@@ -116,13 +64,14 @@ func FuzzSnapshotV2Corruption(f *testing.F) {
 			}
 		}
 		for _, tag := range r.tags {
-			nodes := r.Nodes(tag)
-			if len(nodes) != r.CountTag(tag) {
-				t.Fatalf("Nodes/CountTag disagree for %q", tag)
+			for _, n := range r.Nodes(tag) {
+				if n.Tag != tag {
+					t.Fatalf("Nodes(%q) holds a %q node", tag, n.Tag)
+				}
 			}
 			for _, root := range doc.Roots {
-				_ = r.Candidates(root, dewey.Descendant, tag, index.Test("contains", "a"))
-				_ = r.TF(root, dewey.Descendant, tag, index.ValueTest{})
+				_ = r.AppendCandidates(nil, root, dewey.Descendant, tag, index.Test("contains", "a"))
+				_ = r.AppendCandidates(nil, root, dewey.Descendant, tag, index.ValueTest{})
 			}
 		}
 		for _, scope := range r.KeywordScopes() {

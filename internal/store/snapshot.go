@@ -826,21 +826,6 @@ func (r *SnapshotReader) NodesMatching(tag string, vt index.ValueTest) []*xmltre
 	return out
 }
 
-// CountTag returns the number of nodes with the tag — one subtraction
-// on the mapped offsets array.
-func (r *SnapshotReader) CountTag(tag string) int {
-	t, ok := r.tagIDs[tag]
-	if !ok {
-		return 0
-	}
-	return int(r.tagPostOff[t+1] - r.tagPostOff[t])
-}
-
-// Candidates returns the candidates on the axis of anchor.
-func (r *SnapshotReader) Candidates(anchor *xmltree.Node, axis dewey.Axis, tag string, vt index.ValueTest) []*xmltree.Node {
-	return r.AppendCandidates(nil, anchor, axis, tag, vt)
-}
-
 // AppendCandidates serves a structural probe straight from the mapped
 // postings: a node's strict descendants are the contiguous ordinal
 // interval (ord, ord+subtree), so a Descendant probe is two binary
@@ -902,89 +887,6 @@ func (r *SnapshotReader) appendDescendants(dst []*xmltree.Node, anchor *xmltree.
 		}
 	}
 	return dst
-}
-
-// countCandidates counts without materializing; the Descendant/Any and
-// Descendant/equality cases are pure interval arithmetic on the mapped
-// arrays.
-// +whirllint:hotpath
-func (r *SnapshotReader) countCandidates(anchor *xmltree.Node, axis dewey.Axis, tag string, vt index.ValueTest) int {
-	switch axis {
-	case dewey.Self:
-		if anchor.Tag == tag && vt.Matches(anchor.Value) {
-			return 1
-		}
-		return 0
-	case dewey.Child:
-		cnt := 0
-		for _, c := range anchor.Children {
-			if c.Tag == tag && vt.Matches(c.Value) {
-				cnt++
-			}
-		}
-		return cnt
-	case dewey.Descendant:
-		t, ok := r.tagIDs[tag]
-		if !ok || uint(anchor.Ord) >= uint(len(r.subtree)) {
-			return 0
-		}
-		aLo := uint32(anchor.Ord)
-		aHi := aLo + r.subtree[anchor.Ord]
-		var g []uint32
-		if vt.IsEquality() {
-			k := r.findValKey(uint32(t), vt.Value)
-			if k < 0 {
-				return 0
-			}
-			g = r.valPostOrds[r.valPostOff[k]:r.valPostOff[k+1]]
-		} else {
-			g = r.tagPostOrds[r.tagPostOff[t]:r.tagPostOff[t+1]]
-		}
-		lo := lowerBound(g, aLo+1)
-		hi := lowerBound(g, aHi)
-		if vt.Any() || vt.IsEquality() {
-			return hi - lo
-		}
-		cnt := 0
-		for _, o := range g[lo:hi] {
-			if vt.Matches(r.nodes[o].Value) {
-				cnt++
-			}
-		}
-		return cnt
-	default:
-		return 0
-	}
-}
-
-// Predicate computes database statistics for the component predicate:
-// one interval count per rootTag node, all on mapped arrays.
-func (r *SnapshotReader) Predicate(rootTag string, axis dewey.Axis, tag string, vt index.ValueTest) index.PredicateStats {
-	st := index.PredicateStats{}
-	t, ok := r.tagIDs[rootTag]
-	if !ok {
-		return st
-	}
-	r.ensureDoc()
-	roots := r.tagPostOrds[r.tagPostOff[t]:r.tagPostOff[t+1]]
-	st.RootCount = len(roots)
-	for _, o := range roots {
-		tf := r.countCandidates(&r.nodes[o], axis, tag, vt)
-		if tf > 0 {
-			st.Satisfying++
-			st.TotalPairs += tf
-			if tf > st.MaxTF {
-				st.MaxTF = tf
-			}
-		}
-	}
-	return st
-}
-
-// TF returns Definition 4.3's term frequency for node n.
-// +whirllint:hotpath
-func (r *SnapshotReader) TF(n *xmltree.Node, axis dewey.Axis, tag string, vt index.ValueTest) int {
-	return r.countCandidates(n, axis, tag, vt)
 }
 
 // findValKey binary-searches the (tag, value) key table; -1 when the
@@ -1134,66 +1036,10 @@ func (p *PartSource) NodesMatching(tag string, vt index.ValueTest) []*xmltree.No
 	return out
 }
 
-// CountTag counts the part's nodes with the tag: two binary searches
-// per unit on the mapped group.
-func (p *PartSource) CountTag(tag string) int {
-	t, ok := p.r.tagIDs[tag]
-	if !ok {
-		return 0
-	}
-	g := p.r.tagPostOrds[p.r.tagPostOff[t]:p.r.tagPostOff[t+1]]
-	cnt := 0
-	for _, u := range p.units {
-		uLo := uint32(u.Ord)
-		uHi := uLo + p.r.subtree[u.Ord]
-		cnt += lowerBound(g, uHi) - lowerBound(g, uLo)
-	}
-	return cnt
-}
-
-// Candidates returns the candidates on the axis of anchor.
-func (p *PartSource) Candidates(anchor *xmltree.Node, axis dewey.Axis, tag string, vt index.ValueTest) []*xmltree.Node {
-	return p.AppendCandidates(nil, anchor, axis, tag, vt)
-}
-
 // AppendCandidates delegates to the global mapped postings: a part
 // anchor's descendant interval lies wholly inside the part, so the
 // global answer IS the part answer.
 // +whirllint:hotpath
 func (p *PartSource) AppendCandidates(dst []*xmltree.Node, anchor *xmltree.Node, axis dewey.Axis, tag string, vt index.ValueTest) []*xmltree.Node {
 	return p.r.AppendCandidates(dst, anchor, axis, tag, vt)
-}
-
-// Predicate computes the statistics over the part's rootTag nodes.
-func (p *PartSource) Predicate(rootTag string, axis dewey.Axis, tag string, vt index.ValueTest) index.PredicateStats {
-	st := index.PredicateStats{}
-	t, ok := p.r.tagIDs[rootTag]
-	if !ok {
-		return st
-	}
-	g := p.r.tagPostOrds[p.r.tagPostOff[t]:p.r.tagPostOff[t+1]]
-	for _, u := range p.units {
-		uLo := uint32(u.Ord)
-		uHi := uLo + p.r.subtree[u.Ord]
-		lo := lowerBound(g, uLo)
-		hi := lowerBound(g, uHi)
-		st.RootCount += hi - lo
-		for _, o := range g[lo:hi] {
-			tf := p.r.countCandidates(&p.r.nodes[o], axis, tag, vt)
-			if tf > 0 {
-				st.Satisfying++
-				st.TotalPairs += tf
-				if tf > st.MaxTF {
-					st.MaxTF = tf
-				}
-			}
-		}
-	}
-	return st
-}
-
-// TF returns the term frequency for node n.
-// +whirllint:hotpath
-func (p *PartSource) TF(n *xmltree.Node, axis dewey.Axis, tag string, vt index.ValueTest) int {
-	return p.r.countCandidates(n, axis, tag, vt)
 }

@@ -1,6 +1,8 @@
-// The v2 snapshot format ("WPXS") lays a fully built corpus — tag and
+// Package store persists a fully built corpus as a zero-copy snapshot
+// and serves it back as an index.Source — the paper's disk-resident
+// scenario (Section 6.3.3). The snapshot format ("WPXS") lays tag and
 // value postings, Dewey arrays, subtree extents, the structure synopsis
-// and keyword indexes, plus precomputed shard layouts — out as flat
+// and keyword indexes, plus precomputed shard layouts, out as flat
 // little-endian arrays in page-aligned sections, so a reader can mmap
 // the file and serve structural probes directly from the mapped pages.
 // See DESIGN.md, "Snapshot storage", for the layout diagram and the
@@ -19,7 +21,9 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 )
@@ -142,20 +146,18 @@ func (h header) encode() []byte {
 	return b
 }
 
-// IsSnapshot reports whether data begins with the v2 snapshot magic —
-// the sniff Open uses to dispatch between the legacy varint format and
-// the mmap format.
-func IsSnapshot(data []byte) bool {
-	return len(data) >= 4 && data[0] == snapshotMagic[0] && data[1] == snapshotMagic[1] &&
-		data[2] == snapshotMagic[2] && data[3] == snapshotMagic[3]
-}
-
 // parseHeader validates the fixed header against the actual input size.
 func parseHeader(data []byte) (header, error) {
+	if bytes.HasPrefix(data, []byte("WPX1")) {
+		// The v1 varint format has no reader any more; name the way out
+		// instead of reporting a bare magic mismatch.
+		return header{}, errors.New("store: retired v1 .wpx format (magic WPX1) is no longer readable; " +
+			"regenerate the snapshot from the source XML with `whirlpool -file <xml> -save-snapshot <out.wpxs>`")
+	}
 	if len(data) < headerSize {
 		return header{}, fmt.Errorf("store: snapshot truncated: %d bytes, need %d-byte header", len(data), headerSize)
 	}
-	if !IsSnapshot(data) {
+	if !bytes.Equal(data[:4], snapshotMagic[:]) {
 		return header{}, fmt.Errorf("store: bad snapshot magic % x at offset 0", data[:4])
 	}
 	h := header{

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"repro/internal/keyword"
@@ -108,7 +109,7 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 // SaveSnapshot writes the snapshot to path, replacing any existing file
 // atomically (temp file in the same directory, then rename).
 func SaveSnapshot(path string, s *Snapshot) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".wpsnap-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".wpsnap-*")
 	if err != nil {
 		return err
 	}

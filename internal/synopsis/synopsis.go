@@ -488,51 +488,6 @@ func (s *Synopsis) PathStats(anchorTag string, pp relax.PathPredicate, tag strin
 	return st
 }
 
-// Predicate returns the statistics of the plain axis predicate relating
-// anchorTag nodes to tag nodes — the synopsis analog of
-// index.Predicate with no value test. ok is false for unsupported axes.
-func (s *Synopsis) Predicate(anchorTag string, axis dewey.Axis, tag string) (index.PredicateStats, bool) {
-	switch axis {
-	case dewey.Child:
-		return s.PathStats(anchorTag, relax.PathPredicate{MinLevels: 1, Exact: true}, tag), true
-	case dewey.Descendant:
-		return s.PathStats(anchorTag, relax.PathPredicate{MinLevels: 1, Exact: false}, tag), true
-	case dewey.Self:
-		st := index.PredicateStats{RootCount: s.TagCount(anchorTag)}
-		if anchorTag == tag {
-			st.Satisfying = st.RootCount
-			st.TotalPairs = st.RootCount
-			if st.RootCount > 0 {
-				st.MaxTF = 1
-			}
-		}
-		return st, true
-	default:
-		return index.PredicateStats{}, false
-	}
-}
-
-// Fanout implements core.Estimator: the expected number of tag nodes on
-// the axis of one anchorTag node, over all anchors. Exact, not an
-// estimate.
-func (s *Synopsis) Fanout(anchorTag string, axis dewey.Axis, tag string) float64 {
-	st, ok := s.Predicate(anchorTag, axis, tag)
-	if !ok || st.RootCount == 0 {
-		return 0
-	}
-	return float64(st.TotalPairs) / float64(st.RootCount)
-}
-
-// Selectivity implements core.Estimator: the fraction of anchorTag
-// nodes with at least one tag node on the axis. Exact, not an estimate.
-func (s *Synopsis) Selectivity(anchorTag string, axis dewey.Axis, tag string) float64 {
-	st, ok := s.Predicate(anchorTag, axis, tag)
-	if !ok {
-		return 0
-	}
-	return st.Selectivity()
-}
-
 // ComponentStats returns the exact and relaxed statistics of query
 // node id's component predicate p(q0, qi), matching the tf*idf scorer's
 // per-root index scan number for number. ok is false when the node

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dewey"
-	"repro/internal/estimate"
 	"repro/internal/relax"
 	"repro/internal/xmark"
 	"repro/internal/xmltree"
@@ -223,47 +221,5 @@ func TestMergeEqualsWhole(t *testing.T) {
 				t.Fatalf("merged fingerprint %s != whole %s", got, want)
 			}
 		})
-	}
-}
-
-// TestSubsumesEstimate validates the synopsis against the Markov
-// summary it subsumes: tag counts agree exactly, direct-child fanout is
-// the same integer ratio, and wherever the exact descendant fanout is
-// positive the Markov estimate is too.
-func TestSubsumesEstimate(t *testing.T) {
-	doc := xmarkDoc(t, 120)
-	s := Build(doc)
-	sum := estimate.Summarize(doc)
-	for _, anchor := range allTags(doc) {
-		if s.TagCount(anchor) != sum.TagCount(anchor) {
-			t.Fatalf("TagCount(%s): synopsis %d, estimate %d", anchor, s.TagCount(anchor), sum.TagCount(anchor))
-		}
-		for _, tag := range allTags(doc) {
-			if got, want := s.Fanout(anchor, dewey.Child, tag), sum.Fanout(anchor, dewey.Child, tag); got != want {
-				t.Fatalf("child fanout %s->%s: synopsis %v, estimate %v", anchor, tag, got, want)
-			}
-			exact := s.Fanout(anchor, dewey.Descendant, tag)
-			markov := sum.Fanout(anchor, dewey.Descendant, tag)
-			if exact > 0 && markov <= 0 {
-				t.Fatalf("descendant fanout %s->%s: exact %v but Markov %v", anchor, tag, exact, markov)
-			}
-		}
-	}
-}
-
-// TestSelfPredicate covers the Self axis corner of Predicate.
-func TestSelfPredicate(t *testing.T) {
-	doc := xmarkDoc(t, 30)
-	s := Build(doc)
-	st, ok := s.Predicate("item", dewey.Self, "item")
-	if !ok || st.Satisfying != s.TagCount("item") || st.MaxTF != 1 {
-		t.Fatalf("self predicate = %+v ok=%v", st, ok)
-	}
-	st, ok = s.Predicate("item", dewey.Self, "text")
-	if !ok || st.Satisfying != 0 {
-		t.Fatalf("mismatched self predicate = %+v ok=%v", st, ok)
-	}
-	if _, ok := s.Predicate("item", dewey.FollowingSibling, "item"); ok {
-		t.Fatal("following-sibling must be unsupported")
 	}
 }

@@ -96,8 +96,8 @@ func (p *Planner) PlanFor(q *Query, r Relaxation, norm Normalization) (*QueryPla
 		if err := cq.Validate(); err != nil {
 			return nil, err
 		}
-		scorer := score.NewTFIDFWithStats(p.ix, p.syn, cq, norm)
-		return core.CompilePlan(p.ix, p.syn, cq, r, scorer, key)
+		stats := score.CollectStats(p.ix, p.syn, cq)
+		return core.CompilePlan(stats, cq, r, score.NewTFIDFFromStats(stats, norm), key)
 	})
 	if err != nil {
 		return nil, false, err

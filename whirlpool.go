@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/estimate"
 	"repro/internal/index"
 	"repro/internal/keyword"
 	"repro/internal/obs"
@@ -80,9 +79,6 @@ type (
 	// Engine is a prepared evaluator for one (document, query, options)
 	// combination, reusable across runs.
 	Engine = core.Engine
-	// Estimator supplies approximate routing statistics (fanout and
-	// selectivity); see Database.MarkovEstimator.
-	Estimator = core.Estimator
 	// Explanation reports how one query node was satisfied in an answer.
 	Explanation = core.Explanation
 	// MatchKind classifies an Explanation (exact, edge-generalized,
@@ -160,7 +156,7 @@ const (
 type Database struct {
 	doc *Document
 	ix  index.Source
-	// snap is non-nil when the database serves from an mmapped v2
+	// snap is non-nil when the database serves from an mmapped
 	// snapshot (see OpenSnapshot): postings, synopsis, keyword indexes
 	// and shard layouts come from the mapped file instead of being
 	// rebuilt.
@@ -229,35 +225,6 @@ func LoadProjected(r io.Reader, queries ...*Query) (*Database, error) {
 	return FromDocument(doc), nil
 }
 
-// Save persists the database as a compact binary snapshot at path.
-// Opening a snapshot with Open is much faster than re-parsing and
-// re-indexing the source XML.
-func (db *Database) Save(path string) error {
-	return store.Save(path, db.doc)
-}
-
-// Open loads a database snapshot previously written by Save or
-// SaveSnapshot, sniffing the format from the file's magic: v2 mmap
-// snapshots are served zero-copy via OpenSnapshot, legacy v1 snapshots
-// through the lazy-decoding reader.
-func Open(path string) (*Database, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	var magic [4]byte
-	n, _ := io.ReadFull(f, magic[:])
-	f.Close()
-	if store.IsSnapshot(magic[:n]) {
-		return OpenSnapshot(path)
-	}
-	r, err := store.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	return &Database{doc: r.Document(), ix: r}, nil
-}
-
 // SnapshotOptions selects what SaveSnapshot persists beyond the
 // document, its postings and the structure synopsis (always included).
 type SnapshotOptions struct {
@@ -270,7 +237,7 @@ type SnapshotOptions struct {
 	KeywordScopes []string
 }
 
-// SaveSnapshot persists the database in the v2 zero-copy snapshot
+// SaveSnapshot persists the database in the zero-copy WPXS snapshot
 // format: a single page-aligned, checksummed file that OpenSnapshot
 // mmaps and serves probes from directly — no parse, no index build, no
 // synopsis build, and one kernel page cache shared by every process
@@ -301,7 +268,7 @@ func (db *Database) SaveSnapshot(path string, opts SnapshotOptions) error {
 	return store.SaveSnapshot(path, snap)
 }
 
-// OpenSnapshot opens a v2 snapshot written by SaveSnapshot, mapping it
+// OpenSnapshot opens a snapshot written by SaveSnapshot, mapping it
 // read-only and serving queries from the mapped pages. The persisted
 // synopsis (when present) seeds the planner, persisted keyword indexes
 // serve BuildKeywordIndex, and persisted shard layouts let
@@ -316,7 +283,7 @@ func OpenSnapshot(path string) (*Database, error) {
 }
 
 // SnapshotBacked reports whether the database serves from an mmapped
-// v2 snapshot.
+// snapshot.
 func (db *Database) SnapshotBacked() bool { return db.snap != nil }
 
 // Close releases the snapshot mapping, if any. The database must not
@@ -368,10 +335,6 @@ type Options struct {
 	Order []int
 	// OpCost adds synthetic per-operation cost (adaptivity studies).
 	OpCost time.Duration
-	// Estimator supplies approximate routing statistics instead of exact
-	// index scans; see Database.MarkovEstimator. Estimates only steer
-	// routing — answers are unaffected.
-	Estimator Estimator
 	// Trace, when non-nil, receives per-run observability events. The
 	// default (nil) leaves the hot path unchanged; a configured sink
 	// must be safe for concurrent use (Whirlpool-M emits from several
@@ -439,7 +402,6 @@ func engineConfig(ix index.Source, q *Query, opts Options) (core.Config, error) 
 		Queue:     opts.Queue,
 		Scorer:    scorer,
 		OpCost:    opts.OpCost,
-		Estimator: opts.Estimator,
 		Trace:     opts.Trace,
 		Plan:      opts.Plan,
 	}, nil
@@ -681,15 +643,6 @@ func (sdb *ShardedDatabase) TopKString(xpath string, opts Options) (*Result, err
 func (db *Database) AnswerScore(q *Query, norm Normalization, root *Node) float64 {
 	s := score.NewTFIDF(db.ix, q, norm)
 	return score.AnswerScore(db.ix, q, s, root)
-}
-
-// MarkovEstimator builds a one-pass Markov-table summary of the database
-// (per-tag counts and parent→child transition counts) usable as
-// Options.Estimator: routing statistics come from the summary instead of
-// exact per-query index scans, trading estimate precision for a much
-// cheaper engine build on large documents.
-func (db *Database) MarkovEstimator() Estimator {
-	return estimate.Summarize(db.doc)
 }
 
 // KeywordIndex is an inverted word index over the text of one element

@@ -214,47 +214,6 @@ func TestEngineReuse(t *testing.T) {
 	}
 }
 
-func TestSaveOpenRoundTrip(t *testing.T) {
-	db, err := GenerateXMark(XMarkOptions{Seed: 9, Items: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "site.wpx")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db2.Size() != db.Size() {
-		t.Fatalf("snapshot size %d != %d", db2.Size(), db.Size())
-	}
-	q := MustParseQuery("//item[./description/parlist and ./mailbox/mail/text]")
-	r1, err := db.TopK(q, Approximate(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := db2.TopK(q, Approximate(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Answers) != len(r2.Answers) {
-		t.Fatalf("answers %d vs %d", len(r1.Answers), len(r2.Answers))
-	}
-	for i := range r1.Answers {
-		if math.Abs(r1.Answers[i].Score-r2.Answers[i].Score) > 1e-9 {
-			t.Fatalf("answer %d: %v vs %v", i, r1.Answers[i].Score, r2.Answers[i].Score)
-		}
-		if r1.Answers[i].Root.Ord != r2.Answers[i].Root.Ord {
-			t.Fatalf("answer %d roots differ", i)
-		}
-	}
-	if _, err := Open(filepath.Join(t.TempDir(), "nope.wpx")); err == nil {
-		t.Fatal("missing snapshot should error")
-	}
-}
-
 func TestLoadProjectedAnswersMatchFullLoad(t *testing.T) {
 	full, err := GenerateXMark(XMarkOptions{Seed: 4, Items: 80})
 	if err != nil {
@@ -348,32 +307,6 @@ func TestKeywordSearchFacade(t *testing.T) {
 	}
 	if len(ta) == 0 {
 		t.Fatal("no keyword answers on generated corpus")
-	}
-}
-
-func TestMarkovEstimatorFacade(t *testing.T) {
-	db, err := GenerateXMark(XMarkOptions{Seed: 12, Items: 150})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := MustParseQuery("//item[./description/parlist and ./mailbox/mail/text]")
-	exact, err := db.TopK(q, Approximate(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Approximate(10)
-	opts.Estimator = db.MarkovEstimator()
-	est, err := db.TopK(q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exact.Answers) != len(est.Answers) {
-		t.Fatalf("answers %d vs %d", len(exact.Answers), len(est.Answers))
-	}
-	for i := range exact.Answers {
-		if math.Abs(exact.Answers[i].Score-est.Answers[i].Score) > 1e-9 {
-			t.Fatalf("answer %d: %v vs %v", i, exact.Answers[i].Score, est.Answers[i].Score)
-		}
 	}
 }
 
