@@ -50,18 +50,19 @@ race:
 bench:
 	$(GO) run ./cmd/whirlbench -bench-json BENCH_core.json
 
-# Gate the freshly written report the way CI does: sharded speedup,
-# hot-path allocation budget (≤ 20% of the reuse-disabled baseline),
-# the multi-core case (≥ 6x at 8 shards / 8 cores where the host has
-# them, work stealing observed regardless), cached planning (a
-# plan-cache hit ≥ 2x cheaper than planning from scratch), and the
-# snapshot cold start (mmap open ≥ 100x cheaper than a full rebuild).
+# Gate the freshly written report the way CI does: hot-path allocation
+# budget (≤ 20% of the reuse-disabled baseline), work stealing observed
+# in the 8-shard / GOMAXPROCS=8 case, cached planning (a plan-cache hit
+# ≥ 2x cheaper than planning from scratch), and the snapshot cold start
+# (mmap open ≥ 100x cheaper than a full rebuild). There is no sharded
+# speedup gate: on one pinned query a single engine now does a few
+# hundred server ops, so sharding is judged on whirlload's sharded_mix
+# (see DESIGN.md, sharded execution).
 bench-check:
-	$(GO) run ./cmd/benchcheck -file BENCH_core.json -case shards-8 -min-speedup 2
-	$(GO) run ./cmd/benchcheck -file BENCH_core.json -min-speedup 0 -alloc-case single -max-alloc-ratio 0.2
-	$(GO) run ./cmd/benchcheck -file BENCH_core.json -min-speedup 0 -multicore-case shards-8/gmp-8 -min-multicore-speedup 6 -require-steals
-	$(GO) run ./cmd/benchcheck -file BENCH_core.json -min-speedup 0 -min-hot-speedup 2
-	$(GO) run ./cmd/benchcheck -file BENCH_core.json -min-speedup 0 -min-snapshot-speedup 100
+	$(GO) run ./cmd/benchcheck -file BENCH_core.json -alloc-case single -max-alloc-ratio 0.2
+	$(GO) run ./cmd/benchcheck -file BENCH_core.json -multicore-case shards-8/gmp-8 -require-steals
+	$(GO) run ./cmd/benchcheck -file BENCH_core.json -min-hot-speedup 2
+	$(GO) run ./cmd/benchcheck -file BENCH_core.json -min-snapshot-speedup 100
 
 # Pinned core benchmark with CPU and allocation profiles; inspect with
 # `go tool pprof cpu.pprof` / `go tool pprof -sample_index=alloc_objects mem.pprof`.

@@ -52,13 +52,22 @@ type server struct {
 }
 
 // engineEntry is one cached (query, options) signature: the prepared
-// engine — single or sharded, exactly one is set — and its parsed query
-// (needed to label bindings in responses).
+// engine — single or sharded, exactly one is set — and the "nodeID:tag"
+// labels its responses key bindings by, built once here rather than
+// once per binding per answer per request.
 type engineEntry struct {
-	key     string
-	eng     *whirlpool.Engine
-	sharded *whirlpool.ShardedEngine
-	q       *whirlpool.Query
+	key      string
+	eng      *whirlpool.Engine
+	sharded  *whirlpool.ShardedEngine
+	bindKeys []string // per query node ID
+}
+
+func newEngineEntry(key string, q *whirlpool.Query) *engineEntry {
+	e := &engineEntry{key: key, bindKeys: make([]string, len(q.Nodes))}
+	for id, n := range q.Nodes {
+		e.bindKeys[id] = strconv.Itoa(id) + ":" + n.Tag
+	}
+	return e
 }
 
 func (e *engineEntry) run(ctx context.Context) (*whirlpool.Result, error) {
@@ -446,13 +455,13 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Score:    a.Score,
 			Path:     a.Root.Path(),
 			Dewey:    a.Root.ID.String(),
-			Bindings: map[string]string{},
+			Bindings: make(map[string]string, len(a.Bindings)-1),
 		}
 		for id, b := range a.Bindings {
 			if b == nil || id == 0 {
 				continue
 			}
-			qa.Bindings[strconv.Itoa(id)+":"+ent.q.Nodes[id].Tag] = b.ID.String()
+			qa.Bindings[ent.bindKeys[id]] = b.ID.String()
 		}
 		resp.Answers = append(resp.Answers, qa)
 	}
@@ -505,18 +514,17 @@ func (s *server) engineFor(req queryRequest) (*engineEntry, bool, error) {
 		if s.buildHook != nil {
 			s.buildHook()
 		}
+		ent := newEngineEntry(key, plan.Query)
+		var err error
 		if s.sdb != nil {
-			engs, err := s.sdb.NewEngine(q, opts)
-			if err != nil {
-				return nil, err
-			}
-			return &engineEntry{key: key, sharded: engs, q: plan.Query}, nil
+			ent.sharded, err = s.sdb.NewEngine(q, opts)
+		} else {
+			ent.eng, err = s.db.NewEngine(q, opts)
 		}
-		eng, err := s.db.NewEngine(q, opts)
 		if err != nil {
 			return nil, err
 		}
-		return &engineEntry{key: key, eng: eng, q: plan.Query}, nil
+		return ent, nil
 	})
 }
 

@@ -10,34 +10,25 @@ import (
 // a partial match is processed as soon as the router picks it, and the
 // router queue orders matches by the configured discipline (maximum
 // possible final score by default, the MPro/Upper-style schedule).
-func (r *run) runS() {
-	var q pq
-	sc := &scratch{}
-	for _, m := range r.initialMatches() {
-		if r.checkTopK(m) {
-			q.push(m, r.priority(m, -1))
-		} else {
-			r.release(m)
-		}
-	}
+//
+// The queue, scratch and batch buffers are st's, handed back grown, so
+// a warm run allocates nothing here.
+func (r *run) runS(st *runState) {
+	q := pq{h: st.heap[:0], roots: r.seedRoots()}
+	sc := &st.ws
+	batch, skipped := st.ws.batch, st.ws.surv
 	batchSize := r.cfg.RouterBatch
 	if batchSize < 1 {
 		batchSize = 1
 	}
-	// batch and skipped are reused across router iterations so the
-	// steady-state loop allocates nothing.
-	var batch, skipped []*match
-	for {
-		if r.cancelled() {
-			return
-		}
+	for !r.cancelled() {
 		m, ok := q.pop()
 		if !ok {
-			return
+			break
 		}
 		// currentTopK may have grown since the match was queued.
 		if r.prunable(m) {
-			r.prune()
+			r.prune(1)
 			r.release(m)
 			continue
 		}
@@ -54,7 +45,7 @@ func (r *run) runS() {
 				break
 			}
 			if r.prunable(m2) {
-				r.prune()
+				r.prune(1)
 				r.release(m2)
 				continue
 			}
@@ -79,6 +70,7 @@ func (r *run) runS() {
 			q.push(sm, r.priority(sm, -1))
 		}
 	}
+	st.heap, st.ws.batch, st.ws.surv = q.h, batch, skipped
 }
 
 // runLockStep processes every alive partial match through one server
@@ -87,11 +79,17 @@ func (r *run) runS() {
 // the paper's LockStep (≈ OptThres [2]); without it, everything is
 // evaluated and the k best matches selected at the end (LockStep-NoPrun).
 func (r *run) runLockStep(prune bool) {
-	sc := &scratch{}
-	alive := r.initialMatches()
-	if prune {
-		alive = r.filterAlive(alive)
+	sc := &Scratch{}
+	var alive []*match
+	roots := r.seedRoots()
+	for m := roots.next(); m != nil; m = roots.next() {
+		if prune && !r.checkTopK(m) {
+			r.release(m)
+			continue
+		}
+		alive = append(alive, m)
 	}
+	roots.flush()
 	for _, sid := range r.order {
 		// Server queues are priority queues too (max-possible-final by
 		// default): within a phase, promising matches go first so
@@ -107,7 +105,7 @@ func (r *run) runLockStep(prune bool) {
 				return
 			}
 			if prune && r.prunable(m) {
-				r.prune()
+				r.prune(1)
 				r.release(m)
 				continue
 			}
@@ -130,18 +128,6 @@ func (r *run) runLockStep(prune bool) {
 			r.release(m)
 		}
 	}
-}
-
-func (r *run) filterAlive(ms []*match) []*match {
-	out := ms[:0]
-	for _, m := range ms {
-		if r.checkTopK(m) {
-			out = append(out, m)
-		} else {
-			r.release(m)
-		}
-	}
-	return out
 }
 
 // liveCounter tracks the number of matches alive anywhere in
@@ -200,22 +186,20 @@ func (r *run) runM() {
 		r.routeM(routerQ, serverQs, live)
 	}()
 
-	var survivors []*match
-	for _, m := range r.initialMatches() {
+	// The cursor is one live unit while it drains, so the counter cannot
+	// touch zero between two roots.
+	live.add(1)
+	roots := r.seedRoots()
+	for m := roots.next(); m != nil; m = roots.next() {
 		if r.checkTopK(m) {
-			survivors = append(survivors, m)
+			live.add(1)
+			routerQ.push(m, r.priority(m, -1))
 		} else {
 			r.release(m)
 		}
 	}
-	if len(survivors) == 0 {
-		live.markDone()
-	} else {
-		live.add(int64(len(survivors)))
-		for _, m := range survivors {
-			routerQ.push(m, r.priority(m, -1))
-		}
-	}
+	roots.flush()
+	live.add(-1)
 
 	<-live.done
 	routerQ.close()
@@ -229,7 +213,7 @@ func (r *run) runM() {
 // queue, process it, check extensions against the top-k set, and hand
 // survivors back to the router.
 func (r *run) serveM(sid int, in *blockingPQ, routerQ *blockingPQ, live *liveCounter) {
-	sc := &scratch{}
+	sc := &Scratch{}
 	var survivors []*match
 	for {
 		m, ok := in.pop()
@@ -282,7 +266,7 @@ func (r *run) routeM(routerQ *blockingPQ, serverQs []*blockingPQ, live *liveCoun
 			continue
 		}
 		if r.prunable(m) {
-			r.prune()
+			r.prune(1)
 			r.release(m)
 			live.add(-1)
 			continue
@@ -299,7 +283,7 @@ func (r *run) routeM(routerQ *blockingPQ, serverQs []*blockingPQ, live *liveCoun
 				break
 			}
 			if r.prunable(m2) {
-				r.prune()
+				r.prune(1)
 				r.release(m2)
 				live.add(-1)
 				continue

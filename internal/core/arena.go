@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -27,11 +28,12 @@ var arenaPoison atomic.Bool
 // never call it.
 func SetArenaPoisonForTest(v bool) { arenaPoison.Store(v) }
 
-// matchArena recycles the run's dead matches — pruned, completed, or
-// consumed by a server operation — instead of dropping them for the GC.
-// Section 5.2.1's server operation spawns one match per extension; on a
-// pinned Q2 run that is ~62k matches plus as many bindings slices, all
-// short-lived. The arena caps that churn: bindings come from chunked
+// matchArena recycles a run's dead matches — pruned, completed, or
+// consumed by a server operation — instead of dropping them for the GC,
+// and outlives the run inside its runState: a finished run has released
+// every match, so the next run starts on full freelists. Section
+// 5.2.1's server operation spawns one match per extension, all
+// short-lived; the arena caps that churn: bindings come from chunked
 // flat slabs (queries are capped at 64 nodes by Config.validate, so one
 // slab holds arenaChunk vectors), and a released match returns to a
 // freelist with its bindings slice attached, ready to be overwritten.
@@ -134,7 +136,6 @@ func (s *arenaShard) getLocked(n int, home int32) *match {
 		m := s.free[ln-1]
 		s.free[ln-1] = nil
 		s.free = s.free[:ln-1]
-		clear(m.bindings)
 		m.visited, m.missing = 0, 0
 		m.score, m.maxFinal = 0, 0
 		m.seq = 0
@@ -161,10 +162,10 @@ func (a *matchArena) release(m *match) {
 	if m == nil || a.disabled {
 		return
 	}
+	// Bindings are cleared here rather than in get, so an idle arena
+	// never pins the document its last run walked.
+	clear(m.bindings)
 	if arenaPoison.Load() {
-		for i := range m.bindings {
-			m.bindings[i] = nil
-		}
 		m.visited, m.missing = ^uint64(0), ^uint64(0)
 		m.score, m.maxFinal = math.NaN(), math.Inf(-1)
 		m.seq = -1
@@ -183,3 +184,77 @@ func (a *matchArena) release(m *match) {
 // match dies: pruned, completed, failed an inner join, or consumed by a
 // server operation that spawned its extensions.
 func (r *run) release(m *match) { r.arena.release(m) }
+
+// runState is everything a run buys that can outlive it: the run record,
+// the arena's slabs, RunContext's own top-k set, the router heap's
+// backing array and one worker's scratch. A state is exclusive to one
+// run from acquire to release and idles in between in a bounded free
+// list keyed by binding width and arena layout — global, not per engine:
+// a daemon caches hundreds of engines but only ever runs a few at once.
+// It is a plain list rather than a sync.Pool so that what a request
+// allocates does not depend on when the collector last ran.
+type runState struct {
+	run   run
+	arena *matchArena
+	topk  *topkSet
+	heap  matchHeap
+	ws    Scratch
+}
+
+const (
+	// maxIdleStates bounds the free list; the oldest state goes first.
+	maxIdleStates = 64
+	// maxIdleMatches bounds what one idle state holds in matches plus
+	// top-k entries: a run that needed more (a LockStep pass over every
+	// root, say) drops its state instead.
+	maxIdleMatches = 16 * arenaChunk
+)
+
+var idleStates struct {
+	mu   sync.Mutex
+	list []*runState
+}
+
+// acquireState returns the most recently released idle state for
+// matches of n bindings, or a fresh one. disabled (Config.DisableReuse)
+// bypasses the list both ways.
+func acquireState(n int, concurrent, disabled bool) *runState {
+	if !disabled {
+		l := &idleStates
+		l.mu.Lock()
+		for i := len(l.list) - 1; i >= 0; i-- {
+			if st := l.list[i]; st.arena.n == n && st.arena.locked == concurrent {
+				l.list = slices.Delete(l.list, i, i+1)
+				l.mu.Unlock()
+				return st
+			}
+		}
+		l.mu.Unlock()
+	}
+	return &runState{arena: newMatchArena(n, concurrent, disabled), topk: newTopkSet(1, 0, false)}
+}
+
+// release parks the state for the next run. Only a run that finished
+// has every match back on a freelist — a cancelled one strands matches
+// in queues and batches — so any other state is left to the collector,
+// as is a reuse-disabled or outsized one.
+func (st *runState) release(finished bool) {
+	held := len(st.topk.ents)
+	for i := range st.arena.shards {
+		held += len(st.arena.shards[i].free)
+	}
+	if !finished || st.arena.disabled || held > maxIdleMatches {
+		return
+	}
+	// Idle, it must not pin the engine, context or document it served.
+	st.run = run{}
+	st.topk.reset(1, 0, false)
+	clear(st.ws.cands[:cap(st.ws.cands)])
+	l := &idleStates
+	l.mu.Lock()
+	if len(l.list) == maxIdleStates {
+		l.list = slices.Delete(l.list, 0, 1)
+	}
+	l.list = append(l.list, st)
+	l.mu.Unlock()
+}

@@ -195,7 +195,7 @@ func BenchmarkProcessAllocs(b *testing.B) {
 	m.bindings[0] = ix.Nodes("book")[0]
 	m.visited = 1
 	m.seq = r.nextSeq()
-	sc := &scratch{}
+	sc := &Scratch{}
 	step := func() {
 		for _, sid := range []int{1, 2} {
 			for _, x := range r.process(m, sid, sc) {

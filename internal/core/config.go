@@ -160,11 +160,12 @@ type Config struct {
 	// Whirlpool-M the sink is invoked from multiple goroutines and must
 	// be safe for concurrent use.
 	Trace obs.TraceSink
-	// DisableReuse turns off the per-run match arena: every partial
-	// match and bindings slice is heap-allocated and release is a
-	// no-op, as before the arena existed. It is the allocation-
-	// measurement baseline (internal/bench records both modes) and a
-	// debugging escape hatch; answers and stats are unaffected.
+	// DisableReuse turns off memory reuse: every partial match and
+	// bindings slice is heap-allocated, release is a no-op, and the run
+	// neither takes its state from the free list nor returns it (see
+	// runState). It is the allocation-measurement baseline
+	// (internal/bench records both modes) and a debugging escape hatch;
+	// answers and stats are unaffected.
 	DisableReuse bool
 	// Plan, when non-nil, supplies a precompiled query plan
 	// (CompilePlan): server plans, per-server routing statistics and a
@@ -185,9 +186,17 @@ type Config struct {
 
 // Stats instruments one evaluation with the paper's measures
 // (Section 6.2.3).
+//
+// The root server is a stream (rootCursor): a root candidate cut
+// because no remaining root could beat currentTopK was never created,
+// so it is in none of ServerOps, JoinComparisons and MatchesCreated. It
+// counts in Pruned, with the PrunedRemote attribution and trace event
+// of a prune at pop — what eager seeding would have made of it (short
+// of testing the root's structural predicate) — so Pruned may exceed
+// MatchesCreated.
 type Stats struct {
 	// ServerOps counts partial matches processed by servers (including
-	// the root server's batch as one op per generated match).
+	// the root server's output as one op per generated match).
 	ServerOps int64
 	// JoinComparisons counts individual join-predicate comparisons —
 	// the Figure 3 metric.
@@ -195,7 +204,8 @@ type Stats struct {
 	// MatchesCreated counts partial matches created, the Table 2
 	// scalability metric.
 	MatchesCreated int64
-	// Pruned counts partial matches discarded against the top-k set.
+	// Pruned counts partial matches discarded against the top-k set,
+	// plus the root candidates the cursor dropped unmaterialised.
 	Pruned int64
 	// PrunedRemote counts the subset of Pruned discarded while the
 	// threshold was owned by another shard's entry — matches this run

@@ -1,0 +1,540 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/index"
+	"repro/internal/obs"
+	"repro/internal/pattern"
+	"repro/internal/relax"
+	"repro/internal/score"
+	"repro/internal/xmltree"
+)
+
+// routeTracer is a Scorer and a TraceSink in one, so it sees both ends
+// of a match's identity: root creation (Contribution on node 0 names
+// the root's ordinal) and every seq the run hands out (spawn events
+// cover them in order: a spawn straight after root contributions is
+// those roots, any other is extensions of the last routed match). That
+// turns RouteDecision's seq into the (root ordinal, server) pair two
+// runs with different seq numbering can be compared on.
+//
+// With eager set it also reports an infinite root contribution bound,
+// which makes the root cursor's bounds useless: the first pop then
+// drains every root through checkTopK and nothing is ever cut — eager
+// seeding, built from the production code path.
+type routeTracer struct {
+	score.Scorer
+	eager bool
+
+	pending  []int // ordinals of roots created since the last spawn event
+	lastRoot int
+	seq      int64
+	rootOf   map[int64]int
+	routes   [][2]int
+}
+
+func newRouteTracer(s score.Scorer, eager bool) *routeTracer {
+	return &routeTracer{Scorer: s, eager: eager, rootOf: make(map[int64]int)}
+}
+
+func (s *routeTracer) Contribution(id int, v score.Variant, n *xmltree.Node) float64 {
+	if id == 0 {
+		s.pending = append(s.pending, n.Ord)
+	}
+	return s.Scorer.Contribution(id, v, n)
+}
+
+func (s *routeTracer) MaxContribution(id int) float64 {
+	if s.eager && id == 0 {
+		return math.Inf(1)
+	}
+	return s.Scorer.MaxContribution(id)
+}
+
+// +whirllint:allocok test sink: records every seq it is told about
+func (s *routeTracer) MatchLifecycle(kind obs.Lifecycle, n int) {
+	if kind != obs.MatchesSpawned {
+		return
+	}
+	if len(s.pending) > 0 {
+		if n != len(s.pending) {
+			panic(fmt.Sprintf("spawn of %d after %d root contributions", n, len(s.pending)))
+		}
+		for _, ord := range s.pending {
+			s.seq++
+			s.rootOf[s.seq] = ord
+		}
+		s.pending = s.pending[:0]
+		return
+	}
+	for i := 0; i < n; i++ {
+		s.seq++
+		s.rootOf[s.seq] = s.lastRoot
+	}
+}
+
+// +whirllint:allocok test sink: records every routing decision
+func (s *routeTracer) RouteDecision(seq int64, next int) {
+	root, ok := s.rootOf[seq]
+	if !ok {
+		panic(fmt.Sprintf("route of unknown seq %d", seq))
+	}
+	s.lastRoot = root
+	s.routes = append(s.routes, [2]int{root, next})
+}
+
+func (*routeTracer) RunStart(obs.RunInfo)  {}
+func (*routeTracer) Threshold(float64)     {}
+func (*routeTracer) QueueDepth(int, int)   {}
+func (*routeTracer) RunEnd(obs.RunSummary) {}
+
+// sameAnswers reports whether two results name the same roots with the
+// same bindings and scores, position by position.
+func sameAnswers(a, b []Answer) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Root != b[i].Root || math.Abs(a[i].Score-b[i].Score) > 1e-9 || len(a[i].Bindings) != len(b[i].Bindings) {
+			return false
+		}
+		for j := range a[i].Bindings {
+			if a[i].Bindings[j] != b[i].Bindings[j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkLazyEqualsEager runs cfg with the lazy cursor and with the eager
+// drain and requires the same routed (root, server) sequence and the
+// same answers. It returns both runs' stats.
+func checkLazyEqualsEager(t *testing.T, ix index.Source, q *pattern.Query, s score.Scorer, cfg Config, label string) (lazy, eager Stats) {
+	t.Helper()
+	var res [2]*Result
+	var tr [2]*routeTracer
+	for i, eagerly := range []bool{false, true} {
+		tr[i] = newRouteTracer(s, eagerly)
+		c := cfg
+		c.Scorer, c.Trace = tr[i], tr[i]
+		eng, err := New(ix, q, c)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if res[i], err = eng.Run(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	if len(tr[0].routes) != len(tr[1].routes) {
+		t.Fatalf("%s: lazy routed %d matches, eager %d", label, len(tr[0].routes), len(tr[1].routes))
+	}
+	for i := range tr[0].routes {
+		if tr[0].routes[i] != tr[1].routes[i] {
+			t.Fatalf("%s: route %d is (root, server) %v lazily, %v eagerly", label, i, tr[0].routes[i], tr[1].routes[i])
+		}
+	}
+	if !sameAnswers(res[0].Answers, res[1].Answers) {
+		t.Fatalf("%s: answers differ:\nlazy  %v\neager %v", label, res[0].Answers, res[1].Answers)
+	}
+	return res[0].Stats, res[1].Stats
+}
+
+var (
+	allQueues   = []Queue{QueueMaxFinal, QueueFIFO, QueueCurrentScore, QueueMaxNext}
+	allRoutings = []Routing{RoutingStatic, RoutingMaxScore, RoutingMinScore, RoutingMinAlive}
+)
+
+// TestCursorPopSequenceEqualsEagerSeeding is the induction the lazy
+// root cursor rests on, checked end to end: pulling roots only when one
+// could be the next pop routes exactly the matches eager seeding routes,
+// in the same order, for the paper's queries under every queue
+// discipline and routing strategy. Every //item root is admissible, so
+// the cut's Pruned accounting must agree with eager seeding too (each
+// cut root would have been created and pruned), while the work counters
+// can only shrink.
+func TestCursorPopSequenceEqualsEagerSeeding(t *testing.T) {
+	queries := []string{
+		"//item[./description/parlist]",
+		"//item[./description/parlist and ./mailbox/mail/text]",
+		"//item[./mailbox/mail/text[./bold and ./keyword] and ./name and ./incategory]",
+	}
+	ks := []int{1, 15, 75}
+	if testing.Short() {
+		ks = []int{15}
+	}
+	saved := false // guards against a vacuous pass: laziness must pay somewhere
+	for qi, xpath := range queries {
+		ix, q, s := xmarkEnv(t, 200, xpath)
+		for _, mode := range []relax.Relaxation{relax.None, relax.All} {
+			for _, k := range ks {
+				for _, queue := range allQueues {
+					for _, routing := range allRoutings {
+						label := fmt.Sprintf("Q%d/relax=%d/k=%d/%v/%v", qi+1, mode, k, queue, routing)
+						cfg := Config{K: k, Relax: mode, Algorithm: WhirlpoolS, Queue: queue, Routing: routing}
+						lazy, eager := checkLazyEqualsEager(t, ix, q, s, cfg, label)
+						if lazy.Pruned != eager.Pruned {
+							t.Fatalf("%s: pruned %d lazily, %d eagerly", label, lazy.Pruned, eager.Pruned)
+						}
+						if lazy.MatchesCreated > eager.MatchesCreated || lazy.ServerOps > eager.ServerOps {
+							t.Fatalf("%s: lazy did more work: %+v vs eager %+v", label, lazy, eager)
+						}
+						saved = saved || lazy.MatchesCreated < eager.MatchesCreated
+					}
+				}
+			}
+		}
+	}
+	if !saved {
+		t.Fatal("the lazy cursor never created fewer matches than eager seeding")
+	}
+}
+
+// TestCursorPopSequenceRandom repeats the equivalence on random
+// documents and patterns, where root contributions vary (exact and
+// edge-generalized roots mix) and some root candidates are
+// inadmissible.
+func TestCursorPopSequenceRandom(t *testing.T) {
+	trials := 60
+	if testing.Short() {
+		trials = 15
+	}
+	for trial := 0; trial < trials; trial++ {
+		r := rand.New(rand.NewSource(int64(7000 + trial)))
+		doc := randomDoc(r)
+		q := randomQuery(r)
+		ix := index.Build(doc)
+		s := score.NewTFIDF(ix, q, score.Sparse)
+		k := 1 + r.Intn(4)
+		for _, mode := range []relax.Relaxation{relax.None, relax.All} {
+			for _, queue := range allQueues {
+				routing := allRoutings[r.Intn(len(allRoutings))]
+				label := fmt.Sprintf("trial %d relax=%d k=%d %v/%v q=%s", trial, mode, k, queue, routing, q)
+				cfg := Config{K: k, Relax: mode, Algorithm: WhirlpoolS, Queue: queue, Routing: routing}
+				checkLazyEqualsEager(t, ix, q, s, cfg, label)
+			}
+		}
+	}
+}
+
+// cancelAfter is a scorer that cancels a context after a fixed number
+// of root contributions — a cancellation that lands mid-cursor.
+type cancelAfter struct {
+	score.Scorer
+	roots  int
+	cancel context.CancelFunc
+}
+
+func (s *cancelAfter) Contribution(id int, v score.Variant, n *xmltree.Node) float64 {
+	if id == 0 {
+		if s.roots--; s.roots == 0 {
+			s.cancel()
+		}
+	}
+	return s.Scorer.Contribution(id, v, n)
+}
+
+// TestRunStateReuseAfterCancel: a run cancelled while its cursor is
+// half pulled strands matches in the queue; the next run — on whatever
+// state the free list hands out — must still equal a fresh,
+// reuse-disabled engine's answer, with the arena poison catching any
+// stale match that leaked through.
+func TestRunStateReuseAfterCancel(t *testing.T) {
+	SetArenaPoisonForTest(true)
+	defer SetArenaPoisonForTest(false)
+	ix, q, s := xmarkEnv(t, 200, "//item[./description/parlist and ./mailbox/mail/text]")
+	for _, queue := range []Queue{QueueMaxFinal, QueueFIFO} {
+		cfg := Config{K: 15, Relax: relax.All, Algorithm: WhirlpoolS, Routing: RoutingMinAlive, Queue: queue, Scorer: s}
+		fresh := cfg
+		fresh.DisableReuse = true
+		want := runWith(t, ix, q, fresh)
+
+		eng, err := New(ix, q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := eng.Run(); err != nil || !sameAnswers(got.Answers, want.Answers) {
+			t.Fatalf("%v: first run: %v, %v", queue, got, err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		interrupted := cfg
+		interrupted.Scorer = &cancelAfter{Scorer: s, roots: 7, cancel: cancel}
+		ieng, err := New(ix, q, interrupted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ieng.RunContext(ctx); err != context.Canceled {
+			t.Fatalf("%v: interrupted run returned %v", queue, err)
+		}
+		for i := 0; i < 3; i++ {
+			got, err := eng.Run()
+			if err != nil || !sameAnswers(got.Answers, want.Answers) {
+				t.Fatalf("%v: run %d after the cancelled one: %v, %v\nwant %v", queue, i, got, err, want.Answers)
+			}
+			if got.Stats.MatchesCreated != want.Stats.MatchesCreated || got.Stats.Pruned != want.Stats.Pruned {
+				t.Fatalf("%v: run %d stats %+v, fresh engine %+v", queue, i, got.Stats, want.Stats)
+			}
+		}
+	}
+}
+
+// TestRunContextConcurrentReuse: 64 RunContext calls racing on one
+// engine each hold a state of their own, so every one must return the
+// serial answer (run under -race and the arena poison).
+func TestRunContextConcurrentReuse(t *testing.T) {
+	SetArenaPoisonForTest(true)
+	defer SetArenaPoisonForTest(false)
+	ix, q, s := xmarkEnv(t, 200, "//item[./description/parlist and ./mailbox/mail/text]")
+	eng, err := New(ix, q, Config{K: 15, Relax: relax.All, Algorithm: WhirlpoolS, Routing: RoutingMinAlive, Scorer: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 64; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 4; j++ {
+				got, err := eng.RunContext(context.Background())
+				if err != nil || !sameAnswers(got.Answers, want.Answers) {
+					t.Errorf("concurrent run: %v, %v", got, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestDisableReuseStillAllocatesPerRun: the allocation baseline must
+// stay a baseline — with reuse disabled every match is a heap
+// allocation and nothing comes from or returns to the free list.
+func TestDisableReuseStillAllocatesPerRun(t *testing.T) {
+	ix, q, s := xmarkEnv(t, 200, "//item[./description/parlist and ./mailbox/mail/text]")
+	eng, err := New(ix, q, Config{K: 15, Relax: relax.All, Algorithm: WhirlpoolS, Scorer: s, DisableReuse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	idleBefore := idleStateCount()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs < float64(res.Stats.MatchesCreated) {
+		t.Fatalf("reuse-disabled run allocates %.0f objects for %d matches", allocs, res.Stats.MatchesCreated)
+	}
+	if got := idleStateCount(); got != idleBefore {
+		t.Fatalf("reuse-disabled runs moved the free list: %d -> %d states", idleBefore, got)
+	}
+}
+
+func idleStateCount() int {
+	idleStates.mu.Lock()
+	defer idleStates.mu.Unlock()
+	return len(idleStates.list)
+}
+
+// TestIdleStatesStayBounded: run state is pooled per binding width, not
+// per engine, so 768 distinct engines — a daemon's cold_shapes traffic —
+// leave behind a bounded number of bounded states, none of which pins
+// an engine or a document.
+func TestIdleStatesStayBounded(t *testing.T) {
+	ix, _, _ := xmarkEnv(t, 200, "//item")
+	shapes := []string{
+		"//item[./name]",
+		"//item[./description/parlist]",
+		"//item[./description/parlist and ./mailbox/mail/text]",
+		"//item[./mailbox/mail/text[./bold and ./keyword] and ./name and ./incategory]",
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 768; i++ {
+		q := pattern.MustParse(shapes[i%len(shapes)])
+		alg := WhirlpoolS
+		if i%5 == 4 {
+			alg = LockStep // walks every root: an arena too big to keep
+		}
+		cfg := Config{K: 1 + i%40, Relax: relax.All, Algorithm: alg, Scorer: score.NewTFIDF(ix, q, score.Sparse)}
+		if _, err := runWithErr(ix, q, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	idleStates.mu.Lock()
+	defer idleStates.mu.Unlock()
+	if n := len(idleStates.list); n > maxIdleStates {
+		t.Fatalf("%d idle states, bound %d", n, maxIdleStates)
+	}
+	for _, st := range idleStates.list {
+		held := len(st.topk.ents)
+		for i := range st.arena.shards {
+			held += len(st.arena.shards[i].free)
+		}
+		if held > maxIdleMatches {
+			t.Fatalf("idle state holds %d matches and entries, bound %d", held, maxIdleMatches)
+		}
+		if st.run.Engine != nil || st.run.ctx != nil || st.run.roots.cands != nil {
+			t.Fatal("idle state still references its last run")
+		}
+	}
+	// Worst case by the two bounds above is ~30 MB; what 768 small
+	// engines actually leave is a few states of a chunk or two each.
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 4<<20 {
+		t.Fatalf("heap grew %d bytes across 768 engines", grew)
+	}
+}
+
+func runWithErr(ix index.Source, q *pattern.Query, cfg Config) (*Result, error) {
+	e, err := New(ix, q, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run()
+}
+
+// TestParallelRunCursorContract pins the liveness contract of a run
+// whose roots are still in the cursor: it is not done, its Depth is at
+// least 1 so the pool's pick never skips it, every Step makes progress
+// even from an empty heap, and the run ends in IsDone with the serial
+// answer.
+func TestParallelRunCursorContract(t *testing.T) {
+	ix, q, s := xmarkEnv(t, 200, "//item[./description/parlist and ./mailbox/mail/text]")
+	for _, queue := range allQueues {
+		cfg := Config{K: 3, Relax: relax.All, Algorithm: WhirlpoolS, Queue: queue, Scorer: s}
+		e, err := New(ix, q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared := NewSharedTopK(cfg.K, 0)
+		p, err := e.NewParallelRun(context.Background(), shared, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.IsDone() || p.Depth() != 0 {
+			t.Fatalf("%v: unseeded run done=%v depth=%d", queue, p.IsDone(), p.Depth())
+		}
+		p.Seed()
+		ws := NewScratch()
+		steps := 0
+		for !p.IsDone() {
+			// One worker: nothing is in flight between Steps, so all
+			// remaining work is visible as depth.
+			if d := p.Depth(); d < 1 {
+				t.Fatalf("%v: live run (live=%d) reports depth %d after %d steps", queue, p.q.live.Load(), d, steps)
+			}
+			if n := p.Step(ws, 1); n != 1 && !p.IsDone() {
+				t.Fatalf("%v: Step consumed %d matches from a live run", queue, n)
+			}
+			if steps++; steps > 1<<20 {
+				t.Fatalf("%v: run does not terminate", queue)
+			}
+		}
+		if p.Depth() != 0 || p.q.live.Load() != 0 {
+			t.Fatalf("%v: done run has depth %d live %d", queue, p.Depth(), p.q.live.Load())
+		}
+		stats, err := p.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := shared.Answers(); !sameAnswers(got, want.Answers) {
+			t.Fatalf("%v: stepped answers %v, want %v", queue, got, want.Answers)
+		}
+		if stats.MatchesCreated != want.Stats.MatchesCreated || stats.Pruned != want.Stats.Pruned {
+			t.Fatalf("%v: stepped stats %+v, RunContext %+v", queue, stats, want.Stats)
+		}
+	}
+}
+
+// TestParallelRunFullyCutAtSeed: against a shared set another shard has
+// already filled with perfect scores, every root is ruled out before it
+// exists. The run is done on Seed's return, created nothing, and
+// reports the roots as pruned by the remote threshold — the same
+// attribution run.prune gives a match pruned at its pop.
+func TestParallelRunFullyCutAtSeed(t *testing.T) {
+	ix, q, s := xmarkEnv(t, 200, "//item[./description/parlist]")
+	sink := &obs.Collector{}
+	cfg := Config{K: 3, Relax: relax.All, Algorithm: WhirlpoolS, Scorer: s, Trace: sink}
+	e, err := New(ix, q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := NewSharedTopK(cfg.K, 0)
+	if _, err := e.RunShared(context.Background(), shared, 0); err != nil {
+		t.Fatal(err)
+	}
+	prunedBefore := sink.LifeTotal(obs.MatchesPruned)
+	p, err := e.NewParallelRun(context.Background(), shared, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Seed()
+	if !p.IsDone() || p.Depth() != 0 {
+		t.Fatalf("fully cut run: done=%v depth=%d", p.IsDone(), p.Depth())
+	}
+	stats, err := p.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := int64(len(ix.NodesMatching("item", index.Test("", ""))))
+	if stats.MatchesCreated != 0 || stats.ServerOps != 0 || stats.Pruned != roots || stats.PrunedRemote != roots {
+		t.Fatalf("fully cut run over %d roots: %+v", roots, stats)
+	}
+	if got := sink.LifeTotal(obs.MatchesPruned) - prunedBefore; got != roots {
+		t.Fatalf("trace saw %d pruned, stats %d", got, roots)
+	}
+}
+
+// BenchmarkRunReuse measures — and asserts — a warm RunContext's
+// allocations: the state comes off the free list, so all that is left
+// is the answer copy handed to the caller (the Result, its answers
+// slice and their shared bindings block).
+func BenchmarkRunReuse(b *testing.B) {
+	doc, err := xmltree.ParseString(booksXML)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix := index.Build(doc)
+	q := pattern.MustParse("/book[./title and ./info/isbn]")
+	s := score.NewTFIDF(ix, q, score.Sparse)
+	e, err := New(ix, q, Config{K: 2, Relax: relax.All, Algorithm: WhirlpoolS, Routing: RoutingMinAlive, Scorer: s})
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func() {
+		if _, err := e.RunContext(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // warm-up: first state, slab carve, scratch growth
+	if allocs := testing.AllocsPerRun(100, run); allocs > 3 {
+		b.Fatalf("warm RunContext allocates %.1f objects/op, want the 3 of the answer copy", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}

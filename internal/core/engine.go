@@ -13,6 +13,7 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/relax"
 	"repro/internal/score"
+	"repro/internal/xmltree"
 )
 
 // Engine evaluates top-k queries for one (document, query, config)
@@ -163,12 +164,15 @@ func (e *Engine) Run() (*Result, error) { return e.RunContext(context.Background
 // evaluation winds down promptly and ctx's error is returned (any
 // partial result is discarded).
 func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
-	shared := NewSharedTopK(e.cfg.K, e.cfg.Threshold)
-	stats, err := e.runShared(ctx, shared, 0, false)
-	if err != nil {
-		return nil, err
+	st := acquireState(e.query.Size(), e.cfg.Algorithm == WhirlpoolM, e.cfg.DisableReuse)
+	st.topk.reset(e.cfg.K, e.cfg.Threshold, e.cfg.Threshold > 0)
+	stats, err := e.runOn(ctx, st, st.topk, 0, false)
+	var res *Result
+	if err == nil {
+		res = &Result{Answers: st.topk.answers(), Stats: stats}
 	}
-	return &Result{Answers: shared.Answers(), Stats: stats}, nil
+	st.release(err == nil)
+	return res, err
 }
 
 // RunShared executes the configured algorithm against a caller-supplied
@@ -179,41 +183,48 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 // the set's Answers — not any single run's — are the merged result.
 // The set's capacity must equal the engine's Config.K.
 func (e *Engine) RunShared(ctx context.Context, shared *SharedTopK, shardID int) (Stats, error) {
-	return e.runShared(ctx, shared, shardID, true)
-}
-
-// runShared is the common run body. sharded records whether sibling
-// shards may share the top-k set: standalone runs (RunContext) pass
-// false and skip the per-prune threshold-source attribution.
-func (e *Engine) runShared(ctx context.Context, shared *SharedTopK, shardID int, sharded bool) (Stats, error) {
 	if shared.set.k != e.cfg.K {
 		return Stats{}, fmt.Errorf("core: shared top-k capacity %d != Config.K %d", shared.set.k, e.cfg.K)
 	}
+	st := acquireState(e.query.Size(), e.cfg.Algorithm == WhirlpoolM, e.cfg.DisableReuse)
+	stats, err := e.runOn(ctx, st, shared.set, shardID, true)
+	st.release(err == nil)
+	return stats, err
+}
+
+// initRun fills r in as a run of e on arena against topk.
+func (e *Engine) initRun(ctx context.Context, r *run, arena *matchArena, topk *topkSet, shardID int, sharded bool) {
+	*r = run{Engine: e, topk: topk, arena: arena, shardID: int32(shardID), sharded: sharded, ctx: ctx}
+	r.lastThreshold.Store(math.Float64bits(math.Inf(-1)))
+}
+
+// traceStart emits the RunStart trace event.
+func (r *run) traceStart() {
+	if t := r.cfg.Trace; t != nil {
+		t.RunStart(obs.RunInfo{
+			Algorithm:  r.cfg.Algorithm.String(),
+			Routing:    r.cfg.Routing.String(),
+			Queue:      r.cfg.Queue.String(),
+			K:          r.cfg.K,
+			QueryNodes: r.query.Size(),
+		})
+	}
+}
+
+// runOn is the common run body, on state st against topk. sharded is
+// false for standalone runs (RunContext), which skip the per-prune
+// threshold-source attribution sibling shards need.
+func (e *Engine) runOn(ctx context.Context, st *runState, topk *topkSet, shardID int, sharded bool) (Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return Stats{}, err
 	}
-	r := &run{
-		Engine:  e,
-		topk:    shared.set,
-		arena:   newMatchArena(e.query.Size(), e.cfg.Algorithm == WhirlpoolM, e.cfg.DisableReuse),
-		shardID: int32(shardID),
-		sharded: sharded,
-		ctx:     ctx,
-	}
-	r.lastThreshold.Store(math.Float64bits(math.Inf(-1)))
-	if t := e.cfg.Trace; t != nil {
-		t.RunStart(obs.RunInfo{
-			Algorithm:  e.cfg.Algorithm.String(),
-			Routing:    e.cfg.Routing.String(),
-			Queue:      e.cfg.Queue.String(),
-			K:          e.cfg.K,
-			QueryNodes: e.query.Size(),
-		})
-	}
+	r := &st.run
+	e.initRun(ctx, r, st.arena, topk, shardID, sharded)
+	r.traceStart()
 	start := time.Now()
 	switch e.cfg.Algorithm {
 	case WhirlpoolS:
-		r.runS()
+		r.runS(st)
 	case WhirlpoolM:
 		r.runM()
 	case LockStep:
@@ -225,16 +236,28 @@ func (e *Engine) runShared(ctx context.Context, shared *SharedTopK, shardID int,
 	}
 	stats := r.stats.snapshot()
 	stats.Duration = time.Since(start)
-	if err := ctx.Err(); err != nil {
-		e.totals.aborted.Add(1)
-		if t := e.cfg.Trace; t != nil {
-			t.RunEnd(runSummary(stats, 0, true))
-		}
-		return Stats{}, err
+	return r.finish(stats)
+}
+
+// finish closes a run out: a cancelled run is counted as aborted and
+// answered with the context's error, its partial work discarded; a
+// completed one folds its stats into the engine's cumulative totals.
+func (r *run) finish(stats Stats) (Stats, error) {
+	err := r.ctx.Err()
+	if err != nil {
+		r.Engine.totals.aborted.Add(1)
+	} else {
+		r.Engine.totals.add(stats)
 	}
-	e.totals.add(stats)
-	if t := e.cfg.Trace; t != nil {
-		t.RunEnd(runSummary(stats, len(shared.set.answers()), false))
+	if t := r.cfg.Trace; t != nil {
+		answers := 0
+		if err == nil {
+			answers = len(r.topk.answers())
+		}
+		t.RunEnd(runSummary(stats, answers, err != nil))
+	}
+	if err != nil {
+		return Stats{}, err
 	}
 	return stats, nil
 }
@@ -290,20 +313,51 @@ func spin(d time.Duration) {
 	}
 }
 
-// initialMatches evaluates the root server: every document node matching
-// the root tag/value and the root's structural predicate spawns a partial
-// match.
-func (r *run) initialMatches() []*match {
+// rootCursor is the root server as a stream: every document node
+// matching the root tag/value and the root's structural predicate spawns
+// a partial match, one per next call, in document order. The run's
+// queue carries it (pq.pull) and materialises a root only when it could
+// be the next pop; Whirlpool-M and the LockSteps, which have no single
+// queue, drain it up front. Counters reach the run's atomics per flush.
+type rootCursor struct {
+	r     *run
+	cands []*xmltree.Node
+	pos   int
+	// prioBound and finalBound bound, from above, the router-queue
+	// priority and the maxFinal of every root not yet materialised.
+	prioBound, finalBound float64
+	made, compared        int64 // not yet flushed into r.stats
+}
+
+// seedRoots points the run's cursor at the root candidates. FIFO has no
+// useful priority bound — arrival order is the order — so that
+// discipline drains the cursor on the first pull.
+func (r *run) seedRoots() *rootCursor {
 	e := r.Engine
-	rootNode := e.query.Root()
-	plan := e.plans[0]
-	cands := e.ix.NodesMatching(rootNode.Tag, e.vts[0])
-	var out []*match
-	virtual := dewey.ID{}
-	for _, c := range cands {
-		r.stats.joinComparisons.Add(1)
+	top := match{score: e.maxContrib[0], maxFinal: e.maxContrib[0] + e.sumMax}
+	r.roots = rootCursor{
+		r:          r,
+		cands:      e.ix.NodesMatching(e.query.Root().Tag, e.vts[0]),
+		prioBound:  e.priority(&top, -1),
+		finalBound: top.maxFinal,
+	}
+	if e.cfg.Queue == QueueFIFO {
+		r.roots.prioBound = math.Inf(1)
+	}
+	return &r.roots
+}
+
+var virtualRoot dewey.ID // the document's virtual parent, the root predicate's anchor
+
+// next materialises the next admissible root; nil means exhausted.
+func (c *rootCursor) next() *match {
+	e := c.r.Engine
+	for c.pos < len(c.cands) {
+		n := c.cands[c.pos]
+		c.pos++
+		c.compared++
 		variant := score.Exact
-		if !plan.RootPath.HoldsExact(virtual, c.ID) {
+		if !e.plans[0].RootPath.HoldsExact(virtualRoot, n.ID) {
 			// /tag with a non-root binding: admissible only under edge
 			// generalization of the root edge.
 			if !e.cfg.Relax.Has(relax.EdgeGeneralization) {
@@ -311,17 +365,29 @@ func (r *run) initialMatches() []*match {
 			}
 			variant = score.Relaxed
 		}
-		contrib := e.cfg.Scorer.Contribution(0, variant, c)
-		m := r.arena.get()
-		m.bindings[0] = c
+		contrib := e.cfg.Scorer.Contribution(0, variant, n)
+		m := c.r.arena.get()
+		m.bindings[0] = n
 		m.visited = 1
 		m.score = contrib
 		m.maxFinal = contrib + e.sumMax
-		m.seq = r.nextSeq()
-		r.stats.serverOps.Add(1)
-		r.stats.matchesCreated.Add(1)
-		out = append(out, m)
+		m.seq = c.r.nextSeq()
+		c.made++
+		return m
 	}
-	r.traceMatch(obs.MatchesSpawned, len(out))
-	return out
+	return nil
+}
+
+// flush publishes the roots materialised since the last flush: one
+// server op and one created match each.
+func (c *rootCursor) flush() {
+	if c.compared == 0 {
+		return
+	}
+	st := &c.r.stats
+	st.joinComparisons.Add(c.compared)
+	st.serverOps.Add(c.made)
+	st.matchesCreated.Add(c.made)
+	c.r.traceMatch(obs.MatchesSpawned, int(c.made))
+	c.made, c.compared = 0, 0
 }

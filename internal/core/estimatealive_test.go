@@ -19,6 +19,12 @@ func aliveRun(maxC, minC, pSat, fan float64, tk *topkSet) *run {
 	}
 }
 
+// estimateAlive is estimateAliveAt against the run's current threshold.
+func (r *run) estimateAlive(m *match, id int) float64 {
+	t, ok := r.topk.threshold()
+	return r.estimateAliveAt(m, id, t, ok)
+}
+
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
 func TestEstimateAliveNoThreshold(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,11 @@ import (
 	"repro/internal/score"
 	"repro/internal/xmltree"
 )
+
+// extend is extendInto with a freshly allocated target.
+func (m *match) extend(id int, n *xmltree.Node, c, maxContrib float64, seq int64) *match {
+	return m.extendInto(&match{bindings: make([]*xmltree.Node, len(m.bindings))}, id, n, c, maxContrib, seq)
+}
 
 func mkMatch(rootOrd int, score float64, seq int64) *match {
 	n := &xmltree.Node{Tag: "r", Ord: rootOrd}
@@ -377,6 +383,27 @@ func TestMatchExtend(t *testing.T) {
 	if !both.complete(0b111) {
 		t.Fatal("both should be complete")
 	}
+}
+
+// String renders the match for debugging: bound tags, score and bound.
+func (m *match) String() string {
+	var b strings.Builder
+	b.WriteString("match{")
+	for i, n := range m.bindings {
+		if i > 0 {
+			b.WriteString(" ")
+		}
+		switch {
+		case n != nil:
+			fmt.Fprintf(&b, "%d:%s", i, n.ID)
+		case m.isMissing(i):
+			fmt.Fprintf(&b, "%d:⊥", i)
+		default:
+			fmt.Fprintf(&b, "%d:?", i)
+		}
+	}
+	fmt.Fprintf(&b, " score=%.4f max=%.4f}", m.score, m.maxFinal)
+	return b.String()
 }
 
 func TestMatchString(t *testing.T) {

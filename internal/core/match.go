@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-
-	"repro/internal/xmltree"
-)
+import "repro/internal/xmltree"
 
 // match is a partial or complete match: one tuple of bindings flowing
 // through the servers. Query node i is in one of three states:
@@ -41,17 +36,11 @@ func (m *match) complete(all uint64) bool { return m.visited == all }
 // top-k set deduplicates on.
 func (m *match) rootOrd() int { return m.bindings[0].Ord }
 
-// extend clones m with query node id bound to n (nil = missing),
-// contributing c to the score. maxContrib is the server's precomputed
-// maximum contribution that the maxFinal bound releases. The hot path
-// goes through extendInto with an arena-recycled target; this
-// allocating form remains for tests and one-off construction.
-func (m *match) extend(id int, n *xmltree.Node, c, maxContrib float64, seq int64) *match {
-	return m.extendInto(&match{bindings: make([]*xmltree.Node, len(m.bindings))}, id, n, c, maxContrib, seq)
-}
-
-// extendInto writes the extension of m into ext, whose bindings slice
-// must already have m's width (arena matches do), and returns ext.
+// extendInto writes into ext the clone of m with query node id bound to
+// n (nil = missing), contributing c to the score, and returns ext, whose
+// bindings slice must already have m's width (arena matches do).
+// maxContrib is the server's precomputed maximum contribution that the
+// maxFinal bound releases.
 func (m *match) extendInto(ext *match, id int, n *xmltree.Node, c, maxContrib float64, seq int64) *match {
 	copy(ext.bindings, m.bindings)
 	ext.bindings[id] = n
@@ -64,25 +53,4 @@ func (m *match) extendInto(ext *match, id int, n *xmltree.Node, c, maxContrib fl
 		ext.missing |= 1 << uint(id)
 	}
 	return ext
-}
-
-// String renders the match for debugging: bound tags, score and bound.
-func (m *match) String() string {
-	var b strings.Builder
-	b.WriteString("match{")
-	for i, n := range m.bindings {
-		if i > 0 {
-			b.WriteString(" ")
-		}
-		switch {
-		case n != nil:
-			fmt.Fprintf(&b, "%d:%s", i, n.ID)
-		case m.isMissing(i):
-			fmt.Fprintf(&b, "%d:⊥", i)
-		default:
-			fmt.Fprintf(&b, "%d:?", i)
-		}
-	}
-	fmt.Fprintf(&b, " score=%.4f max=%.4f}", m.score, m.maxFinal)
-	return b.String()
 }

@@ -3,71 +3,81 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
-// stealQueue is the concurrent router queue of a ParallelRun: the same
-// max-heap ordering as the single-threaded pq, behind a mutex, with a
-// batch dequeue so a stealing worker amortizes one lock acquisition
+// stealQueue is the concurrent router queue of a ParallelRun: the
+// single-threaded pq — heap, root cursor and all — behind a mutex, with
+// a batch dequeue so a stealing worker amortizes one lock acquisition
 // over a whole grab of matches. It is a sanctioned match holder — a
 // queued match is owned by the queue until popped.
+//
+// live counts the run's outstanding work: matches queued or held by a
+// stepping worker, plus one for the root cursor until it is exhausted
+// or cut. Children are counted in before their parent is counted out,
+// pulled roots before the cursor, so it reaches zero only when the run
+// is done.
 // +whirllint:matchowner
 type stealQueue struct {
 	mu sync.Mutex
-	h  matchHeap
+	pq
+	live atomic.Int64
 }
 
 // +whirllint:hotpath
 func (q *stealQueue) push(m *match, priority float64) {
 	q.mu.Lock()
-	q.h.push(prioritized{m: m, priority: priority})
+	q.pq.push(m, priority)
 	q.mu.Unlock()
 }
 
 // popBatch appends up to max matches — best priority first — to dst and
 // returns the extended slice. One lock acquisition covers the whole
-// batch: this is the steal-safe dequeue the sharded executor's work
-// stealing is built on. Ownership of every returned match transfers to
-// the caller.
+// batch, cursor advance included: this is the steal-safe dequeue the
+// sharded executor's work stealing is built on. Ownership of every
+// returned match transfers to the caller. Roots the cursor pushed and
+// its own retirement are settled into live under the lock — a thief
+// must never find a pulled root queued but uncounted — and done reports
+// that this settled the run's last unit.
 // +whirllint:hotpath
-func (q *stealQueue) popBatch(dst []*match, max int) []*match {
+func (q *stealQueue) popBatch(dst []*match, max int) (out []*match, done bool) {
 	q.mu.Lock()
-	for len(dst) < max && len(q.h) > 0 {
-		dst = append(dst, q.h.pop().m)
+	queued, had, streaming := len(q.h), len(dst), q.roots != nil
+	if streaming {
+		q.pull() // settles a cursor with nothing to give even when max is 0
+	}
+	for len(dst) < max {
+		m, ok := q.pop()
+		if !ok {
+			break
+		}
+		dst = append(dst, m)
+	}
+	if streaming {
+		delta := int64(len(q.h) + len(dst) - had - queued)
+		if q.roots == nil {
+			delta--
+		}
+		done = delta != 0 && q.live.Add(delta) == 0
 	}
 	q.mu.Unlock()
-	return dst
+	return dst, done
 }
 
-// len samples the queue's depth — the steal policy's load signal. Stale
-// the moment the lock is released, which is fine for a heuristic.
+// len samples the queue's depth — the steal policy's load signal. An
+// unfinished cursor counts as one item, so a queue that can still
+// produce work never reads as empty. Stale the moment the lock is
+// released, which is fine for a heuristic.
 func (q *stealQueue) len() int {
 	q.mu.Lock()
-	n := len(q.h)
-	q.mu.Unlock()
-	return n
+	defer q.mu.Unlock()
+	if q.roots != nil {
+		return len(q.h) + 1
+	}
+	return len(q.h)
 }
-
-// Scratch is one worker goroutine's reusable buffers for driving
-// ParallelRun.Step: the per-server probe scratch plus the batch and
-// survivor slices of the step loop. A Scratch must not be shared
-// between goroutines; matches held in its slices are owned by the
-// stepping worker until released or re-queued.
-// +whirllint:matchowner
-type Scratch struct {
-	sc    scratch
-	batch []*match
-	surv  []*match
-}
-
-// NewScratch returns an empty Scratch. Each pool worker allocates one
-// up front; the steady-state step loop then allocates nothing.
-func NewScratch() *Scratch { return &Scratch{} }
 
 // ParallelRun is one engine evaluation opened up for external,
 // multi-goroutine scheduling: instead of looping to completion inside
@@ -91,13 +101,9 @@ func NewScratch() *Scratch { return &Scratch{} }
 // top-k set, whose threshold is a lower bound on the true k-th score
 // at all times (see DESIGN.md, sharded execution).
 type ParallelRun struct {
-	r *run
-	q stealQueue
-	// live counts matches alive anywhere: queued or held by a stepping
-	// worker. Children are counted in before their parent is counted
-	// out, so it can never dip to zero mid-flight. When it reaches zero
-	// after seeding, the run is done.
-	live     atomic.Int64
+	r        run
+	st       *runState // nil once Finish has handed it back
+	q        stealQueue
 	doneFlag atomic.Bool
 	doneAtNS atomic.Int64
 	start    time.Time
@@ -113,65 +119,52 @@ func (e *Engine) NewParallelRun(ctx context.Context, shared *SharedTopK, shardID
 	if shared.set.k != e.cfg.K {
 		return nil, fmt.Errorf("core: shared top-k capacity %d != Config.K %d", shared.set.k, e.cfg.K)
 	}
-	r := &run{
-		Engine: e,
-		topk:   shared.set,
-		// Concurrent workers get and release matches from any goroutine,
-		// so the arena always uses the locked, sharded freelists here.
-		arena:   newMatchArena(e.query.Size(), true, e.cfg.DisableReuse),
-		shardID: int32(shardID),
-		sharded: true,
-		ctx:     ctx,
-	}
-	r.lastThreshold.Store(math.Float64bits(math.Inf(-1)))
-	return &ParallelRun{r: r}, nil
+	// Concurrent workers get and release matches from any goroutine, so
+	// the state's arena always uses the locked, sharded freelists here.
+	p := &ParallelRun{st: acquireState(e.query.Size(), true, e.cfg.DisableReuse)}
+	e.initRun(ctx, &p.r, p.st.arena, shared.set, shardID, true)
+	p.q.h = p.st.heap[:0]
+	return p, nil
 }
 
-// Seed evaluates the root server and enqueues the surviving initial
-// matches. It must be called exactly once, before any Step; a run that
-// seeds zero survivors is immediately done. The live count is published
-// before the first push so a concurrent thief draining the queue early
-// cannot observe a transient zero and mark the run done prematurely.
+// Seed publishes the root cursor in the run's queue, from which Step
+// materialises roots as they come due. It must be called exactly once,
+// before any Step. A run with no root candidates, or whose roots a warm
+// shared threshold already rules out, is done on return.
 func (p *ParallelRun) Seed() {
-	r := p.r
 	p.start = time.Now()
-	if t := r.cfg.Trace; t != nil {
-		t.RunStart(obs.RunInfo{
-			Algorithm:  r.cfg.Algorithm.String(),
-			Routing:    r.cfg.Routing.String(),
-			Queue:      r.cfg.Queue.String(),
-			K:          r.cfg.K,
-			QueryNodes: r.query.Size(),
-		})
-	}
-	alive := r.filterAlive(r.initialMatches())
-	if len(alive) == 0 {
+	p.r.traceStart()
+	p.q.mu.Lock()
+	p.q.roots = p.r.seedRoots()
+	p.q.live.Store(1) // the cursor
+	p.q.mu.Unlock()
+	if _, done := p.q.popBatch(nil, 0); done {
 		p.markDone()
-		return
-	}
-	p.live.Store(int64(len(alive)))
-	for _, m := range alive {
-		p.q.push(m, r.priority(m, -1))
 	}
 }
 
 // Step pops a batch of up to budget matches from the run's queue and
 // processes each through its next server, offering into the shared
-// top-k set and re-queueing surviving extensions. It returns how many
-// matches it consumed; 0 means the queue was momentarily empty (the
-// run is done only once IsDone reports true — other workers may still
-// be about to re-queue survivors). Safe for concurrent use, one
-// Scratch per worker. Cancellation is polled on every match, so a
-// cancelled run stops within one batch; the unprocessed remainder is
-// released back to the arena with the live count kept exact.
+// top-k set and re-queueing surviving extensions. An empty heap is no
+// obstacle while the root cursor has roots left: the pop pulls them. It
+// returns how many matches it consumed; 0 means the queue was
+// momentarily empty (the run is done only once IsDone reports true —
+// other workers may still be about to re-queue survivors). Safe for
+// concurrent use, one Scratch per worker. Cancellation is polled on
+// every match, so a cancelled run stops within one batch; the
+// unprocessed remainder is released back to the arena with the live
+// count kept exact.
 // +whirllint:hotpath
 func (p *ParallelRun) Step(ws *Scratch, budget int) int {
-	r := p.r
+	r := &p.r
 	if budget < 1 {
 		budget = 1
 	}
-	batch := p.q.popBatch(ws.batch[:0], budget)
+	batch, done := p.q.popBatch(ws.batch[:0], budget)
 	ws.batch = batch
+	if done {
+		p.markDone()
+	}
 	processed := 0
 	for i, m := range batch {
 		if r.cancelled() {
@@ -184,7 +177,7 @@ func (p *ParallelRun) Step(ws *Scratch, budget int) int {
 		processed++
 		// currentTopK may have grown since the match was queued.
 		if r.prunable(m) {
-			r.prune()
+			r.prune(1)
 			r.release(m)
 			p.liveAdd(-1)
 			continue
@@ -195,7 +188,7 @@ func (p *ParallelRun) Step(ws *Scratch, budget int) int {
 			r.traceDepth(-1, p.q.len())
 		}
 		surv := ws.surv[:0]
-		for _, ext := range r.process(m, sid, &ws.sc) {
+		for _, ext := range r.process(m, sid, ws) {
 			if r.checkTopK(ext) {
 				surv = append(surv, ext)
 			} else {
@@ -209,7 +202,7 @@ func (p *ParallelRun) Step(ws *Scratch, budget int) int {
 		if len(surv) > 0 {
 			// Children in before the parent out: live can't hit zero
 			// while this match's offspring are mid-flight.
-			p.live.Add(int64(len(surv)))
+			p.q.live.Add(int64(len(surv)))
 			for _, s := range surv {
 				p.q.push(s, r.priority(s, -1))
 			}
@@ -223,7 +216,7 @@ func (p *ParallelRun) Step(ws *Scratch, budget int) int {
 // reaches zero.
 // +whirllint:hotpath
 func (p *ParallelRun) liveAdd(d int64) {
-	if p.live.Add(d) == 0 {
+	if p.q.live.Add(d) == 0 {
 		p.markDone()
 	}
 }
@@ -240,11 +233,9 @@ func (p *ParallelRun) markDone() {
 func (p *ParallelRun) IsDone() bool { return p.doneFlag.Load() }
 
 // Depth samples the router queue's depth: the work-stealing load
-// signal.
+// signal. An unfinished root cursor counts as one queued item, so a
+// run that is not done but has nothing in flight never reads 0.
 func (p *ParallelRun) Depth() int { return p.q.len() }
-
-// Live returns the current live-match count (queued plus in-flight).
-func (p *ParallelRun) Live() int64 { return p.live.Load() }
 
 // Created returns how many matches the run has created so far — the
 // per-shard feedback signal the steal policy breaks depth ties with.
@@ -252,13 +243,12 @@ func (p *ParallelRun) Created() int64 { return p.r.stats.matchesCreated.Load() }
 
 // Finish closes the run out after every worker has stopped stepping:
 // it snapshots the stats (Duration is seed-to-done wall clock), folds
-// them into the engine's cumulative totals, and emits the RunEnd trace
-// event. When the run's context was cancelled, the partial work is
-// discarded and the context's error returned, mirroring RunContext.
-// Call it exactly once.
+// them into the engine's cumulative totals, emits the RunEnd trace
+// event and hands the run's state back for reuse. When the run's
+// context was cancelled, the partial work is discarded and the
+// context's error returned, mirroring RunContext. Call it exactly once.
 func (p *ParallelRun) Finish() (Stats, error) {
-	r := p.r
-	stats := r.stats.snapshot()
+	stats := p.r.stats.snapshot()
 	switch {
 	case p.start.IsZero():
 		// Never seeded (cancelled before any work).
@@ -267,16 +257,10 @@ func (p *ParallelRun) Finish() (Stats, error) {
 	default:
 		stats.Duration = time.Since(p.start)
 	}
-	if err := r.ctx.Err(); err != nil {
-		r.Engine.totals.aborted.Add(1)
-		if t := r.cfg.Trace; t != nil {
-			t.RunEnd(runSummary(stats, 0, true))
-		}
-		return Stats{}, err
+	if st := p.st; st != nil {
+		p.st = nil
+		st.heap, p.q.h = p.q.h, nil
+		st.release(p.IsDone())
 	}
-	r.Engine.totals.add(stats)
-	if t := r.cfg.Trace; t != nil {
-		t.RunEnd(runSummary(stats, len(r.topk.answers()), false))
-	}
-	return stats, nil
+	return p.r.finish(stats)
 }

@@ -6,16 +6,19 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/xmltree"
 )
 
 // run is the mutable state of a single evaluation.
 type run struct {
 	*Engine
 	topk *topkSet
-	// arena recycles dead matches and their bindings for this run; see
-	// internal/core/arena.go for the ownership rules.
+	// arena recycles dead matches and their bindings; it belongs to the
+	// runState this run holds (internal/core/arena.go has the ownership
+	// rules).
 	arena *matchArena
+	// roots streams the root server's output (engine.go); the router
+	// queue holds a pointer to it while roots remain.
+	roots rootCursor
 	// shardID identifies this run within a sharded evaluation sharing
 	// topk with other engines (0 for a standalone run). Offers carry it
 	// so prunes caused by another shard's threshold can be counted.
@@ -65,12 +68,6 @@ func (s *runStats) snapshot() Stats {
 	}
 }
 
-func makeBindings(n int, root *xmltree.Node) []*xmltree.Node {
-	b := make([]*xmltree.Node, n)
-	b[0] = root
-	return b
-}
-
 // Trace helpers. Each is nil-checked so the default (no sink) costs one
 // predictable branch per call site and never allocates; arguments are
 // scalars, so a configured sink sees no per-event allocation either.
@@ -93,20 +90,22 @@ func (r *run) traceDepth(server, depth int) {
 	}
 }
 
-// prune discards a partial match against currentTopK, keeping the
-// counters and the trace in step. A prune is "remote" when the current
-// threshold was produced by an entry offered from another shard — the
-// cross-shard pruning the sharded execution layer exists to create.
-// Standalone runs have no sibling shards, so they skip the
-// threshold-source load entirely (PrunedRemote is 0 by definition).
-func (r *run) prune() {
-	r.stats.pruned.Add(1)
+// prune discards n partial matches against currentTopK — one popped or
+// freshly extended match, or every root the cursor had left when it was
+// cut — keeping the counters and the trace in step. A prune is "remote"
+// when the current threshold was produced by an entry offered from
+// another shard — the cross-shard pruning the sharded execution layer
+// exists to create. Standalone runs have no sibling shards, so they
+// skip the threshold-source load entirely (PrunedRemote is 0 by
+// definition).
+func (r *run) prune(n int) {
+	r.stats.pruned.Add(int64(n))
 	if r.sharded {
 		if src := r.topk.thresholdSrc(); src >= 0 && src != r.shardID {
-			r.stats.prunedRemote.Add(1)
+			r.stats.prunedRemote.Add(int64(n))
 		}
 	}
-	r.traceMatch(obs.MatchesPruned, 1)
+	r.traceMatch(obs.MatchesPruned, n)
 }
 
 // traceThreshold emits the prune-threshold trajectory: each call
@@ -150,7 +149,7 @@ func (r *run) checkTopK(m *match) (alive bool) {
 		return false
 	}
 	if r.prunable(m) {
-		r.prune()
+		r.prune(1)
 		return false
 	}
 	return true
@@ -213,19 +212,14 @@ func (r *run) nextServer(m *match) int {
 	return -1
 }
 
-// estimateAlive predicts how many extensions of m would survive pruning
-// after processing at server id — the min_alive_partial_matches cost
-// model: expected fanout × the fraction of the contribution range that
-// keeps the extension's maximum possible final score above currentTopK,
-// plus the survival of the null (leaf-deleted) extension when the server
-// is expected to find nothing.
-func (r *run) estimateAlive(m *match, id int) float64 {
-	t, ok := r.topk.threshold()
-	return r.estimateAliveAt(m, id, t, ok)
-}
-
-// estimateAliveAt is estimateAlive against a caller-supplied threshold
-// snapshot, so nextServer's candidate loop loads currentTopK once.
+// estimateAliveAt predicts how many extensions of m would survive
+// pruning after processing at server id — the min_alive_partial_matches
+// cost model: expected fanout × the fraction of the contribution range
+// that keeps the extension's maximum possible final score above
+// currentTopK, plus the survival of the null (leaf-deleted) extension
+// when the server is expected to find nothing. The threshold is the
+// caller's snapshot, so nextServer's candidate loop loads currentTopK
+// once.
 func (r *run) estimateAliveAt(m *match, id int, t float64, ok bool) float64 {
 	maxC, minC := r.maxContrib[id], r.minContrib[id]
 	pSat, fan := r.satisfyProb[id], r.fanout[id]

@@ -7,18 +7,24 @@ import (
 	"repro/internal/xmltree"
 )
 
-// scratch is one worker's reusable buffers for process: the candidate
-// probe appends into cands, spawned extensions accumulate in exts. Both
-// retain their grown capacity across calls, so a worker's steady state
-// allocates nothing. The returned extension slice aliases sc.exts — the
-// caller must consume it before its next process call with the same
-// scratch (every algorithm does: extensions are checked and enqueued
-// immediately).
+// Scratch is one worker goroutine's reusable buffers: process appends
+// probed candidates into cands and spawned extensions into exts, and
+// the step loops keep their batch and survivor slices here. All retain
+// their grown capacity, so a worker's steady state allocates nothing.
+// The slice process returns aliases exts — the caller must consume it
+// before its next process call with the same Scratch (every algorithm
+// does: extensions are checked and enqueued immediately). A Scratch
+// must not be shared between goroutines; matches held in its slices are
+// owned by that worker until released or re-queued.
 // +whirllint:matchowner
-type scratch struct {
-	cands []*xmltree.Node
-	exts  []*match
+type Scratch struct {
+	cands             []*xmltree.Node
+	exts, batch, surv []*match
 }
+
+// NewScratch returns an empty Scratch. Each pool worker allocates one
+// up front; the steady-state step loop then allocates nothing.
+func NewScratch() *Scratch { return &Scratch{} }
 
 // process runs one server operation (Section 5.2.1): the partial match m
 // arrives at server sid, the server probes the index for candidates
@@ -29,7 +35,7 @@ type scratch struct {
 // otherwise the match dies. m stays owned by the caller: extensions copy
 // out of it, so the caller releases it after consuming the result.
 // +whirllint:hotpath
-func (r *run) process(m *match, sid int, sc *scratch) []*match {
+func (r *run) process(m *match, sid int, sc *Scratch) []*match {
 	e := r.Engine
 	r.stats.serverOps.Add(1)
 	spin(e.cfg.OpCost)

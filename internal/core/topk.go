@@ -42,16 +42,17 @@ type topkSet struct {
 	top  []*topkEntry       // k best entries, sorted desc (score, then root asc)
 
 	// Entry slab: entries and their bindings copies are carved from
-	// chunked backing arrays (see newEntry). qn is the query's binding
-	// width, learned from the first offered match.
-	qn       int
-	freeEnts []topkEntry
-	freeBnd  []*xmltree.Node
+	// chunked backing arrays (see newEntry) and kept across reset, so a
+	// reused set re-issues them instead of buying new ones. qn is the
+	// query's binding width, learned from the first offered match.
+	qn   int
+	ents []*topkEntry // every entry carved so far, in carve order
+	used int          // entries issued since the last reset
 }
 
 // entryChunk is how many topkEntry records (and bindings copies) one
 // slab allocation covers.
-const entryChunk = 256
+const entryChunk = 64
 
 // topkEntry is one root's best guaranteed answer. It owns its bindings
 // slice — offer copies the match's bindings out rather than aliasing
@@ -66,19 +67,30 @@ type topkEntry struct {
 }
 
 func newTopkSet(k int, floor float64, hasFloor bool) *topkSet {
-	t := &topkSet{
-		k:        k,
-		floor:    floor,
-		hasFloor: hasFloor,
-		best:     make(map[int]*topkEntry),
-	}
+	t := &topkSet{best: make(map[int]*topkEntry)}
+	t.reset(k, floor, hasFloor)
+	return t
+}
+
+// reset empties the set for a new run of capacity k, keeping the map's
+// buckets, the top slice and every carved entry for reuse. Whatever the
+// previous run's caller keeps, answers has already copied out.
+func (t *topkSet) reset(k int, floor float64, hasFloor bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.k, t.floor, t.hasFloor = k, floor, hasFloor
 	if hasFloor {
 		t.thrBits.Store(math.Float64bits(floor))
 	} else {
 		t.thrBits.Store(math.Float64bits(math.NaN()))
 	}
 	t.thrSrc.Store(-1)
-	return t
+	clear(t.best)
+	t.top = t.top[:0]
+	for _, e := range t.ents[:t.used] {
+		clear(e.bindings)
+	}
+	t.used = 0
 }
 
 // bindingsLess orders two binding vectors over the same query
@@ -151,13 +163,12 @@ func (t *topkSet) offer(m *match, src int32) {
 	}
 }
 
-// newEntry carves a fresh entry — with its entry-owned bindings copy —
-// from the set's slab. Entries live as long as the set itself (the best
-// map keeps every root's record even after eviction from top), so this
-// is plain chunked allocation, not a freelist: two heap allocations per
-// entryChunk distinct roots instead of two per root. Every match
-// offered into one set binds the same query, so the binding width qn is
-// fixed after the first offer. Callers hold t.mu.
+// newEntry issues an entry — with its entry-owned bindings copy — from
+// the set's slab, carving a new chunk when every carved entry is in
+// use. Entries live as long as the run (the best map keeps every root's
+// record even after eviction from top) and are re-issued after reset.
+// Every match offered into one set binds the same query, so the binding
+// width qn is fixed after the first offer. Callers hold t.mu.
 // +whirllint:locked
 // +whirllint:allocok amortized: two allocations per entryChunk distinct roots, not per offer
 func (t *topkSet) newEntry(rootOrd int, m *match) *topkEntry {
@@ -174,16 +185,17 @@ func (t *topkSet) newEntry(rootOrd int, m *match) *topkEntry {
 			}
 		}
 	}
-	if len(t.freeEnts) == 0 {
-		t.freeEnts = make([]topkEntry, entryChunk)
-		t.freeBnd = make([]*xmltree.Node, entryChunk*t.qn)
+	if t.used == len(t.ents) {
+		ents := make([]topkEntry, entryChunk)
+		bnd := make([]*xmltree.Node, entryChunk*t.qn)
+		for i := range ents {
+			ents[i].bindings = bnd[i*t.qn : (i+1)*t.qn : (i+1)*t.qn]
+			t.ents = append(t.ents, &ents[i])
+		}
 	}
-	e := &t.freeEnts[0]
-	t.freeEnts = t.freeEnts[1:]
-	e.bindings = t.freeBnd[:t.qn:t.qn]
-	t.freeBnd = t.freeBnd[t.qn:]
-	e.rootOrd = rootOrd
-	e.score = m.score
+	e := t.ents[t.used]
+	t.used++
+	e.rootOrd, e.score, e.inTop, e.pos = rootOrd, m.score, false, 0
 	copy(e.bindings, m.bindings)
 	return e
 }
@@ -253,14 +265,18 @@ func (t *topkSet) threshold() (v float64, ok bool) {
 func (t *topkSet) thresholdSrc() int32 { return t.thrSrc.Load() }
 
 // answers returns the final top-k, best first. Bindings are copied out
-// of the entries: offer overwrites entry bindings in place when a root
-// improves, so a returned snapshot must not alias them.
+// of the entries into one block the answers share: offer overwrites
+// entry bindings in place and reset re-issues them, so a snapshot must
+// not alias them.
 func (t *topkSet) answers() []Answer {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Answer, 0, len(t.top))
+	flat := make([]*xmltree.Node, 0, len(t.top)*t.qn)
 	for _, e := range t.top {
-		b := append([]*xmltree.Node(nil), e.bindings...)
+		n := len(flat)
+		flat = append(flat, e.bindings...)
+		b := flat[n:len(flat):len(flat)]
 		out = append(out, Answer{
 			Root:     b[0],
 			Bindings: b,
@@ -290,13 +306,6 @@ type SharedTopK struct {
 func NewSharedTopK(k int, floor float64) *SharedTopK {
 	return &SharedTopK{set: newTopkSet(k, floor, floor > 0)}
 }
-
-// K returns the set's capacity.
-func (s *SharedTopK) K() int { return s.set.k }
-
-// Threshold returns the current global pruning threshold; ok is false
-// while no threshold exists yet.
-func (s *SharedTopK) Threshold() (v float64, ok bool) { return s.set.threshold() }
 
 // Answers returns the current top-k, best first (score descending, ties
 // by document order of the root). After every participating RunShared

@@ -19,11 +19,10 @@ import (
 // immutable after construction (except the engines' atomic totals) and
 // safe for repeated, concurrent RunContext calls.
 type Engines struct {
-	corpus *Corpus
-	cfg    core.Config
-	engs   []runner
-	reg    *obs.Registry
-	opts   ExecOptions
+	cfg  core.Config
+	engs []runner
+	reg  *obs.Registry
+	opts ExecOptions
 
 	// Most recent run's pool geometry, for LastRunWorkers.
 	lastWorkers atomic.Int64
@@ -48,7 +47,7 @@ func (c *Corpus) NewEngines(q *pattern.Query, cfg core.Config) (*Engines, error)
 	}
 	root := q.Root()
 	vt := index.Test(root.ValueOp, root.Value)
-	e := &Engines{corpus: c, cfg: cfg}
+	e := &Engines{cfg: cfg}
 	for shard, sub := range c.ShardSources() {
 		if len(sub.NodesMatching(root.Tag, vt)) == 0 {
 			continue
@@ -69,12 +68,6 @@ func (e *Engines) ObserveInto(reg *obs.Registry) { e.reg = reg }
 
 // Shards returns the number of participating engines.
 func (e *Engines) Shards() int { return len(e.engs) }
-
-// Config returns the engines' shared configuration.
-func (e *Engines) Config() core.Config { return e.cfg }
-
-// Corpus returns the partitioned corpus the engines evaluate.
-func (e *Engines) Corpus() *Corpus { return e.corpus }
 
 // Run evaluates the query over all shards concurrently and returns the
 // merged result.

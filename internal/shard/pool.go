@@ -146,8 +146,8 @@ func poolWorker(ctx context.Context, w int, st *poolState) {
 
 	ws := core.NewScratch()
 	// Seed own shards before working: every shard has exactly one owner
-	// (workers ≥ 1), so every shard gets seeded exactly once, and
-	// thieves only ever see a queue that Seed has fully published.
+	// (workers ≥ 1), so every shard gets seeded exactly once, and an
+	// unseeded shard has depth 0, so thieves leave it alone.
 	for i := w; i < len(st.runs); i += st.workers {
 		select {
 		case <-ctx.Done():
@@ -220,8 +220,11 @@ func stealLoop(ctx context.Context, w int, st *poolState, ws *core.Scratch) {
 // queued work first (no steal), otherwise — when stealing is enabled —
 // the foreign shard with the deepest queue, ties broken toward the
 // shard that has created the most matches (the hottest producer, the
-// per-shard matches_created feedback). Returns -1 when no queue has
-// work right now; stolen reports whether the choice crosses ownership.
+// per-shard matches_created feedback). Depth counts an unfinished root
+// cursor as one queued item, so depth 0 on a run that is not done means
+// only that its remaining matches are in other workers' hands. Returns
+// -1 when no queue has work right now; stolen reports whether the choice
+// crosses ownership.
 func (st *poolState) pick(w int) (idx int, stolen bool) {
 	for i := w; i < len(st.runs); i += st.workers {
 		r := st.runs[i]

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -158,6 +159,62 @@ func TestPoolCancellation(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%v: cancelled run did not return within 10s", algo)
+		}
+	}
+}
+
+// TestPoolFinishesCursorOnlyShards: with one worker over eight shards
+// and k = 1, most shards never hold a queued match — their roots sit in
+// the cursor until the shared threshold cuts them, or are cut before
+// the first is pulled. Such a shard must still read as work to pick
+// (Depth ≥ 1) until it is done, or the lone worker naps forever; the
+// run has to finish, with and without stealing, and agree with the
+// unsharded engine.
+// +whirllint:managed the run goroutine signals completion on the done channel
+func TestPoolFinishesCursorOnlyShards(t *testing.T) {
+	doc := xmarkDoc(t, 60)
+	whole := index.Build(doc)
+	q := pattern.MustParse("//item[./description/parlist and ./mailbox/mail/text]")
+	cfg := core.Config{K: 1, Relax: relax.All, Algorithm: core.WhirlpoolS, Scorer: score.NewTFIDF(whole, q, score.Sparse)}
+	baseEng, err := core.New(whole, q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := baseEng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := shard.Split(doc, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []shard.ExecOptions{
+		{Workers: 1},
+		{Workers: 1, DisableStealing: true},
+		{Workers: 3, DisableStealing: true, StealBatch: 1},
+	} {
+		engs, err := c.NewEngines(q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engs.SetExecOptions(opts)
+		type outcome struct {
+			res *core.Result
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := engs.Run()
+			done <- outcome{res, err}
+		}()
+		select {
+		case out := <-done:
+			if out.err != nil {
+				t.Fatalf("%+v: %v", opts, out.err)
+			}
+			compareResults(t, fmt.Sprintf("%+v", opts), base, out.res)
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%+v: run over cursor-only shards did not finish", opts)
 		}
 	}
 }
