@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-audit lint-baseline test race bench bench-check bench-micro profile experiments experiments-full fuzz clean
+.PHONY: all build vet lint lint-audit lint-baseline test race budget bench bench-check bench-micro profile experiments experiments-full fuzz clean
 
 all: build vet lint test race
 
@@ -42,6 +42,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The standing code-budget figures, by one fixed formula: Go lines
+# outside benchmark/ and testdata/, non-test and test, for the tree and
+# for the two packages the budget rule watches. CHANGES.md entries quote
+# this output.
+GOFILES = find $(1) -name '*.go' -not -path './benchmark/*' -not -path '*/testdata/*'
+budget:
+	@printf '%-28s %6d\n' 'tree, non-test' "$$($(call GOFILES,.) -not -name '*_test.go' | xargs cat | wc -l)"
+	@printf '%-28s %6d\n' 'tree, _test.go' "$$($(call GOFILES,.) -name '*_test.go' | xargs cat | wc -l)"
+	@for p in internal/core internal/shard; do \
+		printf '%-28s %6d\n' "$$p, non-test" "$$($(call GOFILES,$$p) -not -name '*_test.go' | xargs cat | wc -l)"; \
+	done
 
 # Pinned core benchmark (XMark seed 1, Q2, k=15, Whirlpool-S) measured
 # unsharded and at 2/4/8 shards across a GOMAXPROCS sweep (1/4/8),

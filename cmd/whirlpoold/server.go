@@ -30,8 +30,9 @@ const defaultCacheSize = 256
 type server struct {
 	db *whirlpool.Database
 	// sdb, when non-nil, routes every /query through sharded execution:
-	// engines are built over the partition and run one goroutine per
-	// shard against a shared top-k set.
+	// engines are built over the partition and run on a bounded worker
+	// pool, min(GOMAXPROCS, shards) goroutines, against a shared top-k
+	// set.
 	sdb       *whirlpool.ShardedDatabase
 	mux       *http.ServeMux
 	reg       *obs.Registry
@@ -88,18 +89,9 @@ func (e *engineEntry) totals() whirlpool.EngineTotals {
 	}
 	var out whirlpool.EngineTotals
 	for _, st := range e.sharded.ShardTotals() {
-		if st.Totals.Runs > out.Runs {
-			out.Runs = st.Totals.Runs
-		}
-		if st.Totals.Aborted > out.Aborted {
-			out.Aborted = st.Totals.Aborted
-		}
-		out.ServerOps += st.Totals.ServerOps
-		out.JoinComparisons += st.Totals.JoinComparisons
-		out.MatchesCreated += st.Totals.MatchesCreated
-		out.Pruned += st.Totals.Pruned
-		out.PrunedRemote += st.Totals.PrunedRemote
-		out.Duration += st.Totals.Duration
+		out.Runs = max(out.Runs, st.Totals.Runs)
+		out.Aborted = max(out.Aborted, st.Totals.Aborted)
+		out.Stats.Add(st.Totals.Stats)
 	}
 	return out
 }
@@ -113,8 +105,8 @@ type serverOptions struct {
 	// request.
 	AccessLog *log.Logger
 	// Shards above 1 partitions the document into that many shards at
-	// startup and evaluates every /query with one engine per shard
-	// pruning against a shared top-k set.
+	// startup and evaluates every /query with one engine per shard, on
+	// a bounded worker pool, pruning against a shared top-k set.
 	Shards int
 	// SnapshotOpen is how long whirlpool.OpenSnapshot took when the
 	// database was booted from an mmap snapshot; recorded into the
@@ -393,8 +385,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Query == "" {
@@ -541,8 +532,7 @@ func (s *server) handleKeyword(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req keywordRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Scope == "" || req.Query == "" {
@@ -598,6 +588,27 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// maxBodyBytes bounds a request body: a request is a line of XPath or
+// a few keywords plus options.
+const maxBodyBytes = 1 << 20
+
+// decodeBody reads r's JSON body into v and reports whether it could:
+// a body over maxBodyBytes is refused with 413 without being read to
+// its end, a malformed one with 400.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("bad request body: %w", err))
+	return false
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -615,3 +615,27 @@ func TestShardedServing(t *testing.T) {
 		t.Fatal("metrics missing per-shard counters")
 	}
 }
+
+// TestOversizedBodyRefused: a request body over maxBodyBytes is
+// answered 413 on both POST endpoints — as a syntactically fine JSON
+// document, so only the limit can refuse it — and the daemon serves
+// the next request as usual.
+func TestOversizedBodyRefused(t *testing.T) {
+	s := testServer(t)
+	pad := strings.Repeat("x", 2<<20)
+	cases := []struct {
+		path      string
+		big, next any
+	}{
+		{"/query", queryRequest{Query: "//item[./name]", Algorithm: pad}, queryRequest{Query: "//item[./name]", K: 3}},
+		{"/keyword", keywordRequest{Scope: "item", Query: pad}, keywordRequest{Scope: "item", Query: "gold", K: 3}},
+	}
+	for _, c := range cases {
+		if w := post(t, s, c.path, c.big); w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a 2 MiB body: status %d, want 413 (%.80s)", c.path, w.Code, w.Body.String())
+		}
+		if w := post(t, s, c.path, c.next); w.Code != http.StatusOK {
+			t.Errorf("%s after the refused request: %d %s", c.path, w.Code, w.Body.String())
+		}
+	}
+}

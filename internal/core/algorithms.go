@@ -6,71 +6,52 @@ import (
 	"sync/atomic"
 )
 
-// runS is Whirlpool-S (Section 6.1.2): a single thread, no server queues —
-// a partial match is processed as soon as the router picks it, and the
-// router queue orders matches by the configured discipline (maximum
-// possible final score by default, the MPro/Upper-style schedule).
-//
-// The queue, scratch and batch buffers are st's, handed back grown, so
-// a warm run allocates nothing here.
-func (r *run) runS(st *runState) {
-	q := pq{h: st.heap[:0], roots: r.seedRoots()}
-	sc := &st.ws
-	batch, skipped := st.ws.batch, st.ws.surv
-	batchSize := r.cfg.RouterBatch
-	if batchSize < 1 {
-		batchSize = 1
+// The step kernel: what happens to one partial match between leaving a
+// queue and its survivors entering the next one (Section 5.2). The four
+// algorithms differ only in who picks the next match and when
+// (Section 6.1.2), so each driver — ParallelRun.Step for Whirlpool-S,
+// routeM/serveM for Whirlpool-M, runLockStep — is a loop around these.
+
+// drop settles a match that can no longer beat currentTopK: counted as
+// pruned and released.
+func (r *run) drop(m *match) {
+	r.prune(1)
+	r.release(m)
+}
+
+// route is the router's half of a step. currentTopK may have grown
+// while the popped match waited: if it is now prunable it is dropped
+// (0, the root server, is returned — never a destination); otherwise it
+// is assigned the server it visits next.
+// +whirllint:hotpath
+func (r *run) route(m *match) (sid int) {
+	if r.prunable(m) {
+		r.drop(m)
+		return 0
 	}
-	for !r.cancelled() {
-		m, ok := q.pop()
-		if !ok {
-			break
-		}
-		// currentTopK may have grown since the match was queued.
-		if r.prunable(m) {
-			r.prune(1)
-			r.release(m)
-			continue
-		}
-		sid := r.nextServer(m)
-		r.traceRoute(m, sid)
-		r.traceDepth(-1, q.len())
-		batch = append(batch[:0], m)
-		// Bulk adaptivity: matches adjacent in the router queue (and so
-		// closest in priority) share the head's routing decision.
-		skipped = skipped[:0]
-		for len(batch) < batchSize {
-			m2, ok := q.pop()
-			if !ok {
-				break
-			}
-			if r.prunable(m2) {
-				r.prune(1)
-				r.release(m2)
-				continue
-			}
-			if m2.isVisited(sid) {
-				skipped = append(skipped, m2)
-				continue
-			}
-			r.traceRoute(m2, sid)
-			batch = append(batch, m2)
-		}
-		for _, bm := range batch {
-			for _, ext := range r.process(bm, sid, sc) {
-				if r.checkTopK(ext) {
-					q.push(ext, r.priority(ext, -1))
-				} else {
-					r.release(ext)
-				}
-			}
-			r.release(bm)
-		}
-		for _, sm := range skipped {
-			q.push(sm, r.priority(sm, -1))
+	sid = r.nextServer(m)
+	r.traceRoute(m, sid)
+	return sid
+}
+
+// serve is the server's half: one server operation on m, each extension
+// checked against the top-k set unless keepAll (LockStep-NoPrun, which
+// ranks only at the end), m released — its extensions have copied
+// everything they need — and the survivors returned in ws.surv, owned
+// by the caller until queued or released.
+// +whirllint:hotpath
+func (r *run) serve(m *match, sid int, ws *Scratch, keepAll bool) []*match {
+	surv := ws.surv[:0]
+	for _, ext := range r.process(m, sid, ws) {
+		if keepAll || r.checkTopK(ext) {
+			surv = append(surv, ext)
+		} else {
+			r.release(ext)
 		}
 	}
-	st.heap, st.ws.batch, st.ws.surv = q.h, batch, skipped
+	ws.surv = surv
+	r.release(m)
+	return surv
 }
 
 // runLockStep processes every alive partial match through one server
@@ -78,9 +59,9 @@ func (r *run) runS(st *runState) {
 // set, matches are checked against the top-k set as they are produced —
 // the paper's LockStep (≈ OptThres [2]); without it, everything is
 // evaluated and the k best matches selected at the end (LockStep-NoPrun).
-func (r *run) runLockStep(prune bool) {
-	sc := &Scratch{}
-	var alive []*match
+// The alive set lives in ws.batch between runs.
+func (r *run) runLockStep(ws *Scratch, prune bool) {
+	alive := ws.batch[:0]
 	roots := r.seedRoots()
 	for m := roots.next(); m != nil; m = roots.next() {
 		if prune && !r.checkTopK(m) {
@@ -90,6 +71,7 @@ func (r *run) runLockStep(prune bool) {
 		alive = append(alive, m)
 	}
 	roots.flush()
+	var next []*match
 	for _, sid := range r.order {
 		// Server queues are priority queues too (max-possible-final by
 		// default): within a phase, promising matches go first so
@@ -99,26 +81,18 @@ func (r *run) runLockStep(prune bool) {
 		})
 		// One depth sample per phase: the whole alive set queues at sid.
 		r.traceDepth(sid, len(alive))
-		var next []*match
+		next = next[:0]
 		for _, m := range alive {
 			if r.cancelled() {
 				return
 			}
 			if prune && r.prunable(m) {
-				r.prune(1)
-				r.release(m)
+				r.drop(m)
 				continue
 			}
-			for _, ext := range r.process(m, sid, sc) {
-				if prune && !r.checkTopK(ext) {
-					r.release(ext)
-					continue
-				}
-				next = append(next, ext)
-			}
-			r.release(m)
+			next = append(next, r.serve(m, sid, ws, !prune)...)
 		}
-		alive = next
+		alive, next = next, alive
 	}
 	if !prune {
 		// All survivors are complete; select the k best now. offer
@@ -128,6 +102,7 @@ func (r *run) runLockStep(prune bool) {
 			r.release(m)
 		}
 	}
+	ws.batch = alive[:0]
 }
 
 // liveCounter tracks the number of matches alive anywhere in
@@ -167,18 +142,12 @@ func (r *run) runM() {
 	live := newLiveCounter()
 	var wg sync.WaitGroup
 
-	workers := r.cfg.ServerWorkers
-	if workers < 1 {
-		workers = 1
-	}
 	for sid := 1; sid < n; sid++ {
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(sid int) {
-				defer wg.Done()
-				r.serveM(sid, serverQs[sid], routerQ, live)
-			}(sid)
-		}
+		wg.Add(1)
+		go func(sid int) {
+			defer wg.Done()
+			r.serveM(sid, serverQs[sid], routerQ, live)
+		}(sid)
 	}
 	wg.Add(1)
 	go func() {
@@ -210,11 +179,9 @@ func (r *run) runM() {
 }
 
 // serveM is one Whirlpool-M server worker: pop a match from the server's
-// queue, process it, check extensions against the top-k set, and hand
-// survivors back to the router.
+// queue, serve it, and hand the survivors back to the router.
 func (r *run) serveM(sid int, in *blockingPQ, routerQ *blockingPQ, live *liveCounter) {
-	sc := &Scratch{}
-	var survivors []*match
+	var ws Scratch
 	for {
 		m, ok := in.pop()
 		if !ok {
@@ -225,36 +192,20 @@ func (r *run) serveM(sid int, in *blockingPQ, routerQ *blockingPQ, live *liveCou
 			live.add(-1) // drain so the live counter reaches zero
 			continue
 		}
-		survivors = survivors[:0]
-		for _, ext := range r.process(m, sid, sc) {
-			if r.checkTopK(ext) {
-				survivors = append(survivors, ext)
-			} else {
-				r.release(ext)
-			}
-		}
-		// The parent's extensions have copied everything they need;
-		// recycle it before handing survivors on.
-		r.release(m)
+		surv := r.serve(m, sid, &ws, false)
 		// Count children in before decrementing the parent so the live
 		// counter can never dip to zero mid-flight.
-		live.add(int64(len(survivors)))
-		for _, s := range survivors {
+		live.add(int64(len(surv)))
+		for _, s := range surv {
 			routerQ.push(s, r.priority(s, -1))
 		}
 		live.add(-1)
 	}
 }
 
-// routeM is the Whirlpool-M router goroutine: re-check each match against
-// currentTopK (it may have grown while the match sat in the queue), pick
-// its next server, and enqueue it there. With RouterBatch > 1, routing
-// decisions are shared by groups of queue-adjacent matches.
+// routeM is the Whirlpool-M router goroutine: route each match off the
+// router queue and enqueue it at its next server.
 func (r *run) routeM(routerQ *blockingPQ, serverQs []*blockingPQ, live *liveCounter) {
-	batchSize := r.cfg.RouterBatch
-	if batchSize < 1 {
-		batchSize = 1
-	}
 	for {
 		m, ok := routerQ.pop()
 		if !ok {
@@ -265,37 +216,12 @@ func (r *run) routeM(routerQ *blockingPQ, serverQs []*blockingPQ, live *liveCoun
 			live.add(-1) // drain so the live counter reaches zero
 			continue
 		}
-		if r.prunable(m) {
-			r.prune(1)
-			r.release(m)
+		sid := r.route(m)
+		if sid == 0 {
 			live.add(-1)
 			continue
 		}
-		sid := r.nextServer(m)
-		r.traceRoute(m, sid)
 		serverQs[sid].push(m, r.priority(m, sid))
 		r.traceDepth(sid, serverQs[sid].len())
-		// Bulk adaptivity: drain up to batchSize-1 more matches that can
-		// reuse the decision without blocking for new arrivals.
-		for extra := 1; extra < batchSize; extra++ {
-			m2, ok := routerQ.tryPop()
-			if !ok {
-				break
-			}
-			if r.prunable(m2) {
-				r.prune(1)
-				r.release(m2)
-				live.add(-1)
-				continue
-			}
-			if m2.isVisited(sid) {
-				sid2 := r.nextServer(m2)
-				r.traceRoute(m2, sid2)
-				serverQs[sid2].push(m2, r.priority(m2, sid))
-				continue
-			}
-			r.traceRoute(m2, sid)
-			serverQs[sid].push(m2, r.priority(m2, sid))
-		}
 	}
 }

@@ -30,8 +30,8 @@ func SetArenaPoisonForTest(v bool) { arenaPoison.Store(v) }
 
 // matchArena recycles a run's dead matches — pruned, completed, or
 // consumed by a server operation — instead of dropping them for the GC,
-// and outlives the run inside its runState: a finished run has released
-// every match, so the next run starts on full freelists. Section
+// and outlives the run inside its ParallelRun: a finished run has
+// released every match, so the next run starts on full freelists. Section
 // 5.2.1's server operation spawns one match per extension, all
 // short-lived; the arena caps that churn: bindings come from chunked
 // flat slabs (queries are capped at 64 nodes by Config.validate, so one
@@ -48,18 +48,19 @@ func SetArenaPoisonForTest(v bool) { arenaPoison.Store(v) }
 //     it: the top-k set copies bindings into entry-owned storage
 //     (topkSet.offer) precisely so completed matches can be released.
 //
-// Whirlpool-S and the LockStep algorithms run single-goroutine, so they
-// get one unlocked shard. Whirlpool-M's server workers allocate and
-// release concurrently, so the arena shards its freelists (each behind
+// An exclusive Whirlpool-S or LockStep run stays on one goroutine, so it
+// gets one unlocked shard. Whirlpool-M's server workers, and the
+// steppers of a run opened by NewParallelRun, allocate and release
+// concurrently, so there the arena shards its freelists (each behind
 // its own mutex) and every match remembers its home shard: get spreads
 // over shards round-robin, release returns to the home shard, keeping
 // goroutines from serializing on a single freelist lock.
 type matchArena struct {
 	n        int // bindings per match == query size
 	disabled bool
-	// locked is set for concurrent (Whirlpool-M) arenas: shard mutexes
-	// are taken on every get/release. It is independent of the shard
-	// count — GOMAXPROCS=1 still runs multiple goroutines.
+	// locked is set for concurrent arenas: shard mutexes are taken on
+	// every get/release. It is independent of the shard count —
+	// GOMAXPROCS=1 still runs multiple goroutines.
 	locked bool
 	shards []arenaShard
 	ctr    atomic.Uint32 // round-robin get cursor (concurrent arenas)
@@ -77,9 +78,9 @@ type arenaShard struct {
 }
 
 // newMatchArena sizes the arena for matches of n bindings. concurrent
-// selects the sharded (locked) layout for Whirlpool-M; disabled turns
-// every get into a plain allocation and release into a no-op — the
-// allocation-baseline and debugging escape hatch (Config.DisableReuse).
+// selects the sharded (locked) layout; disabled turns every get into a
+// plain allocation and release into a no-op — the allocation-baseline
+// and debugging escape hatch (Config.DisableReuse).
 func newMatchArena(n int, concurrent, disabled bool) *matchArena {
 	a := &matchArena{n: n, disabled: disabled, locked: concurrent && !disabled}
 	nshards := 1
@@ -185,22 +186,6 @@ func (a *matchArena) release(m *match) {
 // server operation that spawned its extensions.
 func (r *run) release(m *match) { r.arena.release(m) }
 
-// runState is everything a run buys that can outlive it: the run record,
-// the arena's slabs, RunContext's own top-k set, the router heap's
-// backing array and one worker's scratch. A state is exclusive to one
-// run from acquire to release and idles in between in a bounded free
-// list keyed by binding width and arena layout — global, not per engine:
-// a daemon caches hundreds of engines but only ever runs a few at once.
-// It is a plain list rather than a sync.Pool so that what a request
-// allocates does not depend on when the collector last ran.
-type runState struct {
-	run   run
-	arena *matchArena
-	topk  *topkSet
-	heap  matchHeap
-	ws    Scratch
-}
-
 const (
 	// maxIdleStates bounds the free list; the oldest state goes first.
 	maxIdleStates = 64
@@ -210,15 +195,16 @@ const (
 	maxIdleMatches = 16 * arenaChunk
 )
 
+// idleStates is the free list of run states (see ParallelRun).
 var idleStates struct {
 	mu   sync.Mutex
-	list []*runState
+	list []*ParallelRun
 }
 
 // acquireState returns the most recently released idle state for
 // matches of n bindings, or a fresh one. disabled (Config.DisableReuse)
 // bypasses the list both ways.
-func acquireState(n int, concurrent, disabled bool) *runState {
+func acquireState(n int, concurrent, disabled bool) *ParallelRun {
 	if !disabled {
 		l := &idleStates
 		l.mu.Lock()
@@ -231,30 +217,30 @@ func acquireState(n int, concurrent, disabled bool) *runState {
 		}
 		l.mu.Unlock()
 	}
-	return &runState{arena: newMatchArena(n, concurrent, disabled), topk: newTopkSet(1, 0, false)}
+	return &ParallelRun{arena: newMatchArena(n, concurrent, disabled), topk: newTopkSet(1, 0, false)}
 }
 
 // release parks the state for the next run. Only a run that finished
 // has every match back on a freelist — a cancelled one strands matches
 // in queues and batches — so any other state is left to the collector,
 // as is a reuse-disabled or outsized one.
-func (st *runState) release(finished bool) {
-	held := len(st.topk.ents)
-	for i := range st.arena.shards {
-		held += len(st.arena.shards[i].free)
+func (p *ParallelRun) release() {
+	held := len(p.topk.ents)
+	for i := range p.arena.shards {
+		held += len(p.arena.shards[i].free)
 	}
-	if !finished || st.arena.disabled || held > maxIdleMatches {
+	if !p.IsDone() || p.arena.disabled || held > maxIdleMatches {
 		return
 	}
 	// Idle, it must not pin the engine, context or document it served.
-	st.run = run{}
-	st.topk.reset(1, 0, false)
-	clear(st.ws.cands[:cap(st.ws.cands)])
+	p.r = run{}
+	p.topk.reset(1, 0, false)
+	clear(p.ws.cands[:cap(p.ws.cands)])
 	l := &idleStates
 	l.mu.Lock()
 	if len(l.list) == maxIdleStates {
 		l.list = slices.Delete(l.list, 0, 1)
 	}
-	l.list = append(l.list, st)
+	l.list = append(l.list, p)
 	l.mu.Unlock()
 }

@@ -147,11 +147,6 @@ type Config struct {
 	// Threshold seeds the top-k set's pruning threshold (currentTopK),
 	// as in the Figure 3 analysis. Zero means no seed.
 	Threshold float64
-	// ServerWorkers is the number of goroutines per server in
-	// Whirlpool-M (default 1). Values above 1 implement the paper's
-	// "several threads for the same server" future-work extension,
-	// lifting the parallelism cap of (#servers + 2) threads.
-	ServerWorkers int
 	// Trace, when non-nil, receives per-run observability events:
 	// routing decisions, the prune-threshold trajectory, queue depth
 	// samples and match lifecycle counts (see internal/obs). Every
@@ -163,7 +158,7 @@ type Config struct {
 	// DisableReuse turns off memory reuse: every partial match and
 	// bindings slice is heap-allocated, release is a no-op, and the run
 	// neither takes its state from the free list nor returns it (see
-	// runState). It is the allocation-measurement baseline
+	// ParallelRun). It is the allocation-measurement baseline
 	// (internal/bench records both modes) and a debugging escape hatch;
 	// answers and stats are unaffected.
 	DisableReuse bool
@@ -175,13 +170,6 @@ type Config struct {
 	// without a plan — only construction cost and the static-order
 	// default change.
 	Plan *Plan
-	// RouterBatch, when above 1, makes the adaptive router take routing
-	// decisions for groups of up to RouterBatch queue-adjacent partial
-	// matches at once (the paper's "adaptivity in bulk" future-work
-	// idea): the decision is computed for the batch head — the matches
-	// closest in priority — and applied to the whole batch, amortizing
-	// routing cost at a small loss of per-match precision.
-	RouterBatch int
 }
 
 // Stats instruments one evaluation with the paper's measures
@@ -224,6 +212,19 @@ type Stats struct {
 	Duration time.Duration
 }
 
+// Add accumulates o into s, field by field — the one place a set of
+// Stats is folded into another (shard merge, engine and daemon totals).
+func (s *Stats) Add(o Stats) {
+	s.ServerOps += o.ServerOps
+	s.JoinComparisons += o.JoinComparisons
+	s.MatchesCreated += o.MatchesCreated
+	s.Pruned += o.Pruned
+	s.PrunedRemote += o.PrunedRemote
+	s.Steals += o.Steals
+	s.StolenMatches += o.StolenMatches
+	s.Duration += o.Duration
+}
+
 // Answer is one of the top-k results.
 type Answer struct {
 	// Root is the matched instantiation of the query's returned node.
@@ -250,6 +251,9 @@ func (c *Config) validate(querySize int) error {
 	}
 	if c.Scorer == nil {
 		return fmt.Errorf("core: Scorer is required")
+	}
+	if c.Algorithm < WhirlpoolS || c.Algorithm > LockStepNoPrune {
+		return fmt.Errorf("core: unknown algorithm %d", c.Algorithm)
 	}
 	if querySize > 64 {
 		return fmt.Errorf("core: queries are limited to 64 nodes, got %d", querySize)

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"repro/internal/dewey"
@@ -20,8 +20,8 @@ import (
 // combination. It precomputes the server plans (Algorithm 1), the
 // per-server maximum contributions backing the maximum-possible-final
 // bound, and the fanout statistics the size-based router uses. An Engine
-// is immutable after New — except for the atomic cumulative totals
-// behind Totals — and safe for repeated and concurrent Run calls.
+// is immutable after New — except for the cumulative totals behind
+// Totals — and safe for repeated and concurrent Run calls.
 type Engine struct {
 	cfg   Config
 	ix    index.Source
@@ -38,31 +38,10 @@ type Engine struct {
 	order       []int             // static order (defaulted)
 	vts         []index.ValueTest // per-node content predicates
 
-	totals engineTotals // cumulative across runs, atomic
-}
-
-// engineTotals accumulates per-run Stats across the engine's lifetime
-// with atomics, so concurrent RunContext calls can share it. It backs
-// the per-engine cumulative stats whirlpoold serves in /stats.
-type engineTotals struct {
-	runs            atomic.Int64
-	aborted         atomic.Int64
-	serverOps       atomic.Int64
-	joinComparisons atomic.Int64
-	matchesCreated  atomic.Int64
-	pruned          atomic.Int64
-	prunedRemote    atomic.Int64
-	durationNS      atomic.Int64
-}
-
-func (t *engineTotals) add(s Stats) {
-	t.runs.Add(1)
-	t.serverOps.Add(s.ServerOps)
-	t.joinComparisons.Add(s.JoinComparisons)
-	t.matchesCreated.Add(s.MatchesCreated)
-	t.pruned.Add(s.Pruned)
-	t.prunedRemote.Add(s.PrunedRemote)
-	t.durationNS.Add(int64(s.Duration))
+	// totals accumulates every run's Stats behind one mutex, taken once
+	// per run; whirlpoold serves it per engine in /stats.
+	totalsMu sync.Mutex
+	totals   Totals
 }
 
 // Totals is a point-in-time snapshot of an engine's cumulative
@@ -70,29 +49,17 @@ func (t *engineTotals) add(s Stats) {
 // Section 6.2.3 measures) plus run counts. Aborted counts cancelled
 // runs, whose partial work is not included in the sums.
 type Totals struct {
-	Runs            int64
-	Aborted         int64
-	ServerOps       int64
-	JoinComparisons int64
-	MatchesCreated  int64
-	Pruned          int64
-	PrunedRemote    int64
-	Duration        time.Duration
+	Runs    int64
+	Aborted int64
+	Stats
 }
 
 // Totals returns the engine's cumulative statistics over all completed
 // RunContext calls. Safe for concurrent use with in-flight runs.
 func (e *Engine) Totals() Totals {
-	return Totals{
-		Runs:            e.totals.runs.Load(),
-		Aborted:         e.totals.aborted.Load(),
-		ServerOps:       e.totals.serverOps.Load(),
-		JoinComparisons: e.totals.joinComparisons.Load(),
-		MatchesCreated:  e.totals.matchesCreated.Load(),
-		Pruned:          e.totals.pruned.Load(),
-		PrunedRemote:    e.totals.prunedRemote.Load(),
-		Duration:        time.Duration(e.totals.durationNS.Load()),
-	}
+	e.totalsMu.Lock()
+	defer e.totalsMu.Unlock()
+	return e.totals
 }
 
 // New validates cfg and builds an engine for query q over the indexed
@@ -164,38 +131,37 @@ func (e *Engine) Run() (*Result, error) { return e.RunContext(context.Background
 // evaluation winds down promptly and ctx's error is returned (any
 // partial result is discarded).
 func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
-	st := acquireState(e.query.Size(), e.cfg.Algorithm == WhirlpoolM, e.cfg.DisableReuse)
-	st.topk.reset(e.cfg.K, e.cfg.Threshold, e.cfg.Threshold > 0)
-	stats, err := e.runOn(ctx, st, st.topk, 0, false)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	p := e.open(ctx, nil, 0)
+	p.drive()
+	stats, err := p.finish()
 	var res *Result
 	if err == nil {
-		res = &Result{Answers: st.topk.answers(), Stats: stats}
+		res = &Result{Answers: p.topk.answers(), Stats: stats}
 	}
-	st.release(err == nil)
+	p.release()
 	return res, err
 }
 
 // RunShared executes the configured algorithm against a caller-supplied
 // top-k set, offering guaranteed scores into it and pruning against its
-// threshold. It is the building block of sharded execution: several
-// engines over disjoint data shards run concurrently against one
-// SharedTopK (each with a distinct shardID for prune attribution), and
-// the set's Answers — not any single run's — are the merged result.
-// The set's capacity must equal the engine's Config.K.
+// threshold: one shard of a sharded evaluation run to completion on the
+// calling goroutine. Several engines over disjoint data shards may run
+// against one SharedTopK (each with a distinct shardID for prune
+// attribution); the set's Answers — not any single run's — are the
+// merged result. The set's capacity must equal the engine's Config.K.
 func (e *Engine) RunShared(ctx context.Context, shared *SharedTopK, shardID int) (Stats, error) {
-	if shared.set.k != e.cfg.K {
-		return Stats{}, fmt.Errorf("core: shared top-k capacity %d != Config.K %d", shared.set.k, e.cfg.K)
+	if err := ctx.Err(); err != nil {
+		return Stats{}, err
 	}
-	st := acquireState(e.query.Size(), e.cfg.Algorithm == WhirlpoolM, e.cfg.DisableReuse)
-	stats, err := e.runOn(ctx, st, shared.set, shardID, true)
-	st.release(err == nil)
-	return stats, err
-}
-
-// initRun fills r in as a run of e on arena against topk.
-func (e *Engine) initRun(ctx context.Context, r *run, arena *matchArena, topk *topkSet, shardID int, sharded bool) {
-	*r = run{Engine: e, topk: topk, arena: arena, shardID: int32(shardID), sharded: sharded, ctx: ctx}
-	r.lastThreshold.Store(math.Float64bits(math.Inf(-1)))
+	p, err := e.NewParallelRun(ctx, shared, shardID)
+	if err != nil {
+		return Stats{}, err
+	}
+	p.drive()
+	return p.Finish()
 }
 
 // traceStart emits the RunStart trace event.
@@ -208,70 +174,6 @@ func (r *run) traceStart() {
 			K:          r.cfg.K,
 			QueryNodes: r.query.Size(),
 		})
-	}
-}
-
-// runOn is the common run body, on state st against topk. sharded is
-// false for standalone runs (RunContext), which skip the per-prune
-// threshold-source attribution sibling shards need.
-func (e *Engine) runOn(ctx context.Context, st *runState, topk *topkSet, shardID int, sharded bool) (Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return Stats{}, err
-	}
-	r := &st.run
-	e.initRun(ctx, r, st.arena, topk, shardID, sharded)
-	r.traceStart()
-	start := time.Now()
-	switch e.cfg.Algorithm {
-	case WhirlpoolS:
-		r.runS(st)
-	case WhirlpoolM:
-		r.runM()
-	case LockStep:
-		r.runLockStep(true)
-	case LockStepNoPrune:
-		r.runLockStep(false)
-	default:
-		return Stats{}, fmt.Errorf("core: unknown algorithm %d", e.cfg.Algorithm)
-	}
-	stats := r.stats.snapshot()
-	stats.Duration = time.Since(start)
-	return r.finish(stats)
-}
-
-// finish closes a run out: a cancelled run is counted as aborted and
-// answered with the context's error, its partial work discarded; a
-// completed one folds its stats into the engine's cumulative totals.
-func (r *run) finish(stats Stats) (Stats, error) {
-	err := r.ctx.Err()
-	if err != nil {
-		r.Engine.totals.aborted.Add(1)
-	} else {
-		r.Engine.totals.add(stats)
-	}
-	if t := r.cfg.Trace; t != nil {
-		answers := 0
-		if err == nil {
-			answers = len(r.topk.answers())
-		}
-		t.RunEnd(runSummary(stats, answers, err != nil))
-	}
-	if err != nil {
-		return Stats{}, err
-	}
-	return stats, nil
-}
-
-func runSummary(s Stats, answers int, aborted bool) obs.RunSummary {
-	return obs.RunSummary{
-		ServerOps:       s.ServerOps,
-		JoinComparisons: s.JoinComparisons,
-		MatchesCreated:  s.MatchesCreated,
-		Pruned:          s.Pruned,
-		PrunedRemote:    s.PrunedRemote,
-		Answers:         answers,
-		DurationUS:      s.Duration.Microseconds(),
-		Aborted:         aborted,
 	}
 }
 
@@ -305,9 +207,6 @@ func (e *Engine) priority(m *match, serverID int) float64 {
 // cost. Bounded by d, so cancellation polling is not needed here.
 // +whirllint:busywait
 func spin(d time.Duration) {
-	if d <= 0 {
-		return
-	}
 	end := time.Now().Add(d)
 	for time.Now().Before(end) {
 	}

@@ -274,11 +274,11 @@ func TestPQOrdering(t *testing.T) {
 	q.push(mkMatch(3, 0.5, 2), 0.5)
 	var got []int
 	for {
-		m, ok := q.pop()
-		if !ok {
+		ms, _ := q.popBatch(nil, 1)
+		if len(ms) == 0 {
 			break
 		}
-		got = append(got, m.rootOrd())
+		got = append(got, ms[0].rootOrd())
 	}
 	if len(got) != 3 || got[0] != 2 || got[1] != 3 || got[2] != 1 {
 		t.Fatalf("pop order = %v", got)
@@ -292,9 +292,9 @@ func TestPQTieBreakBySeq(t *testing.T) {
 	var q pq
 	q.push(mkMatch(1, 0.5, 9), 0.5)
 	q.push(mkMatch(2, 0.5, 1), 0.5)
-	m, _ := q.pop()
-	if m.seq != 1 {
-		t.Fatalf("tie should pop earliest seq, got %d", m.seq)
+	ms, _ := q.popBatch(nil, 2)
+	if ms[0].seq != 1 || ms[1].seq != 9 {
+		t.Fatalf("tie should pop earliest seq first, got %d then %d", ms[0].seq, ms[1].seq)
 	}
 }
 
@@ -322,8 +322,8 @@ func TestBlockingPQCloseUnblocks(t *testing.T) {
 	if popped != 1 {
 		t.Fatalf("exactly one waiter should receive the item, got %d", popped)
 	}
-	if _, ok := q.tryPop(); ok {
-		t.Fatal("tryPop after drain should fail")
+	if q.len() != 0 {
+		t.Fatal("queue not drained")
 	}
 }
 

@@ -82,23 +82,7 @@ func scoresFromAnswers(as []Answer) []float64 {
 	return out
 }
 
-// TestParallelRunRequiresWhirlpoolS: the other algorithms own their
-// control flow and must be rejected up front.
-func TestParallelRunRequiresWhirlpoolS(t *testing.T) {
-	ix, q := buildEnv(t, booksXML, "/book[./title]")
-	for _, alg := range []Algorithm{WhirlpoolM, LockStep, LockStepNoPrune} {
-		cfg := Config{K: 2, Algorithm: alg, Scorer: score.NewTFIDF(ix, q, score.Sparse)}
-		e, err := New(ix, q, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.NewParallelRun(context.Background(), NewSharedTopK(2, 0), 0); err == nil {
-			t.Fatalf("%v: NewParallelRun unexpectedly succeeded", alg)
-		}
-	}
-}
-
-// TestParallelRunCapacityMismatch mirrors runShared's k validation.
+// TestParallelRunCapacityMismatch: a shared set must have the engine's k.
 func TestParallelRunCapacityMismatch(t *testing.T) {
 	ix, q := buildEnv(t, booksXML, "/book[./title]")
 	cfg := Config{K: 2, Algorithm: WhirlpoolS, Scorer: score.NewTFIDF(ix, q, score.Sparse)}

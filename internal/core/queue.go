@@ -90,56 +90,74 @@ func (h matchHeap) down(i int) {
 	}
 }
 
+// routerQueue is the run's router queue as the step kernel sees it. The
+// two implementations are the whole difference between an exclusive run
+// (RunContext: pq, no lock) and one open to concurrent steppers
+// (NewParallelRun: stealQueue, the same pq behind a mutex).
+type routerQueue interface {
+	// seed publishes the root cursor; done reports a run with no
+	// admissible root, over before it began.
+	seed(c *rootCursor) (done bool)
+	// popBatch appends up to max matches, best priority first, to dst,
+	// pulling roots as they come due. The caller owns what it returns.
+	popBatch(dst []*match, max int) (out []*match, done bool)
+	// settle queues surv, the survivors of a match the caller held, and
+	// retires retired held matches: children in with their parent out,
+	// so the run never reads as done mid-flight.
+	settle(r *run, surv []*match, retired int) (done bool)
+	// len samples the depth in queued matches.
+	len() int
+}
+
 // pq is a plain (single-goroutine) priority queue. It also carries the
 // run's root cursor while that has roots left: the root server's output
 // is one more source of queue items, materialised on demand (pull).
+// live counts the run's outstanding work — matches queued or held by a
+// stepper, plus one for the cursor until it is exhausted or cut — and
+// reaches zero only when the run is done; a method's done result
+// reports that it was the one to take it there.
 type pq struct {
 	h     matchHeap
 	roots *rootCursor // nil before seeding and once exhausted or cut
+	live  int
 }
 
 func (q *pq) push(m *match, priority float64) {
 	q.h.push(prioritized{m: m, priority: priority})
 }
 
-// +whirllint:hotpath
-func (q *pq) pop() (*match, bool) {
-	if q.roots != nil {
-		q.pull()
-	}
-	if len(q.h) == 0 {
-		return nil, false
-	}
-	it := q.h.pop()
-	return it.m, true
+// due reports whether the cursor's next root could be the next pop: its
+// priority bound strictly beats the heap head. An unpulled root loses
+// every tie — it is the shallowest match there is, and younger than any
+// pulled root.
+// +whirllint:exactscore the strict bound comparison mirrors less
+func (q *pq) due() bool {
+	c := q.roots
+	return c != nil && (len(q.h) == 0 || c.prioBound > q.h[0].priority)
 }
 
-// pull materialises roots only while the cursor's priority bound
-// strictly beats the heap head: an unpulled root loses every tie (it is
-// the shallowest match there is, and younger than any pulled root), so
-// the pop sequence is the one eager seeding gives. Once no remaining
-// root can beat currentTopK the rest are dropped in one step — seeded
-// eagerly, each would have been pruned at its pop.
-// +whirllint:exactscore the strict bound comparison mirrors less
+// pull materialises roots while one is due, so the pop sequence is the
+// one eager seeding gives. Once no remaining root can beat currentTopK
+// the rest are dropped in one step — seeded eagerly, each would have
+// been pruned at its pop.
 func (q *pq) pull() {
 	c := q.roots
 	r := c.r
-	for !r.cancelled() {
+	for q.due() && !r.cancelled() {
+		var m *match
 		if t, ok := r.topk.threshold(); ok && c.finalBound <= t+pruneEps {
 			r.prune(len(c.cands) - c.pos)
-			q.roots = nil
-			break
+		} else {
+			m = c.next()
 		}
-		if len(q.h) > 0 && c.prioBound <= q.h[0].priority {
-			break
-		}
-		m := c.next()
-		if m == nil {
+		if m == nil { // cut or exhausted: the cursor retires
 			q.roots = nil
+			q.live--
 			break
 		}
 		if r.checkTopK(m) {
 			q.push(m, r.priority(m, -1))
+			q.live++
 		} else {
 			r.release(m)
 		}
@@ -147,7 +165,82 @@ func (q *pq) pull() {
 	c.flush()
 }
 
+func (q *pq) seed(c *rootCursor) bool {
+	q.roots, q.live = c, 1
+	q.pull()
+	return q.live == 0
+}
+
+// +whirllint:hotpath
+func (q *pq) popBatch(dst []*match, max int) ([]*match, bool) {
+	was := q.live // 0 on a queue not yet seeded: nothing to finish
+	for len(dst) < max {
+		if q.due() {
+			q.pull()
+		}
+		if len(q.h) == 0 {
+			break
+		}
+		dst = append(dst, q.h.pop().m)
+	}
+	return dst, was != 0 && q.live == 0
+}
+
+// +whirllint:hotpath
+func (q *pq) settle(r *run, surv []*match, retired int) bool {
+	for _, s := range surv {
+		q.push(s, r.priority(s, -1))
+	}
+	q.live += len(surv) - retired
+	return q.live == 0
+}
+
 func (q *pq) len() int { return len(q.h) }
+
+// stealQueue is the router queue of a run several workers step at once:
+// the pq — heap, root cursor, live count and all — behind a mutex. One
+// acquisition covers a whole batch dequeue, cursor advance included (a
+// thief never finds a pulled root queued but uncounted), and one covers
+// a processed match's survivors. It is a sanctioned match holder — a
+// queued match is owned by the queue until popped.
+// +whirllint:matchowner
+type stealQueue struct {
+	mu sync.Mutex
+	pq
+}
+
+func (q *stealQueue) seed(c *rootCursor) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.pq.seed(c)
+}
+
+// +whirllint:hotpath
+func (q *stealQueue) popBatch(dst []*match, max int) ([]*match, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.pq.popBatch(dst, max)
+}
+
+// +whirllint:hotpath
+func (q *stealQueue) settle(r *run, surv []*match, retired int) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.pq.settle(r, surv, retired)
+}
+
+// len is the steal policy's load signal: an unfinished cursor counts as
+// one item, so a queue that can still produce work never reads as
+// empty. Stale the moment the lock is released, which is fine for a
+// heuristic.
+func (q *stealQueue) len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.roots != nil {
+		return len(q.h) + 1
+	}
+	return len(q.h)
+}
 
 // blockingPQ is the concurrent priority queue behind Whirlpool-M's server
 // and router queues: pop blocks until an item arrives or the queue is
@@ -180,18 +273,6 @@ func (q *blockingPQ) pop() (*match, bool) {
 	for len(q.h) == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.h) == 0 {
-		return nil, false
-	}
-	it := q.h.pop()
-	return it.m, true
-}
-
-// tryPop returns an item if one is immediately available, without
-// blocking.
-func (q *blockingPQ) tryPop() (*match, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if len(q.h) == 0 {
 		return nil, false
 	}

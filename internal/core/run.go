@@ -13,8 +13,8 @@ type run struct {
 	*Engine
 	topk *topkSet
 	// arena recycles dead matches and their bindings; it belongs to the
-	// runState this run holds (internal/core/arena.go has the ownership
-	// rules).
+	// ParallelRun holding this run (internal/core/arena.go has the
+	// ownership rules).
 	arena *matchArena
 	// roots streams the root server's output (engine.go); the router
 	// queue holds a pointer to it while roots remain.
@@ -30,6 +30,8 @@ type run struct {
 	stats   runStats
 	seq     atomic.Int64
 	ctx     context.Context
+	// done is ctx.Done(), fetched once: cancelled polls it per match.
+	done <-chan struct{}
 	// lastThreshold holds the float bits of the highest currentTopK
 	// value already emitted to the trace sink, deduplicating the
 	// threshold trajectory. Initialized to -Inf by RunContext.
@@ -39,7 +41,7 @@ type run struct {
 // cancelled reports whether the run's context has been cancelled.
 func (r *run) cancelled() bool {
 	select {
-	case <-r.ctx.Done():
+	case <-r.done:
 		return true
 	default:
 		return false

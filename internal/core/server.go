@@ -38,7 +38,9 @@ func NewScratch() *Scratch { return &Scratch{} }
 func (r *run) process(m *match, sid int, sc *Scratch) []*match {
 	e := r.Engine
 	r.stats.serverOps.Add(1)
-	spin(e.cfg.OpCost)
+	if e.cfg.OpCost > 0 {
+		spin(e.cfg.OpCost)
+	}
 	plan := e.plans[sid]
 	root := m.bindings[0]
 	sc.cands = e.ix.AppendCandidates(sc.cands[:0], root, plan.ProbeAxis(), plan.Tag, e.vts[sid])

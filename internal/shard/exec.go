@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -16,7 +15,7 @@ import (
 // Engines evaluates one query over a partitioned corpus: one core.Engine
 // per sub-source with root candidates, all offering into and pruning
 // against a single core.SharedTopK per run. Like core.Engine it is
-// immutable after construction (except the engines' atomic totals) and
+// immutable after construction (except the engines' cumulative totals) and
 // safe for repeated, concurrent RunContext calls.
 type Engines struct {
 	cfg  core.Config
@@ -80,83 +79,39 @@ func (e *Engines) Run() (*core.Result, error) { return e.RunContext(context.Back
 // ascending), stats are summed, Duration is the sharded wall clock.
 //
 // Concurrency is bounded at min(GOMAXPROCS, shards) worker goroutines
-// (override with ExecOptions.Workers) instead of one unconditional
-// goroutine per shard. Whirlpool-S shards additionally share their
-// router queues with the pool: an idle worker steals batches of alive
-// partial matches from the most loaded shard's queue and runs them
-// through that shard's servers, so a skewed layout no longer leaves
-// cores idle behind one hot shard (see internal/shard/pool.go and
-// DESIGN.md, work stealing). The other algorithms run one shard per
-// worker with no stealing; the first engine error cancels the rest.
+// (override with ExecOptions.Workers), and every shard is a
+// core.ParallelRun on the one pool: an idle worker steals batches of
+// alive partial matches from the most loaded Whirlpool-S shard's queue
+// and runs them through that shard's servers, so a skewed layout does
+// not leave cores idle behind one hot shard; a shard of any other
+// algorithm is a single step, whichever worker claims it (see pool.go
+// and DESIGN.md, one kernel, thin drivers).
 func (e *Engines) RunContext(ctx context.Context) (*core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	shared := core.NewSharedTopK(e.cfg.K, e.cfg.Threshold)
 	start := time.Now()
-
-	var stats []core.Stats
-	var st *poolState
-	if e.cfg.Algorithm == core.WhirlpoolS {
-		var err error
-		stats, st, err = e.runPooled(ctx, shared)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		var errs []error
-		var err error
-		stats, errs, err = e.runBounded(ctx, shared)
-		if err != nil {
-			return nil, err
-		}
-		if err := firstError(ctx, errs); err != nil {
-			return nil, err
-		}
+	stats, st, err := e.runPooled(ctx, shared)
+	if err != nil {
+		return nil, err
 	}
 
 	mergeStart := time.Now()
 	res := &core.Result{Answers: shared.Answers()}
 	mergeDur := time.Since(mergeStart)
 	for _, s := range stats {
-		res.Stats.ServerOps += s.ServerOps
-		res.Stats.JoinComparisons += s.JoinComparisons
-		res.Stats.MatchesCreated += s.MatchesCreated
-		res.Stats.Pruned += s.Pruned
-		res.Stats.PrunedRemote += s.PrunedRemote
+		res.Stats.Add(s)
 	}
-	if st != nil {
-		res.Stats.Steals = st.steals.Load()
-		res.Stats.StolenMatches = st.stolen.Load()
-	}
+	res.Stats.Steals = st.steals.Load()
+	res.Stats.StolenMatches = st.stolen.Load()
 	res.Stats.Duration = time.Since(start)
 	e.observe(stats, st, mergeDur)
 	return res, nil
 }
 
-// firstError picks the error to surface: the parent context's when it
-// was cancelled, otherwise the first engine error that is not the echo
-// of our own cross-shard cancellation.
-func firstError(ctx context.Context, errs []error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			return err
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // observe records one run's per-shard metrics and emits per-shard
-// summaries to a configured ShardSink. pool is the pooled run's state
-// (nil for the bounded non-stealing path); it supplies the per-shard
+// summaries to a configured ShardSink. pool supplies the per-shard
 // stolen-match attribution and the run's steal totals.
 func (e *Engines) observe(stats []core.Stats, pool *poolState, mergeDur time.Duration) {
 	sink, _ := e.cfg.Trace.(obs.ShardSink)
@@ -167,10 +122,7 @@ func (e *Engines) observe(stats []core.Stats, pool *poolState, mergeDur time.Dur
 			maxDur = st.Duration
 		}
 		sumDur += st.Duration
-		var stolenFrom int64
-		if pool != nil {
-			stolenFrom = pool.stolenFrom[i].Load()
-		}
+		stolenFrom := pool.stolenFrom[i].Load()
 		if sink != nil {
 			sink.ShardRun(rn.shard, obs.RunSummary{
 				ServerOps:       st.ServerOps,
@@ -196,12 +148,10 @@ func (e *Engines) observe(stats []core.Stats, pool *poolState, mergeDur time.Dur
 	if e.reg == nil {
 		return
 	}
-	if pool != nil {
-		e.reg.Counter("whirlpool_shard_steal_batches_total").Add(pool.steals.Load())
-		e.reg.Counter("whirlpool_shard_steals_total").Add(pool.stolen.Load())
-		e.reg.Gauge("whirlpool_shard_workers").Set(int64(pool.workers))
-		e.reg.Gauge("whirlpool_shard_workers_peak").Set(pool.peak.Load())
-	}
+	e.reg.Counter("whirlpool_shard_steal_batches_total").Add(pool.steals.Load())
+	e.reg.Counter("whirlpool_shard_steals_total").Add(pool.stolen.Load())
+	e.reg.Gauge("whirlpool_shard_workers").Set(int64(pool.workers))
+	e.reg.Gauge("whirlpool_shard_workers_peak").Set(pool.peak.Load())
 	e.reg.Histogram("whirlpool_shard_merge_duration_us").Observe(mergeDur.Microseconds())
 	if n := len(e.engs); n > 0 && sumDur > 0 {
 		// Skew: slowest shard over mean shard duration, in permille.

@@ -77,8 +77,8 @@ type poolState struct {
 	stolenFrom []atomic.Int64 // per shard index: matches taken by non-owners
 }
 
-// runPooled evaluates a Whirlpool-S sharded query on a bounded worker
-// pool with match-level work stealing. Each worker seeds and primarily
+// runPooled evaluates a sharded query on a bounded worker pool with
+// match-level work stealing. Each worker seeds and primarily
 // serves the shards congruent to its index; once its own queues drain
 // it pulls batches from the most loaded foreign queue, processing them
 // through that shard's engine against the same shared top-k set. The
@@ -118,21 +118,19 @@ func (e *Engines) runPooled(ctx context.Context, shared *core.SharedTopK) ([]cor
 	e.lastWorkers.Store(int64(st.workers))
 	e.lastPeak.Store(st.peak.Load())
 
-	if err := ctx.Err(); err != nil {
-		// Record the aborts (Finish counts them into engine totals) and
-		// surface the cancellation.
-		for _, pr := range st.runs {
-			pr.Finish() //nolint:errcheck — the context error is returned below
-		}
-		return nil, nil, err
-	}
+	// Finish every run, cancelled or not: it records the abort in the
+	// engine's totals and hands the run's state back.
 	stats := make([]core.Stats, len(st.runs))
+	var first error
 	for i, pr := range st.runs {
 		s, err := pr.Finish()
-		if err != nil {
-			return nil, nil, err
+		if err != nil && first == nil {
+			first = err
 		}
 		stats[i] = s
+	}
+	if first != nil {
+		return nil, nil, first
 	}
 	return stats, st, nil
 }
@@ -265,46 +263,4 @@ func (st *poolState) allDone() bool {
 		}
 	}
 	return true
-}
-
-// runBounded evaluates the non-steal algorithms (Whirlpool-M, the
-// LockSteps): each shard engine still runs its own RunShared to
-// completion, but at most min(GOMAXPROCS, shards) of them concurrently
-// — shard indices flow through a channel to a bounded worker set
-// instead of one unconditional goroutine per shard. The first engine
-// error cancels the remaining shards.
-func (e *Engines) runBounded(ctx context.Context, shared *core.SharedTopK) ([]core.Stats, []error, error) {
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	workers := e.resolveWorkers()
-	stats := make([]core.Stats, len(e.engs))
-	errs := make([]error, len(e.engs))
-	idxc := make(chan int)
-	var running, peak atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			raisePeak(&peak, running.Add(1))
-			defer running.Add(-1)
-			for i := range idxc {
-				rn := e.engs[i]
-				stats[i], errs[i] = rn.eng.RunShared(runCtx, shared, rn.shard)
-				if errs[i] != nil {
-					cancel()
-				}
-			}
-		}()
-	}
-	for i := range e.engs {
-		idxc <- i
-	}
-	close(idxc)
-	wg.Wait()
-
-	e.lastWorkers.Store(int64(workers))
-	e.lastPeak.Store(peak.Load())
-	return stats, errs, nil
 }
