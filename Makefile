@@ -93,11 +93,13 @@ experiments:
 experiments-full:
 	$(GO) run ./cmd/whirlbench -full
 
-# Brief fuzz passes over both parsers and the one binary decoder (WPXS).
+# Brief fuzz passes over both parsers, the one binary decoder (WPXS) and
+# the statistics walk (against a brute-force tree count).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/pattern/
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/xmltree/
 	$(GO) test -fuzz FuzzSnapshotV2Corruption -fuzztime 10s ./internal/store/
+	$(GO) test -fuzz FuzzCollectStats -fuzztime 10s ./internal/index/
 
 clean:
 	$(GO) clean ./...

@@ -9,30 +9,42 @@ import (
 	whirlpool "repro"
 )
 
+// planValuedXPath is the plan-valued case's query: a whirlload
+// cold_shapes loc_qty instance, two equality predicates the synopsis
+// cannot answer.
+const planValuedXPath = "//item[./location = 'United States' and ./quantity = '1']"
+
 // planCases measures the cost of query planning — everything between a
-// parsed query and a runnable engine — along the three paths the
-// serving layer can take, and returns them as report cases:
+// parsed query and a runnable engine — along the paths the serving
+// layer can take, and returns them as report cases:
 //
-//	plan-cold      the statistics pass over the index, once for the
-//	               scorer and once for the engine's routing numbers,
-//	               + plan construction from scratch (the pre-planner path)
+//	plan-cold      one statistics pass over the index (every node's
+//	               postings walked up to the roots) shared by the scorer
+//	               and the engine's routing numbers, + plan construction
+//	               from scratch (the pre-planner path)
 //	plan-synopsis  plan compiled from the structure synopsis (no index
-//	               scans), engine built from the plan — a cache miss
+//	               access), engine built from the plan — a cache miss
 //	plan-hot       plan served from the planner cache, engine built
 //	               from the plan — a cache hit, the steady serving state
+//	plan-valued    plan-synopsis for planValuedXPath: the synopsis
+//	               answers the root, each valued node's (tag, value)
+//	               postings are walked once — a cold_shapes miss
 //
-// All three include engine construction (what an engine-cache miss
+// All of them include engine construction (what an engine-cache miss
 // pays after planning) and none include query evaluation, so the
 // cold/hot ratio isolates the planning work the cache elides. The
 // synopsis build itself is charged once, outside the timed ops: it is
 // an index-time cost amortized over every plan compiled after it.
-// +whirllint:exactscore the self-check demands bit-identical planned vs scratch scores
 func planCases(out io.Writer, env *Env, cfg Config, w Workload, rounds int) ([]benchCase, error) {
 	if env.Doc == nil {
 		return nil, fmt.Errorf("bench: planning cases need a generated document")
 	}
 	db := whirlpool.FromDocument(env.Doc)
 	q, err := whirlpool.ParseQuery(w.XPath)
+	if err != nil {
+		return nil, err
+	}
+	valued, err := whirlpool.ParseQuery(planValuedXPath)
 	if err != nil {
 		return nil, err
 	}
@@ -43,31 +55,28 @@ func planCases(out io.Writer, env *Env, cfg Config, w Workload, rounds int) ([]b
 	synBuild := time.Since(synStart)
 
 	hot := db.NewPlanner(16)
-	plan, _, err := hot.PlanFor(q, whirlpool.RelaxAll, whirlpool.NormSparse)
-	if err != nil {
-		return nil, err
-	}
-
 	// Self-check before timing anything: the planned engine must answer
 	// exactly like the scratch one, or the comparison is between two
-	// different computations.
-	want, err := db.TopK(q, scratch)
-	if err != nil {
-		return nil, err
-	}
-	planned := scratch
-	planned.Plan = plan
-	got, err := db.TopK(q, planned)
-	if err != nil {
-		return nil, err
-	}
-	if len(want.Answers) != len(got.Answers) {
-		return nil, fmt.Errorf("bench: planned run returned %d answers, scratch %d", len(got.Answers), len(want.Answers))
-	}
-	for i := range want.Answers {
-		if want.Answers[i].Root != got.Answers[i].Root || want.Answers[i].Score != got.Answers[i].Score {
-			return nil, fmt.Errorf("bench: planned answer %d diverges from scratch", i)
+	// different computations. It also warms hot, which plan-hot relies on.
+	for _, q := range []*whirlpool.Query{q, valued} {
+		if err := checkPlanned(db, hot, q, scratch); err != nil {
+			return nil, err
 		}
+	}
+	// planned builds an engine for q from p's plan: a miss on a fresh
+	// planner, a hit on the warm one.
+	planned := func(p *whirlpool.Planner, q *whirlpool.Query, wantHit bool) error {
+		plan, hit, err := p.PlanFor(q, whirlpool.RelaxAll, whirlpool.NormSparse)
+		if err != nil {
+			return err
+		}
+		if hit != wantHit {
+			return fmt.Errorf("bench: planner cache hit=%v, want %v", hit, wantHit)
+		}
+		o := scratch
+		o.Plan = plan
+		_, err = db.NewEngine(q, o)
+		return err
 	}
 
 	paths := []struct {
@@ -78,29 +87,9 @@ func planCases(out io.Writer, env *Env, cfg Config, w Workload, rounds int) ([]b
 			_, err := db.NewEngine(q, scratch)
 			return err
 		}},
-		{"plan-synopsis", func() error {
-			p, _, err := db.NewPlanner(1).PlanFor(q, whirlpool.RelaxAll, whirlpool.NormSparse)
-			if err != nil {
-				return err
-			}
-			o := scratch
-			o.Plan = p
-			_, err = db.NewEngine(q, o)
-			return err
-		}},
-		{"plan-hot", func() error {
-			p, hit, err := hot.PlanFor(q, whirlpool.RelaxAll, whirlpool.NormSparse)
-			if err != nil {
-				return err
-			}
-			if !hit {
-				return fmt.Errorf("bench: warm planner missed its cache")
-			}
-			o := scratch
-			o.Plan = p
-			_, err = db.NewEngine(q, o)
-			return err
-		}},
+		{"plan-synopsis", func() error { return planned(db.NewPlanner(1), q, false) }},
+		{"plan-hot", func() error { return planned(hot, q, true) }},
+		{"plan-valued", func() error { return planned(db.NewPlanner(1), valued, false) }},
 	}
 	gmp := runtime.GOMAXPROCS(0)
 	cores := gmp
@@ -131,6 +120,35 @@ func planCases(out io.Writer, env *Env, cfg Config, w Workload, rounds int) ([]b
 	}
 	fmt.Fprintf(out, "bench: synopsis build %v (one-time, amortized over every plan)\n", synBuild)
 	return cases, nil
+}
+
+// checkPlanned verifies that q evaluated from p's plan answers exactly
+// like q evaluated from scratch.
+// +whirllint:exactscore the self-check demands bit-identical planned vs scratch scores
+func checkPlanned(db *whirlpool.Database, p *whirlpool.Planner, q *whirlpool.Query, scratch whirlpool.Options) error {
+	plan, _, err := p.PlanFor(q, whirlpool.RelaxAll, whirlpool.NormSparse)
+	if err != nil {
+		return err
+	}
+	want, err := db.TopK(q, scratch)
+	if err != nil {
+		return err
+	}
+	planned := scratch
+	planned.Plan = plan
+	got, err := db.TopK(q, planned)
+	if err != nil {
+		return err
+	}
+	if len(want.Answers) != len(got.Answers) {
+		return fmt.Errorf("bench: planned run of %s returned %d answers, scratch %d", q, len(got.Answers), len(want.Answers))
+	}
+	for i := range want.Answers {
+		if want.Answers[i].Root != got.Answers[i].Root || want.Answers[i].Score != got.Answers[i].Score {
+			return fmt.Errorf("bench: planned answer %d of %s diverges from scratch", i, q)
+		}
+	}
+	return nil
 }
 
 // measurePlanning reports the best-of-rounds per-op wall time of fn.

@@ -86,8 +86,9 @@ func New(ix index.Source, q *pattern.Query, cfg Config) (*Engine, error) {
 		}
 		e.plans, e.fanout, e.satisfyProb = p.Plans, p.Fanout, p.SatisfyProb
 	} else {
-		// No plan: run the statistics pass over the source this engine
-		// probes, so a per-shard engine routes by its own part's numbers.
+		// No plan: run the statistics pass over ix, which must then be
+		// the whole corpus (score.CollectStats) — the facade and
+		// shard.NewEngines always pass a plan instead.
 		e.plans = relax.BuildPlans(q, cfg.Relax)
 		e.fanout, e.satisfyProb = routingStats(e.plans, score.CollectStats(ix, nil, q))
 	}

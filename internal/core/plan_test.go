@@ -134,6 +134,16 @@ func TestPlanStatisticsPinned(t *testing.T) {
 	p2 := []float64{0, 1, 0.415, 1, 0.755, 1}
 	f3 := []float64{0, 2.028368794326241, 1, 1.9801324503311257, 3.77, 2.3006134969325154, 2.2280701754385963, 1}
 	p3 := []float64{0, 0.705, 1, 0.755, 1, 0.815, 0.855, 1}
+	// One valued shape per whirlload cold template, recorded at commit
+	// 9dd2266 (statistics from one AppendCandidates probe per root).
+	locQty := "//item[./location = 'United States' and ./quantity = '1']"
+	locPayKw := "//item[./location = 'United States' and ./payment = 'Creditcard' and .//keyword = 'onyx']"
+	qtyMailKw := "//item[./quantity = '1' and ./mailbox/mail/text/keyword = 'onyx']"
+	fromTo := "//mail[./from = 'ornate' and ./to = 'crystal']"
+	fLPK, pLPK := []float64{0, 1.0526315789473684, 1, 1}, []float64{0, 0.095, 0.125, 0.245}
+	fQMK := []float64{0, 1, 1.9801324503311257, 3.77, 1.0526315789473684, 1}
+	pQMK := []float64{0, 1, 0.755, 1, 0.095, 0.195}
+	fFT, pFT := []float64{0, 1, 1}, []float64{0, 0.056856187290969896, 0.05016722408026756}
 	pinned := []struct {
 		xpath       string
 		r           relax.Relaxation
@@ -147,6 +157,14 @@ func TestPlanStatisticsPinned(t *testing.T) {
 		{q2, relax.All, f2, p2, []int{1, 3, 4, 2, 5}},
 		{q3, relax.None, f3, p3, []int{2, 7, 1, 3, 5, 6, 4}},
 		{q3, relax.All, f3, p3, []int{2, 7, 1, 3, 6, 5, 4}},
+		{locQty, relax.None, []float64{0, 1, 1}, []float64{0, 0.125, 0.195}, []int{1, 2}},
+		{locQty, relax.All, []float64{0, 1, 1}, []float64{0, 0.125, 0.195}, []int{1, 2}},
+		{locPayKw, relax.None, fLPK, pLPK, []int{1, 2, 3}},
+		{locPayKw, relax.All, fLPK, pLPK, []int{2, 3, 1}},
+		{qtyMailKw, relax.None, fQMK, pQMK, []int{4, 5, 1, 2, 3}},
+		{qtyMailKw, relax.All, fQMK, pQMK, []int{1, 5, 4, 2, 3}},
+		{fromTo, relax.None, fFT, pFT, []int{2, 1}},
+		{fromTo, relax.All, fFT, pFT, []int{1, 2}},
 	}
 	for _, want := range pinned {
 		q := pattern.Canonicalize(pattern.MustParse(want.xpath))

@@ -9,7 +9,9 @@ import (
 
 	"repro/internal/dewey"
 	"repro/internal/index"
+	"repro/internal/lru"
 	"repro/internal/pattern"
+	"repro/internal/relax"
 	"repro/internal/score"
 	"repro/internal/shard"
 	"repro/internal/store"
@@ -27,9 +29,16 @@ type sourceCase struct {
 	doc *xmltree.Document
 	// owns reports whether src enumerates n in Nodes / NodesMatching —
 	// everything for whole-corpus sources, one partition for a shard
-	// sub-source. Owned nodes are also the anchors src is probed at.
+	// sub-source (owns is nil for the former). Owned nodes are also the
+	// anchors src is probed at.
 	owns func(n *xmltree.Node) bool
 }
+
+// whole reports whether the case is a whole-corpus source — the only
+// kind statistics are collected on.
+func (c sourceCase) whole() bool { return c.owns == nil }
+
+func (c sourceCase) owned(n *xmltree.Node) bool { return c.owns == nil || c.owns(n) }
 
 // sourceCases builds every index.Source implementation over doc: the
 // in-memory Index, the snapshot reader and its per-part sources, the
@@ -49,11 +58,10 @@ func sourceCases(t *testing.T, doc *xmltree.Document, p int) []sourceCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := func(*xmltree.Node) bool { return true }
 	cases := []sourceCase{
-		{"Index", index.Build(doc), doc, all},
-		{"SnapshotReader", r, r.Document(), all},
-		{"Corpus", corpus, doc, all},
+		{"Index", index.Build(doc), doc, nil},
+		{"SnapshotReader", r, r.Document(), nil},
+		{"Corpus", corpus, doc, nil},
 	}
 
 	onSpine := make(map[int]bool)
@@ -95,8 +103,8 @@ func sourceCases(t *testing.T, doc *xmltree.Document, p int) []sourceCase {
 		t.Fatal(err)
 	}
 	cases = append(cases,
-		sourceCase{"Corpus/from-layout", rebuilt, doc, all},
-		sourceCase{"Corpus/snapshot-parts", overSnapshot, r.Document(), all})
+		sourceCase{"Corpus/from-layout", rebuilt, doc, nil},
+		sourceCase{"Corpus/snapshot-parts", overSnapshot, r.Document(), nil})
 	if subs := corpus.ShardSources(); len(subs) > len(corpus.Parts()) {
 		cases = append(cases, sourceCase{"spineView", subs[len(subs)-1], doc,
 			func(n *xmltree.Node) bool { return onSpine[n.Ord] }})
@@ -124,7 +132,14 @@ func conformanceDocs(t *testing.T) []conformanceDoc {
 		name: "xmark", doc: xm,
 		tags: []string{"site", "item", "description", "parlist", "text", "name", "quantity", "incategory", "absent"},
 		vts: []index.ValueTest{{}, index.ValueEq(name), index.Test("<", "3"), index.Test("contains", "a"),
-			index.Test("!=", "x"), index.Test(">", "100")},
+			index.Test("!=", "x"), index.Test(">", "100"), index.Test("<=", "2"), index.Test(">=", "4")},
+		shapes: []string{
+			"//parlist[.//text contains 'gold']", "//parlist[.//bold = 'onyx']", "//parlist[./listitem/text contains 'a']",
+			"//parlist[.//parlist]", "//parlist[./listitem/parlist/listitem]", "//listitem[.//listitem/text != '']",
+			"//item[./mailbox/mail/text/keyword = 'onyx']", "//item[./description/parlist/listitem/text contains 'gold']",
+			"//item[./mailbox/mail/text[./keyword] contains 'onyx' and ./quantity >= 2]",
+			"//mail[./from = 'jade' and ./to != 'jade']", "//item[./location = 'Atlantis']", "//absent[./name]",
+		},
 	}}
 	r := rand.New(rand.NewSource(42))
 	tags := []string{"r", "a", "b", "c", "d"}
@@ -147,6 +162,10 @@ func conformanceDocs(t *testing.T) []conformanceDoc {
 		docs = append(docs, conformanceDoc{
 			name: fmt.Sprintf("random%d", i), doc: doc, tags: append(tags, "absent"),
 			vts: []index.ValueTest{{}, index.ValueEq("5"), index.Test("<", "10"), index.Test("contains", "old")},
+			shapes: []string{
+				"//a[.//a]", "//a[./a = '5']", "//a[.//a/a]", "//a[./b/c/d = '5']", "//a[./b/c != '5']",
+				"//a[.//b[./c] = '5']", "//a[./b//c contains 'old']", "//a[./d = 'absent']", "//r[.//a/b <= 12]", "//r[./a >= 5]",
+			},
 		})
 	}
 	return docs
@@ -155,8 +174,12 @@ func conformanceDocs(t *testing.T) []conformanceDoc {
 type conformanceDoc struct {
 	name string
 	doc  *xmltree.Document
-	tags []string
+	tags []string // tags[1] is the root tag of the statistics shapes
 	vts  []index.ValueTest
+	// shapes are further queries for checkStats: recursive root tags
+	// (nested open roots), the root tag as the posting's own tag,
+	// multi-step exact paths, a valued inner node, empty posting lists.
+	shapes []string
 }
 
 // walk is the brute-force reference for AppendCandidates: the (tag, vt)
@@ -188,7 +211,7 @@ func walk(anchor *xmltree.Node, axis dewey.Axis, tag string, vt index.ValueTest)
 func checkContract(t *testing.T, c sourceCase, d conformanceDoc) {
 	var anchors []*xmltree.Node
 	for i, n := range c.doc.Nodes {
-		if c.owns(n) && (i%5 == 0 || n.Parent == nil || !c.owns(n.Parent)) {
+		if c.owned(n) && (i%5 == 0 || n.Parent == nil || !c.owned(n.Parent)) {
 			anchors = append(anchors, n)
 		}
 	}
@@ -197,7 +220,7 @@ func checkContract(t *testing.T, c sourceCase, d conformanceDoc) {
 		for _, vt := range d.vts {
 			var want []*xmltree.Node
 			for _, n := range c.doc.Nodes {
-				if c.owns(n) && n.Tag == tag && vt.Matches(n.Value) {
+				if c.owned(n) && n.Tag == tag && vt.Matches(n.Value) {
 					want = append(want, n)
 				}
 			}
@@ -220,53 +243,88 @@ func checkContract(t *testing.T, c sourceCase, d conformanceDoc) {
 	}
 }
 
-// checkStats holds score.CollectStats — the single statistics producer,
-// which sees a source only through the three methods — to a brute-force
-// count: for //root[./tag vt] the exact variant counts children and the
-// relaxed one descendants, for //root[.//tag vt] both count descendants,
-// and the root node's own predicate counts every owned root (exactly:
-// the forest roots only, under a leading /).
-func checkStats(t *testing.T, c sourceCase, d conformanceDoc) {
-	rootTag := d.tags[1]
-	brute := func(axis dewey.Axis, tag string, vt index.ValueTest) index.PredicateStats {
-		var st index.PredicateStats
-		for _, n := range c.doc.Nodes {
-			if !c.owns(n) || n.Tag != rootTag {
-				continue
+// bruteStats is the reference for score.CollectStats on node id ≥ 1 of
+// q: a depth-counting tree walk below every root-tag node, which knows
+// nothing of postings, Parent links or Dewey IDs. A (root, node) pair
+// counts as relaxed whenever the node lies below the root, and as exact
+// when its depth below the root is what the composed path prescribes.
+func bruteStats(doc *xmltree.Document, q *pattern.Query, id int) (exact, relaxed index.PredicateStats) {
+	pp := relax.ComposePath(q, 0, id)
+	node := q.Nodes[id]
+	vt := index.Test(node.ValueOp, node.Value)
+	var tfExact, tfRelaxed int
+	var below func(n *xmltree.Node, depth int)
+	below = func(n *xmltree.Node, depth int) {
+		for _, ch := range n.Children {
+			if ch.Tag == node.Tag && vt.Matches(ch.Value) {
+				tfRelaxed++
+				if depth+1 == pp.MinLevels || (!pp.Exact && depth+1 > pp.MinLevels) {
+					tfExact++
+				}
 			}
-			st.RootCount++
-			if tf := len(walk(n, axis, tag, vt)); tf > 0 {
-				st.Satisfying++
-				st.TotalPairs += tf
-				st.MaxTF = max(st.MaxTF, tf)
-			}
+			below(ch, depth+1)
 		}
-		return st
 	}
+	add := func(st *index.PredicateStats, tf int) {
+		st.RootCount++
+		if tf > 0 {
+			st.Satisfying++
+			st.TotalPairs += tf
+			st.MaxTF = max(st.MaxTF, tf)
+		}
+	}
+	for _, r := range doc.Nodes {
+		if r.Tag == q.Root().Tag {
+			tfExact, tfRelaxed = 0, 0
+			below(r, 0)
+			add(&exact, tfExact)
+			add(&relaxed, tfRelaxed)
+		}
+	}
+	return exact, relaxed
+}
+
+// statShapes returns the queries checkStats runs on d: for every probe
+// tag and value test //root[./tag vt] and //root[.//tag vt], then d's own
+// shapes — the inputs a posting-side walk can get wrong.
+func statShapes(d conformanceDoc) []string {
+	var shapes []string
 	for _, tag := range d.tags[2:] {
 		for _, vt := range d.vts {
 			pred := tag
 			if !vt.Any() {
 				pred += " " + vt.String()
 			}
-			children, descendants := brute(dewey.Child, tag, vt), brute(dewey.Descendant, tag, vt)
-			for _, qc := range []struct {
-				xpath          string
-				exact, relaxed index.PredicateStats
-			}{
-				{fmt.Sprintf("//%s[./%s]", rootTag, pred), children, descendants},
-				{fmt.Sprintf("//%s[.//%s]", rootTag, pred), descendants, descendants},
-			} {
-				got := score.CollectStats(c.src, nil, pattern.MustParse(qc.xpath))
-				if got.Exact[1] != qc.exact || got.Relaxed[1] != qc.relaxed {
-					t.Fatalf("%s: stats (%+v, %+v), want (%+v, %+v)", qc.xpath, got.Exact[1], got.Relaxed[1], qc.exact, qc.relaxed)
-				}
+			shapes = append(shapes, fmt.Sprintf("//%s[./%s]", d.tags[1], pred), fmt.Sprintf("//%s[.//%s]", d.tags[1], pred))
+		}
+	}
+	return append(shapes, d.shapes...)
+}
+
+// checkStats holds score.CollectStats — the single statistics producer,
+// which computes every non-root predicate by walking the node's postings
+// up to their root-tag ancestors — to bruteStats on every node of every
+// shape, and the root node's own predicate to a count of the roots
+// (exactly: the forest roots only, under a leading /). It runs on
+// whole-corpus sources only: nothing collects statistics on a shard's
+// sub-source (PartSource, the spine view) any more — a part sees only
+// its own postings and the spine's lie in the parts — so those cases
+// are gone from here and stay in checkContract.
+func checkStats(t *testing.T, c sourceCase, d conformanceDoc) {
+	for _, xpath := range statShapes(d) {
+		q := pattern.MustParse(xpath)
+		got := score.CollectStats(c.src, nil, q)
+		for id := 1; id < q.Size(); id++ {
+			exact, relaxed := bruteStats(c.doc, q, id)
+			if got.Exact[id] != exact || got.Relaxed[id] != relaxed {
+				t.Fatalf("%s node %d: stats (%+v, %+v), want (%+v, %+v)", xpath, id, got.Exact[id], got.Relaxed[id], exact, relaxed)
 			}
 		}
 	}
+	rootTag := d.tags[1]
 	roots, forestRoots := 0, 0
 	for _, n := range c.doc.Nodes {
-		if c.owns(n) && n.Tag == rootTag {
+		if n.Tag == rootTag {
 			roots++
 			if n.Parent == nil {
 				forestRoots++
@@ -292,9 +350,65 @@ func TestSourceConformance(t *testing.T) {
 			for _, c := range sourceCases(t, d.doc, p) {
 				t.Run(fmt.Sprintf("%s/p=%d/%s", d.name, p, c.name), func(t *testing.T) {
 					checkContract(t, c, d)
-					checkStats(t, c, d)
+					if c.whole() {
+						checkStats(t, c, d)
+					}
 				})
 			}
 		}
+	}
+}
+
+// TestPostingCachesBounded holds the four sources that cache (tag,
+// value test) posting lists — Index, SnapshotReader, PartSource, Corpus
+// — to one bound: the value in the key comes from the request, so 5 000
+// distinct constants must leave at most lru.PostingsCap lists cached.
+// A cached list is recognised by its backing array: a hit hands out the
+// same slice, a rebuilt entry a new one. Results must equal a fresh
+// filter throughout, and repeating one key must allocate nothing.
+func TestPostingCachesBounded(t *testing.T) {
+	d := conformanceDocs(t)[0]
+	const tag, constants = "quantity", 5000
+	vtFor := func(i int) index.ValueTest { return index.Test("!=", fmt.Sprintf("c%04d", i)) }
+	for _, c := range sourceCases(t, d.doc, 4) {
+		if c.name == "spineView" {
+			continue // filters per call, caches nothing
+		}
+		t.Run(c.name, func(t *testing.T) {
+			var want []*xmltree.Node
+			for _, n := range c.doc.Nodes {
+				if c.owned(n) && n.Tag == tag {
+					want = append(want, n) // no quantity equals any constant
+				}
+			}
+			if len(want) == 0 {
+				t.Skip("part holds no quantity node")
+			}
+			backing := make([]**xmltree.Node, constants)
+			for i := range backing {
+				got := c.src.NodesMatching(tag, vtFor(i))
+				if !slices.Equal(got, want) {
+					t.Fatalf("NodesMatching(%v) = %v, want %v", vtFor(i), got, want)
+				}
+				backing[i] = &got[0]
+			}
+			// Newest first, so every list still cached is probed before a
+			// rebuild can evict it.
+			cached := 0
+			for i := constants - 1; i >= 0; i-- {
+				if &c.src.NodesMatching(tag, vtFor(i))[0] == backing[i] {
+					cached++
+				}
+			}
+			if cached == 0 || cached > lru.PostingsCap {
+				t.Fatalf("%d of %d posting lists still cached, want 1..%d", cached, constants, lru.PostingsCap)
+			}
+			for _, vt := range []index.ValueTest{vtFor(0), index.ValueEq("1"), index.ValueEq("no such quantity")} {
+				c.src.NodesMatching(tag, vt)
+				if allocs := testing.AllocsPerRun(100, func() { c.src.NodesMatching(tag, vt) }); allocs != 0 {
+					t.Errorf("repeated NodesMatching(%v) allocates %v times per call", vt, allocs)
+				}
+			}
+		})
 	}
 }

@@ -12,9 +12,9 @@ package index
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/dewey"
+	"repro/internal/lru"
 	"repro/internal/xmltree"
 )
 
@@ -26,9 +26,12 @@ type Index struct {
 	byTag      map[string][]*xmltree.Node
 	byTagValue map[string][]*xmltree.Node
 
-	mu       sync.Mutex
-	filtered map[string][]*xmltree.Node // cache for non-equality value tests
+	filtered *lru.Cache[postingKey, []*xmltree.Node] // cache for non-equality value tests
 }
+
+// postingKey identifies one cached filtered posting list; the value
+// comes from the request, so the cache it keys is bounded.
+type postingKey struct{ tag, op, value string }
 
 // Build constructs the index over doc in a single preorder pass, so all
 // postings lists are in document (Dewey) order.
@@ -37,7 +40,7 @@ func Build(doc *xmltree.Document) *Index {
 		Doc:        doc,
 		byTag:      make(map[string][]*xmltree.Node),
 		byTagValue: make(map[string][]*xmltree.Node),
-		filtered:   make(map[string][]*xmltree.Node),
+		filtered:   lru.New[postingKey, []*xmltree.Node](lru.PostingsCap),
 	}
 	for _, n := range doc.Nodes {
 		ix.byTag[n.Tag] = append(ix.byTag[n.Tag], n)
@@ -57,8 +60,8 @@ func (ix *Index) Nodes(tag string) []*xmltree.Node { return ix.byTag[tag] }
 
 // NodesMatching returns the nodes with the given tag whose values satisfy
 // vt, in document order. Match-any and equality tests hit postings
-// directly; other operators filter the tag postings once and cache the
-// result.
+// directly; other operators filter the tag postings and keep the result
+// in a bounded cache.
 // +whirllint:allocok cache fill on the first probe of a (tag, predicate) pair; steady-state hits are allocation-free
 func (ix *Index) NodesMatching(tag string, vt ValueTest) []*xmltree.Node {
 	switch {
@@ -67,19 +70,16 @@ func (ix *Index) NodesMatching(tag string, vt ValueTest) []*xmltree.Node {
 	case vt.IsEquality():
 		return ix.byTagValue[valueKey(tag, vt.Value)]
 	}
-	key := tag + "\x01" + vt.Op + "\x01" + vt.Value
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if cached, ok := ix.filtered[key]; ok {
-		return cached
-	}
-	var out []*xmltree.Node
-	for _, n := range ix.byTag[tag] {
-		if vt.Matches(n.Value) {
-			out = append(out, n)
+	// hit and err dropped: only a miss builds, and the build cannot fail
+	out, _, _ := ix.filtered.GetOrCreate(postingKey{tag, vt.Op, vt.Value}, func() ([]*xmltree.Node, error) {
+		var out []*xmltree.Node
+		for _, n := range ix.byTag[tag] {
+			if vt.Matches(n.Value) {
+				out = append(out, n)
+			}
 		}
-	}
-	ix.filtered[key] = out
+		return out, nil
+	})
 	return out
 }
 

@@ -14,8 +14,8 @@ import (
 // its spine view; swapping implementations exercises the paper's
 // observation that adaptivity pays off most "in scenarios where data is
 // stored on disk" (Section 6.3.3). Database statistics are not part of
-// the contract: score.CollectStats derives them from these three
-// methods.
+// the contract: score.CollectStats derives them from Nodes,
+// NodesMatching and the nodes' Parent links.
 type Source interface {
 	// Nodes returns all nodes with the given tag in document order.
 	Nodes(tag string) []*xmltree.Node
@@ -32,18 +32,3 @@ type Source interface {
 }
 
 var _ Source = (*Index)(nil)
-
-// ShardedSource is an optional extension implemented by sources that are
-// physically partitioned into disjoint shards (see internal/shard). Each
-// sub-source covers one partition of the document forest: together the
-// sub-sources' Nodes(rootTag) sets partition the whole source's, and
-// within a sub-source every AppendCandidates call anchored at one of its
-// own nodes returns exactly what the whole source would — subtrees are
-// never split across sub-sources. Consumers that iterate all roots of a
-// tag (the statistics pass, per-shard engines) can therefore fan out
-// across sub-sources and merge.
-type ShardedSource interface {
-	Source
-	// ShardSources returns the partition, in shard order.
-	ShardSources() []Source
-}

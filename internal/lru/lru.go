@@ -13,6 +13,12 @@ import (
 	"sync"
 )
 
+// PostingsCap bounds every cache of (tag, value test) posting lists —
+// index.Index, store.SnapshotReader, store.PartSource and shard.Corpus
+// each keep one. The value in the key comes from the request, so an
+// unbounded map would grow with every distinct constant a client sends.
+const PostingsCap = 1024
+
 // flight is one cache slot: the key, the built value, and the
 // singleflight rendezvous. ready closes when the build finishes; val
 // and err are immutable afterwards.

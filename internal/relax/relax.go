@@ -85,13 +85,20 @@ type PathPredicate struct {
 // unrelaxed path prescribes.
 func (p PathPredicate) HoldsExact(anchor, target dewey.ID) bool {
 	diff := target.Level() - anchor.Level()
-	if diff < p.MinLevels || (p.Exact && diff != p.MinLevels) {
+	if !p.DepthHoldsExact(diff) {
 		return false
 	}
 	if p.MinLevels == 0 && diff == 0 {
 		return anchor.Equal(target)
 	}
 	return anchor.IsAncestorOf(target)
+}
+
+// DepthHoldsExact reports whether the unrelaxed path allows a target diff
+// levels below its anchor — all of HoldsExact for a target already known
+// to be a strict descendant of the anchor.
+func (p PathPredicate) DepthHoldsExact(diff int) bool {
+	return diff >= p.MinLevels && (!p.Exact || diff == p.MinLevels)
 }
 
 // HoldsRelaxed reports whether target relates to anchor under full edge

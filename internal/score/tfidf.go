@@ -2,19 +2,12 @@ package score
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/dewey"
 	"repro/internal/index"
 	"repro/internal/pattern"
 	"repro/internal/relax"
 	"repro/internal/xmltree"
-)
-
-// Axis aliases keeping the scoring code terse.
-const (
-	pcRootAxis      = dewey.Child
-	deweyDescendant = dewey.Descendant
 )
 
 // Normalization selects how raw idf contributions are rescaled — the
@@ -67,10 +60,9 @@ type TFIDF struct {
 
 // StatsSource supplies pre-resolved component-predicate statistics —
 // typically a corpus structure synopsis (internal/synopsis) — so
-// CollectStats need not fan index probes out across every shard at
-// query time. ok must be false whenever the source cannot answer the
-// node's predicate exactly (e.g. content predicates); CollectStats then
-// falls back to scanning for that node only.
+// CollectStats need not touch the index for them. ok must be false
+// whenever the source cannot answer the node's predicate exactly (e.g.
+// content predicates); CollectStats then walks that node's postings.
 type StatsSource interface {
 	ComponentStats(q *pattern.Query, id int) (exact, relaxed index.PredicateStats, ok bool)
 }
@@ -87,8 +79,12 @@ type Stats struct {
 
 // CollectStats is the single statistics producer: one pass per query
 // node, answered by src where it can (value-free predicates on a
-// synopsis) and by one root scan of ix otherwise. A synopsis-backed src
-// yields exactly the numbers the scan produces.
+// synopsis) and from the node's postings otherwise (postingStats). It
+// is a whole-corpus quantity: ix must enumerate every node of the root
+// tag and of each query tag, as Index, SnapshotReader and shard.Corpus
+// do — a shard part sees only its own postings, and the postings below
+// the spine's roots lie in the parts. A synopsis-backed src yields
+// exactly the numbers the posting walk produces.
 func CollectStats(ix index.Source, src StatsSource, q *pattern.Query) Stats {
 	n := q.Size()
 	st := Stats{Exact: make([]index.PredicateStats, n), Relaxed: make([]index.PredicateStats, n)}
@@ -98,7 +94,7 @@ func CollectStats(ix index.Source, src StatsSource, q *pattern.Query) Stats {
 			st.Exact[id], st.Relaxed[id], resolved = src.ComponentStats(q, id)
 		}
 		if !resolved {
-			st.Exact[id], st.Relaxed[id] = predicateStats(ix, q, id)
+			st.Exact[id], st.Relaxed[id] = postingStats(ix, q, id)
 		}
 	}
 	return st
@@ -187,67 +183,29 @@ func idf(rootCount, satisfying int) float64 {
 	return math.Log(1 + float64(rootCount)/float64(satisfying))
 }
 
-// predicateStats computes database statistics for the exact and relaxed
-// variants of component predicate p(q0, qi). When ix is physically
-// sharded, the per-root scan for id > 0 — the expensive part of the
-// statistics pass — fans out across the sub-sources in parallel and the
-// partial statistics are merged; each sub-source holds complete subtrees,
-// so its local scan is exact for its own roots.
-func predicateStats(ix index.Source, q *pattern.Query, id int) (exact, relaxed index.PredicateStats) {
-	if id > 0 {
-		if sh, ok := ix.(index.ShardedSource); ok {
-			if subs := sh.ShardSources(); len(subs) > 1 {
-				return shardedPredicateStats(subs, q, id)
-			}
-		}
-	}
-	return scanPredicate(ix, q, id)
-}
-
-// shardedPredicateStats runs scanPredicate over each sub-source
-// concurrently and merges: counts sum, max term frequencies take the max.
-func shardedPredicateStats(subs []index.Source, q *pattern.Query, id int) (exact, relaxed index.PredicateStats) {
-	exacts := make([]index.PredicateStats, len(subs))
-	relaxeds := make([]index.PredicateStats, len(subs))
-	var wg sync.WaitGroup
-	for i, sub := range subs {
-		wg.Add(1)
-		go func(i int, sub index.Source) {
-			defer wg.Done()
-			exacts[i], relaxeds[i] = scanPredicate(sub, q, id)
-		}(i, sub)
-	}
-	wg.Wait()
-	for i := range subs {
-		mergeStats(&exact, exacts[i])
-		mergeStats(&relaxed, relaxeds[i])
-	}
-	return exact, relaxed
-}
-
-func mergeStats(dst *index.PredicateStats, s index.PredicateStats) {
-	dst.RootCount += s.RootCount
-	dst.Satisfying += s.Satisfying
-	dst.TotalPairs += s.TotalPairs
-	if s.MaxTF > dst.MaxTF {
-		dst.MaxTF = s.MaxTF
-	}
-}
-
-// scanPredicate is the sequential statistics scan over one source.
-func scanPredicate(ix index.Source, q *pattern.Query, id int) (exact, relaxed index.PredicateStats) {
+// postingStats computes database statistics for the exact and relaxed
+// variants of component predicate p(q0, qi). The root's own predicate
+// counts the roots; every other one is computed from the posting side:
+// the qi postings are walked in document order and each is credited to
+// its enclosing q0 ancestors, found through Parent links. The q0
+// ancestors of successive postings nest, so the ones still open form a
+// stack: a root is closed — and its tf pair accumulated — when a posting
+// falls outside it, and opened the first time a posting falls inside it.
+// Every (root, posting) pair a probe of each root would visit is counted
+// exactly once, at O(|postings| × depth) whatever the number of roots;
+// every q0 ancestor is one of ix.Nodes(q0) because ix is whole.
+func postingStats(ix index.Source, q *pattern.Query, id int) (exact, relaxed index.PredicateStats) {
 	rootTag := q.Root().Tag
 	node := q.Nodes[id]
+	roots := ix.Nodes(rootTag)
+	exact.RootCount, relaxed.RootCount = len(roots), len(roots)
 	if id == 0 {
 		// The root's own predicate relates it to the virtual document
 		// root: a[parent::doc-root]. Exact requires a forest root for pc.
-		roots := ix.Nodes(rootTag)
-		exact.RootCount = len(roots)
-		relaxed.RootCount = len(roots)
 		for _, r := range roots {
 			relaxed.Satisfying++
 			relaxed.TotalPairs++
-			if node.Axis != pcRootAxis || r.Level() == 1 {
+			if node.Axis != dewey.Child || r.Level() == 1 {
 				exact.Satisfying++
 				exact.TotalPairs++
 			}
@@ -256,23 +214,52 @@ func scanPredicate(ix index.Source, q *pattern.Query, id int) (exact, relaxed in
 		return exact, relaxed
 	}
 	pp := relax.ComposePath(q, 0, id)
-	vt := index.Test(node.ValueOp, node.Value)
-	roots := ix.Nodes(rootTag)
-	exact.RootCount = len(roots)
-	relaxed.RootCount = len(roots)
-	var buf []*xmltree.Node // probe scratch reused across roots
-	for _, r := range roots {
-		tfExact, tfRelaxed := 0, 0
-		buf = ix.AppendCandidates(buf[:0], r, deweyDescendant, node.Tag, vt)
-		for _, c := range buf {
-			tfRelaxed++
-			if pp.HoldsExact(r.ID, c.ID) {
-				tfExact++
+	type openRoot struct {
+		root               *xmltree.Node
+		tfExact, tfRelaxed int
+	}
+	var open []openRoot
+	var fresh []*xmltree.Node // the posting's not yet open q0 ancestors, innermost first
+	// closeBelow closes the open roots deeper than level.
+	closeBelow := func(level int) {
+		for len(open) > 0 && open[len(open)-1].root.Level() > level {
+			top := open[len(open)-1]
+			open = open[:len(open)-1]
+			accumulate(&exact, top.tfExact)
+			accumulate(&relaxed, top.tfRelaxed)
+		}
+	}
+	for _, c := range ix.NodesMatching(node.Tag, index.Test(node.ValueOp, node.Value)) {
+		// One climb from c: an open root deeper than the ancestor in
+		// hand is not on c's root path — the posting has left it — and
+		// the climb ends at the innermost open root that is, below
+		// which every open root encloses c too. Levels and pointers
+		// only: no Dewey component is read.
+		fresh = fresh[:0]
+		a := c.Parent
+		for ; a != nil; a = a.Parent {
+			closeBelow(a.Level())
+			if len(open) > 0 && open[len(open)-1].root == a {
+				break
+			}
+			if a.Tag == rootTag {
+				fresh = append(fresh, a)
 			}
 		}
-		accumulate(&exact, tfExact)
-		accumulate(&relaxed, tfRelaxed)
+		if a == nil {
+			closeBelow(0)
+		}
+		for i := len(fresh) - 1; i >= 0; i-- {
+			open = append(open, openRoot{root: fresh[i]})
+		}
+		for i := range open {
+			open[i].tfRelaxed++
+			if pp.DepthHoldsExact(c.Level() - open[i].root.Level()) {
+				open[i].tfExact++
+			}
+		}
 	}
+	closeBelow(0)
 	return exact, relaxed
 }
 
@@ -332,12 +319,12 @@ func AnswerScore(ix index.Source, q *pattern.Query, s *TFIDF, n *xmltree.Node) f
 		qn := q.Nodes[id]
 		var tf int
 		if id == 0 {
-			if qn.Axis != pcRootAxis || n.Level() == 1 {
+			if qn.Axis != dewey.Child || n.Level() == 1 {
 				tf = 1
 			}
 		} else {
 			pp := relax.ComposePath(q, 0, id)
-			buf = ix.AppendCandidates(buf[:0], n, deweyDescendant, qn.Tag, index.Test(qn.ValueOp, qn.Value))
+			buf = ix.AppendCandidates(buf[:0], n, dewey.Descendant, qn.Tag, index.Test(qn.ValueOp, qn.Value))
 			for _, c := range buf {
 				if pp.HoldsExact(n.ID, c.ID) {
 					tf++

@@ -10,6 +10,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/pattern"
+	"repro/internal/score"
 )
 
 // Engines evaluates one query over a partitioned corpus: one core.Engine
@@ -38,11 +39,24 @@ type runner struct {
 // NewEngines builds the per-shard engines for q over the corpus. cfg is
 // the standard engine configuration; cfg.Scorer must be built against
 // the whole corpus (one global scorer keeps scores — and therefore the
-// shared threshold — comparable across shards). Sub-sources without a
-// single root candidate are skipped: they cannot spawn a match.
+// shared threshold — comparable across shards). Routing statistics are a
+// whole-corpus quantity too (a sub-source sees only its own postings,
+// and the spine's lie in the parts): without cfg.Plan they are collected
+// once over the corpus and handed to every shard as a plan compiled on
+// the spot, its Order left nil so the ascending-id default holds.
+// Sub-sources without a single root candidate are skipped: they cannot
+// spawn a match.
 func (c *Corpus) NewEngines(q *pattern.Query, cfg core.Config) (*Engines, error) {
 	if cfg.Scorer == nil {
 		return nil, fmt.Errorf("shard: Config.Scorer is required (build it over the whole corpus)")
+	}
+	if cfg.Plan == nil {
+		plan, err := core.CompilePlan(score.CollectStats(c, nil, q), q, cfg.Relax, cfg.Scorer, "")
+		if err != nil {
+			return nil, err
+		}
+		plan.Order = nil
+		cfg.Plan = plan
 	}
 	root := q.Root()
 	vt := index.Test(root.ValueOp, root.Value)

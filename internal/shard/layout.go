@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/index"
+	"repro/internal/lru"
 	"repro/internal/synopsis"
 	"repro/internal/xmltree"
 )
@@ -37,11 +38,10 @@ func FromLayout(doc *xmltree.Document, spineOrds []int, unitOrds [][]int, source
 		return doc.Nodes[ord], nil
 	}
 	c := &Corpus{
-		doc:         doc,
-		spineByTag:  make(map[string][]*xmltree.Node),
-		homes:       make(map[int]int),
-		mergedTag:   make(map[string][]*xmltree.Node),
-		mergedMatch: make(map[string][]*xmltree.Node),
+		doc:        doc,
+		spineByTag: make(map[string][]*xmltree.Node),
+		homes:      make(map[int]int),
+		merged:     lru.New[postingKey, []*xmltree.Node](lru.PostingsCap),
 	}
 	covered := 0
 	for _, ord := range spineOrds {

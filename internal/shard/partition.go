@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"repro/internal/index"
+	"repro/internal/lru"
 	"repro/internal/synopsis"
 	"repro/internal/xmltree"
 )
@@ -48,8 +49,8 @@ type Part struct {
 }
 
 // Corpus is a partitioned document forest. It implements index.Source
-// over the whole forest (merging across parts) and index.ShardedSource
-// so per-shard consumers can fan out.
+// over the whole forest (merging across parts); ShardSources is the
+// partition the per-shard engines run over.
 type Corpus struct {
 	doc   *xmltree.Document
 	parts []*Part
@@ -64,11 +65,16 @@ type Corpus struct {
 	// nearest mapped ancestor.
 	homes map[int]int
 
-	mu          sync.Mutex
-	mergedTag   map[string][]*xmltree.Node // cache: tag -> merged postings
-	mergedMatch map[string][]*xmltree.Node // cache: filtered postings
-	syn         *synopsis.Synopsis         // memoized corpus synopsis (see synopsis.go)
+	// merged caches merged (tag, value test) postings; it locks itself.
+	merged *lru.Cache[postingKey, []*xmltree.Node]
+
+	mu  sync.Mutex
+	syn *synopsis.Synopsis // memoized corpus synopsis (see synopsis.go)
 }
+
+// postingKey identifies one cached (tag, value test) posting list; the
+// value comes from the request, so the cache it keys is bounded.
+type postingKey struct{ tag, op, value string }
 
 // Split partitions doc into p shards of complete subtrees. The unit pool
 // starts as the forest roots; while it holds fewer than splitFactor*p
@@ -92,12 +98,11 @@ func Split(doc *xmltree.Document, p int) (*Corpus, error) {
 	sizes := subtreeSizes(doc)
 	units, spine := cut(doc, p, sizes)
 	c := &Corpus{
-		doc:         doc,
-		spine:       spine,
-		spineByTag:  make(map[string][]*xmltree.Node),
-		homes:       make(map[int]int),
-		mergedTag:   make(map[string][]*xmltree.Node),
-		mergedMatch: make(map[string][]*xmltree.Node),
+		doc:        doc,
+		spine:      spine,
+		spineByTag: make(map[string][]*xmltree.Node),
+		homes:      make(map[int]int),
+		merged:     lru.New[postingKey, []*xmltree.Node](lru.PostingsCap),
 	}
 	for _, s := range spine {
 		c.spineByTag[s.Tag] = append(c.spineByTag[s.Tag], s)

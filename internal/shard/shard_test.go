@@ -212,7 +212,7 @@ func TestSplitEmptyDocument(t *testing.T) {
 	}
 }
 
-// TestShardSourcesPartitionRoots checks the ShardedSource contract: the
+// TestShardSourcesPartitionRoots checks the ShardSources contract: the
 // sub-sources' postings for any tag partition the corpus's.
 func TestShardSourcesPartitionRoots(t *testing.T) {
 	doc := xmarkDoc(t, 30)

@@ -9,58 +9,35 @@ import (
 )
 
 // Corpus implements index.Source over the whole forest by merging the
-// per-part indexes (plus the spine), and index.ShardedSource so
-// whole-corpus scans — the statistics pass above all — can fan out
-// across the parts in parallel.
-var (
-	_ index.Source        = (*Corpus)(nil)
-	_ index.ShardedSource = (*Corpus)(nil)
-)
+// per-part indexes (plus the spine).
+var _ index.Source = (*Corpus)(nil)
 
 // Nodes returns all nodes with the tag in document order, merged across
-// parts and spine. Merged postings are cached per tag; the returned
-// slice is shared and must not be modified.
+// parts and spine. The returned slice is shared and must not be
+// modified.
 func (c *Corpus) Nodes(tag string) []*xmltree.Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nodesLocked(tag)
+	return c.NodesMatching(tag, index.ValueTest{})
 }
 
-// nodesLocked is Nodes with c.mu held.
-// +whirllint:locked
-func (c *Corpus) nodesLocked(tag string) []*xmltree.Node {
-	if cached, ok := c.mergedTag[tag]; ok {
-		return cached
-	}
-	var out []*xmltree.Node
-	for _, p := range c.parts {
-		out = append(out, p.Ix.Nodes(tag)...)
-	}
-	out = append(out, c.spineByTag[tag]...)
-	slices.SortFunc(out, func(a, b *xmltree.Node) int { return a.Ord - b.Ord })
-	c.mergedTag[tag] = out
-	return out
-}
-
-// NodesMatching returns the tag nodes satisfying vt in document order.
-// Non-trivial value tests filter the merged postings once and cache.
+// NodesMatching returns the tag nodes satisfying vt in document order:
+// the parts' own (tag, vt) postings — an equality test never touches
+// the other values' nodes — plus the matching spine nodes, merged by
+// ordinal and kept in a bounded cache.
 func (c *Corpus) NodesMatching(tag string, vt index.ValueTest) []*xmltree.Node {
-	if vt.Any() {
-		return c.Nodes(tag)
-	}
-	key := tag + "\x01" + vt.Op + "\x01" + vt.Value
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cached, ok := c.mergedMatch[key]; ok {
-		return cached
-	}
-	var out []*xmltree.Node
-	for _, n := range c.nodesLocked(tag) {
-		if vt.Matches(n.Value) {
-			out = append(out, n)
+	// hit and err dropped: only a miss builds, and the build cannot fail
+	out, _, _ := c.merged.GetOrCreate(postingKey{tag, vt.Op, vt.Value}, func() ([]*xmltree.Node, error) {
+		var out []*xmltree.Node
+		for _, p := range c.parts {
+			out = append(out, p.Ix.NodesMatching(tag, vt)...)
 		}
-	}
-	c.mergedMatch[key] = out
+		for _, n := range c.spineByTag[tag] {
+			if vt.Matches(n.Value) {
+				out = append(out, n)
+			}
+		}
+		slices.SortFunc(out, func(a, b *xmltree.Node) int { return a.Ord - b.Ord })
+		return out, nil
+	})
 	return out
 }
 
@@ -132,11 +109,11 @@ func (c *Corpus) spineDescendants(dst []*xmltree.Node, anchor *xmltree.Node, tag
 	return dst
 }
 
-// ShardSources implements index.ShardedSource: one sub-source per part,
-// plus — when interior nodes were cut — a spine sub-source covering the
-// residual forest whose subtrees span parts. Together the sub-sources'
-// root sets partition the corpus's, and each is exact for its own
-// anchors.
+// ShardSources returns the partition NewEngines runs one engine over
+// each member of: one sub-source per part, plus — when interior nodes
+// were cut — a spine sub-source covering the residual forest whose
+// subtrees span parts. Together the sub-sources' root sets partition the
+// corpus's, and each is exact for its own anchors.
 func (c *Corpus) ShardSources() []index.Source {
 	out := make([]index.Source, 0, len(c.parts)+1)
 	for _, p := range c.parts {

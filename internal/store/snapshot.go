@@ -9,6 +9,7 @@ import (
 	"repro/internal/dewey"
 	"repro/internal/index"
 	"repro/internal/keyword"
+	"repro/internal/lru"
 	"repro/internal/synopsis"
 	"repro/internal/xmltree"
 )
@@ -65,9 +66,19 @@ type SnapshotReader struct {
 	keywordSec map[string]section
 	layouts    map[int]ShardLayout
 
-	mu       sync.Mutex
-	matTag   map[string][]*xmltree.Node // cache: tag postings as node pointers
-	filtered map[string][]*xmltree.Node // cache: non-any value tests
+	postings *postingCache // (tag, value test) postings as node pointers; locks itself
+
+	mu sync.Mutex // guards the lazy node-slab build
+}
+
+// postingCache holds materialized (tag, value test) posting lists. The
+// value in the key comes from the request, so the cache is bounded.
+type postingCache = lru.Cache[postingKey, []*xmltree.Node]
+
+type postingKey struct{ tag, op, value string }
+
+func newPostingCache() *postingCache {
+	return lru.New[postingKey, []*xmltree.Node](lru.PostingsCap)
 }
 
 var _ index.Source = (*SnapshotReader)(nil)
@@ -206,8 +217,7 @@ func newSnapshotReader(data []byte, release func() error, mapped bool) (*Snapsho
 		mapped:     mapped,
 		keywordSec: make(map[string]section),
 		layouts:    make(map[int]ShardLayout),
-		matTag:     make(map[string][]*xmltree.Node),
-		filtered:   make(map[string][]*xmltree.Node),
+		postings:   newPostingCache(),
 	}
 	single := make(map[uint32]section)
 	spines := make(map[int32]section)
@@ -770,60 +780,51 @@ func (r *SnapshotReader) loadLayouts(spines, unitSecs map[int32]section) error {
 
 // ---- index.Source ----------------------------------------------------
 
-// Nodes returns all nodes with the tag in document order, materializing
-// the pointer slice once per tag.
-// +whirllint:allocok cache fill on the first plan-time Nodes call per tag; probes use AppendCandidates
+// Nodes returns all nodes with the tag in document order.
 func (r *SnapshotReader) Nodes(tag string) []*xmltree.Node {
-	r.ensureDoc()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if cached, ok := r.matTag[tag]; ok {
-		return cached
-	}
-	var out []*xmltree.Node
-	if t, ok := r.tagIDs[tag]; ok {
-		g := r.tagPostOrds[r.tagPostOff[t]:r.tagPostOff[t+1]]
-		out = make([]*xmltree.Node, len(g))
-		for i, o := range g {
-			out[i] = &r.nodes[o]
-		}
-	}
-	r.matTag[tag] = out
-	return out
+	return r.NodesMatching(tag, index.ValueTest{})
 }
 
-// NodesMatching returns the tag nodes satisfying vt in document order.
+// NodesMatching returns the tag nodes satisfying vt in document order,
+// materializing the pointer slice once per cached (tag, vt) pair.
 // +whirllint:allocok cache fill on the first probe of a (tag, predicate) pair; steady-state hits are allocation-free
 func (r *SnapshotReader) NodesMatching(tag string, vt index.ValueTest) []*xmltree.Node {
-	if vt.Any() {
-		return r.Nodes(tag)
-	}
-	key := tag + "\x01" + vt.Op + "\x01" + vt.Value
 	r.ensureDoc()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if cached, ok := r.filtered[key]; ok {
-		return cached
-	}
-	var out []*xmltree.Node
-	t, ok := r.tagIDs[tag]
-	if ok && vt.IsEquality() {
-		if k := r.findValKey(uint32(t), vt.Value); k >= 0 {
-			g := r.valPostOrds[r.valPostOff[k]:r.valPostOff[k+1]]
-			out = make([]*xmltree.Node, len(g))
-			for i, o := range g {
-				out[i] = &r.nodes[o]
-			}
+	// hit and err dropped: only a miss builds, and the build cannot fail
+	out, _, _ := r.postings.GetOrCreate(postingKey{tag, vt.Op, vt.Value}, func() ([]*xmltree.Node, error) {
+		g, filter := r.group(tag, vt)
+		var out []*xmltree.Node
+		if !filter {
+			out = make([]*xmltree.Node, 0, len(g))
 		}
-	} else if ok {
-		for _, o := range r.tagPostOrds[r.tagPostOff[t]:r.tagPostOff[t+1]] {
-			if vt.Matches(r.nodes[o].Value) {
+		for _, o := range g {
+			if !filter || vt.Matches(r.nodes[o].Value) {
 				out = append(out, &r.nodes[o])
 			}
 		}
-	}
-	r.filtered[key] = out
+		return out, nil
+	})
 	return out
+}
+
+// group returns the sorted ordinal group holding every tag node that can
+// satisfy vt — the (tag, value) postings for an equality test, the tag
+// postings otherwise — and whether vt must still be applied to its
+// members. It serves the whole-source enumerations; the probe path
+// (appendDescendants) keeps its own inlined selection.
+func (r *SnapshotReader) group(tag string, vt index.ValueTest) (g []uint32, filter bool) {
+	t, ok := r.tagIDs[tag]
+	if !ok {
+		return nil, false
+	}
+	if !vt.IsEquality() {
+		return r.tagPostOrds[r.tagPostOff[t]:r.tagPostOff[t+1]], !vt.Any()
+	}
+	k := r.findValKey(uint32(t), vt.Value)
+	if k < 0 {
+		return nil, false
+	}
+	return r.valPostOrds[r.valPostOff[k]:r.valPostOff[k+1]], false
 }
 
 // AppendCandidates serves a structural probe straight from the mapped
@@ -940,15 +941,13 @@ func lowerBound(g []uint32, x uint32) int {
 // PartSource serves one shard's view of the snapshot. Because shard
 // parts hold complete subtrees with global ordinals, every probe
 // anchored at a part node is answered by the global mapped postings
-// unchanged; only whole-part enumerations (Nodes, Predicate roots)
+// unchanged; only whole-part enumerations (Nodes, NodesMatching)
 // intersect the global groups with the part's unit intervals.
 type PartSource struct {
 	r     *SnapshotReader
 	units []*xmltree.Node
 
-	mu       sync.Mutex
-	matTag   map[string][]*xmltree.Node
-	filtered map[string][]*xmltree.Node
+	postings *postingCache // the part's (tag, value test) postings
 }
 
 var _ index.Source = (*PartSource)(nil)
@@ -964,75 +963,35 @@ func (r *SnapshotReader) PartSource(unitOrds []int) (*PartSource, error) {
 		}
 		units[i] = &r.nodes[o]
 	}
-	return &PartSource{
-		r:        r,
-		units:    units,
-		matTag:   make(map[string][]*xmltree.Node),
-		filtered: make(map[string][]*xmltree.Node),
-	}, nil
+	return &PartSource{r: r, units: units, postings: newPostingCache()}, nil
 }
 
 // Units returns the part's unit roots (global nodes, document order).
 func (p *PartSource) Units() []*xmltree.Node { return p.units }
 
-// appendUnitRange appends the part's members of group g satisfying vt.
-func (p *PartSource) appendUnitRange(dst []*xmltree.Node, g []uint32, vt index.ValueTest) []*xmltree.Node {
-	for _, u := range p.units {
-		uLo := uint32(u.Ord)
-		uHi := uLo + p.r.subtree[u.Ord]
-		lo := lowerBound(g, uLo)
-		hi := lowerBound(g, uHi)
-		for _, o := range g[lo:hi] {
-			if vt.Any() || vt.Matches(p.r.nodes[o].Value) {
-				dst = append(dst, &p.r.nodes[o])
-			}
-		}
-	}
-	return dst
-}
-
 // Nodes returns the part's nodes with the tag in document order.
-// +whirllint:allocok cache fill on the first plan-time Nodes call per tag; probes use AppendCandidates
 func (p *PartSource) Nodes(tag string) []*xmltree.Node {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if cached, ok := p.matTag[tag]; ok {
-		return cached
-	}
-	var out []*xmltree.Node
-	if t, ok := p.r.tagIDs[tag]; ok {
-		g := p.r.tagPostOrds[p.r.tagPostOff[t]:p.r.tagPostOff[t+1]]
-		out = p.appendUnitRange(out, g, index.ValueTest{})
-	}
-	p.matTag[tag] = out
-	return out
+	return p.NodesMatching(tag, index.ValueTest{})
 }
 
-// NodesMatching returns the part's tag nodes satisfying vt.
+// NodesMatching returns the part's tag nodes satisfying vt: the global
+// group intersected with the part's unit intervals.
 // +whirllint:allocok cache fill on the first probe of a (tag, predicate) pair; steady-state hits are allocation-free
 func (p *PartSource) NodesMatching(tag string, vt index.ValueTest) []*xmltree.Node {
-	if vt.Any() {
-		return p.Nodes(tag)
-	}
-	key := tag + "\x01" + vt.Op + "\x01" + vt.Value
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if cached, ok := p.filtered[key]; ok {
-		return cached
-	}
-	var out []*xmltree.Node
-	if t, ok := p.r.tagIDs[tag]; ok {
-		if vt.IsEquality() {
-			if k := p.r.findValKey(uint32(t), vt.Value); k >= 0 {
-				g := p.r.valPostOrds[p.r.valPostOff[k]:p.r.valPostOff[k+1]]
-				out = p.appendUnitRange(out, g, index.ValueTest{})
+	// hit and err dropped: only a miss builds, and the build cannot fail
+	out, _, _ := p.postings.GetOrCreate(postingKey{tag, vt.Op, vt.Value}, func() ([]*xmltree.Node, error) {
+		var out []*xmltree.Node
+		g, filter := p.r.group(tag, vt)
+		for _, u := range p.units {
+			uLo := uint32(u.Ord)
+			for _, o := range g[lowerBound(g, uLo):lowerBound(g, uLo+p.r.subtree[u.Ord])] {
+				if !filter || vt.Matches(p.r.nodes[o].Value) {
+					out = append(out, &p.r.nodes[o])
+				}
 			}
-		} else {
-			g := p.r.tagPostOrds[p.r.tagPostOff[t]:p.r.tagPostOff[t+1]]
-			out = p.appendUnitRange(out, g, vt)
 		}
-	}
-	p.filtered[key] = out
+		return out, nil
+	})
 	return out
 }
 

@@ -15,11 +15,11 @@ import (
 
 // Synopsis is an annotated structure synopsis of a database — a strong
 // dataguide with per-path counts and per-(path, tag) descendant
-// statistics. It answers the component-predicate statistics queries
-// that scorer and plan construction otherwise compute with index scans
-// (exactly — the synopsis is not an estimate), so planning cost is
-// independent of document size and, on a sharded corpus, requires no
-// per-shard fan-out.
+// statistics. It answers the component-predicate statistics queries of
+// value-free nodes (exactly — the synopsis is not an estimate) without
+// touching the index, so their planning cost is independent of document
+// size; a node with a content predicate is computed from its own
+// (tag, value) postings instead (score.CollectStats).
 type Synopsis = synopsis.Synopsis
 
 // QueryPlan is a compiled, cacheable query plan: server plans, a
@@ -65,15 +65,17 @@ type Planner struct {
 }
 
 // NewPlanner returns a planner over the database bounded to capacity
-// cached plans.
+// cached plans. A plan miss resolves value-free predicates from the
+// synopsis and walks the postings of each valued node once — its cost
+// follows those posting lists, not the number of root candidates.
 func (db *Database) NewPlanner(capacity int) *Planner {
 	return &Planner{ix: db.ix, syn: db.Synopsis(), cache: lru.New[string, *QueryPlan](capacity)}
 }
 
 // NewPlanner returns a planner over the sharded corpus bounded to
-// capacity cached plans. Its plans pre-resolve every value-free
-// predicate's statistics from the merged synopsis, so planning fans no
-// probes out across the shards.
+// capacity cached plans. Statistics are a whole-corpus quantity: the
+// merged synopsis and one walk over the corpus's merged postings give
+// the numbers an unsharded planner computes, with no per-shard fan-out.
 func (sdb *ShardedDatabase) NewPlanner(capacity int) *Planner {
 	return &Planner{ix: sdb.corpus, syn: sdb.Synopsis(), cache: lru.New[string, *QueryPlan](capacity)}
 }

@@ -367,9 +367,11 @@ func Approximate(k int) Options { return Options{K: k, Relax: RelaxAll} }
 func Exact(k int) Options { return Options{K: k, Relax: RelaxNone} }
 
 // engineConfig resolves opts against the defaults into a core.Config.
-// The scorer, when defaulted, is built over ix — pass the whole corpus
-// when the config will drive sharded engines, so scores stay comparable
-// across shards.
+// ix is the whole corpus: without Options.Plan one statistics pass over
+// it serves both the default scorer and the engines' routing numbers —
+// handed on as a plan compiled on the spot, its Order left nil so the
+// ascending-id default holds — so scores and routing are the same
+// whether one engine or one per shard evaluates the query.
 func engineConfig(ix index.Source, q *Query, opts Options) (core.Config, error) {
 	if q == nil {
 		return core.Config{}, fmt.Errorf("whirlpool: nil query")
@@ -378,15 +380,26 @@ func engineConfig(ix index.Source, q *Query, opts Options) (core.Config, error) 
 	if k == 0 {
 		k = 10
 	}
-	scorer := opts.Scorer
-	if scorer == nil && opts.Plan != nil {
-		scorer = opts.Plan.Scorer
+	norm := opts.Normalization
+	if norm == score.Raw {
+		norm = score.Sparse
+	}
+	scorer, plan := opts.Scorer, opts.Plan
+	if plan == nil {
+		stats := score.CollectStats(ix, nil, q)
+		if scorer == nil {
+			scorer = score.NewTFIDFFromStats(stats, norm)
+		}
+		var err error
+		if plan, err = core.CompilePlan(stats, q, opts.Relax, scorer, ""); err != nil {
+			return core.Config{}, err
+		}
+		plan.Order = nil
 	}
 	if scorer == nil {
-		norm := opts.Normalization
-		if norm == score.Raw {
-			norm = score.Sparse
-		}
+		scorer = plan.Scorer
+	}
+	if scorer == nil {
 		scorer = score.NewTFIDF(ix, q, norm)
 	}
 	routing := opts.Routing
@@ -403,7 +416,7 @@ func engineConfig(ix index.Source, q *Query, opts Options) (core.Config, error) 
 		Scorer:    scorer,
 		OpCost:    opts.OpCost,
 		Trace:     opts.Trace,
-		Plan:      opts.Plan,
+		Plan:      plan,
 	}, nil
 }
 
