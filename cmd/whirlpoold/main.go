@@ -36,19 +36,71 @@
 // shards at startup: every query then runs one engine per shard in
 // parallel, all pruning against a shared top-k set, and /stats gains a
 // per-shard breakdown.
+//
+// A request is refused with 400 when k exceeds 1000 or the pattern has
+// more than 32 nodes, with 413 when its body exceeds 1 MiB. Connections
+// carry read, write and idle deadlines; SIGINT or SIGTERM closes the
+// listener and gives requests in flight ten seconds to finish.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"log"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro"
 )
+
+// Connection limits. A request is a line of XPath, so the header and
+// body deadlines are short; the write deadline has to outlast the
+// slowest query a client may run without a timeout_ms of its own.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 15 * time.Second
+	writeTimeout      = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+	// shutdownGrace is how long in-flight requests get to finish after
+	// SIGINT/SIGTERM closed the listener.
+	shutdownGrace = 10 * time.Second
+)
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// serve runs srv on ln until it fails or ctx is cancelled, then drains:
+// the listener closes at once, idle connections with it, and requests
+// in flight get shutdownGrace to finish.
+// +whirllint:managed the Serve goroutine reports on errc, read on every path out
+func serve(ctx context.Context, srv *http.Server, ln net.Listener) error {
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	drain, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	err := srv.Shutdown(drain)
+	<-errc // Serve returned http.ErrServerClosed the moment Shutdown began
+	return err
+}
 
 func main() {
 	var (
@@ -113,7 +165,14 @@ func main() {
 	} else {
 		log.Printf("whirlpoold: serving %s (%d nodes%s) on %s", served, db.Size(), mode, *addr)
 	}
-	if err := http.ListenAndServe(*addr, srv); err != nil {
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		log.Fatal(err)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := serve(ctx, newHTTPServer(srv), ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		log.Fatal(err)
+	}
+	log.Printf("whirlpoold: drained, exiting")
 }

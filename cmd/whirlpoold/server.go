@@ -46,10 +46,44 @@ type server struct {
 	// variants of one query share both the plan and the engine.
 	planner *whirlpool.Planner
 
+	// qm holds the metric handles a /query request touches.
+	qm queryMetrics
+
 	// buildHook, when non-nil, runs inside every engine / keyword-index
 	// construction, outside all server locks. Test seam: the contention
 	// tests block it to prove builds do not stall unrelated requests.
 	buildHook func()
+}
+
+// queryMetrics are the registry handles of the /query path, resolved
+// once in newServer: a by-name lookup takes the registry's lock and
+// builds a label key, ten times a request.
+type queryMetrics struct {
+	ok                                       *obs.Counter // http_requests_total{endpoint="query",code="200"}
+	latency, responseBytes                   *obs.Histogram
+	cacheHits, cacheMisses, timeouts         *obs.Counter
+	planHits, planMisses                     *obs.Counter
+	serverOps, created, pruned, prunedRemote *obs.Counter
+	runDuration, planning                    *obs.Histogram
+}
+
+func newQueryMetrics(reg *obs.Registry) queryMetrics {
+	return queryMetrics{
+		ok:            reg.Counter("whirlpoold_http_requests_total", "endpoint", "query", "code", "200"),
+		latency:       reg.Histogram("whirlpoold_http_request_duration_us", "endpoint", "query"),
+		responseBytes: reg.Histogram("whirlpoold_http_response_bytes", "endpoint", "query"),
+		cacheHits:     reg.Counter("whirlpoold_engine_cache_hits_total"),
+		cacheMisses:   reg.Counter("whirlpoold_engine_cache_misses_total"),
+		timeouts:      reg.Counter("whirlpoold_query_timeouts_total"),
+		planHits:      reg.Counter("whirlpoold_plan_cache_hits_total"),
+		planMisses:    reg.Counter("whirlpoold_plan_cache_misses_total"),
+		serverOps:     reg.Counter("whirlpoold_engine_server_ops_total"),
+		created:       reg.Counter("whirlpoold_engine_matches_created_total"),
+		pruned:        reg.Counter("whirlpoold_engine_matches_pruned_total"),
+		prunedRemote:  reg.Counter("whirlpoold_engine_pruned_remote_total"),
+		runDuration:   reg.Histogram("whirlpoold_query_duration_us"),
+		planning:      reg.Histogram("whirlpoold_planning_duration_us"),
+	}
 }
 
 // engineEntry is one cached (query, options) signature: the prepared
@@ -139,10 +173,9 @@ func newServer(db *whirlpool.Database, opts serverOptions) (*server, error) {
 	} else {
 		s.planner = db.NewPlanner(opts.CacheSize)
 	}
-	// Pre-register the plan-cache metrics so /metrics carries them (at
-	// zero) from boot, not from the first hit or miss.
-	s.reg.Counter("whirlpoold_plan_cache_hits_total")
-	s.reg.Counter("whirlpoold_plan_cache_misses_total")
+	// Resolved here, the /query metrics are also on /metrics (at zero)
+	// from boot, not from the first request.
+	s.qm = newQueryMetrics(s.reg)
 	if db.SnapshotBacked() {
 		s.reg.Histogram("whirlpoold_snapshot_open_us").Observe(opts.SnapshotOpen.Microseconds())
 	}
@@ -212,13 +245,18 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, ri)))
 
 	elapsed := time.Since(start)
-	endpoint := endpointLabel(r.URL.Path)
-	s.reg.Counter("whirlpoold_http_requests_total",
-		"endpoint", endpoint, "code", strconv.Itoa(sw.status)).Inc()
-	s.reg.Histogram("whirlpoold_http_request_duration_us", "endpoint", endpoint).
-		Observe(elapsed.Microseconds())
-	s.reg.Histogram("whirlpoold_http_response_bytes", "endpoint", endpoint).
-		Observe(sw.bytes)
+	if endpoint := endpointLabel(r.URL.Path); endpoint == "query" && sw.status == http.StatusOK {
+		s.qm.ok.Inc()
+		s.qm.latency.Observe(elapsed.Microseconds())
+		s.qm.responseBytes.Observe(sw.bytes)
+	} else {
+		s.reg.Counter("whirlpoold_http_requests_total",
+			"endpoint", endpoint, "code", strconv.Itoa(sw.status)).Inc()
+		s.reg.Histogram("whirlpoold_http_request_duration_us", "endpoint", endpoint).
+			Observe(elapsed.Microseconds())
+		s.reg.Histogram("whirlpoold_http_response_bytes", "endpoint", endpoint).
+			Observe(sw.bytes)
+	}
 	if s.accessLog != nil {
 		line, err := json.Marshal(map[string]any{
 			"time":   start.UTC().Format(time.RFC3339Nano),
@@ -242,16 +280,21 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // engineStats is one engine's cumulative instrumentation in /stats.
 type engineStats struct {
-	Key             string       `json:"key"`
-	Runs            int64        `json:"runs"`
-	Aborted         int64        `json:"aborted,omitempty"`
-	ServerOps       int64        `json:"server_ops"`
-	JoinComparisons int64        `json:"join_comparisons"`
-	MatchesCreated  int64        `json:"matches_created"`
-	Pruned          int64        `json:"pruned"`
-	PrunedRemote    int64        `json:"pruned_remote,omitempty"`
-	TotalMS         float64      `json:"total_ms"`
-	Shards          []shardStats `json:"shards,omitempty"`
+	Key             string `json:"key"`
+	Runs            int64  `json:"runs"`
+	Aborted         int64  `json:"aborted,omitempty"`
+	ServerOps       int64  `json:"server_ops"`
+	JoinComparisons int64  `json:"join_comparisons"`
+	MatchesCreated  int64  `json:"matches_created"`
+	// RootVia is the root server's access path, "scan" or
+	// "postings:<tag>" (per shard on a sharded entry, where each part
+	// chooses its own); Roots is how many roots it has produced.
+	RootVia      string       `json:"root_via,omitempty"`
+	Roots        int64        `json:"roots"`
+	Pruned       int64        `json:"pruned"`
+	PrunedRemote int64        `json:"pruned_remote,omitempty"`
+	TotalMS      float64      `json:"total_ms"`
+	Shards       []shardStats `json:"shards,omitempty"`
 }
 
 // shardStats is one shard engine's share of a sharded entry's totals.
@@ -260,6 +303,8 @@ type shardStats struct {
 	Runs           int64   `json:"runs"`
 	ServerOps      int64   `json:"server_ops"`
 	MatchesCreated int64   `json:"matches_created"`
+	RootVia        string  `json:"root_via"`
+	Roots          int64   `json:"roots"`
 	Pruned         int64   `json:"pruned"`
 	PrunedRemote   int64   `json:"pruned_remote"`
 	TotalMS        float64 `json:"total_ms"`
@@ -277,17 +322,22 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			ServerOps:       tot.ServerOps,
 			JoinComparisons: tot.JoinComparisons,
 			MatchesCreated:  tot.MatchesCreated,
+			Roots:           tot.Roots,
 			Pruned:          tot.Pruned,
 			PrunedRemote:    tot.PrunedRemote,
 			TotalMS:         float64(tot.Duration.Microseconds()) / 1000,
 		}
-		if it.Value.sharded != nil {
+		if it.Value.sharded == nil {
+			es.RootVia = it.Value.eng.RootVia()
+		} else {
 			for _, st := range it.Value.sharded.ShardTotals() {
 				es.Shards = append(es.Shards, shardStats{
 					Shard:          st.Shard,
 					Runs:           st.Totals.Runs,
 					ServerOps:      st.Totals.ServerOps,
 					MatchesCreated: st.Totals.MatchesCreated,
+					RootVia:        st.RootVia,
+					Roots:          st.Totals.Roots,
 					Pruned:         st.Totals.Pruned,
 					PrunedRemote:   st.Totals.PrunedRemote,
 					TotalMS:        float64(st.Totals.Duration.Microseconds()) / 1000,
@@ -403,10 +453,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ri := requestInfo(r)
 	if hit {
 		ri.cache = "hit"
-		s.reg.Counter("whirlpoold_engine_cache_hits_total").Inc()
+		s.qm.cacheHits.Inc()
 	} else {
 		ri.cache = "miss"
-		s.reg.Counter("whirlpoold_engine_cache_misses_total").Inc()
+		s.qm.cacheMisses.Inc()
 	}
 	ctx := r.Context()
 	if req.TimeoutMS > 0 {
@@ -419,18 +469,18 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		status := http.StatusInternalServerError
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			status = http.StatusGatewayTimeout
-			s.reg.Counter("whirlpoold_query_timeouts_total").Inc()
+			s.qm.timeouts.Inc()
 		}
 		writeError(w, status, err)
 		return
 	}
 	// Cumulative engine-side measures (the paper's Figures 6–7 and
 	// Table 2 counters), live per process.
-	s.reg.Counter("whirlpoold_engine_server_ops_total").Add(res.Stats.ServerOps)
-	s.reg.Counter("whirlpoold_engine_matches_created_total").Add(res.Stats.MatchesCreated)
-	s.reg.Counter("whirlpoold_engine_matches_pruned_total").Add(res.Stats.Pruned)
-	s.reg.Counter("whirlpoold_engine_pruned_remote_total").Add(res.Stats.PrunedRemote)
-	s.reg.Histogram("whirlpoold_query_duration_us").Observe(res.Stats.Duration.Microseconds())
+	s.qm.serverOps.Add(res.Stats.ServerOps)
+	s.qm.created.Add(res.Stats.MatchesCreated)
+	s.qm.pruned.Add(res.Stats.Pruned)
+	s.qm.prunedRemote.Add(res.Stats.PrunedRemote)
+	s.qm.runDuration.Observe(res.Stats.Duration.Microseconds())
 
 	resp := queryResponse{
 		Answers:      make([]queryAnswer, 0, len(res.Answers)),
@@ -464,6 +514,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // concurrent requests for the same signature share one build, requests
 // for other signatures (and cached ones) proceed immediately.
 func (s *server) engineFor(req queryRequest) (*engineEntry, bool, error) {
+	if req.K > maxK {
+		return nil, false, fmt.Errorf("k = %d exceeds the limit of %d", req.K, maxK)
+	}
 	opts := whirlpool.Approximate(req.K)
 	if req.Exact {
 		opts.Relax = whirlpool.RelaxNone
@@ -484,16 +537,19 @@ func (s *server) engineFor(req queryRequest) (*engineEntry, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
+	if len(q.Nodes) > maxPatternNodes {
+		return nil, false, fmt.Errorf("pattern has %d nodes, the limit is %d", len(q.Nodes), maxPatternNodes)
+	}
 	planStart := time.Now()
 	plan, planHit, err := s.planner.PlanFor(q, opts.Relax, whirlpool.NormSparse)
 	if err != nil {
 		return nil, false, err
 	}
-	s.reg.Histogram("whirlpoold_planning_duration_us").Observe(time.Since(planStart).Microseconds())
+	s.qm.planning.Observe(time.Since(planStart).Microseconds())
 	if planHit {
-		s.reg.Counter("whirlpoold_plan_cache_hits_total").Inc()
+		s.qm.planHits.Inc()
 	} else {
-		s.reg.Counter("whirlpoold_plan_cache_misses_total").Inc()
+		s.qm.planMisses.Inc()
 	}
 	opts.Plan = plan
 	// The engine cache keys on the plan's canonical key — not the query
@@ -590,9 +646,19 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// maxBodyBytes bounds a request body: a request is a line of XPath or
-// a few keywords plus options.
-const maxBodyBytes = 1 << 20
+// Request limits; a request over one is refused with 400 (413 for the
+// body) before any work is done for it.
+const (
+	// maxBodyBytes bounds a request body: a request is a line of XPath
+	// or a few keywords plus options.
+	maxBodyBytes = 1 << 20
+	// maxK bounds the answers one /query may ask for: the top-k set and
+	// the response both grow with k.
+	maxK = 1000
+	// maxPatternNodes bounds a query pattern: a run keeps one queue per
+	// node, and planning walks a posting list for every valued one.
+	maxPatternNodes = 32
+)
 
 // decodeBody reads r's JSON body into v and reports whether it could:
 // a body over maxBodyBytes is refused with 413 without being read to

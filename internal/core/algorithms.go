@@ -62,15 +62,13 @@ func (r *run) serve(m *match, sid int, ws *Scratch, keepAll bool) []*match {
 // The alive set lives in ws.batch between runs.
 func (r *run) runLockStep(ws *Scratch, prune bool) {
 	alive := ws.batch[:0]
-	roots := r.seedRoots()
-	for m := roots.next(); m != nil; m = roots.next() {
+	r.seedRoots().drain(func(m *match) {
 		if prune && !r.checkTopK(m) {
 			r.release(m)
-			continue
+			return
 		}
 		alive = append(alive, m)
-	}
-	roots.flush()
+	})
 	var next []*match
 	for _, sid := range r.order {
 		// Server queues are priority queues too (max-possible-final by
@@ -86,11 +84,14 @@ func (r *run) runLockStep(ws *Scratch, prune bool) {
 			if r.cancelled() {
 				return
 			}
-			if prune && r.prunable(m) {
+			switch {
+			case prune && r.prunable(m):
 				r.drop(m)
-				continue
+			case m.isVisited(sid): // a root born past this server (rootCursor)
+				next = append(next, m)
+			default:
+				next = append(next, r.serve(m, sid, ws, !prune)...)
 			}
-			next = append(next, r.serve(m, sid, ws, !prune)...)
 		}
 		alive, next = next, alive
 	}
@@ -158,16 +159,14 @@ func (r *run) runM() {
 	// The cursor is one live unit while it drains, so the counter cannot
 	// touch zero between two roots.
 	live.add(1)
-	roots := r.seedRoots()
-	for m := roots.next(); m != nil; m = roots.next() {
+	r.seedRoots().drain(func(m *match) {
 		if r.checkTopK(m) {
 			live.add(1)
 			routerQ.push(m, r.priority(m, -1))
 		} else {
 			r.release(m)
 		}
-	}
-	roots.flush()
+	})
 	live.add(-1)
 
 	<-live.done

@@ -181,7 +181,8 @@ type Config struct {
 // counts in Pruned, with the PrunedRemote attribution and trace event
 // of a prune at pop — what eager seeding would have made of it (short
 // of testing the root's structural predicate) — so Pruned may exceed
-// MatchesCreated.
+// MatchesCreated. A candidate a posting stream (Engine.RootVia) runs
+// out without reaching is in no counter: it could not have answered.
 type Stats struct {
 	// ServerOps counts partial matches processed by servers (including
 	// the root server's output as one op per generated match).
@@ -192,6 +193,8 @@ type Stats struct {
 	// MatchesCreated counts partial matches created, the Table 2
 	// scalability metric.
 	MatchesCreated int64
+	// Roots counts the matches the root server's stream produced.
+	Roots int64
 	// Pruned counts partial matches discarded against the top-k set,
 	// plus the root candidates the cursor dropped unmaterialised.
 	Pruned int64
@@ -218,6 +221,7 @@ func (s *Stats) Add(o Stats) {
 	s.ServerOps += o.ServerOps
 	s.JoinComparisons += o.JoinComparisons
 	s.MatchesCreated += o.MatchesCreated
+	s.Roots += o.Roots
 	s.Pruned += o.Pruned
 	s.PrunedRemote += o.PrunedRemote
 	s.Steals += o.Steals

@@ -116,11 +116,19 @@ func sameAnswers(a, b []Answer) bool {
 
 // checkLazyEqualsEager runs cfg with the lazy cursor and with the eager
 // drain and requires the same routed (root, server) sequence and the
-// same answers. It returns both runs' stats.
-func checkLazyEqualsEager(t *testing.T, ix index.Source, q *pattern.Query, s score.Scorer, cfg Config, label string) (lazy, eager Stats) {
+// same answers, over whatever root set the engine streams: every
+// candidate of the root tag on the scan path, the roots a posting list
+// reaches on the posting path. A two-segment stream (posting path under
+// leaf deletion) is held to the same scores only: its second segment is
+// opened when the first runs out, not when priority order says so — a
+// root born past a server is deeper than a first-segment root and would
+// pop ahead of it on a tie if both were queued up front. It returns both
+// runs' stats and the access path.
+func checkLazyEqualsEager(t *testing.T, ix index.Source, q *pattern.Query, s score.Scorer, cfg Config, label string) (lazy, eager Stats, via string) {
 	t.Helper()
 	var res [2]*Result
 	var tr [2]*routeTracer
+	twoSegments := false
 	for i, eagerly := range []bool{false, true} {
 		tr[i] = newRouteTracer(s, eagerly)
 		c := cfg
@@ -132,6 +140,13 @@ func checkLazyEqualsEager(t *testing.T, ix index.Source, q *pattern.Query, s sco
 		if res[i], err = eng.Run(); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
+		via, twoSegments = eng.RootVia(), eng.rootVia != 0 && cfg.Relax.Has(relax.LeafDeletion)
+	}
+	if twoSegments {
+		if !almostEqual(scoresOf(res[0]), scoresOf(res[1])) {
+			t.Fatalf("%s: scores differ:\nlazy  %v\neager %v", label, scoresOf(res[0]), scoresOf(res[1]))
+		}
+		return res[0].Stats, res[1].Stats, via
 	}
 	if len(tr[0].routes) != len(tr[1].routes) {
 		t.Fatalf("%s: lazy routed %d matches, eager %d", label, len(tr[0].routes), len(tr[1].routes))
@@ -144,7 +159,7 @@ func checkLazyEqualsEager(t *testing.T, ix index.Source, q *pattern.Query, s sco
 	if !sameAnswers(res[0].Answers, res[1].Answers) {
 		t.Fatalf("%s: answers differ:\nlazy  %v\neager %v", label, res[0].Answers, res[1].Answers)
 	}
-	return res[0].Stats, res[1].Stats
+	return res[0].Stats, res[1].Stats, via
 }
 
 var (
@@ -155,8 +170,9 @@ var (
 // TestCursorPopSequenceEqualsEagerSeeding is the induction the lazy
 // root cursor rests on, checked end to end: pulling roots only when one
 // could be the next pop routes exactly the matches eager seeding routes,
-// in the same order, for the paper's queries under every queue
-// discipline and routing strategy. Every //item root is admissible, so
+// in the same order, for the paper's queries and two valued ones — whose
+// roots stream from a posting list — under every queue discipline and
+// routing strategy. Every //item root is admissible, so on the scan path
 // the cut's Pruned accounting must agree with eager seeding too (each
 // cut root would have been created and pruned), while the work counters
 // can only shrink.
@@ -165,12 +181,15 @@ func TestCursorPopSequenceEqualsEagerSeeding(t *testing.T) {
 		"//item[./description/parlist]",
 		"//item[./description/parlist and ./mailbox/mail/text]",
 		"//item[./mailbox/mail/text[./bold and ./keyword] and ./name and ./incategory]",
+		"//item[./location = 'United States' and ./quantity = '1']",
+		"//mail[./from and .//keyword = 'officer']",
 	}
 	ks := []int{1, 15, 75}
 	if testing.Short() {
 		ks = []int{15}
 	}
 	saved := false // guards against a vacuous pass: laziness must pay somewhere
+	streamed := 0  // and so must the posting path
 	for qi, xpath := range queries {
 		ix, q, s := xmarkEnv(t, 200, xpath)
 		for _, mode := range []relax.Relaxation{relax.None, relax.All} {
@@ -179,8 +198,10 @@ func TestCursorPopSequenceEqualsEagerSeeding(t *testing.T) {
 					for _, routing := range allRoutings {
 						label := fmt.Sprintf("Q%d/relax=%d/k=%d/%v/%v", qi+1, mode, k, queue, routing)
 						cfg := Config{K: k, Relax: mode, Algorithm: WhirlpoolS, Queue: queue, Routing: routing}
-						lazy, eager := checkLazyEqualsEager(t, ix, q, s, cfg, label)
-						if lazy.Pruned != eager.Pruned {
+						lazy, eager, via := checkLazyEqualsEager(t, ix, q, s, cfg, label)
+						if via != "scan" {
+							streamed++
+						} else if lazy.Pruned != eager.Pruned {
 							t.Fatalf("%s: pruned %d lazily, %d eagerly", label, lazy.Pruned, eager.Pruned)
 						}
 						if lazy.MatchesCreated > eager.MatchesCreated || lazy.ServerOps > eager.ServerOps {
@@ -195,12 +216,15 @@ func TestCursorPopSequenceEqualsEagerSeeding(t *testing.T) {
 	if !saved {
 		t.Fatal("the lazy cursor never created fewer matches than eager seeding")
 	}
+	if want := 2 * 2 * len(ks) * len(allQueues) * len(allRoutings); streamed != want {
+		t.Fatalf("%d configurations streamed roots from a posting list, want the %d of the valued queries", streamed, want)
+	}
 }
 
 // TestCursorPopSequenceRandom repeats the equivalence on random
 // documents and patterns, where root contributions vary (exact and
-// edge-generalized roots mix) and some root candidates are
-// inadmissible.
+// edge-generalized roots mix), some root candidates are inadmissible,
+// root tags nest, and a quarter of the pattern nodes carry a value.
 func TestCursorPopSequenceRandom(t *testing.T) {
 	trials := 60
 	if testing.Short() {
@@ -213,7 +237,7 @@ func TestCursorPopSequenceRandom(t *testing.T) {
 		ix := index.Build(doc)
 		s := score.NewTFIDF(ix, q, score.Sparse)
 		k := 1 + r.Intn(4)
-		for _, mode := range []relax.Relaxation{relax.None, relax.All} {
+		for _, mode := range []relax.Relaxation{relax.None, relax.EdgeGeneralization | relax.SubtreePromotion, relax.All} {
 			for _, queue := range allQueues {
 				routing := allRoutings[r.Intn(len(allRoutings))]
 				label := fmt.Sprintf("trial %d relax=%d k=%d %v/%v q=%s", trial, mode, k, queue, routing, q)

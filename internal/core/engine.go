@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -37,6 +38,8 @@ type Engine struct {
 	allVisited  uint64
 	order       []int             // static order (defaulted)
 	vts         []index.ValueTest // per-node content predicates
+	rootVia     int               // valued node whose postings stream the roots; 0 = scan (rootCursor)
+	member      bool              // ix is one member of a partitioned corpus (NewMember)
 
 	// totals accumulates every run's Stats behind one mutex, taken once
 	// per run; whirlpoold serves it per engine in /stats.
@@ -62,8 +65,22 @@ func (e *Engine) Totals() Totals {
 	return e.totals
 }
 
+// NewMember is New over one member of a partitioned corpus, which
+// enumerates only its own nodes: a part's postings climb into roots the
+// spine owns, and the spine's postings lie in the parts, so it scans.
+func NewMember(ix index.Source, q *pattern.Query, cfg Config, spine bool) (*Engine, error) {
+	e, err := New(ix, q, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if e.member = true; spine {
+		e.rootVia = 0
+	}
+	return e, nil
+}
+
 // New validates cfg and builds an engine for query q over the indexed
-// document ix.
+// document ix, which must be the whole corpus.
 func New(ix index.Source, q *pattern.Query, cfg Config) (*Engine, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -95,6 +112,7 @@ func New(ix index.Source, q *pattern.Query, cfg Config) (*Engine, error) {
 	for id, n := range q.Nodes {
 		e.vts[id] = index.Test(n.ValueOp, n.Value)
 	}
+	e.rootVia = e.shortestPostings()
 	for id := 0; id < q.Size(); id++ {
 		e.maxContrib[id] = cfg.Scorer.MaxContribution(id)
 		e.minContrib[id] = cfg.Scorer.MinContribution(id)
@@ -123,6 +141,36 @@ func New(ix index.Source, q *pattern.Query, cfg Config) (*Engine, error) {
 
 // Query returns the engine's tree pattern.
 func (e *Engine) Query() *pattern.Query { return e.query }
+
+// shortestPostings applies the size rule of Section 6.1.4 to server 0:
+// the valued non-root node with the shortest posting list, if shorter
+// than the root's own candidate list, else 0 — a root with no such
+// posting beneath it cannot bind the node. An inner node whose deletion
+// constrains its pattern children (no subtree promotion) is skipped.
+func (e *Engine) shortestPostings() (via int) {
+	best, rel := -1, e.cfg.Relax
+	for id := 1; id < e.query.Size(); id++ {
+		n := e.query.Nodes[id]
+		if e.vts[id].Any() || len(n.Children) > 0 && rel.Has(relax.LeafDeletion) && !rel.Has(relax.SubtreePromotion) {
+			continue
+		}
+		if best < 0 {
+			best = len(e.ix.NodesMatching(e.query.Root().Tag, e.vts[0]))
+		}
+		if l := len(e.ix.NodesMatching(n.Tag, e.vts[id])); l < best {
+			best, via = l, id
+		}
+	}
+	return via
+}
+
+// RootVia names the root server's access path: "scan" or "postings:<tag>".
+func (e *Engine) RootVia() string {
+	if e.rootVia == 0 {
+		return "scan"
+	}
+	return "postings:" + e.query.Nodes[e.rootVia].Tag
+}
 
 // Run executes the configured algorithm and returns the top-k answers
 // with instrumentation.
@@ -174,6 +222,7 @@ func (r *run) traceStart() {
 			Queue:      r.cfg.Queue.String(),
 			K:          r.cfg.K,
 			QueryNodes: r.query.Size(),
+			RootVia:    r.RootVia(),
 		})
 	}
 }
@@ -215,10 +264,18 @@ func spin(d time.Duration) {
 
 // rootCursor is the root server as a stream: every document node
 // matching the root tag/value and the root's structural predicate spawns
-// a partial match, one per next call, in document order. The run's
-// queue carries it (pq.pull) and materialises a root only when it could
-// be the next pop; Whirlpool-M and the LockSteps, which have no single
-// queue, drain it up front. Counters reach the run's atomics per flush.
+// a partial match, one per next call. The run's queue carries it
+// (pq.pull) and materialises a root only when it could be the next pop;
+// the drivers with no single queue drain it up front. Counters reach the
+// run's atomics per flush.
+//
+// The scan walks cands, the root's own candidates, in document order.
+// The posting path (Engine.rootVia) climbs instead, lazily, from each
+// posting to its root-tag ancestors below the last root considered —
+// from that root up, all came with an earlier posting — which is the
+// root set in document order unless leaf deletion makes via optional:
+// then a second segment walks the cands not reached, born with via
+// deleted, under bounds lowered by via's maximum contribution.
 type rootCursor struct {
 	r     *run
 	cands []*xmltree.Node
@@ -226,35 +283,107 @@ type rootCursor struct {
 	// prioBound and finalBound bound, from above, the router-queue
 	// priority and the maxFinal of every root not yet materialised.
 	prioBound, finalBound float64
-	made, compared        int64 // not yet flushed into r.stats
+	made, compared        int64           // not yet flushed into r.stats
+	post                  []*xmltree.Node // via's postings, walked by pi in either segment
+	pi, last              int             // last: ordinal of the last root the climb considered
+	reached               int             // roots the climb reached that the second segment has yet to skip
+	second                bool            // in the second segment
 }
 
-// seedRoots points the run's cursor at the root candidates. FIFO has no
-// useful priority bound — arrival order is the order — so that
-// discipline drains the cursor on the first pull.
+// seedRoots points the run's cursor at the root candidates and postings.
 func (r *run) seedRoots() *rootCursor {
 	e := r.Engine
-	top := match{score: e.maxContrib[0], maxFinal: e.maxContrib[0] + e.sumMax}
-	r.roots = rootCursor{
-		r:          r,
-		cands:      e.ix.NodesMatching(e.query.Root().Tag, e.vts[0]),
-		prioBound:  e.priority(&top, -1),
-		finalBound: top.maxFinal,
+	r.roots = rootCursor{r: r, cands: e.ix.NodesMatching(e.query.Root().Tag, e.vts[0]), last: -1}
+	if via := e.rootVia; via != 0 {
+		r.roots.post = e.ix.NodesMatching(e.query.Nodes[via].Tag, e.vts[via])
 	}
-	if e.cfg.Queue == QueueFIFO {
-		r.roots.prioBound = math.Inf(1)
-	}
+	r.roots.bound(e.maxContrib[0] + e.sumMax)
 	return &r.roots
+}
+
+// bound sets both bounds from the highest maxFinal a root to come can
+// have. FIFO's arrival order has no useful bound: the first pull drains.
+func (c *rootCursor) bound(maxFinal float64) {
+	e := c.r.Engine
+	top := match{score: e.maxContrib[0], maxFinal: maxFinal}
+	c.prioBound, c.finalBound = e.priority(&top, -1), maxFinal
+	if e.cfg.Queue == QueueFIFO {
+		c.prioBound = math.Inf(1)
+	}
+}
+
+// lower opens the second segment, if there is one to open.
+func (c *rootCursor) lower() bool {
+	e := c.r.Engine
+	if e.rootVia == 0 || c.second || !e.cfg.Relax.Has(relax.LeafDeletion) {
+		return false
+	}
+	c.second, c.pi = true, 0
+	c.bound(c.finalBound - e.maxContrib[e.rootVia])
+	return true
+}
+
+// candidate returns the segment's next root candidate, nil at its end.
+func (c *rootCursor) candidate() *xmltree.Node {
+	e := c.r.Engine
+	if e.rootVia != 0 && !c.second {
+		return c.climb()
+	}
+	for c.pos < len(c.cands) {
+		n := c.cands[c.pos]
+		c.pos++
+		// Second segment (a scan has no postings): the first posting
+		// after n lies below n iff any does, and then n was reached.
+		for c.pi < len(c.post) && c.post[c.pi].Ord <= n.Ord {
+			c.pi++
+		}
+		if c.pi == len(c.post) || !n.ID.IsAncestorOf(c.post[c.pi].ID) {
+			return n
+		}
+		c.reached--
+	}
+	return nil
+}
+
+// climb returns the next root the postings reach: the outermost new
+// root-tag ancestor of the posting in hand, kept while it has a deeper
+// one. Only a member must look it up among its own candidates.
+func (c *rootCursor) climb() *xmltree.Node {
+	e := c.r.Engine
+	rootTag := e.query.Root().Tag
+	for c.pi < len(c.post) {
+		var top *xmltree.Node
+		nested := false
+		for a := c.post[c.pi].Parent; a != nil && a.Ord > c.last; a = a.Parent {
+			if a.Tag == rootTag {
+				top, nested = a, top != nil
+			}
+		}
+		if !nested {
+			c.pi++
+		}
+		if top == nil {
+			continue
+		}
+		c.last = top.Ord
+		own := e.vts[0].Matches(top.Value)
+		if e.member {
+			_, own = slices.BinarySearchFunc(c.cands, top.Ord, func(n *xmltree.Node, ord int) int { return n.Ord - ord })
+		}
+		if own {
+			c.reached++
+			return top
+		}
+	}
+	return nil
 }
 
 var virtualRoot dewey.ID // the document's virtual parent, the root predicate's anchor
 
-// next materialises the next admissible root; nil means exhausted.
+// next materialises the segment's next admissible root; nil ends it.
 func (c *rootCursor) next() *match {
 	e := c.r.Engine
-	for c.pos < len(c.cands) {
-		n := c.cands[c.pos]
-		c.pos++
+	for n := c.candidate(); n != nil; n = c.candidate() {
 		c.compared++
 		variant := score.Exact
 		if !e.plans[0].RootPath.HoldsExact(virtualRoot, n.ID) {
@@ -271,11 +400,25 @@ func (c *rootCursor) next() *match {
 		m.visited = 1
 		m.score = contrib
 		m.maxFinal = contrib + e.sumMax
+		if via := uint(e.rootVia); c.second { // what process at server via would have made of it
+			m.visited, m.missing = 1|1<<via, 1<<via
+			m.maxFinal -= e.maxContrib[via]
+		}
 		m.seq = c.r.nextSeq()
 		c.made++
 		return m
 	}
 	return nil
+}
+
+// drain materialises every root there is, for the drivers that seed up front.
+func (c *rootCursor) drain(each func(*match)) {
+	for more := true; more; more = c.lower() {
+		for m := c.next(); m != nil; m = c.next() {
+			each(m)
+		}
+	}
+	c.flush()
 }
 
 // flush publishes the roots materialised since the last flush: one
@@ -288,6 +431,7 @@ func (c *rootCursor) flush() {
 	st.joinComparisons.Add(c.compared)
 	st.serverOps.Add(c.made)
 	st.matchesCreated.Add(c.made)
+	st.roots.Add(c.made)
 	c.r.traceMatch(obs.MatchesSpawned, int(c.made))
 	c.made, c.compared = 0, 0
 }

@@ -240,6 +240,7 @@ func (p *ParallelRun) finish() (Stats, error) {
 			ServerOps:       stats.ServerOps,
 			JoinComparisons: stats.JoinComparisons,
 			MatchesCreated:  stats.MatchesCreated,
+			Roots:           stats.Roots,
 			Pruned:          stats.Pruned,
 			PrunedRemote:    stats.PrunedRemote,
 			Answers:         answers,

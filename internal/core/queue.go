@@ -146,9 +146,9 @@ func (q *pq) pull() {
 	for q.due() && !r.cancelled() {
 		var m *match
 		if t, ok := r.topk.threshold(); ok && c.finalBound <= t+pruneEps {
-			r.prune(len(c.cands) - c.pos)
-		} else {
-			m = c.next()
+			r.prune(len(c.cands) - c.pos - c.reached)
+		} else if m = c.next(); m == nil && c.lower() {
+			continue // the second segment: due and the cut under its bounds
 		}
 		if m == nil { // cut or exhausted: the cursor retires
 			q.roots = nil

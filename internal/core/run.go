@@ -56,6 +56,7 @@ type runStats struct {
 	serverOps       atomic.Int64
 	joinComparisons atomic.Int64
 	matchesCreated  atomic.Int64
+	roots           atomic.Int64
 	pruned          atomic.Int64
 	prunedRemote    atomic.Int64
 }
@@ -65,6 +66,7 @@ func (s *runStats) snapshot() Stats {
 		ServerOps:       s.serverOps.Load(),
 		JoinComparisons: s.joinComparisons.Load(),
 		MatchesCreated:  s.matchesCreated.Load(),
+		Roots:           s.roots.Load(),
 		Pruned:          s.pruned.Load(),
 		PrunedRemote:    s.prunedRemote.Load(),
 	}

@@ -2,10 +2,13 @@ package index_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/pattern"
+	"repro/internal/relax"
 	"repro/internal/score"
 	"repro/internal/xmltree"
 )
@@ -45,6 +48,101 @@ func FuzzCollectStats(f *testing.F) {
 			exact, relaxed := bruteStats(doc, q, id)
 			if got.Exact[id] != exact || got.Relaxed[id] != relaxed {
 				t.Fatalf("%s node %d over %q: stats (%+v, %+v), want (%+v, %+v)", q, id, raw, got.Exact[id], got.Relaxed[id], exact, relaxed)
+			}
+		}
+	})
+}
+
+// rootRecorder is a Scorer that notes the ordinal of every root the
+// engine's root server materialises, in order.
+type rootRecorder struct {
+	score.Scorer
+	ords []int
+}
+
+func (s *rootRecorder) Contribution(id int, v score.Variant, n *xmltree.Node) float64 {
+	if id == 0 {
+		s.ords = append(s.ords, n.Ord)
+	}
+	return s.Scorer.Contribution(id, v, n)
+}
+
+// FuzzRootStream holds the root server's posting stream to a brute-force
+// tree walk on arbitrary documents. //root[path op value] is drained by
+// LockStep-NoPrun, which materialises every root the cursor has. When
+// the engine streams from the valued node's postings, exact mode must
+// produce exactly the roots with a matching proper descendant, in
+// ascending ordinal order without duplicates; under leaf deletion those
+// come first and every other root candidate follows, ascending, so each
+// candidate appears exactly once. On the scan path it is every
+// candidate in order. The committed seed corpus
+// (testdata/fuzz/FuzzRootStream) adds nested-root documents.
+func FuzzRootStream(f *testing.F) {
+	nested := []byte("<a><b>5</b><a><c><b>5</b></c><a><b>7</b></a></a><b>5</b></a><a><b>5</b></a><a><a/></a>")
+	f.Add(nested, "a", ".//b", "=", "7")
+	f.Add(nested, "a", "./b", "=", "5")
+	f.Add(nested, "a", "./a/c/b", "<=", "6")
+	f.Add(nested, "a", ".//a[./b]", "", "")
+	f.Add(nested, "b", "./a", "=", "5")
+	f.Add([]byte("<a>gold<a><a>gold</a></a><a/></a>"), "a", ".//a", "=", "gold")
+	f.Add([]byte("<r><x><y>1</y></x><x/><x><y>2</y><y>1</y></x></r>"), "x", "./y[./z]", "=", "1")
+	f.Fuzz(func(t *testing.T, raw []byte, rootTag, path, op, value string) {
+		doc, err := xmltree.Parse(bytes.NewReader(raw))
+		if err != nil || len(doc.Nodes) > 4096 {
+			return
+		}
+		xpath := "//" + rootTag + "[" + path
+		switch op {
+		case "":
+		case "<", "<=", ">", ">=":
+			xpath += " " + op + " " + value
+		default:
+			xpath += " " + op + " '" + value + "'"
+		}
+		q, err := pattern.Parse(xpath + "]")
+		if err != nil || q.Validate() != nil {
+			return
+		}
+		ix := index.Build(doc)
+		var reached, others []int // brute force: candidates with and without a posting below
+		for _, n := range doc.Nodes {
+			if n.Tag != rootTag {
+				continue
+			}
+			below := false
+			for _, d := range doc.Nodes[n.Ord+1:] {
+				if !n.ID.IsAncestorOf(d.ID) {
+					break
+				}
+				for id := 1; id < q.Size(); id++ {
+					qn := q.Nodes[id]
+					below = below || qn.Value != "" && d.Tag == qn.Tag && index.Test(qn.ValueOp, qn.Value).Matches(d.Value)
+				}
+			}
+			if below {
+				reached = append(reached, n.Ord)
+			} else {
+				others = append(others, n.Ord)
+			}
+		}
+		for _, mode := range []relax.Relaxation{relax.None, relax.EdgeGeneralization, relax.LeafDeletion, relax.All} {
+			rec := &rootRecorder{Scorer: score.NewTFIDF(ix, q, score.Sparse)}
+			eng, err := core.New(ix, q, core.Config{K: 1, Relax: mode, Algorithm: core.LockStepNoPrune, Scorer: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			want := reached
+			if mode.Has(relax.LeafDeletion) || eng.RootVia() == "scan" {
+				want = slices.Concat(reached, others)
+			}
+			if eng.RootVia() == "scan" {
+				slices.Sort(want)
+			}
+			if !slices.Equal(rec.ords, want) {
+				t.Fatalf("%s over %q, relax %v via %s: streamed roots %v, want %v", q, raw, mode, eng.RootVia(), rec.ords, want)
 			}
 		}
 	})

@@ -13,6 +13,9 @@ type RunInfo struct {
 	Queue      string `json:"queue"`
 	K          int    `json:"k"`
 	QueryNodes int    `json:"query_nodes"`
+	// RootVia is the root server's access path: "scan", or
+	// "postings:<tag>" when roots stream from a valued node's postings.
+	RootVia string `json:"root_via"`
 }
 
 // RunSummary reports the evaluation's final instrumentation — the
@@ -22,7 +25,9 @@ type RunSummary struct {
 	ServerOps       int64 `json:"server_ops"`
 	JoinComparisons int64 `json:"join_comparisons"`
 	MatchesCreated  int64 `json:"matches_created"`
-	Pruned          int64 `json:"pruned"`
+	// Roots is how many of those the root server's stream produced.
+	Roots  int64 `json:"roots"`
+	Pruned int64 `json:"pruned"`
 	// PrunedRemote is the subset of Pruned discarded while the threshold
 	// was owned by another shard of a sharded evaluation (0 standalone).
 	PrunedRemote int64 `json:"pruned_remote,omitempty"`

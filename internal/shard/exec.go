@@ -45,7 +45,9 @@ type runner struct {
 // once over the corpus and handed to every shard as a plan compiled on
 // the spot, its Order left nil so the ascending-id default holds.
 // Sub-sources without a single root candidate are skipped: they cannot
-// spawn a match.
+// spawn a match. Each engine is a core.NewMember: a part may stream its
+// roots from its own postings, the spine — whose postings lie in the
+// parts — scans.
 func (c *Corpus) NewEngines(q *pattern.Query, cfg core.Config) (*Engines, error) {
 	if cfg.Scorer == nil {
 		return nil, fmt.Errorf("shard: Config.Scorer is required (build it over the whole corpus)")
@@ -65,7 +67,8 @@ func (c *Corpus) NewEngines(q *pattern.Query, cfg core.Config) (*Engines, error)
 		if len(sub.NodesMatching(root.Tag, vt)) == 0 {
 			continue
 		}
-		eng, err := core.New(sub, q, cfg)
+		_, spine := sub.(*spineView)
+		eng, err := core.NewMember(sub, q, cfg, spine)
 		if err != nil {
 			return nil, err
 		}
@@ -142,6 +145,7 @@ func (e *Engines) observe(stats []core.Stats, pool *poolState, mergeDur time.Dur
 				ServerOps:       st.ServerOps,
 				JoinComparisons: st.JoinComparisons,
 				MatchesCreated:  st.MatchesCreated,
+				Roots:           st.Roots,
 				Pruned:          st.Pruned,
 				PrunedRemote:    st.PrunedRemote,
 				StolenMatches:   stolenFrom,
@@ -179,8 +183,11 @@ func (e *Engines) observe(stats []core.Stats, pool *poolState, mergeDur time.Dur
 
 // ShardTotal is one shard engine's cumulative instrumentation.
 type ShardTotal struct {
-	Shard  int
-	Totals core.Totals
+	Shard int
+	// RootVia is the shard engine's root access path (core.Engine.RootVia):
+	// each part chooses its own, the spine always scans.
+	RootVia string
+	Totals  core.Totals
 }
 
 // ShardTotals snapshots every shard engine's cumulative totals across
@@ -188,7 +195,7 @@ type ShardTotal struct {
 func (e *Engines) ShardTotals() []ShardTotal {
 	out := make([]ShardTotal, 0, len(e.engs))
 	for _, rn := range e.engs {
-		out = append(out, ShardTotal{Shard: rn.shard, Totals: rn.eng.Totals()})
+		out = append(out, ShardTotal{Shard: rn.shard, RootVia: rn.eng.RootVia(), Totals: rn.eng.Totals()})
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dewey"
@@ -325,5 +326,59 @@ func TestLegacyV1FileNamed(t *testing.T) {
 	}
 	if _, err := OpenSnapshot(path); err == nil || !strings.Contains(err.Error(), "retired v1 .wpx format") {
 		t.Fatalf("OpenSnapshot on a v1 file: %v", err)
+	}
+}
+
+// TestSnapshotFirstTouchConcurrentClimb: the node slab is built on the
+// first touch, which a sharded evaluation makes from several engines at
+// once — each fetching its part's postings and climbing Parent links,
+// as the root server's posting stream does. Every goroutine must see
+// one fully wired slab (run under -race).
+func TestSnapshotFirstTouchConcurrentClimb(t *testing.T) {
+	doc := genDoc(t, 60)
+	snap := fullSnapshot(t, doc)
+	r := parseSnap(t, writeSnap(t, snap))
+	lay := snap.Shards[1]
+	want := 0
+	for _, n := range doc.Nodes {
+		if n.Tag == "keyword" {
+			want++
+		}
+	}
+	got := make([]int, lay.P)
+	var wg sync.WaitGroup
+	for i, units := range lay.Units {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ps, err := r.PartSource(units)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, kw := range ps.Nodes("keyword") {
+				top := kw
+				for a := kw.Parent; a != nil; a = a.Parent {
+					if !a.ID.IsAncestorOf(kw.ID) || r.Document().Nodes[a.Ord] != a {
+						t.Errorf("part %d: keyword %d climbs through a foreign node %v", i, kw.Ord, a)
+						return
+					}
+					top = a
+				}
+				if top.Tag != "site" {
+					t.Errorf("part %d: keyword %d climbs to %v", i, kw.Ord, top)
+					return
+				}
+				got[i]++
+			}
+		}()
+	}
+	wg.Wait()
+	sum := 0
+	for _, n := range got {
+		sum += n
+	}
+	if sum != want || want == 0 {
+		t.Fatalf("parts hold %d keyword postings, document %d", sum, want)
 	}
 }
