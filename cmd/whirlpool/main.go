@@ -37,7 +37,6 @@ func main() {
 		stats     = flag.Bool("stats", false, "print evaluation statistics")
 		bindings  = flag.Bool("bindings", false, "print per-answer bindings")
 		saveSnap  = flag.String("save-snapshot", "", "write a zero-copy mmap snapshot (.wpxs) to this path; -query becomes optional")
-		snShards  = flag.String("snapshot-shards", "", "comma-separated shard counts to persist layouts for (with -save-snapshot)")
 		snScopes  = flag.String("snapshot-keyword", "", "comma-separated keyword scope tags to persist (with -save-snapshot)")
 	)
 	flag.Parse()
@@ -46,14 +45,14 @@ func main() {
 		os.Exit(2)
 	}
 	if err := run(*file, *queryStr, *k, *algorithm, *routing, *queue, *norm, *exact, *stats, *bindings,
-		*saveSnap, *snShards, *snScopes); err != nil {
+		*saveSnap, *snScopes); err != nil {
 		fmt.Fprintln(os.Stderr, "whirlpool:", err)
 		os.Exit(1)
 	}
 }
 
 func run(file, queryStr string, k int, algorithm, routing, queue, norm string, exact, stats, bindings bool,
-	saveSnap, snShards, snScopes string) error {
+	saveSnap, snScopes string) error {
 	var db *whirlpool.Database
 	var err error
 	if strings.HasPrefix(filepath.Ext(file), ".wpx") {
@@ -69,15 +68,6 @@ func run(file, queryStr string, k int, algorithm, routing, queue, norm string, e
 	defer db.Close()
 	if saveSnap != "" {
 		opts := whirlpool.SnapshotOptions{}
-		if snShards != "" {
-			for _, s := range strings.Split(snShards, ",") {
-				var p int
-				if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &p); err != nil || p < 1 {
-					return fmt.Errorf("bad -snapshot-shards entry %q", s)
-				}
-				opts.Shards = append(opts.Shards, p)
-			}
-		}
 		if snScopes != "" {
 			for _, s := range strings.Split(snScopes, ",") {
 				opts.KeywordScopes = append(opts.KeywordScopes, strings.TrimSpace(s))

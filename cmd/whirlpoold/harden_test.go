@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -179,5 +182,40 @@ func TestStatsReportRootAccessPath(t *testing.T) {
 	if s.qm.ok != s.reg.Counter("whirlpoold_http_requests_total", "endpoint", "query", "code", "200") ||
 		s.qm.serverOps != s.reg.Counter("whirlpoold_engine_server_ops_total") {
 		t.Fatal("a handle resolved at boot is not the series its name resolves to")
+	}
+}
+
+// TestHandlerPanicIsA500: a panic inside a handler costs that request a
+// 500 — counted, logged with its stack, access-logged like any other —
+// and nothing else: the next request is served.
+func TestHandlerPanicIsA500(t *testing.T) {
+	var access, stderr bytes.Buffer
+	log.SetOutput(&stderr)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	s := testServerOpts(t, serverOptions{AccessLog: log.New(&access, "", 0)})
+	s.mux.HandleFunc("/boom", func(http.ResponseWriter, *http.Request) { panic("boom") })
+
+	if w := get(t, s, "/boom"); w.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking handler: status %d, want 500", w.Code)
+	}
+	if got := s.panics.Value(); got != 1 {
+		t.Fatalf("whirlpoold_panics_total = %d, want 1", got)
+	}
+	if !strings.Contains(get(t, s, "/metrics?format=prometheus").Body.String(), "whirlpoold_panics_total 1") {
+		t.Fatal("/metrics does not report the panic")
+	}
+	var line struct {
+		Path   string `json:"path"`
+		Status int    `json:"status"`
+	}
+	first, _, _ := strings.Cut(access.String(), "\n")
+	if err := json.Unmarshal([]byte(first), &line); err != nil || line.Path != "/boom" || line.Status != http.StatusInternalServerError {
+		t.Fatalf("access log line %q (%v), want /boom with status 500", first, err)
+	}
+	if !strings.Contains(stderr.String(), "boom") || !strings.Contains(stderr.String(), "harden_test.go") {
+		t.Fatalf("panic log %q names neither the value nor the handler's frame", stderr.String())
+	}
+	if w := post(t, s, "/query", queryRequest{Query: "//item[./name]", K: 3}); w.Code != http.StatusOK {
+		t.Fatalf("request after the panic: status %d %s", w.Code, w.Body.String())
 	}
 }

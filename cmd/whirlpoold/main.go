@@ -5,10 +5,10 @@
 //	whirlpoold -file site.xml -addr :8080
 //	whirlpoold -snapshot site.wpxs -addr :8080   # mmap, no build pass
 //
-// -snapshot boots from a zero-copy snapshot: postings, Dewey arrays,
-// synopsis and shard layouts are served straight from mapped pages, so
-// startup skips the parse/index/synopsis builds entirely and concurrent
-// daemons share one kernel page cache. A -file given alongside acts as a
+// -snapshot boots from a zero-copy snapshot: postings, Dewey arrays and
+// the synopsis are served straight from mapped pages, so startup skips
+// the parse/index/synopsis builds entirely and concurrent daemons share
+// one kernel page cache. A -file given alongside acts as a
 // fallback when the snapshot is missing or corrupt.
 //
 // Endpoints:
@@ -38,9 +38,11 @@
 // per-shard breakdown.
 //
 // A request is refused with 400 when k exceeds 1000 or the pattern has
-// more than 32 nodes, with 413 when its body exceeds 1 MiB. Connections
-// carry read, write and idle deadlines; SIGINT or SIGTERM closes the
-// listener and gives requests in flight ten seconds to finish.
+// more than 32 nodes, with 413 when its body exceeds 1 MiB; a handler
+// that panics answers 500 (whirlpoold_panics_total) and the daemon
+// serves on. Connections carry read, write and idle deadlines; SIGINT
+// or SIGTERM closes the listener and gives requests in flight ten
+// seconds to finish.
 package main
 
 import (

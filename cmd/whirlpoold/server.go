@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
@@ -48,6 +49,8 @@ type server struct {
 
 	// qm holds the metric handles a /query request touches.
 	qm queryMetrics
+	// panics counts handler panics answered with 500 (see dispatch).
+	panics *obs.Counter
 
 	// buildHook, when non-nil, runs inside every engine / keyword-index
 	// construction, outside all server locks. Test seam: the contention
@@ -176,6 +179,7 @@ func newServer(db *whirlpool.Database, opts serverOptions) (*server, error) {
 	// Resolved here, the /query metrics are also on /metrics (at zero)
 	// from boot, not from the first request.
 	s.qm = newQueryMetrics(s.reg)
+	s.panics = s.reg.Counter("whirlpoold_panics_total")
 	if db.SnapshotBacked() {
 		s.reg.Histogram("whirlpoold_snapshot_open_us").Observe(opts.SnapshotOpen.Microseconds())
 	}
@@ -211,14 +215,16 @@ type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
+	wrote  bool // the status line is on the wire
 }
 
 func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
+	w.status, w.wrote = status, true
 	w.ResponseWriter.WriteHeader(status)
 }
 
 func (w *statusWriter) Write(p []byte) (int, error) {
+	w.wrote = true
 	n, err := w.ResponseWriter.Write(p)
 	w.bytes += int64(n)
 	return n, err
@@ -237,12 +243,13 @@ func endpointLabel(path string) string {
 
 // ServeHTTP dispatches to the mux wrapped in the observability
 // middleware: per-endpoint request counters and latency/size
-// histograms, plus one structured access-log line per request.
+// histograms, plus one structured access-log line per request — a
+// request whose handler panicked included.
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ri := &reqInfo{cache: "-"}
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	s.mux.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, ri)))
+	s.dispatch(sw, r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, ri)))
 
 	elapsed := time.Since(start)
 	if endpoint := endpointLabel(r.URL.Path); endpoint == "query" && sw.status == http.StatusOK {
@@ -272,6 +279,30 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			s.accessLog.Printf("%s", line)
 		}
 	}
+}
+
+// dispatch runs the mux. A panicking handler costs its own request a
+// 500 — counted, logged with its stack, and still metered and
+// access-logged by ServeHTTP — instead of the connection; net/http's
+// own abort signal passes through.
+func (s *server) dispatch(sw *statusWriter, r *http.Request) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		if p == http.ErrAbortHandler {
+			panic(p)
+		}
+		s.panics.Inc()
+		log.Printf("whirlpoold: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
+		if sw.wrote {
+			sw.status = http.StatusInternalServerError // too late for the client; the log and metrics still say so
+			return
+		}
+		http.Error(sw, "internal server error", http.StatusInternalServerError)
+	}()
+	s.mux.ServeHTTP(sw, r)
 }
 
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {

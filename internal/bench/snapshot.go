@@ -16,9 +16,8 @@ import (
 	"repro/internal/xmltree"
 )
 
-// snapshotShards is the shard count whose layout the snapshot cases
-// persist and the full-build case re-derives — the same 8-way layout the
-// rest of BENCH_core.json exercises.
+// snapshotShards is the shard count the full-build case partitions for
+// — the same 8-way layout the rest of BENCH_core.json exercises.
 const snapshotShards = 8
 
 // snapshotScope is the keyword scope the cases build and persist.
@@ -28,8 +27,8 @@ const snapshotScope = "item"
 // collapses, on the same pinned corpus as the rest of BENCH_core.json:
 //
 //	full-build           parse the XML, build the postings index,
-//	                     synopsis, keyword index and 8-way shard layout
-//	                     — what a boot without a snapshot pays every time
+//	                     synopsis and keyword index, partition 8 ways —
+//	                     what a boot without a snapshot pays every time
 //	snapshot-write       build the v2 snapshot bytes for that same state
 //	                     and fsync-rename them into place (a one-time cost)
 //	snapshot-open        open the snapshot: mmap, CRC-32C over the body,
@@ -69,41 +68,23 @@ func snapshotCases(out io.Writer, env *Env, rounds int) ([]benchCase, error) {
 		if err != nil {
 			return err
 		}
-		index.Build(doc)
+		ix := index.Build(doc)
 		synopsis.Build(doc)
 		keyword.Build(doc, snapshotScope)
-		_, err = shard.Split(doc, snapshotShards)
+		_, err = shard.Partition(doc, ix, snapshotShards)
 		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("bench: full build: %w", err)
 	}
 
-	// The snapshot carries exactly the state full-build derives:
-	// document, synopsis, keyword scope and the 8-way layout (plus the
-	// trivial 1-shard layout, matching SaveSnapshot's daemon defaults).
+	// The snapshot carries the state full-build derives; the partition
+	// is not stored (a snapshot-backed boot recomputes it in
+	// milliseconds).
 	snap := &store.Snapshot{
 		Doc:      env.Doc,
 		Synopsis: synopsis.Build(env.Doc).Flatten(),
 		Keyword:  []*keyword.Flat{keyword.Build(env.Doc, snapshotScope).Flatten()},
-	}
-	for _, p := range []int{1, snapshotShards} {
-		corpus, err := shard.Split(env.Doc, p)
-		if err != nil {
-			return nil, err
-		}
-		lay := store.ShardLayout{P: p}
-		for _, s := range corpus.Spine() {
-			lay.Spine = append(lay.Spine, s.Ord)
-		}
-		for _, part := range corpus.Parts() {
-			ords := make([]int, len(part.Units))
-			for i, u := range part.Units {
-				ords[i] = u.Ord
-			}
-			lay.Units = append(lay.Units, ords)
-		}
-		snap.Shards = append(snap.Shards, lay)
 	}
 
 	tmp, err := os.CreateTemp("", "whirlbench-*.wpxs")
@@ -131,10 +112,6 @@ func snapshotCases(out io.Writer, env *Env, rounds int) ([]benchCase, error) {
 		// Open validates everything (header, CRC, structure) but defers
 		// the node-slab build; the first-query case below measures that
 		// deferred cost so it stays visible.
-		if len(r.ShardCounts()) == 0 {
-			r.Close()
-			return fmt.Errorf("bench: snapshot lost its shard layouts")
-		}
 		return r.Close()
 	})
 	if err != nil {
@@ -168,7 +145,7 @@ func snapshotCases(out io.Writer, env *Env, rounds int) ([]benchCase, error) {
 		{Name: "snapshot-open", Shards: snapshotShards, NsPerOp: openWall.Nanoseconds(), Speedup: speedup(openWall)},
 		{Name: "snapshot-first-query", Shards: snapshotShards, NsPerOp: firstWall.Nanoseconds(), Speedup: speedup(firstWall)},
 	}
-	fmt.Fprintf(out, "bench: %-20s %12d ns/op  (parse+index+synopsis+keyword+split)\n", "full-build", buildWall.Nanoseconds())
+	fmt.Fprintf(out, "bench: %-20s %12d ns/op  (parse+index+synopsis+keyword+partition)\n", "full-build", buildWall.Nanoseconds())
 	fmt.Fprintf(out, "bench: %-20s %12d ns/op  %.2fx  (%d bytes)\n", "snapshot-write", writeWall.Nanoseconds(),
 		speedup(writeWall), snapBytes)
 	fmt.Fprintf(out, "bench: %-20s %12d ns/op  %.2fx  cold-start win (mmap+checksum+validate)\n", "snapshot-open",

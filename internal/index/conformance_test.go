@@ -22,7 +22,10 @@ import (
 // sourceCase is one index.Source implementation under test.
 type sourceCase struct {
 	name string
-	src  index.Source
+	// backing names the implementation that answers src's probes: src
+	// itself, or what its Corpus or member view is laid over.
+	backing string
+	src     index.Source
 	// doc is the document whose *xmltree.Node pointers src hands out (a
 	// snapshot reader serves its own node slab, not the document it was
 	// written from).
@@ -40,10 +43,10 @@ func (c sourceCase) whole() bool { return c.owns == nil }
 
 func (c sourceCase) owned(n *xmltree.Node) bool { return c.owns == nil || c.owns(n) }
 
-// sourceCases builds every index.Source implementation over doc: the
-// in-memory Index, the snapshot reader and its per-part sources, the
-// partitioned Corpus (split, rebuilt from its stored layout, and
-// rebuilt over snapshot parts) and the Corpus's spine view.
+// sourceCases builds the access paths over doc: the two backings — the
+// in-memory Index and the snapshot reader — each whole, through the
+// partitioned Corpus (which only embeds it) and through every member
+// view of a p-way partition, the spine's included.
 func sourceCases(t *testing.T, doc *xmltree.Document, p int) []sourceCase {
 	t.Helper()
 	var buf bytes.Buffer
@@ -54,60 +57,44 @@ func sourceCases(t *testing.T, doc *xmltree.Document, p int) []sourceCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus, err := shard.Split(doc, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []sourceCase{
-		{"Index", index.Build(doc), doc, nil},
-		{"SnapshotReader", r, r.Document(), nil},
-		{"Corpus", corpus, doc, nil},
-	}
-
-	onSpine := make(map[int]bool)
-	var spine []int
-	for _, s := range corpus.Spine() {
-		onSpine[s.Ord] = true
-		spine = append(spine, s.Ord)
-	}
-	var units [][]int
-	var partSources []index.Source
-	for i, part := range corpus.Parts() {
-		isUnit := make(map[int]bool)
-		var ords []int
-		for _, u := range part.Units {
-			isUnit[u.Ord] = true
-			ords = append(ords, u.Ord)
-		}
-		ps, err := r.PartSource(ords)
+	var cases []sourceCase
+	for _, backing := range []struct {
+		name string
+		src  index.Source
+		doc  *xmltree.Document
+	}{{"Index", index.Build(doc), doc}, {"SnapshotReader", r, r.Document()}} {
+		corpus, err := shard.Partition(backing.doc, backing.src, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		units = append(units, ords)
-		partSources = append(partSources, ps)
-		cases = append(cases, sourceCase{fmt.Sprintf("PartSource-%d", i), ps, r.Document(), func(n *xmltree.Node) bool {
-			for ; n != nil; n = n.Parent {
-				if isUnit[n.Ord] {
-					return true
-				}
+		cases = append(cases,
+			sourceCase{backing.name, backing.name, backing.src, backing.doc, nil},
+			sourceCase{backing.name + "/Corpus", backing.name, corpus, backing.doc, nil})
+		// The reference ownership: a node belongs to the part holding its
+		// nearest unit-root ancestor, or to the spine when it has none.
+		home := make(map[int]int)
+		for _, s := range corpus.Spine() {
+			home[s.Ord] = p
+		}
+		for _, part := range corpus.Parts() {
+			for _, u := range part.Units {
+				home[u.Ord] = part.ID
 			}
-			return false
-		}})
-	}
-	rebuilt, err := shard.FromLayout(doc, spine, units, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	overSnapshot, err := shard.FromLayout(r.Document(), spine, units, partSources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases = append(cases,
-		sourceCase{"Corpus/from-layout", rebuilt, doc, nil},
-		sourceCase{"Corpus/snapshot-parts", overSnapshot, r.Document(), nil})
-	if subs := corpus.ShardSources(); len(subs) > len(corpus.Parts()) {
-		cases = append(cases, sourceCase{"spineView", subs[len(subs)-1], doc,
-			func(n *xmltree.Node) bool { return onSpine[n.Ord] }})
+		}
+		for m, view := range corpus.ShardSources() {
+			name := fmt.Sprintf("%s/view-%d", backing.name, m)
+			if m == p {
+				name = backing.name + "/spine"
+			}
+			cases = append(cases, sourceCase{name, backing.name, view, backing.doc, func(n *xmltree.Node) bool {
+				for ; n != nil; n = n.Parent {
+					if h, ok := home[n.Ord]; ok {
+						return h == m
+					}
+				}
+				return false
+			}})
+		}
 	}
 	return cases
 }
@@ -306,10 +293,9 @@ func statShapes(d conformanceDoc) []string {
 // up to their root-tag ancestors — to bruteStats on every node of every
 // shape, and the root node's own predicate to a count of the roots
 // (exactly: the forest roots only, under a leading /). It runs on
-// whole-corpus sources only: nothing collects statistics on a shard's
-// sub-source (PartSource, the spine view) any more — a part sees only
-// its own postings and the spine's lie in the parts — so those cases
-// are gone from here and stay in checkContract.
+// whole-corpus sources only: nothing collects statistics on a member
+// view — a part sees only its own postings and the spine's lie in the
+// parts — so those cases stay in checkContract.
 func checkStats(t *testing.T, c sourceCase, d conformanceDoc) {
 	for _, xpath := range statShapes(d) {
 		q := pattern.MustParse(xpath)
@@ -341,13 +327,14 @@ func checkStats(t *testing.T, c sourceCase, d conformanceDoc) {
 	}
 }
 
-// TestSourceConformance runs every index.Source implementation through
-// the contract and statistics checks on XMark and random documents, at
-// shard counts that leave the spine empty (1) and populated (4).
+// TestSourceConformance runs both backings, whole and through every
+// member view, through the contract and statistics checks on XMark and
+// random documents, at shard counts 2 and 8.
 func TestSourceConformance(t *testing.T) {
 	for _, d := range conformanceDocs(t) {
-		for _, p := range []int{1, 4} {
-			for _, c := range sourceCases(t, d.doc, p) {
+		for _, p := range []int{2, 8} {
+			cases := sourceCases(t, d.doc, p)
+			for _, c := range cases {
 				t.Run(fmt.Sprintf("%s/p=%d/%s", d.name, p, c.name), func(t *testing.T) {
 					checkContract(t, c, d)
 					if c.whole() {
@@ -355,13 +342,82 @@ func TestSourceConformance(t *testing.T) {
 					}
 				})
 			}
+			t.Run(fmt.Sprintf("%s/p=%d/tiling", d.name, p), func(t *testing.T) { checkTiling(t, cases, d) })
 		}
 	}
 }
 
-// TestPostingCachesBounded holds the four sources that cache (tag,
-// value test) posting lists — Index, SnapshotReader, PartSource, Corpus
-// — to one bound: the value in the key comes from the request, so 5 000
+// checkTiling holds the member views of each backing to the partition
+// contract: for every probed (tag, value test) their lists are
+// ascending, pairwise disjoint, and concatenate-and-sort to the
+// backing's own list.
+func checkTiling(t *testing.T, cases []sourceCase, d conformanceDoc) {
+	for _, whole := range cases {
+		if whole.name != whole.backing {
+			continue
+		}
+		for _, tag := range d.tags {
+			for _, vt := range d.vts {
+				var union []*xmltree.Node
+				seen := make(map[*xmltree.Node]string)
+				for _, c := range cases {
+					if c.whole() || c.backing != whole.backing {
+						continue
+					}
+					list := c.src.NodesMatching(tag, vt)
+					for i, n := range list {
+						if i > 0 && list[i-1].Ord >= n.Ord {
+							t.Fatalf("%s NodesMatching(%q, %v) is not ascending at %d", c.name, tag, vt, i)
+						}
+						if other, dup := seen[n]; dup {
+							t.Fatalf("NodesMatching(%q, %v): node %d is in %s and %s", tag, vt, n.Ord, other, c.name)
+						}
+						seen[n] = c.name
+					}
+					union = append(union, list...)
+				}
+				slices.SortFunc(union, func(a, b *xmltree.Node) int { return a.Ord - b.Ord })
+				if want := whole.src.NodesMatching(tag, vt); !slices.Equal(union, want) {
+					t.Fatalf("%s views tile NodesMatching(%q, %v) as %v, want %v", whole.name, tag, vt, union, want)
+				}
+			}
+		}
+	}
+}
+
+// TestViewProbesAllocateNothing: a warm enumeration and a structural
+// probe through a member view are the backing's plus a table lookup.
+func TestViewProbesAllocateNothing(t *testing.T) {
+	d := conformanceDocs(t)[0]
+	views := 0
+	for _, c := range sourceCases(t, d.doc, 8) {
+		if c.whole() {
+			continue
+		}
+		own := slices.Concat(c.src.Nodes("item"), c.src.Nodes("site")) // a part's anchor, or the spine's
+		if len(own) == 0 {
+			continue
+		}
+		views++
+		for _, vt := range []index.ValueTest{{}, index.ValueEq("1"), index.Test("<", "3")} {
+			c.src.NodesMatching("quantity", vt)
+			dst := c.src.AppendCandidates(nil, own[0], dewey.Descendant, "quantity", vt)
+			if allocs := testing.AllocsPerRun(100, func() {
+				c.src.NodesMatching("quantity", vt)
+				dst = c.src.AppendCandidates(dst[:0], own[0], dewey.Descendant, "quantity", vt)
+			}); allocs != 0 {
+				t.Errorf("%s: warm NodesMatching + AppendCandidates(%v) allocate %v times per call", c.name, vt, allocs)
+			}
+		}
+	}
+	if views < 2*9 {
+		t.Fatalf("only %d member views probed, want both backings' eight parts and spine", views)
+	}
+}
+
+// TestPostingCachesBounded holds every source that caches (tag, value
+// test) posting lists — Index, SnapshotReader and the member views —
+// to one bound: the value in the key comes from the request, so 5 000
 // distinct constants must leave at most lru.PostingsCap lists cached.
 // A cached list is recognised by its backing array: a hit hands out the
 // same slice, a rebuilt entry a new one. Results must equal a fresh
@@ -371,9 +427,6 @@ func TestPostingCachesBounded(t *testing.T) {
 	const tag, constants = "quantity", 5000
 	vtFor := func(i int) index.ValueTest { return index.Test("!=", fmt.Sprintf("c%04d", i)) }
 	for _, c := range sourceCases(t, d.doc, 4) {
-		if c.name == "spineView" {
-			continue // filters per call, caches nothing
-		}
 		t.Run(c.name, func(t *testing.T) {
 			var want []*xmltree.Node
 			for _, n := range c.doc.Nodes {
@@ -382,7 +435,7 @@ func TestPostingCachesBounded(t *testing.T) {
 				}
 			}
 			if len(want) == 0 {
-				t.Skip("part holds no quantity node")
+				t.Skip("member holds no quantity node")
 			}
 			backing := make([]**xmltree.Node, constants)
 			for i := range backing {

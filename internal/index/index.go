@@ -113,10 +113,12 @@ func (ix *Index) AppendCandidates(dst []*xmltree.Node, anchor *xmltree.Node, axi
 }
 
 // rangeScan appends the postings inside anchor's descendant Dewey range
-// to dst.
+// to dst. Postings ascend in preorder ordinal (Build walks doc.Nodes),
+// so the first one after anchor is found on Ord: one load per step, no
+// Dewey array read.
 func (ix *Index) rangeScan(dst []*xmltree.Node, anchor *xmltree.Node, tag string, vt ValueTest) []*xmltree.Node {
 	postings := ix.NodesMatching(tag, vt)
-	lo := firstAfter(postings, anchor.ID)
+	lo := sort.Search(len(postings), func(i int) bool { return postings[i].Ord > anchor.Ord })
 	for i := lo; i < len(postings); i++ {
 		if !anchor.ID.IsAncestorOf(postings[i].ID) {
 			break
@@ -124,12 +126,4 @@ func (ix *Index) rangeScan(dst []*xmltree.Node, anchor *xmltree.Node, tag string
 		dst = append(dst, postings[i])
 	}
 	return dst
-}
-
-// firstAfter returns the index of the first posting strictly after id in
-// document order.
-func firstAfter(postings []*xmltree.Node, id dewey.ID) int {
-	return sort.Search(len(postings), func(i int) bool {
-		return postings[i].ID.Compare(id) > 0
-	})
 }

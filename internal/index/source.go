@@ -8,14 +8,14 @@ import (
 // Source is the access-path contract the engine, the scorers and the
 // reference evaluators consume: root candidates (Nodes, NodesMatching)
 // and "the tag nodes on this axis of this anchor" (AppendCandidates) —
-// all a Whirlpool server needs from storage (Section 5). The in-memory
-// Index implements it, as do the mmap-backed store.SnapshotReader and
-// its per-shard store.PartSource, and the partitioned shard.Corpus with
-// its spine view; swapping implementations exercises the paper's
-// observation that adaptivity pays off most "in scenarios where data is
-// stored on disk" (Section 6.3.3). Database statistics are not part of
-// the contract: score.CollectStats derives them from Nodes,
-// NodesMatching and the nodes' Parent links.
+// all a Whirlpool server needs from storage (Section 5). Two backings
+// implement it — the in-memory Index and the mmap-backed
+// store.SnapshotReader — and View restricts either to one member of a
+// partition (shard.Corpus only embeds its backing); swapping backings
+// exercises the paper's observation that adaptivity pays off most "in
+// scenarios where data is stored on disk" (Section 6.3.3). Database
+// statistics are not part of the contract: score.CollectStats derives
+// them from Nodes, NodesMatching and the nodes' Parent links.
 type Source interface {
 	// Nodes returns all nodes with the given tag in document order.
 	Nodes(tag string) []*xmltree.Node

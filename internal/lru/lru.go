@@ -14,8 +14,8 @@ import (
 )
 
 // PostingsCap bounds every cache of (tag, value test) posting lists —
-// index.Index, store.SnapshotReader, store.PartSource and shard.Corpus
-// each keep one. The value in the key comes from the request, so an
+// index.Index, store.SnapshotReader and each index.View keep one. The
+// value in the key comes from the request, so an
 // unbounded map would grow with every distinct constant a client sends.
 const PostingsCap = 1024
 

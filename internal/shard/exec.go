@@ -29,8 +29,8 @@ type Engines struct {
 	lastPeak    atomic.Int64
 }
 
-// runner pairs an engine with its shard id (the index of its sub-source
-// in the corpus's ShardSources — the spine, when present, is the last).
+// runner pairs an engine with its shard id (the index of its member in
+// the corpus's ShardSources — the spine, when present, is the last).
 type runner struct {
 	shard int
 	eng   *core.Engine
@@ -40,11 +40,11 @@ type runner struct {
 // the standard engine configuration; cfg.Scorer must be built against
 // the whole corpus (one global scorer keeps scores — and therefore the
 // shared threshold — comparable across shards). Routing statistics are a
-// whole-corpus quantity too (a sub-source sees only its own postings,
+// whole-corpus quantity too (a member sees only its own postings,
 // and the spine's lie in the parts): without cfg.Plan they are collected
 // once over the corpus and handed to every shard as a plan compiled on
 // the spot, its Order left nil so the ascending-id default holds.
-// Sub-sources without a single root candidate are skipped: they cannot
+// Members without a single root candidate are skipped: they cannot
 // spawn a match. Each engine is a core.NewMember: a part may stream its
 // roots from its own postings, the spine — whose postings lie in the
 // parts — scans.
@@ -53,7 +53,7 @@ func (c *Corpus) NewEngines(q *pattern.Query, cfg core.Config) (*Engines, error)
 		return nil, fmt.Errorf("shard: Config.Scorer is required (build it over the whole corpus)")
 	}
 	if cfg.Plan == nil {
-		plan, err := core.CompilePlan(score.CollectStats(c, nil, q), q, cfg.Relax, cfg.Scorer, "")
+		plan, err := core.CompilePlan(score.CollectStats(c.Source, nil, q), q, cfg.Relax, cfg.Scorer, "")
 		if err != nil {
 			return nil, err
 		}
@@ -63,12 +63,11 @@ func (c *Corpus) NewEngines(q *pattern.Query, cfg core.Config) (*Engines, error)
 	root := q.Root()
 	vt := index.Test(root.ValueOp, root.Value)
 	e := &Engines{cfg: cfg}
-	for shard, sub := range c.ShardSources() {
+	for shard, sub := range c.members {
 		if len(sub.NodesMatching(root.Tag, vt)) == 0 {
 			continue
 		}
-		_, spine := sub.(*spineView)
-		eng, err := core.NewMember(sub, q, cfg, spine)
+		eng, err := core.NewMember(sub, q, cfg, shard == len(c.parts))
 		if err != nil {
 			return nil, err
 		}

@@ -1,23 +1,21 @@
 // Package shard implements Whirlpool's sharded execution layer: one
 // document forest is partitioned into P disjoint shards of complete
-// subtrees, each with its own index.Index and per-shard engine, and the
-// shards evaluate a query concurrently against a single shared global
-// top-k set (core.SharedTopK). A high-scoring answer found on one shard
-// immediately raises the currentTopK threshold every other shard prunes
-// against, so the paper's adaptive-pruning insight (Section 5)
-// parallelizes without weakening: the shared threshold is at all times a
-// lower bound on the true global k-th best score, and results merge
-// deterministically (score descending, document order ascending).
+// subtrees, each a view of the corpus's one index.Source with its own
+// engine, and the shards evaluate a query concurrently against a single
+// shared global top-k set (core.SharedTopK). A high-scoring answer found
+// on one shard immediately raises the currentTopK threshold every other
+// shard prunes against, so the paper's adaptive-pruning insight
+// (Section 5) parallelizes without weakening: the shared threshold is at
+// all times a lower bound on the true global k-th best score, and
+// results merge deterministically (score descending, document order
+// ascending).
 package shard
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/index"
-	"repro/internal/lru"
-	"repro/internal/synopsis"
 	"repro/internal/xmltree"
 )
 
@@ -27,63 +25,50 @@ import (
 const splitFactor = 4
 
 // Part is one shard of a partitioned corpus: a set of complete subtrees
-// ("units") with their own postings index. The part's view document
-// shares the corpus's nodes — Dewey IDs and preorder ordinals stay
-// global — so every structural probe anchored inside the part returns
-// exactly what a whole-document index would.
+// ("units") of the one document.
 type Part struct {
 	// ID is the shard number, 0-based.
 	ID int
 	// Units are the subtree roots assigned to this shard, in document
 	// order.
 	Units []*xmltree.Node
-	// Doc is the part's view: Roots are the units, Nodes their subtrees
-	// in global preorder. Node ordinals are NOT re-numbered.
-	Doc *xmltree.Document
-	// Ix is the part's access path: an index.Index built over the view
-	// (Split), or a snapshot-backed source serving the same probes from
-	// mapped postings (FromLayout).
-	Ix index.Source
 	// NodeCount is the number of nodes in the part.
 	NodeCount int
 }
 
-// Corpus is a partitioned document forest. It implements index.Source
-// over the whole forest (merging across parts); ShardSources is the
+// Corpus is a document forest, its one access path and a partition of
+// its nodes. It is an index.Source only by embedding that access path:
+// a probe on the corpus is a probe on the whole. ShardSources is the
 // partition the per-shard engines run over.
 type Corpus struct {
-	doc   *xmltree.Document
+	index.Source
 	parts []*Part
 	// spine holds the interior nodes that were cut to expose their
 	// children as units: the ancestors of every unit, in document order.
-	// Their (small) residual forest is evaluated by a dedicated spine
-	// sub-source, since their subtrees span parts.
-	spine      []*xmltree.Node
-	spineByTag map[string][]*xmltree.Node
-	// homes locates a node's shard: unit-root ordinal -> part ID, spine
-	// ordinal -> -1. Every document node resolves by walking to its
-	// nearest mapped ancestor.
-	homes map[int]int
-
-	// merged caches merged (tag, value test) postings; it locks itself.
-	merged *lru.Cache[postingKey, []*xmltree.Node]
-
-	mu  sync.Mutex
-	syn *synopsis.Synopsis // memoized corpus synopsis (see synopsis.go)
+	// Their subtrees span parts, so they form one more member.
+	spine []*xmltree.Node
+	// members are the partition as views of Source: one per part, then
+	// the spine's when there is one.
+	members []*index.View
 }
 
-// postingKey identifies one cached (tag, value test) posting list; the
-// value comes from the request, so the cache it keys is bounded.
-type postingKey struct{ tag, op, value string }
-
-// Split partitions doc into p shards of complete subtrees. The unit pool
-// starts as the forest roots; while it holds fewer than splitFactor*p
-// units, the largest unit with children is cut — moved to the spine, its
-// children promoted to units — so even a single-rooted document (an
-// XMark site) yields enough units to balance. Units are then assigned to
-// shards longest-processing-time first. Part indexes are built in
-// parallel, one goroutine per part.
+// Split is Partition over a freshly built index of doc.
 func Split(doc *xmltree.Document, p int) (*Corpus, error) {
+	if doc == nil {
+		return nil, fmt.Errorf("shard: nil document")
+	}
+	return Partition(doc, index.Build(doc), p)
+}
+
+// Partition divides doc, served by ix, into p shards of complete
+// subtrees. The unit pool starts as the forest roots; the largest unit
+// with children is cut — moved to the spine, its children promoted to
+// units — until the pool holds splitFactor*p units and none exceeds a
+// shard's fair share, so even a single-rooted document (an XMark site)
+// balances. Units are then assigned to shards longest-processing-time
+// first. The result is one ordinal → member table over ix: nothing is
+// indexed a second time.
+func Partition(doc *xmltree.Document, ix index.Source, p int) (*Corpus, error) {
 	if doc == nil {
 		return nil, fmt.Errorf("shard: nil document")
 	}
@@ -97,36 +82,28 @@ func Split(doc *xmltree.Document, p int) (*Corpus, error) {
 	}
 	sizes := subtreeSizes(doc)
 	units, spine := cut(doc, p, sizes)
-	c := &Corpus{
-		doc:        doc,
-		spine:      spine,
-		spineByTag: make(map[string][]*xmltree.Node),
-		homes:      make(map[int]int),
-		merged:     lru.New[postingKey, []*xmltree.Node](lru.PostingsCap),
-	}
-	for _, s := range spine {
-		c.spineByTag[s.Tag] = append(c.spineByTag[s.Tag], s)
-		c.homes[s.Ord] = -1
-	}
-	c.parts = assign(units, sizes, p)
+	c := &Corpus{Source: ix, spine: spine, parts: assign(units, sizes, p)}
+	// A unit's subtree is the ordinal interval [Ord, Ord+size); the
+	// spine is member p.
+	owner := make([]int32, len(doc.Nodes))
 	for _, part := range c.parts {
 		for _, u := range part.Units {
-			c.homes[u.Ord] = part.ID
+			part.NodeCount += sizes[u.Ord]
+			for o := u.Ord; o < u.Ord+sizes[u.Ord]; o++ {
+				owner[o] = int32(part.ID)
+			}
 		}
 	}
-	// Build the per-part views and indexes in parallel — the sharded
-	// replacement for one sequential whole-document index.Build.
-	var wg sync.WaitGroup
-	for _, part := range c.parts {
-		wg.Add(1)
-		go func(part *Part) {
-			defer wg.Done()
-			part.Doc = viewDoc(part.Units)
-			part.NodeCount = len(part.Doc.Nodes)
-			part.Ix = index.Build(part.Doc)
-		}(part)
+	for _, s := range spine {
+		owner[s.Ord] = int32(p)
 	}
-	wg.Wait()
+	members := p
+	if len(spine) > 0 {
+		members++
+	}
+	for m := 0; m < members; m++ {
+		c.members = append(c.members, index.NewView(ix, owner, m))
+	}
 	return c, nil
 }
 
@@ -227,34 +204,18 @@ func assign(units []*xmltree.Node, sizes []int, p int) []*Part {
 	return parts
 }
 
-// viewDoc builds a part's view document: the units as roots and their
-// subtrees as the preorder node slice. Node ordinals and Dewey IDs are
-// left untouched — they stay globally unique and globally ordered, which
-// is what keeps per-part indexes exact for their own anchors (and makes
-// Renumber on a view a corruption; none is ever called).
-func viewDoc(units []*xmltree.Node) *xmltree.Document {
-	view := &xmltree.Document{Roots: units}
-	var walk func(n *xmltree.Node)
-	walk = func(n *xmltree.Node) {
-		view.Nodes = append(view.Nodes, n)
-		for _, ch := range n.Children {
-			walk(ch)
-		}
-	}
-	for _, u := range units {
-		walk(u)
-	}
-	return view
-}
-
 // Parts returns the partition, shard order.
 func (c *Corpus) Parts() []*Part { return c.parts }
 
 // Spine returns the cut interior nodes, document order.
 func (c *Corpus) Spine() []*xmltree.Node { return c.spine }
 
-// Doc returns the underlying whole document.
-func (c *Corpus) Doc() *xmltree.Document { return c.doc }
+// ShardSources returns the partition NewEngines runs one engine over
+// each member of: one view per part, plus — when interior nodes were
+// cut — the spine's, last. Together the members' root sets partition
+// the corpus's; a part's probes stay inside its own subtrees, the
+// spine's reach into the parts below it.
+func (c *Corpus) ShardSources() []*index.View { return c.members }
 
 // PartInfo describes one shard's share of the corpus for layout
 // reporting (whirlpoold /stats, whirlbench tables).

@@ -119,11 +119,11 @@ func sameScores(t *testing.T, label string, want, got []ordAnswer, identical boo
 // random documents and random valued patterns, for every relaxation
 // family, queue discipline, routing strategy and k, an engine that
 // streams its roots from a posting list answers like one that scans
-// every root candidate and like the naive evaluator — over all five
-// index.Source implementations: the in-memory Index, the snapshot
-// reader, the partitioned Corpus as one source, and the sharded
-// executors over built parts and over snapshot PartSources, each with a
-// spine view whose engine must scan.
+// every root candidate and like the naive evaluator — over the
+// in-memory Index, the snapshot reader, the partitioned Corpus as one
+// source, and the sharded executors over member views of the built and
+// of the snapshot backing, each with a spine view whose engine must
+// scan.
 func TestRootStreamEquivalence(t *testing.T) {
 	trials := 120
 	if testing.Short() {
@@ -147,28 +147,16 @@ func TestRootStreamEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		corpus, err := shard.Split(doc, 8)
+		corpus, err := shard.Partition(doc, ix, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var spine []int
 		for _, s := range corpus.Spine() {
-			spine = append(spine, s.Ord)
 			if s.Tag == "a" {
 				spineRoots++
 			}
 		}
-		var units [][]int
-		var partSources []index.Source
-		for _, part := range corpus.Parts() {
-			ords := nodeOrds(part.Units)
-			ps, err := snap.PartSource(ords)
-			if err != nil {
-				t.Fatal(err)
-			}
-			units, partSources = append(units, ords), append(partSources, ps)
-		}
-		overSnapshot, err := shard.FromLayout(snap.Document(), spine, units, partSources)
+		overSnapshot, err := shard.Partition(snap.Document(), snap, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +230,7 @@ func TestRootStreamEquivalence(t *testing.T) {
 			for _, sharded := range []struct {
 				name string
 				c    *shard.Corpus
-			}{{"parts", corpus}, {"snapshot-parts", overSnapshot}} {
+			}{{"built", corpus}, {"snapshot", overSnapshot}} {
 				tally := &rootTally{Scorer: s, times: make(map[int]int)}
 				shardCfg := cfg
 				shardCfg.Scorer = tally

@@ -73,25 +73,24 @@ func TestSplitPartitionInvariants(t *testing.T) {
 					seen[s.Ord]++
 				}
 				for _, part := range c.Parts() {
-					lastOrd := -1
-					for _, n := range part.Doc.Nodes {
-						seen[n.Ord]++
-						if n.Ord <= lastOrd {
-							t.Fatalf("part %d view not in document order", part.ID)
-						}
-						lastOrd = n.Ord
-					}
-					// Complete subtrees: every child of a part node is in
-					// the same part.
+					lastOrd, nodes := -1, 0
+					// Complete subtrees: a part's nodes are its units and
+					// everything below them.
 					for _, u := range part.Units {
-						for _, d := range u.Descendants() {
-							if d.Parent == nil {
-								t.Fatalf("descendant %v lost its parent", d)
+						for _, n := range append([]*xmltree.Node{u}, u.Descendants()...) {
+							seen[n.Ord]++
+							nodes++
+							if n.Ord <= lastOrd {
+								t.Fatalf("part %d not in document order", part.ID)
+							}
+							lastOrd = n.Ord
+							if n != u && n.Parent == nil {
+								t.Fatalf("descendant %v lost its parent", n)
 							}
 						}
 					}
-					if part.NodeCount != len(part.Doc.Nodes) {
-						t.Fatalf("part %d NodeCount = %d, want %d", part.ID, part.NodeCount, len(part.Doc.Nodes))
+					if part.NodeCount != nodes {
+						t.Fatalf("part %d NodeCount = %d, want %d", part.ID, part.NodeCount, nodes)
 					}
 				}
 				if len(seen) != doc.Size() {
@@ -240,24 +239,4 @@ func TestShardSourcesPartitionRoots(t *testing.T) {
 			t.Fatalf("tag %q: sub-sources hold %d nodes, corpus %d", tag, total, want)
 		}
 	}
-}
-
-func nodeOrds(ns []*xmltree.Node) []int {
-	out := make([]int, len(ns))
-	for i, n := range ns {
-		out[i] = n.Ord
-	}
-	return out
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

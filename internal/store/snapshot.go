@@ -33,12 +33,12 @@ type SnapshotReader struct {
 	tags   []string // aliases the tag blob
 	tagIDs map[string]int
 
-	// The node slab is materialized lazily on first touch (Document,
-	// PartSource, the first plan-time enumeration): every input column is
-	// validated at open, so materialization cannot fail, and opening a
-	// snapshot stays O(map + checksum + validation) — the per-process
-	// boot cost N daemons sharing one page cache each pay. docReady
-	// gates the fast path with one atomic load; mu guards the build.
+	// The node slab is materialized lazily on first touch (Document, the
+	// first enumeration): every input column is validated at open, so
+	// materialization cannot fail, and opening a snapshot stays O(map +
+	// checksum + validation) — the per-process boot cost N daemons
+	// sharing one page cache each pay. docReady gates the fast path with
+	// one atomic load; mu guards the build.
 	docReady atomic.Bool
 	nodes    []xmltree.Node
 	doc      *xmltree.Document
@@ -64,22 +64,16 @@ type SnapshotReader struct {
 
 	syn        *synopsis.Synopsis
 	keywordSec map[string]section
-	layouts    map[int]ShardLayout
 
-	postings *postingCache // (tag, value test) postings as node pointers; locks itself
+	// postings holds materialized (tag, value test) posting lists as
+	// node pointers. The value in the key comes from the request, so the
+	// cache is bounded; it locks itself.
+	postings *lru.Cache[postingKey, []*xmltree.Node]
 
 	mu sync.Mutex // guards the lazy node-slab build
 }
 
-// postingCache holds materialized (tag, value test) posting lists. The
-// value in the key comes from the request, so the cache is bounded.
-type postingCache = lru.Cache[postingKey, []*xmltree.Node]
-
 type postingKey struct{ tag, op, value string }
-
-func newPostingCache() *postingCache {
-	return lru.New[postingKey, []*xmltree.Node](lru.PostingsCap)
-}
 
 var _ index.Source = (*SnapshotReader)(nil)
 
@@ -174,21 +168,6 @@ func (r *SnapshotReader) KeywordScopes() []string {
 	return out
 }
 
-// ShardCounts lists the shard counts with persisted partition layouts.
-func (r *SnapshotReader) ShardCounts() []int {
-	out := make([]int, 0, len(r.layouts))
-	for p := range r.layouts {
-		out = append(out, p)
-	}
-	return out
-}
-
-// Layout returns the persisted partition layout for p shards, if any.
-func (r *SnapshotReader) Layout(p int) (ShardLayout, bool) {
-	l, ok := r.layouts[p]
-	return l, ok
-}
-
 // sectionSizes maps kinds to their element width for length validation;
 // 1 marks byte blobs.
 var sectionSizes = map[uint32]uint64{
@@ -196,7 +175,7 @@ var sectionSizes = map[uint32]uint64{
 	secSubtree: 4, secValueOffsets: 4, secValueBlob: 1, secDeweyOffsets: 4,
 	secDeweyComps: 8, secTagPostOff: 4, secTagPostOrds: 4, secValPostTags: 4,
 	secValPostKeyOff: 4, secValPostKeys: 1, secValPostOff: 4, secValPostOrds: 4,
-	secKeyword: 0, secShardSpine: 4, secShardUnits: 4,
+	secKeyword: 0,
 	secSynMeta: 8, secSynTagIDs: 4, secSynTagCount: 8, secSynTagValued: 8,
 	secSynPathParent: 4, secSynPathTag: 4, secSynPathCount: 8,
 	secSynDescPath: 4, secSynDescTag: 4, secSynDescOff: 8, secSynArrays: 8,
@@ -216,12 +195,9 @@ func newSnapshotReader(data []byte, release func() error, mapped bool) (*Snapsho
 		release:    release,
 		mapped:     mapped,
 		keywordSec: make(map[string]section),
-		layouts:    make(map[int]ShardLayout),
-		postings:   newPostingCache(),
+		postings:   lru.New[postingKey, []*xmltree.Node](lru.PostingsCap),
 	}
 	single := make(map[uint32]section)
-	spines := make(map[int32]section)
-	unitSecs := make(map[int32]section)
 	var kwSecs []section
 	for i, s := range secs {
 		elem, known := sectionSizes[s.kind]
@@ -239,10 +215,6 @@ func newSnapshotReader(data []byte, release func() error, mapped bool) (*Snapsho
 		switch s.kind {
 		case secKeyword:
 			kwSecs = append(kwSecs, s)
-		case secShardSpine:
-			spines[s.shard] = s
-		case secShardUnits:
-			unitSecs[s.shard] = s
 		default:
 			if _, dup := single[s.kind]; dup {
 				return nil, fmt.Errorf("store: duplicate %s section (table entry %d)", sectionName(s.kind), i)
@@ -275,9 +247,6 @@ func newSnapshotReader(data []byte, release func() error, mapped bool) (*Snapsho
 		if err := r.loadSynopsis(get); err != nil {
 			return nil, err
 		}
-	}
-	if err := r.loadLayouts(spines, unitSecs); err != nil {
-		return nil, err
 	}
 	return r, nil
 }
@@ -727,57 +696,6 @@ func (r *SnapshotReader) Keyword(scopeTag string) (*keyword.Index, bool, error) 
 	return ix, true, nil
 }
 
-// loadLayouts parses the persisted shard layouts.
-func (r *SnapshotReader) loadLayouts(spines, unitSecs map[int32]section) error {
-	n := r.n
-	for p := range unitSecs {
-		if _, ok := spines[p]; !ok {
-			// An empty spine (p=1) may be elided; synthesize a zero-length entry.
-			spines[p] = section{kind: secShardSpine, shard: p}
-		}
-	}
-	for p, sp := range spines {
-		if p < 1 {
-			return fmt.Errorf("store: shard layout for invalid shard count %d (section at offset %d)", p, sp.off)
-		}
-		us, ok := unitSecs[p]
-		if !ok {
-			return fmt.Errorf("store: shard layout for p=%d has a spine but no units section", p)
-		}
-		lay := ShardLayout{P: int(p)}
-		if sp.len > 0 {
-			for _, o := range u32view(sp.data(r.data)) {
-				if int(o) >= n {
-					return fmt.Errorf("store: shard spine for p=%d names ordinal %d of %d nodes (offset %d)", p, o, n, sp.off)
-				}
-				lay.Spine = append(lay.Spine, int(o))
-			}
-		}
-		words := u32view(us.data(r.data))
-		for len(words) > 0 {
-			cnt := int(words[0])
-			words = words[1:]
-			if cnt < 0 || cnt > len(words) {
-				return fmt.Errorf("store: shard units for p=%d truncated (offset %d)", p, us.off)
-			}
-			part := make([]int, cnt)
-			for i := 0; i < cnt; i++ {
-				if int(words[i]) >= n {
-					return fmt.Errorf("store: shard unit for p=%d names ordinal %d of %d nodes (offset %d)", p, words[i], n, us.off)
-				}
-				part[i] = int(words[i])
-			}
-			words = words[cnt:]
-			lay.Units = append(lay.Units, part)
-		}
-		if len(lay.Units) != int(p) {
-			return fmt.Errorf("store: shard layout for p=%d holds %d part lists (offset %d)", p, len(lay.Units), us.off)
-		}
-		r.layouts[int(p)] = lay
-	}
-	return nil
-}
-
 // ---- index.Source ----------------------------------------------------
 
 // Nodes returns all nodes with the tag in document order.
@@ -934,71 +852,4 @@ func lowerBound(g []uint32, x uint32) int {
 		}
 	}
 	return lo
-}
-
-// ---- per-part source -------------------------------------------------
-
-// PartSource serves one shard's view of the snapshot. Because shard
-// parts hold complete subtrees with global ordinals, every probe
-// anchored at a part node is answered by the global mapped postings
-// unchanged; only whole-part enumerations (Nodes, NodesMatching)
-// intersect the global groups with the part's unit intervals.
-type PartSource struct {
-	r     *SnapshotReader
-	units []*xmltree.Node
-
-	postings *postingCache // the part's (tag, value test) postings
-}
-
-var _ index.Source = (*PartSource)(nil)
-
-// PartSource wires a source over the part whose unit roots have the
-// given global ordinals (one entry of a persisted ShardLayout).
-func (r *SnapshotReader) PartSource(unitOrds []int) (*PartSource, error) {
-	r.ensureDoc()
-	units := make([]*xmltree.Node, len(unitOrds))
-	for i, o := range unitOrds {
-		if o < 0 || o >= len(r.nodes) {
-			return nil, fmt.Errorf("store: part unit ordinal %d outside the %d-node document", o, len(r.nodes))
-		}
-		units[i] = &r.nodes[o]
-	}
-	return &PartSource{r: r, units: units, postings: newPostingCache()}, nil
-}
-
-// Units returns the part's unit roots (global nodes, document order).
-func (p *PartSource) Units() []*xmltree.Node { return p.units }
-
-// Nodes returns the part's nodes with the tag in document order.
-func (p *PartSource) Nodes(tag string) []*xmltree.Node {
-	return p.NodesMatching(tag, index.ValueTest{})
-}
-
-// NodesMatching returns the part's tag nodes satisfying vt: the global
-// group intersected with the part's unit intervals.
-// +whirllint:allocok cache fill on the first probe of a (tag, predicate) pair; steady-state hits are allocation-free
-func (p *PartSource) NodesMatching(tag string, vt index.ValueTest) []*xmltree.Node {
-	// hit and err dropped: only a miss builds, and the build cannot fail
-	out, _, _ := p.postings.GetOrCreate(postingKey{tag, vt.Op, vt.Value}, func() ([]*xmltree.Node, error) {
-		var out []*xmltree.Node
-		g, filter := p.r.group(tag, vt)
-		for _, u := range p.units {
-			uLo := uint32(u.Ord)
-			for _, o := range g[lowerBound(g, uLo):lowerBound(g, uLo+p.r.subtree[u.Ord])] {
-				if !filter || vt.Matches(p.r.nodes[o].Value) {
-					out = append(out, &p.r.nodes[o])
-				}
-			}
-		}
-		return out, nil
-	})
-	return out
-}
-
-// AppendCandidates delegates to the global mapped postings: a part
-// anchor's descendant interval lies wholly inside the part, so the
-// global answer IS the part answer.
-// +whirllint:hotpath
-func (p *PartSource) AppendCandidates(dst []*xmltree.Node, anchor *xmltree.Node, axis dewey.Axis, tag string, vt index.ValueTest) []*xmltree.Node {
-	return p.r.AppendCandidates(dst, anchor, axis, tag, vt)
 }

@@ -2,9 +2,9 @@
 // and serves it back as an index.Source — the paper's disk-resident
 // scenario (Section 6.3.3). The snapshot format ("WPXS") lays tag and
 // value postings, Dewey arrays, subtree extents, the structure synopsis
-// and keyword indexes, plus precomputed shard layouts, out as flat
-// little-endian arrays in page-aligned sections, so a reader can mmap
-// the file and serve structural probes directly from the mapped pages.
+// and keyword indexes out as flat little-endian arrays in page-aligned
+// sections, so a reader can mmap the file and serve structural probes
+// directly from the mapped pages.
 // See DESIGN.md, "Snapshot storage", for the layout diagram and the
 // alignment/endianness/ownership rules.
 //
@@ -66,8 +66,8 @@ const (
 	secValPostOff    = 15 // u32[v+1] offsets into the value postings
 	secValPostOrds   = 16 // u32[mv] ordinals grouped by key, ascending
 	secKeyword       = 18 // one per keyword scope (see snapshotKeyword)
-	secShardSpine    = 19 // shard = P: u32[] spine ordinals
-	secShardUnits    = 20 // shard = P: per part, u32 unit count then ords
+	// 19 and 20 are reserved: older files carry shard layouts under
+	// them, which the reader skips like any kind it does not know.
 
 	// Synopsis sections: the column form of synopsis.Flat, with tag
 	// names replaced by snapshot tag ids. secSynArrays is the dominant
@@ -97,8 +97,7 @@ func sectionName(kind uint32) string {
 		secTagPostOrds: "tag postings", secValPostTags: "value postings tags",
 		secValPostKeyOff: "value postings key offsets", secValPostKeys: "value postings keys",
 		secValPostOff: "value postings offsets", secValPostOrds: "value postings",
-		secKeyword: "keyword index", secShardSpine: "shard spine",
-		secShardUnits: "shard units", secSynMeta: "synopsis meta",
+		secKeyword: "keyword index", secSynMeta: "synopsis meta",
 		secSynTagIDs: "synopsis tags", secSynTagCount: "synopsis tag counts",
 		secSynTagValued: "synopsis tag valued", secSynPathParent: "synopsis path parents",
 		secSynPathTag: "synopsis path tags", secSynPathCount: "synopsis path counts",

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -28,34 +29,14 @@ func genDoc(t testing.TB, items int) *xmltree.Document {
 }
 
 // fullSnapshot builds a Snapshot carrying every optional section: the
-// synopsis, an item-scope keyword index, and partition layouts for 1
-// and 4 shards.
+// synopsis and an item-scope keyword index.
 func fullSnapshot(t testing.TB, doc *xmltree.Document) *Snapshot {
 	t.Helper()
-	s := &Snapshot{
+	return &Snapshot{
 		Doc:      doc,
 		Synopsis: synopsis.Build(doc).Flatten(),
 		Keyword:  []*keyword.Flat{keyword.Build(doc, "item").Flatten()},
 	}
-	for _, p := range []int{1, 4} {
-		c, err := shard.Split(doc, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lay := ShardLayout{P: p}
-		for _, sp := range c.Spine() {
-			lay.Spine = append(lay.Spine, sp.Ord)
-		}
-		for _, part := range c.Parts() {
-			ords := make([]int, len(part.Units))
-			for i, u := range part.Units {
-				ords[i] = u.Ord
-			}
-			lay.Units = append(lay.Units, ords)
-		}
-		s.Shards = append(s.Shards, lay)
-	}
-	return s
 }
 
 func writeSnap(t testing.TB, s *Snapshot) []byte {
@@ -108,7 +89,7 @@ func TestSnapshotRoundTripStructure(t *testing.T) {
 	}
 }
 
-func TestSnapshotSynopsisKeywordLayouts(t *testing.T) {
+func TestSnapshotSynopsisKeyword(t *testing.T) {
 	doc := genDoc(t, 40)
 	snap := fullSnapshot(t, doc)
 	r := parseSnap(t, writeSnap(t, snap))
@@ -150,33 +131,56 @@ func TestSnapshotSynopsisKeywordLayouts(t *testing.T) {
 	if _, ok, _ := r.Keyword("mail"); ok {
 		t.Fatal("unexpected keyword index for unpersisted scope")
 	}
+}
 
-	for _, wantLay := range snap.Shards {
-		gotLay, ok := r.Layout(wantLay.P)
-		if !ok {
-			t.Fatalf("layout for p=%d missing", wantLay.P)
+// TestSnapshotSkipsRetiredLayoutSections: images written while shard
+// layouts were persisted carry kind-19/20 sections. The reader knows no
+// such kinds any more and must skip them, serving the same postings.
+func TestSnapshotSkipsRetiredLayoutSections(t *testing.T) {
+	doc := genDoc(t, 20)
+	payloads, err := buildSections(fullSnapshot(t, doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spine, units := &leBuf{}, &leBuf{}
+	spine.u32(0)
+	for _, w := range []uint32{1, 1} { // one part: one unit, ordinal 1
+		units.u32(w)
+	}
+	payloads = append(payloads,
+		secPayload{kind: 19, shard: 1, count: 1, data: spine.b},
+		secPayload{kind: 20, shard: 1, count: 2, data: units.b})
+	var buf bytes.Buffer
+	if err := writeSections(&buf, payloads); err != nil {
+		t.Fatal(err)
+	}
+	old := parseSnap(t, buf.Bytes())
+	fresh := parseSnap(t, writeSnap(t, fullSnapshot(t, doc)))
+	if old.SizeBytes() <= fresh.SizeBytes() {
+		t.Fatalf("image with layout sections is %d bytes, without %d", old.SizeBytes(), fresh.SizeBytes())
+	}
+	ords := func(ns []*xmltree.Node) []int {
+		out := make([]int, len(ns))
+		for i, n := range ns {
+			out[i] = n.Ord
 		}
-		if len(gotLay.Spine) != len(wantLay.Spine) || len(gotLay.Units) != len(wantLay.Units) {
-			t.Fatalf("layout p=%d shape mismatch", wantLay.P)
-		}
-		for i := range wantLay.Spine {
-			if gotLay.Spine[i] != wantLay.Spine[i] {
-				t.Fatalf("layout p=%d spine[%d] mismatch", wantLay.P, i)
+		return out
+	}
+	for _, tag := range doc.Tags() {
+		for _, vt := range []index.ValueTest{{}, index.ValueEq("1"), index.Test("contains", "a")} {
+			if got, want := ords(old.NodesMatching(tag, vt)), ords(fresh.NodesMatching(tag, vt)); !slices.Equal(got, want) {
+				t.Fatalf("NodesMatching(%q, %v) = %v with layout sections, %v without", tag, vt, got, want)
 			}
-		}
-		for i := range wantLay.Units {
-			if len(gotLay.Units[i]) != len(wantLay.Units[i]) {
-				t.Fatalf("layout p=%d part %d size mismatch", wantLay.P, i)
-			}
-			for j := range wantLay.Units[i] {
-				if gotLay.Units[i][j] != wantLay.Units[i][j] {
-					t.Fatalf("layout p=%d part %d unit %d mismatch", wantLay.P, i, j)
-				}
+			root := old.Document().Roots[0]
+			got := ords(old.AppendCandidates(nil, root, dewey.Descendant, tag, vt))
+			want := ords(fresh.AppendCandidates(nil, fresh.Document().Roots[0], dewey.Descendant, tag, vt))
+			if !slices.Equal(got, want) {
+				t.Fatalf("AppendCandidates(%q, %v) = %v with layout sections, %v without", tag, vt, got, want)
 			}
 		}
 	}
-	if _, ok := r.Layout(7); ok {
-		t.Fatal("unexpected layout for p=7")
+	if old.Synopsis().Fingerprint() != fresh.Synopsis().Fingerprint() {
+		t.Fatal("synopsis diverges behind the layout sections")
 	}
 }
 
@@ -331,32 +335,44 @@ func TestLegacyV1FileNamed(t *testing.T) {
 
 // TestSnapshotFirstTouchConcurrentClimb: the node slab is built on the
 // first touch, which a sharded evaluation makes from several engines at
-// once — each fetching its part's postings and climbing Parent links,
+// once — each fetching its member view's postings and climbing Parent links,
 // as the root server's posting stream does. Every goroutine must see
 // one fully wired slab (run under -race).
 func TestSnapshotFirstTouchConcurrentClimb(t *testing.T) {
 	doc := genDoc(t, 60)
-	snap := fullSnapshot(t, doc)
-	r := parseSnap(t, writeSnap(t, snap))
-	lay := snap.Shards[1]
+	r := parseSnap(t, writeSnap(t, &Snapshot{Doc: doc}))
+	// The partition comes from the built document — ordinals are the
+	// snapshot's — so the views below are the reader's first touch.
+	const p = 4
+	c, err := shard.Split(doc, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := make([]int32, len(doc.Nodes))
+	for _, s := range c.Spine() {
+		owner[s.Ord] = p
+	}
+	for _, part := range c.Parts() {
+		for _, u := range part.Units {
+			owner[u.Ord] = int32(part.ID)
+			for _, n := range u.Descendants() {
+				owner[n.Ord] = int32(part.ID)
+			}
+		}
+	}
 	want := 0
 	for _, n := range doc.Nodes {
 		if n.Tag == "keyword" {
 			want++
 		}
 	}
-	got := make([]int, lay.P)
+	got := make([]int, p)
 	var wg sync.WaitGroup
-	for i, units := range lay.Units {
+	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ps, err := r.PartSource(units)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for _, kw := range ps.Nodes("keyword") {
+			for _, kw := range index.NewView(r, owner, i).Nodes("keyword") {
 				top := kw
 				for a := kw.Parent; a != nil; a = a.Parent {
 					if !a.ID.IsAncestorOf(kw.ID) || r.Document().Nodes[a.Ord] != a {

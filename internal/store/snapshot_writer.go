@@ -30,21 +30,6 @@ type Snapshot struct {
 	Synopsis *synopsis.Flat
 	// Keyword holds flattened keyword indexes, one per scope tag.
 	Keyword []*keyword.Flat
-	// Shards holds precomputed partition layouts, one per shard count,
-	// so a sharded corpus can be assembled from the mapped postings
-	// without re-partitioning.
-	Shards []ShardLayout
-}
-
-// ShardLayout is one shard.Corpus partition expressed in preorder
-// ordinals: the spine (cut interior nodes) and each part's unit roots.
-type ShardLayout struct {
-	// P is the shard count the layout was computed for.
-	P int
-	// Spine lists the cut interior nodes, document order.
-	Spine []int
-	// Units lists each part's unit-root ordinals, part order.
-	Units [][]int
 }
 
 // secPayload is one section staged for writing.
@@ -78,6 +63,11 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	if err != nil {
 		return err
 	}
+	return writeSections(w, payloads)
+}
+
+// writeSections lays the payloads out behind a header and section table.
+func writeSections(w io.Writer, payloads []secPayload) error {
 	tableEnd := headerSize + len(payloads)*sectionEntry
 	out := make([]byte, alignUp(tableEnd, snapshotPage))
 	for i := range payloads {
@@ -102,7 +92,7 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 		sections: uint32(len(payloads)),
 	}
 	copy(out[:headerSize], h.encode())
-	_, err = w.Write(out)
+	_, err := w.Write(out)
 	return err
 }
 
@@ -305,26 +295,6 @@ func buildSections(s *Snapshot) ([]secPayload, error) {
 			return nil, err
 		}
 		add(secKeyword, int32(i), words, e)
-	}
-	for _, lay := range s.Shards {
-		if lay.P < 1 || lay.P != len(lay.Units) {
-			return nil, fmt.Errorf("store: shard layout for p=%d has %d part lists", lay.P, len(lay.Units))
-		}
-		sp := &leBuf{}
-		if err := sp.ords(lay.Spine); err != nil {
-			return nil, err
-		}
-		add(secShardSpine, int32(lay.P), len(lay.Spine), sp)
-		un := &leBuf{}
-		words := 0
-		for _, part := range lay.Units {
-			un.u32(uint32(len(part)))
-			if err := un.ords(part); err != nil {
-				return nil, err
-			}
-			words += 1 + len(part)
-		}
-		add(secShardUnits, int32(lay.P), words, un)
 	}
 	return payloads, nil
 }

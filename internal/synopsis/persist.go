@@ -19,7 +19,7 @@ import "fmt"
 // Entry i occupies Arrays[DescOff[i]:DescOff[i+1]]; the segment length
 // is the span divided by five. Unflatten does not copy these segments —
 // the rebuilt Synopsis aliases them, which is safe because a finished
-// Synopsis is immutable (Merge copies out of its inputs, never into).
+// Synopsis is immutable.
 type Flat struct {
 	// NodeCount is the number of document nodes summarized.
 	NodeCount int

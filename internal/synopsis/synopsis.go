@@ -30,10 +30,7 @@
 // realizing max g(m) has a descendant at its own minimal diff d* ≥ m
 // where g(d*) = g(m) was recorded.
 //
-// The synopsis is built in one pass (Build), or per shard and merged
-// (Builder + Merge): anchor statistics over disjoint anchor sets sum
-// (counts) or max (maxima), so a sharded corpus of complete subtrees
-// merges into exactly the whole-document synopsis.
+// The synopsis is built in one pass over the document (Build).
 package synopsis
 
 import (
@@ -125,7 +122,7 @@ type tagStat struct {
 }
 
 // Synopsis is the finished, immutable structure synopsis. Safe for
-// concurrent readers after Build / Builder.Synopsis / Merge return.
+// concurrent readers after Build returns.
 type Synopsis struct {
 	root  *pathNode // virtual forest root, depth 0
 	tags  map[string]*tagStat
@@ -139,24 +136,13 @@ type Synopsis struct {
 // of every open ancestor frame, and popping a frame folds that single
 // anchor's counts into its dataguide node's arrays.
 func Build(doc *xmltree.Document) *Synopsis {
-	b := NewBuilder()
+	s := &Synopsis{root: &pathNode{}, tags: make(map[string]*tagStat)}
+	stack := make([]*frame, 0, 16)
 	for _, r := range doc.Roots {
-		b.AddSubtree(r)
+		s.add(r, s.root, stack)
 	}
-	return b.Synopsis()
-}
-
-// Builder accumulates synopsis state subtree by subtree. Not safe for
-// concurrent use; build one per shard and Merge the results.
-type Builder struct {
-	root  *pathNode
-	tags  map[string]*tagStat
-	nodes int
-}
-
-// NewBuilder returns an empty builder.
-func NewBuilder() *Builder {
-	return &Builder{root: &pathNode{}, tags: make(map[string]*tagStat)}
+	s.finalize()
+	return s
 }
 
 type frame struct {
@@ -164,36 +150,19 @@ type frame struct {
 	tf    map[string][]int // descendant tag -> count per level difference
 }
 
-// AddSubtree folds the complete subtree rooted at n into the builder.
-// n's dataguide path is resolved by walking its (possibly external)
-// ancestors, so a shard holding complete subtrees of a larger document
-// files them under their true corpus paths. The subtree must be
-// complete: every descendant of n is assumed present.
-func (b *Builder) AddSubtree(n *xmltree.Node) {
-	pn := b.root
-	for _, tag := range ancestorTags(n) {
-		pn = pn.child(tag, true)
-	}
-	b.add(n, pn, make([]*frame, 0, 16))
-}
-
-// ancestorTags returns the tags of n's strict ancestors, outermost
-// first.
-func ancestorTags(n *xmltree.Node) []string {
-	var tags []string
-	for a := n.Parent; a != nil; a = a.Parent {
-		tags = append(tags, a.Tag)
-	}
-	for i, j := 0, len(tags)-1; i < j; i, j = i+1, j-1 {
-		tags[i], tags[j] = tags[j], tags[i]
-	}
-	return tags
-}
-
-func (b *Builder) add(n *xmltree.Node, parent *pathNode, stack []*frame) {
+func (s *Synopsis) add(n *xmltree.Node, parent *pathNode, stack []*frame) {
 	pn := parent.child(n.Tag, true)
 	pn.count++
-	b.countTag(n.Tag, n.Value != "")
+	ts, ok := s.tags[n.Tag]
+	if !ok {
+		ts = &tagStat{}
+		s.tags[n.Tag] = ts
+	}
+	ts.count++
+	if n.Value != "" {
+		ts.valued++
+	}
+	s.nodes++
 	lvl := n.Level()
 	for _, fr := range stack {
 		d := lvl - fr.level
@@ -204,38 +173,9 @@ func (b *Builder) add(n *xmltree.Node, parent *pathNode, stack []*frame) {
 	fr := &frame{level: lvl, tf: make(map[string][]int)}
 	stack = append(stack, fr)
 	for _, c := range n.Children {
-		b.add(c, pn, stack)
+		s.add(c, pn, stack)
 	}
 	fold(pn, fr.tf)
-}
-
-func (b *Builder) countTag(tag string, valued bool) {
-	ts, ok := b.tags[tag]
-	if !ok {
-		ts = &tagStat{}
-		b.tags[tag] = ts
-	}
-	ts.count++
-	if valued {
-		ts.valued++
-	}
-	b.nodes++
-}
-
-// AddAnchor files one anchor node whose descendants were counted
-// externally: path is its full root path (outermost tag first, ending
-// with the anchor's own tag), valued marks text content, and tf maps
-// each descendant tag to its count per level difference (index d = d
-// levels below the anchor; index 0 ignored). The sharded build uses
-// this for spine nodes, whose subtrees span shards.
-func (b *Builder) AddAnchor(path []string, valued bool, tf map[string][]int) {
-	pn := b.root
-	for _, tag := range path {
-		pn = pn.child(tag, true)
-	}
-	pn.count++
-	b.countTag(path[len(path)-1], valued)
-	fold(pn, tf)
 }
 
 // fold merges one anchor's per-(tag, diff) descendant counts into its
@@ -268,91 +208,6 @@ func fold(pn *pathNode, tf map[string][]int) {
 		if maxd > 0 {
 			ds.cntMax[maxd]++
 		}
-	}
-}
-
-// SubtreeHist returns the (tag → count per absolute level) histogram of
-// the complete subtree rooted at n, including n itself. The sharded
-// build collects one per unit so spine anchors can sum their
-// descendants without re-walking shard contents.
-func SubtreeHist(n *xmltree.Node) map[string][]int {
-	h := make(map[string][]int)
-	var walk func(m *xmltree.Node)
-	walk = func(m *xmltree.Node) {
-		lvl := m.Level()
-		arr := growInts(h[m.Tag], maxInt(len(h[m.Tag]), lvl+1))
-		arr[lvl]++
-		h[m.Tag] = arr
-		for _, c := range m.Children {
-			walk(c)
-		}
-	}
-	walk(n)
-	return h
-}
-
-// MergeHist adds src into dst, both absolute-level histograms.
-func MergeHist(dst, src map[string][]int) {
-	for tag, arr := range src {
-		d := growInts(dst[tag], maxInt(len(dst[tag]), len(arr)))
-		for i, c := range arr {
-			d[i] += c
-		}
-		dst[tag] = d
-	}
-}
-
-// Synopsis finalizes the builder.
-func (b *Builder) Synopsis() *Synopsis {
-	s := &Synopsis{root: b.root, tags: b.tags, nodes: b.nodes}
-	s.finalize()
-	return s
-}
-
-// Merge combines synopses built over disjoint anchor sets (e.g. one per
-// shard) into one corpus synopsis. Counts sum, maxima take the max; the
-// inputs are not modified.
-func Merge(parts ...*Synopsis) *Synopsis {
-	out := &Synopsis{root: &pathNode{}, tags: make(map[string]*tagStat)}
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		mergeNode(out.root, p.root)
-		for tag, ts := range p.tags {
-			dst, ok := out.tags[tag]
-			if !ok {
-				dst = &tagStat{}
-				out.tags[tag] = dst
-			}
-			dst.count += ts.count
-			dst.valued += ts.valued
-		}
-		out.nodes += p.nodes
-	}
-	out.finalize()
-	return out
-}
-
-func mergeNode(dst, src *pathNode) {
-	dst.count += src.count
-	for tag, ds := range src.desc {
-		d := dst.descFor(tag)
-		d.grow(len(ds.pairs))
-		for i := range ds.pairs {
-			d.pairs[i] += ds.pairs[i]
-			d.satExact[i] += ds.satExact[i]
-			d.cntMax[i] += ds.cntMax[i]
-			if ds.maxExact[i] > d.maxExact[i] {
-				d.maxExact[i] = ds.maxExact[i]
-			}
-			if ds.maxAtLeast[i] > d.maxAtLeast[i] {
-				d.maxAtLeast[i] = ds.maxAtLeast[i]
-			}
-		}
-	}
-	for tag, sc := range src.children {
-		mergeNode(dst.child(tag, true), sc)
 	}
 }
 
@@ -522,8 +377,8 @@ func (s *Synopsis) ComponentStats(q *pattern.Query, id int) (exact, relaxed inde
 
 // Fingerprint returns a canonical hash of the full synopsis content
 // (paths, counts, tag stats and all per-diff arrays, trailing zeros
-// ignored), for asserting that differently-assembled synopses — whole
-// document vs. merged shards — are identical.
+// ignored), for asserting that differently-assembled synopses — built
+// from the document vs. read back from a snapshot — are identical.
 func (s *Synopsis) Fingerprint() string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "nodes=%d;paths=%d;", s.nodes, s.paths)

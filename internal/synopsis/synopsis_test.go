@@ -203,23 +203,3 @@ func TestTagStats(t *testing.T) {
 		})
 	}
 }
-
-// TestMergeEqualsWhole splits the forest into per-root builders and
-// checks the merged synopsis is identical to the one-pass build.
-func TestMergeEqualsWhole(t *testing.T) {
-	for name, doc := range testDocs(t) {
-		t.Run(name, func(t *testing.T) {
-			whole := Build(doc)
-			var parts []*Synopsis
-			for _, r := range doc.Roots {
-				b := NewBuilder()
-				b.AddSubtree(r)
-				parts = append(parts, b.Synopsis())
-			}
-			merged := Merge(parts...)
-			if got, want := merged.Fingerprint(), whole.Fingerprint(); got != want {
-				t.Fatalf("merged fingerprint %s != whole %s", got, want)
-			}
-		})
-	}
-}

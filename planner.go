@@ -45,10 +45,9 @@ func (db *Database) Synopsis() *Synopsis {
 	return db.syn
 }
 
-// Synopsis returns the corpus synopsis, aggregated from per-shard
-// synopses on first use and cached. It is identical to a whole-document
-// build.
-func (sdb *ShardedDatabase) Synopsis() *Synopsis { return sdb.corpus.Synopsis() }
+// Synopsis returns the database's structure synopsis: a partition
+// changes where work runs, not what the corpus holds.
+func (sdb *ShardedDatabase) Synopsis() *Synopsis { return sdb.db.Synopsis() }
 
 // Planner compiles and caches query plans. Plans are keyed on the
 // query's canonical shape (predicate order ignored) plus the relaxation
@@ -72,13 +71,11 @@ func (db *Database) NewPlanner(capacity int) *Planner {
 	return &Planner{ix: db.ix, syn: db.Synopsis(), cache: lru.New[string, *QueryPlan](capacity)}
 }
 
-// NewPlanner returns a planner over the sharded corpus bounded to
-// capacity cached plans. Statistics are a whole-corpus quantity: the
-// merged synopsis and one walk over the corpus's merged postings give
-// the numbers an unsharded planner computes, with no per-shard fan-out.
-func (sdb *ShardedDatabase) NewPlanner(capacity int) *Planner {
-	return &Planner{ix: sdb.corpus, syn: sdb.Synopsis(), cache: lru.New[string, *QueryPlan](capacity)}
-}
+// NewPlanner returns a planner over the sharded database bounded to
+// capacity cached plans. Statistics are a whole-corpus quantity, so it
+// is the unsharded database's planner: same index, same synopsis, same
+// plans.
+func (sdb *ShardedDatabase) NewPlanner(capacity int) *Planner { return sdb.db.NewPlanner(capacity) }
 
 // PlanFor returns the cached plan for q's canonical shape under the
 // given relaxation and normalization, compiling it on a miss. hit

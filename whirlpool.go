@@ -157,15 +157,14 @@ type Database struct {
 	doc *Document
 	ix  index.Source
 	// snap is non-nil when the database serves from an mmapped
-	// snapshot (see OpenSnapshot): postings, synopsis, keyword indexes
-	// and shard layouts come from the mapped file instead of being
-	// rebuilt.
+	// snapshot (see OpenSnapshot): postings, synopsis and keyword
+	// indexes come from the mapped file instead of being rebuilt.
 	snap *store.SnapshotReader
 
 	mu sync.Mutex
-	// sharded caches one ShardedDatabase per shard count, built lazily
-	// the first time Options.Shards asks for it.
-	sharded map[int]*ShardedDatabase
+	// corpora caches the partition of ix per shard count, computed the
+	// first time Shard or Options.Shards asks for it.
+	corpora map[int]*shard.Corpus
 	// syn is the lazily built structure synopsis (see Synopsis).
 	syn *Synopsis
 }
@@ -228,10 +227,6 @@ func LoadProjected(r io.Reader, queries ...*Query) (*Database, error) {
 // SnapshotOptions selects what SaveSnapshot persists beyond the
 // document, its postings and the structure synopsis (always included).
 type SnapshotOptions struct {
-	// Shards lists shard counts to persist partition layouts for; a
-	// database opened from the snapshot assembles those sharded corpora
-	// from the mapped postings without re-partitioning.
-	Shards []int
 	// KeywordScopes lists element tags to persist keyword indexes for,
 	// so BuildKeywordIndex skips the subtree walk and tokenization.
 	KeywordScopes []string
@@ -247,32 +242,13 @@ func (db *Database) SaveSnapshot(path string, opts SnapshotOptions) error {
 	for _, scope := range opts.KeywordScopes {
 		snap.Keyword = append(snap.Keyword, db.BuildKeywordIndex(scope).Flatten())
 	}
-	for _, p := range opts.Shards {
-		sdb, err := db.shardedFor(p)
-		if err != nil {
-			return err
-		}
-		lay := store.ShardLayout{P: p}
-		for _, s := range sdb.corpus.Spine() {
-			lay.Spine = append(lay.Spine, s.Ord)
-		}
-		for _, part := range sdb.corpus.Parts() {
-			ords := make([]int, len(part.Units))
-			for i, u := range part.Units {
-				ords[i] = u.Ord
-			}
-			lay.Units = append(lay.Units, ords)
-		}
-		snap.Shards = append(snap.Shards, lay)
-	}
 	return store.SaveSnapshot(path, snap)
 }
 
 // OpenSnapshot opens a snapshot written by SaveSnapshot, mapping it
 // read-only and serving queries from the mapped pages. The persisted
-// synopsis (when present) seeds the planner, persisted keyword indexes
-// serve BuildKeywordIndex, and persisted shard layouts let
-// Options.Shards skip partitioning. A checksum or format error is
+// synopsis (when present) seeds the planner and persisted keyword
+// indexes serve BuildKeywordIndex. A checksum or format error is
 // returned as-is so callers can fall back to the XML build path.
 func OpenSnapshot(path string) (*Database, error) {
 	r, err := store.OpenSnapshot(path)
@@ -351,9 +327,9 @@ type Options struct {
 	Plan *QueryPlan
 	// Shards, when above 1, evaluates the query on a sharded execution
 	// layer: the document is partitioned into that many shards of
-	// complete subtrees, each with its own index and engine, all pruning
-	// against one shared global top-k set (see ShardedDatabase). Honored
-	// by TopK/TopKContext/TopKString — the per-count partition is built
+	// complete subtrees, each with its own engine, all pruning against
+	// one shared global top-k set (see ShardedDatabase). Honored by
+	// TopK/TopKContext/TopKString — the per-count partition is computed
 	// once and cached on the Database — and ignored by NewEngine, which
 	// always prepares a single-engine evaluator.
 	Shards int
@@ -459,7 +435,7 @@ func (db *Database) TopK(q *Query, opts Options) (*Result, error) {
 // evaluation winds down promptly and ctx's error is returned.
 func (db *Database) TopKContext(ctx context.Context, q *Query, opts Options) (*Result, error) {
 	if opts.Shards > 1 {
-		sdb, err := db.shardedFor(opts.Shards)
+		sdb, err := db.Shard(opts.Shards)
 		if err != nil {
 			return nil, err
 		}
@@ -470,53 +446,6 @@ func (db *Database) TopKContext(ctx context.Context, q *Query, opts Options) (*R
 		return nil, err
 	}
 	return e.RunContext(ctx)
-}
-
-// shardedFor returns the cached ShardedDatabase for p shards, splitting
-// the document on first use.
-func (db *Database) shardedFor(p int) (*ShardedDatabase, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if sdb, ok := db.sharded[p]; ok {
-		return sdb, nil
-	}
-	sdb, err := db.buildSharded(p)
-	if err != nil {
-		return nil, err
-	}
-	if db.sharded == nil {
-		db.sharded = make(map[int]*ShardedDatabase)
-	}
-	db.sharded[p] = sdb
-	return sdb, nil
-}
-
-// buildSharded assembles a ShardedDatabase for p shards: from the
-// snapshot's persisted layout when one exists — per-part sources serve
-// straight from the mapped postings, no re-partitioning, no per-part
-// index builds — and by splitting the document otherwise.
-func (db *Database) buildSharded(p int) (*ShardedDatabase, error) {
-	if db.snap != nil {
-		if lay, ok := db.snap.Layout(p); ok {
-			sources := make([]index.Source, len(lay.Units))
-			for i, ords := range lay.Units {
-				ps, err := db.snap.PartSource(ords)
-				if err != nil {
-					return nil, err
-				}
-				sources[i] = ps
-			}
-			corpus, err := shard.FromLayout(db.doc, lay.Spine, lay.Units, sources)
-			if err != nil {
-				return nil, err
-			}
-			if syn := db.snap.Synopsis(); syn != nil {
-				corpus.SetSynopsis(syn)
-			}
-			return &ShardedDatabase{doc: db.doc, corpus: corpus}, nil
-		}
-	}
-	return ShardDocument(db.doc, p)
 }
 
 // CostBasedOrder chooses a static server order a priori from index
@@ -548,38 +477,49 @@ type ShardInfo = shard.PartInfo
 // ShardedEngine.ShardTotals.
 type ShardTotals = shard.ShardTotal
 
-// ShardedDatabase is a Database partitioned into P shards of complete
-// subtrees, each carrying its own index, evaluated by per-shard engines
-// that prune against a single shared global top-k set: a high-scoring
-// answer found on one shard immediately raises the threshold used to
-// kill partial matches on all others. Because the shared threshold is
-// always a lower bound on the true global k-th best score, the merged
-// answers match a single-engine evaluation's.
+// ShardedDatabase is a Database seen through a partition into P shards
+// of complete subtrees — views of its one index, not copies — evaluated
+// by per-shard engines that prune against a single shared global top-k
+// set: a high-scoring answer found on one shard immediately raises the
+// threshold used to kill partial matches on all others. Because the
+// shared threshold is always a lower bound on the true global k-th best
+// score, the merged answers match a single-engine evaluation's.
 //
 //	sdb, _ := db.Shard(8)
 //	res, _ := sdb.TopK(q, whirlpool.Approximate(10))
 type ShardedDatabase struct {
-	doc    *Document
+	db     *Database
 	corpus *shard.Corpus
 	reg    *obs.Registry
 }
 
 // Shard partitions the database into p shards (p ≥ 1). The partition is
-// computed once; the returned ShardedDatabase is safe for concurrent
-// queries.
-func (db *Database) Shard(p int) (*ShardedDatabase, error) { return ShardDocument(db.doc, p) }
+// computed once per shard count and shared with Options.Shards; the
+// returned ShardedDatabase is safe for concurrent queries.
+func (db *Database) Shard(p int) (*ShardedDatabase, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	corpus, ok := db.corpora[p]
+	if !ok {
+		var err error
+		if corpus, err = shard.Partition(db.doc, db.ix, p); err != nil {
+			return nil, err
+		}
+		if db.corpora == nil {
+			db.corpora = make(map[int]*shard.Corpus)
+		}
+		db.corpora[p] = corpus
+	}
+	return &ShardedDatabase{db: db, corpus: corpus}, nil
+}
 
-// ShardDocument partitions an already parsed document into p shards,
-// building the per-shard indexes in parallel.
+// ShardDocument indexes an already parsed document and partitions it
+// into p shards.
 func ShardDocument(doc *Document, p int) (*ShardedDatabase, error) {
 	if doc == nil {
 		return nil, fmt.Errorf("whirlpool: nil document")
 	}
-	corpus, err := shard.Split(doc, p)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedDatabase{doc: doc, corpus: corpus}, nil
+	return FromDocument(doc).Shard(p)
 }
 
 // ObserveInto routes per-run shard metrics (per-shard operation and
@@ -588,10 +528,10 @@ func ShardDocument(doc *Document, p int) (*ShardedDatabase, error) {
 func (sdb *ShardedDatabase) ObserveInto(reg *obs.Registry) { sdb.reg = reg }
 
 // Document returns the underlying parsed document.
-func (sdb *ShardedDatabase) Document() *Document { return sdb.doc }
+func (sdb *ShardedDatabase) Document() *Document { return sdb.db.doc }
 
 // Size returns the number of nodes in the database.
-func (sdb *ShardedDatabase) Size() int { return sdb.doc.Size() }
+func (sdb *ShardedDatabase) Size() int { return sdb.db.Size() }
 
 // Shards returns the partition's shard count.
 func (sdb *ShardedDatabase) Shards() int { return len(sdb.corpus.Parts()) }
@@ -611,7 +551,7 @@ func (sdb *ShardedDatabase) NewEngine(q *Query, opts Options) (*ShardedEngine, e
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := engineConfig(sdb.corpus, q, opts)
+	cfg, err := engineConfig(sdb.db.ix, q, opts)
 	if err != nil {
 		return nil, err
 	}

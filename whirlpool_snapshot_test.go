@@ -23,14 +23,14 @@ var snapshotEquivalenceQueries = []string{
 // database served from an mmapped snapshot must return the same ranked
 // answers (root ordinals and scores) as one built from the XML. Runs
 // under -race in CI, so it also exercises the lazy node-slab
-// materialization and shard assembly from mapped layouts concurrently.
+// materialization and the partition of a mapped document concurrently.
 func TestSnapshotAnswersMatchBuild(t *testing.T) {
 	built, err := GenerateXMark(XMarkOptions{Seed: 3, Items: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "site.wpxs")
-	if err := built.SaveSnapshot(path, SnapshotOptions{Shards: []int{1, 8}, KeywordScopes: []string{"item"}}); err != nil {
+	if err := built.SaveSnapshot(path, SnapshotOptions{KeywordScopes: []string{"item"}}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := OpenSnapshot(path)

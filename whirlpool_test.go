@@ -384,9 +384,21 @@ func TestOptionsShardsRoutesThroughShardedDatabase(t *testing.T) {
 			t.Fatalf("answer %d: %v vs %v", i, res.Answers[i].Score, base.Answers[i].Score)
 		}
 	}
-	// The per-count partition is cached: a second sharded query reuses it.
+	// The per-count partition is cached: a second sharded query reuses
+	// it, and so does Shard — one corpus per shard count, whoever asks.
 	if _, err := db.TopK(q, opts); err != nil {
 		t.Fatal(err)
+	}
+	a, err := db.Shard(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := db.Shard(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.corpus != b.corpus || len(db.corpora) != 1 || db.corpora[8] != a.corpus {
+		t.Fatalf("Shard(8) twice and Options.Shards = 8 left %d partitions (same corpus: %v)", len(db.corpora), a.corpus == b.corpus)
 	}
 	// Cancellation reaches the shard engines.
 	ctx, cancel := context.WithCancel(context.Background())
