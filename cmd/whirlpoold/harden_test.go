@@ -219,3 +219,34 @@ func TestHandlerPanicIsA500(t *testing.T) {
 		t.Fatalf("request after the panic: status %d %s", w.Code, w.Body.String())
 	}
 }
+
+// TestPanickingBuildDoesNotPoisonTheCache: a panic inside an engine
+// build is that request's 500, not a cache slot every later request for
+// the same engine waits on for ever — the identical request is served.
+// +whirllint:managed the second request's goroutine reports on its channel, awaited under a deadline
+func TestPanickingBuildDoesNotPoisonTheCache(t *testing.T) {
+	log.SetOutput(io.Discard)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	s := testServer(t)
+	s.buildHook = func() {
+		s.buildHook = nil
+		panic("boom")
+	}
+	req := queryRequest{Query: "//item[./location = 'United States']", K: 3}
+	if w := post(t, s, "/query", req); w.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking build: status %d, want 500", w.Code)
+	}
+	if got := s.panics.Value(); got != 1 {
+		t.Fatalf("whirlpoold_panics_total = %d, want 1", got)
+	}
+	again := make(chan int, 1)
+	go func() { again <- post(t, s, "/query", req).Code }()
+	select {
+	case code := <-again:
+		if code != http.StatusOK {
+			t.Fatalf("identical request after the panic: status %d, want 200", code)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("identical request after the panic is still waiting on the dead build")
+	}
+}

@@ -80,6 +80,41 @@ func TestPlanMetricsExposed(t *testing.T) {
 	}
 }
 
+// TestStatsMemoExposed: two plan misses sharing one valued predicate
+// walk three posting lists between them, and /metrics and /stats say
+// which statistics source answered.
+func TestStatsMemoExposed(t *testing.T) {
+	s := testServer(t)
+	for _, quantity := range []string{"1", "2"} {
+		q := "//item[./location = 'United States' and ./quantity = '" + quantity + "']"
+		if w := post(t, s, "/query", queryRequest{Query: q, K: 3}); w.Code != 200 {
+			t.Fatalf("%s: %d %s", q, w.Code, w.Body.String())
+		}
+	}
+	body := get(t, s, "/metrics?format=prometheus").Body.String()
+	for _, want := range []string{
+		"whirlpoold_plan_cache_misses_total 2",
+		"whirlpoold_stats_memo_hits_total 1",
+		"whirlpoold_stats_memo_misses_total 3",
+		"whirlpoold_stats_memo_entries 3",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("metrics missing %q:\n%s", want, body)
+		}
+	}
+	var stats struct {
+		Cache struct {
+			Predicates map[string]int64 `json:"predicates"`
+		} `json:"cache"`
+	}
+	if err := json.Unmarshal(get(t, s, "/stats").Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if p := stats.Cache.Predicates; p["hits"] != 1 || p["misses"] != 3 || p["len"] != 3 || p["cap"] == 0 || p["evictions"] != 0 {
+		t.Fatalf("/stats cache.predicates = %v, want 1 hit, 3 misses, 3 entries", p)
+	}
+}
+
 // TestShardedPlanServing checks plan-keyed serving works end to end on
 // a sharded server too.
 // +whirllint:exactscore plan-keyed and fresh serving must return bit-identical scores

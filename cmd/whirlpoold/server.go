@@ -343,6 +343,7 @@ type shardStats struct {
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	planStats := s.planner.Stats()
+	memo := planStats.Predicates
 	engines := make([]engineStats, 0, s.engines.Len())
 	for _, it := range s.engines.Items() {
 		tot := it.Value.totals()
@@ -389,6 +390,10 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 				"len": int64(planStats.Len), "cap": int64(planStats.Cap),
 				"hits": planStats.Hits, "misses": planStats.Misses, "evictions": planStats.Evictions,
 			},
+			"predicates": map[string]int64{ // the statistics memo: a miss is a posting walk
+				"len": int64(memo.Len), "cap": int64(memo.Cap),
+				"hits": memo.Hits, "misses": memo.Walks, "evictions": memo.Evictions,
+			},
 		},
 		"engines": engines,
 	}
@@ -412,6 +417,9 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ps := s.planner.Stats()
 	s.reg.Gauge("whirlpoold_plan_cache_entries").Set(int64(ps.Len))
 	s.reg.Gauge("whirlpoold_plan_cache_evictions").Set(ps.Evictions)
+	s.reg.Gauge("whirlpoold_stats_memo_hits_total").Set(ps.Predicates.Hits)
+	s.reg.Gauge("whirlpoold_stats_memo_misses_total").Set(ps.Predicates.Walks)
+	s.reg.Gauge("whirlpoold_stats_memo_entries").Set(int64(ps.Predicates.Len))
 	if wantsPrometheus(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.reg.WritePrometheus(w)
@@ -478,7 +486,11 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ent, hit, err := s.engineFor(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		if errors.Is(err, lru.ErrBuildPanicked) { // we waited on another request's build
+			status = http.StatusInternalServerError
+		}
+		writeError(w, status, err)
 		return
 	}
 	ri := requestInfo(r)

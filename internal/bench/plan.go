@@ -11,8 +11,11 @@ import (
 
 // planValuedXPath is the plan-valued case's query: a whirlload
 // cold_shapes loc_qty instance, two equality predicates the synopsis
-// cannot answer.
-const planValuedXPath = "//item[./location = 'United States' and ./quantity = '1']"
+// cannot answer; plan-valued-warm alternates it with the Alt sibling.
+const (
+	planValuedXPath    = "//item[./location = 'United States' and ./quantity = '1']"
+	planValuedAltXPath = "//item[./location = 'United States' and ./quantity = '2']"
+)
 
 // planCases measures the cost of query planning — everything between a
 // parsed query and a runnable engine — along the paths the serving
@@ -28,7 +31,9 @@ const planValuedXPath = "//item[./location = 'United States' and ./quantity = '1
 //	               from the plan — a cache hit, the steady serving state
 //	plan-valued    plan-synopsis for planValuedXPath: the synopsis
 //	               answers the root, each valued node's (tag, value)
-//	               postings are walked once — a cold_shapes miss
+//	               postings are walked once — a cold_shapes first touch
+//	plan-valued-warm  the same miss on a one-plan planner whose memo has
+//	               learned the predicates — cold_shapes after warm-up
 //
 // All of them include engine construction (what an engine-cache miss
 // pays after planning) and none include query evaluation, so the
@@ -48,6 +53,7 @@ func planCases(out io.Writer, env *Env, cfg Config, w Workload, rounds int) ([]b
 	if err != nil {
 		return nil, err
 	}
+	valuedAlt := whirlpool.MustParseQuery(planValuedAltXPath)
 	scratch := whirlpool.Options{K: cfg.K, Relax: whirlpool.RelaxAll}
 
 	synStart := time.Now()
@@ -57,9 +63,15 @@ func planCases(out io.Writer, env *Env, cfg Config, w Workload, rounds int) ([]b
 	hot := db.NewPlanner(16)
 	// Self-check before timing anything: the planned engine must answer
 	// exactly like the scratch one, or the comparison is between two
-	// different computations. It also warms hot, which plan-hot relies on.
-	for _, q := range []*whirlpool.Query{q, valued} {
-		if err := checkPlanned(db, hot, q, scratch); err != nil {
+	// different computations. It also warms hot, which plan-hot relies
+	// on, and teaches warm both shapes' predicates, leaving valuedAlt's
+	// plan in its one slot so that the alternation starts on a miss.
+	warm, warmOps := db.NewPlanner(1), 0
+	for _, c := range []struct {
+		p *whirlpool.Planner
+		q *whirlpool.Query
+	}{{hot, q}, {hot, valued}, {warm, valued}, {warm, valuedAlt}} {
+		if err := checkPlanned(db, c.p, c.q, scratch); err != nil {
 			return nil, err
 		}
 	}
@@ -90,6 +102,10 @@ func planCases(out io.Writer, env *Env, cfg Config, w Workload, rounds int) ([]b
 		{"plan-synopsis", func() error { return planned(db.NewPlanner(1), q, false) }},
 		{"plan-hot", func() error { return planned(hot, q, true) }},
 		{"plan-valued", func() error { return planned(db.NewPlanner(1), valued, false) }},
+		{"plan-valued-warm", func() error {
+			warmOps++
+			return planned(warm, []*whirlpool.Query{valuedAlt, valued}[warmOps%2], false)
+		}},
 	}
 	gmp := runtime.GOMAXPROCS(0)
 	cores := gmp

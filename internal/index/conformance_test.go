@@ -126,6 +126,10 @@ func conformanceDocs(t *testing.T) []conformanceDoc {
 			"//item[./mailbox/mail/text/keyword = 'onyx']", "//item[./description/parlist/listitem/text contains 'gold']",
 			"//item[./mailbox/mail/text[./keyword] contains 'onyx' and ./quantity >= 2]",
 			"//mail[./from = 'jade' and ./to != 'jade']", "//item[./location = 'Atlantis']", "//absent[./name]",
+			// One instance of each whirlload cold_shapes template.
+			"//item[./location = 'United States' and ./quantity = '1']",
+			"//item[./location = 'United States' and ./payment = 'Cash' and .//keyword = 'vintage']",
+			"//item[./quantity = '1' and ./mailbox/mail/text/keyword = 'vintage']", "//mail[./from = 'jade' and ./to = 'antique']",
 		},
 	}}
 	r := rand.New(rand.NewSource(42))
@@ -297,6 +301,11 @@ func statShapes(d conformanceDoc) []string {
 // view — a part sees only its own postings and the spine's lie in the
 // parts — so those cases stay in checkContract.
 func checkStats(t *testing.T, c sourceCase, d conformanceDoc) {
+	// One memo for all shapes, as a planner keeps one for all queries:
+	// whatever the shapes before left in it, its first answer (a walk or
+	// a hit on another shape's entry) and its second (hits only) must be
+	// the walk's, field for field.
+	memo := score.NewMemo(c.src, nil)
 	for _, xpath := range statShapes(d) {
 		q := pattern.MustParse(xpath)
 		got := score.CollectStats(c.src, nil, q)
@@ -304,6 +313,17 @@ func checkStats(t *testing.T, c sourceCase, d conformanceDoc) {
 			exact, relaxed := bruteStats(c.doc, q, id)
 			if got.Exact[id] != exact || got.Relaxed[id] != relaxed {
 				t.Fatalf("%s node %d: stats (%+v, %+v), want (%+v, %+v)", xpath, id, got.Exact[id], got.Relaxed[id], exact, relaxed)
+			}
+		}
+		first := score.CollectStats(c.src, memo, q)
+		walks := memo.Stats().Walks
+		second := score.CollectStats(c.src, memo, q)
+		if again := memo.Stats().Walks - walks; again != 0 {
+			t.Fatalf("%s asked again walked %d posting lists, want none", xpath, again)
+		}
+		for pass, through := range []score.Stats{first, second} {
+			if !slices.Equal(through.Exact, got.Exact) || !slices.Equal(through.Relaxed, got.Relaxed) {
+				t.Fatalf("%s through the memo, ask %d: stats %+v, want %+v", xpath, pass+1, through, got)
 			}
 		}
 	}

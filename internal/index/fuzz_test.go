@@ -13,10 +13,12 @@ import (
 	"repro/internal/xmltree"
 )
 
-// FuzzCollectStats holds the posting-side statistics walk to bruteStats
-// on arbitrary documents: //root[path op value] over whatever the XML
-// parser accepts, every query node compared. The committed seed corpus
-// (testdata/fuzz/FuzzCollectStats) adds nested-root documents.
+// FuzzCollectStats holds the posting-side statistics walk — asked
+// directly, through a fresh score.Memo and through the same memo again
+// — to bruteStats on arbitrary documents: //root[path op value] over
+// whatever the XML parser accepts, every query node compared. The
+// committed seed corpus (testdata/fuzz/FuzzCollectStats) adds
+// nested-root documents.
 func FuzzCollectStats(f *testing.F) {
 	nested := []byte("<a><b>5</b><a><c><b>5</b></c><a><b>7</b></a></a><b>5</b></a><a><b>5</b></a>")
 	f.Add(nested, "a", ".//b", "=", "5")
@@ -43,12 +45,19 @@ func FuzzCollectStats(f *testing.F) {
 		if err != nil || q.Validate() != nil {
 			return
 		}
-		got := score.CollectStats(index.Build(doc), nil, q)
-		for id := 1; id < q.Size(); id++ {
-			exact, relaxed := bruteStats(doc, q, id)
-			if got.Exact[id] != exact || got.Relaxed[id] != relaxed {
-				t.Fatalf("%s node %d over %q: stats (%+v, %+v), want (%+v, %+v)", q, id, raw, got.Exact[id], got.Relaxed[id], exact, relaxed)
+		ix := index.Build(doc)
+		memo := score.NewMemo(ix, nil)
+		for _, src := range []score.StatsSource{nil, memo, memo} { // the walk, the memo's first answer, its remembered one
+			got := score.CollectStats(ix, src, q)
+			for id := 1; id < q.Size(); id++ {
+				exact, relaxed := bruteStats(doc, q, id)
+				if got.Exact[id] != exact || got.Relaxed[id] != relaxed {
+					t.Fatalf("%s node %d over %q (memo %v): stats (%+v, %+v), want (%+v, %+v)", q, id, raw, src != nil, got.Exact[id], got.Relaxed[id], exact, relaxed)
+				}
 			}
+		}
+		if st := memo.Stats(); st.Walks > int64(q.Size()-1) || st.Hits < int64(q.Size()-1) {
+			t.Fatalf("%s over %q: memo %+v after two asks of %d nodes", q, raw, st, q.Size()-1)
 		}
 	})
 }

@@ -10,6 +10,7 @@ package lru
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 )
 
@@ -18,6 +19,9 @@ import (
 // value in the key comes from the request, so an
 // unbounded map would grow with every distinct constant a client sends.
 const PostingsCap = 1024
+
+// ErrBuildPanicked is what callers waiting on a build get if it panics.
+var ErrBuildPanicked = errors.New("lru: build panicked")
 
 // flight is one cache slot: the key, the built value, and the
 // singleflight rendezvous. ready closes when the build finishes; val
@@ -109,18 +113,23 @@ func (c *Cache[K, V]) GetOrCreate(k K, build func() (V, error)) (v V, hit bool, 
 	c.evictLocked()
 	c.mu.Unlock()
 
-	f.val, f.err = build()
-	close(f.ready)
-	if f.err != nil {
-		c.mu.Lock()
-		// Only remove our own slot: it may already have been evicted, or
-		// (after eviction) a fresh build may occupy the key.
-		if cur, ok := c.entries[k]; ok && cur == el {
-			c.order.Remove(el)
-			delete(c.entries, k)
+	// One defer settles the slot however build ends — a panic carries on
+	// up this goroutine: waiters are released and no failed slot stays.
+	f.err = ErrBuildPanicked // unless build returns
+	defer func() {
+		close(f.ready)
+		if f.err != nil {
+			c.mu.Lock()
+			// Only remove our own slot: it may already have been evicted, or
+			// (after eviction) a fresh build may occupy the key.
+			if cur, ok := c.entries[k]; ok && cur == el {
+				c.order.Remove(el)
+				delete(c.entries, k)
+			}
+			c.mu.Unlock()
 		}
-		c.mu.Unlock()
-	}
+	}()
+	f.val, f.err = build()
 	return f.val, false, f.err
 }
 

@@ -97,6 +97,53 @@ func TestErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestPanickingBuildLeavesNoSlot: a build that panics propagates its
+// panic, hands the callers waiting on it ErrBuildPanicked instead of
+// parking them for ever, and leaves the key free for a retry.
+// +whirllint:managed builder and waiter report on their channels, both awaited
+func TestPanickingBuildLeavesNoSlot(t *testing.T) {
+	c := New[string, int](4)
+	started, release := make(chan struct{}), make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		_, _, _ = c.GetOrCreate("k", func() (int, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	waited := make(chan error, 1)
+	go func() {
+		// Joins the flight, or — arriving after the slot is gone — builds.
+		v, hit, err := c.GetOrCreate("k", func() (int, error) { return 7, nil })
+		if !hit && (err != nil || v != 7) {
+			err = fmt.Errorf("late build = %d, %v", v, err)
+		}
+		waited <- err
+	}()
+	time.Sleep(10 * time.Millisecond) // let the waiter reach the slot
+	close(release)
+	if p := <-recovered; p != "boom" {
+		t.Fatalf("recovered %v, want the build's own panic", p)
+	}
+	select {
+	case err := <-waited:
+		if err != nil && !errors.Is(err, ErrBuildPanicked) {
+			t.Fatalf("waiter: %v", err)
+		}
+		if err != nil && c.Len() != 0 {
+			t.Fatalf("panicked build left len = %d", c.Len())
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("waiter still blocked on a build that panicked")
+	}
+	if v, _, err := c.GetOrCreate("k", func() (int, error) { return 7, nil }); err != nil || v != 7 {
+		t.Fatalf("retry = %d, %v", v, err)
+	}
+}
+
 func TestSingleflight(t *testing.T) {
 	c := New[string, int](4)
 	var builds atomic.Int64

@@ -58,11 +58,11 @@ type TFIDF struct {
 	expected   []float64
 }
 
-// StatsSource supplies pre-resolved component-predicate statistics —
-// typically a corpus structure synopsis (internal/synopsis) — so
-// CollectStats need not touch the index for them. ok must be false
-// whenever the source cannot answer the node's predicate exactly (e.g.
-// content predicates); CollectStats then walks that node's postings.
+// StatsSource supplies pre-resolved component-predicate statistics — a
+// corpus structure synopsis (internal/synopsis), or a Memo in front of
+// one — so CollectStats need not touch the index for them. ok must be
+// false whenever the source cannot answer the node's predicate exactly
+// (content predicates, for a synopsis); CollectStats then walks them.
 type StatsSource interface {
 	ComponentStats(q *pattern.Query, id int) (exact, relaxed index.PredicateStats, ok bool)
 }
@@ -79,12 +79,12 @@ type Stats struct {
 
 // CollectStats is the single statistics producer: one pass per query
 // node, answered by src where it can (value-free predicates on a
-// synopsis) and from the node's postings otherwise (postingStats). It
+// synopsis, walked ones on a Memo), else from its postings (postingStats). It
 // is a whole-corpus quantity: ix must enumerate every node of the root
 // tag and of each query tag, as Index, SnapshotReader and shard.Corpus
 // do — a shard part sees only its own postings, and the postings below
-// the spine's roots lie in the parts. A synopsis-backed src yields
-// exactly the numbers the posting walk produces.
+// the spine's roots lie in the parts. Every src yields exactly the
+// numbers the posting walk produces.
 func CollectStats(ix index.Source, src StatsSource, q *pattern.Query) Stats {
 	n := q.Size()
 	st := Stats{Exact: make([]index.PredicateStats, n), Relaxed: make([]index.PredicateStats, n)}

@@ -52,11 +52,13 @@ func (sdb *ShardedDatabase) Synopsis() *Synopsis { return sdb.db.Synopsis() }
 // Planner compiles and caches query plans. Plans are keyed on the
 // query's canonical shape (predicate order ignored) plus the relaxation
 // mode and normalization, so textual variants of one query share a
-// single compiled plan; construction is deduplicated in flight. All
+// single compiled plan; construction is deduplicated in flight. Below
+// the plans a score.Memo keeps what was learned per component predicate:
+// a plan miss walks only the posting lists no earlier query walked. All
 // methods are safe for concurrent use.
 type Planner struct {
 	ix    index.Source
-	syn   *Synopsis
+	stats *score.Memo
 	cache *lru.Cache[string, *QueryPlan]
 
 	hits   atomic.Int64
@@ -65,10 +67,12 @@ type Planner struct {
 
 // NewPlanner returns a planner over the database bounded to capacity
 // cached plans. A plan miss resolves value-free predicates from the
-// synopsis and walks the postings of each valued node once — its cost
-// follows those posting lists, not the number of root candidates.
+// synopsis and valued ones from the planner's memo (lru.PostingsCap
+// entries, whatever capacity is): the first query to ask walks the
+// node's postings — their length, not the number of root candidates —
+// and a later miss on learned predicates costs a few map lookups.
 func (db *Database) NewPlanner(capacity int) *Planner {
-	return &Planner{ix: db.ix, syn: db.Synopsis(), cache: lru.New[string, *QueryPlan](capacity)}
+	return &Planner{ix: db.ix, stats: score.NewMemo(db.ix, db.Synopsis()), cache: lru.New[string, *QueryPlan](capacity)}
 }
 
 // NewPlanner returns a planner over the sharded database bounded to
@@ -95,7 +99,7 @@ func (p *Planner) PlanFor(q *Query, r Relaxation, norm Normalization) (*QueryPla
 		if err := cq.Validate(); err != nil {
 			return nil, err
 		}
-		stats := score.CollectStats(p.ix, p.syn, cq)
+		stats := score.CollectStats(p.ix, p.stats, cq)
 		return core.CompilePlan(stats, cq, r, score.NewTFIDFFromStats(stats, norm), key)
 	})
 	if err != nil {
@@ -118,16 +122,18 @@ type PlannerStats struct {
 	// Evictions counts plans evicted for capacity.
 	Evictions int64
 	// Len and Cap are the cache's current size and bound.
-	Len, Cap int
+	Len, Cap   int
+	Predicates score.MemoStats // the statistics memo the missed plans asked
 }
 
 // Stats returns the planner's cache counters.
 func (p *Planner) Stats() PlannerStats {
 	return PlannerStats{
-		Hits:      p.hits.Load(),
-		Misses:    p.misses.Load(),
-		Evictions: p.cache.Evictions(),
-		Len:       p.cache.Len(),
-		Cap:       p.cache.Cap(),
+		Hits:       p.hits.Load(),
+		Misses:     p.misses.Load(),
+		Evictions:  p.cache.Evictions(),
+		Len:        p.cache.Len(),
+		Cap:        p.cache.Cap(),
+		Predicates: p.stats.Stats(),
 	}
 }

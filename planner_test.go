@@ -2,7 +2,10 @@ package whirlpool
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+
+	"repro/internal/score"
 )
 
 // TestPlannerEquivalence checks plan-driven evaluation returns exactly
@@ -110,5 +113,63 @@ func TestPlannerCanonicalSharing(t *testing.T) {
 	// A structurally different query must not ride on the plan.
 	if _, err := db.TopK(MustParseQuery("//item[./payment]"), Options{K: 3, Relax: RelaxAll, Plan: planA}); err == nil {
 		t.Fatal("mismatched plan accepted")
+	}
+}
+
+// TestPlannerLearnsPredicates: plans compiled in sequence on one
+// planner — most of their valued predicates already in its memo — are,
+// to the bit, the plans a fresh planner compiles for each shape alone:
+// same routing statistics, same server order, same idfs. The shapes are
+// whirlload's cold_shapes templates over the document's own constants.
+// +whirllint:exactscore a plan from learned statistics must equal one from walked statistics bit-for-bit
+func TestPlannerLearnsPredicates(t *testing.T) {
+	db, err := GenerateXMark(XMarkOptions{Seed: 5, Items: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := map[string][]string{}
+	for _, n := range db.Document().Nodes {
+		switch n.Tag {
+		case "location", "quantity", "keyword", "from", "to":
+			if vs := values[n.Tag]; len(vs) < 4 && !slices.Contains(vs, n.Value) {
+				values[n.Tag] = append(vs, n.Value)
+			}
+		}
+	}
+	var shapes []string
+	for i, v := range values["location"] {
+		for _, q := range values["quantity"] {
+			shapes = append(shapes, fmt.Sprintf("//item[./location = '%s' and ./quantity = '%s']", v, q),
+				fmt.Sprintf("//item[./quantity = '%s' and ./mailbox/mail/text/keyword = '%s']", q, values["keyword"][i]),
+				fmt.Sprintf("//item[./location = '%s' and .//keyword = '%s']", v, values["keyword"][i]))
+		}
+		shapes = append(shapes, fmt.Sprintf("//mail[./from = '%s' and ./to = '%s']", values["from"][i], values["to"][i]))
+	}
+	learned := db.NewPlanner(1) // every PlanFor below is a plan miss
+	for i, xpath := range shapes {
+		r := []Relaxation{RelaxNone, RelaxAll}[i%2]
+		got, hit, err := learned.PlanFor(MustParseQuery(xpath), r, NormSparse)
+		if err != nil || hit {
+			t.Fatalf("%s: hit=%v err=%v", xpath, hit, err)
+		}
+		want, _, err := db.NewPlanner(1).PlanFor(MustParseQuery(xpath), r, NormSparse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Fanout, want.Fanout) || !slices.Equal(got.SatisfyProb, want.SatisfyProb) || !slices.Equal(got.Order, want.Order) {
+			t.Fatalf("%s: learned plan (%v, %v, %v), fresh (%v, %v, %v)", xpath,
+				got.Fanout, got.SatisfyProb, got.Order, want.Fanout, want.SatisfyProb, want.Order)
+		}
+		for id := range got.Query.Nodes {
+			ge, gr := got.Scorer.(*score.TFIDF).IDF(id)
+			we, wr := want.Scorer.(*score.TFIDF).IDF(id)
+			if ge != we || gr != wr {
+				t.Fatalf("%s node %d: learned idf (%v, %v), fresh (%v, %v)", xpath, id, ge, gr, we, wr)
+			}
+		}
+	}
+	st := learned.Stats()
+	if st.Misses != int64(len(shapes)) || st.Predicates.Walks != int64(st.Predicates.Len) || st.Predicates.Hits < st.Predicates.Walks {
+		t.Fatalf("%d shapes planned: %+v, want every plan missed and most predicates remembered", len(shapes), st)
 	}
 }
