@@ -1,10 +1,9 @@
 // Command benchcheck asserts properties of a BENCH_core.json report
 // (written by `whirlbench -bench-json` / `make bench`). CI uses it to
-// gate on the hot path's allocation profile, on work stealing being
-// observed, and on the planning and cold-start wins:
+// gate on the hot path's allocation profile and on the planning and
+// cold-start wins:
 //
 //	benchcheck -file BENCH_core.json -alloc-case single -max-alloc-ratio 0.2
-//	benchcheck -file BENCH_core.json -multicore-case shards-8/gmp-8 -require-steals
 //	benchcheck -file BENCH_core.json -min-hot-speedup 2
 //	benchcheck -file BENCH_core.json -min-snapshot-speedup 100
 //
@@ -20,12 +19,10 @@
 // disabled); a ratio of 0.2 demands the memory-reuse layer eliminate at
 // least 80% of hot-path allocations.
 //
-// The work-stealing gate checks a GOMAXPROCS-swept case (see whirlbench
-// -bench-gmp): stealing is goroutine interleaving, which single-core
-// hosts exhibit too, so it is enforceable everywhere. The report's
-// speedup columns are not gated — sharded speedup over one engine on
-// one pinned query measured the single engine's schedule, and sharding
-// is judged on whirlload's sharded_mix instead.
+// Neither the report's steal counts nor its speedup columns are gated:
+// a pinned run is a few hundred server ops, so whether a thief finds
+// work is a scheduling lottery (stealing is held by the shard tests),
+// and sharding is judged on whirlload's sharded_mix instead.
 //
 // benchcheck exits non-zero with a diagnostic when a named case is
 // missing or a gate fails. A gate whose flag is left at zero is
@@ -42,10 +39,6 @@ import (
 type benchCase struct {
 	Name                string `json:"name"`
 	NsPerOp             int64  `json:"ns_per_op"`
-	GoMaxProcs          int    `json:"gomaxprocs"`
-	Workers             int    `json:"workers"`
-	Steals              int64  `json:"steals"`
-	StolenMatches       int64  `json:"stolen_matches"`
 	AllocsPerOp         int64  `json:"allocs_per_op"`
 	BaselineAllocsPerOp int64  `json:"baseline_allocs_per_op"`
 }
@@ -59,8 +52,6 @@ func main() {
 		file           = flag.String("file", "BENCH_core.json", "benchmark report to check")
 		allocCase      = flag.String("alloc-case", "single", "case name for the allocation gate")
 		maxAllocRatio  = flag.Float64("max-alloc-ratio", 0, "required allocs/op ÷ baseline allocs/op ceiling (0 skips)")
-		mcCase         = flag.String("multicore-case", "shards-8/gmp-8", "case name for the work-stealing gate")
-		requireSteals  = flag.Bool("require-steals", false, "fail unless the multi-core case recorded work-stealing activity")
 		hotCase        = flag.String("hot-case", "plan-hot", "case name for the cached-planning gate")
 		coldCase       = flag.String("cold-case", "plan-cold", "baseline case name for the cached-planning gate")
 		minHotSpeedup  = flag.Float64("min-hot-speedup", 0, "required cached-vs-cold planning speedup (0 skips the gate)")
@@ -80,9 +71,6 @@ func main() {
 	}
 	if *maxAllocRatio > 0 {
 		checkAllocs(&rep, *file, *allocCase, *maxAllocRatio)
-	}
-	if *requireSteals {
-		checkSteals(&rep, *file, *mcCase)
 	}
 	if *minHotSpeedup > 0 {
 		checkPlanning(&rep, *file, *hotCase, *coldCase, *minHotSpeedup)
@@ -151,26 +139,6 @@ func checkPlanning(rep *report, file, hotName, coldName string, minSpeedup float
 	}
 	fmt.Printf("benchcheck: cached planning %.1fx over cold >= %.1fx (%s %d ns/op, %s %d ns/op)\n",
 		speedup, minSpeedup, hotName, hot.NsPerOp, coldName, cold.NsPerOp)
-}
-
-// checkSteals gates a GOMAXPROCS-swept case on work-stealing activity.
-func checkSteals(rep *report, file, caseName string) {
-	for _, c := range rep.Cases {
-		if c.Name != caseName {
-			continue
-		}
-		if c.GoMaxProcs == 0 {
-			fatal(fmt.Errorf("%s: case %s has no gomaxprocs (report predates the multi-core sweep; regenerate with whirlbench -bench-json)",
-				file, c.Name))
-		}
-		if c.Steals == 0 {
-			fatal(fmt.Errorf("%s: case %s recorded no steals (workers=%d, gomaxprocs=%d) — the work-stealing executor is not moving matches",
-				file, c.Name, c.Workers, c.GoMaxProcs))
-		}
-		fmt.Printf("benchcheck: %s steals %d (stolen matches %d)\n", c.Name, c.Steals, c.StolenMatches)
-		return
-	}
-	fatal(fmt.Errorf("%s: no case named %q (regenerate the report with whirlbench -bench-json -bench-gmp 1,4,8)", file, caseName))
 }
 
 func checkAllocs(rep *report, file, caseName string, maxRatio float64) {

@@ -1,30 +1,17 @@
-// Command whirlpool-lint runs the Whirlpool analyzer suite
-// (internal/analysis): arenaescape, atomicfield, ctxpoll, deadlinewait,
-// errflow, floatscore, goroutineleak, hotalloc, lockguard, lockorder.
+// Command whirlpool-lint is the Whirlpool analyzer suite
+// (internal/analysis) as a vet tool; the go command is its only driver:
 //
-// Standalone, over package patterns (exit 1 on non-baselined findings):
+//	go build -o bin/whirlpool-lint ./cmd/whirlpool-lint
+//	go vet -vettool=bin/whirlpool-lint ./...
 //
-//	go run ./cmd/whirlpool-lint ./...
-//	whirlpool-lint -tests -sarif lint.sarif ./...
-//
-// Findings that are deliberate debt live in a committed baseline file
-// (lint.baseline.json by default): baselined findings are reported in
-// SARIF with baselineState "unchanged" but do not fail the run, and
-// -update-baseline rewrites the file to the current findings.
-//
-// Or as a vet tool, one package per invocation driven by the go
-// command (facts flow between units through .vetx files):
-//
-//	go vet -vettool=$(which whirlpool-lint) ./...
-//
-// Deliberate exceptions are annotated in source; see each analyzer's
-// doc (whirlpool-lint -list) and the Static analysis section of
-// DESIGN.md.
+// go vet runs it once per package, test variants included, and passes
+// each unit the facts its dependencies exported — the standard library
+// too — through .vetx files. Deliberate exceptions are annotated in
+// source; see the Static analysis section of DESIGN.md.
 package main
 
 import (
 	"crypto/sha256"
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -33,162 +20,27 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout))
-}
-
-func run(args []string, stdout *os.File) int {
-	// The go command identifies a vet tool by running it with -V=full
-	// before handing it package config files.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		printVersion(stdout)
-		return 0
-	}
-	// The second handshake: the go command asks which flags the tool
-	// accepts (JSON list). This suite has no per-analyzer flags.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return analysis.RunVetTool(args[0], analysis.All())
-	}
-
-	fs := flag.NewFlagSet("whirlpool-lint", flag.ExitOnError)
-	list := fs.Bool("list", false, "list the analyzers and exit")
-	tests := fs.Bool("tests", false, "analyze _test.go files too (test variants of each package)")
-	sarifPath := fs.String("sarif", "", "write a SARIF 2.1.0 report to this file (\"-\" for stdout)")
-	baselinePath := fs.String("baseline", "lint.baseline.json", "suppression file; findings recorded there do not fail the run (\"\" disables)")
-	updateBaseline := fs.Bool("update-baseline", false, "rewrite the baseline file to the current findings and exit 0")
-	auditAnnotations := fs.Bool("audit-annotations", false, "audit +whirllint annotations instead of running the analyzers: fail on unknown tags and on justifications naming symbols that no longer exist")
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: whirlpool-lint [-list] [-tests] [-sarif file] [-baseline file] [-update-baseline] [-audit-annotations] [packages]\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-	if *list {
+	args := os.Args[1:]
+	switch {
+	case len(args) == 1 && strings.HasPrefix(args[0], "-V"):
+		// The go command keys its vet cache on this line, so it must
+		// change whenever the tool does: hash the executable.
+		id := "unknown"
+		if exe, err := os.Executable(); err == nil {
+			if data, err := os.ReadFile(exe); err == nil {
+				id = fmt.Sprintf("%x", sha256.Sum256(data))[:16]
+			}
+		}
+		fmt.Printf("whirlpool-lint version devel buildID=%s\n", id)
+	case len(args) == 1 && args[0] == "-flags":
+		fmt.Println("[]") // no analyzer flags
+	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
+		os.Exit(analysis.RunVetTool(args[0], analysis.All()))
+	default:
+		fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(which whirlpool-lint) [packages]")
 		for _, a := range analysis.All() {
-			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
 		}
-		return 0
+		os.Exit(2)
 	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	load := analysis.Load
-	if *tests {
-		load = analysis.LoadTests
-	}
-	pkgs, err := load(patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	// Degenerate inputs — syntax errors, packages with no Go files,
-	// unresolvable imports — are reported per package, not fatal to the
-	// whole run; any of them still fails the invocation.
-	broken := false
-	for _, pkg := range pkgs {
-		for _, lerr := range pkg.LoadErrors {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", pkg.PkgPath(), lerr)
-			broken = true
-		}
-		for _, terr := range pkg.TypeErrors {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", pkg.PkgPath(), terr)
-			broken = true
-		}
-	}
-	if broken {
-		return 1
-	}
-	if *auditAnnotations {
-		stale := analysis.AuditAnnotations(pkgs)
-		for _, d := range stale {
-			fmt.Fprintln(stdout, d)
-		}
-		if len(stale) > 0 {
-			return 1
-		}
-		return 0
-	}
-	diags, err := analysis.Run(analysis.All(), pkgs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-
-	root, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-
-	if *updateBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "whirlpool-lint: -update-baseline needs a -baseline path")
-			return 1
-		}
-		b := analysis.NewBaseline(diags, root)
-		if err := b.Save(*baselinePath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "whirlpool-lint: baseline %s updated with %d finding(s)\n", *baselinePath, b.Len())
-		return 0
-	}
-
-	baselined := func(analysis.Diagnostic) bool { return false }
-	fresh := diags
-	if *baselinePath != "" {
-		b, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		var old []analysis.Diagnostic
-		fresh, old, baselined = b.Filter(diags, root)
-		if len(old) > 0 {
-			fmt.Fprintf(stdout, "whirlpool-lint: %d baselined finding(s) suppressed (see %s)\n", len(old), *baselinePath)
-		}
-	}
-
-	if *sarifPath != "" {
-		report, err := analysis.SARIF(analysis.All(), diags, root, baselined)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if *sarifPath == "-" {
-			fmt.Fprintf(stdout, "%s\n", report)
-		} else if err := os.WriteFile(*sarifPath, append(report, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-
-	for _, d := range fresh {
-		fmt.Fprintln(stdout, d)
-	}
-	if len(fresh) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// printVersion implements the -V=full handshake: the go command folds
-// the line into its build cache key, so it must change when the tool
-// does — hash the executable.
-func printVersion(stdout *os.File) {
-	name := "whirlpool-lint"
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			sum := sha256.Sum256(data)
-			id = fmt.Sprintf("%x", sum[:8])
-		}
-	}
-	fmt.Fprintf(stdout, "%s version devel buildID=%s\n", name, id)
 }

@@ -47,7 +47,6 @@ func TestQueryLimits(t *testing.T) {
 
 // TestServerTimeouts: the daemon's http.Server sets all four connection
 // deadlines, and a client that stalls mid-header is cut off.
-// +whirllint:managed the serve goroutine signals completion on the done channel
 func TestServerTimeouts(t *testing.T) {
 	srv := newHTTPServer(http.NotFoundHandler())
 	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 {
@@ -81,7 +80,6 @@ func TestServerTimeouts(t *testing.T) {
 // TestServeDrainsOnShutdown: cancelling serve's context (SIGTERM in
 // main) closes the listener at once but lets a request in flight finish
 // with its answer.
-// +whirllint:managed the serve and client goroutines signal completion on their channels
 // +whirllint:busywait the dial loop ends at the first refused connection or a 5 s deadline
 func TestServeDrainsOnShutdown(t *testing.T) {
 	s := testServer(t)
@@ -223,7 +221,6 @@ func TestHandlerPanicIsA500(t *testing.T) {
 // TestPanickingBuildDoesNotPoisonTheCache: a panic inside an engine
 // build is that request's 500, not a cache slot every later request for
 // the same engine waits on for ever — the identical request is served.
-// +whirllint:managed the second request's goroutine reports on its channel, awaited under a deadline
 func TestPanickingBuildDoesNotPoisonTheCache(t *testing.T) {
 	log.SetOutput(io.Discard)
 	t.Cleanup(func() { log.SetOutput(os.Stderr) })

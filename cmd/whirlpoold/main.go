@@ -87,8 +87,8 @@ func newHTTPServer(h http.Handler) *http.Server {
 
 // serve runs srv on ln until it fails or ctx is cancelled, then drains:
 // the listener closes at once, idle connections with it, and requests
-// in flight get shutdownGrace to finish.
-// +whirllint:managed the Serve goroutine reports on errc, read on every path out
+// in flight get shutdownGrace to finish. The Serve goroutine reports on
+// errc, which every path out reads.
 func serve(ctx context.Context, srv *http.Server, ln net.Listener) error {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

@@ -254,7 +254,6 @@ func TestEngineCacheLRUBound(t *testing.T) {
 // until the build finished — even requests whose engine was already
 // cached. Now construction happens outside the cache lock, so a parked
 // build must not delay cached requests for other keys.
-// +whirllint:managed request goroutines signal completion on their reply channels
 func TestBuildDoesNotBlockServingPath(t *testing.T) {
 	s := testServer(t)
 	warmQuery := queryRequest{Query: "//item[./description/parlist]", K: 3}

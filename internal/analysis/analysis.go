@@ -1,15 +1,15 @@
-// Package analysis is a self-contained static-analysis framework plus
-// the Whirlpool-specific analyzers built on it. It mirrors the shape of
-// golang.org/x/tools/go/analysis — Analyzer, Pass, Diagnostic — but is
-// implemented entirely on the standard library's go/ast and go/types so
-// the module stays dependency-free.
+// Package analysis is the Whirlpool analyzer suite and the small
+// framework it runs on. The framework mirrors the shape of
+// golang.org/x/tools/go/analysis — Analyzer, Pass, Diagnostic, object
+// facts — on the standard library's go/ast and go/types, so the module
+// stays dependency-free; its one driver is the go vet -vettool protocol
+// (unitchecker.go, run by cmd/whirlpool-lint).
 //
-// The analyzers enforce the conventions Whirlpool's correctness rests
-// on: mutex-guarded struct fields only touched under the lock
-// (lockguard), no raw float equality between scores (floatscore), no
-// fire-and-forget goroutines (goroutineleak), and prompt cancellation
-// polling in unbounded engine loops (ctxpoll). Deliberate exceptions
-// are annotated in source with `// +whirllint:<tag>` lines in the doc
+// An analyzer is here only because it is the only check — not go vet,
+// not go test, not the race detector — that catches some bug class
+// reintroduced into the tree: DESIGN.md's static-analysis section
+// records the mutation audit that decided it. Deliberate exceptions are
+// annotated in source with a `// +whirllint:<tag>` line in the doc
 // comment of the enclosing function; each analyzer documents the tag it
 // honours.
 package analysis
@@ -19,20 +19,18 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
 // An Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and on the
-	// command line.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is the analyzer's help text; the first line is the summary.
+	// Doc is the analyzer's one-line summary.
 	Doc string
 	// Run applies the analyzer to one package, reporting findings
 	// through pass.Reportf.
-	Run func(*Pass) error
+	Run func(*Pass)
 }
 
 // A Pass provides one analyzer run with a single type-checked package.
@@ -44,7 +42,7 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	diags *[]Diagnostic
-	facts *FactStore
+	facts factStore
 }
 
 // A Diagnostic is one reported finding.
@@ -67,76 +65,19 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Run applies every analyzer to every package and returns the combined
-// findings sorted by position. Analyzer errors (not findings) abort.
-// Packages are visited in the order given; Load returns them in
-// dependency order, so facts exported while analyzing a package are
-// visible to the passes over its importers.
-func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
-	return RunWithFacts(analyzers, pkgs, NewFactStore())
-}
-
-// RunWithFacts is Run against a caller-supplied fact store, which may
-// be pre-seeded with facts imported from earlier runs (the vet-tool
-// protocol seeds it from dependency .vetx files) and afterwards holds
-// every fact the analyzers exported.
-func RunWithFacts(analyzers []*Analyzer, pkgs []*Package, facts *FactStore) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			pass := &Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-				diags:     &diags,
-				facts:     facts,
-			}
-			if err := a.Run(pass); err != nil {
-				return diags, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-			}
-		}
-	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i].Pos, diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		return diags[i].Analyzer < diags[j].Analyzer
-	})
-	return diags, nil
-}
-
 // annotationPrefix introduces a lint annotation inside a doc comment:
-// `// +whirllint:locked`, `// +whirllint:exactscore`, ...
+// `// +whirllint:hotpath`, `// +whirllint:exactscore`, ...
 const annotationPrefix = "+whirllint:"
 
-// hasAnnotation reports whether the function declaration carries the
-// given whirllint annotation (e.g. tag "locked") in its doc comment.
-func hasAnnotation(fn *ast.FuncDecl, tag string) bool {
-	if fn == nil {
-		return false
-	}
-	ok, _ := commentAnnotation(fn.Doc, tag)
-	return ok
-}
-
-// commentAnnotation scans a comment group for `+whirllint:<tag>` and
-// returns whether it was found plus any trailing justification text on
-// the same line (`// +whirllint:seqlocked readers use atomic loads`).
-func commentAnnotation(doc *ast.CommentGroup, tag string) (found bool, justification string) {
-	if doc == nil {
+// funcAnnotation scans a function's doc comment for `+whirllint:<tag>`
+// and returns whether it was found plus any justification text after
+// the tag on the same line (`// +whirllint:allocok amortized: ...`).
+func funcAnnotation(fn *ast.FuncDecl, tag string) (found bool, justification string) {
+	if fn == nil || fn.Doc == nil {
 		return false, ""
 	}
 	want := annotationPrefix + tag
-	for _, c := range doc.List {
+	for _, c := range fn.Doc.List {
 		line := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 		if line == want {
 			return true, ""
@@ -148,42 +89,11 @@ func commentAnnotation(doc *ast.CommentGroup, tag string) (found bool, justifica
 	return false, ""
 }
 
-// fieldAnnotation scans a struct field's doc comment and trailing
-// same-line comment for the given annotation.
-func fieldAnnotation(field *ast.Field, tag string) (found bool, justification string) {
-	for _, doc := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if ok, j := commentAnnotation(doc, tag); ok {
-			return ok, j
-		}
-	}
-	return false, ""
-}
-
-// funcAnnotation is commentAnnotation on a function's doc comment.
-func funcAnnotation(fn *ast.FuncDecl, tag string) (found bool, justification string) {
-	if fn == nil {
-		return false, ""
-	}
-	return commentAnnotation(fn.Doc, tag)
-}
-
-// hasTypeAnnotation reports whether the type declaration carries the
-// given whirllint annotation. The doc comment may sit on the TypeSpec
-// (grouped `type (...)` declarations) or on the enclosing GenDecl (the
-// common single-type form); both are honoured.
-func hasTypeAnnotation(gd *ast.GenDecl, ts *ast.TypeSpec, tag string) bool {
-	want := annotationPrefix + tag
-	for _, doc := range []*ast.CommentGroup{ts.Doc, gd.Doc} {
-		if doc == nil {
-			continue
-		}
-		for _, c := range doc.List {
-			if strings.TrimSpace(strings.TrimPrefix(c.Text, "//")) == want {
-				return true
-			}
-		}
-	}
-	return false
+// hasAnnotation reports whether the function's doc comment carries the
+// annotation.
+func hasAnnotation(fn *ast.FuncDecl, tag string) bool {
+	ok, _ := funcAnnotation(fn, tag)
+	return ok
 }
 
 // funcDecls yields every function declaration in the pass's files.
@@ -202,11 +112,8 @@ func funcDecls(pass *Pass) []*ast.FuncDecl {
 // isNamedType reports whether t (after pointer indirection) is the named
 // type pkgPath.name.
 func isNamedType(t types.Type, pkgPath, name string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
+	named := derefNamed(t)
+	if named == nil {
 		return false
 	}
 	obj := named.Obj()

@@ -1,7 +1,10 @@
 package analysis_test
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -9,37 +12,120 @@ import (
 	"repro/internal/analysis/analysistest"
 )
 
-// TestAnalyzers runs every analyzer over its golden testdata package:
-// seeded violations must be reported (matching the `// want` patterns)
-// and clean code must stay silent.
-func TestAnalyzers(t *testing.T) {
-	tests := []struct {
-		name     string
-		analyzer *analysis.Analyzer
-	}{
-		{"arenaescape", analysis.ArenaEscape},
-		{"atomicfield", analysis.AtomicField},
-		{"hotalloc", analysis.HotAlloc},
-		{"lockguard", analysis.LockGuard},
-		{"floatscore", analysis.FloatScore},
-		{"goroutineleak", analysis.GoroutineLeak},
-		{"ctxpoll", analysis.CtxPoll},
-		{"deadlinewait", analysis.DeadlineWait},
-		{"errflow", analysis.ErrFlow},
-		{"lockorder", analysis.LockOrder},
+// tool is whirlpool-lint, built once for every golden.
+var tool string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "whirlpool-lint")
+	if err != nil {
+		panic(err)
 	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if tt.analyzer.Name != tt.name {
-				t.Fatalf("analyzer name = %q, want %q", tt.analyzer.Name, tt.name)
-			}
-			analysistest.Run(t, filepath.Join("testdata", "src", tt.name), tt.analyzer)
+	if tool, err = analysistest.BuildTool(dir); err != nil {
+		panic(err)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// TestAnalyzers vets every analyzer's golden testdata package: seeded
+// violations must be reported (matching the `// want` patterns) and
+// clean code must stay silent.
+func TestAnalyzers(t *testing.T) {
+	for _, a := range analysis.All() {
+		t.Run(a.Name, func(t *testing.T) {
+			analysistest.Run(t, tool, filepath.Join("testdata", "src", a.Name), a.Name)
 		})
 	}
 }
 
-// TestRegistry pins the suite contents so a new analyzer cannot be
-// added without wiring it into All (and thus whirlpool-lint).
+// TestAuditRows replays the rows of DESIGN.md's mutation audit that the
+// surviving analyzers catch: each row puts its bug back into tree code
+// through a `go vet -overlay`, and the analyzer must report it. A row
+// whose code has moved fails here; update it and the audit table.
+func TestAuditRows(t *testing.T) {
+	rows := []struct {
+		name, file, old, new, analyzer, want string
+	}{
+		{"make-in-process", "internal/core/server.go",
+			"exts := sc.exts[:0]",
+			"exts := make([]*match, 0, len(sc.cands))",
+			"hotalloc", `make allocates`},
+		{"parsefloat-in-matches", "internal/index/valuetest.go",
+			"n, ok := parseNum(v)\n\t\tif !ok {",
+			"n, err := strconv.ParseFloat(v, 64)\n\t\tif err != nil {",
+			"hotalloc", `call to strconv\.ParseFloat allocates`},
+		{"time-after-in-stealloop", "internal/shard/pool.go",
+			"\t\t\tif idles > idleSpins {\n\t\t\t\ttime.Sleep(idleNap)\n",
+			"\t\t\tif idles > idleSpins {\n\t\t\t\tselect {\n\t\t\t\tcase <-ctx.Done():\n\t\t\t\t\treturn\n\t\t\t\tcase <-time.After(idleNap):\n\t\t\t\t}\n",
+			"hotalloc", `time\.After allocates`},
+		{"unlocked-lru-len", "internal/lru/lru.go",
+			"\tc.mu.Lock()\n\tdefer c.mu.Unlock()\n\treturn c.order.Len()",
+			"\treturn c.order.Len()",
+			"lockguard", `Cache\.order is guarded by Cache\.mu`},
+		{"unlocked-blockingpq-len", "internal/core/queue.go",
+			"func (q *blockingPQ) len() int {\n\tq.mu.Lock()\n\tdefer q.mu.Unlock()\n",
+			"func (q *blockingPQ) len() int {\n",
+			"lockguard", `blockingPQ\.\w+ is guarded by blockingPQ\.mu`},
+		{"unlocked-registry-exposition", "internal/obs/obs.go",
+			"\tr.mu.Lock()\n\tout := make([]*metric, 0, len(r.metrics))\n\tfor _, m := range r.metrics {\n\t\tout = append(out, m)\n\t}\n\tr.mu.Unlock()\n",
+			"\tout := make([]*metric, 0, len(r.metrics))\n\tfor _, m := range r.metrics {\n\t\tout = append(out, m)\n\t}\n",
+			"lockguard", `Registry\.metrics is guarded by Registry\.mu`},
+		{"no-poll-in-stealloop", "internal/shard/pool.go",
+			"\tfor {\n\t\tselect {\n\t\tcase <-ctx.Done():\n\t\t\treturn\n\t\tdefault:\n\t\t}\n\t\tidx, stolen := st.pick(w)",
+			"\tfor {\n\t\tidx, stolen := st.pick(w)",
+			"ctxpoll", `unbounded loop never polls cancellation`},
+		{"no-poll-in-servem", "internal/core/algorithms.go",
+			"\t\tif r.cancelled() {\n\t\t\tr.release(m)\n\t\t\tlive.add(-1) // drain so the live counter reaches zero\n\t\t\tcontinue\n\t\t}\n\t\tsurv := r.serve(",
+			"\t\tsurv := r.serve(",
+			"ctxpoll", `unbounded loop never polls cancellation`},
+		{"prunable-without-eps", "internal/core/run.go",
+			"return ok && m.maxFinal <= t+pruneEps",
+			"return ok && m.maxFinal <= t",
+			"floatscore", `raw <= between float64 scores`},
+		{"kth-without-taeps", "internal/keyword/keyword.go",
+			"return buf[k-1] >= threshold-taEps, buf",
+			"return buf[k-1] >= threshold, buf",
+			"floatscore", `raw >= between float64 scores`},
+	}
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		t.Run(row.analyzer+"/"+row.name, func(t *testing.T) {
+			path := filepath.Join(root, row.file)
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := strings.Count(string(src), row.old); n != 1 {
+				t.Fatalf("%s: the audited code occurs %d times, want 1; update the row and DESIGN.md's audit table", row.file, n)
+			}
+			dir := t.TempDir()
+			mutated := filepath.Join(dir, filepath.Base(row.file))
+			if err := os.WriteFile(mutated, []byte(strings.Replace(string(src), row.old, row.new, 1)), 0o666); err != nil {
+				t.Fatal(err)
+			}
+			overlay, err := json.Marshal(map[string]map[string]string{"Replace": {path: mutated}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			overlayPath := filepath.Join(dir, "overlay.json")
+			if err := os.WriteFile(overlayPath, overlay, 0o666); err != nil {
+				t.Fatal(err)
+			}
+			out, err := analysistest.Vet(tool, root, "-overlay="+overlayPath, "./"+filepath.Dir(row.file))
+			want := regexp.MustCompile(`: .*` + row.want + `.* \(` + row.analyzer + `\)`)
+			if err == nil || !want.MatchString(out) {
+				t.Fatalf("the %s mutation in %s went unreported by %s (err %v):\n%s", row.name, row.file, row.analyzer, err, out)
+			}
+		})
+	}
+}
+
+// TestRegistry pins the suite contents: adding or deleting an analyzer
+// is a decision DESIGN.md's mutation audit has to record.
 func TestRegistry(t *testing.T) {
 	var names []string
 	for _, a := range analysis.All() {
@@ -48,36 +134,7 @@ func TestRegistry(t *testing.T) {
 		}
 		names = append(names, a.Name)
 	}
-	got := strings.Join(names, ",")
-	want := "arenaescape,atomicfield,ctxpoll,deadlinewait,errflow,floatscore,goroutineleak,hotalloc,lockguard,lockorder"
-	if got != want {
+	if got, want := strings.Join(names, ","), "ctxpoll,floatscore,hotalloc,lockguard"; got != want {
 		t.Fatalf("All() = %s, want %s", got, want)
-	}
-}
-
-// TestSuiteCleanOnRepo is the acceptance gate: the analyzers must find
-// nothing in the repo's own production code.
-func TestSuiteCleanOnRepo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	pkgs, err := analysis.Load("repro/...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range pkgs {
-		if strings.Contains(pkg.Path, "testdata") {
-			t.Fatalf("testdata package %s leaked into repro/...", pkg.Path)
-		}
-		for _, terr := range pkg.TypeErrors {
-			t.Errorf("%s: type error: %v", pkg.Path, terr)
-		}
-	}
-	diags, err := analysis.Run(analysis.All(), pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("lint regression: %s", d)
 	}
 }

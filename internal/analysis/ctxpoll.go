@@ -2,15 +2,19 @@ package analysis
 
 import (
 	"go/ast"
+	"slices"
 	"strings"
 )
 
 // CtxPoll keeps RunContext cancellation prompt: inside the engine
-// (internal/core) and the daemon (cmd/whirlpoold), an unbounded loop —
-// `for { ... }` with no condition, the shape of every match-processing
-// and queue-pop loop — must poll cancellation on each iteration, either
-// r.cancelled() or a receive from ctx.Done(). Without the poll, a
-// cancelled query keeps burning CPU until its queues drain naturally.
+// (internal/core), the shard pool (internal/shard) and the daemon
+// (cmd/whirlpoold), an unbounded loop — `for { ... }` with no condition,
+// the shape of every match-processing, queue-pop and steal loop — must
+// poll cancellation on each iteration, either r.cancelled() or a
+// receive from ctx.Done(). Without the poll, a cancelled query keeps
+// burning CPU until its queues drain naturally — or, in the steal loop,
+// forever. No test notices the first, and only an unlucky schedule the
+// second.
 //
 // Busy-wait loops with an empty body are reported unconditionally:
 // they cannot poll anything. The one sanctioned busy-wait, spin() in
@@ -25,23 +29,16 @@ var CtxPoll = &Analyzer{
 	Run:  runCtxPoll,
 }
 
-// CtxPollScope limits the analyzer to the packages whose unbounded
+// ctxPollScope limits the analyzer to the packages whose unbounded
 // loops process matches and queue pops. A package is in scope when its
 // import path contains one of these substrings. internal/shard is in
 // scope for the worker pool's steal loop: a worker that stops polling
 // would keep stepping stolen matches long after the query died.
-var CtxPollScope = []string{"internal/core", "internal/shard", "cmd/whirlpoold", "testdata/src/ctxpoll"}
+var ctxPollScope = []string{"internal/core", "internal/shard", "cmd/whirlpoold", "testdata/src/ctxpoll"}
 
-func runCtxPoll(pass *Pass) error {
-	inScope := false
-	for _, s := range CtxPollScope {
-		if strings.Contains(pass.Pkg.Path(), s) {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
-		return nil
+func runCtxPoll(pass *Pass) {
+	if !slices.ContainsFunc(ctxPollScope, func(s string) bool { return strings.Contains(pass.Pkg.Path(), s) }) {
+		return
 	}
 	for _, fn := range funcDecls(pass) {
 		if fn.Body == nil || hasAnnotation(fn, "busywait") {
@@ -66,7 +63,6 @@ func runCtxPoll(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // pollsCancellation reports whether the loop body contains a call to a

@@ -2,251 +2,104 @@ package analysis
 
 import (
 	"encoding/json"
-	"fmt"
 	"go/types"
-	"reflect"
-	"sort"
 	"strings"
-	"sync"
 )
 
-// A Fact is a property of a package-level object that an analyzer
-// derives while analyzing the object's defining package and that
-// analyzers of downstream packages import — e.g. hotalloc's "this
-// function allocates". Facts make the suite interprocedural across the
-// dependency graph without re-analyzing callee bodies at every call
-// site: Run visits packages in dependency order (see sortByDeps), so by
-// the time a caller is analyzed, its callees' facts are in the store.
-//
-// Fact types must be pointers to JSON-serializable structs and must be
-// registered with RegisterFactType so the vet-tool protocol
-// (unitchecker.go) can round-trip them through .vetx files.
-type Fact interface {
-	// AFact is a marker method; it has no behavior.
-	AFact()
-}
+// A fact is what an analyzer learns about a package-level function while
+// analyzing the function's package — hotalloc's "this function
+// allocates" — and hands to the packages importing it: go vet writes
+// each unit's facts to a .vetx file and passes the files of a unit's
+// dependencies (the standard library's included) to the unit, so the
+// suite sees across package boundaries. A fact is any JSON-serializable
+// value, keyed by analyzer and objectKey.
+type factStore map[string]json.RawMessage
 
-// factRegistry maps a fact type's registered name to its concrete
-// struct type, for decoding serialized fact files.
-var (
-	factMu       sync.Mutex
-	factRegistry = map[string]reflect.Type{}
-)
-
-// RegisterFactType makes a fact type known to the (de)serializer. The
-// example must be a non-nil pointer to a struct; its type name is the
-// wire tag. Registration is idempotent.
-func RegisterFactType(example Fact) {
-	t := reflect.TypeOf(example)
-	if t == nil || t.Kind() != reflect.Pointer || t.Elem().Kind() != reflect.Struct {
-		panic(fmt.Sprintf("RegisterFactType: %T is not a pointer to struct", example))
+func factKey(analyzer string, obj types.Object) string {
+	if k := objectKey(obj); k != "" {
+		return analyzer + " " + k
 	}
-	factMu.Lock()
-	defer factMu.Unlock()
-	factRegistry[t.Elem().Name()] = t.Elem()
+	return ""
 }
 
-// factKey identifies one object fact: which analyzer derived it and
-// the canonical key of the object it describes.
-type factKey struct {
-	analyzer string
-	object   string
-}
-
-// FactStore holds the facts exported so far in a Run (or imported from
-// serialized .vetx files in vet-tool mode). One store spans all
-// packages of a Run; keys embed the defining package's path.
-type FactStore struct {
-	mu sync.Mutex
-	m  map[factKey]Fact
-}
-
-// NewFactStore returns an empty store.
-func NewFactStore() *FactStore {
-	return &FactStore{m: make(map[factKey]Fact)}
-}
-
-// ObjectKey returns the canonical cross-package key of a package-level
-// object (function, method, type, or var): the defining package's
-// import path (test-variant brackets stripped, so a fact exported while
-// analyzing "p [p.test]" is visible to importers of "p") joined with
-// the receiver-qualified name. Objects without a package (builtins,
-// locals promoted by the type checker) get "" — no fact identity.
-func ObjectKey(obj types.Object) string {
+// objectKey returns the canonical cross-package key of a package-level
+// object: the defining package's import path (test-variant brackets
+// stripped, so a fact exported while analyzing "p [p.test]" is visible
+// to importers of "p") joined with the receiver-qualified name. Objects
+// without a package, and methods on unnamed receivers, get "".
+func objectKey(obj types.Object) string {
 	if obj == nil || obj.Pkg() == nil {
 		return ""
 	}
 	path := strippedPath(obj.Pkg().Path())
 	if fn, ok := obj.(*types.Func); ok {
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			t := sig.Recv().Type()
-			if ptr, ok := t.(*types.Pointer); ok {
-				t = ptr.Elem()
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			named := derefNamed(recv.Type())
+			if named == nil {
+				return ""
 			}
-			if named, ok := t.(*types.Named); ok {
-				return path + ".(" + named.Obj().Name() + ")." + fn.Name()
-			}
-			return "" // method on an unnamed receiver: no stable key
+			return path + ".(" + named.Obj().Name() + ")." + fn.Name()
 		}
 	}
 	return path + "." + obj.Name()
 }
 
-func (s *FactStore) export(analyzer string, obj types.Object, fact Fact) {
-	key := ObjectKey(obj)
-	if key == "" {
-		return
+// strippedPath removes go's test-variant suffix:
+// "repro/internal/core [repro/internal/core.test]" -> "repro/internal/core".
+func strippedPath(path string) string {
+	if i := strings.IndexByte(path, ' '); i >= 0 {
+		return path[:i]
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[factKey{analyzer, key}] = fact
+	return path
 }
 
-func (s *FactStore) importFact(analyzer string, obj types.Object, out Fact) bool {
-	key := ObjectKey(obj)
-	if key == "" {
-		return false
+// derefNamed returns t, or the type t points to, as a named type; nil
+// when it is neither.
+func derefNamed(t types.Type) *types.Named {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
 	}
-	s.mu.Lock()
-	got, ok := s.m[factKey{analyzer, key}]
-	s.mu.Unlock()
-	if !ok || reflect.TypeOf(got) != reflect.TypeOf(out) {
-		return false
-	}
-	reflect.ValueOf(out).Elem().Set(reflect.ValueOf(got).Elem())
-	return true
+	named, _ := t.(*types.Named)
+	return named
 }
 
-// serializedFact is the wire form of one fact in a .vetx file.
-type serializedFact struct {
-	Analyzer string          `json:"analyzer"`
-	Object   string          `json:"object"`
-	Type     string          `json:"type"`
-	Data     json.RawMessage `json:"data"`
-}
-
-// Encode serializes the store's facts whose object keys belong to the
-// given package path (brackets stripped); pkgPath "" encodes all facts.
-// The output is deterministic.
-func (s *FactStore) Encode(pkgPath string) ([]byte, error) {
-	pkgPath = strippedPath(pkgPath)
-	s.mu.Lock()
-	var out []serializedFact
-	for k, f := range s.m {
-		if pkgPath != "" && !strings.HasPrefix(k.object, pkgPath+".") {
-			continue
+// ExportObjectFact records fact about obj for the passes over packages
+// importing it.
+func (p *Pass) ExportObjectFact(obj types.Object, fact any) {
+	if k := factKey(p.Analyzer.Name, obj); k != "" {
+		if data, err := json.Marshal(fact); err == nil {
+			p.facts[k] = data
 		}
-		data, err := json.Marshal(f)
-		if err != nil {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("encoding fact %v: %w", k, err)
-		}
-		out = append(out, serializedFact{
-			Analyzer: k.analyzer,
-			Object:   k.object,
-			Type:     reflect.TypeOf(f).Elem().Name(),
-			Data:     data,
-		})
 	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Object != out[j].Object {
-			return out[i].Object < out[j].Object
-		}
-		return out[i].Analyzer < out[j].Analyzer
-	})
-	return json.Marshal(out)
 }
 
-// Decode merges facts serialized by Encode into the store. Facts whose
-// type was never registered in this process are skipped (a newer tool
-// version may know more fact types than an older one).
-func (s *FactStore) Decode(data []byte) error {
-	if len(data) == 0 {
-		return nil
+// ImportObjectFact decodes p's analyzer's fact about obj into out,
+// reporting whether there was one.
+func (p *Pass) ImportObjectFact(obj types.Object, out any) bool {
+	data, ok := p.facts[factKey(p.Analyzer.Name, obj)]
+	return ok && json.Unmarshal(data, out) == nil
+}
+
+// encode serializes the facts about pkgPath's own objects.
+func (s factStore) encode(pkgPath string) ([]byte, error) {
+	prefix := " " + strippedPath(pkgPath) + "."
+	own := make(map[string]json.RawMessage)
+	for k, v := range s {
+		if strings.Contains(k, prefix) {
+			own[k] = v
+		}
 	}
-	var in []serializedFact
+	return json.Marshal(own) // encoding/json sorts map keys
+}
+
+// decode merges facts written by encode.
+func (s factStore) decode(data []byte) error {
+	var in map[string]json.RawMessage
 	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("decoding fact file: %w", err)
+		return err
 	}
-	factMu.Lock()
-	reg := make(map[string]reflect.Type, len(factRegistry))
-	for k, v := range factRegistry {
-		reg[k] = v
-	}
-	factMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sf := range in {
-		t, ok := reg[sf.Type]
-		if !ok {
-			continue
-		}
-		v := reflect.New(t)
-		if err := json.Unmarshal(sf.Data, v.Interface()); err != nil {
-			return fmt.Errorf("decoding fact %s for %s: %w", sf.Type, sf.Object, err)
-		}
-		fact, ok := v.Interface().(Fact)
-		if !ok {
-			continue
-		}
-		s.m[factKey{sf.Analyzer, sf.Object}] = fact
+	for k, v := range in {
+		s[k] = v
 	}
 	return nil
-}
-
-// ExportObjectFact records a fact about a package-level object for
-// downstream passes. The fact is keyed by the analyzer, so two
-// analyzers' facts about one object never collide.
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if p.facts == nil {
-		return
-	}
-	p.facts.export(p.Analyzer.Name, obj, fact)
-}
-
-// ImportObjectFact copies the fact of p's analyzer about obj into out
-// (a non-nil pointer of the fact's concrete type), reporting whether
-// one was found. Facts about objects in the current package are visible
-// as soon as they are exported; facts about imported packages were
-// recorded when those packages were analyzed earlier in the Run.
-func (p *Pass) ImportObjectFact(obj types.Object, out Fact) bool {
-	if p.facts == nil {
-		return false
-	}
-	return p.facts.importFact(p.Analyzer.Name, obj, out)
-}
-
-// An ObjectFact pairs a fact with the canonical key (ObjectKey) of the
-// object it describes.
-type ObjectFact struct {
-	Object string
-	Fact   Fact
-}
-
-// AllObjectFacts returns every fact of p's analyzer currently in the
-// store, sorted by object key — in standalone mode all facts exported
-// by the packages analyzed so far, in vet-tool mode the facts imported
-// from dependency .vetx files plus the current unit's. Mirrors
-// golang.org/x/tools' Pass.AllObjectFacts; lockorder uses it to see
-// the whole lock-acquisition graph, not just the facts of functions it
-// happens to reference.
-func (p *Pass) AllObjectFacts() []ObjectFact {
-	if p.facts == nil {
-		return nil
-	}
-	return p.facts.allFacts(p.Analyzer.Name)
-}
-
-func (s *FactStore) allFacts(analyzer string) []ObjectFact {
-	s.mu.Lock()
-	out := make([]ObjectFact, 0, len(s.m))
-	for k, f := range s.m {
-		if k.analyzer == analyzer {
-			out = append(out, ObjectFact{Object: k.object, Fact: f})
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Object < out[j].Object })
-	return out
 }

@@ -39,7 +39,7 @@ var floatScoreOps = map[token.Token]bool{
 
 var scoreNames = []string{"score", "contrib", "threshold", "maxfinal"}
 
-func runFloatScore(pass *Pass) error {
+func runFloatScore(pass *Pass) {
 	for _, fn := range funcDecls(pass) {
 		if fn.Body == nil || hasAnnotation(fn, "exactscore") {
 			continue
@@ -62,7 +62,6 @@ func runFloatScore(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 func isFloat64(pass *Pass, expr ast.Expr) bool {

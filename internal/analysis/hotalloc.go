@@ -15,22 +15,23 @@ import (
 //	// +whirllint:hotpath
 //
 // is a hot-path root (run.process, the heap ops, topkSet.offer, the
-// arena's get/release, every AppendCandidates implementation), and no
-// allocating construct may be reachable from a root through the
-// package's call graph. BenchmarkProcessAllocs and the benchcheck
-// alloc-ratio gate catch a regression only when a benchmark happens to
-// exercise it; this analyzer fails the build on every path.
+// arena's get/release, every AppendCandidates implementation, the shard
+// pool's steal loop), and no allocating construct may be reachable from
+// a root through the package's call graph. The AllocsPerRun tests
+// (TestProcessAllocs, TestRunReuseAllocs, the index and store probe
+// tests) catch a regression only on the paths their inputs exercise;
+// this analyzer fails the build on every path.
 //
 // The call graph walk covers direct calls, method calls on concrete
 // receivers, interface method calls (conservatively: every method of an
 // in-package type that implements the interface), and calls through
 // function-valued fields (conservatively: every function or closure the
 // package ever stores in a field of that name and type). Calls that
-// leave the package consult the AllocFact exported when the callee's
-// package was analyzed earlier in the run, so the gate is
-// interprocedural across the repo's own dependency graph; callees with
-// no fact (stdlib, bodies not analyzed) are assumed clean except for
-// the known allocators (fmt, errors).
+// leave the package consult the AllocFact go vet hands over from the
+// callee's package — the standard library's included, so time.After or
+// strconv.ParseFloat on a hot path is caught through their bodies;
+// callees with no fact are assumed clean except for the known
+// allocators (fmt, errors).
 //
 // Flagged constructs: make and new, escaping composite literals (&T{},
 // slice and map literals), append into a slice that is not caller-owned
@@ -61,11 +62,6 @@ type AllocFact struct {
 	Reason    string `json:"reason,omitempty"`
 }
 
-// AFact marks AllocFact as a fact type.
-func (*AllocFact) AFact() {}
-
-func init() { RegisterFactType(new(AllocFact)) }
-
 // allocSite is one allocating construct found in a function body.
 type allocSite struct {
 	pos  token.Pos
@@ -94,10 +90,10 @@ type hotNode struct {
 	reason    string // first reason, for the exported fact
 }
 
-func runHotAlloc(pass *Pass) error {
+func runHotAlloc(pass *Pass) {
 	g := newHotGraph(pass)
 	if g == nil {
-		return nil
+		return
 	}
 	g.solve()
 	g.exportFacts()
@@ -122,7 +118,6 @@ func runHotAlloc(pass *Pass) error {
 		}
 		g.reportReachable(pass, root, root.name, reported)
 	}
-	return nil
 }
 
 func (g *hotGraph) reportReachable(pass *Pass, n *hotNode, root string, reported map[*hotNode]bool) {
@@ -155,7 +150,8 @@ type hotGraph struct {
 	// function or literal the package stores in it, for conservative
 	// dispatch through function-valued fields.
 	fieldFuncs map[*types.Var][]*hotNode
-	// ifaceMethods caches conservative interface-dispatch resolution.
+	// namedTypes are the package's named types, for conservative
+	// interface dispatch.
 	namedTypes []*types.Named
 }
 
@@ -216,8 +212,7 @@ func newHotGraph(pass *Pass) *hotGraph {
 	// its enclosing function (a hot function that builds a closure is
 	// assumed to run it).
 	for _, f := range pass.Files {
-		decls := f.Decls
-		for _, d := range decls {
+		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue

@@ -27,19 +27,13 @@ import (
 // The check is an intra-method approximation: acquiring the lock
 // anywhere in the method satisfies it, and accesses that escape through
 // non-receiver aliases are not tracked. It exists to catch the common
-// regression — a new method reading topkSet.top, blockingPQ.h or
-// Reader caches without locking — not to prove the code race-free
-// (`go test -race` stays in CI for that).
-//
-// The analyzer also reports copied mutexes, in the spirit of vet's
-// copylocks: a value receiver on a lock-holding struct, an assignment
-// copying a lock-holding value, a call passing one by value, or a range
-// clause copying lock-holding elements. A Lock() through a value
-// receiver locks the copy, so such a method never counts as holding the
-// guard — the copy itself is the reported defect.
+// regression — a new method reading topkSet.top, blockingPQ.h or an
+// lru.Cache's entries without locking — which `go test -race` catches
+// only where its matrix runs the method concurrently. Copied locks are
+// go vet's copylocks check.
 var LockGuard = &Analyzer{
 	Name: "lockguard",
-	Doc:  "report struct fields guarded by a mu sync.Mutex accessed in methods that never lock mu, and copied mutexes",
+	Doc:  "report struct fields guarded by a mu sync.Mutex accessed in methods that never lock mu",
 	Run:  runLockGuard,
 }
 
@@ -49,7 +43,7 @@ type guardedStruct struct {
 	fields map[string]bool
 }
 
-func runLockGuard(pass *Pass) error {
+func runLockGuard(pass *Pass) {
 	guarded := make(map[*types.TypeName]*guardedStruct)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -73,30 +67,16 @@ func runLockGuard(pass *Pass) error {
 		})
 	}
 	if len(guarded) == 0 {
-		return nil
+		return
 	}
 
 	for _, fn := range funcDecls(pass) {
-		if fn.Body != nil {
-			reportLockCopies(pass, fn)
-		}
 		if fn.Recv == nil || fn.Body == nil || hasAnnotation(fn, "locked") {
 			continue
 		}
 		recvObj, typeName := receiver(pass, fn)
 		if recvObj == nil {
 			continue
-		}
-		// A value receiver that copies a by-value mutex locks the copy:
-		// mu.Lock() inside the method neither satisfies the guard nor
-		// protects anything. The copy diagnostic (reported above) is the
-		// actionable finding; skip the per-field reports to avoid noise.
-		// A lock shared through a pointer field survives the copy, so the
-		// guard check still applies there.
-		if _, isPtr := recvObj.Type().(*types.Pointer); !isPtr {
-			if lockIn(recvObj.Type(), nil) != "" {
-				continue
-			}
 		}
 		gs := guarded[typeName]
 		if gs == nil {
@@ -132,114 +112,6 @@ func runLockGuard(pass *Pass) error {
 				fn.Name.Name, gs.muName, annotationPrefix, "locked")
 		}
 	}
-	return nil
-}
-
-// reportLockCopies flags the copylocks shapes in one function: a value
-// receiver on a lock-holding struct, assignments and call arguments
-// copying lock-holding values, and range clauses whose element copies
-// carry a lock.
-func reportLockCopies(pass *Pass, fn *ast.FuncDecl) {
-	if fn.Recv != nil && len(fn.Recv.List) == 1 {
-		t := pass.TypesInfo.TypeOf(fn.Recv.List[0].Type)
-		if _, isPtr := t.(*types.Pointer); !isPtr && t != nil {
-			if lock := lockIn(t, nil); lock != "" {
-				pass.Reportf(fn.Recv.Pos(),
-					"method %s has a value receiver, but %s contains %s; Lock on the receiver locks a copy — use a pointer receiver",
-					fn.Name.Name, typeString(t), lock)
-			}
-		}
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				if lock, t := copiedLock(pass, rhs); lock != "" {
-					pass.Reportf(rhs.Pos(),
-						"assignment copies %s, which contains %s; share it by pointer instead",
-						typeString(t), lock)
-				}
-			}
-		case *ast.CallExpr:
-			for _, arg := range n.Args {
-				if lock, t := copiedLock(pass, arg); lock != "" {
-					pass.Reportf(arg.Pos(),
-						"call passes %s by value, copying %s; pass a pointer instead",
-						typeString(t), lock)
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value != nil {
-				t := pass.TypesInfo.TypeOf(n.Value)
-				if t != nil {
-					if lock := lockIn(t, nil); lock != "" {
-						pass.Reportf(n.Value.Pos(),
-							"range clause copies %s elements, each containing %s; range over indices or pointers instead",
-							typeString(t), lock)
-					}
-				}
-			}
-		}
-		return true
-	})
-}
-
-// copiedLock reports the lock inside expr's value type when expr is a
-// copy of existing state — an identifier, field, element, or
-// dereference. Fresh values (composite literals, call results) and
-// pointers are fine.
-func copiedLock(pass *Pass, expr ast.Expr) (string, types.Type) {
-	switch ast.Unparen(expr).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-	default:
-		return "", nil
-	}
-	t := pass.TypesInfo.TypeOf(expr)
-	if t == nil {
-		return "", nil
-	}
-	if _, isPtr := t.(*types.Pointer); isPtr {
-		return "", nil
-	}
-	return lockIn(t, nil), t
-}
-
-// lockIn returns the name of the first sync lock held by value inside
-// t (through structs, named types, and arrays), or "".
-func lockIn(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	if seen == nil {
-		seen = make(map[types.Type]bool)
-	}
-	seen[t] = true
-	// Copying a pointer to a lock shares the lock — only locks held by
-	// value are copy hazards.
-	if _, isPtr := t.(*types.Pointer); isPtr {
-		return ""
-	}
-	if isNamedType(t, "sync", "Mutex") || isNamedType(t, "sync", "RWMutex") ||
-		isNamedType(t, "sync", "WaitGroup") || isNamedType(t, "sync", "Once") {
-		return typeString(t)
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if lock := lockIn(u.Field(i).Type(), seen); lock != "" {
-				return lock
-			}
-		}
-	case *types.Array:
-		return lockIn(u.Elem(), seen)
-	}
-	return ""
-}
-
-// typeString renders a type compactly for diagnostics (package name,
-// not full import path).
-func typeString(t types.Type) string {
-	return types.TypeString(t, func(p *types.Package) string { return p.Name() })
 }
 
 // collectGuarded returns the fields declared after a "mu" mutex field,

@@ -3,15 +3,9 @@ package analysis
 // All returns every Whirlpool analyzer, in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		ArenaEscape,
-		AtomicField,
 		CtxPoll,
-		DeadlineWait,
-		ErrFlow,
 		FloatScore,
-		GoroutineLeak,
 		HotAlloc,
 		LockGuard,
-		LockOrder,
 	}
 }

@@ -7,6 +7,7 @@ package hotalloc
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 type item struct {
@@ -100,6 +101,17 @@ func (q *queue) sortKey(base int) {
 // +whirllint:hotpath
 func describe(it item) string {
 	return fmt.Sprintf("item-%d", it.id) // want `hot path .*: call to fmt\.Sprintf allocates`
+}
+
+// Shape 6b: a standard-library allocation that no known-allocator list
+// names — strconv.ParseFloat builds a *NumError for text that is not a
+// number. Only strconv's own fact, which go vet carries over from
+// vetting strconv, exposes it (PR 9's hot-path fix in
+// index.ValueTest.Matches).
+// +whirllint:hotpath
+func numeric(text string) bool {
+	_, err := strconv.ParseFloat(text, 64) // want `hot path .*: call to strconv\.ParseFloat allocates`
+	return err == nil
 }
 
 // Shape 7: dispatch through a function-valued field reaches whatever

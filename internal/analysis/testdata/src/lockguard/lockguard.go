@@ -59,39 +59,9 @@ type plain struct {
 
 func (p *plain) get() int { return p.n }
 
-// ---- copied mutexes (copylocks) ----
-
-// valueGet copies the whole struct, mutex included: the Lock call in
-// its body locks the copy, so before the copy diagnostic existed the
-// analyzer wrongly treated the guard as held.
-func (c counter) valueGet() int { // want `method valueGet has a value receiver, but lockguard\.counter contains sync\.Mutex`
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.count
-}
-
-func fork(c *counter) counter {
-	snapshot := *c // want `assignment copies lockguard\.counter, which contains sync\.Mutex`
-	return snapshot
-}
-
-func inspect(c counter) {} // an API taking a copy is flagged at each call
-
-func callByValue(c *counter) {
-	inspect(*c) // want `call passes lockguard\.counter by value, copying sync\.Mutex`
-}
-
-func sweep(rs []rw) int {
-	total := 0
-	for _, r := range rs { // want `range clause copies lockguard\.rw elements, each containing sync\.RWMutex`
-		total += len(r.data)
-	}
-	return total
-}
-
 // ptrLock shares its mutex through a pointer: copying the struct
 // copies the pointer, so value receivers still lock the real mutex and
-// the guard check applies normally instead of the copy diagnostic.
+// the guard check applies.
 type ptrLock struct {
 	mu *sync.Mutex
 	n  int
@@ -105,18 +75,4 @@ func (p ptrLock) locked() int {
 
 func (p ptrLock) unlocked() int {
 	return p.n // want `ptrLock\.n is guarded by ptrLock\.mu, but method unlocked never locks it`
-}
-
-// Pointers are the sanctioned way to share a lock: all silent.
-func share(c *counter) *counter {
-	alias := c
-	return alias
-}
-
-func sweepPtr(rs []*rw) int {
-	total := 0
-	for _, r := range rs {
-		total += len(r.data)
-	}
-	return total
 }

@@ -11,31 +11,25 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 )
 
-// This file implements the `go vet -vettool` protocol, mirroring
-// golang.org/x/tools/go/analysis/unitchecker: the go command invokes
-// the tool once per package with a JSON config file describing the
-// package's sources and the export data of its dependencies (already
-// compiled, so no source type-checking is needed). The tool writes a
-// facts file (the suite's exported object facts, serialized by
-// FactStore.Encode) for downstream units and reports diagnostics on
-// stderr. Facts of dependencies arrive through PackageVetx, so
-// interprocedural analyzers (hotalloc) see across package boundaries
-// exactly as they do in standalone mode.
+// This file is the suite's one driver: the `go vet -vettool` protocol,
+// mirroring golang.org/x/tools/go/analysis/unitchecker. The go command
+// runs the tool once per package — test variants and standard-library
+// dependencies included — with a JSON config naming the package's
+// sources and the compiled export data of its imports, so no source
+// type-checking of dependencies is needed. The tool writes the facts its
+// analyzers exported to the unit's .vetx file, where the units
+// importing it find them, and reports diagnostics on stderr.
 
-// VetConfig is the JSON payload cmd/go hands a vet tool.
-type VetConfig struct {
-	ID                        string
+// vetConfig is the part of cmd/go's vet config the tool reads.
+type vetConfig struct {
 	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
 	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
@@ -44,61 +38,56 @@ type VetConfig struct {
 
 // RunVetTool analyzes the single package described by the config file
 // and returns the process exit code: 0 clean, 1 operational failure,
-// 2 diagnostics reported (the exit codes cmd/vet tools use). Output
-// goes to stderr, like unitchecker.
+// 2 diagnostics reported.
 func RunVetTool(cfgPath string, analyzers []*Analyzer) int {
-	cfg, err := readVetConfig(cfgPath)
+	diags, err := vetUnit(cfgPath, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	// The go command requires the facts file to exist even when the unit
-	// contributes none; write an empty one up front and overwrite it
-	// with real facts once analysis succeeds.
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d)
+	}
+	if len(diags) > 0 {
+		return 2
+	}
+	return 0
+}
+
+// vetUnit analyzes one unit, writes its facts and returns its
+// diagnostics sorted by position (none for a facts-only unit).
+func vetUnit(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
+	data, err := os.ReadFile(cfgPath)
+	if err != nil {
+		return nil, err
+	}
+	var cfg vetConfig
+	if err := json.Unmarshal(data, &cfg); err != nil {
+		return nil, fmt.Errorf("%s: %v", cfgPath, err)
+	}
+	// The go command requires the facts file even from a unit that
+	// contributes none.
 	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
+			return nil, err
 		}
 	}
-	// Standard-library dependencies carry none of this suite's
-	// annotations; skip their (VetxOnly) units instead of re-analyzing
-	// the stdlib on every vet run.
-	if cfg.VetxOnly && cfg.Standard[cfg.ImportPath] {
-		return 0
-	}
 
-	// Test files are analyzed like everything else: the go command hands
-	// the test variant of each package as its own unit, with GoFiles
-	// covering both production and _test.go sources.
 	fset := token.NewFileSet()
-	files := make([]*ast.File, 0, len(cfg.GoFiles))
-	var parseErrs []error
+	var files []*ast.File
 	for _, name := range cfg.GoFiles {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
-			parseErrs = append(parseErrs, err)
+			if cfg.SucceedOnTypecheckFailure {
+				return nil, nil
+			}
+			return nil, err
 		}
-		if f != nil {
-			files = append(files, f)
-		}
-	}
-	if len(parseErrs) > 0 {
-		// A unit that does not parse is reported, not crashed on —
-		// matching unitchecker, the typecheck-failure escape hatch
-		// applies here too.
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		for _, err := range parseErrs {
-			fmt.Fprintln(os.Stderr, err)
-		}
-		return 1
+		files = append(files, f)
 	}
 	if len(files) == 0 {
-		return 0
+		return nil, nil
 	}
-
 	compiler := cfg.Compiler
 	if compiler == "" {
 		compiler = "gc"
@@ -119,83 +108,50 @@ func RunVetTool(cfgPath string, analyzers []*Analyzer) int {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	var typeErrs []error
-	conf := &types.Config{
-		Importer:    imp,
-		Sizes:       types.SizesFor(compiler, runtime.GOARCH),
-		FakeImportC: true,
-		Error:       func(err error) { typeErrs = append(typeErrs, err) },
-	}
-	tpkg, _ := conf.Check(cfg.ImportPath, fset, files, info)
-	if len(typeErrs) > 0 {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		for _, err := range typeErrs {
-			fmt.Fprintln(os.Stderr, err)
-		}
-		return 1
-	}
-
-	// Dependency facts: each .vetx file holds the facts its unit
-	// exported (JSON from FactStore.Encode). Unreadable or empty files
-	// are tolerated — a missing fact only makes hotalloc less precise.
-	store := NewFactStore()
-	for _, vetx := range cfg.PackageVetx {
-		data, err := os.ReadFile(vetx)
-		if err != nil || len(data) == 0 {
-			continue
-		}
-		if err := store.Decode(data); err != nil {
-			fmt.Fprintf(os.Stderr, "whirlpool-lint: ignoring fact file %s: %v\n", vetx, err)
-		}
-	}
-
-	pkg := &Package{
-		Path:  cfg.ImportPath,
-		Name:  tpkg.Name(),
-		Dir:   cfg.Dir,
-		Fset:  fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}
-	diags, err := RunWithFacts(analyzers, []*Package{pkg}, store)
+	conf := &types.Config{Importer: imp, Sizes: types.SizesFor(compiler, runtime.GOARCH), FakeImportC: true}
+	pkg, err := conf.Check(cfg.ImportPath, fset, files, info)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		if cfg.SucceedOnTypecheckFailure {
+			return nil, nil
+		}
+		return nil, err
+	}
+
+	// Each dependency's .vetx holds the facts its unit exported. An
+	// unreadable one only makes hotalloc less precise.
+	facts := factStore{}
+	for _, vetx := range cfg.PackageVetx {
+		if data, err := os.ReadFile(vetx); err == nil && len(data) > 0 {
+			if err := facts.decode(data); err != nil {
+				fmt.Fprintf(os.Stderr, "whirlpool-lint: ignoring fact file %s: %v\n", vetx, err)
+			}
+		}
+	}
+	var diags []Diagnostic
+	for _, a := range analyzers {
+		a.Run(&Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, diags: &diags, facts: facts})
 	}
 	if cfg.VetxOutput != "" {
-		facts, err := store.Encode(cfg.ImportPath)
+		data, err := facts.encode(cfg.ImportPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return nil, err
 		}
-		if err := os.WriteFile(cfg.VetxOutput, facts, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+		if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
+			return nil, err
 		}
 	}
 	if cfg.VetxOnly {
-		return 0
+		return nil, nil
 	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", d.Pos, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-func readVetConfig(path string) (*VetConfig, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	cfg := new(VetConfig)
-	if err := json.Unmarshal(data, cfg); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return cfg, nil
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i].Pos, diags[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		return a.Column < b.Column
+	})
+	return diags, nil
 }

@@ -38,7 +38,8 @@ func SetArenaPoisonForTest(v bool) { arenaPoison.Store(v) }
 // slab holds arenaChunk vectors), and a released match returns to a
 // freelist with its bindings slice attached, ready to be overwritten.
 //
-// Ownership rules (enforced by whirllint's arenaescape analyzer):
+// Ownership rules (held at run time by the arena's poison tests,
+// TestArenaPoisonEquivalence and TestTopKDoesNotRetainReleasedMatch):
 //
 //   - a *match obtained from get is owned by exactly one holder at a
 //     time: a queue, a batch slice, or the goroutine processing it;
@@ -68,7 +69,6 @@ type matchArena struct {
 
 // arenaShard is one freelist plus its slab cursor. The pad keeps
 // neighbouring shards out of one cache line under Whirlpool-M.
-// +whirllint:matchowner
 type arenaShard struct {
 	mu   sync.Mutex
 	free []*match

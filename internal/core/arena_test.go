@@ -17,7 +17,6 @@ import (
 // match is handed out again by the next get, fully cleared, with its
 // bindings slice retained (no fresh allocation) but wiped.
 // +whirllint:exactscore recycled fields must be exactly zero
-// +whirllint:matchowner test inspects the recycled match it owns
 func TestArenaGetReleaseRecycles(t *testing.T) {
 	a := newMatchArena(3, false, false)
 	m := a.get()
@@ -66,7 +65,6 @@ func TestArenaDisabled(t *testing.T) {
 // TestArenaConcurrentRoundTrip exercises the sharded (locked) layout
 // under -race: goroutines get, populate, and release matches through the
 // same arena; every handed-out match must be exclusively owned.
-// +whirllint:managed workers signal completion on the done channel
 func TestArenaConcurrentRoundTrip(t *testing.T) {
 	a := newMatchArena(4, true, false)
 	done := make(chan bool)
@@ -167,21 +165,21 @@ func TestTopKDoesNotRetainReleasedMatch(t *testing.T) {
 	}
 }
 
-// BenchmarkProcessAllocs measures — and asserts — the zero-allocation
-// steady state of the server operation: once the scratch buffers have
-// grown and the arena freelist is primed, process + release must not
-// allocate at all.
-func BenchmarkProcessAllocs(b *testing.B) {
+// processStep is the steady state of the server operation: one match
+// processed at every leaf server of the query, every extension
+// released. It returns warmed up — slab carved, scratch grown, lazy
+// index fills done.
+func processStep(tb testing.TB, xpath string, mode relax.Relaxation) func() {
 	doc, err := xmltree.ParseString(booksXML)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ix := index.Build(doc)
-	q := pattern.MustParse("/book[./title and ./info/isbn]")
+	q := pattern.MustParse(xpath)
 	s := score.NewTFIDF(ix, q, score.Sparse)
-	e, err := New(ix, q, Config{K: 2, Relax: relax.All, Algorithm: WhirlpoolS, Routing: RoutingMinAlive, Scorer: s})
+	e, err := New(ix, q, Config{K: 2, Relax: mode, Algorithm: WhirlpoolS, Routing: RoutingMinAlive, Scorer: s})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	shared := NewSharedTopK(2, 0)
 	r := &run{
@@ -197,16 +195,42 @@ func BenchmarkProcessAllocs(b *testing.B) {
 	m.seq = r.nextSeq()
 	sc := &Scratch{}
 	step := func() {
-		for _, sid := range []int{1, 2} {
+		for sid := 1; sid < q.Size(); sid++ {
 			for _, x := range r.process(m, sid, sc) {
 				r.release(x)
 			}
 		}
 	}
-	step() // warm-up: slab carve, scratch growth, lazy index fills
-	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-		b.Fatalf("process allocates %.1f objects/op in steady state, want 0", allocs)
+	step()
+	return step
+}
+
+// TestProcessAllocs is the zero-allocation steady state of the server
+// operation: once the scratch buffers have grown and the arena freelist
+// is primed, process + release must not allocate at all — down either
+// axis, through every kind of value test, exact or relaxed.
+func TestProcessAllocs(t *testing.T) {
+	for _, query := range []struct{ name, xpath string }{
+		{"child", "/book[./title and ./info/isbn]"},
+		{"descendant", "//book[./title and .//isbn]"},
+		{"equal-and-numeric", "/book[./title = 'wodehouse' and ./price < 50]"},
+		{"contains-and-not-equal", "/book[./title contains 'wode' and ./info/isbn != '0']"},
+	} {
+		for _, mode := range []struct {
+			name  string
+			relax relax.Relaxation
+		}{{"exact", relax.None}, {"relaxed", relax.All}} {
+			t.Run(query.name+"/"+mode.name, func(t *testing.T) {
+				if allocs := testing.AllocsPerRun(100, processStep(t, query.xpath, mode.relax)); allocs != 0 {
+					t.Fatalf("process allocates %.1f objects/op in steady state, want 0", allocs)
+				}
+			})
+		}
 	}
+}
+
+func BenchmarkProcessAllocs(b *testing.B) {
+	step := processStep(b, "/book[./title and ./info/isbn]", relax.All)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -623,31 +623,52 @@ func TestParallelRunFullyCutAtSeed(t *testing.T) {
 	}
 }
 
-// BenchmarkRunReuse measures — and asserts — a warm RunContext's
-// allocations: the state comes off the free list, so all that is left
-// is the answer copy handed to the caller (the Result, its answers
-// slice and their shared bindings block).
-func BenchmarkRunReuse(b *testing.B) {
+// warmRun is a Whirlpool-S RunContext on an engine that has run once:
+// its state comes off the free list.
+func warmRun(tb testing.TB, routing Routing, queue Queue, mode relax.Relaxation) func() {
 	doc, err := xmltree.ParseString(booksXML)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ix := index.Build(doc)
 	q := pattern.MustParse("/book[./title and ./info/isbn]")
 	s := score.NewTFIDF(ix, q, score.Sparse)
-	e, err := New(ix, q, Config{K: 2, Relax: relax.All, Algorithm: WhirlpoolS, Routing: RoutingMinAlive, Scorer: s})
+	e, err := New(ix, q, Config{K: 2, Relax: mode, Algorithm: WhirlpoolS, Routing: routing, Queue: queue, Scorer: s})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	run := func() {
 		if _, err := e.RunContext(context.Background()); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	run() // warm-up: first state, slab carve, scratch growth
-	if allocs := testing.AllocsPerRun(100, run); allocs > 3 {
-		b.Fatalf("warm RunContext allocates %.1f objects/op, want the 3 of the answer copy", allocs)
+	run()
+	return run
+}
+
+// TestRunReuseAllocs: all a warm RunContext allocates is the answer
+// copy handed to the caller (the Result, its answers slice and their
+// shared bindings block) — under every routing strategy and queue
+// discipline, each of which has its own per-match code on the hot path.
+func TestRunReuseAllocs(t *testing.T) {
+	for _, routing := range []Routing{RoutingStatic, RoutingMaxScore, RoutingMinScore, RoutingMinAlive} {
+		for _, queue := range []Queue{QueueMaxFinal, QueueFIFO, QueueCurrentScore, QueueMaxNext} {
+			for _, mode := range []struct {
+				name  string
+				relax relax.Relaxation
+			}{{"exact", relax.None}, {"relaxed", relax.All}} {
+				t.Run(routing.String()+"/"+queue.String()+"/"+mode.name, func(t *testing.T) {
+					if allocs := testing.AllocsPerRun(100, warmRun(t, routing, queue, mode.relax)); allocs > 3 {
+						t.Fatalf("warm RunContext allocates %.1f objects/op, want the 3 of the answer copy", allocs)
+					}
+				})
+			}
+		}
 	}
+}
+
+func BenchmarkRunReuse(b *testing.B) {
+	run := warmRun(b, RoutingMinAlive, QueueMaxFinal, relax.All)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -348,7 +348,6 @@ func TestLiveCounterSignalsZero(t *testing.T) {
 }
 
 // +whirllint:exactscore extendInto's score arithmetic is exact on these inputs
-// +whirllint:matchowner test inspects the extension it owns
 func TestMatchExtend(t *testing.T) {
 	m := mkMatch(1, 0.4, 1)
 	m.bindings = append(m.bindings, nil, nil)

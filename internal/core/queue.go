@@ -10,7 +10,6 @@ import (
 // (creation) order, keeping single-threaded runs deterministic. Queues
 // are sanctioned match holders: a queued match is owned by the queue
 // until popped.
-// +whirllint:matchowner
 type prioritized struct {
 	m        *match
 	priority float64
@@ -203,7 +202,6 @@ func (q *pq) len() int { return len(q.h) }
 // thief never finds a pulled root queued but uncounted), and one covers
 // a processed match's survivors. It is a sanctioned match holder — a
 // queued match is owned by the queue until popped.
-// +whirllint:matchowner
 type stealQueue struct {
 	mu sync.Mutex
 	pq

@@ -16,7 +16,6 @@ import (
 // does: extensions are checked and enqueued immediately). A Scratch
 // must not be shared between goroutines; matches held in its slices are
 // owned by that worker until released or re-queued.
-// +whirllint:matchowner
 type Scratch struct {
 	cands             []*xmltree.Node
 	exts, batch, surv []*match

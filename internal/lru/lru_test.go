@@ -100,7 +100,6 @@ func TestErrorNotCached(t *testing.T) {
 // TestPanickingBuildLeavesNoSlot: a build that panics propagates its
 // panic, hands the callers waiting on it ErrBuildPanicked instead of
 // parking them for ever, and leaves the key free for a retry.
-// +whirllint:managed builder and waiter report on their channels, both awaited
 func TestPanickingBuildLeavesNoSlot(t *testing.T) {
 	c := New[string, int](4)
 	started, release := make(chan struct{}), make(chan struct{})

@@ -133,7 +133,6 @@ func TestStealingDisabled(t *testing.T) {
 
 // TestPoolCancellation: a cancelled context surfaces from RunContext for
 // both executor paths, before and during the run.
-// +whirllint:managed the run goroutine signals completion on the done channel
 func TestPoolCancellation(t *testing.T) {
 	for _, algo := range []core.Algorithm{core.WhirlpoolS, core.WhirlpoolM} {
 		engs := poolEnv(t, 40, 8, algo)
@@ -170,7 +169,6 @@ func TestPoolCancellation(t *testing.T) {
 // (Depth ≥ 1) until it is done, or the lone worker naps forever; the
 // run has to finish, with and without stealing, and agree with the
 // unsharded engine.
-// +whirllint:managed the run goroutine signals completion on the done channel
 func TestPoolFinishesCursorOnlyShards(t *testing.T) {
 	doc := xmarkDoc(t, 60)
 	whole := index.Build(doc)
