@@ -90,22 +90,18 @@ func newQueryMetrics(reg *obs.Registry) queryMetrics {
 }
 
 // engineEntry is one cached (query, options) signature: the prepared
-// engine — single or sharded, exactly one is set — and the "nodeID:tag"
-// labels its responses key bindings by, built once here rather than
-// once per binding per answer per request.
+// engine — single or sharded, exactly one is set — and the encoded
+// "nodeID:tag" keys its responses key bindings by, in encoding order,
+// built once here rather than once per binding per answer per request.
 type engineEntry struct {
 	key      string
 	eng      *whirlpool.Engine
 	sharded  *whirlpool.ShardedEngine
-	bindKeys []string // per query node ID
+	bindings []bindingKey
 }
 
 func newEngineEntry(key string, q *whirlpool.Query) *engineEntry {
-	e := &engineEntry{key: key, bindKeys: make([]string, len(q.Nodes))}
-	for id, n := range q.Nodes {
-		e.bindKeys[id] = strconv.Itoa(id) + ":" + n.Tag
-	}
-	return e
+	return &engineEntry{key: key, bindings: bindingKeys(q)}
 }
 
 func (e *engineEntry) run(ctx context.Context) (*whirlpool.Result, error) {
@@ -451,6 +447,8 @@ type queryRequest struct {
 // queryAnswer is one result row. Bindings are keyed "nodeID:tag" — the
 // query-node ID disambiguates two nodes with the same tag (e.g.
 // /a[./b and .//b]), which a tag-only key would silently collapse.
+// queryAnswer and queryResponse are the /query wire format;
+// engineEntry.appendResponse writes their encoding directly.
 type queryAnswer struct {
 	Score    float64           `json:"score"`
 	Path     string            `json:"path"`
@@ -525,31 +523,15 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.qm.prunedRemote.Add(res.Stats.PrunedRemote)
 	s.qm.runDuration.Observe(res.Stats.Duration.Microseconds())
 
-	resp := queryResponse{
-		Answers:      make([]queryAnswer, 0, len(res.Answers)),
-		ServerOps:    res.Stats.ServerOps,
-		Matches:      res.Stats.MatchesCreated,
-		Pruned:       res.Stats.Pruned,
-		PrunedRemote: res.Stats.PrunedRemote,
-		TookMS:       float64(res.Stats.Duration.Microseconds()) / 1000,
-		Cache:        ri.cache,
+	bp := responseBufs.Get().(*[]byte)
+	body := ent.appendResponse((*bp)[:0], res, ri.cache)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write is the client's loss; the status is already out
+	if cap(body) <= maxPooledResponse {
+		*bp = body
+		responseBufs.Put(bp)
 	}
-	for _, a := range res.Answers {
-		qa := queryAnswer{
-			Score:    a.Score,
-			Path:     a.Root.Path(),
-			Dewey:    a.Root.ID.String(),
-			Bindings: make(map[string]string, len(a.Bindings)-1),
-		}
-		for id, b := range a.Bindings {
-			if b == nil || id == 0 {
-				continue
-			}
-			qa.Bindings[ent.bindKeys[id]] = b.ID.String()
-		}
-		resp.Answers = append(resp.Answers, qa)
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // engineFor returns a cached engine for the request signature, building

@@ -70,7 +70,7 @@ func TestArenaConcurrentRoundTrip(t *testing.T) {
 	done := make(chan bool)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
-			n := &xmltree.Node{Ord: g}
+			n := &xmltree.Node{Ord: int32(g)}
 			ok := true
 			for i := 0; i < 500; i++ {
 				m := a.get()
@@ -215,6 +215,9 @@ func TestProcessAllocs(t *testing.T) {
 		{"descendant", "//book[./title and .//isbn]"},
 		{"equal-and-numeric", "/book[./title = 'wodehouse' and ./price < 50]"},
 		{"contains-and-not-equal", "/book[./title contains 'wode' and ./info/isbn != '0']"},
+		// A (tag, value) key over 32 bytes: once a string concatenation,
+		// heap-allocated on every relaxed (descendant-axis) probe.
+		{"long-equality", "/book[./title = 'wodehouse, the collected short stories' and ./price < 50]"},
 	} {
 		for _, mode := range []struct {
 			name  string

@@ -219,7 +219,7 @@ func TestDistinctRootsInvariant(t *testing.T) {
 	ix, q := buildEnv(t, booksXML, "/book[.//title = 'wodehouse']")
 	s := score.NewTFIDF(ix, q, score.Sparse)
 	res := runWith(t, ix, q, Config{K: 4, Relax: relax.All, Algorithm: WhirlpoolS, Scorer: s})
-	seen := make(map[int]bool)
+	seen := make(map[int32]bool)
 	for _, a := range res.Answers {
 		if seen[a.Root.Ord] {
 			t.Fatalf("duplicate root %v in answers", a.Root)

@@ -46,7 +46,7 @@ func newRouteTracer(s score.Scorer, eager bool) *routeTracer {
 
 func (s *routeTracer) Contribution(id int, v score.Variant, n *xmltree.Node) float64 {
 	if id == 0 {
-		s.pending = append(s.pending, n.Ord)
+		s.pending = append(s.pending, int(n.Ord))
 	}
 	return s.Scorer.Contribution(id, v, n)
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dewey"
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/pattern"
@@ -285,9 +284,10 @@ type rootCursor struct {
 	prioBound, finalBound float64
 	made, compared        int64           // not yet flushed into r.stats
 	post                  []*xmltree.Node // via's postings, walked by pi in either segment
-	pi, last              int             // last: ordinal of the last root the climb considered
-	reached               int             // roots the climb reached that the second segment has yet to skip
-	second                bool            // in the second segment
+	pi                    int
+	last                  int32 // ordinal of the last root the climb considered
+	reached               int   // roots the climb reached that the second segment has yet to skip
+	second                bool  // in the second segment
 }
 
 // seedRoots points the run's cursor at the root candidates and postings.
@@ -337,7 +337,7 @@ func (c *rootCursor) candidate() *xmltree.Node {
 		for c.pi < len(c.post) && c.post[c.pi].Ord <= n.Ord {
 			c.pi++
 		}
-		if c.pi == len(c.post) || !n.ID.IsAncestorOf(c.post[c.pi].ID) {
+		if c.pi == len(c.post) || c.post[c.pi].Ord > n.End {
 			return n
 		}
 		c.reached--
@@ -368,7 +368,7 @@ func (c *rootCursor) climb() *xmltree.Node {
 		c.last = top.Ord
 		own := e.vts[0].Matches(top.Value)
 		if e.member {
-			_, own = slices.BinarySearchFunc(c.cands, top.Ord, func(n *xmltree.Node, ord int) int { return n.Ord - ord })
+			_, own = slices.BinarySearchFunc(c.cands, top.Ord, func(n *xmltree.Node, ord int32) int { return int(n.Ord - ord) })
 		}
 		if own {
 			c.reached++
@@ -378,15 +378,15 @@ func (c *rootCursor) climb() *xmltree.Node {
 	return nil
 }
 
-var virtualRoot dewey.ID // the document's virtual parent, the root predicate's anchor
-
 // next materialises the segment's next admissible root; nil ends it.
 func (c *rootCursor) next() *match {
 	e := c.r.Engine
 	for n := c.candidate(); n != nil; n = c.candidate() {
 		c.compared++
 		variant := score.Exact
-		if !e.plans[0].RootPath.HoldsExact(virtualRoot, n.ID) {
+		// The root predicate's anchor is the document's virtual parent,
+		// level 0 and an ancestor of every node: only the depth decides.
+		if !e.plans[0].RootPath.DepthHoldsExact(n.Level()) {
 			// /tag with a non-root binding: admissible only under edge
 			// generalization of the root edge.
 			if !e.cfg.Relax.Has(relax.EdgeGeneralization) {

@@ -98,14 +98,11 @@ func classify(q *pattern.Query, a Answer, id int) (MatchKind, string) {
 	if parentBind == nil {
 		return MatchPromoted, fmt.Sprintf("re-anchored below %s (its pattern parent %s was deleted)", root.Tag, q.Nodes[n.Parent].Tag)
 	}
-	if !parentBind.ID.IsAncestorOf(b.ID) {
+	if !parentBind.Contains(b) {
 		return MatchPromoted, fmt.Sprintf("not contained in its pattern parent's binding %s (subtree promotion)", parentBind.ID)
 	}
-	exactEdge := parentBind.ID.IsParentOf(b.ID)
-	if n.Axis == dewey.Descendant {
-		exactEdge = true
-	}
-	rootExact := relax.ComposePath(q, 0, id).HoldsExact(root.ID, b.ID)
+	exactEdge := n.Axis == dewey.Descendant || b.Level()-parentBind.Level() == 1
+	rootExact := relax.ComposePath(q, 0, id).HoldsExact(root, b)
 	if exactEdge && rootExact {
 		return MatchExact, "matched at its exact pattern position"
 	}

@@ -19,7 +19,7 @@ func (m *match) extend(id int, n *xmltree.Node, c, maxContrib float64, seq int64
 }
 
 func mkMatch(rootOrd int, score float64, seq int64) *match {
-	n := &xmltree.Node{Tag: "r", Ord: rootOrd}
+	n := &xmltree.Node{Tag: "r", Ord: int32(rootOrd)}
 	return &match{
 		bindings: []*xmltree.Node{n},
 		visited:  1,

@@ -34,7 +34,7 @@ func (m *match) complete(all uint64) bool { return m.visited == all }
 
 // rootOrd returns the document ordinal of the root binding, the key the
 // top-k set deduplicates on.
-func (m *match) rootOrd() int { return m.bindings[0].Ord }
+func (m *match) rootOrd() int { return int(m.bindings[0].Ord) }
 
 // extendInto writes into ext the clone of m with query node id bound to
 // n (nil = missing), contributing c to the score, and returns ext, whose

@@ -7,12 +7,16 @@ import (
 
 // prioritized pairs a match with its queue priority. Higher priority pops
 // first; ties pop deepest-first (most servers visited), then in seq
-// (creation) order, keeping single-threaded runs deterministic. Queues
-// are sanctioned match holders: a queued match is owned by the queue
-// until popped.
+// (creation) order, keeping single-threaded runs deterministic. The
+// depth and seq are copied in at push — neither changes while a match
+// is queued — so a heap compare reads only the heap's own array and
+// never dereferences a match. Queues are sanctioned match holders: a
+// queued match is owned by the queue until popped.
 type prioritized struct {
 	m        *match
 	priority float64
+	seq      int64
+	depth    int
 }
 
 // matchHeap is a binary max-heap of prioritized matches with the sift
@@ -37,15 +41,15 @@ func (h matchHeap) less(i, j int) bool {
 	if a.priority != b.priority {
 		return a.priority > b.priority
 	}
-	if da, db := bits.OnesCount64(a.m.visited), bits.OnesCount64(b.m.visited); da != db {
-		return da > db
+	if a.depth != b.depth {
+		return a.depth > b.depth
 	}
-	return a.m.seq < b.m.seq
+	return a.seq < b.seq
 }
 
 // +whirllint:hotpath
-func (h *matchHeap) push(it prioritized) {
-	*h = append(*h, it)
+func (h *matchHeap) push(m *match, priority float64) {
+	*h = append(*h, prioritized{m: m, priority: priority, seq: m.seq, depth: bits.OnesCount64(m.visited)})
 	h.up(len(*h) - 1)
 }
 
@@ -122,7 +126,7 @@ type pq struct {
 }
 
 func (q *pq) push(m *match, priority float64) {
-	q.h.push(prioritized{m: m, priority: priority})
+	q.h.push(m, priority)
 }
 
 // due reports whether the cursor's next root could be the next pop: its
@@ -258,7 +262,7 @@ func newBlockingPQ() *blockingPQ {
 
 func (q *blockingPQ) push(m *match, priority float64) {
 	q.mu.Lock()
-	q.h.push(prioritized{m: m, priority: priority})
+	q.h.push(m, priority)
 	q.mu.Unlock()
 	q.cond.Signal()
 }

@@ -45,9 +45,9 @@ func (r *run) process(m *match, sid int, sc *Scratch) []*match {
 	sc.cands = e.ix.AppendCandidates(sc.cands[:0], root, plan.ProbeAxis(), plan.Tag, e.vts[sid])
 
 	exts := sc.exts[:0]
+	compared := int64(len(sc.cands)) // one root test per candidate, plus the conds below
 	for _, c := range sc.cands {
-		r.stats.joinComparisons.Add(1)
-		structExact := plan.RootPath.HoldsExact(root.ID, c.ID)
+		structExact := plan.RootPath.HoldsExact(root, c)
 		if e.cfg.Relax == relax.None && !structExact {
 			continue
 		}
@@ -68,8 +68,8 @@ func (r *run) process(m *match, sid int, sc *Scratch) []*match {
 				}
 				continue
 			}
-			r.stats.joinComparisons.Add(1)
-			if plan.Check(*cond, c.ID, other.ID) == relax.CondFailed {
+			compared++
+			if plan.Check(*cond, c, other) == relax.CondFailed {
 				valid = false
 				break
 			}
@@ -84,6 +84,7 @@ func (r *run) process(m *match, sid int, sc *Scratch) []*match {
 		contrib := e.cfg.Scorer.Contribution(sid, variant, c)
 		exts = append(exts, m.extendInto(r.arena.get(), sid, c, contrib, e.maxContrib[sid], r.nextSeq()))
 	}
+	r.stats.joinComparisons.Add(compared)
 	if len(exts) == 0 {
 		if !e.cfg.Relax.Has(relax.LeafDeletion) || !r.nullAllowed(m, sid) {
 			sc.exts = exts

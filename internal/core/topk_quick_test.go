@@ -24,7 +24,7 @@ func TestPropTopkSetMatchesSort(t *testing.T) {
 			rootOrd := r.Intn(8)
 			sc := float64(r.Intn(100)) / 10
 			m := &match{
-				bindings: []*xmltree.Node{{Tag: "r", Ord: rootOrd}},
+				bindings: []*xmltree.Node{{Tag: "r", Ord: int32(rootOrd)}},
 				visited:  1,
 				score:    sc,
 				maxFinal: sc,

@@ -10,9 +10,12 @@
 //   - document order:      lexicographic comparison
 //   - following-sibling:   equal prefixes, last component greater
 //
-// The Whirlpool servers (internal/core) evaluate every structural join
-// predicate through this package, mirroring the paper's Dewey-based
-// nested-loop joins (Section 6.2.1).
+// The paper evaluates its structural joins on Dewey IDs (Section 6.2.1).
+// Here Dewey IDs name answers, decide the following-sibling predicate,
+// and back the reference evaluators (internal/naive, internal/joins).
+// The Whirlpool servers (internal/core) decide pc and ad on preorder
+// intervals and levels instead (xmltree.Node.Contains): the same
+// relation, read without walking ID components.
 package dewey
 
 import (
@@ -159,18 +162,20 @@ func (id ID) DescendantUpperBound() ID {
 
 // String renders the ID in the conventional dotted form, e.g. "2.0.4".
 // A root renders as "·".
-func (id ID) String() string {
+func (id ID) String() string { return string(id.Append(make([]byte, 0, 4*len(id)))) }
+
+// Append appends the dotted form String returns to dst.
+func (id ID) Append(dst []byte) []byte {
 	if len(id) == 0 {
-		return "·"
+		return append(dst, "·"...)
 	}
-	var b strings.Builder
 	for i, c := range id {
 		if i > 0 {
-			b.WriteByte('.')
+			dst = append(dst, '.')
 		}
-		b.WriteString(strconv.Itoa(c))
+		dst = strconv.AppendInt(dst, int64(c), 10)
 	}
-	return b.String()
+	return dst
 }
 
 // Parse parses the dotted form produced by String. "·" and "" both parse

@@ -72,7 +72,7 @@ func sourceCases(t *testing.T, doc *xmltree.Document, p int) []sourceCase {
 			sourceCase{backing.name + "/Corpus", backing.name, corpus, backing.doc, nil})
 		// The reference ownership: a node belongs to the part holding its
 		// nearest unit-root ancestor, or to the spine when it has none.
-		home := make(map[int]int)
+		home := make(map[int32]int)
 		for _, s := range corpus.Spine() {
 			home[s.Ord] = p
 		}
@@ -367,6 +367,62 @@ func TestSourceConformance(t *testing.T) {
 	}
 }
 
+// TestIntervalNumbering holds both node slabs — the built document's and
+// the one a snapshot reader materializes — to the tree: End is the
+// ordinal of each node's last descendant, and the interval test Contains
+// agrees with Dewey containment. A random document checks every pair;
+// XMark checks each node against every node its interval could reach,
+// 16 ordinals of slack either side, and 16 random others.
+func TestIntervalNumbering(t *testing.T) {
+	for _, d := range conformanceDocs(t) {
+		var buf bytes.Buffer
+		if err := store.WriteSnapshot(&buf, &store.Snapshot{Doc: d.doc}); err != nil {
+			t.Fatal(err)
+		}
+		r, err := store.ParseSnapshot(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, slab := range []struct {
+			name string
+			doc  *xmltree.Document
+		}{{"built", d.doc}, {"snapshot", r.Document()}} {
+			t.Run(d.name+"/"+slab.name, func(t *testing.T) {
+				nodes := slab.doc.Nodes
+				for _, n := range nodes {
+					last := n
+					for len(last.Children) > 0 {
+						last = last.Children[len(last.Children)-1]
+					}
+					if n.End != last.Ord {
+						t.Fatalf("%v: End = %d, its last descendant is %d", n, n.End, last.Ord)
+					}
+				}
+				check := func(a, b *xmltree.Node) {
+					if a.Contains(b) != a.ID.IsAncestorOf(b.ID) {
+						t.Fatalf("%v contains %v: interval says %v, Dewey %v", a, b, a.Contains(b), a.ID.IsAncestorOf(b.ID))
+					}
+				}
+				rng := rand.New(rand.NewSource(7))
+				for _, a := range nodes {
+					if d.name != "xmark" {
+						for _, b := range nodes {
+							check(a, b)
+						}
+						continue
+					}
+					for o := max(int(a.Ord)-16, 0); o <= min(int(a.End)+16, len(nodes)-1); o++ {
+						check(a, nodes[o])
+					}
+					for i := 0; i < 16; i++ {
+						check(a, nodes[rng.Intn(len(nodes))])
+					}
+				}
+			})
+		}
+	}
+}
+
 // checkTiling holds the member views of each backing to the partition
 // contract: for every probed (tag, value test) their lists are
 // ascending, pairwise disjoint, and concatenate-and-sort to the
@@ -396,7 +452,7 @@ func checkTiling(t *testing.T, cases []sourceCase, d conformanceDoc) {
 					}
 					union = append(union, list...)
 				}
-				slices.SortFunc(union, func(a, b *xmltree.Node) int { return a.Ord - b.Ord })
+				slices.SortFunc(union, func(a, b *xmltree.Node) int { return int(a.Ord - b.Ord) })
 				if want := whole.src.NodesMatching(tag, vt); !slices.Equal(union, want) {
 					t.Fatalf("%s views tile NodesMatching(%q, %v) as %v, want %v", whole.name, tag, vt, union, want)
 				}

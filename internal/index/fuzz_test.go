@@ -71,7 +71,7 @@ type rootRecorder struct {
 
 func (s *rootRecorder) Contribution(id int, v score.Variant, n *xmltree.Node) float64 {
 	if id == 0 {
-		s.ords = append(s.ords, n.Ord)
+		s.ords = append(s.ords, int(n.Ord))
 	}
 	return s.Scorer.Contribution(id, v, n)
 }
@@ -129,9 +129,9 @@ func FuzzRootStream(f *testing.F) {
 				}
 			}
 			if below {
-				reached = append(reached, n.Ord)
+				reached = append(reached, int(n.Ord))
 			} else {
-				others = append(others, n.Ord)
+				others = append(others, int(n.Ord))
 			}
 		}
 		for _, mode := range []relax.Relaxation{relax.None, relax.EdgeGeneralization, relax.LeafDeletion, relax.All} {

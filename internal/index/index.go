@@ -1,6 +1,7 @@
 // Package index provides the per-document access paths the Whirlpool
 // servers probe: tag postings in document order, (tag, value) postings for
-// content predicates, and Dewey-range scans for the structural axes. It
+// content predicates, and preorder-interval scans for the structural axes
+// (a node's descendants are the ordinals in its (Ord, End] interval). It
 // also defines PredicateStats, the shape of the database statistics
 // behind the paper's tf*idf scoring (Section 4) and the routing estimates
 // (Section 6.1.4); score.CollectStats computes them over any Source.
@@ -11,8 +12,6 @@
 package index
 
 import (
-	"sort"
-
 	"repro/internal/dewey"
 	"repro/internal/lru"
 	"repro/internal/xmltree"
@@ -24,35 +23,38 @@ type Index struct {
 	Doc *xmltree.Document
 
 	byTag      map[string][]*xmltree.Node
-	byTagValue map[string][]*xmltree.Node
+	byTagValue map[valueKey][]*xmltree.Node
 
 	filtered *lru.Cache[postingKey, []*xmltree.Node] // cache for non-equality value tests
 }
+
+// valueKey identifies one (tag, value) posting list. A struct key, not a
+// concatenated string: an equality probe then builds its key without
+// allocating, whatever the value's length.
+type valueKey struct{ tag, value string }
 
 // postingKey identifies one cached filtered posting list; the value
 // comes from the request, so the cache it keys is bounded.
 type postingKey struct{ tag, op, value string }
 
 // Build constructs the index over doc in a single preorder pass, so all
-// postings lists are in document (Dewey) order.
+// postings lists are in document (preorder) order.
 func Build(doc *xmltree.Document) *Index {
 	ix := &Index{
 		Doc:        doc,
 		byTag:      make(map[string][]*xmltree.Node),
-		byTagValue: make(map[string][]*xmltree.Node),
+		byTagValue: make(map[valueKey][]*xmltree.Node),
 		filtered:   lru.New[postingKey, []*xmltree.Node](lru.PostingsCap),
 	}
 	for _, n := range doc.Nodes {
 		ix.byTag[n.Tag] = append(ix.byTag[n.Tag], n)
 		if n.Value != "" {
-			key := valueKey(n.Tag, n.Value)
+			key := valueKey{n.Tag, n.Value}
 			ix.byTagValue[key] = append(ix.byTagValue[key], n)
 		}
 	}
 	return ix
 }
-
-func valueKey(tag, value string) string { return tag + "\x00" + value }
 
 // Nodes returns all nodes with the given tag in document order. The
 // returned slice is shared; callers must not modify it.
@@ -68,7 +70,7 @@ func (ix *Index) NodesMatching(tag string, vt ValueTest) []*xmltree.Node {
 	case vt.Any():
 		return ix.byTag[tag]
 	case vt.IsEquality():
-		return ix.byTagValue[valueKey(tag, vt.Value)]
+		return ix.byTagValue[valueKey{tag, vt.Value}]
 	}
 	// hit and err dropped: only a miss builds, and the build cannot fail
 	out, _, _ := ix.filtered.GetOrCreate(postingKey{tag, vt.Op, vt.Value}, func() ([]*xmltree.Node, error) {
@@ -112,18 +114,31 @@ func (ix *Index) AppendCandidates(dst []*xmltree.Node, anchor *xmltree.Node, axi
 	}
 }
 
-// rangeScan appends the postings inside anchor's descendant Dewey range
-// to dst. Postings ascend in preorder ordinal (Build walks doc.Nodes),
-// so the first one after anchor is found on Ord: one load per step, no
-// Dewey array read.
+// rangeScan appends the postings inside anchor's preorder interval
+// (Ord, End] to dst. Postings ascend in preorder ordinal (Build walks
+// doc.Nodes), so the interval is one slice of them: found by a binary
+// search on Ord, then walked to its end, one ordinal load per posting.
 func (ix *Index) rangeScan(dst []*xmltree.Node, anchor *xmltree.Node, tag string, vt ValueTest) []*xmltree.Node {
 	postings := ix.NodesMatching(tag, vt)
-	lo := sort.Search(len(postings), func(i int) bool { return postings[i].Ord > anchor.Ord })
-	for i := lo; i < len(postings); i++ {
-		if !anchor.ID.IsAncestorOf(postings[i].ID) {
-			break
-		}
-		dst = append(dst, postings[i])
+	lo := firstAfter(postings, anchor.Ord)
+	hi := lo
+	for hi < len(postings) && postings[hi].Ord <= anchor.End {
+		hi++
 	}
-	return dst
+	return append(dst, postings[lo:hi]...)
+}
+
+// firstAfter returns the index of the first posting whose ordinal
+// exceeds ord. Hand-rolled so the probe carries no closure.
+func firstAfter(postings []*xmltree.Node, ord int32) int {
+	lo, hi := 0, len(postings)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if postings[m].Ord <= ord {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }

@@ -123,7 +123,7 @@ func ExactMatches(ix index.Source, q *pattern.Query) ([]Match, Stats) {
 func joinStep(tuples [][]*xmltree.Node, qn *pattern.Node, postings []*xmltree.Node, st *Stats) [][]*xmltree.Node {
 	parentCol := qn.Parent
 	// Distinct parent bindings in document order.
-	seen := make(map[int]*xmltree.Node)
+	seen := make(map[int32]*xmltree.Node)
 	for _, row := range tuples {
 		p := row[parentCol]
 		seen[p.Ord] = p
@@ -141,7 +141,7 @@ func joinStep(tuples [][]*xmltree.Node, qn *pattern.Node, postings []*xmltree.No
 		pairs = AncestorDescendantPairs(parents, postings)
 	}
 	st.JoinPairs += len(pairs)
-	byParent := make(map[int][]*xmltree.Node)
+	byParent := make(map[int32][]*xmltree.Node)
 	for _, p := range pairs {
 		byParent[p.Anc.Ord] = append(byParent[p.Anc.Ord], p.Desc)
 	}
@@ -197,7 +197,7 @@ type Answer struct {
 // the "evaluate everything, then sort" strategy top-k processing avoids.
 func TopK(ix index.Source, q *pattern.Query, s score.Scorer, k int) ([]Answer, Stats) {
 	matches, st := ExactMatches(ix, q)
-	best := make(map[int]Answer)
+	best := make(map[int32]Answer)
 	for _, m := range matches {
 		total := 0.0
 		for id, b := range m.Bindings {

@@ -95,7 +95,7 @@ func Build(doc *xmltree.Document, scopeTag string) *Index {
 				m = make(map[int]int)
 				ix.direct[w] = m
 			}
-			m[n.Ord] = tf
+			m[int(n.Ord)] = tf
 		}
 	}
 	nScopes := float64(len(ix.scopes))
@@ -161,7 +161,7 @@ func (ix *Index) TopKScan(query string, k int) []Answer {
 	words := dedup(Tokenize(query))
 	answers := make([]Answer, 0, len(ix.scopes))
 	for _, n := range ix.scopes {
-		if s := ix.score(n.Ord, words); s > 0 {
+		if s := ix.score(int(n.Ord), words); s > 0 {
 			answers = append(answers, Answer{Node: n, Score: s})
 		}
 	}
@@ -200,7 +200,7 @@ func (ix *Index) TopKTA(query string, k int) ([]Answer, Stats, error) {
 			progressed = true
 			st.SortedAccesses++
 			e := lists[i][depth]
-			if _, ok := seen[e.Node.Ord]; !ok {
+			if _, ok := seen[int(e.Node.Ord)]; !ok {
 				// Complete the candidate by random access on the other
 				// words.
 				total := 0.0
@@ -210,9 +210,9 @@ func (ix *Index) TopKTA(query string, k int) ([]Answer, Stats, error) {
 						continue
 					}
 					st.RandomAccesses++
-					total += ix.idf[w2] * float64(ix.TF(w2, e.Node.Ord))
+					total += ix.idf[w2] * float64(ix.TF(w2, int(e.Node.Ord)))
 				}
-				seen[e.Node.Ord] = total
+				seen[int(e.Node.Ord)] = total
 			}
 		}
 		if !progressed {
@@ -267,10 +267,10 @@ func (ix *Index) TopKNRA(query string, k int) ([]Answer, Stats) {
 			st.SortedAccesses++
 			e := lists[i][depth]
 			lastTF[i] = float64(e.TF)
-			b := cands[e.Node.Ord]
+			b := cands[int(e.Node.Ord)]
 			if b == nil {
 				b = &bounds{seen: make([]bool, len(words))}
-				cands[e.Node.Ord] = b
+				cands[int(e.Node.Ord)] = b
 			}
 			b.lower += ix.idf[w] * float64(e.TF)
 			b.seen[i] = true
@@ -328,7 +328,7 @@ func (ix *Index) TopKNRA(query string, k int) ([]Answer, Stats) {
 func (ix *Index) finalize(scores map[int]float64, k int) []Answer {
 	byOrd := make(map[int]*xmltree.Node, len(ix.scopes))
 	for _, n := range ix.scopes {
-		byOrd[n.Ord] = n
+		byOrd[int(n.Ord)] = n
 	}
 	answers := make([]Answer, 0, len(scores))
 	for ord, s := range scores {

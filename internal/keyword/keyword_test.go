@@ -65,7 +65,7 @@ func TestBuildPostings(t *testing.T) {
 	if gold[0].TF != 3 || gold[1].TF != 1 {
 		t.Fatalf("gold tfs = %d, %d", gold[0].TF, gold[1].TF)
 	}
-	if ix.TF("gold", gold[0].Node.Ord) != 3 {
+	if ix.TF("gold", int(gold[0].Node.Ord)) != 3 {
 		t.Fatal("random access mismatch")
 	}
 	// gold and ring each appear in two items: equal idf.

@@ -39,7 +39,7 @@ type Flat struct {
 func (ix *Index) Flatten() *Flat {
 	f := &Flat{ScopeTag: ix.scopeTag, PostOff: []int32{0}}
 	for _, n := range ix.scopes {
-		f.ScopeOrds = append(f.ScopeOrds, int32(n.Ord))
+		f.ScopeOrds = append(f.ScopeOrds, n.Ord)
 	}
 	words := make([]string, 0, len(ix.postings))
 	for w := range ix.postings {
@@ -51,7 +51,7 @@ func (ix *Index) Flatten() *Flat {
 		f.Words += w
 		f.WordOff = append(f.WordOff, int32(len(f.Words)))
 		for _, e := range ix.postings[w] {
-			f.EntryOrd = append(f.EntryOrd, int32(e.Node.Ord))
+			f.EntryOrd = append(f.EntryOrd, e.Node.Ord)
 			f.EntryTF = append(f.EntryTF, int32(e.TF))
 		}
 		f.PostOff = append(f.PostOff, int32(len(f.EntryOrd)))

@@ -127,7 +127,7 @@ func (ev *evaluator) bestTuple(root *xmltree.Node, base float64) (float64, bool)
 				continue
 			}
 			variant := score.Relaxed
-			if ev.rootPath[id].HoldsExact(root.ID, c.ID) {
+			if holdsExact(ev.rootPath[id], root.ID, c.ID) {
 				variant = score.Exact
 			}
 			if ev.relax == relax.None && variant != score.Exact {
@@ -143,6 +143,20 @@ func (ev *evaluator) bestTuple(root *xmltree.Node, base float64) (float64, bool)
 	}
 	recurse(1, base)
 	return best, found
+}
+
+// holdsExact is relax.PathPredicate.HoldsExact decided on Dewey IDs
+// rather than the engine's preorder intervals, so the oracle shares no
+// containment arithmetic with what it checks.
+func holdsExact(p relax.PathPredicate, anchor, target dewey.ID) bool {
+	diff := target.Level() - anchor.Level()
+	if !p.DepthHoldsExact(diff) {
+		return false
+	}
+	if p.MinLevels == 0 && diff == 0 {
+		return anchor.Equal(target)
+	}
+	return anchor.IsAncestorOf(target)
 }
 
 // validBinding checks candidate c for query node id against the already

@@ -57,8 +57,8 @@ func TopKByRewritingPruned(ix index.Source, q *pattern.Query, r relax.Relaxation
 		return cands[i].ord < cands[j].ord
 	})
 
-	best := make(map[int]float64)
-	roots := make(map[int]*xmltree.Node)
+	best := make(map[int32]float64)
+	roots := make(map[int32]*xmltree.Node)
 	// kth returns the running k-th best distinct-root score; ok is
 	// false until k roots have been seen.
 	scores := make([]float64, 0, k)

@@ -25,8 +25,8 @@ func TopKByRewriting(ix index.Source, q *pattern.Query, r relax.Relaxation, s sc
 	for id := 1; id < q.Size(); id++ {
 		rootPath[id] = relax.ComposePath(q, 0, id)
 	}
-	best := make(map[int]float64)
-	roots := make(map[int]*xmltree.Node)
+	best := make(map[int32]float64)
+	roots := make(map[int32]*xmltree.Node)
 	for _, rq := range queries {
 		evalExact(ix, q, rq, rootPath, s, func(root *xmltree.Node, sc float64) {
 			if cur, ok := best[root.Ord]; !ok || sc > cur {
@@ -105,7 +105,7 @@ func evalExact(ix index.Source, orig *pattern.Query, rq relax.RelaxedQuery, root
 			origID := rq.NodeMap[id]
 			for _, c := range cands {
 				variant := score.Relaxed
-				if rootPath[origID].HoldsExact(root.ID, c.ID) {
+				if holdsExact(rootPath[origID], root.ID, c.ID) {
 					variant = score.Exact
 				}
 				bindings[id] = c

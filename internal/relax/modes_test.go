@@ -25,10 +25,8 @@ func TestCheckLeafDeletionOnlyMode(t *testing.T) {
 			infoCond = c
 		}
 	}
-	info := dewey.ID{0, 1}
-	direct := dewey.ID{0, 1, 0}
-	deep := dewey.ID{0, 1, 0, 2}
-	outside := dewey.ID{0, 2}
+	ns := treeOf(dewey.ID{0, 1}, dewey.ID{0, 1, 0}, dewey.ID{0, 1, 0, 2}, dewey.ID{0, 2})
+	info, direct, deep, outside := ns[0], ns[1], ns[2], ns[3]
 	if plan.Check(infoCond, direct, info) != CondExact {
 		t.Fatal("direct child must be exact")
 	}
@@ -67,11 +65,11 @@ func TestRelaxedProbeAlwaysWidens(t *testing.T) {
 // TestPathPredicateZeroLevels covers the Self predicate edge cases.
 func TestPathPredicateZeroLevels(t *testing.T) {
 	pp := PathPredicate{MinLevels: 0, Exact: true}
-	self := dewey.ID{1, 2}
+	ns := treeOf(dewey.ID{1, 2}, dewey.ID{1, 2, 0})
+	self, child := ns[0], ns[1]
 	if !pp.HoldsExact(self, self) || !pp.HoldsRelaxed(self, self) {
 		t.Fatal("self predicate must hold on equal IDs")
 	}
-	child := dewey.ID{1, 2, 0}
 	if pp.HoldsExact(self, child) {
 		t.Fatal("exact self must reject descendants")
 	}

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/dewey"
 	"repro/internal/pattern"
+	"repro/internal/xmltree"
 )
 
 // Relaxation is a bitmask of enabled relaxations.
@@ -82,16 +83,17 @@ type PathPredicate struct {
 }
 
 // HoldsExact reports whether target relates to anchor exactly as the
-// unrelaxed path prescribes.
-func (p PathPredicate) HoldsExact(anchor, target dewey.ID) bool {
+// unrelaxed path prescribes: a level difference and a preorder-interval
+// containment test, both nodes of one document.
+func (p PathPredicate) HoldsExact(anchor, target *xmltree.Node) bool {
 	diff := target.Level() - anchor.Level()
 	if !p.DepthHoldsExact(diff) {
 		return false
 	}
 	if p.MinLevels == 0 && diff == 0 {
-		return anchor.Equal(target)
+		return anchor == target
 	}
-	return anchor.IsAncestorOf(target)
+	return anchor.Contains(target)
 }
 
 // DepthHoldsExact reports whether the unrelaxed path allows a target diff
@@ -103,11 +105,11 @@ func (p PathPredicate) DepthHoldsExact(diff int) bool {
 
 // HoldsRelaxed reports whether target relates to anchor under full edge
 // generalization: any strict descendant (or self when MinLevels is 0).
-func (p PathPredicate) HoldsRelaxed(anchor, target dewey.ID) bool {
-	if p.MinLevels == 0 && anchor.Equal(target) {
+func (p PathPredicate) HoldsRelaxed(anchor, target *xmltree.Node) bool {
+	if p.MinLevels == 0 && anchor == target {
 		return true
 	}
-	return anchor.IsAncestorOf(target)
+	return anchor.Contains(target)
 }
 
 // Relaxed returns the edge-generalized form of the predicate.
@@ -310,13 +312,13 @@ const (
 )
 
 // Check evaluates the conditional predicate c of plan sp for a candidate
-// binding (server node) against the bound other node. otherID must be
+// binding (server node) against the bound other node. other must be
 // non-nil (callers skip conditions whose other node is unbound or
 // missing, except for the missing-parent rule handled by the engine).
-func (sp *ServerPlan) Check(c Cond, server, other dewey.ID) CondResult {
+func (sp *ServerPlan) Check(c Cond, server, other *xmltree.Node) CondResult {
 	if c.FollowingSibling {
 		// Sibling order admits no relaxation.
-		if fsCondHolds(c, server, other) {
+		if fsCondHolds(c, server.ID, other.ID) {
 			return CondExact
 		}
 		return CondFailed

@@ -8,7 +8,31 @@ import (
 
 	"repro/internal/dewey"
 	"repro/internal/pattern"
+	"repro/internal/xmltree"
 )
+
+// treeOf builds one document holding every given Dewey ID, with the
+// ancestors and earlier siblings each implies, and returns the nodes at
+// those IDs in argument order.
+func treeOf(ids ...dewey.ID) []*xmltree.Node {
+	doc := xmltree.NewDocument()
+	out := make([]*xmltree.Node, len(ids))
+	for i, id := range ids {
+		for len(doc.Roots) <= id[0] {
+			doc.AddRoot("r")
+		}
+		n := doc.Roots[id[0]]
+		for _, c := range id[1:] {
+			for len(n.Children) <= c {
+				doc.AddChild(n, "n", "")
+			}
+			n = n.Children[c]
+		}
+		out[i] = n
+	}
+	doc.Renumber()
+	return out
+}
 
 func TestRelaxationFlags(t *testing.T) {
 	if !All.Has(EdgeGeneralization) || !All.Has(LeafDeletion) || !All.Has(SubtreePromotion) {
@@ -29,12 +53,11 @@ func TestRelaxationFlags(t *testing.T) {
 }
 
 func TestPathPredicateHolds(t *testing.T) {
-	anc := dewey.ID{0}
-	child := dewey.ID{0, 1}
-	grandchild := dewey.ID{0, 1, 2}
+	ns := treeOf(dewey.ID{0}, dewey.ID{0, 1}, dewey.ID{0, 1, 2}, dewey.ID{5})
+	anc, child, grandchild, other := ns[0], ns[1], ns[2], ns[3]
 	cases := []struct {
 		pp           PathPredicate
-		target       dewey.ID
+		target       *xmltree.Node
 		exact, relax bool
 	}{
 		{PathPredicate{1, true}, child, true, true},
@@ -55,7 +78,6 @@ func TestPathPredicateHolds(t *testing.T) {
 		}
 	}
 	// Non-descendant fails both.
-	other := dewey.ID{5}
 	pp := PathPredicate{1, true}
 	if pp.HoldsExact(anc, other) || pp.HoldsRelaxed(anc, other) {
 		t.Fatal("non-descendant must fail")
@@ -226,10 +248,8 @@ func TestCheckCondVariants(t *testing.T) {
 			infoCond = c
 		}
 	}
-	info := dewey.ID{0, 1}
-	directChild := dewey.ID{0, 1, 0}
-	deepDesc := dewey.ID{0, 1, 0, 3}
-	elsewhere := dewey.ID{0, 2, 0}
+	ns := treeOf(dewey.ID{0, 1}, dewey.ID{0, 1, 0}, dewey.ID{0, 1, 0, 3}, dewey.ID{0, 2, 0})
+	info, directChild, deepDesc, elsewhere := ns[0], ns[1], ns[2], ns[3]
 
 	if got := pub.Check(infoCond, directChild, info); got != CondExact {
 		t.Fatalf("direct child = %v, want exact", got)
@@ -284,10 +304,8 @@ func TestCheckFollowingSibling(t *testing.T) {
 	if !found || fs.OtherID != cID || !fs.OtherIsAncestor {
 		t.Fatalf("fs cond = %+v found=%v", fs, found)
 	}
-	cBind := dewey.ID{0, 1}
-	after := dewey.ID{0, 3}
-	before := dewey.ID{0, 0}
-	childOfC := dewey.ID{0, 1, 0}
+	ns := treeOf(dewey.ID{0, 1}, dewey.ID{0, 3}, dewey.ID{0, 0}, dewey.ID{0, 1, 0})
+	cBind, after, before, childOfC := ns[0], ns[1], ns[2], ns[3]
 	if e.Check(fs, after, cBind) != CondExact {
 		t.Fatal("later sibling must pass")
 	}
@@ -342,7 +360,7 @@ func TestPropExactImpliesRelaxed(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		pp := PathPredicate{MinLevels: r.Intn(4), Exact: r.Intn(2) == 0}
-		anc := make(dewey.ID, r.Intn(3))
+		anc := make(dewey.ID, 1+r.Intn(3)) // a document node, not the virtual root
 		for i := range anc {
 			anc[i] = r.Intn(3)
 		}
@@ -350,7 +368,8 @@ func TestPropExactImpliesRelaxed(t *testing.T) {
 		for i := 0; i < r.Intn(4); i++ {
 			target = target.Child(r.Intn(3))
 		}
-		if pp.HoldsExact(anc, target) && !pp.HoldsRelaxed(anc, target) {
+		ns := treeOf(anc, target)
+		if pp.HoldsExact(ns[0], ns[1]) && !pp.HoldsRelaxed(ns[0], ns[1]) {
 			return false
 		}
 		return true

@@ -50,7 +50,7 @@ func (t *Table) Set(nodeID int, n *xmltree.Node, c float64) {
 		m = make(map[int]float64)
 		t.contrib[nodeID] = m
 	}
-	m[n.Ord] = c
+	m[int(n.Ord)] = c
 	if c > t.max[nodeID] {
 		t.max[nodeID] = c
 	}
@@ -68,7 +68,7 @@ func (t *Table) Contribution(nodeID int, v Variant, n *xmltree.Node) float64 {
 	}
 	c := t.Default
 	if m := t.contrib[nodeID]; m != nil {
-		if tc, ok := m[n.Ord]; ok {
+		if tc, ok := m[int(n.Ord)]; ok {
 			c = tc
 		}
 	}
@@ -142,7 +142,7 @@ func (r *Random) Contribution(nodeID int, v Variant, n *xmltree.Node) float64 {
 	if v == Missing {
 		return 0
 	}
-	u := r.uniform(nodeID, n.Ord)
+	u := r.uniform(nodeID, int(n.Ord))
 	var c float64
 	if r.Dense {
 		center, spread := r.Center, r.Spread

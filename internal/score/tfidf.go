@@ -326,7 +326,7 @@ func AnswerScore(ix index.Source, q *pattern.Query, s *TFIDF, n *xmltree.Node) f
 			pp := relax.ComposePath(q, 0, id)
 			buf = ix.AppendCandidates(buf[:0], n, dewey.Descendant, qn.Tag, index.Test(qn.ValueOp, qn.Value))
 			for _, c := range buf {
-				if pp.HoldsExact(n.ID, c.ID) {
+				if pp.HoldsExact(n, c) {
 					tf++
 				}
 			}

@@ -255,7 +255,7 @@ func fmtBindings(bs []*xmltree.Node) []int {
 		if b == nil {
 			out[i] = -1
 		} else {
-			out[i] = b.Ord
+			out[i] = int(b.Ord)
 		}
 	}
 	return out

@@ -76,20 +76,20 @@ func Partition(doc *xmltree.Document, ix index.Source, p int) (*Corpus, error) {
 		return nil, fmt.Errorf("shard: shard count must be ≥ 1, got %d", p)
 	}
 	for i, n := range doc.Nodes {
-		if n.Ord != i {
+		if int(n.Ord) != i {
 			return nil, fmt.Errorf("shard: document is not renumbered (node %d has ord %d)", i, n.Ord)
 		}
 	}
 	sizes := subtreeSizes(doc)
 	units, spine := cut(doc, p, sizes)
 	c := &Corpus{Source: ix, spine: spine, parts: assign(units, sizes, p)}
-	// A unit's subtree is the ordinal interval [Ord, Ord+size); the
-	// spine is member p.
+	// A unit's subtree is the ordinal interval [Ord, End]; the spine is
+	// member p.
 	owner := make([]int32, len(doc.Nodes))
 	for _, part := range c.parts {
 		for _, u := range part.Units {
 			part.NodeCount += sizes[u.Ord]
-			for o := u.Ord; o < u.Ord+sizes[u.Ord]; o++ {
+			for o := u.Ord; o <= u.End; o++ {
 				owner[o] = int32(part.ID)
 			}
 		}

@@ -73,7 +73,7 @@ type rootTally struct {
 func (s *rootTally) Contribution(id int, v score.Variant, n *xmltree.Node) float64 {
 	if id == 0 {
 		s.mu.Lock()
-		s.times[n.Ord]++
+		s.times[int(n.Ord)]++
 		s.mu.Unlock()
 	}
 	return s.Scorer.Contribution(id, v, n)
@@ -90,7 +90,7 @@ type ordAnswer struct {
 func ordAnswers(as []core.Answer) []ordAnswer {
 	out := make([]ordAnswer, len(as))
 	for i, a := range as {
-		out[i] = ordAnswer{a.Score, a.Root.Ord, fmt.Sprint(fmtBindings(a.Bindings))}
+		out[i] = ordAnswer{a.Score, int(a.Root.Ord), fmt.Sprint(fmtBindings(a.Bindings))}
 	}
 	return out
 }

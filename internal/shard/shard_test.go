@@ -68,12 +68,12 @@ func TestSplitPartitionInvariants(t *testing.T) {
 				if got := len(c.Parts()); got != p {
 					t.Fatalf("parts = %d, want %d", got, p)
 				}
-				seen := make(map[int]int) // ord -> count
+				seen := make(map[int32]int) // ord -> count
 				for _, s := range c.Spine() {
 					seen[s.Ord]++
 				}
 				for _, part := range c.Parts() {
-					lastOrd, nodes := -1, 0
+					lastOrd, nodes := int32(-1), 0
 					// Complete subtrees: a part's nodes are its units and
 					// everything below them.
 					for _, u := range part.Units {
@@ -103,7 +103,7 @@ func TestSplitPartitionInvariants(t *testing.T) {
 				}
 				// Ordinals must still be the global preorder ones.
 				for i, n := range doc.Nodes {
-					if n.Ord != i {
+					if int(n.Ord) != i {
 						t.Fatalf("global ordinals corrupted at %d", i)
 					}
 				}
@@ -224,7 +224,7 @@ func TestShardSourcesPartitionRoots(t *testing.T) {
 		t.Fatalf("sub-sources = %d, want ≥ 4", len(subs))
 	}
 	for _, tag := range doc.Tags() {
-		seen := make(map[int]bool)
+		seen := make(map[int32]bool)
 		total := 0
 		for _, sub := range subs {
 			for _, n := range sub.Nodes(tag) {

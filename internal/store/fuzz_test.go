@@ -55,10 +55,10 @@ func FuzzSnapshotV2Corruption(f *testing.F) {
 		}
 		doc := r.Document()
 		for i, n := range doc.Nodes {
-			if n.Ord != i {
+			if int(n.Ord) != i {
 				t.Fatalf("ordinal mismatch at %d", i)
 			}
-			if n.Parent != nil && n.Parent.Ord >= i {
+			if n.Parent != nil && int(n.Parent.Ord) >= i {
 				t.Fatalf("parent after child at %d", i)
 			}
 		}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -313,6 +314,9 @@ func (r *SnapshotReader) loadNodes(get func(uint32) (section, error)) error {
 		return err
 	}
 	n := int(tagSec.count)
+	if tagSec.count > math.MaxInt32 {
+		return fmt.Errorf("store: %d nodes exceed the int32 ordinal range", tagSec.count)
+	}
 	if parSec.count != uint64(n) || subSec.count != uint64(n) {
 		return fmt.Errorf("store: node sections disagree on the node count (%d tags, %d parents, %d subtree sizes)",
 			tagSec.count, parSec.count, subSec.count)
@@ -399,7 +403,8 @@ func (r *SnapshotReader) materialize() {
 		nd.Tag = r.tags[r.nodeTags[i]]
 		nd.Value = byteString(r.valBlob[r.valOff[i]:r.valOff[i+1]])
 		nd.ID = dewey.ID(r.dewComps[r.dewOff[i]:r.dewOff[i+1]])
-		nd.Ord = i
+		nd.Ord = int32(i)
+		nd.End = int32(i) + int32(r.subtree[i]) - 1
 		nd.Children = childSlab[childOff[i]:childOff[i+1]:childOff[i+1]]
 		if p := r.parents[i]; p != 0 {
 			nd.Parent = &r.nodes[p-1]

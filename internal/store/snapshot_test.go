@@ -162,7 +162,7 @@ func TestSnapshotSkipsRetiredLayoutSections(t *testing.T) {
 	ords := func(ns []*xmltree.Node) []int {
 		out := make([]int, len(ns))
 		for i, n := range ns {
-			out[i] = n.Ord
+			out[i] = int(n.Ord)
 		}
 		return out
 	}

@@ -131,7 +131,7 @@ func buildSections(s *Snapshot) ([]secPayload, error) {
 		return nil, fmt.Errorf("store: %d nodes exceed the snapshot format's capacity", n)
 	}
 	for i, nd := range doc.Nodes {
-		if nd.Ord != i {
+		if int(nd.Ord) != i {
 			return nil, fmt.Errorf("store: document is not renumbered (node %d has ord %d)", i, nd.Ord)
 		}
 	}
@@ -244,7 +244,7 @@ func buildSections(s *Snapshot) ([]secPayload, error) {
 		for _, nd := range doc.Nodes {
 			if nd.Value != "" {
 				k := valKey{tagID[nd.Tag], nd.Value}
-				byVal[k] = append(byVal[k], nd.Ord)
+				byVal[k] = append(byVal[k], int(nd.Ord))
 			}
 		}
 		keys := make([]valKey, 0, len(byVal))

@@ -33,7 +33,7 @@ func FuzzParse(f *testing.F) {
 		}
 		// Invariants of accepted documents.
 		for i, n := range doc.Nodes {
-			if n.Ord != i {
+			if int(n.Ord) != i {
 				t.Fatalf("ordinal mismatch at %d", i)
 			}
 			if n.Parent != nil && !n.Parent.ID.IsParentOf(n.ID) {
@@ -45,6 +45,7 @@ func FuzzParse(f *testing.F) {
 				}
 			}
 		}
+		checkIntervals(t, doc)
 		// Serialize must produce re-parseable XML with the same shape.
 		var buf bytes.Buffer
 		if err := doc.Serialize(&buf); err != nil {

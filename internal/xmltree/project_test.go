@@ -153,7 +153,7 @@ func TestParseProjectedOrdinalsAreConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, n := range doc.Nodes {
-		if n.Ord != i {
+		if int(n.Ord) != i {
 			t.Fatalf("ordinal mismatch at %d", i)
 		}
 		if n.Parent != nil && !n.Parent.ID.IsParentOf(n.ID) {

@@ -1,7 +1,8 @@
 // Package xmltree implements the paper's XML data model: information is a
 // forest of node-labeled trees (Section 2). Every element node carries its
 // tag, an optional text value (the concatenated character data directly
-// under it), a Dewey identifier, and pointers to its parent and children.
+// under it), a Dewey identifier, its preorder interval, and pointers to
+// its parent and children.
 //
 // Documents are parsed from serialized XML with encoding/xml and can be
 // serialized back; attributes are modeled as child nodes tagged "@name" so
@@ -16,7 +17,11 @@ import (
 	"repro/internal/dewey"
 )
 
-// Node is one node of a node-labeled XML tree.
+// Node is one node of a node-labeled XML tree. Structural tests need no
+// Dewey components: a node's descendants are exactly the ordinals in
+// (Ord, End] — the region numbering that stands beside Dewey in the XML
+// indexing literature — and its level is the length of its ID. Ord and
+// End are int32 so that a Node stays in the 96-byte allocation size class.
 type Node struct {
 	// Tag is the element name (or "@name" for an attribute node).
 	Tag string
@@ -25,15 +30,22 @@ type Node struct {
 	Value string
 	// ID is the node's Dewey identifier within its tree. Roots of the
 	// forest get IDs [i] under a virtual forest root, so IDs are unique
-	// document-wide.
+	// document-wide. Answers render it; the engine reads only its length.
 	ID dewey.ID
 	// Ord is the node's preorder ordinal within the document; it doubles
 	// as a compact unique identifier.
-	Ord int
+	Ord int32
+	// End is the preorder ordinal of the node's last descendant (Ord for
+	// a leaf).
+	End int32
 
 	Parent   *Node
 	Children []*Node
 }
+
+// Contains reports whether d is a strict descendant of n: the interval
+// test equivalent to n.ID.IsAncestorOf(d.ID) within one document.
+func (n *Node) Contains(d *Node) bool { return n.Ord < d.Ord && d.Ord <= n.End }
 
 // Document is a parsed XML forest with global bookkeeping.
 type Document struct {
@@ -70,19 +82,20 @@ func (d *Document) AddChild(parent *Node, tag, value string) *Node {
 	return n
 }
 
-// Renumber rebuilds the preorder Nodes slice and ordinals after manual
-// tree construction.
+// Renumber rebuilds the preorder Nodes slice, ordinals and intervals
+// after manual tree construction.
 func (d *Document) Renumber() { d.renumber() }
 
 func (d *Document) renumber() {
 	d.Nodes = d.Nodes[:0]
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		n.Ord = len(d.Nodes)
+		n.Ord = int32(len(d.Nodes))
 		d.Nodes = append(d.Nodes, n)
 		for _, c := range n.Children {
 			walk(c)
 		}
+		n.End = int32(len(d.Nodes) - 1)
 	}
 	for _, r := range d.Roots {
 		walk(r)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 const bookXML = `
@@ -71,7 +72,7 @@ func TestParsePreorderOrdinals(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, n := range doc.Nodes {
-		if n.Ord != i {
+		if int(n.Ord) != i {
 			t.Fatalf("ordinal mismatch at %d: %d", i, n.Ord)
 		}
 	}
@@ -80,6 +81,59 @@ func TestParsePreorderOrdinals(t *testing.T) {
 		if doc.Nodes[i].ID.Compare(doc.Nodes[i-1].ID) <= 0 {
 			t.Fatalf("preorder violated between %v and %v", doc.Nodes[i-1], doc.Nodes[i])
 		}
+	}
+}
+
+// checkIntervals holds every node's preorder interval to the tree: End is
+// the ordinal of its last descendant, and the interval containment test
+// agrees with the Dewey prefix test — on every pair with one of the
+// first 256 nodes.
+func checkIntervals(t *testing.T, doc *Document) {
+	t.Helper()
+	for _, n := range doc.Nodes {
+		last := n
+		for len(last.Children) > 0 {
+			last = last.Children[len(last.Children)-1]
+		}
+		if n.End != last.Ord {
+			t.Fatalf("%v: End = %d, its last descendant is %d", n, n.End, last.Ord)
+		}
+	}
+	for _, a := range doc.Nodes[:min(len(doc.Nodes), 256)] {
+		for _, b := range doc.Nodes {
+			if a.Contains(b) != a.ID.IsAncestorOf(b.ID) || b.Contains(a) != b.ID.IsAncestorOf(a.ID) {
+				t.Fatalf("%v, %v: interval and Dewey containment disagree", a, b)
+			}
+		}
+	}
+}
+
+func TestIntervalNumbering(t *testing.T) {
+	parsed, err := ParseString(bookXML + `<book><title/><info><isbn>9</isbn></info></book>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	projected, err := ParseProjected(strings.NewReader(bookXML), KeepTags("name", "isbn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := NewBuilder().Root("a").Open("b").Leaf("c", "1").Leaf("c", "2").Close().Leaf("d", "").Root("a").Doc()
+	manual := NewDocument()
+	r := manual.AddRoot("r")
+	manual.AddChild(manual.AddChild(r, "x", ""), "y", "")
+	manual.AddChild(r, "z", "")
+	manual.Renumber()
+	for name, doc := range map[string]*Document{"parsed": parsed, "projected": projected, "built": built, "manual": manual} {
+		t.Run(name, func(t *testing.T) { checkIntervals(t, doc) })
+	}
+}
+
+// TestNodeSize pins Node to the 96-byte allocation size class: the
+// interval bounds are int32 so that adding End cost no memory. An 8-byte
+// End would move every node into the 112-byte class.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 96 {
+		t.Fatalf("unsafe.Sizeof(Node{}) = %d, want 96", got)
 	}
 }
 
