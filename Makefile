@@ -80,13 +80,15 @@ experiments-full:
 	$(GO) run ./cmd/whirlbench -full
 
 # Brief fuzz passes over both parsers, the one binary decoder (WPXS),
-# the statistics walk (against a brute-force tree count), the root
-# server's posting stream (against a brute-force descendant test) and
-# the /query string escaper (against json.Marshal).
+# the snapshot round trip (a parse and its materialized snapshot, node
+# for node), the statistics walk (against a brute-force tree count), the
+# root server's posting stream (against a brute-force descendant test)
+# and the /query string escaper (against json.Marshal).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/pattern/
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/xmltree/
 	$(GO) test -fuzz FuzzSnapshotV2Corruption -fuzztime 10s ./internal/store/
+	$(GO) test -fuzz FuzzSnapshotRoundTrip -fuzztime 10s ./internal/store/
 	$(GO) test -fuzz FuzzCollectStats -fuzztime 10s ./internal/index/
 	$(GO) test -fuzz FuzzRootStream -fuzztime 10s ./internal/index/
 	$(GO) test -fuzz FuzzAppendJSONString -fuzztime 10s ./cmd/whirlpoold/

@@ -54,7 +54,8 @@ func (e *engineEntry) appendResponse(dst []byte, res *whirlpool.Result, cache st
 		dst = append(dst, `,"path":"`...)
 		dst = appendPath(dst, a.Root)
 		dst = append(dst, `","dewey":"`...)
-		dst = append(a.Root.ID.Append(dst), '"') // digits and dots: nothing to escape
+		dst = a.Root.ID.Append(dst) // digits and dots: nothing to escape
+		dst = append(dst, '"')
 		sep := `,"bindings":{`
 		for _, k := range e.bindings {
 			b := a.Bindings[k.id]

@@ -145,6 +145,30 @@ func TestAppendResponseMatchesEncoder(t *testing.T) {
 	}
 }
 
+// TestAppendResponseAllocs: rendering a served response — scores, paths,
+// and the Dewey IDs derived from the root's and each binding's positions
+// — allocates nothing once the buffer has grown.
+func TestAppendResponseAllocs(t *testing.T) {
+	s := testServer(t)
+	for _, w := range bench.Queries() {
+		ent, _, err := s.engineFor(queryRequest{Query: w.XPath, K: 75})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ent.run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Answers) == 0 {
+			t.Fatalf("%s: no answers", w.Name)
+		}
+		buf := ent.appendResponse(nil, res, "hit")
+		if allocs := testing.AllocsPerRun(20, func() { buf = ent.appendResponse(buf[:0], res, "hit") }); allocs != 0 {
+			t.Errorf("%s: appendResponse allocates %v times per response", w.Name, allocs)
+		}
+	}
+}
+
 // FuzzAppendJSONString holds the string escaper to json.Marshal.
 func FuzzAppendJSONString(f *testing.F) {
 	for _, s := range []string{"", "plain", `q"\`, "<a>&b", "\u2028\u2029", "\xff\xfe\xe2\x80", "\x00\b\f\n\r\t\x1f\x7f", "é€😀"} {

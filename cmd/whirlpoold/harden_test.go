@@ -9,6 +9,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
@@ -245,5 +246,29 @@ func TestPanickingBuildDoesNotPoisonTheCache(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("identical request after the panic is still waiting on the dead build")
+	}
+}
+
+// TestTrailingBytesRefused: a body is one JSON value. A second object or
+// garbage after the first is refused with 400 on both POST endpoints,
+// rather than answered for the first value alone; trailing whitespace
+// is fine.
+func TestTrailingBytesRefused(t *testing.T) {
+	s := testServer(t)
+	for path, first := range map[string]string{
+		"/query":   `{"query":"//item","k":3}`,
+		"/keyword": `{"scope":"item","query":"gold","k":3}`,
+	} {
+		for body, want := range map[string]int{
+			first + `{"k":900}`: http.StatusBadRequest,
+			first + `garbage`:   http.StatusBadRequest,
+			first + " \n\t ":    http.StatusOK,
+		} {
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			if w.Code != want {
+				t.Errorf("%s %q: status %d, want %d (%.80s)", path, body, w.Code, want, w.Body.String())
+			}
+		}
 	}
 }

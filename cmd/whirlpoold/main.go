@@ -5,7 +5,7 @@
 //	whirlpoold -file site.xml -addr :8080
 //	whirlpoold -snapshot site.wpxs -addr :8080   # mmap, no build pass
 //
-// -snapshot boots from a zero-copy snapshot: postings, Dewey arrays and
+// -snapshot boots from a zero-copy snapshot: postings, node columns and
 // the synopsis are served straight from mapped pages, so startup skips
 // the parse/index/synopsis builds entirely and concurrent daemons share
 // one kernel page cache. A -file given alongside acts as a

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime/debug"
@@ -687,11 +688,20 @@ const (
 
 // decodeBody reads r's JSON body into v and reports whether it could:
 // a body over maxBodyBytes is refused with 413 without being read to
-// its end, a malformed one with 400.
+// its end, a malformed one with 400 — and so is one holding anything but
+// whitespace after its first JSON value, which would otherwise be
+// answered for that value alone.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
 	if err == nil {
-		return true
+		var rest json.RawMessage
+		if err = dec.Decode(&rest); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("more than one JSON value")
+		}
 	}
 	status := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError

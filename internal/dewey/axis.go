@@ -33,24 +33,6 @@ func (a Axis) String() string {
 	}
 }
 
-// Holds reports whether axis a holds from `from` to `to`, i.e. whether
-// `to` is on axis a of `from`. For Child and Descendant, `from` is the
-// upper (ancestor-side) node.
-func (a Axis) Holds(from, to ID) bool {
-	switch a {
-	case Self:
-		return from.Equal(to)
-	case Child:
-		return from.IsParentOf(to)
-	case Descendant:
-		return from.IsAncestorOf(to)
-	case FollowingSibling:
-		return to.IsFollowingSiblingOf(from)
-	default:
-		return false
-	}
-}
-
 // Relax returns the relaxed form of the axis under edge generalization:
 // Child relaxes to Descendant; every other axis relaxes to itself.
 func (a Axis) Relax() Axis {

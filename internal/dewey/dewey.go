@@ -11,11 +11,15 @@
 //   - following-sibling:   equal prefixes, last component greater
 //
 // The paper evaluates its structural joins on Dewey IDs (Section 6.2.1).
-// Here Dewey IDs name answers, decide the following-sibling predicate,
-// and back the reference evaluators (internal/naive, internal/joins).
-// The Whirlpool servers (internal/core) decide pc and ad on preorder
-// intervals and levels instead (xmltree.Node.Contains): the same
-// relation, read without walking ID components.
+// Here no node stores one: xmltree derives a node's ID on demand from
+// the positions on its root path (xmltree.ID). IDs name answers, which
+// the daemon and the CLIs render, and two reference evaluators compare
+// their components, deriving each node's ID once per evaluation:
+// internal/naive (every structural relation) and internal/joins (the
+// stack-tree merge). The Whirlpool servers (internal/core) decide pc
+// and ad on preorder intervals and levels (xmltree.Node.Contains), and
+// internal/relax decides following-sibling on parent identity and
+// document order: the same relations, read without building an ID.
 package dewey
 
 import (
@@ -26,39 +30,11 @@ import (
 
 // ID is a Dewey identifier: the child-ordinal path from the root.
 // The zero value (nil) identifies a tree root. IDs are treated as
-// immutable; use Child or Copy instead of mutating components.
+// immutable.
 type ID []int
-
-// Child returns the Dewey ID of the ordinal-th child of id.
-// The returned ID shares no storage with id.
-func (id ID) Child(ordinal int) ID {
-	child := make(ID, len(id)+1)
-	copy(child, id)
-	child[len(id)] = ordinal
-	return child
-}
-
-// Parent returns the Dewey ID of id's parent and true, or nil and false
-// if id is a root.
-func (id ID) Parent() (ID, bool) {
-	if len(id) == 0 {
-		return nil, false
-	}
-	return id[: len(id)-1 : len(id)-1], true
-}
 
 // Level returns the depth of the node: 0 for a root.
 func (id ID) Level() int { return len(id) }
-
-// Copy returns an independent copy of id.
-func (id ID) Copy() ID {
-	if id == nil {
-		return nil
-	}
-	out := make(ID, len(id))
-	copy(out, id)
-	return out
-}
 
 // Compare orders IDs in document order (preorder): -1 if id precedes
 // other, +1 if it follows, 0 if equal. An ancestor precedes its
@@ -155,7 +131,7 @@ func (id ID) DescendantUpperBound() ID {
 	if len(id) == 0 {
 		return nil // a root's descendants are unbounded within its tree
 	}
-	out := id.Copy()
+	out := append(ID(nil), id...)
 	out[len(out)-1]++
 	return out
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/dewey"
@@ -367,58 +369,143 @@ func TestSourceConformance(t *testing.T) {
 	}
 }
 
-// TestIntervalNumbering holds both node slabs — the built document's and
-// the one a snapshot reader materializes — to the tree: End is the
-// ordinal of each node's last descendant, and the interval test Contains
-// agrees with Dewey containment. A random document checks every pair;
-// XMark checks each node against every node its interval could reach,
-// 16 ordinals of slack either side, and 16 random others.
-func TestIntervalNumbering(t *testing.T) {
+// TestNodeLayout holds every way a document is built — parsed,
+// materialized from a snapshot, replayed through Builder, parsed with
+// ParseProjected keeping every tag, and as the conformance document was
+// built — to one layout. On each, every node's ID renders the child
+// indices on its path from a forest root, found by an independent walk;
+// its Level is the ID's length; End is the ordinal of its last
+// descendant; and the interval test Contains agrees with Dewey
+// containment. A random document checks every pair, XMark each node
+// against every node its interval could reach, 16 ordinals of slack
+// either side, and 16 random others. Every build agrees with the parse
+// node for node on Tag, Value, Ord, End, Parent and Children.
+func TestNodeLayout(t *testing.T) {
 	for _, d := range conformanceDocs(t) {
-		var buf bytes.Buffer
-		if err := store.WriteSnapshot(&buf, &store.Snapshot{Doc: d.doc}); err != nil {
+		var xml bytes.Buffer
+		if err := d.doc.Serialize(&xml); err != nil {
 			t.Fatal(err)
 		}
-		r, err := store.ParseSnapshot(buf.Bytes())
+		parsed, err := xmltree.Parse(bytes.NewReader(xml.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, slab := range []struct {
+		projected, err := xmltree.ParseProjected(bytes.NewReader(xml.Bytes()), func(string) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := store.WriteSnapshot(&snap, &store.Snapshot{Doc: parsed}); err != nil {
+			t.Fatal(err)
+		}
+		r, err := store.ParseSnapshot(snap.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, build := range []struct {
 			name string
 			doc  *xmltree.Document
-		}{{"built", d.doc}, {"snapshot", r.Document()}} {
-			t.Run(d.name+"/"+slab.name, func(t *testing.T) {
-				nodes := slab.doc.Nodes
-				for _, n := range nodes {
-					last := n
-					for len(last.Children) > 0 {
-						last = last.Children[len(last.Children)-1]
-					}
-					if n.End != last.Ord {
-						t.Fatalf("%v: End = %d, its last descendant is %d", n, n.End, last.Ord)
-					}
-				}
-				check := func(a, b *xmltree.Node) {
-					if a.Contains(b) != a.ID.IsAncestorOf(b.ID) {
-						t.Fatalf("%v contains %v: interval says %v, Dewey %v", a, b, a.Contains(b), a.ID.IsAncestorOf(b.ID))
-					}
-				}
-				rng := rand.New(rand.NewSource(7))
-				for _, a := range nodes {
-					if d.name != "xmark" {
-						for _, b := range nodes {
-							check(a, b)
-						}
-						continue
-					}
-					for o := max(int(a.Ord)-16, 0); o <= min(int(a.End)+16, len(nodes)-1); o++ {
-						check(a, nodes[o])
-					}
-					for i := 0; i < 16; i++ {
-						check(a, nodes[rng.Intn(len(nodes))])
-					}
-				}
+		}{{"parsed", parsed}, {"snapshot", r.Document()}, {"builder", rebuild(parsed)}, {"projected", projected}, {"built", d.doc}} {
+			t.Run(d.name+"/"+build.name, func(t *testing.T) {
+				checkLayout(t, build.doc, d.name == "xmark")
+				sameLayout(t, parsed, build.doc)
 			})
+		}
+	}
+}
+
+// rebuild replays doc through xmltree.Builder.
+func rebuild(doc *xmltree.Document) *xmltree.Document {
+	b := xmltree.NewBuilder()
+	var open func(n *xmltree.Node)
+	open = func(n *xmltree.Node) {
+		for _, c := range n.Children {
+			b.Open(c.Tag).Text(c.Value)
+			open(c)
+			b.Close()
+		}
+	}
+	for _, root := range doc.Roots {
+		b.Root(root.Tag).Text(root.Value)
+		open(root)
+	}
+	return b.Doc()
+}
+
+// checkLayout holds doc's IDs, levels and intervals to its tree (see
+// TestNodeLayout); sample limits the pairwise containment check.
+func checkLayout(t *testing.T, doc *xmltree.Document, sample bool) {
+	t.Helper()
+	nodes := doc.Nodes
+	var walk func(n *xmltree.Node, id string)
+	walk = func(n *xmltree.Node, id string) {
+		if n.ID.String() != id || n.Level() != len(n.ID.Path()) || n.Level() != strings.Count(id, ".")+1 {
+			t.Fatalf("%v: ID %s at level %d (%d components), the walk says %s", n, n.ID, n.Level(), len(n.ID.Path()), id)
+		}
+		for i, c := range n.Children {
+			walk(c, id+"."+strconv.Itoa(i))
+		}
+	}
+	for i, root := range doc.Roots {
+		walk(root, strconv.Itoa(i))
+	}
+	for _, n := range nodes {
+		last := n
+		for len(last.Children) > 0 {
+			last = last.Children[len(last.Children)-1]
+		}
+		if n.End != last.Ord {
+			t.Fatalf("%v: End = %d, its last descendant is %d", n, n.End, last.Ord)
+		}
+	}
+	check := func(a, b *xmltree.Node) {
+		if dw := a.ID.Path().IsAncestorOf(b.ID.Path()); a.Contains(b) != dw {
+			t.Fatalf("%v contains %v: interval says %v, Dewey %v", a, b, a.Contains(b), dw)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, a := range nodes {
+		if !sample {
+			for _, b := range nodes {
+				check(a, b)
+			}
+			continue
+		}
+		for o := max(int(a.Ord)-16, 0); o <= min(int(a.End)+16, len(nodes)-1); o++ {
+			check(a, nodes[o])
+		}
+		for i := 0; i < 16; i++ {
+			check(a, nodes[rng.Intn(len(nodes))])
+		}
+	}
+}
+
+// sameLayout holds got to want node for node: Tag, Value, Ord, End, and
+// Parent and Children by ordinal.
+func sameLayout(t *testing.T, want, got *xmltree.Document) {
+	t.Helper()
+	if got.Size() != want.Size() {
+		t.Fatalf("%d nodes, want %d", got.Size(), want.Size())
+	}
+	ord := func(n *xmltree.Node) int32 {
+		if n == nil {
+			return -1
+		}
+		return n.Ord
+	}
+	ords := func(ns []*xmltree.Node) []int32 {
+		out := make([]int32, len(ns))
+		for i, n := range ns {
+			out[i] = n.Ord
+		}
+		return out
+	}
+	for i, a := range want.Nodes {
+		b := got.Nodes[i]
+		if a.Tag != b.Tag || a.Value != b.Value || a.Ord != b.Ord || a.End != b.End || ord(a.Parent) != ord(b.Parent) ||
+			!slices.Equal(ords(a.Children), ords(b.Children)) {
+			t.Fatalf("node %d: %v (end %d, parent %d, children %v), want %v (end %d, parent %d, children %v)",
+				i, b, b.End, ord(b.Parent), ords(b.Children), a, a.End, ord(a.Parent), ords(a.Children))
 		}
 	}
 }

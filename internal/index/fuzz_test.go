@@ -120,7 +120,7 @@ func FuzzRootStream(f *testing.F) {
 			}
 			below := false
 			for _, d := range doc.Nodes[n.Ord+1:] {
-				if !n.ID.IsAncestorOf(d.ID) {
+				if !n.ID.Path().IsAncestorOf(d.ID.Path()) {
 					break
 				}
 				for id := 1; id < q.Size(); id++ {

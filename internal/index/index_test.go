@@ -47,7 +47,7 @@ func TestNodesPostings(t *testing.T) {
 	}
 	// Document order.
 	for i := 1; i < len(titles); i++ {
-		if titles[i].ID.Compare(titles[i-1].ID) <= 0 {
+		if titles[i].ID.Path().Compare(titles[i-1].ID.Path()) <= 0 {
 			t.Fatal("postings out of document order")
 		}
 	}

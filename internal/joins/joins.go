@@ -22,45 +22,55 @@ type Pair struct {
 }
 
 // AncestorDescendantPairs computes all pairs (a, d) with a ∈ ancs an
-// ancestor of d ∈ descs, using the stack-tree merge: both inputs must be
-// in document order; the output is in (desc, anc) document order. The
-// cost is O(|ancs| + |descs| + |output|).
+// ancestor of d ∈ descs, using the stack-tree merge on Dewey IDs: both
+// inputs must be in document order; the output is in (desc, anc)
+// document order. Each input's IDs are derived once per call. The cost
+// is O(|ancs| + |descs| + |output|).
 func AncestorDescendantPairs(ancs, descs []*xmltree.Node) []Pair {
+	ancIDs, descIDs := paths(ancs), paths(descs)
 	var out []Pair
-	var stack []*xmltree.Node
+	var stack []int // indices into ancs
 	ai := 0
-	for _, d := range descs {
+	for di, d := range descs {
 		// Push every ancestor candidate that starts before d, keeping
 		// the stack a containment chain: a subtree is a contiguous
 		// document-order interval, so a popped entry can contain neither
 		// the pushed candidate nor anything after it.
-		for ai < len(ancs) && ancs[ai].ID.Compare(d.ID) < 0 {
-			a := ancs[ai]
-			for len(stack) > 0 && !stack[len(stack)-1].ID.IsAncestorOf(a.ID) {
+		for ai < len(ancs) && ancIDs[ai].Compare(descIDs[di]) < 0 {
+			for len(stack) > 0 && !ancIDs[stack[len(stack)-1]].IsAncestorOf(ancIDs[ai]) {
 				stack = stack[:len(stack)-1]
 			}
-			stack = append(stack, a)
+			stack = append(stack, ai)
 			ai++
 		}
 		// Pop chain entries whose subtrees ended before d; the rest all
 		// contain d (each contains the next, and the top contains d).
-		for len(stack) > 0 && !stack[len(stack)-1].ID.IsAncestorOf(d.ID) {
+		for len(stack) > 0 && !ancIDs[stack[len(stack)-1]].IsAncestorOf(descIDs[di]) {
 			stack = stack[:len(stack)-1]
 		}
 		for _, a := range stack {
-			out = append(out, Pair{Anc: a, Desc: d})
+			out = append(out, Pair{Anc: ancs[a], Desc: d})
 		}
 	}
 	return out
 }
 
+// paths derives the Dewey IDs of ns.
+func paths(ns []*xmltree.Node) []dewey.ID {
+	out := make([]dewey.ID, len(ns))
+	for i, n := range ns {
+		out[i] = n.ID.Path()
+	}
+	return out
+}
+
 // ParentChildPairs is AncestorDescendantPairs restricted to direct
-// parents.
+// parents: the pairs one level apart.
 func ParentChildPairs(ancs, descs []*xmltree.Node) []Pair {
 	all := AncestorDescendantPairs(ancs, descs)
 	out := all[:0]
 	for _, p := range all {
-		if p.Anc.ID.IsParentOf(p.Desc.ID) {
+		if p.Desc.Level() == p.Anc.Level()+1 {
 			out = append(out, p)
 		}
 	}
@@ -173,7 +183,7 @@ func siblingStep(tuples [][]*xmltree.Node, qn *pattern.Node, st *Stats) [][]*xml
 			if sib.Tag != qn.Tag || !vt.Matches(sib.Value) {
 				continue
 			}
-			if !sib.ID.IsFollowingSiblingOf(anchor.ID) {
+			if sib.Ord <= anchor.Ord { // not after the anchor among their parent's children
 				continue
 			}
 			nr := make([]*xmltree.Node, len(row))

@@ -45,7 +45,7 @@ func TestAncestorDescendantPairsAgainstBruteForce(t *testing.T) {
 		var want []Pair
 		for _, a := range ancs {
 			for _, d := range descs {
-				if a.ID.IsAncestorOf(d.ID) {
+				if a.ID.Path().IsAncestorOf(d.ID.Path()) {
 					want = append(want, Pair{Anc: a, Desc: d})
 				}
 			}

@@ -30,7 +30,7 @@ type Answer struct {
 // with s, and returns the k best distinct roots (best tuple score per
 // root), best first, ties by document order.
 func TopK(ix index.Source, q *pattern.Query, r relax.Relaxation, s score.Scorer, k int) []Answer {
-	ev := &evaluator{ix: ix, q: q, relax: r, scorer: s}
+	ev := &evaluator{ix: ix, q: q, relax: r, scorer: s, dewey: deweys{}}
 	ev.prepare()
 	var answers []Answer
 	for _, root := range ix.NodesMatching(q.Root().Tag, index.Test(q.Root().ValueOp, q.Root().Value)) {
@@ -64,6 +64,22 @@ type evaluator struct {
 	// own buffer, and deeper levels use their own.
 	cands      [][]*xmltree.Node
 	assignment []*xmltree.Node // reused across roots
+	dewey      deweys
+}
+
+// deweys derives a node's Dewey components once per evaluation. The
+// oracle decides every structural relation on them — never on the
+// preorder intervals the engine reads — so it shares no containment
+// arithmetic with what it checks.
+type deweys map[*xmltree.Node]dewey.ID
+
+func (d deweys) of(n *xmltree.Node) dewey.ID {
+	id, ok := d[n]
+	if !ok {
+		id = n.ID.Path()
+		d[n] = id
+	}
+	return id
 }
 
 // sortAnswers orders answers best first. The score comparison is
@@ -127,7 +143,7 @@ func (ev *evaluator) bestTuple(root *xmltree.Node, base float64) (float64, bool)
 				continue
 			}
 			variant := score.Relaxed
-			if holdsExact(ev.rootPath[id], root.ID, c.ID) {
+			if holdsExact(ev.rootPath[id], ev.dewey.of(root), ev.dewey.of(c)) {
 				variant = score.Exact
 			}
 			if ev.relax == relax.None && variant != score.Exact {
@@ -146,8 +162,7 @@ func (ev *evaluator) bestTuple(root *xmltree.Node, base float64) (float64, bool)
 }
 
 // holdsExact is relax.PathPredicate.HoldsExact decided on Dewey IDs
-// rather than the engine's preorder intervals, so the oracle shares no
-// containment arithmetic with what it checks.
+// rather than the engine's preorder intervals.
 func holdsExact(p relax.PathPredicate, anchor, target dewey.ID) bool {
 	diff := target.Level() - anchor.Level()
 	if !p.DepthHoldsExact(diff) {
@@ -168,7 +183,7 @@ func (ev *evaluator) validBinding(assignment []*xmltree.Node, id int, c *xmltree
 	pBind := assignment[parent]
 	if qn.Axis == dewey.FollowingSibling {
 		// Sibling order admits no relaxation; a deleted anchor waives it.
-		if pBind != nil && !c.ID.IsFollowingSiblingOf(pBind.ID) {
+		if pBind != nil && !ev.dewey.of(c).IsFollowingSiblingOf(ev.dewey.of(pBind)) {
 			return false
 		}
 		// Structural containment for fs nodes is inherited from the
@@ -179,14 +194,15 @@ func (ev *evaluator) validBinding(assignment []*xmltree.Node, id int, c *xmltree
 		// Parent relaxed away: only subtree promotion re-anchors c.
 		return parent == 0 || ev.relax.Has(relax.SubtreePromotion)
 	}
-	exactHolds := pBind.ID.IsParentOf(c.ID)
+	pID, cID := ev.dewey.of(pBind), ev.dewey.of(c)
+	exactHolds := pID.IsParentOf(cID)
 	if qn.Axis == dewey.Descendant {
-		exactHolds = pBind.ID.IsAncestorOf(c.ID)
+		exactHolds = pID.IsAncestorOf(cID)
 	}
 	if exactHolds {
 		return true
 	}
-	if ev.relax.Has(relax.EdgeGeneralization) && pBind.ID.IsAncestorOf(c.ID) {
+	if ev.relax.Has(relax.EdgeGeneralization) && pID.IsAncestorOf(cID) {
 		return true
 	}
 	return ev.relax.Has(relax.SubtreePromotion)

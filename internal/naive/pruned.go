@@ -59,6 +59,7 @@ func TopKByRewritingPruned(ix index.Source, q *pattern.Query, r relax.Relaxation
 
 	best := make(map[int32]float64)
 	roots := make(map[int32]*xmltree.Node)
+	ids := deweys{}
 	// kth returns the running k-th best distinct-root score; ok is
 	// false until k roots have been seen.
 	scores := make([]float64, 0, k)
@@ -78,7 +79,7 @@ func TopKByRewritingPruned(ix index.Source, q *pattern.Query, r relax.Relaxation
 			pruned++
 			continue
 		}
-		evalExact(ix, q, c.rq, rootPath, s, func(root *xmltree.Node, sc float64) {
+		evalExact(ix, q, c.rq, rootPath, s, ids, func(root *xmltree.Node, sc float64) {
 			if cur, ok := best[root.Ord]; !ok || sc > cur {
 				best[root.Ord] = sc
 				roots[root.Ord] = root

@@ -27,8 +27,9 @@ func TopKByRewriting(ix index.Source, q *pattern.Query, r relax.Relaxation, s sc
 	}
 	best := make(map[int32]float64)
 	roots := make(map[int32]*xmltree.Node)
+	ids := deweys{}
 	for _, rq := range queries {
-		evalExact(ix, q, rq, rootPath, s, func(root *xmltree.Node, sc float64) {
+		evalExact(ix, q, rq, rootPath, s, ids, func(root *xmltree.Node, sc float64) {
 			if cur, ok := best[root.Ord]; !ok || sc > cur {
 				best[root.Ord] = sc
 				roots[root.Ord] = root
@@ -50,7 +51,7 @@ func TopKByRewriting(ix index.Source, q *pattern.Query, r relax.Relaxation, s sc
 // each root's best tuple score, computed against the original query's
 // component predicates (orig/rootPath) so scores are comparable across
 // the closure.
-func evalExact(ix index.Source, orig *pattern.Query, rq relax.RelaxedQuery, rootPath []relax.PathPredicate, s score.Scorer, yield func(*xmltree.Node, float64)) {
+func evalExact(ix index.Source, orig *pattern.Query, rq relax.RelaxedQuery, rootPath []relax.PathPredicate, s score.Scorer, ids deweys, yield func(*xmltree.Node, float64)) {
 	q := rq.Query
 	// Per-query-node probe scratch, reused across roots and recursion
 	// levels (level id only touches scratch[id]).
@@ -95,7 +96,7 @@ func evalExact(ix index.Source, orig *pattern.Query, rq relax.RelaxedQuery, root
 				cands = ix.AppendCandidates(cands, gp, dewey.Child, qn.Tag, vt)
 				keep := cands[:0]
 				for _, c := range cands {
-					if c.ID.IsFollowingSiblingOf(parent.ID) {
+					if ids.of(c).IsFollowingSiblingOf(ids.of(parent)) {
 						keep = append(keep, c)
 					}
 				}
@@ -105,7 +106,7 @@ func evalExact(ix index.Source, orig *pattern.Query, rq relax.RelaxedQuery, root
 			origID := rq.NodeMap[id]
 			for _, c := range cands {
 				variant := score.Relaxed
-				if holdsExact(rootPath[origID], root.ID, c.ID) {
+				if holdsExact(rootPath[origID], ids.of(root), ids.of(c)) {
 					variant = score.Exact
 				}
 				bindings[id] = c

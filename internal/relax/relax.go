@@ -287,16 +287,20 @@ func BuildPlans(q *pattern.Query, r Relaxation) []*ServerPlan {
 	return plans
 }
 
-// fsCondHolds evaluates a following-sibling conditional predicate given
-// the two bound Dewey IDs, oriented so that server is the node whose plan
-// owns the condition.
-func fsCondHolds(c Cond, server, other dewey.ID) bool {
+// fsCondHolds evaluates a following-sibling conditional predicate on the
+// two bound nodes, oriented so that server is the node whose plan owns
+// the condition.
+func fsCondHolds(c Cond, server, other *xmltree.Node) bool {
 	if c.OtherIsAncestor {
 		// The server node follows its sibling anchor.
-		return server.IsFollowingSiblingOf(other)
+		return follows(server, other)
 	}
-	return other.IsFollowingSiblingOf(server)
+	return follows(other, server)
 }
+
+// follows reports whether a is a later sibling of b: the same parent
+// (forest roots share the virtual one), later in document order.
+func follows(a, b *xmltree.Node) bool { return a.Parent == b.Parent && a.Ord > b.Ord }
 
 // CondResult classifies how a conditional predicate was satisfied.
 type CondResult int
@@ -318,7 +322,7 @@ const (
 func (sp *ServerPlan) Check(c Cond, server, other *xmltree.Node) CondResult {
 	if c.FollowingSibling {
 		// Sibling order admits no relaxation.
-		if fsCondHolds(c, server.ID, other.ID) {
+		if fsCondHolds(c, server, other) {
 			return CondExact
 		}
 		return CondFailed

@@ -315,6 +315,9 @@ func TestCheckFollowingSibling(t *testing.T) {
 	if e.Check(fs, childOfC, cBind) != CondFailed {
 		t.Fatal("non-sibling must fail")
 	}
+	if e.Check(fs, cBind, cBind) != CondFailed {
+		t.Fatal("a node is not its own following sibling")
+	}
 	// The c plan must carry the reciprocal condition.
 	cPlan := plans[cID]
 	found = false
@@ -364,9 +367,9 @@ func TestPropExactImpliesRelaxed(t *testing.T) {
 		for i := range anc {
 			anc[i] = r.Intn(3)
 		}
-		target := anc.Copy()
+		target := append(dewey.ID(nil), anc...)
 		for i := 0; i < r.Intn(4); i++ {
-			target = target.Child(r.Intn(3))
+			target = append(target, r.Intn(3))
 		}
 		ns := treeOf(anc, target)
 		if pp.HoldsExact(ns[0], ns[1]) && !pp.HoldsRelaxed(ns[0], ns[1]) {

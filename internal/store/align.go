@@ -74,7 +74,7 @@ func s64view(b []byte) []int64 {
 }
 
 // intview returns b (little-endian int64s) viewed as Go ints — the form
-// dewey.ID and the synopsis arrays consume directly. Zero-copy when the
+// the synopsis arrays consume directly. Zero-copy when the
 // host is little-endian with 64-bit ints; otherwise each value is
 // materialized (truncation on 32-bit hosts is guarded by the caller's
 // range validation).

@@ -10,7 +10,7 @@ import (
 // mmapFile maps size bytes of f read-only and shared, so every process
 // opening the same snapshot serves queries from one kernel page cache.
 // The returned release func unmaps; after calling it any data still
-// aliasing the mapping (node values, Dewey components, synopsis arrays)
+// aliasing the mapping (tags, node values, synopsis arrays)
 // must no longer be referenced.
 func mmapFile(f *os.File, size int) (data []byte, release func() error, err error) {
 	if size == 0 {

@@ -15,17 +15,17 @@ import (
 	"repro/internal/xmltree"
 )
 
-// SnapshotReader serves a v2 snapshot as an index.Source. Postings,
-// Dewey components, node values and the synopsis statistic arrays all
-// alias the snapshot bytes — when the file was mmapped, structural
-// probes are answered straight from the kernel page cache, shared by
-// every process that has the same snapshot open. The only per-corpus
-// heap cost is the node slab (Tag/Parent/Children wiring the engine's
-// *xmltree.Node API requires).
+// SnapshotReader serves a v2 snapshot as an index.Source. Postings, tag
+// names, node values and the synopsis statistic arrays all alias the
+// snapshot bytes — when the file was mmapped, structural probes are
+// answered straight from the kernel page cache, shared by every process
+// that has the same snapshot open. The only per-corpus heap cost is the
+// node slab, which xmltree.Columns.Build wires from the mapped columns
+// exactly as Parse does from its own.
 //
 // Everything a SnapshotReader or any structure derived from it hands
-// out (node values, Dewey IDs, synopsis arrays) stays valid until
-// Close; see DESIGN.md "Snapshot storage" for the ownership rules.
+// out (tags, node values, synopsis arrays) stays valid until Close; see
+// DESIGN.md "Snapshot storage" for the ownership rules.
 type SnapshotReader struct {
 	data    []byte
 	release func() error
@@ -41,7 +41,6 @@ type SnapshotReader struct {
 	// sharing one page cache each pay. docReady gates the fast path with
 	// one atomic load; mu guards the build.
 	docReady atomic.Bool
-	nodes    []xmltree.Node
 	doc      *xmltree.Document
 
 	// Validated column views feeding the lazy materialization; all alias
@@ -51,8 +50,6 @@ type SnapshotReader struct {
 	parents  []uint32 // parent ordinal + 1, 0 = forest root
 	valOff   []uint32
 	valBlob  []byte
-	dewOff   []uint32
-	dewComps []int
 
 	subtree     []uint32 // subtree size per ordinal
 	tagPostOff  []uint32
@@ -131,8 +128,8 @@ func ParseSnapshot(data []byte) (*SnapshotReader, error) {
 	return newSnapshotReader(data, nil, false)
 }
 
-// Close releases the mapping. After Close no node, value, Dewey ID or
-// synopsis obtained from the reader may be used.
+// Close releases the mapping. After Close no node, value or synopsis
+// obtained from the reader may be used.
 func (r *SnapshotReader) Close() error {
 	rel := r.release
 	r.release = nil
@@ -150,7 +147,7 @@ func (r *SnapshotReader) Mapped() bool { return r.mapped }
 func (r *SnapshotReader) SizeBytes() int { return len(r.data) }
 
 // Document returns the document, materializing the node slab on first
-// call. Node values and Dewey IDs alias the snapshot.
+// call. Tags and node values alias the snapshot.
 func (r *SnapshotReader) Document() *xmltree.Document {
 	r.ensureDoc()
 	return r.doc
@@ -173,8 +170,8 @@ func (r *SnapshotReader) KeywordScopes() []string {
 // 1 marks byte blobs.
 var sectionSizes = map[uint32]uint64{
 	secTagOffsets: 4, secTagBlob: 1, secNodeTags: 4, secNodeParents: 4,
-	secSubtree: 4, secValueOffsets: 4, secValueBlob: 1, secDeweyOffsets: 4,
-	secDeweyComps: 8, secTagPostOff: 4, secTagPostOrds: 4, secValPostTags: 4,
+	secSubtree: 4, secValueOffsets: 4, secValueBlob: 1,
+	secTagPostOff: 4, secTagPostOrds: 4, secValPostTags: 4,
 	secValPostKeyOff: 4, secValPostKeys: 1, secValPostOff: 4, secValPostOrds: 4,
 	secKeyword: 0,
 	secSynMeta: 8, secSynTagIDs: 4, secSynTagCount: 8, secSynTagValued: 8,
@@ -279,11 +276,11 @@ func (r *SnapshotReader) loadTags(get func(uint32) (section, error)) error {
 	return nil
 }
 
-// loadNodes validates the per-node columns — tag ids, parent ordering,
-// subtree sizes, value and Dewey offsets — and stashes their views. The
-// node slab itself is built lazily (see materialize): validation here
-// guarantees the build cannot fail, so corruption still surfaces at
-// open while the open path stays free of the O(n) heap materialization.
+// loadNodes validates the per-node columns — tag ids, parents, subtree
+// sizes and value offsets — and stashes their views. The node slab itself
+// is built lazily (see materialize): validation here guarantees the
+// build cannot fail, so corruption still surfaces at open while the open
+// path stays free of the O(n) heap materialization.
 func (r *SnapshotReader) loadNodes(get func(uint32) (section, error)) error {
 	tagSec, err := get(secNodeTags)
 	if err != nil {
@@ -305,14 +302,6 @@ func (r *SnapshotReader) loadNodes(get func(uint32) (section, error)) error {
 	if err != nil {
 		return err
 	}
-	dewOffSec, err := get(secDeweyOffsets)
-	if err != nil {
-		return err
-	}
-	dewCompSec, err := get(secDeweyComps)
-	if err != nil {
-		return err
-	}
 	n := int(tagSec.count)
 	if tagSec.count > math.MaxInt32 {
 		return fmt.Errorf("store: %d nodes exceed the int32 ordinal range", tagSec.count)
@@ -321,9 +310,8 @@ func (r *SnapshotReader) loadNodes(get func(uint32) (section, error)) error {
 		return fmt.Errorf("store: node sections disagree on the node count (%d tags, %d parents, %d subtree sizes)",
 			tagSec.count, parSec.count, subSec.count)
 	}
-	if valOffSec.count != uint64(n)+1 || dewOffSec.count != uint64(n)+1 {
-		return fmt.Errorf("store: offset sections want %d entries, have %d value and %d dewey offsets",
-			n+1, valOffSec.count, dewOffSec.count)
+	if valOffSec.count != uint64(n)+1 {
+		return fmt.Errorf("store: value offsets want %d entries, have %d", n+1, valOffSec.count)
 	}
 	r.n = n
 	r.nodeTags = u32view(tagSec.data(r.data))
@@ -331,13 +319,8 @@ func (r *SnapshotReader) loadNodes(get func(uint32) (section, error)) error {
 	r.subtree = u32view(subSec.data(r.data))
 	r.valOff = u32view(valOffSec.data(r.data))
 	r.valBlob = valBlobSec.data(r.data)
-	r.dewOff = u32view(dewOffSec.data(r.data))
-	r.dewComps = intview(dewCompSec.data(r.data))
 
 	if err := checkOffsets(r.valOff, uint32(valBlobSec.len), "value offsets", valOffSec.off); err != nil {
-		return err
-	}
-	if err := checkOffsets(r.dewOff, uint32(dewCompSec.count), "dewey offsets", dewOffSec.off); err != nil {
 		return err
 	}
 	for i := 0; i < n; i++ {
@@ -372,49 +355,22 @@ func (r *SnapshotReader) ensureDoc() {
 	}
 }
 
-// materialize builds the node slab: one xmltree.Node per ordinal with
-// values and Dewey IDs aliasing the snapshot, children wired through a
-// single CSR slab. Every input was validated at open, so this cannot
-// fail. Called once under r.mu (see ensureDoc).
+// materialize builds the node slab from the mapped columns, the way
+// Parse builds it from its own: tags and values alias the snapshot.
+// Every input was validated at open, so this cannot fail. Called once
+// under r.mu (see ensureDoc).
 // +whirllint:allocok one-time deferred slab build on first touch; every later ensureDoc is a single atomic load
 func (r *SnapshotReader) materialize() {
-	n := r.n
-	childCnt := make([]int32, n)
-	for i := 0; i < n; i++ {
-		if p := r.parents[i]; p != 0 {
-			childCnt[p-1]++
-		}
+	cols := xmltree.Columns{
+		Tags:    r.tags,
+		TagIDs:  r.nodeTags,
+		Parents: r.parents,
+		Subtree: r.subtree,
+		ValueLo: r.valOff[:r.n],
+		ValueHi: r.valOff[1:],
+		Values:  byteString(r.valBlob),
 	}
-	// CSR child slab: one allocation wires every Children slice.
-	childOff := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		childOff[i+1] = childOff[i] + childCnt[i]
-	}
-	childSlab := make([]*xmltree.Node, childOff[n])
-	cursor := childCnt // reuse the count slab as the fill cursor
-	copy(cursor, childOff[:n])
-
-	r.nodes = make([]xmltree.Node, n)
-	ptrs := make([]*xmltree.Node, n)
-	var roots []*xmltree.Node
-	for i := 0; i < n; i++ {
-		nd := &r.nodes[i]
-		ptrs[i] = nd
-		nd.Tag = r.tags[r.nodeTags[i]]
-		nd.Value = byteString(r.valBlob[r.valOff[i]:r.valOff[i+1]])
-		nd.ID = dewey.ID(r.dewComps[r.dewOff[i]:r.dewOff[i+1]])
-		nd.Ord = int32(i)
-		nd.End = int32(i) + int32(r.subtree[i]) - 1
-		nd.Children = childSlab[childOff[i]:childOff[i+1]:childOff[i+1]]
-		if p := r.parents[i]; p != 0 {
-			nd.Parent = &r.nodes[p-1]
-			childSlab[cursor[p-1]] = nd
-			cursor[p-1]++
-		} else {
-			roots = append(roots, nd)
-		}
-	}
-	r.doc = &xmltree.Document{Roots: roots, Nodes: ptrs}
+	r.doc = cols.Build()
 }
 
 // loadPostings validates the tag and (tag, value) postings; all arrays
@@ -721,8 +677,8 @@ func (r *SnapshotReader) NodesMatching(tag string, vt index.ValueTest) []*xmltre
 			out = make([]*xmltree.Node, 0, len(g))
 		}
 		for _, o := range g {
-			if !filter || vt.Matches(r.nodes[o].Value) {
-				out = append(out, &r.nodes[o])
+			if n := r.doc.Nodes[o]; !filter || vt.Matches(n.Value) {
+				out = append(out, n)
 			}
 		}
 		return out, nil
@@ -799,15 +755,16 @@ func (r *SnapshotReader) appendDescendants(dst []*xmltree.Node, anchor *xmltree.
 	}
 	lo := lowerBound(g, aLo+1)
 	hi := lowerBound(g, aHi)
+	nodes := r.doc.Nodes
 	if vt.Any() || vt.IsEquality() {
 		for _, o := range g[lo:hi] {
-			dst = append(dst, &r.nodes[o])
+			dst = append(dst, nodes[o])
 		}
 		return dst
 	}
 	for _, o := range g[lo:hi] {
-		if vt.Matches(r.nodes[o].Value) {
-			dst = append(dst, &r.nodes[o])
+		if vt.Matches(nodes[o].Value) {
+			dst = append(dst, nodes[o])
 		}
 	}
 	return dst

@@ -1,10 +1,12 @@
 // Package store persists a fully built corpus as a zero-copy snapshot
 // and serves it back as an index.Source — the paper's disk-resident
-// scenario (Section 6.3.3). The snapshot format ("WPXS") lays tag and
-// value postings, Dewey arrays, subtree extents, the structure synopsis
-// and keyword indexes out as flat little-endian arrays in page-aligned
-// sections, so a reader can mmap the file and serve structural probes
-// directly from the mapped pages.
+// scenario (Section 6.3.3). The snapshot format ("WPXS") lays the node
+// columns (tags, parents, subtree extents, values), tag and value
+// postings, the structure synopsis and keyword indexes out as flat
+// little-endian arrays in page-aligned sections, so a reader can mmap the
+// file and serve structural probes directly from the mapped pages. Dewey
+// IDs are not stored: a node derives its ID from its position among its
+// parent's children.
 // See DESIGN.md, "Snapshot storage", for the layout diagram and the
 // alignment/endianness/ownership rules.
 //
@@ -49,15 +51,16 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // "offsets" sections carry one extra terminator entry so element i
 // spans [off[i], off[i+1]).
 const (
-	secTagOffsets    = 1  // u32[tagCnt+1] byte offsets into the tag blob
-	secTagBlob       = 2  // tag names, concatenated
-	secNodeTags      = 3  // u32[n] tag id per node
-	secNodeParents   = 4  // u32[n] parent ordinal + 1; 0 = forest root
-	secSubtree       = 5  // u32[n] subtree size, self included
-	secValueOffsets  = 6  // u32[n+1] byte offsets into the value blob
-	secValueBlob     = 7  // node text values, concatenated
-	secDeweyOffsets  = 8  // u32[n+1] offsets into the component array
-	secDeweyComps    = 9  // s64[m] Dewey components, all nodes concatenated
+	secTagOffsets   = 1 // u32[tagCnt+1] byte offsets into the tag blob
+	secTagBlob      = 2 // tag names, concatenated
+	secNodeTags     = 3 // u32[n] tag id per node
+	secNodeParents  = 4 // u32[n] parent ordinal + 1; 0 = forest root
+	secSubtree      = 5 // u32[n] subtree size, self included
+	secValueOffsets = 6 // u32[n+1] byte offsets into the value blob
+	secValueBlob    = 7 // node text values, concatenated
+	// 8 and 9 are reserved: older files carry every node's Dewey ID under
+	// them (offsets and components), which the reader skips like any kind
+	// it does not know.
 	secTagPostOff    = 10 // u32[tagCnt+1] offsets into the tag postings
 	secTagPostOrds   = 11 // u32[n] ordinals grouped by tag, ascending
 	secValPostTags   = 12 // u32[v] tag id per (tag, value) key
@@ -92,8 +95,7 @@ func sectionName(kind uint32) string {
 		secTagOffsets: "tag offsets", secTagBlob: "tag blob",
 		secNodeTags: "node tags", secNodeParents: "node parents",
 		secSubtree: "subtree sizes", secValueOffsets: "value offsets",
-		secValueBlob: "value blob", secDeweyOffsets: "dewey offsets",
-		secDeweyComps: "dewey components", secTagPostOff: "tag postings offsets",
+		secValueBlob: "value blob", secTagPostOff: "tag postings offsets",
 		secTagPostOrds: "tag postings", secValPostTags: "value postings tags",
 		secValPostKeyOff: "value postings key offsets", secValPostKeys: "value postings keys",
 		secValPostOff: "value postings offsets", secValPostOrds: "value postings",

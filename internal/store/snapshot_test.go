@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -60,33 +61,68 @@ func parseSnap(t testing.TB, raw []byte) *SnapshotReader {
 func TestSnapshotRoundTripStructure(t *testing.T) {
 	doc := genDoc(t, 30)
 	r := parseSnap(t, writeSnap(t, &Snapshot{Doc: doc}))
-	got := r.Document()
-	if got.Size() != doc.Size() {
-		t.Fatalf("size %d != %d", got.Size(), doc.Size())
+	sameNodes(t, doc, r.Document())
+}
+
+// sameNodes holds a materialized snapshot to the document it was written
+// from, node for node: tag, value, ordinal, interval, derived Dewey ID,
+// level, parent and children (by ordinal), and the forest's roots.
+func sameNodes(t testing.TB, want, got *xmltree.Document) {
+	t.Helper()
+	if got.Size() != want.Size() || len(got.Roots) != len(want.Roots) {
+		t.Fatalf("%d nodes in %d trees, want %d in %d", got.Size(), len(got.Roots), want.Size(), len(want.Roots))
 	}
-	if len(got.Roots) != len(doc.Roots) {
-		t.Fatalf("roots %d != %d", len(got.Roots), len(doc.Roots))
+	ord := func(n *xmltree.Node) int32 {
+		if n == nil {
+			return -1
+		}
+		return n.Ord
 	}
-	for i := range doc.Nodes {
-		a, b := doc.Nodes[i], got.Nodes[i]
-		if a.Tag != b.Tag || a.Value != b.Value || !a.ID.Equal(b.ID) || a.Ord != b.Ord {
-			t.Fatalf("node %d: %v vs %v", i, a, b)
+	ords := func(ns []*xmltree.Node) []int32 {
+		out := make([]int32, len(ns))
+		for i, n := range ns {
+			out[i] = n.Ord
 		}
-		if (a.Parent == nil) != (b.Parent == nil) {
-			t.Fatalf("node %d parent presence mismatch", i)
+		return out
+	}
+	if !slices.Equal(ords(got.Roots), ords(want.Roots)) {
+		t.Fatalf("roots %v, want %v", ords(got.Roots), ords(want.Roots))
+	}
+	for i, a := range want.Nodes {
+		b := got.Nodes[i]
+		if a.Tag != b.Tag || a.Value != b.Value || a.Ord != b.Ord || a.End != b.End ||
+			a.ID.String() != b.ID.String() || a.Level() != b.Level() || ord(a.Parent) != ord(b.Parent) {
+			t.Fatalf("node %d: %v (end %d, level %d, parent %d), want %v (end %d, level %d, parent %d)",
+				i, b, b.End, b.Level(), ord(b.Parent), a, a.End, a.Level(), ord(a.Parent))
 		}
-		if a.Parent != nil && a.Parent.Ord != b.Parent.Ord {
-			t.Fatalf("node %d parent ord %d vs %d", i, a.Parent.Ord, b.Parent.Ord)
-		}
-		if len(a.Children) != len(b.Children) {
-			t.Fatalf("node %d children %d vs %d", i, len(a.Children), len(b.Children))
-		}
-		for j := range a.Children {
-			if a.Children[j].Ord != b.Children[j].Ord {
-				t.Fatalf("node %d child %d ord mismatch", i, j)
-			}
+		if !slices.Equal(ords(a.Children), ords(b.Children)) {
+			t.Fatalf("node %d: children %v, want %v", i, ords(b.Children), ords(a.Children))
 		}
 	}
+}
+
+// FuzzSnapshotRoundTrip: whatever Parse accepts, a snapshot of it
+// opens and materializes to the same node slab.
+func FuzzSnapshotRoundTrip(f *testing.F) {
+	for _, xml := range []string{
+		`<a/>`,
+		`<a/><b x="1"/>`,
+		`<a><b>x</b><b>y<c/>z</b></a>`,
+		`<site><item id="1" featured="yes"><name>gold</name><desc>aa <b>bb</b> cc</desc></item><item/></site>`,
+	} {
+		f.Add(xml)
+	}
+	f.Fuzz(func(t *testing.T, xml string) {
+		doc, err := xmltree.ParseString(xml)
+		if err != nil {
+			return
+		}
+		r, err := ParseSnapshot(writeSnap(t, &Snapshot{Doc: doc, Synopsis: synopsis.Build(doc).Flatten()}))
+		if err != nil {
+			t.Fatalf("snapshot of a parsed document rejected: %v", err)
+		}
+		sameNodes(t, doc, r.Document())
+	})
 }
 
 func TestSnapshotSynopsisKeyword(t *testing.T) {
@@ -137,28 +173,53 @@ func TestSnapshotSynopsisKeyword(t *testing.T) {
 // layouts were persisted carry kind-19/20 sections. The reader knows no
 // such kinds any more and must skip them, serving the same postings.
 func TestSnapshotSkipsRetiredLayoutSections(t *testing.T) {
-	doc := genDoc(t, 20)
-	payloads, err := buildSections(fullSnapshot(t, doc))
-	if err != nil {
-		t.Fatal(err)
-	}
 	spine, units := &leBuf{}, &leBuf{}
 	spine.u32(0)
 	for _, w := range []uint32{1, 1} { // one part: one unit, ordinal 1
 		units.u32(w)
 	}
-	payloads = append(payloads,
-		secPayload{kind: 19, shard: 1, count: 1, data: spine.b},
-		secPayload{kind: 20, shard: 1, count: 2, data: units.b})
+	checkSkipsRetired(t, genDoc(t, 20),
+		secPayload{kind: 19, shard: 1, count: 1, data: spine.b}, secPayload{kind: 20, shard: 1, count: 2, data: units.b})
+}
+
+// TestSnapshotSkipsRetiredDeweySections: images written while Dewey IDs
+// were stored carry every node's components under kinds 8 (offsets) and
+// 9 (components). Nodes now derive their IDs, so the reader skips both.
+func TestSnapshotSkipsRetiredDeweySections(t *testing.T) {
+	doc := genDoc(t, 20)
+	off, comps := &leBuf{}, &leBuf{}
+	off.u32(0)
+	m := 0
+	for _, n := range doc.Nodes {
+		for _, c := range n.ID.Path() {
+			comps.s64(int64(c))
+			m++
+		}
+		off.u32(uint32(m))
+	}
+	checkSkipsRetired(t, doc,
+		secPayload{kind: 8, shard: -1, count: uint64(len(doc.Nodes) + 1), data: off.b}, secPayload{kind: 9, shard: -1, count: uint64(m), data: comps.b})
+}
+
+// checkSkipsRetired writes doc's snapshot with and without the retired
+// sections, and holds the two readers to the same nodes, postings,
+// probes and synopsis.
+func checkSkipsRetired(t *testing.T, doc *xmltree.Document, retired ...secPayload) {
+	t.Helper()
+	payloads, err := buildSections(fullSnapshot(t, doc))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := writeSections(&buf, payloads); err != nil {
+	if err := writeSections(&buf, append(payloads, retired...)); err != nil {
 		t.Fatal(err)
 	}
 	old := parseSnap(t, buf.Bytes())
 	fresh := parseSnap(t, writeSnap(t, fullSnapshot(t, doc)))
 	if old.SizeBytes() <= fresh.SizeBytes() {
-		t.Fatalf("image with layout sections is %d bytes, without %d", old.SizeBytes(), fresh.SizeBytes())
+		t.Fatalf("image with retired sections is %d bytes, without %d", old.SizeBytes(), fresh.SizeBytes())
 	}
+	sameNodes(t, fresh.Document(), old.Document())
 	ords := func(ns []*xmltree.Node) []int {
 		out := make([]int, len(ns))
 		for i, n := range ns {
@@ -169,18 +230,39 @@ func TestSnapshotSkipsRetiredLayoutSections(t *testing.T) {
 	for _, tag := range doc.Tags() {
 		for _, vt := range []index.ValueTest{{}, index.ValueEq("1"), index.Test("contains", "a")} {
 			if got, want := ords(old.NodesMatching(tag, vt)), ords(fresh.NodesMatching(tag, vt)); !slices.Equal(got, want) {
-				t.Fatalf("NodesMatching(%q, %v) = %v with layout sections, %v without", tag, vt, got, want)
+				t.Fatalf("NodesMatching(%q, %v) = %v with retired sections, %v without", tag, vt, got, want)
 			}
 			root := old.Document().Roots[0]
 			got := ords(old.AppendCandidates(nil, root, dewey.Descendant, tag, vt))
 			want := ords(fresh.AppendCandidates(nil, fresh.Document().Roots[0], dewey.Descendant, tag, vt))
 			if !slices.Equal(got, want) {
-				t.Fatalf("AppendCandidates(%q, %v) = %v with layout sections, %v without", tag, vt, got, want)
+				t.Fatalf("AppendCandidates(%q, %v) = %v with retired sections, %v without", tag, vt, got, want)
 			}
 		}
 	}
 	if old.Synopsis().Fingerprint() != fresh.Synopsis().Fingerprint() {
-		t.Fatal("synopsis diverges behind the layout sections")
+		t.Fatal("synopsis diverges behind the retired sections")
+	}
+}
+
+// TestSnapshotBytesPerDocByte pins the snapshot's size against its
+// source XML: XMark seed 1 at 1 MB as SaveSnapshot writes it (document,
+// postings, synopsis) takes at most 2.1 bytes per document byte (1.92
+// measured; 1.66 at 8 MB, where fixed costs weigh less). Stored Dewey IDs
+// took it to 4.32.
+func TestSnapshotBytesPerDocByte(t *testing.T) {
+	var xml bytes.Buffer
+	if _, err := xmark.WriteBytes(&xml, 1, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	docBytes := xml.Len()
+	doc, err := xmltree.Parse(&xml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := writeSnap(t, &Snapshot{Doc: doc, Synopsis: synopsis.Build(doc).Flatten()})
+	if ratio := float64(len(raw)) / float64(docBytes); ratio > 2.1 {
+		t.Fatalf("snapshot is %d bytes for a %d-byte document: %.2f per document byte, want at most 2.1", len(raw), docBytes, ratio)
 	}
 }
 
@@ -287,6 +369,46 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsMalformedTree: the node slab is built from the
+// parents and subtree columns, so open refuses a checksummed image whose
+// parent follows its child or whose subtree leaves the document — with
+// an error naming the column, not a bad slab at first touch.
+func TestSnapshotRejectsMalformedTree(t *testing.T) {
+	doc, err := xmltree.ParseString(`<a><b><c/></b><d/></a>`) // ordinals a0 b1 c2 d3
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		kind uint32
+		node int
+		val  uint32 // parent ordinal + 1, or subtree size
+		want string
+	}{
+		{"parent after the node", secNodeParents, 1, 4, "parent"},
+		{"node its own parent", secNodeParents, 2, 3, "parent"},
+		{"empty subtree", secSubtree, 3, 0, "subtree"},
+		{"subtree past the end", secSubtree, 2, 3, "subtree"},
+	} {
+		payloads, err := buildSections(&Snapshot{Doc: doc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range payloads {
+			if p.kind == c.kind {
+				binary.LittleEndian.PutUint32(p.data[4*c.node:], c.val)
+			}
+		}
+		var buf bytes.Buffer
+		if err := writeSections(&buf, payloads); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseSnapshot(buf.Bytes()); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: open says %v, want an error naming the %s", c.name, err, c.want)
+		}
+	}
+}
+
 func TestSnapshotRejectsUnrenumberedDoc(t *testing.T) {
 	doc := genDoc(t, 5)
 	doc.Nodes[2].Ord = 99
@@ -375,7 +497,7 @@ func TestSnapshotFirstTouchConcurrentClimb(t *testing.T) {
 			for _, kw := range index.NewView(r, owner, i).Nodes("keyword") {
 				top := kw
 				for a := kw.Parent; a != nil; a = a.Parent {
-					if !a.ID.IsAncestorOf(kw.ID) || r.Document().Nodes[a.Ord] != a {
+					if !a.Contains(kw) || r.Document().Nodes[a.Ord] != a {
 						t.Errorf("part %d: keyword %d climbs through a foreign node %v", i, kw.Ord, a)
 						return
 					}

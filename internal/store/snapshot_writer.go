@@ -167,11 +167,7 @@ func buildSections(s *Snapshot) ([]secPayload, error) {
 	{
 		nt, np, st := &leBuf{}, &leBuf{}, &leBuf{}
 		vo, vb := &leBuf{}, &leBuf{}
-		do, dc := &leBuf{}, &leBuf{}
-		sizes := subtreeSizes(doc)
 		vo.u32(0)
-		do.u32(0)
-		comps := 0
 		for _, nd := range doc.Nodes {
 			nt.u32(tagID[nd.Tag])
 			if nd.Parent == nil {
@@ -179,28 +175,18 @@ func buildSections(s *Snapshot) ([]secPayload, error) {
 			} else {
 				np.u32(uint32(nd.Parent.Ord) + 1)
 			}
-			st.u32(uint32(sizes[nd.Ord]))
+			st.u32(uint32(nd.End - nd.Ord + 1))
 			vb.str(nd.Value)
 			if len(vb.b) > math.MaxUint32 {
 				return nil, fmt.Errorf("store: value blob exceeds 4 GiB")
 			}
 			vo.u32(uint32(len(vb.b)))
-			for _, c := range nd.ID {
-				dc.s64(int64(c))
-			}
-			comps += len(nd.ID)
-			if comps > math.MaxUint32 {
-				return nil, fmt.Errorf("store: dewey component array exceeds the snapshot format's capacity")
-			}
-			do.u32(uint32(comps))
 		}
 		add(secNodeTags, -1, n, nt)
 		add(secNodeParents, -1, n, np)
 		add(secSubtree, -1, n, st)
 		add(secValueOffsets, -1, n+1, vo)
 		add(secValueBlob, -1, len(vb.b), vb)
-		add(secDeweyOffsets, -1, n+1, do)
-		add(secDeweyComps, -1, comps, dc)
 	}
 
 	// Tag postings: ordinals grouped by tag id, ascending within each
@@ -392,20 +378,4 @@ func buildKeywordPayload(f *keyword.Flat, tagID map[string]uint32) (*leBuf, int,
 	}
 	e.str(f.Words)
 	return e, words, nil
-}
-
-// subtreeSizes computes the subtree node count per ordinal in one
-// reverse-preorder pass (children precede their parent when iterating
-// backwards).
-func subtreeSizes(doc *xmltree.Document) []int {
-	sizes := make([]int, len(doc.Nodes))
-	for i := len(doc.Nodes) - 1; i >= 0; i-- {
-		nd := doc.Nodes[i]
-		s := 1
-		for _, ch := range nd.Children {
-			s += sizes[ch.Ord]
-		}
-		sizes[nd.Ord] = s
-	}
-	return sizes
 }

@@ -134,80 +134,111 @@ type Synopsis struct {
 // Build constructs the synopsis of a whole document in one preorder
 // pass: visiting a node increments the (tag, level-difference) counter
 // of every open ancestor frame, and popping a frame folds that single
-// anchor's counts into its dataguide node's arrays.
+// anchor's counts into its dataguide node's arrays. Frames are reused by
+// depth and index their counters by a build-local tag id, so the pass
+// allocates per distinct depth, tag and path, never per node.
 func Build(doc *xmltree.Document) *Synopsis {
-	s := &Synopsis{root: &pathNode{}, tags: make(map[string]*tagStat)}
-	stack := make([]*frame, 0, 16)
-	for _, r := range doc.Roots {
-		s.add(r, s.root, stack)
+	b := &builder{
+		s:   &Synopsis{root: &pathNode{}, tags: make(map[string]*tagStat)},
+		ids: make(map[string]int32),
 	}
-	s.finalize()
-	return s
+	for _, r := range doc.Roots {
+		b.add(r, b.s.root, 0)
+	}
+	b.s.finalize()
+	return b.s
 }
 
+// builder is Build's state.
+type builder struct {
+	s      *Synopsis
+	ids    map[string]int32 // build-local tag id
+	tags   []string         // by build-local id
+	stats  []*tagStat       // by build-local id
+	frames []*frame         // frames[d]: the open ancestor at depth d, forest roots at 0
+}
+
+// frame holds one open anchor's descendant counts: tf[id][d] descendants
+// with build-local tag id lie d levels below it. A frame is empty
+// whenever no anchor holds it.
 type frame struct {
-	level int
-	tf    map[string][]int // descendant tag -> count per level difference
+	tf      [][]int
+	touched []int32 // the ids with a nonempty tf entry
 }
 
-func (s *Synopsis) add(n *xmltree.Node, parent *pathNode, stack []*frame) {
+func (b *builder) add(n *xmltree.Node, parent *pathNode, depth int) {
+	id, ok := b.ids[n.Tag]
+	if !ok {
+		id = int32(len(b.tags))
+		b.ids[n.Tag] = id
+		b.tags = append(b.tags, n.Tag)
+		b.stats = append(b.stats, &tagStat{})
+		b.s.tags[n.Tag] = b.stats[id]
+	}
 	pn := parent.child(n.Tag, true)
 	pn.count++
-	ts, ok := s.tags[n.Tag]
-	if !ok {
-		ts = &tagStat{}
-		s.tags[n.Tag] = ts
-	}
+	ts := b.stats[id]
 	ts.count++
 	if n.Value != "" {
 		ts.valued++
 	}
-	s.nodes++
-	lvl := n.Level()
-	for _, fr := range stack {
-		d := lvl - fr.level
-		arr := growInts(fr.tf[n.Tag], maxInt(len(fr.tf[n.Tag]), d+1))
+	b.s.nodes++
+	for a, fr := range b.frames[:depth] {
+		for len(fr.tf) <= int(id) {
+			fr.tf = append(fr.tf, nil)
+		}
+		arr := fr.tf[id]
+		if len(arr) == 0 {
+			fr.touched = append(fr.touched, id)
+		}
+		d := depth - a
+		for len(arr) <= d {
+			arr = append(arr, 0)
+		}
 		arr[d]++
-		fr.tf[n.Tag] = arr
+		fr.tf[id] = arr
 	}
-	fr := &frame{level: lvl, tf: make(map[string][]int)}
-	stack = append(stack, fr)
+	if depth == len(b.frames) {
+		b.frames = append(b.frames, &frame{})
+	}
 	for _, c := range n.Children {
-		s.add(c, pn, stack)
+		b.add(c, pn, depth+1)
 	}
-	fold(pn, fr.tf)
+	fr := b.frames[depth]
+	for _, t := range fr.touched {
+		fold(pn.descFor(b.tags[t]), fr.tf[t])
+		fr.tf[t] = fr.tf[t][:0]
+	}
+	fr.touched = fr.touched[:0]
 }
 
-// fold merges one anchor's per-(tag, diff) descendant counts into its
-// dataguide node, walking each array in descending-diff order so the
+// fold merges one anchor's per-diff counts of one descendant tag into
+// its dataguide node's arrays, walking in descending-diff order so the
 // ≥-suffix statistics (cntMax, maxAtLeast) come out in the same pass.
-func fold(pn *pathNode, tf map[string][]int) {
-	for tag, arr := range tf {
-		ds := pn.descFor(tag)
-		ds.grow(len(arr))
-		suffix := 0
-		maxd := 0
-		for d := len(arr) - 1; d >= 1; d-- {
-			c := arr[d]
-			suffix += c
-			if c == 0 {
-				continue
-			}
-			if maxd == 0 {
-				maxd = d
-			}
-			ds.pairs[d] += c
-			ds.satExact[d]++
-			if c > ds.maxExact[d] {
-				ds.maxExact[d] = c
-			}
-			if suffix > ds.maxAtLeast[d] {
-				ds.maxAtLeast[d] = suffix
-			}
+func fold(ds *descStat, arr []int) {
+	ds.grow(len(arr))
+	suffix := 0
+	maxd := 0
+	for d := len(arr) - 1; d >= 1; d-- {
+		c := arr[d]
+		suffix += c
+		if c == 0 {
+			continue
 		}
-		if maxd > 0 {
-			ds.cntMax[maxd]++
+		if maxd == 0 {
+			maxd = d
 		}
+		ds.pairs[d] += c
+		ds.satExact[d]++
+		if c > ds.maxExact[d] {
+			ds.maxExact[d] = c
+		}
+		if suffix > ds.maxAtLeast[d] {
+			ds.maxAtLeast[d] = suffix
+		}
+	}
+	if maxd > 0 {
+		ds.cntMax[maxd]++
 	}
 }
 
@@ -235,13 +266,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // NodeCount returns the number of document nodes summarized.

@@ -1,7 +1,5 @@
 package xmltree
 
-import "repro/internal/dewey"
-
 // Builder offers a fluent way to construct documents programmatically —
 // used by tests, examples and the XMark generator. It tracks a cursor
 // node; Open descends, Close ascends, Leaf adds a valued child without
@@ -16,7 +14,7 @@ func NewBuilder() *Builder { return &Builder{doc: NewDocument()} }
 
 // Root starts a new top-level element and moves the cursor to it.
 func (b *Builder) Root(tag string) *Builder {
-	n := &Node{Tag: tag, ID: (dewey.ID{}).Child(len(b.doc.Roots))}
+	n := newNode(tag, "", nil, len(b.doc.Roots))
 	b.doc.Roots = append(b.doc.Roots, n)
 	b.cursor = n
 	return b

@@ -2,12 +2,14 @@ package xmltree
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
 // FuzzParse checks that the XML parser never panics, assigns consistent
-// structure to whatever it accepts, and that Serialize output re-parses
-// to the same shape.
+// structure to whatever it accepts — ordinals, intervals, derived Dewey
+// IDs and levels (checkIntervals) — and that Serialize output re-parses
+// to the same shape, as does ParseProjected keeping every tag.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"<a/>",
@@ -36,7 +38,7 @@ func FuzzParse(f *testing.F) {
 			if int(n.Ord) != i {
 				t.Fatalf("ordinal mismatch at %d", i)
 			}
-			if n.Parent != nil && !n.Parent.ID.IsParentOf(n.ID) {
+			if n.Parent != nil && !n.Parent.ID.Path().IsParentOf(n.ID.Path()) {
 				t.Fatalf("Dewey/parent inconsistency at %v", n)
 			}
 			for _, c := range n.Children {
@@ -61,6 +63,19 @@ func FuzzParse(f *testing.F) {
 		for i := range doc.Nodes {
 			if doc.Nodes[i].Tag != doc2.Nodes[i].Tag {
 				t.Fatalf("round trip changed tag at %d", i)
+			}
+		}
+		projected, err := ParseProjected(strings.NewReader(input), func(string) bool { return true })
+		if err != nil {
+			t.Fatalf("projected parse rejects what Parse accepts: %v", err)
+		}
+		checkIntervals(t, projected)
+		if projected.Size() != doc.Size() {
+			t.Fatalf("projection keeping every tag holds %d nodes, Parse %d", projected.Size(), doc.Size())
+		}
+		for i, n := range doc.Nodes {
+			if p := projected.Nodes[i]; p.Tag != n.Tag || p.Value != n.Value || p.ID.String() != n.ID.String() || p.End != n.End {
+				t.Fatalf("node %d: projected %v (end %d), parsed %v (end %d)", i, p, p.End, n, n.End)
 			}
 		}
 	})

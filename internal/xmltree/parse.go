@@ -1,28 +1,55 @@
 package xmltree
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
+	"math"
 	"strings"
-
-	"repro/internal/dewey"
 )
 
 // Parse reads serialized XML from r and returns the document forest.
 // Character data directly under an element becomes the element's Value
 // (whitespace-trimmed); attributes become child nodes tagged "@name" so
 // that structural predicates can address them uniformly.
+//
+// Parse streams into Columns — each distinct tag stored once, every
+// value appended to one blob — and builds the node slab from them.
 func Parse(r io.Reader) (*Document, error) {
 	dec := xml.NewDecoder(r)
 	dec.Strict = true
-	doc := NewDocument()
-	var stack []*Node
-	var texts []*strings.Builder
-
-	push := func(n *Node) {
-		stack = append(stack, n)
-		texts = append(texts, &strings.Builder{})
+	var (
+		c      Columns
+		tagIDs = make(map[string]uint32)
+		values strings.Builder
+		open   []uint32 // ordinals of the open elements
+		texts  [][]byte // character data under each open element, reused per depth
+		name   []byte   // tag scratch: a lookup of a known tag allocates nothing
+	)
+	intern := func(tag []byte) uint32 {
+		id, ok := tagIDs[string(tag)]
+		if !ok {
+			id = uint32(len(c.Tags))
+			c.Tags = append(c.Tags, string(tag))
+			tagIDs[c.Tags[id]] = id
+		}
+		return id
+	}
+	add := func(tag uint32, value string) uint32 {
+		ord := uint32(len(c.TagIDs))
+		parent := uint32(0)
+		if len(open) > 0 {
+			parent = open[len(open)-1] + 1
+		}
+		lo := uint32(values.Len())
+		values.WriteString(value)
+		c.TagIDs = append(c.TagIDs, tag)
+		c.Parents = append(c.Parents, parent)
+		c.Subtree = append(c.Subtree, 1)
+		c.ValueLo = append(c.ValueLo, lo)
+		c.ValueHi = append(c.ValueHi, uint32(values.Len()))
+		return ord
 	}
 	for {
 		tok, err := dec.Token()
@@ -34,49 +61,45 @@ func Parse(r io.Reader) (*Document, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			var n *Node
-			if len(stack) == 0 {
-				n = &Node{Tag: t.Name.Local}
-				n.ID = (dewey.ID{}).Child(len(doc.Roots))
-				doc.Roots = append(doc.Roots, n)
-			} else {
-				parent := stack[len(stack)-1]
-				n = &Node{
-					Tag:    t.Name.Local,
-					ID:     parent.ID.Child(len(parent.Children)),
-					Parent: parent,
-				}
-				parent.Children = append(parent.Children, n)
+			// The element's value and subtree size are only known at its
+			// end, where they are patched in.
+			name = append(name[:0], t.Name.Local...)
+			el := add(intern(name), "")
+			open = append(open, el)
+			for _, a := range t.Attr {
+				name = append(append(name[:0], '@'), a.Name.Local...)
+				add(intern(name), a.Value)
 			}
-			for _, attr := range t.Attr {
-				a := &Node{
-					Tag:    "@" + attr.Name.Local,
-					Value:  attr.Value,
-					ID:     n.ID.Child(len(n.Children)),
-					Parent: n,
-				}
-				n.Children = append(n.Children, a)
+			if len(texts) < len(open) {
+				texts = append(texts, nil)
 			}
-			push(n)
+			texts[len(open)-1] = texts[len(open)-1][:0]
 		case xml.EndElement:
-			if len(stack) == 0 {
+			if len(open) == 0 {
 				return nil, fmt.Errorf("xmltree: unbalanced end element %q", t.Name.Local)
 			}
-			top := stack[len(stack)-1]
-			top.Value = strings.TrimSpace(texts[len(texts)-1].String())
-			stack = stack[:len(stack)-1]
-			texts = texts[:len(texts)-1]
+			d := len(open) - 1
+			el := open[d]
+			c.ValueLo[el] = uint32(values.Len())
+			values.Write(bytes.TrimSpace(texts[d]))
+			c.ValueHi[el] = uint32(values.Len())
+			c.Subtree[el] = uint32(len(c.TagIDs)) - el
+			open = open[:d]
 		case xml.CharData:
-			if len(stack) > 0 {
-				texts[len(texts)-1].Write(t)
+			if len(open) > 0 {
+				texts[len(open)-1] = append(texts[len(open)-1], t...)
 			}
 		}
 	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: %d unclosed element(s)", len(stack))
+	if len(open) != 0 {
+		return nil, fmt.Errorf("xmltree: %d unclosed element(s)", len(open))
 	}
-	doc.renumber()
-	return doc, nil
+	if len(c.TagIDs) > math.MaxInt32 || values.Len() > math.MaxUint32 {
+		return nil, fmt.Errorf("xmltree: parse: %d nodes and %d value bytes exceed the int32 ordinals and uint32 value offsets",
+			len(c.TagIDs), values.Len())
+	}
+	c.Values = values.String()
+	return c.Build(), nil
 }
 
 // ParseString parses a document from a string.

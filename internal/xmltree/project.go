@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"repro/internal/dewey"
 )
 
 // ParseProjected parses XML from r keeping only the nodes whose tag the
@@ -18,7 +16,7 @@ import (
 // levels, ancestor/descendant relationships and sibling order — every
 // predicate the engine evaluates.
 //
-// Dewey IDs are assigned over the projected tree; because whole subtrees
+// Dewey IDs are derived over the projected tree; because whole subtrees
 // are dropped (never intermediate nodes), prefix relations and node
 // levels match the original document's.
 func ParseProjected(r io.Reader, keep func(tag string) bool) (*Document, error) {
@@ -91,18 +89,7 @@ func ParseProjected(r io.Reader, keep func(tag string) bool) (*Document, error) 
 		return nil, fmt.Errorf("xmltree: %d unclosed element(s)", len(stack))
 	}
 
-	// Assign Dewey IDs and parent links over the projected forest.
-	var link func(n *Node, parent *Node, id dewey.ID)
-	for i, root := range doc.Roots {
-		link = func(n *Node, parent *Node, id dewey.ID) {
-			n.Parent = parent
-			n.ID = id
-			for ci, c := range n.Children {
-				link(c, n, id.Child(ci))
-			}
-		}
-		link(root, nil, (dewey.ID{}).Child(i))
-	}
+	// Parent links, positions and levels over the projected forest.
 	doc.renumber()
 	return doc, nil
 }

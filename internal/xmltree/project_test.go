@@ -99,7 +99,7 @@ func TestParseProjectedPreservesLevelsAndValues(t *testing.T) {
 	}
 	// pc relationship item→name preserved via Dewey.
 	for i, n := range pNames {
-		if !n.ID.IsChildOf(pItems[i].ID) {
+		if !n.ID.Path().IsChildOf(pItems[i].ID.Path()) {
 			t.Fatalf("name %d not a Dewey child of its item", i)
 		}
 		if n.Parent != pItems[i] {
@@ -156,13 +156,13 @@ func TestParseProjectedOrdinalsAreConsistent(t *testing.T) {
 		if int(n.Ord) != i {
 			t.Fatalf("ordinal mismatch at %d", i)
 		}
-		if n.Parent != nil && !n.Parent.ID.IsParentOf(n.ID) {
+		if n.Parent != nil && !n.Parent.ID.Path().IsParentOf(n.ID.Path()) {
 			t.Fatalf("Dewey inconsistency at %v", n)
 		}
 	}
 	// Preorder document order.
 	for i := 1; i < len(doc.Nodes); i++ {
-		if doc.Nodes[i].ID.Compare(doc.Nodes[i-1].ID) <= 0 {
+		if doc.Nodes[i].ID.Path().Compare(doc.Nodes[i-1].ID.Path()) <= 0 {
 			t.Fatal("projected nodes out of document order")
 		}
 	}

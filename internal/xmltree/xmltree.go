@@ -1,17 +1,21 @@
 // Package xmltree implements the paper's XML data model: information is a
 // forest of node-labeled trees (Section 2). Every element node carries its
 // tag, an optional text value (the concatenated character data directly
-// under it), a Dewey identifier, its preorder interval, and pointers to
-// its parent and children.
+// under it), its preorder interval, its level and its position among its
+// parent's children, and pointers to its parent and children. A node's
+// Dewey identifier is not stored: ID derives it on demand from the
+// positions on the path down from the node's tree root.
 //
 // Documents are parsed from serialized XML with encoding/xml and can be
 // serialized back; attributes are modeled as child nodes tagged "@name" so
 // structural predicates treat them uniformly (the paper's queries do not
-// use attributes, but XMark documents carry them).
+// use attributes, but XMark documents carry them). Parse and the snapshot
+// store build the same node slab from the same columns (see Columns).
 package xmltree
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/dewey"
@@ -20,18 +24,19 @@ import (
 // Node is one node of a node-labeled XML tree. Structural tests need no
 // Dewey components: a node's descendants are exactly the ordinals in
 // (Ord, End] — the region numbering that stands beside Dewey in the XML
-// indexing literature — and its level is the length of its ID. Ord and
-// End are int32 so that a Node stays in the 96-byte allocation size class.
+// indexing literature — and its level is a field. The four int32s and the
+// 8-byte ID keep a Node at 88 bytes.
 type Node struct {
 	// Tag is the element name (or "@name" for an attribute node).
 	Tag string
 	// Value is the trimmed character data directly under the element.
 	// Empty for pure-structure nodes.
 	Value string
-	// ID is the node's Dewey identifier within its tree. Roots of the
-	// forest get IDs [i] under a virtual forest root, so IDs are unique
-	// document-wide. Answers render it; the engine reads only its length.
-	ID dewey.ID
+	// ID is the node's Dewey identifier within its tree, derived on
+	// demand. Roots of the forest get IDs [i] under a virtual forest
+	// root, so IDs are unique document-wide. Answers render it; the
+	// engine never reads it.
+	ID ID
 	// Ord is the node's preorder ordinal within the document; it doubles
 	// as a compact unique identifier.
 	Ord int32
@@ -39,12 +44,57 @@ type Node struct {
 	// a leaf).
 	End int32
 
+	level int32 // 1 for a forest root
+	pos   int32 // index among the parent's children (the forest's roots)
+
 	Parent   *Node
 	Children []*Node
 }
 
+// ID is a node's Dewey identifier, held as a handle to the node: its
+// components are the positions on the path from the node's tree root down
+// to it, read from the nodes rather than stored. The zero ID names the
+// virtual forest root.
+type ID struct{ n *Node }
+
+// Path returns the Dewey components, root first.
+func (id ID) Path() dewey.ID {
+	if id.n == nil {
+		return nil
+	}
+	p := make(dewey.ID, id.n.level)
+	for c := id.n; c != nil; c = c.Parent {
+		p[c.level-1] = int(c.pos)
+	}
+	return p
+}
+
+// String renders the ID in the dotted form of dewey.ID, e.g. "2.0.4".
+func (id ID) String() string {
+	if id.n == nil {
+		return dewey.ID(nil).String()
+	}
+	return string(id.Append(make([]byte, 0, 4*id.n.level)))
+}
+
+// Append appends the dotted form String returns to dst.
+func (id ID) Append(dst []byte) []byte {
+	if id.n == nil {
+		return dewey.ID(nil).Append(dst)
+	}
+	return appendPositions(dst, id.n)
+}
+
+// appendPositions appends the dotted positions from n's tree root down to n.
+func appendPositions(dst []byte, n *Node) []byte {
+	if n.Parent != nil {
+		dst = append(appendPositions(dst, n.Parent), '.')
+	}
+	return strconv.AppendInt(dst, int64(n.pos), 10)
+}
+
 // Contains reports whether d is a strict descendant of n: the interval
-// test equivalent to n.ID.IsAncestorOf(d.ID) within one document.
+// test equivalent to Dewey prefix containment within one document.
 func (n *Node) Contains(d *Node) bool { return n.Ord < d.Ord && d.Ord <= n.End }
 
 // Document is a parsed XML forest with global bookkeeping.
@@ -60,9 +110,20 @@ type Document struct {
 // NewDocument builds an empty document.
 func NewDocument() *Document { return &Document{} }
 
+// newNode returns a node at position pos below parent (nil for a forest
+// root), its derived fields set.
+func newNode(tag, value string, parent *Node, pos int) *Node {
+	n := &Node{Tag: tag, Value: value, Parent: parent, pos: int32(pos), level: 1}
+	if parent != nil {
+		n.level = parent.level + 1
+	}
+	n.ID = ID{n}
+	return n
+}
+
 // AddRoot appends a new top-level element with the given tag and returns it.
 func (d *Document) AddRoot(tag string) *Node {
-	n := &Node{Tag: tag, ID: dewey.ID{}.Child(len(d.Roots))}
+	n := newNode(tag, "", nil, len(d.Roots))
 	d.Roots = append(d.Roots, n)
 	d.renumber()
 	return n
@@ -72,12 +133,7 @@ func (d *Document) AddRoot(tag string) *Node {
 // document's preorder numbering is not refreshed automatically; call
 // Renumber after bulk construction (Builder does this for you).
 func (d *Document) AddChild(parent *Node, tag, value string) *Node {
-	n := &Node{
-		Tag:    tag,
-		Value:  value,
-		ID:     parent.ID.Child(len(parent.Children)),
-		Parent: parent,
-	}
+	n := newNode(tag, value, parent, len(parent.Children))
 	parent.Children = append(parent.Children, n)
 	return n
 }
@@ -86,19 +142,25 @@ func (d *Document) AddChild(parent *Node, tag, value string) *Node {
 // after manual tree construction.
 func (d *Document) Renumber() { d.renumber() }
 
+// renumber walks the trees from Roots through Children, setting every
+// node's Parent, level, position, ID handle, ordinal and interval.
 func (d *Document) renumber() {
 	d.Nodes = d.Nodes[:0]
-	var walk func(n *Node)
-	walk = func(n *Node) {
+	var walk func(n, parent *Node, pos int)
+	walk = func(n, parent *Node, pos int) {
+		n.Parent, n.pos, n.level, n.ID = parent, int32(pos), 1, ID{n}
+		if parent != nil {
+			n.level = parent.level + 1
+		}
 		n.Ord = int32(len(d.Nodes))
 		d.Nodes = append(d.Nodes, n)
-		for _, c := range n.Children {
-			walk(c)
+		for i, c := range n.Children {
+			walk(c, n, i)
 		}
 		n.End = int32(len(d.Nodes) - 1)
 	}
-	for _, r := range d.Roots {
-		walk(r)
+	for i, r := range d.Roots {
+		walk(r, nil, i)
 	}
 }
 
@@ -165,9 +227,9 @@ func (n *Node) Descendants() []*Node {
 	return out
 }
 
-// Level returns the node's depth: 1 for a forest root (its Dewey ID has
-// one component under the virtual forest root).
-func (n *Node) Level() int { return n.ID.Level() }
+// Level returns the node's depth: 1 for a forest root, the length of its
+// Dewey ID.
+func (n *Node) Level() int { return int(n.level) }
 
 // String renders "tag(value)@dewey" for debugging and error messages.
 func (n *Node) String() string {

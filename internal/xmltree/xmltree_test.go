@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -61,7 +62,7 @@ func TestParseDeweyAssignment(t *testing.T) {
 	if got := loc.ID.String(); got != "0.1.0.1" {
 		t.Fatalf("location ID = %s, want 0.1.0.1", got)
 	}
-	if !book.ID.IsAncestorOf(loc.ID) {
+	if !book.ID.Path().IsAncestorOf(loc.ID.Path()) {
 		t.Fatal("Dewey ancestor relation broken")
 	}
 }
@@ -78,18 +79,32 @@ func TestParsePreorderOrdinals(t *testing.T) {
 	}
 	// Preorder: each node's Dewey ID must be >= the previous one's.
 	for i := 1; i < len(doc.Nodes); i++ {
-		if doc.Nodes[i].ID.Compare(doc.Nodes[i-1].ID) <= 0 {
+		if doc.Nodes[i].ID.Path().Compare(doc.Nodes[i-1].ID.Path()) <= 0 {
 			t.Fatalf("preorder violated between %v and %v", doc.Nodes[i-1], doc.Nodes[i])
 		}
 	}
 }
 
-// checkIntervals holds every node's preorder interval to the tree: End is
-// the ordinal of its last descendant, and the interval containment test
-// agrees with the Dewey prefix test — on every pair with one of the
-// first 256 nodes.
+// checkIntervals holds every node's preorder interval and derived Dewey
+// ID to the tree: End is the ordinal of its last descendant, ID renders
+// the child indices on the path down from its forest root, Level is the
+// ID's length, and the interval containment test agrees with the Dewey
+// prefix test — on every pair with one of the first 256 nodes.
 func checkIntervals(t *testing.T, doc *Document) {
 	t.Helper()
+	var walk func(n, parent *Node, id string)
+	walk = func(n, parent *Node, id string) {
+		if n.Parent != parent || n.ID.String() != id || n.Level() != len(n.ID.Path()) {
+			t.Fatalf("%v: parent %v, ID %s, level %d (%d components); the walk says parent %v, ID %s",
+				n, n.Parent, n.ID, n.Level(), len(n.ID.Path()), parent, id)
+		}
+		for i, c := range n.Children {
+			walk(c, n, id+"."+strconv.Itoa(i))
+		}
+	}
+	for i, r := range doc.Roots {
+		walk(r, nil, strconv.Itoa(i))
+	}
 	for _, n := range doc.Nodes {
 		last := n
 		for len(last.Children) > 0 {
@@ -101,7 +116,7 @@ func checkIntervals(t *testing.T, doc *Document) {
 	}
 	for _, a := range doc.Nodes[:min(len(doc.Nodes), 256)] {
 		for _, b := range doc.Nodes {
-			if a.Contains(b) != a.ID.IsAncestorOf(b.ID) || b.Contains(a) != b.ID.IsAncestorOf(a.ID) {
+			if a.Contains(b) != a.ID.Path().IsAncestorOf(b.ID.Path()) || b.Contains(a) != b.ID.Path().IsAncestorOf(a.ID.Path()) {
 				t.Fatalf("%v, %v: interval and Dewey containment disagree", a, b)
 			}
 		}
@@ -128,12 +143,13 @@ func TestIntervalNumbering(t *testing.T) {
 	}
 }
 
-// TestNodeSize pins Node to the 96-byte allocation size class: the
-// interval bounds are int32 so that adding End cost no memory. An 8-byte
-// End would move every node into the 112-byte class.
+// TestNodeSize pins Node at 88 bytes, its size in the node slab: the
+// Dewey ID is an 8-byte handle rather than a slice, and the interval
+// bounds, level and position are int32s. Any one of them widened to 8
+// bytes, or the ID stored again, would grow every node.
 func TestNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got != 96 {
-		t.Fatalf("unsafe.Sizeof(Node{}) = %d, want 96", got)
+	if got := unsafe.Sizeof(Node{}); got != 88 {
+		t.Fatalf("unsafe.Sizeof(Node{}) = %d, want 88", got)
 	}
 }
 
@@ -149,6 +165,29 @@ func TestParseAttributesBecomeNodes(t *testing.T) {
 	attr := item.Children[0]
 	if attr.Tag != "@id" || attr.Value != "i7" {
 		t.Fatalf("attr node = %v", attr)
+	}
+}
+
+// TestParseInternsTags: every node carrying a tag shares the one copy
+// of it in the document's tag table — elements and attribute nodes alike.
+func TestParseInternsTags(t *testing.T) {
+	doc, err := ParseString(`<a><b id="1"/><c><b id="2"/></c><b/></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := map[string]*byte{}
+	for _, n := range doc.Nodes {
+		p, seen := first[n.Tag]
+		if !seen {
+			first[n.Tag] = unsafe.StringData(n.Tag)
+			continue
+		}
+		if p != unsafe.StringData(n.Tag) {
+			t.Fatalf("%v holds its own copy of the tag %q", n, n.Tag)
+		}
+	}
+	if len(first) != 4 {
+		t.Fatalf("tags %v, want a, b, c and @id", first)
 	}
 }
 
@@ -192,7 +231,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 	for i := range doc.Nodes {
 		a, b := doc.Nodes[i], doc2.Nodes[i]
-		if a.Tag != b.Tag || a.Value != b.Value || !a.ID.Equal(b.ID) {
+		if a.Tag != b.Tag || a.Value != b.Value || a.ID.String() != b.ID.String() {
 			t.Fatalf("node %d mismatch: %v vs %v", i, a, b)
 		}
 	}
