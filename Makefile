@@ -52,7 +52,9 @@ bench:
 # Gate the freshly written report the way CI does: hot-path allocation
 # budget (≤ 20% of the reuse-disabled baseline), cached planning (a
 # plan-cache hit ≥ 2x cheaper than planning from scratch), and the
-# snapshot cold start (mmap open ≥ 100x cheaper than a full rebuild).
+# snapshot cold start (mmap open ≥ 50x cheaper than a full rebuild: with
+# the keyword index gone a full build costs 0.63–0.67 s, so open measured
+# 82–128x on a 2-vCPU host, and 50 is the round floor below that).
 # Steals and sharded speedup are not gated: on one pinned query a single
 # engine does a few hundred server ops, so stealing is held by the shard
 # tests and sharding is judged on whirlload's sharded_mix (see
@@ -60,7 +62,7 @@ bench:
 bench-check:
 	$(GO) run ./cmd/benchcheck -file BENCH_core.json -alloc-case single -max-alloc-ratio 0.2
 	$(GO) run ./cmd/benchcheck -file BENCH_core.json -min-hot-speedup 2
-	$(GO) run ./cmd/benchcheck -file BENCH_core.json -min-snapshot-speedup 100
+	$(GO) run ./cmd/benchcheck -file BENCH_core.json -min-snapshot-speedup 50
 
 # Pinned core benchmark with CPU and allocation profiles; inspect with
 # `go tool pprof cpu.pprof` / `go tool pprof -sample_index=alloc_objects mem.pprof`.

@@ -222,28 +222,6 @@ func BenchmarkExactVsRelaxed(b *testing.B) {
 	})
 }
 
-func BenchmarkKeywordTA(b *testing.B) {
-	db := benchDB(b, 800)
-	ki := db.BuildKeywordIndex("item")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res, _, err := ki.TopKTA("gold silver jade", 10); err != nil || len(res) == 0 {
-			b.Fatalf("no answers (err %v)", err)
-		}
-	}
-}
-
-func BenchmarkKeywordScan(b *testing.B) {
-	db := benchDB(b, 800)
-	ki := db.BuildKeywordIndex("item")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := ki.TopKScan("gold silver jade", 10); len(res) == 0 {
-			b.Fatal("no answers")
-		}
-	}
-}
-
 func BenchmarkSnapshotOpen(b *testing.B) {
 	db := benchDB(b, 500)
 	dir := b.TempDir()

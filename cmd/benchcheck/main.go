@@ -5,7 +5,7 @@
 //
 //	benchcheck -file BENCH_core.json -alloc-case single -max-alloc-ratio 0.2
 //	benchcheck -file BENCH_core.json -min-hot-speedup 2
-//	benchcheck -file BENCH_core.json -min-snapshot-speedup 100
+//	benchcheck -file BENCH_core.json -min-snapshot-speedup 50
 //
 // The cached-planning gate divides the cold planning case's ns/op
 // (scorer and routing statistics computed from index scans, plan built
@@ -81,7 +81,7 @@ func main() {
 }
 
 // checkSnapshot gates the mmap snapshot's cold-start win: opening the
-// snapshot must beat rebuilding the index/synopsis/keyword/layout state
+// snapshot must beat rebuilding the index/synopsis/layout state
 // from XML by the required factor. Both cases are wall times over the
 // same pinned corpus, so their ns/op ratio is the boot-time saving a
 // daemon sees from -snapshot.

@@ -37,7 +37,6 @@ func main() {
 		stats     = flag.Bool("stats", false, "print evaluation statistics")
 		bindings  = flag.Bool("bindings", false, "print per-answer bindings")
 		saveSnap  = flag.String("save-snapshot", "", "write a zero-copy mmap snapshot (.wpxs) to this path; -query becomes optional")
-		snScopes  = flag.String("snapshot-keyword", "", "comma-separated keyword scope tags to persist (with -save-snapshot)")
 	)
 	flag.Parse()
 	if *file == "" || (*queryStr == "" && *saveSnap == "") {
@@ -45,14 +44,14 @@ func main() {
 		os.Exit(2)
 	}
 	if err := run(*file, *queryStr, *k, *algorithm, *routing, *queue, *norm, *exact, *stats, *bindings,
-		*saveSnap, *snScopes); err != nil {
+		*saveSnap); err != nil {
 		fmt.Fprintln(os.Stderr, "whirlpool:", err)
 		os.Exit(1)
 	}
 }
 
 func run(file, queryStr string, k int, algorithm, routing, queue, norm string, exact, stats, bindings bool,
-	saveSnap, snScopes string) error {
+	saveSnap string) error {
 	var db *whirlpool.Database
 	var err error
 	if strings.HasPrefix(filepath.Ext(file), ".wpx") {
@@ -67,13 +66,7 @@ func run(file, queryStr string, k int, algorithm, routing, queue, norm string, e
 	}
 	defer db.Close()
 	if saveSnap != "" {
-		opts := whirlpool.SnapshotOptions{}
-		if snScopes != "" {
-			for _, s := range strings.Split(snScopes, ",") {
-				opts.KeywordScopes = append(opts.KeywordScopes, strings.TrimSpace(s))
-			}
-		}
-		if err := db.SaveSnapshot(saveSnap, opts); err != nil {
+		if err := db.SaveSnapshot(saveSnap, whirlpool.SnapshotOptions{}); err != nil {
 			return err
 		}
 		if fi, err := os.Stat(saveSnap); err == nil {

@@ -18,7 +18,6 @@
 //	GET  /metrics          → request/engine metrics (JSON; ?format=prometheus
 //	                         for Prometheus text exposition)
 //	POST /query            → top-k evaluation (JSON in/out)
-//	POST /keyword          → bag-of-words top-k (JSON in/out)
 //
 // POST /query body:
 //
@@ -30,8 +29,8 @@
 //	  "timeout_ms": 2000              // optional
 //	}
 //
-// Engines and keyword indexes are cached per request signature in
-// LRU caches bounded by -cache; -access-log emits one structured JSON
+// Engines are cached per request signature in an LRU cache bounded by
+// -cache; -access-log emits one structured JSON
 // line per request to stderr. -shards N partitions the document into N
 // shards at startup: every query then runs one engine per shard in
 // parallel, all pruning against a shared top-k set, and /stats gains a
@@ -109,7 +108,7 @@ func main() {
 		file      = flag.String("file", "", "XML file or .wpxs snapshot to serve")
 		snapshot  = flag.String("snapshot", "", "boot from a zero-copy mmap snapshot (.wpxs); falls back to -file on error")
 		addr      = flag.String("addr", ":8080", "listen address")
-		cacheSize = flag.Int("cache", defaultCacheSize, "max cached engines / keyword indexes (LRU)")
+		cacheSize = flag.Int("cache", defaultCacheSize, "max cached engines (LRU)")
 		accessLog = flag.Bool("access-log", false, "log one structured JSON line per request to stderr")
 		shards    = flag.Int("shards", 1, "partition the document into N shards evaluated in parallel per query")
 	)

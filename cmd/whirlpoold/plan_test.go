@@ -117,7 +117,7 @@ func TestStatsMemoExposed(t *testing.T) {
 
 // TestShardedPlanServing checks plan-keyed serving works end to end on
 // a sharded server too.
-// +whirllint:exactscore plan-keyed and fresh serving must return bit-identical scores
+// Scores compare exactly: plan-keyed and fresh serving must return bit-identical scores.
 func TestShardedPlanServing(t *testing.T) {
 	s := testServerOpts(t, serverOptions{Shards: 4})
 	a := "//item[./description/parlist and ./mailbox/mail/text]"

@@ -18,17 +18,16 @@ import (
 	"repro/internal/obs"
 )
 
-// defaultCacheSize bounds the engine/query and keyword-index caches
-// when the -cache flag (or serverOptions) does not say otherwise.
+// defaultCacheSize bounds the engine and plan caches when the -cache
+// flag (or serverOptions) does not say otherwise.
 const defaultCacheSize = 256
 
 // server routes HTTP requests to a shared database. Engines are cached
 // per (query, options) signature so repeated queries skip plan and
-// scorer construction; keyword indexes are cached per scope tag. Both
-// caches are LRU-bounded and build entries outside any server-wide
-// lock: a slow engine or index construction only ever blocks requests
-// for the same cache key (per-key singleflight), never the rest of the
-// serving path.
+// scorer construction. The cache is LRU-bounded and builds entries
+// outside any server-wide lock: a slow engine construction only ever
+// blocks requests for the same cache key (per-key singleflight), never
+// the rest of the serving path.
 type server struct {
 	db *whirlpool.Database
 	// sdb, when non-nil, routes every /query through sharded execution:
@@ -42,7 +41,6 @@ type server struct {
 	accessLog *log.Logger // nil disables access logging
 
 	engines *lru.Cache[string, *engineEntry]
-	kwIdx   *lru.Cache[string, *whirlpool.KeywordIndex]
 	// planner compiles and caches query plans keyed on the canonical
 	// query shape; engine cache keys derive from plan keys, so textual
 	// variants of one query share both the plan and the engine.
@@ -53,8 +51,7 @@ type server struct {
 	// panics counts handler panics answered with 500 (see dispatch).
 	panics *obs.Counter
 
-	// buildHook, when non-nil, runs inside every engine / keyword-index
-	// construction, outside all server locks. Test seam: the contention
+	// buildHook, when non-nil, runs inside every engine construction, outside all server locks. Test seam: the contention
 	// tests block it to prove builds do not stall unrelated requests.
 	buildHook func()
 }
@@ -132,7 +129,7 @@ func (e *engineEntry) totals() whirlpool.EngineTotals {
 
 // serverOptions configures newServer.
 type serverOptions struct {
-	// CacheSize bounds each LRU cache (engines, keyword indexes);
+	// CacheSize bounds each LRU cache (engines, plans);
 	// 0 means defaultCacheSize.
 	CacheSize int
 	// AccessLog, when non-nil, receives one structured JSON line per
@@ -160,7 +157,6 @@ func newServer(db *whirlpool.Database, opts serverOptions) (*server, error) {
 		started:   time.Now(),
 		accessLog: opts.AccessLog,
 		engines:   lru.New[string, *engineEntry](opts.CacheSize),
-		kwIdx:     lru.New[string, *whirlpool.KeywordIndex](opts.CacheSize),
 	}
 	if opts.Shards > 1 {
 		sdb, err := db.Shard(opts.Shards)
@@ -184,7 +180,6 @@ func newServer(db *whirlpool.Database, opts serverOptions) (*server, error) {
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/query", s.handleQuery)
-	s.mux.HandleFunc("/keyword", s.handleKeyword)
 	return s, nil
 }
 
@@ -231,7 +226,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // cardinality cannot grow with traffic.
 func endpointLabel(path string) string {
 	switch path {
-	case "/healthz", "/stats", "/metrics", "/query", "/keyword":
+	case "/healthz", "/stats", "/metrics", "/query":
 		return strings.TrimPrefix(path, "/")
 	default:
 		return "other"
@@ -382,7 +377,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"uptime_s": time.Since(s.started).Seconds(),
 		"cache": map[string]any{
 			"engines": map[string]int{"len": s.engines.Len(), "cap": s.engines.Cap()},
-			"keyword": map[string]int{"len": s.kwIdx.Len(), "cap": s.kwIdx.Cap()},
 			"plans": map[string]int64{
 				"len": int64(planStats.Len), "cap": int64(planStats.Cap),
 				"hits": planStats.Hits, "misses": planStats.Misses, "evictions": planStats.Evictions,
@@ -410,7 +404,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 // text/plain).
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge("whirlpoold_engine_cache_entries").Set(int64(s.engines.Len()))
-	s.reg.Gauge("whirlpoold_keyword_cache_entries").Set(int64(s.kwIdx.Len()))
 	ps := s.planner.Stats()
 	s.reg.Gauge("whirlpoold_plan_cache_entries").Set(int64(ps.Len))
 	s.reg.Gauge("whirlpoold_plan_cache_evictions").Set(ps.Evictions)
@@ -601,71 +594,6 @@ func (s *server) engineFor(req queryRequest) (*engineEntry, bool, error) {
 	})
 }
 
-// keywordRequest is the POST /keyword payload.
-type keywordRequest struct {
-	Scope string `json:"scope"`
-	Query string `json:"query"`
-	K     int    `json:"k"`
-}
-
-func (s *server) handleKeyword(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	var req keywordRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Scope == "" || req.Query == "" {
-		writeError(w, http.StatusBadRequest, errors.New("scope and query are required"))
-		return
-	}
-	if req.K <= 0 {
-		req.K = 10
-	}
-	ki, hit, err := s.keywordIndex(req.Scope)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	ri := requestInfo(r)
-	if hit {
-		ri.cache = "hit"
-	} else {
-		ri.cache = "miss"
-	}
-	if ki.Scopes() == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown scope tag %q", req.Scope))
-		return
-	}
-	answers, _, err := ki.TopKTA(req.Query, req.K)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, whirlpool.ErrBadKeywordQuery) {
-			status = http.StatusBadRequest
-		}
-		writeError(w, status, err)
-		return
-	}
-	out := make([]queryAnswer, 0, len(answers))
-	for _, a := range answers {
-		out = append(out, queryAnswer{Score: a.Score, Path: a.Node.Path(), Dewey: a.Node.ID.String()})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"answers": out, "cache": ri.cache})
-}
-
-// keywordIndex returns the cached inverted index for a scope tag,
-// building it on a miss — outside any server-wide lock, like engineFor.
-func (s *server) keywordIndex(scope string) (*whirlpool.KeywordIndex, bool, error) {
-	return s.kwIdx.GetOrCreate(scope, func() (*whirlpool.KeywordIndex, error) {
-		if s.buildHook != nil {
-			s.buildHook()
-		}
-		return s.db.BuildKeywordIndex(scope), nil
-	})
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -676,7 +604,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // body) before any work is done for it.
 const (
 	// maxBodyBytes bounds a request body: a request is a line of XPath
-	// or a few keywords plus options.
+	// plus options.
 	maxBodyBytes = 1 << 20
 	// maxK bounds the answers one /query may ask for: the top-k set and
 	// the response both grow with k.

@@ -3,10 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -89,7 +89,7 @@ func TestHealthAndStats(t *testing.T) {
 	}
 }
 
-// +whirllint:exactscore served scores must match the engine's exactly
+// Scores compare exactly: served scores must match the engine's exactly.
 func TestQueryEndpoint(t *testing.T) {
 	s := testServer(t)
 	w := post(t, s, "/query", queryRequest{Query: "//item[./description/parlist]", K: 5})
@@ -189,6 +189,72 @@ func TestQueryEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestOutsideQueryModel: the daemon serves the paper's tree patterns and
+// nothing else. /keyword is gone (404 for any method), a /query using the
+// following-sibling axis is a parse error (400) naming the axis wherever
+// the step stands, and neither /stats nor /metrics reports keyword state.
+func TestOutsideQueryModel(t *testing.T) {
+	s := testServer(t)
+	for _, method := range []string{http.MethodPost, http.MethodGet} {
+		t.Run("keyword-"+method, func(t *testing.T) {
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, httptest.NewRequest(method, "/keyword", strings.NewReader(`{"scope":"item","query":"gold","k":3}`)))
+			if w.Code != http.StatusNotFound {
+				t.Fatalf("%s /keyword: %d, want 404 (%s)", method, w.Code, w.Body.String())
+			}
+		})
+	}
+	for _, c := range []struct{ name, query string }{
+		{"sibling-root", "//following-sibling::item"},
+		{"sibling-below-child", "//item[./mailbox/following-sibling::name]"},
+		{"sibling-opening-predicate", "//item[following-sibling::item]"},
+		{"sibling-nested-predicate", "//item[./mailbox/mail[./from and following-sibling::mail]]"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := post(t, s, "/query", queryRequest{Query: c.query, K: 3})
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "unsupported axis following-sibling::") {
+				t.Fatalf("%s: %d %s, want 400 naming the axis", c.query, w.Code, w.Body.String())
+			}
+		})
+	}
+	t.Run("stats-no-keyword", func(t *testing.T) {
+		var stats struct {
+			Cache map[string]json.RawMessage `json:"cache"`
+		}
+		if err := json.Unmarshal(get(t, s, "/stats").Body.Bytes(), &stats); err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for k := range stats.Cache {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		if !slices.Equal(keys, []string{"engines", "plans", "predicates"}) {
+			t.Fatalf("/stats caches = %v, want engines, plans and predicates only", keys)
+		}
+	})
+	t.Run("metrics-no-keyword", func(t *testing.T) {
+		var body struct {
+			Metrics []obs.Metric `json:"metrics"`
+		}
+		if err := json.Unmarshal(get(t, s, "/metrics").Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		var other int64
+		for _, m := range body.Metrics {
+			if strings.Contains(m.Name, "keyword") {
+				t.Fatalf("/metrics still exports %s", m.Name)
+			}
+			if m.Name == "whirlpoold_http_requests_total" && m.Labels["endpoint"] == "other" && m.Labels["code"] == "404" {
+				other = m.Value
+			}
+		}
+		if other != 2 {
+			t.Fatalf("the two /keyword requests counted %d times as endpoint=other code=404", other)
+		}
+	})
+}
+
 // TestQueryErrorsNotCached pins that a failed engine build does not
 // poison the cache: the same bad query fails identically twice and
 // leaves no entry behind.
@@ -250,19 +316,15 @@ func TestEngineCacheLRUBound(t *testing.T) {
 
 // TestBuildDoesNotBlockServingPath is the regression test for the
 // serving-path stall: under the old server-wide lock, any request
-// arriving while an engine (or keyword index) was being built blocked
+// arriving while an engine was being built blocked
 // until the build finished — even requests whose engine was already
 // cached. Now construction happens outside the cache lock, so a parked
 // build must not delay cached requests for other keys.
 func TestBuildDoesNotBlockServingPath(t *testing.T) {
 	s := testServer(t)
 	warmQuery := queryRequest{Query: "//item[./description/parlist]", K: 3}
-	warmKeyword := keywordRequest{Scope: "item", Query: "gold silver", K: 3}
 	if w := post(t, s, "/query", warmQuery); w.Code != 200 {
 		t.Fatalf("warm query: %d %s", w.Code, w.Body.String())
-	}
-	if w := post(t, s, "/keyword", warmKeyword); w.Code != 200 {
-		t.Fatalf("warm keyword: %d %s", w.Code, w.Body.String())
 	}
 
 	entered := make(chan struct{})
@@ -284,25 +346,16 @@ func TestBuildDoesNotBlockServingPath(t *testing.T) {
 	}
 
 	// With the build for the new signature parked inside buildHook, the
-	// warm requests must still be served promptly.
-	fastDone := make(chan string, 2)
-	go func() {
-		w := post(t, s, "/query", warmQuery)
-		fastDone <- fmt.Sprintf("query:%d", w.Code)
-	}()
-	go func() {
-		w := post(t, s, "/keyword", warmKeyword)
-		fastDone <- fmt.Sprintf("keyword:%d", w.Code)
-	}()
-	for i := 0; i < 2; i++ {
-		select {
-		case res := <-fastDone:
-			if !strings.HasSuffix(res, ":200") {
-				t.Fatalf("cached request failed during in-flight build: %s", res)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("cached request blocked on another key's in-flight build")
+	// warm request must still be served promptly.
+	fastDone := make(chan int, 1)
+	go func() { fastDone <- post(t, s, "/query", warmQuery).Code }()
+	select {
+	case code := <-fastDone:
+		if code != 200 {
+			t.Fatalf("cached request failed during in-flight build: %d", code)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cached request blocked on another key's in-flight build")
 	}
 
 	close(gate)
@@ -315,50 +368,6 @@ func TestBuildDoesNotBlockServingPath(t *testing.T) {
 		t.Fatal("slow build request never finished")
 	}
 	s.buildHook = nil
-}
-
-func TestKeywordEndpoint(t *testing.T) {
-	s := testServer(t)
-	w := post(t, s, "/keyword", keywordRequest{Scope: "item", Query: "gold silver", K: 3})
-	if w.Code != 200 {
-		t.Fatalf("keyword: %d %s", w.Code, w.Body.String())
-	}
-	var resp struct {
-		Answers []queryAnswer `json:"answers"`
-		Cache   string        `json:"cache"`
-	}
-	if err := json.NewDecoder(w.Body).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Answers) == 0 {
-		t.Fatal("no keyword answers")
-	}
-	if resp.Cache != "miss" {
-		t.Fatalf("first keyword cache = %q, want miss", resp.Cache)
-	}
-	// Missing fields rejected.
-	if w := post(t, s, "/keyword", keywordRequest{Scope: "item"}); w.Code != http.StatusBadRequest {
-		t.Fatalf("missing query: %d", w.Code)
-	}
-}
-
-// TestKeywordErrors pins the error propagation fix: TopKTA failures
-// are client errors (400), not silently-empty 200s.
-func TestKeywordErrors(t *testing.T) {
-	s := testServer(t)
-	// A query that tokenizes to nothing is a bad query.
-	w := post(t, s, "/keyword", keywordRequest{Scope: "item", Query: "!!! ...", K: 3})
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("unsearchable query: %d %s", w.Code, w.Body.String())
-	}
-	if !strings.Contains(w.Body.String(), "no searchable words") {
-		t.Fatalf("error body = %s", w.Body.String())
-	}
-	// An unknown scope tag indexes nothing.
-	w = post(t, s, "/keyword", keywordRequest{Scope: "nonesuch", Query: "gold", K: 3})
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("unknown scope: %d %s", w.Code, w.Body.String())
-	}
 }
 
 // TestMetricsAdvance asserts the acceptance criterion: after a query,
@@ -438,9 +447,9 @@ func TestMetricsAdvance(t *testing.T) {
 	}
 }
 
-// TestMixedConcurrentLoad drives /query and /keyword together (run
-// under -race in CI): handlers share the caches and the registry but
-// must never block on each other's construction, and the LRU bound
+// TestMixedConcurrentLoad drives a mix of /query signatures together
+// (run under -race in CI): handlers share the caches and the registry
+// but must never block on each other's construction, and the LRU bound
 // must hold throughout.
 func TestMixedConcurrentLoad(t *testing.T) {
 	s := testServerOpts(t, serverOptions{CacheSize: 3})
@@ -450,22 +459,11 @@ func TestMixedConcurrentLoad(t *testing.T) {
 		{Query: "//item[./mailbox/mail/text]", K: 2},
 		{Query: "//item[./name]", K: 4, Algorithm: "lockstep"},
 	}
-	keywords := []keywordRequest{
-		{Scope: "item", Query: "gold silver", K: 3},
-		{Scope: "keyword", Query: "gold", K: 2},
-	}
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if i%3 == 2 {
-				w := post(t, s, "/keyword", keywords[i%len(keywords)])
-				if w.Code != 200 {
-					t.Errorf("keyword %d: %d %s", i, w.Code, w.Body.String())
-				}
-				return
-			}
 			w := post(t, s, "/query", queries[i%len(queries)])
 			if w.Code != 200 {
 				t.Errorf("query %d: %d %s", i, w.Code, w.Body.String())
@@ -475,9 +473,6 @@ func TestMixedConcurrentLoad(t *testing.T) {
 	wg.Wait()
 	if n, c := s.engines.Len(), s.engines.Cap(); n > c {
 		t.Fatalf("engine cache exceeded bound: len=%d cap=%d", n, c)
-	}
-	if n, c := s.kwIdx.Len(), s.kwIdx.Cap(); n > c {
-		t.Fatalf("keyword cache exceeded bound: len=%d cap=%d", n, c)
 	}
 	if w := get(t, s, "/metrics"); w.Code != 200 {
 		t.Fatalf("/metrics after load: %d", w.Code)
@@ -543,7 +538,7 @@ func TestQueryTimeout(t *testing.T) {
 	}
 }
 
-// +whirllint:exactscore sharded and unsharded serving must agree exactly
+// Scores compare exactly: sharded and unsharded serving must agree exactly.
 func TestShardedServing(t *testing.T) {
 	s := testServerOpts(t, serverOptions{Shards: 4})
 	base := testServer(t)
@@ -616,7 +611,7 @@ func TestShardedServing(t *testing.T) {
 }
 
 // TestOversizedBodyRefused: a request body over maxBodyBytes is
-// answered 413 on both POST endpoints — as a syntactically fine JSON
+// answered 413 on /query — as a syntactically fine JSON
 // document, so only the limit can refuse it — and the daemon serves
 // the next request as usual.
 func TestOversizedBodyRefused(t *testing.T) {
@@ -627,7 +622,6 @@ func TestOversizedBodyRefused(t *testing.T) {
 		big, next any
 	}{
 		{"/query", queryRequest{Query: "//item[./name]", Algorithm: pad}, queryRequest{Query: "//item[./name]", K: 3}},
-		{"/keyword", keywordRequest{Scope: "item", Query: pad}, keywordRequest{Scope: "item", Query: "gold", K: 3}},
 	}
 	for _, c := range cases {
 		if w := post(t, s, c.path, c.big); w.Code != http.StatusRequestEntityTooLarge {

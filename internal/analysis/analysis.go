@@ -66,7 +66,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // annotationPrefix introduces a lint annotation inside a doc comment:
-// `// +whirllint:hotpath`, `// +whirllint:exactscore`, ...
+// `// +whirllint:hotpath`, `// +whirllint:locked`, ...
 const annotationPrefix = "+whirllint:"
 
 // funcAnnotation scans a function's doc comment for `+whirllint:<tag>`

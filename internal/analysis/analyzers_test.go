@@ -79,14 +79,6 @@ func TestAuditRows(t *testing.T) {
 			"\t\tif r.cancelled() {\n\t\t\tr.release(m)\n\t\t\tlive.add(-1) // drain so the live counter reaches zero\n\t\t\tcontinue\n\t\t}\n\t\tsurv := r.serve(",
 			"\t\tsurv := r.serve(",
 			"ctxpoll", `unbounded loop never polls cancellation`},
-		{"prunable-without-eps", "internal/core/run.go",
-			"return ok && m.maxFinal <= t+pruneEps",
-			"return ok && m.maxFinal <= t",
-			"floatscore", `raw <= between float64 scores`},
-		{"kth-without-taeps", "internal/keyword/keyword.go",
-			"return buf[k-1] >= threshold-taEps, buf",
-			"return buf[k-1] >= threshold, buf",
-			"floatscore", `raw >= between float64 scores`},
 	}
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -134,7 +126,7 @@ func TestRegistry(t *testing.T) {
 		}
 		names = append(names, a.Name)
 	}
-	if got, want := strings.Join(names, ","), "ctxpoll,floatscore,hotalloc,lockguard"; got != want {
+	if got, want := strings.Join(names, ","), "ctxpoll,hotalloc,lockguard"; got != want {
 		t.Fatalf("All() = %s, want %s", got, want)
 	}
 }

@@ -140,7 +140,7 @@ func planCases(out io.Writer, env *Env, cfg Config, w Workload, rounds int) ([]b
 
 // checkPlanned verifies that q evaluated from p's plan answers exactly
 // like q evaluated from scratch.
-// +whirllint:exactscore the self-check demands bit-identical planned vs scratch scores
+// Scores compare exactly: the self-check demands bit-identical planned vs scratch scores.
 func checkPlanned(db *whirlpool.Database, p *whirlpool.Planner, q *whirlpool.Query, scratch whirlpool.Options) error {
 	plan, _, err := p.PlanFor(q, whirlpool.RelaxAll, whirlpool.NormSparse)
 	if err != nil {

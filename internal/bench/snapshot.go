@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dewey"
 	"repro/internal/index"
-	"repro/internal/keyword"
 	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/synopsis"
@@ -20,14 +19,14 @@ import (
 // — the same 8-way layout the rest of BENCH_core.json exercises.
 const snapshotShards = 8
 
-// snapshotScope is the keyword scope the cases build and persist.
-const snapshotScope = "item"
+// snapshotProbeTag is the tag the first-query case probes for.
+const snapshotProbeTag = "item"
 
 // snapshotCases measures the cold-start paths the mmap snapshot
 // collapses, on the same pinned corpus as the rest of BENCH_core.json:
 //
-//	full-build           parse the XML, build the postings index,
-//	                     synopsis and keyword index, partition 8 ways —
+//	full-build           parse the XML, build the postings index and
+//	                     synopsis, partition 8 ways —
 //	                     what a boot without a snapshot pays every time
 //	snapshot-write       build the v2 snapshot bytes for that same state
 //	                     and fsync-rename them into place (a one-time cost)
@@ -70,7 +69,6 @@ func snapshotCases(out io.Writer, env *Env, rounds int) ([]benchCase, error) {
 		}
 		ix := index.Build(doc)
 		synopsis.Build(doc)
-		keyword.Build(doc, snapshotScope)
 		_, err = shard.Partition(doc, ix, snapshotShards)
 		return err
 	})
@@ -81,11 +79,7 @@ func snapshotCases(out io.Writer, env *Env, rounds int) ([]benchCase, error) {
 	// The snapshot carries the state full-build derives; the partition
 	// is not stored (a snapshot-backed boot recomputes it in
 	// milliseconds).
-	snap := &store.Snapshot{
-		Doc:      env.Doc,
-		Synopsis: synopsis.Build(env.Doc).Flatten(),
-		Keyword:  []*keyword.Flat{keyword.Build(env.Doc, snapshotScope).Flatten()},
-	}
+	snap := &store.Snapshot{Doc: env.Doc, Synopsis: synopsis.Build(env.Doc).Flatten()}
 
 	tmp, err := os.CreateTemp("", "whirlbench-*.wpxs")
 	if err != nil {
@@ -128,9 +122,9 @@ func snapshotCases(out io.Writer, env *Env, rounds int) ([]benchCase, error) {
 			r.Close()
 			return fmt.Errorf("bench: snapshot holds %d nodes, corpus has %d", len(doc.Nodes), len(env.Doc.Nodes))
 		}
-		if got := len(r.AppendCandidates(nil, doc.Roots[0], dewey.Descendant, snapshotScope, index.ValueEq(""))); got == 0 {
+		if got := len(r.AppendCandidates(nil, doc.Roots[0], dewey.Descendant, snapshotProbeTag, index.ValueEq(""))); got == 0 {
 			r.Close()
-			return fmt.Errorf("bench: snapshot probe found no %s nodes", snapshotScope)
+			return fmt.Errorf("bench: snapshot probe found no %s nodes", snapshotProbeTag)
 		}
 		return r.Close()
 	})
@@ -145,7 +139,7 @@ func snapshotCases(out io.Writer, env *Env, rounds int) ([]benchCase, error) {
 		{Name: "snapshot-open", Shards: snapshotShards, NsPerOp: openWall.Nanoseconds(), Speedup: speedup(openWall)},
 		{Name: "snapshot-first-query", Shards: snapshotShards, NsPerOp: firstWall.Nanoseconds(), Speedup: speedup(firstWall)},
 	}
-	fmt.Fprintf(out, "bench: %-20s %12d ns/op  (parse+index+synopsis+keyword+partition)\n", "full-build", buildWall.Nanoseconds())
+	fmt.Fprintf(out, "bench: %-20s %12d ns/op  (parse+index+synopsis+partition)\n", "full-build", buildWall.Nanoseconds())
 	fmt.Fprintf(out, "bench: %-20s %12d ns/op  %.2fx  (%d bytes)\n", "snapshot-write", writeWall.Nanoseconds(),
 		speedup(writeWall), snapBytes)
 	fmt.Fprintf(out, "bench: %-20s %12d ns/op  %.2fx  cold-start win (mmap+checksum+validate)\n", "snapshot-open",

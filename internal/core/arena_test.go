@@ -16,7 +16,7 @@ import (
 // TestArenaGetReleaseRecycles pins the freelist mechanics: a released
 // match is handed out again by the next get, fully cleared, with its
 // bindings slice retained (no fresh allocation) but wiped.
-// +whirllint:exactscore recycled fields must be exactly zero
+// Scores compare exactly: recycled fields must be exactly zero.
 func TestArenaGetReleaseRecycles(t *testing.T) {
 	a := newMatchArena(3, false, false)
 	m := a.get()
@@ -104,7 +104,7 @@ var arenaAlgorithms = []Algorithm{WhirlpoolS, WhirlpoolM, LockStep, LockStepNoPr
 // NaN scores. Identical answers with poison on and off therefore prove
 // no algorithm retains a match past its release. Run with -race to also
 // catch cross-goroutine reuse in Whirlpool-M.
-// +whirllint:exactscore poison equivalence compares answer scores bit-for-bit
+// Scores compare exactly: poison equivalence compares answer scores bit-for-bit.
 func TestArenaPoisonEquivalence(t *testing.T) {
 	ix, q := buildEnv(t, booksXML, "/book[./title = 'wodehouse' and ./info/publisher/name = 'psmith']")
 	s := score.NewTFIDF(ix, q, score.Sparse)
@@ -141,7 +141,7 @@ func TestArenaPoisonEquivalence(t *testing.T) {
 // TestTopKDoesNotRetainReleasedMatch pins the copy-out contract of
 // topkSet.offer: entries own their bindings, so poisoning the offered
 // match after release must not corrupt the recorded answer.
-// +whirllint:exactscore copy-out contract asserts the exact recorded score
+// Scores compare exactly: copy-out contract asserts the exact recorded score.
 func TestTopKDoesNotRetainReleasedMatch(t *testing.T) {
 	arenaPoison.Store(true)
 	defer arenaPoison.Store(false)

@@ -91,10 +91,6 @@ func classify(q *pattern.Query, a Answer, id int) (MatchKind, string) {
 	root := a.Bindings[0]
 	parentBind := a.Bindings[n.Parent]
 
-	if n.Axis == dewey.FollowingSibling {
-		// fs bindings are order-exact whenever present.
-		return MatchExact, fmt.Sprintf("follows its %s sibling as required", q.Nodes[n.Parent].Tag)
-	}
 	if parentBind == nil {
 		return MatchPromoted, fmt.Sprintf("re-anchored below %s (its pattern parent %s was deleted)", root.Tag, q.Nodes[n.Parent].Tag)
 	}

@@ -29,7 +29,7 @@ func mkMatch(rootOrd int, score float64, seq int64) *match {
 	}
 }
 
-// +whirllint:exactscore synthetic scores are exact by construction
+// Scores compare exactly: synthetic scores are exact by construction.
 func TestTopkSetBasics(t *testing.T) {
 	tk := newTopkSet(2, 0, false)
 	if _, ok := tk.threshold(); ok {
@@ -59,7 +59,7 @@ func TestTopkSetBasics(t *testing.T) {
 	}
 }
 
-// +whirllint:exactscore synthetic scores are exact by construction
+// Scores compare exactly: synthetic scores are exact by construction.
 func TestTopkSetOnePerRoot(t *testing.T) {
 	tk := newTopkSet(3, 0, false)
 	tk.offer(mkMatch(7, 0.5, 1), 0)
@@ -90,7 +90,7 @@ func TestTopkSetFloor(t *testing.T) {
 	}
 }
 
-// +whirllint:exactscore synthetic scores are exact by construction
+// Scores compare exactly: synthetic scores are exact by construction.
 func TestTopkSetEvictedRootCanReturn(t *testing.T) {
 	tk := newTopkSet(1, 0, false)
 	tk.offer(mkMatch(1, 0.5, 1), 0)
@@ -347,7 +347,7 @@ func TestLiveCounterSignalsZero(t *testing.T) {
 	c.markDone()
 }
 
-// +whirllint:exactscore extendInto's score arithmetic is exact on these inputs
+// Scores compare exactly: extendInto's score arithmetic is exact on these inputs.
 func TestMatchExtend(t *testing.T) {
 	m := mkMatch(1, 0.4, 1)
 	m.bindings = append(m.bindings, nil, nil)

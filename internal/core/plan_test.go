@@ -17,7 +17,7 @@ import (
 // ordinary way and once from a compiled plan backed by a synopsis — and
 // checks the routing statistics are bit-identical and the answers (roots
 // and scores) agree exactly, across relaxation modes and algorithms.
-// +whirllint:exactscore plan-built engines must reproduce scratch scores bit-for-bit
+// Scores compare exactly: plan-built engines must reproduce scratch scores bit-for-bit.
 func TestEngineFromPlanMatchesScratch(t *testing.T) {
 	doc, err := xmark.Generate(xmark.Options{Seed: 3, Items: 80})
 	if err != nil {
@@ -119,7 +119,7 @@ func TestPlanMismatchesRejected(t *testing.T) {
 // were folded into the scorer's pass (commit d9cc8dc, where CompilePlan
 // probed the index per server): the fold must not move a bit, whether
 // the statistics come from the synopsis or from scanning the index.
-// +whirllint:exactscore routing statistics must be bit-identical to the recorded ones
+// Scores compare exactly: routing statistics must be bit-identical to the recorded ones.
 func TestPlanStatisticsPinned(t *testing.T) {
 	doc, err := xmark.Generate(xmark.Options{Seed: 1, Items: 200})
 	if err != nil {

@@ -35,7 +35,7 @@ type prioritized struct {
 // of them breadth-first.
 type matchHeap []prioritized
 
-// +whirllint:exactscore equal priorities are the tie the depth rule breaks
+// Scores compare exactly: equal priorities are the tie the depth rule breaks.
 func (h matchHeap) less(i, j int) bool {
 	a, b := h[i], h[j]
 	if a.priority != b.priority {
@@ -133,7 +133,7 @@ func (q *pq) push(m *match, priority float64) {
 // priority bound strictly beats the heap head. An unpulled root loses
 // every tie — it is the shallowest match there is, and younger than any
 // pulled root.
-// +whirllint:exactscore the strict bound comparison mirrors less
+// Scores compare exactly: the strict bound comparison mirrors less.
 func (q *pq) due() bool {
 	c := q.roots
 	return c != nil && (len(q.h) == 0 || c.prioBound > q.h[0].priority)

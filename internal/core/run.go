@@ -118,7 +118,6 @@ func (r *run) prune(n int) {
 // deduplicates repeats of the same float, not a score decision — and
 // the CAS keeps concurrent Whirlpool-M emitters from double-reporting
 // one value (trajectory order across goroutines stays best-effort).
-// +whirllint:exactscore
 func (r *run) traceThreshold() {
 	sink := r.cfg.Trace
 	if sink == nil {

@@ -122,7 +122,6 @@ func bindingsLess(a, b []*xmltree.Node) bool {
 // root) and on the root ordinal (across roots) for deterministic
 // results, and an epsilon would make "equal" depend on accumulation
 // order.
-// +whirllint:exactscore
 // +whirllint:hotpath
 func (t *topkSet) offer(m *match, src int32) {
 	t.mu.Lock()
@@ -205,7 +204,6 @@ func (t *topkSet) newEntry(rootOrd int, m *match) *topkEntry {
 // insertion pass replaces the former full re-sort. Callers hold t.mu;
 // exact score comparison is the deterministic sort tie-break.
 // +whirllint:locked
-// +whirllint:exactscore
 func (t *topkSet) fixUp(i int) {
 	e := t.top[i]
 	for i > 0 {
@@ -227,7 +225,6 @@ func (t *topkSet) fixUp(i int) {
 // ranking above the old k-th), so the cache is monotone; src is recorded
 // only when the k-th entry — not the floor — governs the new value.
 // +whirllint:locked
-// +whirllint:exactscore
 func (t *topkSet) publish(src int32) {
 	if len(t.top) < t.k {
 		return // the seeded floor (or no threshold) still governs

@@ -12,7 +12,7 @@ import (
 // TestPropTopkSetMatchesSort drives the top-k set with random offer
 // sequences and checks it against a straightforward sort of the best
 // score per root.
-// +whirllint:exactscore the model and the set must agree bit-for-bit for determinism
+// Scores compare exactly: the model and the set must agree bit-for-bit for determinism.
 func TestPropTopkSetMatchesSort(t *testing.T) {
 	f := func(seed int64, kRaw uint8, nRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))

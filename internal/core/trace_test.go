@@ -12,7 +12,7 @@ import (
 // fires: routing decisions, threshold updates, pruning, completion.
 const traceQuery = "/book[./title = 'wodehouse' and ./info/publisher/name = 'psmith']"
 
-// +whirllint:exactscore threshold events must be non-decreasing under exact comparison
+// Scores compare exactly: threshold events must be non-decreasing under exact comparison.
 func TestTraceEventsWhirlpoolS(t *testing.T) {
 	ix, q := buildEnv(t, booksXML, traceQuery)
 	s := score.NewTFIDF(ix, q, score.Sparse)

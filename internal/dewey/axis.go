@@ -2,8 +2,7 @@ package dewey
 
 // Axis identifies an XPath structural axis between two nodes. The paper's
 // tree patterns use pc (parent-child) and ad (ancestor-descendant) edges;
-// Self and FollowingSibling round out the predicates needed by the query
-// decomposition in Section 4 (e.g. following-sibling::e).
+// Self is the composition of an empty path.
 type Axis int
 
 const (
@@ -13,8 +12,6 @@ const (
 	Child
 	// Descendant relates an ancestor to any strict descendant (ad edge).
 	Descendant
-	// FollowingSibling relates a node to a later sibling.
-	FollowingSibling
 )
 
 // String returns the conventional short name of the axis.
@@ -26,20 +23,9 @@ func (a Axis) String() string {
 		return "pc"
 	case Descendant:
 		return "ad"
-	case FollowingSibling:
-		return "following-sibling"
 	default:
 		return "axis(?)"
 	}
-}
-
-// Relax returns the relaxed form of the axis under edge generalization:
-// Child relaxes to Descendant; every other axis relaxes to itself.
-func (a Axis) Relax() Axis {
-	if a == Child {
-		return Descendant
-	}
-	return a
 }
 
 // Compose returns the composition of two downward axes along a path, as

@@ -8,7 +8,6 @@
 //   - parent/child:        child's ID is the parent's ID plus one component
 //   - ancestor/descendant: ancestor's ID is a strict prefix
 //   - document order:      lexicographic comparison
-//   - following-sibling:   equal prefixes, last component greater
 //
 // The paper evaluates its structural joins on Dewey IDs (Section 6.2.1).
 // Here no node stores one: xmltree derives a node's ID on demand from
@@ -17,9 +16,8 @@
 // their components, deriving each node's ID once per evaluation:
 // internal/naive (every structural relation) and internal/joins (the
 // stack-tree merge). The Whirlpool servers (internal/core) decide pc
-// and ad on preorder intervals and levels (xmltree.Node.Contains), and
-// internal/relax decides following-sibling on parent identity and
-// document order: the same relations, read without building an ID.
+// and ad on preorder intervals and levels (xmltree.Node.Contains): the
+// same relations, read without building an ID.
 package dewey
 
 import (
@@ -88,53 +86,6 @@ func (id ID) IsDescendantOf(other ID) bool { return other.IsAncestorOf(id) }
 
 // IsChildOf reports whether id is a direct child of other.
 func (id ID) IsChildOf(other ID) bool { return other.IsParentOf(id) }
-
-// IsSiblingOf reports whether the two IDs share a parent and are distinct.
-func (id ID) IsSiblingOf(other ID) bool {
-	if len(id) != len(other) || len(id) == 0 {
-		return false
-	}
-	for i := 0; i < len(id)-1; i++ {
-		if id[i] != other[i] {
-			return false
-		}
-	}
-	return id[len(id)-1] != other[len(other)-1]
-}
-
-// IsFollowingSiblingOf reports whether id is a sibling of other that
-// appears after it in document order.
-func (id ID) IsFollowingSiblingOf(other ID) bool {
-	return id.IsSiblingOf(other) && id[len(id)-1] > other[len(other)-1]
-}
-
-// CommonPrefix returns the longest common prefix of the two IDs — the
-// Dewey ID of the nodes' lowest common ancestor when both belong to the
-// same tree.
-func (id ID) CommonPrefix(other ID) ID {
-	n := len(id)
-	if len(other) < n {
-		n = len(other)
-	}
-	i := 0
-	for i < n && id[i] == other[i] {
-		i++
-	}
-	return id[:i:i]
-}
-
-// DescendantUpperBound returns the smallest ID that is greater (in
-// document order) than every descendant of id. It is intended for
-// half-open range scans over document-ordered postings:
-// descendants(id) = [id, DescendantUpperBound(id)).
-func (id ID) DescendantUpperBound() ID {
-	if len(id) == 0 {
-		return nil // a root's descendants are unbounded within its tree
-	}
-	out := append(ID(nil), id...)
-	out[len(out)-1]++
-	return out
-}
 
 // String renders the ID in the conventional dotted form, e.g. "2.0.4".
 // A root renders as "·".

@@ -2,6 +2,7 @@ package dewey
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -61,64 +62,6 @@ func TestAncestorDescendant(t *testing.T) {
 	}
 }
 
-func TestSiblings(t *testing.T) {
-	a := ID{3, 1}
-	b := ID{3, 4}
-	if !a.IsSiblingOf(b) || !b.IsSiblingOf(a) {
-		t.Error("IsSiblingOf failed")
-	}
-	if a.IsSiblingOf(a) {
-		t.Error("a node is not its own sibling")
-	}
-	if !b.IsFollowingSiblingOf(a) {
-		t.Error("b should follow a")
-	}
-	if a.IsFollowingSiblingOf(b) {
-		t.Error("a should not follow b")
-	}
-	if (ID{3, 1}).IsSiblingOf(ID{4, 1}) {
-		t.Error("different parents are not siblings")
-	}
-	if (ID{}).IsSiblingOf(ID{}) {
-		t.Error("roots are not siblings of themselves")
-	}
-}
-
-func TestCommonPrefix(t *testing.T) {
-	a := ID{1, 2, 3}
-	b := ID{1, 2, 5, 0}
-	got := a.CommonPrefix(b)
-	if !got.Equal(ID{1, 2}) {
-		t.Fatalf("CommonPrefix = %v, want 1.2", got)
-	}
-	if cp := a.CommonPrefix(ID{9}); len(cp) != 0 {
-		t.Fatalf("disjoint prefix should be empty, got %v", cp)
-	}
-}
-
-func TestDescendantUpperBound(t *testing.T) {
-	id := ID{1, 2}
-	ub := id.DescendantUpperBound()
-	if !ub.Equal(ID{1, 3}) {
-		t.Fatalf("upper bound = %v, want 1.3", ub)
-	}
-	// Every descendant sorts in [id, ub).
-	for _, d := range []ID{{1, 2, 0}, {1, 2, 99}, {1, 2, 5, 5}} {
-		if d.Compare(id) < 0 || d.Compare(ub) >= 0 {
-			t.Errorf("descendant %v outside [%v,%v)", d, id, ub)
-		}
-	}
-	for _, nd := range []ID{{1, 3}, {1, 1, 9}, {2}} {
-		if nd.Compare(id) > 0 && nd.Compare(ub) < 0 {
-			t.Errorf("non-descendant %v inside range", nd)
-		}
-	}
-	// The original must not be mutated.
-	if !id.Equal(ID{1, 2}) {
-		t.Fatalf("DescendantUpperBound mutated receiver: %v", id)
-	}
-}
-
 func TestParseStringRoundTrip(t *testing.T) {
 	for _, s := range []string{"·", "0", "1.2.3", "10.0.7"} {
 		id, err := Parse(s)
@@ -136,13 +79,7 @@ func TestParseStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAxisRelaxAndCompose(t *testing.T) {
-	if Child.Relax() != Descendant {
-		t.Error("pc must relax to ad")
-	}
-	if Descendant.Relax() != Descendant || Self.Relax() != Self {
-		t.Error("non-pc axes relax to themselves")
-	}
+func TestAxisCompose(t *testing.T) {
 	if Compose(Self, Child) != Child || Compose(Child, Self) != Child {
 		t.Error("Self must be the identity for Compose")
 	}
@@ -156,7 +93,7 @@ func TestAxisRelaxAndCompose(t *testing.T) {
 
 func TestAxisStrings(t *testing.T) {
 	names := map[Axis]string{
-		Self: "self", Child: "pc", Descendant: "ad", FollowingSibling: "following-sibling",
+		Self: "self", Child: "pc", Descendant: "ad",
 	}
 	for a, want := range names {
 		if a.String() != want {
@@ -197,15 +134,17 @@ func TestPropCompareIsTotalOrder(t *testing.T) {
 }
 
 func TestPropAncestorIffDocOrderSandwich(t *testing.T) {
-	// a is an ancestor of d iff a <= d < a's descendant upper bound
-	// (for non-root a), matching the range-scan contract.
+	// a is an ancestor of d iff a < d < a's next sibling in document order
+	// (for non-root a): a subtree is one contiguous run of the order.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, d := randomID(r), randomID(r)
 		if len(a) == 0 {
 			return true
 		}
-		inRange := a.Compare(d) < 0 && d.Compare(a.DescendantUpperBound()) < 0
+		next := slices.Clone(a)
+		next[len(next)-1]++
+		inRange := a.Compare(d) < 0 && d.Compare(next) < 0
 		return inRange == a.IsAncestorOf(d)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -218,24 +157,7 @@ func TestPropChildImpliesDescendant(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randomID(r), randomID(r)
 		// pc relaxes to ad: a parent is an ancestor.
-		if a.IsParentOf(b) && !a.IsAncestorOf(b) {
-			return false
-		}
-		return !b.IsFollowingSiblingOf(a) || b.IsSiblingOf(a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropCommonPrefixIsAncestorOrSelf(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := randomID(r), randomID(r)
-		cp := a.CommonPrefix(b)
-		okA := cp.Equal(a) || cp.IsAncestorOf(a)
-		okB := cp.Equal(b) || cp.IsAncestorOf(b)
-		return okA && okB
+		return !a.IsParentOf(b) || a.IsAncestorOf(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

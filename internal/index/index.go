@@ -107,9 +107,6 @@ func (ix *Index) AppendCandidates(dst []*xmltree.Node, anchor *xmltree.Node, axi
 	case dewey.Descendant:
 		return ix.rangeScan(dst, anchor, tag, vt)
 	default:
-		// FollowingSibling never survives composition to the root
-		// (dewey.Compose widens it); direct sibling checks happen in the
-		// conditional-predicate phase against bound nodes.
 		return dst
 	}
 }

@@ -82,7 +82,6 @@ func TestAppendCandidatesByHand(t *testing.T) {
 		{"all titles under library", lib, dewey.Descendant, "title", ValueEq(""), 4},
 		{"self", books[0], dewey.Self, "book", ValueEq(""), 1},
 		{"self with wrong tag", books[0], dewey.Self, "title", ValueEq(""), 0},
-		{"unsupported probe axis", books[0], dewey.FollowingSibling, "book", ValueEq(""), 0},
 	}
 	for _, c := range cases {
 		if got := ix.AppendCandidates(nil, c.anchor, c.axis, c.tag, c.vt); len(got) != c.want {

@@ -111,12 +111,7 @@ func ExactMatches(ix index.Source, q *pattern.Query) ([]Match, Stats) {
 	for id := 1; id < q.Size() && len(tuples) > 0; id++ {
 		qn := q.Nodes[id]
 		postings := ix.NodesMatching(qn.Tag, index.Test(qn.ValueOp, qn.Value))
-		switch qn.Axis {
-		case dewey.Child, dewey.Descendant:
-			tuples = joinStep(tuples, qn, postings, &st)
-		case dewey.FollowingSibling:
-			tuples = siblingStep(tuples, qn, &st)
-		}
+		tuples = joinStep(tuples, qn, postings, &st)
 		if len(tuples) > st.Intermediate {
 			st.Intermediate = len(tuples)
 		}
@@ -167,34 +162,6 @@ func joinStep(tuples [][]*xmltree.Node, qn *pattern.Node, postings []*xmltree.No
 	return next
 }
 
-// siblingStep extends tuples along a following-sibling edge by scanning
-// the anchor binding's parent's children.
-func siblingStep(tuples [][]*xmltree.Node, qn *pattern.Node, st *Stats) [][]*xmltree.Node {
-	anchorCol := qn.Parent
-	var next [][]*xmltree.Node
-	for _, row := range tuples {
-		anchor := row[anchorCol]
-		if anchor.Parent == nil {
-			continue
-		}
-		vt := index.Test(qn.ValueOp, qn.Value)
-		for _, sib := range anchor.Parent.Children {
-			st.JoinPairs++
-			if sib.Tag != qn.Tag || !vt.Matches(sib.Value) {
-				continue
-			}
-			if sib.Ord <= anchor.Ord { // not after the anchor among their parent's children
-				continue
-			}
-			nr := make([]*xmltree.Node, len(row))
-			copy(nr, row)
-			nr[qn.ID] = sib
-			next = append(next, nr)
-		}
-	}
-	return next
-}
-
 // Answer is one ranked exact answer.
 type Answer struct {
 	Root  *xmltree.Node
@@ -232,7 +199,6 @@ func TopK(ix index.Source, q *pattern.Query, s score.Scorer, k int) ([]Answer, S
 // sortAnswers orders answers best first. The score comparison is
 // deliberately exact: equal scores tie-break on the root ordinal so
 // the baseline's ranking is deterministic.
-// +whirllint:exactscore
 func sortAnswers(answers []Answer) {
 	sort.Slice(answers, func(i, j int) bool {
 		if answers[i].Score != answers[j].Score {

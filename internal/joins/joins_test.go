@@ -117,19 +117,6 @@ func TestExactMatchesBookstore(t *testing.T) {
 	}
 }
 
-func TestExactMatchesFollowingSibling(t *testing.T) {
-	doc, err := xmltree.ParseString(`<a><c>1</c><e>2</e></a><a><e>2</e><c>1</c></a>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := index.Build(doc)
-	q := pattern.MustParse("/a[./c[following-sibling::e]]")
-	matches, _ := ExactMatches(ix, q)
-	if len(matches) != 1 || matches[0].Bindings[0] != doc.Roots[0] {
-		t.Fatalf("matches = %v", matches)
-	}
-}
-
 func TestTopKMatchesWhirlpoolExactMode(t *testing.T) {
 	doc, err := xmark.Generate(xmark.Options{Seed: 8, Items: 150})
 	if err != nil {

@@ -2,10 +2,9 @@
 // singleflight-style construction: GetOrCreate runs the builder for a
 // missing key exactly once, outside the cache lock, while concurrent
 // callers for the same key wait on the in-flight build and callers for
-// other keys proceed untouched. whirlpoold uses it for its engine,
-// query and keyword-index caches, where the old unbounded map guarded
-// by one mutex let a single slow index build stall every in-flight
-// request.
+// other keys proceed untouched. whirlpoold uses it for its engine and
+// plan caches, where the old unbounded map guarded by one mutex let a
+// single slow build stall every in-flight request.
 package lru
 
 import (

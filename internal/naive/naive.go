@@ -85,7 +85,6 @@ func (d deweys) of(n *xmltree.Node) dewey.ID {
 // sortAnswers orders answers best first. The score comparison is
 // deliberately exact: equal scores tie-break on the root ordinal so
 // baseline and engine rankings are deterministic.
-// +whirllint:exactscore
 func sortAnswers(answers []Answer) {
 	sort.Slice(answers, func(i, j int) bool {
 		if answers[i].Score != answers[j].Score {
@@ -181,15 +180,6 @@ func (ev *evaluator) validBinding(assignment []*xmltree.Node, id int, c *xmltree
 	qn := ev.q.Nodes[id]
 	parent := qn.Parent
 	pBind := assignment[parent]
-	if qn.Axis == dewey.FollowingSibling {
-		// Sibling order admits no relaxation; a deleted anchor waives it.
-		if pBind != nil && !ev.dewey.of(c).IsFollowingSiblingOf(ev.dewey.of(pBind)) {
-			return false
-		}
-		// Structural containment for fs nodes is inherited from the
-		// anchor's parent, which the root-descendant probe covers.
-		return true
-	}
 	if pBind == nil {
 		// Parent relaxed away: only subtree promotion re-anchors c.
 		return parent == 0 || ev.relax.Has(relax.SubtreePromotion)

@@ -18,7 +18,7 @@ import (
 // return exactly the same roots with exactly the same scores as the
 // unpruned one. It also checks the pruning is not vacuous — some
 // configuration must actually skip queries.
-// +whirllint:exactscore pruning must not change any answer score bit
+// Scores compare exactly: pruning must not change any answer score bit.
 func TestPrunedRewritingMatchesUnpruned(t *testing.T) {
 	queries := []string{
 		"//item[./description/parlist]",

@@ -81,27 +81,7 @@ func evalExact(ix index.Source, orig *pattern.Query, rq relax.RelaxedQuery, root
 			qn := q.Nodes[id]
 			vt := index.Test(qn.ValueOp, qn.Value)
 			parent := bindings[qn.Parent]
-			cands := scratch[id][:0]
-			switch qn.Axis {
-			case dewey.Child:
-				cands = ix.AppendCandidates(cands, parent, dewey.Child, qn.Tag, vt)
-			case dewey.Descendant:
-				cands = ix.AppendCandidates(cands, parent, dewey.Descendant, qn.Tag, vt)
-			case dewey.FollowingSibling:
-				gp := parent.Parent
-				if gp == nil {
-					break
-				}
-				// Probe the parent's siblings, then filter in place.
-				cands = ix.AppendCandidates(cands, gp, dewey.Child, qn.Tag, vt)
-				keep := cands[:0]
-				for _, c := range cands {
-					if ids.of(c).IsFollowingSiblingOf(ids.of(parent)) {
-						keep = append(keep, c)
-					}
-				}
-				cands = keep
-			}
+			cands := ix.AppendCandidates(scratch[id][:0], parent, qn.Axis, qn.Tag, vt)
 			scratch[id] = cands
 			origID := rq.NodeMap[id]
 			for _, c := range cands {

@@ -62,12 +62,9 @@ func nodeKey(q *Query, n *Node) string {
 }
 
 func writeCanonical(b *strings.Builder, q *Query, n *Node) {
-	switch n.Axis {
-	case dewey.Descendant:
+	if n.Axis == dewey.Descendant {
 		b.WriteString("//")
-	case dewey.FollowingSibling:
-		b.WriteString("~")
-	default:
+	} else {
 		b.WriteString("/")
 	}
 	b.WriteString(n.Tag)

@@ -56,7 +56,7 @@ func TestCanonicalKeyIgnoresPredicateOrder(t *testing.T) {
 // form re-parses and is a fixed point of Canonicalize.
 func TestCanonicalizeValidates(t *testing.T) {
 	for _, qs := range []string{
-		"/a[./c[following-sibling::e] and ./b]",
+		"/a[./c[.//e = 'x'] and ./b]",
 		"//item[./mailbox/mail/text[./bold and ./keyword] and ./name]",
 		"/a[.//b = \"x\"]",
 	} {

@@ -19,6 +19,8 @@ func FuzzParse(f *testing.F) {
 		"/a]extra",
 		"/a[./b and]",
 		"/a[following-sibling::x]",
+		"/following-sibling::a",
+		"/a[./c/following-sibling::e = 'x']",
 		strings.Repeat("/a[", 50),
 	}
 	for _, s := range seeds {

@@ -17,11 +17,11 @@ import (
 //	term       = relpath [ "=" "'" value "'" ]
 //	relpath    = "." axisstep { axisstep }
 //	axisstep   = ("/" | "//") name [ "[" expr "]" ]
-//	           | "/"? "following-sibling::" name [ "[" expr "]" ]
 //
 // Each step of a relative path becomes a query node; nested predicates
 // recurse. A trailing ='value' attaches a content predicate to the last
-// step of the path.
+// step of the path. A step naming an XPath axis, following-sibling::e
+// among them, is a parse error: tree patterns have pc and ad edges only.
 func Parse(input string) (*Query, error) {
 	p := &parser{input: input}
 	q, err := p.parseQuery()
@@ -102,25 +102,20 @@ func (p *parser) parseTerm(q *Query, ownerID int) error {
 	p.skipSpace()
 	cur := ownerID
 	first := true
-	if p.eat(".") {
-		// Leading "." of a relative path; steps follow.
-	} else if !strings.HasPrefix(p.rest(), "following-sibling::") {
-		return p.errf("expected relative path starting with '.' or 'following-sibling::'")
+	if !p.eat(".") {
+		if _, err := p.name(); err != nil {
+			return err // an axis step names its axis
+		}
+		return p.errf("expected relative path starting with '.'")
 	}
 	for {
 		p.skipSpace()
 		var axis dewey.Axis
 		switch {
-		case p.eat("following-sibling::"):
-			axis = dewey.FollowingSibling
 		case p.eat("//"):
 			axis = dewey.Descendant
 		case p.eat("/"):
-			if p.eat("following-sibling::") {
-				axis = dewey.FollowingSibling
-			} else {
-				axis = dewey.Child
-			}
+			axis = dewey.Child
 		default:
 			if first {
 				return p.errf("expected step after '.'")
@@ -202,6 +197,9 @@ func (p *parser) name() (string, error) {
 	}
 	if p.pos == start {
 		return "", p.errf("expected name")
+	}
+	if strings.HasPrefix(p.rest(), "::") {
+		return "", p.errf("unsupported axis %s:: (tree patterns have only / and // edges)", p.input[start:p.pos])
 	}
 	return p.input[start:p.pos], nil
 }

@@ -36,10 +36,8 @@ type Node struct {
 	// when Value is set.
 	ValueOp string
 	// Axis relates this node to its pattern parent: Child (pc) or
-	// Descendant (ad); FollowingSibling is also supported for the
-	// component-predicate example of Section 4. For the root, Axis
-	// relates it to the (virtual) document root: Child for /book,
-	// Descendant for //item.
+	// Descendant (ad). For the root, Axis relates it to the (virtual)
+	// document root: Child for /book, Descendant for //item.
 	Axis dewey.Axis
 	// Parent is the pattern-parent's ID, or -1 for the root.
 	Parent int
@@ -172,17 +170,9 @@ func (q *Query) Validate() error {
 			}
 		}
 		switch n.Axis {
-		case dewey.Child, dewey.Descendant, dewey.FollowingSibling:
+		case dewey.Child, dewey.Descendant:
 		default:
 			return fmt.Errorf("pattern: node %d has unsupported axis %v", i, n.Axis)
-		}
-		if i == 0 && n.Axis == dewey.FollowingSibling {
-			return fmt.Errorf("pattern: root axis cannot be following-sibling")
-		}
-		if i > 0 && n.Axis == dewey.FollowingSibling && n.Parent == 0 {
-			// A sibling of the returned node lies outside its subtree;
-			// no evaluator binds nodes there.
-			return fmt.Errorf("pattern: node %d: following-sibling predicates on the returned node are not supported", i)
 		}
 		switch n.ValueOp {
 		case "", "=", "!=", "contains":
@@ -242,8 +232,6 @@ func (q *Query) writeStep(b *strings.Builder, n *Node) {
 		b.WriteString("./")
 	case dewey.Descendant:
 		b.WriteString(".//")
-	case dewey.FollowingSibling:
-		b.WriteString("following-sibling::")
 	}
 	b.WriteString(n.Tag)
 	q.writePredicates(b, n)

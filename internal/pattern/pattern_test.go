@@ -113,26 +113,24 @@ func TestParseValues(t *testing.T) {
 	}
 }
 
-func TestParseFollowingSibling(t *testing.T) {
-	// Section 4's component-predicate example query.
-	q, err := Parse("/a[./b and ./c[.//d and following-sibling::e]]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Size() != 5 {
-		t.Fatalf("size = %d, want 5", q.Size())
-	}
-	var e *Node
-	for _, n := range q.Nodes {
-		if n.Tag == "e" {
-			e = n
-		}
-	}
-	if e == nil || e.Axis != dewey.FollowingSibling {
-		t.Fatalf("e = %+v", e)
-	}
-	if q.Nodes[e.Parent].Tag != "c" {
-		t.Fatalf("e's parent should be c, got %s", q.Nodes[e.Parent].Tag)
+// TestParseRejectsSiblingAxis: tree patterns have pc and ad edges only, so
+// following-sibling:: is a parse error naming the axis wherever it
+// stands: as the root step, below a child step, or opening a predicate.
+func TestParseRejectsSiblingAxis(t *testing.T) {
+	for _, c := range []struct{ name, query string }{
+		{"root", "/following-sibling::a"},
+		{"root-descendant", "//following-sibling::a[./b]"},
+		{"below-child", "/a[./c/following-sibling::e]"},
+		{"below-descendant", "/a[.//c/following-sibling::e]"},
+		{"after-and", "/a[./b and following-sibling::e]"},
+		{"opening-predicate", "/a[following-sibling::x]"},
+		{"nested-predicate", "/a[./b and ./c[.//d and following-sibling::e]]"}, // Section 4's example
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := Parse(c.query); err == nil || !strings.Contains(err.Error(), "unsupported axis following-sibling::") {
+				t.Fatalf("Parse(%q) = %v, want an error naming the following-sibling axis", c.query, err)
+			}
+		})
 	}
 }
 
@@ -145,7 +143,7 @@ func TestParseErrors(t *testing.T) {
 		"/book[./a='x]",   // unterminated literal
 		"/book]",          // trailing garbage
 		"/book[.]",        // empty relative path
-		"/book[a]",        // predicate must start with . or following-sibling
+		"/book[a]",        // predicate must start with .
 		"/book[./a and]",  // dangling and
 		"//",              // missing tag
 		"/book[./a = x ]", // unquoted value
@@ -288,10 +286,10 @@ func TestValidate(t *testing.T) {
 	if err := q3.Validate(); err == nil {
 		t.Fatal("empty tag should fail")
 	}
-	// Root with following-sibling axis.
-	q4 := New("a", dewey.FollowingSibling)
+	// Root with an axis other than pc or ad.
+	q4 := New("a", dewey.Self)
 	if err := q4.Validate(); err == nil {
-		t.Fatal("following-sibling root should fail")
+		t.Fatal("self-axis root should fail")
 	}
 	// Empty query.
 	q5 := &Query{}

@@ -21,10 +21,6 @@ type RelaxedQuery struct {
 // query is always the first element. The closure grows exponentially
 // with query size — limit caps the number of queries returned (0 means
 // no cap); the boolean result reports whether the closure was truncated.
-//
-// Following-sibling edges are never generalized or promoted (sibling
-// order admits no relaxation, matching the engine); their subtrees can
-// still be deleted leaf-by-leaf.
 func Enumerate(q *pattern.Query, r Relaxation, limit int) ([]RelaxedQuery, bool) {
 	start := RelaxedQuery{Query: q.Clone(), NodeMap: identityMap(q.Size())}
 	seen := map[string]bool{canonical(start): true}
@@ -87,16 +83,8 @@ func rewrites(rq RelaxedQuery, r Relaxation) []RelaxedQuery {
 	}
 	if r.Has(SubtreePromotion) {
 		for id := 1; id < q.Size(); id++ {
-			n := q.Nodes[id]
-			if n.Axis == dewey.FollowingSibling {
-				continue // sibling order is not relaxed
-			}
-			parent := n.Parent
-			if parent <= 0 {
+			if q.Nodes[id].Parent <= 0 {
 				continue // already anchored at the root
-			}
-			if q.Nodes[parent].Axis == dewey.FollowingSibling {
-				continue // would detach an order constraint's target
 			}
 			out = append(out, rq.promote(id))
 		}

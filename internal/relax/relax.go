@@ -75,8 +75,7 @@ func (r Relaxation) String() string {
 // target must be a strict descendant of the anchor with a level
 // difference of exactly MinLevels (Exact) or at least MinLevels. A chain
 // of k pc edges composes to {MinLevels: k, Exact: true}; any ad edge on
-// the path drops Exact. A following-sibling edge contributes zero levels
-// (the sibling hangs off the same parent).
+// the path drops Exact.
 type PathPredicate struct {
 	MinLevels int
 	Exact     bool
@@ -144,15 +143,9 @@ func ComposePath(q *pattern.Query, anc, desc int) PathPredicate {
 		if n.Parent == -1 {
 			panic(fmt.Sprintf("relax: node %d is not a pattern descendant of %d", desc, anc))
 		}
-		switch n.Axis {
-		case dewey.Child:
-			pp.MinLevels++
-		case dewey.Descendant:
-			pp.MinLevels++
+		pp.MinLevels++
+		if n.Axis == dewey.Descendant {
 			pp.Exact = false
-		case dewey.FollowingSibling:
-			// The following sibling hangs off the same parent: zero
-			// level contribution, exactness preserved.
 		}
 		cur = n.Parent
 	}
@@ -161,7 +154,7 @@ func ComposePath(q *pattern.Query, anc, desc int) PathPredicate {
 
 // Cond is one entry of a server's conditional predicate sequence: the
 // pairwise predicate between the server node and another query node that
-// is its pattern ancestor or descendant (or following-sibling anchor).
+// is its pattern ancestor or descendant.
 type Cond struct {
 	// OtherID is the other query node.
 	OtherID int
@@ -170,12 +163,7 @@ type Cond struct {
 	// it is a pattern descendant (server → other).
 	OtherIsAncestor bool
 	// Path is the exact composed predicate between the two nodes.
-	// Meaningless when FollowingSibling is set.
 	Path PathPredicate
-	// FollowingSibling marks the special sibling-order predicate: the
-	// server node must be a following sibling of the other node's
-	// binding (or vice versa when OtherIsAncestor is false).
-	FollowingSibling bool
 	// DirectParent is true when the other node is the server node's
 	// immediate pattern parent (or immediate child when
 	// OtherIsAncestor is false); exactness of the component predicate
@@ -241,38 +229,17 @@ func BuildPlans(q *pattern.Query, r Relaxation) []*ServerPlan {
 				switch {
 				case q.IsDescendant(id, other):
 					sp.Conds = append(sp.Conds, Cond{
-						OtherID:          other,
-						OtherIsAncestor:  true,
-						Path:             ComposePath(q, other, id),
-						FollowingSibling: false,
-						DirectParent:     q.Nodes[id].Parent == other && n.Axis != dewey.FollowingSibling,
+						OtherID:         other,
+						OtherIsAncestor: true,
+						Path:            ComposePath(q, other, id),
+						DirectParent:    n.Parent == other,
 					})
 				case q.IsDescendant(other, id):
 					sp.Conds = append(sp.Conds, Cond{
 						OtherID:         other,
 						OtherIsAncestor: false,
 						Path:            ComposePath(q, id, other),
-						DirectParent:    q.Nodes[other].Parent == id && q.Nodes[other].Axis != dewey.FollowingSibling,
-					})
-				}
-			}
-			// Following-sibling edges add an ordering predicate against
-			// the sibling anchor (the pattern parent).
-			if n.Axis == dewey.FollowingSibling {
-				sp.Conds = append(sp.Conds, Cond{
-					OtherID:          n.Parent,
-					OtherIsAncestor:  true,
-					FollowingSibling: true,
-					DirectParent:     true,
-				})
-			}
-			for _, cid := range n.Children {
-				if q.Nodes[cid].Axis == dewey.FollowingSibling {
-					sp.Conds = append(sp.Conds, Cond{
-						OtherID:          cid,
-						OtherIsAncestor:  false,
-						FollowingSibling: true,
-						DirectParent:     true,
+						DirectParent:    q.Nodes[other].Parent == id,
 					})
 				}
 			}
@@ -286,21 +253,6 @@ func BuildPlans(q *pattern.Query, r Relaxation) []*ServerPlan {
 	}
 	return plans
 }
-
-// fsCondHolds evaluates a following-sibling conditional predicate on the
-// two bound nodes, oriented so that server is the node whose plan owns
-// the condition.
-func fsCondHolds(c Cond, server, other *xmltree.Node) bool {
-	if c.OtherIsAncestor {
-		// The server node follows its sibling anchor.
-		return follows(server, other)
-	}
-	return follows(other, server)
-}
-
-// follows reports whether a is a later sibling of b: the same parent
-// (forest roots share the virtual one), later in document order.
-func follows(a, b *xmltree.Node) bool { return a.Parent == b.Parent && a.Ord > b.Ord }
 
 // CondResult classifies how a conditional predicate was satisfied.
 type CondResult int
@@ -320,13 +272,6 @@ const (
 // non-nil (callers skip conditions whose other node is unbound or
 // missing, except for the missing-parent rule handled by the engine).
 func (sp *ServerPlan) Check(c Cond, server, other *xmltree.Node) CondResult {
-	if c.FollowingSibling {
-		// Sibling order admits no relaxation.
-		if fsCondHolds(c, server, other) {
-			return CondExact
-		}
-		return CondFailed
-	}
 	anc, desc := other, server
 	if !c.OtherIsAncestor {
 		anc, desc = server, other

@@ -123,20 +123,6 @@ func TestComposePath(t *testing.T) {
 	}
 }
 
-func TestComposePathFollowingSibling(t *testing.T) {
-	q := pattern.MustParse("/a[./c[following-sibling::e]]")
-	var eID int
-	for _, n := range q.Nodes {
-		if n.Tag == "e" {
-			eID = n.ID
-		}
-	}
-	// Section 4: the component predicate for e is a[./e] — one exact level.
-	if pp := ComposePath(q, 0, eID); pp != (PathPredicate{1, true}) {
-		t.Fatalf("a->e = %+v, want exactly 1 level", pp)
-	}
-}
-
 func TestComposePathPanicsOnNonDescendant(t *testing.T) {
 	q := pattern.MustParse("/a[./b and ./c]")
 	defer func() {
@@ -278,62 +264,6 @@ func TestCheckCondVariants(t *testing.T) {
 	}
 	if got := exact.Check(infoCond, directChild, info); got != CondExact {
 		t.Fatalf("exact-mode direct child = %v", got)
-	}
-}
-
-func TestCheckFollowingSibling(t *testing.T) {
-	q := pattern.MustParse("/a[./c[following-sibling::e]]")
-	var eID, cID int
-	for _, n := range q.Nodes {
-		switch n.Tag {
-		case "e":
-			eID = n.ID
-		case "c":
-			cID = n.ID
-		}
-	}
-	plans := BuildPlans(q, All)
-	e := plans[eID]
-	var fs Cond
-	found := false
-	for _, c := range e.Conds {
-		if c.FollowingSibling {
-			fs, found = c, true
-		}
-	}
-	if !found || fs.OtherID != cID || !fs.OtherIsAncestor {
-		t.Fatalf("fs cond = %+v found=%v", fs, found)
-	}
-	ns := treeOf(dewey.ID{0, 1}, dewey.ID{0, 3}, dewey.ID{0, 0}, dewey.ID{0, 1, 0})
-	cBind, after, before, childOfC := ns[0], ns[1], ns[2], ns[3]
-	if e.Check(fs, after, cBind) != CondExact {
-		t.Fatal("later sibling must pass")
-	}
-	if e.Check(fs, before, cBind) != CondFailed {
-		t.Fatal("earlier sibling must fail (no relaxation for sibling order)")
-	}
-	if e.Check(fs, childOfC, cBind) != CondFailed {
-		t.Fatal("non-sibling must fail")
-	}
-	if e.Check(fs, cBind, cBind) != CondFailed {
-		t.Fatal("a node is not its own following sibling")
-	}
-	// The c plan must carry the reciprocal condition.
-	cPlan := plans[cID]
-	found = false
-	for _, cond := range cPlan.Conds {
-		if cond.FollowingSibling && cond.OtherID == eID && !cond.OtherIsAncestor {
-			found = true
-			if cPlan.Check(cond, cBind, after) != CondExact {
-				t.Fatal("reciprocal fs should pass")
-			}
-			if cPlan.Check(cond, cBind, before) != CondFailed {
-				t.Fatal("reciprocal fs should fail for preceding sibling")
-			}
-		}
-	}
-	if !found {
-		t.Fatal("c plan missing reciprocal fs cond")
 	}
 }
 

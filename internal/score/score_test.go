@@ -172,7 +172,7 @@ func TestTFIDFDenseNormalization(t *testing.T) {
 	}
 }
 
-// +whirllint:exactscore ranking assertions compare exact scorer output
+// Scores compare exactly: ranking assertions compare exact scorer output.
 func TestAnswerScoreRanksExactMatchFirst(t *testing.T) {
 	ix := buildIx(t)
 	q := pattern.MustParse("/book[./title = 'wodehouse' and ./info/publisher/name = 'psmith']")
@@ -253,7 +253,7 @@ func TestTableScorer(t *testing.T) {
 	}
 }
 
-// +whirllint:exactscore determinism means bit-identical scores across calls
+// Scores compare exactly: determinism means bit-identical scores across calls.
 func TestRandomScorerDeterminism(t *testing.T) {
 	doc, _ := xmltree.ParseString(`<r><a>1</a><a>2</a></r>`)
 	n := doc.Nodes[1]
@@ -268,7 +268,7 @@ func TestRandomScorerDeterminism(t *testing.T) {
 	}
 }
 
-// +whirllint:exactscore bound checks are exact by definition
+// Scores compare exactly: bound checks are exact by definition.
 func TestRandomScorerBounds(t *testing.T) {
 	doc, _ := xmltree.ParseString(`<r><a>1</a><a>2</a><a>3</a></r>`)
 	sparse := NewRandomSparse(1)
@@ -295,7 +295,7 @@ func TestRandomScorerBounds(t *testing.T) {
 	}
 }
 
-// +whirllint:exactscore cluster membership compares exact contributions
+// Scores compare exactly: cluster membership compares exact contributions.
 func TestRandomDenseIsClustered(t *testing.T) {
 	doc, _ := xmltree.ParseString(`<r><a>1</a><a>2</a><a>3</a><a>4</a><a>5</a></r>`)
 	dense := NewRandomDense(3)

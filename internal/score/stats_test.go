@@ -18,7 +18,7 @@ import (
 // one built with per-root index scans, on single and sharded sources,
 // including queries with content predicates (which fall back to
 // scanning per node).
-// +whirllint:exactscore synopsis-fed scorers must be bit-identical to scan-built ones
+// Scores compare exactly: synopsis-fed scorers must be bit-identical to scan-built ones.
 func TestTFIDFWithSynopsisStats(t *testing.T) {
 	queries := []string{
 		"//item[./description/parlist]",

@@ -39,23 +39,6 @@ func u32view(b []byte) []uint32 {
 	return out
 }
 
-// i32view returns b viewed as little-endian int32s. len(b) must be a
-// multiple of 4. Zero-copy on aligned little-endian hosts.
-func i32view(b []byte) []int32 {
-	n := len(b) / 4
-	if n == 0 {
-		return nil
-	}
-	if hostLittle && aligned(b, 4) {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
 // s64view returns b viewed as little-endian int64s. len(b) must be a
 // multiple of 8. Zero-copy on aligned little-endian hosts.
 func s64view(b []byte) []int64 {

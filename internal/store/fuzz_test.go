@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dewey"
 	"repro/internal/index"
-	"repro/internal/keyword"
 	"repro/internal/synopsis"
 	"repro/internal/xmltree"
 )
@@ -27,9 +26,6 @@ func FuzzSnapshotV2Corruption(f *testing.F) {
 			f.Fatal(err)
 		}
 		snap := &Snapshot{Doc: doc, Synopsis: synopsis.Build(doc).Flatten()}
-		if len(doc.Nodes) > 0 {
-			snap.Keyword = []*keyword.Flat{keyword.Build(doc, doc.Nodes[0].Tag).Flatten()}
-		}
 		var buf bytes.Buffer
 		if err := WriteSnapshot(&buf, snap); err != nil {
 			f.Fatal(err)
@@ -72,9 +68,6 @@ func FuzzSnapshotV2Corruption(f *testing.F) {
 				_ = r.AppendCandidates(nil, root, dewey.Descendant, tag, index.Test("contains", "a"))
 				_ = r.AppendCandidates(nil, root, dewey.Descendant, tag, index.ValueTest{})
 			}
-		}
-		for _, scope := range r.KeywordScopes() {
-			_, _, _ = r.Keyword(scope)
 		}
 	})
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dewey"
 	"repro/internal/index"
-	"repro/internal/keyword"
 	"repro/internal/lru"
 	"repro/internal/synopsis"
 	"repro/internal/xmltree"
@@ -60,8 +59,7 @@ type SnapshotReader struct {
 	valPostOff  []uint32
 	valPostOrds []uint32
 
-	syn        *synopsis.Synopsis
-	keywordSec map[string]section
+	syn *synopsis.Synopsis
 
 	// postings holds materialized (tag, value test) posting lists as
 	// node pointers. The value in the key comes from the request, so the
@@ -157,15 +155,6 @@ func (r *SnapshotReader) Document() *xmltree.Document {
 // snapshot was written without one.
 func (r *SnapshotReader) Synopsis() *synopsis.Synopsis { return r.syn }
 
-// KeywordScopes lists the scope tags with persisted keyword indexes.
-func (r *SnapshotReader) KeywordScopes() []string {
-	out := make([]string, 0, len(r.keywordSec))
-	for tag := range r.keywordSec {
-		out = append(out, tag)
-	}
-	return out
-}
-
 // sectionSizes maps kinds to their element width for length validation;
 // 1 marks byte blobs.
 var sectionSizes = map[uint32]uint64{
@@ -173,8 +162,7 @@ var sectionSizes = map[uint32]uint64{
 	secSubtree: 4, secValueOffsets: 4, secValueBlob: 1,
 	secTagPostOff: 4, secTagPostOrds: 4, secValPostTags: 4,
 	secValPostKeyOff: 4, secValPostKeys: 1, secValPostOff: 4, secValPostOrds: 4,
-	secKeyword: 0,
-	secSynMeta: 8, secSynTagIDs: 4, secSynTagCount: 8, secSynTagValued: 8,
+	secSynMeta: 8, secSynTagIDs: 4, secSynTagCount: 8,
 	secSynPathParent: 4, secSynPathTag: 4, secSynPathCount: 8,
 	secSynDescPath: 4, secSynDescTag: 4, secSynDescOff: 8, secSynArrays: 8,
 }
@@ -189,14 +177,12 @@ func newSnapshotReader(data []byte, release func() error, mapped bool) (*Snapsho
 		return nil, err
 	}
 	r := &SnapshotReader{
-		data:       data,
-		release:    release,
-		mapped:     mapped,
-		keywordSec: make(map[string]section),
-		postings:   lru.New[postingKey, []*xmltree.Node](lru.PostingsCap),
+		data:     data,
+		release:  release,
+		mapped:   mapped,
+		postings: lru.New[postingKey, []*xmltree.Node](lru.PostingsCap),
 	}
 	single := make(map[uint32]section)
-	var kwSecs []section
 	for i, s := range secs {
 		elem, known := sectionSizes[s.kind]
 		if !known {
@@ -210,15 +196,10 @@ func newSnapshotReader(data []byte, release func() error, mapped bool) (*Snapsho
 			return nil, fmt.Errorf("store: %s section length %d disagrees with count %d (table entry %d)",
 				sectionName(s.kind), s.len, s.count, i)
 		}
-		switch s.kind {
-		case secKeyword:
-			kwSecs = append(kwSecs, s)
-		default:
-			if _, dup := single[s.kind]; dup {
-				return nil, fmt.Errorf("store: duplicate %s section (table entry %d)", sectionName(s.kind), i)
-			}
-			single[s.kind] = s
+		if _, dup := single[s.kind]; dup {
+			return nil, fmt.Errorf("store: duplicate %s section (table entry %d)", sectionName(s.kind), i)
 		}
+		single[s.kind] = s
 	}
 	get := func(kind uint32) (section, error) {
 		s, ok := single[kind]
@@ -229,11 +210,6 @@ func newSnapshotReader(data []byte, release func() error, mapped bool) (*Snapsho
 	}
 	if err := r.loadTags(get); err != nil {
 		return nil, err
-	}
-	for _, s := range kwSecs {
-		if err := r.registerKeyword(s); err != nil {
-			return nil, err
-		}
 	}
 	if err := r.loadNodes(get); err != nil {
 		return nil, err
@@ -513,10 +489,6 @@ func (r *SnapshotReader) loadSynopsis(get func(uint32) (section, error)) error {
 	if err != nil {
 		return err
 	}
-	valB, cnt3, err := need(secSynTagValued)
-	if err != nil {
-		return err
-	}
 	ppB, np, err := need(secSynPathParent)
 	if err != nil {
 		return err
@@ -545,7 +517,7 @@ func (r *SnapshotReader) loadSynopsis(get func(uint32) (section, error)) error {
 	if err != nil {
 		return err
 	}
-	if cnt2 != st || cnt3 != st || np2 != np || np3 != np || ndc2 != ndc || ndo != ndc+1 {
+	if cnt2 != st || np2 != np || np3 != np || ndc2 != ndc || ndo != ndc+1 {
 		return fmt.Errorf("store: synopsis sections disagree on their counts")
 	}
 	ids := u32view(idsB)
@@ -554,7 +526,6 @@ func (r *SnapshotReader) loadSynopsis(get func(uint32) (section, error)) error {
 		NodeCount: int(s64view(metaB)[0]),
 		Tags:      make([]string, len(ids)),
 		TagCount:  intview(cntB),
-		TagValued: intview(valB),
 		PathCount: s64view(pcB),
 		DescOff:   s64view(doB),
 		Arrays:    intview(arrB),
@@ -596,65 +567,6 @@ func (r *SnapshotReader) loadSynopsis(get func(uint32) (section, error)) error {
 	}
 	r.syn = syn
 	return nil
-}
-
-// registerKeyword records a keyword section by its scope tag; the
-// payload is parsed lazily at the first Keyword call. Only the fixed
-// 24-byte payload header is touched here. Runs after loadTags.
-func (r *SnapshotReader) registerKeyword(s section) error {
-	b := s.data(r.data)
-	if len(b) < 24 {
-		return fmt.Errorf("store: keyword section at offset %d is %d bytes, need a 24-byte header", s.off, len(b))
-	}
-	id := u32view(b[:4])[0]
-	if int(id) >= len(r.tags) {
-		return fmt.Errorf("store: keyword section at offset %d scopes tag id %d, only %d tags", s.off, id, len(r.tags))
-	}
-	if _, dup := r.keywordSec[r.tags[id]]; dup {
-		return fmt.Errorf("store: duplicate keyword section for scope %q (offset %d)", r.tags[id], s.off)
-	}
-	r.keywordSec[r.tags[id]] = s
-	return nil
-}
-
-// Keyword unflattens the persisted keyword index for the scope tag.
-// Returns (nil, false, nil) when the snapshot holds none. The heavy
-// arrays (entry ordinals, term frequencies, the word blob) alias the
-// snapshot; only the per-word maps are rebuilt.
-func (r *SnapshotReader) Keyword(scopeTag string) (*keyword.Index, bool, error) {
-	s, ok := r.keywordSec[scopeTag]
-	if !ok {
-		return nil, false, nil
-	}
-	b := s.data(r.data)
-	hdr := u32view(b[:24])
-	scopeCnt, wordCnt, entryCnt, blobLen := int(hdr[1]), int(hdr[2]), int(hdr[3]), int(hdr[4])
-	want := 24 + 4*(scopeCnt+2*(wordCnt+1)+2*entryCnt) + blobLen
-	if scopeCnt < 0 || wordCnt < 0 || entryCnt < 0 || blobLen < 0 || len(b) != want {
-		return nil, true, fmt.Errorf("store: keyword section for %q is %d bytes, header implies %d (offset %d)",
-			scopeTag, len(b), want, s.off)
-	}
-	p := 24
-	take := func(n int) []byte {
-		out := b[p : p+4*n]
-		p += 4 * n
-		return out
-	}
-	f := &keyword.Flat{
-		ScopeTag:  scopeTag,
-		ScopeOrds: i32view(take(scopeCnt)),
-		WordOff:   i32view(take(wordCnt + 1)),
-		PostOff:   i32view(take(wordCnt + 1)),
-		EntryOrd:  i32view(take(entryCnt)),
-		EntryTF:   i32view(take(entryCnt)),
-	}
-	f.Words = byteString(b[p : p+blobLen])
-	r.ensureDoc()
-	ix, err := keyword.Unflatten(r.doc, f)
-	if err != nil {
-		return nil, true, fmt.Errorf("store: persisted keyword index for %q rejected: %w", scopeTag, err)
-	}
-	return ix, true, nil
 }
 
 // ---- index.Source ----------------------------------------------------

@@ -2,7 +2,7 @@
 // and serves it back as an index.Source — the paper's disk-resident
 // scenario (Section 6.3.3). The snapshot format ("WPXS") lays the node
 // columns (tags, parents, subtree extents, values), tag and value
-// postings, the structure synopsis and keyword indexes out as flat
+// postings and the structure synopsis out as flat
 // little-endian arrays in page-aligned sections, so a reader can mmap the
 // file and serve structural probes directly from the mapped pages. Dewey
 // IDs are not stored: a node derives its ID from its position among its
@@ -68,17 +68,18 @@ const (
 	secValPostKeys   = 14 // value bytes of the keys, concatenated
 	secValPostOff    = 15 // u32[v+1] offsets into the value postings
 	secValPostOrds   = 16 // u32[mv] ordinals grouped by key, ascending
-	secKeyword       = 18 // one per keyword scope (see snapshotKeyword)
-	// 19 and 20 are reserved: older files carry shard layouts under
-	// them, which the reader skips like any kind it does not know.
+	// 18, 19 and 20 are reserved: older files carry keyword indexes (18)
+	// and shard layouts (19, 20) under them, which the reader skips like
+	// any kind it does not know.
 
 	// Synopsis sections: the column form of synopsis.Flat, with tag
 	// names replaced by snapshot tag ids. secSynArrays is the dominant
 	// payload and is consumed in place by synopsis.Unflatten.
-	secSynMeta       = 29 // s64[1] summarized node count
-	secSynTagIDs     = 30 // u32[st], sorted by tag name
-	secSynTagCount   = 31 // s64[st]
-	secSynTagValued  = 32 // s64[st]
+	secSynMeta     = 29 // s64[1] summarized node count
+	secSynTagIDs   = 30 // u32[st], sorted by tag name
+	secSynTagCount = 31 // s64[st]
+	// 32 is reserved: older files carry each tag's count of text-carrying
+	// nodes there (the keyword df), skipped like 18.
 	secSynPathParent = 33 // u32[np] parent path index + 1; 0 = virtual root
 	secSynPathTag    = 34 // u32[np]
 	secSynPathCount  = 35 // s64[np]
@@ -99,9 +100,8 @@ func sectionName(kind uint32) string {
 		secTagPostOrds: "tag postings", secValPostTags: "value postings tags",
 		secValPostKeyOff: "value postings key offsets", secValPostKeys: "value postings keys",
 		secValPostOff: "value postings offsets", secValPostOrds: "value postings",
-		secKeyword: "keyword index", secSynMeta: "synopsis meta",
-		secSynTagIDs: "synopsis tags", secSynTagCount: "synopsis tag counts",
-		secSynTagValued: "synopsis tag valued", secSynPathParent: "synopsis path parents",
+		secSynMeta: "synopsis meta", secSynTagIDs: "synopsis tags",
+		secSynTagCount: "synopsis tag counts", secSynPathParent: "synopsis path parents",
 		secSynPathTag: "synopsis path tags", secSynPathCount: "synopsis path counts",
 		secSynDescPath: "synopsis desc paths", secSynDescTag: "synopsis desc tags",
 		secSynDescOff: "synopsis desc offsets", secSynArrays: "synopsis arrays",

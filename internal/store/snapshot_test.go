@@ -7,13 +7,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/dewey"
 	"repro/internal/index"
-	"repro/internal/keyword"
 	"repro/internal/shard"
 	"repro/internal/synopsis"
 	"repro/internal/xmark"
@@ -30,14 +30,10 @@ func genDoc(t testing.TB, items int) *xmltree.Document {
 }
 
 // fullSnapshot builds a Snapshot carrying every optional section: the
-// synopsis and an item-scope keyword index.
+// synopsis.
 func fullSnapshot(t testing.TB, doc *xmltree.Document) *Snapshot {
 	t.Helper()
-	return &Snapshot{
-		Doc:      doc,
-		Synopsis: synopsis.Build(doc).Flatten(),
-		Keyword:  []*keyword.Flat{keyword.Build(doc, "item").Flatten()},
-	}
+	return &Snapshot{Doc: doc, Synopsis: synopsis.Build(doc).Flatten()}
 }
 
 func writeSnap(t testing.TB, s *Snapshot) []byte {
@@ -125,7 +121,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	})
 }
 
-func TestSnapshotSynopsisKeyword(t *testing.T) {
+func TestSnapshotSynopsis(t *testing.T) {
 	doc := genDoc(t, 40)
 	snap := fullSnapshot(t, doc)
 	r := parseSnap(t, writeSnap(t, snap))
@@ -138,35 +134,6 @@ func TestSnapshotSynopsisKeyword(t *testing.T) {
 		t.Fatal("persisted synopsis fingerprint diverges from a fresh build")
 	}
 
-	scopes := r.KeywordScopes()
-	if len(scopes) != 1 || scopes[0] != "item" {
-		t.Fatalf("keyword scopes = %v", scopes)
-	}
-	built := keyword.Build(doc, "item")
-	got, ok, err := r.Keyword("item")
-	if err != nil || !ok {
-		t.Fatalf("Keyword(item): ok=%v err=%v", ok, err)
-	}
-	if got.Scopes() != built.Scopes() {
-		t.Fatalf("scopes %d vs %d", got.Scopes(), built.Scopes())
-	}
-	for _, w := range []string{"gold", "a", "character", "xyzzy"} {
-		if got.IDF(w) != built.IDF(w) {
-			t.Fatalf("IDF(%s): %v vs %v", w, got.IDF(w), built.IDF(w))
-		}
-		a, b := built.Postings(w), got.Postings(w)
-		if len(a) != len(b) {
-			t.Fatalf("Postings(%s): %d vs %d", w, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].TF != b[i].TF || a[i].Node.Ord != b[i].Node.Ord {
-				t.Fatalf("Postings(%s)[%d] mismatch", w, i)
-			}
-		}
-	}
-	if _, ok, _ := r.Keyword("mail"); ok {
-		t.Fatal("unexpected keyword index for unpersisted scope")
-	}
 }
 
 // TestSnapshotSkipsRetiredLayoutSections: images written while shard
@@ -199,6 +166,52 @@ func TestSnapshotSkipsRetiredDeweySections(t *testing.T) {
 	}
 	checkSkipsRetired(t, doc,
 		secPayload{kind: 8, shard: -1, count: uint64(len(doc.Nodes) + 1), data: off.b}, secPayload{kind: 9, shard: -1, count: uint64(m), data: comps.b})
+}
+
+// TestSnapshotSkipsRetiredKeywordSections: images written while keyword
+// top-k existed carry a kind-18 keyword index per scope, and kind 32, each
+// tag's count of text-carrying nodes, beside the synopsis. The reader
+// skips either one alone and both together.
+func TestSnapshotSkipsRetiredKeywordSections(t *testing.T) {
+	doc := genDoc(t, 20)
+	kw := &leBuf{} // scope tag 0 with no scopes, words or entries
+	for range 8 {
+		kw.u32(0)
+	}
+	tags := synopsis.Build(doc).Flatten().Tags
+	valued := &leBuf{}
+	for _, tag := range tags {
+		n := 0
+		for _, nd := range doc.Nodes {
+			if nd.Tag == tag && nd.Value != "" {
+				n++
+			}
+		}
+		valued.s64(int64(n))
+	}
+	keyword := secPayload{kind: 18, shard: 0, count: 0, data: kw.b}
+	tagValued := secPayload{kind: 32, shard: -1, count: uint64(len(tags)), data: valued.b}
+	t.Run("kind-18", func(t *testing.T) { checkSkipsRetired(t, doc, keyword) })
+	t.Run("kind-32", func(t *testing.T) { checkSkipsRetired(t, doc, tagValued) })
+	t.Run("both", func(t *testing.T) { checkSkipsRetired(t, doc, keyword, tagValued) })
+}
+
+// TestSnapshotWriterOmitsRetiredKinds: the writer emits none of the
+// reserved kinds, so a fresh image carries nothing the reader skips.
+func TestSnapshotWriterOmitsRetiredKinds(t *testing.T) {
+	payloads, err := buildSections(fullSnapshot(t, genDoc(t, 20)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []uint32{8, 9, 18, 19, 20, 32} {
+		t.Run("kind-"+strconv.Itoa(int(kind)), func(t *testing.T) {
+			for _, p := range payloads {
+				if p.kind == kind {
+					t.Fatalf("writer emitted reserved kind %d (shard %d, %d bytes)", kind, p.shard, len(p.data))
+				}
+			}
+		})
+	}
 }
 
 // checkSkipsRetired writes doc's snapshot with and without the retired

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"repro/internal/keyword"
 	"repro/internal/synopsis"
 	"repro/internal/xmltree"
 )
@@ -28,8 +27,6 @@ type Snapshot struct {
 	// Synopsis is the flattened structure synopsis (synopsis.Build then
 	// Flatten), persisted so planners skip the ~per-corpus build cost.
 	Synopsis *synopsis.Flat
-	// Keyword holds flattened keyword indexes, one per scope tag.
-	Keyword []*keyword.Flat
 }
 
 // secPayload is one section staged for writing.
@@ -272,16 +269,6 @@ func buildSections(s *Snapshot) ([]secPayload, error) {
 			return nil, err
 		}
 	}
-	for i, kf := range s.Keyword {
-		if kf == nil {
-			continue
-		}
-		e, words, err := buildKeywordPayload(kf, tagID)
-		if err != nil {
-			return nil, err
-		}
-		add(secKeyword, int32(i), words, e)
-	}
 	return payloads, nil
 }
 
@@ -298,15 +285,13 @@ func buildSynopsisSections(f *synopsis.Flat, tagID map[string]uint32, add func(u
 	meta.s64(int64(f.NodeCount))
 	add(secSynMeta, -1, 1, meta)
 
-	ids, cnts, vals := &leBuf{}, &leBuf{}, &leBuf{}
+	ids, cnts := &leBuf{}, &leBuf{}
 	for i := range f.Tags {
 		ids.u32(synTag[i])
 		cnts.s64(int64(f.TagCount[i]))
-		vals.s64(int64(f.TagValued[i]))
 	}
 	add(secSynTagIDs, -1, len(f.Tags), ids)
 	add(secSynTagCount, -1, len(f.Tags), cnts)
-	add(secSynTagValued, -1, len(f.Tags), vals)
 
 	pp, pt, pc := &leBuf{}, &leBuf{}, &leBuf{}
 	for i := range f.PathTag {
@@ -334,48 +319,4 @@ func buildSynopsisSections(f *synopsis.Flat, tagID map[string]uint32, add func(u
 	add(secSynDescOff, -1, len(f.DescOff), doff)
 	add(secSynArrays, -1, len(f.Arrays), arr)
 	return nil
-}
-
-// buildKeywordPayload lays one keyword scope out as:
-//
-//	u32 scopeTagID, scopeCnt, wordCnt, entryCnt, wordBlobLen, 0
-//	u32[scopeCnt]  scope ordinals
-//	u32[wordCnt+1] word blob offsets
-//	u32[wordCnt+1] postings offsets
-//	u32[entryCnt]  entry ordinals
-//	u32[entryCnt]  entry term frequencies
-//	bytes          word blob
-func buildKeywordPayload(f *keyword.Flat, tagID map[string]uint32) (*leBuf, int, error) {
-	id, ok := tagID[f.ScopeTag]
-	if !ok {
-		return nil, 0, fmt.Errorf("store: keyword scope tag %q is not in the document", f.ScopeTag)
-	}
-	words := len(f.WordOff) - 1
-	if words < 0 || len(f.PostOff) != words+1 || len(f.EntryOrd) != len(f.EntryTF) {
-		return nil, 0, fmt.Errorf("store: keyword flat form for %q is inconsistent", f.ScopeTag)
-	}
-	e := &leBuf{}
-	e.u32(id)
-	e.u32(uint32(len(f.ScopeOrds)))
-	e.u32(uint32(words))
-	e.u32(uint32(len(f.EntryOrd)))
-	e.u32(uint32(len(f.Words)))
-	e.u32(0)
-	for _, o := range f.ScopeOrds {
-		e.u32(uint32(o))
-	}
-	for _, o := range f.WordOff {
-		e.u32(uint32(o))
-	}
-	for _, o := range f.PostOff {
-		e.u32(uint32(o))
-	}
-	for _, o := range f.EntryOrd {
-		e.u32(uint32(o))
-	}
-	for _, tf := range f.EntryTF {
-		e.u32(uint32(tf))
-	}
-	e.str(f.Words)
-	return e, words, nil
 }

@@ -23,11 +23,9 @@ import "fmt"
 type Flat struct {
 	// NodeCount is the number of document nodes summarized.
 	NodeCount int
-	// Tags is the sorted tag table; TagCount/TagValued are per-tag
-	// population and text-carrying counts (the keyword df).
-	Tags      []string
-	TagCount  []int
-	TagValued []int
+	// Tags is the sorted tag table; TagCount is each tag's population.
+	Tags     []string
+	TagCount []int
 	// PathParent/PathTag/PathCount describe the dataguide trie in
 	// preorder; parent -1 is the virtual forest root.
 	PathParent []int32
@@ -53,12 +51,10 @@ func (s *Synopsis) Flatten() *Flat {
 		NodeCount: s.nodes,
 		Tags:      tags,
 		TagCount:  make([]int, len(tags)),
-		TagValued: make([]int, len(tags)),
 		DescOff:   []int64{0},
 	}
 	for i, t := range tags {
 		f.TagCount[i] = s.tags[t].count
-		f.TagValued[i] = s.tags[t].valued
 	}
 	var walk func(pn *pathNode, parent int32)
 	walk = func(pn *pathNode, parent int32) {
@@ -99,9 +95,8 @@ func Unflatten(f *Flat) (*Synopsis, error) {
 		return nil, fmt.Errorf("synopsis: nil flat form")
 	}
 	nt := int32(len(f.Tags))
-	if len(f.TagCount) != int(nt) || len(f.TagValued) != int(nt) {
-		return nil, fmt.Errorf("synopsis: tag columns disagree: %d tags, %d counts, %d valued",
-			nt, len(f.TagCount), len(f.TagValued))
+	if len(f.TagCount) != int(nt) {
+		return nil, fmt.Errorf("synopsis: tag columns disagree: %d tags, %d counts", nt, len(f.TagCount))
 	}
 	np := len(f.PathTag)
 	if len(f.PathParent) != np || len(f.PathCount) != np {
@@ -115,7 +110,7 @@ func Unflatten(f *Flat) (*Synopsis, error) {
 	}
 	s := &Synopsis{root: &pathNode{}, tags: make(map[string]*tagStat, nt), nodes: f.NodeCount}
 	for i, t := range f.Tags {
-		s.tags[t] = &tagStat{count: f.TagCount[i], valued: f.TagValued[i]}
+		s.tags[t] = &tagStat{count: f.TagCount[i]}
 	}
 	nodes := make([]*pathNode, np)
 	for i := 0; i < np; i++ {

@@ -48,9 +48,6 @@ func TestUnflattenAnswersMatch(t *testing.T) {
 		if a, b := s.TagCount(tag), got.TagCount(tag); a != b {
 			t.Fatalf("TagCount(%s): %d vs %d", tag, a, b)
 		}
-		if a, b := s.KeywordIDF(tag), got.KeywordIDF(tag); a != b {
-			t.Fatalf("KeywordIDF(%s): %v vs %v", tag, a, b)
-		}
 	}
 }
 
@@ -68,7 +65,7 @@ func TestUnflattenRejectsMalformed(t *testing.T) {
 		"bad-desc-tag":   func(f *Flat) { f.DescTag[0] = int32(len(f.Tags)) },
 		"bad-offsets":    func(f *Flat) { f.DescOff[1] = f.DescOff[0] + 3 },
 		"offset-overrun": func(f *Flat) { f.DescOff[len(f.DescOff)-1] = int64(len(f.Arrays)) + 5 },
-		"short-tags":     func(f *Flat) { f.TagValued = f.TagValued[:1] },
+		"short-tags":     func(f *Flat) { f.TagCount = f.TagCount[:1] },
 		"short-paths":    func(f *Flat) { f.PathCount = f.PathCount[:1] },
 		"short-desc":     func(f *Flat) { f.DescTag = f.DescTag[:1] },
 	}
@@ -82,7 +79,7 @@ func TestUnflattenRejectsMalformed(t *testing.T) {
 			clone.DescPath = append([]int32(nil), base.DescPath...)
 			clone.DescTag = append([]int32(nil), base.DescTag...)
 			clone.DescOff = append([]int64(nil), base.DescOff...)
-			clone.TagValued = append([]int(nil), base.TagValued...)
+			clone.TagCount = append([]int(nil), base.TagCount...)
 			fn(&clone)
 			f = &clone
 		}

@@ -36,7 +36,6 @@ package synopsis
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sort"
 
 	"repro/internal/dewey"
@@ -117,8 +116,7 @@ func (pn *pathNode) descFor(tag string) *descStat {
 
 // tagStat aggregates one tag across the corpus.
 type tagStat struct {
-	count  int // all nodes with the tag
-	valued int // nodes carrying text — the per-tag keyword df
+	count int // all nodes with the tag
 }
 
 // Synopsis is the finished, immutable structure synopsis. Safe for
@@ -177,11 +175,7 @@ func (b *builder) add(n *xmltree.Node, parent *pathNode, depth int) {
 	}
 	pn := parent.child(n.Tag, true)
 	pn.count++
-	ts := b.stats[id]
-	ts.count++
-	if n.Value != "" {
-		ts.valued++
-	}
+	b.stats[id].count++
 	b.s.nodes++
 	for a, fr := range b.frames[:depth] {
 		for len(fr.tf) <= int(id) {
@@ -280,29 +274,6 @@ func (s *Synopsis) TagCount(tag string) int {
 		return ts.count
 	}
 	return 0
-}
-
-// DF returns the keyword document frequency of a tag: the number of
-// tag nodes carrying text content.
-func (s *Synopsis) DF(tag string) int {
-	if ts, ok := s.tags[tag]; ok {
-		return ts.valued
-	}
-	return 0
-}
-
-// KeywordIDF returns the add-one-smoothed idf of "a tag node carries
-// text": log(1 + count/df), log(1 + count) when no tag node has text, 0
-// for an absent tag — the same shape as Definition 4.2's structural idf.
-func (s *Synopsis) KeywordIDF(tag string) float64 {
-	ts, ok := s.tags[tag]
-	if !ok || ts.count == 0 {
-		return 0
-	}
-	if ts.valued == 0 {
-		return math.Log(1 + float64(ts.count))
-	}
-	return math.Log(1 + float64(ts.count)/float64(ts.valued))
 }
 
 // WalkPaths visits every dataguide path in sorted order with its
@@ -407,8 +378,7 @@ func (s *Synopsis) Fingerprint() string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "nodes=%d;paths=%d;", s.nodes, s.paths)
 	for _, tag := range sortedKeys(s.tags) {
-		ts := s.tags[tag]
-		fmt.Fprintf(h, "tag=%s:%d:%d;", tag, ts.count, ts.valued)
+		fmt.Fprintf(h, "tag=%s:%d;", tag, s.tags[tag].count)
 	}
 	var walk func(pn *pathNode, prefix string)
 	walk = func(pn *pathNode, prefix string) {

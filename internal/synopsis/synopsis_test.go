@@ -173,31 +173,21 @@ func TestPathStats(t *testing.T) {
 	}
 }
 
-// TestTagStats checks per-tag counts and keyword document frequencies.
+// TestTagStats checks per-tag counts.
 func TestTagStats(t *testing.T) {
 	for name, doc := range testDocs(t) {
 		t.Run(name, func(t *testing.T) {
 			s := Build(doc)
 			count := make(map[string]int)
-			valued := make(map[string]int)
 			for _, n := range doc.Nodes {
 				count[n.Tag]++
-				if n.Value != "" {
-					valued[n.Tag]++
-				}
 			}
 			for tag, c := range count {
 				if s.TagCount(tag) != c {
 					t.Fatalf("TagCount(%s) = %d, want %d", tag, s.TagCount(tag), c)
 				}
-				if s.DF(tag) != valued[tag] {
-					t.Fatalf("DF(%s) = %d, want %d", tag, s.DF(tag), valued[tag])
-				}
-				if valued[tag] > 0 && s.KeywordIDF(tag) <= 0 {
-					t.Fatalf("KeywordIDF(%s) = %v, want > 0", tag, s.KeywordIDF(tag))
-				}
 			}
-			if s.TagCount("no-such-tag") != 0 || s.DF("no-such-tag") != 0 || s.KeywordIDF("no-such-tag") != 0 {
+			if s.TagCount("no-such-tag") != 0 {
 				t.Fatal("absent tag must report zero stats")
 			}
 		})

@@ -118,7 +118,7 @@ func TestGenerateStructuralFeatures(t *testing.T) {
 	}
 }
 
-// +whirllint:exactscore answers must clear the exact zero-score bar
+// Scores compare exactly: answers must clear the exact zero-score bar.
 func TestPaperQueriesHaveMatches(t *testing.T) {
 	doc, err := Generate(Options{Seed: 3, Items: 300})
 	if err != nil {

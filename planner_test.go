@@ -12,7 +12,7 @@ import (
 // the answers of plain evaluation — same roots, same scores — on single
 // and sharded databases, across relaxation modes, and that textual
 // variants of one query share a single cached plan.
-// +whirllint:exactscore plan-driven evaluation must reproduce scores bit-for-bit
+// Scores compare exactly: plan-driven evaluation must reproduce scores bit-for-bit.
 func TestPlannerEquivalence(t *testing.T) {
 	db, err := GenerateXMark(XMarkOptions{Seed: 5, Items: 120})
 	if err != nil {
@@ -127,7 +127,7 @@ func TestPlannerCanonicalSharing(t *testing.T) {
 // to the bit, the plans a fresh planner compiles for each shape alone:
 // same routing statistics, same server order, same idfs. The shapes are
 // whirlload's cold_shapes templates over the document's own constants.
-// +whirllint:exactscore a plan from learned statistics must equal one from walked statistics bit-for-bit
+// Scores compare exactly: a plan from learned statistics must equal one from walked statistics bit-for-bit.
 func TestPlannerLearnsPredicates(t *testing.T) {
 	db, err := GenerateXMark(XMarkOptions{Seed: 5, Items: 120})
 	if err != nil {

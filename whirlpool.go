@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/index"
-	"repro/internal/keyword"
 	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/relax"
@@ -157,8 +156,8 @@ type Database struct {
 	doc *Document
 	ix  index.Source
 	// snap is non-nil when the database serves from an mmapped
-	// snapshot (see OpenSnapshot): postings, synopsis and keyword
-	// indexes come from the mapped file instead of being rebuilt.
+	// snapshot (see OpenSnapshot): postings and the synopsis come from
+	// the mapped file instead of being rebuilt.
 	snap *store.SnapshotReader
 
 	mu sync.Mutex
@@ -224,31 +223,23 @@ func LoadProjected(r io.Reader, queries ...*Query) (*Database, error) {
 	return FromDocument(doc), nil
 }
 
-// SnapshotOptions selects what SaveSnapshot persists beyond the
-// document, its postings and the structure synopsis (always included).
-type SnapshotOptions struct {
-	// KeywordScopes lists element tags to persist keyword indexes for,
-	// so BuildKeywordIndex skips the subtree walk and tokenization.
-	KeywordScopes []string
-}
+// SnapshotOptions is SaveSnapshot's options. It has no fields: a
+// snapshot always holds the document, its postings and the structure
+// synopsis, and nothing else.
+type SnapshotOptions struct{}
 
 // SaveSnapshot persists the database in the zero-copy WPXS snapshot
 // format: a single page-aligned, checksummed file that OpenSnapshot
 // mmaps and serves probes from directly — no parse, no index build, no
 // synopsis build, and one kernel page cache shared by every process
 // that opens it.
-func (db *Database) SaveSnapshot(path string, opts SnapshotOptions) error {
-	snap := &store.Snapshot{Doc: db.doc, Synopsis: db.Synopsis().Flatten()}
-	for _, scope := range opts.KeywordScopes {
-		snap.Keyword = append(snap.Keyword, db.BuildKeywordIndex(scope).Flatten())
-	}
-	return store.SaveSnapshot(path, snap)
+func (db *Database) SaveSnapshot(path string, _ SnapshotOptions) error {
+	return store.SaveSnapshot(path, &store.Snapshot{Doc: db.doc, Synopsis: db.Synopsis().Flatten()})
 }
 
 // OpenSnapshot opens a snapshot written by SaveSnapshot, mapping it
 // read-only and serving queries from the mapped pages. The persisted
-// synopsis (when present) seeds the planner and persisted keyword
-// indexes serve BuildKeywordIndex. A checksum or format error is
+// synopsis (when present) seeds the planner. A checksum or format error is
 // returned as-is so callers can fall back to the XML build path.
 func OpenSnapshot(path string) (*Database, error) {
 	r, err := store.OpenSnapshot(path)
@@ -596,36 +587,6 @@ func (sdb *ShardedDatabase) TopKString(xpath string, opts Options) (*Result, err
 func (db *Database) AnswerScore(q *Query, norm Normalization, root *Node) float64 {
 	s := score.NewTFIDF(db.ix, q, norm)
 	return score.AnswerScore(db.ix, q, s, root)
-}
-
-// KeywordIndex is an inverted word index over the text of one element
-// type, answering bag-of-words top-k queries with Fagin's threshold
-// algorithm — the mediator-style ranking family the paper compares
-// against (Section 3).
-type KeywordIndex = keyword.Index
-
-// KeywordAnswer is one ranked keyword-search result.
-type KeywordAnswer = keyword.Answer
-
-// ErrBadKeywordQuery marks keyword-query validation failures (no
-// searchable words, non-positive k); test with errors.Is to map them to
-// client errors.
-var ErrBadKeywordQuery = keyword.ErrBadQuery
-
-// BuildKeywordIndex indexes the text under every element with scopeTag
-// (e.g. "item"): each such element becomes a candidate answer for
-// KeywordTopK queries, scored Σ idf(word)·tf(word, element). When the
-// database was opened from a snapshot carrying a keyword index for the
-// scope, it is unflattened from the mapped arrays — no subtree walk, no
-// tokenization; a snapshot without that scope (or a corrupt section)
-// falls back to a fresh build.
-func (db *Database) BuildKeywordIndex(scopeTag string) *KeywordIndex {
-	if db.snap != nil {
-		if ix, ok, err := db.snap.Keyword(scopeTag); ok && err == nil {
-			return ix
-		}
-	}
-	return keyword.Build(db.doc, scopeTag)
 }
 
 // XMarkOptions sizes a generated XMark-equivalent document. Set exactly

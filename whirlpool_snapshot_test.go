@@ -30,7 +30,7 @@ func TestSnapshotAnswersMatchBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "site.wpxs")
-	if err := built.SaveSnapshot(path, SnapshotOptions{KeywordScopes: []string{"item"}}); err != nil {
+	if err := built.SaveSnapshot(path, SnapshotOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := OpenSnapshot(path)
@@ -82,42 +82,6 @@ func TestSnapshotAnswersMatchBuild(t *testing.T) {
 						}
 					}
 				})
-			}
-		}
-	}
-}
-
-// TestSnapshotKeywordMatchesBuild checks the persisted keyword index
-// answers keyword queries identically to one built from the tree walk.
-func TestSnapshotKeywordMatchesBuild(t *testing.T) {
-	built, err := GenerateXMark(XMarkOptions{Seed: 3, Items: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "site.wpxs")
-	if err := built.SaveSnapshot(path, SnapshotOptions{KeywordScopes: []string{"item"}}); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := OpenSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Close()
-
-	wantIx := built.BuildKeywordIndex("item")
-	gotIx := snap.BuildKeywordIndex("item")
-	for _, query := range []string{"gold silver", "shipping will", "creditcard"} {
-		want := wantIx.TopKScan(query, 5)
-		got := gotIx.TopKScan(query, 5)
-		if len(got) != len(want) {
-			t.Fatalf("%q: %d answers != %d", query, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Node.Ord != want[i].Node.Ord {
-				t.Fatalf("%q: answer %d scope %d != %d", query, i, got[i].Node.Ord, want[i].Node.Ord)
-			}
-			if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-				t.Fatalf("%q: answer %d score %v != %v", query, i, got[i].Score, want[i].Score)
 			}
 		}
 	}

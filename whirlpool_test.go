@@ -137,6 +137,45 @@ func TestParseQueryErrors(t *testing.T) {
 	}
 }
 
+// TestSiblingAxisOutsideQueryModel: every evaluator, built, sharded
+// or snapshot-backed, refuses a following-sibling step as a parse error
+// naming the axis, whatever the relaxation.
+func TestSiblingAxisOutsideQueryModel(t *testing.T) {
+	db, err := GenerateXMark(XMarkOptions{Seed: 3, Items: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdb, err := db.Shard(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "site.wpxs")
+	if err := db.SaveSnapshot(path, SnapshotOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := OpenSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	const xpath = "//item[./mailbox/mail[./from and following-sibling::mail]]"
+	for _, ev := range []struct {
+		name string
+		topK func(string, Options) (*Result, error)
+	}{{"database", db.TopKString}, {"sharded", sdb.TopKString}, {"snapshot", snap.TopKString}} {
+		for _, mode := range []struct {
+			name string
+			opts Options
+		}{{"exact", Exact(3)}, {"relaxed", Approximate(3)}} {
+			t.Run(ev.name+"-"+mode.name, func(t *testing.T) {
+				if _, err := ev.topK(xpath, mode.opts); err == nil || !strings.Contains(err.Error(), "unsupported axis following-sibling::") {
+					t.Fatalf("TopKString = %v, want a parse error naming the following-sibling axis", err)
+				}
+			})
+		}
+	}
+}
+
 func TestDefaultK(t *testing.T) {
 	db, _ := LoadString(catalogXML)
 	res, err := db.TopKString("/book", Options{Relax: RelaxAll})
@@ -188,7 +227,7 @@ func TestAnswerScore(t *testing.T) {
 	}
 }
 
-// +whirllint:exactscore reuse must reproduce bit-identical scores
+// Scores compare exactly: reuse must reproduce bit-identical scores.
 func TestEngineReuse(t *testing.T) {
 	db, _ := LoadString(catalogXML)
 	q := MustParseQuery("/book[./title = 'wodehouse']")
@@ -280,33 +319,6 @@ func TestCostBasedOrderFacade(t *testing.T) {
 	opts.Order = order
 	if _, err := db.TopK(q, opts); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestKeywordSearchFacade(t *testing.T) {
-	db, err := GenerateXMark(XMarkOptions{Seed: 6, Items: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ki := db.BuildKeywordIndex("item")
-	if ki.Scopes() != 120 {
-		t.Fatalf("scopes = %d", ki.Scopes())
-	}
-	ta, _, err := ki.TopKTA("gold silver", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan := ki.TopKScan("gold silver", 5)
-	if len(ta) != len(scan) {
-		t.Fatalf("TA %d vs scan %d answers", len(ta), len(scan))
-	}
-	for i := range ta {
-		if math.Abs(ta[i].Score-scan[i].Score) > 1e-9 {
-			t.Fatalf("answer %d: %v vs %v", i, ta[i].Score, scan[i].Score)
-		}
-	}
-	if len(ta) == 0 {
-		t.Fatal("no keyword answers on generated corpus")
 	}
 }
 
