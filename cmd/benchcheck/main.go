@@ -5,7 +5,7 @@
 //
 //	benchcheck -file BENCH_core.json -alloc-case single -max-alloc-ratio 0.2
 //	benchcheck -file BENCH_core.json -min-hot-speedup 2
-//	benchcheck -file BENCH_core.json -min-snapshot-speedup 50
+//	benchcheck -file BENCH_core.json -min-snapshot-speedup 25
 //
 // The cached-planning gate divides the cold planning case's ns/op
 // (scorer and routing statistics computed from index scans, plan built

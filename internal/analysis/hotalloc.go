@@ -15,7 +15,7 @@ import (
 //	// +whirllint:hotpath
 //
 // is a hot-path root (run.process, the heap ops, topkSet.offer, the
-// arena's get/release, every AppendCandidates implementation, the shard
+// arena's get/release, Probe.Append and AppendCandidates, the shard
 // pool's steal loop), and no allocating construct may be reachable from
 // a root through the package's call graph. The AllocsPerRun tests
 // (TestProcessAllocs, TestRunReuseAllocs, the index and store probe

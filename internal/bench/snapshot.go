@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/dewey"
 	"repro/internal/index"
 	"repro/internal/shard"
 	"repro/internal/store"
@@ -19,9 +18,6 @@ import (
 // — the same 8-way layout the rest of BENCH_core.json exercises.
 const snapshotShards = 8
 
-// snapshotProbeTag is the tag the first-query case probes for.
-const snapshotProbeTag = "item"
-
 // snapshotCases measures the cold-start paths the mmap snapshot
 // collapses, on the same pinned corpus as the rest of BENCH_core.json:
 //
@@ -31,16 +27,14 @@ const snapshotProbeTag = "item"
 //	snapshot-write       build the v2 snapshot bytes for that same state
 //	                     and fsync-rename them into place (a one-time cost)
 //	snapshot-open        open the snapshot: mmap, CRC-32C over the body,
-//	                     full structural validation — the per-process
-//	                     boot cost; postings serve straight from pages
-//	snapshot-first-query open plus the lazy node-slab materialization
-//	                     and one structural probe — the one-time cost
-//	                     the first query adds on top of open
+//	                     full structural validation and the node-slab
+//	                     build — the per-process boot cost a server
+//	                     pays before its first query; postings serve
+//	                     straight from pages
 //
 // Each case's Speedup is full-build wall over its own wall, so the
 // snapshot-open row carries the cold-start win the benchcheck
-// -min-snapshot-speedup gate asserts; the first-query row keeps the
-// deferred materialization visible rather than hidden in open.
+// -min-snapshot-speedup gate asserts.
 func snapshotCases(out io.Writer, env *Env, rounds int) ([]benchCase, error) {
 	var xmlBuf bytes.Buffer
 	if err := env.Doc.Serialize(&xmlBuf); err != nil {
@@ -103,33 +97,14 @@ func snapshotCases(out io.Writer, env *Env, rounds int) ([]benchCase, error) {
 		if err != nil {
 			return err
 		}
-		// Open validates everything (header, CRC, structure) but defers
-		// the node-slab build; the first-query case below measures that
-		// deferred cost so it stays visible.
+		if len(r.Doc.Nodes) != len(env.Doc.Nodes) {
+			r.Close()
+			return fmt.Errorf("bench: snapshot holds %d nodes, corpus has %d", len(r.Doc.Nodes), len(env.Doc.Nodes))
+		}
 		return r.Close()
 	})
 	if err != nil {
 		return nil, fmt.Errorf("bench: snapshot open: %w", err)
-	}
-
-	firstWall, err := best(func() error {
-		r, err := store.OpenSnapshot(path)
-		if err != nil {
-			return err
-		}
-		doc := r.Document() // one-time lazy materialization
-		if len(doc.Nodes) != len(env.Doc.Nodes) {
-			r.Close()
-			return fmt.Errorf("bench: snapshot holds %d nodes, corpus has %d", len(doc.Nodes), len(env.Doc.Nodes))
-		}
-		if got := len(r.AppendCandidates(nil, doc.Roots[0], dewey.Descendant, snapshotProbeTag, index.ValueEq(""))); got == 0 {
-			r.Close()
-			return fmt.Errorf("bench: snapshot probe found no %s nodes", snapshotProbeTag)
-		}
-		return r.Close()
-	})
-	if err != nil {
-		return nil, fmt.Errorf("bench: snapshot first query: %w", err)
 	}
 
 	speedup := func(w time.Duration) float64 { return float64(buildWall) / float64(w) }
@@ -137,14 +112,11 @@ func snapshotCases(out io.Writer, env *Env, rounds int) ([]benchCase, error) {
 		{Name: "full-build", Shards: snapshotShards, NsPerOp: buildWall.Nanoseconds(), Speedup: 1},
 		{Name: "snapshot-write", Shards: snapshotShards, NsPerOp: writeWall.Nanoseconds(), Speedup: speedup(writeWall)},
 		{Name: "snapshot-open", Shards: snapshotShards, NsPerOp: openWall.Nanoseconds(), Speedup: speedup(openWall)},
-		{Name: "snapshot-first-query", Shards: snapshotShards, NsPerOp: firstWall.Nanoseconds(), Speedup: speedup(firstWall)},
 	}
 	fmt.Fprintf(out, "bench: %-20s %12d ns/op  (parse+index+synopsis+partition)\n", "full-build", buildWall.Nanoseconds())
 	fmt.Fprintf(out, "bench: %-20s %12d ns/op  %.2fx  (%d bytes)\n", "snapshot-write", writeWall.Nanoseconds(),
 		speedup(writeWall), snapBytes)
-	fmt.Fprintf(out, "bench: %-20s %12d ns/op  %.2fx  cold-start win (mmap+checksum+validate)\n", "snapshot-open",
+	fmt.Fprintf(out, "bench: %-20s %12d ns/op  %.2fx  cold-start win (mmap+checksum+validate+node slab)\n", "snapshot-open",
 		openWall.Nanoseconds(), speedup(openWall))
-	fmt.Fprintf(out, "bench: %-20s %12d ns/op  %.2fx  open + lazy node slab + one probe\n", "snapshot-first-query",
-		firstWall.Nanoseconds(), speedup(firstWall))
 	return cases, nil
 }

@@ -24,7 +24,6 @@ import (
 // Totals — and safe for repeated and concurrent Run calls.
 type Engine struct {
 	cfg   Config
-	ix    index.Source
 	query *pattern.Query
 	plans []*relax.ServerPlan
 
@@ -37,7 +36,9 @@ type Engine struct {
 	allVisited  uint64
 	order       []int             // static order (defaulted)
 	vts         []index.ValueTest // per-node content predicates
+	probes      []index.Probe     // per-server (tag, value test), resolved once
 	rootVia     int               // valued node whose postings stream the roots; 0 = scan (rootCursor)
+	roots, post []*xmltree.Node   // the root's candidates and rootVia's postings
 	member      bool              // ix is one member of a partitioned corpus (NewMember)
 
 	// totals accumulates every run's Stats behind one mutex, taken once
@@ -89,12 +90,12 @@ func New(ix index.Source, q *pattern.Query, cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:        cfg,
-		ix:         ix,
 		query:      q,
 		maxContrib: make([]float64, q.Size()),
 		minContrib: make([]float64, q.Size()),
 		expContrib: make([]float64, q.Size()),
 		vts:        make([]index.ValueTest, q.Size()),
+		probes:     make([]index.Probe, q.Size()),
 	}
 	if p := cfg.Plan; p != nil {
 		if err := p.checkAgainst(q, &cfg); err != nil {
@@ -110,8 +111,14 @@ func New(ix index.Source, q *pattern.Query, cfg Config) (*Engine, error) {
 	}
 	for id, n := range q.Nodes {
 		e.vts[id] = index.Test(n.ValueOp, n.Value)
+		if id > 0 {
+			e.probes[id] = ix.Probe(e.plans[id].Tag, e.vts[id])
+		}
 	}
-	e.rootVia = e.shortestPostings()
+	e.roots = ix.NodesMatching(q.Root().Tag, e.vts[0])
+	if e.rootVia = e.shortestPostings(ix); e.rootVia != 0 {
+		e.post = ix.NodesMatching(q.Nodes[e.rootVia].Tag, e.vts[e.rootVia])
+	}
 	for id := 0; id < q.Size(); id++ {
 		e.maxContrib[id] = cfg.Scorer.MaxContribution(id)
 		e.minContrib[id] = cfg.Scorer.MinContribution(id)
@@ -146,17 +153,14 @@ func (e *Engine) Query() *pattern.Query { return e.query }
 // than the root's own candidate list, else 0 — a root with no such
 // posting beneath it cannot bind the node. An inner node whose deletion
 // constrains its pattern children (no subtree promotion) is skipped.
-func (e *Engine) shortestPostings() (via int) {
-	best, rel := -1, e.cfg.Relax
+func (e *Engine) shortestPostings(ix index.Source) (via int) {
+	best, rel := len(e.roots), e.cfg.Relax
 	for id := 1; id < e.query.Size(); id++ {
 		n := e.query.Nodes[id]
 		if e.vts[id].Any() || len(n.Children) > 0 && rel.Has(relax.LeafDeletion) && !rel.Has(relax.SubtreePromotion) {
 			continue
 		}
-		if best < 0 {
-			best = len(e.ix.NodesMatching(e.query.Root().Tag, e.vts[0]))
-		}
-		if l := len(e.ix.NodesMatching(n.Tag, e.vts[id])); l < best {
+		if l := len(ix.NodesMatching(n.Tag, e.vts[id])); l < best {
 			best, via = l, id
 		}
 	}
@@ -293,9 +297,9 @@ type rootCursor struct {
 // seedRoots points the run's cursor at the root candidates and postings.
 func (r *run) seedRoots() *rootCursor {
 	e := r.Engine
-	r.roots = rootCursor{r: r, cands: e.ix.NodesMatching(e.query.Root().Tag, e.vts[0]), last: -1}
-	if via := e.rootVia; via != 0 {
-		r.roots.post = e.ix.NodesMatching(e.query.Nodes[via].Tag, e.vts[via])
+	r.roots = rootCursor{r: r, cands: e.roots, last: -1}
+	if e.rootVia != 0 {
+		r.roots.post = e.post
 	}
 	r.roots.bound(e.maxContrib[0] + e.sumMax)
 	return &r.roots

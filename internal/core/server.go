@@ -42,7 +42,7 @@ func (r *run) process(m *match, sid int, sc *Scratch) []*match {
 	}
 	plan := e.plans[sid]
 	root := m.bindings[0]
-	sc.cands = e.ix.AppendCandidates(sc.cands[:0], root, plan.ProbeAxis(), plan.Tag, e.vts[sid])
+	sc.cands = e.probes[sid].Append(sc.cands[:0], root, plan.ProbeAxis())
 
 	exts := sc.exts[:0]
 	compared := int64(len(sc.cands)) // one root test per candidate, plus the conds below

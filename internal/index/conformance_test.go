@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -64,7 +65,7 @@ func sourceCases(t *testing.T, doc *xmltree.Document, p int) []sourceCase {
 		name string
 		src  index.Source
 		doc  *xmltree.Document
-	}{{"Index", index.Build(doc), doc}, {"SnapshotReader", r, r.Document()}} {
+	}{{"Index", index.Build(doc), doc}, {"SnapshotReader", r, r.Doc}} {
 		corpus, err := shard.Partition(backing.doc, backing.src, p)
 		if err != nil {
 			t.Fatal(err)
@@ -196,11 +197,12 @@ func walk(anchor *xmltree.Node, axis dewey.Axis, tag string, vt index.ValueTest)
 	return out
 }
 
-// checkContract holds one source to the three-method contract: Nodes and
+// checkContract holds one source to the contract: Nodes and
 // NodesMatching enumerate exactly the owned (tag, vt) nodes in document
-// order, and AppendCandidates anchored at any owned node appends exactly
-// the tree walk's answer after dst's existing elements — for every axis
-// (an unsupported one appends nothing), tag and value-test kind.
+// order, and AppendCandidates anchored at any owned node — like the
+// resolved Probe's Append — appends exactly the tree walk's answer after
+// dst's existing elements, for every axis (an unsupported one appends
+// nothing), tag and value-test kind.
 func checkContract(t *testing.T, c sourceCase, d conformanceDoc) {
 	var anchors []*xmltree.Node
 	for i, n := range c.doc.Nodes {
@@ -223,12 +225,16 @@ func checkContract(t *testing.T, c sourceCase, d conformanceDoc) {
 			if vt.Any() && !slices.Equal(c.src.Nodes(tag), want) {
 				t.Fatalf("Nodes(%q) = %v, want %v", tag, c.src.Nodes(tag), want)
 			}
+			probe := c.src.Probe(tag, vt)
 			for _, anchor := range anchors {
 				for _, axis := range []dewey.Axis{dewey.Self, dewey.Child, dewey.Descendant} {
 					got := c.src.AppendCandidates([]*xmltree.Node{sentinel}, anchor, axis, tag, vt)
 					if len(got) == 0 || got[0] != sentinel || !slices.Equal(got[1:], walk(anchor, axis, tag, vt)) {
 						t.Fatalf("AppendCandidates(%v, %v, %q, %v) = %v, want sentinel + %v",
 							anchor, axis, tag, vt, got, walk(anchor, axis, tag, vt))
+					}
+					if probed := probe.Append([]*xmltree.Node{sentinel}, anchor, axis); !slices.Equal(probed, got) {
+						t.Fatalf("Probe(%q, %v).Append(%v, %v) = %v, AppendCandidates %v", tag, vt, anchor, axis, probed, got)
 					}
 				}
 			}
@@ -354,6 +360,7 @@ func checkStats(t *testing.T, c sourceCase, d conformanceDoc) {
 // random documents, at shard counts 2 and 8.
 func TestSourceConformance(t *testing.T) {
 	for _, d := range conformanceDocs(t) {
+		t.Run(d.name+"/columns", func(t *testing.T) { checkColumns(t, d.doc) })
 		for _, p := range []int{2, 8} {
 			cases := sourceCases(t, d.doc, p)
 			for _, c := range cases {
@@ -367,6 +374,36 @@ func TestSourceConformance(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/p=%d/tiling", d.name, p), func(t *testing.T) { checkTiling(t, cases, d) })
 		}
 	}
+}
+
+// checkColumns holds the two backings to one layout: the columns a
+// snapshot reader validates over the mapped sections equal, column for
+// column, those index.Build fills on the heap.
+func checkColumns(t *testing.T, doc *xmltree.Document) {
+	var buf bytes.Buffer
+	if err := store.WriteSnapshot(&buf, &store.Snapshot{Doc: doc}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := store.ParseSnapshot(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col := columnDiff(r.Columns, index.Build(doc).Columns); col != "" {
+		t.Fatalf("mapped %s differs from the heap's", col)
+	}
+}
+
+// columnDiff names the first column in which a and b differ, "" when
+// they agree (an empty column equals a nil one).
+func columnDiff(a, b index.Columns) string {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		x, y := va.Field(i), vb.Field(i)
+		if x.Len() != y.Len() || x.Len() > 0 && !reflect.DeepEqual(x.Interface(), y.Interface()) {
+			return va.Type().Field(i).Name
+		}
+	}
+	return ""
 }
 
 // TestNodeLayout holds every way a document is built — parsed,
@@ -405,7 +442,7 @@ func TestNodeLayout(t *testing.T) {
 		for _, build := range []struct {
 			name string
 			doc  *xmltree.Document
-		}{{"parsed", parsed}, {"snapshot", r.Document()}, {"builder", rebuild(parsed)}, {"projected", projected}, {"built", d.doc}} {
+		}{{"parsed", parsed}, {"snapshot", r.Doc}, {"builder", rebuild(parsed)}, {"projected", projected}, {"built", d.doc}} {
 			t.Run(d.name+"/"+build.name, func(t *testing.T) {
 				checkLayout(t, build.doc, d.name == "xmark")
 				sameLayout(t, parsed, build.doc)
@@ -579,7 +616,7 @@ func TestViewProbesAllocateNothing(t *testing.T) {
 }
 
 // TestPostingCachesBounded holds every source that caches (tag, value
-// test) posting lists — Index, SnapshotReader and the member views —
+// test) posting lists — Index (on either backing) and the member views —
 // to one bound: the value in the key comes from the request, so 5 000
 // distinct constants must leave at most lru.PostingsCap lists cached.
 // A cached list is recognised by its backing array: a hit hands out the

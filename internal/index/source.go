@@ -7,10 +7,12 @@ import (
 
 // Source is the access-path contract the engine, the scorers and the
 // reference evaluators consume: root candidates (Nodes, NodesMatching)
-// and "the tag nodes on this axis of this anchor" (AppendCandidates) —
-// all a Whirlpool server needs from storage (Section 5). Two backings
-// implement it — the in-memory Index and the mmap-backed
-// store.SnapshotReader — and View restricts either to one member of a
+// and "the tag nodes on this axis of this anchor" (Probe, or
+// AppendCandidates to resolve and probe in one call) — all a Whirlpool
+// server needs from storage (Section 5). The one implementation with a
+// probe of its own is Index, one posting layout with two backings: the
+// heap columns Build fills and the mapped columns store.SnapshotReader
+// validates and embeds. View restricts a Source to one member of a
 // partition (shard.Corpus only embeds its backing); swapping backings
 // exercises the paper's observation that adaptivity pays off most "in
 // scenarios where data is stored on disk" (Section 6.3.3). Database
@@ -22,6 +24,9 @@ type Source interface {
 	// NodesMatching returns the nodes with the tag whose values satisfy
 	// vt, in document order.
 	NodesMatching(tag string, vt ValueTest) []*xmltree.Node
+	// Probe resolves (tag, vt) once for structural probes; its Append
+	// then scans per anchor without resolving again.
+	Probe(tag string, vt ValueTest) Probe
 	// AppendCandidates appends the tag nodes satisfying vt on the given
 	// axis of anchor (Self, Child or Descendant) to dst, in document
 	// order, and returns the extended slice. dst is typically a reused

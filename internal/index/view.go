@@ -48,6 +48,9 @@ func (v *View) NodesMatching(tag string, vt ValueTest) []*xmltree.Node {
 	return out
 }
 
+// Probe is the backing source's probe.
+func (v *View) Probe(tag string, vt ValueTest) Probe { return v.src.Probe(tag, vt) }
+
 // AppendCandidates is the backing source's probe.
 // +whirllint:hotpath
 func (v *View) AppendCandidates(dst []*xmltree.Node, anchor *xmltree.Node, axis dewey.Axis, tag string, vt ValueTest) []*xmltree.Node {

@@ -14,7 +14,7 @@ import (
 )
 
 // PostingsCap bounds every cache of (tag, value test) posting lists —
-// index.Index, store.SnapshotReader and each index.View keep one. The
+// index.Index (on either backing) and each index.View keep one. The
 // value in the key comes from the request, so an
 // unbounded map would grow with every distinct constant a client sends.
 const PostingsCap = 1024

@@ -81,7 +81,7 @@ type Stats struct {
 // node, answered by src where it can (value-free predicates on a
 // synopsis, walked ones on a Memo), else from its postings (postingStats). It
 // is a whole-corpus quantity: ix must enumerate every node of the root
-// tag and of each query tag, as Index, SnapshotReader and shard.Corpus
+// tag and of each query tag, as Index (on either backing) and shard.Corpus
 // do — a shard part sees only its own postings, and the postings below
 // the spine's roots lie in the parts. Every src yields exactly the
 // numbers the posting walk produces.

@@ -156,7 +156,7 @@ func TestRootStreamEquivalence(t *testing.T) {
 				spineRoots++
 			}
 		}
-		overSnapshot, err := shard.Partition(snap.Document(), snap, 8)
+		overSnapshot, err := shard.Partition(snap.Doc, snap, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func FuzzSnapshotV2Corruption(f *testing.F) {
 		if err != nil {
 			return
 		}
-		doc := r.Document()
+		doc := r.Doc
 		for i, n := range doc.Nodes {
 			if int(n.Ord) != i {
 				t.Fatalf("ordinal mismatch at %d", i)
@@ -58,7 +58,7 @@ func FuzzSnapshotV2Corruption(f *testing.F) {
 				t.Fatalf("parent after child at %d", i)
 			}
 		}
-		for _, tag := range r.tags {
+		for _, tag := range r.Tags {
 			for _, n := range r.Nodes(tag) {
 				if n.Tag != tag {
 					t.Fatalf("Nodes(%q) holds a %q node", tag, n.Tag)

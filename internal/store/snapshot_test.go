@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strconv"
@@ -57,7 +58,7 @@ func parseSnap(t testing.TB, raw []byte) *SnapshotReader {
 func TestSnapshotRoundTripStructure(t *testing.T) {
 	doc := genDoc(t, 30)
 	r := parseSnap(t, writeSnap(t, &Snapshot{Doc: doc}))
-	sameNodes(t, doc, r.Document())
+	sameNodes(t, doc, r.Doc)
 }
 
 // sameNodes holds a materialized snapshot to the document it was written
@@ -98,7 +99,8 @@ func sameNodes(t testing.TB, want, got *xmltree.Document) {
 }
 
 // FuzzSnapshotRoundTrip: whatever Parse accepts, a snapshot of it
-// opens and materializes to the same node slab.
+// opens to the same node slab and to the posting columns index.Build
+// fills for the parsed document, column for column.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	for _, xml := range []string{
 		`<a/>`,
@@ -117,8 +119,24 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("snapshot of a parsed document rejected: %v", err)
 		}
-		sameNodes(t, doc, r.Document())
+		sameNodes(t, doc, r.Doc)
+		if col := columnDiff(r.Columns, index.Build(doc).Columns); col != "" {
+			t.Fatalf("snapshot %s differs from index.Build's", col)
+		}
 	})
+}
+
+// columnDiff names the first column in which a and b differ, "" when
+// they agree (an empty column equals a nil one).
+func columnDiff(a, b index.Columns) string {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		x, y := va.Field(i), vb.Field(i)
+		if x.Len() != y.Len() || x.Len() > 0 && !reflect.DeepEqual(x.Interface(), y.Interface()) {
+			return va.Type().Field(i).Name
+		}
+	}
+	return ""
 }
 
 func TestSnapshotSynopsis(t *testing.T) {
@@ -232,7 +250,7 @@ func checkSkipsRetired(t *testing.T, doc *xmltree.Document, retired ...secPayloa
 	if old.SizeBytes() <= fresh.SizeBytes() {
 		t.Fatalf("image with retired sections is %d bytes, without %d", old.SizeBytes(), fresh.SizeBytes())
 	}
-	sameNodes(t, fresh.Document(), old.Document())
+	sameNodes(t, fresh.Doc, old.Doc)
 	ords := func(ns []*xmltree.Node) []int {
 		out := make([]int, len(ns))
 		for i, n := range ns {
@@ -245,9 +263,9 @@ func checkSkipsRetired(t *testing.T, doc *xmltree.Document, retired ...secPayloa
 			if got, want := ords(old.NodesMatching(tag, vt)), ords(fresh.NodesMatching(tag, vt)); !slices.Equal(got, want) {
 				t.Fatalf("NodesMatching(%q, %v) = %v with retired sections, %v without", tag, vt, got, want)
 			}
-			root := old.Document().Roots[0]
+			root := old.Doc.Roots[0]
 			got := ords(old.AppendCandidates(nil, root, dewey.Descendant, tag, vt))
-			want := ords(fresh.AppendCandidates(nil, fresh.Document().Roots[0], dewey.Descendant, tag, vt))
+			want := ords(fresh.AppendCandidates(nil, fresh.Doc.Roots[0], dewey.Descendant, tag, vt))
 			if !slices.Equal(got, want) {
 				t.Fatalf("AppendCandidates(%q, %v) = %v with retired sections, %v without", tag, vt, got, want)
 			}
@@ -296,8 +314,8 @@ func TestSnapshotSaveOpenMmap(t *testing.T) {
 	if r.SizeBytes()%1 != 0 || r.SizeBytes() == 0 {
 		t.Fatal("empty snapshot file")
 	}
-	if r.Document().Size() != doc.Size() {
-		t.Fatalf("size %d != %d", r.Document().Size(), doc.Size())
+	if r.Doc.Size() != doc.Size() {
+		t.Fatalf("size %d != %d", r.Doc.Size(), doc.Size())
 	}
 	ix := index.Build(doc)
 	for _, tag := range []string{"item", "name", "text"} {
@@ -422,6 +440,96 @@ func TestSnapshotRejectsMalformedTree(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsMalformedPostings: the probe trusts the posting
+// columns, so open refuses a checksummed image whose postings break the
+// layout — each defect with an error naming the section that holds it.
+func TestSnapshotRejectsMalformedPostings(t *testing.T) {
+	// Ordinals a0 b1 b2 c3; tags a b c; keys (b,x)→[1] (b,y)→[2] (c,x)→[3].
+	doc, err := xmltree.ParseString(`<a><b>x</b><b>y</b><c>x</c></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name         string
+		kind         uint32
+		entry        int
+		val          uint32
+		want, reason string
+	}{
+		{"descending tag posting", secTagPostOrds, 2, 0, "tag postings section", "do not ascend"},
+		{"posting of another tag", secTagPostOrds, 2, 3, "tag postings section", "tag id 2, not 1"},
+		{"out-of-range ordinal", secValPostOrds, 2, 99, "value postings section", "ordinal 99"},
+		{"unsorted value keys", secValPostKeys, 0, 'z', "value postings keys section", "not sorted"},
+		{"empty value group", secValPostOff, 2, 1, "value postings offsets section", "empty value postings"},
+	} {
+		payloads, err := buildSections(&Snapshot{Doc: doc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range payloads {
+			switch {
+			case p.kind != c.kind:
+			case c.kind == secValPostKeys: // a byte blob: "xyx" becomes "zyx"
+				p.data[c.entry] = byte(c.val)
+			default:
+				binary.LittleEndian.PutUint32(p.data[4*c.entry:], c.val)
+			}
+		}
+		var buf bytes.Buffer
+		if err := writeSections(&buf, payloads); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseSnapshot(buf.Bytes()); err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), c.reason) {
+			t.Errorf("%s: open says %v, want an error naming the %s and %q", c.name, err, c.want, c.reason)
+		}
+	}
+}
+
+// TestSnapshotReplacedUnderLiveReader pins the replacement contract: a
+// snapshot file is immutable once written and replaced only by
+// SaveSnapshot's rename, which leaves the inode an open mapping holds
+// alive. The open reader keeps answering from the old document; a fresh
+// open sees the new one.
+func TestSnapshotReplacedUnderLiveReader(t *testing.T) {
+	old, repl := genDoc(t, 20), genDoc(t, 5)
+	path := filepath.Join(t.TempDir(), "snap.wpxs")
+	if err := SaveSnapshot(path, fullSnapshot(t, old)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if runtime.GOOS == "linux" && !r.Mapped() {
+		t.Fatal("expected an mmapped reader on linux")
+	}
+	probe := func(r *SnapshotReader) []string {
+		var out []string
+		for _, n := range r.AppendCandidates(nil, r.Doc.Roots[0], dewey.Descendant, "name", index.ValueTest{}) {
+			out = append(out, n.ID.String()+"="+n.Value)
+		}
+		return out
+	}
+	before := probe(r)
+	if err := SaveSnapshot(path, fullSnapshot(t, repl)); err != nil {
+		t.Fatal(err)
+	}
+	if after := probe(r); !slices.Equal(after, before) {
+		t.Fatalf("live reader answers %v after the replacement, %v before", after, before)
+	}
+	sameNodes(t, old, r.Doc)
+	fresh, err := OpenSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	sameNodes(t, repl, fresh.Doc)
+	if got := probe(fresh); slices.Equal(got, before) {
+		t.Fatal("a fresh open still answers from the replaced document")
+	}
+}
+
 func TestSnapshotRejectsUnrenumberedDoc(t *testing.T) {
 	doc := genDoc(t, 5)
 	doc.Nodes[2].Ord = 99
@@ -434,7 +542,7 @@ func TestSnapshotRejectsUnrenumberedDoc(t *testing.T) {
 func TestSnapshotEmptyAndForest(t *testing.T) {
 	empty := xmltree.NewDocument()
 	r := parseSnap(t, writeSnap(t, &Snapshot{Doc: empty}))
-	if r.Document().Size() != 0 || len(r.Nodes("x")) != 0 {
+	if r.Doc.Size() != 0 || len(r.Nodes("x")) != 0 {
 		t.Fatal("empty document snapshot broken")
 	}
 
@@ -443,8 +551,8 @@ func TestSnapshotEmptyAndForest(t *testing.T) {
 		t.Fatal(err)
 	}
 	r = parseSnap(t, writeSnap(t, &Snapshot{Doc: forest}))
-	if len(r.Document().Roots) != 2 {
-		t.Fatalf("roots = %d", len(r.Document().Roots))
+	if len(r.Doc.Roots) != 2 {
+		t.Fatalf("roots = %d", len(r.Doc.Roots))
 	}
 }
 
@@ -468,16 +576,16 @@ func TestLegacyV1FileNamed(t *testing.T) {
 	}
 }
 
-// TestSnapshotFirstTouchConcurrentClimb: the node slab is built on the
-// first touch, which a sharded evaluation makes from several engines at
-// once — each fetching its member view's postings and climbing Parent links,
-// as the root server's posting stream does. Every goroutine must see
-// one fully wired slab (run under -race).
-func TestSnapshotFirstTouchConcurrentClimb(t *testing.T) {
+// TestSnapshotConcurrentViewClimb: a sharded evaluation runs several
+// engines at once over one snapshot — each enumerating its member view's
+// postings and climbing Parent links, as the root server's posting
+// stream does. Every goroutine must see the one slab open built, the
+// same node at every ordinal (run under -race).
+func TestSnapshotConcurrentViewClimb(t *testing.T) {
 	doc := genDoc(t, 60)
 	r := parseSnap(t, writeSnap(t, &Snapshot{Doc: doc}))
-	// The partition comes from the built document — ordinals are the
-	// snapshot's — so the views below are the reader's first touch.
+	// The partition comes from the built document: ordinals are the
+	// snapshot's.
 	const p = 4
 	c, err := shard.Split(doc, p)
 	if err != nil {
@@ -510,7 +618,7 @@ func TestSnapshotFirstTouchConcurrentClimb(t *testing.T) {
 			for _, kw := range index.NewView(r, owner, i).Nodes("keyword") {
 				top := kw
 				for a := kw.Parent; a != nil; a = a.Parent {
-					if !a.Contains(kw) || r.Document().Nodes[a.Ord] != a {
+					if !a.Contains(kw) || r.Doc.Nodes[a.Ord] != a {
 						t.Errorf("part %d: keyword %d climbs through a foreign node %v", i, kw.Ord, a)
 						return
 					}

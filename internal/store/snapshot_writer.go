@@ -9,8 +9,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 
+	"repro/internal/index"
 	"repro/internal/synopsis"
 	"repro/internal/xmltree"
 )
@@ -44,15 +44,6 @@ func (e *leBuf) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *leBuf) s64(v int64)  { e.b = binary.LittleEndian.AppendUint64(e.b, uint64(v)) }
 func (e *leBuf) raw(p []byte) { e.b = append(e.b, p...) }
 func (e *leBuf) str(s string) { e.b = append(e.b, s...) }
-func (e *leBuf) ords(v []int) error {
-	for _, o := range v {
-		if o < 0 || o > math.MaxUint32-1 {
-			return fmt.Errorf("store: ordinal %d does not fit the snapshot format", o)
-		}
-		e.u32(uint32(o))
-	}
-	return nil
-}
 
 // WriteSnapshot serializes s to w in the v2 mmap snapshot format.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
@@ -133,149 +124,83 @@ func buildSections(s *Snapshot) ([]secPayload, error) {
 		}
 	}
 	var payloads []secPayload
-	add := func(kind uint32, shard int32, count int, e *leBuf) {
-		payloads = append(payloads, secPayload{kind: kind, shard: shard, count: uint64(count), data: e.b})
+	add := func(kind uint32, count int, e *leBuf) {
+		payloads = append(payloads, secPayload{kind: kind, shard: -1, count: uint64(count), data: e.b})
 	}
-
-	// Tag table, first-appearance order.
-	tagID := make(map[string]uint32)
-	var tags []string
-	for _, nd := range doc.Nodes {
-		if _, ok := tagID[nd.Tag]; !ok {
-			tagID[nd.Tag] = uint32(len(tags))
-			tags = append(tags, nd.Tag)
-		}
-	}
-	{
+	addStrings := func(offKind, blobKind uint32, count int, str func(i int) string) error {
 		off, blob := &leBuf{}, &leBuf{}
 		off.u32(0)
-		for _, t := range tags {
-			blob.str(t)
+		for i := 0; i < count; i++ {
+			blob.str(str(i))
 			if len(blob.b) > math.MaxUint32 {
-				return nil, fmt.Errorf("store: tag blob exceeds 4 GiB")
+				return fmt.Errorf("store: %s exceeds 4 GiB", sectionName(blobKind))
 			}
 			off.u32(uint32(len(blob.b)))
 		}
-		add(secTagOffsets, -1, len(tags)+1, off)
-		add(secTagBlob, -1, len(blob.b), blob)
+		add(offKind, count+1, off)
+		add(blobKind, len(blob.b), blob)
+		return nil
+	}
+	addU32s := func(kind uint32, v []uint32) {
+		e := &leBuf{}
+		for _, x := range v {
+			e.u32(x)
+		}
+		add(kind, len(v), e)
 	}
 
-	// Per-node columns.
-	{
-		nt, np, st := &leBuf{}, &leBuf{}, &leBuf{}
-		vo, vb := &leBuf{}, &leBuf{}
-		vo.u32(0)
-		for _, nd := range doc.Nodes {
-			nt.u32(tagID[nd.Tag])
-			if nd.Parent == nil {
-				np.u32(0)
-			} else {
-				np.u32(uint32(nd.Parent.Ord) + 1)
-			}
-			st.u32(uint32(nd.End - nd.Ord + 1))
-			vb.str(nd.Value)
-			if len(vb.b) > math.MaxUint32 {
-				return nil, fmt.Errorf("store: value blob exceeds 4 GiB")
-			}
-			vo.u32(uint32(len(vb.b)))
-		}
-		add(secNodeTags, -1, n, nt)
-		add(secNodeParents, -1, n, np)
-		add(secSubtree, -1, n, st)
-		add(secValueOffsets, -1, n+1, vo)
-		add(secValueBlob, -1, len(vb.b), vb)
+	ix := index.Build(doc)
+	c := ix.Columns
+	if err := addStrings(secTagOffsets, secTagBlob, len(c.Tags), func(i int) string { return c.Tags[i] }); err != nil {
+		return nil, err
 	}
 
-	// Tag postings: ordinals grouped by tag id, ascending within each
-	// group (one pass over preorder yields both).
-	{
-		cnt := make([]int, len(tags))
-		for _, nd := range doc.Nodes {
-			cnt[tagID[nd.Tag]]++
+	// Per-node columns; a node's tag id is the tag postings group it
+	// sits in.
+	nodeTags := make([]uint32, n)
+	for t := range c.Tags {
+		for _, o := range c.TagOrds[c.TagOff[t]:c.TagOff[t+1]] {
+			nodeTags[o] = uint32(t)
 		}
-		off := &leBuf{}
-		off.u32(0)
-		sum := 0
-		starts := make([]int, len(tags))
-		for t, c := range cnt {
-			starts[t] = sum
-			sum += c
-			off.u32(uint32(sum))
+	}
+	np, st := &leBuf{}, &leBuf{}
+	for _, nd := range doc.Nodes {
+		parent := uint32(0)
+		if nd.Parent != nil {
+			parent = uint32(nd.Parent.Ord) + 1
 		}
-		ords := make([]uint32, n)
-		pos := append([]int(nil), starts...)
-		for _, nd := range doc.Nodes {
-			t := tagID[nd.Tag]
-			ords[pos[t]] = uint32(nd.Ord)
-			pos[t]++
-		}
-		ob := &leBuf{}
-		for _, o := range ords {
-			ob.u32(o)
-		}
-		add(secTagPostOff, -1, len(tags)+1, off)
-		add(secTagPostOrds, -1, n, ob)
+		np.u32(parent)
+		st.u32(uint32(nd.End - nd.Ord + 1))
+	}
+	addU32s(secNodeTags, nodeTags)
+	add(secNodeParents, n, np)
+	add(secSubtree, n, st)
+	if err := addStrings(secValueOffsets, secValueBlob, n, func(i int) string { return doc.Nodes[i].Value }); err != nil {
+		return nil, err
 	}
 
-	// Value postings, keyed by (tag id, value bytes), sorted.
-	{
-		type valKey struct {
-			tag   uint32
-			value string
-		}
-		byVal := make(map[valKey][]int)
-		for _, nd := range doc.Nodes {
-			if nd.Value != "" {
-				k := valKey{tagID[nd.Tag], nd.Value}
-				byVal[k] = append(byVal[k], int(nd.Ord))
-			}
-		}
-		keys := make([]valKey, 0, len(byVal))
-		for k := range byVal {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].tag != keys[j].tag {
-				return keys[i].tag < keys[j].tag
-			}
-			return keys[i].value < keys[j].value
-		})
-		tagsB, keyOff, keyBlob, postOff, postOrds := &leBuf{}, &leBuf{}, &leBuf{}, &leBuf{}, &leBuf{}
-		keyOff.u32(0)
-		postOff.u32(0)
-		total := 0
-		for _, k := range keys {
-			tagsB.u32(k.tag)
-			keyBlob.str(k.value)
-			if len(keyBlob.b) > math.MaxUint32 {
-				return nil, fmt.Errorf("store: value-postings key blob exceeds 4 GiB")
-			}
-			keyOff.u32(uint32(len(keyBlob.b)))
-			if err := postOrds.ords(byVal[k]); err != nil {
-				return nil, err
-			}
-			total += len(byVal[k])
-			postOff.u32(uint32(total))
-		}
-		add(secValPostTags, -1, len(keys), tagsB)
-		add(secValPostKeyOff, -1, len(keys)+1, keyOff)
-		add(secValPostKeys, -1, len(keyBlob.b), keyBlob)
-		add(secValPostOff, -1, len(keys)+1, postOff)
-		add(secValPostOrds, -1, total, postOrds)
+	// The index's posting columns, as they are.
+	addU32s(secTagPostOff, c.TagOff)
+	addU32s(secTagPostOrds, c.TagOrds)
+	addU32s(secValPostTags, c.KeyTags)
+	if err := addStrings(secValPostKeyOff, secValPostKeys, len(c.Keys), func(i int) string { return c.Keys[i] }); err != nil {
+		return nil, err
 	}
+	addU32s(secValPostOff, c.KeyOff)
+	addU32s(secValPostOrds, c.KeyOrds)
 
 	if s.Synopsis != nil {
-		if err := buildSynopsisSections(s.Synopsis, tagID, add); err != nil {
+		if err := buildSynopsisSections(s.Synopsis, ix.TagID, add); err != nil {
 			return nil, err
 		}
 	}
 	return payloads, nil
 }
 
-func buildSynopsisSections(f *synopsis.Flat, tagID map[string]uint32, add func(uint32, int32, int, *leBuf)) error {
+func buildSynopsisSections(f *synopsis.Flat, tagID func(string) (uint32, bool), add func(uint32, int, *leBuf)) error {
 	synTag := make([]uint32, len(f.Tags))
 	for i, t := range f.Tags {
-		id, ok := tagID[t]
+		id, ok := tagID(t)
 		if !ok {
 			return fmt.Errorf("store: synopsis tag %q is not in the document", t)
 		}
@@ -283,15 +208,15 @@ func buildSynopsisSections(f *synopsis.Flat, tagID map[string]uint32, add func(u
 	}
 	meta := &leBuf{}
 	meta.s64(int64(f.NodeCount))
-	add(secSynMeta, -1, 1, meta)
+	add(secSynMeta, 1, meta)
 
 	ids, cnts := &leBuf{}, &leBuf{}
 	for i := range f.Tags {
 		ids.u32(synTag[i])
 		cnts.s64(int64(f.TagCount[i]))
 	}
-	add(secSynTagIDs, -1, len(f.Tags), ids)
-	add(secSynTagCount, -1, len(f.Tags), cnts)
+	add(secSynTagIDs, len(f.Tags), ids)
+	add(secSynTagCount, len(f.Tags), cnts)
 
 	pp, pt, pc := &leBuf{}, &leBuf{}, &leBuf{}
 	for i := range f.PathTag {
@@ -299,9 +224,9 @@ func buildSynopsisSections(f *synopsis.Flat, tagID map[string]uint32, add func(u
 		pt.u32(synTag[f.PathTag[i]])
 		pc.s64(f.PathCount[i])
 	}
-	add(secSynPathParent, -1, len(f.PathTag), pp)
-	add(secSynPathTag, -1, len(f.PathTag), pt)
-	add(secSynPathCount, -1, len(f.PathTag), pc)
+	add(secSynPathParent, len(f.PathTag), pp)
+	add(secSynPathTag, len(f.PathTag), pt)
+	add(secSynPathCount, len(f.PathTag), pc)
 
 	dp, dt, doff, arr := &leBuf{}, &leBuf{}, &leBuf{}, &leBuf{}
 	for i := range f.DescPath {
@@ -314,9 +239,9 @@ func buildSynopsisSections(f *synopsis.Flat, tagID map[string]uint32, add func(u
 	for _, v := range f.Arrays {
 		arr.s64(int64(v))
 	}
-	add(secSynDescPath, -1, len(f.DescPath), dp)
-	add(secSynDescTag, -1, len(f.DescPath), dt)
-	add(secSynDescOff, -1, len(f.DescOff), doff)
-	add(secSynArrays, -1, len(f.Arrays), arr)
+	add(secSynDescPath, len(f.DescPath), dp)
+	add(secSynDescTag, len(f.DescPath), dt)
+	add(secSynDescOff, len(f.DescOff), doff)
+	add(secSynArrays, len(f.Arrays), arr)
 	return nil
 }

@@ -246,7 +246,7 @@ func OpenSnapshot(path string) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Database{doc: r.Document(), ix: r, snap: r, syn: r.Synopsis()}, nil
+	return &Database{doc: r.Doc, ix: r, snap: r, syn: r.Synopsis()}, nil
 }
 
 // SnapshotBacked reports whether the database serves from an mmapped
