@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race budget bench bench-check bench-micro profile experiments experiments-full fuzz clean
+.PHONY: all build vet lint test race budget bench-micro profile experiments experiments-full fuzz clean
 
 all: build vet lint test race
 
@@ -42,33 +42,12 @@ budget:
 		count $$p -not "$$p, non-test"; \
 	done
 
-# Pinned core benchmark (XMark seed 1, Q2, k=15, Whirlpool-S) measured
-# unsharded and at 2/4/8 shards across a GOMAXPROCS sweep (1/4/8),
-# plus the planning-path sweep (cold / synopsis / cached plans);
-# writes BENCH_core.json for comparison against the committed baseline.
-bench:
-	$(GO) run ./cmd/whirlbench -bench-json BENCH_core.json
-
-# Gate the freshly written report the way CI does: hot-path allocation
-# budget (≤ 20% of the reuse-disabled baseline), cached planning (a
-# plan-cache hit ≥ 2x cheaper than planning from scratch), and the
-# snapshot cold start (open ≥ 25x cheaper than a full rebuild: open now
-# builds the node slab every serving path needs before its first query,
-# which the old lazy open left out; open plus that slab measured 26–47x
-# a full build on a 2-vCPU host, and 25 is the round floor below that).
-# Steals and sharded speedup are not gated: on one pinned query a single
-# engine does a few hundred server ops, so stealing is held by the shard
-# tests and sharding is judged on whirlload's sharded_mix (see
-# DESIGN.md, sharded execution).
-bench-check:
-	$(GO) run ./cmd/benchcheck -file BENCH_core.json -alloc-case single -max-alloc-ratio 0.2
-	$(GO) run ./cmd/benchcheck -file BENCH_core.json -min-hot-speedup 2
-	$(GO) run ./cmd/benchcheck -file BENCH_core.json -min-snapshot-speedup 25
-
-# Pinned core benchmark with CPU and allocation profiles; inspect with
-# `go tool pprof cpu.pprof` / `go tool pprof -sample_index=alloc_objects mem.pprof`.
+# CPU and allocation profiles of warm Whirlpool-S runs (BenchmarkRunReuse:
+# the bookstore query, min_alive, all relaxations); inspect with
+# `go tool pprof core.test cpu.pprof` /
+# `go tool pprof -sample_index=alloc_objects core.test mem.pprof`.
 profile:
-	$(GO) run ./cmd/whirlbench -bench-json BENCH_core.json -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) test -run '^$$' -bench BenchmarkRunReuse -cpuprofile cpu.pprof -memprofile mem.pprof ./internal/core/
 
 # One benchmark per paper table/figure plus engine micro-benchmarks.
 bench-micro:

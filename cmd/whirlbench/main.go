@@ -12,10 +12,6 @@
 //	whirlbench -full           # paper-scale parameters
 //	whirlbench -scale 0.1 -k 15 -opcost 200us -seed 7
 //	whirlbench -trace run.jsonl  # dump one run's engine events as JSONL
-//	whirlbench -shards 1,2,4,8   # sharded-execution scaling sweep
-//	whirlbench -bench-json BENCH_core.json   # pinned core benchmark → JSON
-//	whirlbench -bench-json BENCH_core.json -bench-gmp 1,4,8   # GOMAXPROCS sweep
-//	whirlbench -bench-json BENCH_core.json -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
@@ -23,10 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -35,24 +27,16 @@ import (
 
 func main() {
 	var (
-		fig        = flag.Int("fig", 0, "run a single figure (3, 5, 6, 7, 8, 9, 10, 11); 0 = all")
-		tableNo    = flag.Int("table", 0, "run a single table (2); 0 = all")
-		ablations  = flag.Bool("ablations", false, "run only the queue/scoring ablations")
-		full       = flag.Bool("full", false, "paper-scale documents (1/10/50 MB) and 1.8 ms op cost")
-		scale      = flag.Float64("scale", 0, "document scale factor vs the paper's sizes (default 0.02)")
-		k          = flag.Int("k", 0, "top-k (default 15)")
-		seed       = flag.Int64("seed", 0, "generator seed (default 1)")
-		opcost     = flag.Duration("opcost", 0, "synthetic per-operation cost (default 100µs)")
-		orders     = flag.Int("orders", 0, "static permutations to sweep (default all 120)")
-		trace      = flag.String("trace", "", "dump one representative run's engine events to FILE as JSONL and exit")
-		shards     = flag.String("shards", "", "comma-separated shard counts to sweep (e.g. 1,2,4,8) and exit")
-		benchJSON  = flag.String("bench-json", "", "run the pinned core benchmark, write the JSON report to FILE and exit")
-		benchFast  = flag.Bool("bench-short", false, "with -bench-json: smaller document and fewer rounds (CI short mode)")
-		benchGMP   = flag.String("bench-gmp", "1,4,8", "with -bench-json: comma-separated GOMAXPROCS sweep (must start at 1, the speedup baseline)")
-		benchHot   = flag.Bool("bench-hot", true, "with -bench-json: include the planning-path cases (plan-cold, plan-synopsis, plan-hot)")
-		benchSnap  = flag.Bool("bench-snapshot", true, "with -bench-json: include the cold-start cases (full-build, snapshot-write, snapshot-open)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to FILE")
-		memprofile = flag.String("memprofile", "", "write an allocs/heap profile to FILE on exit")
+		fig       = flag.Int("fig", 0, "run a single figure (3, 5, 6, 7, 8, 9, 10, 11); 0 = all")
+		tableNo   = flag.Int("table", 0, "run a single table (2); 0 = all")
+		ablations = flag.Bool("ablations", false, "run only the queue/scoring ablations")
+		full      = flag.Bool("full", false, "paper-scale documents (1/10/50 MB) and 1.8 ms op cost")
+		scale     = flag.Float64("scale", 0, "document scale factor vs the paper's sizes (default 0.02)")
+		k         = flag.Int("k", 0, "top-k (default 15)")
+		seed      = flag.Int64("seed", 0, "generator seed (default 1)")
+		opcost    = flag.Duration("opcost", 0, "synthetic per-operation cost (default 100µs)")
+		orders    = flag.Int("orders", 0, "static permutations to sweep (default all 120)")
+		trace     = flag.String("trace", "", "dump one representative run's engine events to FILE as JSONL and exit")
 	)
 	flag.Parse()
 
@@ -72,89 +56,16 @@ func main() {
 		}
 	}
 
-	// Profiles bracket the selected experiment so the pprof output
-	// covers exactly the measured work; they are flushed before any
-	// error exit so a failing run still leaves usable profiles.
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-	}
-
-	err := dispatch(cfg, *trace, *benchJSON, *benchFast, *benchHot, *benchSnap, *benchGMP, *shards, *fig, *tableNo, *ablations)
-
-	if *cpuprofile != "" {
-		pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		if perr := writeMemProfile(*memprofile); err == nil && perr != nil {
-			err = perr
-		}
+	var err error
+	if *trace != "" {
+		err = dumpTrace(os.Stdout, cfg, *trace)
+	} else {
+		err = run(os.Stdout, cfg, *fig, *tableNo, *ablations)
 	}
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "whirlbench:", err)
+		os.Exit(1)
 	}
-}
-
-// dispatch runs the experiment the flags selected.
-func dispatch(cfg bench.Config, trace, benchJSON string, benchFast, benchHot, benchSnap bool, benchGMP, shards string, fig, tableNo int, ablations bool) error {
-	switch {
-	case trace != "":
-		return dumpTrace(os.Stdout, cfg, trace)
-	case benchJSON != "":
-		gmps, err := parseCounts(benchGMP)
-		if err != nil {
-			return fmt.Errorf("-bench-gmp: %w", err)
-		}
-		return bench.BenchCore(os.Stdout, benchJSON, benchFast, gmps, benchHot, benchSnap)
-	case shards != "":
-		counts, err := parseCounts(shards)
-		if err != nil {
-			return err
-		}
-		return bench.ShardSweep(os.Stdout, cfg, counts)
-	default:
-		return run(os.Stdout, cfg, fig, tableNo, ablations)
-	}
-}
-
-// writeMemProfile records the cumulative allocation profile (every
-// allocation site, not just live heap) after a final GC, the view the
-// zero-allocation hot-path work optimizes for.
-func writeMemProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC()
-	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "whirlbench:", err)
-	os.Exit(1)
-}
-
-// parseCounts parses the -shards list ("1,2,4,8").
-func parseCounts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad shard count %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // dumpTrace runs one representative evaluation with a JSONL trace sink

@@ -40,3 +40,60 @@ func TestLoadFootprint(t *testing.T) {
 	}
 	runtime.KeepAlive(db)
 }
+
+// TestOpenFootprint pins what opening the same corpus's snapshot costs,
+// measured the way TestLoadFootprint measures a load. Open validates
+// the mapped columns and builds the node slab plus one string header
+// per value key (113.6 bytes and 0.05 allocations per node); postings,
+// values and the synopsis stay in the mapped file. A load holds 125.1
+// bytes and makes 6.1 allocations per node, as it also builds the
+// postings and the value blob on the heap; building the postings in
+// open as well reads 122.5 bytes and 0.059 allocations.
+func TestOpenFootprint(t *testing.T) {
+	var xml bytes.Buffer
+	if _, err := xmark.WriteBytes(&xml, 1, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	measure := func(f func() *Database) (*Database, float64, float64) {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		db := f()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		nodes := float64(db.Size())
+		return db, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / nodes, float64(after.Mallocs-before.Mallocs) / nodes
+	}
+	built, loadBytes, loadAllocs := measure(func() *Database {
+		db, err := Load(bytes.NewReader(xml.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	})
+	path := t.TempDir() + "/seed1.wpxs"
+	if err := built.SaveSnapshot(path, SnapshotOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	opened, openBytes, openAllocs := measure(func() *Database {
+		db, err := OpenSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	})
+	defer opened.Close()
+	if !opened.snap.Mapped() {
+		t.Skip("snapshots are read onto the heap on this platform")
+	}
+	if openBytes > 115 || openBytes >= loadBytes {
+		t.Errorf("an opened snapshot holds %.1f heap bytes per node (a load %.1f), want at most 115", openBytes, loadBytes)
+	}
+	if openAllocs > 0.055 || openAllocs >= loadAllocs {
+		t.Errorf("open makes %.3f allocations per node (a load %.3f), want at most 0.055", openAllocs, loadAllocs)
+	}
+	// The XML stays live through both measurements, so neither delta is
+	// offset by the document buffer being collected.
+	runtime.KeepAlive(built)
+	runtime.KeepAlive(xml.Bytes())
+}

@@ -1,16 +1,16 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"time"
 
+	whirlpool "repro"
 	"repro/internal/core"
 	"repro/internal/joins"
 	"repro/internal/relax"
-	"repro/internal/score"
-	"repro/internal/store"
 )
 
 // ExactBaseline compares exact top-k evaluation via the Whirlpool engine
@@ -49,49 +49,58 @@ func ExactBaseline(w io.Writer, c Config) error {
 	return nil
 }
 
-// DiskVsMemory compares running the default workload against the
-// in-memory index and against a store snapshot image (postings served
-// from the flat WPXS arrays) — the Section 6.3.3 disk-residence
-// ablation. The answers must agree; the table reports open and query
-// times.
+// DiskVsMemory compares running Q2 against the in-memory index and
+// against the same database saved as a snapshot and opened from the file
+// (postings served from the mapped WPXS columns) — the Section 6.3.3
+// disk-residence ablation. The answers must agree; the table reports
+// open and query times.
 func DiskVsMemory(w io.Writer, c Config) error {
 	c = c.withDefaults()
 	env, err := NewEnv(c.Seed, c.bytesFor(Doc10MB), c.Norm)
 	if err != nil {
 		return err
 	}
-	var snap bytes.Buffer
-	if err := store.WriteSnapshot(&snap, &store.Snapshot{Doc: env.Doc}); err != nil {
+	dir, err := os.MkdirTemp("", "whirlbench-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "corpus.wpxs")
+	mem := whirlpool.FromDocument(env.Doc)
+	if err := mem.SaveSnapshot(path, whirlpool.SnapshotOptions{}); err != nil {
 		return err
 	}
 	start := time.Now()
-	reader, err := store.ParseSnapshot(snap.Bytes())
+	disk, err := whirlpool.OpenSnapshot(path)
 	if err != nil {
 		return err
 	}
 	openTime := time.Since(start)
+	defer disk.Close()
+	fi, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
 
 	fmt.Fprintf(w, "In-memory index vs store snapshot (Q2, k=%d, %d bytes XML, %d bytes snapshot, open %s)\n",
-		c.K, env.Bytes, snap.Len(), ms(openTime))
+		c.K, env.Bytes, fi.Size(), ms(openTime))
 	t := newTable(w, "source", "time", "server ops", "answers")
-	cfg := baseConfig(c, env, Q2, core.WhirlpoolS)
-	cfg.OpCost = 0
-	memRes := env.MustRun(Q2, cfg)
-	t.add("memory", ms(memRes.Stats.Duration), fmt.Sprintf("%d", memRes.Stats.ServerOps), fmt.Sprintf("%d", len(memRes.Answers)))
-
-	// Re-run against the snapshot-backed source; scorers are rebuilt
-	// (into a fresh map) because node identities differ.
-	diskEnv := &Env{Ix: reader, Bytes: env.Bytes, queries: env.queries, scorers: map[string]*score.TFIDF{}, norm: env.norm}
-	for _, wl := range Queries() {
-		diskEnv.scorers[wl.Name] = score.NewTFIDF(reader, diskEnv.queries[wl.Name], c.Norm)
+	opts := whirlpool.Options{K: c.K, Relax: relaxAll, Normalization: c.Norm}
+	var answers []int
+	for _, src := range []struct {
+		name string
+		db   *whirlpool.Database
+	}{{"memory", mem}, {"snapshot", disk}} {
+		res, err := src.db.TopK(env.Query(Q2), opts)
+		if err != nil {
+			return err
+		}
+		t.add(src.name, ms(res.Stats.Duration), fmt.Sprintf("%d", res.Stats.ServerOps), fmt.Sprintf("%d", len(res.Answers)))
+		answers = append(answers, len(res.Answers))
 	}
-	cfg2 := baseConfig(c, diskEnv, Q2, core.WhirlpoolS)
-	cfg2.OpCost = 0
-	diskRes := diskEnv.MustRun(Q2, cfg2)
-	t.add("snapshot", ms(diskRes.Stats.Duration), fmt.Sprintf("%d", diskRes.Stats.ServerOps), fmt.Sprintf("%d", len(diskRes.Answers)))
 	t.flush()
-	if len(memRes.Answers) != len(diskRes.Answers) {
-		return fmt.Errorf("bench: snapshot answers diverge: %d vs %d", len(memRes.Answers), len(diskRes.Answers))
+	if answers[0] != answers[1] {
+		return fmt.Errorf("bench: snapshot answers diverge: %d vs %d", answers[0], answers[1])
 	}
 	return nil
 }

@@ -57,8 +57,7 @@ func SetArenaPoisonForTest(v bool) { arenaPoison.Store(v) }
 // over shards round-robin, release returns to the home shard, keeping
 // goroutines from serializing on a single freelist lock.
 type matchArena struct {
-	n        int // bindings per match == query size
-	disabled bool
+	n int // bindings per match == query size
 	// locked is set for concurrent arenas: shard mutexes are taken on
 	// every get/release. It is independent of the shard count —
 	// GOMAXPROCS=1 still runs multiple goroutines.
@@ -78,11 +77,9 @@ type arenaShard struct {
 }
 
 // newMatchArena sizes the arena for matches of n bindings. concurrent
-// selects the sharded (locked) layout; disabled turns every get into a
-// plain allocation and release into a no-op — the allocation-baseline
-// and debugging escape hatch (Config.DisableReuse).
-func newMatchArena(n int, concurrent, disabled bool) *matchArena {
-	a := &matchArena{n: n, disabled: disabled, locked: concurrent && !disabled}
+// selects the sharded (locked) layout.
+func newMatchArena(n int, concurrent bool) *matchArena {
+	a := &matchArena{n: n, locked: concurrent}
 	nshards := 1
 	if a.locked {
 		nshards = runtime.GOMAXPROCS(0)
@@ -102,9 +99,6 @@ func newMatchArena(n int, concurrent, disabled bool) *matchArena {
 // current slab.
 // +whirllint:hotpath
 func (a *matchArena) get() *match {
-	if a.disabled {
-		return a.getUnpooled()
-	}
 	idx := 0
 	s := &a.shards[0]
 	if a.locked {
@@ -117,14 +111,6 @@ func (a *matchArena) get() *match {
 		s.mu.Unlock()
 	}
 	return m
-}
-
-// getUnpooled is the reuse-disabled path: matches come straight from
-// the heap so the GC (not the freelist) reclaims them — the baseline
-// configurations measure against exactly this cost.
-// +whirllint:allocok arena reuse disabled by config: every get deliberately heap-allocates
-func (a *matchArena) getUnpooled() *match {
-	return &match{bindings: make([]*xmltree.Node, a.n)}
 }
 
 // getLocked pops the freelist or carves the slab. Callers hold s.mu
@@ -157,10 +143,10 @@ func (s *arenaShard) getLocked(n int, home int32) *match {
 // release returns a dead match to the arena. The caller gives up
 // ownership: the match may be handed out again by the very next get, so
 // no reference to it — or to its bindings slice — may be retained.
-// Nil-safe; a no-op when reuse is disabled.
+// Nil-safe.
 // +whirllint:hotpath
 func (a *matchArena) release(m *match) {
-	if m == nil || a.disabled {
+	if m == nil {
 		return
 	}
 	// Bindings are cleared here rather than in get, so an idle arena
@@ -202,34 +188,31 @@ var idleStates struct {
 }
 
 // acquireState returns the most recently released idle state for
-// matches of n bindings, or a fresh one. disabled (Config.DisableReuse)
-// bypasses the list both ways.
-func acquireState(n int, concurrent, disabled bool) *ParallelRun {
-	if !disabled {
-		l := &idleStates
-		l.mu.Lock()
-		for i := len(l.list) - 1; i >= 0; i-- {
-			if st := l.list[i]; st.arena.n == n && st.arena.locked == concurrent {
-				l.list = slices.Delete(l.list, i, i+1)
-				l.mu.Unlock()
-				return st
-			}
+// matches of n bindings, or a fresh one.
+func acquireState(n int, concurrent bool) *ParallelRun {
+	l := &idleStates
+	l.mu.Lock()
+	for i := len(l.list) - 1; i >= 0; i-- {
+		if st := l.list[i]; st.arena.n == n && st.arena.locked == concurrent {
+			l.list = slices.Delete(l.list, i, i+1)
+			l.mu.Unlock()
+			return st
 		}
-		l.mu.Unlock()
 	}
-	return &ParallelRun{arena: newMatchArena(n, concurrent, disabled), topk: newTopkSet(1, 0, false)}
+	l.mu.Unlock()
+	return &ParallelRun{arena: newMatchArena(n, concurrent), topk: newTopkSet(1, 0, false)}
 }
 
 // release parks the state for the next run. Only a run that finished
 // has every match back on a freelist — a cancelled one strands matches
 // in queues and batches — so any other state is left to the collector,
-// as is a reuse-disabled or outsized one.
+// as is an outsized one.
 func (p *ParallelRun) release() {
 	held := len(p.topk.ents)
 	for i := range p.arena.shards {
 		held += len(p.arena.shards[i].free)
 	}
-	if !p.IsDone() || p.arena.disabled || held > maxIdleMatches {
+	if !p.IsDone() || held > maxIdleMatches {
 		return
 	}
 	// Idle, it must not pin the engine, context or document it served.

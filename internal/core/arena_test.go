@@ -18,7 +18,7 @@ import (
 // bindings slice retained (no fresh allocation) but wiped.
 // Scores compare exactly: recycled fields must be exactly zero.
 func TestArenaGetReleaseRecycles(t *testing.T) {
-	a := newMatchArena(3, false, false)
+	a := newMatchArena(3, false)
 	m := a.get()
 	if len(m.bindings) != 3 {
 		t.Fatalf("bindings len = %d, want 3", len(m.bindings))
@@ -51,22 +51,11 @@ func TestArenaGetReleaseRecycles(t *testing.T) {
 	a.release(nil) // nil-safe
 }
 
-// TestArenaDisabled checks the DisableReuse escape hatch: every get is a
-// fresh allocation and release never recycles.
-func TestArenaDisabled(t *testing.T) {
-	a := newMatchArena(2, false, true)
-	m := a.get()
-	a.release(m)
-	if m2 := a.get(); m2 == m {
-		t.Fatal("disabled arena recycled a match")
-	}
-}
-
 // TestArenaConcurrentRoundTrip exercises the sharded (locked) layout
 // under -race: goroutines get, populate, and release matches through the
 // same arena; every handed-out match must be exclusively owned.
 func TestArenaConcurrentRoundTrip(t *testing.T) {
-	a := newMatchArena(4, true, false)
+	a := newMatchArena(4, true)
 	done := make(chan bool)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
@@ -145,7 +134,7 @@ func TestArenaPoisonEquivalence(t *testing.T) {
 func TestTopKDoesNotRetainReleasedMatch(t *testing.T) {
 	arenaPoison.Store(true)
 	defer arenaPoison.Store(false)
-	a := newMatchArena(2, false, false)
+	a := newMatchArena(2, false)
 	tk := newTopkSet(1, 0, false)
 	root := &xmltree.Node{Tag: "r", Ord: 7}
 	leaf := &xmltree.Node{Tag: "l", Ord: 8}
@@ -185,7 +174,7 @@ func processStep(tb testing.TB, xpath string, mode relax.Relaxation) func() {
 	r := &run{
 		Engine: e,
 		topk:   shared.set,
-		arena:  newMatchArena(q.Size(), false, false),
+		arena:  newMatchArena(q.Size(), false),
 		ctx:    context.Background(),
 	}
 	r.lastThreshold.Store(math.Float64bits(math.Inf(-1)))

@@ -155,13 +155,6 @@ type Config struct {
 	// Whirlpool-M the sink is invoked from multiple goroutines and must
 	// be safe for concurrent use.
 	Trace obs.TraceSink
-	// DisableReuse turns off memory reuse: every partial match and
-	// bindings slice is heap-allocated, release is a no-op, and the run
-	// neither takes its state from the free list nor returns it (see
-	// ParallelRun). It is the allocation-measurement baseline
-	// (internal/bench records both modes) and a debugging escape hatch;
-	// answers and stats are unaffected.
-	DisableReuse bool
 	// Plan, when non-nil, supplies a precompiled query plan
 	// (CompilePlan): server plans, per-server routing statistics and a
 	// cost-based static order, typically drawn from a shared plan cache.

@@ -100,6 +100,33 @@ func TestRelaxedTopKMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestLeafDeletionParentFirst pins the smallest document on which leaf
+// deletion without subtree promotion went wrong under the default
+// Whirlpool-S / min_alive configuration. Routing b (node 3) ahead of its
+// unbound pattern parent c bound b@0.1.0 and offered the partial score 2
+// to the top-k set; c, whose own parent (node 1) had been deleted, found
+// no candidate and could not be deleted over its bound child, so the
+// match died and its score stayed, where naive answers 1. Parents are
+// routed first now, under every algorithm, routing and static order.
+func TestLeafDeletionParentFirst(t *testing.T) {
+	ix, q := buildEnv(t, "<a><c>x</c><c>y<b/></c></a>", "//a[.//a[./c[./b]] = 'y']")
+	s := score.NewTFIDF(ix, q, score.Sparse)
+	var want []float64
+	for _, a := range naive.TopK(ix, q, relax.LeafDeletion, s, 1) {
+		want = append(want, a.Score)
+	}
+	for _, alg := range []Algorithm{WhirlpoolS, WhirlpoolM, LockStep, LockStepNoPrune} {
+		for _, routing := range []Routing{RoutingStatic, RoutingMaxScore, RoutingMinScore, RoutingMinAlive} {
+			for _, order := range [][]int{nil, {3, 2, 1}} {
+				res := runWith(t, ix, q, Config{K: 1, Relax: relax.LeafDeletion, Algorithm: alg, Routing: routing, Order: order, Scorer: s})
+				if got := scoresOf(res); !almostEqual(got, want) {
+					t.Errorf("%v/%v order %v: scores %v, naive %v", alg, routing, order, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestRelaxedRankingOrder(t *testing.T) {
 	// Book 1 is the exact match; book 2 satisfies publisher/name only
 	// approximately; book 3 has only a nested title; book 4 has neither

@@ -34,7 +34,8 @@ type Engine struct {
 	satisfyProb []float64 // fraction of roots with ≥1 candidate
 	sumMax      float64   // Σ maxContrib over non-root nodes
 	allVisited  uint64
-	order       []int             // static order (defaulted)
+	order       []int             // static order (defaulted; parents first when parentBit is set)
+	parentBit   []uint64          // per server: its pattern parent's visited bit when parents go first, else 0
 	vts         []index.ValueTest // per-node content predicates
 	probes      []index.Probe     // per-server (tag, value test), resolved once
 	rootVia     int               // valued node whose postings stream the roots; 0 = scan (rootCursor)
@@ -96,6 +97,7 @@ func New(ix index.Source, q *pattern.Query, cfg Config) (*Engine, error) {
 		expContrib: make([]float64, q.Size()),
 		vts:        make([]index.ValueTest, q.Size()),
 		probes:     make([]index.Probe, q.Size()),
+		parentBit:  make([]uint64, q.Size()),
 	}
 	if p := cfg.Plan; p != nil {
 		if err := p.checkAgainst(q, &cfg); err != nil {
@@ -142,7 +144,36 @@ func New(ix index.Source, q *pattern.Query, cfg Config) (*Engine, error) {
 			e.order = append(e.order, id)
 		}
 	}
+	// Leaf deletion without subtree promotion cannot delete a parent
+	// over a bound child, so there parents go first: a child bound ahead
+	// of its parent would keep its score when the parent turns out
+	// missing.
+	if cfg.Relax.Has(relax.LeafDeletion) && !cfg.Relax.Has(relax.SubtreePromotion) {
+		for id := 1; id < q.Size(); id++ {
+			e.parentBit[id] = 1 << uint(q.Nodes[id].Parent)
+		}
+		e.order = parentsFirst(e.order, e.parentBit)
+	}
 	return e, nil
+}
+
+// parentsFirst returns order with each server moved after its pattern
+// parent and the order otherwise kept. LockStep's phases follow the
+// static order without routing a match, so the order itself must put
+// parents first.
+func parentsFirst(order []int, parentBit []uint64) []int {
+	out := make([]int, 0, len(order))
+	placed := uint64(1) // the root
+	for len(out) < len(order) {
+		for _, id := range order {
+			if placed&(1<<uint(id)) == 0 && placed&parentBit[id] != 0 {
+				out = append(out, id)
+				placed |= 1 << uint(id)
+				break
+			}
+		}
+	}
+	return out
 }
 
 // Query returns the engine's tree pattern.

@@ -72,7 +72,7 @@ func (e *Engine) NewParallelRun(ctx context.Context, shared *SharedTopK, shardID
 // skips the per-prune threshold-source attribution.
 func (e *Engine) open(ctx context.Context, topk *topkSet, shardID int) *ParallelRun {
 	shared := topk != nil
-	p := acquireState(e.query.Size(), shared || e.cfg.Algorithm == WhirlpoolM, e.cfg.DisableReuse)
+	p := acquireState(e.query.Size(), shared || e.cfg.Algorithm == WhirlpoolM)
 	p.q = &p.sq
 	if !shared {
 		p.q, topk = &p.sq.pq, p.topk

@@ -172,19 +172,20 @@ func (r *run) prunable(m *match) bool {
 }
 
 // nextServer implements the routing decision (Section 6.1.4) for the
-// match's unvisited servers.
+// match's unvisited servers whose pattern parent is visited (see
+// Engine.parentBit).
 func (r *run) nextServer(m *match) int {
 	switch r.cfg.Routing {
 	case RoutingStatic:
 		for _, id := range r.order {
-			if !m.isVisited(id) {
+			if r.routable(m, id) {
 				return id
 			}
 		}
 	case RoutingMaxScore, RoutingMinScore:
 		best, bestVal := -1, 0.0
 		for _, id := range r.order {
-			if m.isVisited(id) {
+			if !r.routable(m, id) {
 				continue
 			}
 			v := r.expContrib[id] * r.satisfyProb[id]
@@ -202,7 +203,7 @@ func (r *run) nextServer(m *match) int {
 		t, ok := r.topk.threshold()
 		best, bestVal := -1, 0.0
 		for _, id := range r.order {
-			if m.isVisited(id) {
+			if !r.routable(m, id) {
 				continue
 			}
 			v := r.estimateAliveAt(m, id, t, ok)
@@ -213,6 +214,12 @@ func (r *run) nextServer(m *match) int {
 		return best
 	}
 	return -1
+}
+
+// routable reports whether m may visit server id next: not yet visited,
+// and its pattern parent visited when parents go first.
+func (r *run) routable(m *match, id int) bool {
+	return !m.isVisited(id) && m.visited&r.parentBit[id] == r.parentBit[id]
 }
 
 // estimateAliveAt predicts how many extensions of m would survive

@@ -86,7 +86,7 @@ func (r *run) process(m *match, sid int, sc *Scratch) []*match {
 	}
 	r.stats.joinComparisons.Add(compared)
 	if len(exts) == 0 {
-		if !e.cfg.Relax.Has(relax.LeafDeletion) || !r.nullAllowed(m, sid) {
+		if !e.cfg.Relax.Has(relax.LeafDeletion) {
 			sc.exts = exts
 			return nil // inner-join semantics: the match dies
 		}
@@ -96,19 +96,4 @@ func (r *run) process(m *match, sid int, sc *Scratch) []*match {
 	r.stats.matchesCreated.Add(int64(len(exts)))
 	r.traceMatch(obs.MatchesSpawned, len(exts))
 	return exts
-}
-
-// nullAllowed reports whether the null (leaf-deleted) extension of m at
-// server sid is consistent: without subtree promotion, deleting a node
-// whose pattern child is already bound would orphan that child.
-func (r *run) nullAllowed(m *match, sid int) bool {
-	if r.cfg.Relax.Has(relax.SubtreePromotion) {
-		return true
-	}
-	for _, cid := range r.query.Nodes[sid].Children {
-		if m.bindings[cid] != nil {
-			return false
-		}
-	}
-	return true
 }

@@ -169,13 +169,6 @@ func TestRootStreamEquivalence(t *testing.T) {
 				Queue:     queues[r.Intn(len(queues))],
 				Routing:   routings[r.Intn(len(routings))],
 			}
-			if mode == relax.LeafDeletion {
-				// Without subtree promotion a pattern child bound before its
-				// parent turns out missing keeps its score on a partial
-				// match (an open gap that predates the root stream); parents
-				// first, as naive enumerates, there is no such order.
-				cfg.Routing = core.RoutingStatic
-			}
 			label := fmt.Sprintf("trial %d %s relax=%v k=%d %v/%v/%v", trial, q, mode, cfg.K, cfg.Algorithm, cfg.Queue, cfg.Routing)
 			// One goroutine and one engine order equal scores by root
 			// ordinal; Whirlpool-M and the pool break boundary ties by arrival.

@@ -179,3 +179,39 @@ func TestPlannerLearnsPredicates(t *testing.T) {
 		t.Fatalf("%d shapes planned: %+v, want every plan missed and most predicates remembered", len(shapes), st)
 	}
 }
+
+// TestPlannerHitIsCached holds the plan cache to exact counts on a
+// cold_shapes-style valued shape: a PlanFor hit returns the very plan
+// the miss compiled, asks the predicate memo nothing, and allocates a
+// pinned count (building the cache key) strictly below what a miss on a
+// fresh planner allocates.
+func TestPlannerHitIsCached(t *testing.T) {
+	db, err := GenerateXMark(XMarkOptions{Seed: 1, Items: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := MustParseQuery("//item[./location = 'United States' and ./quantity = '1']")
+	planner := db.NewPlanner(16)
+	plan, hit, err := planner.PlanFor(q, RelaxAll, NormSparse)
+	if err != nil || hit {
+		t.Fatalf("first plan: hit=%v err=%v", hit, err)
+	}
+	before := planner.Stats().Predicates
+	hitAllocs := testing.AllocsPerRun(100, func() {
+		got, hit, err := planner.PlanFor(q, RelaxAll, NormSparse)
+		if err != nil || !hit || got != plan {
+			t.Fatalf("cached plan: hit=%v err=%v same=%v", hit, err, got == plan)
+		}
+	})
+	if after := planner.Stats().Predicates; after != before {
+		t.Fatalf("plan hits moved the predicate memo: %+v -> %+v", before, after)
+	}
+	missAllocs := testing.AllocsPerRun(10, func() {
+		if _, hit, err := db.NewPlanner(16).PlanFor(q, RelaxAll, NormSparse); err != nil || hit {
+			t.Fatalf("fresh planner: hit=%v err=%v", hit, err)
+		}
+	})
+	if hitAllocs != 12 || hitAllocs >= missAllocs {
+		t.Fatalf("a plan hit allocates %.0f objects and a miss %.0f, want 12 and fewer than the miss", hitAllocs, missAllocs)
+	}
+}
