@@ -13,9 +13,11 @@ import (
 // 1 MB. A loaded database — the node slab and the index — holds at most
 // 140 bytes of live heap per node: no Dewey slice per node, one copy of
 // each tag name, one value blob. Stored IDs and per-node strings took
-// 185. And the synopsis pass allocates at most one object per two nodes:
-// its counters live in frames reused by depth, not in a map per node
-// (4.55 allocations per node).
+// 185. Load makes at most 0.05 allocations per node: the parser scans
+// the bytes straight into the columns, where encoding/xml's tokens made
+// 6.13; it reads 0.011, and the database 124 bytes. And the synopsis pass allocates at most one
+// object per two nodes: its counters live in frames reused by depth, not
+// in a map per node (4.55 allocations per node).
 func TestLoadFootprint(t *testing.T) {
 	var xml bytes.Buffer
 	if _, err := xmark.WriteBytes(&xml, 1, 1<<20); err != nil {
@@ -34,21 +36,28 @@ func TestLoadFootprint(t *testing.T) {
 	if perNode := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / nodes; perNode > 140 {
 		t.Errorf("a loaded database holds %.1f heap bytes per node, want at most 140", perNode)
 	}
+	if perNode := float64(after.Mallocs-before.Mallocs) / nodes; perNode > 0.05 {
+		t.Errorf("Load makes %.3f allocations per node, want at most 0.05", perNode)
+	}
 	allocs := testing.AllocsPerRun(1, func() { synopsis.Build(db.Document()) })
 	if perNode := allocs / nodes; perNode > 0.5 {
 		t.Errorf("synopsis.Build makes %.2f allocations per node, want at most 0.5", perNode)
 	}
 	runtime.KeepAlive(db)
+	// The XML stays live through the measurement, so the delta is not
+	// offset by the document buffer being collected.
+	runtime.KeepAlive(xml.Bytes())
 }
 
 // TestOpenFootprint pins what opening the same corpus's snapshot costs,
 // measured the way TestLoadFootprint measures a load. Open validates
 // the mapped columns and builds the node slab plus one string header
 // per value key (113.6 bytes and 0.05 allocations per node); postings,
-// values and the synopsis stay in the mapped file. A load holds 125.1
-// bytes and makes 6.1 allocations per node, as it also builds the
-// postings and the value blob on the heap; building the postings in
-// open as well reads 122.5 bytes and 0.059 allocations.
+// values and the synopsis stay in the mapped file. A load holds 124.0
+// bytes, as it also builds the postings and the value blob on the heap,
+// and makes 0.011 allocations per node, fewer than open's string
+// headers: the allocations are bounded, not compared. Building the
+// postings in open as well reads 122.5 bytes and 0.059 allocations.
 func TestOpenFootprint(t *testing.T) {
 	var xml bytes.Buffer
 	if _, err := xmark.WriteBytes(&xml, 1, 1<<20); err != nil {
@@ -89,8 +98,11 @@ func TestOpenFootprint(t *testing.T) {
 	if openBytes > 115 || openBytes >= loadBytes {
 		t.Errorf("an opened snapshot holds %.1f heap bytes per node (a load %.1f), want at most 115", openBytes, loadBytes)
 	}
-	if openAllocs > 0.055 || openAllocs >= loadAllocs {
-		t.Errorf("open makes %.3f allocations per node (a load %.3f), want at most 0.055", openAllocs, loadAllocs)
+	if openAllocs > 0.055 {
+		t.Errorf("open makes %.3f allocations per node, want at most 0.055", openAllocs)
+	}
+	if loadAllocs > 0.05 {
+		t.Errorf("a load makes %.3f allocations per node, want at most 0.05", loadAllocs)
 	}
 	// The XML stays live through both measurements, so neither delta is
 	// offset by the document buffer being collected.

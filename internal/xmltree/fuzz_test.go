@@ -2,14 +2,21 @@ package xmltree
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// FuzzParse checks that the XML parser never panics, assigns consistent
-// structure to whatever it accepts — ordinals, intervals, derived Dewey
-// IDs and levels (checkIntervals) — and that Serialize output re-parses
-// to the same shape, as does ParseProjected keeping every tag.
+// FuzzParse checks that the XML parser never panics, refuses exactly
+// what the encoding/xml reference refuses and otherwise yields its
+// columns, assigns consistent structure to whatever it accepts —
+// ordinals, intervals, derived Dewey IDs and levels (checkIntervals) —
+// and that Serialize output re-parses to the same tags and values, as
+// does ParseProjected keeping every tag. The projected parse reads
+// through a window of at most 8 bytes, which it must grow and move
+// across every kind of token, and must refuse what Parse refuses with
+// the same error.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"<a/>",
@@ -24,14 +31,64 @@ func FuzzParse(f *testing.F) {
 		"<a><![CDATA[raw]]></a>",
 		"<?xml version=\"1.0\"?><a/>",
 		"<a><!-- comment --><b/></a>",
+		// Line ends, references, CDATA, skipped markup, names and text
+		// outside the root, accepted.
+		"<a>x\r\ny\rz</a>",
+		"<a v=\"x\r\ny\rz\"/>",
+		"<a b='&lt;&gt;&amp;&apos;&quot;'>&lt;&gt;&amp;&apos;&quot;&#65;&#x42;&#xD800;</a>",
+		"<a>x&#13;y</a>",
+		"<a v=\"x&#13;y\"/>",
+		"<a><![CDATA[<raw> & ]] \r\n]]></a>",
+		"<!DOCTYPE a [<!ENTITY e \"v\"><!-- > --><!ELEMENT a ANY>]><?pi data?><a><?x?><!-- c --></a>",
+		"<x:a xmlns:x=\"u\" x:b=\"1\" xmlns=\"v\"></x:a>",
+		`<a b="1" b="2" c='3'd="4"/>`,
+		"pre<a/>mid<b/>post",
+		"\xef\xbb\xbf<?xml version=\"1.0\" encoding=\"Utf-8\"?><a/>",
+		// Refused.
+		"<?xml version=\"1.0\" encoding=\"ISO-8859-1\"?><a/>",
+		"<?xml version=\"1.1\"?><a/>",
+		"<a>&foo;</a>",
+		"<a>&#0;</a>",
+		"<x:a></y:a>",
+		"<a b=c/>",
+		"<a:b:c/>",
+		"<a>\x01</a>",
+		"<a>\xff</a>",
+		"<a>]]></a>",
+		"<a><!-- x -- y --></a>",
+		"<a b=\"<\"/>",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
+		ref, refErr := referenceColumns(strings.NewReader(input))
+		c, err := parseColumns([]byte(input))
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("scanner error %v, reference error %v", err, refErr)
+		}
+		projected, projErr := parseProjected(strings.NewReader(input), func(string) bool { return true }, 1+len(input)%8)
+		if (err == nil) != (projErr == nil) {
+			t.Fatalf("projected parse error %v, Parse error %v", projErr, err)
+		}
+		if err != nil {
+			if se, pe := syntax(err), syntax(projErr); se == nil || pe == nil || *se != *pe {
+				t.Fatalf("projected parse error %v, Parse error %v", projErr, err)
+			}
+			return
+		}
+		if !slices.Equal(c.Tags, ref.Tags) || !slices.Equal(c.TagIDs, ref.TagIDs) ||
+			!slices.Equal(c.Parents, ref.Parents) || !slices.Equal(c.Subtree, ref.Subtree) {
+			t.Fatalf("columns differ from the reference:\n%+v\n%+v", c, ref)
+		}
+		for i := range c.TagIDs {
+			if v, rv := c.Values[c.ValueLo[i]:c.ValueHi[i]], ref.Values[ref.ValueLo[i]:ref.ValueHi[i]]; v != rv {
+				t.Fatalf("node %d: value %q, reference %q", i, v, rv)
+			}
+		}
 		doc, err := ParseString(input)
 		if err != nil {
-			return
+			t.Fatalf("Parse refuses what its columns accept: %v", err)
 		}
 		// Invariants of accepted documents.
 		for i, n := range doc.Nodes {
@@ -60,14 +117,10 @@ func FuzzParse(f *testing.F) {
 		if doc2.Size() != doc.Size() {
 			t.Fatalf("round trip changed node count: %d -> %d", doc.Size(), doc2.Size())
 		}
-		for i := range doc.Nodes {
-			if doc.Nodes[i].Tag != doc2.Nodes[i].Tag {
-				t.Fatalf("round trip changed tag at %d", i)
+		for i, n := range doc.Nodes {
+			if n2 := doc2.Nodes[i]; n.Tag != n2.Tag || n.Value != n2.Value {
+				t.Fatalf("round trip changed node %d: %v -> %v", i, n, n2)
 			}
-		}
-		projected, err := ParseProjected(strings.NewReader(input), func(string) bool { return true })
-		if err != nil {
-			t.Fatalf("projected parse rejects what Parse accepts: %v", err)
 		}
 		checkIntervals(t, projected)
 		if projected.Size() != doc.Size() {
@@ -79,4 +132,11 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// syntax returns the syntax error err wraps, or nil.
+func syntax(err error) *syntaxError {
+	var se *syntaxError
+	errors.As(err, &se)
+	return se
 }

@@ -2,7 +2,6 @@ package xmltree
 
 import (
 	"bytes"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"math"
@@ -14,19 +13,42 @@ import (
 // (whitespace-trimmed); attributes become child nodes tagged "@name" so
 // that structural predicates can address them uniformly.
 //
-// Parse streams into Columns — each distinct tag stored once, every
-// value appended to one blob — and builds the node slab from them.
+// Parse reads r once, scans the bytes in one pass straight into Columns
+// — each distinct tag stored once, every value appended to one blob,
+// subtree sizes patched at end tags — and builds the node slab from
+// them. A syntax error names its line.
 func Parse(r io.Reader) (*Document, error) {
-	dec := xml.NewDecoder(r)
-	dec.Strict = true
+	in, err := readInput(r)
+	if err != nil {
+		return nil, fmt.Errorf("xmltree: parse: %w", err)
+	}
+	c, err := parseColumns(in)
+	if err != nil {
+		return nil, err
+	}
+	return c.Build(), nil
+}
+
+// parseColumns scans a whole document into columns that share no bytes
+// with in and carry no growth slack.
+func parseColumns(in []byte) (*Columns, error) {
+	// A node is a start tag or an attribute, which hold a '<' and an
+	// '=' each; a value byte is an input byte. The columns and the value
+	// bytes are appended within these bounds and copied out at exact
+	// length at the end, so they never regrow.
+	bound := bytes.Count(in, []byte{'<'}) + bytes.Count(in, []byte{'='})
 	var (
+		s      = scanner{in: in}
 		c      Columns
+		values = make([]byte, 0, len(in))
 		tagIDs = make(map[string]uint32)
-		values strings.Builder
 		open   []uint32 // ordinals of the open elements
-		texts  [][]byte // character data under each open element, reused per depth
-		name   []byte   // tag scratch: a lookup of a known tag allocates nothing
+		pend   []byte   // character data of the open elements, innermost last
+		pendAt []int    // where each open element's data starts in pend
+		name   []byte   // attribute tag scratch
 	)
+	c.TagIDs, c.Parents, c.Subtree = make([]uint32, 0, bound), make([]uint32, 0, bound), make([]uint32, 0, bound)
+	c.ValueLo, c.ValueHi = make([]uint32, 0, bound), make([]uint32, 0, bound)
 	intern := func(tag []byte) uint32 {
 		id, ok := tagIDs[string(tag)]
 		if !ok {
@@ -36,71 +58,58 @@ func Parse(r io.Reader) (*Document, error) {
 		}
 		return id
 	}
-	add := func(tag uint32, value string) uint32 {
-		ord := uint32(len(c.TagIDs))
+	add := func(tag uint32, value []byte) uint32 {
 		parent := uint32(0)
 		if len(open) > 0 {
 			parent = open[len(open)-1] + 1
 		}
-		lo := uint32(values.Len())
-		values.WriteString(value)
-		c.TagIDs = append(c.TagIDs, tag)
-		c.Parents = append(c.Parents, parent)
-		c.Subtree = append(c.Subtree, 1)
-		c.ValueLo = append(c.ValueLo, lo)
-		c.ValueHi = append(c.ValueHi, uint32(values.Len()))
-		return ord
+		c.TagIDs, c.Parents, c.Subtree = append(c.TagIDs, tag), append(c.Parents, parent), append(c.Subtree, 1)
+		c.ValueLo = append(c.ValueLo, uint32(len(values)))
+		values = append(values, value...)
+		c.ValueHi = append(c.ValueHi, uint32(len(values)))
+		return uint32(len(c.TagIDs) - 1)
 	}
 	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
+		tok, err := s.next()
 		if err != nil {
 			return nil, fmt.Errorf("xmltree: parse: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
+		switch tok {
+		case tokStart:
 			// The element's value and subtree size are only known at its
 			// end, where they are patched in.
-			name = append(name[:0], t.Name.Local...)
-			el := add(intern(name), "")
-			open = append(open, el)
-			for _, a := range t.Attr {
-				name = append(append(name[:0], '@'), a.Name.Local...)
-				add(intern(name), a.Value)
+			open = append(open, add(intern(s.name), nil))
+			pendAt = append(pendAt, len(pend))
+		case tokAttr:
+			name = append(append(name[:0], '@'), s.name...)
+			add(intern(name), s.text)
+		case tokText:
+			if len(open) > 0 {
+				pend = append(pend, s.text...)
 			}
-			if len(texts) < len(open) {
-				texts = append(texts, nil)
-			}
-			texts[len(open)-1] = texts[len(open)-1][:0]
-		case xml.EndElement:
-			if len(open) == 0 {
-				return nil, fmt.Errorf("xmltree: unbalanced end element %q", t.Name.Local)
-			}
+		case tokEnd:
 			d := len(open) - 1
 			el := open[d]
-			c.ValueLo[el] = uint32(values.Len())
-			values.Write(bytes.TrimSpace(texts[d]))
-			c.ValueHi[el] = uint32(values.Len())
+			c.ValueLo[el] = uint32(len(values))
+			values = append(values, bytes.TrimSpace(pend[pendAt[d]:])...)
+			c.ValueHi[el] = uint32(len(values))
 			c.Subtree[el] = uint32(len(c.TagIDs)) - el
-			open = open[:d]
-		case xml.CharData:
-			if len(open) > 0 {
-				texts[len(open)-1] = append(texts[len(open)-1], t...)
+			open, pend, pendAt = open[:d], pend[:pendAt[d]], pendAt[:d]
+		case tokEOF:
+			if len(c.TagIDs) > math.MaxInt32 || len(values) > math.MaxUint32 {
+				return nil, fmt.Errorf("xmltree: parse: %d nodes and %d value bytes exceed the int32 ordinals and uint32 value offsets",
+					len(c.TagIDs), len(values))
 			}
+			c.Tags, c.Values = exact(c.Tags), string(values)
+			c.TagIDs, c.Parents, c.Subtree = exact(c.TagIDs), exact(c.Parents), exact(c.Subtree)
+			c.ValueLo, c.ValueHi = exact(c.ValueLo), exact(c.ValueHi)
+			return &c, nil
 		}
 	}
-	if len(open) != 0 {
-		return nil, fmt.Errorf("xmltree: %d unclosed element(s)", len(open))
-	}
-	if len(c.TagIDs) > math.MaxInt32 || values.Len() > math.MaxUint32 {
-		return nil, fmt.Errorf("xmltree: parse: %d nodes and %d value bytes exceed the int32 ordinals and uint32 value offsets",
-			len(c.TagIDs), values.Len())
-	}
-	c.Values = values.String()
-	return c.Build(), nil
 }
+
+// exact returns a copy of s whose capacity is its length.
+func exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
 
 // ParseString parses a document from a string.
 func ParseString(s string) (*Document, error) { return Parse(strings.NewReader(s)) }
@@ -133,26 +142,37 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// writtenTag returns how Serialize writes a tag: as it is, or behind a
+// prefix Parse strips again when it is a local part that cannot stand
+// alone, such as the "0" of <p:0>.
+func writtenTag(tag string) string {
+	if isName([]byte(tag)) {
+		return tag
+	}
+	return "p:" + tag
+}
+
 func writeNode(w io.Writer, n *Node, depth int) error {
 	indent := strings.Repeat("  ", depth)
+	tag := writtenTag(n.Tag)
 	var attrs strings.Builder
 	var elems []*Node
 	for _, c := range n.Children {
 		if strings.HasPrefix(c.Tag, "@") {
-			fmt.Fprintf(&attrs, " %s=\"%s\"", c.Tag[1:], escapeAttr(c.Value))
+			fmt.Fprintf(&attrs, " %s=\"%s\"", writtenTag(c.Tag[1:]), escapeAttr(c.Value))
 		} else {
 			elems = append(elems, c)
 		}
 	}
 	if len(elems) == 0 && n.Value == "" {
-		_, err := fmt.Fprintf(w, "%s<%s%s/>\n", indent, n.Tag, attrs.String())
+		_, err := fmt.Fprintf(w, "%s<%s%s/>\n", indent, tag, attrs.String())
 		return err
 	}
 	if len(elems) == 0 {
-		_, err := fmt.Fprintf(w, "%s<%s%s>%s</%s>\n", indent, n.Tag, attrs.String(), escapeText(n.Value), n.Tag)
+		_, err := fmt.Fprintf(w, "%s<%s%s>%s</%s>\n", indent, tag, attrs.String(), escapeText(n.Value), tag)
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s<%s%s>", indent, n.Tag, attrs.String()); err != nil {
+	if _, err := fmt.Fprintf(w, "%s<%s%s>", indent, tag, attrs.String()); err != nil {
 		return err
 	}
 	if n.Value != "" {
@@ -168,16 +188,17 @@ func writeNode(w io.Writer, n *Node, depth int) error {
 			return err
 		}
 	}
-	_, err := fmt.Fprintf(w, "%s</%s>\n", indent, n.Tag)
+	_, err := fmt.Fprintf(w, "%s</%s>\n", indent, tag)
 	return err
 }
 
-var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+// Both escapers write CR as a reference: a raw one would come back as LF.
+var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\r", "&#13;")
 
 func escapeText(s string) string { return textEscaper.Replace(s) }
 
 var attrEscaper = strings.NewReplacer(
-	"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "\n", "&#10;", "\t", "&#9;",
+	"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "\n", "&#10;", "\t", "&#9;", "\r", "&#13;",
 )
 
 func escapeAttr(s string) string { return attrEscaper.Replace(s) }

@@ -1,10 +1,9 @@
 package xmltree
 
 import (
-	"encoding/xml"
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // ParseProjected parses XML from r keeping only the nodes whose tag the
@@ -19,79 +18,82 @@ import (
 // Dewey IDs are derived over the projected tree; because whole subtrees
 // are dropped (never intermediate nodes), prefix relations and node
 // levels match the original document's.
+//
+// ParseProjected reads r a window at a time and never holds the whole
+// input: what it holds follows the projected tree and the longest token.
 func ParseProjected(r io.Reader, keep func(tag string) bool) (*Document, error) {
-	dec := xml.NewDecoder(r)
-	dec.Strict = true
-	doc := NewDocument()
+	return parseProjected(r, keep, 64<<10)
+}
 
+// parseProjected is ParseProjected over a window of the given initial
+// size.
+func parseProjected(r io.Reader, keep func(tag string) bool, window int) (*Document, error) {
 	// frame is a pending open element: it materializes if its own tag is
 	// kept or any descendant materialized under it.
 	type frame struct {
 		tag      string
 		kept     bool
-		text     *strings.Builder
+		textAt   int     // where a kept element's character data starts in text
 		children []*Node // materialized children, in document order
 	}
-	var stack []*frame
-
-	materialize := func(f *frame) *Node {
-		n := &Node{Tag: f.tag}
-		if f.text != nil {
-			n.Value = strings.TrimSpace(f.text.String())
+	var (
+		s     = newWindow(r, window)
+		doc   = NewDocument()
+		stack []frame
+		text  []byte // character data of the kept open elements, innermost last
+		tags  = make(map[string]string)
+		name  []byte // attribute tag scratch
+	)
+	intern := func(b []byte) string {
+		tag, ok := tags[string(b)]
+		if !ok {
+			tag = string(b)
+			tags[tag] = tag
 		}
-		n.Children = f.children
-		return n
+		return tag
 	}
-
 	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
+		tok, err := s.next()
 		if err != nil {
 			return nil, fmt.Errorf("xmltree: projected parse: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			f := &frame{tag: t.Name.Local, kept: keep(t.Name.Local)}
-			if f.kept {
-				f.text = &strings.Builder{}
+		switch tok {
+		case tokStart:
+			tag := intern(s.name)
+			stack = append(stack, frame{tag: tag, kept: keep(tag), textAt: len(text)})
+		case tokAttr:
+			name = append(append(name[:0], '@'), s.name...)
+			if tag := intern(name); keep(tag) {
+				f := &stack[len(stack)-1]
+				f.children = append(f.children, &Node{Tag: tag, Value: string(s.text)})
 			}
-			for _, attr := range t.Attr {
-				if keep("@" + attr.Name.Local) {
-					f.children = append(f.children, &Node{Tag: "@" + attr.Name.Local, Value: attr.Value})
-				}
+		case tokText:
+			if len(stack) > 0 && stack[len(stack)-1].kept {
+				text = append(text, s.text...)
 			}
-			stack = append(stack, f)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: unbalanced end element %q", t.Name.Local)
-			}
+		case tokEnd:
 			f := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if !f.kept && len(f.children) == 0 {
 				continue // drop silently
 			}
-			n := materialize(f)
+			n := &Node{Tag: f.tag, Children: f.children}
+			if f.kept {
+				n.Value = string(bytes.TrimSpace(text[f.textAt:]))
+				text = text[:f.textAt]
+			}
 			if len(stack) == 0 {
 				doc.Roots = append(doc.Roots, n)
 			} else {
-				parent := stack[len(stack)-1]
+				parent := &stack[len(stack)-1]
 				parent.children = append(parent.children, n)
 			}
-		case xml.CharData:
-			if len(stack) > 0 && stack[len(stack)-1].text != nil {
-				stack[len(stack)-1].text.Write(t)
-			}
+		case tokEOF:
+			// Parent links, positions and levels over the projected forest.
+			doc.renumber()
+			return doc, nil
 		}
 	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: %d unclosed element(s)", len(stack))
-	}
-
-	// Parent links, positions and levels over the projected forest.
-	doc.renumber()
-	return doc, nil
 }
 
 // KeepTags returns a keep function accepting exactly the given tags.

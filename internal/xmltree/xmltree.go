@@ -6,11 +6,12 @@
 // Dewey identifier is not stored: ID derives it on demand from the
 // positions on the path down from the node's tree root.
 //
-// Documents are parsed from serialized XML with encoding/xml and can be
-// serialized back; attributes are modeled as child nodes tagged "@name" so
-// structural predicates treat them uniformly (the paper's queries do not
-// use attributes, but XMark documents carry them). Parse and the snapshot
-// store build the same node slab from the same columns (see Columns).
+// Documents are parsed from serialized XML by a strict byte scanner that
+// streams straight into Columns, and can be serialized back; attributes
+// are modeled as child nodes tagged "@name" so structural predicates treat
+// them uniformly (the paper's queries do not use attributes, but XMark
+// documents carry them). Parse and the snapshot store build the same node
+// slab from the same columns (see Columns).
 package xmltree
 
 import (
