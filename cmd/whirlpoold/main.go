@@ -3,12 +3,17 @@
 // queries with the Whirlpool engine.
 //
 //	whirlpoold -file site.xml -addr :8080
-//	whirlpoold -snapshot site.wpxs -addr :8080   # mmap, no build pass
+//	whirlpoold -snapshot site.wpxs -addr :8080   # mmap, no parse
 //
-// -snapshot boots from a zero-copy snapshot: postings, node columns and
-// the synopsis are served straight from mapped pages, so startup skips
-// the parse/index/synopsis builds entirely and concurrent daemons share
-// one kernel page cache. A -file given alongside acts as a
+// -file boots by parsing the XML once into columns and building the node
+// slab, the postings and the structure synopsis from them concurrently;
+// /metrics reports the boot in whirlpoold_load_us. -snapshot boots from a
+// zero-copy snapshot instead: startup skips the parse and the postings
+// and synopsis builds, validating the mapped postings and synopsis and
+// building only the node slab on the heap, so postings, values and
+// synopsis statistics are served from mapped pages that concurrent
+// daemons share in one kernel page cache; /metrics reports the open in
+// whirlpoold_snapshot_open_us. A -file given alongside acts as a
 // fallback when the snapshot is missing or corrupt.
 //
 // Endpoints:
@@ -54,6 +59,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -119,12 +125,10 @@ func main() {
 	}
 	var db *whirlpool.Database
 	var err error
-	var openTook time.Duration
 	served := *file
+	start := time.Now()
 	if *snapshot != "" {
-		start := time.Now()
 		db, err = whirlpool.OpenSnapshot(*snapshot)
-		openTook = time.Since(start)
 		if err != nil {
 			if *file == "" {
 				log.Fatal(err)
@@ -135,6 +139,7 @@ func main() {
 		}
 	}
 	if db == nil {
+		start = time.Now()
 		if strings.HasPrefix(filepath.Ext(*file), ".wpx") {
 			// .wpxs, and a retired v1 .wpx so it gets OpenSnapshot's
 			// regenerate-it error instead of an XML syntax error.
@@ -146,10 +151,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	opts := serverOptions{CacheSize: *cacheSize, Shards: *shards}
-	if db.SnapshotBacked() {
-		opts.SnapshotOpen = openTook
-	}
+	opts := serverOptions{CacheSize: *cacheSize, Shards: *shards, Boot: time.Since(start)}
 	if *accessLog {
 		opts.AccessLog = log.New(os.Stderr, "", 0)
 	}
@@ -169,6 +171,14 @@ func main() {
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
+	}
+	// A build boot's last collection ran while the build's scratch was
+	// live, so the heap target it set would let the serving heap grow to
+	// twice that before the next one; one collection now sets it from
+	// what serving keeps. A snapshot open leaves little scratch, and the
+	// collection would only compete with its first requests.
+	if !db.SnapshotBacked() {
+		go runtime.GC()
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -139,11 +139,12 @@ type serverOptions struct {
 	// startup and evaluates every /query with one engine per shard, on
 	// a bounded worker pool, pruning against a shared top-k set.
 	Shards int
-	// SnapshotOpen is how long whirlpool.OpenSnapshot took when the
-	// database was booted from an mmap snapshot; recorded into the
-	// whirlpoold_snapshot_open_us histogram so the cold-start win is
-	// visible on /metrics. Leave zero for build-served databases.
-	SnapshotOpen time.Duration
+	// Boot is how long booting the database took: whirlpool.OpenSnapshot
+	// for a snapshot-backed one, recorded into the
+	// whirlpoold_snapshot_open_us histogram, and the build — parse
+	// through synopsis — otherwise, into whirlpoold_load_us, so either
+	// cold start is visible on /metrics.
+	Boot time.Duration
 }
 
 func newServer(db *whirlpool.Database, opts serverOptions) (*server, error) {
@@ -173,9 +174,11 @@ func newServer(db *whirlpool.Database, opts serverOptions) (*server, error) {
 	// from boot, not from the first request.
 	s.qm = newQueryMetrics(s.reg)
 	s.panics = s.reg.Counter("whirlpoold_panics_total")
+	boot := "whirlpoold_load_us"
 	if db.SnapshotBacked() {
-		s.reg.Histogram("whirlpoold_snapshot_open_us").Observe(opts.SnapshotOpen.Microseconds())
+		boot = "whirlpoold_snapshot_open_us"
 	}
+	s.reg.Histogram(boot).Observe(opts.Boot.Microseconds())
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)

@@ -419,6 +419,9 @@ func TestMetricsAdvance(t *testing.T) {
 	if m := find("whirlpoold_query_duration_us", nil); m == nil || m.Histogram == nil || m.Histogram.Count < 1 {
 		t.Fatalf("query duration histogram missing or empty: %+v", m)
 	}
+	if m := find("whirlpoold_load_us", nil); m == nil || m.Histogram == nil || m.Histogram.Count != 1 {
+		t.Fatalf("build-boot histogram missing or not one boot: %+v", m)
+	}
 	if m := find("whirlpoold_engine_cache_misses_total", nil); m == nil || m.Value != 1 {
 		t.Fatalf("cache miss counter = %+v", m)
 	}

@@ -7,17 +7,22 @@ import (
 
 	"repro/internal/synopsis"
 	"repro/internal/xmark"
+	"repro/internal/xmltree"
 )
 
 // TestLoadFootprint pins what a built corpus costs on XMark seed 1 at
-// 1 MB. A loaded database — the node slab and the index — holds at most
-// 140 bytes of live heap per node: no Dewey slice per node, one copy of
-// each tag name, one value blob. Stored IDs and per-node strings took
-// 185. Load makes at most 0.05 allocations per node: the parser scans
-// the bytes straight into the columns, where encoding/xml's tokens made
-// 6.13; it reads 0.011, and the database 124 bytes. And the synopsis pass allocates at most one
-// object per two nodes: its counters live in frames reused by depth, not
-// in a map per node (4.55 allocations per node).
+// 1 MB. A loaded database — the node slab, the index and the synopsis —
+// holds at most 140 bytes of live heap per node: no Dewey slice per
+// node, one copy of each tag name, one value blob, a flat synopsis.
+// Stored IDs and per-node strings took 185. Load makes at most 0.05
+// allocations per node: the parser scans the bytes straight into the
+// columns, where encoding/xml's tokens made 6.13, and the postings and
+// the synopsis are built from the columns. It reads 0.019, and the
+// database 129.6 bytes (124.0 without the synopsis, which Load did not
+// build). And the synopsis pass allocates at most one object per two
+// nodes: its counters live in frames reused by depth, not in a map per
+// node (4.55 allocations per node), and it writes flat columns, not a
+// trie of maps (0.21); it reads 0.006.
 func TestLoadFootprint(t *testing.T) {
 	var xml bytes.Buffer
 	if _, err := xmark.WriteBytes(&xml, 1, 1<<20); err != nil {
@@ -52,12 +57,13 @@ func TestLoadFootprint(t *testing.T) {
 // TestOpenFootprint pins what opening the same corpus's snapshot costs,
 // measured the way TestLoadFootprint measures a load. Open validates
 // the mapped columns and builds the node slab plus one string header
-// per value key (113.6 bytes and 0.05 allocations per node); postings,
-// values and the synopsis stay in the mapped file. A load holds 124.0
-// bytes, as it also builds the postings and the value blob on the heap,
-// and makes 0.011 allocations per node, fewer than open's string
-// headers: the allocations are bounded, not compared. Building the
-// postings in open as well reads 122.5 bytes and 0.059 allocations.
+// per value key (108.9 bytes and 0.0012 allocations per node); postings,
+// values and the synopsis stay in the mapped file. Opening the synopsis
+// as a trie of maps took 4.7 more bytes and 0.049 more allocations. A
+// load holds 128.8 bytes, as it also builds the postings, the synopsis
+// and the value blob on the heap, and makes 0.019 allocations per node:
+// the allocations are bounded, not compared. Building the postings in
+// open as well read 122.5 bytes and 0.059 allocations.
 func TestOpenFootprint(t *testing.T) {
 	var xml bytes.Buffer
 	if _, err := xmark.WriteBytes(&xml, 1, 1<<20); err != nil {
@@ -108,4 +114,34 @@ func TestOpenFootprint(t *testing.T) {
 	// offset by the document buffer being collected.
 	runtime.KeepAlive(built)
 	runtime.KeepAlive(xml.Bytes())
+}
+
+// TestFromDocumentFootprint pins what indexing a document already in
+// memory adds to it, on the corpus TestLoadFootprint loads. The columns
+// FromDocument derives copy every value into a blob of their own; the
+// index points its keys back at the nodes' values, so that blob is
+// collected after the build and the database adds only its postings
+// and synopsis: at most 21 bytes per node. It reads 17.9; keys left on
+// the derived blob kept its 7.3 value bytes per node live, at 25.3.
+func TestFromDocumentFootprint(t *testing.T) {
+	var xml bytes.Buffer
+	if _, err := xmark.WriteBytes(&xml, 1, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := xmltree.Parse(bytes.NewReader(xml.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	db := FromDocument(doc)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perNode := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(db.Size())
+	if perNode > 21 {
+		t.Errorf("FromDocument adds %.1f heap bytes per node to its document, want at most 21", perNode)
+	}
+	runtime.KeepAlive(db)
+	runtime.KeepAlive(doc)
 }

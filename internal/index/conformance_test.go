@@ -18,6 +18,7 @@ import (
 	"repro/internal/score"
 	"repro/internal/shard"
 	"repro/internal/store"
+	"repro/internal/synopsis"
 	"repro/internal/xmark"
 	"repro/internal/xmltree"
 )
@@ -378,7 +379,9 @@ func TestSourceConformance(t *testing.T) {
 
 // checkColumns holds the two backings to one layout: the columns a
 // snapshot reader validates over the mapped sections equal, column for
-// column, those index.Build fills on the heap.
+// column, those index.Build fills on the heap. The boot from the
+// parser's own columns (store.Build, as Load runs it) holds to
+// index.Build and synopsis.Build of the parsed document.
 func checkColumns(t *testing.T, doc *xmltree.Document) {
 	var buf bytes.Buffer
 	if err := store.WriteSnapshot(&buf, &store.Snapshot{Doc: doc}); err != nil {
@@ -390,6 +393,26 @@ func checkColumns(t *testing.T, doc *xmltree.Document) {
 	}
 	if col := columnDiff(r.Columns, index.Build(doc).Columns); col != "" {
 		t.Fatalf("mapped %s differs from the heap's", col)
+	}
+
+	var xml bytes.Buffer
+	if err := doc.Serialize(&xml); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := xmltree.Parse(bytes.NewReader(xml.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := xmltree.ParseColumns(bytes.NewReader(xml.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, syn := store.Build(c, nil)
+	if col := columnDiff(ix.Columns, index.Build(parsed).Columns); col != "" {
+		t.Fatalf("booted %s differs from index.Build's", col)
+	}
+	if syn.Fingerprint() != synopsis.Build(parsed).Fingerprint() {
+		t.Fatal("booted synopsis differs from synopsis.Build's")
 	}
 }
 

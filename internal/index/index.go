@@ -9,16 +9,18 @@
 //
 // When a query is executed on an XML document, "the document is parsed
 // and nodes involved in the query are stored in indexes along with their
-// Dewey encoding" (Section 6.2.1); Build is that step. The index is one
-// column layout (Columns) with two backings: Build fills the columns on
-// the heap, and store.SnapshotReader validates the same columns over the
-// sections of a mapped snapshot file (Open) — the paper's in-memory and
-// disk-resident scenarios (Section 6.3.3) served by one probe. View
-// restricts either backing to one member of a partition.
+// Dewey encoding" (Section 6.2.1); Postings is that step, over the
+// document's columns (xmltree.Columns) as the parser fills them, and
+// Build runs it over the columns of a document built another way. The
+// index is one column layout (Columns) with two backings: Postings fills
+// the columns on the heap, and store.SnapshotReader validates the same
+// columns over the sections of a mapped snapshot file (Open) — the
+// paper's in-memory and disk-resident scenarios (Section 6.3.3) served
+// by one probe. View restricts either backing to one member of a
+// partition.
 package index
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -67,88 +69,110 @@ type posting struct {
 	nodes []*xmltree.Node
 }
 
-// Build indexes doc on the heap.
+// Build indexes doc on the heap: the postings of its derived columns,
+// their keys on doc's own values.
 func Build(doc *xmltree.Document) *Index {
-	// One preorder pass assigns every node its tag id and every valued
-	// node its (tag id, value) key, both numbered first seen first.
+	c := Postings(doc.Columns())
+	c.KeysOn(doc)
+	return New(doc, c)
+}
+
+// Postings computes the posting columns of the document the node
+// columns describe, keeping their tag table: the ordinals counting-sorted
+// by tag id, and the valued nodes' (tag id, value) keys, numbered first
+// seen first, sorted by tag id, then value, with the ordinals
+// counting-sorted by key. Keys alias nodes.Values.
+func Postings(nodes *xmltree.Columns) Columns {
 	const unvalued = ^uint32(0)
-	type tagValue struct {
-		tag   uint32
+	type key struct {
 		value string
+		id    uint32 // first seen first
 	}
 	var (
-		c        Columns
-		tagIDs   = make(map[string]uint32)
-		keyIDs   []map[string]uint32 // per tag id: value → key
-		keys     []tagValue
-		count    []uint32 // per key: its node count, then its fill position
-		nodeTags = make([]uint32, len(doc.Nodes))
-		keyed    = make([]uint32, len(doc.Nodes)) // per node: its key, or unvalued
+		c      = Columns{Tags: nodes.Tags}
+		n      = len(nodes.TagIDs)
+		keyIDs = make([]map[string]uint32, len(c.Tags)) // per tag id: value → key
+		keys   = make([][]key, len(c.Tags))             // per tag id
+		count  []uint32                                 // per key: its node count, then its fill position
+		keyed  = make([]uint32, n)                      // per node: its key, or unvalued
 	)
-	for i, n := range doc.Nodes {
-		t, ok := tagIDs[n.Tag]
-		if !ok {
-			t = uint32(len(c.Tags))
-			tagIDs[n.Tag] = t
-			c.Tags = append(c.Tags, n.Tag)
-			keyIDs = append(keyIDs, make(map[string]uint32))
-		}
-		nodeTags[i], keyed[i] = t, unvalued
-		if n.Value == "" {
-			continue
-		}
-		k, ok := keyIDs[t][n.Value]
-		if !ok {
-			k = uint32(len(keys))
-			keyIDs[t][n.Value] = k
-			keys, count = append(keys, tagValue{t, n.Value}), append(count, 0)
-		}
-		count[k]++
-		keyed[i] = k
-	}
 
-	// Tag postings: a counting sort of the ordinals by tag id.
+	// Tag postings.
 	c.TagOff = make([]uint32, len(c.Tags)+1)
-	for _, t := range nodeTags {
+	for _, t := range nodes.TagIDs {
 		c.TagOff[t+1]++
 	}
 	for t := range c.Tags {
 		c.TagOff[t+1] += c.TagOff[t]
 	}
-	c.TagOrds = make([]uint32, len(doc.Nodes))
+	c.TagOrds = make([]uint32, n)
 	fill := slices.Clone(c.TagOff[:len(c.Tags)])
-	for i, t := range nodeTags {
+	for i, t := range nodes.TagIDs {
 		c.TagOrds[fill[t]] = uint32(i)
 		fill[t]++
 	}
 
-	// Value postings: the keys sorted by tag id, then value, and the
-	// ordinals counting-sorted by key.
-	order := make([]uint32, len(keys))
-	for k := range order {
-		order[k] = uint32(k)
-	}
-	slices.SortFunc(order, func(a, b uint32) int {
-		if keys[a].tag != keys[b].tag {
-			return cmp.Compare(keys[a].tag, keys[b].tag)
+	// Value postings.
+	for i, t := range nodes.TagIDs {
+		lo, hi := nodes.ValueLo[i], nodes.ValueHi[i]
+		if lo == hi {
+			keyed[i] = unvalued
+			continue
 		}
-		return strings.Compare(keys[a].value, keys[b].value)
-	})
-	c.KeyTags = make([]uint32, len(keys))
-	c.Keys = make([]string, len(keys))
-	c.KeyOff = make([]uint32, len(keys)+1)
-	var pos uint32
-	for i, k := range order {
-		c.KeyTags[i], c.Keys[i], c.KeyOff[i] = keys[k].tag, keys[k].value, pos
-		pos, count[k] = pos+count[k], pos
+		m := keyIDs[t]
+		if m == nil {
+			m = make(map[string]uint32)
+			keyIDs[t] = m
+		}
+		v := nodes.Values[lo:hi]
+		k, ok := m[v]
+		if !ok {
+			k = uint32(len(count))
+			m[v] = k
+			keys[t], count = append(keys[t], key{v, k}), append(count, 0)
+		}
+		count[k]++
+		keyed[i] = k
 	}
-	c.KeyOff[len(keys)] = pos
+	c.KeyTags = make([]uint32, len(count))
+	c.Keys = make([]string, len(count))
+	c.KeyOff = make([]uint32, len(count)+1)
+	var i, pos uint32
+	for t, g := range keys {
+		slices.SortFunc(g, func(a, b key) int { return strings.Compare(a.value, b.value) })
+		for _, k := range g {
+			c.KeyTags[i], c.Keys[i], c.KeyOff[i] = uint32(t), k.value, pos
+			pos, count[k.id] = pos+count[k.id], pos
+			i++
+		}
+	}
+	c.KeyOff[i] = pos
 	c.KeyOrds = make([]uint32, pos)
-	for i, k := range keyed {
+	for o, k := range keyed {
 		if k != unvalued {
-			c.KeyOrds[count[k]] = uint32(i)
+			c.KeyOrds[count[k]] = uint32(o)
 			count[k]++
 		}
+	}
+	return c
+}
+
+// KeysOn points the keys at the values of doc, the node slab of the
+// columns the postings were computed from, so that a value blob those
+// columns derived apart from the slab (see xmltree.Document.Columns) is
+// not kept alive beside it.
+func (c *Columns) KeysOn(doc *xmltree.Document) {
+	for k := range c.Keys {
+		c.Keys[k] = doc.Nodes[c.KeyOrds[c.KeyOff[k]]].Value
+	}
+}
+
+// New wraps the postings Postings computed over doc, the node slab of
+// the same columns.
+func New(doc *xmltree.Document, c Columns) *Index {
+	tagIDs := make(map[string]uint32, len(c.Tags))
+	for t, tag := range c.Tags {
+		tagIDs[tag] = uint32(t)
 	}
 	return newIndex(doc, c, tagIDs)
 }

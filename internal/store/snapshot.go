@@ -105,8 +105,8 @@ func (r *SnapshotReader) Mapped() bool { return r.mapped }
 // SizeBytes returns the snapshot file size.
 func (r *SnapshotReader) SizeBytes() int { return len(r.data) }
 
-// Synopsis returns the persisted structure synopsis, or nil if the
-// snapshot was written without one.
+// Synopsis returns the persisted structure synopsis, or for a snapshot
+// written without one the synopsis open built from the node columns.
 func (r *SnapshotReader) Synopsis() *synopsis.Synopsis { return r.syn }
 
 // sectionSizes maps kinds to their element width for length validation;
@@ -168,10 +168,10 @@ func newSnapshotReader(data []byte, release func() error, mapped bool) (*Snapsho
 	if err := r.loadPostings(get, cols, tags); err != nil {
 		return nil, err
 	}
-	if _, hasSyn := single[secSynMeta]; hasSyn {
-		if err := r.loadSynopsis(get); err != nil {
-			return nil, err
-		}
+	if _, hasSyn := single[secSynMeta]; !hasSyn {
+		r.syn = synopsis.FromColumns(cols)
+	} else if err := r.loadSynopsis(get); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -306,9 +306,10 @@ func checkOffsets(off []uint32, limit uint32, what string, at uint64) error {
 	return nil
 }
 
-// loadSynopsis rebuilds the structure synopsis. The small trie columns
-// are materialized (tag ids mapped back to synopsis tag indices); the
-// dominant statistic arrays alias the snapshot via synopsis.Unflatten.
+// loadSynopsis opens the persisted structure synopsis. The small tag,
+// path and statistic index columns are materialized (tag ids mapped back
+// to synopsis tag indices); the counts and the dominant statistic arrays
+// alias the snapshot.
 func (r *SnapshotReader) loadSynopsis(get func(uint32) (section, error)) error {
 	tags := r.Tags
 	need := func(kind uint32) ([]byte, uint64, error) {
@@ -405,7 +406,7 @@ func (r *SnapshotReader) loadSynopsis(get func(uint32) (section, error)) error {
 		}
 		f.DescTag[i] = idx
 	}
-	syn, err := synopsis.Unflatten(f)
+	syn, err := synopsis.Open(f)
 	if err != nil {
 		return fmt.Errorf("store: persisted synopsis rejected: %w", err)
 	}

@@ -1,6 +1,8 @@
-// Package store persists a fully built corpus as a zero-copy snapshot
-// and serves it back as an index.Source — the paper's disk-resident
-// scenario (Section 6.3.3). The snapshot format ("WPXS") lays the node
+// Package store boots a corpus — node slab, postings and structure
+// synopsis — in either of its two backings: built on the heap from
+// parsed columns (Build), or served from a zero-copy snapshot that it
+// also persists (SaveSnapshot, OpenSnapshot) — the paper's in-memory and
+// disk-resident scenarios (Section 6.3.3). The snapshot format ("WPXS") lays the node
 // columns (tags, parents, subtree extents, values), tag and value
 // postings and the structure synopsis out as flat
 // little-endian arrays in page-aligned sections, so a reader can mmap the
@@ -74,7 +76,7 @@ const (
 
 	// Synopsis sections: the column form of synopsis.Flat, with tag
 	// names replaced by snapshot tag ids. secSynArrays is the dominant
-	// payload and is consumed in place by synopsis.Unflatten.
+	// payload and is read in place by the opened synopsis.
 	secSynMeta     = 29 // s64[1] summarized node count
 	secSynTagIDs   = 30 // u32[st], sorted by tag name
 	secSynTagCount = 31 // s64[st]

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/dewey"
 	"repro/internal/index"
+	"repro/internal/relax"
 	"repro/internal/shard"
 	"repro/internal/synopsis"
 	"repro/internal/xmark"
@@ -100,7 +102,9 @@ func sameNodes(t testing.TB, want, got *xmltree.Document) {
 
 // FuzzSnapshotRoundTrip: whatever Parse accepts, a snapshot of it
 // opens to the same node slab and to the posting columns index.Build
-// fills for the parsed document, column for column.
+// fills for the parsed document, column for column — and so does the
+// concurrent boot from the parser's own columns (Build, as Load runs
+// it), whose synopsis is synopsis.Build's.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	for _, xml := range []string{
 		`<a/>`,
@@ -120,8 +124,21 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatalf("snapshot of a parsed document rejected: %v", err)
 		}
 		sameNodes(t, doc, r.Doc)
-		if col := columnDiff(r.Columns, index.Build(doc).Columns); col != "" {
+		want := index.Build(doc).Columns
+		if col := columnDiff(r.Columns, want); col != "" {
 			t.Fatalf("snapshot %s differs from index.Build's", col)
+		}
+		c, err := xmltree.ParseColumns(strings.NewReader(xml))
+		if err != nil {
+			t.Fatalf("ParseColumns refuses what Parse accepts: %v", err)
+		}
+		ix, syn := Build(c, nil)
+		sameNodes(t, doc, ix.Doc)
+		if col := columnDiff(ix.Columns, want); col != "" {
+			t.Fatalf("booted %s differs from index.Build's", col)
+		}
+		if syn.Fingerprint() != synopsis.Build(doc).Fingerprint() {
+			t.Fatal("booted synopsis differs from synopsis.Build's")
 		}
 	})
 }
@@ -139,19 +156,35 @@ func columnDiff(a, b index.Columns) string {
 	return ""
 }
 
+// TestSnapshotSynopsis: the synopsis read back from the snapshot bytes
+// matches a fresh build, fingerprint for fingerprint and on 200 random
+// PathStats queries.
 func TestSnapshotSynopsis(t *testing.T) {
 	doc := genDoc(t, 40)
 	snap := fullSnapshot(t, doc)
 	r := parseSnap(t, writeSnap(t, snap))
 
 	want := synopsis.Build(doc)
-	if r.Synopsis() == nil {
+	got := r.Synopsis()
+	if got == nil {
 		t.Fatal("snapshot lost the synopsis")
 	}
-	if r.Synopsis().Fingerprint() != want.Fingerprint() {
+	if got.Fingerprint() != want.Fingerprint() {
 		t.Fatal("persisted synopsis fingerprint diverges from a fresh build")
 	}
-
+	if got.NodeCount() != want.NodeCount() || got.PathCount() != want.PathCount() {
+		t.Fatalf("persisted synopsis counts diverge: nodes %d vs %d, paths %d vs %d",
+			got.NodeCount(), want.NodeCount(), got.PathCount(), want.PathCount())
+	}
+	rng := rand.New(rand.NewSource(7))
+	tags := doc.Tags()
+	for i := 0; i < 200; i++ {
+		anchor, tag := tags[rng.Intn(len(tags))], tags[rng.Intn(len(tags))]
+		pp := relax.PathPredicate{MinLevels: rng.Intn(4), Exact: rng.Intn(2) == 0}
+		if a, b := want.PathStats(anchor, pp, tag), got.PathStats(anchor, pp, tag); a != b {
+			t.Fatalf("PathStats(%s, %+v, %s): persisted %+v, fresh %+v", anchor, pp, tag, b, a)
+		}
+	}
 }
 
 // TestSnapshotSkipsRetiredLayoutSections: images written while shard

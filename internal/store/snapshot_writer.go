@@ -17,15 +17,15 @@ import (
 
 // Snapshot describes a fully built corpus for serialization into the v2
 // mmap format: the document itself plus the derived read-only structures
-// that are expensive to rebuild at boot. Only Doc is required; absent
-// parts simply produce no sections, and OpenSnapshot falls back to the
-// in-memory build path for them.
+// that are expensive to rebuild at boot. Only Doc is required; a
+// snapshot without a synopsis makes OpenSnapshot build one from the
+// mapped node columns.
 type Snapshot struct {
 	// Doc is the indexed document; its nodes must be in preorder with
 	// Nodes[i].Ord == i (any parsed or renumbered document qualifies).
 	Doc *xmltree.Document
-	// Synopsis is the flattened structure synopsis (synopsis.Build then
-	// Flatten), persisted so planners skip the ~per-corpus build cost.
+	// Synopsis is the structure synopsis's columns (Synopsis.Flatten),
+	// persisted so open skips its build.
 	Synopsis *synopsis.Flat
 }
 
@@ -118,10 +118,15 @@ func buildSections(s *Snapshot) ([]secPayload, error) {
 	if n > math.MaxUint32-1 {
 		return nil, fmt.Errorf("store: %d nodes exceed the snapshot format's capacity", n)
 	}
+	size := 0
 	for i, nd := range doc.Nodes {
 		if int(nd.Ord) != i {
 			return nil, fmt.Errorf("store: document is not renumbered (node %d has ord %d)", i, nd.Ord)
 		}
+		size += len(nd.Value)
+	}
+	if size > math.MaxUint32 {
+		return nil, fmt.Errorf("store: %s exceeds 4 GiB", sectionName(secValueBlob))
 	}
 	var payloads []secPayload
 	add := func(kind uint32, count int, e *leBuf) {
@@ -149,36 +154,19 @@ func buildSections(s *Snapshot) ([]secPayload, error) {
 		add(kind, len(v), e)
 	}
 
-	ix := index.Build(doc)
-	c := ix.Columns
+	nodes := doc.Columns()
+	c := index.Postings(nodes)
 	if err := addStrings(secTagOffsets, secTagBlob, len(c.Tags), func(i int) string { return c.Tags[i] }); err != nil {
 		return nil, err
 	}
-
-	// Per-node columns; a node's tag id is the tag postings group it
-	// sits in.
-	nodeTags := make([]uint32, n)
-	for t := range c.Tags {
-		for _, o := range c.TagOrds[c.TagOff[t]:c.TagOff[t+1]] {
-			nodeTags[o] = uint32(t)
-		}
-	}
-	np, st := &leBuf{}, &leBuf{}
-	for _, nd := range doc.Nodes {
-		parent := uint32(0)
-		if nd.Parent != nil {
-			parent = uint32(nd.Parent.Ord) + 1
-		}
-		np.u32(parent)
-		st.u32(uint32(nd.End - nd.Ord + 1))
-	}
-	addU32s(secNodeTags, nodeTags)
-	add(secNodeParents, n, np)
-	add(secSubtree, n, st)
-	if err := addStrings(secValueOffsets, secValueBlob, n, func(i int) string { return doc.Nodes[i].Value }); err != nil {
+	addU32s(secNodeTags, nodes.TagIDs)
+	addU32s(secNodeParents, nodes.Parents)
+	addU32s(secSubtree, nodes.Subtree)
+	if err := addStrings(secValueOffsets, secValueBlob, n, func(i int) string {
+		return nodes.Values[nodes.ValueLo[i]:nodes.ValueHi[i]]
+	}); err != nil {
 		return nil, err
 	}
-
 	// The index's posting columns, as they are.
 	addU32s(secTagPostOff, c.TagOff)
 	addU32s(secTagPostOrds, c.TagOrds)
@@ -190,17 +178,21 @@ func buildSections(s *Snapshot) ([]secPayload, error) {
 	addU32s(secValPostOrds, c.KeyOrds)
 
 	if s.Synopsis != nil {
-		if err := buildSynopsisSections(s.Synopsis, ix.TagID, add); err != nil {
+		if err := buildSynopsisSections(s.Synopsis, c.Tags, add); err != nil {
 			return nil, err
 		}
 	}
 	return payloads, nil
 }
 
-func buildSynopsisSections(f *synopsis.Flat, tagID func(string) (uint32, bool), add func(uint32, int, *leBuf)) error {
+func buildSynopsisSections(f *synopsis.Flat, tags []string, add func(uint32, int, *leBuf)) error {
+	tagID := make(map[string]uint32, len(tags))
+	for id, t := range tags {
+		tagID[t] = uint32(id)
+	}
 	synTag := make([]uint32, len(f.Tags))
 	for i, t := range f.Tags {
-		id, ok := tagID(t)
+		id, ok := tagID[t]
 		if !ok {
 			return fmt.Errorf("store: synopsis tag %q is not in the document", t)
 		}

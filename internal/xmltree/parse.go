@@ -18,15 +18,22 @@ import (
 // subtree sizes patched at end tags — and builds the node slab from
 // them. A syntax error names its line.
 func Parse(r io.Reader) (*Document, error) {
-	in, err := readInput(r)
-	if err != nil {
-		return nil, fmt.Errorf("xmltree: parse: %w", err)
-	}
-	c, err := parseColumns(in)
+	c, err := ParseColumns(r)
 	if err != nil {
 		return nil, err
 	}
 	return c.Build(), nil
+}
+
+// ParseColumns is Parse without the node slab: it reads r once and
+// returns the columns the scan fills, for a caller that builds the slab
+// beside other structures derived from the same columns.
+func ParseColumns(r io.Reader) (*Columns, error) {
+	in, err := readInput(r)
+	if err != nil {
+		return nil, fmt.Errorf("xmltree: parse: %w", err)
+	}
+	return parseColumns(in)
 }
 
 // parseColumns scans a whole document into columns that share no bytes

@@ -1,5 +1,11 @@
 package xmltree
 
+import (
+	"fmt"
+	"math"
+	"strings"
+)
+
 // Columns is a document in the column form a snapshot stores and Parse
 // streams into: a tag table, and per preorder ordinal a tag id, a parent
 // ordinal, a subtree size and a value span. Build turns the columns into
@@ -66,4 +72,48 @@ func (c *Columns) Build() *Document {
 		}
 	}
 	return doc
+}
+
+// Columns derives the columns of a document built some other way —
+// through Builder, ParseProjected or AddChild and Renumber — so that the
+// structures derived from columns are derived the same way for every
+// document. Tags are numbered in order of first appearance in preorder,
+// as Parse numbers them, and the values lie end to end in preorder, as a
+// snapshot stores them. The document must be renumbered (Nodes[i].Ord ==
+// i); its values must total less than 4 GiB, the reach of a value span,
+// which Parse and the snapshot writer check before they get here.
+func (d *Document) Columns() *Columns {
+	n := len(d.Nodes)
+	c := &Columns{
+		TagIDs: make([]uint32, n), Parents: make([]uint32, n), Subtree: make([]uint32, n),
+		ValueLo: make([]uint32, n), ValueHi: make([]uint32, n),
+	}
+	size := 0
+	for _, nd := range d.Nodes {
+		size += len(nd.Value)
+	}
+	if size > math.MaxUint32 {
+		panic(fmt.Sprintf("xmltree: %d value bytes exceed the uint32 value spans", size))
+	}
+	ids := make(map[string]uint32)
+	var values strings.Builder
+	values.Grow(size)
+	for i, nd := range d.Nodes {
+		id, ok := ids[nd.Tag]
+		if !ok {
+			id = uint32(len(c.Tags))
+			ids[nd.Tag] = id
+			c.Tags = append(c.Tags, nd.Tag)
+		}
+		c.TagIDs[i] = id
+		if nd.Parent != nil {
+			c.Parents[i] = uint32(nd.Parent.Ord) + 1
+		}
+		c.Subtree[i] = uint32(nd.End-nd.Ord) + 1
+		c.ValueLo[i] = uint32(values.Len())
+		values.WriteString(nd.Value)
+		c.ValueHi[i] = uint32(values.Len())
+	}
+	c.Values = values.String()
+	return c
 }

@@ -34,16 +34,9 @@ var errNilQuery = errors.New("whirlpool: nil query")
 // key, structurally distinct queries never do.
 func CanonicalQueryKey(q *Query) string { return pattern.CanonicalKey(q) }
 
-// Synopsis returns the database's structure synopsis, built on first
-// use and cached.
-func (db *Database) Synopsis() *Synopsis {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.syn == nil {
-		db.syn = synopsis.Build(db.doc)
-	}
-	return db.syn
-}
+// Synopsis returns the database's structure synopsis: built beside the
+// postings at load, or opened from the snapshot.
+func (db *Database) Synopsis() *Synopsis { return db.syn }
 
 // Synopsis returns the database's structure synopsis: a partition
 // changes where work runs, not what the corpus holds.

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -159,32 +160,28 @@ type Database struct {
 	// snapshot (see OpenSnapshot): postings and the synopsis come from
 	// the mapped file instead of being rebuilt.
 	snap *store.SnapshotReader
+	// syn is the structure synopsis (see Synopsis).
+	syn *Synopsis
 
 	mu sync.Mutex
 	// corpora caches the partition of ix per shard count, computed the
 	// first time Shard or Options.Shards asks for it.
 	corpora map[int]*shard.Corpus
-	// syn is the lazily built structure synopsis (see Synopsis).
-	syn *Synopsis
 }
 
-// Load parses an XML document (or forest) from r and indexes it.
+// Load parses an XML document (or forest) from r and indexes it: one
+// scan into columns, from which the node slab, the postings and the
+// structure synopsis are built concurrently.
 func Load(r io.Reader) (*Database, error) {
-	doc, err := xmltree.Parse(r)
+	c, err := xmltree.ParseColumns(r)
 	if err != nil {
 		return nil, err
 	}
-	return FromDocument(doc), nil
+	return build(c, nil), nil
 }
 
 // LoadString parses and indexes a document held in a string.
-func LoadString(s string) (*Database, error) {
-	doc, err := xmltree.ParseString(s)
-	if err != nil {
-		return nil, err
-	}
-	return FromDocument(doc), nil
-}
+func LoadString(s string) (*Database, error) { return Load(strings.NewReader(s)) }
 
 // LoadFile parses and indexes the XML file at path.
 func LoadFile(path string) (*Database, error) {
@@ -196,9 +193,15 @@ func LoadFile(path string) (*Database, error) {
 	return Load(f)
 }
 
-// FromDocument indexes an already parsed document.
-func FromDocument(doc *Document) *Database {
-	return &Database{doc: doc, ix: index.Build(doc)}
+// FromDocument indexes an already parsed document: its postings and
+// synopsis are built concurrently from the columns it derives.
+func FromDocument(doc *Document) *Database { return build(doc.Columns(), doc) }
+
+// build boots a database from a document's columns; doc is their node
+// slab, or nil to build it beside the postings and the synopsis.
+func build(c *xmltree.Columns, doc *Document) *Database {
+	ix, syn := store.Build(c, doc)
+	return &Database{doc: ix.Doc, ix: ix, syn: syn}
 }
 
 // LoadProjected parses XML from r keeping only the nodes the given
