@@ -9,6 +9,7 @@ import (
 	"unicode/utf8"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/xmltree"
 )
 
@@ -42,8 +43,10 @@ func bindingKeys(q *whirlpool.Query) []bindingKey {
 }
 
 // appendResponse appends res as the queryResponse encoding/json would
-// write for it. Scores and timings are finite, so every float encodes.
-func (e *engineEntry) appendResponse(dst []byte, res *whirlpool.Result, cache string) []byte {
+// write for it, rendering each answer's path and Dewey IDs from doc, the
+// columns its ordinals index. Scores and timings are finite, so every
+// float encodes.
+func (e *engineEntry) appendResponse(dst []byte, doc *xmltree.Columns, res *core.Result, cache string) []byte {
 	dst = append(dst, `{"answers":[`...)
 	for i, a := range res.Answers {
 		if i > 0 {
@@ -52,18 +55,18 @@ func (e *engineEntry) appendResponse(dst []byte, res *whirlpool.Result, cache st
 		dst = append(dst, `{"score":`...)
 		dst = appendJSONFloat(dst, a.Score)
 		dst = append(dst, `,"path":"`...)
-		dst = appendPath(dst, a.Root)
+		dst = appendPath(dst, doc, a.Root)
 		dst = append(dst, `","dewey":"`...)
-		dst = a.Root.ID.Append(dst) // digits and dots: nothing to escape
+		dst = doc.AppendDewey(dst, a.Root) // digits and dots: nothing to escape
 		dst = append(dst, '"')
 		sep := `,"bindings":{`
 		for _, k := range e.bindings {
 			b := a.Bindings[k.id]
-			if b == nil {
+			if b < 0 {
 				continue
 			}
 			dst = append(append(dst, sep...), k.json...)
-			dst = append(b.ID.Append(append(dst, '"')), '"')
+			dst = append(doc.AppendDewey(append(dst, '"'), b), '"')
 			sep = ","
 		}
 		if sep == "," {
@@ -83,14 +86,14 @@ func (e *engineEntry) appendResponse(dst []byte, res *whirlpool.Result, cache st
 	return append(dst, "}\n"...)
 }
 
-// appendPath appends n.Path(), escaped. Escaping tag by tag equals
+// appendPath appends doc.Path(ord), escaped. Escaping tag by tag equals
 // escaping the joined path: the '/' between tags is ASCII, so no
 // multi-byte sequence spans two tags.
-func appendPath(dst []byte, n *xmltree.Node) []byte {
-	if n.Parent != nil {
-		dst = append(appendPath(dst, n.Parent), '/')
+func appendPath(dst []byte, doc *xmltree.Columns, ord int32) []byte {
+	if p := doc.Parent(ord); p >= 0 {
+		dst = append(appendPath(dst, doc, p), '/')
 	}
-	return appendJSONChars(dst, n.Tag)
+	return appendJSONChars(dst, doc.Tag(ord))
 }
 
 // appendJSONFloat appends f in encoding/json's float64 format: ES6

@@ -11,14 +11,17 @@ import (
 
 	"repro"
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/dewey"
 	"repro/internal/pattern"
 	"repro/internal/xmltree"
 )
 
 // referenceBody is the /query body as encoding/json writes it for the
-// queryResponse of res, bindings keyed by q's node IDs and tags.
-func referenceBody(t *testing.T, q *whirlpool.Query, res *whirlpool.Result, cache string) []byte {
+// queryResponse of res — its ordinals resolved to doc's nodes, as the
+// facade resolves them, -1 to a nil binding — bindings keyed by q's
+// node IDs and tags.
+func referenceBody(t *testing.T, q *whirlpool.Query, doc *xmltree.Document, res *core.Result, cache string) []byte {
 	t.Helper()
 	resp := queryResponse{
 		Answers:      make([]queryAnswer, 0, len(res.Answers)),
@@ -30,8 +33,13 @@ func referenceBody(t *testing.T, q *whirlpool.Query, res *whirlpool.Result, cach
 		Cache:        cache,
 	}
 	for _, a := range res.Answers {
-		qa := queryAnswer{Score: a.Score, Path: a.Root.Path(), Dewey: a.Root.ID.String(), Bindings: map[string]string{}}
-		for id, b := range a.Bindings {
+		root := doc.Nodes[a.Root]
+		qa := queryAnswer{Score: a.Score, Path: root.Path(), Dewey: root.ID.String(), Bindings: map[string]string{}}
+		for id, o := range a.Bindings {
+			var b *xmltree.Node
+			if o >= 0 {
+				b = doc.Nodes[o]
+			}
 			if b != nil && id != 0 {
 				qa.Bindings[strconv.Itoa(id)+":"+q.Nodes[id].Tag] = b.ID.String()
 			}
@@ -45,10 +53,12 @@ func referenceBody(t *testing.T, q *whirlpool.Query, res *whirlpool.Result, cach
 	return buf.Bytes()
 }
 
-func checkBody(t *testing.T, name string, q *whirlpool.Query, res *whirlpool.Result, cache string) {
+// checkBody holds the body appendResponse renders from doc's columns to
+// referenceBody's.
+func checkBody(t *testing.T, name string, q *whirlpool.Query, doc *xmltree.Document, res *core.Result, cache string) {
 	t.Helper()
-	got := newEngineEntry("", q).appendResponse([]byte("prefix"), res, cache)
-	if want := referenceBody(t, q, res, cache); !bytes.Equal(got[len("prefix"):], want) {
+	got := newEngineEntry("", q).appendResponse([]byte("prefix"), doc.Columns(), res, cache)
+	if want := referenceBody(t, q, doc, res, cache); !bytes.Equal(got[len("prefix"):], want) {
 		t.Errorf("%s:\n got %s\nwant %s", name, got[len("prefix"):], want)
 	}
 }
@@ -89,7 +99,7 @@ func TestAppendResponseMatchesEncoder(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						checkBody(t, name, plan.Query, res, "hit")
+						checkBody(t, name, plan.Query, s.db.Document(), res, "hit")
 					}
 				}
 			}
@@ -116,32 +126,38 @@ func TestAppendResponseMatchesEncoder(t *testing.T) {
 	for _, n := range root.Children {
 		q.Add(0, n.Tag, dewey.Child)
 	}
-	bound := append([]*xmltree.Node{root}, root.Children...)
-	unbound := make([]*xmltree.Node, len(bound))
-	unbound[0] = root
+	bound := []int32{root.Ord}
+	for _, n := range root.Children {
+		bound = append(bound, n.Ord)
+	}
+	unbound := make([]int32, len(bound))
+	for i := range unbound {
+		unbound[i] = -1
+	}
+	unbound[0] = root.Ord
 	stats := whirlpool.Stats{ServerOps: 41, MatchesCreated: 17, Pruned: 9, Duration: 1234567 * time.Nanosecond}
 	remote := stats
 	remote.PrunedRemote = 3
-	answers := func(binds []*xmltree.Node, scores ...float64) []whirlpool.Answer {
-		var out []whirlpool.Answer
+	answers := func(binds []int32, scores ...float64) []core.Answer {
+		var out []core.Answer
 		for _, sc := range scores {
-			out = append(out, whirlpool.Answer{Root: root, Bindings: binds, Score: sc})
+			out = append(out, core.Answer{Root: root.Ord, Bindings: binds, Score: sc})
 		}
 		return out
 	}
 	for _, c := range []struct {
 		name  string
-		res   whirlpool.Result
+		res   core.Result
 		cache string
 	}{
-		{"no answers", whirlpool.Result{Stats: stats}, "miss"},
-		{"eleven-node pattern", whirlpool.Result{Answers: answers(bound, 2.5), Stats: stats}, "hit"},
-		{"all bindings nil", whirlpool.Result{Answers: answers(unbound, 1, 0.5), Stats: stats}, "hit"},
-		{"float edges", whirlpool.Result{Answers: answers(bound, 0, 1e-7, 1e21, 1e-6, 123456.789), Stats: stats}, "hit"},
-		{"pruned_remote", whirlpool.Result{Answers: answers(bound, 3), Stats: remote}, "hit"},
-		{"escaped cache", whirlpool.Result{Stats: stats}, "<&\u2028>"},
+		{"no answers", core.Result{Stats: stats}, "miss"},
+		{"eleven-node pattern", core.Result{Answers: answers(bound, 2.5), Stats: stats}, "hit"},
+		{"all bindings nil", core.Result{Answers: answers(unbound, 1, 0.5), Stats: stats}, "hit"},
+		{"float edges", core.Result{Answers: answers(bound, 0, 1e-7, 1e21, 1e-6, 123456.789), Stats: stats}, "hit"},
+		{"pruned_remote", core.Result{Answers: answers(bound, 3), Stats: remote}, "hit"},
+		{"escaped cache", core.Result{Stats: stats}, "<&\u2028>"},
 	} {
-		checkBody(t, c.name, q, &c.res, c.cache)
+		checkBody(t, c.name, q, doc, &c.res, c.cache)
 	}
 }
 
@@ -162,8 +178,9 @@ func TestAppendResponseAllocs(t *testing.T) {
 		if len(res.Answers) == 0 {
 			t.Fatalf("%s: no answers", w.Name)
 		}
-		buf := ent.appendResponse(nil, res, "hit")
-		if allocs := testing.AllocsPerRun(20, func() { buf = ent.appendResponse(buf[:0], res, "hit") }); allocs != 0 {
+		cols := s.db.Columns()
+		buf := ent.appendResponse(nil, cols, res, "hit")
+		if allocs := testing.AllocsPerRun(20, func() { buf = ent.appendResponse(buf[:0], cols, res, "hit") }); allocs != 0 {
 			t.Errorf("%s: appendResponse allocates %v times per response", w.Name, allocs)
 		}
 	}

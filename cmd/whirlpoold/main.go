@@ -5,16 +5,19 @@
 //	whirlpoold -file site.xml -addr :8080
 //	whirlpoold -snapshot site.wpxs -addr :8080   # mmap, no parse
 //
-// -file boots by parsing the XML once into columns and building the node
-// slab, the postings and the structure synopsis from them concurrently;
-// /metrics reports the boot in whirlpoold_load_us. -snapshot boots from a
+// -file boots by parsing the XML once into columns and building the
+// postings and the structure synopsis from them concurrently; /metrics
+// reports the boot in whirlpoold_load_us. -snapshot boots from a
 // zero-copy snapshot instead: startup skips the parse and the postings
-// and synopsis builds, validating the mapped postings and synopsis and
-// building only the node slab on the heap, so postings, values and
-// synopsis statistics are served from mapped pages that concurrent
-// daemons share in one kernel page cache; /metrics reports the open in
-// whirlpoold_snapshot_open_us. A -file given alongside acts as a
-// fallback when the snapshot is missing or corrupt.
+// and synopsis builds, validating the mapped columns, postings and
+// synopsis and deriving only the level and position columns on the
+// heap, so node columns, postings, values and synopsis statistics are
+// served from mapped pages that concurrent daemons share in one kernel
+// page cache; /metrics reports the open in whirlpoold_snapshot_open_us.
+// A -file given alongside acts as a fallback when the snapshot is
+// missing or corrupt. Either way the engine runs on document ordinals
+// and answers are rendered from the columns: no boot and no request
+// builds the *Node slab.
 //
 // Endpoints:
 //

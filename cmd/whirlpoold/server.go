@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/lru"
 	"repro/internal/obs"
 )
@@ -29,7 +30,8 @@ const defaultCacheSize = 256
 // blocks requests for the same cache key (per-key singleflight), never
 // the rest of the serving path.
 type server struct {
-	db *whirlpool.Database
+	db    *whirlpool.Database
+	roots int // the document's forest roots, for /stats
 	// sdb, when non-nil, routes every /query through sharded execution:
 	// engines are built over the partition and run on a bounded worker
 	// pool, min(GOMAXPROCS, shards) goroutines, against a shared top-k
@@ -102,11 +104,14 @@ func newEngineEntry(key string, q *whirlpool.Query) *engineEntry {
 	return &engineEntry{key: key, bindings: bindingKeys(q)}
 }
 
-func (e *engineEntry) run(ctx context.Context) (*whirlpool.Result, error) {
+// run evaluates the entry's query on the embedded core engine: its
+// answers are ordinals, rendered straight from the document's columns,
+// so no request builds the node slab.
+func (e *engineEntry) run(ctx context.Context) (*core.Result, error) {
 	if e.sharded != nil {
-		return e.sharded.RunContext(ctx)
+		return e.sharded.Engines.RunContext(ctx)
 	}
-	return e.eng.RunContext(ctx)
+	return e.eng.Engine.RunContext(ctx)
 }
 
 // totals aggregates the entry's cumulative instrumentation. For a
@@ -153,6 +158,7 @@ func newServer(db *whirlpool.Database, opts serverOptions) (*server, error) {
 	}
 	s := &server{
 		db:        db,
+		roots:     db.Columns().Roots(),
 		mux:       http.NewServeMux(),
 		reg:       obs.NewRegistry(),
 		started:   time.Now(),
@@ -375,7 +381,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	stats := map[string]any{
 		"nodes":    s.db.Size(),
-		"roots":    len(s.db.Document().Roots),
+		"roots":    s.roots,
 		"snapshot": s.db.SnapshotBacked(),
 		"uptime_s": time.Since(s.started).Seconds(),
 		"cache": map[string]any{
@@ -521,7 +527,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.qm.runDuration.Observe(res.Stats.Duration.Microseconds())
 
 	bp := responseBufs.Get().(*[]byte)
-	body := ent.appendResponse((*bp)[:0], res, ri.cache)
+	body := ent.appendResponse((*bp)[:0], s.db.Columns(), res, ri.cache)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body) // a failed write is the client's loss; the status is already out

@@ -11,18 +11,18 @@ import (
 )
 
 // TestLoadFootprint pins what a built corpus costs on XMark seed 1 at
-// 1 MB. A loaded database — the node slab, the index and the synopsis —
-// holds at most 140 bytes of live heap per node: no Dewey slice per
-// node, one copy of each tag name, one value blob, a flat synopsis.
-// Stored IDs and per-node strings took 185. Load makes at most 0.05
-// allocations per node: the parser scans the bytes straight into the
-// columns, where encoding/xml's tokens made 6.13, and the postings and
-// the synopsis are built from the columns. It reads 0.019, and the
-// database 129.6 bytes (124.0 without the synopsis, which Load did not
-// build). And the synopsis pass allocates at most one object per two
-// nodes: its counters live in frames reused by depth, not in a map per
-// node (4.55 allocations per node), and it writes flat columns, not a
-// trie of maps (0.21); it reads 0.006.
+// 1 MB. A loaded database — the node columns, the index and the
+// synopsis, and no node slab — holds at most 67 bytes of live heap per
+// node: one copy of each tag name, one value blob, a flat synopsis. It
+// reads 53.7; with the 88-byte node slab beside the columns it read
+// 129.6, and stored IDs and per-node strings took 185. Load makes at
+// most 0.05 allocations per node: the parser scans the bytes straight
+// into the columns, where encoding/xml's tokens made 6.13, and the
+// postings and the synopsis are built from the columns. It reads 0.019.
+// And the synopsis pass allocates at most one object per two nodes: its
+// counters live in frames reused by depth, not in a map per node (4.55
+// allocations per node), and it writes flat columns, not a trie of maps
+// (0.21); it reads 0.006.
 func TestLoadFootprint(t *testing.T) {
 	var xml bytes.Buffer
 	if _, err := xmark.WriteBytes(&xml, 1, 1<<20); err != nil {
@@ -38,8 +38,9 @@ func TestLoadFootprint(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	nodes := float64(db.Size())
-	if perNode := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / nodes; perNode > 140 {
-		t.Errorf("a loaded database holds %.1f heap bytes per node, want at most 140", perNode)
+	t.Logf("Load: %.1f heap bytes and %.4f allocations per node", float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/nodes, float64(after.Mallocs-before.Mallocs)/nodes)
+	if perNode := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / nodes; perNode > 67 {
+		t.Errorf("a loaded database holds %.1f heap bytes per node, want at most 67", perNode)
 	}
 	if perNode := float64(after.Mallocs-before.Mallocs) / nodes; perNode > 0.05 {
 		t.Errorf("Load makes %.3f allocations per node, want at most 0.05", perNode)
@@ -56,14 +57,15 @@ func TestLoadFootprint(t *testing.T) {
 
 // TestOpenFootprint pins what opening the same corpus's snapshot costs,
 // measured the way TestLoadFootprint measures a load. Open validates
-// the mapped columns and builds the node slab plus one string header
-// per value key (108.9 bytes and 0.0012 allocations per node); postings,
-// values and the synopsis stay in the mapped file. Opening the synopsis
-// as a trie of maps took 4.7 more bytes and 0.049 more allocations. A
-// load holds 128.8 bytes, as it also builds the postings, the synopsis
-// and the value blob on the heap, and makes 0.019 allocations per node:
-// the allocations are bounded, not compared. Building the postings in
-// open as well read 122.5 bytes and 0.059 allocations.
+// the mapped columns and derives the level and position columns plus
+// one string header per value key: at most 15.5 bytes per node. It
+// reads 12.7 bytes and 0.0011 allocations per node; node columns,
+// postings, values and the synopsis stay in the mapped file. Building
+// the node slab as well read 108.9 bytes, and opening the synopsis as a
+// trie of maps took 4.7 more bytes and 0.049 more allocations. A load
+// holds 53.7 bytes, as it also keeps the node columns, the postings,
+// the synopsis and the value blob on the heap, and makes 0.019
+// allocations per node: the allocations are bounded, not compared.
 func TestOpenFootprint(t *testing.T) {
 	var xml bytes.Buffer
 	if _, err := xmark.WriteBytes(&xml, 1, 1<<20); err != nil {
@@ -101,8 +103,9 @@ func TestOpenFootprint(t *testing.T) {
 	if !opened.snap.Mapped() {
 		t.Skip("snapshots are read onto the heap on this platform")
 	}
-	if openBytes > 115 || openBytes >= loadBytes {
-		t.Errorf("an opened snapshot holds %.1f heap bytes per node (a load %.1f), want at most 115", openBytes, loadBytes)
+	t.Logf("open: %.1f heap bytes and %.4f allocations per node; load: %.1f and %.4f", openBytes, openAllocs, loadBytes, loadAllocs)
+	if openBytes > 15.5 || openBytes >= loadBytes {
+		t.Errorf("an opened snapshot holds %.1f heap bytes per node (a load %.1f), want at most 15.5", openBytes, loadBytes)
 	}
 	if openAllocs > 0.055 {
 		t.Errorf("open makes %.3f allocations per node, want at most 0.055", openAllocs)
@@ -117,12 +120,11 @@ func TestOpenFootprint(t *testing.T) {
 }
 
 // TestFromDocumentFootprint pins what indexing a document already in
-// memory adds to it, on the corpus TestLoadFootprint loads. The columns
-// FromDocument derives copy every value into a blob of their own; the
-// index points its keys back at the nodes' values, so that blob is
-// collected after the build and the database adds only its postings
-// and synopsis: at most 21 bytes per node. It reads 17.9; keys left on
-// the derived blob kept its 7.3 value bytes per node live, at 25.3.
+// memory adds to it, on the corpus TestLoadFootprint loads. A parsed
+// document keeps the columns it was built from, so FromDocument derives
+// none: the database adds only its postings and synopsis, at most 21
+// bytes per node. It reads 17.9; columns derived a second time would
+// copy every value into a blob of their own, 7.3 more bytes per node.
 func TestFromDocumentFootprint(t *testing.T) {
 	var xml bytes.Buffer
 	if _, err := xmark.WriteBytes(&xml, 1, 1<<20); err != nil {
@@ -139,6 +141,7 @@ func TestFromDocumentFootprint(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	perNode := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(db.Size())
+	t.Logf("FromDocument: %.1f heap bytes per node", perNode)
 	if perNode > 21 {
 		t.Errorf("FromDocument adds %.1f heap bytes per node to its document, want at most 21", perNode)
 	}

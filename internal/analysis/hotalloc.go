@@ -15,9 +15,9 @@ import (
 //	// +whirllint:hotpath
 //
 // is a hot-path root (run.process, the heap ops, topkSet.offer, the
-// arena's get/release, Probe.Append and AppendCandidates, the shard
-// pool's steal loop), and no allocating construct may be reachable from
-// a root through the package's call graph. The AllocsPerRun tests
+// arena's get/release, Probe.Append, the shard pool's steal loop), and
+// no allocating construct may be reachable from a root through the
+// package's call graph. The AllocsPerRun tests
 // (TestProcessAllocs, TestRunReuseAllocs, the index and store probe
 // tests) catch a regression only on the paths their inputs exercise;
 // this analyzer fails the build on every path.

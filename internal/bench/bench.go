@@ -147,8 +147,8 @@ func (e *Env) Query(w Workload) *pattern.Query { return e.queries[w.Name] }
 func (e *Env) Scorer(w Workload) *score.TFIDF { return e.scorers[w.Name] }
 
 // Run executes one configuration and returns the result.
-func (e *Env) Run(w Workload, cfg core.Config) (*core.Result, error) {
-	eng, err := core.New(e.Ix, e.Query(w), cfg)
+func (e *Env) Run(w Workload, cfg runConfig) (*core.Result, error) {
+	eng, err := core.NewExperiment(e.Ix, e.Query(w), cfg.Config, cfg.Experiment)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +157,7 @@ func (e *Env) Run(w Workload, cfg core.Config) (*core.Result, error) {
 
 // MustRun is Run that panics on error (experiment configurations are
 // code-controlled).
-func (e *Env) MustRun(w Workload, cfg core.Config) *core.Result {
+func (e *Env) MustRun(w Workload, cfg runConfig) *core.Result {
 	res, err := e.Run(w, cfg)
 	if err != nil {
 		panic(err)
@@ -165,18 +165,24 @@ func (e *Env) MustRun(w Workload, cfg core.Config) *core.Result {
 	return res
 }
 
+// runConfig is an engine configuration with the experiment-only knobs
+// beside it (core.NewExperiment).
+type runConfig struct {
+	core.Config
+	core.Experiment
+}
+
 // baseConfig is the paper's default engine configuration: all
 // relaxations, min_alive routing, max-possible-final queues.
-func baseConfig(c Config, e *Env, w Workload, alg core.Algorithm) core.Config {
-	return core.Config{
+func baseConfig(c Config, e *Env, w Workload, alg core.Algorithm) runConfig {
+	return runConfig{core.Config{
 		K:         c.K,
 		Relax:     relaxAll,
 		Algorithm: alg,
 		Routing:   core.RoutingMinAlive,
 		Queue:     core.QueueMaxFinal,
 		Scorer:    e.Scorer(w),
-		OpCost:    c.OpCost,
-	}
+	}, core.Experiment{OpCost: c.OpCost}}
 }
 
 // table prints an aligned table.

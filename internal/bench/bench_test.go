@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // tinyConfig keeps the experiment suite fast in unit tests.
@@ -197,7 +195,7 @@ func TestEnvRunErrorsOnBadConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := env.Run(Q1, core.Config{}); err == nil {
+	if _, err := env.Run(Q1, runConfig{}); err == nil {
 		t.Fatal("invalid config should error")
 	}
 }

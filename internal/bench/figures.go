@@ -51,9 +51,9 @@ func Figure3(w io.Writer) error {
 			cfg := core.Config{
 				K: 1000, Relax: relax.All, Algorithm: core.WhirlpoolS,
 				Routing: core.RoutingStatic, Order: o,
-				Queue: core.QueueMaxFinal, Scorer: scorer, Threshold: tk,
+				Queue: core.QueueMaxFinal, Scorer: scorer,
 			}
-			eng, err := core.New(env, q, cfg)
+			eng, err := core.NewExperiment(env, q, cfg, core.Experiment{Threshold: tk})
 			if err != nil {
 				return err
 			}
@@ -79,8 +79,8 @@ func figure3Env(doc *xmltree.Document) (*index.Index, *pattern.Query, score.Scor
 	}
 	tab := score.NewTable(q.Size())
 	set := func(nodeID int, tag string, scores ...float64) {
-		for i, n := range ix.Nodes(tag) {
-			tab.Set(nodeID, n, scores[i])
+		for i, o := range ix.Ords(tag, index.ValueTest{}) {
+			tab.Set(nodeID, int32(o), scores[i])
 		}
 	}
 	var titleID, locID, priceID int

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/relax"
 	"repro/internal/score"
-	"repro/internal/xmltree"
 )
 
 // mappedScorer forwards contributions to the original query's scorer
@@ -17,8 +16,8 @@ type mappedScorer struct {
 	nodeMap []int
 }
 
-func (m *mappedScorer) Contribution(nodeID int, v score.Variant, n *xmltree.Node) float64 {
-	return m.inner.Contribution(m.nodeMap[nodeID], v, n)
+func (m *mappedScorer) Contribution(nodeID int, v score.Variant, ord int32) float64 {
+	return m.inner.Contribution(m.nodeMap[nodeID], v, ord)
 }
 func (m *mappedScorer) MaxContribution(nodeID int) float64 {
 	return m.inner.MaxContribution(m.nodeMap[nodeID])

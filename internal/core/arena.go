@@ -6,8 +6,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/xmltree"
 )
 
 // arenaChunk is the number of matches carved per slab allocation: one
@@ -34,9 +32,11 @@ func SetArenaPoisonForTest(v bool) { arenaPoison.Store(v) }
 // released every match, so the next run starts on full freelists. Section
 // 5.2.1's server operation spawns one match per extension, all
 // short-lived; the arena caps that churn: bindings come from chunked
-// flat slabs (queries are capped at 64 nodes by Config.validate, so one
-// slab holds arenaChunk vectors), and a released match returns to a
-// freelist with its bindings slice attached, ready to be overwritten.
+// flat slabs of ordinals (queries are capped at 64 nodes by
+// Config.validate, so one slab holds arenaChunk vectors), and a released
+// match returns to a freelist with its bindings slice attached, reset to
+// unbound. The bindings slabs are ordinals: nothing in them for the
+// collector to trace.
 //
 // Ownership rules (held at run time by the arena's poison tests,
 // TestArenaPoisonEquivalence and TestTopKDoesNotRetainReleasedMatch):
@@ -71,8 +71,8 @@ type matchArena struct {
 type arenaShard struct {
 	mu   sync.Mutex
 	free []*match
-	slab []match         // current match slab, carved sequentially
-	bnd  []*xmltree.Node // current flat bindings slab
+	slab []match // current match slab, carved sequentially
+	bnd  []int32 // current flat bindings slab, every entry -1 until carved
 	_    [64]byte
 }
 
@@ -130,7 +130,8 @@ func (s *arenaShard) getLocked(n int, home int32) *match {
 	}
 	if len(s.slab) == 0 {
 		s.slab = make([]match, arenaChunk)
-		s.bnd = make([]*xmltree.Node, arenaChunk*n)
+		s.bnd = make([]int32, arenaChunk*n)
+		unbind(s.bnd)
 	}
 	m := &s.slab[0]
 	s.slab = s.slab[1:]
@@ -149,9 +150,10 @@ func (a *matchArena) release(m *match) {
 	if m == nil {
 		return
 	}
-	// Bindings are cleared here rather than in get, so an idle arena
-	// never pins the document its last run walked.
-	clear(m.bindings)
+	// Bindings are reset here rather than in get: a match comes out of
+	// get unbound, which a root match and the offer of a partial match
+	// rely on.
+	unbind(m.bindings)
 	if arenaPoison.Load() {
 		m.visited, m.missing = ^uint64(0), ^uint64(0)
 		m.score, m.maxFinal = math.NaN(), math.Inf(-1)
@@ -165,6 +167,13 @@ func (a *matchArena) release(m *match) {
 		return
 	}
 	s.free = append(s.free, m)
+}
+
+// unbind marks every binding unbound.
+func unbind(b []int32) {
+	for i := range b {
+		b[i] = -1
+	}
 }
 
 // release is the run-level entry point every algorithm uses when a
@@ -218,7 +227,6 @@ func (p *ParallelRun) release() {
 	// Idle, it must not pin the engine, context or document it served.
 	p.r = run{}
 	p.topk.reset(1, 0, false)
-	clear(p.ws.cands[:cap(p.ws.cands)])
 	l := &idleStates
 	l.mu.Lock()
 	if len(l.list) == maxIdleStates {

@@ -15,7 +15,7 @@ import (
 
 // TestArenaGetReleaseRecycles pins the freelist mechanics: a released
 // match is handed out again by the next get, fully cleared, with its
-// bindings slice retained (no fresh allocation) but wiped.
+// bindings slice retained (no fresh allocation) but unbound.
 // Scores compare exactly: recycled fields must be exactly zero.
 func TestArenaGetReleaseRecycles(t *testing.T) {
 	a := newMatchArena(3, false)
@@ -23,8 +23,7 @@ func TestArenaGetReleaseRecycles(t *testing.T) {
 	if len(m.bindings) != 3 {
 		t.Fatalf("bindings len = %d, want 3", len(m.bindings))
 	}
-	n := &xmltree.Node{Tag: "x"}
-	m.bindings[1] = n
+	m.bindings[1] = 4
 	m.visited, m.missing = 5, 2
 	m.score, m.maxFinal, m.seq = 1.5, 2.5, 42
 	a.release(m)
@@ -33,8 +32,8 @@ func TestArenaGetReleaseRecycles(t *testing.T) {
 		t.Fatal("released match was not recycled by the next get")
 	}
 	for i, b := range m2.bindings {
-		if b != nil {
-			t.Fatalf("recycled bindings[%d] = %v, want nil", i, b)
+		if b != -1 {
+			t.Fatalf("recycled bindings[%d] = %v, want -1", i, b)
 		}
 	}
 	if m2.visited != 0 || m2.missing != 0 || m2.score != 0 || m2.maxFinal != 0 || m2.seq != 0 {
@@ -59,7 +58,7 @@ func TestArenaConcurrentRoundTrip(t *testing.T) {
 	done := make(chan bool)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
-			n := &xmltree.Node{Ord: int32(g)}
+			n := int32(g)
 			ok := true
 			for i := 0; i < 500; i++ {
 				m := a.get()
@@ -136,15 +135,14 @@ func TestTopKDoesNotRetainReleasedMatch(t *testing.T) {
 	defer arenaPoison.Store(false)
 	a := newMatchArena(2, false)
 	tk := newTopkSet(1, 0, false)
-	root := &xmltree.Node{Tag: "r", Ord: 7}
-	leaf := &xmltree.Node{Tag: "l", Ord: 8}
+	root, leaf := int32(7), int32(8)
 	m := a.get()
 	m.bindings[0], m.bindings[1] = root, leaf
 	m.visited = 3
 	m.score = 0.9
 	m.seq = 1
 	tk.offer(m, 0)
-	a.release(m) // poisons bindings to nil, score to NaN
+	a.release(m) // unbinds the bindings, poisons the score to NaN
 	ans := tk.answers()
 	if len(ans) != 1 {
 		t.Fatalf("answers = %d, want 1", len(ans))
@@ -179,7 +177,7 @@ func processStep(tb testing.TB, xpath string, mode relax.Relaxation) func() {
 	}
 	r.lastThreshold.Store(math.Float64bits(math.Inf(-1)))
 	m := r.arena.get()
-	m.bindings[0] = ix.Nodes("book")[0]
+	m.bindings[0] = ix.Nodes("book")[0].Ord
 	m.visited = 1
 	m.seq = r.nextSeq()
 	sc := &Scratch{}

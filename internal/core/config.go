@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relax"
 	"repro/internal/score"
-	"repro/internal/xmltree"
 )
 
 // Algorithm selects the top-k evaluation strategy (Section 6.1.2).
@@ -141,12 +140,6 @@ type Config struct {
 	Queue Queue
 	// Scorer supplies contribution scores; required.
 	Scorer score.Scorer
-	// OpCost, when positive, adds a synthetic CPU cost to every server
-	// operation — the Figure 8 knob for studying when adaptivity pays.
-	OpCost time.Duration
-	// Threshold seeds the top-k set's pruning threshold (currentTopK),
-	// as in the Figure 3 analysis. Zero means no seed.
-	Threshold float64
 	// Trace, when non-nil, receives per-run observability events:
 	// routing decisions, the prune-threshold trajectory, queue depth
 	// samples and match lifecycle counts (see internal/obs). Every
@@ -163,6 +156,17 @@ type Config struct {
 	// without a plan — only construction cost and the static-order
 	// default change.
 	Plan *Plan
+}
+
+// Experiment holds the knobs only the paper's experiments turn, which no
+// serving path sets: NewExperiment takes them beside a Config.
+type Experiment struct {
+	// OpCost, when positive, adds a synthetic CPU cost to every server
+	// operation — the Figure 8 knob for studying when adaptivity pays.
+	OpCost time.Duration
+	// Threshold seeds the top-k set's pruning threshold (currentTopK),
+	// as in the Figure 3 analysis. Zero means no seed.
+	Threshold float64
 }
 
 // Stats instruments one evaluation with the paper's measures
@@ -222,13 +226,14 @@ func (s *Stats) Add(o Stats) {
 	s.Duration += o.Duration
 }
 
-// Answer is one of the top-k results.
+// Answer is one of the top-k results. Nodes are preorder ordinals of the
+// engine's document (index.Source.Cols), which renders them.
 type Answer struct {
 	// Root is the matched instantiation of the query's returned node.
-	Root *xmltree.Node
-	// Bindings maps query node ID to the bound document node; nil means
+	Root int32
+	// Bindings maps query node ID to the bound document node; -1 means
 	// the node was relaxed away (leaf deletion).
-	Bindings []*xmltree.Node
+	Bindings []int32
 	// Score is the answer's final score.
 	Score float64
 }

@@ -44,11 +44,10 @@ func TestRunContextCancelMidFlight(t *testing.T) {
 	// context error without deadlocking Whirlpool-M's goroutines.
 	ix, q, s := xmarkEnv(t, 300, "//item[./description/parlist and ./mailbox/mail/text]")
 	for _, alg := range []Algorithm{WhirlpoolS, WhirlpoolM, LockStep} {
-		eng, err := New(ix, q, Config{
+		eng, err := NewExperiment(ix, q, Config{
 			K: 15, Relax: relax.All, Algorithm: alg,
 			Routing: RoutingMinAlive, Scorer: s,
-			OpCost: 200 * time.Microsecond,
-		})
+		}, Experiment{OpCost: 200 * time.Microsecond})
 		if err != nil {
 			t.Fatal(err)
 		}

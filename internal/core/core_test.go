@@ -48,7 +48,12 @@ func buildEnv(t *testing.T, xml, xpath string) (*index.Index, *pattern.Query) {
 
 func runWith(t *testing.T, ix *index.Index, q *pattern.Query, cfg Config) *Result {
 	t.Helper()
-	e, err := New(ix, q, cfg)
+	return runExperiment(t, ix, q, cfg, Experiment{})
+}
+
+func runExperiment(t *testing.T, ix *index.Index, q *pattern.Query, cfg Config, x Experiment) *Result {
+	t.Helper()
+	e, err := NewExperiment(ix, q, cfg, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +143,10 @@ func TestRelaxedRankingOrder(t *testing.T) {
 		t.Fatalf("answers = %d, want 4", len(res.Answers))
 	}
 	books := ix.Nodes("book")
-	if res.Answers[0].Root != books[0] {
+	if res.Answers[0].Root != books[0].Ord {
 		t.Fatalf("best answer should be the exact match, got %v", res.Answers[0].Root)
 	}
-	if res.Answers[3].Root != books[3] {
+	if res.Answers[3].Root != books[3].Ord {
 		t.Fatalf("worst answer should be book 4, got %v", res.Answers[3].Root)
 	}
 	for i := 1; i < len(res.Answers); i++ {
@@ -159,12 +164,12 @@ func TestExactModeOnlyExactMatches(t *testing.T) {
 		if len(res.Answers) != 1 {
 			t.Fatalf("%v: exact answers = %d, want 1 (only book 1)", alg, len(res.Answers))
 		}
-		if res.Answers[0].Root != ix.Nodes("book")[0] {
+		if res.Answers[0].Root != ix.Nodes("book")[0].Ord {
 			t.Fatalf("%v: wrong exact answer", alg)
 		}
 		// Every binding must be present in an exact match.
 		for id, b := range res.Answers[0].Bindings {
-			if b == nil {
+			if b < 0 {
 				t.Fatalf("%v: exact match missing binding %d", alg, id)
 			}
 		}
@@ -248,10 +253,10 @@ func TestDistinctRootsInvariant(t *testing.T) {
 	res := runWith(t, ix, q, Config{K: 4, Relax: relax.All, Algorithm: WhirlpoolS, Scorer: s})
 	seen := make(map[int32]bool)
 	for _, a := range res.Answers {
-		if seen[a.Root.Ord] {
+		if seen[a.Root] {
 			t.Fatalf("duplicate root %v in answers", a.Root)
 		}
-		seen[a.Root.Ord] = true
+		seen[a.Root] = true
 	}
 }
 
@@ -260,7 +265,7 @@ func TestSeededThresholdPrunesEverything(t *testing.T) {
 	s := score.NewTFIDF(ix, q, score.Sparse)
 	// With an impossible currentTopK floor, every match should be pruned
 	// immediately after root generation.
-	res := runWith(t, ix, q, Config{K: 1, Relax: relax.All, Algorithm: WhirlpoolS, Scorer: s, Threshold: 1e9})
+	res := runExperiment(t, ix, q, Config{K: 1, Relax: relax.All, Algorithm: WhirlpoolS, Scorer: s}, Experiment{Threshold: 1e9})
 	if res.Stats.ServerOps > int64(len(ix.Nodes("book"))) {
 		t.Fatalf("expected no post-root server ops, got %d", res.Stats.ServerOps)
 	}

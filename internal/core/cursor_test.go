@@ -46,11 +46,11 @@ func newRouteTracer(s score.Scorer, eager bool) *routeTracer {
 	return &routeTracer{Scorer: s, eager: eager, rootOf: make(map[int64]int)}
 }
 
-func (s *routeTracer) Contribution(id int, v score.Variant, n *xmltree.Node) float64 {
+func (s *routeTracer) Contribution(id int, v score.Variant, ord int32) float64 {
 	if id == 0 {
-		s.pending = append(s.pending, int(n.Ord))
+		s.pending = append(s.pending, int(ord))
 	}
-	return s.Scorer.Contribution(id, v, n)
+	return s.Scorer.Contribution(id, v, ord)
 }
 
 func (s *routeTracer) MaxContribution(id int) float64 {
@@ -258,13 +258,13 @@ type cancelAfter struct {
 	cancel context.CancelFunc
 }
 
-func (s *cancelAfter) Contribution(id int, v score.Variant, n *xmltree.Node) float64 {
+func (s *cancelAfter) Contribution(id int, v score.Variant, ord int32) float64 {
 	if id == 0 {
 		if s.roots--; s.roots == 0 {
 			s.cancel()
 		}
 	}
-	return s.Scorer.Contribution(id, v, n)
+	return s.Scorer.Contribution(id, v, ord)
 }
 
 // TestRunStateReuseAfterCancel: a run cancelled while its cursor is

@@ -24,8 +24,10 @@ import (
 // Totals — and safe for repeated and concurrent Run calls.
 type Engine struct {
 	cfg   Config
+	x     Experiment
 	query *pattern.Query
 	plans []*relax.ServerPlan
+	doc   *xmltree.Columns // the document every binding is an ordinal of
 
 	maxContrib  []float64 // per query node
 	minContrib  []float64
@@ -39,7 +41,8 @@ type Engine struct {
 	vts         []index.ValueTest // per-node content predicates
 	probes      []index.Probe     // per-server (tag, value test), resolved once
 	rootVia     int               // valued node whose postings stream the roots; 0 = scan (rootCursor)
-	roots, post []*xmltree.Node   // the root's candidates and rootVia's postings
+	roots, post []uint32          // the root's candidates and rootVia's postings
+	rootTag     index.Probe       // the root's tag, any value: the climb's ancestor test
 	member      bool              // ix is one member of a partitioned corpus (NewMember)
 
 	// totals accumulates every run's Stats behind one mutex, taken once
@@ -83,6 +86,13 @@ func NewMember(ix index.Source, q *pattern.Query, cfg Config, spine bool) (*Engi
 // New validates cfg and builds an engine for query q over the indexed
 // document ix, which must be the whole corpus.
 func New(ix index.Source, q *pattern.Query, cfg Config) (*Engine, error) {
+	return NewExperiment(ix, q, cfg, Experiment{})
+}
+
+// NewExperiment is New with the experiment-only knobs x set: the
+// paper's figures and the tests build engines here, nothing that serves
+// does.
+func NewExperiment(ix index.Source, q *pattern.Query, cfg Config, x Experiment) (*Engine, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -91,7 +101,9 @@ func New(ix index.Source, q *pattern.Query, cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:        cfg,
+		x:          x,
 		query:      q,
+		doc:        ix.Cols(),
 		maxContrib: make([]float64, q.Size()),
 		minContrib: make([]float64, q.Size()),
 		expContrib: make([]float64, q.Size()),
@@ -117,9 +129,10 @@ func New(ix index.Source, q *pattern.Query, cfg Config) (*Engine, error) {
 			e.probes[id] = ix.Probe(e.plans[id].Tag, e.vts[id])
 		}
 	}
-	e.roots = ix.NodesMatching(q.Root().Tag, e.vts[0])
+	e.roots = ix.Ords(q.Root().Tag, e.vts[0])
+	e.rootTag = ix.Probe(q.Root().Tag, index.ValueTest{})
 	if e.rootVia = e.shortestPostings(ix); e.rootVia != 0 {
-		e.post = ix.NodesMatching(q.Nodes[e.rootVia].Tag, e.vts[e.rootVia])
+		e.post = ix.Ords(q.Nodes[e.rootVia].Tag, e.vts[e.rootVia])
 	}
 	for id := 0; id < q.Size(); id++ {
 		e.maxContrib[id] = cfg.Scorer.MaxContribution(id)
@@ -191,7 +204,7 @@ func (e *Engine) shortestPostings(ix index.Source) (via int) {
 		if e.vts[id].Any() || len(n.Children) > 0 && rel.Has(relax.LeafDeletion) && !rel.Has(relax.SubtreePromotion) {
 			continue
 		}
-		if l := len(ix.NodesMatching(n.Tag, e.vts[id])); l < best {
+		if l := len(ix.Ords(n.Tag, e.vts[id])); l < best {
 			best, via = l, id
 		}
 	}
@@ -312,13 +325,13 @@ func spin(d time.Duration) {
 // deleted, under bounds lowered by via's maximum contribution.
 type rootCursor struct {
 	r     *run
-	cands []*xmltree.Node
+	cands []uint32
 	pos   int
 	// prioBound and finalBound bound, from above, the router-queue
 	// priority and the maxFinal of every root not yet materialised.
 	prioBound, finalBound float64
-	made, compared        int64           // not yet flushed into r.stats
-	post                  []*xmltree.Node // via's postings, walked by pi in either segment
+	made, compared        int64    // not yet flushed into r.stats
+	post                  []uint32 // via's postings, walked by pi in either segment
 	pi                    int
 	last                  int32 // ordinal of the last root the climb considered
 	reached               int   // roots the climb reached that the second segment has yet to skip
@@ -358,8 +371,8 @@ func (c *rootCursor) lower() bool {
 	return true
 }
 
-// candidate returns the segment's next root candidate, nil at its end.
-func (c *rootCursor) candidate() *xmltree.Node {
+// candidate returns the segment's next root candidate, -1 at its end.
+func (c *rootCursor) candidate() int32 {
 	e := c.r.Engine
 	if e.rootVia != 0 && !c.second {
 		return c.climb()
@@ -369,59 +382,60 @@ func (c *rootCursor) candidate() *xmltree.Node {
 		c.pos++
 		// Second segment (a scan has no postings): the first posting
 		// after n lies below n iff any does, and then n was reached.
-		for c.pi < len(c.post) && c.post[c.pi].Ord <= n.Ord {
+		for c.pi < len(c.post) && c.post[c.pi] <= n {
 			c.pi++
 		}
-		if c.pi == len(c.post) || c.post[c.pi].Ord > n.End {
-			return n
+		if c.pi == len(c.post) || int32(c.post[c.pi]) > e.doc.End(int32(n)) {
+			return int32(n)
 		}
 		c.reached--
 	}
-	return nil
+	return -1
 }
 
 // climb returns the next root the postings reach: the outermost new
 // root-tag ancestor of the posting in hand, kept while it has a deeper
-// one. Only a member must look it up among its own candidates.
-func (c *rootCursor) climb() *xmltree.Node {
+// one, found up the parent column. Only a member must look it up among
+// its own candidates.
+func (c *rootCursor) climb() int32 {
 	e := c.r.Engine
-	rootTag := e.query.Root().Tag
+	doc := e.doc
 	for c.pi < len(c.post) {
-		var top *xmltree.Node
+		top := int32(-1)
 		nested := false
-		for a := c.post[c.pi].Parent; a != nil && a.Ord > c.last; a = a.Parent {
-			if a.Tag == rootTag {
-				top, nested = a, top != nil
+		for a := doc.Parent(int32(c.post[c.pi])); a > c.last; a = doc.Parent(a) {
+			if e.rootTag.Has(a) {
+				top, nested = a, top >= 0
 			}
 		}
 		if !nested {
 			c.pi++
 		}
-		if top == nil {
+		if top < 0 {
 			continue
 		}
-		c.last = top.Ord
-		own := e.vts[0].Matches(top.Value)
+		c.last = top
+		own := e.vts[0].Matches(doc.Value(top))
 		if e.member {
-			_, own = slices.BinarySearchFunc(c.cands, top.Ord, func(n *xmltree.Node, ord int32) int { return int(n.Ord - ord) })
+			_, own = slices.BinarySearch(c.cands, uint32(top))
 		}
 		if own {
 			c.reached++
 			return top
 		}
 	}
-	return nil
+	return -1
 }
 
 // next materialises the segment's next admissible root; nil ends it.
 func (c *rootCursor) next() *match {
 	e := c.r.Engine
-	for n := c.candidate(); n != nil; n = c.candidate() {
+	for n := c.candidate(); n >= 0; n = c.candidate() {
 		c.compared++
 		variant := score.Exact
 		// The root predicate's anchor is the document's virtual parent,
 		// level 0 and an ancestor of every node: only the depth decides.
-		if !e.plans[0].RootPath.DepthHoldsExact(n.Level()) {
+		if !e.plans[0].RootPath.DepthHoldsExact(int(e.doc.Level[n])) {
 			// /tag with a non-root binding: admissible only under edge
 			// generalization of the root edge.
 			if !e.cfg.Relax.Has(relax.EdgeGeneralization) {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/dewey"
 	"repro/internal/pattern"
 	"repro/internal/relax"
+	"repro/internal/xmltree"
 )
 
 // MatchKind classifies how a query node was satisfied in an answer.
@@ -53,15 +54,16 @@ type Explanation struct {
 	Detail string
 }
 
-// Explain classifies every query node of an answer: which bindings are
-// exact, which required edge generalization or subtree promotion, and
-// which were deleted. It makes the engine's relaxation decisions legible
-// in results (see examples/bookstore).
-func Explain(q *pattern.Query, a Answer) []Explanation {
+// Explain classifies every query node of an answer, given its bindings
+// as nodes (nil for a node relaxed away): which bindings are exact,
+// which required edge generalization or subtree promotion, and which
+// were deleted. It makes the engine's relaxation decisions legible in
+// results (see examples/bookstore).
+func Explain(q *pattern.Query, bindings []*xmltree.Node) []Explanation {
 	out := make([]Explanation, 0, q.Size())
 	for id := 0; id < q.Size(); id++ {
 		n := q.Nodes[id]
-		b := a.Bindings[id]
+		b := bindings[id]
 		e := Explanation{NodeID: id, Tag: n.Tag}
 		switch {
 		case id == 0:
@@ -76,7 +78,7 @@ func Explain(q *pattern.Query, a Answer) []Explanation {
 			e.Kind = MatchDeleted
 			e.Detail = "relaxed away by leaf deletion"
 		default:
-			e.Kind, e.Detail = classify(q, a, id)
+			e.Kind, e.Detail = classify(q, bindings, id)
 		}
 		out = append(out, e)
 	}
@@ -85,11 +87,11 @@ func Explain(q *pattern.Query, a Answer) []Explanation {
 
 // classify determines a bound node's kind from its pattern parent's
 // binding and the exact composed path from the root.
-func classify(q *pattern.Query, a Answer, id int) (MatchKind, string) {
+func classify(q *pattern.Query, bindings []*xmltree.Node, id int) (MatchKind, string) {
 	n := q.Nodes[id]
-	b := a.Bindings[id]
-	root := a.Bindings[0]
-	parentBind := a.Bindings[n.Parent]
+	b := bindings[id]
+	root := bindings[0]
+	parentBind := bindings[n.Parent]
 
 	if parentBind == nil {
 		return MatchPromoted, fmt.Sprintf("re-anchored below %s (its pattern parent %s was deleted)", root.Tag, q.Nodes[n.Parent].Tag)
@@ -98,7 +100,7 @@ func classify(q *pattern.Query, a Answer, id int) (MatchKind, string) {
 		return MatchPromoted, fmt.Sprintf("not contained in its pattern parent's binding %s (subtree promotion)", parentBind.ID)
 	}
 	exactEdge := n.Axis == dewey.Descendant || b.Level()-parentBind.Level() == 1
-	rootExact := relax.ComposePath(q, 0, id).HoldsExact(root, b)
+	rootExact := root.Contains(b) && relax.ComposePath(q, 0, id).DepthHoldsExact(b.Level()-root.Level())
 	if exactEdge && rootExact {
 		return MatchExact, "matched at its exact pattern position"
 	}

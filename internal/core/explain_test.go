@@ -4,9 +4,24 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/index"
+	"repro/internal/pattern"
 	"repro/internal/relax"
 	"repro/internal/score"
+	"repro/internal/xmltree"
 )
+
+// explain is Explain over an engine answer, its ordinals resolved to
+// ix's nodes.
+func explain(ix *index.Index, q *pattern.Query, a Answer) []Explanation {
+	nodes := make([]*xmltree.Node, len(a.Bindings))
+	for i, o := range a.Bindings {
+		if o >= 0 {
+			nodes[i] = ix.Document().Nodes[o]
+		}
+	}
+	return Explain(q, nodes)
+}
 
 func TestExplainBookstore(t *testing.T) {
 	ix, q := buildEnv(t, booksXML, "/book[./title = 'wodehouse' and ./info/publisher/name = 'psmith']")
@@ -26,7 +41,7 @@ func TestExplainBookstore(t *testing.T) {
 	}
 
 	// Answer 1 (book 1): everything exact.
-	ex := Explain(q, res.Answers[0])
+	ex := explain(ix, q, res.Answers[0])
 	if len(ex) != q.Size() {
 		t.Fatalf("explanations = %d", len(ex))
 	}
@@ -41,14 +56,14 @@ func TestExplainBookstore(t *testing.T) {
 	// root path is broken, so it cannot be MatchExact.
 	var book2 *Answer
 	for i := range res.Answers {
-		if res.Answers[i].Root == ix.Nodes("book")[1] {
+		if res.Answers[i].Root == ix.Nodes("book")[1].Ord {
 			book2 = &res.Answers[i]
 		}
 	}
 	if book2 == nil {
 		t.Fatal("book 2 not in answers")
 	}
-	ex2 := Explain(q, *book2)
+	ex2 := explain(ix, q, *book2)
 	pub := byTag(ex2, "publisher")
 	info := byTag(ex2, "info")
 	if pub.Kind == MatchExact {
@@ -62,11 +77,11 @@ func TestExplainBookstore(t *testing.T) {
 	// and name deleted.
 	var book3 *Answer
 	for i := range res.Answers {
-		if res.Answers[i].Root == ix.Nodes("book")[2] {
+		if res.Answers[i].Root == ix.Nodes("book")[2].Ord {
 			book3 = &res.Answers[i]
 		}
 	}
-	ex3 := Explain(q, *book3)
+	ex3 := explain(ix, q, *book3)
 	title := byTag(ex3, "title")
 	if title.Kind != MatchEdgeGeneralized {
 		t.Fatalf("book 3 title kind = %v (%s)", title.Kind, title.Detail)
@@ -85,7 +100,7 @@ func TestExplainRootGeneralized(t *testing.T) {
 	if len(res.Answers) != 1 {
 		t.Fatalf("answers = %d", len(res.Answers))
 	}
-	ex := Explain(q, res.Answers[0])
+	ex := explain(ix, q, res.Answers[0])
 	if ex[0].Kind != MatchEdgeGeneralized {
 		t.Fatalf("nested /book root should be edge-generalized: %v (%s)", ex[0].Kind, ex[0].Detail)
 	}

@@ -10,18 +10,16 @@ import (
 
 	"repro/internal/relax"
 	"repro/internal/score"
-	"repro/internal/xmltree"
 )
 
 // extend is extendInto with a freshly allocated target.
-func (m *match) extend(id int, n *xmltree.Node, c, maxContrib float64, seq int64) *match {
-	return m.extendInto(&match{bindings: make([]*xmltree.Node, len(m.bindings))}, id, n, c, maxContrib, seq)
+func (m *match) extend(id int, n int32, c, maxContrib float64, seq int64) *match {
+	return m.extendInto(&match{bindings: make([]int32, len(m.bindings))}, id, n, c, maxContrib, seq)
 }
 
 func mkMatch(rootOrd int, score float64, seq int64) *match {
-	n := &xmltree.Node{Tag: "r", Ord: int32(rootOrd)}
 	return &match{
-		bindings: []*xmltree.Node{n},
+		bindings: []int32{int32(rootOrd)},
 		visited:  1,
 		score:    score,
 		maxFinal: score,
@@ -97,7 +95,7 @@ func TestTopkSetEvictedRootCanReturn(t *testing.T) {
 	tk.offer(mkMatch(2, 0.8, 2), 0) // evicts root 1
 	tk.offer(mkMatch(1, 0.9, 3), 0) // root 1 returns with a better score
 	ans := tk.answers()
-	if len(ans) != 1 || ans[0].Root.Ord != 1 || ans[0].Score != 0.9 {
+	if len(ans) != 1 || ans[0].Root != 1 || ans[0].Score != 0.9 {
 		t.Fatalf("answers = %v", ans)
 	}
 }
@@ -107,17 +105,16 @@ func TestTopkSetDeterministicTieBreak(t *testing.T) {
 	tk.offer(mkMatch(5, 0.5, 1), 0)
 	tk.offer(mkMatch(2, 0.5, 2), 0) // same score, smaller root ord wins
 	ans := tk.answers()
-	if ans[0].Root.Ord != 2 {
-		t.Fatalf("tie break picked root %d", ans[0].Root.Ord)
+	if ans[0].Root != 2 {
+		t.Fatalf("tie break picked root %d", ans[0].Root)
 	}
 }
 
 // mkBoundMatch is mkMatch with extra non-root bindings, for tie-break
-// tests that need distinct binding vectors at equal scores. Matches for
-// one root share the root node pointer, as they do in a real run.
-func mkBoundMatch(root *xmltree.Node, score float64, others ...*xmltree.Node) *match {
+// tests that need distinct binding vectors at equal scores.
+func mkBoundMatch(root int32, score float64, others ...int32) *match {
 	return &match{
-		bindings: append([]*xmltree.Node{root}, others...),
+		bindings: append([]int32{root}, others...),
 		visited:  1,
 		score:    score,
 		maxFinal: score,
@@ -126,12 +123,10 @@ func mkBoundMatch(root *xmltree.Node, score float64, others ...*xmltree.Node) *m
 }
 
 func TestTopkSetEqualScoreKeepsDocOrderBindings(t *testing.T) {
-	root := &xmltree.Node{Tag: "r", Ord: 1}
-	early := &xmltree.Node{Tag: "a", Ord: 3}
-	late := &xmltree.Node{Tag: "a", Ord: 9}
+	root, early, late := int32(1), int32(3), int32(9)
 	// Regardless of arrival order, the kept representative for a root at
 	// an equal score is the bindings vector earliest in document order.
-	for _, first := range []*xmltree.Node{early, late} {
+	for _, first := range []int32{early, late} {
 		second := late
 		if first == late {
 			second = early
@@ -141,15 +136,15 @@ func TestTopkSetEqualScoreKeepsDocOrderBindings(t *testing.T) {
 		tk.offer(mkBoundMatch(root, 0.5, second), 0)
 		ans := tk.answers()
 		if len(ans) != 1 || ans[0].Bindings[1] != early {
-			t.Fatalf("first ord %d: kept binding ord %d, want ord 3", first.Ord, ans[0].Bindings[1].Ord)
+			t.Fatalf("first ord %d: kept binding ord %d, want ord 3", first, ans[0].Bindings[1])
 		}
 	}
-	// nil (relaxed-away) sorts after any bound node.
+	// -1 (relaxed-away) sorts after any bound node.
 	tk := newTopkSet(1, 0, false)
-	tk.offer(mkBoundMatch(root, 0.5, nil), 0)
+	tk.offer(mkBoundMatch(root, 0.5, -1), 0)
 	tk.offer(mkBoundMatch(root, 0.5, late), 0)
 	if ans := tk.answers(); ans[0].Bindings[1] != late {
-		t.Fatalf("kept %v, want bound node over nil", ans[0].Bindings[1])
+		t.Fatalf("kept %v, want bound node over -1", ans[0].Bindings[1])
 	}
 }
 
@@ -350,10 +345,9 @@ func TestLiveCounterSignalsZero(t *testing.T) {
 // Scores compare exactly: extendInto's score arithmetic is exact on these inputs.
 func TestMatchExtend(t *testing.T) {
 	m := mkMatch(1, 0.4, 1)
-	m.bindings = append(m.bindings, nil, nil)
+	m.bindings = append(m.bindings, -1, -1)
 	m.maxFinal = 0.4 + 0.3 + 0.2
-	n := &xmltree.Node{Tag: "x", Ord: 9}
-	ext := m.extend(1, n, 0.25, 0.3, 2)
+	ext := m.extend(1, 9, 0.25, 0.3, 2)
 	if ext.score != 0.65 {
 		t.Fatalf("score = %v", ext.score)
 	}
@@ -367,7 +361,7 @@ func TestMatchExtend(t *testing.T) {
 		t.Fatal("extend mutated parent")
 	}
 	// Null extension.
-	null := m.extend(2, nil, 0, 0.2, 3)
+	null := m.extend(2, -1, 0, 0.2, 3)
 	if !null.isMissing(2) || null.score != 0.4 {
 		t.Fatalf("null extension = %v", null)
 	}
@@ -378,13 +372,13 @@ func TestMatchExtend(t *testing.T) {
 	if ext.complete(0b111) {
 		t.Fatal("ext not complete")
 	}
-	both := ext.extend(2, nil, 0, 0.2, 4)
+	both := ext.extend(2, -1, 0, 0.2, 4)
 	if !both.complete(0b111) {
 		t.Fatal("both should be complete")
 	}
 }
 
-// String renders the match for debugging: bound tags, score and bound.
+// String renders the match for debugging: bound ordinals, score and bound.
 func (m *match) String() string {
 	var b strings.Builder
 	b.WriteString("match{")
@@ -393,8 +387,8 @@ func (m *match) String() string {
 			b.WriteString(" ")
 		}
 		switch {
-		case n != nil:
-			fmt.Fprintf(&b, "%d:%s", i, n.ID)
+		case n >= 0:
+			fmt.Fprintf(&b, "%d:%d", i, n)
 		case m.isMissing(i):
 			fmt.Fprintf(&b, "%d:⊥", i)
 		default:
@@ -407,7 +401,7 @@ func (m *match) String() string {
 
 func TestMatchString(t *testing.T) {
 	m := mkMatch(1, 0.4, 1)
-	m.bindings = append(m.bindings, nil, nil)
+	m.bindings = append(m.bindings, -1, -1)
 	m.visited |= 1 << 2
 	m.missing |= 1 << 2
 	s := m.String()

@@ -52,7 +52,7 @@ func TestKernelCountersPinned(t *testing.T) {
 						})
 						ords := make([]string, len(res.Answers))
 						for i, a := range res.Answers {
-							ords[i] = fmt.Sprint(a.Root.Ord)
+							ords[i] = fmt.Sprint(a.Root)
 						}
 						st := res.Stats
 						fmt.Fprintf(&got, "Q%d/%s/k%d/%v/%v ops=%d joins=%d created=%d pruned=%d roots=%s\n",

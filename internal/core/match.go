@@ -1,20 +1,19 @@
 package core
 
-import "repro/internal/xmltree"
-
 // match is a partial or complete match: one tuple of bindings flowing
-// through the servers. Query node i is in one of three states:
+// through the servers. A binding is a document node's preorder
+// ordinal. Query node i is in one of three states:
 //
-//   - unvisited: visited bit clear, bindings[i] == nil
-//   - bound:     visited bit set,   bindings[i] != nil
-//   - missing:   visited and missing bits set, bindings[i] == nil
+//   - unvisited: visited bit clear, bindings[i] == -1
+//   - bound:     visited bit set,   bindings[i] >= 0
+//   - missing:   visited and missing bits set, bindings[i] == -1
 //     (the node was relaxed away by leaf deletion)
 //
 // score grows monotonically as servers add non-negative contributions;
 // maxFinal = score + Σ maximum contributions of unvisited servers is the
 // admissible upper bound pruning compares against currentTopK.
 type match struct {
-	bindings []*xmltree.Node
+	bindings []int32
 	visited  uint64
 	missing  uint64
 	score    float64
@@ -34,14 +33,14 @@ func (m *match) complete(all uint64) bool { return m.visited == all }
 
 // rootOrd returns the document ordinal of the root binding, the key the
 // top-k set deduplicates on.
-func (m *match) rootOrd() int { return int(m.bindings[0].Ord) }
+func (m *match) rootOrd() int { return int(m.bindings[0]) }
 
 // extendInto writes into ext the clone of m with query node id bound to
-// n (nil = missing), contributing c to the score, and returns ext, whose
+// n (-1 = missing), contributing c to the score, and returns ext, whose
 // bindings slice must already have m's width (arena matches do).
 // maxContrib is the server's precomputed maximum contribution that the
 // maxFinal bound releases.
-func (m *match) extendInto(ext *match, id int, n *xmltree.Node, c, maxContrib float64, seq int64) *match {
+func (m *match) extendInto(ext *match, id int, n int32, c, maxContrib float64, seq int64) *match {
 	copy(ext.bindings, m.bindings)
 	ext.bindings[id] = n
 	ext.visited = m.visited | 1<<uint(id)
@@ -49,7 +48,7 @@ func (m *match) extendInto(ext *match, id int, n *xmltree.Node, c, maxContrib fl
 	ext.score = m.score + c
 	ext.maxFinal = m.maxFinal - maxContrib + c
 	ext.seq = seq
-	if n == nil {
+	if n < 0 {
 		ext.missing |= 1 << uint(id)
 	}
 	return ext

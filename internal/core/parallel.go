@@ -76,7 +76,7 @@ func (e *Engine) open(ctx context.Context, topk *topkSet, shardID int) *Parallel
 	p.q = &p.sq
 	if !shared {
 		p.q, topk = &p.sq.pq, p.topk
-		topk.reset(e.cfg.K, e.cfg.Threshold, e.cfg.Threshold > 0)
+		topk.reset(e.cfg.K, e.x.Threshold, e.x.Threshold > 0)
 	}
 	p.r = run{Engine: e, topk: topk, arena: p.arena, shardID: int32(shardID), sharded: shared, ctx: ctx, done: ctx.Done()}
 	p.r.lastThreshold.Store(math.Float64bits(math.Inf(-1)))

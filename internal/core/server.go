@@ -4,7 +4,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relax"
 	"repro/internal/score"
-	"repro/internal/xmltree"
 )
 
 // Scratch is one worker goroutine's reusable buffers: process appends
@@ -17,7 +16,7 @@ import (
 // must not be shared between goroutines; matches held in its slices are
 // owned by that worker until released or re-queued.
 type Scratch struct {
-	cands             []*xmltree.Node
+	cands             []int32
 	exts, batch, surv []*match
 }
 
@@ -37,17 +36,17 @@ func NewScratch() *Scratch { return &Scratch{} }
 func (r *run) process(m *match, sid int, sc *Scratch) []*match {
 	e := r.Engine
 	r.stats.serverOps.Add(1)
-	if e.cfg.OpCost > 0 {
-		spin(e.cfg.OpCost)
+	if e.x.OpCost > 0 {
+		spin(e.x.OpCost)
 	}
-	plan := e.plans[sid]
+	plan, doc := e.plans[sid], e.doc
 	root := m.bindings[0]
 	sc.cands = e.probes[sid].Append(sc.cands[:0], root, plan.ProbeAxis())
 
 	exts := sc.exts[:0]
 	compared := int64(len(sc.cands)) // one root test per candidate, plus the conds below
 	for _, c := range sc.cands {
-		structExact := plan.RootPath.HoldsExact(root, c)
+		structExact := plan.RootPath.HoldsExact(doc, root, c)
 		if e.cfg.Relax == relax.None && !structExact {
 			continue
 		}
@@ -58,7 +57,7 @@ func (r *run) process(m *match, sid int, sc *Scratch) []*match {
 				continue
 			}
 			other := m.bindings[cond.OtherID]
-			if other == nil {
+			if other < 0 {
 				// The related node was relaxed away. A candidate whose
 				// direct pattern parent is missing can only attach via
 				// subtree promotion.
@@ -69,7 +68,7 @@ func (r *run) process(m *match, sid int, sc *Scratch) []*match {
 				continue
 			}
 			compared++
-			if plan.Check(*cond, c, other) == relax.CondFailed {
+			if plan.Check(doc, *cond, c, other) == relax.CondFailed {
 				valid = false
 				break
 			}
@@ -90,7 +89,7 @@ func (r *run) process(m *match, sid int, sc *Scratch) []*match {
 			sc.exts = exts
 			return nil // inner-join semantics: the match dies
 		}
-		exts = append(exts, m.extendInto(r.arena.get(), sid, nil, 0, e.maxContrib[sid], r.nextSeq()))
+		exts = append(exts, m.extendInto(r.arena.get(), sid, -1, 0, e.maxContrib[sid], r.nextSeq()))
 	}
 	sc.exts = exts
 	r.stats.matchesCreated.Add(int64(len(exts)))

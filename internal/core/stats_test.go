@@ -67,9 +67,9 @@ func TestSeededThresholdRespectedByAllAlgorithms(t *testing.T) {
 	ix, q := buildEnv(t, booksXML, "/book[./title = 'wodehouse' and ./info/publisher/name = 'psmith']")
 	s := score.NewTFIDF(ix, q, score.Sparse)
 	for _, alg := range []Algorithm{WhirlpoolS, WhirlpoolM, LockStep} {
-		res := runWith(t, ix, q, Config{
-			K: 4, Relax: relax.All, Algorithm: alg, Scorer: s, Threshold: 4.5,
-		})
+		res := runExperiment(t, ix, q, Config{
+			K: 4, Relax: relax.All, Algorithm: alg, Scorer: s,
+		}, Experiment{Threshold: 4.5})
 		// Only book 1 reaches a score above 4.5 (it scores 5.0); other
 		// partial matches are pruned but their roots may retain lower
 		// offered scores. The winner must still be found.

@@ -4,8 +4,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/xmltree"
 )
 
 // topkSet is the shared candidate set of the k best (partial or complete)
@@ -61,7 +59,7 @@ const entryChunk = 64
 type topkEntry struct {
 	rootOrd  int
 	score    float64
-	bindings []*xmltree.Node // entry-owned copy, never aliases a match
+	bindings []int32 // entry-owned copy, never aliases a match
 	inTop    bool
 	pos      int // index in top while inTop
 }
@@ -87,29 +85,26 @@ func (t *topkSet) reset(k int, floor float64, hasFloor bool) {
 	t.thrSrc.Store(-1)
 	clear(t.best)
 	t.top = t.top[:0]
-	for _, e := range t.ents[:t.used] {
-		clear(e.bindings)
-	}
 	t.used = 0
 }
 
 // bindingsLess orders two binding vectors over the same query
 // deterministically: lexicographically by document order of the bound
-// nodes, with nil (a relaxed-away binding) after any bound node. The
+// nodes, with -1 (a relaxed-away binding) after any bound node. The
 // preorder ordinal is unique per node, so the order is total on distinct
 // vectors; it depends only on the vectors, never on evaluation timing.
-func bindingsLess(a, b []*xmltree.Node) bool {
+func bindingsLess(a, b []int32) bool {
 	for i := range a {
 		an, bn := a[i], b[i]
 		switch {
 		case an == bn:
 			continue
-		case an == nil:
+		case an < 0:
 			return false
-		case bn == nil:
+		case bn < 0:
 			return true
 		default:
-			return an.Ord < bn.Ord
+			return an < bn
 		}
 	}
 	return false
@@ -180,13 +175,13 @@ func (t *topkSet) newEntry(rootOrd int, m *match) *topkEntry {
 			return &topkEntry{
 				rootOrd:  rootOrd,
 				score:    m.score,
-				bindings: append([]*xmltree.Node(nil), m.bindings...),
+				bindings: append([]int32(nil), m.bindings...),
 			}
 		}
 	}
 	if t.used == len(t.ents) {
 		ents := make([]topkEntry, entryChunk)
-		bnd := make([]*xmltree.Node, entryChunk*t.qn)
+		bnd := make([]int32, entryChunk*t.qn)
 		for i := range ents {
 			ents[i].bindings = bnd[i*t.qn : (i+1)*t.qn : (i+1)*t.qn]
 			t.ents = append(t.ents, &ents[i])
@@ -269,7 +264,7 @@ func (t *topkSet) answers() []Answer {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Answer, 0, len(t.top))
-	flat := make([]*xmltree.Node, 0, len(t.top)*t.qn)
+	flat := make([]int32, 0, len(t.top)*t.qn)
 	for _, e := range t.top {
 		n := len(flat)
 		flat = append(flat, e.bindings...)

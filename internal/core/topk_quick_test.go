@@ -5,8 +5,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/xmltree"
 )
 
 // TestPropTopkSetMatchesSort drives the top-k set with random offer
@@ -24,7 +22,7 @@ func TestPropTopkSetMatchesSort(t *testing.T) {
 			rootOrd := r.Intn(8)
 			sc := float64(r.Intn(100)) / 10
 			m := &match{
-				bindings: []*xmltree.Node{{Tag: "r", Ord: int32(rootOrd)}},
+				bindings: []int32{int32(rootOrd)},
 				visited:  1,
 				score:    sc,
 				maxFinal: sc,

@@ -54,7 +54,7 @@ func (c sourceCase) owned(n *xmltree.Node) bool { return c.owns == nil || c.owns
 func sourceCases(t *testing.T, doc *xmltree.Document, p int) []sourceCase {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := store.WriteSnapshot(&buf, &store.Snapshot{Doc: doc}); err != nil {
+	if err := store.WriteSnapshot(&buf, &store.Snapshot{Cols: doc.Columns()}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := store.ParseSnapshot(buf.Bytes())
@@ -66,8 +66,8 @@ func sourceCases(t *testing.T, doc *xmltree.Document, p int) []sourceCase {
 		name string
 		src  index.Source
 		doc  *xmltree.Document
-	}{{"Index", index.Build(doc), doc}, {"SnapshotReader", r, r.Doc}} {
-		corpus, err := shard.Partition(backing.doc, backing.src, p)
+	}{{"Index", index.Build(doc), doc}, {"SnapshotReader", r, r.Document()}} {
+		corpus, err := shard.Partition(backing.src, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,11 +78,11 @@ func sourceCases(t *testing.T, doc *xmltree.Document, p int) []sourceCase {
 		// nearest unit-root ancestor, or to the spine when it has none.
 		home := make(map[int32]int)
 		for _, s := range corpus.Spine() {
-			home[s.Ord] = p
+			home[s] = p
 		}
 		for _, part := range corpus.Parts() {
 			for _, u := range part.Units {
-				home[u.Ord] = part.ID
+				home[u] = part.ID
 			}
 		}
 		for m, view := range corpus.ShardSources() {
@@ -198,12 +198,12 @@ func walk(anchor *xmltree.Node, axis dewey.Axis, tag string, vt index.ValueTest)
 	return out
 }
 
-// checkContract holds one source to the contract: Nodes and
+// checkContract holds one source to the contract: Ords, Nodes and
 // NodesMatching enumerate exactly the owned (tag, vt) nodes in document
 // order, and AppendCandidates anchored at any owned node — like the
-// resolved Probe's Append — appends exactly the tree walk's answer after
-// dst's existing elements, for every axis (an unsupported one appends
-// nothing), tag and value-test kind.
+// resolved Probe's Append over ordinals — appends exactly the tree
+// walk's answer after dst's existing elements, for every axis (an
+// unsupported one appends nothing), tag and value-test kind.
 func checkContract(t *testing.T, c sourceCase, d conformanceDoc) {
 	var anchors []*xmltree.Node
 	for i, n := range c.doc.Nodes {
@@ -223,6 +223,9 @@ func checkContract(t *testing.T, c sourceCase, d conformanceDoc) {
 			if got := c.src.NodesMatching(tag, vt); !slices.Equal(got, want) {
 				t.Fatalf("NodesMatching(%q, %v) = %v, want %v", tag, vt, got, want)
 			}
+			if got := c.src.Ords(tag, vt); !slices.Equal(got, ordsOf(want)) {
+				t.Fatalf("Ords(%q, %v) = %v, want %v", tag, vt, got, ordsOf(want))
+			}
 			if vt.Any() && !slices.Equal(c.src.Nodes(tag), want) {
 				t.Fatalf("Nodes(%q) = %v, want %v", tag, c.src.Nodes(tag), want)
 			}
@@ -234,13 +237,32 @@ func checkContract(t *testing.T, c sourceCase, d conformanceDoc) {
 						t.Fatalf("AppendCandidates(%v, %v, %q, %v) = %v, want sentinel + %v",
 							anchor, axis, tag, vt, got, walk(anchor, axis, tag, vt))
 					}
-					if probed := probe.Append([]*xmltree.Node{sentinel}, anchor, axis); !slices.Equal(probed, got) {
-						t.Fatalf("Probe(%q, %v).Append(%v, %v) = %v, AppendCandidates %v", tag, vt, anchor, axis, probed, got)
+					probed := probe.Append([]int32{-1}, anchor.Ord, axis)
+					if want := append([]int32{-1}, int32s(ordsOf(got[1:]))...); !slices.Equal(probed, want) {
+						t.Fatalf("Probe(%q, %v).Append(%v, %v) = %v, AppendCandidates %v", tag, vt, anchor, axis, probed, want)
 					}
 				}
 			}
 		}
 	}
+}
+
+// ordsOf returns the nodes' ordinals.
+func ordsOf(ns []*xmltree.Node) []uint32 {
+	out := make([]uint32, len(ns))
+	for i, n := range ns {
+		out[i] = uint32(n.Ord)
+	}
+	return out
+}
+
+// int32s converts posting ordinals to candidate ordinals.
+func int32s(ords []uint32) []int32 {
+	out := make([]int32, len(ords))
+	for i, o := range ords {
+		out[i] = int32(o)
+	}
+	return out
 }
 
 // bruteStats is the reference for score.CollectStats on node id ≥ 1 of
@@ -384,7 +406,7 @@ func TestSourceConformance(t *testing.T) {
 // index.Build and synopsis.Build of the parsed document.
 func checkColumns(t *testing.T, doc *xmltree.Document) {
 	var buf bytes.Buffer
-	if err := store.WriteSnapshot(&buf, &store.Snapshot{Doc: doc}); err != nil {
+	if err := store.WriteSnapshot(&buf, &store.Snapshot{Cols: doc.Columns()}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := store.ParseSnapshot(buf.Bytes())
@@ -455,7 +477,7 @@ func TestNodeLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		var snap bytes.Buffer
-		if err := store.WriteSnapshot(&snap, &store.Snapshot{Doc: parsed}); err != nil {
+		if err := store.WriteSnapshot(&snap, &store.Snapshot{Cols: parsed.Columns()}); err != nil {
 			t.Fatal(err)
 		}
 		r, err := store.ParseSnapshot(snap.Bytes())
@@ -465,7 +487,7 @@ func TestNodeLayout(t *testing.T) {
 		for _, build := range []struct {
 			name string
 			doc  *xmltree.Document
-		}{{"parsed", parsed}, {"snapshot", r.Doc}, {"builder", rebuild(parsed)}, {"projected", projected}, {"built", d.doc}} {
+		}{{"parsed", parsed}, {"snapshot", r.Document()}, {"builder", rebuild(parsed)}, {"projected", projected}, {"built", d.doc}} {
 			t.Run(d.name+"/"+build.name, func(t *testing.T) {
 				checkLayout(t, build.doc, d.name == "xmark")
 				sameLayout(t, parsed, build.doc)
@@ -581,27 +603,27 @@ func checkTiling(t *testing.T, cases []sourceCase, d conformanceDoc) {
 		}
 		for _, tag := range d.tags {
 			for _, vt := range d.vts {
-				var union []*xmltree.Node
-				seen := make(map[*xmltree.Node]string)
+				var union []uint32
+				seen := make(map[uint32]string)
 				for _, c := range cases {
 					if c.whole() || c.backing != whole.backing {
 						continue
 					}
-					list := c.src.NodesMatching(tag, vt)
-					for i, n := range list {
-						if i > 0 && list[i-1].Ord >= n.Ord {
-							t.Fatalf("%s NodesMatching(%q, %v) is not ascending at %d", c.name, tag, vt, i)
+					list := c.src.Ords(tag, vt)
+					for i, o := range list {
+						if i > 0 && list[i-1] >= o {
+							t.Fatalf("%s Ords(%q, %v) is not ascending at %d", c.name, tag, vt, i)
 						}
-						if other, dup := seen[n]; dup {
-							t.Fatalf("NodesMatching(%q, %v): node %d is in %s and %s", tag, vt, n.Ord, other, c.name)
+						if other, dup := seen[o]; dup {
+							t.Fatalf("Ords(%q, %v): node %d is in %s and %s", tag, vt, o, other, c.name)
 						}
-						seen[n] = c.name
+						seen[o] = c.name
 					}
 					union = append(union, list...)
 				}
-				slices.SortFunc(union, func(a, b *xmltree.Node) int { return int(a.Ord - b.Ord) })
-				if want := whole.src.NodesMatching(tag, vt); !slices.Equal(union, want) {
-					t.Fatalf("%s views tile NodesMatching(%q, %v) as %v, want %v", whole.name, tag, vt, union, want)
+				slices.Sort(union)
+				if want := whole.src.Ords(tag, vt); !slices.Equal(union, want) {
+					t.Fatalf("%s views tile Ords(%q, %v) as %v, want %v", whole.name, tag, vt, union, want)
 				}
 			}
 		}
@@ -609,7 +631,8 @@ func checkTiling(t *testing.T, cases []sourceCase, d conformanceDoc) {
 }
 
 // TestViewProbesAllocateNothing: a warm enumeration and a structural
-// probe through a member view are the backing's plus a table lookup.
+// probe over ordinals through a member view — what an engine asks of
+// it — are the backing's plus a table lookup.
 func TestViewProbesAllocateNothing(t *testing.T) {
 	d := conformanceDocs(t)[0]
 	views := 0
@@ -617,19 +640,21 @@ func TestViewProbesAllocateNothing(t *testing.T) {
 		if c.whole() {
 			continue
 		}
-		own := slices.Concat(c.src.Nodes("item"), c.src.Nodes("site")) // a part's anchor, or the spine's
+		own := slices.Concat(c.src.Ords("item", index.ValueTest{}), c.src.Ords("site", index.ValueTest{})) // a part's anchor, or the spine's
 		if len(own) == 0 {
 			continue
 		}
 		views++
 		for _, vt := range []index.ValueTest{{}, index.ValueEq("1"), index.Test("<", "3")} {
-			c.src.NodesMatching("quantity", vt)
-			dst := c.src.AppendCandidates(nil, own[0], dewey.Descendant, "quantity", vt)
+			c.src.Ords("quantity", vt)
+			p := c.src.Probe("quantity", vt)
+			dst := p.Append(nil, int32(own[0]), dewey.Descendant)
 			if allocs := testing.AllocsPerRun(100, func() {
-				c.src.NodesMatching("quantity", vt)
-				dst = c.src.AppendCandidates(dst[:0], own[0], dewey.Descendant, "quantity", vt)
+				c.src.Ords("quantity", vt)
+				p := c.src.Probe("quantity", vt)
+				dst = p.Append(dst[:0], int32(own[0]), dewey.Descendant)
 			}); allocs != 0 {
-				t.Errorf("%s: warm NodesMatching + AppendCandidates(%v) allocate %v times per call", c.name, vt, allocs)
+				t.Errorf("%s: warm Ords + Probe(%v).Append allocate %v times per call", c.name, vt, allocs)
 			}
 		}
 	}
@@ -642,29 +667,29 @@ func TestViewProbesAllocateNothing(t *testing.T) {
 // test) posting lists — Index (on either backing) and the member views —
 // to one bound: the value in the key comes from the request, so 5 000
 // distinct constants must leave at most lru.PostingsCap lists cached.
-// A cached list is recognised by its backing array: a hit hands out the
-// same slice, a rebuilt entry a new one. Results must equal a fresh
-// filter throughout, and repeating one key must allocate nothing.
+// A cached list (Ords) is recognised by its backing array: a hit hands
+// out the same slice, a rebuilt entry a new one. Results must equal a
+// fresh filter throughout, and repeating one key must allocate nothing.
 func TestPostingCachesBounded(t *testing.T) {
 	d := conformanceDocs(t)[0]
 	const tag, constants = "quantity", 5000
 	vtFor := func(i int) index.ValueTest { return index.Test("!=", fmt.Sprintf("c%04d", i)) }
 	for _, c := range sourceCases(t, d.doc, 4) {
 		t.Run(c.name, func(t *testing.T) {
-			var want []*xmltree.Node
+			var want []uint32
 			for _, n := range c.doc.Nodes {
 				if c.owned(n) && n.Tag == tag {
-					want = append(want, n) // no quantity equals any constant
+					want = append(want, uint32(n.Ord)) // no quantity equals any constant
 				}
 			}
 			if len(want) == 0 {
 				t.Skip("member holds no quantity node")
 			}
-			backing := make([]**xmltree.Node, constants)
+			backing := make([]*uint32, constants)
 			for i := range backing {
-				got := c.src.NodesMatching(tag, vtFor(i))
+				got := c.src.Ords(tag, vtFor(i))
 				if !slices.Equal(got, want) {
-					t.Fatalf("NodesMatching(%v) = %v, want %v", vtFor(i), got, want)
+					t.Fatalf("Ords(%v) = %v, want %v", vtFor(i), got, want)
 				}
 				backing[i] = &got[0]
 			}
@@ -672,7 +697,7 @@ func TestPostingCachesBounded(t *testing.T) {
 			// rebuild can evict it.
 			cached := 0
 			for i := constants - 1; i >= 0; i-- {
-				if &c.src.NodesMatching(tag, vtFor(i))[0] == backing[i] {
+				if &c.src.Ords(tag, vtFor(i))[0] == backing[i] {
 					cached++
 				}
 			}
@@ -680,9 +705,9 @@ func TestPostingCachesBounded(t *testing.T) {
 				t.Fatalf("%d of %d posting lists still cached, want 1..%d", cached, constants, lru.PostingsCap)
 			}
 			for _, vt := range []index.ValueTest{vtFor(0), index.ValueEq("1"), index.ValueEq("no such quantity")} {
-				c.src.NodesMatching(tag, vt)
-				if allocs := testing.AllocsPerRun(100, func() { c.src.NodesMatching(tag, vt) }); allocs != 0 {
-					t.Errorf("repeated NodesMatching(%v) allocates %v times per call", vt, allocs)
+				c.src.Ords(tag, vt)
+				if allocs := testing.AllocsPerRun(100, func() { c.src.Ords(tag, vt) }); allocs != 0 {
+					t.Errorf("repeated Ords(%v) allocates %v times per call", vt, allocs)
 				}
 			}
 		})

@@ -69,11 +69,11 @@ type rootRecorder struct {
 	ords []int
 }
 
-func (s *rootRecorder) Contribution(id int, v score.Variant, n *xmltree.Node) float64 {
+func (s *rootRecorder) Contribution(id int, v score.Variant, ord int32) float64 {
 	if id == 0 {
-		s.ords = append(s.ords, int(n.Ord))
+		s.ords = append(s.ords, int(ord))
 	}
-	return s.Scorer.Contribution(id, v, n)
+	return s.Scorer.Contribution(id, v, ord)
 }
 
 // FuzzRootStream holds the root server's posting stream to a brute-force

@@ -17,13 +17,16 @@
 // columns over the sections of a mapped snapshot file (Open) — the
 // paper's in-memory and disk-resident scenarios (Section 6.3.3) served
 // by one probe. View restricts either backing to one member of a
-// partition.
+// partition. Probes and postings are ordinals of the document's columns;
+// the *xmltree.Node adapters (Document, Nodes, NodesMatching,
+// AppendCandidates) build the node slab from those columns on first use.
 package index
 
 import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/dewey"
 	"repro/internal/lru"
@@ -31,7 +34,7 @@ import (
 )
 
 // Columns is the posting layout, as a WPXS snapshot stores it. Ordinals
-// are preorder positions in the document's node slab.
+// are preorder positions in the document's node columns.
 type Columns struct {
 	// Tags is the tag table, in order of first appearance in preorder.
 	Tags []string
@@ -47,34 +50,28 @@ type Columns struct {
 	KeyOff, KeyOrds []uint32
 }
 
-// Index holds one document's postings over its node slab.
+// Index holds one document's postings over its node columns.
 type Index struct {
-	// Doc is the indexed document; every ordinal indexes Doc.Nodes.
-	Doc *xmltree.Document
 	// Columns are the postings; read-only.
 	Columns
 
+	doc    *xmltree.Columns // the indexed document; every ordinal indexes it
 	tagIDs map[string]uint32
-	cache  *lru.Cache[postingKey, posting] // NodesMatching's lists and the filtered groups
+	cache  *lru.Cache[postingKey, []uint32] // the filtered (tag, value test) postings
+
+	slabOnce sync.Once
+	slab     *xmltree.Document // the node slab of doc, built on first use (Document)
 }
 
 // postingKey identifies one cached posting; the value comes from the
 // request, so the cache it keys is bounded.
 type postingKey struct{ tag, op, value string }
 
-// posting is one cached (tag, value test): the ordinals of the tag nodes
-// satisfying it and the same nodes as pointers.
-type posting struct {
-	ords  []uint32
-	nodes []*xmltree.Node
-}
-
-// Build indexes doc on the heap: the postings of its derived columns,
-// their keys on doc's own values.
+// Build indexes doc on the heap: the postings of its columns, with doc
+// as the node slab the *Node adapters hand out.
 func Build(doc *xmltree.Document) *Index {
-	c := Postings(doc.Columns())
-	c.KeysOn(doc)
-	return New(doc, c)
+	c := doc.Columns()
+	return New(c, Postings(c), doc)
 }
 
 // Postings computes the posting columns of the document the node
@@ -157,111 +154,144 @@ func Postings(nodes *xmltree.Columns) Columns {
 	return c
 }
 
-// KeysOn points the keys at the values of doc, the node slab of the
-// columns the postings were computed from, so that a value blob those
-// columns derived apart from the slab (see xmltree.Document.Columns) is
-// not kept alive beside it.
-func (c *Columns) KeysOn(doc *xmltree.Document) {
-	for k := range c.Keys {
-		c.Keys[k] = doc.Nodes[c.KeyOrds[c.KeyOff[k]]].Value
-	}
-}
-
-// New wraps the postings Postings computed over doc, the node slab of
-// the same columns.
-func New(doc *xmltree.Document, c Columns) *Index {
+// New wraps the postings Postings computed over the document columns
+// doc. slab is doc's node slab when the caller has one, or nil to build
+// it on first use (Document).
+func New(doc *xmltree.Columns, c Columns, slab *xmltree.Document) *Index {
 	tagIDs := make(map[string]uint32, len(c.Tags))
 	for t, tag := range c.Tags {
 		tagIDs[tag] = uint32(t)
 	}
-	return newIndex(doc, c, tagIDs)
+	return newIndex(doc, c, tagIDs, slab)
 }
 
-func newIndex(doc *xmltree.Document, c Columns, tagIDs map[string]uint32) *Index {
-	return &Index{Doc: doc, Columns: c, tagIDs: tagIDs,
-		cache: lru.New[postingKey, posting](lru.PostingsCap)}
+func newIndex(doc *xmltree.Columns, c Columns, tagIDs map[string]uint32, slab *xmltree.Document) *Index {
+	return &Index{Columns: c, doc: doc, tagIDs: tagIDs, slab: slab,
+		cache: lru.New[postingKey, []uint32](lru.PostingsCap)}
 }
 
-// TagID returns tag's id in the tag table.
-func (ix *Index) TagID(tag string) (uint32, bool) {
-	t, ok := ix.tagIDs[tag]
-	return t, ok
+// Cols returns the indexed document's columns.
+func (ix *Index) Cols() *xmltree.Columns { return ix.doc }
+
+// Document returns the document's node slab, building it from the
+// columns on the first call. Only the *Node adapters (Nodes,
+// NodesMatching, AppendCandidates) and callers that walk nodes ask for
+// it; nothing that serves a query does.
+func (ix *Index) Document() *xmltree.Document {
+	ix.slabOnce.Do(func() {
+		if ix.slab == nil {
+			ix.slab = ix.doc.Build()
+		}
+	})
+	return ix.slab
 }
 
 // Probe is a (tag, value test) resolved against one index: the
 // ascending ordinals of the tag nodes that satisfy the test. Resolve
 // once, then Append per anchor.
 type Probe struct {
-	tag   string
-	vt    ValueTest
-	ords  []uint32
-	nodes []*xmltree.Node
+	doc  *xmltree.Columns
+	tag  uint32
+	has  bool // the tag occurs in the document
+	vt   ValueTest
+	ords []uint32
 }
 
 // Probe resolves (tag, vt): the tag postings for a match-any test, the
 // key's postings for an equality, and for any other test the tag
 // postings filtered once and kept in a bounded cache.
 func (ix *Index) Probe(tag string, vt ValueTest) Probe {
-	g, filter := ix.group(tag, vt)
-	if filter {
-		g = ix.cached(tag, vt).ords
-	}
-	return Probe{tag: tag, vt: vt, ords: g, nodes: ix.Doc.Nodes}
+	t, has := ix.tagIDs[tag]
+	return Probe{doc: ix.doc, tag: t, has: has, vt: vt, ords: ix.ords(t, has, tag, vt)}
 }
 
-// Append appends the probe's nodes on the given axis of anchor to dst in
-// document order. Supported axes are Self, Child and Descendant — the
+// Has reports whether node ord carries the probe's tag and satisfies its
+// value test.
+func (p *Probe) Has(ord int32) bool {
+	return p.has && p.doc.TagIDs[ord] == p.tag && (p.vt.Any() || p.vt.Matches(p.doc.Value(ord)))
+}
+
+// Append appends the probe's ordinals on the given axis of anchor to dst
+// in document order. Supported axes are Self, Child and Descendant — the
 // axes structural probes use after Algorithm 1's composition to the
-// query root. A Descendant scan walks the ordinals from the first past
-// anchor.Ord while they stay inside anchor.End.
+// query root. Both structural axes walk the probe's ordinals from the
+// first past anchor while they stay inside its interval; a Child scan
+// keeps those one level below it. Scanning the postings reads them in
+// sequence, where stepping from child to child over subtree sizes would
+// wait on one load per child.
 // +whirllint:hotpath
-func (p *Probe) Append(dst []*xmltree.Node, anchor *xmltree.Node, axis dewey.Axis) []*xmltree.Node {
+func (p *Probe) Append(dst []int32, anchor int32, axis dewey.Axis) []int32 {
 	switch axis {
 	case dewey.Self:
-		if anchor.Tag == p.tag && p.vt.Matches(anchor.Value) {
+		if p.Has(anchor) {
 			return append(dst, anchor)
 		}
-	case dewey.Child:
-		for _, c := range anchor.Children {
-			if c.Tag == p.tag && p.vt.Matches(c.Value) {
-				dst = append(dst, c)
+	case dewey.Child, dewey.Descendant:
+		g, end := p.ords, uint32(p.doc.End(anchor))
+		child, level := axis == dewey.Child, p.doc.Level[anchor]+1
+		for i := firstAfter(g, uint32(anchor)); i < len(g) && g[i] <= end; i++ {
+			if !child || p.doc.Level[g[i]] == level {
+				dst = append(dst, int32(g[i]))
 			}
-		}
-	case dewey.Descendant:
-		g, end := p.ords, uint32(anchor.End)
-		for i := firstAfter(g, uint32(anchor.Ord)); i < len(g) && g[i] <= end; i++ {
-			dst = append(dst, p.nodes[g[i]])
 		}
 	}
 	return dst
 }
 
-// AppendCandidates resolves (tag, vt) and appends its nodes on the
-// given axis of anchor to dst (see Probe.Append).
-// +whirllint:hotpath
-func (ix *Index) AppendCandidates(dst []*xmltree.Node, anchor *xmltree.Node, axis dewey.Axis, tag string, vt ValueTest) []*xmltree.Node {
-	p := ix.Probe(tag, vt)
-	return p.Append(dst, anchor, axis)
+// Ords returns the ordinals of the tag nodes whose values satisfy vt,
+// ascending: a posting group, or for a test the postings cannot answer
+// the tag's group filtered once and kept in a bounded cache. The
+// returned slice is shared; callers must not modify it.
+func (ix *Index) Ords(tag string, vt ValueTest) []uint32 {
+	t, has := ix.tagIDs[tag]
+	return ix.ords(t, has, tag, vt)
 }
 
-// Nodes returns all nodes with the given tag in document order. The
-// returned slice is shared; callers must not modify it.
+// ords is Ords for tag's id t, has false when the tag does not occur.
+func (ix *Index) ords(t uint32, has bool, tag string, vt ValueTest) []uint32 {
+	g, filter := ix.group(t, has, vt)
+	if filter {
+		g = ix.filtered(t, tag, vt)
+	}
+	return g
+}
+
+// AppendCandidates is Probe.Append over the node slab: it resolves
+// (tag, vt), scans anchor's axis as the engine does, and appends the
+// nodes at the ordinals found to dst.
+func (ix *Index) AppendCandidates(dst []*xmltree.Node, anchor *xmltree.Node, axis dewey.Axis, tag string, vt ValueTest) []*xmltree.Node {
+	p, nodes := ix.Probe(tag, vt), ix.Document().Nodes
+	var buf [64]int32 // the scan's ordinals; a longer scan moves to the heap
+	for _, o := range p.Append(buf[:0], anchor.Ord, axis) {
+		dst = append(dst, nodes[o])
+	}
+	return dst
+}
+
+// Nodes returns all nodes with the given tag in document order.
 func (ix *Index) Nodes(tag string) []*xmltree.Node { return ix.NodesMatching(tag, ValueTest{}) }
 
 // NodesMatching returns the nodes with the given tag whose values
-// satisfy vt, in document order, kept in a bounded cache. The returned
-// slice is shared; callers must not modify it.
+// satisfy vt, in document order: Ords over the node slab.
 func (ix *Index) NodesMatching(tag string, vt ValueTest) []*xmltree.Node {
-	return ix.cached(tag, vt).nodes
+	return nodesAt(ix.Document(), ix.Ords(tag, vt))
+}
+
+// nodesAt returns the nodes of doc at the given ordinals.
+func nodesAt(doc *xmltree.Document, ords []uint32) []*xmltree.Node {
+	out := make([]*xmltree.Node, len(ords))
+	for i, o := range ords {
+		out[i] = doc.Nodes[o]
+	}
+	return out
 }
 
 // group returns the column group holding every tag node that can
 // satisfy vt — the key's postings for an equality, the tag's otherwise —
 // and whether vt must still filter it.
-func (ix *Index) group(tag string, vt ValueTest) (g []uint32, filter bool) {
-	t, ok := ix.tagIDs[tag]
+func (ix *Index) group(t uint32, has bool, vt ValueTest) (g []uint32, filter bool) {
 	switch {
-	case !ok:
+	case !has:
 		return nil, false
 	case vt.IsEquality():
 		k, found := ix.findKey(t, vt.Value)
@@ -273,29 +303,22 @@ func (ix *Index) group(tag string, vt ValueTest) (g []uint32, filter bool) {
 	return ix.TagOrds[ix.TagOff[t]:ix.TagOff[t+1]], !vt.Any()
 }
 
-// cached returns the (tag, vt) posting from the cache, building it on a
-// miss.
+// filtered returns the tag's postings filtered by vt from the cache,
+// filtering them on a miss.
 // +whirllint:allocok cache fill on the first probe of a (tag, predicate) pair; steady-state hits are allocation-free
-func (ix *Index) cached(tag string, vt ValueTest) posting {
+func (ix *Index) filtered(t uint32, tag string, vt ValueTest) []uint32 {
 	// hit and err dropped: only a miss builds, and the build cannot fail
-	p, _, _ := ix.cache.GetOrCreate(postingKey{tag, vt.Op, vt.Value}, func() (posting, error) {
-		g, filter := ix.group(tag, vt)
-		p := posting{ords: g}
-		if filter {
-			p.ords = nil
-			for _, o := range g {
-				if vt.Matches(ix.Doc.Nodes[o].Value) {
-					p.ords = append(p.ords, o)
-				}
+	ords, _, _ := ix.cache.GetOrCreate(postingKey{tag, vt.Op, vt.Value}, func() ([]uint32, error) {
+		g, _ := ix.group(t, true, vt)
+		var ords []uint32
+		for _, o := range g {
+			if vt.Matches(ix.doc.Value(int32(o))) {
+				ords = append(ords, o)
 			}
 		}
-		p.nodes = make([]*xmltree.Node, len(p.ords))
-		for i, o := range p.ords {
-			p.nodes[i] = ix.Doc.Nodes[o]
-		}
-		return p, nil
+		return ords, nil
 	})
-	return p
+	return ords
 }
 
 // findKey binary-searches the keys for (t, value).
@@ -327,11 +350,11 @@ func firstAfter(g []uint32, ord uint32) int {
 	return lo
 }
 
-// Open wraps columns read from storage over doc, the node slab they
-// index, where nodeTags[o] is node o's id in c.Tags, once they hold
-// every invariant the probe relies on; a *ColumnError names the first
-// column that does not.
-func Open(doc *xmltree.Document, nodeTags []uint32, c Columns) (*Index, error) {
+// Open wraps posting columns read from storage over doc, the node
+// columns they index, once they hold every invariant the probe relies
+// on; a *ColumnError names the first column that does not.
+func Open(doc *xmltree.Columns, c Columns) (*Index, error) {
+	nodeTags, nodes := doc.TagIDs, doc.Len()
 	tagIDs := make(map[string]uint32, len(c.Tags))
 	for t, tag := range c.Tags {
 		if _, dup := tagIDs[tag]; dup {
@@ -339,11 +362,11 @@ func Open(doc *xmltree.Document, nodeTags []uint32, c Columns) (*Index, error) {
 		}
 		tagIDs[tag] = uint32(t)
 	}
-	if err := checkOffsets(c.TagOff, len(c.Tags), len(doc.Nodes), "TagOff"); err != nil {
+	if err := checkOffsets(c.TagOff, len(c.Tags), nodes, "TagOff"); err != nil {
 		return nil, err
 	}
-	if len(c.TagOrds) != len(doc.Nodes) {
-		return nil, &ColumnError{"TagOrds", len(c.TagOrds), fmt.Sprintf("%d tag postings for %d nodes", len(c.TagOrds), len(doc.Nodes))}
+	if len(c.TagOrds) != nodes {
+		return nil, &ColumnError{"TagOrds", len(c.TagOrds), fmt.Sprintf("%d tag postings for %d nodes", len(c.TagOrds), nodes)}
 	}
 	for t := range c.Tags {
 		if err := checkGroup(nodeTags, c.TagOrds, c.TagOff[t], c.TagOff[t+1], uint32(t), "TagOrds"); err != nil {
@@ -371,7 +394,7 @@ func Open(doc *xmltree.Document, nodeTags []uint32, c Columns) (*Index, error) {
 			return nil, err
 		}
 	}
-	return newIndex(doc, c, tagIDs), nil
+	return newIndex(doc, c, tagIDs, nil), nil
 }
 
 // ColumnError reports a column that breaks the layout's invariants.

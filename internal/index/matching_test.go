@@ -47,8 +47,8 @@ func TestNodesMatchingOperators(t *testing.T) {
 
 func TestNodesMatchingCachesFilteredLists(t *testing.T) {
 	ix := Build(mustDoc(t, pricesXML))
-	a := ix.NodesMatching("price", Test("<", "30"))
-	b := ix.NodesMatching("price", Test("<", "30"))
+	a := ix.Ords("price", Test("<", "30"))
+	b := ix.Ords("price", Test("<", "30"))
 	if len(a) != 2 || len(b) != 2 {
 		t.Fatalf("filtered lengths: %d, %d", len(a), len(b))
 	}

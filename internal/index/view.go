@@ -1,7 +1,6 @@
 package index
 
 import (
-	"repro/internal/dewey"
 	"repro/internal/lru"
 	"repro/internal/xmltree"
 )
@@ -9,38 +8,35 @@ import (
 // View is one member of a partitioned corpus: a backing Source seen
 // through an ordinal → member table. Its enumerations are the backing
 // posting lists restricted to the ordinals the table gives the member;
-// a structural probe is the backing source's, unchanged — a member that
-// owns complete subtrees finds every candidate below its own anchors
-// there, and a member of cut interior nodes (the spine) is meant to
-// reach into the others.
+// everything else — columns, structural probes, the node slab — is the
+// backing source's, unchanged: a member that owns complete subtrees
+// finds every candidate below its own anchors there, and a member of cut
+// interior nodes (the spine) is meant to reach into the others.
 type View struct {
-	src    Source
+	Source
 	owner  []int32 // preorder ordinal → member; shared by the partition's views
 	member int32
 
-	own *lru.Cache[postingKey, []*xmltree.Node] // the member's (tag, value test) postings
+	own *lru.Cache[postingKey, []uint32] // the member's (tag, value test) postings
 }
 
 var _ Source = (*View)(nil)
 
 // NewView returns the member's view of src under the owner table.
 func NewView(src Source, owner []int32, member int) *View {
-	return &View{src: src, owner: owner, member: int32(member),
-		own: lru.New[postingKey, []*xmltree.Node](lru.PostingsCap)}
+	return &View{Source: src, owner: owner, member: int32(member),
+		own: lru.New[postingKey, []uint32](lru.PostingsCap)}
 }
 
-// Nodes returns the member's nodes with the tag in document order.
-func (v *View) Nodes(tag string) []*xmltree.Node { return v.NodesMatching(tag, ValueTest{}) }
-
-// NodesMatching returns the member's tag nodes satisfying vt, in
-// document order, kept in a bounded cache.
-func (v *View) NodesMatching(tag string, vt ValueTest) []*xmltree.Node {
+// Ords returns the member's tag nodes satisfying vt, ascending, kept in
+// a bounded cache.
+func (v *View) Ords(tag string, vt ValueTest) []uint32 {
 	// hit and err dropped: only a miss builds, and the build cannot fail
-	out, _, _ := v.own.GetOrCreate(postingKey{tag, vt.Op, vt.Value}, func() ([]*xmltree.Node, error) {
-		var out []*xmltree.Node
-		for _, n := range v.src.NodesMatching(tag, vt) {
-			if v.owner[n.Ord] == v.member {
-				out = append(out, n)
+	out, _, _ := v.own.GetOrCreate(postingKey{tag, vt.Op, vt.Value}, func() ([]uint32, error) {
+		var out []uint32
+		for _, o := range v.Source.Ords(tag, vt) {
+			if v.owner[o] == v.member {
+				out = append(out, o)
 			}
 		}
 		return out, nil
@@ -48,11 +44,11 @@ func (v *View) NodesMatching(tag string, vt ValueTest) []*xmltree.Node {
 	return out
 }
 
-// Probe is the backing source's probe.
-func (v *View) Probe(tag string, vt ValueTest) Probe { return v.src.Probe(tag, vt) }
+// Nodes returns the member's nodes with the tag in document order.
+func (v *View) Nodes(tag string) []*xmltree.Node { return v.NodesMatching(tag, ValueTest{}) }
 
-// AppendCandidates is the backing source's probe.
-// +whirllint:hotpath
-func (v *View) AppendCandidates(dst []*xmltree.Node, anchor *xmltree.Node, axis dewey.Axis, tag string, vt ValueTest) []*xmltree.Node {
-	return v.src.AppendCandidates(dst, anchor, axis, tag, vt)
+// NodesMatching returns the member's tag nodes satisfying vt, in
+// document order: Ords over the node slab.
+func (v *View) NodesMatching(tag string, vt ValueTest) []*xmltree.Node {
+	return nodesAt(v.Document(), v.Ords(tag, vt))
 }

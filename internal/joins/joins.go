@@ -178,7 +178,7 @@ func TopK(ix index.Source, q *pattern.Query, s score.Scorer, k int) ([]Answer, S
 	for _, m := range matches {
 		total := 0.0
 		for id, b := range m.Bindings {
-			total += s.Contribution(id, score.Exact, b)
+			total += s.Contribution(id, score.Exact, b.Ord)
 		}
 		root := m.Bindings[0]
 		if cur, ok := best[root.Ord]; !ok || total > cur.Score {

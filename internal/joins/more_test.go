@@ -59,8 +59,8 @@ func TestTopKDistinctRoots(t *testing.T) {
 // unitScorer gives every binding contribution 1.
 type unitScorer struct{ n int }
 
-func newUnitScorer(n int) *unitScorer                                        { return &unitScorer{n} }
-func (u *unitScorer) Contribution(int, score.Variant, *xmltree.Node) float64 { return 1 }
-func (u *unitScorer) MaxContribution(int) float64                            { return 1 }
-func (u *unitScorer) MinContribution(int) float64                            { return 1 }
-func (u *unitScorer) ExpectedContribution(int) float64                       { return 1 }
+func newUnitScorer(n int) *unitScorer                                { return &unitScorer{n} }
+func (u *unitScorer) Contribution(int, score.Variant, int32) float64 { return 1 }
+func (u *unitScorer) MaxContribution(int) float64                    { return 1 }
+func (u *unitScorer) MinContribution(int) float64                    { return 1 }
+func (u *unitScorer) ExpectedContribution(int) float64               { return 1 }

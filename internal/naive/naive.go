@@ -38,7 +38,7 @@ func TopK(ix index.Source, q *pattern.Query, r relax.Relaxation, s score.Scorer,
 		if !ok {
 			continue
 		}
-		base := s.Contribution(0, rootVariant, root)
+		base := s.Contribution(0, rootVariant, root.Ord)
 		best, found := ev.bestTuple(root, base)
 		if !found {
 			continue
@@ -149,7 +149,7 @@ func (ev *evaluator) bestTuple(root *xmltree.Node, base float64) (float64, bool)
 				continue
 			}
 			assignment[id] = c
-			recurse(id+1, acc+ev.scorer.Contribution(id, variant, c))
+			recurse(id+1, acc+ev.scorer.Contribution(id, variant, c.Ord))
 			assignment[id] = nil
 		}
 		if ev.relax.Has(relax.LeafDeletion) && ev.nullOK(assignment, id) {

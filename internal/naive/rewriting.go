@@ -66,7 +66,7 @@ func evalExact(ix index.Source, orig *pattern.Query, rq relax.RelaxedQuery, root
 		if orig.Root().Axis == dewey.Child && root.Level() != 1 {
 			rootVariant = score.Relaxed
 		}
-		base := s.Contribution(0, rootVariant, root)
+		base := s.Contribution(0, rootVariant, root.Ord)
 		bindings := make([]*xmltree.Node, q.Size())
 		bindings[0] = root
 		best, found := 0.0, false
@@ -90,7 +90,7 @@ func evalExact(ix index.Source, orig *pattern.Query, rq relax.RelaxedQuery, root
 					variant = score.Exact
 				}
 				bindings[id] = c
-				recurse(id+1, acc+s.Contribution(origID, variant, c))
+				recurse(id+1, acc+s.Contribution(origID, variant, c.Ord))
 				bindings[id] = nil
 			}
 		}

@@ -25,15 +25,15 @@ func TestCheckLeafDeletionOnlyMode(t *testing.T) {
 			infoCond = c
 		}
 	}
-	ns := treeOf(dewey.ID{0, 1}, dewey.ID{0, 1, 0}, dewey.ID{0, 1, 0, 2}, dewey.ID{0, 2})
+	doc, ns := treeOf(dewey.ID{0, 1}, dewey.ID{0, 1, 0}, dewey.ID{0, 1, 0, 2}, dewey.ID{0, 2})
 	info, direct, deep, outside := ns[0], ns[1], ns[2], ns[3]
-	if plan.Check(infoCond, direct, info) != CondExact {
+	if plan.Check(doc, infoCond, direct, info) != CondExact {
 		t.Fatal("direct child must be exact")
 	}
-	if plan.Check(infoCond, deep, info) != CondFailed {
+	if plan.Check(doc, infoCond, deep, info) != CondFailed {
 		t.Fatal("deep descendant must fail without edge generalization")
 	}
-	if plan.Check(infoCond, outside, info) != CondFailed {
+	if plan.Check(doc, infoCond, outside, info) != CondFailed {
 		t.Fatal("outside node must fail without promotion")
 	}
 	// Leaf-deletion-only probes stay precise where possible.
@@ -65,15 +65,15 @@ func TestRelaxedProbeAlwaysWidens(t *testing.T) {
 // TestPathPredicateZeroLevels covers the Self predicate edge cases.
 func TestPathPredicateZeroLevels(t *testing.T) {
 	pp := PathPredicate{MinLevels: 0, Exact: true}
-	ns := treeOf(dewey.ID{1, 2}, dewey.ID{1, 2, 0})
+	doc, ns := treeOf(dewey.ID{1, 2}, dewey.ID{1, 2, 0})
 	self, child := ns[0], ns[1]
-	if !pp.HoldsExact(self, self) || !pp.HoldsRelaxed(self, self) {
+	if !pp.HoldsExact(doc, self, self) || !pp.HoldsRelaxed(doc, self, self) {
 		t.Fatal("self predicate must hold on equal IDs")
 	}
-	if pp.HoldsExact(self, child) {
+	if pp.HoldsExact(doc, self, child) {
 		t.Fatal("exact self must reject descendants")
 	}
-	if !pp.HoldsRelaxed(self, child) {
+	if !pp.HoldsRelaxed(doc, self, child) {
 		t.Fatal("relaxed zero-level admits descendants")
 	}
 }

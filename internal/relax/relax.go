@@ -81,18 +81,18 @@ type PathPredicate struct {
 	Exact     bool
 }
 
-// HoldsExact reports whether target relates to anchor exactly as the
-// unrelaxed path prescribes: a level difference and a preorder-interval
-// containment test, both nodes of one document.
-func (p PathPredicate) HoldsExact(anchor, target *xmltree.Node) bool {
-	diff := target.Level() - anchor.Level()
+// HoldsExact reports whether node target relates to node anchor of doc
+// exactly as the unrelaxed path prescribes: a level difference and a
+// preorder-interval containment test.
+func (p PathPredicate) HoldsExact(doc *xmltree.Columns, anchor, target int32) bool {
+	diff := int(doc.Level[target] - doc.Level[anchor])
 	if !p.DepthHoldsExact(diff) {
 		return false
 	}
 	if p.MinLevels == 0 && diff == 0 {
 		return anchor == target
 	}
-	return anchor.Contains(target)
+	return doc.Contains(anchor, target)
 }
 
 // DepthHoldsExact reports whether the unrelaxed path allows a target diff
@@ -104,11 +104,11 @@ func (p PathPredicate) DepthHoldsExact(diff int) bool {
 
 // HoldsRelaxed reports whether target relates to anchor under full edge
 // generalization: any strict descendant (or self when MinLevels is 0).
-func (p PathPredicate) HoldsRelaxed(anchor, target *xmltree.Node) bool {
+func (p PathPredicate) HoldsRelaxed(doc *xmltree.Columns, anchor, target int32) bool {
 	if p.MinLevels == 0 && anchor == target {
 		return true
 	}
-	return anchor.Contains(target)
+	return doc.Contains(anchor, target)
 }
 
 // Relaxed returns the edge-generalized form of the predicate.
@@ -268,18 +268,19 @@ const (
 )
 
 // Check evaluates the conditional predicate c of plan sp for a candidate
-// binding (server node) against the bound other node. other must be
-// non-nil (callers skip conditions whose other node is unbound or
-// missing, except for the missing-parent rule handled by the engine).
-func (sp *ServerPlan) Check(c Cond, server, other *xmltree.Node) CondResult {
+// binding (server node) against the bound other node, both nodes of
+// doc. other must be bound (callers skip conditions whose other node is
+// unbound or missing, except for the missing-parent rule handled by the
+// engine).
+func (sp *ServerPlan) Check(doc *xmltree.Columns, c Cond, server, other int32) CondResult {
 	anc, desc := other, server
 	if !c.OtherIsAncestor {
 		anc, desc = server, other
 	}
-	if c.Path.HoldsExact(anc, desc) {
+	if c.Path.HoldsExact(doc, anc, desc) {
 		return CondExact
 	}
-	if sp.Relax.Has(EdgeGeneralization) && c.Path.HoldsRelaxed(anc, desc) {
+	if sp.Relax.Has(EdgeGeneralization) && c.Path.HoldsRelaxed(doc, anc, desc) {
 		return CondRelaxed
 	}
 	if sp.Relax.Has(SubtreePromotion) {

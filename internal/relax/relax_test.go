@@ -12,11 +12,11 @@ import (
 )
 
 // treeOf builds one document holding every given Dewey ID, with the
-// ancestors and earlier siblings each implies, and returns the nodes at
-// those IDs in argument order.
-func treeOf(ids ...dewey.ID) []*xmltree.Node {
+// ancestors and earlier siblings each implies, and returns its columns
+// and the ordinals at those IDs in argument order.
+func treeOf(ids ...dewey.ID) (*xmltree.Columns, []int32) {
 	doc := xmltree.NewDocument()
-	out := make([]*xmltree.Node, len(ids))
+	nodes := make([]*xmltree.Node, len(ids))
 	for i, id := range ids {
 		for len(doc.Roots) <= id[0] {
 			doc.AddRoot("r")
@@ -28,10 +28,14 @@ func treeOf(ids ...dewey.ID) []*xmltree.Node {
 			}
 			n = n.Children[c]
 		}
-		out[i] = n
+		nodes[i] = n
 	}
 	doc.Renumber()
-	return out
+	out := make([]int32, len(nodes))
+	for i, n := range nodes {
+		out[i] = n.Ord
+	}
+	return doc.Columns(), out
 }
 
 func TestRelaxationFlags(t *testing.T) {
@@ -53,11 +57,11 @@ func TestRelaxationFlags(t *testing.T) {
 }
 
 func TestPathPredicateHolds(t *testing.T) {
-	ns := treeOf(dewey.ID{0}, dewey.ID{0, 1}, dewey.ID{0, 1, 2}, dewey.ID{5})
+	doc, ns := treeOf(dewey.ID{0}, dewey.ID{0, 1}, dewey.ID{0, 1, 2}, dewey.ID{5})
 	anc, child, grandchild, other := ns[0], ns[1], ns[2], ns[3]
 	cases := []struct {
 		pp           PathPredicate
-		target       *xmltree.Node
+		target       int32
 		exact, relax bool
 	}{
 		{PathPredicate{1, true}, child, true, true},
@@ -70,16 +74,16 @@ func TestPathPredicateHolds(t *testing.T) {
 		{PathPredicate{0, true}, child, false, true},
 	}
 	for i, c := range cases {
-		if got := c.pp.HoldsExact(anc, c.target); got != c.exact {
+		if got := c.pp.HoldsExact(doc, anc, c.target); got != c.exact {
 			t.Errorf("case %d: HoldsExact = %v, want %v", i, got, c.exact)
 		}
-		if got := c.pp.HoldsRelaxed(anc, c.target); got != c.relax {
+		if got := c.pp.HoldsRelaxed(doc, anc, c.target); got != c.relax {
 			t.Errorf("case %d: HoldsRelaxed = %v, want %v", i, got, c.relax)
 		}
 	}
 	// Non-descendant fails both.
 	pp := PathPredicate{1, true}
-	if pp.HoldsExact(anc, other) || pp.HoldsRelaxed(anc, other) {
+	if pp.HoldsExact(doc, anc, other) || pp.HoldsRelaxed(doc, anc, other) {
 		t.Fatal("non-descendant must fail")
 	}
 }
@@ -234,35 +238,35 @@ func TestCheckCondVariants(t *testing.T) {
 			infoCond = c
 		}
 	}
-	ns := treeOf(dewey.ID{0, 1}, dewey.ID{0, 1, 0}, dewey.ID{0, 1, 0, 3}, dewey.ID{0, 2, 0})
+	doc, ns := treeOf(dewey.ID{0, 1}, dewey.ID{0, 1, 0}, dewey.ID{0, 1, 0, 3}, dewey.ID{0, 2, 0})
 	info, directChild, deepDesc, elsewhere := ns[0], ns[1], ns[2], ns[3]
 
-	if got := pub.Check(infoCond, directChild, info); got != CondExact {
+	if got := pub.Check(doc, infoCond, directChild, info); got != CondExact {
 		t.Fatalf("direct child = %v, want exact", got)
 	}
-	if got := pub.Check(infoCond, deepDesc, info); got != CondRelaxed {
+	if got := pub.Check(doc, infoCond, deepDesc, info); got != CondRelaxed {
 		t.Fatalf("deep descendant = %v, want relaxed (edge generalization)", got)
 	}
-	if got := pub.Check(infoCond, elsewhere, info); got != CondRelaxed {
+	if got := pub.Check(doc, infoCond, elsewhere, info); got != CondRelaxed {
 		t.Fatalf("non-descendant = %v, want relaxed (subtree promotion waives containment)", got)
 	}
 
 	// Without promotion, a non-descendant fails; a deep descendant still
 	// passes via edge generalization.
 	egOnly := BuildPlans(q, EdgeGeneralization)[pubID]
-	if got := egOnly.Check(infoCond, elsewhere, info); got != CondFailed {
+	if got := egOnly.Check(doc, infoCond, elsewhere, info); got != CondFailed {
 		t.Fatalf("eg-only non-descendant = %v, want failed", got)
 	}
-	if got := egOnly.Check(infoCond, deepDesc, info); got != CondRelaxed {
+	if got := egOnly.Check(doc, infoCond, deepDesc, info); got != CondRelaxed {
 		t.Fatalf("eg-only deep descendant = %v, want relaxed", got)
 	}
 
 	// With no relaxation at all only the exact form passes.
 	exact := BuildPlans(q, None)[pubID]
-	if got := exact.Check(infoCond, deepDesc, info); got != CondFailed {
+	if got := exact.Check(doc, infoCond, deepDesc, info); got != CondFailed {
 		t.Fatalf("exact-mode deep descendant = %v, want failed", got)
 	}
-	if got := exact.Check(infoCond, directChild, info); got != CondExact {
+	if got := exact.Check(doc, infoCond, directChild, info); got != CondExact {
 		t.Fatalf("exact-mode direct child = %v", got)
 	}
 }
@@ -301,8 +305,8 @@ func TestPropExactImpliesRelaxed(t *testing.T) {
 		for i := 0; i < r.Intn(4); i++ {
 			target = append(target, r.Intn(3))
 		}
-		ns := treeOf(anc, target)
-		if pp.HoldsExact(ns[0], ns[1]) && !pp.HoldsRelaxed(ns[0], ns[1]) {
+		doc, ns := treeOf(anc, target)
+		if pp.HoldsExact(doc, ns[0], ns[1]) && !pp.HoldsRelaxed(doc, ns[0], ns[1]) {
 			return false
 		}
 		return true

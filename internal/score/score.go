@@ -13,8 +13,6 @@
 // experiments) are interchangeable.
 package score
 
-import "repro/internal/xmltree"
-
 // Variant says how a binding satisfies its component predicate.
 type Variant int
 
@@ -48,8 +46,9 @@ func (v Variant) String() string {
 // relies on scores growing monotonically.
 type Scorer interface {
 	// Contribution returns the score added when query node nodeID is
-	// bound to n under the given variant. n is nil iff v == Missing.
-	Contribution(nodeID int, v Variant, n *xmltree.Node) float64
+	// bound to the document node with preorder ordinal ord under the
+	// given variant. ord is -1 iff v == Missing.
+	Contribution(nodeID int, v Variant, ord int32) float64
 	// MaxContribution returns an upper bound on Contribution over every
 	// possible binding of nodeID; it feeds the maximum-possible-final
 	// score used for pruning and queue priorities.

@@ -115,9 +115,9 @@ func TestTFIDFContributionOrdering(t *testing.T) {
 	for _, norm := range []Normalization{Raw, Sparse, Dense} {
 		s := NewTFIDF(ix, q, norm)
 		for id := 0; id < q.Size(); id++ {
-			e := s.Contribution(id, Exact, ix.Doc.Nodes[0])
-			r := s.Contribution(id, Relaxed, ix.Doc.Nodes[0])
-			m := s.Contribution(id, Missing, nil)
+			e := s.Contribution(id, Exact, 0)
+			r := s.Contribution(id, Relaxed, 0)
+			m := s.Contribution(id, Missing, -1)
 			if m != 0 {
 				t.Fatalf("%v node %d: missing contributes %v", norm, id, m)
 			}
@@ -180,7 +180,7 @@ func TestAnswerScoreRanksExactMatchFirst(t *testing.T) {
 	books := ix.Nodes("book")
 	scores := make([]float64, len(books))
 	for i, b := range books {
-		scores[i] = AnswerScore(ix, q, s, b)
+		scores[i] = AnswerScore(ix, q, s, b.Ord)
 	}
 	// Book 1 satisfies every exact predicate; book 4 satisfies none
 	// beyond being a book.
@@ -209,8 +209,8 @@ func TestAnswerScoreCountsTF(t *testing.T) {
 	ix := index.Build(doc)
 	q := pattern.MustParse("/book[./title = 'x']")
 	s := NewTFIDF(ix, q, Raw)
-	b1 := AnswerScore(ix, q, s, ix.Nodes("book")[0])
-	b2 := AnswerScore(ix, q, s, ix.Nodes("book")[1])
+	b1 := AnswerScore(ix, q, s, ix.Nodes("book")[0].Ord)
+	b2 := AnswerScore(ix, q, s, ix.Nodes("book")[1].Ord)
 	if b1 <= b2 {
 		t.Fatalf("tf=2 book (%v) must outscore tf=1 book (%v)", b1, b2)
 	}
@@ -222,14 +222,14 @@ func TestAnswerScoreCountsTF(t *testing.T) {
 
 func TestTableScorer(t *testing.T) {
 	doc, _ := xmltree.ParseString(`<r><a>1</a><a>2</a></r>`)
-	a1, a2 := doc.Nodes[1], doc.Nodes[2]
+	a1, a2 := doc.Nodes[1].Ord, doc.Nodes[2].Ord
 	tab := NewTable(2)
 	tab.Set(1, a1, 0.3)
 	tab.Set(1, a2, 0.1)
 	if got := tab.Contribution(1, Exact, a1); got != 0.3 {
 		t.Fatalf("contribution = %v", got)
 	}
-	if got := tab.Contribution(1, Missing, nil); got != 0 {
+	if got := tab.Contribution(1, Missing, -1); got != 0 {
 		t.Fatalf("missing = %v", got)
 	}
 	if got := tab.MaxContribution(1); got != 0.3 {
@@ -256,7 +256,7 @@ func TestTableScorer(t *testing.T) {
 // Scores compare exactly: determinism means bit-identical scores across calls.
 func TestRandomScorerDeterminism(t *testing.T) {
 	doc, _ := xmltree.ParseString(`<r><a>1</a><a>2</a></r>`)
-	n := doc.Nodes[1]
+	n := doc.Nodes[1].Ord
 	s1 := NewRandomSparse(7)
 	s2 := NewRandomSparse(7)
 	if s1.Contribution(1, Exact, n) != s2.Contribution(1, Exact, n) {
@@ -274,7 +274,7 @@ func TestRandomScorerBounds(t *testing.T) {
 	sparse := NewRandomSparse(1)
 	dense := NewRandomDense(1)
 	f := func(ord uint8, nodeID uint8) bool {
-		n := doc.Nodes[int(ord)%doc.Size()]
+		n := doc.Nodes[int(ord)%doc.Size()].Ord
 		id := int(nodeID) % 4
 		cs := sparse.Contribution(id, Exact, n)
 		cd := dense.Contribution(id, Exact, n)
@@ -288,7 +288,7 @@ func TestRandomScorerBounds(t *testing.T) {
 		if sparse.Contribution(id, Relaxed, n) > cs {
 			return false
 		}
-		return sparse.Contribution(id, Missing, nil) == 0
+		return sparse.Contribution(id, Missing, -1) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -300,7 +300,7 @@ func TestRandomDenseIsClustered(t *testing.T) {
 	doc, _ := xmltree.ParseString(`<r><a>1</a><a>2</a><a>3</a><a>4</a><a>5</a></r>`)
 	dense := NewRandomDense(3)
 	for _, n := range doc.Nodes[1:] {
-		c := dense.Contribution(1, Exact, n)
+		c := dense.Contribution(1, Exact, n.Ord)
 		if c < 0.45 || c > 0.55 {
 			t.Fatalf("dense score %v outside [0.45, 0.55]", c)
 		}

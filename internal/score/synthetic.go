@@ -1,10 +1,6 @@
 package score
 
-import (
-	"math/rand"
-
-	"repro/internal/xmltree"
-)
+import "math/rand"
 
 // Table is a fully synthetic scorer mapping (query node, document node)
 // to a fixed contribution, with an optional exactness discount. It powers
@@ -42,15 +38,15 @@ func NewTable(size int) *Table {
 	return t
 }
 
-// Set assigns the contribution of binding document node n to query node
-// nodeID.
-func (t *Table) Set(nodeID int, n *xmltree.Node, c float64) {
+// Set assigns the contribution of binding the document node with
+// ordinal ord to query node nodeID.
+func (t *Table) Set(nodeID int, ord int32, c float64) {
 	m := t.contrib[nodeID]
 	if m == nil {
 		m = make(map[int]float64)
 		t.contrib[nodeID] = m
 	}
-	m[int(n.Ord)] = c
+	m[int(ord)] = c
 	if c > t.max[nodeID] {
 		t.max[nodeID] = c
 	}
@@ -62,13 +58,13 @@ func (t *Table) Set(nodeID int, n *xmltree.Node, c float64) {
 }
 
 // Contribution implements Scorer.
-func (t *Table) Contribution(nodeID int, v Variant, n *xmltree.Node) float64 {
+func (t *Table) Contribution(nodeID int, v Variant, ord int32) float64 {
 	if v == Missing {
 		return 0
 	}
 	c := t.Default
 	if m := t.contrib[nodeID]; m != nil {
-		if tc, ok := m[int(n.Ord)]; ok {
+		if tc, ok := m[int(ord)]; ok {
 			c = tc
 		}
 	}
@@ -138,11 +134,11 @@ func NewRandomDense(seed int64) *Random {
 }
 
 // Contribution implements Scorer.
-func (r *Random) Contribution(nodeID int, v Variant, n *xmltree.Node) float64 {
+func (r *Random) Contribution(nodeID int, v Variant, ord int32) float64 {
 	if v == Missing {
 		return 0
 	}
-	u := r.uniform(nodeID, int(n.Ord))
+	u := r.uniform(nodeID, int(ord))
 	var c float64
 	if r.Dense {
 		center, spread := r.Center, r.Spread

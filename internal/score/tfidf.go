@@ -7,7 +7,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/pattern"
 	"repro/internal/relax"
-	"repro/internal/xmltree"
 )
 
 // Normalization selects how raw idf contributions are rescaled — the
@@ -187,17 +186,17 @@ func idf(rootCount, satisfying int) float64 {
 // variants of component predicate p(q0, qi). The root's own predicate
 // counts the roots; every other one is computed from the posting side:
 // the qi postings are walked in document order and each is credited to
-// its enclosing q0 ancestors, found through Parent links. The q0
+// its enclosing q0 ancestors, found through the parent column. The q0
 // ancestors of successive postings nest, so the ones still open form a
 // stack: a root is closed — and its tf pair accumulated — when a posting
 // falls outside it, and opened the first time a posting falls inside it.
 // Every (root, posting) pair a probe of each root would visit is counted
 // exactly once, at O(|postings| × depth) whatever the number of roots;
-// every q0 ancestor is one of ix.Nodes(q0) because ix is whole.
+// every q0 ancestor is one of ix.Ords(q0) because ix is whole.
 func postingStats(ix index.Source, q *pattern.Query, id int) (exact, relaxed index.PredicateStats) {
-	rootTag := q.Root().Tag
+	doc := ix.Cols()
 	node := q.Nodes[id]
-	roots := ix.Nodes(rootTag)
+	roots := ix.Ords(q.Root().Tag, index.ValueTest{})
 	exact.RootCount, relaxed.RootCount = len(roots), len(roots)
 	if id == 0 {
 		// The root's own predicate relates it to the virtual document
@@ -205,7 +204,7 @@ func postingStats(ix index.Source, q *pattern.Query, id int) (exact, relaxed ind
 		for _, r := range roots {
 			relaxed.Satisfying++
 			relaxed.TotalPairs++
-			if node.Axis != dewey.Child || r.Level() == 1 {
+			if node.Axis != dewey.Child || doc.Level[r] == 1 {
 				exact.Satisfying++
 				exact.TotalPairs++
 			}
@@ -213,40 +212,42 @@ func postingStats(ix index.Source, q *pattern.Query, id int) (exact, relaxed ind
 		exact.MaxTF, relaxed.MaxTF = 1, 1
 		return exact, relaxed
 	}
+	isRoot := ix.Probe(q.Root().Tag, index.ValueTest{})
 	pp := relax.ComposePath(q, 0, id)
 	type openRoot struct {
-		root               *xmltree.Node
+		root               int32
 		tfExact, tfRelaxed int
 	}
 	var open []openRoot
-	var fresh []*xmltree.Node // the posting's not yet open q0 ancestors, innermost first
+	var fresh []int32 // the posting's not yet open q0 ancestors, innermost first
 	// closeBelow closes the open roots deeper than level.
-	closeBelow := func(level int) {
-		for len(open) > 0 && open[len(open)-1].root.Level() > level {
+	closeBelow := func(level int32) {
+		for len(open) > 0 && doc.Level[open[len(open)-1].root] > level {
 			top := open[len(open)-1]
 			open = open[:len(open)-1]
 			accumulate(&exact, top.tfExact)
 			accumulate(&relaxed, top.tfRelaxed)
 		}
 	}
-	for _, c := range ix.NodesMatching(node.Tag, index.Test(node.ValueOp, node.Value)) {
-		// One climb from c: an open root deeper than the ancestor in
-		// hand is not on c's root path — the posting has left it — and
-		// the climb ends at the innermost open root that is, below
-		// which every open root encloses c too. Levels and pointers
-		// only: no Dewey component is read.
+	for _, o := range ix.Ords(node.Tag, index.Test(node.ValueOp, node.Value)) {
+		// One climb from the posting: an open root deeper than the
+		// ancestor in hand is not on its root path — the posting has
+		// left it — and the climb ends at the innermost open root that
+		// is, below which every open root encloses the posting too.
+		// Levels and parents only: no Dewey component is read.
+		c := int32(o)
 		fresh = fresh[:0]
-		a := c.Parent
-		for ; a != nil; a = a.Parent {
-			closeBelow(a.Level())
+		a := doc.Parent(c)
+		for ; a >= 0; a = doc.Parent(a) {
+			closeBelow(doc.Level[a])
 			if len(open) > 0 && open[len(open)-1].root == a {
 				break
 			}
-			if a.Tag == rootTag {
+			if isRoot.Has(a) {
 				fresh = append(fresh, a)
 			}
 		}
-		if a == nil {
+		if a < 0 {
 			closeBelow(0)
 		}
 		for i := len(fresh) - 1; i >= 0; i-- {
@@ -254,7 +255,7 @@ func postingStats(ix index.Source, q *pattern.Query, id int) (exact, relaxed ind
 		}
 		for i := range open {
 			open[i].tfRelaxed++
-			if pp.DepthHoldsExact(c.Level() - open[i].root.Level()) {
+			if pp.DepthHoldsExact(int(doc.Level[c] - doc.Level[open[i].root])) {
 				open[i].tfExact++
 			}
 		}
@@ -274,7 +275,7 @@ func accumulate(st *index.PredicateStats, tf int) {
 }
 
 // Contribution implements Scorer.
-func (s *TFIDF) Contribution(nodeID int, v Variant, n *xmltree.Node) float64 {
+func (s *TFIDF) Contribution(nodeID int, v Variant, _ int32) float64 {
 	switch v {
 	case Exact:
 		return s.idfExact[nodeID] / s.scale[nodeID]
@@ -307,26 +308,29 @@ func (s *TFIDF) IDF(nodeID int) (exact, relaxed float64) {
 	return s.idfExact[nodeID], s.idfRelaxed[nodeID]
 }
 
-// AnswerScore computes Definition 4.4's whole-answer score for a root
-// binding n: Σ over component predicates of idf(p)·tf(p, n), using the
+// AnswerScore computes Definition 4.4's whole-answer score for the root
+// binding with ordinal root: Σ over component predicates of
+// idf(p)·tf(p, root), using the
 // exact predicate variants (an exact-match score; relaxation-aware
 // ranking flows through the engine's per-tuple scores instead). The same
 // normalization as the scorer applies.
-func AnswerScore(ix index.Source, q *pattern.Query, s *TFIDF, n *xmltree.Node) float64 {
+func AnswerScore(ix index.Source, q *pattern.Query, s *TFIDF, root int32) float64 {
+	doc := ix.Cols()
 	total := 0.0
-	var buf []*xmltree.Node // probe scratch reused across query nodes
+	var buf []int32 // probe scratch reused across query nodes
 	for id := 0; id < q.Size(); id++ {
 		qn := q.Nodes[id]
 		var tf int
 		if id == 0 {
-			if qn.Axis != dewey.Child || n.Level() == 1 {
+			if qn.Axis != dewey.Child || doc.Level[root] == 1 {
 				tf = 1
 			}
 		} else {
 			pp := relax.ComposePath(q, 0, id)
-			buf = ix.AppendCandidates(buf[:0], n, dewey.Descendant, qn.Tag, index.Test(qn.ValueOp, qn.Value))
+			p := ix.Probe(qn.Tag, index.Test(qn.ValueOp, qn.Value))
+			buf = p.Append(buf[:0], root, dewey.Descendant)
 			for _, c := range buf {
-				if pp.HoldsExact(n, c) {
+				if pp.HoldsExact(doc, root, c) {
 					tf++
 				}
 			}

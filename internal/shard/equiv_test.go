@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/relax"
 	"repro/internal/score"
 	"repro/internal/shard"
-	"repro/internal/xmltree"
 )
 
 // TestShardedTopKEquivalence is the sharding safety property: a sharded
@@ -228,35 +228,11 @@ func compareResults(t *testing.T, name string, base, got *core.Result) {
 		}
 		if got.Answers[i].Root != base.Answers[i].Root {
 			t.Fatalf("%s: answer %d root ord %d, baseline %d",
-				name, i, got.Answers[i].Root.Ord, base.Answers[i].Root.Ord)
+				name, i, got.Answers[i].Root, base.Answers[i].Root)
 		}
-		if !sameBindings(got.Answers[i].Bindings, base.Answers[i].Bindings) {
+		if !slices.Equal(got.Answers[i].Bindings, base.Answers[i].Bindings) {
 			t.Fatalf("%s: answer %d bindings %v, baseline %v",
-				name, i, fmtBindings(got.Answers[i].Bindings), fmtBindings(base.Answers[i].Bindings))
+				name, i, got.Answers[i].Bindings, base.Answers[i].Bindings)
 		}
 	}
-}
-
-func sameBindings(a, b []*xmltree.Node) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func fmtBindings(bs []*xmltree.Node) []int {
-	out := make([]int, len(bs))
-	for i, b := range bs {
-		if b == nil {
-			out[i] = -1
-		} else {
-			out[i] = int(b.Ord)
-		}
-	}
-	return out
 }

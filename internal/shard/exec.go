@@ -64,7 +64,7 @@ func (c *Corpus) NewEngines(q *pattern.Query, cfg core.Config) (*Engines, error)
 	vt := index.Test(root.ValueOp, root.Value)
 	e := &Engines{cfg: cfg}
 	for shard, sub := range c.members {
-		if len(sub.NodesMatching(root.Tag, vt)) == 0 {
+		if len(sub.Ords(root.Tag, vt)) == 0 {
 			continue
 		}
 		eng, err := core.NewMember(sub, q, cfg, shard == len(c.parts))
@@ -106,7 +106,7 @@ func (e *Engines) RunContext(ctx context.Context) (*core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	shared := core.NewSharedTopK(e.cfg.K, e.cfg.Threshold)
+	shared := core.NewSharedTopK(e.cfg.K, 0)
 	start := time.Now()
 	stats, st, err := e.runPooled(ctx, shared)
 	if err != nil {

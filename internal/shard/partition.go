@@ -13,6 +13,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/index"
@@ -29,9 +30,9 @@ const splitFactor = 4
 type Part struct {
 	// ID is the shard number, 0-based.
 	ID int
-	// Units are the subtree roots assigned to this shard, in document
-	// order.
-	Units []*xmltree.Node
+	// Units are the ordinals of the subtree roots assigned to this
+	// shard, in document order.
+	Units []int32
 	// NodeCount is the number of nodes in the part.
 	NodeCount int
 }
@@ -46,7 +47,7 @@ type Corpus struct {
 	// spine holds the interior nodes that were cut to expose their
 	// children as units: the ancestors of every unit, in document order.
 	// Their subtrees span parts, so they form one more member.
-	spine []*xmltree.Node
+	spine []int32
 	// members are the partition as views of Source: one per part, then
 	// the spine's when there is one.
 	members []*index.View
@@ -57,45 +58,37 @@ func Split(doc *xmltree.Document, p int) (*Corpus, error) {
 	if doc == nil {
 		return nil, fmt.Errorf("shard: nil document")
 	}
-	return Partition(doc, index.Build(doc), p)
+	return Partition(index.Build(doc), p)
 }
 
-// Partition divides doc, served by ix, into p shards of complete
-// subtrees. The unit pool starts as the forest roots; the largest unit
-// with children is cut — moved to the spine, its children promoted to
-// units — until the pool holds splitFactor*p units and none exceeds a
-// shard's fair share, so even a single-rooted document (an XMark site)
-// balances. Units are then assigned to shards longest-processing-time
-// first. The result is one ordinal → member table over ix: nothing is
-// indexed a second time.
-func Partition(doc *xmltree.Document, ix index.Source, p int) (*Corpus, error) {
-	if doc == nil {
-		return nil, fmt.Errorf("shard: nil document")
-	}
+// Partition divides the document ix serves into p shards of complete
+// subtrees, reading its subtree-size column. The unit pool starts as the
+// forest roots; the largest unit with children is cut — moved to the
+// spine, its children promoted to units — until the pool holds
+// splitFactor*p units and none exceeds a shard's fair share, so even a
+// single-rooted document (an XMark site) balances. Units are then
+// assigned to shards longest-processing-time first. The result is one
+// ordinal → member table over ix: nothing is indexed a second time.
+func Partition(ix index.Source, p int) (*Corpus, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("shard: shard count must be ≥ 1, got %d", p)
 	}
-	for i, n := range doc.Nodes {
-		if int(n.Ord) != i {
-			return nil, fmt.Errorf("shard: document is not renumbered (node %d has ord %d)", i, n.Ord)
-		}
-	}
-	sizes := subtreeSizes(doc)
-	units, spine := cut(doc, p, sizes)
-	c := &Corpus{Source: ix, spine: spine, parts: assign(units, sizes, p)}
-	// A unit's subtree is the ordinal interval [Ord, End]; the spine is
-	// member p.
-	owner := make([]int32, len(doc.Nodes))
+	doc := ix.Cols()
+	units, spine := cut(doc, p)
+	c := &Corpus{Source: ix, spine: spine, parts: assign(doc, units, p)}
+	// A unit's subtree is the ordinal interval [u, End(u)]; the spine
+	// is member p.
+	owner := make([]int32, doc.Len())
 	for _, part := range c.parts {
 		for _, u := range part.Units {
-			part.NodeCount += sizes[u.Ord]
-			for o := u.Ord; o <= u.End; o++ {
+			part.NodeCount += int(doc.Subtree[u])
+			for o := u; o <= doc.End(u); o++ {
 				owner[o] = int32(part.ID)
 			}
 		}
 	}
 	for _, s := range spine {
-		owner[s.Ord] = int32(p)
+		owner[s] = int32(p)
 	}
 	members := p
 	if len(spine) > 0 {
@@ -107,20 +100,13 @@ func Partition(doc *xmltree.Document, ix index.Source, p int) (*Corpus, error) {
 	return c, nil
 }
 
-// subtreeSizes computes the subtree node count per ordinal in one
-// reverse-preorder pass: children follow their parent in preorder, so
-// iterating the slice backwards sees every child before its parent.
-func subtreeSizes(doc *xmltree.Document) []int {
-	sizes := make([]int, len(doc.Nodes))
-	for i := len(doc.Nodes) - 1; i >= 0; i-- {
-		n := doc.Nodes[i]
-		s := 1
-		for _, ch := range n.Children {
-			s += sizes[ch.Ord]
-		}
-		sizes[n.Ord] = s
+// children appends node u's children to dst: from its first child on,
+// each next sibling lies one subtree size further.
+func children(doc *xmltree.Columns, dst []int32, u int32) []int32 {
+	for c := u + 1; c <= doc.End(u); c += int32(doc.Subtree[c]) {
+		dst = append(dst, c)
 	}
-	return sizes
+	return dst
 }
 
 // cut grows the unit pool: starting from the forest roots, repeatedly
@@ -135,53 +121,54 @@ func subtreeSizes(doc *xmltree.Document) []int {
 // pure function of the document and p, never of the pool's mutation
 // history. The iteration cap bounds pathological deep chains where each
 // cut nets zero or one new unit.
-func cut(doc *xmltree.Document, p int, sizes []int) (units, spine []*xmltree.Node) {
-	units = append(units, doc.Roots...)
+func cut(doc *xmltree.Columns, p int) (units, spine []int32) {
+	for r := int32(0); int(r) < doc.Len(); r += int32(doc.Subtree[r]) {
+		units = append(units, r) // the forest roots
+	}
 	target := splitFactor * p
 	if p == 1 {
 		// One shard: no parallelism to feed, keep the forest whole.
 		return units, nil
 	}
-	total := len(doc.Nodes)
+	total := doc.Len()
+	size := func(u int32) int { return int(doc.Subtree[u]) }
 	for iter := 0; iter < 10*target; iter++ {
 		bi := -1
 		for i, u := range units {
-			if len(u.Children) == 0 {
+			if size(u) == 1 {
 				continue
 			}
-			if bi == -1 ||
-				sizes[u.Ord] > sizes[units[bi].Ord] ||
-				(sizes[u.Ord] == sizes[units[bi].Ord] && u.Ord < units[bi].Ord) {
+			if bi == -1 || size(u) > size(units[bi]) || (size(u) == size(units[bi]) && u < units[bi]) {
 				bi = i
 			}
 		}
 		if bi == -1 {
 			break // every unit is a leaf
 		}
-		if len(units) >= target && sizes[units[bi].Ord]*p <= total {
+		if len(units) >= target && size(units[bi])*p <= total {
 			break // enough units, and none dominates a fair share
 		}
 		u := units[bi]
 		units = append(units[:bi], units[bi+1:]...)
 		spine = append(spine, u)
-		units = append(units, u.Children...)
+		units = children(doc, units, u)
 	}
-	sort.Slice(units, func(i, j int) bool { return units[i].Ord < units[j].Ord })
-	sort.Slice(spine, func(i, j int) bool { return spine[i].Ord < spine[j].Ord })
+	slices.Sort(units)
+	slices.Sort(spine)
 	return units, spine
 }
 
 // assign distributes units over p parts, largest first to the currently
 // lightest part (LPT). Ties break on document order, so the layout is a
 // pure function of the document and p.
-func assign(units []*xmltree.Node, sizes []int, p int) []*Part {
-	order := append([]*xmltree.Node(nil), units...)
+func assign(doc *xmltree.Columns, units []int32, p int) []*Part {
+	order := slices.Clone(units)
 	sort.Slice(order, func(i, j int) bool {
-		si, sj := sizes[order[i].Ord], sizes[order[j].Ord]
+		si, sj := doc.Subtree[order[i]], doc.Subtree[order[j]]
 		if si != sj {
 			return si > sj
 		}
-		return order[i].Ord < order[j].Ord
+		return order[i] < order[j]
 	})
 	parts := make([]*Part, p)
 	load := make([]int, p)
@@ -196,10 +183,10 @@ func assign(units []*xmltree.Node, sizes []int, p int) []*Part {
 			}
 		}
 		parts[best].Units = append(parts[best].Units, u)
-		load[best] += sizes[u.Ord]
+		load[best] += int(doc.Subtree[u])
 	}
 	for _, part := range parts {
-		sort.Slice(part.Units, func(i, j int) bool { return part.Units[i].Ord < part.Units[j].Ord })
+		slices.Sort(part.Units)
 	}
 	return parts
 }
@@ -207,8 +194,8 @@ func assign(units []*xmltree.Node, sizes []int, p int) []*Part {
 // Parts returns the partition, shard order.
 func (c *Corpus) Parts() []*Part { return c.parts }
 
-// Spine returns the cut interior nodes, document order.
-func (c *Corpus) Spine() []*xmltree.Node { return c.spine }
+// Spine returns the ordinals of the cut interior nodes, document order.
+func (c *Corpus) Spine() []int32 { return c.spine }
 
 // ShardSources returns the partition NewEngines runs one engine over
 // each member of: one view per part, plus — when interior nodes were

@@ -70,17 +70,16 @@ type rootTally struct {
 	times map[int]int
 }
 
-func (s *rootTally) Contribution(id int, v score.Variant, n *xmltree.Node) float64 {
+func (s *rootTally) Contribution(id int, v score.Variant, ord int32) float64 {
 	if id == 0 {
 		s.mu.Lock()
-		s.times[int(n.Ord)]++
+		s.times[int(ord)]++
 		s.mu.Unlock()
 	}
-	return s.Scorer.Contribution(id, v, n)
+	return s.Scorer.Contribution(id, v, ord)
 }
 
-// ordAnswer is an answer by ordinals, comparable across sources that
-// serve different node slabs (a snapshot reader materialises its own).
+// ordAnswer is an answer by ordinals, comparable across sources.
 type ordAnswer struct {
 	score float64
 	root  int
@@ -90,7 +89,7 @@ type ordAnswer struct {
 func ordAnswers(as []core.Answer) []ordAnswer {
 	out := make([]ordAnswer, len(as))
 	for i, a := range as {
-		out[i] = ordAnswer{a.Score, int(a.Root.Ord), fmt.Sprint(fmtBindings(a.Bindings))}
+		out[i] = ordAnswer{a.Score, int(a.Root), fmt.Sprint(a.Bindings)}
 	}
 	return out
 }
@@ -140,23 +139,23 @@ func TestRootStreamEquivalence(t *testing.T) {
 		q := valuedQuery(r)
 		ix := index.Build(doc)
 		var buf bytes.Buffer
-		if err := store.WriteSnapshot(&buf, &store.Snapshot{Doc: doc}); err != nil {
+		if err := store.WriteSnapshot(&buf, &store.Snapshot{Cols: doc.Columns()}); err != nil {
 			t.Fatal(err)
 		}
 		snap, err := store.ParseSnapshot(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		corpus, err := shard.Partition(doc, ix, 8)
+		corpus, err := shard.Partition(ix, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, s := range corpus.Spine() {
-			if s.Tag == "a" {
+			if doc.Nodes[s].Tag == "a" {
 				spineRoots++
 			}
 		}
-		overSnapshot, err := shard.Partition(snap.Doc, snap, 8)
+		overSnapshot, err := shard.Partition(snap, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,13 +70,14 @@ func TestSplitPartitionInvariants(t *testing.T) {
 				}
 				seen := make(map[int32]int) // ord -> count
 				for _, s := range c.Spine() {
-					seen[s.Ord]++
+					seen[s]++
 				}
 				for _, part := range c.Parts() {
 					lastOrd, nodes := int32(-1), 0
 					// Complete subtrees: a part's nodes are its units and
 					// everything below them.
-					for _, u := range part.Units {
+					for _, o := range part.Units {
+						u := doc.Nodes[o]
 						for _, n := range append([]*xmltree.Node{u}, u.Descendants()...) {
 							seen[n.Ord]++
 							nodes++
@@ -166,8 +167,8 @@ func TestSplitDeterministic(t *testing.T) {
 				t.Fatalf("p=%d part %d: %d vs %d units", p, i, len(pa.Units), len(pb.Units))
 			}
 			for j := range pa.Units {
-				if pa.Units[j].Ord != pb.Units[j].Ord {
-					t.Fatalf("p=%d part %d unit %d: ord %d vs %d", p, i, j, pa.Units[j].Ord, pb.Units[j].Ord)
+				if pa.Units[j] != pb.Units[j] {
+					t.Fatalf("p=%d part %d unit %d: ord %d vs %d", p, i, j, pa.Units[j], pb.Units[j])
 				}
 			}
 		}

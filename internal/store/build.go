@@ -9,34 +9,23 @@ import (
 )
 
 // Build boots a corpus on the heap from its columns, the counterpart of
-// OpenSnapshot: the node slab, the postings and the synopsis each derive
-// from the columns alone, so they are built in lanes of their own — the
-// slab on the calling goroutine, unless doc already is the slab the
-// columns describe (a document built some other way, whose columns
-// Document.Columns derived, and whose own values the keys then point
-// at). The columns are only read.
+// OpenSnapshot: the postings and the synopsis each derive from the
+// columns alone, so they are built in lanes of their own, the postings
+// on the calling goroutine. doc is the node slab the columns describe
+// when the caller has one (a document built some other way, whose
+// columns Document.Columns derived), or nil: no slab is built here. The
+// columns are only read.
 func Build(c *xmltree.Columns, doc *xmltree.Document) (*index.Index, *synopsis.Synopsis) {
 	var (
-		wg       sync.WaitGroup
-		postings index.Columns
-		syn      *synopsis.Synopsis
-		given    = doc
+		wg  sync.WaitGroup
+		syn *synopsis.Synopsis
 	)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		postings = index.Postings(c)
-		if given != nil {
-			postings.KeysOn(given)
-		}
-	}()
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		syn = synopsis.FromColumns(c)
 	}()
-	if doc == nil {
-		doc = c.Build()
-	}
+	postings := index.Postings(c)
 	wg.Wait()
-	return index.New(doc, postings), syn
+	return index.New(c, postings, doc), syn
 }

@@ -25,7 +25,7 @@ func FuzzSnapshotV2Corruption(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		snap := &Snapshot{Doc: doc, Synopsis: synopsis.Build(doc).Flatten()}
+		snap := &Snapshot{Cols: doc.Columns(), Synopsis: synopsis.Build(doc).Flatten()}
 		var buf bytes.Buffer
 		if err := WriteSnapshot(&buf, snap); err != nil {
 			f.Fatal(err)
@@ -49,7 +49,7 @@ func FuzzSnapshotV2Corruption(f *testing.F) {
 		if err != nil {
 			return
 		}
-		doc := r.Doc
+		doc := r.Document()
 		for i, n := range doc.Nodes {
 			if int(n.Ord) != i {
 				t.Fatalf("ordinal mismatch at %d", i)

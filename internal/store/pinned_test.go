@@ -25,7 +25,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := writeSnap(t, &Snapshot{Doc: doc, Synopsis: synopsis.Build(doc).Flatten()})
+	raw := writeSnap(t, &Snapshot{Cols: doc.Columns(), Synopsis: synopsis.Build(doc).Flatten()})
 	sum := sha256.Sum256(raw)
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Fatalf("snapshot of XMark seed 1 at 256 KB (%d bytes) hashes to %s, want %s", len(raw), got, want)

@@ -11,15 +11,16 @@ import (
 	"repro/internal/xmltree"
 )
 
-// SnapshotReader serves a v2 snapshot: it validates the snapshot's
-// posting columns and embeds the index.Index they make, so a snapshot is
-// probed exactly as a built index is. Postings, tag names, node values
-// and the synopsis statistic arrays all alias the snapshot bytes — when
-// the file was mmapped, they are served straight from the kernel page
-// cache, shared by every process that has the same snapshot open. The
-// per-corpus heap cost is the node slab, which open builds from the
-// mapped columns with xmltree.Columns.Build exactly as Parse does from
-// its own, and one string header per tag and per value key.
+// SnapshotReader serves a v2 snapshot: it validates the snapshot's node
+// and posting columns and embeds the index.Index they make, so a
+// snapshot is probed exactly as a built index is. Node columns,
+// postings, tag names, node values and the synopsis statistic arrays all
+// alias the snapshot bytes — when the file was mmapped, they are served
+// straight from the kernel page cache, shared by every process that has
+// the same snapshot open. The per-corpus heap cost is the level and
+// position columns open derives from the parents (xmltree.Columns.Shape)
+// and one string header per tag and per value key; the node slab is
+// built only if a caller walks nodes (index.Index.Document).
 //
 // Everything a SnapshotReader or any structure derived from it hands
 // out (tags, node values, synopsis arrays) stays valid until Close; see
@@ -200,7 +201,8 @@ func (r *SnapshotReader) strings(get func(uint32) (section, error), offKind, blo
 }
 
 // loadNodes validates the per-node columns — tag ids, parents, subtree
-// sizes and value offsets — and returns them as the node slab's input.
+// sizes and value offsets — and returns them, with the levels and
+// positions derived from the parents.
 func (r *SnapshotReader) loadNodes(get func(uint32) (section, error), tags []string) (*xmltree.Columns, error) {
 	var secs [5]section
 	for i, kind := range []uint32{secNodeTags, secNodeParents, secSubtree, secValueOffsets, secValueBlob} {
@@ -243,7 +245,7 @@ func (r *SnapshotReader) loadNodes(get func(uint32) (section, error), tags []str
 				i, s, n, subSec.off)
 		}
 	}
-	return &xmltree.Columns{
+	c := &xmltree.Columns{
 		Tags:    tags,
 		TagIDs:  nodeTags,
 		Parents: parents,
@@ -251,7 +253,11 @@ func (r *SnapshotReader) loadNodes(get func(uint32) (section, error), tags []str
 		ValueLo: valOff[:n],
 		ValueHi: valOff[1:],
 		Values:  byteString(valBlobSec.data(r.data)),
-	}, nil
+	}
+	if err := c.Shape(); err != nil {
+		return nil, fmt.Errorf("store: %w (node parents section at offset %d)", err, parSec.off)
+	}
+	return c, nil
 }
 
 // columnSections names the section each index column is stored in.
@@ -260,10 +266,9 @@ var columnSections = map[string]uint32{
 	"KeyTags": secValPostTags, "Keys": secValPostKeys, "KeyOff": secValPostOff, "KeyOrds": secValPostOrds,
 }
 
-// loadPostings builds the node slab from the validated node columns the
-// way Parse builds it from its own — tags and values alias the snapshot —
-// views the posting sections as index columns and has index.Open validate
-// them; a column it rejects is reported by its section and file offset.
+// loadPostings views the posting sections as index columns over the
+// validated node columns and has index.Open validate them; a column it
+// rejects is reported by its section and file offset.
 func (r *SnapshotReader) loadPostings(get func(uint32) (section, error), nodes *xmltree.Columns, tags []string) error {
 	keys, err := r.strings(get, secValPostKeyOff, secValPostKeys)
 	if err != nil {
@@ -283,7 +288,7 @@ func (r *SnapshotReader) loadPostings(get func(uint32) (section, error), nodes *
 		}
 		*col.dst = u32view(s.data(r.data))
 	}
-	r.Index, err = index.Open(nodes.Build(), nodes.TagIDs, c)
+	r.Index, err = index.Open(nodes, c)
 	var ce *index.ColumnError
 	if errors.As(err, &ce) {
 		s, _ := get(columnSections[ce.Column]) // present: its column was read

@@ -36,7 +36,7 @@ func genDoc(t testing.TB, items int) *xmltree.Document {
 // synopsis.
 func fullSnapshot(t testing.TB, doc *xmltree.Document) *Snapshot {
 	t.Helper()
-	return &Snapshot{Doc: doc, Synopsis: synopsis.Build(doc).Flatten()}
+	return &Snapshot{Cols: doc.Columns(), Synopsis: synopsis.Build(doc).Flatten()}
 }
 
 func writeSnap(t testing.TB, s *Snapshot) []byte {
@@ -59,8 +59,8 @@ func parseSnap(t testing.TB, raw []byte) *SnapshotReader {
 
 func TestSnapshotRoundTripStructure(t *testing.T) {
 	doc := genDoc(t, 30)
-	r := parseSnap(t, writeSnap(t, &Snapshot{Doc: doc}))
-	sameNodes(t, doc, r.Doc)
+	r := parseSnap(t, writeSnap(t, &Snapshot{Cols: doc.Columns()}))
+	sameNodes(t, doc, r.Document())
 }
 
 // sameNodes holds a materialized snapshot to the document it was written
@@ -101,10 +101,12 @@ func sameNodes(t testing.TB, want, got *xmltree.Document) {
 }
 
 // FuzzSnapshotRoundTrip: whatever Parse accepts, a snapshot of it
-// opens to the same node slab and to the posting columns index.Build
-// fills for the parsed document, column for column — and so does the
-// concurrent boot from the parser's own columns (Build, as Load runs
-// it), whose synopsis is synopsis.Build's.
+// opens to the same node slab, to columns that render every ordinal's
+// path, Dewey ID and level as the slab does, with the levels and
+// positions open derives equal to the scanner's, and to the posting
+// columns index.Build fills for the parsed document, column for column —
+// and so does the concurrent boot from the parser's own columns (Build,
+// as Load runs it), whose synopsis is synopsis.Build's.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	for _, xml := range []string{
 		`<a/>`,
@@ -119,11 +121,12 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		r, err := ParseSnapshot(writeSnap(t, &Snapshot{Doc: doc, Synopsis: synopsis.Build(doc).Flatten()}))
+		r, err := ParseSnapshot(writeSnap(t, &Snapshot{Cols: doc.Columns(), Synopsis: synopsis.Build(doc).Flatten()}))
 		if err != nil {
 			t.Fatalf("snapshot of a parsed document rejected: %v", err)
 		}
-		sameNodes(t, doc, r.Doc)
+		sameNodes(t, doc, r.Document())
+		sameRender(t, doc, r.Cols())
 		want := index.Build(doc).Columns
 		if col := columnDiff(r.Columns, want); col != "" {
 			t.Fatalf("snapshot %s differs from index.Build's", col)
@@ -132,8 +135,11 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ParseColumns refuses what Parse accepts: %v", err)
 		}
+		if !slices.Equal(r.Cols().Level, c.Level) || !slices.Equal(r.Cols().Pos, c.Pos) {
+			t.Fatalf("open derives levels %v and positions %v, the scanner %v and %v", r.Cols().Level, r.Cols().Pos, c.Level, c.Pos)
+		}
 		ix, syn := Build(c, nil)
-		sameNodes(t, doc, ix.Doc)
+		sameNodes(t, doc, ix.Document())
 		if col := columnDiff(ix.Columns, want); col != "" {
 			t.Fatalf("booted %s differs from index.Build's", col)
 		}
@@ -141,6 +147,19 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatal("booted synopsis differs from synopsis.Build's")
 		}
 	})
+}
+
+// sameRender holds what cols render for every ordinal — path, Dewey ID
+// and level, as the daemon renders answers — to the nodes of want.
+func sameRender(t testing.TB, want *xmltree.Document, cols *xmltree.Columns) {
+	t.Helper()
+	for i, n := range want.Nodes {
+		o := int32(i)
+		if cols.Path(o) != n.Path() || string(cols.AppendDewey(nil, o)) != n.ID.String() || int(cols.Level[o]) != n.Level() {
+			t.Fatalf("node %d: columns render %s @%s level %d, the slab %s @%s level %d",
+				i, cols.Path(o), cols.AppendDewey(nil, o), cols.Level[o], n.Path(), n.ID, n.Level())
+		}
+	}
 }
 
 // columnDiff names the first column in which a and b differ, "" when
@@ -283,7 +302,7 @@ func checkSkipsRetired(t *testing.T, doc *xmltree.Document, retired ...secPayloa
 	if old.SizeBytes() <= fresh.SizeBytes() {
 		t.Fatalf("image with retired sections is %d bytes, without %d", old.SizeBytes(), fresh.SizeBytes())
 	}
-	sameNodes(t, fresh.Doc, old.Doc)
+	sameNodes(t, fresh.Document(), old.Document())
 	ords := func(ns []*xmltree.Node) []int {
 		out := make([]int, len(ns))
 		for i, n := range ns {
@@ -296,9 +315,9 @@ func checkSkipsRetired(t *testing.T, doc *xmltree.Document, retired ...secPayloa
 			if got, want := ords(old.NodesMatching(tag, vt)), ords(fresh.NodesMatching(tag, vt)); !slices.Equal(got, want) {
 				t.Fatalf("NodesMatching(%q, %v) = %v with retired sections, %v without", tag, vt, got, want)
 			}
-			root := old.Doc.Roots[0]
+			root := old.Document().Roots[0]
 			got := ords(old.AppendCandidates(nil, root, dewey.Descendant, tag, vt))
-			want := ords(fresh.AppendCandidates(nil, fresh.Doc.Roots[0], dewey.Descendant, tag, vt))
+			want := ords(fresh.AppendCandidates(nil, fresh.Document().Roots[0], dewey.Descendant, tag, vt))
 			if !slices.Equal(got, want) {
 				t.Fatalf("AppendCandidates(%q, %v) = %v with retired sections, %v without", tag, vt, got, want)
 			}
@@ -324,7 +343,7 @@ func TestSnapshotBytesPerDocByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := writeSnap(t, &Snapshot{Doc: doc, Synopsis: synopsis.Build(doc).Flatten()})
+	raw := writeSnap(t, &Snapshot{Cols: doc.Columns(), Synopsis: synopsis.Build(doc).Flatten()})
 	if ratio := float64(len(raw)) / float64(docBytes); ratio > 2.1 {
 		t.Fatalf("snapshot is %d bytes for a %d-byte document: %.2f per document byte, want at most 2.1", len(raw), docBytes, ratio)
 	}
@@ -347,8 +366,8 @@ func TestSnapshotSaveOpenMmap(t *testing.T) {
 	if r.SizeBytes()%1 != 0 || r.SizeBytes() == 0 {
 		t.Fatal("empty snapshot file")
 	}
-	if r.Doc.Size() != doc.Size() {
-		t.Fatalf("size %d != %d", r.Doc.Size(), doc.Size())
+	if r.Document().Size() != doc.Size() {
+		t.Fatalf("size %d != %d", r.Document().Size(), doc.Size())
 	}
 	ix := index.Build(doc)
 	for _, tag := range []string{"item", "name", "text"} {
@@ -366,7 +385,7 @@ func TestSnapshotSaveOpenMmap(t *testing.T) {
 // nothing.
 func TestSnapshotProbeAllocs(t *testing.T) {
 	doc := genDoc(t, 40)
-	r := parseSnap(t, writeSnap(t, &Snapshot{Doc: doc}))
+	r := parseSnap(t, writeSnap(t, &Snapshot{Cols: doc.Columns()}))
 	items := r.Nodes("item")
 	if len(items) == 0 {
 		t.Fatal("no items")
@@ -433,10 +452,12 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsMalformedTree: the node slab is built from the
-// parents and subtree columns, so open refuses a checksummed image whose
-// parent follows its child or whose subtree leaves the document — with
-// an error naming the column, not a bad slab at first touch.
+// TestSnapshotRejectsMalformedTree: the engine climbs the parent column
+// and decides containment on the subtree column, so open refuses a
+// checksummed image whose parent follows its child, whose subtree leaves
+// the document or its parent's, or whose node lies inside an interval
+// other than its ancestors' — with an error naming the column, not a
+// wrong answer at first touch.
 func TestSnapshotRejectsMalformedTree(t *testing.T) {
 	doc, err := xmltree.ParseString(`<a><b><c/></b><d/></a>`) // ordinals a0 b1 c2 d3
 	if err != nil {
@@ -453,8 +474,11 @@ func TestSnapshotRejectsMalformedTree(t *testing.T) {
 		{"node its own parent", secNodeParents, 2, 3, "parent"},
 		{"empty subtree", secSubtree, 3, 0, "subtree"},
 		{"subtree past the end", secSubtree, 2, 3, "subtree"},
+		{"subtree past its parent's", secSubtree, 2, 2, "children do not end"},
+		{"node inside a sibling's subtree", secSubtree, 1, 3, "next child"},
+		{"root inside another node's subtree", secNodeParents, 2, 0, "next child"},
 	} {
-		payloads, err := buildSections(&Snapshot{Doc: doc})
+		payloads, err := buildSections(&Snapshot{Cols: doc.Columns()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -495,7 +519,7 @@ func TestSnapshotRejectsMalformedPostings(t *testing.T) {
 		{"unsorted value keys", secValPostKeys, 0, 'z', "value postings keys section", "not sorted"},
 		{"empty value group", secValPostOff, 2, 1, "value postings offsets section", "empty value postings"},
 	} {
-		payloads, err := buildSections(&Snapshot{Doc: doc})
+		payloads, err := buildSections(&Snapshot{Cols: doc.Columns()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -539,7 +563,7 @@ func TestSnapshotReplacedUnderLiveReader(t *testing.T) {
 	}
 	probe := func(r *SnapshotReader) []string {
 		var out []string
-		for _, n := range r.AppendCandidates(nil, r.Doc.Roots[0], dewey.Descendant, "name", index.ValueTest{}) {
+		for _, n := range r.AppendCandidates(nil, r.Document().Roots[0], dewey.Descendant, "name", index.ValueTest{}) {
 			out = append(out, n.ID.String()+"="+n.Value)
 		}
 		return out
@@ -551,31 +575,22 @@ func TestSnapshotReplacedUnderLiveReader(t *testing.T) {
 	if after := probe(r); !slices.Equal(after, before) {
 		t.Fatalf("live reader answers %v after the replacement, %v before", after, before)
 	}
-	sameNodes(t, old, r.Doc)
+	sameNodes(t, old, r.Document())
 	fresh, err := OpenSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	sameNodes(t, repl, fresh.Doc)
+	sameNodes(t, repl, fresh.Document())
 	if got := probe(fresh); slices.Equal(got, before) {
 		t.Fatal("a fresh open still answers from the replaced document")
 	}
 }
 
-func TestSnapshotRejectsUnrenumberedDoc(t *testing.T) {
-	doc := genDoc(t, 5)
-	doc.Nodes[2].Ord = 99
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, &Snapshot{Doc: doc}); err == nil {
-		t.Fatal("unrenumbered document accepted")
-	}
-}
-
 func TestSnapshotEmptyAndForest(t *testing.T) {
 	empty := xmltree.NewDocument()
-	r := parseSnap(t, writeSnap(t, &Snapshot{Doc: empty}))
-	if r.Doc.Size() != 0 || len(r.Nodes("x")) != 0 {
+	r := parseSnap(t, writeSnap(t, &Snapshot{Cols: empty.Columns()}))
+	if r.Document().Size() != 0 || len(r.Nodes("x")) != 0 {
 		t.Fatal("empty document snapshot broken")
 	}
 
@@ -583,9 +598,9 @@ func TestSnapshotEmptyAndForest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r = parseSnap(t, writeSnap(t, &Snapshot{Doc: forest}))
-	if len(r.Doc.Roots) != 2 {
-		t.Fatalf("roots = %d", len(r.Doc.Roots))
+	r = parseSnap(t, writeSnap(t, &Snapshot{Cols: forest.Columns()}))
+	if len(r.Document().Roots) != 2 {
+		t.Fatalf("roots = %d", len(r.Document().Roots))
 	}
 }
 
@@ -611,12 +626,13 @@ func TestLegacyV1FileNamed(t *testing.T) {
 
 // TestSnapshotConcurrentViewClimb: a sharded evaluation runs several
 // engines at once over one snapshot — each enumerating its member view's
-// postings and climbing Parent links, as the root server's posting
-// stream does. Every goroutine must see the one slab open built, the
-// same node at every ordinal (run under -race).
+// postings and climbing the parent column, as the root server's posting
+// stream does. Every goroutine must climb the one set of columns open
+// validated, through enclosing intervals to the tree root (run under
+// -race).
 func TestSnapshotConcurrentViewClimb(t *testing.T) {
 	doc := genDoc(t, 60)
-	r := parseSnap(t, writeSnap(t, &Snapshot{Doc: doc}))
+	r := parseSnap(t, writeSnap(t, &Snapshot{Cols: doc.Columns()}))
 	// The partition comes from the built document: ordinals are the
 	// snapshot's.
 	const p = 4
@@ -625,14 +641,14 @@ func TestSnapshotConcurrentViewClimb(t *testing.T) {
 		t.Fatal(err)
 	}
 	owner := make([]int32, len(doc.Nodes))
+	cols := r.Cols()
 	for _, s := range c.Spine() {
-		owner[s.Ord] = p
+		owner[s] = p
 	}
 	for _, part := range c.Parts() {
 		for _, u := range part.Units {
-			owner[u.Ord] = int32(part.ID)
-			for _, n := range u.Descendants() {
-				owner[n.Ord] = int32(part.ID)
+			for o := u; o <= cols.End(u); o++ {
+				owner[o] = int32(part.ID)
 			}
 		}
 	}
@@ -648,17 +664,17 @@ func TestSnapshotConcurrentViewClimb(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, kw := range index.NewView(r, owner, i).Nodes("keyword") {
-				top := kw
-				for a := kw.Parent; a != nil; a = a.Parent {
-					if !a.Contains(kw) || r.Doc.Nodes[a.Ord] != a {
-						t.Errorf("part %d: keyword %d climbs through a foreign node %v", i, kw.Ord, a)
+			for _, o := range index.NewView(r, owner, i).Ords("keyword", index.ValueTest{}) {
+				kw, top := int32(o), int32(o)
+				for a := cols.Parent(kw); a >= 0; a = cols.Parent(a) {
+					if !cols.Contains(a, kw) {
+						t.Errorf("part %d: keyword %d climbs through a foreign node %d", i, kw, a)
 						return
 					}
 					top = a
 				}
-				if top.Tag != "site" {
-					t.Errorf("part %d: keyword %d climbs to %v", i, kw.Ord, top)
+				if cols.Tag(top) != "site" {
+					t.Errorf("part %d: keyword %d climbs to %s", i, kw, cols.Tag(top))
 					return
 				}
 				got[i]++

@@ -16,14 +16,13 @@ import (
 )
 
 // Snapshot describes a fully built corpus for serialization into the v2
-// mmap format: the document itself plus the derived read-only structures
-// that are expensive to rebuild at boot. Only Doc is required; a
-// snapshot without a synopsis makes OpenSnapshot build one from the
-// mapped node columns.
+// mmap format: the document's columns plus the derived read-only
+// structures that are expensive to rebuild at boot. Only the columns
+// are required; a snapshot without a synopsis makes OpenSnapshot build
+// one from the mapped node columns.
 type Snapshot struct {
-	// Doc is the indexed document; its nodes must be in preorder with
-	// Nodes[i].Ord == i (any parsed or renumbered document qualifies).
-	Doc *xmltree.Document
+	// Cols is the document's columns (Document.Columns for a tree).
+	Cols *xmltree.Columns
 	// Synopsis is the structure synopsis's columns (Synopsis.Flatten),
 	// persisted so open skips its build.
 	Synopsis *synopsis.Flat
@@ -110,20 +109,17 @@ func SaveSnapshot(path string, s *Snapshot) error {
 func alignUp(v, to int) int { return (v + to - 1) / to * to }
 
 func buildSections(s *Snapshot) ([]secPayload, error) {
-	if s == nil || s.Doc == nil {
+	if s == nil || s.Cols == nil {
 		return nil, fmt.Errorf("store: nil snapshot document")
 	}
-	doc := s.Doc
-	n := len(doc.Nodes)
+	nodes := s.Cols
+	n := nodes.Len()
 	if n > math.MaxUint32-1 {
 		return nil, fmt.Errorf("store: %d nodes exceed the snapshot format's capacity", n)
 	}
 	size := 0
-	for i, nd := range doc.Nodes {
-		if int(nd.Ord) != i {
-			return nil, fmt.Errorf("store: document is not renumbered (node %d has ord %d)", i, nd.Ord)
-		}
-		size += len(nd.Value)
+	for i := range nodes.ValueLo {
+		size += int(nodes.ValueHi[i] - nodes.ValueLo[i])
 	}
 	if size > math.MaxUint32 {
 		return nil, fmt.Errorf("store: %s exceeds 4 GiB", sectionName(secValueBlob))
@@ -154,7 +150,6 @@ func buildSections(s *Snapshot) ([]secPayload, error) {
 		add(kind, len(v), e)
 	}
 
-	nodes := doc.Columns()
 	c := index.Postings(nodes)
 	if err := addStrings(secTagOffsets, secTagBlob, len(c.Tags), func(i int) string { return c.Tags[i] }); err != nil {
 		return nil, err

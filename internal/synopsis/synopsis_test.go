@@ -113,7 +113,7 @@ func brutePathStats(doc *xmltree.Document, anchorTag string, pp relax.PathPredic
 			if c.Tag != tag {
 				continue
 			}
-			if pp.HoldsExact(n, c) {
+			if pp.DepthHoldsExact(c.Level() - n.Level()) {
 				tf++
 			}
 		}

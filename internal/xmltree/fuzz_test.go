@@ -10,8 +10,11 @@ import (
 
 // FuzzParse checks that the XML parser never panics, refuses exactly
 // what the encoding/xml reference refuses and otherwise yields its
-// columns, assigns consistent structure to whatever it accepts —
-// ordinals, intervals, derived Dewey IDs and levels (checkIntervals) —
+// columns — the levels and positions it scans equal to the ones Shape
+// derives from the parents, as a snapshot open does — assigns
+// consistent structure to whatever it accepts — ordinals, intervals,
+// derived Dewey IDs and levels (checkIntervals), and the same paths,
+// Dewey IDs and levels rendered from the columns (checkColumnRender) —
 // and that Serialize output re-parses to the same tags and values, as
 // does ParseProjected keeping every tag. The projected parse reads
 // through a window of at most 8 bytes, which it must grow and move
@@ -78,7 +81,8 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		if !slices.Equal(c.Tags, ref.Tags) || !slices.Equal(c.TagIDs, ref.TagIDs) ||
-			!slices.Equal(c.Parents, ref.Parents) || !slices.Equal(c.Subtree, ref.Subtree) {
+			!slices.Equal(c.Parents, ref.Parents) || !slices.Equal(c.Subtree, ref.Subtree) ||
+			!slices.Equal(c.Level, ref.Level) || !slices.Equal(c.Pos, ref.Pos) {
 			t.Fatalf("columns differ from the reference:\n%+v\n%+v", c, ref)
 		}
 		for i := range c.TagIDs {
@@ -105,6 +109,7 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 		checkIntervals(t, doc)
+		checkColumnRender(t, doc)
 		// Serialize must produce re-parseable XML with the same shape.
 		var buf bytes.Buffer
 		if err := doc.Serialize(&buf); err != nil {
@@ -123,6 +128,7 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 		checkIntervals(t, projected)
+		checkColumnRender(t, projected)
 		if projected.Size() != doc.Size() {
 			t.Fatalf("projection keeping every tag holds %d nodes, Parse %d", projected.Size(), doc.Size())
 		}
@@ -132,6 +138,21 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkColumnRender holds what the columns render for every ordinal —
+// path, Dewey ID and level, as the daemon renders answers — to what the
+// node slab says.
+func checkColumnRender(t *testing.T, doc *Document) {
+	t.Helper()
+	c := doc.Columns()
+	for i, n := range doc.Nodes {
+		o := int32(i)
+		if c.Path(o) != n.Path() || string(c.AppendDewey(nil, o)) != n.ID.String() || int(c.Level[o]) != n.Level() {
+			t.Fatalf("node %d: columns render %s @%s level %d, the slab %s @%s level %d",
+				i, c.Path(o), c.AppendDewey(nil, o), c.Level[o], n.Path(), n.ID, n.Level())
+		}
+	}
 }
 
 // syntax returns the syntax error err wraps, or nil.

@@ -16,7 +16,8 @@ import (
 // Parse reads r once, scans the bytes in one pass straight into Columns
 // — each distinct tag stored once, every value appended to one blob,
 // subtree sizes patched at end tags — and builds the node slab from
-// them. A syntax error names its line.
+// them. A syntax error names its line. A serving path reads the columns
+// alone (ParseColumns); the slab is for callers that walk nodes.
 func Parse(r io.Reader) (*Document, error) {
 	c, err := ParseColumns(r)
 	if err != nil {
@@ -37,13 +38,14 @@ func ParseColumns(r io.Reader) (*Columns, error) {
 }
 
 // parseColumns scans a whole document into columns that share no bytes
-// with in and carry no growth slack.
+// with in and carry at most an eighth of growth slack.
 func parseColumns(in []byte) (*Columns, error) {
-	// A node is a start tag or an attribute, which hold a '<' and an
-	// '=' each; a value byte is an input byte. The columns and the value
-	// bytes are appended within these bounds and copied out at exact
-	// length at the end, so they never regrow.
-	bound := bytes.Count(in, []byte{'<'}) + bytes.Count(in, []byte{'='})
+	// A node is a start tag or an attribute, which hold a '<' not
+	// followed by '/' and an '=' each; a value byte is an input byte.
+	// The columns and the value bytes are appended within these bounds,
+	// so they never regrow, and copied out at exact length at the end
+	// when the bound left slack (exact).
+	bound := bytes.Count(in, []byte{'<'}) - bytes.Count(in, []byte("</")) + bytes.Count(in, []byte{'='})
 	var (
 		s      = scanner{in: in}
 		c      Columns
@@ -52,9 +54,12 @@ func parseColumns(in []byte) (*Columns, error) {
 		open   []uint32 // ordinals of the open elements
 		pend   []byte   // character data of the open elements, innermost last
 		pendAt []int    // where each open element's data starts in pend
+		kids   []int32  // children each open element has so far
+		roots  int32    // forest roots so far
 		name   []byte   // attribute tag scratch
 	)
 	c.TagIDs, c.Parents, c.Subtree = make([]uint32, 0, bound), make([]uint32, 0, bound), make([]uint32, 0, bound)
+	c.Level, c.Pos = make([]int32, 0, bound), make([]int32, 0, bound)
 	c.ValueLo, c.ValueHi = make([]uint32, 0, bound), make([]uint32, 0, bound)
 	intern := func(tag []byte) uint32 {
 		id, ok := tagIDs[string(tag)]
@@ -66,11 +71,13 @@ func parseColumns(in []byte) (*Columns, error) {
 		return id
 	}
 	add := func(tag uint32, value []byte) uint32 {
-		parent := uint32(0)
-		if len(open) > 0 {
-			parent = open[len(open)-1] + 1
+		parent, pos := uint32(0), &roots
+		if d := len(open); d > 0 {
+			parent, pos = open[d-1]+1, &kids[d-1]
 		}
 		c.TagIDs, c.Parents, c.Subtree = append(c.TagIDs, tag), append(c.Parents, parent), append(c.Subtree, 1)
+		c.Level, c.Pos = append(c.Level, int32(len(open))+1), append(c.Pos, *pos)
+		*pos++
 		c.ValueLo = append(c.ValueLo, uint32(len(values)))
 		values = append(values, value...)
 		c.ValueHi = append(c.ValueHi, uint32(len(values)))
@@ -86,7 +93,7 @@ func parseColumns(in []byte) (*Columns, error) {
 			// The element's value and subtree size are only known at its
 			// end, where they are patched in.
 			open = append(open, add(intern(s.name), nil))
-			pendAt = append(pendAt, len(pend))
+			pendAt, kids = append(pendAt, len(pend)), append(kids, 0)
 		case tokAttr:
 			name = append(append(name[:0], '@'), s.name...)
 			add(intern(name), s.text)
@@ -101,7 +108,7 @@ func parseColumns(in []byte) (*Columns, error) {
 			values = append(values, bytes.TrimSpace(pend[pendAt[d]:])...)
 			c.ValueHi[el] = uint32(len(values))
 			c.Subtree[el] = uint32(len(c.TagIDs)) - el
-			open, pend, pendAt = open[:d], pend[:pendAt[d]], pendAt[:d]
+			open, pend, pendAt, kids = open[:d], pend[:pendAt[d]], pendAt[:d], kids[:d]
 		case tokEOF:
 			if len(c.TagIDs) > math.MaxInt32 || len(values) > math.MaxUint32 {
 				return nil, fmt.Errorf("xmltree: parse: %d nodes and %d value bytes exceed the int32 ordinals and uint32 value offsets",
@@ -109,14 +116,21 @@ func parseColumns(in []byte) (*Columns, error) {
 			}
 			c.Tags, c.Values = exact(c.Tags), string(values)
 			c.TagIDs, c.Parents, c.Subtree = exact(c.TagIDs), exact(c.Parents), exact(c.Subtree)
+			c.Level, c.Pos = exact(c.Level), exact(c.Pos)
 			c.ValueLo, c.ValueHi = exact(c.ValueLo), exact(c.ValueHi)
 			return &c, nil
 		}
 	}
 }
 
-// exact returns a copy of s whose capacity is its length.
-func exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
+// exact returns s, or a copy whose capacity is its length when s holds
+// more than an eighth of slack.
+func exact[T any](s []T) []T {
+	if cap(s)-len(s) <= len(s)/8 {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
 
 // ParseString parses a document from a string.
 func ParseString(s string) (*Document, error) { return Parse(strings.NewReader(s)) }

@@ -12,6 +12,8 @@ import (
 // referenceColumns is the encoding/xml token loop Parse used before the
 // scanner replaced it, kept as the oracle FuzzParse holds the scanner
 // to: the same input must be refused by both or yield the same columns.
+// Its levels and positions are the ones Shape derives from the parents,
+// as a snapshot open derives them.
 func referenceColumns(r io.Reader) (*Columns, error) {
 	dec := xml.NewDecoder(r)
 	dec.Strict = true
@@ -93,5 +95,8 @@ func referenceColumns(r io.Reader) (*Columns, error) {
 			len(c.TagIDs), values.Len())
 	}
 	c.Values = values.String()
+	if err := c.Shape(); err != nil {
+		return nil, err
+	}
 	return &c, nil
 }

@@ -3,14 +3,20 @@ package xmltree
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Columns is a document in the column form a snapshot stores and Parse
 // streams into: a tag table, and per preorder ordinal a tag id, a parent
-// ordinal, a subtree size and a value span. Build turns the columns into
-// a Document, so a parsed and a snapshot-backed document share one node
-// layout.
+// ordinal, a subtree size, a level, a position and a value span. They
+// are the document every serving structure reads: node ord's
+// descendants are the ordinals in (ord, End(ord)], its ancestors are
+// reached through Parents, and its Dewey ID and path are rendered from
+// Parents, Pos and Tags. Build turns the columns into a node slab for
+// callers that walk *Node trees, so a parsed and a snapshot-backed
+// document share one node layout.
 type Columns struct {
 	// Tags is the document's tag table; every node's Tag is one of these
 	// strings, so a tag is stored once however many nodes carry it.
@@ -21,6 +27,11 @@ type Columns struct {
 	Parents []uint32
 	// Subtree holds each node's subtree size, itself included.
 	Subtree []uint32
+	// Level holds each node's depth, 1 for a forest root, and Pos its
+	// index among its parent's children (among the forest's roots for a
+	// root). The scanner fills both; a snapshot stores neither, and
+	// Shape derives them from Parents.
+	Level, Pos []int32
 	// Node i's value is Values[ValueLo[i]:ValueHi[i]].
 	ValueLo, ValueHi []uint32
 	Values           string
@@ -34,6 +45,7 @@ type Columns struct {
 // such columns by construction, and the snapshot reader checks them when
 // it opens a file.
 func (c *Columns) Build() *Document {
+	slabsBuilt.Add(1)
 	n := len(c.TagIDs)
 	// childOff[i] is where node i's children start in the slab.
 	childOff := make([]int32, n+1)
@@ -47,7 +59,7 @@ func (c *Columns) Build() *Document {
 	}
 	slab := make([]*Node, childOff[n])
 	nodes := make([]Node, n)
-	doc := &Document{Nodes: make([]*Node, n)}
+	doc := &Document{Nodes: make([]*Node, n), cols: c}
 	for i := range nodes {
 		nd := &nodes[i]
 		doc.Nodes[i] = nd
@@ -74,18 +86,33 @@ func (c *Columns) Build() *Document {
 	return doc
 }
 
-// Columns derives the columns of a document built some other way —
-// through Builder, ParseProjected or AddChild and Renumber — so that the
-// structures derived from columns are derived the same way for every
-// document. Tags are numbered in order of first appearance in preorder,
-// as Parse numbers them, and the values lie end to end in preorder, as a
-// snapshot stores them. The document must be renumbered (Nodes[i].Ord ==
-// i); its values must total less than 4 GiB, the reach of a value span,
-// which Parse and the snapshot writer check before they get here.
+// slabsBuilt counts the node slabs Build has built (SlabsBuilt).
+var slabsBuilt atomic.Int64
+
+// SlabsBuilt returns how many node slabs Columns.Build has built in this
+// process, so that a path meant to serve from the columns alone can be
+// checked to build none.
+func SlabsBuilt() int64 { return slabsBuilt.Load() }
+
+// Columns returns the document's columns: the ones it was built from
+// (Parse, Columns.Build), or else — for a tree built through Builder,
+// ParseProjected or AddChild and Renumber — columns derived from the
+// tree, so that the structures derived from columns are derived the
+// same way for every document. Tags are numbered in order of first
+// appearance in preorder, as Parse numbers them, and the values lie end
+// to end in preorder, as a snapshot stores them. The document must be
+// renumbered (Nodes[i].Ord == i), or Columns panics rather than derive
+// parents and subtrees from stale ordinals; its values must total less
+// than 4 GiB, the reach of a value span, which Parse and the snapshot
+// writer check before they get here.
 func (d *Document) Columns() *Columns {
+	if d.cols != nil {
+		return d.cols
+	}
 	n := len(d.Nodes)
 	c := &Columns{
 		TagIDs: make([]uint32, n), Parents: make([]uint32, n), Subtree: make([]uint32, n),
+		Level: make([]int32, n), Pos: make([]int32, n),
 		ValueLo: make([]uint32, n), ValueHi: make([]uint32, n),
 	}
 	size := 0
@@ -99,6 +126,9 @@ func (d *Document) Columns() *Columns {
 	var values strings.Builder
 	values.Grow(size)
 	for i, nd := range d.Nodes {
+		if int(nd.Ord) != i {
+			panic(fmt.Sprintf("xmltree: document is not renumbered (node %d has ord %d)", i, nd.Ord))
+		}
 		id, ok := ids[nd.Tag]
 		if !ok {
 			id = uint32(len(c.Tags))
@@ -110,10 +140,98 @@ func (d *Document) Columns() *Columns {
 			c.Parents[i] = uint32(nd.Parent.Ord) + 1
 		}
 		c.Subtree[i] = uint32(nd.End-nd.Ord) + 1
+		c.Level[i], c.Pos[i] = nd.level, nd.pos
 		c.ValueLo[i] = uint32(values.Len())
 		values.WriteString(nd.Value)
 		c.ValueHi[i] = uint32(values.Len())
 	}
 	c.Values = values.String()
 	return c
+}
+
+// Shape derives Level and Pos from Parents, in one pass, for columns
+// read from storage: they must hold a parent before each child, and a
+// subtree that stays inside the document, as the snapshot reader checks.
+// It also checks that every node's children tile its interval in order —
+// the first starts right after it, each next one where the last ended,
+// and the last ends where it does — and that each root starts where the
+// last one ended (they then tile the document: a node past the last
+// root's interval would leave one of its ancestors'). Then every
+// interval holding a node is an ancestor's, so every containment the
+// engine decides on intervals agrees with the parent links it climbs;
+// the first node that breaks this is reported.
+func (c *Columns) Shape() error {
+	n := len(c.Parents)
+	c.Level, c.Pos = make([]int32, n), make([]int32, n)
+	// Per parent ordinal + 1 ([0] for the roots): children so far, and
+	// where the next child must start, less that ordinal + 1.
+	kids, next := make([]int32, n+1), make([]uint32, n+1)
+	for i, p := range c.Parents {
+		if next[p] != uint32(i)-p {
+			return fmt.Errorf("xmltree: node %d is not where its parent %d's next child must start", i, int32(p)-1)
+		}
+		next[p] = uint32(i) + c.Subtree[i] - p
+		if p != 0 {
+			c.Level[i] = c.Level[p-1] + 1
+		} else {
+			c.Level[i] = 1
+		}
+		c.Pos[i] = kids[p]
+		kids[p]++
+	}
+	for i := 0; i < n; i++ {
+		if next[i+1] != c.Subtree[i]-1 {
+			return fmt.Errorf("xmltree: node %d's children do not end where its subtree does", i)
+		}
+	}
+	return nil
+}
+
+// Len returns the number of nodes.
+func (c *Columns) Len() int { return len(c.TagIDs) }
+
+// Tag returns node ord's tag.
+func (c *Columns) Tag(ord int32) string { return c.Tags[c.TagIDs[ord]] }
+
+// Value returns node ord's value.
+func (c *Columns) Value(ord int32) string { return c.Values[c.ValueLo[ord]:c.ValueHi[ord]] }
+
+// End returns the ordinal of node ord's last descendant (ord for a leaf).
+func (c *Columns) End(ord int32) int32 { return ord + int32(c.Subtree[ord]) - 1 }
+
+// Parent returns node ord's parent, -1 for a forest root.
+func (c *Columns) Parent(ord int32) int32 { return int32(c.Parents[ord]) - 1 }
+
+// Contains reports whether d is a strict descendant of a: the interval
+// test Node.Contains makes.
+func (c *Columns) Contains(a, d int32) bool { return a < d && d <= c.End(a) }
+
+// Roots returns the number of forest roots.
+func (c *Columns) Roots() int {
+	roots := 0
+	for _, p := range c.Parents {
+		if p == 0 {
+			roots++
+		}
+	}
+	return roots
+}
+
+// AppendDewey appends node ord's Dewey ID in the dotted form
+// Node.ID.Append writes: the positions from its tree root down.
+func (c *Columns) AppendDewey(dst []byte, ord int32) []byte {
+	if p := c.Parent(ord); p >= 0 {
+		dst = append(c.AppendDewey(dst, p), '.')
+	}
+	return strconv.AppendInt(dst, int64(c.Pos[ord]), 10)
+}
+
+// Path returns the slash-separated tag path from node ord's tree root to
+// it, as Node.Path does.
+func (c *Columns) Path(ord int32) string {
+	parts := make([]string, c.Level[ord])
+	for a := ord; a >= 0; a = c.Parent(a) {
+		parts[c.Level[a]-1] = c.Tag(a)
+	}
+	return strings.Join(parts, "/")
 }

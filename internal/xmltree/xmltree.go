@@ -10,8 +10,9 @@
 // streams straight into Columns, and can be serialized back; attributes
 // are modeled as child nodes tagged "@name" so structural predicates treat
 // them uniformly (the paper's queries do not use attributes, but XMark
-// documents carry them). Parse and the snapshot store build the same node
-// slab from the same columns (see Columns).
+// documents carry them). The columns (see Columns) are the document the
+// index, the engine and the snapshot store read; the node slab is built
+// from them for callers that walk nodes.
 package xmltree
 
 import (
@@ -106,6 +107,8 @@ type Document struct {
 	Roots []*Node
 	// Nodes lists every node in document (preorder) order; Nodes[i].Ord == i.
 	Nodes []*Node
+
+	cols *Columns // the columns the slab was built from; nil for a tree built otherwise
 }
 
 // NewDocument builds an empty document.
@@ -136,6 +139,7 @@ func (d *Document) AddRoot(tag string) *Node {
 func (d *Document) AddChild(parent *Node, tag, value string) *Node {
 	n := newNode(tag, value, parent, len(parent.Children))
 	parent.Children = append(parent.Children, n)
+	d.cols = nil
 	return n
 }
 
@@ -146,7 +150,7 @@ func (d *Document) Renumber() { d.renumber() }
 // renumber walks the trees from Roots through Children, setting every
 // node's Parent, level, position, ID handle, ordinal and interval.
 func (d *Document) renumber() {
-	d.Nodes = d.Nodes[:0]
+	d.Nodes, d.cols = d.Nodes[:0], nil
 	var walk func(n, parent *Node, pos int)
 	walk = func(n, parent *Node, pos int) {
 		n.Parent, n.pos, n.level, n.ID = parent, int32(pos), 1, ID{n}

@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"bytes"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -358,5 +359,69 @@ func TestAddRootAndAddChildRenumber(t *testing.T) {
 	doc.Renumber()
 	if doc.Size() != 2 || doc.Nodes[1].Value != "v" {
 		t.Fatalf("manual construction broken: %v", doc.Nodes)
+	}
+}
+
+// TestColumnsRejectsUnrenumberedDoc: columns derived from stale ordinals
+// would carry wrong parents and subtrees into every index and snapshot
+// built from them, so deriving them panics instead.
+func TestColumnsRejectsUnrenumberedDoc(t *testing.T) {
+	doc := NewDocument()
+	r := doc.AddRoot("a")
+	doc.AddChild(doc.AddChild(r, "b", ""), "c", "v")
+	doc.Renumber()
+	doc.Nodes[2].Ord = 99
+	defer func() {
+		if recover() == nil {
+			t.Fatal("columns derived from an unrenumbered document")
+		}
+	}()
+	doc.Columns()
+}
+
+// TestShapeAcceptsExactlyTrees: over random parent and subtree columns
+// of the kind the snapshot reader passes on (every parent before its
+// child, every subtree inside the document), Shape accepts exactly those
+// whose intervals holding each node are its ancestors' and its own —
+// the agreement between interval tests and parent climbs the engine
+// relies on.
+func TestShapeAcceptsExactlyTrees(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	accepted := 0
+	for trial := 0; trial < 200000; trial++ {
+		n := 1 + r.Intn(6)
+		c := &Columns{Parents: make([]uint32, n), Subtree: make([]uint32, n)}
+		for i := range c.Parents {
+			c.Parents[i] = uint32(r.Intn(i + 1))
+			c.Subtree[i] = uint32(1 + r.Intn(n-i))
+		}
+		tree := true
+		for x := int32(0); x < int32(n); x++ {
+			holding := 0 // intervals holding x
+			for y := int32(0); y <= x; y++ {
+				if x <= c.End(y) {
+					holding++
+				}
+			}
+			depth := 0 // x and its ancestors, each holding x in a tree
+			for a := x; a >= 0; a = c.Parent(a) {
+				if x > c.End(a) {
+					tree = false
+				}
+				depth++
+			}
+			if holding != depth {
+				tree = false
+			}
+		}
+		if err := c.Shape(); (err == nil) != tree {
+			t.Fatalf("parents %v, subtrees %v: Shape says %v, want a tree: %v", c.Parents, c.Subtree, err, tree)
+		}
+		if tree {
+			accepted++
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no tree drawn")
 	}
 }

@@ -29,9 +29,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/index"
@@ -56,10 +57,6 @@ type (
 	Query = pattern.Query
 	// QueryNode is one node of a tree pattern.
 	QueryNode = pattern.Node
-	// Result is the outcome of a top-k evaluation: answers plus stats.
-	Result = core.Result
-	// Answer is one ranked answer.
-	Answer = core.Answer
 	// Stats instruments an evaluation (server operations, join
 	// comparisons, partial matches created, pruned, duration).
 	Stats = core.Stats
@@ -76,9 +73,6 @@ type (
 	// Scorer computes score contributions; implement it to rank with a
 	// custom function.
 	Scorer = score.Scorer
-	// Engine is a prepared evaluator for one (document, query, options)
-	// combination, reusable across runs.
-	Engine = core.Engine
 	// Explanation reports how one query node was satisfied in an answer.
 	Explanation = core.Explanation
 	// MatchKind classifies an Explanation (exact, edge-generalized,
@@ -105,7 +99,72 @@ const (
 // Explain classifies every query node of an answer: which bindings are
 // exact, which required edge generalization or subtree promotion, and
 // which were relaxed away.
-func Explain(q *Query, a Answer) []Explanation { return core.Explain(q, a) }
+func Explain(q *Query, a Answer) []Explanation { return core.Explain(q, a.Bindings) }
+
+// Result is the outcome of a top-k evaluation: answers plus stats.
+type Result struct {
+	// Answers holds at most K answers with distinct roots, best first
+	// (ties broken by document order of the root).
+	Answers []Answer
+	// Stats holds the run's instrumentation.
+	Stats Stats
+}
+
+// Answer is one ranked answer.
+type Answer struct {
+	// Root is the matched instantiation of the query's returned node.
+	Root *Node
+	// Bindings maps query node ID to the bound document node; nil means
+	// the node was relaxed away (leaf deletion).
+	Bindings []*Node
+	// Score is the answer's final score.
+	Score float64
+}
+
+// resolve turns an engine result, whose answers are preorder ordinals of
+// src's document, into one over src's node slab — built on the first
+// call. It costs three allocations per result, none per answer.
+func resolve(src index.Source, res *core.Result) *Result {
+	out := &Result{Answers: make([]Answer, len(res.Answers)), Stats: res.Stats}
+	if len(res.Answers) == 0 {
+		return out
+	}
+	nodes := src.Document().Nodes
+	flat := make([]*Node, len(res.Answers)*len(res.Answers[0].Bindings))
+	for i, a := range res.Answers {
+		b := flat[:len(a.Bindings):len(a.Bindings)]
+		flat = flat[len(a.Bindings):]
+		for j, o := range a.Bindings {
+			if o >= 0 {
+				b[j] = nodes[o]
+			}
+		}
+		out.Answers[i] = Answer{Root: nodes[a.Root], Bindings: b, Score: a.Score}
+	}
+	return out
+}
+
+// Engine is a prepared evaluator for one (document, query, options)
+// combination, reusable across runs. It embeds the core engine, whose
+// answers are document ordinals, and resolves them to nodes.
+type Engine struct {
+	*core.Engine
+	src index.Source
+}
+
+// Run executes the configured algorithm and returns the top-k answers
+// with instrumentation.
+func (e *Engine) Run() (*Result, error) { return e.RunContext(context.Background()) }
+
+// RunContext is Run with cancellation: when ctx is cancelled the
+// evaluation winds down promptly and ctx's error is returned.
+func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
+	res, err := e.Engine.RunContext(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return resolve(e.src, res), nil
+}
 
 // Evaluation algorithms (Section 6.1.2 of the paper).
 const (
@@ -152,10 +211,11 @@ const (
 	NormDense  = score.Dense
 )
 
-// Database is a loaded, indexed XML document ready for querying.
+// Database is a loaded, indexed XML document ready for querying. It
+// serves from the document's columns; the node slab is built only when
+// something asks for nodes (Document, or a facade answer).
 type Database struct {
-	doc *Document
-	ix  index.Source
+	ix index.Source
 	// snap is non-nil when the database serves from an mmapped
 	// snapshot (see OpenSnapshot): postings and the synopsis come from
 	// the mapped file instead of being rebuilt.
@@ -170,12 +230,26 @@ type Database struct {
 }
 
 // Load parses an XML document (or forest) from r and indexes it: one
-// scan into columns, from which the node slab, the postings and the
-// structure synopsis are built concurrently.
+// scan into columns, from which the postings and the structure synopsis
+// are built concurrently.
 func Load(r io.Reader) (*Database, error) {
+	heap := [...]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/heap/live:bytes"}}
+	metrics.Read(heap[:])
 	c, err := xmltree.ParseColumns(r)
 	if err != nil {
 		return nil, err
+	}
+	// The scan's input and scratch are dead now. When the scan allocated
+	// more than the heap that was live before it — a boot, or any load
+	// that dwarfs its process — collecting them before the build lanes
+	// allocate keeps the peak near the scan's own rather than scan plus
+	// build, and costs at most in proportion to the scan. A small load
+	// into a large heap skips the collection, which would cost in
+	// proportion to that heap.
+	allocs := heap[0].Value.Uint64()
+	metrics.Read(heap[:1])
+	if heap[0].Value.Uint64()-allocs > heap[1].Value.Uint64() {
+		runtime.GC()
 	}
 	return build(c, nil), nil
 }
@@ -198,10 +272,10 @@ func LoadFile(path string) (*Database, error) {
 func FromDocument(doc *Document) *Database { return build(doc.Columns(), doc) }
 
 // build boots a database from a document's columns; doc is their node
-// slab, or nil to build it beside the postings and the synopsis.
+// slab, or nil to build it only if nodes are asked for.
 func build(c *xmltree.Columns, doc *Document) *Database {
 	ix, syn := store.Build(c, doc)
-	return &Database{doc: ix.Doc, ix: ix, syn: syn}
+	return &Database{ix: ix, syn: syn}
 }
 
 // LoadProjected parses XML from r keeping only the nodes the given
@@ -237,7 +311,7 @@ type SnapshotOptions struct{}
 // synopsis build, and one kernel page cache shared by every process
 // that opens it.
 func (db *Database) SaveSnapshot(path string, _ SnapshotOptions) error {
-	return store.SaveSnapshot(path, &store.Snapshot{Doc: db.doc, Synopsis: db.Synopsis().Flatten()})
+	return store.SaveSnapshot(path, &store.Snapshot{Cols: db.ix.Cols(), Synopsis: db.Synopsis().Flatten()})
 }
 
 // OpenSnapshot opens a snapshot written by SaveSnapshot, mapping it
@@ -249,7 +323,7 @@ func OpenSnapshot(path string) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Database{doc: r.Doc, ix: r, snap: r, syn: r.Synopsis()}, nil
+	return &Database{ix: r, snap: r, syn: r.Synopsis()}, nil
 }
 
 // SnapshotBacked reports whether the database serves from an mmapped
@@ -266,11 +340,16 @@ func (db *Database) Close() error {
 	return nil
 }
 
-// Document returns the underlying parsed document.
-func (db *Database) Document() *Document { return db.doc }
+// Document returns the underlying document as a node slab, building it
+// from the columns on the first call.
+func (db *Database) Document() *Document { return db.ix.Document() }
+
+// Columns returns the document's columns, which every engine ordinal
+// (Engine's embedded core engine) indexes.
+func (db *Database) Columns() *xmltree.Columns { return db.ix.Cols() }
 
 // Size returns the number of nodes in the database.
-func (db *Database) Size() int { return db.doc.Size() }
+func (db *Database) Size() int { return db.ix.Cols().Len() }
 
 // ParseQuery parses the XPath subset used by the paper, e.g.
 // "//item[./description/parlist and ./mailbox/mail/text]".
@@ -303,8 +382,6 @@ type Options struct {
 	Scorer Scorer
 	// Order fixes the static server order for RoutingStatic/LockStep.
 	Order []int
-	// OpCost adds synthetic per-operation cost (adaptivity studies).
-	OpCost time.Duration
 	// Trace, when non-nil, receives per-run observability events. The
 	// default (nil) leaves the hot path unchanged; a configured sink
 	// must be safe for concurrent use (Whirlpool-M emits from several
@@ -384,7 +461,6 @@ func engineConfig(ix index.Source, q *Query, opts Options) (core.Config, error) 
 		Order:     opts.Order,
 		Queue:     opts.Queue,
 		Scorer:    scorer,
-		OpCost:    opts.OpCost,
 		Trace:     opts.Trace,
 		Plan:      plan,
 	}, nil
@@ -417,7 +493,11 @@ func (db *Database) NewEngine(q *Query, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.New(db.ix, q, cfg)
+	e, err := core.New(db.ix, q, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Engine{Engine: e, src: db.ix}, nil
 }
 
 // TopK evaluates q and returns the k best answers.
@@ -461,8 +541,24 @@ func (db *Database) TopKString(xpath string, opts Options) (*Result, error) {
 
 // ShardedEngine is a prepared sharded evaluator: one engine per shard,
 // all sharing a global top-k set per run. It mirrors Engine's Run /
-// RunContext contract and is reusable across concurrent runs.
-type ShardedEngine = shard.Engines
+// RunContext contract and is reusable across concurrent runs; like
+// Engine it embeds the evaluator, whose answers are ordinals.
+type ShardedEngine struct {
+	*shard.Engines
+	src index.Source
+}
+
+// Run evaluates the query over all shards and returns the merged result.
+func (e *ShardedEngine) Run() (*Result, error) { return e.RunContext(context.Background()) }
+
+// RunContext is Run with cancellation.
+func (e *ShardedEngine) RunContext(ctx context.Context) (*Result, error) {
+	res, err := e.Engines.RunContext(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return resolve(e.src, res), nil
+}
 
 // ShardInfo describes one shard's share of a partitioned document.
 type ShardInfo = shard.PartInfo
@@ -496,7 +592,7 @@ func (db *Database) Shard(p int) (*ShardedDatabase, error) {
 	corpus, ok := db.corpora[p]
 	if !ok {
 		var err error
-		if corpus, err = shard.Partition(db.doc, db.ix, p); err != nil {
+		if corpus, err = shard.Partition(db.ix, p); err != nil {
 			return nil, err
 		}
 		if db.corpora == nil {
@@ -521,8 +617,9 @@ func ShardDocument(doc *Document, p int) (*ShardedDatabase, error) {
 // gauge) from every engine subsequently built to reg.
 func (sdb *ShardedDatabase) ObserveInto(reg *obs.Registry) { sdb.reg = reg }
 
-// Document returns the underlying parsed document.
-func (sdb *ShardedDatabase) Document() *Document { return sdb.db.doc }
+// Document returns the underlying document as a node slab (see
+// Database.Document).
+func (sdb *ShardedDatabase) Document() *Document { return sdb.db.Document() }
 
 // Size returns the number of nodes in the database.
 func (sdb *ShardedDatabase) Size() int { return sdb.db.Size() }
@@ -556,7 +653,7 @@ func (sdb *ShardedDatabase) NewEngine(q *Query, opts Options) (*ShardedEngine, e
 	if sdb.reg != nil {
 		engs.ObserveInto(sdb.reg)
 	}
-	return engs, nil
+	return &ShardedEngine{Engines: engs, src: sdb.db.ix}, nil
 }
 
 // TopK evaluates q across all shards and returns the merged k best
@@ -589,7 +686,7 @@ func (sdb *ShardedDatabase) TopKString(xpath string, opts Options) (*Result, err
 // idf·tf), under the given normalization.
 func (db *Database) AnswerScore(q *Query, norm Normalization, root *Node) float64 {
 	s := score.NewTFIDF(db.ix, q, norm)
-	return score.AnswerScore(db.ix, q, s, root)
+	return score.AnswerScore(db.ix, q, s, root.Ord)
 }
 
 // XMarkOptions sizes a generated XMark-equivalent document. Set exactly
