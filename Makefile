@@ -42,12 +42,13 @@ budget:
 		count $$p -not "$$p, non-test"; \
 	done
 
-# CPU and allocation profiles of warm Whirlpool-S runs (BenchmarkRunReuse:
-# the bookstore query, min_alive, all relaxations); inspect with
-# `go tool pprof core.test cpu.pprof` /
-# `go tool pprof -sample_index=alloc_objects core.test mem.pprof`.
+# CPU and allocation profiles of what whirlpoold serves on the mix
+# workloads (BenchmarkServeMix: the 18 classes over the 8 MB seed-1
+# XMark corpus, each run once per iteration); inspect with
+# `go tool pprof repro.test cpu.pprof` /
+# `go tool pprof -sample_index=alloc_objects repro.test mem.pprof`.
 profile:
-	$(GO) test -run '^$$' -bench BenchmarkRunReuse -cpuprofile cpu.pprof -memprofile mem.pprof ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkServeMix -cpuprofile cpu.pprof -memprofile mem.pprof .
 
 # One benchmark per paper table/figure plus engine micro-benchmarks.
 bench-micro:

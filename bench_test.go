@@ -7,6 +7,7 @@
 package whirlpool_test
 
 import (
+	"context"
 	"io"
 	"testing"
 	"time"
@@ -156,6 +157,58 @@ func benchTopK(b *testing.B, alg whirlpool.Algorithm) {
 			b.Fatal(err)
 		}
 		ops = res.Stats.ServerOps
+	}
+	b.ReportMetric(float64(ops), "serverops/op")
+}
+
+// BenchmarkServeMix runs what whirlpoold serves on the benchmark's
+// mix workloads: the 18 classes Q1–Q3 × k ∈ {3, 15, 75} × exact/relaxed
+// over the 8 MB seed-1 XMark corpus, each engine planned and built the
+// way the daemon builds it, each run on the embedded core engine the
+// daemon calls. One iteration runs every class once; `make profile`
+// profiles it.
+func BenchmarkServeMix(b *testing.B) {
+	db, err := whirlpool.GenerateXMark(whirlpool.XMarkOptions{Seed: 1, Bytes: 8388608})
+	if err != nil {
+		b.Fatal(err)
+	}
+	planner := db.NewPlanner(256)
+	var engines []*whirlpool.Engine
+	for _, w := range bench.Queries() {
+		for _, k := range []int{3, 15, 75} {
+			for _, exact := range []bool{true, false} {
+				opts := whirlpool.Approximate(k)
+				if exact {
+					opts.Relax = whirlpool.RelaxNone
+				}
+				q, err := whirlpool.ParseQuery(w.XPath)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if opts.Plan, _, err = planner.PlanFor(q, opts.Relax, whirlpool.NormSparse); err != nil {
+					b.Fatal(err)
+				}
+				eng, err := db.NewEngine(q, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				engines = append(engines, eng)
+			}
+		}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var ops int64
+	for i := 0; i < b.N; i++ {
+		ops = 0
+		for _, eng := range engines {
+			res, err := eng.Engine.RunContext(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ops += res.Stats.ServerOps
+		}
 	}
 	b.ReportMetric(float64(ops), "serverops/op")
 }

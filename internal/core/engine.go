@@ -314,7 +314,7 @@ func spin(d time.Duration) {
 // a partial match, one per next call. The run's queue carries it
 // (pq.pull) and materialises a root only when it could be the next pop;
 // the drivers with no single queue drain it up front. Counters reach the
-// run's atomics per flush.
+// run's counters per flush.
 //
 // The scan walks cands, the root's own candidates, in document order.
 // The posting path (Engine.rootVia) climbs instead, lazily, from each
@@ -477,10 +477,10 @@ func (c *rootCursor) flush() {
 		return
 	}
 	st := &c.r.stats
-	st.joinComparisons.Add(c.compared)
-	st.serverOps.Add(c.made)
-	st.matchesCreated.Add(c.made)
-	st.roots.Add(c.made)
+	st.add(ctrJoinComparisons, c.compared)
+	st.add(ctrServerOps, c.made)
+	st.add(ctrMatchesCreated, c.made)
+	st.add(ctrRoots, c.made)
 	c.r.traceMatch(obs.MatchesSpawned, int(c.made))
 	c.made, c.compared = 0, 0
 }

@@ -43,7 +43,7 @@ type ParallelRun struct {
 	r     run
 	arena *matchArena
 	topk  *topkSet    // an exclusive run's own set
-	sq    stealQueue  // heap, cursor and live count; the heap's array stays
+	sq    stealQueue  // heap, held match, cursor and live count; the heap's array stays
 	q     routerQueue // &sq, or the lock-free &sq.pq of an exclusive run
 	ws    Scratch     // the exclusive driver's
 	// whole hosts an indivisible algorithm: 0 for Whirlpool-S (and
@@ -65,20 +65,26 @@ func (e *Engine) NewParallelRun(ctx context.Context, shared *SharedTopK, shardID
 	return e.open(ctx, shared.set, shardID), nil
 }
 
-// open starts a run on a state off the free list. With topk nil the run
-// is exclusive to the calling goroutine: it offers into its own reset
-// set, takes no queue lock, carves from one unlocked freelist (unless
-// Whirlpool-M brings its own goroutines) and, having no sibling shards,
-// skips the per-prune threshold-source attribution.
+// open starts a run on a state off the free list, and decides here,
+// once, whether goroutines share the run: a run opened against a shared
+// set (NewParallelRun) may be stepped by several, and Whirlpool-M brings
+// its own. With topk nil the run offers into its own reset set, takes no
+// queue lock and, having no sibling shards, skips the per-prune
+// threshold-source attribution; unless Whirlpool-M shares it, it is
+// exclusive to the calling goroutine besides — one unlocked freelist, an
+// unlocked top-k set and plain counters.
 func (e *Engine) open(ctx context.Context, topk *topkSet, shardID int) *ParallelRun {
-	shared := topk != nil
-	p := acquireState(e.query.Size(), shared || e.cfg.Algorithm == WhirlpoolM)
+	sharded := topk != nil
+	shared := sharded || e.cfg.Algorithm == WhirlpoolM
+	p := acquireState(e.query.Size(), shared)
 	p.q = &p.sq
-	if !shared {
+	if !sharded {
 		p.q, topk = &p.sq.pq, p.topk
 		topk.reset(e.cfg.K, e.x.Threshold, e.x.Threshold > 0)
+		topk.locked = shared
 	}
-	p.r = run{Engine: e, topk: topk, arena: p.arena, shardID: int32(shardID), sharded: shared, ctx: ctx, done: ctx.Done()}
+	p.r = run{Engine: e, topk: topk, arena: p.arena, shardID: int32(shardID), sharded: sharded, ctx: ctx, done: ctx.Done()}
+	p.r.stats.shared = shared
 	p.r.lastThreshold.Store(math.Float64bits(math.Inf(-1)))
 	p.whole.Store(0)
 	p.doneFlag.Store(false)
@@ -190,7 +196,7 @@ func (p *ParallelRun) Depth() int {
 
 // Created returns how many matches the run has created so far — the
 // per-shard feedback signal the steal policy breaks depth ties with.
-func (p *ParallelRun) Created() int64 { return p.r.stats.matchesCreated.Load() }
+func (p *ParallelRun) Created() int64 { return p.r.stats.load(ctrMatchesCreated) }
 
 // drive is the lifecycle's middle on the calling goroutine: budget 1 is
 // Whirlpool-S's own sequence — pop the best match, one server

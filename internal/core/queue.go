@@ -35,9 +35,14 @@ type prioritized struct {
 // of them breadth-first.
 type matchHeap []prioritized
 
+// item is m queued at priority.
+func item(m *match, priority float64) prioritized {
+	return prioritized{m: m, priority: priority, seq: m.seq, depth: bits.OnesCount64(m.visited)}
+}
+
+// before reports whether a pops ahead of b.
 // Scores compare exactly: equal priorities are the tie the depth rule breaks.
-func (h matchHeap) less(i, j int) bool {
-	a, b := h[i], h[j]
+func (a *prioritized) before(b *prioritized) bool {
 	if a.priority != b.priority {
 		return a.priority > b.priority
 	}
@@ -47,9 +52,11 @@ func (h matchHeap) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
+func (h matchHeap) less(i, j int) bool { return h[i].before(&h[j]) }
+
 // +whirllint:hotpath
-func (h *matchHeap) push(m *match, priority float64) {
-	*h = append(*h, prioritized{m: m, priority: priority, seq: m.seq, depth: bits.OnesCount64(m.visited)})
+func (h *matchHeap) push(it prioritized) {
+	*h = append(*h, it)
 	h.up(len(*h) - 1)
 }
 
@@ -119,24 +126,33 @@ type routerQueue interface {
 // stepper, plus one for the cursor until it is exhausted or cut — and
 // reaches zero only when the run is done; a method's done result
 // reports that it was the one to take it there.
+//
+// next holds the best survivor of the last settle outside the heap: a
+// match that goes deep among equals is usually the very next pop, and
+// then it never pays a sift. It is one more pop candidate under the
+// heap's own order, so the pop sequence is the heap's alone.
 type pq struct {
 	h     matchHeap
+	next  prioritized // held out of h while next.m != nil
 	roots *rootCursor // nil before seeding and once exhausted or cut
 	live  int
 }
 
 func (q *pq) push(m *match, priority float64) {
-	q.h.push(m, priority)
+	q.h.push(item(m, priority))
 }
 
 // due reports whether the cursor's next root could be the next pop: its
-// priority bound strictly beats the heap head. An unpulled root loses
-// every tie — it is the shallowest match there is, and younger than any
-// pulled root.
-// Scores compare exactly: the strict bound comparison mirrors less.
+// priority bound strictly beats the held match and the heap head. An
+// unpulled root loses every tie — it is the shallowest match there is,
+// and younger than any pulled root.
+// Scores compare exactly: the strict bound comparison mirrors before.
 func (q *pq) due() bool {
 	c := q.roots
-	return c != nil && (len(q.h) == 0 || c.prioBound > q.h[0].priority)
+	if c == nil || q.next.m != nil && c.prioBound <= q.next.priority {
+		return false
+	}
+	return len(q.h) == 0 || c.prioBound > q.h[0].priority
 }
 
 // pull materialises roots while one is due, so the pop sequence is the
@@ -181,30 +197,55 @@ func (q *pq) popBatch(dst []*match, max int) ([]*match, bool) {
 		if q.due() {
 			q.pull()
 		}
-		if len(q.h) == 0 {
+		if q.next.m != nil && (len(q.h) == 0 || q.next.before(&q.h[0])) {
+			dst = append(dst, q.next.m)
+			q.next = prioritized{}
+		} else if len(q.h) > 0 {
+			dst = append(dst, q.h.pop().m)
+		} else {
 			break
 		}
-		dst = append(dst, q.h.pop().m)
 	}
 	return dst, was != 0 && q.live == 0
 }
 
+// settle queues a still-held match first, then holds the best survivor
+// out of the heap and pushes the rest.
 // +whirllint:hotpath
 func (q *pq) settle(r *run, surv []*match, retired int) bool {
+	if q.next.m != nil {
+		q.h.push(q.next)
+		q.next = prioritized{}
+	}
 	for _, s := range surv {
-		q.push(s, r.priority(s, -1))
+		it := item(s, r.priority(s, -1))
+		switch {
+		case q.next.m == nil:
+			q.next = it
+		case it.before(&q.next):
+			q.h.push(q.next)
+			q.next = it
+		default:
+			q.h.push(it)
+		}
 	}
 	q.live += len(surv) - retired
 	return q.live == 0
 }
 
-func (q *pq) len() int { return len(q.h) }
+// len counts queued matches, the held one included.
+func (q *pq) len() int {
+	if q.next.m != nil {
+		return len(q.h) + 1
+	}
+	return len(q.h)
+}
 
 // stealQueue is the router queue of a run several workers step at once:
-// the pq — heap, root cursor, live count and all — behind a mutex. One
-// acquisition covers a whole batch dequeue, cursor advance included (a
-// thief never finds a pulled root queued but uncounted), and one covers
-// a processed match's survivors. It is a sanctioned match holder — a
+// the pq — heap, held match, root cursor, live count and all — behind a
+// mutex. One acquisition covers a whole batch dequeue, cursor advance
+// included (a thief never finds a pulled root queued but uncounted), and
+// one covers a processed match's survivors. It is a sanctioned match holder — a
 // queued match is owned by the queue until popped.
 type stealQueue struct {
 	mu sync.Mutex
@@ -239,9 +280,9 @@ func (q *stealQueue) len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.roots != nil {
-		return len(q.h) + 1
+		return q.pq.len() + 1
 	}
-	return len(q.h)
+	return q.pq.len()
 }
 
 // blockingPQ is the concurrent priority queue behind Whirlpool-M's server
@@ -262,7 +303,7 @@ func newBlockingPQ() *blockingPQ {
 
 func (q *blockingPQ) push(m *match, priority float64) {
 	q.mu.Lock()
-	q.h.push(m, priority)
+	q.h.push(item(m, priority))
 	q.mu.Unlock()
 	q.cond.Signal()
 }

@@ -28,7 +28,6 @@ type run struct {
 	// it exists for.
 	sharded bool
 	stats   runStats
-	seq     atomic.Int64
 	ctx     context.Context
 	// done is ctx.Done(), fetched once: cancelled polls it per match.
 	done <-chan struct{}
@@ -48,27 +47,55 @@ func (r *run) cancelled() bool {
 	}
 }
 
-func (r *run) nextSeq() int64 { return r.seq.Add(1) }
+func (r *run) nextSeq() int64 { return r.stats.add(ctrSeq, 1) }
 
-// runStats collects instrumentation with atomics so Whirlpool-M's
-// goroutines can share it.
+// The run's counters, indexing runStats. ctrSeq is the last match
+// sequence number issued, not a Stats field.
+const (
+	ctrServerOps = iota
+	ctrJoinComparisons
+	ctrMatchesCreated
+	ctrRoots
+	ctrPruned
+	ctrPrunedRemote
+	ctrSeq
+	numCtrs
+)
+
+// runStats is a run's instrumentation and its match sequence. A shared
+// run (NewParallelRun's, Whirlpool-M's) is counted by several goroutines
+// at once, so it counts in atomics; an exclusive run's counters are its
+// goroutine's alone and take plain adds. Engine.open fixes the mode.
 type runStats struct {
-	serverOps       atomic.Int64
-	joinComparisons atomic.Int64
-	matchesCreated  atomic.Int64
-	roots           atomic.Int64
-	pruned          atomic.Int64
-	prunedRemote    atomic.Int64
+	shared bool
+	plain  [numCtrs]int64
+	atom   [numCtrs]atomic.Int64
+}
+
+// add adds n to counter i and returns the new count.
+func (s *runStats) add(i int, n int64) int64 {
+	if s.shared {
+		return s.atom[i].Add(n)
+	}
+	s.plain[i] += n
+	return s.plain[i]
+}
+
+func (s *runStats) load(i int) int64 {
+	if s.shared {
+		return s.atom[i].Load()
+	}
+	return s.plain[i]
 }
 
 func (s *runStats) snapshot() Stats {
 	return Stats{
-		ServerOps:       s.serverOps.Load(),
-		JoinComparisons: s.joinComparisons.Load(),
-		MatchesCreated:  s.matchesCreated.Load(),
-		Roots:           s.roots.Load(),
-		Pruned:          s.pruned.Load(),
-		PrunedRemote:    s.prunedRemote.Load(),
+		ServerOps:       s.load(ctrServerOps),
+		JoinComparisons: s.load(ctrJoinComparisons),
+		MatchesCreated:  s.load(ctrMatchesCreated),
+		Roots:           s.load(ctrRoots),
+		Pruned:          s.load(ctrPruned),
+		PrunedRemote:    s.load(ctrPrunedRemote),
 	}
 }
 
@@ -103,10 +130,10 @@ func (r *run) traceDepth(server, depth int) {
 // skip the threshold-source load entirely (PrunedRemote is 0 by
 // definition).
 func (r *run) prune(n int) {
-	r.stats.pruned.Add(int64(n))
+	r.stats.add(ctrPruned, int64(n))
 	if r.sharded {
 		if src := r.topk.thresholdSrc(); src >= 0 && src != r.shardID {
-			r.stats.prunedRemote.Add(int64(n))
+			r.stats.add(ctrPrunedRemote, int64(n))
 		}
 	}
 	r.traceMatch(obs.MatchesPruned, n)

@@ -35,7 +35,7 @@ func NewScratch() *Scratch { return &Scratch{} }
 // +whirllint:hotpath
 func (r *run) process(m *match, sid int, sc *Scratch) []*match {
 	e := r.Engine
-	r.stats.serverOps.Add(1)
+	r.stats.add(ctrServerOps, 1)
 	if e.x.OpCost > 0 {
 		spin(e.x.OpCost)
 	}
@@ -83,7 +83,7 @@ func (r *run) process(m *match, sid int, sc *Scratch) []*match {
 		contrib := e.cfg.Scorer.Contribution(sid, variant, c)
 		exts = append(exts, m.extendInto(r.arena.get(), sid, c, contrib, e.maxContrib[sid], r.nextSeq()))
 	}
-	r.stats.joinComparisons.Add(compared)
+	r.stats.add(ctrJoinComparisons, compared)
 	if len(exts) == 0 {
 		if !e.cfg.Relax.Has(relax.LeafDeletion) {
 			sc.exts = exts
@@ -92,7 +92,7 @@ func (r *run) process(m *match, sid int, sc *Scratch) []*match {
 		exts = append(exts, m.extendInto(r.arena.get(), sid, -1, 0, e.maxContrib[sid], r.nextSeq()))
 	}
 	sc.exts = exts
-	r.stats.matchesCreated.Add(int64(len(exts)))
+	r.stats.add(ctrMatchesCreated, int64(len(exts)))
 	r.traceMatch(obs.MatchesSpawned, len(exts))
 	return exts
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -28,16 +29,26 @@ type topkSet struct {
 	// thrBits caches the current threshold as float bits so the hot
 	// prunable/estimateAlive paths read it with one atomic load instead
 	// of taking mu. NaN is the sentinel for "no threshold yet". Written
-	// only under mu (in publish), so plain stores suffice; the cached
-	// value is monotonically non-decreasing.
+	// only in publish, under mu when the set is locked, so plain stores
+	// suffice; the cached value is monotonically non-decreasing.
 	thrBits atomic.Uint64
 	// thrSrc is the shard whose k-th entry produced the cached
 	// threshold, or -1 while the floor (or nothing) governs.
 	thrSrc atomic.Int32
+	// locked is set for a set several goroutines may offer into (a
+	// SharedTopK, or a Whirlpool-M run's own set): offer takes mu. An
+	// exclusive run's set is its goroutine's alone. Fixed before the
+	// run's first offer.
+	locked bool
 
-	mu   sync.Mutex
-	best map[int]*topkEntry // root ordinal -> best known
-	top  []*topkEntry       // k best entries, sorted desc (score, then root asc)
+	mu sync.Mutex
+	// best is the open-addressed root ordinal → best known entry table:
+	// linear probing over a power-of-two array kept at most half full.
+	// Each entry records its slot, so reset clears only the slots the
+	// run filled.
+	best  []*topkEntry
+	nbest int          // occupied slots of best
+	top   []*topkEntry // k best entries, sorted desc (score, then root asc)
 
 	// Entry slab: entries and their bindings copies are carved from
 	// chunked backing arrays (see newEntry) and kept across reset, so a
@@ -62,16 +73,19 @@ type topkEntry struct {
 	bindings []int32 // entry-owned copy, never aliases a match
 	inTop    bool
 	pos      int // index in top while inTop
+	slot     int // index in best
 }
 
+// newTopkSet returns a locked set; Engine.open unlocks an exclusive
+// run's own.
 func newTopkSet(k int, floor float64, hasFloor bool) *topkSet {
-	t := &topkSet{best: make(map[int]*topkEntry)}
+	t := &topkSet{locked: true, best: make([]*topkEntry, 16)}
 	t.reset(k, floor, hasFloor)
 	return t
 }
 
-// reset empties the set for a new run of capacity k, keeping the map's
-// buckets, the top slice and every carved entry for reuse. Whatever the
+// reset empties the set for a new run of capacity k, keeping the root
+// table, the top slice and every carved entry for reuse. Whatever the
 // previous run's caller keeps, answers has already copied out.
 func (t *topkSet) reset(k int, floor float64, hasFloor bool) {
 	t.mu.Lock()
@@ -83,9 +97,53 @@ func (t *topkSet) reset(k int, floor float64, hasFloor bool) {
 		t.thrBits.Store(math.Float64bits(math.NaN()))
 	}
 	t.thrSrc.Store(-1)
-	clear(t.best)
+	if t.nbest == t.used {
+		for _, e := range t.ents[:t.used] {
+			t.best[e.slot] = nil
+		}
+	} else {
+		clear(t.best) // newEntry's private entries are in no slab to walk
+	}
+	t.nbest = 0
 	t.top = t.top[:0]
 	t.used = 0
+}
+
+// find returns root's entry, or nil and the empty slot it would take.
+// Fibonacci hashing spreads the preorder ordinals over the table.
+// Callers hold t.mu when the set is locked.
+// +whirllint:locked
+// +whirllint:busywait the probe ends at an empty slot: insert keeps the table at most half full
+func (t *topkSet) find(root int) (*topkEntry, int) {
+	mask := len(t.best) - 1
+	for i := int(uint32(root) * 0x9E3779B9 >> (32 - bits.Len(uint(mask)))); ; i = (i + 1) & mask {
+		e := t.best[i]
+		if e == nil || e.rootOrd == root {
+			return e, i
+		}
+	}
+}
+
+// insert files e, a root find missed, under slot, first doubling the
+// table if it would be over half full. Callers hold t.mu when the set
+// is locked.
+// +whirllint:locked
+// +whirllint:allocok amortized: the table doubles, and it is kept across reset
+func (t *topkSet) insert(e *topkEntry, slot int) {
+	if 2*(t.nbest+1) > len(t.best) {
+		old := t.best
+		t.best = make([]*topkEntry, 2*len(old))
+		for _, o := range old {
+			if o != nil {
+				_, o.slot = t.find(o.rootOrd)
+				t.best[o.slot] = o
+			}
+		}
+		_, slot = t.find(e.rootOrd)
+	}
+	e.slot = slot
+	t.best[slot] = e
+	t.nbest++
 }
 
 // bindingsLess orders two binding vectors over the same query
@@ -119,13 +177,15 @@ func bindingsLess(a, b []int32) bool {
 // order.
 // +whirllint:hotpath
 func (t *topkSet) offer(m *match, src int32) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	if t.locked {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+	}
 	rootOrd := m.rootOrd()
-	e := t.best[rootOrd]
+	e, slot := t.find(rootOrd)
 	if e == nil {
 		e = t.newEntry(rootOrd, m)
-		t.best[rootOrd] = e
+		t.insert(e, slot)
 	} else {
 		if m.score < e.score || (m.score == e.score && !bindingsLess(m.bindings, e.bindings)) {
 			return
@@ -159,10 +219,11 @@ func (t *topkSet) offer(m *match, src int32) {
 
 // newEntry issues an entry — with its entry-owned bindings copy — from
 // the set's slab, carving a new chunk when every carved entry is in
-// use. Entries live as long as the run (the best map keeps every root's
-// record even after eviction from top) and are re-issued after reset.
-// Every match offered into one set binds the same query, so the binding
-// width qn is fixed after the first offer. Callers hold t.mu.
+// use. Entries live as long as the run (the best table keeps every
+// root's record even after eviction from top) and are re-issued after
+// reset. Every match offered into one set binds the same query, so the
+// binding width qn is fixed after the first offer. Callers hold t.mu
+// when the set is locked.
 // +whirllint:locked
 // +whirllint:allocok amortized: two allocations per entryChunk distinct roots, not per offer
 func (t *topkSet) newEntry(rootOrd int, m *match) *topkEntry {
@@ -196,8 +257,9 @@ func (t *topkSet) newEntry(rootOrd int, m *match) *topkEntry {
 
 // fixUp restores the sort order after the entry at index i improved its
 // score: at most that one entry is out of place, so a single leftward
-// insertion pass replaces the former full re-sort. Callers hold t.mu;
-// exact score comparison is the deterministic sort tie-break.
+// insertion pass replaces the former full re-sort. Callers hold t.mu
+// when the set is locked; exact score comparison is the deterministic
+// sort tie-break.
 // +whirllint:locked
 func (t *topkSet) fixUp(i int) {
 	e := t.top[i]
@@ -215,10 +277,11 @@ func (t *topkSet) fixUp(i int) {
 }
 
 // publish refreshes the cached threshold after a mutation of the top-k
-// slice. Callers hold t.mu. The k-th best guaranteed score never
-// decreases (per-root entries only improve, and replacement requires
-// ranking above the old k-th), so the cache is monotone; src is recorded
-// only when the k-th entry — not the floor — governs the new value.
+// slice. Callers hold t.mu when the set is locked. The k-th best
+// guaranteed score never decreases (per-root entries only improve, and
+// replacement requires ranking above the old k-th), so the cache is
+// monotone; src is recorded only when the k-th entry — not the floor —
+// governs the new value.
 // +whirllint:locked
 func (t *topkSet) publish(src int32) {
 	if len(t.top) < t.k {
