@@ -19,10 +19,13 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.golden 
 
 // TestKernelCountersPinned pins what the deterministic algorithms do, to
 // the digit: server operations, join comparisons, matches created and
-// pruned, and the answer roots, for the paper's Q1–Q3 in both modes at
-// three k under every queue discipline. The golden file was written by
-// the four hand-rolled driver loops that preceded the step kernel; any
-// refactoring of the drivers must reproduce it unmodified.
+// pruned, and the answer roots, for the paper's Q1–Q3 and two valued
+// queries — whose roots stream from a posting list, under leaf deletion
+// in two segments — in both modes at three k under every queue
+// discipline. The Q1–Q3 rows were written by the four hand-rolled
+// driver loops that preceded the step kernel, the valued rows by the
+// kernel beside LockStep's own phase loop; any refactoring of the
+// drivers must reproduce every row unmodified.
 func TestKernelCountersPinned(t *testing.T) {
 	doc, err := xmark.Generate(xmark.Options{Seed: 1, Items: 200})
 	if err != nil {
@@ -33,6 +36,8 @@ func TestKernelCountersPinned(t *testing.T) {
 		"//item[./description/parlist]",
 		"//item[./description/parlist and ./mailbox/mail/text]",
 		"//item[./mailbox/mail/text[./bold and ./keyword] and ./name and ./incategory]",
+		"//item[./location = 'United States' and ./quantity = '1']",
+		"//mail[./from and .//keyword = 'officer']",
 	}
 	modes := []struct {
 		name string
