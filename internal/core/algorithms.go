@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -9,8 +8,10 @@ import (
 // The step kernel: what happens to one partial match between leaving a
 // queue and its survivors entering the next one (Section 5.2). The four
 // algorithms differ only in who picks the next match and when
-// (Section 6.1.2), so each driver — ParallelRun.Step for Whirlpool-S,
-// routeM/serveM for Whirlpool-M, runLockStep — is a loop around these.
+// (Section 6.1.2), so each driver is a loop around these: ParallelRun.Step
+// for Whirlpool-S, which routes each match, stepPhase for LockStep and
+// LockStep-NoPrun, whose queue hands out one server's phase at a time
+// (pq.carry), and routeM/serveM for Whirlpool-M.
 
 // drop settles a match that can no longer beat currentTopK: counted as
 // pruned and released.
@@ -52,58 +53,6 @@ func (r *run) serve(m *match, sid int, ws *Scratch, keepAll bool) []*match {
 	ws.surv = surv
 	r.release(m)
 	return surv
-}
-
-// runLockStep processes every alive partial match through one server
-// before the next server is considered (static by nature). With prune
-// set, matches are checked against the top-k set as they are produced —
-// the paper's LockStep (≈ OptThres [2]); without it, everything is
-// evaluated and the k best matches selected at the end (LockStep-NoPrun).
-// The alive set lives in ws.batch between runs.
-func (r *run) runLockStep(ws *Scratch, prune bool) {
-	alive := ws.batch[:0]
-	r.seedRoots().drain(func(m *match) {
-		if prune && !r.checkTopK(m) {
-			r.release(m)
-			return
-		}
-		alive = append(alive, m)
-	})
-	var next []*match
-	for _, sid := range r.order {
-		// Server queues are priority queues too (max-possible-final by
-		// default): within a phase, promising matches go first so
-		// currentTopK rises early.
-		sort.SliceStable(alive, func(i, j int) bool {
-			return r.priority(alive[i], sid) > r.priority(alive[j], sid)
-		})
-		// One depth sample per phase: the whole alive set queues at sid.
-		r.traceDepth(sid, len(alive))
-		next = next[:0]
-		for _, m := range alive {
-			if r.cancelled() {
-				return
-			}
-			switch {
-			case prune && r.prunable(m):
-				r.drop(m)
-			case m.isVisited(sid): // a root born past this server (rootCursor)
-				next = append(next, m)
-			default:
-				next = append(next, r.serve(m, sid, ws, !prune)...)
-			}
-		}
-		alive, next = next, alive
-	}
-	if !prune {
-		// All survivors are complete; select the k best now. offer
-		// copies out of the match, so it can be released immediately.
-		for _, m := range alive {
-			r.topk.offer(m, r.shardID)
-			r.release(m)
-		}
-	}
-	ws.batch = alive[:0]
 }
 
 // liveCounter tracks the number of matches alive anywhere in

@@ -251,27 +251,35 @@ func TestCursorPopSequenceRandom(t *testing.T) {
 }
 
 // cancelAfter is a scorer that cancels a context after a fixed number
-// of root contributions — a cancellation that lands mid-cursor.
+// of root contributions — a cancellation that lands mid-cursor — or of
+// non-root ones: mid-phase for LockStep, whose Seed drains every root.
 type cancelAfter struct {
 	score.Scorer
-	roots  int
-	cancel context.CancelFunc
+	roots, exts int
+	cancel      context.CancelFunc
 }
 
 func (s *cancelAfter) Contribution(id int, v score.Variant, ord int32) float64 {
-	if id == 0 {
-		if s.roots--; s.roots == 0 {
+	n := &s.roots
+	if id != 0 {
+		n = &s.exts
+	}
+	// A counter at 0 is disarmed and only read: Whirlpool-M's servers
+	// score extensions concurrently.
+	if *n > 0 {
+		if *n--; *n == 0 {
 			s.cancel()
 		}
 	}
 	return s.Scorer.Contribution(id, v, ord)
 }
 
-// TestRunStateReuseAfterCancel: a run cancelled while its cursor is
-// half pulled strands matches in the queue; the next run — on whatever
-// state the free list hands out — must still score like naive and
-// repeat the engine's first run, with the arena poison catching any
-// stale match that leaked through.
+// TestRunStateReuseAfterCancel: a run cancelled mid-flight strands
+// matches in the queue — Whirlpool-S's with its cursor half pulled,
+// LockStep's mid-phase, with the next phase half carried; the next run
+// — on whatever state the free list hands out — must still score like
+// naive and repeat the engine's first run, with the arena poison
+// catching any stale match that leaked through.
 func TestRunStateReuseAfterCancel(t *testing.T) {
 	SetArenaPoisonForTest(true)
 	defer SetArenaPoisonForTest(false)
@@ -280,33 +288,43 @@ func TestRunStateReuseAfterCancel(t *testing.T) {
 	for _, a := range naive.TopK(ix, q, relax.All, s, 15) {
 		naiveScores = append(naiveScores, a.Score)
 	}
-	for _, queue := range []Queue{QueueMaxFinal, QueueFIFO} {
-		cfg := Config{K: 15, Relax: relax.All, Algorithm: WhirlpoolS, Routing: RoutingMinAlive, Queue: queue, Scorer: s}
+	for _, in := range []struct {
+		alg         Algorithm
+		queue       Queue
+		roots, exts int
+	}{
+		{WhirlpoolS, QueueMaxFinal, 7, 0},
+		{WhirlpoolS, QueueFIFO, 7, 0},
+		{LockStep, QueueMaxFinal, 0, 300},
+		{LockStepNoPrune, QueueMaxFinal, 0, 300},
+	} {
+		label := fmt.Sprintf("%v/%v", in.alg, in.queue)
+		cfg := Config{K: 15, Relax: relax.All, Algorithm: in.alg, Routing: RoutingMinAlive, Queue: in.queue, Scorer: s}
 		eng, err := New(ix, q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, err := eng.Run()
 		if err != nil || !almostEqual(scoresOf(want), naiveScores) {
-			t.Fatalf("%v: first run: %v, %v, naive scores %v", queue, want, err, naiveScores)
+			t.Fatalf("%s: first run: %v, %v, naive scores %v", label, want, err, naiveScores)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		interrupted := cfg
-		interrupted.Scorer = &cancelAfter{Scorer: s, roots: 7, cancel: cancel}
+		interrupted.Scorer = &cancelAfter{Scorer: s, roots: in.roots, exts: in.exts, cancel: cancel}
 		ieng, err := New(ix, q, interrupted)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ieng.RunContext(ctx); err != context.Canceled {
-			t.Fatalf("%v: interrupted run returned %v", queue, err)
+			t.Fatalf("%s: interrupted run returned %v", label, err)
 		}
 		for i := 0; i < 3; i++ {
 			got, err := eng.Run()
 			if err != nil || !sameAnswers(got.Answers, want.Answers) {
-				t.Fatalf("%v: run %d after the cancelled one: %v, %v\nwant %v", queue, i, got, err, want.Answers)
+				t.Fatalf("%s: run %d after the cancelled one: %v, %v\nwant %v", label, i, got, err, want.Answers)
 			}
 			if got.Stats.MatchesCreated != want.Stats.MatchesCreated || got.Stats.Pruned != want.Stats.Pruned {
-				t.Fatalf("%v: run %d stats %+v, first run %+v", queue, i, got.Stats, want.Stats)
+				t.Fatalf("%s: run %d stats %+v, first run %+v", label, i, got.Stats, want.Stats)
 			}
 		}
 	}
@@ -406,10 +424,11 @@ func runWithErr(ix index.Source, q *pattern.Query, cfg Config) (*Result, error) 
 }
 
 // TestParallelRunCursorContract pins the liveness contract of a run
-// that is seeded but not over. Whirlpool-S, whose roots are still in
-// the cursor: it is not done, its Depth is at least 1 so the pool's
-// pick never skips it, every Step makes progress even from an empty
-// heap. The other algorithms, hosted as one indivisible step: Depth 1
+// that is seeded but not over. The stepped algorithms — Whirlpool-S,
+// whose roots are still in the cursor, and LockStep, whose later phases
+// are still to open: it is not done, its Depth is at least 1 so the
+// pool's pick never skips it, every Step makes progress even from an
+// empty heap. Whirlpool-M, hosted as one indivisible step: Depth 1
 // until the first Step claims the run, a second stepper arriving
 // mid-run gets 0 at once, done when the claimed Step returns. Either
 // way the run ends with RunContext's answer and counters, and a run
@@ -459,7 +478,7 @@ func TestParallelRunCursorContract(t *testing.T) {
 
 		p, shared := open(context.Background())
 		ws := NewScratch()
-		if in.alg == WhirlpoolS {
+		if in.alg != WhirlpoolM {
 			for steps := 0; !p.IsDone(); steps++ {
 				// One worker: nothing is in flight between Steps, so all
 				// remaining work is visible as depth.
@@ -523,8 +542,11 @@ func TestParallelRunCursorContract(t *testing.T) {
 
 		for _, claimed := range []bool{false, true} {
 			ctx, cancel := context.WithCancel(context.Background())
-			hook.roots, hook.cancel = 0, cancel
-			if claimed {
+			hook.roots, hook.exts, hook.cancel = 0, 0, cancel
+			switch {
+			case claimed && (in.alg == LockStep || in.alg == LockStepNoPrune):
+				hook.exts = 50 // cancelled mid-phase: Seed drains every root
+			case claimed:
 				hook.roots = 7 // cancelled from inside the run
 			}
 			p, _ := open(ctx)
@@ -554,6 +576,128 @@ func TestParallelRunCursorContract(t *testing.T) {
 	}
 }
 
+// TestLockStepSteppedMatchesRunContext: a LockStep run is a schedule on
+// the Step loop's queue, one phase at a time, so however it is stepped
+// it must do RunContext's work. For the paper's queries and two valued
+// ones (whose roots stream from a posting list, leaf deletion's born
+// past a server), every relaxation mode and queue discipline, at k 1
+// and 15: one stepper at any budget repeats RunContext's answers and
+// counters to the digit, with Depth at least 1 while the run is live,
+// and two steppers sharing the run — each waiting at the phase barrier
+// for the other's held matches — return the same top-k scores, which
+// are naive's.
+func TestLockStepSteppedMatchesRunContext(t *testing.T) {
+	queries := []string{
+		"//item[./description/parlist]",
+		"//item[./description/parlist and ./mailbox/mail/text]",
+		"//item[./mailbox/mail/text[./bold and ./keyword] and ./name and ./incategory]",
+		"//item[./location = 'United States' and ./quantity = '1']",
+		"//mail[./from and .//keyword = 'officer']",
+	}
+	modes := []struct {
+		name string
+		r    relax.Relaxation
+	}{{"none", relax.None}, {"all", relax.All}, {"leaf-deletion", relax.LeafDeletion}}
+	streamed := 0
+	for qi, xpath := range queries {
+		ix, q, s := xmarkEnv(t, 100, xpath)
+		for _, mode := range modes {
+			// The top-k scores are a prefix of the top-75's.
+			var naiveScores []float64
+			for _, a := range naive.TopK(ix, q, mode.r, s, 75) {
+				naiveScores = append(naiveScores, a.Score)
+			}
+			for _, alg := range []Algorithm{LockStep, LockStepNoPrune} {
+				for _, queue := range allQueues {
+					t.Run(fmt.Sprintf("%v/Q%d/relax=%s/%v", alg, qi+1, mode.name, queue), func(t *testing.T) {
+						for _, k := range []int{1, 15} {
+							cfg := Config{K: k, Relax: mode.r, Algorithm: alg, Queue: queue, Scorer: s}
+							if checkLockStepStepped(t, ix, q, cfg, naiveScores[:min(k, len(naiveScores))]) != "scan" {
+								streamed++
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+	if want := 2 * len(modes) * 2 * len(allQueues) * 2; streamed != want {
+		t.Fatalf("%d configurations streamed roots from a posting list, want the %d of the valued queries", streamed, want)
+	}
+}
+
+// checkLockStepStepped runs cfg through RunContext, then through
+// ParallelRuns stepped alone at budgets 1 and 64, and through one
+// stepped by two goroutines at once. It returns the root access path.
+func checkLockStepStepped(t *testing.T, ix *index.Index, q *pattern.Query, cfg Config, naiveScores []float64) string {
+	t.Helper()
+	e, err := New(ix, q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !almostEqual(scoresOf(want), naiveScores) {
+		t.Fatalf("k=%d: RunContext scores %v, naive %v", cfg.K, scoresOf(want), naiveScores)
+	}
+	want.Stats.Duration = 0
+	open := func() (*ParallelRun, *SharedTopK) {
+		shared := NewSharedTopK(cfg.K, 0)
+		p, err := e.NewParallelRun(context.Background(), shared, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Seed()
+		return p, shared
+	}
+	ws := NewScratch()
+	for _, budget := range []int{1, 64} {
+		p, shared := open()
+		for !p.IsDone() {
+			if p.Depth() < 1 {
+				t.Fatalf("k=%d/budget=%d: live run reports depth %d", cfg.K, budget, p.Depth())
+			}
+			if p.Step(ws, budget) == 0 {
+				t.Fatalf("k=%d/budget=%d: a lone stepper found a live run empty", cfg.K, budget)
+			}
+		}
+		stats, err := p.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := shared.Answers(); !sameAnswers(got, want.Answers) {
+			t.Fatalf("k=%d/budget=%d: stepped answers %v, RunContext %v", cfg.K, budget, got, want.Answers)
+		}
+		if stats.Duration = 0; stats != want.Stats {
+			t.Fatalf("k=%d/budget=%d: stepped stats %+v, RunContext %+v", cfg.K, budget, stats, want.Stats)
+		}
+	}
+	p, shared := open()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws := NewScratch()
+			for !p.IsDone() {
+				if p.Step(ws, 2) == 0 {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if _, err := p.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if got := scoresFromAnswers(shared.Answers()); !almostEqual(got, naiveScores) {
+		t.Fatalf("k=%d: two steppers' scores %v, naive %v", cfg.K, got, naiveScores)
+	}
+	return e.RootVia()
+}
+
 // TestParallelRunFullyCutAtSeed: against a shared set another shard has
 // already filled with perfect scores, every root is ruled out before it
 // exists. The run is done on Seed's return, created nothing, and
@@ -568,9 +712,7 @@ func TestParallelRunFullyCutAtSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	shared := NewSharedTopK(cfg.K, 0)
-	if _, err := e.RunShared(context.Background(), shared, 0); err != nil {
-		t.Fatal(err)
-	}
+	runShared(t, e, shared, 0)
 	prunedBefore := sink.LifeTotal(obs.MatchesPruned)
 	p, err := e.NewParallelRun(context.Background(), shared, 1)
 	if err != nil {

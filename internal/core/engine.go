@@ -241,25 +241,6 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	return res, err
 }
 
-// RunShared executes the configured algorithm against a caller-supplied
-// top-k set, offering guaranteed scores into it and pruning against its
-// threshold: one shard of a sharded evaluation run to completion on the
-// calling goroutine. Several engines over disjoint data shards may run
-// against one SharedTopK (each with a distinct shardID for prune
-// attribution); the set's Answers — not any single run's — are the
-// merged result. The set's capacity must equal the engine's Config.K.
-func (e *Engine) RunShared(ctx context.Context, shared *SharedTopK, shardID int) (Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return Stats{}, err
-	}
-	p, err := e.NewParallelRun(ctx, shared, shardID)
-	if err != nil {
-		return Stats{}, err
-	}
-	p.drive()
-	return p.Finish()
-}
-
 // traceStart emits the RunStart trace event.
 func (r *run) traceStart() {
 	if t := r.cfg.Trace; t != nil {
@@ -313,7 +294,7 @@ func spin(d time.Duration) {
 // matching the root tag/value and the root's structural predicate spawns
 // a partial match, one per next call. The run's queue carries it
 // (pq.pull) and materialises a root only when it could be the next pop;
-// the drivers with no single queue drain it up front. Counters reach the
+// Whirlpool-M and LockStep drain it up front. Counters reach the
 // run's counters per flush.
 //
 // The scan walks cands, the root's own candidates, in document order.

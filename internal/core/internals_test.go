@@ -238,17 +238,11 @@ func TestSharedTopKAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	shared := NewSharedTopK(cfg.K, 0)
-	st0, err := eng.RunShared(context.Background(), shared, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st0 := runShared(t, eng, shared, 0)
 	if st0.PrunedRemote != 0 {
 		t.Fatalf("lone shard recorded %d remote prunes", st0.PrunedRemote)
 	}
-	st1, err := eng.RunShared(context.Background(), shared, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st1 := runShared(t, eng, shared, 1)
 	if st1.Pruned == 0 {
 		t.Fatal("second run should prune against the inherited threshold")
 	}
@@ -259,6 +253,27 @@ func TestSharedTopKAcrossRuns(t *testing.T) {
 	if got := len(shared.Answers()); got != 1 {
 		t.Fatalf("answers = %d, want 1", got)
 	}
+}
+
+// runShared runs e to completion against shared on the calling
+// goroutine, through the lifecycle the shard pool drives: one shard of
+// a sharded evaluation, stepped alone.
+func runShared(t *testing.T, e *Engine, shared *SharedTopK, shardID int) Stats {
+	t.Helper()
+	p, err := e.NewParallelRun(context.Background(), shared, shardID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Seed()
+	ws := NewScratch()
+	for !p.IsDone() {
+		p.Step(ws, 1)
+	}
+	st, err := p.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // +whirllint:busywait drains a three-element queue; pop's ok=false ends the loop

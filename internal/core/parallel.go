@@ -13,15 +13,16 @@ import (
 // ParallelRun is one evaluation of an engine, and the only way an
 // engine executes: NewParallelRun → Seed (exactly once) → Step until
 // IsDone or the context is cancelled → Finish (exactly once, after the
-// last Step returned). RunContext and RunShared are that loop on the
-// calling goroutine; the sharded executor (internal/shard) lets any
-// number of pool workers Step concurrently, each with its own Scratch —
-// the primitive behind its match-level work stealing.
+// last Step returned). RunContext is that loop on the calling
+// goroutine; the sharded executor (internal/shard) lets any number of
+// pool workers Step concurrently, each with its own Scratch — the
+// primitive behind its match-level work stealing.
 //
-// A Whirlpool-S run is stepped a batch of queued matches at a time. The
-// other algorithms own their control flow and are hosted as one
-// indivisible step: the first Step after Seed claims the run and
-// returns when it is over, anyone else's returns 0 at once.
+// Whirlpool-S and LockStep runs are stepped a batch of queued matches at
+// a time; the two differ only in the order the queue hands matches out.
+// Whirlpool-M owns its control flow and is hosted as one indivisible
+// step: the first Step after Seed claims the run and returns when it is
+// over, anyone else's returns 0 at once.
 //
 // A run opened by NewParallelRun keeps its queue behind a mutex and its
 // arena on sharded, locked freelists, so a match carved by one worker
@@ -45,9 +46,9 @@ type ParallelRun struct {
 	topk  *topkSet    // an exclusive run's own set
 	sq    stealQueue  // heap, held match, cursor and live count; the heap's array stays
 	q     routerQueue // &sq, or the lock-free &sq.pq of an exclusive run
-	ws    Scratch     // the exclusive driver's
-	// whole hosts an indivisible algorithm: 0 for Whirlpool-S (and
-	// before Seed), 1 seeded and unclaimed, 2 claimed.
+	ws    Scratch     // the exclusive driver's, and LockStep's Seed's
+	// whole hosts Whirlpool-M, the indivisible algorithm: 0 for the
+	// others (and before Seed), 1 seeded and unclaimed, 2 claimed.
 	whole    atomic.Int32
 	doneFlag atomic.Bool
 	doneAtNS atomic.Int64
@@ -86,44 +87,69 @@ func (e *Engine) open(ctx context.Context, topk *topkSet, shardID int) *Parallel
 	p.r = run{Engine: e, topk: topk, arena: p.arena, shardID: int32(shardID), sharded: sharded, ctx: ctx, done: ctx.Done()}
 	p.r.stats.shared = shared
 	p.r.lastThreshold.Store(math.Float64bits(math.Inf(-1)))
+	p.sq.phase = -1
 	p.whole.Store(0)
 	p.doneFlag.Store(false)
 	p.start = time.Time{}
 	return p
 }
 
-// Seed publishes the root cursor in the run's queue, from which Step
-// materialises roots as they come due. It must be called exactly once,
-// before any Step. A run with no root candidates, or whose roots a warm
-// shared threshold already rules out, is done on return. An indivisible
-// algorithm seeds its own roots; Seed only offers it up for claiming.
+// Seed puts the run's roots in its queue. It must be called exactly
+// once, before any Step. Whirlpool-S publishes the root cursor, from
+// which Step materialises roots as they come due; LockStep drains every
+// root into its first phase — checked against the top-k set unless
+// LockStep-NoPrun, which ranks only at the end. A run with no root
+// candidates, or whose roots a warm shared threshold already rules out,
+// is done on return. Whirlpool-M seeds its own roots; Seed only offers
+// it up for claiming.
 func (p *ParallelRun) Seed() {
 	p.start = time.Now()
-	p.r.traceStart()
-	if p.r.cfg.Algorithm != WhirlpoolS {
+	r := &p.r
+	r.traceStart()
+	var done bool
+	switch alg := r.cfg.Algorithm; alg {
+	case WhirlpoolS:
+		done = p.q.seed(r.seedRoots())
+	case WhirlpoolM:
 		p.whole.Store(1)
-	} else if p.q.seed(p.r.seedRoots()) {
+	default:
+		alive := p.ws.batch[:0]
+		r.seedRoots().drain(func(m *match) {
+			if alg == LockStepNoPrune || r.checkTopK(m) {
+				alive = append(alive, m)
+			} else {
+				r.release(m)
+			}
+		})
+		p.ws.batch = alive[:0]
+		done = p.q.carry(r, alive, 0)
+	}
+	if done {
 		p.markDone()
 	}
 }
 
-// Step pops a batch of up to budget matches from the run's queue —
-// pulling roots from the cursor as they come due — and takes each
-// through the step kernel: routed, served, its survivors re-queued. It
-// returns how many matches it consumed; 0 means the queue was
-// momentarily empty (the run is done only once IsDone reports true —
-// other workers may still be about to re-queue survivors). Safe for
-// concurrent use, one Scratch per worker. Cancellation is polled on
+// Step pops a batch of up to budget matches from the run's queue and
+// takes each through the step kernel. Whirlpool-S pulls roots from the
+// cursor as they come due, routes each match and re-queues its
+// survivors; LockStep passes each through the current phase's server
+// (stepPhase). It returns how many matches it consumed; 0 means the
+// queue was momentarily empty (the run is done only once IsDone reports
+// true — other workers may still be about to re-queue survivors). Safe
+// for concurrent use, one Scratch per worker. Cancellation is polled on
 // every match, so a cancelled run stops within one batch; the rest of
 // the batch is released with the live count kept exact.
 // +whirllint:hotpath
 func (p *ParallelRun) Step(ws *Scratch, budget int) int {
 	if p.whole.Load() != 0 {
-		return p.stepWhole(ws)
+		return p.stepWhole()
 	}
 	r := &p.r
 	if budget < 1 {
 		budget = 1
+	}
+	if r.cfg.Algorithm != WhirlpoolS {
+		return p.stepPhase(ws, budget)
 	}
 	batch, done := p.q.popBatch(ws.batch[:0], budget)
 	ws.batch = batch
@@ -151,22 +177,63 @@ func (p *ParallelRun) Step(ws *Scratch, budget int) int {
 	return len(batch)
 }
 
-// stepWhole runs an indivisible algorithm to its end on the first
-// caller's goroutine, with that caller's Scratch. It consumes no queued
-// matches, so it reports 0 and never reads as a steal.
-// +whirllint:allocok once per run, not per match: Whirlpool-M buys its queues and goroutines, a LockStep its alive slices
-func (p *ParallelRun) stepWhole(ws *Scratch) int {
+// stepPhase is Step for LockStep, whose queue holds one phase at a time
+// (pq.carry): each popped match passes the phase's server. One that is
+// now prunable is dropped (LockStep-NoPrun prunes nothing), a root born
+// past the server (rootCursor's second segment) is carried on untouched,
+// any other is served; what is left is carried into the next phase. A
+// cancelled run retires the rest of its batch without opening a phase,
+// so it never reads done.
+// +whirllint:hotpath
+func (p *ParallelRun) stepPhase(ws *Scratch, budget int) int {
+	r := &p.r
+	batch, _ := p.q.popBatch(ws.batch[:0], budget)
+	ws.batch = batch
+	if len(batch) == 0 {
+		return 0
+	}
+	// Read while holding a match of the phase, which cannot turn before
+	// that match is carried.
+	sid := r.order[p.sq.phase]
+	keepAll := r.cfg.Algorithm == LockStepNoPrune
+	done := false
+	for i, m := range batch {
+		if r.cancelled() {
+			for _, rest := range batch[i:] {
+				r.release(rest)
+			}
+			p.q.settle(r, nil, len(batch)-i)
+			return i
+		}
+		var surv []*match
+		switch {
+		case !keepAll && r.prunable(m):
+			r.drop(m)
+		case m.isVisited(sid):
+			ws.surv = append(ws.surv[:0], m)
+			surv = ws.surv
+		default:
+			surv = r.serve(m, sid, ws, keepAll)
+		}
+		done = p.q.carry(r, surv, 1)
+	}
+	if done {
+		p.markDone()
+	}
+	return len(batch)
+}
+
+// stepWhole runs Whirlpool-M to its end on the first caller's
+// goroutine. It consumes no queued matches, so it reports 0 and never
+// reads as a steal.
+// +whirllint:allocok once per run, not per match: Whirlpool-M buys its queues and goroutines
+func (p *ParallelRun) stepWhole() int {
 	if !p.whole.CompareAndSwap(1, 2) {
 		return 0
 	}
-	r := &p.r
-	if alg := r.cfg.Algorithm; alg == WhirlpoolM {
-		r.runM()
-	} else {
-		r.runLockStep(ws, alg == LockStep)
-	}
+	p.r.runM()
 	// A cancelled run strands matches wherever it stopped: not done.
-	if !r.cancelled() {
+	if !p.r.cancelled() {
 		p.markDone()
 	}
 	return 0
@@ -184,9 +251,10 @@ func (p *ParallelRun) markDone() {
 func (p *ParallelRun) IsDone() bool { return p.doneFlag.Load() }
 
 // Depth samples the router queue's depth: the work-stealing load
-// signal. An unfinished root cursor, or an unclaimed indivisible run,
+// signal. An unfinished root cursor, or an unclaimed Whirlpool-M run,
 // counts as one queued item, so a run that is not done but has nothing
-// in flight never reads 0.
+// in flight never reads 0. A LockStep run counts its current phase:
+// the next one is not queued until this one is over.
 func (p *ParallelRun) Depth() int {
 	if p.whole.Load() == 1 {
 		return 1
@@ -200,7 +268,8 @@ func (p *ParallelRun) Created() int64 { return p.r.stats.load(ctrMatchesCreated)
 
 // drive is the lifecycle's middle on the calling goroutine: budget 1 is
 // Whirlpool-S's own sequence — pop the best match, one server
-// operation, push the survivors. With nobody else stepping, a Step that
+// operation, push the survivors — and LockStep's, one match of the
+// phase at a time. With nobody else stepping, a Step that
 // consumed nothing leaves the run either done or cancelled.
 func (p *ParallelRun) drive() {
 	p.Seed()

@@ -38,16 +38,21 @@ func driveParallel(t *testing.T, p *ParallelRun, workers int) Stats {
 	return stats
 }
 
-// TestParallelRunMatchesRunContext: the externally-scheduled run must
-// produce the same answers as the engine's own loop, for any number of
-// driving workers, with the arena poison catching any use of a match
-// whose ownership was handed off incorrectly between workers.
+// TestParallelRunMatchesRunContext: the externally-scheduled run of
+// every stepped algorithm must produce the same answers as the engine's
+// own loop, for any number of driving workers, with the arena poison
+// catching any use of a match whose ownership was handed off
+// incorrectly between workers.
 func TestParallelRunMatchesRunContext(t *testing.T) {
 	SetArenaPoisonForTest(true)
 	defer SetArenaPoisonForTest(false)
 	ix, q := buildEnv(t, booksXML, "/book[./title and ./info/isbn]")
-	for _, rel := range []relax.Relaxation{relax.None, relax.All} {
-		cfg := Config{K: 3, Relax: rel, Algorithm: WhirlpoolS, Scorer: score.NewTFIDF(ix, q, score.Sparse)}
+	for _, c := range []struct {
+		alg Algorithm
+		rel relax.Relaxation
+	}{{WhirlpoolS, relax.None}, {WhirlpoolS, relax.All}, {LockStep, relax.All}, {LockStepNoPrune, relax.All}} {
+		alg, rel := c.alg, c.rel
+		cfg := Config{K: 3, Relax: rel, Algorithm: alg, Scorer: score.NewTFIDF(ix, q, score.Sparse)}
 		e, err := New(ix, q, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -64,11 +69,11 @@ func TestParallelRunMatchesRunContext(t *testing.T) {
 			}
 			stats := driveParallel(t, p, workers)
 			if got := shared.Answers(); !almostEqual(scoresFromAnswers(got), scoresOf(base)) {
-				t.Fatalf("rel=%d workers=%d: scores %v, baseline %v",
-					rel, workers, scoresFromAnswers(got), scoresOf(base))
+				t.Fatalf("%v rel=%d workers=%d: scores %v, baseline %v",
+					alg, rel, workers, scoresFromAnswers(got), scoresOf(base))
 			}
 			if stats.MatchesCreated == 0 || stats.ServerOps == 0 {
-				t.Fatalf("rel=%d workers=%d: empty stats %+v", rel, workers, stats)
+				t.Fatalf("%v rel=%d workers=%d: empty stats %+v", alg, rel, workers, stats)
 			}
 		}
 	}

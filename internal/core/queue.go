@@ -115,6 +115,9 @@ type routerQueue interface {
 	// retires retired held matches: children in with their parent out,
 	// so the run never reads as done mid-flight.
 	settle(r *run, surv []*match, retired int) (done bool)
+	// carry is LockStep's settle: surv waits for the next phase, which
+	// opens once the current one has nothing queued or held.
+	carry(r *run, surv []*match, retired int) (done bool)
 	// len samples the depth in queued matches.
 	len() int
 }
@@ -131,11 +134,17 @@ type routerQueue interface {
 // match that goes deep among equals is usually the very next pop, and
 // then it never pays a sift. It is one more pop candidate under the
 // heap's own order, so the pop sequence is the heap's alone.
+//
+// A LockStep run queues one phase at a time (carry): the heap holds the
+// matches still to pass the phase's server, carried those that have
+// passed it, in the order they did, and live counts both.
 type pq struct {
-	h     matchHeap
-	next  prioritized // held out of h while next.m != nil
-	roots *rootCursor // nil before seeding and once exhausted or cut
-	live  int
+	h       matchHeap
+	next    prioritized // held out of h while next.m != nil
+	roots   *rootCursor // nil before seeding and once exhausted or cut
+	live    int
+	carried []*match // LockStep: the next phase's matches
+	phase   int      // LockStep: the current phase's index in run.order, -1 before the first
 }
 
 func (q *pq) push(m *match, priority float64) {
@@ -233,6 +242,35 @@ func (q *pq) settle(r *run, surv []*match, retired int) bool {
 	return q.live == 0
 }
 
+// carry queues surv for the next phase and retires retired held
+// matches. Once the phase has nothing queued and nothing held, the next
+// one opens: its matches enter the heap at their priority at its server,
+// ties broken by the order in which they were carried, and the phase's
+// one depth sample is taken. After the last phase every match left is
+// complete — LockStep-NoPrun's, which ranks only now; a pruning LockStep
+// offered each as it completed — and is offered.
+func (q *pq) carry(r *run, surv []*match, retired int) bool {
+	q.carried = append(q.carried, surv...)
+	q.live += len(surv) - retired
+	for len(q.h) == 0 && q.live == len(q.carried) && q.phase < len(r.order) {
+		if q.phase++; q.phase == len(r.order) {
+			for _, m := range q.carried {
+				r.topk.offer(m, r.shardID)
+				r.release(m)
+			}
+			q.live = 0
+		} else {
+			sid := r.order[q.phase]
+			for i, m := range q.carried {
+				q.h.push(prioritized{m: m, priority: r.priority(m, sid), seq: int64(i)})
+			}
+			r.traceDepth(sid, len(q.h))
+		}
+		q.carried = q.carried[:0]
+	}
+	return q.live == 0
+}
+
 // len counts queued matches, the held one included.
 func (q *pq) len() int {
 	if q.next.m != nil {
@@ -270,6 +308,12 @@ func (q *stealQueue) settle(r *run, surv []*match, retired int) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.pq.settle(r, surv, retired)
+}
+
+func (q *stealQueue) carry(r *run, surv []*match, retired int) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.pq.carry(r, surv, retired)
 }
 
 // len is the steal policy's load signal: an unfinished cursor counts as

@@ -346,7 +346,8 @@ func (t *topkSet) answers() []Answer {
 // prunes against the same set, so a high-scoring answer found on one
 // shard immediately raises the threshold used to kill partial matches on
 // all others. Create one per sharded evaluation with NewSharedTopK and
-// pass it to each engine's RunShared; it is safe for concurrent use.
+// open each engine's run against it with NewParallelRun; it is safe for
+// concurrent use.
 //
 // The threshold it publishes is, at all times, a lower bound on the true
 // global k-th best score — it is the k-th best of the guaranteed scores
@@ -363,6 +364,6 @@ func NewSharedTopK(k int, floor float64) *SharedTopK {
 }
 
 // Answers returns the current top-k, best first (score descending, ties
-// by document order of the root). After every participating RunShared
-// has returned, this is the merged global result.
+// by document order of the root). After every participating run has
+// finished, this is the merged global result.
 func (s *SharedTopK) Answers() []Answer { return s.set.answers() }

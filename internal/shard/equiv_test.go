@@ -133,8 +133,9 @@ func TestShardedTopKEquivalenceRandomDocs(t *testing.T) {
 }
 
 // TestShardedStealingEquivalence is the work-stealing safety property:
-// the pooled Whirlpool-S executor must return the same answers as the
-// single-engine baseline across shard counts {1, 2, 8} × GOMAXPROCS
+// the pooled executor of every stepped algorithm (Whirlpool-S, LockStep,
+// LockStep-NoPrun) must return the same answers as the single-engine
+// baseline across shard counts {1, 2, 8} × GOMAXPROCS
 // {1, 4, 8} (which sizes the default worker pool) × stealing {on, off}.
 // Arena poison is on for the whole matrix, so a match touched after its
 // ownership moved across workers — or released to the wrong shard
@@ -166,8 +167,12 @@ func TestShardedStealingEquivalence(t *testing.T) {
 	for _, xpath := range queries {
 		q := pattern.MustParse(xpath)
 		scorer := score.NewTFIDF(whole, q, score.Sparse)
-		for _, k := range []int{10, 4096} {
-			cfg := core.Config{K: k, Relax: relax.All, Algorithm: core.WhirlpoolS, Scorer: scorer}
+		for _, c := range []struct {
+			k   int
+			alg core.Algorithm
+		}{{10, core.WhirlpoolS}, {4096, core.WhirlpoolS}, {10, core.LockStep}, {10, core.LockStepNoPrune}} {
+			k := c.k
+			cfg := core.Config{K: k, Relax: relax.All, Algorithm: c.alg, Scorer: scorer}
 			baseEng, err := core.New(whole, q, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -179,7 +184,7 @@ func TestShardedStealingEquivalence(t *testing.T) {
 			for _, p := range counts {
 				for _, gmp := range []int{1, 4, 8} {
 					for _, stealing := range []bool{true, false} {
-						name := fmt.Sprintf("%s/k=%d/p=%d/gmp=%d/steal=%v", xpath, k, p, gmp, stealing)
+						name := fmt.Sprintf("%s/%v/k=%d/p=%d/gmp=%d/steal=%v", xpath, c.alg, k, p, gmp, stealing)
 						engs, err := corpora[p].NewEngines(q, cfg)
 						if err != nil {
 							t.Fatal(err)

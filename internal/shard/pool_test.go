@@ -90,7 +90,9 @@ func TestWorkerBoundDefaultsToGOMAXPROCS(t *testing.T) {
 }
 
 // TestStealingMovesMatches: with several workers over many shards, some
-// matches get processed by non-owner workers, and the run reports them.
+// matches get processed by non-owner workers, and the run reports them —
+// for Whirlpool-S and LockStep shards alike, both stepped a batch at a
+// time.
 // Scheduling decides exactly when a queue is stolen from, so the test
 // retries a few runs before declaring stealing dead. GOMAXPROCS > 1
 // lets the OS timeslice the workers even on a single-core host — on one
@@ -98,7 +100,14 @@ func TestWorkerBoundDefaultsToGOMAXPROCS(t *testing.T) {
 func TestStealingMovesMatches(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
-	engs := poolEnv(t, 60, 8, core.WhirlpoolS)
+	for _, algo := range []core.Algorithm{core.WhirlpoolS, core.LockStep} {
+		if !stealsObserved(t, poolEnv(t, 60, 8, algo)) {
+			t.Fatalf("%v: no steals observed across 50 runs of a 4-worker, 8-shard layout", algo)
+		}
+	}
+}
+
+func stealsObserved(t *testing.T, engs *shard.Engines) bool {
 	engs.SetExecOptions(shard.ExecOptions{Workers: 4, StealBatch: 2})
 	for attempt := 0; attempt < 50; attempt++ {
 		res, err := engs.Run()
@@ -109,10 +118,10 @@ func TestStealingMovesMatches(t *testing.T) {
 			if res.Stats.StolenMatches < res.Stats.Steals {
 				t.Fatalf("stolen matches %d < steal batches %d", res.Stats.StolenMatches, res.Stats.Steals)
 			}
-			return
+			return true
 		}
 	}
-	t.Fatal("no steals observed across 50 runs of a 4-worker, 8-shard layout")
+	return false
 }
 
 // TestStealingDisabled: the A/B switch really pins shards to owners.
@@ -134,7 +143,7 @@ func TestStealingDisabled(t *testing.T) {
 // TestPoolCancellation: a cancelled context surfaces from RunContext for
 // both executor paths, before and during the run.
 func TestPoolCancellation(t *testing.T) {
-	for _, algo := range []core.Algorithm{core.WhirlpoolS, core.WhirlpoolM} {
+	for _, algo := range []core.Algorithm{core.WhirlpoolS, core.LockStep, core.WhirlpoolM} {
 		engs := poolEnv(t, 40, 8, algo)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
