@@ -63,10 +63,6 @@ func TestAuditRows(t *testing.T) {
 			"\tc.mu.Lock()\n\tdefer c.mu.Unlock()\n\treturn c.order.Len()",
 			"\treturn c.order.Len()",
 			"lockguard", `Cache\.order is guarded by Cache\.mu`},
-		{"unlocked-blockingpq-len", "internal/core/queue.go",
-			"func (q *blockingPQ) len() int {\n\tq.mu.Lock()\n\tdefer q.mu.Unlock()\n",
-			"func (q *blockingPQ) len() int {\n",
-			"lockguard", `blockingPQ\.\w+ is guarded by blockingPQ\.mu`},
 		{"unlocked-registry-exposition", "internal/obs/obs.go",
 			"\tr.mu.Lock()\n\tout := make([]*metric, 0, len(r.metrics))\n\tfor _, m := range r.metrics {\n\t\tout = append(out, m)\n\t}\n\tr.mu.Unlock()\n",
 			"\tout := make([]*metric, 0, len(r.metrics))\n\tfor _, m := range r.metrics {\n\t\tout = append(out, m)\n\t}\n",
@@ -76,8 +72,8 @@ func TestAuditRows(t *testing.T) {
 			"\tfor {\n\t\tidx, stolen := st.pick(w)",
 			"ctxpoll", `unbounded loop never polls cancellation`},
 		{"no-poll-in-servem", "internal/core/algorithms.go",
-			"\t\tif r.cancelled() {\n\t\t\tr.release(m)\n\t\t\tlive.add(-1) // drain so the live counter reaches zero\n\t\t\tcontinue\n\t\t}\n\t\tsurv := r.serve(",
-			"\t\tsurv := r.serve(",
+			"\t\tif r.cancelled() {\n\t\t\tr.release(m)\n\t\t\treturn\n\t\t}\n\t\tqs[0].settle(",
+			"\t\tqs[0].settle(",
 			"ctxpoll", `unbounded loop never polls cancellation`},
 	}
 	root, err := filepath.Abs(filepath.Join("..", ".."))

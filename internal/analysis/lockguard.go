@@ -27,8 +27,8 @@ import (
 // The check is an intra-method approximation: acquiring the lock
 // anywhere in the method satisfies it, and accesses that escape through
 // non-receiver aliases are not tracked. It exists to catch the common
-// regression — a new method reading topkSet.top, blockingPQ.h or an
-// lru.Cache's entries without locking — which `go test -race` catches
+// regression — a new method reading topkSet.top or an lru.Cache's
+// entries without locking — which `go test -race` catches
 // only where its matrix runs the method concurrently. Copied locks are
 // go vet's copylocks check.
 var LockGuard = &Analyzer{

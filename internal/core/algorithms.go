@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -11,7 +12,9 @@ import (
 // (Section 6.1.2), so each driver is a loop around these: ParallelRun.Step
 // for Whirlpool-S, which routes each match, stepPhase for LockStep and
 // LockStep-NoPrun, whose queue hands out one server's phase at a time
-// (pq.carry), and routeM/serveM for Whirlpool-M.
+// (pq.carry), and runM/serveM for Whirlpool-M, whose router and servers
+// run Whirlpool-S's two halves on separate goroutines — the router
+// around the same root-pulling queue, each server settling into it.
 
 // drop settles a match that can no longer beat currentTopK: counted as
 // pruned and released.
@@ -55,121 +58,121 @@ func (r *run) serve(m *match, sid int, ws *Scratch, keepAll bool) []*match {
 	return surv
 }
 
-// liveCounter tracks the number of matches alive anywhere in
-// Whirlpool-M's pipeline; done closes when it reaches zero.
-type liveCounter struct {
-	n    atomic.Int64
-	done chan struct{}
-	once sync.Once
-}
-
-func newLiveCounter() *liveCounter {
-	return &liveCounter{done: make(chan struct{})}
-}
-
-func (c *liveCounter) add(d int64) {
-	if c.n.Add(d) == 0 {
-		c.markDone()
-	}
-}
-
-func (c *liveCounter) markDone() {
-	c.once.Do(func() { close(c.done) })
-}
-
-// runM is Whirlpool-M: one goroutine per server with its own priority
-// queue, a router goroutine with the router queue, and the main goroutine
-// watching for termination (Section 6.1.2). Matches circulate
-// router → server → top-k check → router until everything is complete or
-// pruned.
+// runM is Whirlpool-M (Section 6.1.2): Whirlpool-S's router and servers
+// on separate goroutines. The router runs on the calling goroutine
+// around the router queue, seeded with the root cursor as Whirlpool-S's
+// is, so roots are pulled only as they come due and the threshold cuts
+// the rest. Each server runs on a goroutine of its own around its own
+// queue (serveM) and settles its survivors back into the router queue,
+// whose live count is the run's: the run is over when it reaches 0.
+// Every queue is a stealQueue — the pq behind its mutex — with a
+// condition variable on that mutex; over, set once at the end or on
+// cancellation, wakes every waiter.
+//
+// The router pops nothing while n−1 matches, as many as there are
+// server threads, are out at the servers, queued or being served. A
+// root is due whenever the router queue is empty, and a router that
+// dispatched freely would keep it empty: it would pull nearly every
+// root, as eager seeding did, and do several times Whirlpool-S's work.
 func (r *run) runM() {
 	n := r.query.Size()
-	routerQ := newBlockingPQ()
-	serverQs := make([]*blockingPQ, n)
-	for sid := 1; sid < n; sid++ {
-		serverQs[sid] = newBlockingPQ()
+	qs := make([]stealQueue, n) // 0 is the router's, sid server sid's
+	conds := make([]sync.Cond, n)
+	for i := range conds {
+		conds[i].L = &qs[i].mu
 	}
-	live := newLiveCounter()
+	rq := &qs[0]
+	if rq.seed(r.seedRoots()) {
+		return
+	}
+	var over atomic.Bool
+	closeAll := func() {
+		over.Store(true)
+		for i := range qs {
+			// Taking the mutex orders the store before the waiter's
+			// next check, or the waiter is already in Wait.
+			qs[i].mu.Lock()
+			qs[i].mu.Unlock()
+			conds[i].Broadcast()
+		}
+	}
+	defer context.AfterFunc(r.ctx, closeAll)()
 	var wg sync.WaitGroup
-
 	for sid := 1; sid < n; sid++ {
 		wg.Add(1)
 		go func(sid int) {
 			defer wg.Done()
-			r.serveM(sid, serverQs[sid], routerQ, live)
+			r.serveM(sid, qs, conds, &over)
 		}(sid)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r.routeM(routerQ, serverQs, live)
-	}()
 
-	// The cursor is one live unit while it drains, so the counter cannot
-	// touch zero between two roots.
-	live.add(1)
-	r.seedRoots().drain(func(m *match) {
-		if r.checkTopK(m) {
-			live.add(1)
-			routerQ.push(m, r.priority(m, -1))
-		} else {
-			r.release(m)
+	var one [1]*match
+	for !r.cancelled() {
+		rq.mu.Lock()
+		for !over.Load() && rq.live > 0 && (dispatched(&rq.pq) >= n-1 || rq.roots == nil && rq.pq.len() == 0) {
+			conds[0].Wait()
 		}
-	})
-	live.add(-1)
-
-	<-live.done
-	routerQ.close()
-	for sid := 1; sid < n; sid++ {
-		serverQs[sid].close()
+		if over.Load() || rq.live == 0 {
+			rq.mu.Unlock()
+			break
+		}
+		batch, _ := rq.pq.popBatch(one[:0], 1)
+		rq.mu.Unlock()
+		if len(batch) == 0 {
+			continue // the pull cut the cursor, or stopped on cancellation
+		}
+		m := batch[0]
+		sid := r.route(m)
+		if sid == 0 {
+			rq.settle(r, nil, 1)
+			continue
+		}
+		q := &qs[sid]
+		q.mu.Lock()
+		q.push(m, r.priority(m, sid))
+		depth := q.pq.len()
+		q.mu.Unlock()
+		conds[sid].Signal()
+		r.traceDepth(sid, depth)
 	}
+	closeAll()
 	wg.Wait()
 }
 
-// serveM is one Whirlpool-M server worker: pop a match from the server's
-// queue, serve it, and hand the survivors back to the router.
-func (r *run) serveM(sid int, in *blockingPQ, routerQ *blockingPQ, live *liveCounter) {
-	var ws Scratch
-	for {
-		m, ok := in.pop()
-		if !ok {
-			return
-		}
-		if r.cancelled() {
-			r.release(m)
-			live.add(-1) // drain so the live counter reaches zero
-			continue
-		}
-		surv := r.serve(m, sid, &ws, false)
-		// Count children in before decrementing the parent so the live
-		// counter can never dip to zero mid-flight.
-		live.add(int64(len(surv)))
-		for _, s := range surv {
-			routerQ.push(s, r.priority(s, -1))
-		}
-		live.add(-1)
+// dispatched counts the matches a Whirlpool-M router queue has out at
+// the servers, queued or being served: its live count less what it
+// holds and its cursor. The caller holds the queue's mutex.
+func dispatched(q *pq) int {
+	out := q.live - q.len()
+	if q.roots != nil {
+		out--
 	}
+	return out
 }
 
-// routeM is the Whirlpool-M router goroutine: route each match off the
-// router queue and enqueue it at its next server.
-func (r *run) routeM(routerQ *blockingPQ, serverQs []*blockingPQ, live *liveCounter) {
+// serveM is one Whirlpool-M server: pop the best match off the server's
+// queue, serve it, settle its survivors into the router queue and wake
+// the router. A cancelled run is polled once per match.
+func (r *run) serveM(sid int, qs []stealQueue, conds []sync.Cond, over *atomic.Bool) {
+	in := &qs[sid]
+	var ws Scratch
 	for {
-		m, ok := routerQ.pop()
-		if !ok {
+		in.mu.Lock()
+		for in.pq.len() == 0 && !over.Load() {
+			conds[sid].Wait()
+		}
+		if over.Load() {
+			in.mu.Unlock()
 			return
 		}
+		ws.batch, _ = in.pq.popBatch(ws.batch[:0], 1)
+		in.mu.Unlock()
+		m := ws.batch[0]
 		if r.cancelled() {
 			r.release(m)
-			live.add(-1) // drain so the live counter reaches zero
-			continue
+			return
 		}
-		sid := r.route(m)
-		if sid == 0 {
-			live.add(-1)
-			continue
-		}
-		serverQs[sid].push(m, r.priority(m, sid))
-		r.traceDepth(sid, serverQs[sid].len())
+		qs[0].settle(r, r.serve(m, sid, &ws, false), 1)
+		conds[0].Signal()
 	}
 }

@@ -292,10 +292,10 @@ func spin(d time.Duration) {
 
 // rootCursor is the root server as a stream: every document node
 // matching the root tag/value and the root's structural predicate spawns
-// a partial match, one per next call. The run's queue carries it
-// (pq.pull) and materialises a root only when it could be the next pop;
-// Whirlpool-M and LockStep drain it up front. Counters reach the
-// run's counters per flush.
+// a partial match, one per next call. The router queue — Whirlpool-S's
+// or Whirlpool-M's — carries it (pq.pull) and materialises a root only
+// when it could be the next pop; LockStep drains it up front. Counters
+// reach the run's counters per flush.
 //
 // The scan walks cands, the root's own candidates, in document order.
 // The posting path (Engine.rootVia) climbs instead, lazily, from each
@@ -441,7 +441,7 @@ func (c *rootCursor) next() *match {
 	return nil
 }
 
-// drain materialises every root there is, for the drivers that seed up front.
+// drain materialises every root there is, for LockStep's first phase.
 func (c *rootCursor) drain(each func(*match)) {
 	for more := true; more; more = c.lower() {
 		for m := c.next(); m != nil; m = c.next() {

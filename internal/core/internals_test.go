@@ -308,55 +308,6 @@ func TestPQTieBreakBySeq(t *testing.T) {
 	}
 }
 
-func TestBlockingPQCloseUnblocks(t *testing.T) {
-	q := newBlockingPQ()
-	var wg sync.WaitGroup
-	results := make([]bool, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, ok := q.pop()
-			results[i] = ok
-		}(i)
-	}
-	q.push(mkMatch(1, 0.5, 1), 0.5)
-	q.close()
-	wg.Wait()
-	popped := 0
-	for _, ok := range results {
-		if ok {
-			popped++
-		}
-	}
-	if popped != 1 {
-		t.Fatalf("exactly one waiter should receive the item, got %d", popped)
-	}
-	if q.len() != 0 {
-		t.Fatal("queue not drained")
-	}
-}
-
-func TestLiveCounterSignalsZero(t *testing.T) {
-	c := newLiveCounter()
-	c.add(3)
-	c.add(-1)
-	c.add(-1)
-	select {
-	case <-c.done:
-		t.Fatal("done closed early")
-	default:
-	}
-	c.add(-1)
-	select {
-	case <-c.done:
-	default:
-		t.Fatal("done not closed at zero")
-	}
-	// markDone is idempotent.
-	c.markDone()
-}
-
 // Scores compare exactly: extendInto's score arithmetic is exact on these inputs.
 func TestMatchExtend(t *testing.T) {
 	m := mkMatch(1, 0.4, 1)

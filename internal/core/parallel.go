@@ -100,8 +100,8 @@ func (e *Engine) open(ctx context.Context, topk *topkSet, shardID int) *Parallel
 // root into its first phase — checked against the top-k set unless
 // LockStep-NoPrun, which ranks only at the end. A run with no root
 // candidates, or whose roots a warm shared threshold already rules out,
-// is done on return. Whirlpool-M seeds its own roots; Seed only offers
-// it up for claiming.
+// is done on return. Whirlpool-M's router seeds a queue of its own
+// once the run is claimed (runM); Seed only offers it up for claiming.
 func (p *ParallelRun) Seed() {
 	p.start = time.Now()
 	r := &p.r

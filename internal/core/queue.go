@@ -284,7 +284,9 @@ func (q *pq) len() int {
 // mutex. One acquisition covers a whole batch dequeue, cursor advance
 // included (a thief never finds a pulled root queued but uncounted), and
 // one covers a processed match's survivors. It is a sanctioned match holder — a
-// queued match is owned by the queue until popped.
+// queued match is owned by the queue until popped. Whirlpool-M's router
+// and server queues are stealQueues too, each with a condition variable
+// on the mutex (runM).
 type stealQueue struct {
 	mu sync.Mutex
 	pq
@@ -327,57 +329,4 @@ func (q *stealQueue) len() int {
 		return q.pq.len() + 1
 	}
 	return q.pq.len()
-}
-
-// blockingPQ is the concurrent priority queue behind Whirlpool-M's server
-// and router queues: pop blocks until an item arrives or the queue is
-// closed.
-type blockingPQ struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	h      matchHeap
-	closed bool
-}
-
-func newBlockingPQ() *blockingPQ {
-	q := &blockingPQ{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *blockingPQ) push(m *match, priority float64) {
-	q.mu.Lock()
-	q.h.push(item(m, priority))
-	q.mu.Unlock()
-	q.cond.Signal()
-}
-
-// pop blocks until an item is available (returning it with ok = true) or
-// the queue is closed and drained of interest (ok = false).
-func (q *blockingPQ) pop() (*match, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.h) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.h) == 0 {
-		return nil, false
-	}
-	it := q.h.pop()
-	return it.m, true
-}
-
-// len samples the queue's current depth (observability only: the value
-// is stale the moment the lock is released).
-func (q *blockingPQ) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.h)
-}
-
-func (q *blockingPQ) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
 }
