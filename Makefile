@@ -13,8 +13,7 @@ vet:
 	$(GO) vet ./...
 
 # The Whirlpool analyzers (`internal/analysis`), driven by the go
-# command as a vet tool: test files included, facts flowing between
-# packages (and from the standard library) through .vetx files.
+# command as a vet tool, test files included.
 bin/whirlpool-lint: $(shell find cmd/whirlpool-lint internal/analysis -name '*.go' -not -path '*/testdata/*')
 	$(GO) build -o $@ ./cmd/whirlpool-lint
 

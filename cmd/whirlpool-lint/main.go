@@ -4,10 +4,9 @@
 //	go build -o bin/whirlpool-lint ./cmd/whirlpool-lint
 //	go vet -vettool=bin/whirlpool-lint ./...
 //
-// go vet runs it once per package, test variants included, and passes
-// each unit the facts its dependencies exported — the standard library
-// too — through .vetx files. Deliberate exceptions are annotated in
-// source; see the Static analysis section of DESIGN.md.
+// go vet runs it once per package, test variants included. Deliberate
+// exceptions are annotated in source; see the Static analysis section
+// of DESIGN.md.
 package main
 
 import (

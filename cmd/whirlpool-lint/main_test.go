@@ -41,9 +41,8 @@ func moduleRoot(t *testing.T) string {
 
 // TestLintGate is tier-1's lint gate, run the one way the suite is run:
 // build the tool and `go vet -vettool` the whole module, test files
-// included. The tree must be clean, and the gate must see through the
-// standard library — the seeded hotalloc golden calls strconv.ParseFloat
-// from a hot path, which only the facts of strconv's own body expose.
+// included. The tree must be clean, and the gate must fail on the
+// seeded ctxpoll golden, a match loop that never polls cancellation.
 func TestLintGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("vets the module")
@@ -66,9 +65,9 @@ func TestLintGate(t *testing.T) {
 	if out, err := analysistest.Vet(tool, root, "./..."); err != nil {
 		t.Fatalf("go vet -vettool ./... on the module: %v\n%s", err, out)
 	}
-	out, err := analysistest.Vet(tool, root, "./internal/analysis/testdata/src/hotalloc")
-	if err == nil || !strings.Contains(out, "call to strconv.ParseFloat allocates") {
-		t.Fatalf("the gate missed the seeded strconv.ParseFloat hot-path allocation (err %v):\n%s", err, out)
+	out, err := analysistest.Vet(tool, root, "./internal/analysis/testdata/src/ctxpoll")
+	if err == nil || !strings.Contains(out, "unbounded loop never polls cancellation") {
+		t.Fatalf("the gate missed the seeded unpolled loop (err %v):\n%s", err, out)
 	}
 }
 

@@ -40,9 +40,10 @@
 // Engines are cached per request signature in an LRU cache bounded by
 // -cache; -access-log emits one structured JSON
 // line per request to stderr. -shards N partitions the document into N
-// shards at startup: every query then runs one engine per shard in
-// parallel, all pruning against a shared top-k set, and /stats gains a
-// per-shard breakdown.
+// shards at startup: every query then runs one engine per shard, each
+// driven whole by one of min(GOMAXPROCS, N) pool workers that claim
+// shards in turn, all pruning against a shared top-k set, and /stats
+// gains a per-shard breakdown.
 //
 // A request is refused with 400 when k exceeds 1000 or the pattern has
 // more than 32 nodes, with 413 when its body exceeds 1 MiB; a handler

@@ -141,8 +141,9 @@ type serverOptions struct {
 	// request.
 	AccessLog *log.Logger
 	// Shards above 1 partitions the document into that many shards at
-	// startup and evaluates every /query with one engine per shard, on
-	// a bounded worker pool, pruning against a shared top-k set.
+	// startup and evaluates every /query with one engine per shard:
+	// min(GOMAXPROCS, Shards) workers each claim a whole shard at a time
+	// and drive its run to done, all pruning against a shared top-k set.
 	Shards int
 	// Boot is how long booting the database took: whirlpool.OpenSnapshot
 	// for a snapshot-backed one, recorded into the

@@ -1,8 +1,8 @@
 // Package analysis is the Whirlpool analyzer suite and the small
 // framework it runs on. The framework mirrors the shape of
-// golang.org/x/tools/go/analysis — Analyzer, Pass, Diagnostic, object
-// facts — on the standard library's go/ast and go/types, so the module
-// stays dependency-free; its one driver is the go vet -vettool protocol
+// golang.org/x/tools/go/analysis — Analyzer, Pass, Diagnostic — on the
+// standard library's go/ast and go/types, so the module stays
+// dependency-free; its one driver is the go vet -vettool protocol
 // (unitchecker.go, run by cmd/whirlpool-lint).
 //
 // An analyzer is here only because it is the only check — not go vet,
@@ -42,7 +42,6 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	diags *[]Diagnostic
-	facts factStore
 }
 
 // A Diagnostic is one reported finding.
@@ -66,34 +65,24 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // annotationPrefix introduces a lint annotation inside a doc comment:
-// `// +whirllint:hotpath`, `// +whirllint:locked`, ...
+// `// +whirllint:locked`, `// +whirllint:busywait`.
 const annotationPrefix = "+whirllint:"
 
-// funcAnnotation scans a function's doc comment for `+whirllint:<tag>`
-// and returns whether it was found plus any justification text after
-// the tag on the same line (`// +whirllint:allocok amortized: ...`).
-func funcAnnotation(fn *ast.FuncDecl, tag string) (found bool, justification string) {
+// hasAnnotation reports whether the function's doc comment carries the
+// annotation `+whirllint:<tag>`, alone or followed by a reason on the
+// same line (`// +whirllint:busywait the probe ends at an empty slot`).
+func hasAnnotation(fn *ast.FuncDecl, tag string) bool {
 	if fn == nil || fn.Doc == nil {
-		return false, ""
+		return false
 	}
 	want := annotationPrefix + tag
 	for _, c := range fn.Doc.List {
 		line := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if line == want {
-			return true, ""
-		}
-		if rest, ok := strings.CutPrefix(line, want+" "); ok {
-			return true, strings.TrimSpace(rest)
+		if line == want || strings.HasPrefix(line, want+" ") {
+			return true
 		}
 	}
-	return false, ""
-}
-
-// hasAnnotation reports whether the function's doc comment carries the
-// annotation.
-func hasAnnotation(fn *ast.FuncDecl, tag string) bool {
-	ok, _ := funcAnnotation(fn, tag)
-	return ok
+	return false
 }
 
 // funcDecls yields every function declaration in the pass's files.
@@ -112,8 +101,11 @@ func funcDecls(pass *Pass) []*ast.FuncDecl {
 // isNamedType reports whether t (after pointer indirection) is the named
 // type pkgPath.name.
 func isNamedType(t types.Type, pkgPath, name string) bool {
-	named := derefNamed(t)
-	if named == nil {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
 		return false
 	}
 	obj := named.Obj()

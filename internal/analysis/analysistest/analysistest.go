@@ -1,8 +1,7 @@
 // Package analysistest holds an analyzer to a golden testdata package,
 // mirroring golang.org/x/tools/go/analysis/analysistest — but through
 // the suite's one driver: the package is vetted with a built
-// whirlpool-lint exactly as `make lint` vets the tree, standard-library
-// facts and all.
+// whirlpool-lint exactly as `make lint` vets the tree.
 //
 // A testdata source line expecting a finding carries a trailing
 // comment with a regular expression the diagnostic message must match:

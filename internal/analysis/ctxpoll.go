@@ -9,12 +9,11 @@ import (
 // CtxPoll keeps RunContext cancellation prompt: inside the engine
 // (internal/core), the shard pool (internal/shard) and the daemon
 // (cmd/whirlpoold), an unbounded loop — `for { ... }` with no condition,
-// the shape of every match-processing, queue-pop and steal loop — must
-// poll cancellation on each iteration, either r.cancelled() or a
-// receive from ctx.Done(). Without the poll, a cancelled query keeps
-// burning CPU until its queues drain naturally — or, in the steal loop,
-// forever. No test notices the first, and only an unlucky schedule the
-// second.
+// the shape of every match-processing and queue-pop loop, Whirlpool-M's
+// router and servers among them — must poll cancellation on each
+// iteration, either r.cancelled() or a receive from ctx.Done(). Without
+// the poll, a cancelled query keeps burning CPU until its queues drain
+// naturally, and no test notices.
 //
 // Busy-wait loops with an empty body are reported unconditionally:
 // they cannot poll anything. The one sanctioned busy-wait, spin() in
@@ -32,8 +31,8 @@ var CtxPoll = &Analyzer{
 // ctxPollScope limits the analyzer to the packages whose unbounded
 // loops process matches and queue pops. A package is in scope when its
 // import path contains one of these substrings. internal/shard is in
-// scope for the worker pool's steal loop: a worker that stops polling
-// would keep stepping stolen matches long after the query died.
+// scope for the worker pool: a worker loop written without a condition
+// that stopped polling would keep driving shards after the query died.
 var ctxPollScope = []string{"internal/core", "internal/shard", "cmd/whirlpoold", "testdata/src/ctxpoll"}
 
 func runCtxPoll(pass *Pass) {

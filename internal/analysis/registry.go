@@ -4,7 +4,6 @@ package analysis
 func All() []*Analyzer {
 	return []*Analyzer{
 		CtxPoll,
-		HotAlloc,
 		LockGuard,
 	}
 }

@@ -19,9 +19,10 @@ import (
 // runs the tool once per package — test variants and standard-library
 // dependencies included — with a JSON config naming the package's
 // sources and the compiled export data of its imports, so no source
-// type-checking of dependencies is needed. The tool writes the facts its
-// analyzers exported to the unit's .vetx file, where the units
-// importing it find them, and reports diagnostics on stderr.
+// type-checking of dependencies is needed. Every analyzer looks at one
+// package alone, so the tool hands no facts between units: it writes
+// each unit's .vetx file empty, as the go command requires, and reports
+// diagnostics on stderr.
 
 // vetConfig is the part of cmd/go's vet config the tool reads.
 type vetConfig struct {
@@ -30,7 +31,6 @@ type vetConfig struct {
 	GoFiles                   []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
@@ -54,8 +54,8 @@ func RunVetTool(cfgPath string, analyzers []*Analyzer) int {
 	return 0
 }
 
-// vetUnit analyzes one unit, writes its facts and returns its
-// diagnostics sorted by position (none for a facts-only unit).
+// vetUnit analyzes one unit and returns its diagnostics sorted by
+// position (none for a unit the go command runs for facts only).
 func vetUnit(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
@@ -65,8 +65,7 @@ func vetUnit(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		return nil, fmt.Errorf("%s: %v", cfgPath, err)
 	}
-	// The go command requires the facts file even from a unit that
-	// contributes none.
+	// The go command requires the facts file.
 	if cfg.VetxOutput != "" {
 		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 			return nil, err
@@ -116,32 +115,12 @@ func vetUnit(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		return nil, err
 	}
-
-	// Each dependency's .vetx holds the facts its unit exported. An
-	// unreadable one only makes hotalloc less precise.
-	facts := factStore{}
-	for _, vetx := range cfg.PackageVetx {
-		if data, err := os.ReadFile(vetx); err == nil && len(data) > 0 {
-			if err := facts.decode(data); err != nil {
-				fmt.Fprintf(os.Stderr, "whirlpool-lint: ignoring fact file %s: %v\n", vetx, err)
-			}
-		}
+	if cfg.VetxOnly {
+		return nil, nil
 	}
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		a.Run(&Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, diags: &diags, facts: facts})
-	}
-	if cfg.VetxOutput != "" {
-		data, err := facts.encode(cfg.ImportPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.VetxOnly {
-		return nil, nil
+		a.Run(&Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, diags: &diags})
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos

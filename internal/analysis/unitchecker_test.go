@@ -84,18 +84,4 @@ func TestVetToolDegenerateInputs(t *testing.T) {
 			t.Errorf("facts file not written for empty unit: %v", err)
 		}
 	})
-
-	t.Run("corrupt dependency facts tolerated", func(t *testing.T) {
-		ok := writeSource(t, "ok.go", "package ok\n\nfunc Fine() int { return 1 }\n")
-		badVetx := writeSource(t, "dep.vetx", "\x00garbage")
-		cfg := map[string]any{
-			"ImportPath":  "example.com/ok",
-			"GoFiles":     []string{ok},
-			"PackageVetx": map[string]string{"example.com/dep": badVetx},
-			"VetxOutput":  filepath.Join(t.TempDir(), "out.vetx"),
-		}
-		if code := analysis.RunVetTool(writeCfg(t, cfg), analysis.All()); code != 0 {
-			t.Errorf("exit code = %d, want 0 (bad fact files degrade precision, not the run)", code)
-		}
-	})
 }

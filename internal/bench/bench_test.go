@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/relax"
 )
 
 // tinyConfig keeps the experiment suite fast in unit tests.
@@ -258,6 +259,37 @@ func TestTable2ShareFallsWithQuerySize(t *testing.T) {
 			}
 			if share[2] >= min(share[0], share[1]) || b != Doc50MB && share[0] <= share[1] {
 				t.Fatalf("%d bytes, run %d: Q1–Q3 shares %v, want falling", env.Bytes, run, share)
+			}
+		}
+	}
+}
+
+// TestRelaxedCreatesAtLeastExact holds the paper's last ordering:
+// relaxed queries do at least as much work as exact ones. Work here is
+// partial matches created, for Q1–Q3 × k ∈ {3, 15, 75} × {Whirlpool-S,
+// LockStep, LockStep-NoPrun} on the 1 MB and 10 MB documents (21 KB and
+// 213 KB at this scale); on 213 KB, Q3 at k = 75 under Whirlpool-S
+// creates 2 111 matches exact and 9 136 relaxed. Server operations would
+// not do: relaxation can raise the threshold sooner, so at 1 MB Q3
+// under Whirlpool-S at k = 3 does 71 operations exact and only 46
+// relaxed, though it creates 71 matches exact and 131 relaxed.
+func TestRelaxedCreatesAtLeastExact(t *testing.T) {
+	c := paperConfig()
+	for _, b := range []int{Doc1MB, Doc10MB} {
+		env := paperEnv(t, c, b)
+		for _, k := range []int{3, 15, 75} {
+			cc := c
+			cc.K = k
+			for _, wl := range Queries() {
+				for _, alg := range []core.Algorithm{core.WhirlpoolS, core.LockStep, core.LockStepNoPrune} {
+					relaxed := baseConfig(cc, env, wl, alg)
+					exact := relaxed
+					exact.Relax = relax.None
+					e, r := env.MustRun(wl, exact).Stats, env.MustRun(wl, relaxed).Stats
+					if r.MatchesCreated < e.MatchesCreated {
+						t.Fatalf("%d bytes, %s, k=%d, %v: %d matches created relaxed, %d exact", env.Bytes, wl.Name, k, alg, r.MatchesCreated, e.MatchesCreated)
+					}
+				}
 			}
 		}
 	}

@@ -27,7 +27,6 @@ func (r *run) drop(m *match) {
 // while the popped match waited: if it is now prunable it is dropped
 // (0, the root server, is returned — never a destination); otherwise it
 // is assigned the server it visits next.
-// +whirllint:hotpath
 func (r *run) route(m *match) (sid int) {
 	if r.prunable(m) {
 		r.drop(m)
@@ -43,7 +42,6 @@ func (r *run) route(m *match) (sid int) {
 // ranks only at the end), m released — its extensions have copied
 // everything they need — and the survivors returned in ws.surv, owned
 // by the caller until queued or released.
-// +whirllint:hotpath
 func (r *run) serve(m *match, sid int, ws *Scratch, keepAll bool) []*match {
 	surv := ws.surv[:0]
 	for _, ext := range r.process(m, sid, ws) {
@@ -65,7 +63,7 @@ func (r *run) serve(m *match, sid int, ws *Scratch, keepAll bool) []*match {
 // the rest. Each server runs on a goroutine of its own around its own
 // queue (serveM) and settles its survivors back into the router queue,
 // whose live count is the run's: the run is over when it reaches 0.
-// Every queue is a stealQueue — the pq behind its mutex — with a
+// Every queue is a lockedPQ — the pq behind its mutex — with a
 // condition variable on that mutex; over, set once at the end or on
 // cancellation, wakes every waiter.
 //
@@ -76,13 +74,14 @@ func (r *run) serve(m *match, sid int, ws *Scratch, keepAll bool) []*match {
 // root, as eager seeding did, and do several times Whirlpool-S's work.
 func (r *run) runM() {
 	n := r.query.Size()
-	qs := make([]stealQueue, n) // 0 is the router's, sid server sid's
+	qs := make([]lockedPQ, n) // 0 is the router's, sid server sid's
 	conds := make([]sync.Cond, n)
 	for i := range conds {
 		conds[i].L = &qs[i].mu
 	}
 	rq := &qs[0]
-	if rq.seed(r.seedRoots()) {
+	// No server runs yet: seeding needs no lock.
+	if rq.pq.seed(r.seedRoots()) {
 		return
 	}
 	var over atomic.Bool
@@ -109,10 +108,10 @@ func (r *run) runM() {
 	var one [1]*match
 	for !r.cancelled() {
 		rq.mu.Lock()
-		for !over.Load() && rq.live > 0 && (dispatched(&rq.pq) >= n-1 || rq.roots == nil && rq.pq.len() == 0) {
+		for !over.Load() && rq.pq.live > 0 && (dispatched(&rq.pq) >= n-1 || rq.pq.roots == nil && rq.pq.len() == 0) {
 			conds[0].Wait()
 		}
-		if over.Load() || rq.live == 0 {
+		if over.Load() || rq.pq.live == 0 {
 			rq.mu.Unlock()
 			break
 		}
@@ -129,7 +128,7 @@ func (r *run) runM() {
 		}
 		q := &qs[sid]
 		q.mu.Lock()
-		q.push(m, r.priority(m, sid))
+		q.pq.push(m, r.priority(m, sid))
 		depth := q.pq.len()
 		q.mu.Unlock()
 		conds[sid].Signal()
@@ -153,7 +152,7 @@ func dispatched(q *pq) int {
 // serveM is one Whirlpool-M server: pop the best match off the server's
 // queue, serve it, settle its survivors into the router queue and wake
 // the router. A cancelled run is polled once per match.
-func (r *run) serveM(sid int, qs []stealQueue, conds []sync.Cond, over *atomic.Bool) {
+func (r *run) serveM(sid int, qs []lockedPQ, conds []sync.Cond, over *atomic.Bool) {
 	in := &qs[sid]
 	var ws Scratch
 	for {

@@ -20,10 +20,9 @@ const arenaChunk = 256
 var arenaPoison atomic.Bool
 
 // SetArenaPoisonForTest toggles poison-on-release globally. It exists
-// for cross-package property tests (internal/shard's work-stealing
-// equivalence suite) that need use-after-release bugs across shard
-// freelists to surface as corrupted answers; production code must
-// never call it.
+// for cross-package property tests (internal/shard's equivalence
+// suite) that need use-after-release bugs to surface as corrupted
+// answers; production code must never call it.
 func SetArenaPoisonForTest(v bool) { arenaPoison.Store(v) }
 
 // matchArena recycles a run's dead matches — pruned, completed, or
@@ -49,13 +48,13 @@ func SetArenaPoisonForTest(v bool) { arenaPoison.Store(v) }
 //     it: the top-k set copies bindings into entry-owned storage
 //     (topkSet.offer) precisely so completed matches can be released.
 //
-// An exclusive Whirlpool-S or LockStep run stays on one goroutine, so it
-// gets one unlocked shard. Whirlpool-M's server workers, and the
-// steppers of a run opened by NewParallelRun, allocate and release
-// concurrently, so there the arena shards its freelists (each behind
-// its own mutex) and every match remembers its home shard: get spreads
-// over shards round-robin, release returns to the home shard, keeping
-// goroutines from serializing on a single freelist lock.
+// A Whirlpool-S or LockStep run stays on its one stepper's goroutine,
+// so it gets one unlocked shard. Whirlpool-M's router and server
+// goroutines allocate and release concurrently, so there the arena
+// shards its freelists (each behind its own mutex) and every match
+// remembers its home shard: get spreads over shards round-robin,
+// release returns to the home shard, keeping goroutines from
+// serializing on a single freelist lock.
 type matchArena struct {
 	n int // bindings per match == query size
 	// locked is set for concurrent arenas: shard mutexes are taken on
@@ -97,7 +96,6 @@ func newMatchArena(n int, concurrent bool) *matchArena {
 // get returns a cleared match with a bindings slice of the arena's
 // width: recycled when the freelist has one, otherwise carved from the
 // current slab.
-// +whirllint:hotpath
 func (a *matchArena) get() *match {
 	idx := 0
 	s := &a.shards[0]
@@ -113,11 +111,11 @@ func (a *matchArena) get() *match {
 	return m
 }
 
-// getLocked pops the freelist or carves the slab. Callers hold s.mu
-// when the arena is sharded; the single-shard layout has no lock to
-// hold, which the annotation records.
+// getLocked pops the freelist or carves the slab: one slab of
+// arenaChunk matches per refill, not an allocation per get. Callers
+// hold s.mu when the arena is sharded; the single-shard layout has no
+// lock to hold, which the annotation records.
 // +whirllint:locked
-// +whirllint:allocok amortized: one slab of arenaChunk matches per refill, not one per get
 func (s *arenaShard) getLocked(n int, home int32) *match {
 	if ln := len(s.free); ln > 0 {
 		m := s.free[ln-1]
@@ -145,7 +143,6 @@ func (s *arenaShard) getLocked(n int, home int32) *match {
 // ownership: the match may be handed out again by the very next get, so
 // no reference to it — or to its bindings slice — may be retained.
 // Nil-safe.
-// +whirllint:hotpath
 func (a *matchArena) release(m *match) {
 	if m == nil {
 		return

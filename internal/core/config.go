@@ -201,13 +201,6 @@ type Stats struct {
 	// evaluation found a better answer first. Always 0 for standalone
 	// runs.
 	PrunedRemote int64
-	// Steals counts work-stealing grabs: batches of queued matches
-	// taken by a pool worker other than the owning shard's primary
-	// worker (sharded executor only; always 0 for standalone runs).
-	Steals int64
-	// StolenMatches counts the partial matches processed via those
-	// grabs.
-	StolenMatches int64
 	// Duration is the wall-clock query execution time.
 	Duration time.Duration
 }
@@ -221,8 +214,6 @@ func (s *Stats) Add(o Stats) {
 	s.Roots += o.Roots
 	s.Pruned += o.Pruned
 	s.PrunedRemote += o.PrunedRemote
-	s.Steals += o.Steals
-	s.StolenMatches += o.StolenMatches
 	s.Duration += o.Duration
 }
 

@@ -60,7 +60,7 @@ func (s *routeTracer) MaxContribution(id int) float64 {
 	return s.Scorer.MaxContribution(id)
 }
 
-// +whirllint:allocok test sink: records every seq it is told about
+// MatchLifecycle records every seq it is told about.
 func (s *routeTracer) MatchLifecycle(kind obs.Lifecycle, n int) {
 	if kind != obs.MatchesSpawned {
 		return
@@ -82,7 +82,7 @@ func (s *routeTracer) MatchLifecycle(kind obs.Lifecycle, n int) {
 	}
 }
 
-// +whirllint:allocok test sink: records every routing decision
+// RouteDecision records every routing decision.
 func (s *routeTracer) RouteDecision(seq int64, next int) {
 	root, ok := s.rootOf[seq]
 	if !ok {
@@ -441,17 +441,16 @@ func runWithErr(ix index.Source, q *pattern.Query, cfg Config) (*Result, error) 
 }
 
 // TestParallelRunCursorContract pins the liveness contract of a run
-// that is seeded but not over. The stepped algorithms — Whirlpool-S,
-// whose roots are still in the cursor, and LockStep, whose later phases
-// are still to open: it is not done, its Depth is at least 1 so the
-// pool's pick never skips it, every Step makes progress even from an
-// empty heap. Whirlpool-M, hosted as one indivisible step: Depth 1
-// until the first Step claims the run, a second stepper arriving
-// mid-run gets 0 at once, done when the claimed Step returns. Either
-// way the run ends with RunContext's answer and counters, and a run
-// cancelled before or after its first Step never reads done, finishes
-// with the context's error and — under the arena poison — leaves
-// nothing behind for the next run to trip on.
+// that is seeded but not over, stepped by its one stepper. The stepped
+// algorithms — Whirlpool-S, whose roots are still in the cursor, and
+// LockStep, whose later phases are still to open: it is not done, its
+// live count is at least 1, and every Step makes progress even from an
+// empty heap. Whirlpool-M: the first Step runs it whole and returns 0,
+// done; a second Step does nothing. Either way the run ends with
+// RunContext's answer and counters, and a run cancelled before or
+// during its first Step never reads done, finishes with the context's
+// error and — under the arena poison — leaves nothing behind for the
+// next run to trip on.
 func TestParallelRunCursorContract(t *testing.T) {
 	SetArenaPoisonForTest(true)
 	defer SetArenaPoisonForTest(false)
@@ -486,8 +485,8 @@ func TestParallelRunCursorContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p.IsDone() || p.Depth() != 0 {
-				t.Fatalf("%s: unseeded run done=%v depth=%d", label, p.IsDone(), p.Depth())
+			if p.IsDone() {
+				t.Fatalf("%s: unseeded run reads done", label)
 			}
 			p.Seed()
 			return p, shared
@@ -497,10 +496,10 @@ func TestParallelRunCursorContract(t *testing.T) {
 		ws := NewScratch()
 		if in.alg != WhirlpoolM {
 			for steps := 0; !p.IsDone(); steps++ {
-				// One worker: nothing is in flight between Steps, so all
-				// remaining work is visible as depth.
-				if d := p.Depth(); d < 1 {
-					t.Fatalf("%s: live run (live=%d) reports depth %d after %d steps", label, p.sq.live, d, steps)
+				// One stepper: nothing is in flight between Steps, so all
+				// remaining work is in the live count.
+				if p.q.live < 1 {
+					t.Fatalf("%s: live run reports live=%d after %d steps", label, p.q.live, steps)
 				}
 				if n := p.Step(ws, 1); n != 1 && !p.IsDone() {
 					t.Fatalf("%s: Step consumed %d matches from a live run", label, n)
@@ -510,31 +509,18 @@ func TestParallelRunCursorContract(t *testing.T) {
 				}
 			}
 		} else {
-			// A second stepper arrives while the claimed run is on its
-			// 7th root, which waits for it to come back.
-			second, depthMid := -1, -1
-			midRun := make(chan struct{})
-			var back sync.WaitGroup
-			back.Add(1)
-			go func() {
-				defer back.Done()
-				<-midRun
-				second, depthMid = p.Step(NewScratch(), 1), p.Depth()
-			}()
-			hook.roots, hook.cancel = 7, func() { close(midRun); back.Wait() }
-			if p.IsDone() || p.Depth() != 1 {
-				t.Fatalf("%s: unclaimed run done=%v depth=%d", label, p.IsDone(), p.Depth())
+			if p.IsDone() {
+				t.Fatalf("%s: seeded Whirlpool-M run reads done before its Step", label)
 			}
-			p.Step(ws, 1)
-			if second != 0 || depthMid != 0 {
-				t.Fatalf("%s: second stepper consumed %d, saw depth %d", label, second, depthMid)
+			if n := p.Step(ws, 1); n != 0 || !p.IsDone() {
+				t.Fatalf("%s: Step consumed %d, done=%v", label, n, p.IsDone())
 			}
-			if !p.IsDone() {
-				t.Fatalf("%s: not done after the claimed Step returned", label)
+			if n := p.Step(ws, 1); n != 0 {
+				t.Fatalf("%s: a second Step consumed %d", label, n)
 			}
 		}
-		if p.Depth() != 0 || p.sq.live != 0 {
-			t.Fatalf("%s: done run has depth %d live %d", label, p.Depth(), p.sq.live)
+		if p.q.live != 0 {
+			t.Fatalf("%s: done run has live %d", label, p.q.live)
 		}
 		stats, err := p.Finish()
 		if err != nil {
@@ -557,17 +543,17 @@ func TestParallelRunCursorContract(t *testing.T) {
 			}
 		}
 
-		for _, claimed := range []bool{false, true} {
+		for _, midRun := range []bool{false, true} {
 			ctx, cancel := context.WithCancel(context.Background())
 			hook.roots, hook.exts, hook.cancel = 0, 0, cancel
 			switch {
-			case claimed && (in.alg == LockStep || in.alg == LockStepNoPrune):
+			case midRun && (in.alg == LockStep || in.alg == LockStepNoPrune):
 				hook.exts = 50 // cancelled mid-phase: Seed drains every root
-			case claimed:
+			case midRun:
 				hook.roots = 7 // cancelled from inside the run
 			}
 			p, _ := open(ctx)
-			if !claimed {
+			if !midRun {
 				cancel()
 			}
 			for !p.IsDone() {
@@ -576,10 +562,10 @@ func TestParallelRunCursorContract(t *testing.T) {
 				}
 			}
 			if p.IsDone() {
-				t.Fatalf("%s: run cancelled (mid-run %v) reads done", label, claimed)
+				t.Fatalf("%s: run cancelled (mid-run %v) reads done", label, midRun)
 			}
 			if _, err := p.Finish(); err != context.Canceled {
-				t.Fatalf("%s: Finish after cancel (mid-run %v) returned %v", label, claimed, err)
+				t.Fatalf("%s: Finish after cancel (mid-run %v) returned %v", label, midRun, err)
 			}
 		}
 		if tot := e.Totals(); tot.Aborted != 2 || tot.Runs != 2 {
@@ -598,11 +584,8 @@ func TestParallelRunCursorContract(t *testing.T) {
 // it must do RunContext's work. For the paper's queries and two valued
 // ones (whose roots stream from a posting list, leaf deletion's born
 // past a server), every relaxation mode and queue discipline, at k 1
-// and 15: one stepper at any budget repeats RunContext's answers and
-// counters to the digit, with Depth at least 1 while the run is live,
-// and two steppers sharing the run — each waiting at the phase barrier
-// for the other's held matches — return the same top-k scores, which
-// are naive's.
+// and 15: RunContext's top-k scores are naive's, and its one stepper
+// at any budget repeats RunContext's answers and counters to the digit.
 func TestLockStepSteppedMatchesRunContext(t *testing.T) {
 	queries := []string{
 		"//item[./description/parlist]",
@@ -644,8 +627,8 @@ func TestLockStepSteppedMatchesRunContext(t *testing.T) {
 }
 
 // checkLockStepStepped runs cfg through RunContext, then through
-// ParallelRuns stepped alone at budgets 1 and 64, and through one
-// stepped by two goroutines at once. It returns the root access path.
+// ParallelRuns stepped alone at budgets 1 and 64. It returns the root
+// access path.
 func checkLockStepStepped(t *testing.T, ix *index.Index, q *pattern.Query, cfg Config, naiveScores []float64) string {
 	t.Helper()
 	e, err := New(ix, q, cfg)
@@ -673,9 +656,6 @@ func checkLockStepStepped(t *testing.T, ix *index.Index, q *pattern.Query, cfg C
 	for _, budget := range []int{1, 64} {
 		p, shared := open()
 		for !p.IsDone() {
-			if p.Depth() < 1 {
-				t.Fatalf("k=%d/budget=%d: live run reports depth %d", cfg.K, budget, p.Depth())
-			}
 			if p.Step(ws, budget) == 0 {
 				t.Fatalf("k=%d/budget=%d: a lone stepper found a live run empty", cfg.K, budget)
 			}
@@ -690,27 +670,6 @@ func checkLockStepStepped(t *testing.T, ix *index.Index, q *pattern.Query, cfg C
 		if stats.Duration = 0; stats != want.Stats {
 			t.Fatalf("k=%d/budget=%d: stepped stats %+v, RunContext %+v", cfg.K, budget, stats, want.Stats)
 		}
-	}
-	p, shared := open()
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := NewScratch()
-			for !p.IsDone() {
-				if p.Step(ws, 2) == 0 {
-					runtime.Gosched()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if _, err := p.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if got := scoresFromAnswers(shared.Answers()); !almostEqual(got, naiveScores) {
-		t.Fatalf("k=%d: two steppers' scores %v, naive %v", cfg.K, got, naiveScores)
 	}
 	return e.RootVia()
 }
@@ -736,8 +695,8 @@ func TestParallelRunFullyCutAtSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Seed()
-	if !p.IsDone() || p.Depth() != 0 {
-		t.Fatalf("fully cut run: done=%v depth=%d", p.IsDone(), p.Depth())
+	if !p.IsDone() || p.q.live != 0 {
+		t.Fatalf("fully cut run: done=%v live=%d", p.IsDone(), p.q.live)
 	}
 	stats, err := p.Finish()
 	if err != nil {
@@ -752,9 +711,9 @@ func TestParallelRunFullyCutAtSeed(t *testing.T) {
 	}
 }
 
-// warmRun is a Whirlpool-S RunContext on an engine over the books
-// document that has run once: its state comes off the free list.
-func warmRun(tb testing.TB, routing Routing, queue Queue, mode relax.Relaxation) func() {
+// warmRun is a RunContext of alg on an engine over the books document
+// that has run once: its state comes off the free list.
+func warmRun(tb testing.TB, alg Algorithm, routing Routing, queue Queue, mode relax.Relaxation) func() {
 	doc, err := xmltree.ParseString(booksXML)
 	if err != nil {
 		tb.Fatal(err)
@@ -762,7 +721,7 @@ func warmRun(tb testing.TB, routing Routing, queue Queue, mode relax.Relaxation)
 	ix := index.Build(doc)
 	q := pattern.MustParse("/book[./title and ./info/isbn]")
 	s := score.NewTFIDF(ix, q, score.Sparse)
-	return warmEngine(tb, ix, q, Config{K: 2, Relax: mode, Algorithm: WhirlpoolS, Routing: routing, Queue: queue, Scorer: s})
+	return warmEngine(tb, ix, q, Config{K: 2, Relax: mode, Algorithm: alg, Routing: routing, Queue: queue, Scorer: s})
 }
 
 // warmEngine builds an engine from cfg and runs it once, returning the
@@ -783,12 +742,14 @@ func warmEngine(tb testing.TB, ix index.Source, q *pattern.Query, cfg Config) fu
 
 // TestRunReuseAllocs: all a warm RunContext allocates is the answer
 // copy handed to the caller (the Result, its answers slice and their
-// shared bindings block) — under every routing strategy and queue
-// discipline, each of which has its own per-match code on the hot path.
-// The books runs create too few matches to fill one arena slab, so the
-// pinned XMark case (seed 1, 200 items, Q2, k = 15, min_alive) is the
-// input that holds the arena to recycling: without it a warm run carves
-// a fresh slab every arenaChunk matches.
+// shared bindings block) — for Whirlpool-S under every routing strategy
+// and queue discipline, each of which has its own per-match code on the
+// hot path, and for LockStep and LockStep-NoPrun (stepPhase, pq.carry)
+// under every queue discipline. The books runs create too few matches
+// to fill one arena slab, so the pinned XMark case (seed 1, 200 items,
+// Q2, k = 15, min_alive) is the input that holds the arena to
+// recycling: without it a warm run carves a fresh slab every arenaChunk
+// matches.
 func TestRunReuseAllocs(t *testing.T) {
 	check := func(t *testing.T, run func()) {
 		if allocs := testing.AllocsPerRun(100, run); allocs > 3 {
@@ -802,7 +763,16 @@ func TestRunReuseAllocs(t *testing.T) {
 				relax relax.Relaxation
 			}{{"exact", relax.None}, {"relaxed", relax.All}} {
 				t.Run(routing.String()+"/"+queue.String()+"/"+mode.name, func(t *testing.T) {
-					check(t, warmRun(t, routing, queue, mode.relax))
+					check(t, warmRun(t, WhirlpoolS, routing, queue, mode.relax))
+				})
+			}
+		}
+	}
+	for _, alg := range []Algorithm{LockStep, LockStepNoPrune} {
+		for _, queue := range []Queue{QueueMaxFinal, QueueFIFO, QueueCurrentScore, QueueMaxNext} {
+			for _, mode := range []relax.Relaxation{relax.None, relax.All} {
+				t.Run(fmt.Sprintf("%v/%v/relax=%d", alg, queue, mode), func(t *testing.T) {
+					check(t, warmRun(t, alg, RoutingStatic, queue, mode))
 				})
 			}
 		}
@@ -815,12 +785,49 @@ func TestRunReuseAllocs(t *testing.T) {
 		ix := index.Build(doc)
 		q := pattern.MustParse("//item[./description/parlist and ./mailbox/mail/text]")
 		s := score.NewTFIDF(ix, q, score.Sparse)
-		check(t, warmEngine(t, ix, q, Config{K: 15, Relax: relax.All, Algorithm: WhirlpoolS, Routing: RoutingMinAlive, Scorer: s}))
+		for _, alg := range []Algorithm{WhirlpoolS, LockStep} {
+			check(t, warmEngine(t, ix, q, Config{K: 15, Relax: relax.All, Algorithm: alg, Routing: RoutingMinAlive, Scorer: s}))
+		}
 	})
 }
 
+// TestWhirlpoolMAllocsPerRun: a warm Whirlpool-M run allocates per
+// run — its queues, condition variables, server goroutines and their
+// scratch — never per match. On XMark (seed 1, 200 items) Q2 and Q3,
+// k = 15, relaxed, a run does 300–650 server operations and 86 and 116
+// allocations at GOMAXPROCS 1, 2 and 8; the bound of 160 leaves room for
+// the runtime's goroutine bookkeeping, and one allocation per match —
+// in the router's pop or a server's loop — breaks it.
+func TestWhirlpoolMAllocsPerRun(t *testing.T) {
+	doc, err := xmark.Generate(xmark.Options{Seed: 1, Items: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := index.Build(doc)
+	for _, xpath := range []string{
+		"//item[./description/parlist and ./mailbox/mail/text]",
+		"//item[./mailbox/mail/text[./bold and ./keyword] and ./name and ./incategory]",
+	} {
+		q := pattern.MustParse(xpath)
+		e, err := New(ix, q, Config{K: 15, Relax: relax.All, Algorithm: WhirlpoolM, Routing: RoutingMinAlive, Scorer: score.NewTFIDF(ix, q, score.Sparse)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.ServerOps < 300 {
+			t.Fatalf("%s: %d server operations, too few to tell a per-match allocation from a per-run one", xpath, res.Stats.ServerOps)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { e.Run() }); allocs > 160 {
+			t.Fatalf("%s: warm Whirlpool-M run allocates %.0f objects, want at most 160", xpath, allocs)
+		}
+	}
+}
+
 func BenchmarkRunReuse(b *testing.B) {
-	run := warmRun(b, RoutingMinAlive, QueueMaxFinal, relax.All)
+	run := warmRun(b, WhirlpoolS, RoutingMinAlive, QueueMaxFinal, relax.All)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

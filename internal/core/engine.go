@@ -231,7 +231,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	p := e.open(ctx, nil, 0)
-	p.drive()
+	p.Drive()
 	stats, err := p.finish()
 	var res *Result
 	if err == nil {

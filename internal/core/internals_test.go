@@ -256,19 +256,14 @@ func TestSharedTopKAcrossRuns(t *testing.T) {
 }
 
 // runShared runs e to completion against shared on the calling
-// goroutine, through the lifecycle the shard pool drives: one shard of
-// a sharded evaluation, stepped alone.
+// goroutine, as a shard pool worker runs a shard it claimed.
 func runShared(t *testing.T, e *Engine, shared *SharedTopK, shardID int) Stats {
 	t.Helper()
 	p, err := e.NewParallelRun(context.Background(), shared, shardID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Seed()
-	ws := NewScratch()
-	for !p.IsDone() {
-		p.Step(ws, 1)
-	}
+	p.Drive()
 	st, err := p.Finish()
 	if err != nil {
 		t.Fatal(err)

@@ -2,35 +2,25 @@ package core
 
 import (
 	"context"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/relax"
 	"repro/internal/score"
 )
 
-// driveParallel runs a ParallelRun to completion on n concurrent
-// workers and returns its stats.
-func driveParallel(t *testing.T, p *ParallelRun, workers int) Stats {
+// stepAlone runs a ParallelRun to completion on the calling goroutine,
+// its one stepper, popping up to budget matches per Step, and returns
+// its stats. A lone stepper's Step that consumes nothing leaves the
+// run done.
+func stepAlone(t *testing.T, p *ParallelRun, budget int) Stats {
 	t.Helper()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := NewScratch()
-			for !p.IsDone() {
-				if p.Step(ws, 4) == 0 {
-					// Empty queue but live matches in flight elsewhere.
-					time.Sleep(time.Microsecond)
-				}
-			}
-		}(w)
-	}
-	// One worker seeds; the others spin on the (initially empty) queue.
 	p.Seed()
-	wg.Wait()
+	ws := NewScratch()
+	for !p.IsDone() {
+		if p.Step(ws, budget) == 0 && !p.IsDone() {
+			t.Fatalf("budget %d: a lone stepper found a live run empty", budget)
+		}
+	}
 	stats, err := p.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -38,11 +28,10 @@ func driveParallel(t *testing.T, p *ParallelRun, workers int) Stats {
 	return stats
 }
 
-// TestParallelRunMatchesRunContext: the externally-scheduled run of
-// every stepped algorithm must produce the same answers as the engine's
-// own loop, for any number of driving workers, with the arena poison
-// catching any use of a match whose ownership was handed off
-// incorrectly between workers.
+// TestParallelRunMatchesRunContext: a run stepped from outside, at any
+// batch budget, against a shared set, must produce the same answers as
+// the engine's own loop, with the arena poison catching any use of a
+// match past its release.
 func TestParallelRunMatchesRunContext(t *testing.T) {
 	SetArenaPoisonForTest(true)
 	defer SetArenaPoisonForTest(false)
@@ -50,7 +39,7 @@ func TestParallelRunMatchesRunContext(t *testing.T) {
 	for _, c := range []struct {
 		alg Algorithm
 		rel relax.Relaxation
-	}{{WhirlpoolS, relax.None}, {WhirlpoolS, relax.All}, {LockStep, relax.All}, {LockStepNoPrune, relax.All}} {
+	}{{WhirlpoolS, relax.None}, {WhirlpoolS, relax.All}, {WhirlpoolM, relax.All}, {LockStep, relax.All}, {LockStepNoPrune, relax.All}} {
 		alg, rel := c.alg, c.rel
 		cfg := Config{K: 3, Relax: rel, Algorithm: alg, Scorer: score.NewTFIDF(ix, q, score.Sparse)}
 		e, err := New(ix, q, cfg)
@@ -61,19 +50,19 @@ func TestParallelRunMatchesRunContext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 4} {
+		for _, budget := range []int{1, 4} {
 			shared := NewSharedTopK(cfg.K, 0)
 			p, err := e.NewParallelRun(context.Background(), shared, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			stats := driveParallel(t, p, workers)
+			stats := stepAlone(t, p, budget)
 			if got := shared.Answers(); !almostEqual(scoresFromAnswers(got), scoresOf(base)) {
-				t.Fatalf("%v rel=%d workers=%d: scores %v, baseline %v",
-					alg, rel, workers, scoresFromAnswers(got), scoresOf(base))
+				t.Fatalf("%v rel=%d budget=%d: scores %v, baseline %v",
+					alg, rel, budget, scoresFromAnswers(got), scoresOf(base))
 			}
 			if stats.MatchesCreated == 0 || stats.ServerOps == 0 {
-				t.Fatalf("%v rel=%d workers=%d: empty stats %+v", alg, rel, workers, stats)
+				t.Fatalf("%v rel=%d budget=%d: empty stats %+v", alg, rel, budget, stats)
 			}
 		}
 	}

@@ -54,13 +54,11 @@ func (a *prioritized) before(b *prioritized) bool {
 
 func (h matchHeap) less(i, j int) bool { return h[i].before(&h[j]) }
 
-// +whirllint:hotpath
 func (h *matchHeap) push(it prioritized) {
 	*h = append(*h, it)
 	h.up(len(*h) - 1)
 }
 
-// +whirllint:hotpath
 func (h *matchHeap) pop() prioritized {
 	old := *h
 	n := len(old) - 1
@@ -98,28 +96,6 @@ func (h matchHeap) down(i int) {
 		h[i], h[j] = h[j], h[i]
 		i = j
 	}
-}
-
-// routerQueue is the run's router queue as the step kernel sees it. The
-// two implementations are the whole difference between an exclusive run
-// (RunContext: pq, no lock) and one open to concurrent steppers
-// (NewParallelRun: stealQueue, the same pq behind a mutex).
-type routerQueue interface {
-	// seed publishes the root cursor; done reports a run with no
-	// admissible root, over before it began.
-	seed(c *rootCursor) (done bool)
-	// popBatch appends up to max matches, best priority first, to dst,
-	// pulling roots as they come due. The caller owns what it returns.
-	popBatch(dst []*match, max int) (out []*match, done bool)
-	// settle queues surv, the survivors of a match the caller held, and
-	// retires retired held matches: children in with their parent out,
-	// so the run never reads as done mid-flight.
-	settle(r *run, surv []*match, retired int) (done bool)
-	// carry is LockStep's settle: surv waits for the next phase, which
-	// opens once the current one has nothing queued or held.
-	carry(r *run, surv []*match, retired int) (done bool)
-	// len samples the depth in queued matches.
-	len() int
 }
 
 // pq is a plain (single-goroutine) priority queue. It also carries the
@@ -199,7 +175,6 @@ func (q *pq) seed(c *rootCursor) bool {
 	return q.live == 0
 }
 
-// +whirllint:hotpath
 func (q *pq) popBatch(dst []*match, max int) ([]*match, bool) {
 	was := q.live // 0 on a queue not yet seeded: nothing to finish
 	for len(dst) < max {
@@ -220,7 +195,6 @@ func (q *pq) popBatch(dst []*match, max int) ([]*match, bool) {
 
 // settle queues a still-held match first, then holds the best survivor
 // out of the heap and pushes the rest.
-// +whirllint:hotpath
 func (q *pq) settle(r *run, surv []*match, retired int) bool {
 	if q.next.m != nil {
 		q.h.push(q.next)
@@ -279,54 +253,19 @@ func (q *pq) len() int {
 	return len(q.h)
 }
 
-// stealQueue is the router queue of a run several workers step at once:
-// the pq — heap, held match, root cursor, live count and all — behind a
-// mutex. One acquisition covers a whole batch dequeue, cursor advance
-// included (a thief never finds a pulled root queued but uncounted), and
-// one covers a processed match's survivors. It is a sanctioned match holder — a
-// queued match is owned by the queue until popped. Whirlpool-M's router
-// and server queues are stealQueues too, each with a condition variable
-// on the mutex (runM).
-type stealQueue struct {
+// lockedPQ is a pq behind a mutex: Whirlpool-M's router and server
+// queues, each with a condition variable on the mutex (runM), so the
+// router and the server goroutines can share them. It is a sanctioned
+// match holder — a queued match is owned by the queue until popped.
+type lockedPQ struct {
 	mu sync.Mutex
-	pq
+	pq pq
 }
 
-func (q *stealQueue) seed(c *rootCursor) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.pq.seed(c)
-}
-
-// +whirllint:hotpath
-func (q *stealQueue) popBatch(dst []*match, max int) ([]*match, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.pq.popBatch(dst, max)
-}
-
-// +whirllint:hotpath
-func (q *stealQueue) settle(r *run, surv []*match, retired int) bool {
+// settle is pq.settle under the queue's mutex: a server's survivors
+// enter the router queue and their parent leaves it in one update.
+func (q *lockedPQ) settle(r *run, surv []*match, retired int) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.pq.settle(r, surv, retired)
-}
-
-func (q *stealQueue) carry(r *run, surv []*match, retired int) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.pq.carry(r, surv, retired)
-}
-
-// len is the steal policy's load signal: an unfinished cursor counts as
-// one item, so a queue that can still produce work never reads as
-// empty. Stale the moment the lock is released, which is fine for a
-// heuristic.
-func (q *stealQueue) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.roots != nil {
-		return q.pq.len() + 1
-	}
-	return q.pq.len()
 }

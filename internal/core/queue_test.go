@@ -103,7 +103,7 @@ func TestPQHeldAcrossRootPull(t *testing.T) {
 	}
 	p := e.open(context.Background(), nil, 0)
 	r := &p.r
-	qu := &p.sq.pq
+	qu := &p.q
 	if qu.seed(r.seedRoots()) {
 		t.Fatal("run done at seed")
 	}

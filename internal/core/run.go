@@ -62,10 +62,10 @@ const (
 	numCtrs
 )
 
-// runStats is a run's instrumentation and its match sequence. A shared
-// run (NewParallelRun's, Whirlpool-M's) is counted by several goroutines
-// at once, so it counts in atomics; an exclusive run's counters are its
-// goroutine's alone and take plain adds. Engine.open fixes the mode.
+// runStats is a run's instrumentation and its match sequence. A
+// Whirlpool-M run is counted by several goroutines at once, so it
+// counts in atomics; any other run's counters are its stepper's alone
+// and take plain adds. Engine.open fixes the mode.
 type runStats struct {
 	shared bool
 	plain  [numCtrs]int64

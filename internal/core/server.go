@@ -20,8 +20,8 @@ type Scratch struct {
 	exts, batch, surv []*match
 }
 
-// NewScratch returns an empty Scratch. Each pool worker allocates one
-// up front; the steady-state step loop then allocates nothing.
+// NewScratch returns an empty Scratch for a caller that steps a run
+// itself; the steady-state step loop then allocates nothing.
 func NewScratch() *Scratch { return &Scratch{} }
 
 // process runs one server operation (Section 5.2.1): the partial match m
@@ -32,7 +32,6 @@ func NewScratch() *Scratch { return &Scratch{} }
 // outer-join spawns the null-extended match under leaf deletion;
 // otherwise the match dies. m stays owned by the caller: extensions copy
 // out of it, so the caller releases it after consuming the result.
-// +whirllint:hotpath
 func (r *run) process(m *match, sid int, sc *Scratch) []*match {
 	e := r.Engine
 	r.stats.add(ctrServerOps, 1)

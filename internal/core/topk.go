@@ -36,9 +36,10 @@ type topkSet struct {
 	// threshold, or -1 while the floor (or nothing) governs.
 	thrSrc atomic.Int32
 	// locked is set for a set several goroutines may offer into (a
-	// SharedTopK, or a Whirlpool-M run's own set): offer takes mu. An
-	// exclusive run's set is its goroutine's alone. Fixed before the
-	// run's first offer.
+	// SharedTopK, which every shard's run offers into from its own pool
+	// worker, or a Whirlpool-M run's own set): offer takes mu. Any other
+	// run's own set is its stepper's alone. Fixed before the run's first
+	// offer.
 	locked bool
 
 	mu sync.Mutex
@@ -125,10 +126,10 @@ func (t *topkSet) find(root int) (*topkEntry, int) {
 }
 
 // insert files e, a root find missed, under slot, first doubling the
-// table if it would be over half full. Callers hold t.mu when the set
-// is locked.
+// table if it would be over half full — amortized: the table doubles,
+// and it is kept across reset. Callers hold t.mu when the set is
+// locked.
 // +whirllint:locked
-// +whirllint:allocok amortized: the table doubles, and it is kept across reset
 func (t *topkSet) insert(e *topkEntry, slot int) {
 	if 2*(t.nbest+1) > len(t.best) {
 		old := t.best
@@ -175,7 +176,6 @@ func bindingsLess(a, b []int32) bool {
 // root) and on the root ordinal (across roots) for deterministic
 // results, and an epsilon would make "equal" depend on accumulation
 // order.
-// +whirllint:hotpath
 func (t *topkSet) offer(m *match, src int32) {
 	if t.locked {
 		t.mu.Lock()
@@ -222,10 +222,10 @@ func (t *topkSet) offer(m *match, src int32) {
 // use. Entries live as long as the run (the best table keeps every
 // root's record even after eviction from top) and are re-issued after
 // reset. Every match offered into one set binds the same query, so the
-// binding width qn is fixed after the first offer. Callers hold t.mu
-// when the set is locked.
+// binding width qn is fixed after the first offer. It allocates twice
+// per entryChunk distinct roots, not per offer. Callers hold t.mu when
+// the set is locked.
 // +whirllint:locked
-// +whirllint:allocok amortized: two allocations per entryChunk distinct roots, not per offer
 func (t *topkSet) newEntry(rootOrd int, m *match) *topkEntry {
 	if t.qn != len(m.bindings) {
 		if t.qn == 0 {

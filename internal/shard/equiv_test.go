@@ -132,17 +132,18 @@ func TestShardedTopKEquivalenceRandomDocs(t *testing.T) {
 	}
 }
 
-// TestShardedStealingEquivalence is the work-stealing safety property:
-// the pooled executor of every stepped algorithm (Whirlpool-S, LockStep,
+// TestShardedPoolEquivalence is the shard pool's safety property: the
+// pooled executor of every stepped algorithm (Whirlpool-S, LockStep,
 // LockStep-NoPrun) must return the same answers as the single-engine
-// baseline across shard counts {1, 2, 8} × GOMAXPROCS
-// {1, 4, 8} (which sizes the default worker pool) × stealing {on, off}.
+// baseline across shard counts {1, 2, 8} × GOMAXPROCS {1, 4, 8}, which
+// together size the pool at 1, 2, 4 or 8 workers, each driving the
+// shards it claims while the others offer into the same top-k set.
 // Arena poison is on for the whole matrix, so a match touched after its
-// ownership moved across workers — or released to the wrong shard
-// freelist and recycled — surfaces as NaN scores or nil bindings, not
-// as silently stale data. Run under -race this doubles as the memory-
-// model check for the cross-worker queue handoff.
-func TestShardedStealingEquivalence(t *testing.T) {
+// release — on the unlocked freelist a claimed shard's run now gets —
+// surfaces as NaN scores or nil bindings, not as silently stale data.
+// Run under -race this doubles as the memory-model check for the shared
+// set and for the claim that hands each shard to exactly one worker.
+func TestShardedPoolEquivalence(t *testing.T) {
 	core.SetArenaPoisonForTest(true)
 	defer core.SetArenaPoisonForTest(false)
 	oldGMP := runtime.GOMAXPROCS(0)
@@ -183,26 +184,20 @@ func TestShardedStealingEquivalence(t *testing.T) {
 			}
 			for _, p := range counts {
 				for _, gmp := range []int{1, 4, 8} {
-					for _, stealing := range []bool{true, false} {
-						name := fmt.Sprintf("%s/%v/k=%d/p=%d/gmp=%d/steal=%v", xpath, c.alg, k, p, gmp, stealing)
-						engs, err := corpora[p].NewEngines(q, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						engs.SetExecOptions(shard.ExecOptions{DisableStealing: !stealing, StealBatch: 4})
-						runtime.GOMAXPROCS(gmp)
-						res, err := engs.Run()
-						runtime.GOMAXPROCS(oldGMP)
-						if err != nil {
-							t.Fatal(err)
-						}
-						compareResults(t, name, base, res)
-						if bound, peak := engs.LastRunWorkers(); bound > gmp || peak > bound {
-							t.Fatalf("%s: workers bound=%d peak=%d exceed gmp=%d", name, bound, peak, gmp)
-						}
-						if !stealing && res.Stats.StolenMatches != 0 {
-							t.Fatalf("%s: %d matches stolen with stealing disabled", name, res.Stats.StolenMatches)
-						}
+					name := fmt.Sprintf("%s/%v/k=%d/p=%d/gmp=%d", xpath, c.alg, k, p, gmp)
+					engs, err := corpora[p].NewEngines(q, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					runtime.GOMAXPROCS(gmp)
+					res, err := engs.Run()
+					runtime.GOMAXPROCS(oldGMP)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareResults(t, name, base, res)
+					if bound, peak := engs.LastRunWorkers(); bound != min(gmp, engs.Shards()) || peak > bound {
+						t.Fatalf("%s: workers bound=%d peak=%d, want bound min(gmp=%d, shards=%d)", name, bound, peak, gmp, engs.Shards())
 					}
 				}
 			}

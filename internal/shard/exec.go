@@ -22,7 +22,6 @@ type Engines struct {
 	cfg  core.Config
 	engs []runner
 	reg  *obs.Registry
-	opts ExecOptions
 
 	// Most recent run's pool geometry, for LastRunWorkers.
 	lastWorkers atomic.Int64
@@ -94,21 +93,17 @@ func (e *Engines) Run() (*core.Result, error) { return e.RunContext(context.Back
 // set (already deterministic — score descending, document order
 // ascending), stats are summed, Duration is the sharded wall clock.
 //
-// Concurrency is bounded at min(GOMAXPROCS, shards) worker goroutines
-// (override with ExecOptions.Workers), and every shard is a
-// core.ParallelRun on the one pool: an idle worker steals batches of
-// alive partial matches from the most loaded Whirlpool-S shard's queue
-// and runs them through that shard's servers, so a skewed layout does
-// not leave cores idle behind one hot shard; a shard of any other
-// algorithm is a single step, whichever worker claims it (see pool.go
-// and DESIGN.md, one kernel, thin drivers).
+// Concurrency is bounded at min(GOMAXPROCS, shards) worker goroutines,
+// each of which claims whole shards, one at a time, and drives each
+// shard's core.ParallelRun to done (see pool.go and DESIGN.md, shard
+// claiming).
 func (e *Engines) RunContext(ctx context.Context) (*core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	shared := core.NewSharedTopK(e.cfg.K, 0)
 	start := time.Now()
-	stats, st, err := e.runPooled(ctx, shared)
+	stats, peak, err := e.runPooled(ctx, shared)
 	if err != nil {
 		return nil, err
 	}
@@ -119,17 +114,15 @@ func (e *Engines) RunContext(ctx context.Context) (*core.Result, error) {
 	for _, s := range stats {
 		res.Stats.Add(s)
 	}
-	res.Stats.Steals = st.steals.Load()
-	res.Stats.StolenMatches = st.stolen.Load()
 	res.Stats.Duration = time.Since(start)
-	e.observe(stats, st, mergeDur)
+	e.observe(stats, peak, mergeDur)
 	return res, nil
 }
 
 // observe records one run's per-shard metrics and emits per-shard
-// summaries to a configured ShardSink. pool supplies the per-shard
-// stolen-match attribution and the run's steal totals.
-func (e *Engines) observe(stats []core.Stats, pool *poolState, mergeDur time.Duration) {
+// summaries to a configured ShardSink; peak is the most workers the
+// run's pool had running at once.
+func (e *Engines) observe(stats []core.Stats, peak int64, mergeDur time.Duration) {
 	sink, _ := e.cfg.Trace.(obs.ShardSink)
 	var maxDur, sumDur time.Duration
 	for i, rn := range e.engs {
@@ -138,7 +131,6 @@ func (e *Engines) observe(stats []core.Stats, pool *poolState, mergeDur time.Dur
 			maxDur = st.Duration
 		}
 		sumDur += st.Duration
-		stolenFrom := pool.stolenFrom[i].Load()
 		if sink != nil {
 			sink.ShardRun(rn.shard, obs.RunSummary{
 				ServerOps:       st.ServerOps,
@@ -147,7 +139,6 @@ func (e *Engines) observe(stats []core.Stats, pool *poolState, mergeDur time.Dur
 				Roots:           st.Roots,
 				Pruned:          st.Pruned,
 				PrunedRemote:    st.PrunedRemote,
-				StolenMatches:   stolenFrom,
 				DurationUS:      st.Duration.Microseconds(),
 			})
 		}
@@ -159,22 +150,19 @@ func (e *Engines) observe(stats []core.Stats, pool *poolState, mergeDur time.Dur
 		e.reg.Counter("whirlpool_shard_matches_created_total", "shard", shard).Add(st.MatchesCreated)
 		e.reg.Counter("whirlpool_shard_matches_pruned_total", "shard", shard).Add(st.Pruned)
 		e.reg.Counter("whirlpool_shard_pruned_remote_total", "shard", shard).Add(st.PrunedRemote)
-		e.reg.Counter("whirlpool_shard_stolen_matches_total", "shard", shard).Add(stolenFrom)
 		e.reg.Histogram("whirlpool_shard_run_duration_us", "shard", shard).Observe(st.Duration.Microseconds())
 	}
 	if e.reg == nil {
 		return
 	}
-	e.reg.Counter("whirlpool_shard_steal_batches_total").Add(pool.steals.Load())
-	e.reg.Counter("whirlpool_shard_steals_total").Add(pool.stolen.Load())
-	e.reg.Gauge("whirlpool_shard_workers").Set(int64(pool.workers))
-	e.reg.Gauge("whirlpool_shard_workers_peak").Set(pool.peak.Load())
+	e.reg.Gauge("whirlpool_shard_workers").Set(e.lastWorkers.Load())
+	e.reg.Gauge("whirlpool_shard_workers_peak").Set(peak)
 	e.reg.Histogram("whirlpool_shard_merge_duration_us").Observe(mergeDur.Microseconds())
 	if n := len(e.engs); n > 0 && sumDur > 0 {
-		// Skew: slowest shard over mean shard duration, in permille.
-		// Under the pooled executor a shard's duration is seed-to-done
-		// wall clock, so this measures completion-time spread — stealing
-		// narrows it even when per-shard work stays skewed.
+		// Skew: slowest shard over mean shard duration, in permille. A
+		// shard's duration is its own run's seed-to-done wall clock on
+		// the one worker that drove it, so this is the spread of
+		// per-shard work.
 		mean := sumDur / time.Duration(n)
 		e.reg.Gauge("whirlpool_shard_skew_permille").Set(int64(maxDur * 1000 / mean))
 	}

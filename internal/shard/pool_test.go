@@ -35,107 +35,29 @@ func poolEnv(t *testing.T, items, p int, algo core.Algorithm) *shard.Engines {
 }
 
 // TestWorkerBoundRegression pins the fix for the old one-goroutine-per-
-// shard fan-out: the pool never runs more engine workers concurrently
-// than min(GOMAXPROCS, shards), for the stealing (Whirlpool-S) and the
-// bounded (Whirlpool-M) executor alike.
+// shard fan-out: the pool sizes itself to min(GOMAXPROCS, shards) and
+// never runs more workers at once, for stepped (Whirlpool-S, LockStep)
+// and Whirlpool-M shards alike.
 func TestWorkerBoundRegression(t *testing.T) {
-	for _, algo := range []core.Algorithm{core.WhirlpoolS, core.WhirlpoolM} {
-		// 8 shards, 4 workers requested: the bound is the worker cap.
-		engs := poolEnv(t, 40, 8, algo)
-		engs.SetExecOptions(shard.ExecOptions{Workers: 4})
-		if _, err := engs.Run(); err != nil {
-			t.Fatal(err)
-		}
-		bound, peak := engs.LastRunWorkers()
-		if bound != 4 {
-			t.Fatalf("%v: worker bound %d, want 4", algo, bound)
-		}
-		if peak < 1 || peak > 4 {
-			t.Fatalf("%v: peak concurrent workers %d, want 1..4", algo, peak)
-		}
-
-		// 2 shards, 8 workers requested: shards cap the pool — more
-		// workers than shards would only contend on the two queues.
-		engs = poolEnv(t, 40, 2, algo)
-		engs.SetExecOptions(shard.ExecOptions{Workers: 8})
-		if _, err := engs.Run(); err != nil {
-			t.Fatal(err)
-		}
-		bound, peak = engs.LastRunWorkers()
-		if bound != 2 {
-			t.Fatalf("%v: worker bound %d, want 2", algo, bound)
-		}
-		if peak < 1 || peak > 2 {
-			t.Fatalf("%v: peak concurrent workers %d, want 1..2", algo, peak)
-		}
-	}
-}
-
-// TestWorkerBoundDefaultsToGOMAXPROCS: with no override, the pool sizes
-// itself to min(GOMAXPROCS, shards).
-func TestWorkerBoundDefaultsToGOMAXPROCS(t *testing.T) {
-	old := runtime.GOMAXPROCS(2)
+	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
-	engs := poolEnv(t, 40, 8, core.WhirlpoolS)
-	if _, err := engs.Run(); err != nil {
-		t.Fatal(err)
-	}
-	bound, peak := engs.LastRunWorkers()
-	if bound != 2 {
-		t.Fatalf("worker bound %d, want min(GOMAXPROCS=2, shards=8) = 2", bound)
-	}
-	if peak > 2 {
-		t.Fatalf("peak concurrent workers %d exceeds bound 2", peak)
-	}
-}
-
-// TestStealingMovesMatches: with several workers over many shards, some
-// matches get processed by non-owner workers, and the run reports them —
-// for Whirlpool-S and LockStep shards alike, both stepped a batch at a
-// time.
-// Scheduling decides exactly when a queue is stolen from, so the test
-// retries a few runs before declaring stealing dead. GOMAXPROCS > 1
-// lets the OS timeslice the workers even on a single-core host — on one
-// P a worker runs its shards to completion before anyone can steal.
-func TestStealingMovesMatches(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-	for _, algo := range []core.Algorithm{core.WhirlpoolS, core.LockStep} {
-		if !stealsObserved(t, poolEnv(t, 60, 8, algo)) {
-			t.Fatalf("%v: no steals observed across 50 runs of a 4-worker, 8-shard layout", algo)
-		}
-	}
-}
-
-func stealsObserved(t *testing.T, engs *shard.Engines) bool {
-	engs.SetExecOptions(shard.ExecOptions{Workers: 4, StealBatch: 2})
-	for attempt := 0; attempt < 50; attempt++ {
-		res, err := engs.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.Steals > 0 {
-			if res.Stats.StolenMatches < res.Stats.Steals {
-				t.Fatalf("stolen matches %d < steal batches %d", res.Stats.StolenMatches, res.Stats.Steals)
+	for _, algo := range []core.Algorithm{core.WhirlpoolS, core.LockStep, core.WhirlpoolM} {
+		for _, c := range []struct{ gmp, shards, bound int }{
+			{4, 8, 4}, // the cores bound the pool
+			{8, 2, 2}, // the shards do: a third worker would find nothing to claim
+			{2, 8, 2},
+		} {
+			engs := poolEnv(t, 40, c.shards, algo)
+			runtime.GOMAXPROCS(c.gmp)
+			_, err := engs.Run()
+			runtime.GOMAXPROCS(old)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return true
-		}
-	}
-	return false
-}
-
-// TestStealingDisabled: the A/B switch really pins shards to owners.
-func TestStealingDisabled(t *testing.T) {
-	engs := poolEnv(t, 60, 8, core.WhirlpoolS)
-	engs.SetExecOptions(shard.ExecOptions{Workers: 4, DisableStealing: true})
-	for i := 0; i < 10; i++ {
-		res, err := engs.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.Steals != 0 || res.Stats.StolenMatches != 0 {
-			t.Fatalf("stealing disabled but run reports steals=%d stolen=%d",
-				res.Stats.Steals, res.Stats.StolenMatches)
+			bound, peak := engs.LastRunWorkers()
+			if bound != c.bound || peak < 1 || peak > bound {
+				t.Fatalf("%v, GOMAXPROCS %d, %d shards: worker bound %d peak %d, want bound %d", algo, c.gmp, c.shards, bound, peak, c.bound)
+			}
 		}
 	}
 }
@@ -171,13 +93,11 @@ func TestPoolCancellation(t *testing.T) {
 	}
 }
 
-// TestPoolFinishesCursorOnlyShards: with one worker over eight shards
-// and k = 1, most shards never hold a queued match — their roots sit in
-// the cursor until the shared threshold cuts them, or are cut before
-// the first is pulled. Such a shard must still read as work to pick
-// (Depth ≥ 1) until it is done, or the lone worker naps forever; the
-// run has to finish, with and without stealing, and agree with the
-// unsharded engine.
+// TestPoolFinishesCursorOnlyShards: with k = 1 over eight shards, most
+// shards never hold a queued match — their roots sit in the cursor until
+// the shared threshold cuts them, or are cut before the first is
+// pulled. Each such shard's run must still end, on one worker or
+// several, and the whole must agree with the unsharded engine.
 func TestPoolFinishesCursorOnlyShards(t *testing.T) {
 	doc := xmarkDoc(t, 60)
 	whole := index.Build(doc)
@@ -195,33 +115,58 @@ func TestPoolFinishesCursorOnlyShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []shard.ExecOptions{
-		{Workers: 1},
-		{Workers: 1, DisableStealing: true},
-		{Workers: 3, DisableStealing: true, StealBatch: 1},
-	} {
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	for _, gmp := range []int{1, 3} {
 		engs, err := c.NewEngines(q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		engs.SetExecOptions(opts)
 		type outcome struct {
 			res *core.Result
 			err error
 		}
 		done := make(chan outcome, 1)
+		runtime.GOMAXPROCS(gmp)
 		go func() {
 			res, err := engs.Run()
 			done <- outcome{res, err}
 		}()
 		select {
 		case out := <-done:
+			runtime.GOMAXPROCS(old)
 			if out.err != nil {
-				t.Fatalf("%+v: %v", opts, out.err)
+				t.Fatalf("GOMAXPROCS %d: %v", gmp, out.err)
 			}
-			compareResults(t, fmt.Sprintf("%+v", opts), base, out.res)
+			compareResults(t, fmt.Sprintf("GOMAXPROCS %d", gmp), base, out.res)
 		case <-time.After(20 * time.Second):
-			t.Fatalf("%+v: run over cursor-only shards did not finish", opts)
+			t.Fatalf("GOMAXPROCS %d: run over cursor-only shards did not finish", gmp)
+		}
+	}
+}
+
+// TestShardedRunAllocs: a warm sharded run allocates per run — the
+// shared top-k set and its entries, the per-shard stats, the workers
+// and the merged answers — and nothing per claimed shard: each claim
+// opens its run from the idle states, drives it on the worker's own
+// goroutine and hands it back. Over 8 shards of XMark (seed 1, 200
+// items) Q2, k = 10, relaxed, a Whirlpool-S run makes 30 allocations at
+// GOMAXPROCS 1, 2 and 8; one allocation per claimed shard breaks the
+// bound of 32.
+func TestShardedRunAllocs(t *testing.T) {
+	engs := poolEnv(t, 200, 8, core.WhirlpoolS)
+	if engs.Shards() != 8 {
+		t.Fatalf("%d shards, want 8", engs.Shards())
+	}
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	for _, gmp := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(gmp)
+		if _, err := engs.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { engs.Run() }); allocs > 32 {
+			t.Fatalf("GOMAXPROCS %d: warm sharded run allocates %.0f objects, want at most 32", gmp, allocs)
 		}
 	}
 }
