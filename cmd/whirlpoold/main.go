@@ -39,11 +39,11 @@
 //
 // Engines are cached per request signature in an LRU cache bounded by
 // -cache; -access-log emits one structured JSON
-// line per request to stderr. -shards N partitions the document into N
-// shards at startup: every query then runs one engine per shard, each
-// driven whole by one of min(GOMAXPROCS, N) pool workers that claim
-// shards in turn, all pruning against a shared top-k set, and /stats
-// gains a per-shard breakdown.
+// line per request to stderr. -shards N evaluates every query in N
+// shards: its roots, in document order, are cut into N contiguous ranges
+// of equal count, and one run of its engine per range is driven whole by
+// one of min(GOMAXPROCS, N) pool workers that claim ranges in turn, all
+// pruning against a shared top-k set; /stats reports the shard count.
 //
 // A request is refused with 400 when k exceeds 1000 or the pattern has
 // more than 32 nodes, with 413 when its body exceeds 1 MiB; a handler
@@ -120,7 +120,7 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		cacheSize = flag.Int("cache", defaultCacheSize, "max cached engines (LRU)")
 		accessLog = flag.Bool("access-log", false, "log one structured JSON line per request to stderr")
-		shards    = flag.Int("shards", 1, "partition the document into N shards evaluated in parallel per query")
+		shards    = flag.Int("shards", 1, "evaluate each query in N shards: contiguous ranges of its roots, run in parallel")
 	)
 	flag.Parse()
 	if *file == "" && *snapshot == "" {

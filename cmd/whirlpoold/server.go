@@ -33,9 +33,8 @@ type server struct {
 	db    *whirlpool.Database
 	roots int // the document's forest roots, for /stats
 	// sdb, when non-nil, routes every /query through sharded execution:
-	// engines are built over the partition and run on a bounded worker
-	// pool, min(GOMAXPROCS, shards) goroutines, against a shared top-k
-	// set.
+	// each engine's root ranges run on a bounded worker pool,
+	// min(GOMAXPROCS, shards) goroutines, against a shared top-k set.
 	sdb       *whirlpool.ShardedDatabase
 	mux       *http.ServeMux
 	reg       *obs.Registry
@@ -114,22 +113,21 @@ func (e *engineEntry) run(ctx context.Context) (*core.Result, error) {
 	return e.eng.Engine.RunContext(ctx)
 }
 
-// totals aggregates the entry's cumulative instrumentation. For a
-// sharded entry, operation counters sum across shards, Runs/Aborted are
-// per-run (every shard runs once per query, so the max is the count) and
-// Duration is the summed per-shard engine time — CPU time, not wall
-// clock.
+// totals is the entry's cumulative instrumentation; a sharded engine
+// records each evaluation as one run, its counters summed over shards.
 func (e *engineEntry) totals() whirlpool.EngineTotals {
-	if e.sharded == nil {
-		return e.eng.Totals()
+	if e.sharded != nil {
+		return e.sharded.Totals()
 	}
-	var out whirlpool.EngineTotals
-	for _, st := range e.sharded.ShardTotals() {
-		out.Runs = max(out.Runs, st.Totals.Runs)
-		out.Aborted = max(out.Aborted, st.Totals.Aborted)
-		out.Stats.Add(st.Totals.Stats)
+	return e.eng.Totals()
+}
+
+// rootVia is the entry's root access path, one for every shard.
+func (e *engineEntry) rootVia() string {
+	if e.sharded != nil {
+		return e.sharded.RootVia()
 	}
-	return out
+	return e.eng.RootVia()
 }
 
 // serverOptions configures newServer.
@@ -140,10 +138,10 @@ type serverOptions struct {
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// request.
 	AccessLog *log.Logger
-	// Shards above 1 partitions the document into that many shards at
-	// startup and evaluates every /query with one engine per shard:
-	// min(GOMAXPROCS, Shards) workers each claim a whole shard at a time
-	// and drive its run to done, all pruning against a shared top-k set.
+	// Shards above 1 evaluates every /query in that many shards, ranges
+	// of its roots: min(GOMAXPROCS, Shards) workers each claim a whole
+	// shard at a time and drive its run to done, all pruning against a
+	// shared top-k set.
 	Shards int
 	// Boot is how long booting the database took: whirlpool.OpenSnapshot
 	// for a snapshot-backed one, recorded into the
@@ -320,27 +318,12 @@ type engineStats struct {
 	JoinComparisons int64  `json:"join_comparisons"`
 	MatchesCreated  int64  `json:"matches_created"`
 	// RootVia is the root server's access path, "scan" or
-	// "postings:<tag>" (per shard on a sharded entry, where each part
-	// chooses its own); Roots is how many roots it has produced.
-	RootVia      string       `json:"root_via,omitempty"`
-	Roots        int64        `json:"roots"`
-	Pruned       int64        `json:"pruned"`
-	PrunedRemote int64        `json:"pruned_remote,omitempty"`
-	TotalMS      float64      `json:"total_ms"`
-	Shards       []shardStats `json:"shards,omitempty"`
-}
-
-// shardStats is one shard engine's share of a sharded entry's totals.
-type shardStats struct {
-	Shard          int     `json:"shard"`
-	Runs           int64   `json:"runs"`
-	ServerOps      int64   `json:"server_ops"`
-	MatchesCreated int64   `json:"matches_created"`
-	RootVia        string  `json:"root_via"`
-	Roots          int64   `json:"roots"`
-	Pruned         int64   `json:"pruned"`
-	PrunedRemote   int64   `json:"pruned_remote"`
-	TotalMS        float64 `json:"total_ms"`
+	// "postings:<tag>"; Roots is how many roots it has produced.
+	RootVia      string  `json:"root_via,omitempty"`
+	Roots        int64   `json:"roots"`
+	Pruned       int64   `json:"pruned"`
+	PrunedRemote int64   `json:"pruned_remote,omitempty"`
+	TotalMS      float64 `json:"total_ms"`
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -351,6 +334,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		tot := it.Value.totals()
 		es := engineStats{
 			Key:             it.Key,
+			RootVia:         it.Value.rootVia(),
 			Runs:            tot.Runs,
 			Aborted:         tot.Aborted,
 			ServerOps:       tot.ServerOps,
@@ -360,23 +344,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Pruned:          tot.Pruned,
 			PrunedRemote:    tot.PrunedRemote,
 			TotalMS:         float64(tot.Duration.Microseconds()) / 1000,
-		}
-		if it.Value.sharded == nil {
-			es.RootVia = it.Value.eng.RootVia()
-		} else {
-			for _, st := range it.Value.sharded.ShardTotals() {
-				es.Shards = append(es.Shards, shardStats{
-					Shard:          st.Shard,
-					Runs:           st.Totals.Runs,
-					ServerOps:      st.Totals.ServerOps,
-					MatchesCreated: st.Totals.MatchesCreated,
-					RootVia:        st.RootVia,
-					Roots:          st.Totals.Roots,
-					Pruned:         st.Totals.Pruned,
-					PrunedRemote:   st.Totals.PrunedRemote,
-					TotalMS:        float64(st.Totals.Duration.Microseconds()) / 1000,
-				})
-			}
 		}
 		engines = append(engines, es)
 	}
@@ -399,12 +366,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"engines": engines,
 	}
 	if s.sdb != nil {
-		parts, spine := s.sdb.Layout()
-		stats["sharding"] = map[string]any{
-			"shards":      s.sdb.Shards(),
-			"spine_nodes": spine,
-			"layout":      parts,
-		}
+		stats["sharding"] = map[string]any{"shards": s.sdb.Shards()}
 	}
 	writeJSON(w, http.StatusOK, stats)
 }

@@ -569,8 +569,12 @@ func TestShardedServing(t *testing.T) {
 		}
 	}
 
-	// /stats carries the sharding layout and a per-shard breakdown for
-	// the cached engine.
+	// A sharded query counts as one run: after a second, cached
+	// request, /stats says two runs for the one engine, and the
+	// shard count.
+	if w := post(t, s, "/query", req); w.Code != 200 {
+		t.Fatalf("repeated sharded query: %d %s", w.Code, w.Body.String())
+	}
 	sw := get(t, s, "/stats")
 	if sw.Code != 200 {
 		t.Fatalf("stats: %d", sw.Code)
@@ -578,32 +582,20 @@ func TestShardedServing(t *testing.T) {
 	var stats struct {
 		Sharding struct {
 			Shards int `json:"shards"`
-			Layout []struct {
-				Shard     int `json:"shard"`
-				NodeCount int `json:"node_count"`
-			} `json:"layout"`
 		} `json:"sharding"`
 		Engines []engineStats `json:"engines"`
 	}
 	if err := json.Unmarshal(sw.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Sharding.Shards != 4 || len(stats.Sharding.Layout) != 4 {
+	if stats.Sharding.Shards != 4 {
 		t.Fatalf("sharding section = %+v", stats.Sharding)
 	}
 	if len(stats.Engines) != 1 {
 		t.Fatalf("engines = %d, want 1", len(stats.Engines))
 	}
-	es := stats.Engines[0]
-	if es.Runs != 1 || len(es.Shards) == 0 {
-		t.Fatalf("engine stats = %+v", es)
-	}
-	var ops int64
-	for _, sh := range es.Shards {
-		ops += sh.ServerOps
-	}
-	if ops != es.ServerOps {
-		t.Fatalf("per-shard ops sum %d, engine total %d", ops, es.ServerOps)
+	if es := stats.Engines[0]; es.Runs != 2 || es.Aborted != 0 || es.RootVia != "scan" || es.Roots == 0 || es.ServerOps == 0 {
+		t.Fatalf("engine stats = %+v, want 2 runs over scanned roots", es)
 	}
 
 	// Per-shard metrics reached the registry.

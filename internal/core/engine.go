@@ -43,7 +43,6 @@ type Engine struct {
 	rootVia     int               // valued node whose postings stream the roots; 0 = scan (rootCursor)
 	roots, post []uint32          // the root's candidates and rootVia's postings
 	rootTag     index.Probe       // the root's tag, any value: the climb's ancestor test
-	member      bool              // ix is one member of a partitioned corpus (NewMember)
 
 	// totals accumulates every run's Stats behind one mutex, taken once
 	// per run; whirlpoold serves it per engine in /stats.
@@ -62,29 +61,31 @@ type Totals struct {
 }
 
 // Totals returns the engine's cumulative statistics over all completed
-// RunContext calls. Safe for concurrent use with in-flight runs.
+// evaluations, a sharded one counted once. Safe for concurrent use with
+// in-flight runs.
 func (e *Engine) Totals() Totals {
 	e.totalsMu.Lock()
 	defer e.totalsMu.Unlock()
 	return e.totals
 }
 
-// NewMember is New over one member of a partitioned corpus, which
-// enumerates only its own nodes: a part's postings climb into roots the
-// spine owns, and the spine's postings lie in the parts, so it scans.
-func NewMember(ix index.Source, q *pattern.Query, cfg Config, spine bool) (*Engine, error) {
-	e, err := New(ix, q, cfg)
+// Record adds one completed evaluation to the engine's totals — a run
+// and its stats — or, when err is set, one aborted run. Runs record
+// themselves; a sharded evaluation, whose shard runs do not, records its
+// merged stats here once.
+func (e *Engine) Record(st Stats, err error) {
+	e.totalsMu.Lock()
+	defer e.totalsMu.Unlock()
 	if err != nil {
-		return nil, err
+		e.totals.Aborted++
+		return
 	}
-	if e.member = true; spine {
-		e.rootVia = 0
-	}
-	return e, nil
+	e.totals.Runs++
+	e.totals.Stats.Add(st)
 }
 
 // New validates cfg and builds an engine for query q over the indexed
-// document ix, which must be the whole corpus.
+// document ix.
 func New(ix index.Source, q *pattern.Query, cfg Config) (*Engine, error) {
 	return NewExperiment(ix, q, cfg, Experiment{})
 }
@@ -117,9 +118,8 @@ func NewExperiment(ix index.Source, q *pattern.Query, cfg Config, x Experiment) 
 		}
 		e.plans, e.fanout, e.satisfyProb = p.Plans, p.Fanout, p.SatisfyProb
 	} else {
-		// No plan: run the statistics pass over ix, which must then be
-		// the whole corpus (score.CollectStats) — the facade and
-		// shard.NewEngines always pass a plan instead.
+		// No plan: run the statistics pass over ix (score.CollectStats);
+		// the facade always passes a plan instead.
 		e.plans = relax.BuildPlans(q, cfg.Relax)
 		e.fanout, e.satisfyProb = routingStats(e.plans, score.CollectStats(ix, nil, q))
 	}
@@ -230,7 +230,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p := e.open(ctx, nil, 0)
+	p := e.open(ctx, nil, 0, 0, len(e.roots))
 	p.Drive()
 	stats, err := p.finish()
 	var res *Result
@@ -297,13 +297,18 @@ func spin(d time.Duration) {
 // when it could be the next pop; LockStep drains it up front. Counters
 // reach the run's counters per flush.
 //
-// The scan walks cands, the root's own candidates, in document order.
-// The posting path (Engine.rootVia) climbs instead, lazily, from each
-// posting to its root-tag ancestors below the last root considered —
-// from that root up, all came with an earlier posting — which is the
-// root set in document order unless leaf deletion makes via optional:
-// then a second segment walks the cands not reached, born with via
-// deleted, under bounds lowered by via's maximum contribution.
+// The cursor covers the run's slice of the root candidates, cands: all
+// of them, or one shard's contiguous range (NewShardRun). The scan walks
+// cands in document order. The posting path (Engine.rootVia) climbs
+// instead, lazily, from each posting to its root-tag ancestors below the
+// last root considered — from that root up, all came with an earlier
+// posting — which is the slice in document order unless leaf deletion
+// makes via optional: then a second segment walks the cands not reached,
+// born with via deleted, under bounds lowered by via's maximum
+// contribution. The climb starts just before the slice's first root,
+// from the first posting past it (an earlier posting has no ancestor
+// that late), and stops at the first root-tag node it reaches at or past
+// end, the next slice's first root: the climb's roots only ascend.
 type rootCursor struct {
 	r     *run
 	cands []uint32
@@ -312,19 +317,26 @@ type rootCursor struct {
 	// priority and the maxFinal of every root not yet materialised.
 	prioBound, finalBound float64
 	made, compared        int64    // not yet flushed into r.stats
-	post                  []uint32 // via's postings, walked by pi in either segment
+	post                  []uint32 // via's postings past the slice's first root, walked by pi in either segment
 	pi                    int
 	last                  int32 // ordinal of the last root the climb considered
+	end                   int32 // the next slice's first root, or past every ordinal
 	reached               int   // roots the climb reached that the second segment has yet to skip
 	second                bool  // in the second segment
 }
 
-// seedRoots points the run's cursor at the root candidates and postings.
+// seedRoots points the run's cursor at its slice of the root candidates
+// and at the postings past the slice's first root.
 func (r *run) seedRoots() *rootCursor {
 	e := r.Engine
-	r.roots = rootCursor{r: r, cands: e.roots, last: -1}
-	if e.rootVia != 0 {
-		r.roots.post = e.post
+	r.roots = rootCursor{r: r, cands: e.roots[r.lo:r.hi], end: math.MaxInt32}
+	if r.hi < len(e.roots) {
+		r.roots.end = int32(e.roots[r.hi])
+	}
+	if e.rootVia != 0 && r.lo < r.hi {
+		first := e.roots[r.lo]
+		cut, _ := slices.BinarySearch(e.post, first+1)
+		r.roots.post, r.roots.last = e.post[cut:], int32(first)-1
 	}
 	r.roots.bound(e.maxContrib[0] + e.sumMax)
 	return &r.roots
@@ -376,8 +388,7 @@ func (c *rootCursor) candidate() int32 {
 
 // climb returns the next root the postings reach: the outermost new
 // root-tag ancestor of the posting in hand, kept while it has a deeper
-// one, found up the parent column. Only a member must look it up among
-// its own candidates.
+// one, found up the parent column.
 func (c *rootCursor) climb() int32 {
 	e := c.r.Engine
 	doc := e.doc
@@ -395,12 +406,12 @@ func (c *rootCursor) climb() int32 {
 		if top < 0 {
 			continue
 		}
-		c.last = top
-		own := e.vts[0].Matches(doc.Value(top))
-		if e.member {
-			_, own = slices.BinarySearch(c.cands, uint32(top))
+		if top >= c.end {
+			c.pi = len(c.post)
+			break
 		}
-		if own {
+		c.last = top
+		if e.vts[0].Matches(doc.Value(top)) {
 			c.reached++
 			return top
 		}

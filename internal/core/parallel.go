@@ -10,10 +10,10 @@ import (
 )
 
 // ParallelRun is one evaluation of an engine, and the only way an
-// engine executes: NewParallelRun → Seed (exactly once) → Step until
-// IsDone or the context is cancelled → Finish (exactly once, after the
-// last Step returned). Drive is Seed and that loop on the calling
-// goroutine, as RunContext runs it; the sharded executor
+// engine executes: NewParallelRun or NewShardRun → Seed (exactly once)
+// → Step until IsDone or the context is cancelled → Finish (exactly
+// once, after the last Step returned). Drive is Seed and that loop on
+// the calling goroutine, as RunContext runs it; the sharded executor
 // (internal/shard) drives each shard's run whole on one pool worker.
 // A run has one stepper: Seed, Step, IsDone and Finish are called from
 // one goroutine at a time, never concurrently.
@@ -44,28 +44,50 @@ type ParallelRun struct {
 	q     pq       // heap, held match, cursor and live count; the heap's array stays
 	ws    Scratch  // Drive's, and LockStep's Seed's
 	whole bool     // a seeded Whirlpool-M run its first Step has yet to run
+	shard bool     // one shard's run: Finish leaves the engine's totals alone
 	done  bool
 	took  time.Duration // seed to done, once done
 	start time.Time
 }
 
-// NewParallelRun prepares a run of the engine against shared,
-// attributed to shardID. The context governs cancellation of every
-// subsequent Seed/Step; Finish reports its error if it fires.
+// NewParallelRun prepares a run of the engine over all its roots
+// against shared, attributed to shardID. The context governs
+// cancellation of every subsequent Seed/Step; Finish reports its error
+// if it fires.
 func (e *Engine) NewParallelRun(ctx context.Context, shared *SharedTopK, shardID int) (*ParallelRun, error) {
 	if shared.set.k != e.cfg.K {
 		return nil, fmt.Errorf("core: shared top-k capacity %d != Config.K %d", shared.set.k, e.cfg.K)
 	}
-	return e.open(ctx, shared.set, shardID), nil
+	return e.open(ctx, shared.set, shardID, 0, len(e.roots)), nil
 }
 
-// open starts a run on a state off the free list, and decides here,
-// once, whether goroutines share the run: only Whirlpool-M's, which
-// brings its own. Any other run is exclusive to its one stepper — the
-// plain queue, one unlocked freelist and plain counters — and with topk
-// nil it offers into its own reset set, unlocked, and, having no
-// sibling shards, skips the per-prune threshold-source attribution.
-func (e *Engine) open(ctx context.Context, topk *topkSet, shardID int) *ParallelRun {
+// NewShardRun prepares shard s of an evaluation in p shards against
+// shared: the run covers the s-th of p equal-count, contiguous slices of
+// the engine's roots in document order, so the p runs together offer
+// every root exactly once, each pruning against the one shared
+// threshold. A shard's Finish returns its stats but leaves the engine's
+// totals alone: the caller records the whole evaluation once (Record).
+func (e *Engine) NewShardRun(ctx context.Context, shared *SharedTopK, s, p int) (*ParallelRun, error) {
+	if shared.set.k != e.cfg.K {
+		return nil, fmt.Errorf("core: shared top-k capacity %d != Config.K %d", shared.set.k, e.cfg.K)
+	}
+	if s < 0 || s >= p {
+		return nil, fmt.Errorf("core: shard %d of %d", s, p)
+	}
+	n := len(e.roots)
+	r := e.open(ctx, shared.set, s, s*n/p, (s+1)*n/p)
+	r.shard = true
+	return r, nil
+}
+
+// open starts a run over roots[lo:hi] on a state off the free list, and
+// decides here, once, whether goroutines share the run: only
+// Whirlpool-M's, which brings its own. Any other run is exclusive to its
+// one stepper — the plain queue, one unlocked freelist and plain
+// counters — and with topk nil it offers into its own reset set,
+// unlocked, and, having no sibling shards, skips the per-prune
+// threshold-source attribution.
+func (e *Engine) open(ctx context.Context, topk *topkSet, shardID, lo, hi int) *ParallelRun {
 	sharded := topk != nil
 	shared := e.cfg.Algorithm == WhirlpoolM
 	p := acquireState(e.query.Size(), shared)
@@ -74,11 +96,11 @@ func (e *Engine) open(ctx context.Context, topk *topkSet, shardID int) *Parallel
 		topk.reset(e.cfg.K, e.x.Threshold, e.x.Threshold > 0)
 		topk.locked = shared
 	}
-	p.r = run{Engine: e, topk: topk, arena: p.arena, shardID: int32(shardID), sharded: sharded, ctx: ctx, done: ctx.Done()}
+	p.r = run{Engine: e, topk: topk, arena: p.arena, lo: lo, hi: hi, shardID: int32(shardID), sharded: sharded, ctx: ctx, done: ctx.Done()}
 	p.r.stats.shared = shared
 	p.r.lastThreshold.Store(math.Float64bits(math.Inf(-1)))
 	p.q.phase = -1
-	p.whole, p.done, p.took = false, false, 0
+	p.whole, p.shard, p.done, p.took = false, false, false, 0
 	p.start = time.Time{}
 	return p
 }
@@ -242,9 +264,9 @@ func (p *ParallelRun) Drive() {
 
 // finish closes the run's books after the last Step returned: it
 // snapshots the stats (Duration is seed-to-done wall clock) and emits
-// the RunEnd trace event. A cancelled run is counted as aborted and
-// answered with the context's error, its partial work discarded; a
-// completed one folds its stats into the engine's cumulative totals.
+// the RunEnd trace event. A cancelled run is answered with the
+// context's error, its partial work discarded. Unless it is one shard's
+// run, it is recorded in the engine's totals.
 func (p *ParallelRun) finish() (Stats, error) {
 	r := &p.r
 	stats := r.stats.snapshot()
@@ -257,15 +279,9 @@ func (p *ParallelRun) finish() (Stats, error) {
 		stats.Duration = time.Since(p.start)
 	}
 	err := r.ctx.Err()
-	e := r.Engine
-	e.totalsMu.Lock()
-	if err != nil {
-		e.totals.Aborted++
-	} else {
-		e.totals.Runs++
-		e.totals.Stats.Add(stats)
+	if !p.shard {
+		r.Record(stats, err)
 	}
-	e.totalsMu.Unlock()
 	if t := r.cfg.Trace; t != nil {
 		answers := 0
 		if err == nil {

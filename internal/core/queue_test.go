@@ -101,7 +101,7 @@ func TestPQHeldAcrossRootPull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := e.open(context.Background(), nil, 0)
+	p := e.open(context.Background(), nil, 0, 0, len(e.roots))
 	r := &p.r
 	qu := &p.q
 	if qu.seed(r.seedRoots()) {

@@ -16,9 +16,11 @@ type run struct {
 	// ParallelRun holding this run (internal/core/arena.go has the
 	// ownership rules).
 	arena *matchArena
-	// roots streams the root server's output (engine.go); the router
-	// queue holds a pointer to it while roots remain.
-	roots rootCursor
+	// roots streams the root server's output (engine.go) over
+	// Engine.roots[lo:hi]; the router queue holds a pointer to it while
+	// roots remain.
+	roots  rootCursor
+	lo, hi int
 	// shardID identifies this run within a sharded evaluation sharing
 	// topk with other engines (0 for a standalone run). Offers carry it
 	// so prunes caused by another shard's threshold can be counted.

@@ -16,8 +16,7 @@
 // the columns on the heap, and store.SnapshotReader validates the same
 // columns over the sections of a mapped snapshot file (Open) — the
 // paper's in-memory and disk-resident scenarios (Section 6.3.3) served
-// by one probe. View restricts either backing to one member of a
-// partition. Probes and postings are ordinals of the document's columns;
+// by one probe. Probes and postings are ordinals of the document's columns;
 // the *xmltree.Node adapters (Document, Nodes, NodesMatching,
 // AppendCandidates) build the node slab from those columns on first use.
 package index

@@ -11,13 +11,12 @@ import (
 // anchor" (Probe) — all a Whirlpool server needs from storage
 // (Section 5). The one implementation with a probe of its own is Index,
 // one posting layout with two backings: the heap columns Build fills and
-// the mapped columns store.SnapshotReader validates and embeds. View
-// restricts a Source to one member of a partition (shard.Corpus only
-// embeds its backing); swapping backings exercises the paper's
-// observation that adaptivity pays off most "in scenarios where data is
-// stored on disk" (Section 6.3.3). Database statistics are not part of
-// the contract: score.CollectStats derives them from Ords and the
-// columns' parent links.
+// the mapped columns store.SnapshotReader validates and embeds
+// (shard.Corpus only embeds its backing). Swapping backings exercises
+// the paper's observation that adaptivity pays off most "in scenarios
+// where data is stored on disk" (Section 6.3.3). Database statistics
+// are not part of the contract: score.CollectStats derives them from
+// Ords and the columns' parent links.
 //
 // The rest of the contract is the *xmltree.Node edge for callers that
 // walk nodes (the reference evaluators, the facade's answers): Document

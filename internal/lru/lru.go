@@ -13,10 +13,10 @@ import (
 	"sync"
 )
 
-// PostingsCap bounds every cache of (tag, value test) posting lists —
-// index.Index (on either backing) and each index.View keep one. The
-// value in the key comes from the request, so an
-// unbounded map would grow with every distinct constant a client sends.
+// PostingsCap bounds index.Index's cache of (tag, value test) posting
+// lists, on either backing. The value in the key comes from the
+// request, so an unbounded map would grow with every distinct constant
+// a client sends.
 const PostingsCap = 1024
 
 // ErrBuildPanicked is what callers waiting on a build get if it panics.

@@ -55,6 +55,17 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 // Add applies a delta.
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
+// Max raises the gauge to n when n is higher, keeping a high-water
+// mark. The loop ends the moment another raiser has published an equal
+// or higher value, so contention only ever shortens it.
+func (g *Gauge) Max(n int64) {
+	for v := g.v.Load(); n > v; v = g.v.Load() {
+		if g.v.CompareAndSwap(v, n) {
+			return
+		}
+	}
+}
+
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -24,6 +24,11 @@ func TestCounterAndGauge(t *testing.T) {
 	if got := g.Value(); got != 5 {
 		t.Fatalf("gauge = %d, want 5", got)
 	}
+	g.Max(3) // lower: a high-water mark keeps 5
+	g.Max(9)
+	if got := g.Value(); got != 9 {
+		t.Fatalf("gauge after Max(3), Max(9) = %d, want 9", got)
+	}
 }
 
 func TestHistogramBuckets(t *testing.T) {

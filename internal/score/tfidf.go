@@ -79,11 +79,9 @@ type Stats struct {
 // CollectStats is the single statistics producer: one pass per query
 // node, answered by src where it can (value-free predicates on a
 // synopsis, walked ones on a Memo), else from its postings (postingStats). It
-// is a whole-corpus quantity: ix must enumerate every node of the root
-// tag and of each query tag, as Index (on either backing) and shard.Corpus
-// do — a shard part sees only its own postings, and the postings below
-// the spine's roots lie in the parts. Every src yields exactly the
-// numbers the posting walk produces.
+// is a whole-corpus quantity: ix enumerates every node of the root tag
+// and of each query tag, as every index.Source does. Every src yields
+// exactly the numbers the posting walk produces.
 func CollectStats(ix index.Source, src StatsSource, q *pattern.Query) Stats {
 	n := q.Size()
 	st := Stats{Exact: make([]index.PredicateStats, n), Relaxed: make([]index.PredicateStats, n)}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // LastRunWorkers reports the most recent run's pool geometry: the
@@ -22,41 +23,41 @@ func (e *Engines) LastRunWorkers() (bound, peak int) {
 
 // runPooled evaluates a sharded query on a pool of min(GOMAXPROCS,
 // shards) workers. Each worker claims the next unstarted shard from an
-// atomic index, drives its run to done on its own goroutine and
-// finishes it, until no shard is left; every run offers into and prunes
-// against the one shared top-k set. A shard's run therefore has one
-// stepper, and is as exclusive as a RunContext: plain queue, unlocked
-// arena, plain counters. Once the context is cancelled no further shard
-// is claimed. It returns the per-shard stats and the peak number of
-// workers running at once.
+// atomic index, opens that root range's run (core.NewShardRun), drives
+// it to done on its own goroutine and finishes it, until no shard is
+// left; every run offers into and prunes against the one shared top-k
+// set. A shard's run therefore has one stepper, and is as exclusive as a
+// RunContext: plain queue, unlocked arena, plain counters. Once the
+// context is cancelled no further shard is claimed. It returns the
+// per-shard stats and the peak number of workers running at once.
 func (e *Engines) runPooled(ctx context.Context, shared *core.SharedTopK) ([]core.Stats, int64, error) {
-	workers := max(min(runtime.GOMAXPROCS(0), len(e.engs)), 1)
-	stats := make([]core.Stats, len(e.engs))
-	errs := make([]error, len(e.engs))
-	var next, running, peak atomic.Int64
+	workers := max(min(runtime.GOMAXPROCS(0), e.p), 1)
+	stats := make([]core.Stats, e.p)
+	errs := make([]error, e.p)
+	var next, running atomic.Int64
+	var peak obs.Gauge
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			raisePeak(&peak, running.Add(1))
+			peak.Max(running.Add(1))
 			defer running.Add(-1)
-			for i := int(next.Add(1)) - 1; i < len(e.engs) && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
-				rn := e.engs[i]
-				pr, err := rn.eng.NewParallelRun(ctx, shared, rn.shard)
+			for s := int(next.Add(1)) - 1; s < e.p && ctx.Err() == nil; s = int(next.Add(1)) - 1 {
+				pr, err := e.eng.NewShardRun(ctx, shared, s, e.p)
 				if err != nil {
-					errs[i] = err
+					errs[s] = err
 					continue
 				}
 				pr.Drive()
-				stats[i], errs[i] = pr.Finish()
+				stats[s], errs[s] = pr.Finish()
 			}
 		}()
 	}
 	wg.Wait()
 
 	e.lastWorkers.Store(int64(workers))
-	e.lastPeak.Store(peak.Load())
+	e.lastPeak.Store(peak.Value())
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -65,16 +66,5 @@ func (e *Engines) runPooled(ctx context.Context, shared *core.SharedTopK) ([]cor
 			return nil, 0, err
 		}
 	}
-	return stats, peak.Load(), nil
-}
-
-// raisePeak lifts the peak high-water mark to at least n. The loop
-// terminates the moment another raiser has published an equal or higher
-// peak, so contention only ever shortens it.
-func raisePeak(peak *atomic.Int64, n int64) {
-	for p := peak.Load(); n > p; p = peak.Load() {
-		if peak.CompareAndSwap(p, n) {
-			return
-		}
-	}
+	return stats, peak.Value(), nil
 }

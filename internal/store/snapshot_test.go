@@ -17,7 +17,6 @@ import (
 	"repro/internal/dewey"
 	"repro/internal/index"
 	"repro/internal/relax"
-	"repro/internal/shard"
 	"repro/internal/synopsis"
 	"repro/internal/xmark"
 	"repro/internal/xmltree"
@@ -625,68 +624,67 @@ func TestLegacyV1FileNamed(t *testing.T) {
 }
 
 // TestSnapshotConcurrentViewClimb: a sharded evaluation runs several
-// engines at once over one snapshot — each enumerating its member view's
-// postings and climbing the parent column, as the root server's posting
-// stream does. Every goroutine must climb the one set of columns open
-// validated, through enclosing intervals to the tree root (run under
-// -race).
+// runs at once over one snapshot, one per range of the query's roots —
+// each taking its range's cut of the postings and climbing the parent
+// column, as the root server's posting stream does. Every goroutine
+// must climb the one set of columns open validated, through enclosing
+// intervals to the tree root, and the ranges together must hold every
+// posting once (run under -race).
 func TestSnapshotConcurrentViewClimb(t *testing.T) {
 	doc := genDoc(t, 60)
 	r := parseSnap(t, writeSnap(t, &Snapshot{Cols: doc.Columns()}))
-	// The partition comes from the built document: ordinals are the
-	// snapshot's.
-	const p = 4
-	c, err := shard.Split(doc, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := make([]int32, len(doc.Nodes))
 	cols := r.Cols()
-	for _, s := range c.Spine() {
-		owner[s] = p
-	}
-	for _, part := range c.Parts() {
-		for _, u := range part.Units {
-			for o := u; o <= cols.End(u); o++ {
-				owner[o] = int32(part.ID)
-			}
+	items := r.Ords("item", index.ValueTest{})
+	keywords := r.Ords("keyword", index.ValueTest{})
+	const p = 4
+	// Range s holds the ordinals from its first item up to the next
+	// range's; the first range starts at the document's start.
+	bound := func(s int) uint32 {
+		switch {
+		case s == 0:
+			return 0
+		case s == p:
+			return uint32(cols.Len())
 		}
+		return items[s*len(items)/p]
 	}
+	got := make([]int, p)
+	var wg sync.WaitGroup
+	for s := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lo, _ := slices.BinarySearch(keywords, bound(s))
+			hi, _ := slices.BinarySearch(keywords, bound(s+1))
+			for _, o := range keywords[lo:hi] {
+				kw, top := int32(o), int32(o)
+				for a := cols.Parent(kw); a >= 0; a = cols.Parent(a) {
+					if !cols.Contains(a, kw) {
+						t.Errorf("range %d: keyword %d climbs through a foreign node %d", s, kw, a)
+						return
+					}
+					top = a
+				}
+				if cols.Tag(top) != "site" {
+					t.Errorf("range %d: keyword %d climbs to %s", s, kw, cols.Tag(top))
+					return
+				}
+				got[s]++
+			}
+		}()
+	}
+	wg.Wait()
 	want := 0
 	for _, n := range doc.Nodes {
 		if n.Tag == "keyword" {
 			want++
 		}
 	}
-	got := make([]int, p)
-	var wg sync.WaitGroup
-	for i := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, o := range index.NewView(r, owner, i).Ords("keyword", index.ValueTest{}) {
-				kw, top := int32(o), int32(o)
-				for a := cols.Parent(kw); a >= 0; a = cols.Parent(a) {
-					if !cols.Contains(a, kw) {
-						t.Errorf("part %d: keyword %d climbs through a foreign node %d", i, kw, a)
-						return
-					}
-					top = a
-				}
-				if cols.Tag(top) != "site" {
-					t.Errorf("part %d: keyword %d climbs to %s", i, kw, cols.Tag(top))
-					return
-				}
-				got[i]++
-			}
-		}()
-	}
-	wg.Wait()
 	sum := 0
 	for _, n := range got {
 		sum += n
 	}
 	if sum != want || want == 0 {
-		t.Fatalf("parts hold %d keyword postings, document %d", sum, want)
+		t.Fatalf("root ranges hold %d keyword postings, document %d", sum, want)
 	}
 }

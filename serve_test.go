@@ -12,8 +12,8 @@ import (
 )
 
 // TestServeBuildsNoSlab: whirlpoold's path never builds the *Node slab.
-// It boots by Load and by OpenSnapshot — whole and as a 4-way partition
-// — and serves Q1–Q3 × k ∈ {3, 15, 75} × exact/relaxed as the daemon
+// It boots by Load and by OpenSnapshot — whole and in 4 shards — and
+// serves Q1–Q3 × k ∈ {3, 15, 75} × exact/relaxed as the daemon
 // does: a plan from the planner, the embedded core engine's ordinal
 // answers, each root's path and Dewey ID and every binding's Dewey ID
 // rendered from the columns, and the forest roots /stats counts. It
@@ -55,8 +55,8 @@ var paperQueries = []string{
 	"//item[./mailbox/mail/text[./bold and ./keyword] and ./name and ./incategory]",
 }
 
-// serveAndRender runs the daemon's query path over db, partitioned into
-// shards when there is more than one.
+// serveAndRender runs the daemon's query path over db, in shards when
+// there is more than one.
 func serveAndRender(t *testing.T, db *Database, shards int) {
 	t.Helper()
 	planner := db.NewPlanner(16)

@@ -32,7 +32,6 @@ import (
 	"runtime"
 	"runtime/metrics"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/index"
@@ -222,11 +221,6 @@ type Database struct {
 	snap *store.SnapshotReader
 	// syn is the structure synopsis (see Synopsis).
 	syn *Synopsis
-
-	mu sync.Mutex
-	// corpora caches the partition of ix per shard count, computed the
-	// first time Shard or Options.Shards asks for it.
-	corpora map[int]*shard.Corpus
 }
 
 // Load parses an XML document (or forest) from r and indexes it: one
@@ -397,12 +391,11 @@ type Options struct {
 	// been compiled for the same query shape and Relax mode.
 	Plan *QueryPlan
 	// Shards, when above 1, evaluates the query on a sharded execution
-	// layer: the document is partitioned into that many shards of
-	// complete subtrees, each with its own engine, all pruning against
-	// one shared global top-k set (see ShardedDatabase). Honored by
-	// TopK/TopKContext/TopKString — the per-count partition is computed
-	// once and cached on the Database — and ignored by NewEngine, which
-	// always prepares a single-engine evaluator.
+	// layer: the query's roots are cut into that many contiguous ranges,
+	// one run of its engine each, all pruning against one shared global
+	// top-k set (see ShardedDatabase). Honored by
+	// TopK/TopKContext/TopKString and ignored by NewEngine, which always
+	// prepares a single-engine evaluator.
 	Shards int
 }
 
@@ -417,8 +410,7 @@ func Exact(k int) Options { return Options{K: k, Relax: RelaxNone} }
 // ix is the whole corpus: without Options.Plan one statistics pass over
 // it serves both the default scorer and the engines' routing numbers —
 // handed on as a plan compiled on the spot, its Order left nil so the
-// ascending-id default holds — so scores and routing are the same
-// whether one engine or one per shard evaluates the query.
+// ascending-id default holds.
 func engineConfig(ix index.Source, q *Query, opts Options) (core.Config, error) {
 	if q == nil {
 		return core.Config{}, fmt.Errorf("whirlpool: nil query")
@@ -539,10 +531,11 @@ func (db *Database) TopKString(xpath string, opts Options) (*Result, error) {
 	return db.TopK(q, opts)
 }
 
-// ShardedEngine is a prepared sharded evaluator: one engine per shard,
-// all sharing a global top-k set per run. It mirrors Engine's Run /
-// RunContext contract and is reusable across concurrent runs; like
-// Engine it embeds the evaluator, whose answers are ordinals.
+// ShardedEngine is a prepared sharded evaluator: one engine whose runs,
+// one per shard's range of the query's roots, share a global top-k set
+// per evaluation. It mirrors Engine's Run / RunContext contract and is
+// reusable across concurrent runs; like Engine it embeds the evaluator,
+// whose answers are ordinals.
 type ShardedEngine struct {
 	*shard.Engines
 	src index.Source
@@ -560,20 +553,14 @@ func (e *ShardedEngine) RunContext(ctx context.Context) (*Result, error) {
 	return resolve(e.src, res), nil
 }
 
-// ShardInfo describes one shard's share of a partitioned document.
-type ShardInfo = shard.PartInfo
-
-// ShardTotals is one shard engine's cumulative instrumentation; see
-// ShardedEngine.ShardTotals.
-type ShardTotals = shard.ShardTotal
-
-// ShardedDatabase is a Database seen through a partition into P shards
-// of complete subtrees — views of its one index, not copies — evaluated
-// by per-shard engines that prune against a single shared global top-k
-// set: a high-scoring answer found on one shard immediately raises the
-// threshold used to kill partial matches on all others. Because the
-// shared threshold is always a lower bound on the true global k-th best
-// score, the merged answers match a single-engine evaluation's.
+// ShardedDatabase is a Database evaluated in P shards: each query's
+// roots, in document order, are cut into P contiguous ranges of equal
+// count, and one run of the query's engine per range prunes against a
+// single shared global top-k set — a high-scoring answer found by one
+// run immediately raises the threshold used to kill partial matches in
+// all others. Every root is offered by exactly one run, and the shared
+// threshold is always a lower bound on the true global k-th best score,
+// so the merged answers match a single-engine evaluation's.
 //
 //	sdb, _ := db.Shard(8)
 //	res, _ := sdb.TopK(q, whirlpool.Approximate(10))
@@ -583,28 +570,19 @@ type ShardedDatabase struct {
 	reg    *obs.Registry
 }
 
-// Shard partitions the database into p shards (p ≥ 1). The partition is
-// computed once per shard count and shared with Options.Shards; the
-// returned ShardedDatabase is safe for concurrent queries.
+// Shard returns the database evaluated in p shards (p ≥ 1). Nothing is
+// partitioned or copied up front; the returned ShardedDatabase is safe
+// for concurrent queries.
 func (db *Database) Shard(p int) (*ShardedDatabase, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	corpus, ok := db.corpora[p]
-	if !ok {
-		var err error
-		if corpus, err = shard.Partition(db.ix, p); err != nil {
-			return nil, err
-		}
-		if db.corpora == nil {
-			db.corpora = make(map[int]*shard.Corpus)
-		}
-		db.corpora[p] = corpus
+	corpus, err := shard.New(db.ix, p)
+	if err != nil {
+		return nil, err
 	}
 	return &ShardedDatabase{db: db, corpus: corpus}, nil
 }
 
-// ShardDocument indexes an already parsed document and partitions it
-// into p shards.
+// ShardDocument indexes an already parsed document and evaluates it in
+// p shards.
 func ShardDocument(doc *Document, p int) (*ShardedDatabase, error) {
 	if doc == nil {
 		return nil, fmt.Errorf("whirlpool: nil document")
@@ -624,19 +602,13 @@ func (sdb *ShardedDatabase) Document() *Document { return sdb.db.Document() }
 // Size returns the number of nodes in the database.
 func (sdb *ShardedDatabase) Size() int { return sdb.db.Size() }
 
-// Shards returns the partition's shard count.
-func (sdb *ShardedDatabase) Shards() int { return len(sdb.corpus.Parts()) }
-
-// Layout reports each shard's unit and node counts plus the number of
-// spine nodes (cut interior nodes evaluated by a residual sub-engine).
-func (sdb *ShardedDatabase) Layout() (parts []ShardInfo, spineNodes int) {
-	return sdb.corpus.Layout()
-}
+// Shards returns the shard count.
+func (sdb *ShardedDatabase) Shards() int { return sdb.corpus.Shards() }
 
 // NewEngine prepares a reusable sharded engine for q under opts. The
 // default scorer is built over the whole corpus — sharding never changes
 // scores, only where the work runs. Options.Shards is ignored here: the
-// shard count is the partition's.
+// shard count is the ShardedDatabase's.
 func (sdb *ShardedDatabase) NewEngine(q *Query, opts Options) (*ShardedEngine, error) {
 	q, err := planQuery(q, opts)
 	if err != nil {

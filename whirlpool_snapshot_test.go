@@ -23,7 +23,8 @@ var snapshotEquivalenceQueries = []string{
 // database served from an mmapped snapshot must return the same ranked
 // answers (root ordinals and scores) as one built from the XML. Runs
 // under -race in CI, so it also exercises the lazy node-slab
-// materialization and the partition of a mapped document concurrently.
+// materialization and the shard runs over a mapped document
+// concurrently.
 func TestSnapshotAnswersMatchBuild(t *testing.T) {
 	built, err := GenerateXMark(XMarkOptions{Seed: 3, Items: 120})
 	if err != nil {
