@@ -2,23 +2,15 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race budget bench-micro profile experiments experiments-full fuzz clean
+.PHONY: all build vet test race budget bench-micro profile experiments experiments-full fuzz clean
 
-all: build vet lint test race
+all: build vet test race
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
-
-# The Whirlpool analyzers (`internal/analysis`), driven by the go
-# command as a vet tool, test files included.
-bin/whirlpool-lint: $(shell find cmd/whirlpool-lint internal/analysis -name '*.go' -not -path '*/testdata/*')
-	$(GO) build -o $@ ./cmd/whirlpool-lint
-
-lint: bin/whirlpool-lint
-	$(GO) vet -vettool=bin/whirlpool-lint ./...
 
 test:
 	$(GO) test ./...
@@ -37,7 +29,7 @@ budget:
 	printf '%-28s %6s %6s\n' '' lines code; \
 	count . -not 'tree, non-test'; \
 	count . '' 'tree, _test.go'; \
-	for p in internal/core internal/shard internal/index internal/store internal/synopsis internal/analysis cmd/whirlpoold; do \
+	for p in internal/core internal/shard internal/index internal/store internal/synopsis cmd/whirlpoold; do \
 		count $$p -not "$$p, non-test"; \
 	done
 
@@ -77,4 +69,3 @@ fuzz:
 
 clean:
 	$(GO) clean ./...
-	rm -f bin/whirlpool-lint

@@ -80,8 +80,8 @@ func TestServerTimeouts(t *testing.T) {
 
 // TestServeDrainsOnShutdown: cancelling serve's context (SIGTERM in
 // main) closes the listener at once but lets a request in flight finish
-// with its answer.
-// +whirllint:busywait the dial loop ends at the first refused connection or a 5 s deadline
+// with its answer. The dial loop ends at the first refused connection
+// or a 5 s deadline.
 func TestServeDrainsOnShutdown(t *testing.T) {
 	s := testServer(t)
 	inFlight, release := make(chan struct{}), make(chan struct{})

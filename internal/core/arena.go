@@ -114,8 +114,7 @@ func (a *matchArena) get() *match {
 // getLocked pops the freelist or carves the slab: one slab of
 // arenaChunk matches per refill, not an allocation per get. Callers
 // hold s.mu when the arena is sharded; the single-shard layout has no
-// lock to hold, which the annotation records.
-// +whirllint:locked
+// lock to hold.
 func (s *arenaShard) getLocked(n int, home int32) *match {
 	if ln := len(s.free); ln > 0 {
 		m := s.free[ln-1]

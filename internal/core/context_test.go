@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,6 +69,55 @@ func TestRunContextCancelMidFlight(t *testing.T) {
 		if elapsed > 2*time.Second {
 			t.Fatalf("%v: cancellation took %v", alg, elapsed)
 		}
+	}
+}
+
+// TestServeMPollsCancellation holds a Whirlpool-M server to its
+// per-match poll: with its run cancelled and a match queued, but the
+// queues not yet closed (over unset, as before the run's AfterFunc
+// fires), the server drops the match unserved and returns. Without the
+// poll it serves the match, settles its survivors and waits forever on
+// its empty queue.
+func TestServeMPollsCancellation(t *testing.T) {
+	ix, q, s := xmarkEnv(t, 20, "//item[./description/parlist]")
+	eng, err := New(ix, q, Config{K: 3, Relax: relax.All, Algorithm: WhirlpoolM, Scorer: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	p := eng.open(ctx, nil, 0, 0, len(eng.roots))
+	defer p.Finish()
+	r := &p.r
+	m := r.seedRoots().next()
+	if m == nil {
+		t.Fatal("no root match to serve")
+	}
+	qs := make([]lockedPQ, q.Size())
+	conds := make([]sync.Cond, len(qs))
+	for i := range conds {
+		conds[i].L = &qs[i].mu
+	}
+	qs[1].pq.push(m, r.priority(m, 1))
+	cancel()
+
+	var over atomic.Bool
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		r.serveM(1, qs, conds, &over)
+	}()
+	select {
+	case <-served:
+	case <-time.After(2 * time.Second):
+		over.Store(true)
+		qs[1].mu.Lock()
+		qs[1].mu.Unlock()
+		conds[1].Broadcast()
+		<-served
+		t.Fatalf("cancelled server still waiting after 2 s, having done %d server operations", r.stats.load(ctrServerOps))
+	}
+	if ops := r.stats.load(ctrServerOps); ops != 0 {
+		t.Fatalf("cancelled server did %d server operations, want 0", ops)
 	}
 }
 

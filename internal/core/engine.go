@@ -283,7 +283,6 @@ func (e *Engine) priority(m *match, serverID int) float64 {
 // against the monotonic clock with no runtime.Gosched — yielding would
 // let other server goroutines interleave and under-report the simulated
 // cost. Bounded by d, so cancellation polling is not needed here.
-// +whirllint:busywait
 func spin(d time.Duration) {
 	end := time.Now().Add(d)
 	for time.Now().Before(end) {

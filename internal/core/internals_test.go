@@ -182,8 +182,8 @@ func TestTopkSetFloorSourceStaysRemoteless(t *testing.T) {
 }
 
 // TestTopkSetThresholdMonotone hammers the lock-free threshold cache
-// from concurrent offerers and checks it never decreases.
-// +whirllint:busywait watcher spins on the threshold cache deliberately; bounded by the offerers' Wait
+// from concurrent offerers and checks it never decreases. The watcher
+// spins on the threshold cache deliberately; the offerers' Wait bounds it.
 func TestTopkSetThresholdMonotone(t *testing.T) {
 	tk := newTopkSet(3, 0, false)
 	stop := make(chan struct{})
@@ -271,7 +271,8 @@ func runShared(t *testing.T, e *Engine, shared *SharedTopK, shardID int) Stats {
 	return st
 }
 
-// +whirllint:busywait drains a three-element queue; pop's ok=false ends the loop
+// TestPQOrdering drains a three-element queue; pop's ok=false ends the
+// loop.
 func TestPQOrdering(t *testing.T) {
 	var q pq
 	q.push(mkMatch(1, 0.1, 3), 0.1)

@@ -16,9 +16,9 @@ import (
 // complete matches otherwise; callers enforce that policy by only
 // offering guaranteed scores.
 //
-// One topkSet may be shared by several engines evaluating disjoint data
-// shards (see SharedTopK): offers carry a shard id so pruning can be
-// attributed to a local or remote threshold rise.
+// One topkSet may be shared by the runs of one engine over disjoint
+// ranges of its roots (see SharedTopK): offers carry a shard id so
+// pruning can be attributed to a local or remote threshold rise.
 type topkSet struct {
 	k int
 	// floor seeds the threshold (Config.Threshold / Figure 3's
@@ -112,9 +112,8 @@ func (t *topkSet) reset(k int, floor float64, hasFloor bool) {
 
 // find returns root's entry, or nil and the empty slot it would take.
 // Fibonacci hashing spreads the preorder ordinals over the table.
-// Callers hold t.mu when the set is locked.
-// +whirllint:locked
-// +whirllint:busywait the probe ends at an empty slot: insert keeps the table at most half full
+// Callers hold t.mu when the set is locked. The probe ends at an empty
+// slot: insert keeps the table at most half full.
 func (t *topkSet) find(root int) (*topkEntry, int) {
 	mask := len(t.best) - 1
 	for i := int(uint32(root) * 0x9E3779B9 >> (32 - bits.Len(uint(mask)))); ; i = (i + 1) & mask {
@@ -129,7 +128,6 @@ func (t *topkSet) find(root int) (*topkEntry, int) {
 // table if it would be over half full — amortized: the table doubles,
 // and it is kept across reset. Callers hold t.mu when the set is
 // locked.
-// +whirllint:locked
 func (t *topkSet) insert(e *topkEntry, slot int) {
 	if 2*(t.nbest+1) > len(t.best) {
 		old := t.best
@@ -225,7 +223,6 @@ func (t *topkSet) offer(m *match, src int32) {
 // binding width qn is fixed after the first offer. It allocates twice
 // per entryChunk distinct roots, not per offer. Callers hold t.mu when
 // the set is locked.
-// +whirllint:locked
 func (t *topkSet) newEntry(rootOrd int, m *match) *topkEntry {
 	if t.qn != len(m.bindings) {
 		if t.qn == 0 {
@@ -260,7 +257,6 @@ func (t *topkSet) newEntry(rootOrd int, m *match) *topkEntry {
 // insertion pass replaces the former full re-sort. Callers hold t.mu
 // when the set is locked; exact score comparison is the deterministic
 // sort tie-break.
-// +whirllint:locked
 func (t *topkSet) fixUp(i int) {
 	e := t.top[i]
 	for i > 0 {
@@ -282,7 +278,6 @@ func (t *topkSet) fixUp(i int) {
 // replacement requires ranking above the old k-th), so the cache is
 // monotone; src is recorded only when the k-th entry — not the floor —
 // governs the new value.
-// +whirllint:locked
 func (t *topkSet) publish(src int32) {
 	if len(t.top) < t.k {
 		return // the seeded floor (or no threshold) still governs
@@ -341,13 +336,13 @@ func (t *topkSet) answers() []Answer {
 	return out
 }
 
-// SharedTopK is a top-k candidate set shared by several engines
-// evaluating disjoint shards of one corpus. Every engine offers into and
-// prunes against the same set, so a high-scoring answer found on one
-// shard immediately raises the threshold used to kill partial matches on
-// all others. Create one per sharded evaluation with NewSharedTopK and
-// open each engine's run against it with NewParallelRun; it is safe for
-// concurrent use.
+// SharedTopK is a top-k candidate set shared by the shard runs of one
+// sharded evaluation: runs of one engine, each over its own range of
+// the query's roots. Every run offers into and prunes against the same
+// set, so a high-scoring answer found in one range immediately raises
+// the threshold used to kill partial matches in all others. Create one
+// per sharded evaluation with NewSharedTopK and open each range's run
+// against it with NewShardRun; it is safe for concurrent use.
 //
 // The threshold it publishes is, at all times, a lower bound on the true
 // global k-th best score — it is the k-th best of the guaranteed scores

@@ -133,7 +133,6 @@ func (c *Cache[K, V]) GetOrCreate(k K, build func() (V, error)) (v V, hit bool, 
 }
 
 // evictLocked trims the cache to capacity. Callers hold c.mu.
-// +whirllint:locked
 func (c *Cache[K, V]) evictLocked() {
 	for c.order.Len() > c.capacity {
 		el := c.order.Back()

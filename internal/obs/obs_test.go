@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -153,6 +156,10 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestRegistryConcurrent updates shared metrics from several goroutines,
+// then registers new ones from several more while a reader exposes the
+// registry, as /metrics does under load: a read racing a first
+// registration is a data race under -race.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -172,6 +179,32 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if got := r.Histogram("h").Count(); got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
+	}
+
+	const writers, gauges = 4, 100
+	var stop atomic.Bool
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for first := true; first || !stop.Load(); first = false {
+			r.Snapshot()
+			r.WritePrometheus(io.Discard)
+		}
+	}()
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < gauges; j++ {
+				r.Gauge("g", "writer", strconv.Itoa(i), "n", strconv.Itoa(j)).Set(int64(j))
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
+	<-read
+	if got, want := len(r.Snapshot()), 2+writers*gauges; got != want {
+		t.Fatalf("snapshot holds %d metrics, want %d", got, want)
 	}
 }
 
@@ -221,5 +254,37 @@ func TestJSONLSink(t *testing.T) {
 	}
 	if len(kinds) != 3 || kinds[0] != "run_start" || kinds[1] != "threshold" || kinds[2] != "run_end" {
 		t.Fatalf("kinds = %v", kinds)
+	}
+
+	// Whirlpool-M's servers emit concurrently: every event is one whole
+	// line, and the sequence numbers are 1..n, each once.
+	const emitters, each = 4, 100
+	buf.Reset()
+	j = NewJSONL(&buf)
+	var wg sync.WaitGroup
+	for i := 0; i < emitters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < each; n++ {
+				j.QueueDepth(i, n)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[int64]bool)
+	sc = bufio.NewScanner(&buf)
+	for sc.Scan() {
+		var e Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
+		}
+		if e.I < 1 || e.I > emitters*each || seen[e.I] {
+			t.Fatalf("sequence number %d out of range or repeated", e.I)
+		}
+		seen[e.I] = true
+	}
+	if len(seen) != emitters*each {
+		t.Fatalf("%d events written, want %d", len(seen), emitters*each)
 	}
 }

@@ -38,8 +38,8 @@ func CanonicalQueryKey(q *Query) string { return pattern.CanonicalKey(q) }
 // postings at load, or opened from the snapshot.
 func (db *Database) Synopsis() *Synopsis { return db.syn }
 
-// Synopsis returns the database's structure synopsis: a partition
-// changes where work runs, not what the corpus holds.
+// Synopsis returns the database's structure synopsis: cutting a query's
+// roots into ranges changes where work runs, not what the corpus holds.
 func (sdb *ShardedDatabase) Synopsis() *Synopsis { return sdb.db.Synopsis() }
 
 // Planner compiles and caches query plans. Plans are keyed on the

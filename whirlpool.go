@@ -390,13 +390,6 @@ type Options struct {
 	// are indexed by the canonical query's node IDs. The plan must have
 	// been compiled for the same query shape and Relax mode.
 	Plan *QueryPlan
-	// Shards, when above 1, evaluates the query on a sharded execution
-	// layer: the query's roots are cut into that many contiguous ranges,
-	// one run of its engine each, all pruning against one shared global
-	// top-k set (see ShardedDatabase). Honored by
-	// TopK/TopKContext/TopKString and ignored by NewEngine, which always
-	// prepares a single-engine evaluator.
-	Shards int
 }
 
 // Approximate returns the default options for approximate top-k matching
@@ -500,13 +493,6 @@ func (db *Database) TopK(q *Query, opts Options) (*Result, error) {
 // TopKContext is TopK with cancellation: when ctx is cancelled the
 // evaluation winds down promptly and ctx's error is returned.
 func (db *Database) TopKContext(ctx context.Context, q *Query, opts Options) (*Result, error) {
-	if opts.Shards > 1 {
-		sdb, err := db.Shard(opts.Shards)
-		if err != nil {
-			return nil, err
-		}
-		return sdb.TopKContext(ctx, q, opts)
-	}
 	e, err := db.NewEngine(q, opts)
 	if err != nil {
 		return nil, err
@@ -607,8 +593,7 @@ func (sdb *ShardedDatabase) Shards() int { return sdb.corpus.Shards() }
 
 // NewEngine prepares a reusable sharded engine for q under opts. The
 // default scorer is built over the whole corpus — sharding never changes
-// scores, only where the work runs. Options.Shards is ignored here: the
-// shard count is the ShardedDatabase's.
+// scores, only where the work runs.
 func (sdb *ShardedDatabase) NewEngine(q *Query, opts Options) (*ShardedEngine, error) {
 	q, err := planQuery(q, opts)
 	if err != nil {

@@ -19,9 +19,10 @@ var snapshotEquivalenceQueries = []string{
 
 // TestSnapshotAnswersMatchBuild is the answer-equivalence property for
 // the mmap snapshot: for every algorithm in {Whirlpool-S, Whirlpool-M},
-// relaxation mode in {exact, relaxed} and shard count in {1, 8}, a
-// database served from an mmapped snapshot must return the same ranked
-// answers (root ordinals and scores) as one built from the XML. Runs
+// relaxation mode in {exact, relaxed} and shard count in {1, 8} (the
+// databases themselves, then a Shard(8) of each), a database served
+// from an mmapped snapshot must return the same ranked answers (root
+// ordinals and scores) as one built from the XML. Runs
 // under -race in CI, so it also exercises the lazy node-slab
 // materialization and the shard runs over a mapped document
 // concurrently.
@@ -43,10 +44,26 @@ func TestSnapshotAnswersMatchBuild(t *testing.T) {
 		t.Fatal("OpenSnapshot database not snapshot-backed")
 	}
 
+	builtShards, err := built.Shard(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapShards, err := snap.Shard(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type topK interface {
+		TopK(*Query, Options) (*Result, error)
+	}
+	sides := []struct {
+		shards      int
+		built, snap topK
+	}{{1, built, snap}, {8, builtShards, snapShards}}
+
 	algorithms := []Algorithm{WhirlpoolS, WhirlpoolM}
 	for _, alg := range algorithms {
 		for _, relaxed := range []bool{false, true} {
-			for _, shards := range []int{1, 8} {
+			for _, side := range sides {
 				mode := "exact"
 				opts := Exact(10)
 				if relaxed {
@@ -54,16 +71,15 @@ func TestSnapshotAnswersMatchBuild(t *testing.T) {
 					opts = Approximate(10)
 				}
 				opts.Algorithm = alg
-				opts.Shards = shards
-				name := fmt.Sprintf("%v/%s/shards-%d", alg, mode, shards)
+				name := fmt.Sprintf("%v/%s/shards-%d", alg, mode, side.shards)
 				t.Run(name, func(t *testing.T) {
 					for _, qs := range snapshotEquivalenceQueries {
 						q := MustParseQuery(qs)
-						want, err := built.TopK(q, opts)
+						want, err := side.built.TopK(q, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := snap.TopK(q, opts)
+						got, err := side.snap.TopK(q, opts)
 						if err != nil {
 							t.Fatal(err)
 						}

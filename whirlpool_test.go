@@ -355,36 +355,10 @@ func TestShardedDatabaseFacade(t *testing.T) {
 				i, res.Answers[i].Score, base.Answers[i].Score)
 		}
 	}
-}
-
-func TestOptionsShardsRoutesThroughShardedDatabase(t *testing.T) {
-	db, err := GenerateXMark(XMarkOptions{Seed: 3, Items: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := MustParseQuery("//item[./description/parlist]")
-	base, err := db.TopK(q, Approximate(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Approximate(5)
-	opts.Shards = 8
-	res, err := db.TopK(q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Answers) != len(base.Answers) {
-		t.Fatalf("answers = %d, want %d", len(res.Answers), len(base.Answers))
-	}
-	for i := range base.Answers {
-		if math.Abs(res.Answers[i].Score-base.Answers[i].Score) > 1e-9 {
-			t.Fatalf("answer %d: %v vs %v", i, res.Answers[i].Score, base.Answers[i].Score)
-		}
-	}
-	// Cancellation reaches the shard engines.
+	// Cancellation reaches the shard runs.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.TopKContext(ctx, q, opts); err != context.Canceled {
+	if _, err := sdb.TopKContext(ctx, MustParseQuery(xpath), Approximate(8)); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
