@@ -349,7 +349,9 @@ func TestRunStateReuseAfterCancel(t *testing.T) {
 
 // TestRunContextConcurrentReuse: 64 RunContext calls racing on one
 // engine each hold a state of their own, so every one must return the
-// serial answer (run under -race and the arena poison).
+// serial answer (run under -race and the arena poison). A reader polls
+// Totals meanwhile, as whirlpoold's /stats does, and every run must be
+// counted once.
 func TestRunContextConcurrentReuse(t *testing.T) {
 	SetArenaPoisonForTest(true)
 	defer SetArenaPoisonForTest(false)
@@ -362,6 +364,23 @@ func TestRunContextConcurrentReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	done := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				if tot := eng.Totals(); tot.Runs < 1 {
+					t.Errorf("Totals().Runs = %d mid-flight, want at least the serial run", tot.Runs)
+					return
+				}
+				runtime.Gosched()
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
 		wg.Add(1)
@@ -377,6 +396,11 @@ func TestRunContextConcurrentReuse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(done)
+	<-polled
+	if tot := eng.Totals(); tot.Runs != 1+64*4 || tot.Aborted != 0 {
+		t.Fatalf("Totals() = %d runs, %d aborted; want %d runs, 0 aborted", tot.Runs, tot.Aborted, 1+64*4)
+	}
 }
 
 // TestIdleStatesStayBounded: run state is pooled per binding width, not
