@@ -68,16 +68,16 @@ func main() {
 	}
 }
 
-// dumpTrace runs one representative evaluation with a JSONL trace sink
-// writing to path.
+// dumpTrace runs one representative evaluation with a trace collector
+// and writes its events to path as JSONL.
 func dumpTrace(out io.Writer, cfg bench.Config, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	sink := obs.NewJSONL(f)
-	runErr := bench.TraceRun(out, cfg, sink)
-	if err := sink.Err(); runErr == nil && err != nil {
+	var sink obs.Collector
+	runErr := bench.TraceRun(out, cfg, &sink)
+	if err := sink.WriteJSONL(f); runErr == nil && err != nil {
 		runErr = fmt.Errorf("writing trace: %w", err)
 	}
 	if err := f.Close(); runErr == nil && err != nil {

@@ -76,11 +76,7 @@ func TestDumpTrace(t *testing.T) {
 	if len(lines) < 3 {
 		t.Fatalf("trace has %d events", len(lines))
 	}
-	var first, last struct {
-		Kind    string          `json:"event"`
-		Run     *obs.RunInfo    `json:"run"`
-		Summary *obs.RunSummary `json:"summary"`
-	}
+	var first, last obs.Event
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
 		t.Fatal(err)
 	}

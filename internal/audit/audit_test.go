@@ -66,14 +66,14 @@ var rows = []row{
 	{name: "lockguard/unlocked-topkset-offer", file: "internal/core/topk.go",
 		old:  "\tif t.locked {\n\t\tt.mu.Lock()\n\t\tdefer t.mu.Unlock()\n\t}\n\trootOrd := m.rootOrd()",
 		new:  "\trootOrd := m.rootOrd()",
-		race: true, pkgs: []string{"./internal/shard/"}, tests: []string{"TestShardedTopKEquivalence"}},
+		race: true, pkgs: []string{"./internal/core/"}, tests: []string{"TestRunStateReuseAfterCancel"}},
 	{name: "lockguard/unlocked-arena-release", file: "internal/core/arena.go",
-		old:  "\tif a.locked {\n\t\ts.mu.Lock()\n\t\ts.free = append(s.free, m)\n\t\ts.mu.Unlock()\n\t\treturn\n\t}\n",
+		old:  "\tif a.locked {\n\t\ta.mu.Lock()\n\t\ta.free = append(a.free, m)\n\t\ta.mu.Unlock()\n\t\treturn\n\t}\n",
 		new:  "",
 		race: true, pkgs: []string{"./internal/core/"}, tests: []string{"TestArenaConcurrentRoundTrip"}},
 	{name: "lockguard/unlocked-arena-get", file: "internal/core/arena.go",
-		old:  "\t\ts = &a.shards[idx]\n\t\ts.mu.Lock()\n",
-		new:  "\t\ts = &a.shards[idx]\n",
+		old:  "\ta.mu.Lock()\n\tm := a.getLocked()\n\ta.mu.Unlock()\n",
+		new:  "\tm := a.getLocked()\n",
 		race: true, pkgs: []string{"./internal/core/"}, tests: []string{"TestArenaConcurrentRoundTrip"}},
 	{name: "lockguard/unlocked-engine-record", file: "internal/core/engine.go",
 		old:  "func (e *Engine) Record(st Stats, err error) {\n\te.totalsMu.Lock()\n\tdefer e.totalsMu.Unlock()\n",
@@ -91,10 +91,6 @@ var rows = []row{
 		old:  "func (c *Collector) record(e Event) {\n\tc.mu.Lock()\n\tdefer c.mu.Unlock()\n",
 		new:  "func (c *Collector) record(e Event) {\n",
 		race: true, pkgs: []string{"./internal/core/"}, tests: []string{"TestTraceEventsWhirlpoolM"}},
-	{name: "lockguard/unlocked-jsonl-record", file: "internal/obs/trace.go",
-		old:  "func (j *JSONL) record(e Event) {\n\tj.mu.Lock()\n\tdefer j.mu.Unlock()\n",
-		new:  "func (j *JSONL) record(e Event) {\n",
-		race: true, pkgs: []string{"./internal/obs/"}, tests: []string{"TestJSONLSink"}},
 }
 
 // attempts bounds the runs per row: a row passes once one run of its

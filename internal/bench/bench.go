@@ -210,41 +210,6 @@ func (t *table) add(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-func (t *table) addf(format string, args ...any) {
-	t.add(splitRow(fmt.Sprintf(format, args...))...)
-}
-
-func splitRow(s string) []string {
-	var out []string
-	for _, f := range splitPipes(s) {
-		out = append(out, f)
-	}
-	return out
-}
-
-func splitPipes(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '|' {
-			out = append(out, trimSpace(s[start:i]))
-			start = i + 1
-		}
-	}
-	out = append(out, trimSpace(s[start:]))
-	return out
-}
-
-func trimSpace(s string) string {
-	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
-		s = s[1:]
-	}
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t') {
-		s = s[:len(s)-1]
-	}
-	return s
-}
-
 func (t *table) flush() {
 	for ri, row := range t.rows {
 		for i, c := range row {

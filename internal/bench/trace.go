@@ -11,7 +11,7 @@ import (
 // TraceRun executes one representative evaluation — Q2 under
 // Whirlpool-S with the paper's default configuration — with the given
 // trace sink attached, and prints the run's headline counters to out.
-// It powers whirlbench's -trace flag: with an obs.JSONL sink the full
+// It powers whirlbench's -trace flag: collected by an obs.Collector, the full
 // event stream (routing decisions, threshold trajectory, queue depth
 // samples, match lifecycle) lands in a file for offline analysis of
 // the adaptivity the paper only reports in aggregate (Figures 6–7).

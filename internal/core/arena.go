@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -48,93 +47,64 @@ func SetArenaPoisonForTest(v bool) { arenaPoison.Store(v) }
 //     it: the top-k set copies bindings into entry-owned storage
 //     (topkSet.offer) precisely so completed matches can be released.
 //
-// A Whirlpool-S or LockStep run stays on its one stepper's goroutine,
-// so it gets one unlocked shard. Whirlpool-M's router and server
-// goroutines allocate and release concurrently, so there the arena
-// shards its freelists (each behind its own mutex) and every match
-// remembers its home shard: get spreads over shards round-robin,
-// release returns to the home shard, keeping goroutines from
-// serializing on a single freelist lock.
+// A Whirlpool-S or LockStep run, a claimed shard's included, stays on
+// its one stepper's goroutine and uses the arena unlocked. Whirlpool-M's
+// router and server goroutines get and release concurrently, so there
+// every get and release takes mu. Its router keeps at most n−1 matches
+// out at the servers (runM), too few for the one lock to be worth
+// spreading: per-P freelists measured the same (DESIGN.md, Memory
+// management).
 type matchArena struct {
 	n int // bindings per match == query size
-	// locked is set for concurrent arenas: shard mutexes are taken on
-	// every get/release. It is independent of the shard count —
-	// GOMAXPROCS=1 still runs multiple goroutines.
+	// locked is set by Engine.open for a Whirlpool-M run, whose
+	// goroutines share the arena: mu is then taken on every get and
+	// release. It is a mode of the run, not of the arena — an idle state
+	// serves the next run of its width whatever its algorithm.
 	locked bool
-	shards []arenaShard
-	ctr    atomic.Uint32 // round-robin get cursor (concurrent arenas)
+	mu     sync.Mutex
+	free   []*match
+	slab   []match // current match slab, carved sequentially
+	bnd    []int32 // current flat bindings slab, every entry -1 until carved
 }
 
-// arenaShard is one freelist plus its slab cursor. The pad keeps
-// neighbouring shards out of one cache line under Whirlpool-M.
-type arenaShard struct {
-	mu   sync.Mutex
-	free []*match
-	slab []match // current match slab, carved sequentially
-	bnd  []int32 // current flat bindings slab, every entry -1 until carved
-	_    [64]byte
-}
-
-// newMatchArena sizes the arena for matches of n bindings. concurrent
-// selects the sharded (locked) layout.
-func newMatchArena(n int, concurrent bool) *matchArena {
-	a := &matchArena{n: n, locked: concurrent}
-	nshards := 1
-	if a.locked {
-		nshards = runtime.GOMAXPROCS(0)
-		if nshards > 16 {
-			nshards = 16
-		}
-		if nshards < 1 {
-			nshards = 1
-		}
-	}
-	a.shards = make([]arenaShard, nshards)
-	return a
-}
+// newMatchArena sizes the arena for matches of n bindings.
+func newMatchArena(n int) *matchArena { return &matchArena{n: n} }
 
 // get returns a cleared match with a bindings slice of the arena's
 // width: recycled when the freelist has one, otherwise carved from the
 // current slab.
 func (a *matchArena) get() *match {
-	idx := 0
-	s := &a.shards[0]
-	if a.locked {
-		idx = int(a.ctr.Add(1)) % len(a.shards)
-		s = &a.shards[idx]
-		s.mu.Lock()
+	if !a.locked {
+		return a.getLocked()
 	}
-	m := s.getLocked(a.n, int32(idx))
-	if a.locked {
-		s.mu.Unlock()
-	}
+	a.mu.Lock()
+	m := a.getLocked()
+	a.mu.Unlock()
 	return m
 }
 
 // getLocked pops the freelist or carves the slab: one slab of
-// arenaChunk matches per refill, not an allocation per get. Callers
-// hold s.mu when the arena is sharded; the single-shard layout has no
-// lock to hold.
-func (s *arenaShard) getLocked(n int, home int32) *match {
-	if ln := len(s.free); ln > 0 {
-		m := s.free[ln-1]
-		s.free[ln-1] = nil
-		s.free = s.free[:ln-1]
+// arenaChunk matches per refill, not an allocation per get. The caller
+// holds a.mu when the arena is locked.
+func (a *matchArena) getLocked() *match {
+	if ln := len(a.free); ln > 0 {
+		m := a.free[ln-1]
+		a.free[ln-1] = nil
+		a.free = a.free[:ln-1]
 		m.visited, m.missing = 0, 0
 		m.score, m.maxFinal = 0, 0
 		m.seq = 0
 		return m
 	}
-	if len(s.slab) == 0 {
-		s.slab = make([]match, arenaChunk)
-		s.bnd = make([]int32, arenaChunk*n)
-		unbind(s.bnd)
+	if len(a.slab) == 0 {
+		a.slab = make([]match, arenaChunk)
+		a.bnd = make([]int32, arenaChunk*a.n)
+		unbind(a.bnd)
 	}
-	m := &s.slab[0]
-	s.slab = s.slab[1:]
-	m.bindings = s.bnd[:n:n]
-	s.bnd = s.bnd[n:]
-	m.home = home
+	m := &a.slab[0]
+	a.slab = a.slab[1:]
+	m.bindings = a.bnd[:a.n:a.n]
+	a.bnd = a.bnd[a.n:]
 	return m
 }
 
@@ -155,14 +125,13 @@ func (a *matchArena) release(m *match) {
 		m.score, m.maxFinal = math.NaN(), math.Inf(-1)
 		m.seq = -1
 	}
-	s := &a.shards[m.home]
 	if a.locked {
-		s.mu.Lock()
-		s.free = append(s.free, m)
-		s.mu.Unlock()
+		a.mu.Lock()
+		a.free = append(a.free, m)
+		a.mu.Unlock()
 		return
 	}
-	s.free = append(s.free, m)
+	a.free = append(a.free, m)
 }
 
 // unbind marks every binding unbound.
@@ -194,18 +163,18 @@ var idleStates struct {
 
 // acquireState returns the most recently released idle state for
 // matches of n bindings, or a fresh one.
-func acquireState(n int, concurrent bool) *ParallelRun {
+func acquireState(n int) *ParallelRun {
 	l := &idleStates
 	l.mu.Lock()
 	for i := len(l.list) - 1; i >= 0; i-- {
-		if st := l.list[i]; st.arena.n == n && st.arena.locked == concurrent {
+		if st := l.list[i]; st.arena.n == n {
 			l.list = slices.Delete(l.list, i, i+1)
 			l.mu.Unlock()
 			return st
 		}
 	}
 	l.mu.Unlock()
-	return &ParallelRun{arena: newMatchArena(n, concurrent), topk: newTopkSet(1, 0, false)}
+	return &ParallelRun{arena: newMatchArena(n), topk: newTopkSet(1, 0, false)}
 }
 
 // release parks the state for the next run. Only a run that finished
@@ -213,10 +182,7 @@ func acquireState(n int, concurrent bool) *ParallelRun {
 // in queues and batches — so any other state is left to the collector,
 // as is an outsized one.
 func (p *ParallelRun) release() {
-	held := len(p.topk.ents)
-	for i := range p.arena.shards {
-		held += len(p.arena.shards[i].free)
-	}
+	held := len(p.topk.ents) + len(p.arena.free)
 	if !p.IsDone() || held > maxIdleMatches {
 		return
 	}

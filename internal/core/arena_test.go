@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/index"
 	"repro/internal/pattern"
@@ -18,7 +20,7 @@ import (
 // bindings slice retained (no fresh allocation) but unbound.
 // Scores compare exactly: recycled fields must be exactly zero.
 func TestArenaGetReleaseRecycles(t *testing.T) {
-	a := newMatchArena(3, false)
+	a := newMatchArena(3)
 	m := a.get()
 	if len(m.bindings) != 3 {
 		t.Fatalf("bindings len = %d, want 3", len(m.bindings))
@@ -50,11 +52,13 @@ func TestArenaGetReleaseRecycles(t *testing.T) {
 	a.release(nil) // nil-safe
 }
 
-// TestArenaConcurrentRoundTrip exercises the sharded (locked) layout
-// under -race: goroutines get, populate, and release matches through the
-// same arena; every handed-out match must be exclusively owned.
+// TestArenaConcurrentRoundTrip exercises the locked arena, as a
+// Whirlpool-M run uses it, under -race: goroutines get, populate, and
+// release matches through its one freelist; every handed-out match must
+// be exclusively owned.
 func TestArenaConcurrentRoundTrip(t *testing.T) {
-	a := newMatchArena(4, true)
+	a := newMatchArena(4)
+	a.locked = true
 	done := make(chan bool)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
@@ -75,6 +79,63 @@ func TestArenaConcurrentRoundTrip(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		if !<-done {
 			t.Fatal("a match was mutated while owned")
+		}
+	}
+}
+
+// TestMatchIsOneCacheLine pins the match's layout: its bindings header
+// and five 8-byte fields fill exactly one 64-byte cache line, so a slab
+// of arenaChunk matches is 16 KB and no match straddles two lines.
+func TestMatchIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(match{}); n != 64 {
+		t.Fatalf("sizeof(match) = %d bytes, want 64", n)
+	}
+}
+
+// TestIdleStateServesEitherAlgorithm: idle states are keyed by binding
+// width alone, whether the arena locks being a mode Engine.open sets
+// per run. A state a Whirlpool-M run parked serves the next Whirlpool-S
+// run of the same width, unlocked, and the other way round. Across that
+// reuse a warm Whirlpool-S run still allocates only its answer copy
+// (TestRunReuseAllocs' 3; with hundreds of server operations a run, an
+// allocating process would break it too) and a warm Whirlpool-M run
+// stays within TestWhirlpoolMAllocsPerRun's 160.
+func TestIdleStateServesEitherAlgorithm(t *testing.T) {
+	ix, q, s := xmarkEnv(t, 200, "//item[./description/parlist and ./mailbox/mail/text]")
+	var eng [2]*Engine // Whirlpool-S, Whirlpool-M
+	for i, alg := range []Algorithm{WhirlpoolS, WhirlpoolM} {
+		var err error
+		if eng[i], err = New(ix, q, Config{K: 15, Relax: relax.All, Algorithm: alg, Routing: RoutingMinAlive, Scorer: s}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun counts
+	for i, bound := range []uint64{3, 160} {
+		from, to := eng[1-i], eng[i]
+		if _, err := from.Run(); err != nil {
+			t.Fatal(err)
+		}
+		idleStates.mu.Lock()
+		parked := idleStates.list[len(idleStates.list)-1]
+		idleStates.mu.Unlock()
+		p := to.open(context.Background(), nil, 0, 0, len(to.roots))
+		if p != parked || p.arena.locked != (i == 1) {
+			t.Fatalf("%v after %v: parked state reused %v, arena.locked %v", to.cfg.Algorithm, from.cfg.Algorithm, p == parked, p.arena.locked)
+		}
+		p.Drive()
+		p.Finish()
+		const pairs = 20
+		var allocs uint64
+		for n := 0; n < pairs; n++ {
+			from.Run()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			to.Run()
+			runtime.ReadMemStats(&after)
+			allocs += after.Mallocs - before.Mallocs
+		}
+		if allocs/pairs > bound {
+			t.Fatalf("warm %v run after %v allocates %d objects, want at most %d", to.cfg.Algorithm, from.cfg.Algorithm, allocs/pairs, bound)
 		}
 	}
 }
@@ -133,7 +194,7 @@ func TestArenaPoisonEquivalence(t *testing.T) {
 func TestTopKDoesNotRetainReleasedMatch(t *testing.T) {
 	arenaPoison.Store(true)
 	defer arenaPoison.Store(false)
-	a := newMatchArena(2, false)
+	a := newMatchArena(2)
 	tk := newTopkSet(1, 0, false)
 	root, leaf := int32(7), int32(8)
 	m := a.get()
@@ -172,7 +233,7 @@ func processStep(tb testing.TB, xpath string, mode relax.Relaxation) func() {
 	r := &run{
 		Engine: e,
 		topk:   shared.set,
-		arena:  newMatchArena(q.Size(), false),
+		arena:  newMatchArena(q.Size()),
 		ctx:    context.Background(),
 	}
 	r.lastThreshold.Store(math.Float64bits(math.Inf(-1)))

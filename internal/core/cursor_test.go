@@ -425,9 +425,7 @@ func TestIdleStatesStayBounded(t *testing.T) {
 			alg = LockStep // walks every root: an arena too big to keep
 		}
 		cfg := Config{K: 1 + i%40, Relax: relax.All, Algorithm: alg, Scorer: score.NewTFIDF(ix, q, score.Sparse)}
-		if _, err := runWithErr(ix, q, cfg); err != nil {
-			t.Fatal(err)
-		}
+		runWith(t, ix, q, cfg)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -438,10 +436,7 @@ func TestIdleStatesStayBounded(t *testing.T) {
 		t.Fatalf("%d idle states, bound %d", n, maxIdleStates)
 	}
 	for _, st := range idleStates.list {
-		held := len(st.topk.ents)
-		for i := range st.arena.shards {
-			held += len(st.arena.shards[i].free)
-		}
+		held := len(st.topk.ents) + len(st.arena.free)
 		if held > maxIdleMatches {
 			t.Fatalf("idle state holds %d matches and entries, bound %d", held, maxIdleMatches)
 		}
@@ -454,14 +449,6 @@ func TestIdleStatesStayBounded(t *testing.T) {
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 4<<20 {
 		t.Fatalf("heap grew %d bytes across 768 engines", grew)
 	}
-}
-
-func runWithErr(ix index.Source, q *pattern.Query, cfg Config) (*Result, error) {
-	e, err := New(ix, q, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run()
 }
 
 // TestParallelRunCursorContract pins the liveness contract of a run
@@ -554,8 +541,8 @@ func TestParallelRunCursorContract(t *testing.T) {
 		if in.alg == WhirlpoolM {
 			// Whirlpool-M's schedule, and with it its counters and its
 			// pick among tied roots, varies from run to run.
-			if !almostEqual(scoresFromAnswers(got), scoresOf(want)) {
-				t.Fatalf("%s: stepped scores %v, want %v", label, scoresFromAnswers(got), scoresOf(want))
+			if !almostEqual(scoresOf(&Result{Answers: got}), scoresOf(want)) {
+				t.Fatalf("%s: stepped scores %v, want %v", label, scoresOf(&Result{Answers: got}), scoresOf(want))
 			}
 		} else {
 			if !sameAnswers(got, want.Answers) {

@@ -19,10 +19,6 @@ type match struct {
 	score    float64
 	maxFinal float64
 	seq      int64
-	// home is the arena shard the match was carved from; release
-	// returns it there so Whirlpool-M goroutines recycle without
-	// funnelling through one freelist lock.
-	home int32
 }
 
 func (m *match) isVisited(id int) bool { return m.visited&(1<<uint(id)) != 0 }

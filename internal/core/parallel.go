@@ -32,10 +32,10 @@ import (
 // A ParallelRun is also everything a run buys that can outlive it —
 // arena slabs, RunContext's own top-k set, the heap's backing array,
 // the driver's scratch. It idles between runs in a bounded free list
-// keyed by binding width and arena layout: global, not per engine (a
-// daemon caches hundreds of engines and runs a few at once), and a
-// plain list, not a sync.Pool, so that what a request allocates does
-// not depend on when the collector last ran. Finish hands it back: no
+// keyed by binding width alone: global, not per engine (a daemon
+// caches hundreds of engines and runs a few at once), and a plain
+// list, not a sync.Pool, so that what a request allocates does not
+// depend on when the collector last ran. Finish hands it back: no
 // method may be called on it afterwards.
 type ParallelRun struct {
 	r     run
@@ -82,15 +82,16 @@ func (e *Engine) NewShardRun(ctx context.Context, shared *SharedTopK, s, p int) 
 
 // open starts a run over roots[lo:hi] on a state off the free list, and
 // decides here, once, whether goroutines share the run: only
-// Whirlpool-M's, which brings its own. Any other run is exclusive to its
-// one stepper — the plain queue, one unlocked freelist and plain
-// counters — and with topk nil it offers into its own reset set,
-// unlocked, and, having no sibling shards, skips the per-prune
-// threshold-source attribution.
+// Whirlpool-M's, which brings its own and locks the arena. Any other
+// run is exclusive to its one stepper — the plain queue, the arena
+// unlocked and plain counters — and with topk nil it offers into its
+// own reset set, unlocked, and, having no sibling shards, skips the
+// per-prune threshold-source attribution.
 func (e *Engine) open(ctx context.Context, topk *topkSet, shardID, lo, hi int) *ParallelRun {
 	sharded := topk != nil
 	shared := e.cfg.Algorithm == WhirlpoolM
-	p := acquireState(e.query.Size(), shared)
+	p := acquireState(e.query.Size())
+	p.arena.locked = shared
 	if !sharded {
 		topk = p.topk
 		topk.reset(e.cfg.K, e.x.Threshold, e.x.Threshold > 0)

@@ -57,23 +57,15 @@ func TestParallelRunMatchesRunContext(t *testing.T) {
 				t.Fatal(err)
 			}
 			stats := stepAlone(t, p, budget)
-			if got := shared.Answers(); !almostEqual(scoresFromAnswers(got), scoresOf(base)) {
+			if got := shared.Answers(); !almostEqual(scoresOf(&Result{Answers: got}), scoresOf(base)) {
 				t.Fatalf("%v rel=%d budget=%d: scores %v, baseline %v",
-					alg, rel, budget, scoresFromAnswers(got), scoresOf(base))
+					alg, rel, budget, scoresOf(&Result{Answers: got}), scoresOf(base))
 			}
 			if stats.MatchesCreated == 0 || stats.ServerOps == 0 {
 				t.Fatalf("%v rel=%d budget=%d: empty stats %+v", alg, rel, budget, stats)
 			}
 		}
 	}
-}
-
-func scoresFromAnswers(as []Answer) []float64 {
-	out := make([]float64, len(as))
-	for i, a := range as {
-		out[i] = a.Score
-	}
-	return out
 }
 
 // TestParallelRunCapacityMismatch: a shared set must have the engine's k.

@@ -70,27 +70,6 @@ func (c *Cache[K, V]) Len() int {
 	return c.order.Len()
 }
 
-// Get returns the value cached under k, waiting for an in-flight build
-// to finish. ok is false when k is absent or its build failed.
-func (c *Cache[K, V]) Get(k K) (V, bool) {
-	c.mu.Lock()
-	el, ok := c.entries[k]
-	if !ok {
-		c.mu.Unlock()
-		var zero V
-		return zero, false
-	}
-	c.order.MoveToFront(el)
-	f := el.Value.(*flight[K, V])
-	c.mu.Unlock()
-	<-f.ready
-	if f.err != nil {
-		var zero V
-		return zero, false
-	}
-	return f.val, true
-}
-
 // GetOrCreate returns the value under k, building it with build on a
 // miss. The builder runs outside the cache lock; concurrent callers for
 // the same key share one build (and its error), callers for other keys

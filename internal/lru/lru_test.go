@@ -24,18 +24,16 @@ func TestBasicsAndEviction(t *testing.T) {
 	}
 	mustCreate(t, c, "a", 1)
 	mustCreate(t, c, "b", 2)
-	if v, ok := c.Get("a"); !ok || v != 1 {
-		t.Fatalf("Get(a) = %d, %v", v, ok)
+	// A hit never calls the builder.
+	if v, hit, err := c.GetOrCreate("a", nil); err != nil || !hit || v != 1 {
+		t.Fatalf("GetOrCreate(a) = %d, hit=%v, err=%v", v, hit, err)
 	}
 	// "a" was just used, so inserting "c" evicts "b".
 	mustCreate(t, c, "c", 3)
 	if c.Len() != 2 {
 		t.Fatalf("len = %d", c.Len())
 	}
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("b should have been evicted")
-	}
-	if _, ok := c.Get("a"); !ok {
+	if _, hit, _ := c.GetOrCreate("a", nil); !hit {
 		t.Fatal("a should have survived")
 	}
 	// A re-requested evicted key rebuilds (miss).

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -234,57 +235,26 @@ func TestCollectorSink(t *testing.T) {
 	}
 }
 
+// TestJSONLSink: WriteJSONL writes one JSON object per line, in
+// recording order, each decoding back to the event recorded.
 func TestJSONLSink(t *testing.T) {
+	var c Collector
+	c.RunStart(RunInfo{Algorithm: "Whirlpool-M", Routing: "min_alive_partial_matches"})
+	c.Threshold(1.25)
+	c.RunEnd(RunSummary{Answers: 3, DurationUS: 42})
 	var buf bytes.Buffer
-	j := NewJSONL(&buf)
-	j.RunStart(RunInfo{Algorithm: "Whirlpool-M", Routing: "min_alive_partial_matches"})
-	j.Threshold(1.25)
-	j.RunEnd(RunSummary{Answers: 3, DurationUS: 42})
-	if err := j.Err(); err != nil {
+	if err := c.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var kinds []string
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
+	var got []Event
+	for sc := bufio.NewScanner(&buf); sc.Scan(); {
 		var e Event
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
 		}
-		kinds = append(kinds, e.Kind)
+		got = append(got, e)
 	}
-	if len(kinds) != 3 || kinds[0] != "run_start" || kinds[1] != "threshold" || kinds[2] != "run_end" {
-		t.Fatalf("kinds = %v", kinds)
-	}
-
-	// Whirlpool-M's servers emit concurrently: every event is one whole
-	// line, and the sequence numbers are 1..n, each once.
-	const emitters, each = 4, 100
-	buf.Reset()
-	j = NewJSONL(&buf)
-	var wg sync.WaitGroup
-	for i := 0; i < emitters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := 0; n < each; n++ {
-				j.QueueDepth(i, n)
-			}
-		}()
-	}
-	wg.Wait()
-	seen := make(map[int64]bool)
-	sc = bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		if e.I < 1 || e.I > emitters*each || seen[e.I] {
-			t.Fatalf("sequence number %d out of range or repeated", e.I)
-		}
-		seen[e.I] = true
-	}
-	if len(seen) != emitters*each {
-		t.Fatalf("%d events written, want %d", len(seen), emitters*each)
+	if want := c.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("JSONL decodes to %+v, want %+v", got, want)
 	}
 }

@@ -122,8 +122,10 @@ type Event struct {
 	Shard int `json:"shard,omitempty"`
 }
 
-// Collector is an in-memory TraceSink for tests and ad-hoc inspection.
-// The zero value is ready to use.
+// Collector is the in-memory TraceSink: tests inspect its events, and
+// whirlbench -trace writes them out as JSONL (WriteJSONL). A mutex
+// serializes recording, so it is safe for Whirlpool-M's concurrent
+// emitters. The zero value is ready to use.
 type Collector struct {
 	mu     sync.Mutex
 	seq    int64
@@ -174,6 +176,18 @@ func (c *Collector) Events() []Event {
 	return append([]Event(nil), c.events...)
 }
 
+// WriteJSONL writes every event recorded so far to w, one JSON object
+// per line, in recording order.
+func (c *Collector) WriteJSONL(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	for _, e := range c.Events() {
+		if err := enc.Encode(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // CountKind returns how many events of the given Kind were recorded.
 func (c *Collector) CountKind(kind string) int {
 	c.mu.Lock()
@@ -199,67 +213,4 @@ func (c *Collector) LifeTotal(kind Lifecycle) int64 {
 		}
 	}
 	return total
-}
-
-// JSONL is a TraceSink that writes one JSON object per event to an
-// io.Writer. A mutex serializes writers, so it is safe for Whirlpool-M's
-// concurrent emitters; the first encode error is retained and stops
-// further output.
-type JSONL struct {
-	mu  sync.Mutex
-	seq int64
-	enc *json.Encoder
-	err error
-}
-
-// NewJSONL returns a sink writing JSONL events to w.
-func NewJSONL(w io.Writer) *JSONL {
-	return &JSONL{enc: json.NewEncoder(w)}
-}
-
-func (j *JSONL) record(e Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return
-	}
-	j.seq++
-	e.I = j.seq
-	j.err = j.enc.Encode(e)
-}
-
-// Err returns the first write error, if any.
-func (j *JSONL) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// RunStart implements TraceSink.
-func (j *JSONL) RunStart(info RunInfo) { j.record(Event{Kind: "run_start", Run: &info}) }
-
-// RouteDecision implements TraceSink.
-func (j *JSONL) RouteDecision(matchSeq int64, next int) {
-	j.record(Event{Kind: "route", MatchSeq: matchSeq, Server: next})
-}
-
-// Threshold implements TraceSink.
-func (j *JSONL) Threshold(value float64) { j.record(Event{Kind: "threshold", Value: value}) }
-
-// QueueDepth implements TraceSink.
-func (j *JSONL) QueueDepth(server, depth int) {
-	j.record(Event{Kind: "queue_depth", Server: server, Depth: depth})
-}
-
-// MatchLifecycle implements TraceSink.
-func (j *JSONL) MatchLifecycle(kind Lifecycle, n int) {
-	j.record(Event{Kind: "match", Life: kind.String(), N: n})
-}
-
-// RunEnd implements TraceSink.
-func (j *JSONL) RunEnd(sum RunSummary) { j.record(Event{Kind: "run_end", Summary: &sum}) }
-
-// ShardRun implements ShardSink.
-func (j *JSONL) ShardRun(shard int, sum RunSummary) {
-	j.record(Event{Kind: "shard_run", Shard: shard, Summary: &sum})
 }

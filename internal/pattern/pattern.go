@@ -67,14 +67,6 @@ func (q *Query) Add(parentID int, tag string, axis dewey.Axis) int {
 	return id
 }
 
-// AddValue appends a leaf node with an equality content predicate and
-// returns its ID.
-func (q *Query) AddValue(parentID int, tag string, axis dewey.Axis, value string) int {
-	id := q.Add(parentID, tag, axis)
-	q.Nodes[id].Value = value
-	return id
-}
-
 // AddValueOp appends a leaf node with an arbitrary content predicate
 // (op ∈ =, !=, <, <=, >, >=, contains) and returns its ID.
 func (q *Query) AddValueOp(parentID int, tag string, axis dewey.Axis, op, value string) int {

@@ -41,7 +41,6 @@ type leBuf struct{ b []byte }
 
 func (e *leBuf) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *leBuf) s64(v int64)  { e.b = binary.LittleEndian.AppendUint64(e.b, uint64(v)) }
-func (e *leBuf) raw(p []byte) { e.b = append(e.b, p...) }
 func (e *leBuf) str(s string) { e.b = append(e.b, s...) }
 
 // WriteSnapshot serializes s to w in the v2 mmap snapshot format.

@@ -45,9 +45,6 @@ func (b *Builder) Close() *Builder {
 	return b
 }
 
-// Cursor returns the current cursor node (for attaching custom subtrees).
-func (b *Builder) Cursor() *Node { return b.cursor }
-
 // Doc finalizes preorder numbering and returns the document.
 func (b *Builder) Doc() *Document {
 	b.doc.renumber()
