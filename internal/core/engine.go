@@ -352,6 +352,31 @@ func (c *rootCursor) bound(maxFinal float64) {
 	}
 }
 
+// cut reports whether no root still to come can beat currentTopK. A
+// tie cuts only when every such root comes after the threshold's k-th
+// root (topkSet.after): those of this segment follow the last one
+// produced, and a second segment still to open, if it ties too, starts
+// over at the slice's first root.
+func (c *rootCursor) cut() bool {
+	t, ok := c.r.topk.threshold()
+	if !ok || c.finalBound > t+pruneEps {
+		return false
+	}
+	if c.finalBound < t-pruneEps {
+		return true
+	}
+	e := c.r.Engine
+	next := int32(math.MaxInt32)
+	if c.pos < len(c.cands) {
+		next = int32(c.cands[c.pos])
+	}
+	if e.rootVia != 0 && !c.second && (!e.cfg.Relax.Has(relax.LeafDeletion) ||
+		c.finalBound-e.maxContrib[e.rootVia] < t-pruneEps) {
+		next = c.last + 1
+	}
+	return c.r.topk.after(next)
+}
+
 // lower opens the second segment, if there is one to open.
 func (c *rootCursor) lower() bool {
 	e := c.r.Engine

@@ -149,7 +149,7 @@ func (q *pq) pull() {
 	r := c.r
 	for q.due() && !r.cancelled() {
 		var m *match
-		if t, ok := r.topk.threshold(); ok && c.finalBound <= t+pruneEps {
+		if c.cut() {
 			r.prune(len(c.cands) - c.pos - c.reached)
 		} else if m = c.next(); m == nil && c.lower() {
 			continue // the second segment: due and the cut under its bounds

@@ -359,23 +359,31 @@ func TestRootStreamAnswers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				shared := NewSharedTopK(cfg.K, 0)
-				for sh := 0; sh < p; sh++ {
-					pr, err := eng.NewShardRun(context.Background(), shared, sh, p)
-					if err != nil {
-						t.Fatal(err)
+				shards := func(order func(i int) int) []ordAnswer {
+					shared := NewOrderedTopK(cfg.K, 0)
+					for i := 0; i < p; i++ {
+						pr, err := eng.NewShardRun(context.Background(), shared, order(i), p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						pr.Drive()
+						if _, err := pr.Finish(); err != nil {
+							t.Fatal(err)
+						}
 					}
-					pr.Drive()
-					if _, err := pr.Finish(); err != nil {
-						t.Fatal(err)
-					}
+					return ordAnswers(shared.Answers())
 				}
-				sameScores(t, fmt.Sprintf("%s %s in %d shards", label, src.name, p), scan, ordAnswers(shared.Answers()), false)
+				fwd := shards(func(i int) int { return i })
+				sameScores(t, fmt.Sprintf("%s %s in %d shards", label, src.name, p), scan, fwd, false)
 				for ord, n := range tally.times {
 					if n > 1 {
 						t.Fatalf("%s %s in %d shards: root %d materialised %d times", label, src.name, p, ord, n)
 					}
 				}
+				// A shared set answers the total order, ties included,
+				// whichever shard reaches the boundary first.
+				rev := shards(func(i int) int { return p - 1 - i })
+				sameScores(t, fmt.Sprintf("%s %s in %d shards, last first", label, src.name, p), fwd, rev, true)
 				if tot := eng.Totals(); tot.Runs != 0 {
 					t.Fatalf("%s: shard runs recorded %d runs in the engine's totals", label, tot.Runs)
 				}

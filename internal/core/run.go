@@ -192,12 +192,12 @@ const pruneEps = 1e-12
 
 // prunable reports whether m cannot improve the top-k set: its maximum
 // possible final score does not exceed currentTopK. Ties are prunable —
-// k answers with at least that score are already guaranteed, and a tying
-// match can neither displace an entry nor raise its own root's entry
-// above the threshold.
+// k answers with at least that score are already guaranteed — unless
+// the set is ordered and m's root precedes the k-th root, where a tying
+// match would displace the k-th entry (see topkSet.ordered).
 func (r *run) prunable(m *match) bool {
 	t, ok := r.topk.threshold()
-	return ok && m.maxFinal <= t+pruneEps
+	return ok && m.maxFinal <= t+pruneEps && (m.maxFinal < t-pruneEps || r.topk.after(m.bindings[0]))
 }
 
 // nextServer implements the routing decision (Section 6.1.4) for the

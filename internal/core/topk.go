@@ -35,6 +35,20 @@ type topkSet struct {
 	// thrSrc is the shard whose k-th entry produced the cached
 	// threshold, or -1 while the floor (or nothing) governs.
 	thrSrc atomic.Int32
+	// thrRoot is the k-th entry's root ordinal when the set is ordered
+	// and that entry governs the threshold, else -1: a match that only
+	// ties the threshold is prunable iff its root comes after thrRoot
+	// (see after). publish stores it before thrBits, and readers load
+	// it after, so a reader pairs a threshold with its own k-th root or
+	// a later one.
+	thrRoot atomic.Int32
+	// ordered is set by NewOrderedTopK. Shard runs race to the
+	// boundary, so a tie pruned against whichever root got there first
+	// would make the answers depend on the schedule; an ordered set
+	// keeps every tying match whose root precedes the k-th root, and
+	// returns the top-k of the total order (score descending, root
+	// ascending). Any other set prunes every tie.
+	ordered bool
 	// locked is set for a set several goroutines may offer into (a
 	// SharedTopK, which every shard's run offers into from its own pool
 	// worker, or a Whirlpool-M run's own set): offer takes mu. Any other
@@ -98,6 +112,7 @@ func (t *topkSet) reset(k int, floor float64, hasFloor bool) {
 		t.thrBits.Store(math.Float64bits(math.NaN()))
 	}
 	t.thrSrc.Store(-1)
+	t.thrRoot.Store(-1)
 	if t.nbest == t.used {
 		for _, e := range t.ents[:t.used] {
 			t.best[e.slot] = nil
@@ -273,24 +288,29 @@ func (t *topkSet) fixUp(i int) {
 }
 
 // publish refreshes the cached threshold after a mutation of the top-k
-// slice. Callers hold t.mu when the set is locked. The k-th best
-// guaranteed score never decreases (per-root entries only improve, and
-// replacement requires ranking above the old k-th), so the cache is
+// slice. Callers hold t.mu when the set is locked. The k-th entry never
+// ranks lower (per-root entries only improve, and replacement requires
+// ranking above the old k-th): its score never decreases, and while the
+// score holds its root ordinal never increases. So the cache is
 // monotone; src is recorded only when the k-th entry — not the floor —
 // governs the new value.
 func (t *topkSet) publish(src int32) {
 	if len(t.top) < t.k {
 		return // the seeded floor (or no threshold) still governs
 	}
-	v := t.top[len(t.top)-1].score
+	kth := t.top[len(t.top)-1]
+	v, root := kth.score, int32(-1)
 	fromSet := true
 	if t.hasFloor && t.floor > v {
 		v, fromSet = t.floor, false
+	} else if t.ordered {
+		root = int32(kth.rootOrd)
 	}
 	old := math.Float64frombits(t.thrBits.Load())
-	if !math.IsNaN(old) && old >= v {
+	if !math.IsNaN(old) && (old > v || old == v && t.thrRoot.Load() <= root) {
 		return // unchanged (or a repeat of the floor)
 	}
+	t.thrRoot.Store(root)
 	t.thrBits.Store(math.Float64bits(v))
 	if fromSet {
 		t.thrSrc.Store(src)
@@ -309,6 +329,13 @@ func (t *topkSet) threshold() (v float64, ok bool) {
 	}
 	return v, true
 }
+
+// after reports whether a root at ordinal root comes after the k-th
+// root of the threshold last loaded, so that a match there which only
+// ties the threshold cannot enter the set. Always true of an unordered
+// set, and while the floor governs. Load the threshold first: publish
+// stores the root first.
+func (t *topkSet) after(root int32) bool { return root > t.thrRoot.Load() }
 
 // thresholdSrc returns the shard whose entry produced the current
 // threshold, or -1 while the floor (or nothing) governs.
@@ -341,7 +368,7 @@ func (t *topkSet) answers() []Answer {
 // the query's roots. Every run offers into and prunes against the same
 // set, so a high-scoring answer found in one range immediately raises
 // the threshold used to kill partial matches in all others. Create one
-// per sharded evaluation with NewSharedTopK and open each range's run
+// per sharded evaluation with NewOrderedTopK and open each range's run
 // against it with NewShardRun; it is safe for concurrent use.
 //
 // The threshold it publishes is, at all times, a lower bound on the true
@@ -354,8 +381,19 @@ type SharedTopK struct {
 
 // NewSharedTopK creates a shared top-k set for k answers. floor, when
 // positive, seeds the pruning threshold (Config.Threshold semantics).
+// It prunes every tie, as a run's own set does, so one run over it
+// repeats RunContext's answers and counters.
 func NewSharedTopK(k int, floor float64) *SharedTopK {
 	return &SharedTopK{set: newTopkSet(k, floor, floor > 0)}
+}
+
+// NewOrderedTopK is NewSharedTopK for runs that race: its answers are
+// the top-k of score descending, root ascending, whichever run reaches
+// the boundary first (see topkSet.ordered).
+func NewOrderedTopK(k int, floor float64) *SharedTopK {
+	s := NewSharedTopK(k, floor)
+	s.set.ordered = true
+	return s
 }
 
 // Answers returns the current top-k, best first (score descending, ties
