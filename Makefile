@@ -56,8 +56,9 @@ experiments-full:
 # Brief fuzz passes over both parsers, the one binary decoder (WPXS),
 # the snapshot round trip (a parse and its materialized snapshot, node
 # for node), the statistics walk (against a brute-force tree count), the
-# root server's posting stream (against a brute-force descendant test)
-# and the /query string escaper (against json.Marshal).
+# root server's posting stream (against a brute-force descendant test),
+# the engine on random documents and patterns (against the naive
+# evaluator) and the /query string escaper (against json.Marshal).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/pattern/
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/xmltree/
@@ -65,6 +66,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSnapshotRoundTrip -fuzztime 10s ./internal/store/
 	$(GO) test -fuzz FuzzCollectStats -fuzztime 10s ./internal/index/
 	$(GO) test -fuzz FuzzRootStream -fuzztime 10s ./internal/index/
+	$(GO) test -fuzz FuzzEngineVsNaive -fuzztime 10s ./internal/core/
 	$(GO) test -fuzz FuzzAppendJSONString -fuzztime 10s ./cmd/whirlpoold/
 
 clean:

@@ -37,13 +37,13 @@
 //	  "timeout_ms": 2000              // optional
 //	}
 //
-// Engines are cached per request signature in an LRU cache bounded by
-// -cache; -access-log emits one structured JSON
-// line per request to stderr. -shards N evaluates every query in N
-// shards: its roots, in document order, are cut into N contiguous ranges
-// of equal count, and one run of its engine per range is driven whole by
-// one of min(GOMAXPROCS, N) pool workers that claim ranges in turn, all
-// pruning against a shared top-k set; /stats reports the shard count.
+// -cache bounds both LRU caches (engines per request signature, query
+// plans per canonical pattern) to that many entries each; -access-log
+// emits one JSON line per request to stderr. -shards N evaluates every
+// query in N shards: its roots, in document order, are cut into N
+// contiguous ranges of equal count, and one run of its engine per range
+// is driven whole by one of min(GOMAXPROCS, N) pool workers that claim
+// ranges in turn, all pruning against a shared top-k set; /stats reports the shard count.
 //
 // A request is refused with 400 when k exceeds 1000 or the pattern has
 // more than 32 nodes, with 413 when its body exceeds 1 MiB; a handler
@@ -118,7 +118,7 @@ func main() {
 		file      = flag.String("file", "", "XML file or .wpxs snapshot to serve")
 		snapshot  = flag.String("snapshot", "", "boot from a zero-copy mmap snapshot (.wpxs); falls back to -file on error")
 		addr      = flag.String("addr", ":8080", "listen address")
-		cacheSize = flag.Int("cache", defaultCacheSize, "max cached engines (LRU)")
+		cacheSize = flag.Int("cache", defaultCacheSize, "entries in each LRU cache: engines and query plans")
 		accessLog = flag.Bool("access-log", false, "log one structured JSON line per request to stderr")
 		shards    = flag.Int("shards", 1, "evaluate each query in N shards: contiguous ranges of its roots, run in parallel")
 	)

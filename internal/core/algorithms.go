@@ -72,6 +72,8 @@ func (r *run) serve(m *match, sid int, ws *Scratch, keepAll bool) []*match {
 // root is due whenever the router queue is empty, and a router that
 // dispatched freely would keep it empty: it would pull nearly every
 // root, as eager seeding did, and do several times Whirlpool-S's work.
+// A server's panic is raised again on the calling goroutine once every
+// server has returned; the caller never parks the panicked run's state.
 func (r *run) runM() {
 	n := r.query.Size()
 	qs := make([]lockedPQ, n) // 0 is the router's, sid server sid's
@@ -101,22 +103,43 @@ func (r *run) runM() {
 		wg.Add(1)
 		go func(sid int) {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					first := v // escapes only on a panic
+					r.fault.CompareAndSwap(nil, &first)
+					closeAll()
+				}
+			}()
 			r.serveM(sid, qs, conds, &over)
 		}(sid)
 	}
+	defer func() { // on every exit, the router's own panic included
+		closeAll()
+		wg.Wait()
+		if v := r.fault.Load(); v != nil {
+			panic(*v)
+		}
+	}()
 
 	var one [1]*match
-	for !r.cancelled() {
+	// pop's deferred unlock covers a panic in the root pull.
+	pop := func() (batch []*match, done bool) {
 		rq.mu.Lock()
+		defer rq.mu.Unlock()
 		for !over.Load() && rq.pq.live > 0 && (dispatched(&rq.pq) >= n-1 || rq.pq.roots == nil && rq.pq.len() == 0) {
 			conds[0].Wait()
 		}
 		if over.Load() || rq.pq.live == 0 {
-			rq.mu.Unlock()
+			return nil, true
+		}
+		batch, _ = rq.pq.popBatch(one[:0], 1)
+		return batch, false
+	}
+	for !r.cancelled() {
+		batch, done := pop()
+		if done {
 			break
 		}
-		batch, _ := rq.pq.popBatch(one[:0], 1)
-		rq.mu.Unlock()
 		if len(batch) == 0 {
 			continue // the pull cut the cursor, or stopped on cancellation
 		}
@@ -134,8 +157,6 @@ func (r *run) runM() {
 		conds[sid].Signal()
 		r.traceDepth(sid, depth)
 	}
-	closeAll()
-	wg.Wait()
 }
 
 // dispatched counts the matches a Whirlpool-M router queue has out at

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -118,6 +120,62 @@ func TestServeMPollsCancellation(t *testing.T) {
 	}
 	if ops := r.stats.load(ctrServerOps); ops != 0 {
 		t.Fatalf("cancelled server did %d server operations, want 0", ops)
+	}
+}
+
+// panicAfter panics with itself on its n-th Contribution: to the root
+// (the Whirlpool-M router's) when root is set, else to another node (a
+// server's).
+type panicAfter struct {
+	score.Scorer
+	n    atomic.Int64
+	root bool
+}
+
+func (s *panicAfter) Contribution(id int, v score.Variant, ord int32) float64 {
+	if (id == 0) == s.root && s.n.Add(-1) == 0 {
+		panic(s)
+	}
+	return s.Scorer.Contribution(id, v, ord)
+}
+
+// TestWhirlpoolMPanicReachesCaller: a panic on a Whirlpool-M server, or
+// on its router, reaches Run's caller as a Whirlpool-S panic does,
+// instead of ending the process. No goroutine of the run outlives it,
+// its state is not parked for reuse, and the engine's next run answers
+// as before.
+func TestWhirlpoolMPanicReachesCaller(t *testing.T) {
+	ix, q, s := xmarkEnv(t, 50, "//item[./description/parlist and ./mailbox/mail/text]")
+	hook := &panicAfter{Scorer: s}
+	eng, err := New(ix, q, Config{K: 5, Relax: relax.All, Algorithm: WhirlpoolM, Scorer: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	for _, n := range []int64{1, 9, -4} { // n < 0: the root's -n-th
+		hook.n.Store(max(n, -n))
+		hook.root = n < 0
+		idleStates.mu.Lock()
+		warm := idleStates.list[len(idleStates.list)-1] // the state Run takes
+		idleStates.mu.Unlock()
+		if got := func() (v any) { defer func() { v = recover() }(); eng.Run(); return nil }(); got != hook {
+			t.Fatalf("n=%d: Run panicked with %v", n, got)
+		}
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("n=%d: %d goroutines after the panic, %d before", n, runtime.NumGoroutine(), baseline)
+			}
+		}
+		idleStates.mu.Lock()
+		parked := slices.Contains(idleStates.list, warm)
+		idleStates.mu.Unlock()
+		if res, err := eng.Run(); parked || err != nil || !sameAnswers(res.Answers, want.Answers) {
+			t.Fatalf("n=%d: panicked state parked: %v; next run %v, %v, want %v", n, parked, res, err, want.Answers)
+		}
 	}
 }
 

@@ -57,9 +57,8 @@ func TestParallelRunMatchesRunContext(t *testing.T) {
 				t.Fatal(err)
 			}
 			stats := stepAlone(t, p, budget)
-			if got := shared.Answers(); !almostEqual(scoresOf(&Result{Answers: got}), scoresOf(base)) {
-				t.Fatalf("%v rel=%d budget=%d: scores %v, baseline %v",
-					alg, rel, budget, scoresOf(&Result{Answers: got}), scoresOf(base))
+			if got := shared.Answers(); !sameAnswers(got, base.Answers) {
+				t.Fatalf("%v rel=%d budget=%d: answers %v, baseline %v", alg, rel, budget, got, base.Answers)
 			}
 			if stats.MatchesCreated == 0 || stats.ServerOps == 0 {
 				t.Fatalf("%v rel=%d budget=%d: empty stats %+v", alg, rel, budget, stats)

@@ -4,64 +4,18 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"sync"
 	"testing"
 
-	"repro/internal/dewey"
 	"repro/internal/index"
-	"repro/internal/naive"
 	"repro/internal/pattern"
 	"repro/internal/relax"
 	"repro/internal/score"
 	"repro/internal/store"
 	"repro/internal/xmark"
-	"repro/internal/xmltree"
 )
-
-// valuedDoc builds a random forest in which the query root tag "a" nests
-// at every level — so root ranges start and end inside one another —
-// and half the nodes carry one of two values.
-func valuedDoc(r *rand.Rand) *xmltree.Document {
-	tags := []string{"a", "a", "b", "c", "d"}
-	values := []string{"", "", "x", "y"}
-	doc := xmltree.NewDocument()
-	for i, roots := 0, 1+r.Intn(3); i < roots; i++ {
-		var grow func(n *xmltree.Node, depth int)
-		grow = func(n *xmltree.Node, depth int) {
-			if depth > 5 {
-				return
-			}
-			for j, kids := 0, r.Intn(4); j < kids; j++ {
-				grow(doc.AddChild(n, tags[r.Intn(len(tags))], values[r.Intn(len(values))]), depth+1)
-			}
-		}
-		grow(doc.AddRoot("a"), 1)
-	}
-	doc.Renumber()
-	return doc
-}
-
-// valuedQuery builds a random tree pattern rooted at "a" with at least
-// one valued non-root node; inner nodes and the root may be valued too.
-func valuedQuery(r *rand.Rand) *pattern.Query {
-	tags := []string{"a", "b", "c", "d"}
-	axes := []dewey.Axis{dewey.Child, dewey.Descendant}
-	ops := []string{"", "", "", "!="}
-	q := pattern.New("a", axes[r.Intn(2)])
-	if r.Intn(5) == 0 {
-		q.Root().Value = "x"
-	}
-	for i, nodes := 0, 1+r.Intn(4); i < nodes; i++ {
-		id := q.Add(r.Intn(q.Size()), tags[r.Intn(len(tags))], axes[r.Intn(2)])
-		if i == 0 || r.Intn(3) == 0 {
-			q.Nodes[id].Value, q.Nodes[id].ValueOp = []string{"x", "y"}[r.Intn(2)], ops[r.Intn(len(ops))]
-		}
-	}
-	return q
-}
 
 // scanning returns an engine like New's that scans its root candidates
 // whatever postings it could stream from.
@@ -172,8 +126,8 @@ func TestRootStreamEquivalence(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		r := rand.New(rand.NewSource(int64(4200 + trial)))
-		doc := valuedDoc(r)
-		q := valuedQuery(r)
+		doc := randomDoc(r)
+		q := randomQuery(r)
 		ix := index.Build(doc)
 		s := score.NewTFIDF(ix, q, score.Sparse)
 		for _, mode := range modes {
@@ -235,38 +189,11 @@ func (s *rootTally) Contribution(id int, v score.Variant, ord int32) float64 {
 	return s.Scorer.Contribution(id, v, ord)
 }
 
-// ordAnswer is an answer by ordinals, comparable across sources.
-type ordAnswer struct {
-	score float64
-	root  int32
-	binds string
-}
-
-func ordAnswers(as []Answer) []ordAnswer {
-	out := make([]ordAnswer, len(as))
-	for i, a := range as {
-		out[i] = ordAnswer{a.Score, a.Root, fmt.Sprint(a.Bindings)}
-	}
-	return out
-}
-
-// sameScores requires equal score vectors; with identical set it also
-// requires the same roots and bindings in every position, otherwise in
-// every position scoring strictly above the k-th score (entries tying
-// it are prunable, so which tying root fills the last slots may depend
-// on arrival order until answers are totally ordered — ROADMAP item 1).
-func sameScores(t *testing.T, label string, want, got []ordAnswer, identical bool) {
+// sameAs requires got to repeat want's roots, bindings and scores.
+func sameAs(t *testing.T, label string, want, got []Answer) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d answers, want %d\n got %v\nwant %v", label, len(got), len(want), got, want)
-	}
-	for i := range want {
-		if math.Abs(got[i].score-want[i].score) > 1e-9 {
-			t.Fatalf("%s: answer %d scores %v, want %v\n got %v\nwant %v", label, i, got[i].score, want[i].score, got, want)
-		}
-		if (identical || want[i].score > want[len(want)-1].score+1e-9) && (got[i].root != want[i].root || got[i].binds != want[i].binds) {
-			t.Fatalf("%s: answer %d is root %d %s, want root %d %s", label, i, got[i].root, got[i].binds, want[i].root, want[i].binds)
-		}
+	if !sameAnswers(got, want) {
+		t.Fatalf("%s: answers %v\nwant %v", label, got, want)
 	}
 }
 
@@ -289,8 +216,8 @@ func TestRootStreamAnswers(t *testing.T) {
 	streamed, leafDeleted := 0, 0
 	for trial := 0; trial < trials; trial++ {
 		r := rand.New(rand.NewSource(int64(4200 + trial)))
-		doc := valuedDoc(r)
-		q := valuedQuery(r)
+		doc := randomDoc(r)
+		q := randomQuery(r)
 		ix := index.Build(doc)
 		var buf bytes.Buffer
 		if err := store.WriteSnapshot(&buf, &store.Snapshot{Cols: doc.Columns()}); err != nil {
@@ -310,24 +237,15 @@ func TestRootStreamAnswers(t *testing.T) {
 			}
 			p := 2 + r.Intn(7)
 			label := fmt.Sprintf("trial %d %s relax=%v k=%d %v/%v/%v", trial, q, mode, cfg.K, cfg.Algorithm, cfg.Queue, cfg.Routing)
-			// One goroutine and one engine order equal scores by root
-			// ordinal; Whirlpool-M breaks boundary ties by arrival.
-			serial := cfg.Algorithm != WhirlpoolM
 
 			scanRes, err := scanning(t, ix, q, cfg).Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			scan := ordAnswers(scanRes.Answers)
-			want := naive.TopK(ix, q, mode, s, cfg.K)
-			if len(want) != len(scan) {
-				t.Fatalf("%s: scan path found %d answers, naive %d", label, len(scan), len(want))
+			if _, err := agreeWithNaive(scanRes.Answers, naiveRanking(ix, q, mode, s), cfg.K); err != nil {
+				t.Fatalf("%s: scan path: %v", label, err)
 			}
-			for i, a := range want {
-				if math.Abs(scan[i].score-a.Score) > 1e-9 {
-					t.Fatalf("%s: scan path answer %d scores %v, naive %v", label, i, scan[i].score, a.Score)
-				}
-			}
+			scan := scanRes.Answers
 
 			for _, src := range []struct {
 				name string
@@ -347,9 +265,7 @@ func TestRootStreamAnswers(t *testing.T) {
 						leafDeleted++
 					}
 				}
-				// Exact mode streams the scan's roots in the scan's order
-				// minus those that cannot answer: plain equality.
-				sameScores(t, label+" "+src.name+" via "+eng.RootVia(), scan, ordAnswers(res.Answers), mode == relax.None && serial)
+				sameAs(t, label+" "+src.name+" via "+eng.RootVia(), scan, res.Answers)
 
 				// The same engine in p shard runs, one after another.
 				tally := &rootTally{Scorer: s, times: make(map[int32]int)}
@@ -359,8 +275,8 @@ func TestRootStreamAnswers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				shards := func(order func(i int) int) []ordAnswer {
-					shared := NewOrderedTopK(cfg.K, 0)
+				shards := func(order func(i int) int) []Answer {
+					shared := NewSharedTopK(cfg.K, 0)
 					for i := 0; i < p; i++ {
 						pr, err := eng.NewShardRun(context.Background(), shared, order(i), p)
 						if err != nil {
@@ -371,10 +287,10 @@ func TestRootStreamAnswers(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					return ordAnswers(shared.Answers())
+					return shared.Answers()
 				}
 				fwd := shards(func(i int) int { return i })
-				sameScores(t, fmt.Sprintf("%s %s in %d shards", label, src.name, p), scan, fwd, false)
+				sameAs(t, fmt.Sprintf("%s %s in %d shards", label, src.name, p), scan, fwd)
 				for ord, n := range tally.times {
 					if n > 1 {
 						t.Fatalf("%s %s in %d shards: root %d materialised %d times", label, src.name, p, ord, n)
@@ -383,7 +299,7 @@ func TestRootStreamAnswers(t *testing.T) {
 				// A shared set answers the total order, ties included,
 				// whichever shard reaches the boundary first.
 				rev := shards(func(i int) int { return p - 1 - i })
-				sameScores(t, fmt.Sprintf("%s %s in %d shards, last first", label, src.name, p), fwd, rev, true)
+				sameAs(t, fmt.Sprintf("%s %s in %d shards, last first", label, src.name, p), fwd, rev)
 				if tot := eng.Totals(); tot.Runs != 0 {
 					t.Fatalf("%s: shard runs recorded %d runs in the engine's totals", label, tot.Runs)
 				}

@@ -37,6 +37,7 @@ type run struct {
 	// value already emitted to the trace sink, deduplicating the
 	// threshold trajectory. Initialized to -Inf by RunContext.
 	lastThreshold atomic.Uint64
+	fault         atomic.Pointer[any] // a Whirlpool-M server's first panic (runM)
 }
 
 // cancelled reports whether the run's context has been cancelled.
@@ -191,10 +192,9 @@ func (r *run) checkTopK(m *match) (alive bool) {
 const pruneEps = 1e-12
 
 // prunable reports whether m cannot improve the top-k set: its maximum
-// possible final score does not exceed currentTopK. Ties are prunable —
-// k answers with at least that score are already guaranteed — unless
-// the set is ordered and m's root precedes the k-th root, where a tying
-// match would displace the k-th entry (see topkSet.ordered).
+// possible final score does not exceed currentTopK, and on a tie its
+// root comes after the k-th root, which a tying match before it would
+// displace (see topkSet.thrRoot).
 func (r *run) prunable(m *match) bool {
 	t, ok := r.topk.threshold()
 	return ok && m.maxFinal <= t+pruneEps && (m.maxFinal < t-pruneEps || r.topk.after(m.bindings[0]))

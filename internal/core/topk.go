@@ -21,8 +21,7 @@ import (
 // pruning can be attributed to a local or remote threshold rise.
 type topkSet struct {
 	k int
-	// floor seeds the threshold (Config.Threshold / Figure 3's
-	// exogenous currentTopK).
+	// floor seeds the threshold (Experiment.Threshold, Figure 3's).
 	floor    float64
 	hasFloor bool
 
@@ -35,20 +34,13 @@ type topkSet struct {
 	// thrSrc is the shard whose k-th entry produced the cached
 	// threshold, or -1 while the floor (or nothing) governs.
 	thrSrc atomic.Int32
-	// thrRoot is the k-th entry's root ordinal when the set is ordered
-	// and that entry governs the threshold, else -1: a match that only
-	// ties the threshold is prunable iff its root comes after thrRoot
-	// (see after). publish stores it before thrBits, and readers load
-	// it after, so a reader pairs a threshold with its own k-th root or
-	// a later one.
+	// thrRoot is the k-th entry's root ordinal while that entry governs
+	// the threshold, else -1. A match only tying the threshold is
+	// prunable iff its root comes after thrRoot (see after), so the
+	// answers are the top-k of score descending, root ascending, in any
+	// arrival order. publish stores it before thrBits and readers load
+	// it after: a threshold pairs with its own k-th root or a later one.
 	thrRoot atomic.Int32
-	// ordered is set by NewOrderedTopK. Shard runs race to the
-	// boundary, so a tie pruned against whichever root got there first
-	// would make the answers depend on the schedule; an ordered set
-	// keeps every tying match whose root precedes the k-th root, and
-	// returns the top-k of the total order (score descending, root
-	// ascending). Any other set prunes every tie.
-	ordered bool
 	// locked is set for a set several goroutines may offer into (a
 	// SharedTopK, which every shard's run offers into from its own pool
 	// worker, or a Whirlpool-M run's own set): offer takes mu. Any other
@@ -299,12 +291,9 @@ func (t *topkSet) publish(src int32) {
 		return // the seeded floor (or no threshold) still governs
 	}
 	kth := t.top[len(t.top)-1]
-	v, root := kth.score, int32(-1)
-	fromSet := true
+	v, root := kth.score, int32(kth.rootOrd)
 	if t.hasFloor && t.floor > v {
-		v, fromSet = t.floor, false
-	} else if t.ordered {
-		root = int32(kth.rootOrd)
+		v, root = t.floor, -1
 	}
 	old := math.Float64frombits(t.thrBits.Load())
 	if !math.IsNaN(old) && (old > v || old == v && t.thrRoot.Load() <= root) {
@@ -312,7 +301,7 @@ func (t *topkSet) publish(src int32) {
 	}
 	t.thrRoot.Store(root)
 	t.thrBits.Store(math.Float64bits(v))
-	if fromSet {
+	if root >= 0 {
 		t.thrSrc.Store(src)
 	}
 }
@@ -330,11 +319,9 @@ func (t *topkSet) threshold() (v float64, ok bool) {
 	return v, true
 }
 
-// after reports whether a root at ordinal root comes after the k-th
-// root of the threshold last loaded, so that a match there which only
-// ties the threshold cannot enter the set. Always true of an unordered
-// set, and while the floor governs. Load the threshold first: publish
-// stores the root first.
+// after reports whether root comes after the k-th root of the threshold
+// last loaded, so that a match there only tying it cannot enter the set
+// (always, while the floor governs). Load the threshold first.
 func (t *topkSet) after(root int32) bool { return root > t.thrRoot.Load() }
 
 // thresholdSrc returns the shard whose entry produced the current
@@ -368,7 +355,7 @@ func (t *topkSet) answers() []Answer {
 // the query's roots. Every run offers into and prunes against the same
 // set, so a high-scoring answer found in one range immediately raises
 // the threshold used to kill partial matches in all others. Create one
-// per sharded evaluation with NewOrderedTopK and open each range's run
+// per sharded evaluation with NewSharedTopK and open each range's run
 // against it with NewShardRun; it is safe for concurrent use.
 //
 // The threshold it publishes is, at all times, a lower bound on the true
@@ -379,21 +366,11 @@ type SharedTopK struct {
 	set *topkSet
 }
 
-// NewSharedTopK creates a shared top-k set for k answers. floor, when
-// positive, seeds the pruning threshold (Config.Threshold semantics).
-// It prunes every tie, as a run's own set does, so one run over it
-// repeats RunContext's answers and counters.
+// NewSharedTopK creates a shared top-k set for k answers; floor, when
+// positive, seeds the threshold (as Experiment.Threshold does). One run
+// over it repeats RunContext's answers and counters.
 func NewSharedTopK(k int, floor float64) *SharedTopK {
 	return &SharedTopK{set: newTopkSet(k, floor, floor > 0)}
-}
-
-// NewOrderedTopK is NewSharedTopK for runs that race: its answers are
-// the top-k of score descending, root ascending, whichever run reaches
-// the boundary first (see topkSet.ordered).
-func NewOrderedTopK(k int, floor float64) *SharedTopK {
-	s := NewSharedTopK(k, floor)
-	s.set.ordered = true
-	return s
 }
 
 // Answers returns the current top-k, best first (score descending, ties

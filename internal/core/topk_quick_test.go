@@ -5,6 +5,10 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/index"
+	"repro/internal/relax"
+	"repro/internal/score"
 )
 
 // TestPropTopkSetMatchesSort drives the top-k set with random offer
@@ -75,11 +79,9 @@ func TestPropMaxFinalIsAdmissible(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		doc := randomDoc(r)
 		q := randomQuery(r)
-		ix, s, err := buildRandomEngineEnv(doc, q)
-		if err != nil {
-			return true // degenerate query; skip
-		}
-		eng, err := New(ix, q, Config{K: 3, Relax: relaxAllForTest, Algorithm: WhirlpoolS, Scorer: s})
+		ix := index.Build(doc)
+		s := score.NewTFIDF(ix, q, score.Sparse)
+		eng, err := New(ix, q, Config{K: 3, Relax: relax.All, Algorithm: WhirlpoolS, Scorer: s})
 		if err != nil {
 			return false
 		}

@@ -105,11 +105,11 @@ func (e *Engines) RootVia() string { return e.eng.RootVia() }
 // merged result.
 func (e *Engines) Run() (*core.Result, error) { return e.RunContext(context.Background()) }
 
-// RunContext evaluates every shard against one fresh ordered
-// SharedTopK, so each shard's guaranteed scores immediately tighten the
-// pruning threshold of all others, then merges: answers come from the
-// shared set (the top-k of score descending, document order ascending,
-// whichever shard finishes first), stats are summed, Duration is the sharded wall clock. The
+// RunContext evaluates every shard against one fresh SharedTopK, so each
+// shard's guaranteed scores immediately tighten the pruning threshold of
+// all others, then merges: answers come from the shared set (the top-k
+// of score descending, document order ascending, whichever shard ends
+// first), stats are summed, Duration is the sharded wall clock. The
 // evaluation is recorded in the engine's totals as one run.
 //
 // Concurrency is bounded at min(GOMAXPROCS, shards) worker goroutines,
@@ -120,7 +120,7 @@ func (e *Engines) RunContext(ctx context.Context) (*core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	shared := core.NewOrderedTopK(e.cfg.K, 0)
+	shared := core.NewSharedTopK(e.cfg.K, 0)
 	start := time.Now()
 	stats, peak, err := e.runPooled(ctx, shared)
 	if err != nil {
