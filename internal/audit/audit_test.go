@@ -14,7 +14,8 @@ import (
 
 // row is one line of DESIGN.md's lock and cancellation audit: a source
 // mutation (old → new in file, which must occur exactly once) and the
-// plain tests that must fail on it, run in pkgs with go test's flags.
+// plain tests (or subtests, Test/sub/…) that must fail on it, run in
+// pkgs with go test's flags.
 type row struct {
 	name, file, old, new string
 	race                 bool
@@ -46,7 +47,7 @@ var rows = []row{
 	{name: "lockguard/unlocked-lockedpq-settle", file: "internal/core/queue.go",
 		old:  "\tq.mu.Lock()\n\tdefer q.mu.Unlock()\n\treturn q.pq.settle(r, surv, retired)",
 		new:  "\treturn q.pq.settle(r, surv, retired)",
-		race: true, pkgs: []string{"./internal/core/"}, tests: []string{"TestArenaPoisonEquivalence"}},
+		race: true, pkgs: []string{"./internal/core/"}, tests: []string{"TestEngineAgreesWithNaive/xmark/q2/none"}, timeout: "10s"},
 	{name: "ctxpoll/no-poll-in-servem", file: "internal/core/algorithms.go",
 		old:  "\t\tif r.cancelled() {\n\t\t\tr.release(m)\n\t\t\treturn\n\t\t}\n\t\tqs[0].settle(",
 		new:  "\t\tqs[0].settle(",
@@ -150,8 +151,11 @@ func TestAuditRows(t *testing.T) {
 			if timeout == "" {
 				timeout = "60s"
 			}
-			args := []string{"test", "-count=1", "-overlay=" + overlayPath, "-timeout=" + timeout,
-				"-run=^(" + strings.Join(r.tests, "|") + ")$"}
+			var run []string // each test anchored, level by level
+			for _, name := range r.tests {
+				run = append(run, "^"+strings.ReplaceAll(name, "/", "$/^")+"$")
+			}
+			args := []string{"test", "-count=1", "-overlay=" + overlayPath, "-timeout=" + timeout, "-run=" + strings.Join(run, "|")}
 			if r.race {
 				args = append(args, "-race")
 			}

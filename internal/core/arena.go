@@ -19,8 +19,8 @@ const arenaChunk = 256
 var arenaPoison atomic.Bool
 
 // SetArenaPoisonForTest toggles poison-on-release globally. It exists
-// for cross-package property tests (internal/shard's equivalence
-// suite) that need use-after-release bugs to surface as corrupted
+// for internal/shard's TestShardedPoolEquivalence, which needs
+// use-after-release bugs in the shard pool to surface as corrupted
 // answers; production code must never call it.
 func SetArenaPoisonForTest(v bool) { arenaPoison.Store(v) }
 
@@ -36,8 +36,8 @@ func SetArenaPoisonForTest(v bool) { arenaPoison.Store(v) }
 // unbound. The bindings slabs are ordinals: nothing in them for the
 // collector to trace.
 //
-// Ownership rules (held at run time by the arena's poison tests,
-// TestArenaPoisonEquivalence and TestTopKDoesNotRetainReleasedMatch):
+// Ownership rules (held at run time under poison by
+// TestEngineAgreesWithNaive and TestTopKDoesNotRetainReleasedMatch):
 //
 //   - a *match obtained from get is owned by exactly one holder at a
 //     time: a queue, a batch slice, or the goroutine processing it;

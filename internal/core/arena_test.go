@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -136,53 +135,6 @@ func TestIdleStateServesEitherAlgorithm(t *testing.T) {
 		}
 		if allocs/pairs > bound {
 			t.Fatalf("warm %v run after %v allocates %d objects, want at most %d", to.cfg.Algorithm, from.cfg.Algorithm, allocs/pairs, bound)
-		}
-	}
-}
-
-// arenaAlgorithms are the algorithm x relaxation grid the poison
-// property tests sweep: every serving loop, with and without the
-// relaxations that change the match lifecycle (null extensions, partial
-// offers).
-var arenaAlgorithms = []Algorithm{WhirlpoolS, WhirlpoolM, LockStep, LockStepNoPrune}
-
-// TestArenaPoisonEquivalence is the leak/reuse property test: with
-// arenaPoison on, release scrambles every field of a recycled match —
-// so if any released match were still reachable from the top-k set, a
-// queue, or a batch slice, answers would come back with nil bindings or
-// NaN scores. Identical answers with poison on and off therefore prove
-// no algorithm retains a match past its release. Run with -race to also
-// catch cross-goroutine reuse in Whirlpool-M.
-// Scores compare exactly: poison equivalence compares answer scores bit-for-bit.
-func TestArenaPoisonEquivalence(t *testing.T) {
-	ix, q := buildEnv(t, booksXML, "/book[./title = 'wodehouse' and ./info/publisher/name = 'psmith']")
-	s := score.NewTFIDF(ix, q, score.Sparse)
-	for _, rl := range []relax.Relaxation{relax.None, relax.All} {
-		for _, alg := range arenaAlgorithms {
-			t.Run(fmt.Sprintf("%v/%v", alg, rl), func(t *testing.T) {
-				cfg := Config{K: 4, Relax: rl, Algorithm: alg, Routing: RoutingMinAlive, Scorer: s}
-				want := runWith(t, ix, q, cfg)
-				arenaPoison.Store(true)
-				defer arenaPoison.Store(false)
-				got := runWith(t, ix, q, cfg)
-				if len(got.Answers) != len(want.Answers) {
-					t.Fatalf("answers = %d, want %d", len(got.Answers), len(want.Answers))
-				}
-				for i := range want.Answers {
-					w, g := want.Answers[i], got.Answers[i]
-					if g.Score != w.Score || math.IsNaN(g.Score) {
-						t.Fatalf("answer %d score = %v, want %v", i, g.Score, w.Score)
-					}
-					if g.Root != w.Root {
-						t.Fatalf("answer %d root = %v, want %v", i, g.Root, w.Root)
-					}
-					for j := range w.Bindings {
-						if g.Bindings[j] != w.Bindings[j] {
-							t.Fatalf("answer %d binding %d = %v, want %v", i, j, g.Bindings[j], w.Bindings[j])
-						}
-					}
-				}
-			})
 		}
 	}
 }

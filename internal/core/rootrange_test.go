@@ -1,19 +1,16 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/index"
 	"repro/internal/pattern"
 	"repro/internal/relax"
 	"repro/internal/score"
-	"repro/internal/store"
 	"repro/internal/xmark"
 )
 
@@ -169,145 +166,5 @@ func TestRootStreamEquivalence(t *testing.T) {
 	if tally.streamed < trials || tally.second < trials/4 || tally.nestedCuts == 0 {
 		t.Fatalf("%d cursors streamed from postings, %d had a second segment, %d cuts fell inside a root: the property was not exercised",
 			tally.streamed, tally.second, tally.nestedCuts)
-	}
-}
-
-// rootTally is a Scorer counting how often each root is materialised;
-// the shard runs of one evaluation share it.
-type rootTally struct {
-	score.Scorer
-	mu    sync.Mutex
-	times map[int32]int
-}
-
-func (s *rootTally) Contribution(id int, v score.Variant, ord int32) float64 {
-	if id == 0 {
-		s.mu.Lock()
-		s.times[ord]++
-		s.mu.Unlock()
-	}
-	return s.Scorer.Contribution(id, v, ord)
-}
-
-// sameAs requires got to repeat want's roots, bindings and scores.
-func sameAs(t *testing.T, label string, want, got []Answer) {
-	t.Helper()
-	if !sameAnswers(got, want) {
-		t.Fatalf("%s: answers %v\nwant %v", label, got, want)
-	}
-}
-
-// TestRootStreamAnswers is the posting path's safety property. On
-// random documents and random valued patterns, for every relaxation
-// family, queue discipline, routing strategy and k, an engine that
-// streams its roots from a posting list answers like one that scans
-// every root candidate and like the naive evaluator — over the
-// in-memory Index and the snapshot reader, whole and in 2–8 shard runs
-// sharing one top-k set, where every root must be materialised once.
-func TestRootStreamAnswers(t *testing.T) {
-	trials := 120
-	if testing.Short() {
-		trials = 30
-	}
-	modes := []relax.Relaxation{relax.None, relax.LeafDeletion, relax.All}
-	queues := []Queue{QueueMaxFinal, QueueFIFO, QueueCurrentScore, QueueMaxNext}
-	routings := []Routing{RoutingStatic, RoutingMaxScore, RoutingMinScore, RoutingMinAlive}
-	algorithms := []Algorithm{WhirlpoolS, WhirlpoolS, WhirlpoolM, LockStep}
-	streamed, leafDeleted := 0, 0
-	for trial := 0; trial < trials; trial++ {
-		r := rand.New(rand.NewSource(int64(4200 + trial)))
-		doc := randomDoc(r)
-		q := randomQuery(r)
-		ix := index.Build(doc)
-		var buf bytes.Buffer
-		if err := store.WriteSnapshot(&buf, &store.Snapshot{Cols: doc.Columns()}); err != nil {
-			t.Fatal(err)
-		}
-		snap, err := store.ParseSnapshot(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := score.NewTFIDF(ix, q, score.Sparse)
-		for _, mode := range modes {
-			cfg := Config{
-				K: 1 + r.Intn(6), Relax: mode, Scorer: s,
-				Algorithm: algorithms[r.Intn(len(algorithms))],
-				Queue:     queues[r.Intn(len(queues))],
-				Routing:   routings[r.Intn(len(routings))],
-			}
-			p := 2 + r.Intn(7)
-			label := fmt.Sprintf("trial %d %s relax=%v k=%d %v/%v/%v", trial, q, mode, cfg.K, cfg.Algorithm, cfg.Queue, cfg.Routing)
-
-			scanRes, err := scanning(t, ix, q, cfg).Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := agreeWithNaive(scanRes.Answers, naiveRanking(ix, q, mode, s), cfg.K); err != nil {
-				t.Fatalf("%s: scan path: %v", label, err)
-			}
-			scan := scanRes.Answers
-
-			for _, src := range []struct {
-				name string
-				ix   index.Source
-			}{{"Index", ix}, {"SnapshotReader", snap}} {
-				eng, err := New(src.ix, q, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := eng.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if eng.RootVia() != "scan" {
-					streamed++
-					if mode.Has(relax.LeafDeletion) && res.Stats.Roots > 0 {
-						leafDeleted++
-					}
-				}
-				sameAs(t, label+" "+src.name+" via "+eng.RootVia(), scan, res.Answers)
-
-				// The same engine in p shard runs, one after another.
-				tally := &rootTally{Scorer: s, times: make(map[int32]int)}
-				shardCfg := cfg
-				shardCfg.Scorer = tally
-				eng, err = New(src.ix, q, shardCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				shards := func(order func(i int) int) []Answer {
-					shared := NewSharedTopK(cfg.K, 0)
-					for i := 0; i < p; i++ {
-						pr, err := eng.NewShardRun(context.Background(), shared, order(i), p)
-						if err != nil {
-							t.Fatal(err)
-						}
-						pr.Drive()
-						if _, err := pr.Finish(); err != nil {
-							t.Fatal(err)
-						}
-					}
-					return shared.Answers()
-				}
-				fwd := shards(func(i int) int { return i })
-				sameAs(t, fmt.Sprintf("%s %s in %d shards", label, src.name, p), scan, fwd)
-				for ord, n := range tally.times {
-					if n > 1 {
-						t.Fatalf("%s %s in %d shards: root %d materialised %d times", label, src.name, p, ord, n)
-					}
-				}
-				// A shared set answers the total order, ties included,
-				// whichever shard reaches the boundary first.
-				rev := shards(func(i int) int { return p - 1 - i })
-				sameAs(t, fmt.Sprintf("%s %s in %d shards, last first", label, src.name, p), fwd, rev)
-				if tot := eng.Totals(); tot.Runs != 0 {
-					t.Fatalf("%s: shard runs recorded %d runs in the engine's totals", label, tot.Runs)
-				}
-			}
-		}
-	}
-	// Guards against a vacuous pass.
-	if streamed < trials || leafDeleted == 0 {
-		t.Fatalf("%d runs streamed from postings (%d under leaf deletion): the property was not exercised", streamed, leafDeleted)
 	}
 }

@@ -13,8 +13,9 @@ import (
 // (the strategy plan-relaxation [2] was shown to beat): enumerate the
 // query's relaxation closure, compute the exact matches of every relaxed
 // query, score them against the *original* query's component predicates,
-// and merge. It exists as an independent semantics check for the engine
-// and as the baseline of the rewriting-vs-plan-relaxation ablation.
+// and merge. Only this package's tests call it, to hold TopK's relaxed
+// answers to the rewriting semantics; the rewriting-vs-plan-relaxation
+// ablation (internal/bench) runs core engines over the closure instead.
 //
 // The enumeration is capped at limit relaxed queries (0 = uncapped); the
 // boolean result reports truncation, in which case the answer set may be

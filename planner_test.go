@@ -8,82 +8,11 @@ import (
 	"repro/internal/score"
 )
 
-// TestPlannerEquivalence checks plan-driven evaluation returns exactly
-// the answers of plain evaluation — same roots, same scores — on single
-// and sharded databases, across relaxation modes, and that textual
-// variants of one query share a single cached plan.
-// Scores compare exactly: plan-driven evaluation must reproduce scores bit-for-bit.
-func TestPlannerEquivalence(t *testing.T) {
-	db, err := GenerateXMark(XMarkOptions{Seed: 5, Items: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sdb, err := db.Shard(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []string{
-		"//item[./description/parlist]",
-		"//item[./description/parlist and ./mailbox/mail/text]",
-		"//item[./name = 'no-such-name' and .//text]",
-	}
-	type evaler interface {
-		TopKString(xpath string, opts Options) (*Result, error)
-		NewPlanner(capacity int) *Planner
-	}
-	// A slice, not a map: the stats check below ends the loop, so a
-	// random order let a shards-4 failure skip every single case.
-	for _, target := range []struct {
-		dbName string
-		ev     evaler
-	}{{"single", db}, {"shards-4", sdb}} {
-		dbName, ev := target.dbName, target.ev
-		planner := ev.NewPlanner(16)
-		for _, qs := range queries {
-			for _, r := range []Relaxation{RelaxNone, RelaxAll} {
-				t.Run(fmt.Sprintf("%s/%s/relax=%v", dbName, qs, r), func(t *testing.T) {
-					q := MustParseQuery(qs)
-					plan, hit, err := planner.PlanFor(q, r, NormSparse)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if hit {
-						t.Fatal("first PlanFor reported a cache hit")
-					}
-					opts := Options{K: 5, Relax: r}
-					want, err := ev.TopKString(qs, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts.Plan = plan
-					got, err := ev.TopKString(qs, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(want.Answers) != len(got.Answers) {
-						t.Fatalf("%d answers with plan, %d without", len(got.Answers), len(want.Answers))
-					}
-					for i := range want.Answers {
-						if want.Answers[i].Root != got.Answers[i].Root || want.Answers[i].Score != got.Answers[i].Score {
-							t.Fatalf("answer %d: with plan (%v, %v), without (%v, %v)", i,
-								got.Answers[i].Root, got.Answers[i].Score, want.Answers[i].Root, want.Answers[i].Score)
-						}
-					}
-					if _, hit, err := planner.PlanFor(MustParseQuery(qs), r, NormSparse); err != nil || !hit {
-						t.Fatalf("re-plan: hit=%v err=%v", hit, err)
-					}
-				})
-			}
-		}
-		stats := planner.Stats()
-		if stats.Misses != int64(len(queries)*2) || stats.Hits != int64(len(queries)*2) {
-			t.Fatalf("planner stats = %+v, want %d misses and hits", stats, len(queries)*2)
-		}
-	}
-}
-
 // TestPlannerCanonicalSharing checks predicate-order variants share a
-// plan, and that a plan is rejected for a structurally different query.
+// plan, that re-planning hits the cache and the planner counts each
+// miss and hit, and that a plan is rejected for a structurally
+// different query. Plan-driven answers are internal/core
+// TestEngineAgreesWithNaive's planner-plan dimension.
 func TestPlannerCanonicalSharing(t *testing.T) {
 	db, err := GenerateXMark(XMarkOptions{Seed: 5, Items: 40})
 	if err != nil {
@@ -115,6 +44,12 @@ func TestPlannerCanonicalSharing(t *testing.T) {
 	}
 	if _, hit, err = planner.PlanFor(MustParseQuery(a), RelaxNone, NormSparse); err != nil || hit {
 		t.Fatalf("relax variant unexpectedly hit: %v %v", hit, err)
+	}
+	if again, hit, err := planner.PlanFor(MustParseQuery(a), RelaxAll, NormSparse); err != nil || !hit || again != planA {
+		t.Fatalf("re-plan: hit=%v err=%v same=%v", hit, err, again == planA)
+	}
+	if st := planner.Stats(); st.Misses != 3 || st.Hits != 2 {
+		t.Fatalf("planner stats = %+v, want 3 misses and 2 hits", st)
 	}
 	// A structurally different query must not ride on the plan.
 	if _, err := db.TopK(MustParseQuery("//item[./payment]"), Options{K: 3, Relax: RelaxAll, Plan: planA}); err == nil {

@@ -567,15 +567,6 @@ func (db *Database) Shard(p int) (*ShardedDatabase, error) {
 	return &ShardedDatabase{db: db, corpus: corpus}, nil
 }
 
-// ShardDocument indexes an already parsed document and evaluates it in
-// p shards.
-func ShardDocument(doc *Document, p int) (*ShardedDatabase, error) {
-	if doc == nil {
-		return nil, fmt.Errorf("whirlpool: nil document")
-	}
-	return FromDocument(doc).Shard(p)
-}
-
 // ObserveInto routes per-run shard metrics (per-shard operation and
 // prune counters, run-duration and merge-latency histograms, shard-skew
 // gauge) from every engine subsequently built to reg.

@@ -364,9 +364,6 @@ func TestShardedDatabaseFacade(t *testing.T) {
 }
 
 func TestShardedDatabaseErrors(t *testing.T) {
-	if _, err := ShardDocument(nil, 2); err == nil {
-		t.Fatal("nil document accepted")
-	}
 	db, err := LoadString(catalogXML)
 	if err != nil {
 		t.Fatal(err)
