@@ -58,8 +58,11 @@ experiments-full:
 # for node), the statistics walk (against a brute-force tree count), the
 # root server's posting stream (against a brute-force descendant test),
 # the engine on random documents and patterns (against the naive
-# evaluator) and the /query string escaper (against json.Marshal).
+# evaluator) and the /query string escaper (against json.Marshal). The
+# corpus cached under $GOCACHE/fuzz is cleared first, so each pass
+# fuzzes rather than re-runs it; crashers stay in testdata/fuzz.
 fuzz:
+	$(GO) clean -fuzzcache
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/pattern/
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/xmltree/
 	$(GO) test -fuzz FuzzSnapshotV2Corruption -fuzztime 10s ./internal/store/

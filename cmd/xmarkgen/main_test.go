@@ -18,12 +18,11 @@ func TestGenerateByItems(t *testing.T) {
 		t.Fatal(err)
 	}
 	items := 0
-	doc.Walk(func(n *xmltree.Node) bool {
+	for _, n := range doc.Nodes {
 		if n.Tag == "item" {
 			items++
 		}
-		return true
-	})
+	}
 	if items != 25 {
 		t.Fatalf("items = %d", items)
 	}

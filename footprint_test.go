@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/dewey"
+	"repro/internal/pattern"
 	"repro/internal/synopsis"
 	"repro/internal/xmark"
 	"repro/internal/xmltree"
@@ -147,4 +149,50 @@ func TestFromDocumentFootprint(t *testing.T) {
 	}
 	runtime.KeepAlive(db)
 	runtime.KeepAlive(doc)
+}
+
+// TestLoadProjectedFootprint holds a projected load that keeps every tag
+// of the corpus TestLoadFootprint loads to what Load of the same bytes
+// retains: the projected parse writes the same columns, and the boot
+// builds no node slab beside them, so its heap per node may exceed
+// Load's by at most 2 bytes, the columns' growth slack. It reads 0.2 to
+// 0.4 below Load's; a projected parse that built a pointer tree and kept
+// it as the slab read 122.2 above.
+func TestLoadProjectedFootprint(t *testing.T) {
+	var xml bytes.Buffer
+	if _, err := xmark.WriteBytes(&xml, 1, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	c, err := xmltree.ParseColumns(bytes.NewReader(xml.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	every := pattern.New(c.Tags[0], dewey.Descendant)
+	for _, tag := range c.Tags[1:] {
+		every.Add(0, tag, dewey.Descendant)
+	}
+	measure := func(load func() (*Database, error)) (*Database, float64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		db, err := load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return db, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(db.Size())
+	}
+	loaded, loadBytes := measure(func() (*Database, error) { return Load(bytes.NewReader(xml.Bytes())) })
+	projected, projBytes := measure(func() (*Database, error) { return LoadProjected(bytes.NewReader(xml.Bytes()), every) })
+	t.Logf("LoadProjected keeping every tag: %.1f heap bytes per node; Load: %.1f", projBytes, loadBytes)
+	if projected.Size() != loaded.Size() {
+		t.Fatalf("LoadProjected keeping every tag holds %d nodes, Load %d", projected.Size(), loaded.Size())
+	}
+	if projBytes > loadBytes+2 {
+		t.Errorf("LoadProjected keeping every tag retains %.1f heap bytes per node, Load %.1f: want at most 2 more", projBytes, loadBytes)
+	}
+	runtime.KeepAlive(loaded)
+	runtime.KeepAlive(projected)
+	runtime.KeepAlive(xml.Bytes())
 }

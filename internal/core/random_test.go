@@ -35,21 +35,23 @@ import (
 func randomDoc(r *rand.Rand) *xmltree.Document {
 	tags := []string{"a", "a", "b", "c", "d"}
 	values := []string{"", "", "", "", "", "x", "y", "xy", "1", "2.5", "10"}
-	doc := xmltree.NewDocument()
-	for i, roots := 0, 1+r.Intn(3); i < roots; i++ {
-		var grow func(n *xmltree.Node, depth int)
-		grow = func(n *xmltree.Node, depth int) {
-			if depth > 4 {
-				return
-			}
-			for j, kids := 0, r.Intn(4); j < kids; j++ {
-				grow(doc.AddChild(n, tags[r.Intn(len(tags))], values[r.Intn(len(values))]), depth+1)
-			}
+	b := xmltree.NewBuilder()
+	var grow func(depth int)
+	grow = func(depth int) {
+		if depth > 4 {
+			return
 		}
-		grow(doc.AddRoot("a"), 1)
+		for j, kids := 0, r.Intn(4); j < kids; j++ {
+			b.Open(tags[r.Intn(len(tags))]).Text(values[r.Intn(len(values))])
+			grow(depth + 1)
+			b.Close()
+		}
 	}
-	doc.Renumber()
-	return doc
+	for i, roots := 0, 1+r.Intn(3); i < roots; i++ {
+		b.Root("a")
+		grow(1)
+	}
+	return b.Doc()
 }
 
 // randomQuery builds a random tree pattern of two to five nodes rooted

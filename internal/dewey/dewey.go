@@ -12,12 +12,12 @@
 // The paper evaluates its structural joins on Dewey IDs (Section 6.2.1).
 // Here no node stores one: xmltree derives a node's ID on demand from
 // the positions on its root path (xmltree.ID). IDs name answers, which
-// the daemon and the CLIs render, and two reference evaluators compare
-// their components, deriving each node's ID once per evaluation:
-// internal/naive (every structural relation) and internal/joins (the
-// stack-tree merge). The Whirlpool servers (internal/core) decide pc
-// and ad on preorder intervals and levels (xmltree.Node.Contains): the
-// same relations, read without building an ID.
+// the daemon and the CLIs render, and the reference evaluator
+// internal/naive compares their components, deriving each node's ID once
+// per evaluation. The Whirlpool servers (internal/core) and the
+// structural joins (internal/joins) decide pc and ad on preorder
+// intervals and levels (xmltree.Node.Contains, xmltree.Columns.Contains):
+// the same relations, read without building an ID.
 package dewey
 
 import (

@@ -102,20 +102,23 @@ func conformanceDocs(t *testing.T) []conformanceDoc {
 	tags := []string{"r", "a", "b", "c", "d"}
 	values := []string{"", "", "1", "5", "12", "gold ring", "old"}
 	for i := 0; i < 4; i++ {
-		doc := xmltree.NewDocument()
-		for roots := r.Intn(3) + 1; roots > 0; roots-- {
-			var grow func(n *xmltree.Node, depth int)
-			grow = func(n *xmltree.Node, depth int) {
-				if depth > 5 {
-					return
-				}
-				for kids := r.Intn(4); kids > 0; kids-- {
-					grow(doc.AddChild(n, tags[1+r.Intn(len(tags)-1)], values[r.Intn(len(values))]), depth+1)
-				}
+		b := xmltree.NewBuilder()
+		var grow func(depth int)
+		grow = func(depth int) {
+			if depth > 5 {
+				return
 			}
-			grow(doc.AddRoot("r"), 1)
+			for kids := r.Intn(4); kids > 0; kids-- {
+				b.Open(tags[1+r.Intn(len(tags)-1)]).Text(values[r.Intn(len(values))])
+				grow(depth + 1)
+				b.Close()
+			}
 		}
-		doc.Renumber()
+		for roots := r.Intn(3) + 1; roots > 0; roots-- {
+			b.Root("r")
+			grow(1)
+		}
+		doc := b.Doc()
 		docs = append(docs, conformanceDoc{
 			name: fmt.Sprintf("random%d", i), doc: doc, tags: append(tags, "absent"),
 			vts: []index.ValueTest{{}, index.ValueEq("5"), index.Test("<", "10"), index.Test("contains", "old")},
@@ -629,7 +632,7 @@ func TestNodeLayout(t *testing.T) {
 		for _, build := range []struct {
 			name string
 			doc  *xmltree.Document
-		}{{"parsed", parsed}, {"snapshot", r.Document()}, {"builder", rebuild(parsed)}, {"projected", projected}, {"built", d.doc}} {
+		}{{"parsed", parsed}, {"snapshot", r.Document()}, {"builder", rebuild(parsed)}, {"projected", projected.Build()}, {"built", d.doc}} {
 			t.Run(d.name+"/"+build.name, func(t *testing.T) {
 				checkLayout(t, build.doc, d.name == "xmark")
 				sameLayout(t, parsed, build.doc)

@@ -11,7 +11,7 @@
 // and nodes involved in the query are stored in indexes along with their
 // Dewey encoding" (Section 6.2.1); Postings is that step, over the
 // document's columns (xmltree.Columns) as the parser fills them, and
-// Build runs it over the columns of a document built another way. The
+// Build runs it over the columns a document was built from. The
 // index is one column layout (Columns) with two backings: Postings fills
 // the columns on the heap, and store.SnapshotReader validates the same
 // columns over the sections of a mapped snapshot file (Open) — the

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dewey"
@@ -47,7 +48,7 @@ func TestNodesPostings(t *testing.T) {
 	}
 	// Document order.
 	for i := 1; i < len(titles); i++ {
-		if titles[i].ID.Path().Compare(titles[i-1].ID.Path()) <= 0 {
+		if slices.Compare(titles[i].ID.Path(), titles[i-1].ID.Path()) <= 0 {
 			t.Fatal("postings out of document order")
 		}
 	}

@@ -7,6 +7,7 @@
 package joins
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/dewey"
@@ -16,70 +17,63 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Pair is one (ancestor, descendant) result of a structural join.
+// Pair is one (ancestor, descendant) result of a structural join, as
+// preorder ordinals.
 type Pair struct {
-	Anc, Desc *xmltree.Node
+	Anc, Desc int32
 }
 
 // AncestorDescendantPairs computes all pairs (a, d) with a ∈ ancs an
-// ancestor of d ∈ descs, using the stack-tree merge on Dewey IDs: both
-// inputs must be in document order; the output is in (desc, anc)
-// document order. Each input's IDs are derived once per call. The cost
-// is O(|ancs| + |descs| + |output|).
-func AncestorDescendantPairs(ancs, descs []*xmltree.Node) []Pair {
-	ancIDs, descIDs := paths(ancs), paths(descs)
+// ancestor of d ∈ descs in the document c, using the stack-tree merge on
+// preorder intervals: a contains d when d lies in (a, End(a)]. Both
+// inputs must be ascending ordinals; the output is in (desc, anc)
+// document order. The cost is O(|ancs| + |descs| + |output|).
+func AncestorDescendantPairs(c *xmltree.Columns, ancs, descs []uint32) []Pair {
 	var out []Pair
-	var stack []int // indices into ancs
+	var stack []int32 // a containment chain of ancestor candidates
 	ai := 0
-	for di, d := range descs {
+	for _, du := range descs {
+		d := int32(du)
 		// Push every ancestor candidate that starts before d, keeping
 		// the stack a containment chain: a subtree is a contiguous
 		// document-order interval, so a popped entry can contain neither
 		// the pushed candidate nor anything after it.
-		for ai < len(ancs) && ancIDs[ai].Compare(descIDs[di]) < 0 {
-			for len(stack) > 0 && !ancIDs[stack[len(stack)-1]].IsAncestorOf(ancIDs[ai]) {
+		for ; ai < len(ancs) && int32(ancs[ai]) < d; ai++ {
+			a := int32(ancs[ai])
+			for len(stack) > 0 && !c.Contains(stack[len(stack)-1], a) {
 				stack = stack[:len(stack)-1]
 			}
-			stack = append(stack, ai)
-			ai++
+			stack = append(stack, a)
 		}
 		// Pop chain entries whose subtrees ended before d; the rest all
 		// contain d (each contains the next, and the top contains d).
-		for len(stack) > 0 && !ancIDs[stack[len(stack)-1]].IsAncestorOf(descIDs[di]) {
+		for len(stack) > 0 && !c.Contains(stack[len(stack)-1], d) {
 			stack = stack[:len(stack)-1]
 		}
 		for _, a := range stack {
-			out = append(out, Pair{Anc: ancs[a], Desc: d})
+			out = append(out, Pair{Anc: a, Desc: d})
 		}
-	}
-	return out
-}
-
-// paths derives the Dewey IDs of ns.
-func paths(ns []*xmltree.Node) []dewey.ID {
-	out := make([]dewey.ID, len(ns))
-	for i, n := range ns {
-		out[i] = n.ID.Path()
 	}
 	return out
 }
 
 // ParentChildPairs is AncestorDescendantPairs restricted to direct
 // parents: the pairs one level apart.
-func ParentChildPairs(ancs, descs []*xmltree.Node) []Pair {
-	all := AncestorDescendantPairs(ancs, descs)
+func ParentChildPairs(c *xmltree.Columns, ancs, descs []uint32) []Pair {
+	all := AncestorDescendantPairs(c, ancs, descs)
 	out := all[:0]
 	for _, p := range all {
-		if p.Desc.Level() == p.Anc.Level()+1 {
+		if c.Level[p.Desc] == c.Level[p.Anc]+1 {
 			out = append(out, p)
 		}
 	}
 	return out
 }
 
-// Match is one exact match tuple: Bindings[i] instantiates query node i.
+// Match is one exact match tuple: Bindings[i] is the ordinal
+// instantiating query node i.
 type Match struct {
-	Bindings []*xmltree.Node
+	Bindings []int32
 }
 
 // Stats counts the work a plan execution performed.
@@ -95,26 +89,21 @@ type Stats struct {
 // node IDs guarantee).
 func ExactMatches(ix index.Source, q *pattern.Query) ([]Match, Stats) {
 	var st Stats
-	root := q.Root()
-	var tuples [][]*xmltree.Node
-	for _, r := range ix.NodesMatching(root.Tag, index.Test(root.ValueOp, root.Value)) {
-		if root.Axis == dewey.Child && r.Level() != 1 {
+	c, root := ix.Cols(), q.Root()
+	var tuples [][]int32
+	for _, r := range ix.Ords(root.Tag, index.Test(root.ValueOp, root.Value)) {
+		if root.Axis == dewey.Child && c.Level[r] != 1 {
 			continue
 		}
-		row := make([]*xmltree.Node, q.Size())
-		row[0] = r
+		row := make([]int32, q.Size())
+		row[0] = int32(r)
 		tuples = append(tuples, row)
 	}
-	if len(tuples) > st.Intermediate {
-		st.Intermediate = len(tuples)
-	}
+	st.Intermediate = len(tuples)
 	for id := 1; id < q.Size() && len(tuples) > 0; id++ {
 		qn := q.Nodes[id]
-		postings := ix.NodesMatching(qn.Tag, index.Test(qn.ValueOp, qn.Value))
-		tuples = joinStep(tuples, qn, postings, &st)
-		if len(tuples) > st.Intermediate {
-			st.Intermediate = len(tuples)
-		}
+		tuples = joinStep(c, tuples, qn, ix.Ords(qn.Tag, index.Test(qn.ValueOp, qn.Value)), &st)
+		st.Intermediate = max(st.Intermediate, len(tuples))
 	}
 	out := make([]Match, len(tuples))
 	for i, row := range tuples {
@@ -125,36 +114,31 @@ func ExactMatches(ix index.Source, q *pattern.Query) ([]Match, Stats) {
 
 // joinStep extends every tuple with the qn bindings structurally related
 // to the tuple's parent-column binding.
-func joinStep(tuples [][]*xmltree.Node, qn *pattern.Node, postings []*xmltree.Node, st *Stats) [][]*xmltree.Node {
+func joinStep(c *xmltree.Columns, tuples [][]int32, qn *pattern.Node, postings []uint32, st *Stats) [][]int32 {
 	parentCol := qn.Parent
 	// Distinct parent bindings in document order.
-	seen := make(map[int32]*xmltree.Node)
+	parents := make([]uint32, 0, len(tuples))
 	for _, row := range tuples {
-		p := row[parentCol]
-		seen[p.Ord] = p
+		parents = append(parents, uint32(row[parentCol]))
 	}
-	parents := make([]*xmltree.Node, 0, len(seen))
-	for _, p := range seen {
-		parents = append(parents, p)
-	}
-	sort.Slice(parents, func(i, j int) bool { return parents[i].Ord < parents[j].Ord })
+	slices.Sort(parents)
+	parents = slices.Compact(parents)
 
 	var pairs []Pair
 	if qn.Axis == dewey.Child {
-		pairs = ParentChildPairs(parents, postings)
+		pairs = ParentChildPairs(c, parents, postings)
 	} else {
-		pairs = AncestorDescendantPairs(parents, postings)
+		pairs = AncestorDescendantPairs(c, parents, postings)
 	}
 	st.JoinPairs += len(pairs)
-	byParent := make(map[int32][]*xmltree.Node)
+	byParent := make(map[int32][]int32)
 	for _, p := range pairs {
-		byParent[p.Anc.Ord] = append(byParent[p.Anc.Ord], p.Desc)
+		byParent[p.Anc] = append(byParent[p.Anc], p.Desc)
 	}
-	var next [][]*xmltree.Node
+	var next [][]int32
 	for _, row := range tuples {
-		for _, d := range byParent[row[parentCol].Ord] {
-			nr := make([]*xmltree.Node, len(row))
-			copy(nr, row)
+		for _, d := range byParent[row[parentCol]] {
+			nr := slices.Clone(row)
 			nr[qn.ID] = d
 			next = append(next, nr)
 		}
@@ -162,9 +146,9 @@ func joinStep(tuples [][]*xmltree.Node, qn *pattern.Node, postings []*xmltree.No
 	return next
 }
 
-// Answer is one ranked exact answer.
+// Answer is one ranked exact answer: its root's ordinal and score.
 type Answer struct {
-	Root  *xmltree.Node
+	Root  int32
 	Score float64
 }
 
@@ -178,11 +162,11 @@ func TopK(ix index.Source, q *pattern.Query, s score.Scorer, k int) ([]Answer, S
 	for _, m := range matches {
 		total := 0.0
 		for id, b := range m.Bindings {
-			total += s.Contribution(id, score.Exact, b.Ord)
+			total += s.Contribution(id, score.Exact, b)
 		}
 		root := m.Bindings[0]
-		if cur, ok := best[root.Ord]; !ok || total > cur.Score {
-			best[root.Ord] = Answer{Root: root, Score: total}
+		if cur, ok := best[root]; !ok || total > cur.Score {
+			best[root] = Answer{Root: root, Score: total}
 		}
 	}
 	answers := make([]Answer, 0, len(best))
@@ -204,6 +188,6 @@ func sortAnswers(answers []Answer) {
 		if answers[i].Score != answers[j].Score {
 			return answers[i].Score > answers[j].Score
 		}
-		return answers[i].Root.Ord < answers[j].Root.Ord
+		return answers[i].Root < answers[j].Root
 	})
 }

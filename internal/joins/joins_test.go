@@ -39,14 +39,12 @@ func TestAncestorDescendantPairsAgainstBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		doc := randomTree(seed)
 		ix := index.Build(doc)
-		ancs := ix.Nodes("a")
-		descs := ix.Nodes("b")
-		got := AncestorDescendantPairs(ancs, descs)
+		got := AncestorDescendantPairs(ix.Cols(), ix.Ords("a", index.ValueTest{}), ix.Ords("b", index.ValueTest{}))
 		var want []Pair
-		for _, a := range ancs {
-			for _, d := range descs {
+		for _, a := range ix.Nodes("a") {
+			for _, d := range ix.Nodes("b") {
 				if a.ID.Path().IsAncestorOf(d.ID.Path()) {
-					want = append(want, Pair{Anc: a, Desc: d})
+					want = append(want, Pair{Anc: a.Ord, Desc: d.Ord})
 				}
 			}
 		}
@@ -67,7 +65,7 @@ func TestParentChildPairsAgainstBruteForce(t *testing.T) {
 	for seed := int64(100); seed < 120; seed++ {
 		doc := randomTree(seed)
 		ix := index.Build(doc)
-		got := ParentChildPairs(ix.Nodes("a"), ix.Nodes("c"))
+		got := ParentChildPairs(ix.Cols(), ix.Ords("a", index.ValueTest{}), ix.Ords("c", index.ValueTest{}))
 		count := 0
 		for _, a := range ix.Nodes("a") {
 			for _, c := range a.Children {
@@ -84,10 +82,10 @@ func TestParentChildPairsAgainstBruteForce(t *testing.T) {
 
 func sortPairs(ps []Pair) {
 	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Anc.Ord != ps[j].Anc.Ord {
-			return ps[i].Anc.Ord < ps[j].Anc.Ord
+		if ps[i].Anc != ps[j].Anc {
+			return ps[i].Anc < ps[j].Anc
 		}
-		return ps[i].Desc.Ord < ps[j].Desc.Ord
+		return ps[i].Desc < ps[j].Desc
 	})
 }
 
@@ -104,12 +102,12 @@ func TestExactMatchesBookstore(t *testing.T) {
 	if len(matches) != 1 {
 		t.Fatalf("matches = %d, want 1", len(matches))
 	}
-	if matches[0].Bindings[0] != doc.Roots[0] {
+	if matches[0].Bindings[0] != doc.Roots[0].Ord {
 		t.Fatal("wrong root matched")
 	}
 	for id, b := range matches[0].Bindings {
-		if b == nil {
-			t.Fatalf("binding %d missing in exact match", id)
+		if p := q.Nodes[id].Parent; id > 0 && !ix.Cols().Contains(matches[0].Bindings[p], b) {
+			t.Fatalf("binding %d (node %d) is not below its parent's (node %d)", id, b, matches[0].Bindings[p])
 		}
 	}
 	if st.JoinPairs == 0 || st.Intermediate == 0 {

@@ -12,13 +12,14 @@ import (
 func TestPairsEmptyInputs(t *testing.T) {
 	doc, _ := xmltree.ParseString(`<a><b/></a>`)
 	ix := index.Build(doc)
-	if got := AncestorDescendantPairs(nil, ix.Nodes("b")); len(got) != 0 {
+	c := ix.Cols()
+	if got := AncestorDescendantPairs(c, nil, ix.Ords("b", index.ValueTest{})); len(got) != 0 {
 		t.Fatalf("nil ancs: %d pairs", len(got))
 	}
-	if got := AncestorDescendantPairs(ix.Nodes("a"), nil); len(got) != 0 {
+	if got := AncestorDescendantPairs(c, ix.Ords("a", index.ValueTest{}), nil); len(got) != 0 {
 		t.Fatalf("nil descs: %d pairs", len(got))
 	}
-	if got := ParentChildPairs(nil, nil); len(got) != 0 {
+	if got := ParentChildPairs(c, nil, nil); len(got) != 0 {
 		t.Fatalf("nil/nil: %d pairs", len(got))
 	}
 }
@@ -27,8 +28,8 @@ func TestPairsSameList(t *testing.T) {
 	// Joining a tag's postings with itself: strict containment only.
 	doc, _ := xmltree.ParseString(`<a><a><a/></a></a><a/>`)
 	ix := index.Build(doc)
-	as := ix.Nodes("a")
-	pairs := AncestorDescendantPairs(as, as)
+	as := ix.Ords("a", index.ValueTest{})
+	pairs := AncestorDescendantPairs(ix.Cols(), as, as)
 	// a1⊃a2, a1⊃a3, a2⊃a3 — the standalone a4 pairs with nothing.
 	if len(pairs) != 3 {
 		t.Fatalf("self-join pairs = %d, want 3", len(pairs))

@@ -1,6 +1,7 @@
 package relax
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -15,27 +16,40 @@ import (
 // ancestors and earlier siblings each implies, and returns its columns
 // and the ordinals at those IDs in argument order.
 func treeOf(ids ...dewey.ID) (*xmltree.Columns, []int32) {
-	doc := xmltree.NewDocument()
-	nodes := make([]*xmltree.Node, len(ids))
-	for i, id := range ids {
-		for len(doc.Roots) <= id[0] {
-			doc.AddRoot("r")
+	// kids holds how many children each node needs, keyed by its Dewey
+	// ID ("[]" for the forest's roots).
+	kids := make(map[string]int)
+	for _, id := range ids {
+		for i, c := range id {
+			kids[fmt.Sprint(id[:i])] = max(kids[fmt.Sprint(id[:i])], c+1)
 		}
-		n := doc.Roots[id[0]]
-		for _, c := range id[1:] {
-			for len(n.Children) <= c {
-				doc.AddChild(n, "n", "")
+	}
+	var (
+		b    = xmltree.NewBuilder()
+		ords = make(map[string]int32) // preorder ordinals by Dewey ID
+		grow func(id dewey.ID)
+	)
+	grow = func(id dewey.ID) {
+		for c := 0; c < kids[fmt.Sprint(id)]; c++ {
+			child := append(id[:len(id):len(id)], c)
+			ords[fmt.Sprint(child)] = int32(len(ords))
+			if len(id) == 0 {
+				b.Root("r")
+			} else {
+				b.Open("n")
 			}
-			n = n.Children[c]
+			grow(child)
+			if len(id) > 0 {
+				b.Close()
+			}
 		}
-		nodes[i] = n
 	}
-	doc.Renumber()
-	out := make([]int32, len(nodes))
-	for i, n := range nodes {
-		out[i] = n.Ord
+	grow(nil)
+	out := make([]int32, len(ids))
+	for i, id := range ids {
+		out[i] = ords[fmt.Sprint(id)]
 	}
-	return doc.Columns(), out
+	return b.Doc().Columns(), out
 }
 
 func TestRelaxationFlags(t *testing.T) {

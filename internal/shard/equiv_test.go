@@ -22,29 +22,29 @@ import (
 // over uneven subtree shapes, deep chains and nested roots.
 func randomDoc(r *rand.Rand) *xmltree.Document {
 	tags := []string{"a", "b", "c", "d"}
-	doc := xmltree.NewDocument()
+	b := xmltree.NewBuilder()
+	var grow func(depth int)
+	grow = func(depth int) {
+		if depth > 5 {
+			return
+		}
+		kids := r.Intn(4)
+		for j := 0; j < kids; j++ {
+			val := ""
+			if r.Intn(3) == 0 {
+				val = fmt.Sprintf("v%d", r.Intn(3))
+			}
+			b.Open(tags[r.Intn(len(tags))]).Text(val)
+			grow(depth + 1)
+			b.Close()
+		}
+	}
 	roots := r.Intn(3) + 1
 	for i := 0; i < roots; i++ {
-		root := doc.AddRoot("r")
-		var grow func(n *xmltree.Node, depth int)
-		grow = func(n *xmltree.Node, depth int) {
-			if depth > 5 {
-				return
-			}
-			kids := r.Intn(4)
-			for j := 0; j < kids; j++ {
-				val := ""
-				if r.Intn(3) == 0 {
-					val = fmt.Sprintf("v%d", r.Intn(3))
-				}
-				c := doc.AddChild(n, tags[r.Intn(len(tags))], val)
-				grow(c, depth+1)
-			}
-		}
-		grow(root, 1)
+		b.Root("r")
+		grow(1)
 	}
-	doc.Renumber()
-	return doc
+	return b.Doc()
 }
 
 func xmarkDoc(t *testing.T, items int) *xmltree.Document {

@@ -273,7 +273,7 @@ func TestSplitSingleShardKeepsForestWhole(t *testing.T) {
 // TestSplitEmptyDocument: an empty document splits, holds no postings,
 // and a sharded evaluation over it finds nothing in any shard.
 func TestSplitEmptyDocument(t *testing.T) {
-	doc := xmltree.NewDocument()
+	doc := xmltree.NewBuilder().Doc()
 	c, err := shard.Split(doc, 4)
 	if err != nil {
 		t.Fatal(err)

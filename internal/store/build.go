@@ -12,9 +12,8 @@ import (
 // OpenSnapshot: the postings and the synopsis each derive from the
 // columns alone, so they are built in lanes of their own, the postings
 // on the calling goroutine. doc is the node slab the columns describe
-// when the caller has one (a document built some other way, whose
-// columns Document.Columns derived), or nil: no slab is built here. The
-// columns are only read.
+// when the caller has one (the document FromDocument was handed), or
+// nil: no slab is built here. The columns are only read.
 func Build(c *xmltree.Columns, doc *xmltree.Document) (*index.Index, *synopsis.Synopsis) {
 	var (
 		wg  sync.WaitGroup

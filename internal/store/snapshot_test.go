@@ -195,7 +195,8 @@ func TestSnapshotSynopsis(t *testing.T) {
 			got.NodeCount(), want.NodeCount(), got.PathCount(), want.PathCount())
 	}
 	rng := rand.New(rand.NewSource(7))
-	tags := doc.Tags()
+	tags := slices.Clone(doc.Columns().Tags)
+	slices.Sort(tags)
 	for i := 0; i < 200; i++ {
 		anchor, tag := tags[rng.Intn(len(tags))], tags[rng.Intn(len(tags))]
 		pp := relax.PathPredicate{MinLevels: rng.Intn(4), Exact: rng.Intn(2) == 0}
@@ -309,7 +310,7 @@ func checkSkipsRetired(t *testing.T, doc *xmltree.Document, retired ...secPayloa
 		}
 		return out
 	}
-	for _, tag := range doc.Tags() {
+	for _, tag := range doc.Columns().Tags {
 		for _, vt := range []index.ValueTest{{}, index.ValueEq("1"), index.Test("contains", "a")} {
 			if got, want := ords(old.NodesMatching(tag, vt)), ords(fresh.NodesMatching(tag, vt)); !slices.Equal(got, want) {
 				t.Fatalf("NodesMatching(%q, %v) = %v with retired sections, %v without", tag, vt, got, want)
@@ -587,7 +588,7 @@ func TestSnapshotReplacedUnderLiveReader(t *testing.T) {
 }
 
 func TestSnapshotEmptyAndForest(t *testing.T) {
-	empty := xmltree.NewDocument()
+	empty := xmltree.NewBuilder().Doc()
 	r := parseSnap(t, writeSnap(t, &Snapshot{Cols: empty.Columns()}))
 	if r.Document().Size() != 0 || len(r.Nodes("x")) != 0 {
 		t.Fatal("empty document snapshot broken")

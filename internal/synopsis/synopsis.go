@@ -71,7 +71,7 @@ type descStat struct {
 	pairs, satExact, maxExact, cntMax, maxAtLeast []int
 }
 
-// Build summarizes a whole document: the synopsis of its derived columns.
+// Build summarizes a whole document: the synopsis of its columns.
 func Build(doc *xmltree.Document) *Synopsis { return FromColumns(doc.Columns()) }
 
 // FromColumns builds the synopsis of the document the node columns

@@ -24,9 +24,9 @@ func xmarkDoc(t *testing.T, items int) *xmltree.Document {
 // so the same tag appears at many distinct paths and level differences.
 func randomDoc(r *rand.Rand) *xmltree.Document {
 	tags := []string{"a", "b", "c", "d"}
-	doc := xmltree.NewDocument()
-	var grow func(n *xmltree.Node, depth int)
-	grow = func(n *xmltree.Node, depth int) {
+	b := xmltree.NewBuilder()
+	var grow func(depth int)
+	grow = func(depth int) {
 		if depth > 6 {
 			return
 		}
@@ -36,15 +36,16 @@ func randomDoc(r *rand.Rand) *xmltree.Document {
 			if r.Intn(3) == 0 {
 				val = fmt.Sprintf("v%d", r.Intn(3))
 			}
-			c := doc.AddChild(n, tags[r.Intn(len(tags))], val)
-			grow(c, depth+1)
+			b.Open(tags[r.Intn(len(tags))]).Text(val)
+			grow(depth + 1)
+			b.Close()
 		}
 	}
 	for i := 0; i < 1+r.Intn(3); i++ {
-		grow(doc.AddRoot(tags[r.Intn(len(tags))]), 1)
+		b.Root(tags[r.Intn(len(tags))])
+		grow(1)
 	}
-	doc.Renumber()
-	return doc
+	return b.Doc()
 }
 
 func testDocs(t *testing.T) map[string]*xmltree.Document {

@@ -1,52 +1,63 @@
 package xmltree
 
 // Builder offers a fluent way to construct documents programmatically —
-// used by tests, examples and the XMark generator. It tracks a cursor
-// node; Open descends, Close ascends, Leaf adds a valued child without
-// moving the cursor.
-type Builder struct {
-	doc    *Document
-	cursor *Node
-}
+// used by tests, examples and the figures. It writes the columns in
+// preorder as Parse does, so a node is final once the builder moves past
+// it: Open appends a child of the open element and descends into it,
+// Close ascends, Leaf adds a valued child without descending, and Text
+// sets the open element's own value. With no element open, Open and
+// Leaf append a forest root, Text does nothing and Close panics.
+type Builder struct{ w *writer }
 
 // NewBuilder returns a Builder over a fresh document.
-func NewBuilder() *Builder { return &Builder{doc: NewDocument()} }
+func NewBuilder() *Builder { return &Builder{w: newWriter(0, 0)} }
 
-// Root starts a new top-level element and moves the cursor to it.
+// Root closes every open element and starts a new top-level element.
 func (b *Builder) Root(tag string) *Builder {
-	n := newNode(tag, "", nil, len(b.doc.Roots))
-	b.doc.Roots = append(b.doc.Roots, n)
-	b.cursor = n
+	b.closeAll()
+	b.w.start(b.w.internString(tag))
 	return b
 }
 
-// Open appends a child element to the cursor and descends into it.
+// Open appends a child element to the open element and descends into it.
 func (b *Builder) Open(tag string) *Builder {
-	b.cursor = b.doc.AddChild(b.cursor, tag, "")
+	b.w.start(b.w.internString(tag))
 	return b
 }
 
-// Leaf appends a valued child element without moving the cursor.
+// Leaf appends a valued child element without descending.
 func (b *Builder) Leaf(tag, value string) *Builder {
-	b.doc.AddChild(b.cursor, tag, value)
+	b.w.set(b.w.add(b.w.internString(tag)), []byte(value))
 	return b
 }
 
-// Text sets the cursor element's own text value.
+// Text sets the open element's own text value.
 func (b *Builder) Text(value string) *Builder {
-	b.cursor.Value = value
+	w := b.w
+	w.pend = append(w.pend[:w.open[len(w.open)-1].pendAt], value...)
 	return b
 }
 
-// Close ascends to the cursor's parent. Closing a root leaves the cursor
-// nil; a following Open would panic, which surfaces builder misuse early.
+// Close ascends to the open element's parent.
 func (b *Builder) Close() *Builder {
-	b.cursor = b.cursor.Parent
+	b.w.end(b.w.pending())
 	return b
 }
 
-// Doc finalizes preorder numbering and returns the document.
+// Doc closes every open element and returns the document. The builder
+// is spent.
 func (b *Builder) Doc() *Document {
-	b.doc.renumber()
-	return b.doc
+	b.closeAll()
+	c, err := b.w.finish()
+	if err != nil {
+		panic("xmltree: Builder: " + err.Error())
+	}
+	b.w = nil
+	return c.Build()
+}
+
+func (b *Builder) closeAll() {
+	for len(b.w.open) > 1 {
+		b.w.end(b.w.pending())
+	}
 }

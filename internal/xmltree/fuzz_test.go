@@ -3,6 +3,9 @@ package xmltree
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -15,11 +18,13 @@ import (
 // consistent structure to whatever it accepts — ordinals, intervals,
 // derived Dewey IDs and levels (checkIntervals), and the same paths,
 // Dewey IDs and levels rendered from the columns (checkColumnRender) —
-// and that Serialize output re-parses to the same tags and values, as
-// does ParseProjected keeping every tag. The projected parse reads
-// through a window of at most 8 bytes, which it must grow and move
-// across every kind of token, and must refuse what Parse refuses with
-// the same error.
+// and that Serialize output re-parses to the same tags and values. It
+// also projects the input keeping every tag, then to three keep sets
+// drawn from its tags, and holds each result column for column to
+// projectSlab, a projection of Parse's node slab. The projected parse
+// reads through a window of at most 10 bytes, which it must grow and
+// move across every kind of token, and must refuse what Parse refuses
+// with the same error.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"<a/>",
@@ -30,6 +35,7 @@ func FuzzParse(f *testing.F) {
 		"<a>",
 		"</a>",
 		"<a/><b/>",
+		"<a><b/><c x='1'><d/>t<b y='2'/></c><b/><e>v</e></a><f/><a/>",
 		"<a>\xff\xfe</a>",
 		"<a><![CDATA[raw]]></a>",
 		"<?xml version=\"1.0\"?><a/>",
@@ -47,6 +53,11 @@ func FuzzParse(f *testing.F) {
 		`<a b="1" b="2" c='3'd="4"/>`,
 		"pre<a/>mid<b/>post",
 		"\xef\xbb\xbf<?xml version=\"1.0\" encoding=\"Utf-8\"?><a/>",
+		// Projections that drop elements numbering tags first, drop
+		// forest roots, and keep an ancestor for its descendant only.
+		"<r><x><y/>t</x><k>1</k><y/><x><k>2</k></x></r>",
+		"<a/><k>1</k><b><c/></b><b><k>2</k></b>",
+		"<a>lost<k>x <d>gone</d> y</k></a>",
 		// Refused.
 		"<?xml version=\"1.0\" encoding=\"ISO-8859-1\"?><a/>",
 		"<?xml version=\"1.1\"?><a/>",
@@ -70,7 +81,8 @@ func FuzzParse(f *testing.F) {
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("scanner error %v, reference error %v", err, refErr)
 		}
-		projected, projErr := parseProjected(strings.NewReader(input), func(string) bool { return true }, 1+len(input)%8)
+		keep := func(string) bool { return true }
+		projected, projErr := parseProjected(strings.NewReader(input), keep, 1+len(input)%8)
 		if (err == nil) != (projErr == nil) {
 			t.Fatalf("projected parse error %v, Parse error %v", projErr, err)
 		}
@@ -80,16 +92,7 @@ func FuzzParse(f *testing.F) {
 			}
 			return
 		}
-		if !slices.Equal(c.Tags, ref.Tags) || !slices.Equal(c.TagIDs, ref.TagIDs) ||
-			!slices.Equal(c.Parents, ref.Parents) || !slices.Equal(c.Subtree, ref.Subtree) ||
-			!slices.Equal(c.Level, ref.Level) || !slices.Equal(c.Pos, ref.Pos) {
-			t.Fatalf("columns differ from the reference:\n%+v\n%+v", c, ref)
-		}
-		for i := range c.TagIDs {
-			if v, rv := c.Values[c.ValueLo[i]:c.ValueHi[i]], ref.Values[ref.ValueLo[i]:ref.ValueHi[i]]; v != rv {
-				t.Fatalf("node %d: value %q, reference %q", i, v, rv)
-			}
-		}
+		sameColumns(t, "the scanner's", c, ref)
 		doc, err := ParseString(input)
 		if err != nil {
 			t.Fatalf("Parse refuses what its columns accept: %v", err)
@@ -127,17 +130,100 @@ func FuzzParse(f *testing.F) {
 				t.Fatalf("round trip changed node %d: %v -> %v", i, n, n2)
 			}
 		}
-		checkIntervals(t, projected)
-		checkColumnRender(t, projected)
-		if projected.Size() != doc.Size() {
-			t.Fatalf("projection keeping every tag holds %d nodes, Parse %d", projected.Size(), doc.Size())
-		}
-		for i, n := range doc.Nodes {
-			if p := projected.Nodes[i]; p.Tag != n.Tag || p.Value != n.Value || p.ID.String() != n.ID.String() || p.End != n.End {
-				t.Fatalf("node %d: projected %v (end %d), parsed %v (end %d)", i, p, p.End, n, n.End)
+		for draw := 0; draw < 4; draw++ {
+			if draw > 0 {
+				keep = drawKeep(input, draw, c.Tags)
+				if projected, err = parseProjected(strings.NewReader(input), keep, draw+len(input)%8); err != nil {
+					t.Fatalf("projected parse: %v", err)
+				}
 			}
+			sameColumns(t, fmt.Sprintf("projection %d's", draw), projected, projectSlab(doc, keep))
+			checkIntervals(t, projected.Build())
 		}
 	})
+}
+
+// sameColumns holds got, what names, to the reference columns want:
+// every column, and each node's value (the value bytes may lie in
+// another order).
+func sameColumns(t *testing.T, what string, got, want *Columns) {
+	t.Helper()
+	if !slices.Equal(got.Tags, want.Tags) || !slices.Equal(got.TagIDs, want.TagIDs) ||
+		!slices.Equal(got.Parents, want.Parents) || !slices.Equal(got.Subtree, want.Subtree) ||
+		!slices.Equal(got.Level, want.Level) || !slices.Equal(got.Pos, want.Pos) {
+		t.Fatalf("%s columns differ from the reference:\n%+v\n%+v", what, got, want)
+	}
+	for i := range got.TagIDs {
+		if v, rv := got.Value(int32(i)), want.Value(int32(i)); v != rv {
+			t.Fatalf("%s node %d: value %q, reference %q", what, i, v, rv)
+		}
+	}
+}
+
+// drawKeep draws a keep set from tags, each tag at even odds, seeded by
+// the input and the draw.
+func drawKeep(input string, draw int, tags []string) func(string) bool {
+	h := fnv.New64a()
+	h.Write([]byte(input))
+	r := rand.New(rand.NewSource(int64(h.Sum64()) + int64(draw)))
+	set := make(map[string]bool)
+	for _, tag := range tags {
+		if r.Intn(2) == 0 {
+			set[tag] = true
+		}
+	}
+	return func(tag string) bool { return set[tag] }
+}
+
+// projectSlab is ParseProjected's reference, written over doc's node
+// slab: the nodes whose tag is kept or that have a kept descendant, in
+// preorder, with the tag table numbered in order of first appearance
+// among them, parents and positions among them, doc's levels, and the
+// value of a kept node — none for an ancestor kept for its descendants.
+func projectSlab(doc *Document, keep func(string) bool) *Columns {
+	var (
+		c      Columns
+		ids    = make(map[string]uint32)
+		values strings.Builder
+		stays  func(n *Node) bool
+		walk   func(n *Node, parent uint32, pos int32)
+	)
+	stays = func(n *Node) bool {
+		return keep(n.Tag) || slices.ContainsFunc(n.Children, stays)
+	}
+	walk = func(n *Node, parent uint32, pos int32) {
+		ord := len(c.TagIDs)
+		id, ok := ids[n.Tag]
+		if !ok {
+			id = uint32(len(c.Tags))
+			ids[n.Tag] = id
+			c.Tags = append(c.Tags, n.Tag)
+		}
+		c.TagIDs, c.Parents, c.Subtree = append(c.TagIDs, id), append(c.Parents, parent), append(c.Subtree, 0)
+		c.Level, c.Pos = append(c.Level, int32(n.Level())), append(c.Pos, pos)
+		c.ValueLo = append(c.ValueLo, uint32(values.Len()))
+		if keep(n.Tag) {
+			values.WriteString(n.Value)
+		}
+		c.ValueHi = append(c.ValueHi, uint32(values.Len()))
+		kids := int32(0)
+		for _, ch := range n.Children {
+			if stays(ch) {
+				walk(ch, uint32(ord)+1, kids)
+				kids++
+			}
+		}
+		c.Subtree[ord] = uint32(len(c.TagIDs) - ord)
+	}
+	roots := int32(0)
+	for _, r := range doc.Roots {
+		if stays(r) {
+			walk(r, 0, roots)
+			roots++
+		}
+	}
+	c.Values = values.String()
+	return &c
 }
 
 // checkColumnRender holds what the columns render for every ordinal —

@@ -78,15 +78,12 @@ func TestSerializeAttributesRoundTrip(t *testing.T) {
 		t.Fatalf("re-parse: %v\n%s", err, buf.String())
 	}
 	find := func(d *Document, tag string) *Node {
-		var out *Node
-		d.Walk(func(n *Node) bool {
+		for _, n := range d.Nodes {
 			if n.Tag == tag {
-				out = n
-				return false
+				return n
 			}
-			return true
-		})
-		return out
+		}
+		return nil
 	}
 	for _, attr := range []string{"@x", "@y", "@z"} {
 		a, b := find(doc, attr), find(doc2, attr)

@@ -47,42 +47,10 @@ func parseColumns(in []byte) (*Columns, error) {
 	// when the bound left slack (exact).
 	bound := bytes.Count(in, []byte{'<'}) - bytes.Count(in, []byte("</")) + bytes.Count(in, []byte{'='})
 	var (
-		s      = scanner{in: in}
-		c      Columns
-		values = make([]byte, 0, len(in))
-		tagIDs = make(map[string]uint32)
-		open   []uint32 // ordinals of the open elements
-		pend   []byte   // character data of the open elements, innermost last
-		pendAt []int    // where each open element's data starts in pend
-		kids   []int32  // children each open element has so far
-		roots  int32    // forest roots so far
-		name   []byte   // attribute tag scratch
+		s    = scanner{in: in}
+		w    = newWriter(bound, len(in))
+		name []byte // attribute tag scratch
 	)
-	c.TagIDs, c.Parents, c.Subtree = make([]uint32, 0, bound), make([]uint32, 0, bound), make([]uint32, 0, bound)
-	c.Level, c.Pos = make([]int32, 0, bound), make([]int32, 0, bound)
-	c.ValueLo, c.ValueHi = make([]uint32, 0, bound), make([]uint32, 0, bound)
-	intern := func(tag []byte) uint32 {
-		id, ok := tagIDs[string(tag)]
-		if !ok {
-			id = uint32(len(c.Tags))
-			c.Tags = append(c.Tags, string(tag))
-			tagIDs[c.Tags[id]] = id
-		}
-		return id
-	}
-	add := func(tag uint32, value []byte) uint32 {
-		parent, pos := uint32(0), &roots
-		if d := len(open); d > 0 {
-			parent, pos = open[d-1]+1, &kids[d-1]
-		}
-		c.TagIDs, c.Parents, c.Subtree = append(c.TagIDs, tag), append(c.Parents, parent), append(c.Subtree, 1)
-		c.Level, c.Pos = append(c.Level, int32(len(open))+1), append(c.Pos, *pos)
-		*pos++
-		c.ValueLo = append(c.ValueLo, uint32(len(values)))
-		values = append(values, value...)
-		c.ValueHi = append(c.ValueHi, uint32(len(values)))
-		return uint32(len(c.TagIDs) - 1)
-	}
 	for {
 		tok, err := s.next()
 		if err != nil {
@@ -90,37 +58,142 @@ func parseColumns(in []byte) (*Columns, error) {
 		}
 		switch tok {
 		case tokStart:
-			// The element's value and subtree size are only known at its
-			// end, where they are patched in.
-			open = append(open, add(intern(s.name), nil))
-			pendAt, kids = append(pendAt, len(pend)), append(kids, 0)
+			w.start(w.intern(s.name))
 		case tokAttr:
 			name = append(append(name[:0], '@'), s.name...)
-			add(intern(name), s.text)
+			w.set(w.add(w.intern(name)), s.text)
 		case tokText:
-			if len(open) > 0 {
-				pend = append(pend, s.text...)
-			}
+			w.text(s.text)
 		case tokEnd:
-			d := len(open) - 1
-			el := open[d]
-			c.ValueLo[el] = uint32(len(values))
-			values = append(values, bytes.TrimSpace(pend[pendAt[d]:])...)
-			c.ValueHi[el] = uint32(len(values))
-			c.Subtree[el] = uint32(len(c.TagIDs)) - el
-			open, pend, pendAt, kids = open[:d], pend[:pendAt[d]], pendAt[:d], kids[:d]
+			w.end(bytes.TrimSpace(w.pending()))
 		case tokEOF:
-			if len(c.TagIDs) > math.MaxInt32 || len(values) > math.MaxUint32 {
-				return nil, fmt.Errorf("xmltree: parse: %d nodes and %d value bytes exceed the int32 ordinals and uint32 value offsets",
-					len(c.TagIDs), len(values))
+			c, err := w.finish()
+			if err != nil {
+				return nil, fmt.Errorf("xmltree: parse: %w", err)
 			}
-			c.Tags, c.Values = exact(c.Tags), string(values)
-			c.TagIDs, c.Parents, c.Subtree = exact(c.TagIDs), exact(c.Parents), exact(c.Subtree)
-			c.Level, c.Pos = exact(c.Level), exact(c.Pos)
-			c.ValueLo, c.ValueHi = exact(c.ValueLo), exact(c.ValueHi)
-			return &c, nil
+			return c, nil
 		}
 	}
+}
+
+// writer appends a document to Columns in preorder, the one way a
+// document is made: it interns tags, appends each node's tag id, parent,
+// level, position and subtree entry as the node opens, and patches an
+// element's value span and subtree size at its end. Parse drives it over
+// a whole input, ParseProjected over a window, and Builder by hand.
+type writer struct {
+	c      Columns
+	values []byte
+	tagIDs map[string]uint32
+	open   []frame // the forest, then the open elements, innermost last
+	pend   []byte  // character data of the open elements, innermost last
+}
+
+// frame is an open element, or the forest below every open element.
+type frame struct {
+	parent uint32 // what a child's Parents entry holds: the ordinal + 1, 0 for the forest
+	kids   int32  // children so far
+	pendAt int    // where the element's character data starts in pend
+}
+
+// newWriter returns a writer whose columns hold nodes and whose value
+// bytes hold values before they regrow.
+func newWriter(nodes, values int) *writer {
+	w := &writer{values: make([]byte, 0, values), tagIDs: make(map[string]uint32), open: []frame{{}}}
+	c := &w.c
+	c.TagIDs, c.Parents, c.Subtree = make([]uint32, 0, nodes), make([]uint32, 0, nodes), make([]uint32, 0, nodes)
+	c.Level, c.Pos = make([]int32, 0, nodes), make([]int32, 0, nodes)
+	c.ValueLo, c.ValueHi = make([]uint32, 0, nodes), make([]uint32, 0, nodes)
+	return w
+}
+
+// intern returns tag's id, numbering a tag on its first appearance.
+func (w *writer) intern(tag []byte) uint32 {
+	if id, ok := w.tagIDs[string(tag)]; ok {
+		return id
+	}
+	return w.number(string(tag))
+}
+
+// internString is intern for a tag held in a string, which the tag
+// table then shares.
+func (w *writer) internString(tag string) uint32 {
+	if id, ok := w.tagIDs[tag]; ok {
+		return id
+	}
+	return w.number(tag)
+}
+
+// number gives a tag not yet in the tag table the next id.
+func (w *writer) number(tag string) uint32 {
+	id := uint32(len(w.c.Tags))
+	w.c.Tags = append(w.c.Tags, tag)
+	w.tagIDs[tag] = id
+	return id
+}
+
+// add appends a node as the innermost open element's next child, or as
+// the forest's next root, and returns its ordinal. Its value is empty
+// until set.
+func (w *writer) add(tag uint32) uint32 {
+	c, f, v := &w.c, &w.open[len(w.open)-1], uint32(len(w.values))
+	c.TagIDs, c.Parents, c.Subtree = append(c.TagIDs, tag), append(c.Parents, f.parent), append(c.Subtree, 1)
+	c.Level, c.Pos = append(c.Level, int32(len(w.open))), append(c.Pos, f.kids)
+	c.ValueLo, c.ValueHi = append(c.ValueLo, v), append(c.ValueHi, v)
+	f.kids++
+	return uint32(len(c.Parents) - 1)
+}
+
+// set sets node ord's value.
+func (w *writer) set(ord uint32, value []byte) {
+	w.c.ValueLo[ord] = uint32(len(w.values))
+	w.values = append(w.values, value...)
+	w.c.ValueHi[ord] = uint32(len(w.values))
+}
+
+// start appends an element and opens it. Its value and subtree size are
+// only known at its end, where they are patched in.
+func (w *writer) start(tag uint32) {
+	w.open = append(w.open, frame{parent: w.add(tag) + 1, pendAt: len(w.pend)})
+}
+
+// text appends character data to the innermost open element's; outside
+// every element it is dropped.
+func (w *writer) text(b []byte) {
+	if len(w.open) > 1 {
+		w.pend = append(w.pend, b...)
+	}
+}
+
+// pending returns the character data of the innermost open element.
+func (w *writer) pending() []byte { return w.pend[w.open[len(w.open)-1].pendAt:] }
+
+// end closes the innermost open element with the given value and
+// returns its ordinal.
+func (w *writer) end(value []byte) uint32 {
+	f := w.open[len(w.open)-1]
+	el := f.parent - 1
+	w.set(el, value)
+	w.c.Subtree[el] = uint32(len(w.c.TagIDs)) - el
+	w.open, w.pend = w.open[:len(w.open)-1], w.pend[:f.pendAt]
+	return el
+}
+
+// finish returns the columns, each copied at exact length when it holds
+// more than an eighth of slack, or an error when they outgrow int32
+// ordinals or uint32 value offsets. Every element must be closed: a
+// parse refuses an input that leaves one open, and Builder closes them.
+func (w *writer) finish() (*Columns, error) {
+	c := w.c // a copy: the columns hold none of the writer's scratch
+	if len(c.TagIDs) > math.MaxInt32 || len(w.values) > math.MaxUint32 {
+		return nil, fmt.Errorf("%d nodes and %d value bytes exceed the int32 ordinals and uint32 value offsets",
+			len(c.TagIDs), len(w.values))
+	}
+	c.Tags, c.Values = exact(c.Tags), string(w.values)
+	c.TagIDs, c.Parents, c.Subtree = exact(c.TagIDs), exact(c.Parents), exact(c.Subtree)
+	c.Level, c.Pos = exact(c.Level), exact(c.Pos)
+	c.ValueLo, c.ValueHi = exact(c.ValueLo), exact(c.ValueHi)
+	return &c, nil
 }
 
 // exact returns s, or a copy whose capacity is its length when s holds
@@ -145,22 +218,6 @@ func (d *Document) Serialize(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// SerializedSize returns the number of bytes Serialize would write. It is
-// used to calibrate generated documents against the paper's 1/10/50 MB
-// document sizes.
-func (d *Document) SerializedSize() int {
-	var c countWriter
-	_ = d.Serialize(&c)
-	return int(c)
-}
-
-type countWriter int
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	*c += countWriter(len(p))
-	return len(p), nil
 }
 
 // writtenTag returns how Serialize writes a tag: as it is, or behind a

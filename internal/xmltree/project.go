@@ -15,42 +15,53 @@ import (
 // levels, ancestor/descendant relationships and sibling order — every
 // predicate the engine evaluates.
 //
-// Dewey IDs are derived over the projected tree; because whole subtrees
-// are dropped (never intermediate nodes), prefix relations and node
-// levels match the original document's.
+// The columns are Parse's over the projected forest: positions count
+// the kept siblings, tags are numbered in order of first appearance
+// among the kept nodes, and an ancestor kept only for its descendants
+// has no value. Because whole subtrees are dropped (never intermediate
+// nodes), prefix relations and node levels match the original
+// document's.
 //
 // ParseProjected reads r a window at a time and never holds the whole
 // input: what it holds follows the projected tree and the longest token.
-func ParseProjected(r io.Reader, keep func(tag string) bool) (*Document, error) {
+func ParseProjected(r io.Reader, keep func(tag string) bool) (*Columns, error) {
 	return parseProjected(r, keep, 64<<10)
 }
 
 // parseProjected is ParseProjected over a window of the given initial
-// size.
-func parseProjected(r io.Reader, keep func(tag string) bool, window int) (*Document, error) {
-	// frame is a pending open element: it materializes if its own tag is
-	// kept or any descendant materialized under it.
-	type frame struct {
-		tag      string
-		kept     bool
-		textAt   int     // where a kept element's character data starts in text
-		children []*Node // materialized children, in document order
+// size. Every element is appended as it starts and truncated at its end
+// when neither it nor any descendant was kept; an attribute is appended
+// only when kept.
+func parseProjected(r io.Reader, keep func(tag string) bool, window int) (*Columns, error) {
+	// element is an open element: whether its tag is kept, and how many
+	// tags were numbered before it, to which a dropped element rolls the
+	// tag table back.
+	type element struct {
+		kept bool
+		tags int
+	}
+	// tag is a tag met: the one string every node carrying it shares,
+	// and keep's verdict on it. seen holds one per tag, so that a tag
+	// dropped and met again costs no allocation and no second verdict.
+	type tag struct {
+		name string
+		kept bool
 	}
 	var (
 		s     = newWindow(r, window)
-		doc   = NewDocument()
-		stack []frame
-		text  []byte // character data of the kept open elements, innermost last
-		tags  = make(map[string]string)
+		w     = newWriter(0, 0)
+		stack []element
+		seen  = make(map[string]tag)
 		name  []byte // attribute tag scratch
 	)
-	intern := func(b []byte) string {
-		tag, ok := tags[string(b)]
+	lookup := func(b []byte) tag {
+		t, ok := seen[string(b)]
 		if !ok {
-			tag = string(b)
-			tags[tag] = tag
+			t.name = string(b)
+			t.kept = keep(t.name)
+			seen[t.name] = t
 		}
-		return tag
+		return t
 	}
 	for {
 		tok, err := s.next()
@@ -59,41 +70,46 @@ func parseProjected(r io.Reader, keep func(tag string) bool, window int) (*Docum
 		}
 		switch tok {
 		case tokStart:
-			tag := intern(s.name)
-			stack = append(stack, frame{tag: tag, kept: keep(tag), textAt: len(text)})
+			t := lookup(s.name)
+			stack = append(stack, element{kept: t.kept, tags: len(w.c.Tags)})
+			w.start(w.internString(t.name))
 		case tokAttr:
 			name = append(append(name[:0], '@'), s.name...)
-			if tag := intern(name); keep(tag) {
-				f := &stack[len(stack)-1]
-				f.children = append(f.children, &Node{Tag: tag, Value: string(s.text)})
+			if t := lookup(name); t.kept {
+				w.set(w.add(w.internString(t.name)), s.text)
 			}
 		case tokText:
-			if len(stack) > 0 && stack[len(stack)-1].kept {
-				text = append(text, s.text...)
+			if n := len(stack); n > 0 && stack[n-1].kept {
+				w.text(s.text)
 			}
 		case tokEnd:
-			f := stack[len(stack)-1]
+			e := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if !f.kept && len(f.children) == 0 {
-				continue // drop silently
-			}
-			n := &Node{Tag: f.tag, Children: f.children}
-			if f.kept {
-				n.Value = string(bytes.TrimSpace(text[f.textAt:]))
-				text = text[:f.textAt]
-			}
-			if len(stack) == 0 {
-				doc.Roots = append(doc.Roots, n)
-			} else {
-				parent := &stack[len(stack)-1]
-				parent.children = append(parent.children, n)
+			if el := w.end(bytes.TrimSpace(w.pending())); !e.kept && int(el) == w.c.Len()-1 {
+				w.drop(el, e.tags)
 			}
 		case tokEOF:
-			// Parent links, positions and levels over the projected forest.
-			doc.renumber()
-			return doc, nil
+			c, err := w.finish()
+			if err != nil {
+				return nil, fmt.Errorf("xmltree: projected parse: %w", err)
+			}
+			return c, nil
 		}
 	}
+}
+
+// drop removes el, an element just ended and the last node, and the tags
+// numbered from tags on: el's own, when it was the first to carry it.
+func (w *writer) drop(el uint32, tags int) {
+	for _, t := range w.c.Tags[tags:] {
+		delete(w.tagIDs, t)
+	}
+	c := &w.c
+	c.Tags = c.Tags[:tags]
+	w.values = w.values[:c.ValueLo[el]]
+	c.TagIDs, c.Parents, c.Subtree = c.TagIDs[:el], c.Parents[:el], c.Subtree[:el]
+	c.Level, c.Pos, c.ValueLo, c.ValueHi = c.Level[:el], c.Pos[:el], c.ValueLo[:el], c.ValueHi[:el]
+	w.open[len(w.open)-1].kids--
 }
 
 // KeepTags returns a keep function accepting exactly the given tags.

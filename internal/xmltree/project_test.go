@@ -1,6 +1,8 @@
 package xmltree
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -24,12 +26,20 @@ const siteXML = `
   </regions>
 </site>`
 
-func TestParseProjectedKeepsQueryTags(t *testing.T) {
-	keep := KeepTags("item", "name", "description", "parlist")
-	doc, err := ParseProjected(strings.NewReader(siteXML), keep)
+// project builds the node slab of in's projection to the tags keep
+// accepts.
+func project(t *testing.T, in string, keep func(string) bool) *Document {
+	t.Helper()
+	c, err := ParseProjected(strings.NewReader(in), keep)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c.Build()
+}
+
+func TestParseProjectedKeepsQueryTags(t *testing.T) {
+	keep := KeepTags("item", "name", "description", "parlist")
+	doc := project(t, siteXML, keep)
 	full, err := ParseString(siteXML)
 	if err != nil {
 		t.Fatal(err)
@@ -39,12 +49,11 @@ func TestParseProjectedKeepsQueryTags(t *testing.T) {
 	}
 	count := func(d *Document, tag string) int {
 		n := 0
-		d.Walk(func(node *Node) bool {
+		for _, node := range d.Nodes {
 			if node.Tag == tag {
 				n++
 			}
-			return true
-		})
+		}
 		return n
 	}
 	// Kept tags survive in full.
@@ -69,19 +78,15 @@ func TestParseProjectedKeepsQueryTags(t *testing.T) {
 
 func TestParseProjectedPreservesLevelsAndValues(t *testing.T) {
 	keep := KeepTags("item", "name")
-	doc, err := ParseProjected(strings.NewReader(siteXML), keep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := project(t, siteXML, keep)
 	full, _ := ParseString(siteXML)
 	findAll := func(d *Document, tag string) []*Node {
 		var out []*Node
-		d.Walk(func(n *Node) bool {
+		for _, n := range d.Nodes {
 			if n.Tag == tag {
 				out = append(out, n)
 			}
-			return true
-		})
+		}
 		return out
 	}
 	pItems, fItems := findAll(doc, "item"), findAll(full, "item")
@@ -99,7 +104,7 @@ func TestParseProjectedPreservesLevelsAndValues(t *testing.T) {
 	}
 	// pc relationship item→name preserved via Dewey.
 	for i, n := range pNames {
-		if !n.ID.Path().IsChildOf(pItems[i].ID.Path()) {
+		if !pItems[i].ID.Path().IsParentOf(n.ID.Path()) {
 			t.Fatalf("name %d not a Dewey child of its item", i)
 		}
 		if n.Parent != pItems[i] {
@@ -110,30 +115,23 @@ func TestParseProjectedPreservesLevelsAndValues(t *testing.T) {
 
 func TestParseProjectedAttributes(t *testing.T) {
 	keep := KeepTags("item", "@id")
-	doc, err := ParseProjected(strings.NewReader(siteXML), keep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := project(t, siteXML, keep)
 	found := 0
-	doc.Walk(func(n *Node) bool {
+	for _, n := range doc.Nodes {
 		if n.Tag == "@id" {
 			found++
 			if n.Parent.Tag != "item" {
 				t.Fatalf("@id parent = %s", n.Parent.Tag)
 			}
 		}
-		return true
-	})
+	}
 	if found != 2 {
 		t.Fatalf("@id nodes = %d", found)
 	}
 }
 
 func TestParseProjectedKeepNothing(t *testing.T) {
-	doc, err := ParseProjected(strings.NewReader(siteXML), KeepTags())
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := project(t, siteXML, KeepTags())
 	if doc.Size() != 0 {
 		t.Fatalf("empty projection has %d nodes", doc.Size())
 	}
@@ -148,10 +146,7 @@ func TestParseProjectedErrors(t *testing.T) {
 }
 
 func TestParseProjectedOrdinalsAreConsistent(t *testing.T) {
-	doc, err := ParseProjected(strings.NewReader(siteXML), KeepTags("item", "name", "description"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := project(t, siteXML, KeepTags("item", "name", "description"))
 	for i, n := range doc.Nodes {
 		if int(n.Ord) != i {
 			t.Fatalf("ordinal mismatch at %d", i)
@@ -162,8 +157,29 @@ func TestParseProjectedOrdinalsAreConsistent(t *testing.T) {
 	}
 	// Preorder document order.
 	for i := 1; i < len(doc.Nodes); i++ {
-		if doc.Nodes[i].ID.Path().Compare(doc.Nodes[i-1].ID.Path()) <= 0 {
+		if slices.Compare(doc.Nodes[i].ID.Path(), doc.Nodes[i-1].ID.Path()) <= 0 {
 			t.Fatal("projected nodes out of document order")
 		}
+	}
+}
+
+// TestParseProjectedRollsBackTags: a dropped element takes back the tags
+// it numbered first, so tags are numbered in order of first appearance
+// among the kept nodes, and positions count the kept siblings only —
+// through any window.
+func TestParseProjectedRollsBackTags(t *testing.T) {
+	const in = `<r><x><y/>t</x><k>1</k><y/><x><k>2</k></x></r>`
+	want := &Columns{
+		Tags: []string{"r", "k", "x"}, TagIDs: []uint32{0, 1, 2, 1},
+		Parents: []uint32{0, 1, 1, 3}, Subtree: []uint32{4, 1, 2, 1},
+		Level: []int32{1, 2, 2, 3}, Pos: []int32{0, 0, 1, 0},
+		ValueLo: []uint32{0, 0, 1, 1}, ValueHi: []uint32{0, 1, 1, 2}, Values: "12",
+	}
+	for _, window := range []int{1, 7, 64 << 10} {
+		c, err := parseProjected(strings.NewReader(in), KeepTags("k"), window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameColumns(t, "window "+strconv.Itoa(window), c, want)
 	}
 }

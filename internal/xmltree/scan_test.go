@@ -117,10 +117,10 @@ func TestParseProjectedStreams(t *testing.T) {
 	in.WriteString("</site>")
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	doc, err := ParseProjected(strings.NewReader(in.String()), KeepTags())
+	c, err := ParseProjected(strings.NewReader(in.String()), KeepTags())
 	runtime.ReadMemStats(&after)
-	if err != nil || doc.Size() != 0 {
-		t.Fatalf("ParseProjected keeping nothing: %d nodes, error %v", doc.Size(), err)
+	if err != nil || c.Len() != 0 {
+		t.Fatalf("ParseProjected keeping nothing: %d nodes, error %v", c.Len(), err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(in.Len()/8) {
 		t.Errorf("ParseProjected allocated %d bytes on a %d-byte input, want at most an eighth of it", got, in.Len())

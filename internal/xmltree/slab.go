@@ -2,21 +2,20 @@ package xmltree
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
 )
 
-// Columns is a document in the column form a snapshot stores and Parse
-// streams into: a tag table, and per preorder ordinal a tag id, a parent
-// ordinal, a subtree size, a level, a position and a value span. They
-// are the document every serving structure reads: node ord's
-// descendants are the ordinals in (ord, End(ord)], its ancestors are
-// reached through Parents, and its Dewey ID and path are rendered from
-// Parents, Pos and Tags. Build turns the columns into a node slab for
-// callers that walk *Node trees, so a parsed and a snapshot-backed
-// document share one node layout.
+// Columns is a document in the column form a snapshot stores and every
+// document is made in (Parse, ParseProjected, Builder): a tag table, and
+// per preorder ordinal a tag id, a parent ordinal, a subtree size, a
+// level, a position and a value span. They are the document every
+// serving structure reads: node ord's descendants are the ordinals in
+// (ord, End(ord)], its ancestors are reached through Parents, and its
+// Dewey ID and path are rendered from Parents, Pos and Tags. Build turns
+// the columns into a node slab for callers that walk *Node trees, so a
+// made and a snapshot-backed document share one node layout.
 type Columns struct {
 	// Tags is the document's tag table; every node's Tag is one of these
 	// strings, so a tag is stored once however many nodes carry it.
@@ -29,7 +28,7 @@ type Columns struct {
 	Subtree []uint32
 	// Level holds each node's depth, 1 for a forest root, and Pos its
 	// index among its parent's children (among the forest's roots for a
-	// root). The scanner fills both; a snapshot stores neither, and
+	// root). The column writer fills both; a snapshot stores neither, and
 	// Shape derives them from Parents.
 	Level, Pos []int32
 	// Node i's value is Values[ValueLo[i]:ValueHi[i]].
@@ -41,9 +40,9 @@ type Columns struct {
 // children slab every Children slice points into, and each node's Ord,
 // End, level, position and ID handle, all in one pass. Strings alias
 // Tags and Values. Build indexes the columns as given: every tag id and
-// value span in range, every parent before its child — Parse produces
-// such columns by construction, and the snapshot reader checks them when
-// it opens a file.
+// value span in range, every parent before its child — the column
+// writer produces such columns by construction, and the snapshot reader
+// checks them when it opens a file. It is the only maker of a Document.
 func (c *Columns) Build() *Document {
 	slabsBuilt.Add(1)
 	n := len(c.TagIDs)
@@ -94,60 +93,8 @@ var slabsBuilt atomic.Int64
 // checked to build none.
 func SlabsBuilt() int64 { return slabsBuilt.Load() }
 
-// Columns returns the document's columns: the ones it was built from
-// (Parse, Columns.Build), or else — for a tree built through Builder,
-// ParseProjected or AddChild and Renumber — columns derived from the
-// tree, so that the structures derived from columns are derived the
-// same way for every document. Tags are numbered in order of first
-// appearance in preorder, as Parse numbers them, and the values lie end
-// to end in preorder, as a snapshot stores them. The document must be
-// renumbered (Nodes[i].Ord == i), or Columns panics rather than derive
-// parents and subtrees from stale ordinals; its values must total less
-// than 4 GiB, the reach of a value span, which Parse and the snapshot
-// writer check before they get here.
-func (d *Document) Columns() *Columns {
-	if d.cols != nil {
-		return d.cols
-	}
-	n := len(d.Nodes)
-	c := &Columns{
-		TagIDs: make([]uint32, n), Parents: make([]uint32, n), Subtree: make([]uint32, n),
-		Level: make([]int32, n), Pos: make([]int32, n),
-		ValueLo: make([]uint32, n), ValueHi: make([]uint32, n),
-	}
-	size := 0
-	for _, nd := range d.Nodes {
-		size += len(nd.Value)
-	}
-	if size > math.MaxUint32 {
-		panic(fmt.Sprintf("xmltree: %d value bytes exceed the uint32 value spans", size))
-	}
-	ids := make(map[string]uint32)
-	var values strings.Builder
-	values.Grow(size)
-	for i, nd := range d.Nodes {
-		if int(nd.Ord) != i {
-			panic(fmt.Sprintf("xmltree: document is not renumbered (node %d has ord %d)", i, nd.Ord))
-		}
-		id, ok := ids[nd.Tag]
-		if !ok {
-			id = uint32(len(c.Tags))
-			ids[nd.Tag] = id
-			c.Tags = append(c.Tags, nd.Tag)
-		}
-		c.TagIDs[i] = id
-		if nd.Parent != nil {
-			c.Parents[i] = uint32(nd.Parent.Ord) + 1
-		}
-		c.Subtree[i] = uint32(nd.End-nd.Ord) + 1
-		c.Level[i], c.Pos[i] = nd.level, nd.pos
-		c.ValueLo[i] = uint32(values.Len())
-		values.WriteString(nd.Value)
-		c.ValueHi[i] = uint32(values.Len())
-	}
-	c.Values = values.String()
-	return c
-}
+// Columns returns the columns the document was built from.
+func (d *Document) Columns() *Columns { return d.cols }
 
 // Shape derives Level and Pos from Parents, in one pass, for columns
 // read from storage: they must hold a parent before each child, and a

@@ -6,13 +6,16 @@
 // Dewey identifier is not stored: ID derives it on demand from the
 // positions on the path down from the node's tree root.
 //
-// Documents are parsed from serialized XML by a strict byte scanner that
-// streams straight into Columns, and can be serialized back; attributes
-// are modeled as child nodes tagged "@name" so structural predicates treat
-// them uniformly (the paper's queries do not use attributes, but XMark
-// documents carry them). The columns (see Columns) are the document the
-// index, the engine and the snapshot store read; the node slab is built
-// from them for callers that walk nodes.
+// A document is made one way: a column writer appends it to Columns in
+// preorder. Parse drives the writer with a strict byte scanner over the
+// whole input, ParseProjected over a window of it, keeping only the
+// nodes a query can touch, and Builder by hand. Attributes are modeled
+// as child nodes tagged "@name" so structural predicates treat them
+// uniformly (the paper's queries do not use attributes, but XMark
+// documents carry them). The columns are the document the index, the
+// engine and the snapshot store read; Columns.Build makes the node slab,
+// the only Document there is, for callers that walk nodes, and
+// Serialize writes a document back as XML.
 package xmltree
 
 import (
@@ -108,77 +111,11 @@ type Document struct {
 	// Nodes lists every node in document (preorder) order; Nodes[i].Ord == i.
 	Nodes []*Node
 
-	cols *Columns // the columns the slab was built from; nil for a tree built otherwise
-}
-
-// NewDocument builds an empty document.
-func NewDocument() *Document { return &Document{} }
-
-// newNode returns a node at position pos below parent (nil for a forest
-// root), its derived fields set.
-func newNode(tag, value string, parent *Node, pos int) *Node {
-	n := &Node{Tag: tag, Value: value, Parent: parent, pos: int32(pos), level: 1}
-	if parent != nil {
-		n.level = parent.level + 1
-	}
-	n.ID = ID{n}
-	return n
-}
-
-// AddRoot appends a new top-level element with the given tag and returns it.
-func (d *Document) AddRoot(tag string) *Node {
-	n := newNode(tag, "", nil, len(d.Roots))
-	d.Roots = append(d.Roots, n)
-	d.renumber()
-	return n
-}
-
-// AddChild appends a new child element to parent and returns it. The
-// document's preorder numbering is not refreshed automatically; call
-// Renumber after bulk construction (Builder does this for you).
-func (d *Document) AddChild(parent *Node, tag, value string) *Node {
-	n := newNode(tag, value, parent, len(parent.Children))
-	parent.Children = append(parent.Children, n)
-	d.cols = nil
-	return n
-}
-
-// Renumber rebuilds the preorder Nodes slice, ordinals and intervals
-// after manual tree construction.
-func (d *Document) Renumber() { d.renumber() }
-
-// renumber walks the trees from Roots through Children, setting every
-// node's Parent, level, position, ID handle, ordinal and interval.
-func (d *Document) renumber() {
-	d.Nodes, d.cols = d.Nodes[:0], nil
-	var walk func(n, parent *Node, pos int)
-	walk = func(n, parent *Node, pos int) {
-		n.Parent, n.pos, n.level, n.ID = parent, int32(pos), 1, ID{n}
-		if parent != nil {
-			n.level = parent.level + 1
-		}
-		n.Ord = int32(len(d.Nodes))
-		d.Nodes = append(d.Nodes, n)
-		for i, c := range n.Children {
-			walk(c, n, i)
-		}
-		n.End = int32(len(d.Nodes) - 1)
-	}
-	for i, r := range d.Roots {
-		walk(r, nil, i)
-	}
+	cols *Columns // the columns the slab was built from
 }
 
 // Size returns the number of nodes in the document.
 func (d *Document) Size() int { return len(d.Nodes) }
-
-// NodeByOrd returns the node with the given preorder ordinal, or nil.
-func (d *Document) NodeByOrd(ord int) *Node {
-	if ord < 0 || ord >= len(d.Nodes) {
-		return nil
-	}
-	return d.Nodes[ord]
-}
 
 // Walk visits every node in preorder, stopping early if fn returns false.
 func (d *Document) Walk(fn func(*Node) bool) {

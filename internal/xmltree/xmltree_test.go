@@ -3,6 +3,7 @@ package xmltree
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -80,7 +81,7 @@ func TestParsePreorderOrdinals(t *testing.T) {
 	}
 	// Preorder: each node's Dewey ID must be >= the previous one's.
 	for i := 1; i < len(doc.Nodes); i++ {
-		if doc.Nodes[i].ID.Path().Compare(doc.Nodes[i-1].ID.Path()) <= 0 {
+		if slices.Compare(doc.Nodes[i].ID.Path(), doc.Nodes[i-1].ID.Path()) <= 0 {
 			t.Fatalf("preorder violated between %v and %v", doc.Nodes[i-1], doc.Nodes[i])
 		}
 	}
@@ -129,16 +130,16 @@ func TestIntervalNumbering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	projected, err := ParseProjected(strings.NewReader(bookXML), KeepTags("name", "isbn"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	projected := project(t, bookXML, KeepTags("name", "isbn"))
 	built := NewBuilder().Root("a").Open("b").Leaf("c", "1").Leaf("c", "2").Close().Leaf("d", "").Root("a").Doc()
-	manual := NewDocument()
-	r := manual.AddRoot("r")
-	manual.AddChild(manual.AddChild(r, "x", ""), "y", "")
-	manual.AddChild(r, "z", "")
-	manual.Renumber()
+	// Columns written by hand, as a snapshot reader hands them to Build:
+	// r(x(y), z), with values on y and z.
+	manual := (&Columns{
+		Tags: []string{"r", "x", "y", "z"}, TagIDs: []uint32{0, 1, 2, 3},
+		Parents: []uint32{0, 1, 2, 1}, Subtree: []uint32{4, 2, 1, 1},
+		Level: []int32{1, 2, 3, 2}, Pos: []int32{0, 0, 0, 1},
+		ValueLo: []uint32{0, 0, 0, 1}, ValueHi: []uint32{0, 0, 1, 2}, Values: "vw",
+	}).Build()
 	for name, doc := range map[string]*Document{"parsed": parsed, "projected": projected, "built": built, "manual": manual} {
 		t.Run(name, func(t *testing.T) { checkIntervals(t, doc) })
 	}
@@ -258,17 +259,6 @@ func TestSerializeEscapesText(t *testing.T) {
 	}
 }
 
-func TestSerializedSize(t *testing.T) {
-	doc, _ := ParseString(bookXML)
-	var buf bytes.Buffer
-	if err := doc.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := doc.SerializedSize(); got != buf.Len() {
-		t.Fatalf("SerializedSize = %d, want %d", got, buf.Len())
-	}
-}
-
 func TestBuilder(t *testing.T) {
 	doc := NewBuilder().
 		Root("site").
@@ -291,28 +281,52 @@ func TestBuilder(t *testing.T) {
 	if doc.Nodes[0].Ord != 0 || doc.Size() != 7 {
 		t.Fatalf("size = %d, want 7", doc.Size())
 	}
+	// Text sets the open element's value, last call winning, also after
+	// its children; Root closes what is open; values are kept verbatim.
+	doc = NewBuilder().Root("a").Text("x").Open("b").Text(" y ").Close().Text("z").Root("c").Leaf("d", "").Doc()
+	var got []string
+	for _, n := range doc.Nodes {
+		got = append(got, n.String())
+	}
+	if want := []string{"a(z)@0", "b( y )@0.0", "c@1", "d@1.0"}; !slices.Equal(got, want) {
+		t.Fatalf("nodes %q, want %q", got, want)
+	}
+	// Closing with nothing open panics.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Close with no element open did not panic")
+		}
+	}()
+	NewBuilder().Root("a").Close().Close()
 }
 
-func TestNodeHelpers(t *testing.T) {
-	doc, _ := ParseString(bookXML)
-	book := doc.Roots[0]
-	name := book.Children[1].Children[0].Children[0]
-	if got := name.Path(); got != "book/info/publisher/name" {
-		t.Fatalf("Path = %q", got)
+// TestBuilderMatchesParse: Builder and Parse drive the same column
+// writer, so a document built by hand and the same document parsed have
+// the same columns: tag numbering, parents, subtrees, levels, positions
+// and values, attributes as leading "@name" children included.
+func TestBuilderMatchesParse(t *testing.T) {
+	parsed, err := ParseColumns(strings.NewReader(`<a id="7"><b>x<c>2</c></b><c/></a><d>y</d>`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	desc := book.Descendants()
-	if len(desc) != doc.Size()-1 {
-		t.Fatalf("descendants = %d, want %d", len(desc), doc.Size()-1)
+	built := NewBuilder().Root("a").Leaf("@id", "7").Open("b").Text("x").Leaf("c", "2").Close().Leaf("c", "").
+		Root("d").Text("y").Doc()
+	sameColumns(t, "built", built.Columns(), parsed)
+}
+
+// TestBuilderForest: with no element open, Open and Leaf append forest
+// roots and Text is dropped, so it leaks into no later element's value.
+func TestBuilderForest(t *testing.T) {
+	doc := NewBuilder().Text("stray").Leaf("a", "1").Open("b").Leaf("c", "").Close().Text("lost").Open("d").Doc()
+	var got []string
+	for _, n := range doc.Nodes {
+		got = append(got, n.String())
 	}
-	if book.Level() != 1 || name.Level() != 4 {
-		t.Fatalf("levels = %d, %d", book.Level(), name.Level())
+	if want := []string{"a(1)@0", "b@1", "c@1.0", "d@2"}; !slices.Equal(got, want) {
+		t.Fatalf("nodes %q, want %q", got, want)
 	}
-	if s := name.String(); s != "name(psmith)@0.1.0.0" {
-		t.Fatalf("String = %q", s)
-	}
-	var nilNode *Node
-	if nilNode.String() != "<nil>" {
-		t.Fatal("nil String")
+	if len(doc.Roots) != 3 {
+		t.Fatalf("%d roots, want 3", len(doc.Roots))
 	}
 }
 
@@ -342,41 +356,27 @@ func TestWalkEarlyStop(t *testing.T) {
 	}
 }
 
-func TestNodeByOrd(t *testing.T) {
+func TestNodeHelpers(t *testing.T) {
 	doc, _ := ParseString(bookXML)
-	if doc.NodeByOrd(0) != doc.Roots[0] {
-		t.Fatal("NodeByOrd(0) broken")
+	book := doc.Roots[0]
+	name := book.Children[1].Children[0].Children[0]
+	if got := name.Path(); got != "book/info/publisher/name" {
+		t.Fatalf("Path = %q", got)
 	}
-	if doc.NodeByOrd(-1) != nil || doc.NodeByOrd(doc.Size()) != nil {
-		t.Fatal("out-of-range NodeByOrd should be nil")
+	desc := book.Descendants()
+	if len(desc) != doc.Size()-1 {
+		t.Fatalf("descendants = %d, want %d", len(desc), doc.Size()-1)
 	}
-}
-
-func TestAddRootAndAddChildRenumber(t *testing.T) {
-	doc := NewDocument()
-	r := doc.AddRoot("a")
-	doc.AddChild(r, "b", "v")
-	doc.Renumber()
-	if doc.Size() != 2 || doc.Nodes[1].Value != "v" {
-		t.Fatalf("manual construction broken: %v", doc.Nodes)
+	if book.Level() != 1 || name.Level() != 4 {
+		t.Fatalf("levels = %d, %d", book.Level(), name.Level())
 	}
-}
-
-// TestColumnsRejectsUnrenumberedDoc: columns derived from stale ordinals
-// would carry wrong parents and subtrees into every index and snapshot
-// built from them, so deriving them panics instead.
-func TestColumnsRejectsUnrenumberedDoc(t *testing.T) {
-	doc := NewDocument()
-	r := doc.AddRoot("a")
-	doc.AddChild(doc.AddChild(r, "b", ""), "c", "v")
-	doc.Renumber()
-	doc.Nodes[2].Ord = 99
-	defer func() {
-		if recover() == nil {
-			t.Fatal("columns derived from an unrenumbered document")
-		}
-	}()
-	doc.Columns()
+	if s := name.String(); s != "name(psmith)@0.1.0.0" {
+		t.Fatalf("String = %q", s)
+	}
+	var nilNode *Node
+	if nilNode.String() != "<nil>" {
+		t.Fatal("nil String")
+	}
 }
 
 // TestShapeAcceptsExactlyTrees: over random parent and subtree columns

@@ -261,8 +261,8 @@ func LoadFile(path string) (*Database, error) {
 	return Load(f)
 }
 
-// FromDocument indexes an already parsed document: its postings and
-// synopsis are built concurrently from the columns it derives.
+// FromDocument indexes an already made document: its postings and
+// synopsis are built concurrently from the columns it was built from.
 func FromDocument(doc *Document) *Database { return build(doc.Columns(), doc) }
 
 // build boots a database from a document's columns; doc is their node
@@ -287,11 +287,11 @@ func LoadProjected(r io.Reader, queries ...*Query) (*Database, error) {
 			tags[n.Tag] = true
 		}
 	}
-	doc, err := xmltree.ParseProjected(r, func(tag string) bool { return tags[tag] })
+	c, err := xmltree.ParseProjected(r, func(tag string) bool { return tags[tag] })
 	if err != nil {
 		return nil, err
 	}
-	return FromDocument(doc), nil
+	return build(c, nil), nil
 }
 
 // SnapshotOptions is SaveSnapshot's options. It has no fields: a
