@@ -173,7 +173,8 @@ type runConfig struct {
 }
 
 // baseConfig is the paper's default engine configuration: all
-// relaxations, min_alive routing, max-possible-final queues.
+// relaxations, min_alive routing, max-possible-final queues, and the
+// paper's root server (core.Experiment.PaperRoots).
 func baseConfig(c Config, e *Env, w Workload, alg core.Algorithm) runConfig {
 	return runConfig{core.Config{
 		K:         c.K,
@@ -182,7 +183,7 @@ func baseConfig(c Config, e *Env, w Workload, alg core.Algorithm) runConfig {
 		Routing:   core.RoutingMinAlive,
 		Queue:     core.QueueMaxFinal,
 		Scorer:    e.Scorer(w),
-	}, core.Experiment{OpCost: c.OpCost}}
+	}, core.Experiment{OpCost: c.OpCost, PaperRoots: true}}
 }
 
 // table prints an aligned table.

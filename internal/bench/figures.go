@@ -53,7 +53,7 @@ func Figure3(w io.Writer) error {
 				Routing: core.RoutingStatic, Order: o,
 				Queue: core.QueueMaxFinal, Scorer: scorer,
 			}
-			eng, err := core.NewExperiment(env, q, cfg, core.Experiment{Threshold: tk})
+			eng, err := core.NewExperiment(env, q, cfg, core.Experiment{Threshold: tk, PaperRoots: true})
 			if err != nil {
 				return err
 			}

@@ -55,7 +55,7 @@ func RewritingVsPlanRelaxation(w io.Writer, c Config) error {
 				Routing:   core.RoutingMinAlive,
 				Scorer:    &mappedScorer{inner: env.Scorer(wl), nodeMap: rq.NodeMap},
 			}
-			eng, err := core.New(env.Ix, rq.Query, cfg)
+			eng, err := core.NewExperiment(env.Ix, rq.Query, cfg, core.Experiment{PaperRoots: true})
 			if err != nil {
 				return err
 			}

@@ -167,6 +167,12 @@ type Experiment struct {
 	// Threshold seeds the top-k set's pruning threshold (currentTopK),
 	// as in the Figure 3 analysis. Zero means no seed.
 	Threshold float64
+	// PaperRoots keeps the paper's root server: every root the cursor
+	// materialises carries the uniform bound maxContrib[0] + Σ maxContrib,
+	// and none is tested against the other servers' postings. The
+	// reproduced figures and tables run with it, so their counters are
+	// the paper's algorithm's.
+	PaperRoots bool
 }
 
 // Stats instruments one evaluation with the paper's measures
@@ -176,10 +182,13 @@ type Experiment struct {
 // because no remaining root could beat currentTopK was never created,
 // so it is in none of ServerOps, JoinComparisons and MatchesCreated. It
 // counts in Pruned, with the PrunedRemote attribution and trace event
-// of a prune at pop — what eager seeding would have made of it (short
-// of testing the root's structural predicate) — so Pruned may exceed
-// MatchesCreated. A candidate a posting stream (Engine.RootVia) runs
-// out without reaching is in no counter: it could not have answered.
+// of a prune at pop — what eager seeding would have made of it, short
+// of testing the root's structural predicate and its servers' postings
+// — so Pruned may exceed MatchesCreated. A candidate a posting stream
+// (Engine.RootVia) runs out without reaching is in no counter: it could
+// not have answered. A root killed at the cursor, because some server
+// has no posting in its subtree and no leaf deletion could stand in for
+// it, counts in JoinComparisons only.
 type Stats struct {
 	// ServerOps counts partial matches processed by servers (including
 	// the root server's output as one op per generated match).

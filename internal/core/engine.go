@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -131,8 +132,8 @@ func NewExperiment(ix index.Source, q *pattern.Query, cfg Config, x Experiment) 
 	}
 	e.roots = ix.Ords(q.Root().Tag, e.vts[0])
 	e.rootTag = ix.Probe(q.Root().Tag, index.ValueTest{})
-	if e.rootVia = e.shortestPostings(ix); e.rootVia != 0 {
-		e.post = ix.Ords(q.Nodes[e.rootVia].Tag, e.vts[e.rootVia])
+	if e.rootVia = e.shortestPostings(); e.rootVia != 0 {
+		e.post = e.probes[e.rootVia].Ords()
 	}
 	for id := 0; id < q.Size(); id++ {
 		e.maxContrib[id] = cfg.Scorer.MaxContribution(id)
@@ -197,14 +198,14 @@ func (e *Engine) Query() *pattern.Query { return e.query }
 // than the root's own candidate list, else 0 — a root with no such
 // posting beneath it cannot bind the node. An inner node whose deletion
 // constrains its pattern children (no subtree promotion) is skipped.
-func (e *Engine) shortestPostings(ix index.Source) (via int) {
+func (e *Engine) shortestPostings() (via int) {
 	best, rel := len(e.roots), e.cfg.Relax
 	for id := 1; id < e.query.Size(); id++ {
 		n := e.query.Nodes[id]
 		if e.vts[id].Any() || len(n.Children) > 0 && rel.Has(relax.LeafDeletion) && !rel.Has(relax.SubtreePromotion) {
 			continue
 		}
-		if l := len(ix.Ords(n.Tag, e.vts[id])); l < best {
+		if l := len(e.probes[id].Ords()); l < best {
 			best, via = l, id
 		}
 	}
@@ -308,6 +309,18 @@ func spin(d time.Duration) {
 // from the first posting past it (an earlier posting has no ancestor
 // that late), and stops at the first root-tag node it reaches at or past
 // end, the next slice's first root: the climb's roots only ascend.
+//
+// Each root it materialises carries its own bound (Section 5's maximum
+// possible final score, per root): a streaming semi-join (absent) finds
+// the servers with no posting in the root's subtree. Such a server can
+// only fail the root: without leaf deletion the root dies at the
+// cursor, counted in JoinComparisons only; with it the root is born past
+// the server, visited and missing, as process would have made it, and
+// its maximum contribution leaves maxFinal. Roots ascend within a
+// segment, so each server's test is one forward pointer over its
+// postings (run.at), galloping across a gap and reset when a segment
+// opens. Experiment.PaperRoots turns the test off: every root then
+// carries the paper's uniform bound.
 type rootCursor struct {
 	r     *run
 	cands []uint32
@@ -329,6 +342,7 @@ type rootCursor struct {
 func (r *run) seedRoots() *rootCursor {
 	e := r.Engine
 	r.roots = rootCursor{r: r, cands: e.roots[r.lo:r.hi], end: math.MaxInt32}
+	clear(r.at)
 	if r.hi < len(e.roots) {
 		r.roots.end = int32(e.roots[r.hi])
 	}
@@ -384,6 +398,7 @@ func (c *rootCursor) lower() bool {
 		return false
 	}
 	c.second, c.pi = true, 0
+	clear(c.r.at) // the segment starts over at the slice's first root
 	c.bound(c.finalBound - e.maxContrib[e.rootVia])
 	return true
 }
@@ -459,21 +474,71 @@ func (c *rootCursor) next() *match {
 			}
 			variant = score.Relaxed
 		}
+		leafDeletion := e.cfg.Relax.Has(relax.LeafDeletion)
+		var absent uint64
+		if !e.x.PaperRoots {
+			if absent = c.absent(n, !leafDeletion); absent != 0 && !leafDeletion {
+				continue // no server may go missing: the root cannot answer
+			}
+		}
 		contrib := e.cfg.Scorer.Contribution(0, variant, n)
 		m := c.r.arena.get()
 		m.bindings[0] = n
-		m.visited = 1
 		m.score = contrib
 		m.maxFinal = contrib + e.sumMax
-		if via := uint(e.rootVia); c.second { // what process at server via would have made of it
-			m.visited, m.missing = 1|1<<via, 1<<via
-			m.maxFinal -= e.maxContrib[via]
+		if c.second {
+			absent |= 1 << uint(e.rootVia)
+		}
+		// Born past each absent server: what process there would have made of it.
+		m.visited, m.missing = 1|absent, absent
+		for b := absent; b != 0; b &= b - 1 {
+			m.maxFinal -= e.maxContrib[bits.TrailingZeros64(b)]
 		}
 		m.seq = c.r.nextSeq()
 		c.made++
 		return m
 	}
 	return nil
+}
+
+// absent returns the servers, as query-node bits, with no posting
+// inside n's subtree, (n, End(n)]; with first it stops at the first. n
+// exceeds every root tested before it in the segment, so each pointer
+// only moves forward: past n, galloping. The valued node the postings
+// stream roots from is not tested: a root the climb reached has one, and
+// a second-segment root has none.
+func (c *rootCursor) absent(n int32, first bool) (absent uint64) {
+	e, at := c.r.Engine, c.r.at
+	end := uint32(e.doc.End(n))
+	for id := 1; id < len(e.probes); id++ {
+		if id == e.rootVia {
+			continue
+		}
+		g, i := e.probes[id].Ords(), at[id]
+		if i < len(g) && g[i] <= uint32(n) {
+			i = gallop(g, i, uint32(n))
+			at[id] = i
+		}
+		if i == len(g) || g[i] > end {
+			if absent |= 1 << uint(id); first {
+				return absent
+			}
+		}
+	}
+	return absent
+}
+
+// gallop returns the index of g's first element above x, given that
+// none before i is: steps doubling from i bracket it and a binary search
+// finds it, O(log) of the distance moved.
+func gallop(g []uint32, i int, x uint32) int {
+	step := 1
+	for i+step <= len(g) && g[i+step-1] <= x {
+		i += step
+		step <<= 1
+	}
+	j, _ := slices.BinarySearch(g[i:min(i+step, len(g))], x+1)
+	return i + j
 }
 
 // drain materialises every root there is, for LockStep's first phase.

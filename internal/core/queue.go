@@ -160,7 +160,16 @@ func (q *pq) pull() {
 			break
 		}
 		if r.checkTopK(m) {
-			q.push(m, r.priority(m, -1))
+			// A root is queued at the depth the paper's root server gives
+			// it (1, or 2 in the second segment) however many servers it
+			// was born past: an unpulled root then still loses every tie
+			// (due), so the pop sequence stays eager seeding's.
+			it := item(m, r.priority(m, -1))
+			it.depth = 1
+			if c.second {
+				it.depth = 2
+			}
+			q.h.push(it)
 			q.live++
 		} else {
 			r.release(m)

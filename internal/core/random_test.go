@@ -258,6 +258,7 @@ type agreeTally struct {
 	runs, nearTies, trials        atomic.Int64
 	streamed, streamedLeafDeleted atomic.Int64
 	shardRuns, wideShardRuns      atomic.Int64
+	paperRoots                    atomic.Int64
 }
 
 // relaxModes are the relaxations checkAgainstNaive sweeps: none, each
@@ -300,6 +301,7 @@ func backings(t *testing.T, dir string, doc *xmltree.Document) []index.Source {
 type agreeRun struct {
 	q        *pattern.Query
 	cfg      Config
+	x        Experiment // PaperRoots drawn: the figures' root server, or the per-root bounds
 	label    string
 	key      [2]int // static order and plan, for the LockStep comparison
 	variants bool
@@ -308,15 +310,18 @@ type agreeRun struct {
 // checkAgainstNaive runs c for each relaxation {None, each family, All}
 // × backing {index.Build, store.ParseSnapshot, store.OpenSnapshot in
 // dir} × queue × algorithm × routing × static order × plan {none,
-// CompilePlan over walked statistics, what Planner.PlanFor compiles} × k,
-// and holds each run to agreeWithNaive and checkBindings, top-k to be a
+// CompilePlan over walked statistics, what Planner.PlanFor compiles} × k
+// × root server {per-root bounds, Experiment.PaperRoots}, and holds each run to agreeWithNaive and checkBindings, top-k to be a
 // prefix of top-(k+1), and LockStep-NoPrun to create at least LockStep's
 // matches, skipping what cannot differ: LockStep's routing, an adaptive
 // routing's orders but the first, and a plan under an explicit static
 // order (the planner's runs at the first order, on its own). One drawn
 // run per relaxation, backing and queue (and a pinned case's every
 // algorithm at its first order, on the default queue or the drawn one)
-// also runs as a forced scan and in shard runs (checkVariants).
+// also runs as a forced scan and in shard runs (checkVariants). The root
+// server is drawn per run (a sweep alternates it); LockStep-NoPrun takes
+// the one LockStep ran on at its order and plan, as it is held to
+// LockStep's matches created.
 func checkAgainstNaive(t *testing.T, dir string, c agreeCase, tally *agreeTally) {
 	t.Helper()
 	srcs := backings(t, dir, c.doc)
@@ -352,6 +357,7 @@ func checkAgainstNaive(t *testing.T, dir string, c agreeCase, tally *agreeTally)
 						continue // a sweep runs every queue on index.Build, every backing on the default queue
 					}
 					var runs []agreeRun
+					paperAt := map[[2]int]bool{} // LockStep's root server, per order and plan
 					for _, alg := range []Algorithm{WhirlpoolS, WhirlpoolM, LockStep, LockStepNoPrune} {
 						for ri, routing := range allRoutings {
 							static := alg >= LockStep || routing == RoutingStatic
@@ -365,7 +371,17 @@ func checkAgainstNaive(t *testing.T, dir string, c agreeCase, tally *agreeTally)
 									if p == planned {
 										r.q, r.cfg.Scorer, r.cfg.Order = cq, cs, nil
 									}
-									r.label = fmt.Sprintf("%s relax=%v %v/%v/%v order=%v plan=%s %s", c.name, m.mode, alg, routing, r.cfg.Queue, r.cfg.Order, []string{"none", "walked", "planner"}[pi], []string{"built", "parsed", "mapped"}[bi])
+									r.x.PaperRoots = len(runs)%2 == 1
+									if c.draw != nil {
+										r.x.PaperRoots = c.draw.Intn(2) == 1
+									}
+									switch alg {
+									case LockStep:
+										paperAt[r.key] = r.x.PaperRoots
+									case LockStepNoPrune:
+										r.x.PaperRoots = paperAt[r.key]
+									}
+									r.label = fmt.Sprintf("%s relax=%v %v/%v/%v order=%v plan=%s %s paper-roots=%v", c.name, m.mode, alg, routing, r.cfg.Queue, r.cfg.Order, []string{"none", "walked", "planner"}[pi], []string{"built", "parsed", "mapped"}[bi], r.x.PaperRoots)
 									runs = append(runs, r)
 								}
 							}
@@ -404,7 +420,7 @@ func checkConfig(t *testing.T, src index.Source, c agreeCase, r agreeRun, rankin
 			if cfg.K > k && k >= len(ranking) { // top-k is every answer: k+1 runs the same
 				break
 			}
-			eng, err := New(src, r.q, cfg)
+			eng, err := NewExperiment(src, r.q, cfg, r.x)
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", label, cfg.K, err)
 			}
@@ -416,6 +432,9 @@ func checkConfig(t *testing.T, src index.Source, c agreeCase, r agreeRun, rankin
 				t.Fatalf("%s k=%d: LockStep-NoPrun created %d matches, LockStep %d", label, cfg.K, n, lockStep[len(created)])
 			}
 			tally.runs.Add(1)
+			if r.x.PaperRoots {
+				tally.paperRoots.Add(1)
+			}
 			if eng.rootVia != 0 {
 				tally.streamed.Add(1)
 				if cfg.Relax.Has(relax.LeafDeletion) && res.Stats.Roots > 0 {
@@ -433,7 +452,7 @@ func checkConfig(t *testing.T, src index.Source, c agreeCase, r agreeRun, rankin
 				t.Fatalf("%s k=%d q=%s: %v\n  got %v\nnaive %v\ndoc: %s", label, cfg.K, r.q, err, res.Answers, ranking, &doc)
 			}
 			if r.variants && cfg.K == k {
-				checkVariants(t, src, r.q, cfg, res.Answers, fmt.Sprintf("%s k=%d", label, cfg.K), c.shards, tally)
+				checkVariants(t, src, r.q, cfg, r.x, res.Answers, fmt.Sprintf("%s k=%d", label, cfg.K), c.shards, tally)
 			}
 			if nearTies { // summation order decided it: no prefix to hold
 				tally.nearTies.Add(1)
@@ -474,9 +493,9 @@ func (s *rootTally) Contribution(id int, v score.Variant, ord int32) float64 {
 // materialises no root another did, attributes no more prunes to the
 // remote threshold than it made, and records nothing in the engine's
 // totals.
-func checkVariants(t *testing.T, src index.Source, q *pattern.Query, cfg Config, want []Answer, label string, shards []int, tally *agreeTally) {
+func checkVariants(t *testing.T, src index.Source, q *pattern.Query, cfg Config, x Experiment, want []Answer, label string, shards []int, tally *agreeTally) {
 	t.Helper()
-	res, err := scanning(t, src, q, cfg).Run()
+	res, err := scanning(t, src, q, cfg, x).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +504,7 @@ func checkVariants(t *testing.T, src index.Source, q *pattern.Query, cfg Config,
 	}
 	tallied := &rootTally{Scorer: cfg.Scorer}
 	cfg.Scorer = tallied
-	eng, err := New(src, q, cfg)
+	eng, err := NewExperiment(src, q, cfg, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +548,8 @@ func checkVariants(t *testing.T, src index.Source, q *pattern.Query, cfg Config,
 
 // TestEngineAgreesWithNaive is the engine's correctness property: every
 // algorithm, routing strategy, queue discipline, relaxation, static
-// order, k, plan and backing answers naive's top-k — score descending,
+// order, k, plan, backing and root server (per-root bounds, or the
+// figures' Experiment.PaperRoots) answers naive's top-k — score descending,
 // root ascending, ties at the boundary included — on pinned documents
 // and on random ones, with the arena poisoned so that a match used past
 // its release would surface; and so do a forced scan and shard runs
@@ -591,15 +611,16 @@ func TestEngineAgreesWithNaive(t *testing.T) {
 	wg.Wait()
 	runs, nearTies := tally.runs.Load(), tally.nearTies.Load()
 	streamed, leafDeleted, wide := tally.streamed.Load(), tally.streamedLeafDeleted.Load(), tally.wideShardRuns.Load()
-	t.Logf("%d runs, %d within the near-tie allowance; %d streamed roots from postings, %d of them under leaf deletion; %d shard evaluations, %d with more shards than roots",
-		runs, nearTies, streamed, leafDeleted, tally.shardRuns.Load(), wide)
+	paper := tally.paperRoots.Load()
+	t.Logf("%d runs, %d within the near-tie allowance, %d on the paper's root server; %d streamed roots from postings, %d of them under leaf deletion; %d shard evaluations, %d with more shards than roots",
+		runs, nearTies, paper, streamed, leafDeleted, tally.shardRuns.Load(), wide)
 	if nearTies*1000 >= runs {
 		t.Fatalf("%d of %d runs needed the near-tie allowance", nearTies, runs)
 	}
 	// Guards against a vacuous pass, where the random trials ran: a run
 	// filtered to one pinned subtest need not stream or shard widely.
-	if tally.trials.Load() > 0 && (streamed == 0 || leafDeleted == 0 || wide == 0) {
-		t.Fatal("the property was not exercised: no run streamed from postings, none under leaf deletion, or no shard run had more shards than roots")
+	if tally.trials.Load() > 0 && (streamed == 0 || leafDeleted == 0 || wide == 0 || paper == 0 || paper == runs) {
+		t.Fatal("the property was not exercised: no run streamed from postings, none under leaf deletion, no shard run had more shards than roots, or every run or none was on the paper's root server")
 	}
 }
 

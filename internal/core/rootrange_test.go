@@ -14,11 +14,11 @@ import (
 	"repro/internal/xmark"
 )
 
-// scanning returns an engine like New's that scans its root candidates
-// whatever postings it could stream from.
-func scanning(t *testing.T, ix index.Source, q *pattern.Query, cfg Config) *Engine {
+// scanning returns an engine like NewExperiment's that scans its root
+// candidates whatever postings it could stream from.
+func scanning(t *testing.T, ix index.Source, q *pattern.Query, cfg Config, x Experiment) *Engine {
 	t.Helper()
-	e, err := New(ix, q, cfg)
+	e, err := NewExperiment(ix, q, cfg, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRootStreamEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkRootRanges(t, eng, label, &tally)
-			checkRootRanges(t, scanning(t, ix, q, cfg), label, &tally)
+			checkRootRanges(t, scanning(t, ix, q, cfg, Experiment{}), label, &tally)
 		}
 	}
 	doc, err := xmark.Generate(xmark.Options{Seed: 1, Items: 200})
@@ -159,7 +159,7 @@ func TestRootStreamEquivalence(t *testing.T) {
 				t.Fatalf("%s relax=%v scans", xpath, mode)
 			}
 			checkRootRanges(t, eng, fmt.Sprintf("%s relax=%v", xpath, mode), &tally)
-			checkRootRanges(t, scanning(t, ix, q, cfg), fmt.Sprintf("%s relax=%v", xpath, mode), &tally)
+			checkRootRanges(t, scanning(t, ix, q, cfg, Experiment{}), fmt.Sprintf("%s relax=%v", xpath, mode), &tally)
 		}
 	}
 	// Guards against a vacuous pass.

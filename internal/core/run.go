@@ -21,6 +21,9 @@ type run struct {
 	// roots remain.
 	roots  rootCursor
 	lo, hi int
+	// at is the cursor's posting pointer per server (rootCursor.absent);
+	// it outlives the run in its idle state, so a run allocates none.
+	at []int
 	// shardID identifies this run within a sharded evaluation sharing
 	// topk with other engines (0 for a standalone run). Offers carry it
 	// so prunes caused by another shard's threshold can be counted.

@@ -204,6 +204,10 @@ func (ix *Index) Probe(tag string, vt ValueTest) Probe {
 	return Probe{doc: ix.doc, tag: t, has: has, vt: vt, ords: ix.ords(t, has, tag, vt)}
 }
 
+// Ords returns the probe's ordinals, ascending: the postings its Append
+// scans. The slice is shared; callers must not modify it.
+func (p *Probe) Ords() []uint32 { return p.ords }
+
 // Has reports whether node ord carries the probe's tag and satisfies its
 // value test.
 func (p *Probe) Has(ord int32) bool {

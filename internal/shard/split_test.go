@@ -37,7 +37,8 @@ func (l *rootLog) Contribution(id int, v score.Variant, ord int32) float64 {
 
 // noPrune is the configuration the partition tests evaluate under:
 // LockStep-NoPrune materialises every root its cursor streams, so a
-// run's roots are its whole root range.
+// run's roots are the roots of its range that can answer exactly
+// (answerable), or, on the paper's root server, its whole root range.
 func noPrune(c *shard.Corpus, q *pattern.Query, log *rootLog) core.Config {
 	log.Scorer = score.NewTFIDF(c, q, score.Sparse)
 	return core.Config{K: 1, Algorithm: core.LockStepNoPrune, Scorer: log}
@@ -78,12 +79,37 @@ func shardRuns(t *testing.T, c *shard.Corpus, q *pattern.Query, cfg core.Config,
 	return roots, sums, res.Answers
 }
 
+// answerable returns the candidates among cands whose subtree holds, for
+// each non-root node of q, a node with its tag and value test — the
+// roots an exact run's cursor keeps — found by walking the document
+// columns, not the postings.
+func answerable(cols *xmltree.Columns, q *pattern.Query, cands []uint32) []int32 {
+	var out []int32
+	for _, n := range cands {
+		found := uint64(1)
+		for d := int32(n) + 1; d <= cols.End(int32(n)); d++ {
+			for id := 1; id < q.Size(); id++ {
+				qn := q.Nodes[id]
+				if cols.Tag(d) == qn.Tag && index.Test(qn.ValueOp, qn.Value).Matches(cols.Value(d)) {
+					found |= 1 << uint(id)
+				}
+			}
+		}
+		if found == 1<<uint(q.Size())-1 {
+			out = append(out, int32(n))
+		}
+	}
+	return out
+}
+
 // rootRanges runs each of c's shards of q alone, in shard order, on one
-// engine over c, and returns the roots each materialised.
-func rootRanges(t *testing.T, c *shard.Corpus, q *pattern.Query) [][]int32 {
+// engine over c built with x, and returns the roots each materialised.
+// With x.PaperRoots the cursor streams every candidate of its range;
+// without, only the answerable ones.
+func rootRanges(t *testing.T, c *shard.Corpus, q *pattern.Query, x core.Experiment) [][]int32 {
 	t.Helper()
 	var log rootLog
-	eng, err := core.New(c, q, noPrune(c, q, &log))
+	eng, err := core.NewExperiment(c, q, noPrune(c, q, &log), x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,19 +130,39 @@ func rootRanges(t *testing.T, c *shard.Corpus, q *pattern.Query) [][]int32 {
 	return out
 }
 
+// checkAnswerable requires each shard run of an engine built by core.New
+// to offer exactly the answerable roots of its slice of cands, and
+// returns those per shard.
+func checkAnswerable(t *testing.T, c *shard.Corpus, q *pattern.Query, cands []uint32) [][]int32 {
+	t.Helper()
+	n, p := len(cands), c.Shards()
+	wants := make([][]int32, p)
+	for s, roots := range rootRanges(t, c, q, core.Experiment{}) {
+		wants[s] = answerable(c.Cols(), q, cands[s*n/p:(s+1)*n/p])
+		if !slices.Equal(roots, wants[s]) {
+			t.Fatalf("%s: shard %d of %d offered %v, want the answerable roots of slice [%d, %d) of the candidates: %v", q, s, p, roots, s*n/p, (s+1)*n/p, wants[s])
+		}
+	}
+	return wants
+}
+
 // TestSplitPartitionInvariants checks the structural contract of a
 // p-way Split: its shards are p contiguous, equal-count ranges of a
-// query's root candidates in document order. Every candidate is offered
-// by exactly one shard run, shard s's roots all precede shard s+1's,
-// shard s offers the s-th slice (sizes differ by at most one), and an
-// evaluation through Engines reports the same per-shard counts. The
-// random documents nest the root tag, so cuts fall inside a root.
+// query's root candidates in document order. Streaming every candidate
+// (the paper's root server), every candidate is offered by exactly one
+// shard run, shard s's roots all precede shard s+1's, and shard s offers
+// the s-th slice (sizes differ by at most one). With per-root bounds
+// shard s offers the answerable roots of its slice, and an evaluation
+// through Engines materialises those and reports their per-shard
+// counts. The random documents nest the root tag, so cuts fall inside a
+// root.
 func TestSplitPartitionInvariants(t *testing.T) {
 	docs := map[string]*xmltree.Document{"xmark": xmarkDoc(t, 40)}
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 5; i++ {
 		docs[fmt.Sprintf("random%d", i)] = randomDoc(r)
 	}
+	offered := 0 // guards against a vacuous pass: some shard must offer an answerable root
 	for name, doc := range docs {
 		query := "//a[./b]"
 		if name == "xmark" {
@@ -138,7 +184,7 @@ func TestSplitPartitionInvariants(t *testing.T) {
 					t.Fatalf("%s has no root candidate", query)
 				}
 				var union []int32
-				for s, roots := range rootRanges(t, c, q) {
+				for s, roots := range rootRanges(t, c, q, core.Experiment{PaperRoots: true}) {
 					want := make([]int32, 0, n)
 					for _, o := range cands[s*n/p : (s+1)*n/p] {
 						want = append(want, int32(o))
@@ -152,25 +198,32 @@ func TestSplitPartitionInvariants(t *testing.T) {
 					t.Fatalf("shards offered %d roots, %d candidates", len(union), n)
 				}
 
+				wants := checkAnswerable(t, c, q, cands)
 				var log rootLog
 				roots, sums, _ := shardRuns(t, c, q, noPrune(c, q, &log), &log)
-				if !slices.Equal(roots, union) {
-					t.Fatalf("Engines materialised %v, the shard runs %v", roots, union)
+				if all := slices.Concat(wants...); !slices.Equal(roots, all) {
+					t.Fatalf("Engines materialised %v, the shard runs %v", roots, all)
 				}
+				offered += len(roots)
 				for s, sum := range sums {
-					if want := int64((s+1)*n/p - s*n/p); sum.Roots != want {
+					if want := int64(len(wants[s])); sum.Roots != want {
 						t.Fatalf("Engines' shard %d of %d counted %d roots, want %d", s, p, sum.Roots, want)
 					}
 				}
 			})
 		}
 	}
+	if offered == 0 {
+		t.Fatal("no shard offered an answerable root")
+	}
 }
 
 // TestSplitBalance asserts the shards are balanced, not just a valid
 // partition: on an XMark document, for every shard count the pinned
 // benchmark sweeps, every shard's run offers within one root of every
-// other's — on a root tag that nests (listitem) as on one that does not.
+// other's — on a root tag that nests (listitem) as on one that does not
+// — when it streams every candidate (the paper's root server); with
+// per-root bounds each offers the answerable roots of its range.
 func TestSplitBalance(t *testing.T) {
 	doc := xmarkDoc(t, 200)
 	for _, p := range []int{2, 4, 8} {
@@ -182,7 +235,7 @@ func TestSplitBalance(t *testing.T) {
 			for _, query := range []string{"//item[./description/parlist]", "//listitem[./text]"} {
 				q := pattern.MustParse(query)
 				lo, hi := -1, -1
-				for _, roots := range rootRanges(t, c, q) {
+				for _, roots := range rootRanges(t, c, q, core.Experiment{PaperRoots: true}) {
 					if lo < 0 || len(roots) < lo {
 						lo = len(roots)
 					}
@@ -191,6 +244,7 @@ func TestSplitBalance(t *testing.T) {
 				if lo == 0 || hi-lo > 1 {
 					t.Fatalf("%s: shards offer %d to %d roots, want equal counts", query, lo, hi)
 				}
+				checkAnswerable(t, c, q, c.Ords(q.Root().Tag, index.ValueTest{}))
 			}
 		})
 	}
