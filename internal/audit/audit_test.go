@@ -68,6 +68,10 @@ var rows = []row{
 		old:  "\tif t.locked {\n\t\tt.mu.Lock()\n\t\tdefer t.mu.Unlock()\n\t}\n\trootOrd := m.rootOrd()",
 		new:  "\trootOrd := m.rootOrd()",
 		race: true, pkgs: []string{"./internal/core/"}, tests: []string{"TestRunStateReuseAfterCancel"}},
+	{name: "lockguard/unlocked-topkset-dominance", file: "internal/core/topk.go",
+		old:  "\tif t.locked {\n\t\tt.mu.Lock()\n\t\tdefer t.mu.Unlock()\n\t}\n\tif e, _ := t.find(m.rootOrd()); e != nil {",
+		new:  "\tif e, _ := t.find(m.rootOrd()); e != nil {",
+		race: true, pkgs: []string{"./internal/core/"}, tests: []string{"TestRunStateReuseAfterCancel"}},
 	{name: "lockguard/unlocked-arena-release", file: "internal/core/arena.go",
 		old:  "\tif a.locked {\n\t\ta.mu.Lock()\n\t\ta.free = append(a.free, m)\n\t\ta.mu.Unlock()\n\t\treturn\n\t}\n",
 		new:  "",

@@ -174,7 +174,8 @@ type runConfig struct {
 
 // baseConfig is the paper's default engine configuration: all
 // relaxations, min_alive routing, max-possible-final queues, and the
-// paper's root server (core.Experiment.PaperRoots).
+// paper's pruning: its root server and threshold-only pruning
+// (core.Experiment.PaperRoots).
 func baseConfig(c Config, e *Env, w Workload, alg core.Algorithm) runConfig {
 	return runConfig{core.Config{
 		K:         c.K,

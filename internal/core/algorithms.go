@@ -16,20 +16,20 @@ import (
 // run Whirlpool-S's two halves on separate goroutines — the router
 // around the same root-pulling queue, each server settling into it.
 
-// drop settles a match that can no longer beat currentTopK: counted as
-// pruned and released.
-func (r *run) drop(m *match) {
-	r.prune(1)
+// drop settles a match that can no longer improve the top-k set, for
+// the reason why: counted as pruned and released.
+func (r *run) drop(m *match, why verdict) {
+	r.prune(1, why)
 	r.release(m)
 }
 
-// route is the router's half of a step. currentTopK may have grown
-// while the popped match waited: if it is now prunable it is dropped
-// (0, the root server, is returned — never a destination); otherwise it
-// is assigned the server it visits next.
+// route is the router's half of a step. currentTopK and the root's
+// entry may have grown while the popped match waited: if it is now
+// prunable it is dropped (0, the root server, is returned — never a
+// destination); otherwise it is assigned the server it visits next.
 func (r *run) route(m *match) (sid int) {
-	if r.prunable(m) {
-		r.drop(m)
+	if why := r.prunable(m, unchecked); why != survives {
+		r.drop(m, why)
 		return 0
 	}
 	sid = r.nextServer(m)

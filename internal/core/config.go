@@ -167,11 +167,13 @@ type Experiment struct {
 	// Threshold seeds the top-k set's pruning threshold (currentTopK),
 	// as in the Figure 3 analysis. Zero means no seed.
 	Threshold float64
-	// PaperRoots keeps the paper's root server: every root the cursor
+	// PaperRoots keeps the paper's pruning: every root the cursor
 	// materialises carries the uniform bound maxContrib[0] + Σ maxContrib,
-	// and none is tested against the other servers' postings. The
-	// reproduced figures and tables run with it, so their counters are
-	// the paper's algorithm's.
+	// none is tested against the other servers' postings, and a partial
+	// match is pruned only against currentTopK, never because its own
+	// root's entry dominates it (topkEntry.dominance). The reproduced
+	// figures and tables run with it, so their counters are the paper's
+	// algorithm's.
 	PaperRoots bool
 }
 
@@ -201,11 +203,12 @@ type Stats struct {
 	MatchesCreated int64
 	// Roots counts the matches the root server's stream produced.
 	Roots int64
-	// Pruned counts partial matches discarded against the top-k set,
-	// plus the root candidates the cursor dropped unmaterialised.
+	// Pruned counts partial matches discarded against the top-k set —
+	// below currentTopK, or dominated by their own root's entry — plus
+	// the root candidates the cursor dropped unmaterialised.
 	Pruned int64
-	// PrunedRemote counts the subset of Pruned discarded while the
-	// threshold was owned by another shard's entry — matches this run
+	// PrunedRemote counts the subset of Pruned discarded below a
+	// threshold owned by another shard's entry — matches this run
 	// never had to finish because a different shard of a sharded
 	// evaluation found a better answer first. Always 0 for standalone
 	// runs.

@@ -110,7 +110,7 @@ func TestPrunableTieAtEpsilon(t *testing.T) {
 	for _, tc := range cases {
 		m := mkMatch(0, 0, 1)
 		m.maxFinal = tc.maxFinal
-		if got := r.prunable(m); got != tc.want {
+		if got := r.prunable(m, unchecked) == belowTopK; got != tc.want {
 			t.Errorf("%s: prunable(maxFinal=%v) = %v, want %v",
 				tc.name, tc.maxFinal, got, tc.want)
 		}
@@ -121,7 +121,80 @@ func TestPrunableWithoutThreshold(t *testing.T) {
 	r := &run{Engine: &Engine{}, topk: newTopkSet(2, 0, false)}
 	m := mkMatch(0, 0, 1)
 	m.maxFinal = -1
-	if r.prunable(m) {
+	if r.prunable(m, unchecked) != survives {
 		t.Fatal("nothing is prunable before a threshold exists")
+	}
+}
+
+func (v verdict) String() string {
+	return [...]string{"survives", "belowTopK", "dominated", "unchecked"}[v]
+}
+
+// TestDominanceTable holds topkEntry.dominance, and prunable through
+// it, to the rule case by case: root 5's entry scores 1 with bindings
+// (10, 20, −1), and each match of root 5 has at most that score, so it
+// never displaces the entry it is offered against.
+func TestDominanceTable(t *testing.T) {
+	const eScore = 1.0
+	// bound builds a match of root 5 over a four-node query: visited
+	// lists the non-root nodes visited, and a visited node bound to −1
+	// is missing.
+	bound := func(maxFinal float64, b [3]int32, visited ...int) *match {
+		m := mkBoundMatch(5, 0.5, b[:]...)
+		m.maxFinal = maxFinal
+		for _, id := range visited {
+			m.visited |= 1 << uint(id)
+			if m.bindings[id] < 0 {
+				m.missing |= 1 << uint(id)
+			}
+		}
+		return m
+	}
+	cases := []struct {
+		name string
+		m    *match
+		want verdict
+	}{
+		{"strictly below, earlier bindings", bound(eScore-0.1, [3]int32{7, -1, -1}, 1), dominated},
+		{"below by just over pruneEps", bound(eScore-3*pruneEps, [3]int32{7, -1, -1}, 1), dominated},
+		{"tie, first difference earlier in m", bound(eScore, [3]int32{10, 15, -1}, 1, 2), survives},
+		{"tie, first difference later in m", bound(eScore, [3]int32{10, 25, -1}, 1, 2), dominated},
+		{"tie, missing in m where e is bound", bound(eScore, [3]int32{10, -1, -1}, 1, 2), dominated},
+		{"tie, bound in m where e is missing", bound(eScore, [3]int32{10, 20, 30}, 1, 2, 3), survives},
+		{"tie, unvisited before the first difference", bound(eScore, [3]int32{-1, 25, -1}, 2), survives},
+		{"tie, unvisited after agreeing", bound(eScore, [3]int32{10, 20, -1}, 1, 2), survives},
+		{"tie, full agreement", bound(eScore, [3]int32{10, 20, -1}, 1, 2, 3), dominated},
+		{"tie just below, earlier", bound(eScore-pruneEps/2, [3]int32{10, 15, -1}, 1, 2), survives},
+		{"tie just above, later", bound(eScore+pruneEps/2, [3]int32{10, 25, -1}, 1, 2), dominated},
+		{"above the noise band, later", bound(eScore+3*pruneEps, [3]int32{10, 25, -1}, 1, 2), survives},
+	}
+	for _, tc := range cases {
+		tk := newTopkSet(2, 0, false) // one entry: no threshold
+		e := mkBoundMatch(5, eScore, 10, 20, -1)
+		e.visited = 0b1111
+		tk.offer(e, 0)
+		if got := tk.dominance(tc.m); got != tc.want {
+			t.Errorf("%s: dominance = %v, want %v", tc.name, got, tc.want)
+		}
+		for _, paper := range []bool{false, true} {
+			r := &run{Engine: &Engine{x: Experiment{PaperRoots: paper}}, topk: tk}
+			want := tc.want
+			if paper {
+				want = survives // the paper prunes against currentTopK only
+			}
+			if got := r.prunable(tc.m, unchecked); got != want {
+				t.Errorf("%s, paper roots %v: prunable = %v, want %v", tc.name, paper, got, want)
+			}
+		}
+		if got := tk.offer(tc.m, 0); got != tc.want {
+			t.Errorf("%s: offer's verdict = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	tk := newTopkSet(2, 0, false)
+	tk.offer(mkBoundMatch(5, eScore, 10, 20, -1), 0)
+	m := bound(eScore-0.1, [3]int32{7, -1, -1}, 1)
+	m.bindings[0] = 6
+	if got := tk.dominance(m); got != survives {
+		t.Errorf("no entry for root 6: dominance = %v, want survives", got)
 	}
 }

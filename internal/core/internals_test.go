@@ -255,6 +255,40 @@ func TestSharedTopKAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestDominancePruneIsLocal: a shard run's match that its own root's
+// entry dominates counts in Pruned and never in PrunedRemote, even while
+// another shard's entry holds the threshold; a match below that
+// threshold counts as remote. Both with and without an offer first.
+func TestDominancePruneIsLocal(t *testing.T) {
+	for _, mode := range []relax.Relaxation{relax.None, relax.All} {
+		tk := newTopkSet(2, 0, false)
+		own := mkBoundMatch(3, 0.9, 10, -1)
+		own.visited = 0b11
+		tk.offer(own, 1)                         // shard 1's root 3
+		tk.offer(mkBoundMatch(1, 0.5, 4, -1), 0) // fills the set: threshold 0.5, shard 0's
+		if src := tk.thresholdSrc(); src != 0 {
+			t.Fatalf("threshold source %d, want shard 0", src)
+		}
+		r := &run{Engine: &Engine{allVisited: 0b111, cfg: Config{Relax: mode}}, topk: tk, shardID: 1, sharded: true}
+		tie := mkBoundMatch(3, 0.6, 12, -1) // later than the entry's 10, at its score
+		tie.visited, tie.maxFinal = 0b11, 0.9
+		if r.checkTopK(tie) {
+			t.Fatalf("relax=%v: a match its root's entry dominates survived", mode)
+		}
+		if st := r.stats.snapshot(); st.Pruned != 1 || st.PrunedRemote != 0 {
+			t.Fatalf("relax=%v: dominance prune counted pruned %d, remote %d; want 1, 0", mode, st.Pruned, st.PrunedRemote)
+		}
+		dead := mkBoundMatch(4, 0.1, 5, -1)
+		dead.visited, dead.maxFinal = 0b11, 0.3
+		if r.checkTopK(dead) {
+			t.Fatalf("relax=%v: a match below the threshold survived", mode)
+		}
+		if st := r.stats.snapshot(); st.Pruned != 2 || st.PrunedRemote != 1 {
+			t.Fatalf("relax=%v: after a threshold prune, pruned %d, remote %d; want 2, 1", mode, st.Pruned, st.PrunedRemote)
+		}
+	}
+}
+
 // runShared runs e to completion against shared on the calling
 // goroutine, as a shard pool worker runs a shard it claimed.
 func runShared(t *testing.T, e *Engine, shared *SharedTopK, shardID int) Stats {

@@ -221,10 +221,14 @@ func (p *ParallelRun) stepPhase(ws *Scratch, budget int) int {
 			p.q.settle(r, nil, len(batch)-i)
 			return i
 		}
+		why := survives
+		if !keepAll {
+			why = r.prunable(m, unchecked)
+		}
 		var surv []*match
 		switch {
-		case !keepAll && r.prunable(m):
-			r.drop(m)
+		case why != survives:
+			r.drop(m, why)
 		case m.isVisited(sid):
 			ws.surv = append(ws.surv[:0], m)
 			surv = ws.surv

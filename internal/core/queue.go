@@ -150,7 +150,7 @@ func (q *pq) pull() {
 	for q.due() && !r.cancelled() {
 		var m *match
 		if c.cut() {
-			r.prune(len(c.cands) - c.pos - c.reached)
+			r.prune(len(c.cands)-c.pos-c.reached, belowTopK)
 		} else if m = c.next(); m == nil && c.lower() {
 			continue // the second segment: due and the cut under its bounds
 		}

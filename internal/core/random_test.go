@@ -301,7 +301,7 @@ func backings(t *testing.T, dir string, doc *xmltree.Document) []index.Source {
 type agreeRun struct {
 	q        *pattern.Query
 	cfg      Config
-	x        Experiment // PaperRoots drawn: the figures' root server, or the per-root bounds
+	x        Experiment // PaperRoots drawn: the figures' pruning, or per-root bounds and dominance
 	label    string
 	key      [2]int // static order and plan, for the LockStep comparison
 	variants bool
@@ -669,6 +669,27 @@ var relations = []struct {
 					t.Fatalf("%s k=%d %v relax=%v: %s answers %v, its canonical form %s %v", c.name, cfg.K, cfg.Algorithm, m.mode, c.q, want, cq, got)
 				}
 				held++
+			}
+		}
+		return held
+	}},
+	// Pruning changes the work, never the answers: each pruning
+	// algorithm answers what LockStep-NoPrun, which never calls
+	// prunable, answers for the same case — roots and bindings, scores
+	// within 1e-9 — at the case's k and with every root answering.
+	{"noprune-bindings", func(t *testing.T, ix *index.Index, c agreeCase, cfg Config) (held int) {
+		for _, cfg.K = range []int{cfg.K, everyRoot} {
+			for _, m := range relaxModes {
+				cfg.Relax = m.mode
+				ref := cfg
+				ref.Algorithm = LockStepNoPrune
+				want := runWith(t, ix, c.q, ref).Answers
+				for _, cfg.Algorithm = range []Algorithm{WhirlpoolS, WhirlpoolM, LockStep} {
+					if got := runWith(t, ix, c.q, cfg).Answers; !sameAnswers(got, want) {
+						t.Fatalf("%s q=%s k=%d %v/%v/%v relax=%v: answers %v\nLockStep-NoPrun %v", c.name, c.q, cfg.K, cfg.Algorithm, cfg.Routing, cfg.Queue, m.mode, got, want)
+					}
+					held++
+				}
 			}
 		}
 		return held

@@ -127,17 +127,19 @@ func (r *run) traceDepth(server, depth int) {
 	}
 }
 
-// prune discards n partial matches against currentTopK — one popped or
-// freshly extended match, or every root the cursor had left when it was
-// cut — keeping the counters and the trace in step. A prune is "remote"
-// when the current threshold was produced by an entry offered from
-// another shard — the cross-shard pruning the sharded execution layer
-// exists to create. Standalone runs have no sibling shards, so they
-// skip the threshold-source load entirely (PrunedRemote is 0 by
-// definition).
-func (r *run) prune(n int) {
+// prune discards n partial matches — one popped or freshly extended
+// match, or every root the cursor had left when it was cut — keeping
+// the counters and the trace in step; why is the verdict that dropped
+// them. A prune is "remote" when it is against currentTopK and the
+// current threshold was produced by an entry offered from another shard
+// — the cross-shard pruning the sharded execution layer exists to
+// create. A dominated match is pruned by its own root's entry, which
+// only its own shard offers, so it is never remote. Standalone runs
+// have no sibling shards, so they skip the threshold-source load
+// entirely (PrunedRemote is 0 by definition).
+func (r *run) prune(n int, why verdict) {
 	r.stats.add(ctrPruned, int64(n))
-	if r.sharded {
+	if r.sharded && why == belowTopK {
 		if src := r.topk.thresholdSrc(); src >= 0 && src != r.shardID {
 			r.stats.add(ctrPrunedRemote, int64(n))
 		}
@@ -172,20 +174,22 @@ func (r *run) traceThreshold() {
 
 // checkTopK implements Section 5.2.2's checkTopK: offer the match's
 // guaranteed score to the top-k set, then decide whether the match stays
-// alive. Complete matches never stay alive (they are done); matches whose
-// maximum possible final score cannot beat currentTopK are pruned.
+// alive. Complete matches never stay alive (they are done); partial ones
+// die when prunable, which reuses the offer's verdict on the root's
+// entry when there was an offer.
 func (r *run) checkTopK(m *match) (alive bool) {
 	complete := m.complete(r.allVisited)
+	seen := unchecked
 	if complete || r.guaranteedPartial() {
-		r.topk.offer(m, r.shardID)
+		seen = r.topk.offer(m, r.shardID)
 		r.traceThreshold()
 	}
 	if complete {
 		r.traceMatch(obs.MatchesCompleted, 1)
 		return false
 	}
-	if r.prunable(m) {
-		r.prune(1)
+	if why := r.prunable(m, seen); why != survives {
+		r.prune(1, why)
 		return false
 	}
 	return true
@@ -194,13 +198,35 @@ func (r *run) checkTopK(m *match) (alive bool) {
 // pruneEps absorbs floating-point noise in the ≤ comparison below.
 const pruneEps = 1e-12
 
-// prunable reports whether m cannot improve the top-k set: its maximum
-// possible final score does not exceed currentTopK, and on a tie its
-// root comes after the k-th root, which a tying match before it would
-// displace (see topkSet.thrRoot).
-func (r *run) prunable(m *match) bool {
+// verdict says whether a partial match can still improve the top-k set,
+// and if not, why (run.prunable).
+type verdict uint8
+
+const (
+	survives  verdict = iota
+	belowTopK         // it cannot beat currentTopK (Section 5.2.2)
+	dominated         // its root's own entry dominates it (topkEntry.dominance)
+	unchecked         // its root's entry is still to be looked up
+)
+
+// prunable decides m: belowTopK when its maximum possible final score
+// does not exceed currentTopK and, on a tie, its root comes after the
+// k-th root, which a tying match before it would displace (see
+// topkSet.thrRoot); otherwise, unless Experiment.PaperRoots keeps the
+// paper's threshold-only pruning, dominated when its root's entry
+// dominates it. seen is the verdict an offer of m has just returned
+// (checkTopK), or unchecked for one more lookup of the root.
+func (r *run) prunable(m *match, seen verdict) verdict {
 	t, ok := r.topk.threshold()
-	return ok && m.maxFinal <= t+pruneEps && (m.maxFinal < t-pruneEps || r.topk.after(m.bindings[0]))
+	switch {
+	case ok && m.maxFinal <= t+pruneEps && (m.maxFinal < t-pruneEps || r.topk.after(m.bindings[0])):
+		return belowTopK
+	case r.x.PaperRoots:
+		return survives
+	case seen == unchecked:
+		return r.topk.dominance(m)
+	}
+	return seen
 }
 
 // nextServer implements the routing decision (Section 6.1.4) for the

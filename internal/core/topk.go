@@ -180,46 +180,95 @@ func bindingsLess(a, b []int32) bool {
 // exact: equal scores tie-break on the bindings' document order (per
 // root) and on the root ordinal (across roots) for deterministic
 // results, and an epsilon would make "equal" depend on accumulation
-// order.
-func (t *topkSet) offer(m *match, src int32) {
+// order. It returns dominated when the root's entry, after the offer,
+// dominates m (topkEntry.dominance), and survives otherwise: checkTopK
+// decides a partial match on the one lookup and, on a locked set, the
+// one lock acquisition of its offer.
+func (t *topkSet) offer(m *match, src int32) verdict {
 	if t.locked {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 	}
 	rootOrd := m.rootOrd()
 	e, slot := t.find(rootOrd)
-	if e == nil {
+	switch {
+	case e == nil:
 		e = t.newEntry(rootOrd, m)
 		t.insert(e, slot)
-	} else {
-		if m.score < e.score || (m.score == e.score && !bindingsLess(m.bindings, e.bindings)) {
-			return
-		}
+	case m.score < e.score || (m.score == e.score && !bindingsLess(m.bindings, e.bindings)):
+		return e.dominance(m)
+	default:
 		e.score = m.score
 		copy(e.bindings, m.bindings)
 	}
-	if e.inTop {
+	// m is the root's entry now, which dominates no partial match of its own.
+	switch {
+	case e.inTop:
 		t.fixUp(e.pos)
-		t.publish(src)
-		return
-	}
-	if len(t.top) < t.k {
+	case len(t.top) < t.k:
 		e.inTop = true
 		e.pos = len(t.top)
 		t.top = append(t.top, e)
 		t.fixUp(e.pos)
-		t.publish(src)
-		return
-	}
-	last := t.top[len(t.top)-1]
-	if e.score > last.score || (e.score == last.score && e.rootOrd < last.rootOrd) {
+	default:
+		last := t.top[len(t.top)-1]
+		if !(e.score > last.score || (e.score == last.score && e.rootOrd < last.rootOrd)) {
+			return survives
+		}
 		last.inTop = false
 		e.inTop = true
 		e.pos = len(t.top) - 1
 		t.top[e.pos] = e
 		t.fixUp(e.pos)
-		t.publish(src)
 	}
+	t.publish(src)
+	return survives
+}
+
+// dominance is offer's verdict on m without the offer, for a match
+// that is not guaranteed (no leaf deletion) or is popped from a queue:
+// dominated when its root's entry dominates m, survives when it does
+// not or the root has none.
+func (t *topkSet) dominance(m *match) verdict {
+	if t.locked {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+	}
+	if e, _ := t.find(m.rootOrd()); e != nil {
+		return e.dominance(m)
+	}
+	return survives
+}
+
+// dominance reports whether e, the entry of m's root, dominates m: no
+// completion of m can displace e, so m cannot change the answers. Entries
+// only improve, so a dominated match stays dominated. Either m's maximum
+// possible final score is below e's score by more than pruneEps, or it
+// ties e's within pruneEps and every completion of m sorts after e's
+// bindings or equals them under bindingsLess: walking the query nodes
+// from 1, m agrees with e at every node, or the first node where they
+// differ is visited in m and later there (a higher ordinal, or missing
+// where e is bound), with no node unvisited in m before it — an
+// unvisited node could still be bound before e's.
+func (e *topkEntry) dominance(m *match) verdict {
+	switch {
+	case m.maxFinal < e.score-pruneEps:
+		return dominated
+	case m.maxFinal > e.score+pruneEps:
+		return survives
+	}
+	for i := 1; i < len(m.bindings); i++ {
+		if !m.isVisited(i) {
+			return survives
+		}
+		if mn, en := m.bindings[i], e.bindings[i]; mn != en {
+			if mn < 0 || en >= 0 && mn > en {
+				return dominated
+			}
+			return survives
+		}
+	}
+	return dominated
 }
 
 // newEntry issues an entry — with its entry-owned bindings copy — from

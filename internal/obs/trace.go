@@ -28,8 +28,8 @@ type RunSummary struct {
 	// Roots is how many of those the root server's stream produced.
 	Roots  int64 `json:"roots"`
 	Pruned int64 `json:"pruned"`
-	// PrunedRemote is the subset of Pruned discarded while the threshold
-	// was owned by another shard of a sharded evaluation (0 standalone).
+	// PrunedRemote is the subset of Pruned discarded below a threshold
+	// owned by another shard of a sharded evaluation (0 standalone).
 	PrunedRemote int64 `json:"pruned_remote,omitempty"`
 	Answers      int   `json:"answers"`
 	DurationUS   int64 `json:"duration_us"`
