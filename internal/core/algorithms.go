@@ -83,7 +83,7 @@ func (r *run) runM() {
 	}
 	rq := &qs[0]
 	// No server runs yet: seeding needs no lock.
-	if rq.pq.seed(r.seedRoots()) {
+	if rq.pq.seed(r.seedRoots(true)) {
 		return
 	}
 	var over atomic.Bool

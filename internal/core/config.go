@@ -169,7 +169,8 @@ type Experiment struct {
 	Threshold float64
 	// PaperRoots keeps the paper's pruning: every root the cursor
 	// materialises carries the uniform bound maxContrib[0] + Σ maxContrib,
-	// none is tested against the other servers' postings, and a partial
+	// none is tested against the other servers' postings (so no full
+	// pass streams the roots holding every server first), and a partial
 	// match is pruned only against currentTopK, never because its own
 	// root's entry dominates it (topkEntry.dominance). The reproduced
 	// figures and tables run with it, so their counters are the paper's
@@ -183,14 +184,16 @@ type Experiment struct {
 // The root server is a stream (rootCursor): a root candidate cut
 // because no remaining root could beat currentTopK was never created,
 // so it is in none of ServerOps, JoinComparisons and MatchesCreated. It
-// counts in Pruned, with the PrunedRemote attribution and trace event
+// counts in Pruned once, with the PrunedRemote attribution and trace event
 // of a prune at pop — what eager seeding would have made of it, short
 // of testing the root's structural predicate and its servers' postings
 // — so Pruned may exceed MatchesCreated. A candidate a posting stream
 // (Engine.RootVia) runs out without reaching is in no counter: it could
 // not have answered. A root killed at the cursor, because some server
 // has no posting in its subtree and no leaf deletion could stand in for
-// it, counts in JoinComparisons only.
+// it, counts in JoinComparisons only. Under leaf deletion the cursor's
+// full pass and the segment after it each test a root, so a root the
+// full pass passes over counts in JoinComparisons once per test.
 type Stats struct {
 	// ServerOps counts partial matches processed by servers (including
 	// the root server's output as one op per generated match).

@@ -90,7 +90,7 @@ func TestServeMPollsCancellation(t *testing.T) {
 	p := eng.open(ctx, nil, 0, 0, len(eng.roots))
 	defer p.Finish()
 	r := &p.r
-	m := r.seedRoots().next()
+	m := r.seedRoots(true).next()
 	if m == nil {
 		t.Fatal("no root match to serve")
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -123,11 +124,15 @@ func sameAnswers(a, b []Answer) bool {
 // drain and requires the same routed (root, server) sequence, over
 // whatever root set the engine streams: every candidate of the root tag
 // on the scan path, the roots a posting list reaches on the posting
-// path. A two-segment stream (posting path under leaf deletion) is
-// exempt: its second segment is opened when the first runs out, not
-// when priority order says so — a root born past a server is deeper
-// than a first-segment root and would pop ahead of it on a tie if both
-// were queued up front. Answers are TestEngineAgreesWithNaive's to
+// path. Under leaf deletion the full pass's segments come first (segFull,
+// then segRest): both queue their roots at depth 1 and a segRest root is
+// younger than every segFull one, so it loses every tie as eager
+// seeding's would, and the sequence is held there too. The posting
+// path under leaf deletion is exempt: its segDeleted opens when the
+// climb's segments run out, not when priority order says so — a root
+// born with via deleted is queued deeper and would pop ahead of an
+// earlier root on a tie if both were queued up front. Answers are
+// TestEngineAgreesWithNaive's to
 // hold. It returns both runs' stats, the access path and the greatest
 // root ordinal the lazy run created (-1 if none).
 func checkLazyEqualsEager(t *testing.T, ix index.Source, q *pattern.Query, s score.Scorer, cfg Config, label string) (lazy, eager Stats, via string, lastRoot int) {
@@ -199,16 +204,19 @@ var (
 // in the same order, for the paper's queries and two valued ones — whose
 // roots stream from a posting list — under every queue discipline and
 // routing strategy. Every //item root is admissible, so on the scan path
-// the cut's Pruned accounting must agree with eager seeding too. The cut
-// drops the candidates past the last root the lazy cursor created and
-// counts each in Pruned. Seeded eagerly, each is created and pruned, or,
-// without leaf deletion and lacking some server's tag and value in its
-// subtree (lacksServer, a column walk), killed at the cursor, which
-// counts it in JoinComparisons only. So lazy Pruned exceeds eager
-// Pruned by exactly the killed ones; if every candidate past the last
-// root is killed, the lazy cursor may instead have run out killing
-// them, as eager seeding does, and the two agree. The work counters can
-// only shrink.
+// the cut's Pruned accounting must agree with eager seeding too. A cut
+// counts in Pruned each candidate the cursor never materialised, once:
+// one its segments have neither materialised nor rejected. Seeded
+// eagerly, each is created and pruned, or, without leaf deletion and
+// lacking some server's tag and value in its subtree (lacksServer, a
+// column walk), killed at the cursor, which counts it in
+// JoinComparisons only. Without leaf deletion the one segment cuts the
+// candidates past the last root the lazy cursor created, so lazy Pruned
+// exceeds eager Pruned by exactly the killed ones among those; if every
+// one of them is killed, the lazy cursor may instead have run out
+// killing them, as eager seeding does, and the two agree. Under leaf
+// deletion nothing is killed, and the two Pruned are equal whichever
+// segment the cut falls in. The work counters can only shrink.
 func TestCursorPopSequenceEqualsEagerSeeding(t *testing.T) {
 	ks := []int{1, 15, 75}
 	if testing.Short() {
@@ -277,6 +285,81 @@ func TestCursorPopSequenceRandom(t *testing.T) {
 				checkLazyEqualsEager(t, ix, q, s, cfg, label)
 			}
 		}
+	}
+}
+
+// TestFullPassStopsWhereExactStops: under leaf deletion the root cursor
+// first streams the roots that hold a posting of every server, the only
+// roots an exact run makes, at the full bound. Once the exact run finds
+// k answers at the full score, the later segments' lower bounds cannot
+// reach them, so the relaxed run materialises no more roots than the
+// exact run; a cursor that streamed every root in document order would
+// make every root it meets before the k-th full one. XMark (seed 1, 200
+// items): the paper's queries, a location alone (no server but the one
+// the roots stream from) and two value templates of cold_shapes
+// (location and quantity; location, payment and keyword) over the
+// document's constants, at k = 3 and 10, Whirlpool-S under every queue
+// discipline but FIFO, whose first pull drains the cursor.
+func TestFullPassStopsWhereExactStops(t *testing.T) {
+	doc, err := xmark.Generate(xmark.Options{Seed: 1, Items: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := index.Build(doc)
+	values := func(tag string) []string {
+		seen := map[string]bool{}
+		for _, o := range ix.Ords(tag, index.ValueTest{}) {
+			seen[ix.Cols().Value(int32(o))] = true
+		}
+		out := make([]string, 0, len(seen))
+		for v := range seen {
+			out = append(out, v)
+		}
+		slices.Sort(out)
+		return out
+	}
+	shapes := slices.Clone(xmarkQueries)
+	for _, loc := range values("location")[:3] {
+		shapes = append(shapes, fmt.Sprintf("//item[./location = '%s']", loc))
+		for _, qty := range values("quantity") {
+			shapes = append(shapes, fmt.Sprintf("//item[./location = '%s' and ./quantity = '%s']", loc, qty))
+		}
+		for _, pay := range values("payment")[:2] {
+			shapes = append(shapes, fmt.Sprintf("//item[./location = '%s' and ./payment = '%s' and .//keyword = 'officer']", loc, pay))
+		}
+	}
+	held := 0
+	for _, xpath := range shapes {
+		q := pattern.MustParse(xpath)
+		s := score.NewTFIDF(ix, q, score.Sparse)
+		for _, k := range []int{3, 10} {
+			for _, queue := range []Queue{QueueMaxFinal, QueueCurrentScore, QueueMaxNext} {
+				label := fmt.Sprintf("%s k=%d %v", xpath, k, queue)
+				var res [2]*Result
+				var full float64
+				for i, mode := range []relax.Relaxation{relax.None, relax.All} {
+					e, err := New(ix, q, Config{K: k, Relax: mode, Algorithm: WhirlpoolS, Queue: queue, Scorer: s})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res[i], err = e.Run(); err != nil {
+						t.Fatal(err)
+					}
+					full = e.maxContrib[0] + e.sumMax
+				}
+				exact, relaxed := res[0], res[1]
+				if len(exact.Answers) < k || exact.Answers[k-1].Score < full-pruneEps {
+					continue // fewer than k roots reach the full score
+				}
+				held++
+				if relaxed.Stats.Roots > exact.Stats.Roots {
+					t.Errorf("%s: the relaxed run made %d roots, the exact run %d", label, relaxed.Stats.Roots, exact.Stats.Roots)
+				}
+			}
+		}
+	}
+	if held < 30 {
+		t.Fatalf("only %d runs found k roots at the full score: the property was barely exercised", held)
 	}
 }
 
@@ -578,7 +661,7 @@ func TestParallelRunCursorContract(t *testing.T) {
 			case midRun && (in.alg == LockStep || in.alg == LockStepNoPrune):
 				hook.exts = 50 // cancelled mid-phase: Seed drains every root
 			case midRun:
-				hook.roots = 7 // cancelled from inside the run
+				hook.roots = 2 // cancelled from inside the run: the k = 3 runs make at least three roots
 			}
 			p, _ := open(ctx)
 			if !midRun {
@@ -821,12 +904,13 @@ func TestRunReuseAllocs(t *testing.T) {
 // TestWhirlpoolMAllocsPerRun: a warm Whirlpool-M run allocates per
 // run — its queues, condition variables, server goroutines and their
 // scratch — never per match. On XMark (seed 1, 400 items) Q2 and Q3,
-// k = 75, relaxed, a run does about 840 and 2 100 server operations and
-// 93 and 131 allocations; the bound of 160 leaves room for the
-// runtime's goroutine bookkeeping, and one allocation per match — in
-// the router's pop or a server's loop — breaks it many times over. (At
-// k = 15 the per-root bounds leave Q2 under 200 operations, too few,
-// and at 200 items root-local dominance leaves it under 800.)
+// relaxed, each query runs at k = 75 and at k = 300, which must do at
+// least twice the server operations (about 660 against 2 400 on Q2, 2 000
+// against 5 200 on Q3). The larger run may allocate at most 8 objects
+// more than the smaller, room for a deeper heap and a larger top-k set;
+// one allocation per match — in the router's pop or a server's loop —
+// would add hundreds. Neither may exceed 160 (about 90 on Q2 and 131 on
+// Q3), which leaves room for the runtime's goroutine bookkeeping.
 func TestWhirlpoolMAllocsPerRun(t *testing.T) {
 	doc, err := xmark.Generate(xmark.Options{Seed: 1, Items: 400})
 	if err != nil {
@@ -838,21 +922,28 @@ func TestWhirlpoolMAllocsPerRun(t *testing.T) {
 		"//item[./mailbox/mail/text[./bold and ./keyword] and ./name and ./incategory]",
 	} {
 		q := pattern.MustParse(xpath)
-		e, err := New(ix, q, Config{K: 75, Relax: relax.All, Algorithm: WhirlpoolM, Routing: RoutingMinAlive, Scorer: score.NewTFIDF(ix, q, score.Sparse)})
-		if err != nil {
-			t.Fatal(err)
+		var ops [2]int64
+		var allocs [2]float64
+		for i, k := range []int{75, 300} {
+			e, err := New(ix, q, Config{K: k, Relax: relax.All, Algorithm: WhirlpoolM, Routing: RoutingMinAlive, Scorer: score.NewTFIDF(ix, q, score.Sparse)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops[i], allocs[i] = res.Stats.ServerOps, testing.AllocsPerRun(20, func() { e.Run() })
+			t.Logf("%s k=%d: %d server operations, %.0f allocations", xpath, k, ops[i], allocs[i])
+			if allocs[i] > 160 {
+				t.Fatalf("%s k=%d: warm Whirlpool-M run allocates %.0f objects, want at most 160", xpath, k, allocs[i])
+			}
 		}
-		res, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
+		if ops[1] < 2*ops[0] {
+			t.Fatalf("%s: %d and %d server operations, too close to tell a per-match allocation from a per-run one", xpath, ops[0], ops[1])
 		}
-		if res.Stats.ServerOps < 800 {
-			t.Fatalf("%s: %d server operations, too few to tell a per-match allocation from a per-run one", xpath, res.Stats.ServerOps)
-		}
-		allocs := testing.AllocsPerRun(20, func() { e.Run() })
-		t.Logf("%s: %d server operations, %.0f allocations", xpath, res.Stats.ServerOps, allocs)
-		if allocs > 160 {
-			t.Fatalf("%s: warm Whirlpool-M run allocates %.0f objects, want at most 160", xpath, allocs)
+		if allocs[1] > allocs[0]+8 {
+			t.Fatalf("%s: %.0f allocations at %d server operations, %.0f at %d: allocations grow with the work", xpath, allocs[1], ops[1], allocs[0], ops[0])
 		}
 	}
 }

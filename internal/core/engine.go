@@ -302,13 +302,11 @@ func spin(d time.Duration) {
 // cands in document order. The posting path (Engine.rootVia) climbs
 // instead, lazily, from each posting to its root-tag ancestors below the
 // last root considered — from that root up, all came with an earlier
-// posting — which is the slice in document order unless leaf deletion
-// makes via optional: then a second segment walks the cands not reached,
-// born with via deleted, under bounds lowered by via's maximum
-// contribution. The climb starts just before the slice's first root,
-// from the first posting past it (an earlier posting has no ancestor
-// that late), and stops at the first root-tag node it reaches at or past
-// end, the next slice's first root: the climb's roots only ascend.
+// posting — which is the slice in document order. The climb starts just
+// before the slice's first root, from the first posting past it (an
+// earlier posting has no ancestor that late), and stops at the first
+// root-tag node it reaches at or past end, the next slice's first root:
+// the climb's roots only ascend.
 //
 // Each root it materialises carries its own bound (Section 5's maximum
 // possible final score, per root): a streaming semi-join (absent) finds
@@ -321,38 +319,79 @@ func spin(d time.Duration) {
 // postings (run.at), galloping across a gap and reset when a segment
 // opens. Experiment.PaperRoots turns the test off: every root then
 // carries the paper's uniform bound.
+//
+// Under leaf deletion the stream comes in segments, each over the slice
+// in document order and each bounded by its own maxFinal (bounds):
+// segFull, the roots with a posting of every server, which is all an
+// exact run makes; then segRest, the rest of the climb or scan, born
+// past a server; then, on the posting path, segDeleted, the candidates
+// the climb did not reach, born with via deleted. LockStep, which
+// materialises every root anyway, skips the full pass (seedRoots).
 type rootCursor struct {
 	r     *run
 	cands []uint32
 	pos   int
 	// prioBound and finalBound bound, from above, the router-queue
-	// priority and the maxFinal of every root not yet materialised.
+	// priority and the maxFinal of every root not yet materialised:
+	// the open segment's bound and every later one's.
 	prioBound, finalBound float64
-	made, compared        int64    // not yet flushed into r.stats
-	post                  []uint32 // via's postings past the slice's first root, walked by pi in either segment
+	bounds                [3]float64 // each segment's own maxFinal bound, -Inf where it does not run
+	seg                   int        // the open segment
+	made, compared        int64      // not yet flushed into r.stats
+	post                  []uint32   // via's postings past the slice's first root, walked by pi in every segment
 	pi                    int
 	last                  int32 // ordinal of the last root the climb considered
 	end                   int32 // the next slice's first root, or past every ordinal
-	reached               int   // roots the climb reached that the second segment has yet to skip
-	second                bool  // in the second segment
+	settled               int   // candidates materialised or rejected, each once
 }
 
+// The root cursor's segments, in the order they open.
+const (
+	segFull    = iota // every server has a posting below the root
+	segRest           // some server has none: born past it
+	segDeleted        // the posting path's unreached candidates: born with via deleted
+)
+
 // seedRoots points the run's cursor at its slice of the root candidates
-// and at the postings past the slice's first root.
-func (r *run) seedRoots() *rootCursor {
+// and at the postings past the slice's first root, and opens its first
+// segment. Without fullPass (LockStep) a leaf-deletion run streams every
+// reached root in one pass, in document order.
+func (r *run) seedRoots(fullPass bool) *rootCursor {
 	e := r.Engine
-	r.roots = rootCursor{r: r, cands: e.roots[r.lo:r.hi], end: math.MaxInt32}
-	clear(r.at)
+	r.roots = rootCursor{r: r, cands: e.roots[r.lo:r.hi], end: math.MaxInt32, seg: -1}
+	c := &r.roots
 	if r.hi < len(e.roots) {
-		r.roots.end = int32(e.roots[r.hi])
+		c.end = int32(e.roots[r.hi])
 	}
 	if e.rootVia != 0 && r.lo < r.hi {
-		first := e.roots[r.lo]
-		cut, _ := slices.BinarySearch(e.post, first+1)
-		r.roots.post, r.roots.last = e.post[cut:], int32(first)-1
+		cut, _ := slices.BinarySearch(e.post, e.roots[r.lo]+1)
+		c.post = e.post[cut:]
 	}
-	r.roots.bound(e.maxContrib[0] + e.sumMax)
-	return &r.roots
+	full, none := e.maxContrib[0]+e.sumMax, math.Inf(-1)
+	c.bounds = [3]float64{full, none, none}
+	if e.cfg.Relax.Has(relax.LeafDeletion) {
+		if e.rootVia != 0 {
+			c.bounds[segDeleted] = full - e.maxContrib[e.rootVia]
+		}
+		if !e.x.PaperRoots {
+			// A segRest root misses at least its cheapest server; with
+			// none to miss, every root is segFull's.
+			least := none
+			for id := 1; id < len(e.maxContrib); id++ {
+				if id != e.rootVia && (least == none || e.maxContrib[id] < least) {
+					least = e.maxContrib[id]
+				}
+			}
+			if least != none {
+				c.bounds[segRest] = full - least
+			}
+			if !fullPass {
+				c.bounds[segFull], c.bounds[segRest] = none, full
+			}
+		}
+	}
+	c.lower()
+	return c
 }
 
 // bound sets both bounds from the highest maxFinal a root to come can
@@ -368,9 +407,9 @@ func (c *rootCursor) bound(maxFinal float64) {
 
 // cut reports whether no root still to come can beat currentTopK. A
 // tie cuts only when every such root comes after the threshold's k-th
-// root (topkSet.after): those of this segment follow the last one
-// produced, and a second segment still to open, if it ties too, starts
-// over at the slice's first root.
+// root (topkSet.after): those of the open segment follow the last one
+// it considered, and a later segment that can tie too starts over at
+// the slice's first root.
 func (c *rootCursor) cut() bool {
 	t, ok := c.r.topk.threshold()
 	if !ok || c.finalBound > t+pruneEps {
@@ -379,48 +418,59 @@ func (c *rootCursor) cut() bool {
 	if c.finalBound < t-pruneEps {
 		return true
 	}
-	e := c.r.Engine
 	next := int32(math.MaxInt32)
-	if c.pos < len(c.cands) {
+	switch {
+	case c.climbs():
+		next = c.last + 1
+	case c.pos < len(c.cands):
 		next = int32(c.cands[c.pos])
 	}
-	if e.rootVia != 0 && !c.second && (!e.cfg.Relax.Has(relax.LeafDeletion) ||
-		c.finalBound-e.maxContrib[e.rootVia] < t-pruneEps) {
-		next = c.last + 1
+	for _, b := range c.bounds[c.seg+1:] {
+		if b >= t-pruneEps && len(c.cands) > 0 {
+			next = int32(c.cands[0])
+		}
 	}
 	return c.r.topk.after(next)
 }
 
-// lower opens the second segment, if there is one to open.
+// lower opens the next segment that runs, if there is one: it starts
+// over at the slice's first root.
 func (c *rootCursor) lower() bool {
-	e := c.r.Engine
-	if e.rootVia == 0 || c.second || !e.cfg.Relax.Has(relax.LeafDeletion) {
-		return false
+	for c.seg++; c.seg < len(c.bounds); c.seg++ {
+		if c.bounds[c.seg] == math.Inf(-1) {
+			continue
+		}
+		c.pos, c.pi = 0, 0
+		if len(c.cands) > 0 {
+			c.last = int32(c.cands[0]) - 1
+		}
+		clear(c.r.at)
+		c.bound(slices.Max(c.bounds[c.seg:]))
+		return true
 	}
-	c.second, c.pi = true, 0
-	clear(c.r.at) // the segment starts over at the slice's first root
-	c.bound(c.finalBound - e.maxContrib[e.rootVia])
-	return true
+	return false
 }
+
+// climbs reports whether the open segment climbs from via's postings.
+func (c *rootCursor) climbs() bool { return c.r.rootVia != 0 && c.seg < segDeleted }
 
 // candidate returns the segment's next root candidate, -1 at its end.
 func (c *rootCursor) candidate() int32 {
-	e := c.r.Engine
-	if e.rootVia != 0 && !c.second {
+	if c.climbs() {
 		return c.climb()
 	}
+	e := c.r.Engine
 	for c.pos < len(c.cands) {
 		n := c.cands[c.pos]
 		c.pos++
-		// Second segment (a scan has no postings): the first posting
-		// after n lies below n iff any does, and then n was reached.
+		// segDeleted (a scan has no postings): the first posting after
+		// n lies below n iff any does, and then n was reached.
 		for c.pi < len(c.post) && c.post[c.pi] <= n {
 			c.pi++
 		}
 		if c.pi == len(c.post) || int32(c.post[c.pi]) > e.doc.End(int32(n)) {
 			return int32(n)
 		}
-		c.reached--
 	}
 	return -1
 }
@@ -451,7 +501,6 @@ func (c *rootCursor) climb() int32 {
 		}
 		c.last = top
 		if e.vts[0].Matches(doc.Value(top)) {
-			c.reached++
 			return top
 		}
 	}
@@ -459,10 +508,26 @@ func (c *rootCursor) climb() int32 {
 }
 
 // next materialises the segment's next admissible root; nil ends it.
+// Each candidate is settled once: materialised or rejected by the
+// segment it belongs to, and passed over by the others.
 func (c *rootCursor) next() *match {
 	e := c.r.Engine
 	for n := c.candidate(); n >= 0; n = c.candidate() {
 		c.compared++
+		var absent uint64
+		if !e.x.PaperRoots {
+			absent = c.absent(n, c.seg == segFull)
+			if c.seg == segFull && absent != 0 {
+				if !e.cfg.Relax.Has(relax.LeafDeletion) {
+					c.settled++ // no server may go missing: the root cannot answer
+				}
+				continue // else segRest's
+			}
+			if c.seg == segRest && absent == 0 && c.bounds[segFull] != math.Inf(-1) {
+				continue // the full pass's
+			}
+		}
+		c.settled++
 		variant := score.Exact
 		// The root predicate's anchor is the document's virtual parent,
 		// level 0 and an ancestor of every node: only the depth decides.
@@ -474,19 +539,12 @@ func (c *rootCursor) next() *match {
 			}
 			variant = score.Relaxed
 		}
-		leafDeletion := e.cfg.Relax.Has(relax.LeafDeletion)
-		var absent uint64
-		if !e.x.PaperRoots {
-			if absent = c.absent(n, !leafDeletion); absent != 0 && !leafDeletion {
-				continue // no server may go missing: the root cannot answer
-			}
-		}
 		contrib := e.cfg.Scorer.Contribution(0, variant, n)
 		m := c.r.arena.get()
 		m.bindings[0] = n
 		m.score = contrib
 		m.maxFinal = contrib + e.sumMax
-		if c.second {
+		if c.seg == segDeleted {
 			absent |= 1 << uint(e.rootVia)
 		}
 		// Born past each absent server: what process there would have made of it.
@@ -506,7 +564,7 @@ func (c *rootCursor) next() *match {
 // exceeds every root tested before it in the segment, so each pointer
 // only moves forward: past n, galloping. The valued node the postings
 // stream roots from is not tested: a root the climb reached has one, and
-// a second-segment root has none.
+// a segDeleted root has none.
 func (c *rootCursor) absent(n int32, first bool) (absent uint64) {
 	e, at := c.r.Engine, c.r.at
 	end := uint32(e.doc.End(n))

@@ -148,6 +148,8 @@ func TestTopkSetEqualScoreKeepsDocOrderBindings(t *testing.T) {
 	}
 }
 
+// TestTopkSetThresholdSource: the threshold's source is the shard whose
+// entry is the k-th, whichever shard's offer moved it.
 func TestTopkSetThresholdSource(t *testing.T) {
 	tk := newTopkSet(2, 0, false)
 	if src := tk.thresholdSrc(); src != -1 {
@@ -155,18 +157,18 @@ func TestTopkSetThresholdSource(t *testing.T) {
 	}
 	tk.offer(mkMatch(1, 0.5, 1), 3)
 	tk.offer(mkMatch(2, 0.8, 2), 4) // fills the set: k-th is shard 3's 0.5
-	if src := tk.thresholdSrc(); src != 4 {
-		// The offer that completed the set published the threshold.
-		t.Fatalf("source after fill = %d, want 4", src)
+	if src := tk.thresholdSrc(); src != 3 {
+		// The k-th entry's shard, not the offer that completed the set.
+		t.Fatalf("source after fill = %d, want 3", src)
 	}
-	tk.offer(mkMatch(3, 1.0, 3), 5) // displaces 0.5; threshold rises to 0.8
-	if src := tk.thresholdSrc(); src != 5 {
-		t.Fatalf("source after displacement = %d, want 5", src)
+	tk.offer(mkMatch(3, 1.0, 3), 5) // displaces 0.5; threshold rises to shard 4's 0.8
+	if src := tk.thresholdSrc(); src != 4 {
+		t.Fatalf("source after displacement = %d, want 4", src)
 	}
 	// An offer that does not move the threshold keeps the attribution.
 	tk.offer(mkMatch(4, 0.1, 4), 6)
-	if src := tk.thresholdSrc(); src != 5 {
-		t.Fatalf("source after no-op offer = %d, want 5", src)
+	if src := tk.thresholdSrc(); src != 4 {
+		t.Fatalf("source after no-op offer = %d, want 4", src)
 	}
 }
 

@@ -21,7 +21,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.golden 
 // the digit: server operations, join comparisons, matches created and
 // pruned, and the answer roots, for the paper's Q1–Q3 and two valued
 // queries — whose roots stream from a posting list, under leaf deletion
-// in two segments — in both modes at three k under every queue
+// in segments, the full pass first — in both modes at three k under every queue
 // discipline. The Q1–Q3 rows were written by the four hand-rolled
 // driver loops that preceded the step kernel, the valued rows by the
 // kernel beside LockStep's own phase loop; any refactoring of the

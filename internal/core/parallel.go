@@ -121,12 +121,12 @@ func (p *ParallelRun) Seed() {
 	var done bool
 	switch alg := r.cfg.Algorithm; alg {
 	case WhirlpoolS:
-		done = p.q.seed(r.seedRoots())
+		done = p.q.seed(r.seedRoots(true))
 	case WhirlpoolM:
 		p.whole = true
 	default:
 		alive := p.ws.batch[:0]
-		r.seedRoots().drain(func(m *match) {
+		r.seedRoots(false).drain(func(m *match) {
 			if alg == LockStepNoPrune || r.checkTopK(m) {
 				alive = append(alive, m)
 			} else {
@@ -199,7 +199,7 @@ func (p *ParallelRun) Step(ws *Scratch, budget int) int {
 // stepPhase is Step for LockStep, whose queue holds one phase at a time
 // (pq.carry): each popped match passes the phase's server. One that is
 // now prunable is dropped (LockStep-NoPrun prunes nothing), a root born
-// past the server (rootCursor's second segment) is carried on untouched,
+// past the server (rootCursor's segRest or segDeleted) is carried on untouched,
 // any other is served; what is left is carried into the next phase. A
 // cancelled run retires the rest of its batch without opening a phase,
 // so it never reads done.

@@ -150,9 +150,9 @@ func (q *pq) pull() {
 	for q.due() && !r.cancelled() {
 		var m *match
 		if c.cut() {
-			r.prune(len(c.cands)-c.pos-c.reached, belowTopK)
+			r.prune(len(c.cands)-c.settled, belowTopK)
 		} else if m = c.next(); m == nil && c.lower() {
-			continue // the second segment: due and the cut under its bounds
+			continue // the next segment: due and the cut under its bounds
 		}
 		if m == nil { // cut or exhausted: the cursor retires
 			q.roots = nil
@@ -161,12 +161,12 @@ func (q *pq) pull() {
 		}
 		if r.checkTopK(m) {
 			// A root is queued at the depth the paper's root server gives
-			// it (1, or 2 in the second segment) however many servers it
+			// it (1, or 2 in segDeleted) however many servers it
 			// was born past: an unpulled root then still loses every tie
 			// (due), so the pop sequence stays eager seeding's.
 			it := item(m, r.priority(m, -1))
 			it.depth = 1
-			if c.second {
+			if c.seg == segDeleted {
 				it.depth = 2
 			}
 			q.h.push(it)

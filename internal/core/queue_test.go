@@ -104,7 +104,7 @@ func TestPQHeldAcrossRootPull(t *testing.T) {
 	p := e.open(context.Background(), nil, 0, 0, len(e.roots))
 	r := &p.r
 	qu := &p.q
-	if qu.seed(r.seedRoots()) {
+	if qu.seed(r.seedRoots(true)) {
 		t.Fatal("run done at seed")
 	}
 	// check pops one match and holds it to the queue and the cursor.

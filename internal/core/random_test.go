@@ -76,8 +76,8 @@ func randomQuery(r *rand.Rand) *pattern.Query {
 }
 
 // agreeCase is a document and pattern for checkAgainstNaive, with the
-// static orders it sweeps, the k it runs at (each also at k+1) and the
-// shard counts its shard runs take. With draw set, each relaxation draws
+// static orders it sweeps, the k it runs at (each also at k+1), the
+// shard counts its shard runs take and its scorer's normalization. With draw set, each relaxation draws
 // one backing and one queue from it, and one configuration to run also
 // as a forced scan and in shard runs. A pinned case is a subtest per
 // relaxation and runs those variants for every algorithm at its first
@@ -91,6 +91,7 @@ type agreeCase struct {
 	shards []int
 	draw   *rand.Rand
 	pinned bool
+	norm   score.Normalization
 }
 
 // randomCase draws a document, a pattern, one static order (nil, the
@@ -98,7 +99,7 @@ type agreeCase struct {
 func randomCase(r *rand.Rand, name string) agreeCase {
 	doc, q := randomDoc(r), randomQuery(r)
 	orders := append([][]int{nil}, q.ServerOrders()...)
-	return agreeCase{name, doc, q, [][]int{orders[r.Intn(len(orders))]}, []int{1 + r.Intn(4)}, []int{[]int{2, 3, 8, 64}[r.Intn(4)]}, r, false}
+	return agreeCase{name, doc, q, [][]int{orders[r.Intn(len(orders))]}, []int{1 + r.Intn(4)}, []int{[]int{2, 3, 8, 64}[r.Intn(4)]}, r, false, score.Sparse}
 }
 
 // xmarkQueries are the paper's three queries and two valued ones, whose
@@ -114,8 +115,11 @@ var xmarkQueries = []string{
 // pinnedCases, named document/q<i> for their subtests, are Figure 1's
 // bookstore (also under a one-node pattern and one with no root), the
 // smallest document on which leaf deletion without subtree promotion
-// once bound a child ahead of its unbound parent and the value-operator
-// shop, swept over every static order at k = 1 and 3; and XMark (seed
+// once bound a child ahead of its unbound parent, the value-operator
+// shop and, under dense scores, a document where no root holds every
+// server and the better one lacks the cheaper server (the segment after
+// the root cursor's full pass is bounded by its smallest missing
+// contribution), swept over every static order at k = 1 and 3; and XMark (seed
 // 3, 50 items) under xmarkQueries, drawing order, k, backing and queue
 // as a random trial does, and at k = 4096, where no pruning can hide a
 // divergence.
@@ -123,16 +127,18 @@ func pinnedCases(t *testing.T) (cases []agreeCase) {
 	for _, d := range []struct {
 		name, xml string
 		xpaths    []string
+		norm      score.Normalization
 	}{
-		{"books", booksXML, []string{"/book[./title = 'wodehouse' and ./info/publisher/name = 'psmith']", "/book", "/magazine[./title]"}},
-		{"parents-first", "<a><c>x</c><c>y<b/></c></a>", []string{"//a[.//a[./c[./b]] = 'y']"}},
+		{"books", booksXML, []string{"/book[./title = 'wodehouse' and ./info/publisher/name = 'psmith']", "/book", "/magazine[./title]"}, score.Sparse},
+		{"parents-first", "<a><c>x</c><c>y<b/></c></a>", []string{"//a[.//a[./c[./b]] = 'y']"}, score.Sparse},
+		{"segments", "<r><x><b/></x><x><a/></x><x><b/></x></r>", []string{"//x[./a and ./b]"}, score.Dense},
 		{"shop", shopXML, []string{
 			"/book[./price < 20 and ./title contains 'wodehouse']",
 			"/book[./price > 10]",
 			"/book[./title != 'austen' and ./price <= 48.95]",
 			"/book[./price >= 30]",
 			"/book[./title contains 'wodehouse']",
-		}},
+		}, score.Sparse},
 	} {
 		doc, err := xmltree.ParseString(d.xml)
 		if err != nil {
@@ -140,7 +146,7 @@ func pinnedCases(t *testing.T) (cases []agreeCase) {
 		}
 		for i, xpath := range d.xpaths {
 			q := pattern.MustParse(xpath)
-			cases = append(cases, agreeCase{fmt.Sprintf("%s/q%d", d.name, i), doc, q, append([][]int{nil}, q.ServerOrders()...), []int{1, 3}, []int{2, 8}, nil, true})
+			cases = append(cases, agreeCase{fmt.Sprintf("%s/q%d", d.name, i), doc, q, append([][]int{nil}, q.ServerOrders()...), []int{1, 3}, []int{2, 8}, nil, true, d.norm})
 		}
 	}
 	doc, err := xmark.Generate(xmark.Options{Seed: 3, Items: 50})
@@ -151,7 +157,7 @@ func pinnedCases(t *testing.T) (cases []agreeCase) {
 		r := rand.New(rand.NewSource(int64(i)))
 		q := pattern.MustParse(xpath)
 		orders := append([][]int{nil}, q.ServerOrders()...)
-		cases = append(cases, agreeCase{fmt.Sprintf("xmark/q%d", i), doc, q, [][]int{orders[r.Intn(len(orders))]}, []int{1 + r.Intn(4), everyRoot}, []int{2, 8}, r, true})
+		cases = append(cases, agreeCase{fmt.Sprintf("xmark/q%d", i), doc, q, [][]int{orders[r.Intn(len(orders))]}, []int{1 + r.Intn(4), everyRoot}, []int{2, 8}, r, true, score.Sparse})
 	}
 	return cases
 }
@@ -327,12 +333,12 @@ func checkAgainstNaive(t *testing.T, dir string, c agreeCase, tally *agreeTally)
 	srcs := backings(t, dir, c.doc)
 	ix := srcs[0]
 	stats := score.CollectStats(ix, nil, c.q)
-	s := score.NewTFIDFFromStats(stats, score.Sparse)
+	s := score.NewTFIDFFromStats(stats, c.norm)
 	// What Planner.PlanFor compiles from: the canonical query, its
 	// statistics from the synopsis and a predicate memo.
 	cq := pattern.Canonicalize(c.q)
 	cstats := score.CollectStats(ix, score.NewMemo(ix, synopsis.FromColumns(ix.Cols())), cq)
-	cs := score.NewTFIDFFromStats(cstats, score.Sparse)
+	cs := score.NewTFIDFFromStats(cstats, c.norm)
 	pick := func(n int) []int {
 		if c.draw != nil {
 			return []int{c.draw.Intn(n)}

@@ -78,6 +78,7 @@ type topkEntry struct {
 	rootOrd  int
 	score    float64
 	bindings []int32 // entry-owned copy, never aliases a match
+	src      int32   // the shard that offered it: the root's
 	inTop    bool
 	pos      int // index in top while inTop
 	slot     int // index in best
@@ -194,6 +195,7 @@ func (t *topkSet) offer(m *match, src int32) verdict {
 	switch {
 	case e == nil:
 		e = t.newEntry(rootOrd, m)
+		e.src = src
 		t.insert(e, slot)
 	case m.score < e.score || (m.score == e.score && !bindingsLess(m.bindings, e.bindings)):
 		return e.dominance(m)
@@ -221,7 +223,7 @@ func (t *topkSet) offer(m *match, src int32) verdict {
 		t.top[e.pos] = e
 		t.fixUp(e.pos)
 	}
-	t.publish(src)
+	t.publish()
 	return survives
 }
 
@@ -333,9 +335,9 @@ func (t *topkSet) fixUp(i int) {
 // ranks lower (per-root entries only improve, and replacement requires
 // ranking above the old k-th): its score never decreases, and while the
 // score holds its root ordinal never increases. So the cache is
-// monotone; src is recorded only when the k-th entry — not the floor —
-// governs the new value.
-func (t *topkSet) publish(src int32) {
+// monotone; the k-th entry's shard is recorded as the source only when
+// that entry — not the floor — governs the new value.
+func (t *topkSet) publish() {
 	if len(t.top) < t.k {
 		return // the seeded floor (or no threshold) still governs
 	}
@@ -351,7 +353,7 @@ func (t *topkSet) publish(src int32) {
 	t.thrRoot.Store(root)
 	t.thrBits.Store(math.Float64bits(v))
 	if root >= 0 {
-		t.thrSrc.Store(src)
+		t.thrSrc.Store(kth.src)
 	}
 }
 

@@ -380,7 +380,7 @@ func (l *rootLog) Contribution(id int, v score.Variant, ord int32) float64 {
 }
 
 // rangeModes are the relaxations the root ranges are checked under:
-// none, and leaf deletion, whose second segment walks the range again.
+// none, and leaf deletion, whose deleted segment walks the range again.
 var rangeModes = []relax.Relaxation{relax.None, relax.LeafDeletion, relax.All}
 
 // rootRun is what one LockStep-NoPrune run — which materialises every
