@@ -99,9 +99,37 @@ var rows = []row{
 		new:  "if id != e.rootVia && (least == none || e.maxContrib[id] > least) {",
 		pkgs: []string{"./internal/core/"}, tests: []string{"TestEngineAgreesWithNaive/segments/q0/all"}},
 	{name: "answer/no-full-pass", file: "internal/core/engine.go",
-		old:  "\t\t\tif !fullPass {\n",
-		new:  "\t\t\tif true {\n",
+		old:  "\tif !e.x.PaperRoots && fullPass {\n",
+		new:  "\tif false {\n",
 		pkgs: []string{"./internal/core/"}, tests: []string{"TestFullPassStopsWhereExactStops"}},
+	{name: "answer/no-depth-test", file: "internal/core/engine.go",
+		old:  "\ttested := e.depthTested &^ absent\n",
+		new:  "\ttested := uint64(0)\n",
+		pkgs: []string{"./internal/core/"}, tests: []string{"TestExactRunMakesOnlyExactDepthRoots"}},
+	{name: "answer/penalty-full-max", file: "internal/core/engine.go",
+		old:  "e.penalty[id] = e.maxContrib[id] - rb.MaxRelaxedContribution(id)",
+		new:  "e.penalty[id] = e.maxContrib[id]",
+		pkgs: []string{"./internal/core/"}, tests: []string{"TestEngineAgreesWithNaive/depth-penalty/q0/all"}},
+	{name: "answer/hint-no-fallback", file: "internal/index/index.go",
+		old:  "if hint == 0 || hint > len(g) || g[hint-1] > uint32(anchor) {",
+		new:  "if hint == 0 || hint > len(g) {",
+		pkgs: []string{"./internal/core/"}, tests: []string{"TestEngineAgreesWithNaive/depth/q0/leaf"}},
+	{name: "answer/absent-end-inclusive", file: "internal/core/engine.go",
+		old:  "\t\tif i == len(g) || g[i] > end {\n\t\t\tif absent",
+		new:  "\t\tif i == len(g) || g[i] >= end {\n\t\t\tif absent",
+		pkgs: []string{"./internal/core/"}, tests: []string{"TestEngineAgreesWithNaive/depth/q0/none"}},
+	{name: "answer/cursor-pointers-kept", file: "internal/core/engine.go",
+		old:  "\t\tclear(c.r.at)\n",
+		new:  "",
+		pkgs: []string{"./internal/core/"}, tests: []string{"TestFullPassStopsWhereExactStops", "TestCursorPopSequenceEqualsEagerSeeding"}},
+	{name: "answer/near-tie-exact", file: "internal/core/topk.go",
+		old:  "\tif math.Abs(a-b) > pruneEps {\n",
+		new:  "\tif a != b {\n",
+		pkgs: []string{"./internal/core/"}, tests: []string{"TestTopkSetNearTieRanksByPosition", "FuzzEngineVsNaive/e7f28b9ee312cef9"}},
+	{name: "answer/value-lt-as-le", file: "internal/index/valuetest.go",
+		old:  "return n < vt.num",
+		new:  "return n <= vt.num",
+		pkgs: []string{"./internal/core/"}, tests: []string{"TestEngineAgreesWithNaive/random"}},
 	{name: "lockguard/unlocked-collector-record", file: "internal/obs/trace.go",
 		old:  "func (c *Collector) record(e Event) {\n\tc.mu.Lock()\n\tdefer c.mu.Unlock()\n",
 		new:  "func (c *Collector) record(e Event) {\n",

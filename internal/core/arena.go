@@ -174,7 +174,7 @@ func acquireState(n int) *ParallelRun {
 		}
 	}
 	l.mu.Unlock()
-	return &ParallelRun{arena: newMatchArena(n), topk: newTopkSet(1, 0, false), r: run{at: make([]int, n)}}
+	return &ParallelRun{arena: newMatchArena(n), topk: newTopkSet(1, 0, false), r: run{at: make([]int, n), hint: make([]int, n)}}
 }
 
 // release parks the state for the next run. Only a run that finished
@@ -187,7 +187,7 @@ func (p *ParallelRun) release() {
 		return
 	}
 	// Idle, it must not pin the engine, context or document it served.
-	p.r = run{at: p.r.at}
+	p.r = run{at: p.r.at, hint: p.r.hint}
 	p.topk.reset(1, 0, false)
 	l := &idleStates
 	l.mu.Lock()

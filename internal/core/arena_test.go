@@ -186,6 +186,7 @@ func processStep(tb testing.TB, xpath string, mode relax.Relaxation) func() {
 		Engine: e,
 		topk:   shared.set,
 		arena:  newMatchArena(q.Size()),
+		hint:   make([]int, q.Size()),
 		ctx:    context.Background(),
 	}
 	r.lastThreshold.Store(math.Float64bits(math.Inf(-1)))

@@ -191,9 +191,11 @@ type Experiment struct {
 // (Engine.RootVia) runs out without reaching is in no counter: it could
 // not have answered. A root killed at the cursor, because some server
 // has no posting in its subtree and no leaf deletion could stand in for
-// it, counts in JoinComparisons only. Under leaf deletion the cursor's
-// full pass and the segment after it each test a root, so a root the
-// full pass passes over counts in JoinComparisons once per test.
+// it, or, on an exact run, none at the pattern's depth below it, counts
+// in JoinComparisons only; one whose bound at birth, lowered by its
+// servers' relaxed maxima, cannot beat currentTopK counts there and in
+// Pruned. The cursor's segments each test a root, so a root the full
+// pass passes over counts in JoinComparisons once per test.
 type Stats struct {
 	// ServerOps counts partial matches processed by servers (including
 	// the root server's output as one op per generated match).

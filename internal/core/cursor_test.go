@@ -168,7 +168,7 @@ func pastRoot(cols *xmltree.Columns, q *pattern.Query, cands []uint32, last int,
 		if int(o) <= last {
 			continue
 		}
-		if !mode.Has(relax.LeafDeletion) && lacksServer(cols, q, int32(o)) {
+		if !mode.Has(relax.LeafDeletion) && lacksServer(cols, q, int32(o), mode == relax.None) {
 			killed++
 		} else {
 			kept++
@@ -179,12 +179,15 @@ func pastRoot(cols *xmltree.Columns, q *pattern.Query, cands []uint32, last int,
 
 // lacksServer reports whether n's subtree, walked over the columns with
 // no postings, has no node with some non-root query node's tag and value
-// test: without leaf deletion the root cursor kills such a root.
-func lacksServer(cols *xmltree.Columns, q *pattern.Query, n int32) bool {
-	for _, qn := range q.Nodes[1:] {
+// test — with exact, none at the depth below n the pattern's path from
+// the root prescribes: without leaf deletion the root cursor kills such
+// a root, and on an exact run it kills one with no node at that depth.
+func lacksServer(cols *xmltree.Columns, q *pattern.Query, n int32, exact bool) bool {
+	for id, qn := range q.Nodes[1:] {
 		vt, found := index.Test(qn.ValueOp, qn.Value), false
+		rp := relax.ComposePath(q, 0, id+1)
 		for d := n + 1; d <= cols.End(n) && !found; d++ {
-			found = cols.Tag(d) == qn.Tag && vt.Matches(cols.Value(d))
+			found = cols.Tag(d) == qn.Tag && vt.Matches(cols.Value(d)) && (!exact || rp.DepthHoldsExact(int(cols.Level[d]-cols.Level[n])))
 		}
 		if !found {
 			return true
@@ -208,9 +211,11 @@ var (
 // counts in Pruned each candidate the cursor never materialised, once:
 // one its segments have neither materialised nor rejected. Seeded
 // eagerly, each is created and pruned, or, without leaf deletion and
-// lacking some server's tag and value in its subtree (lacksServer, a
-// column walk), killed at the cursor, which counts it in
-// JoinComparisons only. Without leaf deletion the one segment cuts the
+// lacking some server's tag and value in its subtree — on an exact run,
+// at the pattern's depth below it (lacksServer, a column walk) — killed
+// at the cursor, which counts it in JoinComparisons only. The tracer
+// scorer gives no relaxed bound, so a relaxed run prunes no root at
+// birth. Without leaf deletion the one segment cuts the
 // candidates past the last root the lazy cursor created, so lazy Pruned
 // exceeds eager Pruned by exactly the killed ones among those; if every
 // one of them is killed, the lazy cursor may instead have run out
@@ -360,6 +365,68 @@ func TestFullPassStopsWhereExactStops(t *testing.T) {
 	}
 	if held < 30 {
 		t.Fatalf("only %d runs found k roots at the full score: the property was barely exercised", held)
+	}
+}
+
+// TestExactRunMakesOnlyExactDepthRoots: an exact run's root cursor
+// makes no root that lacks, for some server, a node with its tag and
+// value test at the depth below the root the pattern's path prescribes
+// — a root that cannot answer — counted by a column walk (lacksServer),
+// under every algorithm (LockStep-NoPrun makes every root the cursor
+// keeps). XMark (seed 1, 200 items): the paper's queries, whose Q3
+// reaches items holding a mail's text, and a quantity-and-mail-keyword
+// shape whose keyword sits at several depths below an item, with a
+// quantity and the first keyword that some item holds only below
+// another path. A root that holds every tag, but not every one at its
+// depth, must exist, or a cursor without the depth test passes too.
+func TestExactRunMakesOnlyExactDepthRoots(t *testing.T) {
+	doc, err := xmark.Generate(xmark.Options{Seed: 1, Items: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := index.Build(doc)
+	cols := ix.Cols()
+	items := ix.Ords("item", index.ValueTest{})
+	shapes := slices.Clone(xmarkQueries)
+	var words []string
+	for _, o := range ix.Ords("keyword", index.ValueTest{}) {
+		words = append(words, cols.Value(int32(o)))
+	}
+	slices.Sort(words)
+	for _, w := range slices.Compact(words) {
+		xpath := fmt.Sprintf("//item[./quantity = '1' and ./mailbox/mail/text/keyword = '%s']", w)
+		q := pattern.MustParse(xpath)
+		if slices.ContainsFunc(items, func(n uint32) bool {
+			return !lacksServer(cols, q, int32(n), false) && lacksServer(cols, q, int32(n), true)
+		}) {
+			shapes = append(shapes, xpath)
+			break
+		}
+	}
+	if len(shapes) == len(xmarkQueries) {
+		t.Fatal("no keyword sits below an item at a depth other than a mail text's")
+	}
+	inexact := 0
+	for _, xpath := range shapes {
+		q := pattern.MustParse(xpath)
+		for _, n := range items {
+			if !lacksServer(cols, q, int32(n), false) && lacksServer(cols, q, int32(n), true) {
+				inexact++
+			}
+		}
+		s := score.NewTFIDF(ix, q, score.Sparse)
+		for _, alg := range []Algorithm{WhirlpoolS, WhirlpoolM, LockStep, LockStepNoPrune} {
+			tally := &rootTally{Scorer: s, times: map[int32]int{}}
+			runWith(t, ix, q, Config{K: 15, Relax: relax.None, Algorithm: alg, Scorer: tally})
+			for n := range tally.times {
+				if lacksServer(cols, q, n, true) {
+					t.Fatalf("%s %v: the exact run made root %d, which holds some server only at another depth or not at all", xpath, alg, n)
+				}
+			}
+		}
+	}
+	if inexact == 0 {
+		t.Fatal("no item holds every tag but not every one at its depth: the depth test was not exercised")
 	}
 }
 

@@ -36,6 +36,19 @@ type Engine struct {
 	fanout      []float64 // expected extensions per satisfying root
 	satisfyProb []float64 // fraction of roots with ≥1 candidate
 	sumMax      float64   // Σ maxContrib over non-root nodes
+	// penalty is, per server, what an inexact one (rootCursor.absent)
+	// takes off a root's bound on a relaxed run: maxContrib less the
+	// scorer's relaxed maximum (score.RelaxedBounder), else 0.
+	penalty []float64
+	// depthTested has the servers the root cursor tests at the pattern's
+	// exact depth: those whose root path a depth can fail and whose
+	// relaxed maximum the scorer puts below maxContrib. TFIDF's two idfs
+	// are equal when every root holding a server holds it at the exact
+	// depth, and the test costs a load per root and server, so a server
+	// whose variants score alike goes untested. A scorer without a
+	// relaxed maximum has every such server tested on an exact run and
+	// none on a relaxed one. None under PaperRoots.
+	depthTested uint64
 	allVisited  uint64
 	order       []int             // static order (defaulted; parents first when parentBit is set)
 	parentBit   []uint64          // per server: its pattern parent's visited bit when parents go first, else 0
@@ -101,17 +114,20 @@ func NewExperiment(ix index.Source, q *pattern.Query, cfg Config, x Experiment) 
 	if err := cfg.validate(q.Size()); err != nil {
 		return nil, err
 	}
+	n := q.Size()
+	f := make([]float64, 4*n) // the four per-node bounds, one allocation
 	e := &Engine{
 		cfg:        cfg,
 		x:          x,
 		query:      q,
 		doc:        ix.Cols(),
-		maxContrib: make([]float64, q.Size()),
-		minContrib: make([]float64, q.Size()),
-		expContrib: make([]float64, q.Size()),
-		vts:        make([]index.ValueTest, q.Size()),
-		probes:     make([]index.Probe, q.Size()),
-		parentBit:  make([]uint64, q.Size()),
+		maxContrib: f[:n:n],
+		minContrib: f[n : 2*n : 2*n],
+		expContrib: f[2*n : 3*n : 3*n],
+		penalty:    f[3*n:],
+		vts:        make([]index.ValueTest, n),
+		probes:     make([]index.Probe, n),
+		parentBit:  make([]uint64, n),
 	}
 	if p := cfg.Plan; p != nil {
 		if err := p.checkAgainst(q, &cfg); err != nil {
@@ -145,6 +161,25 @@ func NewExperiment(ix index.Source, q *pattern.Query, cfg Config, x Experiment) 
 		e.allVisited |= 1 << uint(id)
 		if id > 0 {
 			e.sumMax += e.maxContrib[id]
+		}
+	}
+	if !x.PaperRoots {
+		rb, _ := cfg.Scorer.(score.RelaxedBounder)
+		for id := 1; id < q.Size(); id++ {
+			if rp := e.plans[id].RootPath; !rp.Exact && rp.MinLevels <= 1 {
+				continue // every posting below a root is at an exact depth
+			}
+			switch {
+			case rb == nil:
+				if cfg.Relax != relax.None {
+					continue // no relaxed maximum to lower a bound to
+				}
+			case e.maxContrib[id] <= rb.MaxRelaxedContribution(id):
+				continue // variants alike: the test would cost, rarely kill
+			case cfg.Relax != relax.None:
+				e.penalty[id] = e.maxContrib[id] - rb.MaxRelaxedContribution(id)
+			}
+			e.depthTested |= 1 << uint(id)
 		}
 	}
 	switch {
@@ -310,23 +345,38 @@ func spin(d time.Duration) {
 //
 // Each root it materialises carries its own bound (Section 5's maximum
 // possible final score, per root): a streaming semi-join (absent) finds
-// the servers with no posting in the root's subtree. Such a server can
-// only fail the root: without leaf deletion the root dies at the
-// cursor, counted in JoinComparisons only; with it the root is born past
-// the server, visited and missing, as process would have made it, and
-// its maximum contribution leaves maxFinal. Roots ascend within a
-// segment, so each server's test is one forward pointer over its
-// postings (run.at), galloping across a gap and reset when a segment
-// opens. Experiment.PaperRoots turns the test off: every root then
-// carries the paper's uniform bound.
+// the servers with no posting in the root's subtree, and among the
+// others those the engine tests at depth (Engine.depthTested) with no
+// posting at the pattern's exact depth below the root: inexact. An
+// absent server can only fail the root: without leaf deletion the root
+// dies at the cursor, counted in JoinComparisons only; with it the root
+// is born past the server, visited and missing, as process would have
+// made it, and its maximum contribution leaves maxFinal. An inexact
+// server can bind only relaxed: on an exact run the root dies at the
+// cursor too, and on a relaxed one the server adds at most the scorer's
+// relaxed maximum, its penalty short of maxContrib. The penalty decides
+// at birth alone: a root whose bound, lowered by it, cannot beat
+// currentTopK is pruned there, and a root born keeps maxFinal unlowered,
+// as the server's extension releases its whole maxContrib. Roots ascend
+// within a segment, so each server's test is one forward pointer over
+// its postings (run.at), galloping across a gap and reset when a segment
+// opens; the depth test walks on from it, to the first posting at the
+// exact depth or past the subtree, and leaves the pointer where it was,
+// as a later root may nest inside this one. The valued node the climb
+// streams roots from is tested at depth too, on a pointer of its own.
+// Experiment.PaperRoots turns both tests off: every root then carries
+// the paper's uniform bound.
 //
-// Under leaf deletion the stream comes in segments, each over the slice
-// in document order and each bounded by its own maxFinal (bounds):
-// segFull, the roots with a posting of every server, which is all an
-// exact run makes; then segRest, the rest of the climb or scan, born
-// past a server; then, on the posting path, segDeleted, the candidates
-// the climb did not reach, born with via deleted. LockStep, which
-// materialises every root anyway, skips the full pass (seedRoots).
+// The stream comes in segments, each over the slice in document order
+// and each bounded by its own maxFinal (bounds): segFull, the roots with
+// a posting of every server, at the exact depth for each with a penalty,
+// which is all an exact run makes; then, on a relaxed run with a
+// penalty, segInexact, the rest of those with a posting of every server;
+// then, under leaf deletion, segRest, the rest of the climb or scan,
+// born past a server; then, on the posting path, segDeleted, the
+// candidates the climb did not reach, born with via deleted. LockStep,
+// which materialises every root anyway, skips the full pass: its segFull
+// streams every root segInexact and segRest would (seedRoots).
 type rootCursor struct {
 	r     *run
 	cands []uint32
@@ -335,10 +385,10 @@ type rootCursor struct {
 	// priority and the maxFinal of every root not yet materialised:
 	// the open segment's bound and every later one's.
 	prioBound, finalBound float64
-	bounds                [3]float64 // each segment's own maxFinal bound, -Inf where it does not run
-	seg                   int        // the open segment
-	made, compared        int64      // not yet flushed into r.stats
-	post                  []uint32   // via's postings past the slice's first root, walked by pi in every segment
+	bounds                [numSegs]float64 // each segment's own maxFinal bound, -Inf where it does not run
+	seg                   int              // the open segment
+	made, compared        int64            // not yet flushed into r.stats
+	post                  []uint32         // via's postings past the slice's first root, walked by pi in every segment
 	pi                    int
 	last                  int32 // ordinal of the last root the climb considered
 	end                   int32 // the next slice's first root, or past every ordinal
@@ -347,15 +397,17 @@ type rootCursor struct {
 
 // The root cursor's segments, in the order they open.
 const (
-	segFull    = iota // every server has a posting below the root
+	segFull    = iota // every server has a posting below the root, at the exact depth if it costs
+	segInexact        // every server has one, some with a penalty only at another depth
 	segRest           // some server has none: born past it
 	segDeleted        // the posting path's unreached candidates: born with via deleted
+	numSegs
 )
 
 // seedRoots points the run's cursor at its slice of the root candidates
 // and at the postings past the slice's first root, and opens its first
-// segment. Without fullPass (LockStep) a leaf-deletion run streams every
-// reached root in one pass, in document order.
+// segment. Without fullPass (LockStep) segFull streams every root the
+// climb or scan keeps, in document order.
 func (r *run) seedRoots(fullPass bool) *rootCursor {
 	e := r.Engine
 	r.roots = rootCursor{r: r, cands: e.roots[r.lo:r.hi], end: math.MaxInt32, seg: -1}
@@ -368,26 +420,29 @@ func (r *run) seedRoots(fullPass bool) *rootCursor {
 		c.post = e.post[cut:]
 	}
 	full, none := e.maxContrib[0]+e.sumMax, math.Inf(-1)
-	c.bounds = [3]float64{full, none, none}
-	if e.cfg.Relax.Has(relax.LeafDeletion) {
-		if e.rootVia != 0 {
-			c.bounds[segDeleted] = full - e.maxContrib[e.rootVia]
+	c.bounds = [numSegs]float64{full, none, none, none}
+	ld := e.cfg.Relax.Has(relax.LeafDeletion)
+	if ld && e.rootVia != 0 {
+		c.bounds[segDeleted] = full - e.maxContrib[e.rootVia]
+	}
+	if !e.x.PaperRoots && fullPass {
+		// A segInexact root loses at least its cheapest penalty, and a
+		// segRest one misses at least its cheapest server (never via);
+		// with none to lose, the segment has no root.
+		cheapest, least := none, none
+		for id := 1; id < len(e.maxContrib); id++ {
+			if p := e.penalty[id]; p > 0 && (cheapest == none || p < cheapest) {
+				cheapest = p
+			}
+			if id != e.rootVia && (least == none || e.maxContrib[id] < least) {
+				least = e.maxContrib[id]
+			}
 		}
-		if !e.x.PaperRoots {
-			// A segRest root misses at least its cheapest server; with
-			// none to miss, every root is segFull's.
-			least := none
-			for id := 1; id < len(e.maxContrib); id++ {
-				if id != e.rootVia && (least == none || e.maxContrib[id] < least) {
-					least = e.maxContrib[id]
-				}
-			}
-			if least != none {
-				c.bounds[segRest] = full - least
-			}
-			if !fullPass {
-				c.bounds[segFull], c.bounds[segRest] = none, full
-			}
+		if cheapest != none {
+			c.bounds[segInexact] = full - cheapest
+		}
+		if ld && least != none {
+			c.bounds[segRest] = full - least
 		}
 	}
 	c.lower()
@@ -508,24 +563,40 @@ func (c *rootCursor) climb() int32 {
 }
 
 // next materialises the segment's next admissible root; nil ends it.
-// Each candidate is settled once: materialised or rejected by the
-// segment it belongs to, and passed over by the others.
+// Each candidate is settled once: materialised, rejected or pruned by
+// the segment it belongs to (home), and passed over by the others; one
+// that cannot answer is settled by segFull, which always runs.
 func (c *rootCursor) next() *match {
 	e := c.r.Engine
+	rel := e.cfg.Relax
+	ld := rel.Has(relax.LeafDeletion)
 	for n := c.candidate(); n >= 0; n = c.candidate() {
 		c.compared++
-		var absent uint64
+		var absent, inexact uint64
 		if !e.x.PaperRoots {
-			absent = c.absent(n, c.seg == segFull)
-			if c.seg == segFull && absent != 0 {
-				if !e.cfg.Relax.Has(relax.LeafDeletion) {
-					c.settled++ // no server may go missing: the root cannot answer
+			// Below segRest an absent server settles the root: it dies or
+			// is a later segment's, unless this segment is its home.
+			absent, inexact = c.absent(n, c.seg < segRest && (!ld || c.home(segRest) != c.seg))
+			if c.seg != segDeleted {
+				home := segFull
+				switch {
+				case absent != 0 && !ld, inexact != 0 && rel == relax.None:
+					if c.seg == segFull {
+						c.settled++ // no server may go missing or bind relaxed: the root cannot answer
+					}
+					continue
+				case absent != 0:
+					home = c.home(segRest)
+				case inexact != 0:
+					home = c.home(segInexact)
 				}
-				continue // else segRest's
+				if home != c.seg {
+					continue
+				}
 			}
-			if c.seg == segRest && absent == 0 && c.bounds[segFull] != math.Inf(-1) {
-				continue // the full pass's
-			}
+		}
+		if c.seg == segDeleted {
+			absent |= 1 << uint(e.rootVia)
 		}
 		c.settled++
 		variant := score.Exact
@@ -534,24 +605,32 @@ func (c *rootCursor) next() *match {
 		if !e.plans[0].RootPath.DepthHoldsExact(int(e.doc.Level[n])) {
 			// /tag with a non-root binding: admissible only under edge
 			// generalization of the root edge.
-			if !e.cfg.Relax.Has(relax.EdgeGeneralization) {
+			if !rel.Has(relax.EdgeGeneralization) {
 				continue
 			}
 			variant = score.Relaxed
 		}
 		contrib := e.cfg.Scorer.Contribution(0, variant, n)
+		maxFinal := contrib + e.sumMax
+		for b := absent; b != 0; b &= b - 1 {
+			maxFinal -= e.maxContrib[bits.TrailingZeros64(b)]
+		}
+		if inexact != 0 && e.cfg.Algorithm != LockStepNoPrune {
+			lowered := maxFinal
+			for b := inexact; b != 0; b &= b - 1 {
+				lowered -= e.penalty[bits.TrailingZeros64(b)]
+			}
+			if c.r.outranked(lowered, n) {
+				c.r.prune(1, belowTopK)
+				continue
+			}
+		}
 		m := c.r.arena.get()
 		m.bindings[0] = n
 		m.score = contrib
-		m.maxFinal = contrib + e.sumMax
-		if c.seg == segDeleted {
-			absent |= 1 << uint(e.rootVia)
-		}
+		m.maxFinal = maxFinal
 		// Born past each absent server: what process there would have made of it.
 		m.visited, m.missing = 1|absent, absent
-		for b := absent; b != 0; b &= b - 1 {
-			m.maxFinal -= e.maxContrib[bits.TrailingZeros64(b)]
-		}
 		m.seq = c.r.nextSeq()
 		c.made++
 		return m
@@ -559,44 +638,62 @@ func (c *rootCursor) next() *match {
 	return nil
 }
 
-// absent returns the servers, as query-node bits, with no posting
-// inside n's subtree, (n, End(n)]; with first it stops at the first. n
-// exceeds every root tested before it in the segment, so each pointer
-// only moves forward: past n, galloping. The valued node the postings
-// stream roots from is not tested: a root the climb reached has one, and
-// a segDeleted root has none.
-func (c *rootCursor) absent(n int32, first bool) (absent uint64) {
-	e, at := c.r.Engine, c.r.at
-	end := uint32(e.doc.End(n))
+// home returns the segment that streams a root of class seg (segFull,
+// segInexact or segRest): the last one up to seg that runs.
+func (c *rootCursor) home(seg int) int {
+	for c.bounds[seg] == math.Inf(-1) {
+		seg--
+	}
+	return seg
+}
+
+// absent returns, as query-node bits, the servers with no posting
+// inside n's subtree, (n, End(n)], and among the others those
+// Engine.depthTested with none there at the pattern's exact depth below
+// n, inexact; with first it stops at the first absent server. n exceeds
+// every root tested before it in the segment, so each pointer only
+// moves forward: past n, galloping. The depth test walks on from the
+// pointer without moving it, as a later root may nest inside n. The
+// valued node the postings stream roots from has a posting below every
+// root the climb reached and none below a segDeleted one, so it is
+// tested at depth only, and not in segDeleted.
+func (c *rootCursor) absent(n int32, first bool) (absent, inexact uint64) {
+	e, at, doc := c.r.Engine, c.r.at, c.r.doc
+	end := uint32(doc.End(n))
 	for id := 1; id < len(e.probes); id++ {
-		if id == e.rootVia {
+		if id == e.rootVia && (c.seg == segDeleted || e.depthTested&(1<<uint(id)) == 0) {
 			continue
 		}
 		g, i := e.probes[id].Ords(), at[id]
 		if i < len(g) && g[i] <= uint32(n) {
-			i = gallop(g, i, uint32(n))
+			i = index.Gallop(g, i, uint32(n))
 			at[id] = i
 		}
 		if i == len(g) || g[i] > end {
 			if absent |= 1 << uint(id); first {
-				return absent
+				return absent, 0
 			}
 		}
 	}
-	return absent
-}
-
-// gallop returns the index of g's first element above x, given that
-// none before i is: steps doubling from i bracket it and a binary search
-// finds it, O(log) of the distance moved.
-func gallop(g []uint32, i int, x uint32) int {
-	step := 1
-	for i+step <= len(g) && g[i+step-1] <= x {
-		i += step
-		step <<= 1
+	// The depth walks load a level per posting, so they come last, on
+	// the servers present; an exact run stops at the first inexact one.
+	tested := e.depthTested &^ absent
+	if c.seg == segDeleted {
+		tested &^= 1 << uint(e.rootVia)
 	}
-	j, _ := slices.BinarySearch(g[i:min(i+step, len(g))], x+1)
-	return i + j
+	for b := tested; b != 0; b &= b - 1 {
+		id := bits.TrailingZeros64(b)
+		g, rp, i := e.probes[id].Ords(), e.plans[id].RootPath, at[id]
+		for i < len(g) && g[i] <= end && !rp.DepthHoldsExact(int(doc.Level[g[i]]-doc.Level[n])) {
+			i++
+		}
+		if i == len(g) || g[i] > end {
+			if inexact |= 1 << uint(id); e.cfg.Relax == relax.None {
+				break
+			}
+		}
+	}
+	return absent, inexact
 }
 
 // drain materialises every root there is, for LockStep's first phase.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -107,6 +108,38 @@ func TestTopkSetDeterministicTieBreak(t *testing.T) {
 	ans := tk.answers()
 	if ans[0].Root != 2 {
 		t.Fatalf("tie break picked root %d", ans[0].Root)
+	}
+}
+
+// TestTopkSetNearTieRanksByPosition: scores within pruneEps are one
+// score summed in two orders (FuzzEngineVsNaive seed -303: two roots'
+// equal raw-normalized sums one ulp apart), so in either arrival order
+// the earlier root answers and names the threshold, as prunable's tie
+// rule assumes, and for one root the earlier bindings are kept.
+func TestTopkSetNearTieRanksByPosition(t *testing.T) {
+	lo := 4.559893841118456
+	hi := math.Nextafter(lo, math.Inf(1))
+	for _, flip := range []bool{false, true} {
+		early, late := mkMatch(2, lo, 1), mkMatch(7, hi, 2)
+		kept := mkBoundMatch(1, lo, 3)
+		offers := []*match{late, early, mkBoundMatch(1, hi, 9), kept}
+		if flip {
+			offers = []*match{early, late, kept, mkBoundMatch(1, hi, 9)}
+		}
+		tk := newTopkSet(1, 0, false)
+		for _, m := range offers[:2] {
+			tk.offer(m, 0)
+		}
+		if ans := tk.answers(); ans[0].Root != 2 || tk.after(2) || !tk.after(7) {
+			t.Fatalf("flip=%v: answers %v, threshold root after 2: %v", flip, ans, tk.after(2))
+		}
+		one := newTopkSet(1, 0, false)
+		for _, m := range offers[2:] {
+			one.offer(m, 0)
+		}
+		if ans := one.answers(); ans[0].Bindings[1] != 3 {
+			t.Fatalf("flip=%v: kept bindings %v, want the earlier node 3", flip, ans[0].Bindings)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -95,11 +94,14 @@ type agreeCase struct {
 }
 
 // randomCase draws a document, a pattern, one static order (nil, the
-// default, among them), one k and one shard count.
+// default, among them), one k, one shard count and the normalization:
+// under Sparse every server's maximum is 1, under Raw and Dense the
+// maxima, and the relaxed ones beside them, differ.
 func randomCase(r *rand.Rand, name string) agreeCase {
 	doc, q := randomDoc(r), randomQuery(r)
 	orders := append([][]int{nil}, q.ServerOrders()...)
-	return agreeCase{name, doc, q, [][]int{orders[r.Intn(len(orders))]}, []int{1 + r.Intn(4)}, []int{[]int{2, 3, 8, 64}[r.Intn(4)]}, r, false, score.Sparse}
+	norm := []score.Normalization{score.Raw, score.Sparse, score.Dense}[r.Intn(3)]
+	return agreeCase{name, doc, q, [][]int{orders[r.Intn(len(orders))]}, []int{1 + r.Intn(4)}, []int{[]int{2, 3, 8, 64}[r.Intn(4)]}, r, false, norm}
 }
 
 // xmarkQueries are the paper's three queries and two valued ones, whose
@@ -119,7 +121,12 @@ var xmarkQueries = []string{
 // shop and, under dense scores, a document where no root holds every
 // server and the better one lacks the cheaper server (the segment after
 // the root cursor's full pass is bounded by its smallest missing
-// contribution), swept over every static order at k = 1 and 3; and XMark (seed
+// contribution), one where a root holds a server's postings only below
+// its exact depth (depth: also as the valued node the roots stream
+// from), and one where such a root, lacking another server, is born
+// after a root that lacks the other one and answers below it
+// (depth-penalty: its bound at birth falls by the server's penalty, not
+// its maximum), swept over every static order at k = 1 and 3; and XMark (seed
 // 3, 50 items) under xmarkQueries, drawing order, k, backing and queue
 // as a random trial does, and at k = 4096, where no pruning can hide a
 // divergence.
@@ -132,6 +139,8 @@ func pinnedCases(t *testing.T) (cases []agreeCase) {
 		{"books", booksXML, []string{"/book[./title = 'wodehouse' and ./info/publisher/name = 'psmith']", "/book", "/magazine[./title]"}, score.Sparse},
 		{"parents-first", "<a><c>x</c><c>y<b/></c></a>", []string{"//a[.//a[./c[./b]] = 'y']"}, score.Sparse},
 		{"segments", "<r><x><b/></x><x><a/></x><x><b/></x></r>", []string{"//x[./a and ./b]"}, score.Dense},
+		{"depth", "<r><x><a>v</a><b/></x><x><y><a>v</a></y><b/></x><x><b/></x></r>", []string{"//x[./a and ./b]", "//x[./a = 'v' and ./b]"}, score.Dense},
+		{"depth-penalty", "<r><x><a/><b/></x><x><b/></x><x><y><a/></y></x><x><b/></x></r>", []string{"//x[./a and ./b]"}, score.Dense},
 		{"shop", shopXML, []string{
 			"/book[./price < 20 and ./title contains 'wodehouse']",
 			"/book[./price > 10]",
@@ -183,10 +192,11 @@ func naiveRanking(ix index.Source, q *pattern.Query, mode relax.Relaxation, s sc
 // agreeWithNaive holds an engine's top-k to naive's ranking, root and
 // score, position by position. Each answer scores within nearTie of
 // naive's score for its root, and the roots are naive's ranking
-// re-sorted under the engine's scores, cut at k. A root missing from
-// the answers is passed over only where its naive score is within
-// nearTie of the k-th answer's and not bit-equal to it: the engine may
-// have summed it below. Where every bit agrees this is naive's top-k
+// re-sorted under the engine's scores as the top-k set ranks them
+// (ranksAbove: within pruneEps the earlier root first), cut at k. A
+// root missing from the answers is passed over only where its naive
+// score is within nearTie of the k-th answer's and not bit-equal to it:
+// the engine may have summed it below. Where every bit agrees this is naive's top-k
 // exactly; nearTies reports that it is not.
 func agreeWithNaive(got, ranking []Answer, k int) (nearTies bool, err error) {
 	naiveScore, gotScore := map[int32]float64{}, map[int32]float64{}
@@ -211,7 +221,15 @@ func agreeWithNaive(got, ranking []Answer, k int) (nearTies bool, err error) {
 		}
 		want = append(want, a)
 	}
-	slices.SortStableFunc(want, func(a, b Answer) int { return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Root, b.Root)) })
+	slices.SortStableFunc(want, func(a, b Answer) int {
+		if a.Root == b.Root {
+			return 0
+		}
+		if ranksAbove(a.Score, b.Score, a.Root < b.Root) {
+			return -1
+		}
+		return 1
+	})
 	for i, g := range got {
 		if g.Root != want[i].Root {
 			return false, fmt.Errorf("answer %d is root %d scoring %v, want root %d scoring %v", i, g.Root, g.Score, want[i].Root, want[i].Score)
@@ -605,7 +623,7 @@ func TestEngineAgreesWithNaive(t *testing.T) {
 			for i, c := range slices.Concat(random, pinned) {
 				ix := index.Build(c.doc)
 				r := rand.New(rand.NewSource(int64(i)))
-				cfg := Config{K: c.ks[0], Algorithm: Algorithm(r.Intn(4)), Routing: allRoutings[r.Intn(len(allRoutings))], Queue: allQueues[r.Intn(len(allQueues))], Scorer: score.NewTFIDF(ix, c.q, score.Sparse)}
+				cfg := Config{K: c.ks[0], Algorithm: Algorithm(r.Intn(4)), Routing: allRoutings[r.Intn(len(allRoutings))], Queue: allQueues[r.Intn(len(allQueues))], Scorer: score.NewTFIDF(ix, c.q, c.norm)}
 				held += rel.check(t, ix, c, cfg)
 			}
 			t.Logf("held on %d answer sets", held)
@@ -666,7 +684,7 @@ var relations = []struct {
 			t.Fatalf("%s: %s canonicalizes to %s, another key", c.name, c.q, cq)
 		}
 		ccfg := cfg
-		ccfg.Scorer = score.NewTFIDF(ix, cq, score.Sparse)
+		ccfg.Scorer = score.NewTFIDF(ix, cq, c.norm)
 		for _, cfg.K = range []int{cfg.K, everyRoot} {
 			for _, m := range relaxModes {
 				cfg.Relax, ccfg.Relax, ccfg.K = m.mode, m.mode, cfg.K

@@ -27,10 +27,10 @@ func scanning(t *testing.T, ix index.Source, q *pattern.Query, cfg Config, x Exp
 }
 
 // cursorRun is what one run's root cursor produced, drained without
-// evaluating anything: each segment's roots (indexed segFull, segRest,
-// segDeleted), and the counters it flushed.
+// evaluating anything: each segment's roots (indexed segFull,
+// segInexact, segRest, segDeleted), and the counters it flushed.
 type cursorRun struct {
-	segs              [3][]int32
+	segs              [numSegs][]int32
 	roots, comparison int64
 }
 

@@ -21,9 +21,12 @@ type run struct {
 	// roots remain.
 	roots  rootCursor
 	lo, hi int
-	// at is the cursor's posting pointer per server (rootCursor.absent);
-	// it outlives the run in its idle state, so a run allocates none.
-	at []int
+	// at is the cursor's posting pointer per server (rootCursor.absent),
+	// hint the start of process's last probe per server (Probe.Append),
+	// cleared at open; a Whirlpool-M server goroutine touches only its
+	// own. Both outlive the run in its idle state, so a run allocates
+	// neither.
+	at, hint []int
 	// shardID identifies this run within a sharded evaluation sharing
 	// topk with other engines (0 for a standalone run). Offers carry it
 	// so prunes caused by another shard's threshold can be counted.
@@ -217,9 +220,8 @@ const (
 // dominates it. seen is the verdict an offer of m has just returned
 // (checkTopK), or unchecked for one more lookup of the root.
 func (r *run) prunable(m *match, seen verdict) verdict {
-	t, ok := r.topk.threshold()
 	switch {
-	case ok && m.maxFinal <= t+pruneEps && (m.maxFinal < t-pruneEps || r.topk.after(m.bindings[0])):
+	case r.outranked(m.maxFinal, m.bindings[0]):
 		return belowTopK
 	case r.x.PaperRoots:
 		return survives
@@ -227,6 +229,14 @@ func (r *run) prunable(m *match, seen verdict) verdict {
 		return r.topk.dominance(m)
 	}
 	return seen
+}
+
+// outranked reports whether a match of root bounded by maxFinal cannot
+// improve the top-k set: its bound does not exceed currentTopK and, on a
+// tie, root comes after the k-th root (prunable's first verdict).
+func (r *run) outranked(maxFinal float64, root int32) bool {
+	t, ok := r.topk.threshold()
+	return ok && maxFinal <= t+pruneEps && (maxFinal < t-pruneEps || r.topk.after(root))
 }
 
 // nextServer implements the routing decision (Section 6.1.4) for the

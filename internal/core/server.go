@@ -40,7 +40,7 @@ func (r *run) process(m *match, sid int, sc *Scratch) []*match {
 	}
 	plan, doc := e.plans[sid], e.doc
 	root := m.bindings[0]
-	sc.cands = e.probes[sid].Append(sc.cands[:0], root, plan.ProbeAxis())
+	sc.cands, r.hint[sid] = e.probes[sid].Append(sc.cands[:0], root, plan.ProbeAxis(), r.hint[sid])
 
 	exts := sc.exts[:0]
 	compared := int64(len(sc.cands)) // one root test per candidate, plus the conds below

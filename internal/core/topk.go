@@ -29,7 +29,8 @@ type topkSet struct {
 	// prunable/estimateAlive paths read it with one atomic load instead
 	// of taking mu. NaN is the sentinel for "no threshold yet". Written
 	// only in publish, under mu when the set is locked, so plain stores
-	// suffice; the cached value is monotonically non-decreasing.
+	// suffice; the cached pair (thrBits, thrRoot) never ranks lower
+	// (ranksAbove), so the value falls, if ever, by at most pruneEps.
 	thrBits atomic.Uint64
 	// thrSrc is the shard whose k-th entry produced the cached
 	// threshold, or -1 while the floor (or nothing) governs.
@@ -175,16 +176,30 @@ func bindingsLess(a, b []int32) bool {
 	return false
 }
 
+// ranksAbove reports whether a score for one root or binding vector
+// ranks above another's: it is higher by more than pruneEps, or within
+// pruneEps of it and before it (earlier is the root ordinal, or
+// bindingsLess). Scores within pruneEps are the same score summed in
+// another order (a match adds its contributions in the order its
+// servers visit it), and prunable, dominance and the root cursor's
+// cut already treat them as a tie decided by position; ranking them so
+// too keeps which of two near-tied roots answers independent of
+// arrival order, shard order and pruning.
+func ranksAbove(a, b float64, earlier bool) bool {
+	if math.Abs(a-b) > pruneEps {
+		return a > b
+	}
+	return earlier
+}
+
 // offer records that root rootOrd is guaranteed to reach at least
 // m.score, on behalf of shard src. It keeps the best match per root and
-// maintains the top-k slice. Score comparisons here are deliberately
-// exact: equal scores tie-break on the bindings' document order (per
-// root) and on the root ordinal (across roots) for deterministic
-// results, and an epsilon would make "equal" depend on accumulation
-// order. It returns dominated when the root's entry, after the offer,
-// dominates m (topkEntry.dominance), and survives otherwise: checkTopK
-// decides a partial match on the one lookup and, on a locked set, the
-// one lock acquisition of its offer.
+// maintains the top-k slice, both ranked by ranksAbove: across roots by
+// the root ordinal, within one by the bindings' document order, for
+// deterministic results. It returns dominated when the root's entry,
+// after the offer, dominates m (topkEntry.dominance), and survives
+// otherwise: checkTopK decides a partial match on the one lookup and,
+// on a locked set, the one lock acquisition of its offer.
 func (t *topkSet) offer(m *match, src int32) verdict {
 	if t.locked {
 		t.mu.Lock()
@@ -197,7 +212,7 @@ func (t *topkSet) offer(m *match, src int32) verdict {
 		e = t.newEntry(rootOrd, m)
 		e.src = src
 		t.insert(e, slot)
-	case m.score < e.score || (m.score == e.score && !bindingsLess(m.bindings, e.bindings)):
+	case !ranksAbove(m.score, e.score, bindingsLess(m.bindings, e.bindings)):
 		return e.dominance(m)
 	default:
 		e.score = m.score
@@ -214,7 +229,7 @@ func (t *topkSet) offer(m *match, src int32) verdict {
 		t.fixUp(e.pos)
 	default:
 		last := t.top[len(t.top)-1]
-		if !(e.score > last.score || (e.score == last.score && e.rootOrd < last.rootOrd)) {
+		if !ranksAbove(e.score, last.score, e.rootOrd < last.rootOrd) {
 			return survives
 		}
 		last.inTop = false
@@ -313,13 +328,12 @@ func (t *topkSet) newEntry(rootOrd int, m *match) *topkEntry {
 // fixUp restores the sort order after the entry at index i improved its
 // score: at most that one entry is out of place, so a single leftward
 // insertion pass replaces the former full re-sort. Callers hold t.mu
-// when the set is locked; exact score comparison is the deterministic
-// sort tie-break.
+// when the set is locked.
 func (t *topkSet) fixUp(i int) {
 	e := t.top[i]
 	for i > 0 {
 		p := t.top[i-1]
-		if p.score > e.score || (p.score == e.score && p.rootOrd < e.rootOrd) {
+		if ranksAbove(p.score, e.score, p.rootOrd < e.rootOrd) {
 			break
 		}
 		t.top[i] = p
@@ -333,21 +347,22 @@ func (t *topkSet) fixUp(i int) {
 // publish refreshes the cached threshold after a mutation of the top-k
 // slice. Callers hold t.mu when the set is locked. The k-th entry never
 // ranks lower (per-root entries only improve, and replacement requires
-// ranking above the old k-th): its score never decreases, and while the
-// score holds its root ordinal never increases. So the cache is
-// monotone; the k-th entry's shard is recorded as the source only when
-// that entry — not the floor — governs the new value.
+// ranking above the old k-th, both by ranksAbove), so the cache is
+// monotone in that order: its score falls, if ever, by at most pruneEps
+// and only for an earlier root. The floor governs while it is not below
+// the k-th score; the k-th entry's shard is recorded as the source only
+// when that entry governs the new value.
 func (t *topkSet) publish() {
 	if len(t.top) < t.k {
 		return // the seeded floor (or no threshold) still governs
 	}
 	kth := t.top[len(t.top)-1]
 	v, root := kth.score, int32(kth.rootOrd)
-	if t.hasFloor && t.floor > v {
+	if t.hasFloor && t.floor >= v {
 		v, root = t.floor, -1
 	}
 	old := math.Float64frombits(t.thrBits.Load())
-	if !math.IsNaN(old) && (old > v || old == v && t.thrRoot.Load() <= root) {
+	if !math.IsNaN(old) && old == v && t.thrRoot.Load() == root {
 		return // unchanged (or a repeat of the floor)
 	}
 	t.thrRoot.Store(root)

@@ -195,6 +195,7 @@ func checkContract(t *testing.T, c sourceCase, d conformanceDoc) {
 				t.Fatalf("Nodes(%q) = %v, want %v", tag, c.src.Nodes(tag), want)
 			}
 			probe := c.src.Probe(tag, vt)
+			hints := map[dewey.Axis]int{} // the last start per axis, carried over ascending anchors
 			for _, anchor := range anchors {
 				for _, axis := range []dewey.Axis{dewey.Self, dewey.Child, dewey.Descendant} {
 					got := c.src.AppendCandidates([]*xmltree.Node{sentinel}, anchor, axis, tag, vt)
@@ -202,10 +203,23 @@ func checkContract(t *testing.T, c sourceCase, d conformanceDoc) {
 						t.Fatalf("AppendCandidates(%v, %v, %q, %v) = %v, want sentinel + %v",
 							anchor, axis, tag, vt, got, walk(anchor, axis, tag, vt))
 					}
-					probed := probe.Append([]int32{-1}, anchor.Ord, axis)
+					probed, _ := probe.Append([]int32{-1}, anchor.Ord, axis, 0)
 					if want := append([]int32{-1}, int32s(ordsOf(got[1:]))...); !slices.Equal(probed, want) {
 						t.Fatalf("Probe(%q, %v).Append(%v, %v) = %v, AppendCandidates %v", tag, vt, anchor, axis, probed, want)
 					}
+					// A start hint, galloped from or past the anchor (the
+					// binary search), changes nothing but the work.
+					start, _ := slices.BinarySearch(probe.Ords(), uint32(anchor.Ord)+1)
+					for _, hint := range []int{hints[axis], len(probe.Ords())} {
+						again, at := probe.Append([]int32{-1}, anchor.Ord, axis, hint)
+						if axis == dewey.Self {
+							start = hint
+						}
+						if !slices.Equal(again, probed) || at != start {
+							t.Fatalf("Probe(%q, %v).Append(%v, %v) from hint %d = %v starting at %d, want %v at %d", tag, vt, anchor, axis, hint, again, at, probed, start)
+						}
+					}
+					hints[axis] = start
 				}
 			}
 		}

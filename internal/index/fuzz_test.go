@@ -86,7 +86,10 @@ func (s *rootRecorder) Contribution(id int, v score.Variant, ord int32) float64 
 // scan path every candidate in order. Without leaf deletion a root that
 // lacks some query node's tag and value test in its subtree dies at the
 // cursor, so the stream is, ascending on either path, the candidates
-// whose subtree holds each non-root query node. The committed seed
+// whose subtree holds each non-root query node — on an exact run, at the
+// depth below the candidate the pattern's path from the root prescribes
+// (the recorder gives no relaxed bound, so a relaxed run prunes no root
+// at birth). The committed seed
 // corpus (testdata/fuzz/FuzzRootStream) adds nested-root documents.
 func FuzzRootStream(f *testing.F) {
 	nested := []byte("<a><b>5</b><a><c><b>5</b></c><a><b>7</b></a></a><b>5</b></a><a><b>5</b></a><a><a/></a>")
@@ -118,20 +121,23 @@ func FuzzRootStream(f *testing.F) {
 		// Brute force over the columns: per candidate, whether a valued
 		// node matches below it (the posting climb reaches it) and
 		// whether every non-root node does (it survives without leaf
-		// deletion).
+		// deletion), at its exact depth (it survives an exact run).
 		cols := doc.Columns()
-		var reached, others, whole []int
+		var reached, others, whole, exact []int
 		for n := int32(0); n < int32(cols.Len()); n++ {
 			if cols.Tag(n) != rootTag {
 				continue
 			}
-			below, found := false, uint64(1)
+			below, found, atDepth := false, uint64(1), uint64(1)
 			for d := n + 1; d <= cols.End(n); d++ {
 				for id := 1; id < q.Size(); id++ {
 					qn := q.Nodes[id]
 					if cols.Tag(d) == qn.Tag && index.Test(qn.ValueOp, qn.Value).Matches(cols.Value(d)) {
 						found |= 1 << uint(id)
 						below = below || qn.Value != ""
+						if relax.ComposePath(q, 0, id).DepthHoldsExact(int(cols.Level[d] - cols.Level[n])) {
+							atDepth |= 1 << uint(id)
+						}
 					}
 				}
 			}
@@ -142,6 +148,9 @@ func FuzzRootStream(f *testing.F) {
 			}
 			if found == 1<<uint(q.Size())-1 {
 				whole = append(whole, int(n))
+			}
+			if atDepth == 1<<uint(q.Size())-1 {
+				exact = append(exact, int(n))
 			}
 		}
 		for _, mode := range []relax.Relaxation{relax.None, relax.EdgeGeneralization, relax.LeafDeletion, relax.All} {
@@ -154,6 +163,9 @@ func FuzzRootStream(f *testing.F) {
 				t.Fatal(err)
 			}
 			want := whole
+			if mode == relax.None {
+				want = exact
+			}
 			if mode.Has(relax.LeafDeletion) {
 				if want = slices.Concat(reached, others); eng.RootVia() == "scan" {
 					slices.Sort(want)

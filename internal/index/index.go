@@ -222,22 +222,33 @@ func (p *Probe) Has(ord int32) bool {
 // keeps those one level below it. Scanning the postings reads them in
 // sequence, where stepping from child to child over subtree sizes would
 // wait on one load per child.
-func (p *Probe) Append(dst []int32, anchor int32, axis dewey.Axis) []int32 {
+//
+// hint is where a structural scan starts looking for its first ordinal,
+// an index into Ords: the start an earlier Append returned, for a caller
+// whose anchors mostly ascend, or 0 for none. Append returns the start
+// it found (hint itself on the Self axis), galloping forward from hint;
+// no hint, or an anchor before Ords()[hint-1], takes a binary search.
+func (p *Probe) Append(dst []int32, anchor int32, axis dewey.Axis, hint int) ([]int32, int) {
 	switch axis {
 	case dewey.Self:
 		if p.Has(anchor) {
-			return append(dst, anchor)
+			dst = append(dst, anchor)
 		}
 	case dewey.Child, dewey.Descendant:
 		g, end := p.ords, uint32(p.doc.End(anchor))
 		child, level := axis == dewey.Child, p.doc.Level[anchor]+1
-		for i := firstAfter(g, uint32(anchor)); i < len(g) && g[i] <= end; i++ {
+		if hint == 0 || hint > len(g) || g[hint-1] > uint32(anchor) {
+			hint = firstAfter(g, uint32(anchor))
+		} else {
+			hint = Gallop(g, hint, uint32(anchor))
+		}
+		for i := hint; i < len(g) && g[i] <= end; i++ {
 			if !child || p.doc.Level[g[i]] == level {
 				dst = append(dst, int32(g[i]))
 			}
 		}
 	}
-	return dst
+	return dst, hint
 }
 
 // Ords returns the ordinals of the tag nodes whose values satisfy vt,
@@ -264,7 +275,8 @@ func (ix *Index) ords(t uint32, has bool, tag string, vt ValueTest) []uint32 {
 func (ix *Index) AppendCandidates(dst []*xmltree.Node, anchor *xmltree.Node, axis dewey.Axis, tag string, vt ValueTest) []*xmltree.Node {
 	p, nodes := ix.Probe(tag, vt), ix.Document().Nodes
 	var buf [64]int32 // the scan's ordinals; a longer scan moves to the heap
-	for _, o := range p.Append(buf[:0], anchor.Ord, axis) {
+	ords, _ := p.Append(buf[:0], anchor.Ord, axis, 0)
+	for _, o := range ords {
 		dst = append(dst, nodes[o])
 	}
 	return dst
@@ -335,6 +347,18 @@ func (ix *Index) findKey(t uint32, value string) (int, bool) {
 		}
 	}
 	return lo, lo < len(ix.KeyTags) && ix.KeyTags[lo] == t && ix.Keys[lo] == value
+}
+
+// Gallop returns the index of g's first element above x, given that
+// none before i is: steps doubling from i bracket it and a binary search
+// finds it, O(log) of the distance moved.
+func Gallop(g []uint32, i int, x uint32) int {
+	step := 1
+	for i+step <= len(g) && g[i+step-1] <= x {
+		i += step
+		step <<= 1
+	}
+	return i + firstAfter(g[i:min(i+step, len(g))], x)
 }
 
 // firstAfter returns the index of the first ordinal in g that exceeds

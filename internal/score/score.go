@@ -61,3 +61,16 @@ type Scorer interface {
 	// (max_score / min_score, Section 6.1.4).
 	ExpectedContribution(nodeID int) float64
 }
+
+// RelaxedBounder is a Scorer that also bounds its Relaxed contributions
+// from above. A server whose postings below a root all sit at a
+// non-exact depth can add at most this bound to the root's answers, so
+// the engine's root cursor lowers such a root's bound by the
+// difference from MaxContribution. It tests a node's depths only where
+// that difference is positive; for a Scorer without the bound it lowers
+// nothing, and tests depths on exact runs alone.
+type RelaxedBounder interface {
+	// MaxRelaxedContribution returns an upper bound on
+	// Contribution(nodeID, Relaxed, ord) over every ord.
+	MaxRelaxedContribution(nodeID int) float64
+}

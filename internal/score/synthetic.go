@@ -82,6 +82,11 @@ func (t *Table) MaxContribution(nodeID int) float64 {
 	return t.Default
 }
 
+// MaxRelaxedContribution implements RelaxedBounder.
+func (t *Table) MaxRelaxedContribution(nodeID int) float64 {
+	return t.RelaxedFactor * t.MaxContribution(nodeID)
+}
+
 // MinContribution implements Scorer. When the table has entries for the
 // node, their minimum is used (tabled scores are taken as the universe of
 // bindings); otherwise Default.
@@ -174,6 +179,11 @@ func (r *Random) MaxContribution(nodeID int) float64 {
 		return center + spread
 	}
 	return 1
+}
+
+// MaxRelaxedContribution implements RelaxedBounder.
+func (r *Random) MaxRelaxedContribution(nodeID int) float64 {
+	return r.RelaxedFactor * r.MaxContribution(nodeID)
 }
 
 // MinContribution implements Scorer.

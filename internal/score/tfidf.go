@@ -289,6 +289,11 @@ func (s *TFIDF) MaxContribution(nodeID int) float64 {
 	return s.idfExact[nodeID] / s.scale[nodeID]
 }
 
+// MaxRelaxedContribution implements RelaxedBounder: the relaxed idf.
+func (s *TFIDF) MaxRelaxedContribution(nodeID int) float64 {
+	return s.idfRelaxed[nodeID] / s.scale[nodeID]
+}
+
 // MinContribution implements Scorer.
 func (s *TFIDF) MinContribution(nodeID int) float64 {
 	return s.idfRelaxed[nodeID] / s.scale[nodeID]
@@ -326,7 +331,7 @@ func AnswerScore(ix index.Source, q *pattern.Query, s *TFIDF, root int32) float6
 		} else {
 			pp := relax.ComposePath(q, 0, id)
 			p := ix.Probe(qn.Tag, index.Test(qn.ValueOp, qn.Value))
-			buf = p.Append(buf[:0], root, dewey.Descendant)
+			buf, _ = p.Append(buf[:0], root, dewey.Descendant, 0)
 			for _, c := range buf {
 				if pp.HoldsExact(doc, root, c) {
 					tf++

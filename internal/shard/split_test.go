@@ -12,6 +12,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/pattern"
+	"repro/internal/relax"
 	"repro/internal/score"
 	"repro/internal/shard"
 	"repro/internal/xmltree"
@@ -80,7 +81,8 @@ func shardRuns(t *testing.T, c *shard.Corpus, q *pattern.Query, cfg core.Config,
 }
 
 // answerable returns the candidates among cands whose subtree holds, for
-// each non-root node of q, a node with its tag and value test — the
+// each non-root node of q, a node with its tag and value test at the
+// depth below the candidate q's path from the root prescribes — the
 // roots an exact run's cursor keeps — found by walking the document
 // columns, not the postings.
 func answerable(cols *xmltree.Columns, q *pattern.Query, cands []uint32) []int32 {
@@ -90,7 +92,8 @@ func answerable(cols *xmltree.Columns, q *pattern.Query, cands []uint32) []int32
 		for d := int32(n) + 1; d <= cols.End(int32(n)); d++ {
 			for id := 1; id < q.Size(); id++ {
 				qn := q.Nodes[id]
-				if cols.Tag(d) == qn.Tag && index.Test(qn.ValueOp, qn.Value).Matches(cols.Value(d)) {
+				exact := relax.ComposePath(q, 0, id).DepthHoldsExact(int(cols.Level[d] - cols.Level[n]))
+				if exact && cols.Tag(d) == qn.Tag && index.Test(qn.ValueOp, qn.Value).Matches(cols.Value(d)) {
 					found |= 1 << uint(id)
 				}
 			}
