@@ -130,6 +130,42 @@ var rows = []row{
 		old:  "return n < vt.num",
 		new:  "return n <= vt.num",
 		pkgs: []string{"./internal/core/"}, tests: []string{"TestEngineAgreesWithNaive/random"}},
+	{name: "answer/filed-root-dropped", file: "internal/core/engine.go",
+		old:  "\t\t\t\t\tc.r.files[seg-segInexact] = append(c.r.files[seg-segInexact], uint32(n))\n",
+		new:  "",
+		pkgs: []string{"./internal/core/"}, tests: []string{"TestEngineAgreesWithNaive/books/q0/all", "TestCursorPopSequenceEqualsEagerSeeding"}},
+	{name: "answer/replay-filtered", file: "internal/core/engine.go",
+		old:  "c.pi, c.list = len(c.post), c.r.files[c.seg-segInexact]",
+		new:  "c.pi, c.list = 0, c.r.files[c.seg-segInexact]",
+		pkgs: []string{"./internal/core/"}, tests: []string{"TestEngineAgreesWithNaive/depth/q1/all", "TestEngineAgreesWithNaive/shop/q0/all"}},
+	{name: "answer/replay-from-cands", file: "internal/core/engine.go",
+		old:  "c.pi, c.list = len(c.post), c.r.files[c.seg-segInexact]",
+		new:  "c.pi, c.list = len(c.post), c.cands",
+		pkgs: []string{"./internal/core/"}, tests: []string{"TestEngineAgreesWithNaive/depth/q0/edge", "TestCursorPopSequenceRandom"}},
+	{name: "answer/entry-aliases-bindings", file: "internal/core/topk.go",
+		old:  "\te.rootOrd, e.score, e.inTop, e.pos = rootOrd, m.score, false, 0\n\tcopy(e.bindings, m.bindings)\n",
+		new:  "\te.rootOrd, e.score, e.inTop, e.pos = rootOrd, m.score, false, 0\n\te.bindings = m.bindings\n",
+		pkgs: []string{"./internal/core/"}, tests: []string{"TestLockStepSteppedMatchesRunContext"}},
+	{name: "answer/shard-one-root-late", file: "internal/core/parallel.go",
+		old:  "r := e.open(ctx, shared.set, s, s*n/p, (s+1)*n/p)",
+		new:  "r := e.open(ctx, shared.set, s, min(s*n/p+1, (s+1)*n/p), (s+1)*n/p)",
+		pkgs: []string{"./internal/index/", "./internal/core/"}, tests: []string{"TestSourceConformance/xmark/p=2/Index", "TestEngineAgreesWithNaive/random"}},
+	{name: "answer/climb-always-advances", file: "internal/core/engine.go",
+		old:  "\t\tif !nested {\n",
+		new:  "\t\tif true || !nested {\n",
+		pkgs: []string{"./internal/index/"}, tests: []string{"FuzzRootStream/nested-roots"}},
+	{name: "answer/kill-under-leaf-deletion", file: "internal/core/engine.go",
+		old:  "case absent != 0 && !ld, inexact != 0",
+		new:  "case absent != 0, inexact != 0",
+		pkgs: []string{"./internal/core/"}, tests: []string{"TestEngineAgreesWithNaive/segments/q0/leaf"}},
+	{name: "answer/exact-scored-relaxed", file: "internal/core/server.go",
+		old:  "\t\t\tvariant = score.Exact\n",
+		new:  "\t\t\tvariant = score.Relaxed\n",
+		pkgs: []string{"./internal/core/"}, tests: []string{"TestEngineAgreesWithNaive/books/q0/none"}},
+	{name: "answer/canonical-drops-operator", file: "internal/pattern/canonical.go",
+		old:  "id := out.AddValueOp(dstID, c.Tag, c.Axis, c.ValueOp, c.Value)",
+		new:  "id := out.AddValueOp(dstID, c.Tag, c.Axis, \"\", c.Value)",
+		pkgs: []string{"./internal/core/"}, tests: []string{"TestEngineAgreesWithNaive/canonical"}},
 	{name: "lockguard/unlocked-collector-record", file: "internal/obs/trace.go",
 		old:  "func (c *Collector) record(e Event) {\n\tc.mu.Lock()\n\tdefer c.mu.Unlock()\n",
 		new:  "func (c *Collector) record(e Event) {\n",
@@ -166,8 +202,10 @@ func TestAuditRows(t *testing.T) {
 		}
 		return nil
 	})
+	// The rows run GOMAXPROCS at a time (go test's -parallel default).
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
 			path := filepath.Join(root, r.file)
 			src, err := os.ReadFile(path)
 			if err != nil {

@@ -187,7 +187,7 @@ func (p *ParallelRun) release() {
 		return
 	}
 	// Idle, it must not pin the engine, context or document it served.
-	p.r = run{at: p.r.at, hint: p.r.hint}
+	p.r = run{at: p.r.at, hint: p.r.hint, files: p.r.files}
 	p.topk.reset(1, 0, false)
 	l := &idleStates
 	l.mu.Lock()

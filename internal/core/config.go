@@ -194,8 +194,9 @@ type Experiment struct {
 // it, or, on an exact run, none at the pattern's depth below it, counts
 // in JoinComparisons only; one whose bound at birth, lowered by its
 // servers' relaxed maxima, cannot beat currentTopK counts there and in
-// Pruned. The cursor's segments each test a root, so a root the full
-// pass passes over counts in JoinComparisons once per test.
+// Pruned. The cursor walks the candidates once, and a root the full
+// pass files for a later segment counts in JoinComparisons twice: when
+// the full pass tests it and when its segment replays it.
 type Stats struct {
 	// ServerOps counts partial matches processed by servers (including
 	// the root server's output as one op per generated match).

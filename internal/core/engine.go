@@ -367,15 +367,18 @@ func spin(d time.Duration) {
 // Experiment.PaperRoots turns both tests off: every root then carries
 // the paper's uniform bound.
 //
-// The stream comes in segments, each over the slice in document order
-// and each bounded by its own maxFinal (bounds): segFull, the roots with
-// a posting of every server, at the exact depth for each with a penalty,
-// which is all an exact run makes; then, on a relaxed run with a
-// penalty, segInexact, the rest of those with a posting of every server;
-// then, under leaf deletion, segRest, the rest of the climb or scan,
-// born past a server; then, on the posting path, segDeleted, the
-// candidates the climb did not reach, born with via deleted. LockStep,
-// which materialises every root anyway, skips the full pass: its segFull
+// The stream comes in segments, each in document order and each bounded
+// by its own maxFinal (bounds): segFull, the roots with a posting of
+// every server, at the exact depth for each with a penalty, which is all
+// an exact run makes; then, on a relaxed run with a penalty, segInexact,
+// the rest of those with a posting of every server; then, under leaf
+// deletion, segRest, the rest of the climb or scan, born past a server;
+// then, on the posting path, segDeleted, the candidates the climb did
+// not reach, born with via deleted. segFull's climb or scan is the run's
+// one walk of the candidates: it tests each root once and files those
+// of segInexact and segRest (run.files), which then read their file;
+// segDeleted reads cands against the postings. LockStep, which
+// materialises every root anyway, skips the full pass: its segFull
 // streams every root segInexact and segRest would (seedRoots).
 type rootCursor struct {
 	r     *run
@@ -388,7 +391,8 @@ type rootCursor struct {
 	bounds                [numSegs]float64 // each segment's own maxFinal bound, -Inf where it does not run
 	seg                   int              // the open segment
 	made, compared        int64            // not yet flushed into r.stats
-	post                  []uint32         // via's postings past the slice's first root, walked by pi in every segment
+	list                  []uint32         // what the open segment reads by pos: cands, or its file (run.files)
+	post                  []uint32         // via's postings past the slice's first root, walked by pi
 	pi                    int
 	last                  int32 // ordinal of the last root the climb considered
 	end                   int32 // the next slice's first root, or past every ordinal
@@ -412,12 +416,13 @@ func (r *run) seedRoots(fullPass bool) *rootCursor {
 	e := r.Engine
 	r.roots = rootCursor{r: r, cands: e.roots[r.lo:r.hi], end: math.MaxInt32, seg: -1}
 	c := &r.roots
+	r.files[0], r.files[1] = r.files[0][:0], r.files[1][:0]
 	if r.hi < len(e.roots) {
 		c.end = int32(e.roots[r.hi])
 	}
 	if e.rootVia != 0 && r.lo < r.hi {
 		cut, _ := slices.BinarySearch(e.post, e.roots[r.lo]+1)
-		c.post = e.post[cut:]
+		c.post, c.last = e.post[cut:], int32(e.roots[r.lo])-1
 	}
 	full, none := e.maxContrib[0]+e.sumMax, math.Inf(-1)
 	c.bounds = [numSegs]float64{full, none, none, none}
@@ -463,8 +468,8 @@ func (c *rootCursor) bound(maxFinal float64) {
 // cut reports whether no root still to come can beat currentTopK. A
 // tie cuts only when every such root comes after the threshold's k-th
 // root (topkSet.after): those of the open segment follow the last one
-// it considered, and a later segment that can tie too starts over at
-// the slice's first root.
+// it considered, and a later segment that can tie too may start as
+// early as the slice's first root.
 func (c *rootCursor) cut() bool {
 	t, ok := c.r.topk.threshold()
 	if !ok || c.finalBound > t+pruneEps {
@@ -477,8 +482,8 @@ func (c *rootCursor) cut() bool {
 	switch {
 	case c.climbs():
 		next = c.last + 1
-	case c.pos < len(c.cands):
-		next = int32(c.cands[c.pos])
+	case c.pos < len(c.list):
+		next = int32(c.list[c.pos])
 	}
 	for _, b := range c.bounds[c.seg+1:] {
 		if b >= t-pruneEps && len(c.cands) > 0 {
@@ -488,16 +493,18 @@ func (c *rootCursor) cut() bool {
 	return c.r.topk.after(next)
 }
 
-// lower opens the next segment that runs, if there is one: it starts
-// over at the slice's first root.
+// lower opens the next segment that runs, if there is one: segFull and
+// segDeleted read the slice's candidates from the first, segInexact and
+// segRest the file segFull left them, which the segDeleted merge in
+// candidate passes whole.
 func (c *rootCursor) lower() bool {
 	for c.seg++; c.seg < len(c.bounds); c.seg++ {
 		if c.bounds[c.seg] == math.Inf(-1) {
 			continue
 		}
-		c.pos, c.pi = 0, 0
-		if len(c.cands) > 0 {
-			c.last = int32(c.cands[0]) - 1
+		c.pos, c.pi, c.list = 0, 0, c.cands
+		if c.seg == segInexact || c.seg == segRest {
+			c.pi, c.list = len(c.post), c.r.files[c.seg-segInexact]
 		}
 		clear(c.r.at)
 		c.bound(slices.Max(c.bounds[c.seg:]))
@@ -507,7 +514,7 @@ func (c *rootCursor) lower() bool {
 }
 
 // climbs reports whether the open segment climbs from via's postings.
-func (c *rootCursor) climbs() bool { return c.r.rootVia != 0 && c.seg < segDeleted }
+func (c *rootCursor) climbs() bool { return c.r.rootVia != 0 && c.seg == segFull }
 
 // candidate returns the segment's next root candidate, -1 at its end.
 func (c *rootCursor) candidate() int32 {
@@ -515,8 +522,8 @@ func (c *rootCursor) candidate() int32 {
 		return c.climb()
 	}
 	e := c.r.Engine
-	for c.pos < len(c.cands) {
-		n := c.cands[c.pos]
+	for c.pos < len(c.list) {
+		n := c.list[c.pos]
 		c.pos++
 		// segDeleted (a scan has no postings): the first posting after
 		// n lies below n iff any does, and then n was reached.
@@ -563,9 +570,9 @@ func (c *rootCursor) climb() int32 {
 }
 
 // next materialises the segment's next admissible root; nil ends it.
-// Each candidate is settled once: materialised, rejected or pruned by
-// the segment it belongs to (home), and passed over by the others; one
-// that cannot answer is settled by segFull, which always runs.
+// Each candidate is settled once: segFull materialises, rejects or
+// prunes its own, and files a segInexact or segRest one for that
+// segment, which settles it in turn.
 func (c *rootCursor) next() *match {
 	e := c.r.Engine
 	rel := e.cfg.Relax
@@ -574,23 +581,22 @@ func (c *rootCursor) next() *match {
 		c.compared++
 		var absent, inexact uint64
 		if !e.x.PaperRoots {
-			// Below segRest an absent server settles the root: it dies or
-			// is a later segment's, unless this segment is its home.
-			absent, inexact = c.absent(n, c.seg < segRest && (!ld || c.home(segRest) != c.seg))
-			if c.seg != segDeleted {
-				home := segFull
+			// Without leaf deletion an absent server kills the root; with
+			// it, segFull files the root for segRest if that runs.
+			absent, inexact = c.absent(n, !ld || c.seg == segFull && c.bounds[segRest] != math.Inf(-1))
+			if c.seg == segFull {
+				seg := segFull
 				switch {
 				case absent != 0 && !ld, inexact != 0 && rel == relax.None:
-					if c.seg == segFull {
-						c.settled++ // no server may go missing or bind relaxed: the root cannot answer
-					}
+					c.settled++ // no server may go missing or bind relaxed: the root cannot answer
 					continue
 				case absent != 0:
-					home = c.home(segRest)
+					seg = segRest
 				case inexact != 0:
-					home = c.home(segInexact)
+					seg = segInexact
 				}
-				if home != c.seg {
+				if seg != segFull && c.bounds[seg] != math.Inf(-1) {
+					c.r.files[seg-segInexact] = append(c.r.files[seg-segInexact], uint32(n))
 					continue
 				}
 			}
@@ -636,15 +642,6 @@ func (c *rootCursor) next() *match {
 		return m
 	}
 	return nil
-}
-
-// home returns the segment that streams a root of class seg (segFull,
-// segInexact or segRest): the last one up to seg that runs.
-func (c *rootCursor) home(seg int) int {
-	for c.bounds[seg] == math.Inf(-1) {
-		seg--
-	}
-	return seg
 }
 
 // absent returns, as query-node bits, the servers with no posting

@@ -98,7 +98,7 @@ func (e *Engine) open(ctx context.Context, topk *topkSet, shardID, lo, hi int) *
 		topk.locked = shared
 	}
 	clear(p.r.hint)
-	p.r = run{Engine: e, topk: topk, arena: p.arena, lo: lo, hi: hi, at: p.r.at, hint: p.r.hint, shardID: int32(shardID), sharded: sharded, ctx: ctx, done: ctx.Done()}
+	p.r = run{Engine: e, topk: topk, arena: p.arena, lo: lo, hi: hi, at: p.r.at, hint: p.r.hint, files: p.r.files, shardID: int32(shardID), sharded: sharded, ctx: ctx, done: ctx.Done()}
 	p.r.stats.shared = shared
 	p.r.lastThreshold.Store(math.Float64bits(math.Inf(-1)))
 	p.q.phase = -1

@@ -24,9 +24,11 @@ type run struct {
 	// at is the cursor's posting pointer per server (rootCursor.absent),
 	// hint the start of process's last probe per server (Probe.Append),
 	// cleared at open; a Whirlpool-M server goroutine touches only its
-	// own. Both outlive the run in its idle state, so a run allocates
-	// neither.
+	// own. files holds the roots segFull passes to segInexact and
+	// segRest. All outlive the run in its idle state, so a warm run
+	// allocates none of them.
 	at, hint []int
+	files    [2][]uint32
 	// shardID identifies this run within a sharded evaluation sharing
 	// topk with other engines (0 for a standalone run). Offers carry it
 	// so prunes caused by another shard's threshold can be counted.
